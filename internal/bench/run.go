@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
@@ -70,15 +72,11 @@ func DefaultRuns(workers int) []RunSpec {
 // -policy flag), matching the DefaultRuns epoch/pool shape so its rows are
 // comparable against the defaults.
 func PolicyRun(policy string, workers int) (RunSpec, error) {
-	mode := engine.Mode(policy)
-	switch mode {
-	case engine.DepCache, engine.DepComm, engine.Hybrid, engine.DepTP,
-		engine.Hybrid3, engine.DepRep, engine.Hybrid4:
-	default:
-		return RunSpec{}, fmt.Errorf("bench: unknown policy %q", policy)
+	if names := engine.ModeNames(); !slices.Contains(names, policy) {
+		return RunSpec{}, fmt.Errorf("bench: unknown policy %q (valid: %s)", policy, strings.Join(names, ", "))
 	}
 	return RunSpec{
-		Name: fmt.Sprintf("%s-w%d", policy, workers), Mode: mode,
+		Name: fmt.Sprintf("%s-w%d", policy, workers), Mode: engine.Mode(policy),
 		Workers: workers, Warmup: 1, Epochs: 5, Pool: true,
 	}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"neutronstar/internal/autograd"
-	"neutronstar/internal/graph"
 	"neutronstar/internal/tensor"
 )
 
@@ -29,21 +28,6 @@ type Costs struct {
 // CommCost returns t_c^l(u) = Tc · d^(l-1) (Eq. 2): the cost of fetching one
 // dependency row of the given dimension.
 func (c Costs) CommCost(dim int) float64 { return c.Tc * float64(dim) }
-
-// SubtreeCost returns the redundant-computation cost of a cached dependency
-// subtree described by per-level vertex and edge counts (level k holds the
-// counts of newly replicated vertices/edges whose layer-k computation must
-// be repeated locally), with dims[k] the representation dimension at level
-// k. This is Eq. 1 with the |V_i^k(u)\V_i| and |E_i^k(u)\E_i| terms already
-// counted by the caller (which also applies the V_rep overlap exclusion).
-func (c Costs) SubtreeCost(vertsPerLevel, edgesPerLevel []int, dims []int) float64 {
-	var t float64
-	for k := range vertsPerLevel {
-		d := float64(dims[k])
-		t += (float64(vertsPerLevel[k])*c.Tv + float64(edgesPerLevel[k])*c.Te) * d
-	}
-	return t
-}
 
 // Probe measures T_v and T_e by timing a small tape-based training kernel —
 // the same differentiable gather → edge op → scatter-add → dense transform →
@@ -125,59 +109,4 @@ func commCostPerElement(bytesPerSec float64, latencyPerMsg time.Duration) float6
 	perElement := 2 * bytesPerElement / bytesPerSec
 	perElement += latencyPerMsg.Seconds() / typicalChunkElements
 	return perElement
-}
-
-// SubtreeCounter walks dependency subtrees on a graph and produces the
-// per-level replica counts SubtreeCost consumes, excluding vertices for
-// which exclude returns true (owned vertices and the already-replicated
-// V_rep set).
-type SubtreeCounter struct {
-	g *graph.Graph
-}
-
-// NewSubtreeCounter returns a counter over g.
-func NewSubtreeCounter(g *graph.Graph) *SubtreeCounter {
-	return &SubtreeCounter{g: g}
-}
-
-// Count returns per-level newly-replicated vertex and edge counts for the
-// dependency subtree rooted at u with the given depth (depth = l-1 for a
-// layer-l dependency: levels l-1 down to... level index 0 of the result is
-// the root's level). Level 0 of the returned slices corresponds to dimension
-// dims[l-1], level 1 to dims[l-2], and so on; callers align them.
-//
-// exclude(v) reports that v needs no replication (owned locally or already
-// in V_rep); excluded vertices still terminate expansion but are not
-// charged, and their in-edges are not charged either.
-func (sc *SubtreeCounter) Count(u int32, depth int, exclude func(int32) bool) (verts, edges []int) {
-	verts = make([]int, depth)
-	edges = make([]int, depth)
-	if depth == 0 {
-		return verts, edges
-	}
-	visited := map[int32]struct{}{u: {}}
-	frontier := []int32{u}
-	for level := 0; level < depth; level++ {
-		var next []int32
-		for _, v := range frontier {
-			// Replicating v's layer computation at this level charges v's
-			// vertex op and its in-edges' edge ops.
-			verts[level]++
-			edges[level] += sc.g.InDegree(v)
-			if level+1 < depth {
-				for _, w := range sc.g.InNeighbors(v) {
-					if _, ok := visited[w]; ok {
-						continue
-					}
-					visited[w] = struct{}{}
-					if exclude != nil && exclude(w) {
-						continue
-					}
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return verts, edges
 }

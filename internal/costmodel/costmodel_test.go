@@ -3,8 +3,6 @@ package costmodel
 import (
 	"testing"
 	"time"
-
-	"neutronstar/internal/graph"
 )
 
 func TestProbePositiveCosts(t *testing.T) {
@@ -33,74 +31,9 @@ func TestCommCostScalesWithDim(t *testing.T) {
 	}
 }
 
-func TestSubtreeCost(t *testing.T) {
-	c := Costs{Tv: 1, Te: 0.5}
-	// Level 0: 1 vertex, 2 edges at dim 4; level 1: 3 vertices, 0 edges at dim 2.
-	got := c.SubtreeCost([]int{1, 3}, []int{2, 0}, []int{4, 2})
-	want := (1*1.0+2*0.5)*4 + (3*1.0+0)*2
-	if got != want {
-		t.Fatalf("SubtreeCost = %v, want %v", got, want)
-	}
-}
-
-func TestSubtreeCounterChain(t *testing.T) {
-	// 0 -> 1 -> 2 -> 3: subtree of 3 at depth 2 charges level0={3,1 edge},
-	// level1={2, 1 edge}.
-	g := graph.MustFromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
-	sc := NewSubtreeCounter(g)
-	verts, edges := sc.Count(3, 2, nil)
-	if verts[0] != 1 || edges[0] != 1 {
-		t.Fatalf("level0 = %d/%d", verts[0], edges[0])
-	}
-	if verts[1] != 1 || edges[1] != 1 {
-		t.Fatalf("level1 = %d/%d", verts[1], edges[1])
-	}
-}
-
-func TestSubtreeCounterExclusion(t *testing.T) {
-	// Diamond into 3: 1,2 -> 3; 0 -> 1; 0 -> 2.
-	g := graph.MustFromEdges(4, []graph.Edge{
-		{Src: 1, Dst: 3}, {Src: 2, Dst: 3}, {Src: 0, Dst: 1}, {Src: 0, Dst: 2},
-	})
-	sc := NewSubtreeCounter(g)
-	verts, edges := sc.Count(3, 2, nil)
-	if verts[0] != 1 || edges[0] != 2 {
-		t.Fatalf("level0 = %d/%d", verts[0], edges[0])
-	}
-	if verts[1] != 2 || edges[1] != 2 {
-		t.Fatalf("level1 = %d/%d", verts[1], edges[1])
-	}
-	// Excluding vertex 1: it is not expanded or charged at level 1.
-	verts, edges = sc.Count(3, 2, func(v int32) bool { return v == 1 })
-	if verts[1] != 1 || edges[1] != 1 {
-		t.Fatalf("excluded level1 = %d/%d", verts[1], edges[1])
-	}
-}
-
-func TestSubtreeCounterSharedChildCountedOnce(t *testing.T) {
-	// 0 feeds both 1 and 2, which feed 3: vertex 0 appears twice in the
-	// expansion but must be charged once (the μ-style within-subtree dedup).
-	g := graph.MustFromEdges(4, []graph.Edge{
-		{Src: 1, Dst: 3}, {Src: 2, Dst: 3}, {Src: 0, Dst: 1}, {Src: 0, Dst: 2},
-	})
-	sc := NewSubtreeCounter(g)
-	verts, _ := sc.Count(3, 3, nil)
-	if verts[2] != 1 {
-		t.Fatalf("shared child charged %d times", verts[2])
-	}
-}
-
-func TestSubtreeCounterDepthZero(t *testing.T) {
-	g := graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
-	sc := NewSubtreeCounter(g)
-	verts, edges := sc.Count(1, 0, nil)
-	if len(verts) != 0 || len(edges) != 0 {
-		t.Fatal("depth 0 must be empty")
-	}
-}
-
-// TestCostBoundaries is the table of Eq. 1–2 edge cases: zero dimensions,
-// empty subtrees, zero-degree roots, and the degenerate all-zero environment.
+// TestCostBoundaries is the table of Eq. 2 edge cases: zero dimensions and
+// the degenerate all-zero environment. (Eq. 1's boundaries are tested where it
+// is implemented, in internal/hybrid.)
 func TestCostBoundaries(t *testing.T) {
 	c := Costs{Tv: 3, Te: 5, Tc: 7}
 	cases := []struct {
@@ -110,11 +43,7 @@ func TestCostBoundaries(t *testing.T) {
 	}{
 		{"comm dim 0", c.CommCost(0), 0},
 		{"comm dim 1", c.CommCost(1), 7},
-		{"subtree empty", c.SubtreeCost(nil, nil, nil), 0},
-		{"subtree zero-degree root", c.SubtreeCost([]int{1}, []int{0}, []int{4}), 3 * 4},
-		{"subtree two levels", c.SubtreeCost([]int{1, 2}, []int{2, 3}, []int{4, 2}),
-			(3+2*5)*4 + (2*3+3*5)*2},
-		{"zero env", Costs{}.SubtreeCost([]int{5}, []int{9}, []int{4}), 0},
+		{"zero env", Costs{}.CommCost(4), 0},
 	}
 	for _, tc := range cases {
 		if tc.got != tc.want {

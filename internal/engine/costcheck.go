@@ -3,9 +3,7 @@ package engine
 import (
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/hybrid"
-	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 )
 
 // Cost-model validation: the planner decided the DepCache/DepComm split from
@@ -65,47 +63,17 @@ type CostReport struct {
 	Flips hybrid.FlipReport `json:"flips"`
 }
 
-// layerWork tallies cluster-wide modeled work per layer from the execution
+// layerWorks tallies cluster-wide modeled work per layer from the execution
 // plans — the same quantities Eq. 1–3 charge, counted exactly.
-type layerWork struct {
-	vertexOps int64
-	edgeOps   int64
-	recvRows  int64
-	// recvElems is the tensor-parallel slice-exchange volume (elements, not
-	// rows: TP messages are column slices of varying width).
-	recvElems int64
-}
-
 func (e *Engine) layerWorks() []layerWork {
-	L := len(e.dims) - 1
-	works := make([]layerWork, L)
+	works := make([]layerWork, len(e.dims)-1)
 	for _, p := range e.plans {
-		for l := 0; l < L; l++ {
-			if tp := p.tpLayers[l]; tp != nil {
-				sh := tp.shared
-				nOwned := len(p.owned)
-				d := e.dims[l]
-				width := int(tp.colStart[p.id+1] - tp.colStart[p.id])
-				works[l].vertexOps += int64(nOwned)
-				if sh.slice {
-					// The edge stage covers all |E| edges at width/d of the
-					// feature dimension: charge the pro-rated edge work.
-					if d > 0 {
-						works[l].edgeOps += int64(len(sh.srcRow)) * int64(width) / int64(d)
-					}
-				} else {
-					works[l].edgeOps += int64(len(tp.full.srcRow))
-				}
-				works[l].recvElems += costmodel.TPVolume(sh.slice, l == 0,
-					len(sh.globalRow), nOwned, d, width)
-				continue
-			}
-			lp := &p.layers[l]
-			works[l].vertexOps += int64(lp.owned.numDst() + lp.cached.numDst())
-			works[l].edgeOps += int64(len(lp.owned.srcRow) + len(lp.cached.srcRow))
-			for _, verts := range lp.recv {
-				works[l].recvRows += int64(len(verts))
-			}
+		for l := range works {
+			w := p.layers[l].work
+			works[l].vertexOps += w.vertexOps
+			works[l].edgeOps += w.edgeOps
+			works[l].recvRows += w.recvRows
+			works[l].recvElems += w.recvElems
 		}
 	}
 	return works
@@ -206,35 +174,13 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	return rep
 }
 
-// counterfactualFlips re-runs Algorithm 4 under probed and fitted costs and
+// counterfactualFlips re-runs the planner under probed and fitted costs and
 // reports the decision diff. Planning is repeated from scratch (it is cheap
-// relative to training) so the comparison is policy-to-policy regardless of
-// the engine's actual mode.
+// relative to training) with the policy's re-plan family, so the comparison
+// is policy-to-policy regardless of the engine's actual mode.
 func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
-	// Engines planned with the 3-way family re-plan 3-way, so the
-	// counterfactual can also report flips into or out of tensor parallelism;
-	// the 4-way family likewise re-plans 4-way to expose replication flips.
-	mode := hybrid.ModeHybrid
-	if e.opts.Mode == DepTP || e.opts.Mode == Hybrid3 {
-		mode = hybrid.ModeHybrid3
-	}
-	if e.opts.Mode == DepRep || e.opts.Mode == Hybrid4 {
-		mode = hybrid.ModeHybrid4
-	}
-	sliceTP := nn.SliceSeparable(e.opts.Model)
-	repComp := partition.CompressionFactor(e.repQuant)
-	base := &hybrid.Planner{
-		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
-		Costs: e.costs, MemBudget: e.opts.MemBudget, SliceTP: sliceTP,
-		RepBudget: e.opts.RepBudget, RepCompression: repComp,
-	}
-	alt := &hybrid.Planner{
-		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
-		Costs: fitted, MemBudget: e.opts.MemBudget, SliceTP: sliceTP,
-		RepBudget: e.opts.RepBudget, RepCompression: repComp,
-	}
-	planA, errA := base.DecideAll(mode)
-	planB, errB := alt.DecideAll(mode)
+	planA, errA := e.planner(e.costs).DecideAll(e.policy.replan)
+	planB, errB := e.planner(fitted).DecideAll(e.policy.replan)
 	if errA != nil || errB != nil {
 		return hybrid.FlipReport{}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,21 +52,60 @@ const (
 	Hybrid4 Mode = "hybrid4"
 )
 
+// policy is one row of the policy table: everything the engine knows about a
+// Mode beyond its name. The dataflow each layer runs is not here — it follows
+// from the Decisions the planner mode returns (see buildWorkerPlan).
+type policy struct {
+	mode Mode
+	// plan is the planner mode that derives the engine's Decisions.
+	plan hybrid.Mode
+	// replan is the candidate family the cost-model counterfactual re-plans
+	// with under probed and fitted costs: the widest one that contains the
+	// policy, so the diff can report flips into or out of tensor parallelism
+	// and replication for the engines that can run them.
+	replan hybrid.Mode
+}
+
+// policies is the policy table, in declaration order. Adding a policy is one
+// row here (plus its dataflow, if it needs a new one): NewEngine, ModeNames,
+// the counterfactual, the facade, the bench pipeline and the CLIs read it.
+var policies = []policy{
+	{DepCache, hybrid.ModeAllCache, hybrid.ModeHybrid},
+	{DepComm, hybrid.ModeAllComm, hybrid.ModeHybrid},
+	{Hybrid, hybrid.ModeHybrid, hybrid.ModeHybrid},
+	{DepTP, hybrid.ModeAllTP, hybrid.ModeHybrid3},
+	{Hybrid3, hybrid.ModeHybrid3, hybrid.ModeHybrid3},
+	{DepRep, hybrid.ModeAllRep, hybrid.ModeHybrid4},
+	{Hybrid4, hybrid.ModeHybrid4, hybrid.ModeHybrid4},
+}
+
 // ModeNames lists every engine mode string, in declaration order — the
 // single source of truth for CLI flag validation and the doclint
 // flag-to-doc cross-check.
 func ModeNames() []string {
-	return []string{
-		string(DepCache), string(DepComm), string(Hybrid),
-		string(DepTP), string(Hybrid3), string(DepRep), string(Hybrid4),
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = string(p.mode)
 	}
+	return names
+}
+
+// policyOf looks mode up in the policy table.
+func policyOf(mode Mode) (policy, error) {
+	for _, p := range policies {
+		if p.mode == mode {
+			return p, nil
+		}
+	}
+	return policy{}, fmt.Errorf("engine: unknown mode %q (valid: %s)", mode, strings.Join(ModeNames(), ", "))
 }
 
 // Options configures an Engine.
 type Options struct {
 	// Workers is the simulated cluster size m.
 	Workers int
-	// Mode selects DepCache, DepComm or Hybrid.
+	// Mode selects the dependency-management policy, one of ModeNames()
+	// (default Hybrid).
 	Mode Mode
 	// Model selects the GNN architecture; Hidden overrides the dataset's
 	// default hidden dimension when > 0; Layers sets the propagation depth L
@@ -196,7 +236,9 @@ type EpochStats struct {
 
 // Engine trains one model on one dataset over a simulated cluster.
 type Engine struct {
-	opts   Options
+	opts Options
+	// policy is opts.Mode's row of the policy table.
+	policy policy
 	ds     *dataset.Dataset
 	part   *partition.Partition
 	decs   []*hybrid.Decision
@@ -210,13 +252,11 @@ type Engine struct {
 	// repQuant is the validated replica feature storage format (off when the
 	// plan has no replicated layers or quantization is disabled).
 	repQuant partition.RepQuant
-	// replicas is the vertex-cut replication pass's output for DepRep engines
-	// (nil otherwise); NewEngine cross-checks it against the execution plans.
+	// replicas is the vertex-cut replication pass's output for plans whose top
+	// layer is replicated (nil otherwise); NewEngine cross-checks it against
+	// the execution plans.
 	replicas *partition.ReplicaPlan
-	// tpFeatAll is the full-width feature matrix in owner-block row order,
-	// shared by all workers when layer 1 runs the assemble TP dataflow.
-	tpFeatAll *tensor.Tensor
-	epoch     int
+	epoch    int
 	// history accumulates every completed epoch's stats; it rides along in
 	// snapshots so a resumed run reports a continuous loss curve.
 	history []EpochStats
@@ -237,6 +277,10 @@ type Engine struct {
 // model onto every worker.
 func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
+	pol, err := policyOf(opts.Mode)
+	if err != nil {
+		return nil, err
+	}
 	hiddenDim := ds.Spec.HiddenDim
 	if opts.Hidden > 0 {
 		hiddenDim = opts.Hidden
@@ -265,61 +309,41 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sliceTP := nn.SliceSeparable(opts.Model)
-	planner := &hybrid.Planner{
-		Graph: ds.Graph, Part: part, Dims: dims,
-		Costs: costs, MemBudget: opts.MemBudget, Ratio: opts.CacheRatio,
-		RepBudget: opts.RepBudget, RepCompression: partition.CompressionFactor(repQuant),
-		SliceTP: sliceTP,
+	e := &Engine{
+		opts: opts, policy: pol, ds: ds, part: part, dims: dims,
+		costs: costs, repQuant: repQuant,
 	}
-	var mode hybrid.Mode
-	switch opts.Mode {
-	case DepCache:
-		mode = hybrid.ModeAllCache
-	case DepComm:
-		mode = hybrid.ModeAllComm
-	case DepTP:
-		mode = hybrid.ModeAllTP
-	case Hybrid3:
-		mode = hybrid.ModeHybrid3
-	case DepRep:
-		mode = hybrid.ModeAllRep
-	case Hybrid4:
-		mode = hybrid.ModeHybrid4
-	case Hybrid:
-		if opts.ForceRatio {
-			mode = hybrid.ModeRatio
-		} else {
-			mode = hybrid.ModeHybrid
-		}
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %q", opts.Mode)
+	mode := pol.plan
+	if opts.ForceRatio && mode == hybrid.ModeHybrid {
+		mode = hybrid.ModeRatio
 	}
 	start := time.Now()
-	decs, err := planner.DecideAll(mode)
+	e.decs, err = e.planner(costs).DecideAll(mode)
 	if err != nil {
 		return nil, err
 	}
-	preprocess := time.Since(start)
+	e.PreprocessTime = time.Since(start)
 
-	plans, err := buildPlans(ds.Graph, part, decs, dims, sliceTP)
+	e.plans, err = buildPlans(ds.Graph, part, e.decs, dims, nn.SliceSeparable(opts.Model))
 	if err != nil {
 		return nil, err
 	}
 
 	// The replication pass in internal/partition is the authoritative
-	// statement of what a communication-free execution must hold locally;
-	// under DepRep the plan expansion must materialize exactly those sets, so
-	// a disagreement means one of the two closures is wrong — fail loudly
-	// rather than train against a silently incomplete replica store.
-	var replicas *partition.ReplicaPlan
-	if opts.Mode == DepRep {
-		replicas = partition.BuildReplicas(ds.Graph, part, len(dims)-1)
-		for i, p := range plans {
+	// statement of what a communication-free execution must hold locally. A
+	// replicated top layer caches every dependency at level L-1, whose closure
+	// is the whole boundary closure, so whichever policy produced such a plan,
+	// its expansion must materialize exactly those sets; a disagreement means
+	// one of the two closures is wrong — fail loudly rather than train against
+	// a silently incomplete replica store. (Replication is a cluster-global
+	// per-layer bit: worker 0's Decision speaks for all.)
+	if L := len(dims) - 1; e.decs[0].RepAt(L) {
+		e.replicas = partition.BuildReplicas(ds.Graph, part, L)
+		for i, p := range e.plans {
 			for k := range p.cachedCompute {
-				if !equalVerts(p.cachedCompute[k], replicas.Sets[i][k]) {
+				if !equalVerts(p.cachedCompute[k], e.replicas.Sets[i][k]) {
 					return nil, fmt.Errorf("engine: worker %d level %d: replication pass (%d replicas) and execution plan (%d) disagree",
-						i, k, len(replicas.Sets[i][k]), len(p.cachedCompute[k]))
+						i, k, len(e.replicas.Sets[i][k]), len(p.cachedCompute[k]))
 				}
 			}
 		}
@@ -342,25 +366,9 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		// Send once, before fault injection multiplies transmissions.
 		fabric = newRecordingNet(fabric, opts.Recorder)
 	}
-	e := &Engine{
-		opts: opts, ds: ds, part: part, decs: decs, plans: plans, dims: dims,
-		fabric:         fabric,
-		costs:          costs,
-		repQuant:       repQuant,
-		replicas:       replicas,
-		PreprocessTime: preprocess,
-	}
-	// Assemble-dataflow TP at layer 1 reads the full-width feature matrix in
-	// owner-block order; it is static, so one engine-wide copy serves all
-	// workers.
-	if sh := tpSharedOf(plans); sh != nil && !sh.slice && plans[0].tpLayers[0] != nil {
-		e.tpFeatAll = tensor.New(ds.NumVertices(), dims[0])
-		for v := 0; v < ds.NumVertices(); v++ {
-			copy(e.tpFeatAll.Row(int(sh.globalRow[v])), ds.Features.Row(v))
-		}
-	}
+	e.fabric = fabric
 	cached, comms := 0, 0
-	for _, d := range decs {
+	for _, d := range e.decs {
 		cached += d.NumCached()
 		comms += d.NumComm()
 	}
@@ -379,6 +387,18 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		e.states[i] = newWorkerState(i, e, model)
 	}
 	return e, nil
+}
+
+// planner returns the dependency planner for this engine's graph, partition
+// and budgets under the given environment factors — the probed ones to plan,
+// fitted ones for the cost-model counterfactual.
+func (e *Engine) planner(costs costmodel.Costs) *hybrid.Planner {
+	return &hybrid.Planner{
+		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
+		Costs: costs, MemBudget: e.opts.MemBudget, Ratio: e.opts.CacheRatio,
+		RepBudget: e.opts.RepBudget, RepCompression: partition.CompressionFactor(e.repQuant),
+		SliceTP: nn.SliceSeparable(e.opts.Model),
+	}
 }
 
 // probeCache memoises environment probes per network profile: the factors
@@ -414,9 +434,9 @@ func (e *Engine) CacheBytes() int64 {
 	return b
 }
 
-// ReplicationFactor returns the vertex replication factor of a DepRep engine
-// ((|V| + feature replicas)/|V|, from the partition-level replication pass)
-// or 1 for every other mode.
+// ReplicationFactor returns the vertex replication factor of a plan whose top
+// layer is replicated ((|V| + feature replicas)/|V|, from the partition-level
+// replication pass), or 1 for every other plan.
 func (e *Engine) ReplicationFactor() float64 {
 	if e.replicas == nil {
 		return 1

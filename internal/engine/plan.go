@@ -5,12 +5,13 @@
 // cross-worker boundary handled by master–mirror messages
 // (synchronize-compute forward, compute-synchronize backward, Fig. 7).
 //
-// The three training modes — DepCache, DepComm, Hybrid — share this single
+// Every policy in the table (policies, engine.go) shares this single
 // implementation; they differ only in the hybrid.Decision that assigns each
-// remote dependency to replication or communication. The plan in this file
-// turns a Decision into the static per-worker execution structures: which
-// non-owned vertices are redundantly computed at each layer, which rows are
-// exchanged with which peer, and the index arrays the gather/scatter ops use.
+// remote dependency to replication or communication and each layer to a
+// dataflow. The plan in this file turns a Decision into the static per-worker
+// execution structures: which non-owned vertices are redundantly computed at
+// each layer, which rows are exchanged with which peer, the index arrays the
+// gather/scatter ops use, and the dataflow each layer runs.
 package engine
 
 import (
@@ -57,8 +58,27 @@ type chunkGroup struct {
 	edgeNorm []float32
 }
 
+// layerWork is the modeled work of one layer of one worker — the quantities
+// Eq. 1–3 charge, counted exactly from the plan for the cost-model validator.
+type layerWork struct {
+	// vertexOps / edgeOps are the destination rows and edges computed (owned
+	// plus redundantly recomputed cached blocks).
+	vertexOps, edgeOps int64
+	// recvRows is the number of dependency rows fetched over the network.
+	recvRows int64
+	// recvElems is the tensor-parallel slice-exchange volume (elements, not
+	// rows: TP messages are column slices of varying width).
+	recvElems int64
+}
+
 // layerPlan is the per-layer execution structure of one worker.
 type layerPlan struct {
+	// flow is the layer's dataflow, chosen here and nowhere else: the epoch
+	// loop, the inference pass and worker construction only call it. Under a
+	// tensor-parallel flow the master–mirror structures below stay empty, so
+	// the send/recv wiring no-ops.
+	flow dataflow
+	work layerWork
 	// recv[j] lists vertices received from peer j this layer (ascending);
 	// empty for j == self and peers with nothing to send.
 	recv [][]int32
@@ -96,9 +116,6 @@ type workerPlan struct {
 	// cacheBytes is the replica storage implied by cachedCompute (for
 	// reporting against the Decision estimate).
 	cacheBytes int64
-	// tpLayers[l-1] is the tensor-parallel plan of layer l, nil for layers
-	// that run the regular master–mirror dataflow. Always length L.
-	tpLayers []*tpLayerPlan
 }
 
 // buildPlans derives all workers' execution plans from the dependency
@@ -122,7 +139,10 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 	var shared *tpShared
 	for _, d := range decs {
 		if d.NumTP() > 0 {
-			shared = buildTPShared(g, part, sliceTP, selfNormAll)
+			var err error
+			if shared, err = buildTPShared(g, part, sliceTP, selfNormAll); err != nil {
+				return nil, err
+			}
 			break
 		}
 	}
@@ -202,8 +222,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			need(u, l-1)
 		}
 	}
-	p := &workerPlan{id: i, owned: owned, cachedCompute: make([][]int32, L),
-		tpLayers: make([]*tpLayerPlan, L)}
+	p := &workerPlan{id: i, owned: owned, cachedCompute: make([][]int32, L)}
 	for k := 0; k < L; k++ {
 		p.cachedCompute[k] = sortedFromSet(cachedSet[k])
 		p.cacheBytes += int64(len(p.cachedCompute[k])) * int64(4*dims[k])
@@ -228,9 +247,6 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		lp := &p.layers[l-1]
 		if dec.TPAt(l) {
 			// Tensor-parallel layer: no per-vertex exchange, no cached block.
-			// The regular structures stay empty (so the generic send/recv
-			// wiring and backward loops no-op) and the slice-exchange plan
-			// lives in tpLayers.
 			if len(p.cachedCompute[l-1]) != 0 {
 				return nil, fmt.Errorf("engine: worker %d layer %d: tensor-parallel input widened by %d replicas at level %d", i, l, len(p.cachedCompute[l-1]), l-1)
 			}
@@ -238,7 +254,11 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			lp.recvOffset = make([]int32, part.NumParts)
 			lp.numPrevRows = len(owned)
 			lp.numHAllRows = len(owned)
-			p.tpLayers[l-1] = buildTPLayer(g, part, shared, dims, l, i, selfNormAll)
+			var err error
+			lp.flow, lp.work, err = buildTPLayer(g, part, shared, dims, l, i, selfNormAll)
+			if err != nil {
+				return nil, err
+			}
 			continue
 		}
 		lp.numPrevRows = len(owned) + len(p.cachedCompute[l-1])
@@ -282,16 +302,29 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			return 0, fmt.Errorf("engine: worker %d layer %d: source %d unavailable", i, l, u)
 		}
 
+		prevRow := func(v int32) (int32, error) {
+			if r, ok := p.prevIndex[l-1][v]; ok {
+				return r, nil
+			}
+			return 0, fmt.Errorf("engine: destination %d has no previous-layer row", v)
+		}
+
 		var err error
-		lp.owned, err = buildBlock(g, owned, resolve, p.prevIndex[l-1], selfNormAll)
+		lp.owned, err = buildBlock(g, owned, resolve, prevRow, selfNormAll)
 		if err != nil {
 			return nil, err
 		}
-		lp.cached, err = buildBlock(g, p.cachedComputeAt(l), resolve, p.prevIndex[l-1], selfNormAll)
+		lp.cached, err = buildBlock(g, p.cachedComputeAt(l), resolve, prevRow, selfNormAll)
 		if err != nil {
 			return nil, err
 		}
 		lp.ownedGroups = buildChunkGroups(lp, part.NumParts)
+		lp.flow = masterMirror{}
+		lp.work = layerWork{
+			vertexOps: int64(lp.owned.numDst() + lp.cached.numDst()),
+			edgeOps:   int64(len(lp.owned.srcRow) + len(lp.cached.srcRow)),
+			recvRows:  int64(lp.numHAllRows - lp.numPrevRows),
+		}
 	}
 	return p, nil
 }
@@ -345,23 +378,25 @@ func (p *workerPlan) cachedComputeAt(k int) []int32 {
 	return p.cachedCompute[k]
 }
 
-// buildBlock assembles the edge arrays for one destination block.
-func buildBlock(g *graph.Graph, dsts []int32, resolve func(int32) (int32, error),
-	prevIndex map[int32]int32, selfNormAll []float32) (blockPlan, error) {
+// buildBlock assembles the edge arrays for one destination block. srcRow maps
+// an edge source, selfRow a destination's own previous-layer copy, to its row
+// in the block's input universe.
+func buildBlock(g *graph.Graph, dsts []int32, srcRow, selfRow func(int32) (int32, error),
+	selfNormAll []float32) (blockPlan, error) {
 
 	b := blockPlan{dsts: dsts, offsets: make([]int32, len(dsts)+1)}
 	b.selfRow = make([]int32, len(dsts))
 	b.selfNorm = make([]float32, len(dsts))
 	for r, v := range dsts {
-		sr, ok := prevIndex[v]
-		if !ok {
-			return b, fmt.Errorf("engine: destination %d has no previous-layer row", v)
+		sr, err := selfRow(v)
+		if err != nil {
+			return b, err
 		}
 		b.selfRow[r] = sr
 		b.selfNorm[r] = selfNormAll[v]
 		dNorm := gcnInvSqrt(g.InDegree(v))
 		for _, u := range g.InNeighbors(v) {
-			row, err := resolve(u)
+			row, err := srcRow(u)
 			if err != nil {
 				return b, err
 			}

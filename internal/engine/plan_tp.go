@@ -22,122 +22,90 @@ import (
 // order), then worker 1's, and so on — so a row range identifies an owner
 // without any per-vertex index exchange.
 type tpShared struct {
-	// slice selects the dataflow: column-sliced edge aggregation for
-	// sum-decomposable models, full-width assemble for models whose edge
-	// stage mixes columns (attention, pooling).
+	// slice selects the dataflow buildTPLayer gives every TP layer:
+	// column-sliced edge aggregation for sum-decomposable models, full-width
+	// assemble for models whose edge stage mixes columns (attention, pooling).
 	slice bool
 	// blockStart[j]..blockStart[j+1] is worker j's owned row range in
 	// owner-block order (length m+1).
-	blockStart []int32
+	blockStart []int
 	// globalRow maps a global vertex id to its owner-block row.
 	globalRow []int32
-	// Full-graph CSC over owner-block rows for the slice dataflow (nil when
-	// assemble): edges grouped per destination, in-neighbor order within a
-	// group — the buildBlock convention, so per-vertex sums reduce in the
-	// same float order as the other policies.
-	srcRow, dstRow []int32
-	edgeNorm       []float32
-	// selfNorm[r] is row r's GCN self coefficient in owner-block order
-	// (slice dataflow only).
-	selfNorm []float32
+	// all is the full-graph destination block over owner-block rows for the
+	// slice dataflow (zero when assemble): buildBlock's CSC convention, so
+	// per-vertex sums reduce in the same float order as the other policies.
+	all blockPlan
+	// featAll is the full-width feature matrix in owner-block row order: the
+	// static layer-1 input of the assemble dataflow, one copy for all workers
+	// (nil until a layer-1 assemble dataflow binds it).
+	featAll *tensor.Tensor
 }
+
+// resolve is buildBlock's row resolver over the owner-block row universe.
+func (sh *tpShared) resolve(v int32) (int32, error) { return sh.globalRow[v], nil }
 
 // tpLayerPlan is one worker's plan for one tensor-parallel layer.
 type tpLayerPlan struct {
 	shared *tpShared
-	// colStart[j]..colStart[j+1] is worker j's column slice of d^(l-1)
-	// (length m+1). Zero-width slices compute and exchange nothing.
-	colStart []int32
-	// selfNormOwned is the owned rows' self coefficients (slice dataflow).
-	selfNormOwned []float32
-	// full is the worker's owned destination block over the global
-	// owner-block row universe (assemble dataflow).
-	full blockPlan
+	// x is the layer's slice-exchange geometry: the shared row blocks and the
+	// column slices of d^(l-1). Zero-width slices compute and exchange nothing.
+	x TPSliceExchange
 }
 
 // buildTPShared derives the cluster-global geometry.
-func buildTPShared(g *graph.Graph, part *partition.Partition, slice bool, selfNormAll []float32) *tpShared {
+func buildTPShared(g *graph.Graph, part *partition.Partition, slice bool, selfNormAll []float32) (*tpShared, error) {
 	m := part.NumParts
-	n := g.NumVertices()
-	sh := &tpShared{slice: slice, blockStart: make([]int32, m+1), globalRow: make([]int32, n)}
-	row := int32(0)
+	sh := &tpShared{slice: slice, blockStart: make([]int, m+1), globalRow: make([]int32, g.NumVertices())}
+	order := make([]int32, 0, g.NumVertices())
 	for j := 0; j < m; j++ {
-		sh.blockStart[j] = row
+		sh.blockStart[j] = len(order)
 		for _, v := range part.Parts[j] {
-			sh.globalRow[v] = row
-			row++
+			sh.globalRow[v] = int32(len(order))
+			order = append(order, v)
 		}
 	}
-	sh.blockStart[m] = row
+	sh.blockStart[m] = len(order)
 	if !slice {
-		return sh
+		return sh, nil
 	}
-	sh.selfNorm = make([]float32, n)
-	for j := 0; j < m; j++ {
-		for _, v := range part.Parts[j] {
-			r := sh.globalRow[v]
-			sh.selfNorm[r] = selfNormAll[v]
-			dNorm := gcnInvSqrt(g.InDegree(v))
-			for _, u := range g.InNeighbors(v) {
-				sh.srcRow = append(sh.srcRow, sh.globalRow[u])
-				sh.dstRow = append(sh.dstRow, r)
-				sh.edgeNorm = append(sh.edgeNorm, dNorm*gcnInvSqrt(g.InDegree(u)))
-			}
-		}
-	}
-	return sh
+	var err error
+	sh.all, err = buildBlock(g, order, sh.resolve, sh.resolve, selfNormAll)
+	return sh, err
 }
 
-// buildTPLayer derives worker `worker`'s plan for TP layer l.
+// buildTPLayer derives worker `worker`'s dataflow for TP layer l and the work
+// the cost-model validator charges it: the layer's owned rows, its edge work,
+// and its slice-exchange element volume.
 func buildTPLayer(g *graph.Graph, part *partition.Partition, sh *tpShared,
-	dims []int, l, worker int, selfNormAll []float32) *tpLayerPlan {
+	dims []int, l, worker int, selfNormAll []float32) (dataflow, layerWork, error) {
 
 	m := part.NumParts
-	tp := &tpLayerPlan{shared: sh, colStart: make([]int32, m+1)}
+	tp := tpLayerPlan{shared: sh, x: TPSliceExchange{BlockStart: sh.blockStart, ColStart: make([]int, m+1)}}
 	for j := 0; j <= m; j++ {
-		lo, _ := costmodel.TPColRange(dims[l-1], m, j)
-		tp.colStart[j] = int32(lo)
+		tp.x.ColStart[j], _ = costmodel.TPColRange(dims[l-1], m, j)
+	}
+	nOwned := len(part.Parts[worker])
+	d := dims[l-1]
+	lo, hi := tp.x.cols(worker)
+	work := layerWork{
+		vertexOps: int64(nOwned),
+		recvElems: costmodel.TPVolume(sh.slice, l == 1, g.NumVertices(), nOwned, d, hi-lo),
 	}
 	if sh.slice {
-		tp.selfNormOwned = sh.selfNorm[sh.blockStart[worker]:sh.blockStart[worker+1]]
-	} else {
-		tp.full = buildTPBlock(g, part.Parts[worker], sh, selfNormAll)
-	}
-	return tp
-}
-
-// buildTPBlock builds the assemble-dataflow owned destination block: edge
-// sources and destination selves both index the global owner-block row
-// universe (the assembled full-width input).
-func buildTPBlock(g *graph.Graph, dsts []int32, sh *tpShared, selfNormAll []float32) blockPlan {
-	b := blockPlan{dsts: dsts, offsets: make([]int32, len(dsts)+1)}
-	b.selfRow = make([]int32, len(dsts))
-	b.selfNorm = make([]float32, len(dsts))
-	for r, v := range dsts {
-		b.selfRow[r] = sh.globalRow[v]
-		b.selfNorm[r] = selfNormAll[v]
-		dNorm := gcnInvSqrt(g.InDegree(v))
-		for _, u := range g.InNeighbors(v) {
-			b.srcRow = append(b.srcRow, sh.globalRow[u])
-			b.dstRow = append(b.dstRow, int32(r))
-			b.edgeNorm = append(b.edgeNorm, dNorm*gcnInvSqrt(g.InDegree(u)))
+		// The edge stage covers all |E| edges at width/d of the feature
+		// dimension: charge the pro-rated edge work.
+		if d > 0 {
+			work.edgeOps = int64(len(sh.all.srcRow)) * int64(hi-lo) / int64(d)
 		}
-		b.offsets[r+1] = int32(len(b.srcRow))
+		blo, bhi := tp.x.rows(worker)
+		return &tpSlice{tpLayerPlan: tp, selfNormOwned: sh.all.selfNorm[blo:bhi]}, work, nil
 	}
-	return b
-}
-
-// tpSharedOf returns the cluster's tensor-parallel geometry, nil when no
-// layer is tensor-parallel.
-func tpSharedOf(plans []*workerPlan) *tpShared {
-	for _, p := range plans {
-		for _, tp := range p.tpLayers {
-			if tp != nil {
-				return tp.shared
-			}
-		}
-	}
-	return nil
+	// The assemble dataflow's owned destination block: edge sources and
+	// destination selves both index the global owner-block row universe (the
+	// assembled full-width input).
+	full, err := buildBlock(g, part.Parts[worker], sh.resolve, sh.resolve, selfNormAll)
+	work.edgeOps = int64(len(full.srcRow))
+	return &tpAssemble{tpLayerPlan: tp, full: full}, work, err
 }
 
 // TPSliceExchange models the two DepTP collectives over plain tensors,
@@ -158,20 +126,54 @@ type TPSliceExchange struct {
 // NumWorkers returns the cluster size implied by the row blocks.
 func (x TPSliceExchange) NumWorkers() int { return len(x.BlockStart) - 1 }
 
+// rows returns worker w's owned row range [lo, hi) in owner-block order.
+func (x TPSliceExchange) rows(w int) (lo, hi int) { return x.BlockStart[w], x.BlockStart[w+1] }
+
+// cols returns worker j's column slice [lo, hi).
+func (x TPSliceExchange) cols(j int) (lo, hi int) { return x.ColStart[j], x.ColStart[j+1] }
+
+// window addresses the sub-matrix of t whose top-left element is (row, col).
+type window struct {
+	t        *tensor.Tensor
+	row, col int
+}
+
+func at(t *tensor.Tensor, row, col int) window { return window{t, row, col} }
+
+// copyWindow copies src's rows×cols window over dst's. Every slice-exchange
+// data movement — cutting a column slice out of a row block, placing one into
+// it, placing a row block into the owner-block universe — is this kernel with
+// different corners.
+func copyWindow(dst, src window, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		copy(dst.t.Row(dst.row + r)[dst.col:dst.col+cols], src.t.Row(src.row + r)[src.col:])
+	}
+}
+
+// addWindow accumulates (+=) src's rows×cols window into dst's: copyWindow's
+// counterpart wherever gradients from several sources meet.
+func addWindow(dst, src window, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		addRow(dst.t.Row(dst.row + r)[dst.col:dst.col+cols], src.t.Row(src.row + r)[src.col:])
+	}
+}
+
+// addRow accumulates src's leading len(dst) elements into dst.
+func addRow(dst, src []float32) {
+	for c, g := range src[:len(dst)] {
+		dst[c] += g
+	}
+}
+
 // ReGather assembles worker w's full-width owned block from every worker's
 // column slice: out[r][c] = slices[j][BlockStart[w]+r][c-ColStart[j]] for
 // the j whose slice covers column c.
 func (x TPSliceExchange) ReGather(slices []*tensor.Tensor, w int) *tensor.Tensor {
-	rows := x.BlockStart[w+1] - x.BlockStart[w]
-	out := tensor.New(rows, x.ColStart[len(x.ColStart)-1])
+	blo, bhi := x.rows(w)
+	out := tensor.New(bhi-blo, x.ColStart[len(x.ColStart)-1])
 	for j, s := range slices {
-		lo, hi := x.ColStart[j], x.ColStart[j+1]
-		if hi == lo {
-			continue
-		}
-		for r := 0; r < rows; r++ {
-			copy(out.Row(r)[lo:hi], s.Row(x.BlockStart[w]+r))
-		}
+		lo, hi := x.cols(j)
+		copyWindow(at(out, 0, lo), at(s, blo, 0), bhi-blo, hi-lo)
 	}
 	return out
 }
@@ -180,18 +182,9 @@ func (x TPSliceExchange) ReGather(slices []*tensor.Tensor, w int) *tensor.Tensor
 // block back into the per-worker column slices, accumulating (+=) so
 // scatters from different owners compose the way the backward pass does.
 func (x TPSliceExchange) ReScatter(grad *tensor.Tensor, w int, slices []*tensor.Tensor) {
-	rows := x.BlockStart[w+1] - x.BlockStart[w]
+	blo, bhi := x.rows(w)
 	for j, s := range slices {
-		lo, hi := x.ColStart[j], x.ColStart[j+1]
-		if hi == lo {
-			continue
-		}
-		for r := 0; r < rows; r++ {
-			src := grad.Row(r)[lo:hi]
-			dst := s.Row(x.BlockStart[w] + r)
-			for c, g := range src {
-				dst[c] += g
-			}
-		}
+		lo, hi := x.cols(j)
+		addWindow(at(s, blo, 0), at(grad, 0, lo), bhi-blo, hi-lo)
 	}
 }

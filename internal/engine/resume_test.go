@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -9,6 +11,8 @@ import (
 
 	"neutronstar/internal/ckpt"
 	"neutronstar/internal/comm"
+	"neutronstar/internal/costmodel"
+	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
 
@@ -31,18 +35,113 @@ func trainLosses(t *testing.T, opts Options, epochs int) []float64 {
 	return out
 }
 
-// TestSameSeedBitIdentical is the determinism regression: two runs with the
-// same seed must produce bit-identical loss curves. This is what the
-// worker-id-ordered loss summation in RunEpoch buys — any reordering of the
-// float additions would break it.
-func TestSameSeedBitIdentical(t *testing.T) {
-	opts := Options{Workers: 4, Mode: Hybrid, Seed: 11}
-	a := trainLosses(t, opts, 5)
-	b := trainLosses(t, opts, 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("epoch %d: losses diverge bitwise: %.17g vs %.17g", i+1, a[i], b[i])
+// pinnedRun is what TestSameSeedBitIdentical compares between two runs of one
+// configuration: the loss curve, the last epoch's traffic, and the plan.
+type pinnedRun struct {
+	losses      []float64
+	bytes, msgs int64
+	plan        string // hash of every worker's R/C/TP/Rep
+	params      string // hash of the trained parameters' bits
+	shape       string // worker 0's per-layer cached/communicated counts and TP/Rep bits
+	topRep      bool
+	repFactor   float64
+}
+
+// runPinned trains a fresh engine under a flight recorder. bytes and msgs count
+// every logical message of the last epoch once (the recorder attributes each
+// at the sender and at the receiver).
+func runPinned(t *testing.T, opts Options, epochs int) pinnedRun {
+	t.Helper()
+	rec := obs.NewFlightRecorder()
+	opts.Recorder = rec
+	e, err := NewEngine(testDataset(t, 300, 6, 3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var run pinnedRun
+	for _, st := range e.Train(epochs) {
+		run.losses = append(run.losses, st.Loss)
+	}
+	last, ok := rec.Last()
+	if !ok {
+		t.Fatal("no flight record")
+	}
+	for _, s := range obs.StageNames() {
+		run.msgs += last.StageMsgs(s)
+	}
+	run.bytes, run.msgs = last.TotalBytes()/2, run.msgs/2
+	h := fnv.New64a()
+	for _, d := range e.Decisions() {
+		fmt.Fprintln(h, d.R, d.C, d.TP, d.Rep)
+	}
+	run.plan = fmt.Sprintf("%016x", h.Sum64())
+	h.Reset()
+	for _, p := range e.Params() {
+		for _, v := range p.Value.Data() {
+			fmt.Fprintf(h, "%08x", math.Float32bits(v))
 		}
+	}
+	run.params = fmt.Sprintf("%016x", h.Sum64())
+	d0 := e.Decisions()[0]
+	for l := range d0.R {
+		run.shape += fmt.Sprintf("[R%d C%d tp=%v rep=%v]", len(d0.R[l]), len(d0.C[l]), d0.TPAt(l+1), d0.RepAt(l+1))
+	}
+	run.topRep = d0.RepAt(len(d0.R))
+	run.repFactor = e.ReplicationFactor()
+	return run
+}
+
+// TestSameSeedBitIdentical is the determinism regression: two runs with the
+// same seed must produce bit-identical loss curves, traffic and plans, for
+// every policy — which is what the worker-id-ordered loss summation in
+// RunEpoch and the schedule-ordered gradient accumulation of every dataflow
+// buy. The logged line per row is the behaviour pin a refactor is compared
+// on: the same test at two commits must log the same lines.
+func TestSameSeedBitIdentical(t *testing.T) {
+	// Forced factors (no probe). mixed: Algorithm 4 caches some layer-2
+	// dependencies and communicates the rest, and hybrid3/hybrid4 put a TP
+	// layer above a master–mirror one. repWins: traffic is unaffordable and a
+	// 1-byte MemBudget bars full-precision caching, so hybrid4 replicates.
+	mixed := costmodel.Costs{Tv: 2e-8, Te: 1e-8, Tc: 8e-8}
+	repWins := costmodel.Costs{Tv: 1e-12, Te: 1e-13, Tc: 1e6}
+	type row struct {
+		mode      Mode
+		model     nn.ModelKind
+		costs     costmodel.Costs
+		memBudget int64
+	}
+	var rows []row
+	for _, name := range ModeNames() {
+		rows = append(rows, row{Mode(name), nn.GCN, mixed, 0})
+	}
+	rows = append(rows,
+		row{DepTP, nn.GAT, mixed, 0}, // the assemble dataflow (GCN runs the slice one)
+		row{Hybrid4, nn.GCN, repWins, 1})
+	for i, r := range rows {
+		t.Run(fmt.Sprintf("%d-%s-%s", i, r.mode, r.model), func(t *testing.T) {
+			opts := Options{Workers: 4, Mode: r.mode, Model: r.model, Seed: 11,
+				Costs: r.costs, MemBudget: r.memBudget}
+			a := runPinned(t, opts, 5)
+			b := runPinned(t, opts, 5)
+			for i := range a.losses {
+				if a.losses[i] != b.losses[i] {
+					t.Fatalf("epoch %d: losses diverge bitwise: %.17g vs %.17g", i+1, a.losses[i], b.losses[i])
+				}
+			}
+			if a.bytes != b.bytes || a.msgs != b.msgs || a.plan != b.plan || a.params != b.params {
+				t.Fatalf("runs differ: %d B / %d msgs / plan %s / params %s vs %d B / %d msgs / plan %s / params %s",
+					a.bytes, a.msgs, a.plan, a.params, b.bytes, b.msgs, b.plan, b.params)
+			}
+			// A replicated top layer holds the whole boundary closure, so the
+			// run is communication-free whatever policy name asked for it, and
+			// the engine reports so.
+			if a.topRep != (a.repFactor > 1) {
+				t.Fatalf("top layer replicated = %v but ReplicationFactor() = %g", a.topRep, a.repFactor)
+			}
+			t.Logf("pin: loss5=%.17g bytes/epoch=%d msgs/epoch=%d plan=%s params=%s shape=%s",
+				a.losses[4], a.bytes, a.msgs, a.plan, a.params, a.shape)
+		})
 	}
 }
 

@@ -30,11 +30,6 @@ type workerState struct {
 	// cached (replicated) features — the one-time fetch of Algorithm 2
 	// line 5 happens here at construction.
 	feat *tensor.Tensor
-	// sliceFeat is the worker's column slice of all features in owner-block
-	// row order — the layer-1 input when that layer runs the tensor-parallel
-	// slice dataflow (nil otherwise). Assembled once at construction, like
-	// feat.
-	sliceFeat *tensor.Tensor
 	// labels / trainMask are aligned with the owned rows.
 	labels    []int32
 	trainMask []bool
@@ -53,10 +48,37 @@ type layerRun struct {
 	// chunkLeaves holds per-peer received leaves when the layer ran through
 	// the chunk-pipelined path (hRecv is nil then).
 	chunkLeaves []chunkLeaf
-	// tp holds the tensor-parallel tape state when the layer ran the DepTP
-	// dataflow (everything above is nil or a carrier then).
+	// tp holds the tensor-parallel tape state when the layer ran a DepTP
+	// dataflow (hRecv and chunkLeaves are nil then).
 	tp *tpLayerRun
 }
+
+// dataflow is how one layer of one worker obtains its input rows and returns
+// their gradients: master–mirror messages (masterMirror), or one of the two
+// tensor-parallel slice exchanges (tpSlice, tpAssemble). buildWorkerPlan
+// chooses it when it builds the layer.
+type dataflow interface {
+	// bindFeatures assembles whatever static layer-1 input the dataflow reads
+	// besides ws.feat. Called once, at worker construction, on layer 1's
+	// dataflow only — deeper layers' inputs arrive every epoch.
+	bindFeatures(ws *workerState)
+	// forward executes layer l on prevVal, the previous layer's output (ws.feat
+	// for l = 1), keeping the tape state the backward sweep needs.
+	forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun
+	// backward runs layer l's tapes backward and returns the input gradients
+	// to whoever produced the inputs, leaving runs[l-1].hPrev.Grad as the
+	// seed of layer l-1.
+	backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock)
+}
+
+// masterMirror is the dataflow of Fig. 7: send master rows, redundantly
+// compute the cached block, receive mirror rows, compute the owned block;
+// backward, post mirror gradients to their masters. All of its plan lives on
+// the layerPlan itself.
+type masterMirror struct{}
+
+// bindFeatures: ws.feat — owned ++ cached features — is the whole input.
+func (masterMirror) bindFeatures(*workerState) {}
 
 // chunkLeaf is one peer's received chunk as a tape leaf.
 type chunkLeaf struct {
@@ -97,16 +119,7 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 			partition.Requantize(q, ws.feat.Row(len(plan.owned)+r))
 		}
 	}
-	if tp := plan.tpLayers[0]; tp != nil && tp.shared.slice {
-		sh := tp.shared
-		lo, hi := int(tp.colStart[id]), int(tp.colStart[id+1])
-		ws.sliceFeat = tensor.New(ds.NumVertices(), hi-lo)
-		if hi > lo {
-			for v := 0; v < ds.NumVertices(); v++ {
-				copy(ws.sliceFeat.Row(int(sh.globalRow[v])), ds.Features.Row(v)[lo:hi])
-			}
-		}
-	}
+	plan.layers[0].flow.bindFeatures(ws)
 	ws.labels = make([]int32, len(plan.owned))
 	ws.trainMask = make([]bool, len(plan.owned))
 	for r, v := range plan.owned {
@@ -163,11 +176,7 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 	// ---- Forward: synchronize-compute per layer ----
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
-		if ws.plan.tpLayers[l-1] != nil {
-			runs[l-1] = ws.forwardLayerTP(epoch, l, prevVal, coll, true, sc)
-		} else {
-			runs[l-1] = ws.forwardLayer(epoch, l, prevVal, coll, true, sc)
-		}
+		runs[l-1] = ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, true, sc)
 		prevVal = runs[l-1].out.Value
 	}
 
@@ -197,11 +206,7 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 
 	// ---- Backward: compute-synchronize per layer ----
 	for l := L; l >= 1; l-- {
-		if runs[l-1].tp != nil {
-			ws.backwardLayerTP(epoch, l, runs, sc)
-		} else {
-			ws.backwardLayer(epoch, l, runs, sc)
-		}
+		ws.plan.layers[l-1].flow.backward(ws, epoch, l, runs, sc)
 	}
 
 	// ---- Parameter update: collect, synchronise, step ----
@@ -231,12 +236,11 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 	return lossSum, count
 }
 
-// forwardLayer executes one layer: send master rows, redundantly compute the
-// cached block, receive mirror rows, compute the owned block.
-func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
+	coll := ws.eng.opts.Collector
 	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
 	defer lg.End()
 	sc.Switch(obs.StageForward, l)
@@ -358,13 +362,7 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 	for l := 1; l <= L; l++ {
 		// Inference passes carry a nil clock: they run outside any epoch and
 		// the recorder would drop their samples anyway.
-		var run layerRun
-		if ws.plan.tpLayers[l-1] != nil {
-			run = ws.forwardLayerTP(epoch, l, prevVal, ws.eng.opts.Collector, false, nil)
-		} else {
-			run = ws.forwardLayer(epoch, l, prevVal, ws.eng.opts.Collector, false, nil)
-		}
-		prevVal = run.out.Value
+		prevVal = ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, false, nil).out.Value
 	}
 	for _, p := range ws.model.Params() {
 		p.CollectGrad()
@@ -553,34 +551,38 @@ func searchVertex(list []int32, v int32) int {
 	return -1
 }
 
-// backwardLayer runs layer l's tape backward (seeded by the upper layer's
-// input gradient plus remote mirror gradients), then posts mirror gradients
-// back to their masters (PostToDepNbr).
-func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.StageClock) {
+// seedBackward runs layer l's main tape backward from the gradient of its
+// output. For the top layer the loss already back-propagated on the same
+// tape, so there is nothing to seed; for lower layers the seed is the upper
+// layer's input gradient plus the mirror gradients of the master rows this
+// worker sent it (none when the upper layer is tensor-parallel: its backward
+// already returned every gradient into hPrev.Grad).
+func (ws *workerState) seedBackward(epoch, l int, runs []layerRun, sc *obs.StageClock) {
+	if l >= len(runs) {
+		return
+	}
+	run := &runs[l-1]
+	seed := runs[l].hPrev.Grad
+	if seed == nil {
+		seed = ws.alloc(true, run.out.Value.Rows(), run.out.Value.Cols())
+	}
+	ws.receiveMirrorGrads(epoch, l+1, seed, sc)
+	sc.Switch(obs.StageBackward, l)
+	sp := ws.eng.opts.Collector.Span(ws.id, metrics.Compute, "tape_backward", obs.Int("layer", l))
+	run.tape.Backward(run.out, seed)
+	sp.End()
+}
+
+// backward runs layer l's tape backward, then posts mirror gradients back to
+// their masters (PostToDepNbr).
+func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
 	coll := ws.eng.opts.Collector
 	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
 	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
-
-	// Seed: for the top layer the loss already back-propagated on the same
-	// tape, so out.Grad is populated; for lower layers assemble the seed
-	// from the upper layer's hPrev gradient and received mirror gradients.
-	if l < len(runs) {
-		upper := &runs[l]
-		seed := upper.hPrev.Grad
-		if seed == nil {
-			seed = ws.alloc(true, run.out.Value.Rows(), run.out.Value.Cols())
-		}
-		// Mirror gradients for my masters sent at layer l+1 arrive from
-		// every peer I sent rows to.
-		ws.receiveMirrorGrads(epoch, l+1, seed, sc)
-		sc.Switch(obs.StageBackward, l)
-		sp := coll.Span(ws.id, metrics.Compute, "tape_backward", obs.Int("layer", l))
-		run.tape.Backward(run.out, seed)
-		sp.End()
-	}
+	ws.seedBackward(epoch, l, runs, sc)
 	// Post mirror gradients of chunk-pipelined leaves (one message per peer
 	// chunk) — except layer 1, whose inputs are static features.
 	if len(run.chunkLeaves) > 0 && l > 1 {
@@ -666,22 +668,12 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc 
 		if ws.eng.opts.Broadcast {
 			// Full-width block aligned with my owned rows (which are the
 			// first rows of every layout).
-			for r := range msg.Vertices {
-				dst := seed.Row(r)
-				src := msg.Rows.Row(r)
-				for c, g := range src {
-					dst[c] += g
-				}
-			}
+			addWindow(at(seed, 0, 0), at(msg.Rows, 0, 0), len(msg.Vertices), msg.Rows.Cols())
 			sp.End()
 			continue
 		}
 		for r, v := range verts {
-			dst := seed.Row(int(ownedPos[v]))
-			src := msg.Rows.Row(r)
-			for c, g := range src {
-				dst[c] += g
-			}
+			addRow(seed.Row(int(ownedPos[v])), msg.Rows.Row(r))
 		}
 		sp.End()
 	}

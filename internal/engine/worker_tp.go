@@ -29,12 +29,12 @@ import (
 // Every exchange is expectation-symmetric: a message from j exists iff the
 // sender's owned block and the receiver's slice are both non-empty, and both
 // sides derive that from the shared plan — zero-width slices and empty
-// partitions exchange nothing.
+// partitions exchange nothing. All row and column placement goes through
+// copyWindow / addWindow, the kernels TPSliceExchange's adjoint check tests.
 
 // tpLayerRun holds the tensor-parallel tape state of one layer between the
 // forward and backward sweeps.
 type tpLayerRun struct {
-	plan *tpLayerPlan
 	// Slice dataflow: the edge stage runs on its own tape so the backward
 	// can stop at the aggregation boundary, re-scatter the full-width
 	// gradient, and only then push the assembled slice gradient through.
@@ -46,24 +46,6 @@ type tpLayerRun struct {
 	hAll *autograd.Variable // leaf: all-gathered full-width input (|V| × d)
 }
 
-// forwardLayerTP dispatches a tensor-parallel layer's forward pass.
-func (ws *workerState) forwardLayerTP(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
-	if ws.plan.tpLayers[l-1].shared.slice {
-		return ws.forwardLayerTPSlice(epoch, l, prevVal, coll, training, sc)
-	}
-	return ws.forwardLayerTPAssemble(epoch, l, prevVal, coll, training, sc)
-}
-
-// backwardLayerTP dispatches a tensor-parallel layer's backward pass.
-func (ws *workerState) backwardLayerTP(epoch, l int, runs []layerRun, sc *obs.StageClock) {
-	if runs[l-1].tp.plan.shared.slice {
-		ws.backwardLayerTPSlice(epoch, l, runs, sc)
-	} else {
-		ws.backwardLayerTPAssemble(epoch, l, runs, sc)
-	}
-}
-
 // tpSend posts one slice-exchange message.
 func (ws *workerState) tpSend(epoch, l, seq, to int, rows *tensor.Tensor) {
 	ws.eng.fabric.Send(&comm.Message{
@@ -72,44 +54,90 @@ func (ws *workerState) tpSend(epoch, l, seq, to int, rows *tensor.Tensor) {
 	})
 }
 
-// tpSeedBackward assembles the upper layer's input gradient and runs this
-// layer's main tape backward. For the top layer the loss already
-// back-propagated on the same tape, so there is nothing to seed.
-func (ws *workerState) tpSeedBackward(epoch, l int, runs []layerRun, sc *obs.StageClock) {
-	if l >= len(runs) {
-		return
+// scatterCols ships every peer with a non-empty column slice its columns of
+// this worker's owned row block (the send half of Seq 0 and Seq 2).
+func (ws *workerState) scatterCols(x TPSliceExchange, epoch, l, seq int, block *tensor.Tensor, training bool) {
+	nOwned := len(ws.plan.owned)
+	for _, j := range ws.peerOrder() {
+		lo, hi := x.cols(j)
+		if nOwned == 0 || hi == lo {
+			continue
+		}
+		rows := ws.alloc(training, nOwned, hi-lo)
+		copyWindow(at(rows, 0, 0), at(block, 0, lo), nOwned, hi-lo)
+		ws.tpSend(epoch, l, seq, j, rows)
 	}
-	run := &runs[l-1]
-	upper := &runs[l]
-	seed := upper.hPrev.Grad
-	if seed == nil {
-		seed = ws.alloc(true, run.out.Value.Rows(), run.out.Value.Cols())
+}
+
+// gatherBlocks assembles an owner-block-ordered |V|-row matrix: every peer's
+// row block from its Seq message, this worker's own from the cols columns of
+// own starting at ownCol (the receive half of Seq 0 and Seq 2, and the
+// assemble all-gather).
+func (ws *workerState) gatherBlocks(x TPSliceExchange, epoch, l, seq int, own *tensor.Tensor, ownCol, cols int, training bool) *tensor.Tensor {
+	all := ws.alloc(training, x.BlockStart[x.NumWorkers()], cols)
+	for _, j := range ws.peerOrder() {
+		blo, bhi := x.rows(j)
+		if bhi == blo {
+			continue
+		}
+		msg := ws.mb.Wait(comm.KindSlice, epoch, l, seq, j)
+		copyWindow(at(all, blo, 0), at(msg.Rows, 0, 0), bhi-blo, cols)
 	}
-	// No-op unless the upper layer is a regular one that received mirrors —
-	// impossible under the suffix invariant, but harmless and uniform.
-	ws.receiveMirrorGrads(epoch, l+1, seed, sc)
-	sc.Switch(obs.StageBackward, l)
-	run.tape.Backward(run.out, seed)
+	blo, bhi := x.rows(ws.id)
+	copyWindow(at(all, blo, 0), at(own, 0, ownCol), bhi-blo, cols)
+	return all
+}
+
+// sendBlocks ships every peer with a non-empty owned block its rows of the
+// owner-block-ordered matrix all, as views (the send half of Seq 1, Seq 3 and
+// the assemble grad-scatter).
+func (ws *workerState) sendBlocks(x TPSliceExchange, epoch, l, seq int, all *tensor.Tensor) {
+	for _, j := range ws.peerOrder() {
+		blo, bhi := x.rows(j)
+		if bhi == blo {
+			continue
+		}
+		ws.tpSend(epoch, l, seq, j, all.RowSlice(blo, bhi))
+	}
 }
 
 // ---- Slice dataflow ----
 
-// forwardLayerTPSlice: assemble the layer input's column slice over all |V|
-// owner-block rows (static features at layer 1, a slice-scatter above),
-// aggregate the full graph over that slice on a dedicated tape, re-gather the
-// owned rows to full width, and run the vertex stage on the main tape.
-func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+// tpSlice is the slice dataflow of one worker's tensor-parallel layer.
+type tpSlice struct {
+	tpLayerPlan
+	// selfNormOwned is the owned rows' GCN self coefficients.
+	selfNormOwned []float32
+	// feat is the worker's column slice of all features in owner-block row
+	// order — the layer's input at layer 1 (nil above it).
+	feat *tensor.Tensor
+}
 
-	tp := ws.plan.tpLayers[l-1]
-	sh := tp.shared
+func (f *tpSlice) bindFeatures(ws *workerState) {
+	feats := ws.eng.ds.Features
+	lo, hi := f.x.cols(ws.id)
+	f.feat = tensor.New(feats.Rows(), hi-lo)
+	if hi > lo {
+		for v := 0; v < feats.Rows(); v++ {
+			copy(f.feat.Row(int(f.shared.globalRow[v])), feats.Row(v)[lo:hi])
+		}
+	}
+}
+
+// forward: assemble the layer input's column slice over all |V| owner-block
+// rows (static features at layer 1, a slice-scatter above), aggregate the full
+// graph over that slice on a dedicated tape, re-gather the owned rows to full
+// width, and run the vertex stage on the main tape.
+func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
+	x := f.x
+	sh := f.shared
 	layer := ws.model.Layers[l-1]
 	sd := layer.(nn.SumDecomposable)
 	tape := ws.newTape(training)
+	coll := ws.eng.opts.Collector
 	totalV := len(sh.globalRow)
 	nOwned := len(ws.plan.owned)
-	d := layer.InDim()
-	lo, hi := int(tp.colStart[ws.id]), int(tp.colStart[ws.id+1])
+	lo, hi := x.cols(ws.id)
 	width := hi - lo
 	requiresGrad := training && l > 1
 
@@ -119,92 +147,54 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 
 	// 1. Slice input X_j (|V| × width_j). Layer 1 reads the static feature
 	// slice assembled at construction; deeper layers run the slice-scatter.
-	xVal := ws.sliceFeat
+	xVal := f.feat
 	if l > 1 {
 		sc.Switch(obs.StageDepFetchSend, l)
 		sp := coll.Span(ws.id, metrics.Comm, "tp_slice_scatter", obs.Int("layer", l))
-		for _, j := range ws.peerOrder() {
-			plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
-			if nOwned == 0 || phi == plo {
-				continue
-			}
-			rows := ws.alloc(training, nOwned, phi-plo)
-			for r := 0; r < nOwned; r++ {
-				copy(rows.Row(r), prevVal.Row(r)[plo:phi])
-			}
-			ws.tpSend(epoch, l, 0, j, rows)
-		}
+		ws.scatterCols(x, epoch, l, 0, prevVal, training)
 		sp.End()
 		xVal = nil
 		if width > 0 {
-			xVal = ws.alloc(training, totalV, width)
 			sc.Switch(obs.StageDepFetchRecv, l)
 			spR := coll.Span(ws.id, metrics.Comm, "tp_slice_gather", obs.Int("layer", l))
-			for _, j := range ws.peerOrder() {
-				if sh.blockStart[j+1] == sh.blockStart[j] {
-					continue
-				}
-				msg := ws.mb.Wait(comm.KindSlice, epoch, l, 0, j)
-				base := int(sh.blockStart[j])
-				for r := 0; r < msg.Rows.Rows(); r++ {
-					copy(xVal.Row(base+r), msg.Rows.Row(r))
-				}
-			}
+			xVal = ws.gatherBlocks(x, epoch, l, 0, prevVal, lo, width, training)
 			spR.End()
-			base := int(sh.blockStart[ws.id])
-			for r := 0; r < nOwned; r++ {
-				copy(xVal.Row(base+r), prevVal.Row(r)[lo:hi])
-			}
 		}
 		sc.Switch(obs.StageForward, l)
 	}
 
 	// 2. Edge stage over the full graph, restricted to this worker's columns,
 	// on its own tape.
-	run := layerRun{tape: tape}
-	trun := &tpLayerRun{plan: tp}
+	trun := &tpLayerRun{}
 	if width > 0 {
 		sp := coll.Span(ws.id, metrics.Compute, "tp_edge_stage",
 			obs.Int("layer", l), obs.Int("rows", totalV))
-		sliceTape := ws.newTape(training)
-		xLeaf := sliceTape.Leaf(xVal, requiresGrad, "tp_x")
-		trun.sliceTape = sliceTape
-		trun.x = xLeaf
-		trun.aggSlice = sd.EdgeStage(sliceTape,
-			sliceTape.Gather(xLeaf, sh.srcRow), sh.edgeNorm, sh.dstRow, totalV)
+		trun.sliceTape = ws.newTape(training)
+		trun.x = trun.sliceTape.Leaf(xVal, requiresGrad, "tp_x")
+		trun.aggSlice = sd.EdgeStage(trun.sliceTape,
+			trun.sliceTape.Gather(trun.x, sh.all.srcRow), sh.all.edgeNorm, sh.all.dstRow, totalV)
 		sp.End()
 	}
 
 	// 3. Re-gather: every owner receives its rows' aggregation at full width.
-	aggFull := ws.alloc(training, nOwned, d)
+	aggFull := ws.alloc(training, nOwned, layer.InDim())
 	sc.Switch(obs.StageDepFetchSend, l)
 	sp := coll.Span(ws.id, metrics.Comm, "tp_re_gather", obs.Int("layer", l))
 	if width > 0 {
-		for _, j := range ws.peerOrder() {
-			blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
-			if bhi == blo {
-				continue
-			}
-			ws.tpSend(epoch, l, 1, j, trun.aggSlice.Value.RowSlice(blo, bhi))
-		}
+		ws.sendBlocks(x, epoch, l, 1, trun.aggSlice.Value)
 	}
 	if nOwned > 0 {
 		sc.Switch(obs.StageDepFetchRecv, l)
 		for _, j := range ws.peerOrder() {
-			plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
+			plo, phi := x.cols(j)
 			if phi == plo {
 				continue
 			}
 			msg := ws.mb.Wait(comm.KindSlice, epoch, l, 1, j)
-			for r := 0; r < nOwned; r++ {
-				copy(aggFull.Row(r)[plo:phi], msg.Rows.Row(r))
-			}
+			copyWindow(at(aggFull, 0, plo), at(msg.Rows, 0, 0), nOwned, phi-plo)
 		}
 		if width > 0 {
-			base := int(sh.blockStart[ws.id])
-			for r := 0; r < nOwned; r++ {
-				copy(aggFull.Row(r)[lo:hi], trun.aggSlice.Value.Row(base+r))
-			}
+			copyWindow(at(aggFull, 0, lo), at(trun.aggSlice.Value, x.BlockStart[ws.id], 0), nOwned, width)
 		}
 	}
 	sp.End()
@@ -215,75 +205,44 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 	spV := coll.Span(ws.id, metrics.Compute, "tp_vertex_stage",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
 	hPrev := tape.Leaf(prevVal, requiresGrad, "h_prev")
-	aggLeaf := tape.Leaf(aggFull, requiresGrad, "tp_agg")
-	out := sd.VertexStage(tape, aggLeaf, hPrev, tp.selfNormOwned, training, ws.rng)
+	trun.agg = tape.Leaf(aggFull, requiresGrad, "tp_agg")
+	out := sd.VertexStage(tape, trun.agg, hPrev, f.selfNormOwned, training, ws.rng)
 	spV.End()
-	trun.agg = aggLeaf
-	run.hPrev = hPrev
-	run.out = out
-	run.tp = trun
-	return run
+	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: trun}
 }
 
-// backwardLayerTPSlice reverses forwardLayerTPSlice: main tape backward,
-// re-scatter dAgg into column slices (Seq 2), slice tape backward, scatter dX
-// back to the owners (Seq 3) who accumulate it with the self-path gradient.
-func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *obs.StageClock) {
+// backward reverses forward: main tape backward, re-scatter dAgg into column
+// slices (Seq 2), slice tape backward, scatter dX back to the owners (Seq 3)
+// who accumulate it with the self-path gradient.
+func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
 	run := &runs[l-1]
-	tp := run.tp.plan
-	sh := tp.shared
+	x := f.x
 	coll := ws.eng.opts.Collector
 	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
 	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
-	ws.tpSeedBackward(epoch, l, runs, sc)
+	ws.seedBackward(epoch, l, runs, sc)
 	if l == 1 {
 		return // layer-1 inputs are static features: param grads only
 	}
 
 	nOwned := len(ws.plan.owned)
-	totalV := len(sh.globalRow)
-	d := run.tp.agg.Value.Cols()
-	lo, hi := int(tp.colStart[ws.id]), int(tp.colStart[ws.id+1])
+	lo, hi := x.cols(ws.id)
 	width := hi - lo
 
 	dAgg := run.tp.agg.Grad
 	if dAgg == nil {
-		dAgg = ws.alloc(true, nOwned, d)
+		dAgg = ws.alloc(true, nOwned, run.tp.agg.Value.Cols())
 	}
 
 	// Re-scatter (adjoint of the re-gather): route each worker's columns of
 	// my owned rows' aggregation gradient back to that worker.
 	sc.Switch(obs.StageMirrorScatter, l)
 	sp := coll.Span(ws.id, metrics.Comm, "tp_re_scatter", obs.Int("layer", l))
-	for _, j := range ws.peerOrder() {
-		plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
-		if nOwned == 0 || phi == plo {
-			continue
-		}
-		rows := ws.alloc(true, nOwned, phi-plo)
-		for r := 0; r < nOwned; r++ {
-			copy(rows.Row(r), dAgg.Row(r)[plo:phi])
-		}
-		ws.tpSend(epoch, l, 2, j, rows)
-	}
+	ws.scatterCols(x, epoch, l, 2, dAgg, true)
 	var dASlice *tensor.Tensor
 	if width > 0 {
-		dASlice = ws.alloc(true, totalV, width)
-		for _, j := range ws.peerOrder() {
-			if sh.blockStart[j+1] == sh.blockStart[j] {
-				continue
-			}
-			msg := ws.mb.Wait(comm.KindSlice, epoch, l, 2, j)
-			base := int(sh.blockStart[j])
-			for r := 0; r < msg.Rows.Rows(); r++ {
-				copy(dASlice.Row(base+r), msg.Rows.Row(r))
-			}
-		}
-		base := int(sh.blockStart[ws.id])
-		for r := 0; r < nOwned; r++ {
-			copy(dASlice.Row(base+r), dAgg.Row(r)[lo:hi])
-		}
+		dASlice = ws.gatherBlocks(x, epoch, l, 2, dAgg, lo, width, true)
 	}
 	sp.End()
 	sc.Switch(obs.StageBackward, l)
@@ -295,7 +254,7 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 		run.tp.sliceTape.Backward(run.tp.aggSlice, dASlice)
 		dX = run.tp.x.Grad
 		if dX == nil {
-			dX = ws.alloc(true, totalV, width)
+			dX = ws.alloc(true, dASlice.Rows(), width)
 		}
 		spB.End()
 	}
@@ -306,42 +265,23 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 	sc.Switch(obs.StageMirrorScatter, l)
 	spG := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
 	if width > 0 {
-		for _, j := range ws.peerOrder() {
-			blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
-			if bhi == blo {
-				continue
-			}
-			ws.tpSend(epoch, l, 3, j, dX.RowSlice(blo, bhi))
-		}
+		ws.sendBlocks(x, epoch, l, 3, dX)
 	}
 	hg := run.hPrev.Grad
 	if hg == nil {
 		hg = ws.alloc(true, run.hPrev.Value.Rows(), run.hPrev.Value.Cols())
 		run.hPrev.Grad = hg
 	}
-	if width > 0 && nOwned > 0 {
-		base := int(sh.blockStart[ws.id])
-		for r := 0; r < nOwned; r++ {
-			dst := hg.Row(r)[lo:hi]
-			src := dX.Row(base + r)
-			for c, g := range src {
-				dst[c] += g
-			}
-		}
+	if width > 0 {
+		addWindow(at(hg, 0, lo), at(dX, x.BlockStart[ws.id], 0), nOwned, width)
 	}
 	for _, j := range ws.peerOrder() {
-		plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
+		plo, phi := x.cols(j)
 		if nOwned == 0 || phi == plo {
 			continue
 		}
 		msg := ws.mb.Wait(comm.KindSlice, epoch, l, 3, j)
-		for r := 0; r < nOwned; r++ {
-			dst := hg.Row(r)[plo:phi]
-			src := msg.Rows.Row(r)
-			for c, g := range src {
-				dst[c] += g
-			}
-		}
+		addWindow(at(hg, 0, plo), at(msg.Rows, 0, 0), nOwned, phi-plo)
 	}
 	spG.End()
 	sc.Switch(obs.StageBackward, l)
@@ -349,18 +289,36 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 
 // ---- Assemble dataflow ----
 
-// forwardLayerTPAssemble: all-gather every worker's full-width owned block
-// into the owner-block row universe, then run the owned destination block
-// over it — the layer's edge stage (attention, pooling) sees every source at
-// full width, so no model assumption is needed.
-func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+// tpAssemble is the assemble dataflow of one worker's tensor-parallel layer.
+type tpAssemble struct {
+	tpLayerPlan
+	// full is the worker's owned destination block over the global
+	// owner-block row universe.
+	full blockPlan
+}
 
-	tp := ws.plan.tpLayers[l-1]
-	sh := tp.shared
+// bindFeatures: layer 1 reads the full-width feature matrix in owner-block
+// order; it is static, so one cluster-wide copy serves all workers.
+func (f *tpAssemble) bindFeatures(ws *workerState) {
+	sh := f.shared
+	if sh.featAll != nil {
+		return
+	}
+	feats := ws.eng.ds.Features
+	sh.featAll = tensor.New(feats.Rows(), feats.Cols())
+	for v := 0; v < feats.Rows(); v++ {
+		copy(sh.featAll.Row(int(sh.globalRow[v])), feats.Row(v))
+	}
+}
+
+// forward: all-gather every worker's full-width owned block into the
+// owner-block row universe, then run the owned destination block over it —
+// the layer's edge stage (attention, pooling) sees every source at full
+// width, so no model assumption is needed.
+func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
-	totalV := len(sh.globalRow)
+	coll := ws.eng.opts.Collector
 	nOwned := len(ws.plan.owned)
 	requiresGrad := training && l > 1
 
@@ -368,7 +326,7 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 	defer lg.End()
 	sc.Switch(obs.StageForward, l)
 
-	hAllVal := ws.eng.tpFeatAll
+	hAllVal := f.shared.featAll
 	if l > 1 {
 		sc.Switch(obs.StageDepFetchSend, l)
 		sp := coll.Span(ws.id, metrics.Comm, "tp_all_gather", obs.Int("layer", l))
@@ -379,22 +337,8 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 				ws.tpSend(epoch, l, 0, j, block)
 			}
 		}
-		hAllVal = ws.alloc(training, totalV, layer.InDim())
 		sc.Switch(obs.StageDepFetchRecv, l)
-		for _, j := range ws.peerOrder() {
-			if sh.blockStart[j+1] == sh.blockStart[j] {
-				continue
-			}
-			msg := ws.mb.Wait(comm.KindSlice, epoch, l, 0, j)
-			base := int(sh.blockStart[j])
-			for r := 0; r < msg.Rows.Rows(); r++ {
-				copy(hAllVal.Row(base+r), msg.Rows.Row(r))
-			}
-		}
-		base := int(sh.blockStart[ws.id])
-		for r := 0; r < nOwned; r++ {
-			copy(hAllVal.Row(base+r), prevVal.Row(r))
-		}
+		hAllVal = ws.gatherBlocks(f.x, epoch, l, 0, prevVal, 0, layer.InDim(), training)
 		sp.End()
 		sc.Switch(obs.StageForward, l)
 	}
@@ -408,29 +352,27 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 	}
 	sp := coll.Span(ws.id, metrics.Compute, "compute_owned",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
-	out := ws.runBlock(tape, layer, &tp.full, zAll, zAll, training)
+	out := ws.runBlock(tape, layer, &f.full, zAll, zAll, training)
 	sp.End()
 
 	// hPrev is a carrier for the lower layer's backward seed: the layer
 	// consumed hAll, not prevVal, so this leaf is off the gradient path and
 	// its Grad is assembled manually by the backward grad-scatter.
 	hPrev := tape.Leaf(prevVal, false, "h_prev")
-	return layerRun{tape: tape, hPrev: hPrev, out: out,
-		tp: &tpLayerRun{plan: tp, hAll: hAll}}
+	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: &tpLayerRun{hAll: hAll}}
 }
 
-// backwardLayerTPAssemble reverses the all-gather: each worker scatters its
-// gradient for every owner's rows back to that owner, and owners sum their
-// own contribution with every peer's (schedule order, so the float sum is
+// backward reverses the all-gather: each worker scatters its gradient for
+// every owner's rows back to that owner, and owners sum their own
+// contribution with every peer's (schedule order, so the float sum is
 // deterministic) into the layer input's gradient.
-func (ws *workerState) backwardLayerTPAssemble(epoch, l int, runs []layerRun, sc *obs.StageClock) {
+func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
 	run := &runs[l-1]
-	sh := run.tp.plan.shared
 	coll := ws.eng.opts.Collector
 	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
 	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
-	ws.tpSeedBackward(epoch, l, runs, sc)
+	ws.seedBackward(epoch, l, runs, sc)
 	if l == 1 {
 		return // layer-1 inputs are static features: param grads only
 	}
@@ -439,41 +381,22 @@ func (ws *workerState) backwardLayerTPAssemble(epoch, l int, runs []layerRun, sc
 	d := run.hPrev.Value.Cols()
 	dHAll := run.tp.hAll.Grad
 	if dHAll == nil {
-		dHAll = ws.alloc(true, len(sh.globalRow), d)
+		dHAll = ws.alloc(true, run.tp.hAll.Value.Rows(), d)
 	}
 
 	sc.Switch(obs.StageMirrorScatter, l)
 	sp := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
-	for _, j := range ws.peerOrder() {
-		blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
-		if bhi == blo {
-			continue
-		}
-		ws.tpSend(epoch, l, 2, j, dHAll.RowSlice(blo, bhi))
-	}
+	ws.sendBlocks(f.x, epoch, l, 2, dHAll)
 	dPrev := run.hPrev.Grad
 	if dPrev == nil {
 		dPrev = ws.alloc(true, run.hPrev.Value.Rows(), d)
 		run.hPrev.Grad = dPrev
 	}
 	if nOwned > 0 {
-		base := int(sh.blockStart[ws.id])
-		for r := 0; r < nOwned; r++ {
-			dst := dPrev.Row(r)
-			src := dHAll.Row(base + r)
-			for c, g := range src {
-				dst[c] += g
-			}
-		}
+		addWindow(at(dPrev, 0, 0), at(dHAll, f.x.BlockStart[ws.id], 0), nOwned, d)
 		for _, j := range ws.peerOrder() {
 			msg := ws.mb.Wait(comm.KindSlice, epoch, l, 2, j)
-			for r := 0; r < nOwned; r++ {
-				dst := dPrev.Row(r)
-				src := msg.Rows.Row(r)
-				for c, g := range src {
-					dst[c] += g
-				}
-			}
+			addWindow(at(dPrev, 0, 0), at(msg.Rows, 0, 0), nOwned, d)
 		}
 	}
 	sp.End()

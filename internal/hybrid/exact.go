@@ -82,6 +82,18 @@ func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCos
 	return cacheCost, commCost, bytes
 }
 
+// tpLayerCost returns the modeled slice-exchange cost of worker `worker`
+// running layer l tensor-parallel (Eq. 2's T_c priced on collective volume,
+// costmodel.TPVolume).
+func (p *Planner) tpLayerCost(worker, l int) float64 {
+	n := p.Part.NumParts
+	d := p.Dims[l-1]
+	lo, hi := costmodel.TPColRange(d, n, worker)
+	vol := costmodel.TPVolume(p.SliceTP, l == 1, p.Graph.NumVertices(),
+		len(p.Part.Parts[worker]), d, hi-lo)
+	return p.Costs.TPCost(vol)
+}
+
 // replicaLevels computes the worker's replica requirement map for a decision:
 // req[w] is the highest representation level of non-owned vertex w that must
 // be locally computable, derived by closing the cached sets over self chains

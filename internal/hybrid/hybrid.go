@@ -10,8 +10,11 @@
 // Setting every dependency to Cache reproduces the DepCache engine
 // (Algorithm 2); setting every dependency to Comm reproduces DepComm
 // (Algorithm 3). The execution engine consumes the same Decision structure
-// for all three modes, which is exactly how the paper built its baselines
-// ("DepCache and DepComm with NeutronStar's codebase").
+// for every mode, which is exactly how the paper built its baselines
+// ("DepCache and DepComm with NeutronStar's codebase"). A mode is a row of
+// modeTable: the candidate plans that compete, in tie order, and the budget
+// each answers to; DecideAll prices them all with one evaluator and keeps
+// the cheapest.
 package hybrid
 
 import (
@@ -38,21 +41,21 @@ type Decision struct {
 	// TP[l-1] marks layer l as tensor-parallel (DepTP): the worker computes
 	// an F/N-wide feature shard over the full graph and the slice-exchange
 	// collectives replace R and C entirely. TP is a cluster-level per-layer
-	// choice, identical across all workers' Decisions. Decisions from the
-	// 2-way modes may carry a nil TP (all false).
+	// choice, identical across all workers' Decisions. Decisions built
+	// outside DecideAll (ExactDecision, tests) may carry a nil TP (all false).
 	TP []bool
 	// Rep[l-1] marks layer l as replicated (DepRep): every remote dependency
 	// is cached (R[l-1] holds the full dependency set) and the planner prices
 	// the replica storage with the quantization compression factor instead of
-	// at full float32 width. Like TP, Rep is a cluster-level per-layer choice;
-	// decisions from older modes may carry a nil Rep (all false).
+	// at full float32 width. Like TP, Rep is a cluster-level per-layer choice
+	// and may be nil (all false) on Decisions built outside DecideAll.
 	Rep []bool
 	// CacheBytes estimates the replica storage the cached sets require
 	// (compressed by Planner.RepCompression when any layer is replicated).
 	CacheBytes int64
 	// EstCacheCost / EstCommCost are the modeled per-epoch costs (seconds)
-	// of the chosen split, for reporting. Slice-exchange collective cost
-	// counts as communication.
+	// of the chosen split as the exact evaluator prices them, for reporting.
+	// Slice-exchange collective cost counts as communication.
 	EstCacheCost, EstCommCost float64
 	// EstSetupCost is the one-time replica feature broadcast cost of a
 	// replicated plan (costmodel.RepSetupCost) — reported, never part of the
@@ -62,7 +65,7 @@ type Decision struct {
 }
 
 // TPAt reports whether layer l (1-based) is tensor-parallel under this
-// decision. Safe on decisions from 2-way modes (nil TP).
+// decision. Safe on a nil TP.
 func (d *Decision) TPAt(l int) bool {
 	return d.TP != nil && l-1 < len(d.TP) && d.TP[l-1]
 }
@@ -79,7 +82,7 @@ func (d *Decision) NumTP() int {
 }
 
 // RepAt reports whether layer l (1-based) is replicated under this decision.
-// Safe on decisions from older modes (nil Rep).
+// Safe on a nil Rep.
 func (d *Decision) RepAt(l int) bool {
 	return d.Rep != nil && l-1 < len(d.Rep) && d.Rep[l-1]
 }
@@ -130,8 +133,8 @@ const (
 	ModeAllTP
 	// ModeHybrid3 widens the greedy to the 3-way per-layer choice: the
 	// 2-way Algorithm 4 mix, pure caching, pure communication, and
-	// tensor-parallel layer suffixes all compete on modeled cost (see
-	// decideThreeWay).
+	// tensor-parallel layer suffixes all compete on modeled cost. It is
+	// ModeHybrid4's row without the replicated family.
 	ModeHybrid3
 	// ModeAllRep replicates every layer (the pure DepRep engine): R holds the
 	// full dependency set at every layer, replica storage is priced with the
@@ -139,7 +142,7 @@ const (
 	ModeAllRep
 	// ModeHybrid4 widens the candidate family once more: everything
 	// ModeHybrid3 considers plus replicated layer suffixes, gated by
-	// RepBudget (see decideFourWay).
+	// RepBudget.
 	ModeHybrid4
 )
 
@@ -174,39 +177,237 @@ type Planner struct {
 // numLayers returns L.
 func (p *Planner) numLayers() int { return len(p.Dims) - 1 }
 
-// DecideAll computes one Decision per worker, in parallel (the paper
-// executes Algorithm 4's cost evaluation in parallel, §5.2).
+// family is one entry of a mode's row: a generator of candidate plans (one
+// Decision per worker each) and the budget those candidates answer to.
+type family struct {
+	gen    func(*candidates) [][]*Decision
+	budget func(*Planner) int64
+}
+
+// A candidate whose replica bytes exceed a positive budget on any worker is
+// infeasible; zero or negative means unlimited. An explicitly requested pure
+// policy is not a candidate competition and answers to no budget, and the
+// greedy alone enforces MemBudget itself (Algorithm 4 lines 14-15).
+func unbudgeted(*Planner) int64  { return 0 }
+func memBudget(p *Planner) int64 { return p.MemBudget }
+func repBudget(p *Planner) int64 { return p.RepBudget }
+
+// competing is the full candidate family, in tie order. Tensor parallelism
+// and replication are not per-dependency choices like cache-vs-comm: such a
+// layer requires every worker to run the same dataflow, so each is a
+// cluster-global per-layer bit, and Algorithm 4 stays the per-vertex split
+// below it.
+//
+// Suffixes (layers t..L) rather than arbitrary subsets keep every candidate
+// sound by construction and the candidate space linear in L. A TP layer's
+// input must be exactly the owned rows, which holds iff no layer at or above
+// it caches dependencies; the greedy prefix below t only replicates at levels
+// < t-1. Dependency traffic grows with depth (subtrees widen), so if
+// replicating layer l pays off, replicating l+1 pays off at least as much.
+//
+// Replicated candidates answer to RepBudget, not MemBudget: replica rows are
+// stored (re)quantized in their own store, so the full-precision cache budget
+// does not govern them.
+//
+// Tie rule (generalizing Algorithm 4 line 11's "tie falls to comm"): the
+// argmin takes a strictly cheaper candidate only, so on an exact tie the
+// order below decides — comm over greedy over cache over TP over rep, and
+// (suffixes come shallowest first) less tensor parallelism / replication over
+// more. In particular a fully replicated plan that ties with pure caching
+// (same sets, same recompute, zero traffic on both) loses to it: replication
+// must buy something — budget feasibility through compression — to be chosen.
+// With one worker every volume is zero, every candidate ties at zero cost,
+// and pure communication wins: empty sets, no TP, no replication.
+var competing = []family{
+	{(*candidates).comm, memBudget},
+	{(*candidates).greedy, memBudget},
+	{(*candidates).cache, memBudget},
+	{(*candidates).tpSuffixes, memBudget},
+	{(*candidates).repSuffixes, repBudget},
+}
+
+// modeTable maps every Mode to its row.
+var modeTable = [...][]family{
+	ModeHybrid:   {{(*candidates).greedy, unbudgeted}},
+	ModeAllCache: {{(*candidates).cache, unbudgeted}},
+	ModeAllComm:  {{(*candidates).comm, unbudgeted}},
+	ModeRatio:    {{(*candidates).ratio, unbudgeted}},
+	ModeAllTP:    {{(*candidates).allTP, unbudgeted}},
+	ModeHybrid3:  competing[:4],
+	ModeAllRep:   {{(*candidates).allRep, unbudgeted}},
+	ModeHybrid4:  competing,
+}
+
+// DecideAll computes one Decision per worker: it generates the mode's
+// candidate plans, prices each with the exact evaluator (evaluateCostSplit),
+// and returns the cheapest feasible one with its modeled costs filled in.
 func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	if p.numLayers() < 1 {
 		return nil, fmt.Errorf("hybrid: need at least 1 layer, dims=%v", p.Dims)
 	}
-	if mode == ModeHybrid3 {
-		// The tensor-parallel choice is cluster-global (all workers must
-		// agree per layer), so the 3-way planner cannot decide per worker.
-		return p.decideThreeWay()
+	if mode < 0 || int(mode) >= len(modeTable) {
+		return nil, fmt.Errorf("hybrid: unknown mode %d", mode)
 	}
-	if mode == ModeHybrid4 {
-		// Replication is cluster-global like TP: same candidate argmin, one
-		// more suffix family.
-		return p.decideFourWay()
+	c := &candidates{p: p}
+	c.deps = make([][]int32, p.Part.NumParts)
+	c.perWorker(func(i int) { c.deps[i] = p.dependencies(i) })
+
+	type price struct {
+		cache, comm float64
+		bytes       int64
 	}
-	out := make([]*Decision, p.Part.NumParts)
-	errs := make([]error, p.Part.NumParts)
+	var best []*Decision
+	var bestPrices []price
+	bestCost := 0.0
+	for _, fam := range modeTable[mode] {
+		limit := fam.budget(p)
+		for _, plan := range fam.gen(c) {
+			prices := make([]price, len(plan))
+			c.perWorker(func(w int) {
+				pr := &prices[w]
+				pr.cache, pr.comm, pr.bytes = p.evaluateCostSplit(w, plan[w])
+			})
+			// Sum in worker order: the argmin must not depend on scheduling.
+			total := 0.0
+			feasible := true
+			for _, pr := range prices {
+				if limit > 0 && pr.bytes > limit {
+					feasible = false
+					break
+				}
+				total += pr.cache + pr.comm
+			}
+			if feasible && (best == nil || total < bestCost) {
+				best, bestPrices, bestCost = plan, prices, total
+			}
+		}
+	}
+	if best == nil {
+		// Unreachable: pure communication stores no replicas and always fits.
+		return nil, fmt.Errorf("hybrid: no feasible plan under budget %d", p.MemBudget)
+	}
+	for w, d := range best {
+		d.CacheBytes = bestPrices[w].bytes
+		d.EstCacheCost, d.EstCommCost = bestPrices[w].cache, bestPrices[w].comm
+		d.EstSetupCost = p.repSetupCost(w, d)
+	}
+	return best, nil
+}
+
+// candidates generates one DecideAll call's candidate plans. Dependency lists
+// and the greedy plan are shared read-only between the candidates built on
+// them; every candidate has its own Decision structs.
+type candidates struct {
+	p          *Planner
+	deps       [][]int32   // per-worker remote dependency sets
+	greedyPlan []*Decision // memoised Algorithm 4 plan
+}
+
+// perWorker runs fn for every worker in parallel (the paper executes
+// Algorithm 4's cost evaluation in parallel, §5.2).
+func (c *candidates) perWorker(fn func(i int)) {
 	var wg sync.WaitGroup
-	for i := 0; i < p.Part.NumParts; i++ {
+	for i := 0; i < c.p.Part.NumParts; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = p.decideWorker(i, mode)
+			fn(i)
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+}
+
+// newPlan returns a plan of empty Decisions.
+func (c *candidates) newPlan() []*Decision {
+	L := c.p.numLayers()
+	plan := make([]*Decision, len(c.deps))
+	for w := range plan {
+		plan[w] = &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L), Rep: make([]bool, L)}
+	}
+	return plan
+}
+
+func (c *candidates) comm() [][]*Decision {
+	plan := c.newPlan()
+	for w, d := range plan {
+		for l := range d.C {
+			d.C[l] = c.deps[w]
 		}
 	}
-	return out, nil
+	return [][]*Decision{plan}
+}
+
+func (c *candidates) cache() [][]*Decision {
+	plan := c.newPlan()
+	for w, d := range plan {
+		for l := range d.R {
+			d.R[l] = c.deps[w]
+		}
+	}
+	return [][]*Decision{plan}
+}
+
+// runGreedy runs Algorithm 4 (ratio < 0) or the fixed-ratio sweep per worker.
+func (c *candidates) runGreedy(ratio float64) []*Decision {
+	plan := c.newPlan()
+	c.perWorker(func(w int) { c.p.greedy(w, c.deps[w], plan[w], ratio) })
+	return plan
+}
+
+func (c *candidates) greedy() [][]*Decision {
+	if c.greedyPlan == nil {
+		c.greedyPlan = c.runGreedy(-1)
+	}
+	return [][]*Decision{c.greedyPlan}
+}
+
+func (c *candidates) ratio() [][]*Decision { return [][]*Decision{c.runGreedy(c.p.Ratio)} }
+
+// suffix derives the plan with layers t..L tensor-parallel (no per-vertex
+// sets) or replicated (the full dependency set cached), and the greedy split
+// below t.
+func (c *candidates) suffix(t int, rep bool) []*Decision {
+	var base []*Decision
+	if t > 1 {
+		base = c.greedy()[0]
+	}
+	plan := c.newPlan()
+	for w, d := range plan {
+		for l := 1; l < t; l++ {
+			d.R[l-1], d.C[l-1] = base[w].R[l-1], base[w].C[l-1]
+		}
+		for l := t; l <= len(d.R); l++ {
+			if rep {
+				d.R[l-1], d.Rep[l-1] = c.deps[w], true
+			} else {
+				d.TP[l-1] = true
+			}
+		}
+	}
+	return plan
+}
+
+// suffixes lists the suffix plans shallowest first.
+func (c *candidates) suffixes(rep bool) [][]*Decision {
+	var out [][]*Decision
+	for t := c.p.numLayers(); t >= 1; t-- {
+		out = append(out, c.suffix(t, rep))
+	}
+	return out
+}
+
+func (c *candidates) allTP() [][]*Decision  { return [][]*Decision{c.suffix(1, false)} }
+func (c *candidates) allRep() [][]*Decision { return [][]*Decision{c.suffix(1, true)} }
+
+func (c *candidates) tpSuffixes() [][]*Decision { return c.suffixes(false) }
+
+// repSuffixes is empty under RepBudget = 0: the family is removed and
+// ModeHybrid4 degenerates to ModeHybrid3 exactly.
+func (c *candidates) repSuffixes() [][]*Decision {
+	if c.p.RepBudget == 0 {
+		return nil
+	}
+	return c.suffixes(true)
 }
 
 // dependencies returns worker i's remote dependency set D_i: the distinct
@@ -220,59 +421,7 @@ func (p *Planner) dependencies(i int) []int32 {
 			}
 		}
 	}
-	deps := make([]int32, 0, len(seen))
-	for u := range seen {
-		deps = append(deps, u)
-	}
-	sort.Slice(deps, func(a, b int) bool { return deps[a] < deps[b] })
-	return deps
-}
-
-// decideWorker runs the chosen assignment policy for worker i.
-func (p *Planner) decideWorker(i int, mode Mode) (*Decision, error) {
-	deps := p.dependencies(i)
-	L := p.numLayers()
-	d := &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L), Rep: make([]bool, L)}
-	switch mode {
-	case ModeAllRep:
-		for l := 0; l < L; l++ {
-			d.R[l] = deps
-			d.Rep[l] = true
-		}
-		cacheCost, commCost, bytes := p.evaluateCostSplit(i, d)
-		d.CacheBytes = bytes
-		d.EstCacheCost, d.EstCommCost = cacheCost, commCost
-		d.EstSetupCost = p.repSetupCost(i, d)
-		return d, nil
-	case ModeAllTP:
-		for l := 1; l <= L; l++ {
-			d.TP[l-1] = true
-			d.EstCommCost += p.tpLayerCost(i, l)
-		}
-		return d, nil
-	case ModeAllCache:
-		for l := 0; l < L; l++ {
-			d.R[l] = deps
-			d.C[l] = nil
-		}
-		p.estimate(i, deps, d)
-		return d, nil
-	case ModeAllComm:
-		for l := 0; l < L; l++ {
-			d.C[l] = deps
-			d.R[l] = nil
-		}
-		p.estimate(i, deps, d)
-		return d, nil
-	case ModeHybrid:
-		p.greedy(i, deps, d, -1)
-		return d, nil
-	case ModeRatio:
-		p.greedy(i, deps, d, p.Ratio)
-		return d, nil
-	default:
-		return nil, fmt.Errorf("hybrid: unknown mode %d", mode)
-	}
+	return sortedSet(seen)
 }
 
 // depItem is a priority-queue entry ⟨u, t_r^l(u)⟩.
@@ -304,6 +453,9 @@ func (h *depHeap) Pop() interface{} {
 // dependencies whose subtrees overlap are charged only for the levels not
 // yet replicated. Level 0 means "features cached" — free compute, memory
 // only — which is why layer-1 dependencies always measure zero.
+//
+// greedy fills only d.R and d.C; its running byte count exists to enforce
+// MemBudget, and the reported costs come from the evaluator like every plan's.
 func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 	L := p.numLayers()
 	repLevel := make(map[int32]int) // vertex -> highest locally computable rep level
@@ -395,6 +547,7 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 		return bytes
 	}
 
+	var cacheBytes int64
 	for l := 1; l <= L; l++ {
 		tc := p.Costs.CommCost(p.Dims[l-1])
 		h := make(depHeap, 0, len(deps))
@@ -420,51 +573,23 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 				continue
 			}
 			bytes := addToVRep(item.u, l)
-			if p.MemBudget > 0 && d.CacheBytes+bytes > p.MemBudget {
+			if p.MemBudget > 0 && cacheBytes+bytes > p.MemBudget {
 				// Line 14-15: memory exceeded — drop u and stop caching.
 				overBudget = true
 				break
 			}
-			d.CacheBytes += bytes
-			d.EstCacheCost += tr
+			cacheBytes += bytes
 			cached[item.u] = struct{}{}
 		}
 		d.R[l-1] = sortedSet(cached)
 		d.C[l-1] = subtract(deps, cached)
-		d.EstCommCost += float64(len(d.C[l-1])) * tc
 		if overBudget {
 			// Remaining layers communicate everything.
 			for k := l; k < L; k++ {
 				d.R[k] = nil
 				d.C[k] = deps
-				d.EstCommCost += float64(len(deps)) * p.Costs.CommCost(p.Dims[k])
 			}
 			return
-		}
-	}
-}
-
-// estimate fills the modeled costs for the fixed all-cache / all-comm modes.
-func (p *Planner) estimate(worker int, deps []int32, d *Decision) {
-	counter := costmodel.NewSubtreeCounter(p.Graph)
-	owner := p.Part.Assign
-	isLocal := func(v int32) bool { return owner[v] == int32(worker) }
-	L := p.numLayers()
-	for l := 1; l <= L; l++ {
-		for _, u := range d.C[l-1] {
-			_ = u
-			d.EstCommCost += p.Costs.CommCost(p.Dims[l-1])
-		}
-		for _, u := range d.R[l-1] {
-			if l == 1 {
-				continue
-			}
-			verts, edges := counter.Count(u, l-1, isLocal)
-			dims := make([]int, l-1)
-			for k := range dims {
-				dims[k] = p.Dims[l-1-k]
-			}
-			d.EstCacheCost += p.Costs.SubtreeCost(verts, edges, dims)
 		}
 	}
 }

@@ -30,6 +30,16 @@ func planner(g *graph.Graph, p *partition.Partition, costs costmodel.Costs) *Pla
 
 // checkPartitionOfDeps verifies that for every layer, R and C partition the
 // dependency set exactly.
+// decideWorker plans mode and returns worker w's Decision.
+func decideWorker(t *testing.T, pl *Planner, w int, mode Mode) *Decision {
+	t.Helper()
+	decs, err := pl.DecideAll(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decs[w]
+}
+
 func checkPartitionOfDeps(t *testing.T, pl *Planner, worker int, d *Decision) {
 	t.Helper()
 	deps := pl.dependencies(worker)
@@ -327,8 +337,8 @@ func TestExactSolverBeatsOrMatchesPureStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allCache, _ := pl.decideWorker(w, ModeAllCache)
-	allComm, _ := pl.decideWorker(w, ModeAllComm)
+	allCache := decideWorker(t, pl, w, ModeAllCache)
+	allComm := decideWorker(t, pl, w, ModeAllComm)
 	exactCost, _ := pl.EvaluateCost(w, exact)
 	cacheCost, _ := pl.EvaluateCost(w, allCache)
 	commCost, _ := pl.EvaluateCost(w, allComm)
@@ -358,10 +368,7 @@ func TestGreedyNearOptimal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			greedy, err := pl.decideWorker(w, ModeHybrid)
-			if err != nil {
-				t.Fatal(err)
-			}
+			greedy := decideWorker(t, pl, w, ModeHybrid)
 			exactCost, _ := pl.EvaluateCost(w, exact)
 			greedyCost, _ := pl.EvaluateCost(w, greedy)
 			if exactCost == 0 {

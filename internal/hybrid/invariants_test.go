@@ -65,6 +65,30 @@ func TestDecisionPartitionInvariantAcrossModes(t *testing.T) {
 	}
 }
 
+// TestEveryModeReportsEvaluatorPrices: a Decision's CacheBytes and Est* costs
+// are what the one exact evaluator — the function the candidate argmin prices
+// every plan with — says about its sets, whatever mode produced it. So the
+// all-comm plan reports the same numbers as ModeAllComm's result and as a
+// candidate inside ModeHybrid4, and likewise for all-cache.
+func TestEveryModeReportsEvaluatorPrices(t *testing.T) {
+	g, p := testSetup(t, 160, 5, 4, 31)
+	pl := planner(g, p, costmodel.Costs{Tv: 1e-8, Te: 2e-9, Tc: 3e-8})
+	pl.Ratio, pl.MemBudget, pl.RepBudget, pl.RepCompression = 0.5, 16<<10, -1, 2
+	for mode := range modeTable {
+		ds, err := pl.DecideAll(Mode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, d := range ds {
+			cache, comm, bytes := pl.evaluateCostSplit(w, d)
+			if d.EstCacheCost != cache || d.EstCommCost != comm || d.CacheBytes != bytes {
+				t.Fatalf("mode %d worker %d: reports cache %g comm %g bytes %d, evaluator prices %g / %g / %d",
+					mode, w, d.EstCacheCost, d.EstCommCost, d.CacheBytes, cache, comm, bytes)
+			}
+		}
+	}
+}
+
 func assertAscending(t *testing.T, set string, worker, layer int, s []int32) {
 	t.Helper()
 	for i := 1; i < len(s); i++ {
@@ -97,10 +121,7 @@ func TestGreedyMatchesExactInExtremeRegimes(t *testing.T) {
 				if err != nil {
 					t.Skipf("instance too large for exact solver: %v", err)
 				}
-				greedy, err := pl.decideWorker(w, ModeHybrid)
-				if err != nil {
-					t.Fatal(err)
-				}
+				greedy := decideWorker(t, pl, w, ModeHybrid)
 				gc, _ := pl.EvaluateCost(w, greedy)
 				ec, _ := pl.EvaluateCost(w, exact)
 				if math.Abs(gc-ec) > 1e-12*math.Max(1, ec) {
@@ -129,10 +150,7 @@ func twoVertexPlanner(costs costmodel.Costs, dims []int) *Planner {
 // term) and t_c^2(u) = Tc·d^(1) (Eq. 2) — setting Tv = Tc forces the tie.
 func TestCostTieGoesToComm(t *testing.T) {
 	pl := twoVertexPlanner(costmodel.Costs{Tv: 5e-8, Te: 1e-9, Tc: 5e-8}, []int{4, 4, 2})
-	d, err := pl.decideWorker(1, ModeHybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decideWorker(t, pl, 1, ModeHybrid)
 	// Layer 1 is free to cache (features replicate at setup); layer 2 is the
 	// tie and must communicate.
 	if len(d.R[0]) != 1 || len(d.C[0]) != 0 {
@@ -143,10 +161,7 @@ func TestCostTieGoesToComm(t *testing.T) {
 	}
 	// Nudging Tv below Tc flips the same dependency to the cache side.
 	pl = twoVertexPlanner(costmodel.Costs{Tv: 5e-8 - 1e-12, Te: 1e-9, Tc: 5e-8}, []int{4, 4, 2})
-	d, err = pl.decideWorker(1, ModeHybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = decideWorker(t, pl, 1, ModeHybrid)
 	if len(d.R[1]) != 1 {
 		t.Fatalf("layer 2 with t_r < t_c: R=%v C=%v, want dep cached", d.R[1], d.C[1])
 	}

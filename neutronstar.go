@@ -48,21 +48,22 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// EngineKind selects the dependency-management strategy.
-type EngineKind string
+// EngineKind selects the dependency-management strategy: a row of the
+// engine's policy table, which validates it (engine.ModeNames lists the rows).
+type EngineKind = engine.Mode
 
 // The three engines of the paper, plus the tensor-parallel policy (DepTP,
 // after NeutronTP), the replicated policy (DepRep, after CoFree-GNN), and the
 // 3- and 4-way planners that mix them per layer. See POLICIES.md for the
 // decision matrix.
 const (
-	EngineDepCache EngineKind = "depcache"
-	EngineDepComm  EngineKind = "depcomm"
-	EngineHybrid   EngineKind = "hybrid"
-	EngineDepTP    EngineKind = "deptp"
-	EngineHybrid3  EngineKind = "hybrid3"
-	EngineDepRep   EngineKind = "deprep"
-	EngineHybrid4  EngineKind = "hybrid4"
+	EngineDepCache = engine.DepCache
+	EngineDepComm  = engine.DepComm
+	EngineHybrid   = engine.Hybrid
+	EngineDepTP    = engine.DepTP
+	EngineHybrid3  = engine.Hybrid3
+	EngineDepRep   = engine.DepRep
+	EngineHybrid4  = engine.Hybrid4
 )
 
 // ModelKind selects the GNN architecture.
@@ -409,25 +410,6 @@ func (s *Session) History() []EpochResult {
 }
 
 func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
-	var mode engine.Mode
-	switch cfg.Engine {
-	case EngineDepCache:
-		mode = engine.DepCache
-	case EngineDepComm:
-		mode = engine.DepComm
-	case EngineHybrid, "":
-		mode = engine.Hybrid
-	case EngineDepTP:
-		mode = engine.DepTP
-	case EngineHybrid3:
-		mode = engine.Hybrid3
-	case EngineDepRep:
-		mode = engine.DepRep
-	case EngineHybrid4:
-		mode = engine.Hybrid4
-	default:
-		return engine.Options{}, nil, fmt.Errorf("neutronstar: unknown engine %q", cfg.Engine)
-	}
 	var profile comm.NetworkProfile
 	switch cfg.Network {
 	case NetworkLocal, "":
@@ -481,7 +463,7 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 	}
 	return engine.Options{
 		Workers:     cfg.Workers,
-		Mode:        mode,
+		Mode:        cfg.Engine,
 		Model:       model,
 		Hidden:      cfg.HiddenDim,
 		Layers:      cfg.Layers,

@@ -2,7 +2,11 @@ package neutronstar
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"neutronstar/internal/bench"
+	"neutronstar/internal/engine"
 )
 
 func TestLoadDatasetAndTrain(t *testing.T) {
@@ -98,6 +102,48 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		if _, err := NewSession(ds, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestPolicyRegistry: the engine's policy table is the one registry of policy
+// names. Every row must be accepted by the facade, the bench pipeline and the
+// engine itself (an engine that plans and runs an epoch also proves the row's
+// planner mode has its row in the planner's table), and a name that is not a
+// row must be rejected by each with an error listing the valid set. A policy
+// added in one place only fails the build or this test.
+func TestPolicyRegistry(t *testing.T) {
+	ds, err := NewDataset(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {0, 3}},
+		[][]float32{{-1, 0}, {-1, 1}, {-1, 2}, {1, 3}, {1, 4}, {1, 5}}, []int{0, 0, 0, 1, 1, 1}, 2, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := strings.Join(engine.ModeNames(), ", ")
+	check := func(name, layer string, err error) {
+		t.Helper()
+		switch known := name != "warp"; {
+		case known && err != nil:
+			t.Errorf("%s rejects policy %q: %v", layer, name, err)
+		case !known && err == nil:
+			t.Errorf("%s accepts unknown policy %q", layer, name)
+		case !known && !strings.Contains(err.Error(), valid):
+			t.Errorf("%s: error for %q does not list the valid set %q: %v", layer, name, valid, err)
+		}
+	}
+	for _, name := range append(engine.ModeNames(), "warp") {
+		s, err := NewSession(ds, Config{Workers: 2, Engine: EngineKind(name), Seed: 2})
+		check(name, "facade", err)
+		if err == nil {
+			s.TrainEpoch()
+			s.Close()
+		}
+		_, err = bench.PolicyRun(name, 2)
+		check(name, "bench.PolicyRun", err)
+		e, err := engine.NewEngine(ds.inner, engine.Options{Workers: 2, Mode: engine.Mode(name), Seed: 2})
+		check(name, "engine.NewEngine", err)
+		if err == nil {
+			e.RunEpoch()
+			e.Close()
 		}
 	}
 }
