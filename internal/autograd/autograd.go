@@ -38,15 +38,19 @@ func (v *Variable) Tape() *Tape { return v.tape }
 // Name returns the debug name assigned at creation (may be empty).
 func (v *Variable) Name() string { return v.name }
 
-// accumulate adds g into v.Grad, allocating it on first use.
-func (v *Variable) accumulate(g *tensor.Tensor) {
-	if !v.requiresGrad {
-		return
-	}
+// gradBuf returns v.Grad, allocating it zeroed on first use.
+func (v *Variable) gradBuf() *tensor.Tensor {
 	if v.Grad == nil {
 		v.Grad = v.tape.alloc(v.Value.Rows(), v.Value.Cols())
 	}
-	tensor.AddInto(v.Grad, v.Grad, g)
+	return v.Grad
+}
+
+// accumulate adds g into v.Grad, allocating it on first use.
+func (v *Variable) accumulate(g *tensor.Tensor) {
+	if v.requiresGrad {
+		v.accumulateForce(g)
+	}
 }
 
 // ZeroGrad clears the accumulated gradient.
@@ -85,8 +89,10 @@ func (t *Tape) alloc(rows, cols int) *tensor.Tensor {
 // Reset drops all recorded operations, keeping the backing storage for reuse.
 func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
 
-// NumNodes returns the number of variables recorded on the tape.
-func (t *Tape) NumNodes() int { return len(t.nodes) }
+// Nodes returns the variables recorded on the tape, in execution order. It
+// exists for tests that assert what an op sequence recorded (Name and Value
+// shape of each node); callers must not modify the slice.
+func (t *Tape) Nodes() []*Variable { return t.nodes }
 
 // Leaf registers value as a leaf variable. If requiresGrad is set, gradients
 // accumulate into it during Backward (used for parameters and for remote
@@ -153,8 +159,6 @@ func (t *Tape) Backward(root *Variable, seed *tensor.Tensor) {
 // accumulateForce seeds a gradient even on a node that is itself a
 // non-requiresGrad leaf (harmless: its backward is nil).
 func (v *Variable) accumulateForce(g *tensor.Tensor) {
-	if v.Grad == nil {
-		v.Grad = v.tape.alloc(v.Value.Rows(), v.Value.Cols())
-	}
-	tensor.AddInto(v.Grad, v.Grad, g)
+	acc := v.gradBuf()
+	tensor.AddInto(acc, acc, g)
 }

@@ -296,7 +296,7 @@ func TestTapeResetReuse(t *testing.T) {
 			}
 		}
 		tape.Reset()
-		if tape.NumNodes() != 0 {
+		if len(tape.Nodes()) != 0 {
 			t.Fatal("Reset did not clear nodes")
 		}
 	}

@@ -13,6 +13,8 @@ import (
 // destination indices, GatherByDst is a ScatterAddRows keyed by destination,
 // and GAT's per-destination attention normalisation is SegmentSoftmax.
 // Their backward rules are the paper's ScatterBackToEdge / GatherBySrc duals.
+// The decoupled ops are the programming model; sum-type layers execute the
+// three of them as one Aggregate, which never builds the per-edge tensors.
 
 // Gather selects rows of x by idx: out[i] = x[idx[i]]. The same source row may
 // appear many times (a vertex feeds all its out-edges); the backward pass
@@ -41,34 +43,102 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 	}, x)
 }
 
-// ScatterAddRows sums rows of edges into numRows output rows keyed by idx:
-// out[idx[e]] += edges[e]. This is GatherByDst with the sum aggregator.
-// The backward pass gathers: dEdges[e] = dOut[idx[e]].
-func (t *Tape) ScatterAddRows(edges *Variable, idx []int32, numRows int) *Variable {
-	if len(idx) != edges.Value.Rows() {
-		panic(fmt.Sprintf("autograd: ScatterAddRows %d indices for %d edges", len(idx), edges.Value.Rows()))
+// Aggregate is the fused execution of ScatterToEdge · EdgeForward ·
+// GatherByDst for sum-type aggregators: out[dst[e]] += coeff[e] · x[src[e]]
+// over numDst output rows, reading vertex rows through the index and writing
+// destination rows directly, so no per-edge tensor exists in either
+// direction. src == nil means edge e reads row e of x; coeff == nil means
+// every coefficient is 1. coeff is captured by reference and treated as a
+// constant.
+//
+// Edges are applied in ascending e and each product is rounded to float32
+// before it is added (float32(v*c) forbids FMA contraction), so the values
+// are bit-identical to ScatterAddRows(MulColVec(Gather(x, src), coeff), dst).
+// The backward pass is the same loop with the two indices swapped,
+// x.Grad[src[e]] += coeff[e] · dOut[dst[e]], accumulated in place.
+func (t *Tape) Aggregate(x *Variable, src []int32, coeff []float32, dst []int32, numDst int) *Variable {
+	return t.aggregate(x, src, coeff, nil, dst, numDst)
+}
+
+// AggregateWeighted is Aggregate with a differentiable Ex1 coefficient
+// column (GAT's attention α): values bit-identical to
+// ScatterAddRows(BroadcastColMul(Gather(x, src), alpha), dst). Besides x's
+// gradient, backward adds the per-edge dot dOut[dst[e]] · x[src[e]] to
+// alpha.Grad[e].
+func (t *Tape) AggregateWeighted(x *Variable, src []int32, alpha *Variable, dst []int32, numDst int) *Variable {
+	if alpha.Value.Cols() != 1 {
+		panic("autograd: AggregateWeighted wants an Ex1 coefficient column")
+	}
+	return t.aggregate(x, src, alpha.Value.Data(), alpha, dst, numDst)
+}
+
+// aggregate is the one kernel behind Aggregate, AggregateWeighted and
+// ScatterAddRows; alpha is the variable coeff belongs to, or nil.
+func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Variable,
+	dst []int32, numDst int) *Variable {
+
+	// A nil src is the identity only over exactly one row per edge; an
+	// edgeless block's nil index over a non-empty x is just zero edges.
+	if identity := src == nil && x.Value.Rows() == len(dst); !identity && len(src) != len(dst) {
+		panic(fmt.Sprintf("autograd: aggregate %d sources over %d rows for %d edges",
+			len(src), x.Value.Rows(), len(dst)))
+	}
+	if coeff != nil && len(coeff) != len(dst) {
+		panic(fmt.Sprintf("autograd: aggregate %d coefficients for %d edges", len(coeff), len(dst)))
 	}
 	start := time.Now()
-	cols := edges.Value.Cols()
-	out := t.alloc(numRows, cols)
-	for e, d := range idx {
-		dst := out.Row(int(d))
-		src := edges.Value.Row(e)
+	out := t.alloc(numDst, x.Value.Cols())
+	scaledScatterAdd(out, dst, x.Value, src, coeff, len(dst))
+	obsAggregateSeconds.Observe(time.Since(start).Seconds())
+	return t.record(out, "aggregate", func(grad *tensor.Tensor) {
+		if alpha != nil && alpha.requiresGrad {
+			ga := alpha.gradBuf().Data()
+			for e, d := range dst {
+				s := e
+				if src != nil {
+					s = int(src[e])
+				}
+				ga[e] += tensor.Dot(grad.Row(int(d)), x.Value.Row(s))
+			}
+		}
+		if x.requiresGrad {
+			scaledScatterAdd(x.gradBuf(), src, grad, dst, coeff, len(dst))
+		}
+	}, x, alpha)
+}
+
+// scaledScatterAdd is out[oi[e]] += c[e] · in[ii[e]] for e = 0..n-1 in order.
+// A nil index stands for the identity and a nil c for all ones.
+func scaledScatterAdd(out *tensor.Tensor, oi []int32, in *tensor.Tensor, ii []int32, c []float32, n int) {
+	for e := 0; e < n; e++ {
+		o, i := e, e
+		if oi != nil {
+			o = int(oi[e])
+		}
+		if ii != nil {
+			i = int(ii[e])
+		}
+		src := in.Row(i)
+		dst := out.Row(o)[:len(src)]
+		if c == nil {
+			for j, v := range src {
+				dst[j] += v
+			}
+			continue
+		}
+		ce := c[e]
 		for j, v := range src {
-			dst[j] += v
+			dst[j] += float32(v * ce)
 		}
 	}
-	obsScatterSeconds.Observe(time.Since(start).Seconds())
-	return t.record(out, "scatter_add", func(grad *tensor.Tensor) {
-		if !edges.requiresGrad {
-			return
-		}
-		g := t.alloc(len(idx), cols)
-		for e, d := range idx {
-			copy(g.Row(e), grad.Row(int(d)))
-		}
-		edges.accumulate(g)
-	}, edges)
+}
+
+// ScatterAddRows sums rows of edges into numRows output rows keyed by idx:
+// out[idx[e]] += edges[e]. This is GatherByDst with the sum aggregator over
+// rows that already exist per edge; the backward pass gathers,
+// dEdges[e] += dOut[idx[e]].
+func (t *Tape) ScatterAddRows(edges *Variable, idx []int32, numRows int) *Variable {
+	return t.Aggregate(edges, nil, nil, idx, numRows)
 }
 
 // ScatterMaxRows takes an element-wise max of edge rows into numRows output

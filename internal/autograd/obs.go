@@ -8,6 +8,6 @@ import "neutronstar/internal/obs"
 var (
 	obsGatherSeconds = obs.Default().Histogram("ns_autograd_gather_seconds",
 		"Forward duration of Gather (ScatterToEdge) calls.", obs.TimeBuckets)
-	obsScatterSeconds = obs.Default().Histogram("ns_autograd_scatter_seconds",
-		"Forward duration of ScatterAddRows (GatherByDst) calls.", obs.TimeBuckets)
+	obsAggregateSeconds = obs.Default().Histogram("ns_autograd_scatter_seconds",
+		"Forward duration of Aggregate / ScatterAddRows (GatherByDst) calls.", obs.TimeBuckets)
 )

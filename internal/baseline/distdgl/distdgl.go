@@ -257,7 +257,8 @@ func (w *worker) trainBatch(step int, batch []int32, coll *metrics.Collector) fl
 		}
 		ctx := &nn.ForwardCtx{
 			Tape:     tape,
-			EdgeSrc:  tape.Gather(rows, blk.SrcIdx),
+			Src:      rows,
+			SrcRow:   blk.SrcIdx,
 			Self:     tape.Gather(rows, blk.SelfIdx),
 			Offsets:  blk.Offsets,
 			EdgeDst:  blk.DstIdx,

@@ -30,9 +30,10 @@ type Costs struct {
 func (c Costs) CommCost(dim int) float64 { return c.Tc * float64(dim) }
 
 // Probe measures T_v and T_e by timing a small tape-based training kernel —
-// the same differentiable gather → edge op → scatter-add → dense transform →
-// backward path the engines execute — so the factors include the autograd
-// bookkeeping and allocation costs a bare micro-kernel would miss. T_c
+// the same differentiable fused aggregation (gather · edge scale ·
+// scatter-add) → dense transform → backward path the engines execute — so
+// the factors include the autograd bookkeeping and allocation costs a bare
+// micro-kernel would miss. T_e is GCN-shaped whatever model trains. T_c
 // derives from the network profile (bytesPerSec, latencyPerMsg); a zero
 // bytesPerSec means an unthrottled in-memory fabric, for which the channel
 // overhead is approximated.
@@ -61,13 +62,13 @@ func Probe(bytesPerSec float64, latencyPerMsg time.Duration) Costs {
 	seed := tensor.New(probeVerts, probeDim)
 	seed.Fill(1)
 
-	// Edge path: gather + per-edge scale + scatter-add, forward and backward.
+	// Edge path: the fused gather · per-edge scale · scatter-add kernel the
+	// sum-type layers run, forward and backward.
 	start := time.Now()
 	for r := 0; r < reps; r++ {
 		tape := autograd.NewTape()
 		hv := tape.Leaf(h, true, "h")
-		edges := tape.MulColVec(tape.Gather(hv, src), norm)
-		agg := tape.ScatterAddRows(edges, dst, probeVerts)
+		agg := tape.Aggregate(hv, src, norm, dst, probeVerts)
 		tape.Backward(agg, seed)
 	}
 	te := time.Since(start).Seconds() / float64(reps*numEdges*probeDim)

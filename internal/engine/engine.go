@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neutronstar/internal/autograd"
 	"neutronstar/internal/ckpt"
 	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
@@ -266,6 +267,9 @@ type Engine struct {
 	// Restore). Serving caches key their freshness off it: any bump means
 	// previously computed embeddings may be stale.
 	paramVersion atomic.Uint64
+	// tapeHook, set only by tests, sees every tape a worker creates (called
+	// from the worker goroutines) so a test can inspect what was recorded.
+	tapeHook func(*autograd.Tape)
 
 	// PreprocessTime is the hybrid dependency-partitioning time (Table 3's
 	// "Preprocessing" row).

@@ -93,3 +93,31 @@ func TestPooledEpochAllocReduction(t *testing.T) {
 		t.Fatalf("pooled epoch allocates %d, unpooled %d; want <= 70%%", pooled, plain)
 	}
 }
+
+// TestEpochArenaByteBudget gates what the fused aggregation kernel bought in
+// bytes, next to the malloc-count gate above: everything a training epoch
+// draws from its arenas stays checked out until the epoch barrier, so the
+// pool's high-water mark over a run is the per-epoch arena footprint of all
+// workers. With per-edge tensors materialised (parent 4eb77ff) it was
+// 3 977 456 bytes for this configuration; the budget is 40 % of that. The
+// policy is DepCache because its plan does not depend on the probed costs
+// (which the kernel itself moved), so the figure repeats exactly.
+func TestEpochArenaByteBudget(t *testing.T) {
+	if os.Getenv("NS_PERF_ALLOCS") == "" {
+		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
+	}
+	const parentBytes = 3977456
+	pool := tensor.NewPool()
+	e, err := NewEngine(testDataset(t, 600, 8, 3), Options{Workers: 4, Mode: DepCache, Seed: 11, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Train(3)
+	got := pool.Stats().HighWaterBytes
+	t.Logf("arena bytes at the epoch barrier: %d (%.1f%% of the parent's %d)",
+		got, 100*float64(got)/parentBytes, parentBytes)
+	if float64(got) > 0.4*parentBytes {
+		t.Fatalf("epoch checks out %d arena bytes; want <= 40%% of %d", got, parentBytes)
+	}
+}

@@ -127,7 +127,8 @@ func forwardOnTape(g *graph.Graph, layer nn.Layer, tape *autograd.Tape,
 	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
 	ctx := &nn.ForwardCtx{
 		Tape:     tape,
-		EdgeSrc:  tape.Gather(rows, srcIdx),
+		Src:      rows,
+		SrcRow:   srcIdx,
 		Self:     rows,
 		Offsets:  offsets,
 		EdgeDst:  dstIdx,

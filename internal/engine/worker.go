@@ -134,10 +134,15 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 // training (everything on it dies by the epoch barrier), plain-allocating for
 // inference, whose outputs outlive any barrier.
 func (ws *workerState) newTape(training bool) *autograd.Tape {
-	if training && ws.arena != nil {
-		return autograd.NewTapeArena(ws.arena)
+	var arena *tensor.Arena // nil: plain allocation
+	if training {
+		arena = ws.arena
 	}
-	return autograd.NewTape()
+	tape := autograd.NewTapeArena(arena)
+	if ws.eng.tapeHook != nil {
+		ws.eng.tapeHook(tape)
+	}
+	return tape
 }
 
 // alloc returns a zeroed tensor from the worker's arena when it may be
@@ -404,7 +409,7 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 				sp := coll.Span(ws.id, metrics.Compute, "edge_stage",
 					obs.Int("layer", l), obs.Int("peer", -1))
 				partials = append(partials,
-					sd.EdgeStage(tape, tape.Gather(hPrev, g.srcLocal), g.edgeNorm, g.dstRow, numDst))
+					sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
 				sp.End()
 			}
 			continue
@@ -435,7 +440,7 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 		spC := coll.Span(ws.id, metrics.Compute, "edge_stage",
 			obs.Int("layer", l), obs.Int("peer", j))
 		partials = append(partials,
-			sd.EdgeStage(tape, tape.Gather(leaf, g.srcLocal), g.edgeNorm, g.dstRow, numDst))
+			sd.EdgeStage(tape, leaf, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
 		spC.End()
 	}
 
@@ -463,13 +468,14 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 }
 
 // runBlock executes one destination block through the layer's Forward.
-// srcUniverse provides edge-source rows; selfUniverse provides the
-// destinations' own rows (always within the prev-layout part).
+// srcUniverse provides edge-source rows, read through b.srcRow; selfUniverse
+// provides the destinations' own rows (always within the prev-layout part).
 func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPlan,
 	srcUniverse, selfUniverse *autograd.Variable, training bool) *autograd.Variable {
 	ctx := &nn.ForwardCtx{
 		Tape:     tape,
-		EdgeSrc:  tape.Gather(srcUniverse, b.srcRow),
+		Src:      srcUniverse,
+		SrcRow:   b.srcRow,
 		Self:     tape.Gather(selfUniverse, b.selfRow),
 		Offsets:  b.offsets,
 		EdgeDst:  b.dstRow,

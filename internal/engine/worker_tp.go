@@ -172,7 +172,7 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 		trun.sliceTape = ws.newTape(training)
 		trun.x = trun.sliceTape.Leaf(xVal, requiresGrad, "tp_x")
 		trun.aggSlice = sd.EdgeStage(trun.sliceTape,
-			trun.sliceTape.Gather(trun.x, sh.all.srcRow), sh.all.edgeNorm, sh.all.dstRow, totalV)
+			trun.x, sh.all.srcRow, sh.all.edgeNorm, sh.all.dstRow, totalV)
 		sp.End()
 	}
 

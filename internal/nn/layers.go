@@ -38,26 +38,12 @@ func (l *GCNLayer) OutDim() int { return l.out }
 // Params returns the layer's weight and bias.
 func (l *GCNLayer) Params() []*Param { return []*Param{l.w, l.b} }
 
-// Forward runs EdgeForward (normalised copy), GatherByDst (sum) and
-// VertexForward (dense + activation) for one destination block.
+// Forward runs the edge stage (normalised sum over in-edges) and the vertex
+// stage (self term, dense + activation) for one destination block.
 func (l *GCNLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
-	t := ctx.Tape
-	msgs := ctx.EdgeSrc
-	if ctx.EdgeNorm != nil {
-		msgs = t.MulColVec(msgs, ctx.EdgeNorm)
-	}
-	agg := t.ScatterAddRows(msgs, ctx.EdgeDst, ctx.NumDst())
-	self := ctx.Self
-	if ctx.SelfNorm != nil {
-		self = t.MulColVec(self, ctx.SelfNorm)
-	}
-	combined := t.Add(agg, self)
-	combined = t.Dropout(combined, l.dropout, ctx.RNG, ctx.Training)
-	wz := t.MatMul(combined, l.w.Bind(t))
-	if l.act {
-		return t.AddBiasReLU(wz, l.b.Bind(t))
-	}
-	return t.AddBias(wz, l.b.Bind(t))
+	src, srcRow := ctx.source()
+	agg := l.EdgeStage(ctx.Tape, src, srcRow, ctx.EdgeNorm, ctx.EdgeDst, ctx.NumDst())
+	return l.VertexStage(ctx.Tape, agg, ctx.Self, ctx.SelfNorm, ctx.Training, ctx.RNG)
 }
 
 // GINLayer implements the Graph Isomorphism Network layer:
@@ -91,19 +77,12 @@ func (l *GINLayer) OutDim() int { return l.out }
 // Params returns the MLP parameters.
 func (l *GINLayer) Params() []*Param { return []*Param{l.w1, l.b1, l.w2, l.b2} }
 
-// Forward sums raw neighbor messages, adds the (1+ε)-scaled self term, and
-// applies the two-layer MLP.
+// Forward sums raw neighbor messages (edge stage), adds the (1+ε)-scaled self
+// term and applies the two-layer MLP (vertex stage).
 func (l *GINLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
-	t := ctx.Tape
-	agg := t.ScatterAddRows(ctx.EdgeSrc, ctx.EdgeDst, ctx.NumDst())
-	combined := t.Add(agg, t.Scale(ctx.Self, 1+l.epsilon))
-	combined = t.Dropout(combined, l.dropout, ctx.RNG, ctx.Training)
-	h := t.AddBiasReLU(t.MatMul(combined, l.w1.Bind(t)), l.b1.Bind(t))
-	wz := t.MatMul(h, l.w2.Bind(t))
-	if l.act {
-		return t.AddBiasReLU(wz, l.b2.Bind(t))
-	}
-	return t.AddBias(wz, l.b2.Bind(t))
+	src, srcRow := ctx.source()
+	agg := l.EdgeStage(ctx.Tape, src, srcRow, nil, ctx.EdgeDst, ctx.NumDst())
+	return l.VertexStage(ctx.Tape, agg, ctx.Self, nil, ctx.Training, ctx.RNG)
 }
 
 // GATLayer implements single-head graph attention:
@@ -153,14 +132,19 @@ func (l *GATLayer) PreTransform(t *autograd.Tape, h *autograd.Variable, training
 // destination with a segment softmax, and aggregates weighted messages.
 func (l *GATLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	t := ctx.Tape
-	// EdgeSrc and Self are already z = W·h via PreTransform.
-	srcScore := t.RowDot(ctx.EdgeSrc, l.aSrc.Bind(t)) // E x 1
-	dstScoreV := t.RowDot(ctx.Self, l.aDst.Bind(t))   // NumDst x 1
-	dstScoreE := t.Gather(dstScoreV, ctx.EdgeDst)     // E x 1
+	// Source rows and Self are already z = W·h via PreTransform. a_s·z is
+	// computed once per source row and only the score column is gathered onto
+	// edges — the same bits as dotting gathered rows.
+	z, srcRow := ctx.source()
+	srcScore := t.RowDot(z, l.aSrc.Bind(t))
+	if ctx.Src != nil {
+		srcScore = t.Gather(srcScore, srcRow) // E x 1
+	}
+	dstScoreV := t.RowDot(ctx.Self, l.aDst.Bind(t)) // NumDst x 1
+	dstScoreE := t.Gather(dstScoreV, ctx.EdgeDst)   // E x 1
 	score := t.LeakyReLU(t.Add(srcScore, dstScoreE), l.slope)
 	alpha := t.SegmentSoftmax(score, ctx.Offsets)
-	weighted := t.BroadcastColMul(ctx.EdgeSrc, alpha)
-	agg := t.ScatterAddRows(weighted, ctx.EdgeDst, ctx.NumDst())
+	agg := t.AggregateWeighted(z, srcRow, alpha, ctx.EdgeDst, ctx.NumDst())
 	// Self residual: destinations keep their own transformed representation
 	// (GAT's residual connection); vertices with no in-edges degrade to a
 	// plain dense layer instead of losing their signal entirely.
@@ -209,7 +193,7 @@ func (l *SAGELayer) Params() []*Param { return []*Param{l.wSelf, l.wNbr, l.wPool
 // element-wise max and combines with the self path.
 func (l *SAGELayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	t := ctx.Tape
-	msgs := t.ReLU(t.MatMul(ctx.EdgeSrc, l.wPool.Bind(t)))
+	msgs := t.ReLU(t.MatMul(ctx.edgeRows(), l.wPool.Bind(t)))
 	pooled := t.ScatterMaxRows(msgs, ctx.EdgeDst, ctx.NumDst())
 	self := t.Dropout(ctx.Self, l.dropout, ctx.RNG, ctx.Training)
 	z := t.Add(t.MatMul(self, l.wSelf.Bind(t)), t.MatMul(pooled, l.wNbr.Bind(t)))
@@ -261,16 +245,17 @@ func (l *MultiHeadGATLayer) Params() []*Param {
 // Forward evaluates every head on the shared raw inputs and concatenates.
 // Unlike the single-head layer, the vertex transform z = W_h·h happens
 // inside Forward per head (a shared PreTransform cannot serve differently
-// parameterised heads), so EdgeSrc/Self carry raw representations here.
+// parameterised heads), so the source rows and Self carry raw representations
+// here, and each head transforms one row per edge.
 func (l *MultiHeadGATLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	t := ctx.Tape
+	edgeRows := ctx.edgeRows()
 	outs := make([]*autograd.Variable, len(l.heads))
 	for i, h := range l.heads {
-		z := t.MatMul(ctx.EdgeSrc, h.w.Bind(t))
-		zSelf := t.MatMul(ctx.Self, h.w.Bind(t))
 		headCtx := *ctx
-		headCtx.EdgeSrc = z
-		headCtx.Self = zSelf
+		headCtx.Src, headCtx.SrcRow = nil, nil
+		headCtx.EdgeSrc = t.MatMul(edgeRows, h.w.Bind(t))
+		headCtx.Self = t.MatMul(ctx.Self, h.w.Bind(t))
 		outs[i] = h.Forward(&headCtx)
 	}
 	if len(outs) == 1 {

@@ -1,11 +1,11 @@
 // Package nn builds GNN layers and optimisers on top of the autograd tape.
 // A layer receives, through ForwardCtx, exactly the decoupled inputs of the
-// paper's programming model (§4.1): per-edge gathered source representations
-// (the result of GetFromDepNbr + ScatterToEdge), the destination vertices'
-// own rows, and the CSC structure needed for destination-grouped aggregation
-// (GatherByDst). What the layer does with them — EdgeForward and
-// VertexForward — is model-specific: GCN, GIN and GAT are provided, matching
-// the paper's evaluation.
+// paper's programming model (§4.1): the source representations of its
+// in-edges (the result of GetFromDepNbr, plus the index ScatterToEdge would
+// gather them by), the destination vertices' own rows, and the CSC structure
+// needed for destination-grouped aggregation (GatherByDst). What the layer
+// does with them — EdgeForward and VertexForward — is model-specific: GCN,
+// GIN and GAT are provided, matching the paper's evaluation.
 package nn
 
 import (
@@ -60,17 +60,32 @@ func (p *Param) NumElements() int { return p.Value.Len() }
 
 // ForwardCtx carries the engine-assembled inputs for one block of
 // destination vertices in one layer.
+//
+// A block's edge sources come in one of two forms. The engines pass Src and
+// SrcRow — the row universe they already hold plus the edge→row index — and
+// sum-type layers (GCN, GIN, GAT) aggregate straight through the index with
+// autograd's fused Aggregate kernel, so no per-edge tensor is built. A caller
+// that has already gathered one row per edge passes EdgeSrc alone; that is
+// the same kernel with the identity index, with bit-identical outputs.
+// Layers whose edge stage is not a weighted sum of source rows (SAGE's
+// per-edge MLP, multi-head GAT) gather one row per edge on demand.
 type ForwardCtx struct {
 	Tape *autograd.Tape
+	// Src is the row universe edge sources are read from: previous-layer
+	// representations (already pre-transformed if the layer implements
+	// PreTransformer). SrcRow[e] is the row of Src that edge e reads, in
+	// destination-grouped (CSC) order. When Src is set it takes precedence
+	// over EdgeSrc.
+	Src    *autograd.Variable
+	SrcRow []int32
 	// EdgeSrc holds one row per local in-edge, in destination-grouped (CSC)
-	// order: the source vertex's previous-layer representation (already
-	// pre-transformed if the layer implements PreTransformer).
+	// order: Src gathered by SrcRow. Read only when Src is nil.
 	EdgeSrc *autograd.Variable
 	// Self holds the destination vertices' own previous-layer rows
 	// (pre-transformed likewise).
 	Self *autograd.Variable
 	// Offsets (len NumDst+1) delimits each destination's edge group within
-	// EdgeSrc.
+	// the edge order.
 	Offsets []int32
 	// EdgeDst maps each edge to its destination's local index (0..NumDst).
 	EdgeDst []int32
@@ -80,6 +95,24 @@ type ForwardCtx struct {
 	SelfNorm []float32
 	Training bool
 	RNG      *tensor.RNG
+}
+
+// source returns the rows edge sources are read from and the edge→row index
+// into them; a nil index means edge e reads row e (the EdgeSrc entry).
+func (c *ForwardCtx) source() (*autograd.Variable, []int32) {
+	if c.Src != nil {
+		return c.Src, c.SrcRow
+	}
+	return c.EdgeSrc, nil
+}
+
+// edgeRows returns one source row per edge, gathering Src by SrcRow on
+// demand — for layers whose edge stage is not a weighted sum of source rows.
+func (c *ForwardCtx) edgeRows() *autograd.Variable {
+	if c.Src != nil {
+		return c.Tape.Gather(c.Src, c.SrcRow)
+	}
+	return c.EdgeSrc
 }
 
 // NumDst returns the number of destination vertices in the block.
@@ -154,9 +187,11 @@ func (m *Model) Validate() error {
 // per-destination softmax needs every score first), matching the paper's
 // observation that edge-softmax models limit chunk pipelining.
 type SumDecomposable interface {
-	// EdgeStage computes the partial aggregation of one edge chunk:
-	// one row per destination (numDst rows), summed over the chunk's edges.
-	EdgeStage(t *autograd.Tape, edgeSrc *autograd.Variable, edgeNorm []float32,
+	// EdgeStage computes the partial aggregation of one edge chunk: one row
+	// per destination (numDst rows), summed over the chunk's edges. Edge e
+	// reads row srcRow[e] of src (row e when srcRow is nil, i.e. src already
+	// holds one row per edge) — the Src/SrcRow contract of ForwardCtx.
+	EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []int32, edgeNorm []float32,
 		edgeDst []int32, numDst int) *autograd.Variable
 	// VertexStage combines the total aggregation with the destinations' own
 	// rows and applies the layer's NN transform.
@@ -164,14 +199,10 @@ type SumDecomposable interface {
 		training bool, rng *tensor.RNG) *autograd.Variable
 }
 
-// EdgeStage implements SumDecomposable for GCN: normalised copy + sum.
-func (l *GCNLayer) EdgeStage(t *autograd.Tape, edgeSrc *autograd.Variable,
+// EdgeStage implements SumDecomposable for GCN: normalised sum.
+func (l *GCNLayer) EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []int32,
 	edgeNorm []float32, edgeDst []int32, numDst int) *autograd.Variable {
-	msgs := edgeSrc
-	if edgeNorm != nil {
-		msgs = t.MulColVec(msgs, edgeNorm)
-	}
-	return t.ScatterAddRows(msgs, edgeDst, numDst)
+	return t.Aggregate(src, srcRow, edgeNorm, edgeDst, numDst)
 }
 
 // VertexStage implements SumDecomposable for GCN.
@@ -190,9 +221,9 @@ func (l *GCNLayer) VertexStage(t *autograd.Tape, agg, self *autograd.Variable,
 }
 
 // EdgeStage implements SumDecomposable for GIN: raw sum.
-func (l *GINLayer) EdgeStage(t *autograd.Tape, edgeSrc *autograd.Variable,
+func (l *GINLayer) EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []int32,
 	edgeNorm []float32, edgeDst []int32, numDst int) *autograd.Variable {
-	return t.ScatterAddRows(edgeSrc, edgeDst, numDst)
+	return t.Aggregate(src, srcRow, nil, edgeDst, numDst)
 }
 
 // VertexStage implements SumDecomposable for GIN.

@@ -15,7 +15,11 @@ import (
 // vertices are offered to the cache (final-layer logits are not — no block
 // ever reads them back). Per-item result rows are sliced out of the top
 // block at the end and each waiting request is released.
-func (s *Server) compute(asm *assembled, model *nn.Model) {
+//
+// Every intermediate (block inputs, layer outputs) is drawn from the
+// worker's scratch arena, which the caller releases when compute returns;
+// only the per-request Result rows and the cache's own copies outlive it.
+func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena) {
 	p := asm.plan
 	dims := model.Dims()
 	L := len(p.blocks)
@@ -25,16 +29,17 @@ func (s *Server) compute(asm *assembled, model *nn.Model) {
 	var prevDsts []int32
 	var topIn *tensor.Tensor // the top block's input: penultimate-layer rows
 	for l, b := range p.blocks {
-		H := tensor.New(len(b.srcs), dims[l])
-		for i, v := range b.srcs {
-			if b.cached != nil && b.cached[i] != nil {
-				copy(H.Row(i), b.cached[i])
-				continue
-			}
-			if l == 0 {
-				copy(H.Row(i), p.feats.Row(i))
-			} else {
-				copy(H.Row(i), prevOut.Row(posIn(prevDsts, v)))
+		// The bottom block reads the assembled feature rows as they are
+		// (nothing is cached below layer 1); the blocks above stitch theirs.
+		H := p.feats
+		if l > 0 {
+			H = scratch.Get(len(b.srcs), dims[l])
+			for i, v := range b.srcs {
+				if b.cached[i] != nil {
+					copy(H.Row(i), b.cached[i])
+				} else {
+					copy(H.Row(i), prevOut.Row(posIn(prevDsts, v)))
+				}
 			}
 		}
 		if l == L-1 {
@@ -45,7 +50,7 @@ func (s *Server) compute(asm *assembled, model *nn.Model) {
 			prevOut, prevDsts = tensor.New(0, dims[l+1]), b.dsts
 			continue
 		}
-		out := forwardBlock(model.Layers[l], b, H)
+		out := forwardBlock(model.Layers[l], b, H, scratch)
 		if asm.exact && l+1 < L {
 			for d, v := range b.dsts {
 				if v < n {
@@ -81,13 +86,13 @@ func (s *Server) compute(asm *assembled, model *nn.Model) {
 }
 
 // forwardBlock evaluates one layer over one bipartite block. The ForwardCtx
-// mirrors engine.forwardOnTape restricted to the block: EdgeSrc gathers the
+// mirrors engine.forwardOnTape restricted to the block: SrcRow indexes the
 // (possibly pre-transformed) source rows in destination-grouped order and
 // Self gathers each destination's own row, so per-destination float32
 // aggregation order — and therefore the result — matches the full-graph
 // reference bitwise.
-func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor) *tensor.Tensor {
-	tape := autograd.NewTape()
+func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor, scratch *tensor.Arena) *tensor.Tensor {
+	tape := autograd.NewTapeArena(scratch)
 	in := tape.Constant(H, "h")
 	rng := tensor.NewRNG(0)
 	rows := in
@@ -96,7 +101,8 @@ func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor) *tensor.Tensor {
 	}
 	ctx := &nn.ForwardCtx{
 		Tape:     tape,
-		EdgeSrc:  tape.Gather(rows, b.srcIdx),
+		Src:      rows,
+		SrcRow:   b.srcIdx,
 		Self:     tape.Gather(rows, b.selfIdx),
 		Offsets:  b.offsets,
 		EdgeDst:  b.dstIdx,

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"neutronstar/internal/nn"
@@ -111,48 +111,48 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 	var cacheNanos int64
 
 	// Merge every item's queried vertices into one sorted seed frontier.
-	seedSet := make(map[int32]struct{})
+	var need []int32
 	for _, w := range j.items {
-		for _, v := range w.req.Verts {
-			seedSet[v] = struct{}{}
-		}
+		need = append(need, w.req.Verts...)
 		for k := range w.req.Inductive {
-			seedSet[o.n+int32(k)] = struct{}{}
+			need = append(need, o.n+int32(k))
 		}
 	}
-	need := sortedKeys(seedSet)
+	need = sortedSet(need)
 
 	gen := s.cache.generation()
 	blocks := make([]*block, L)
 	for l := L - 1; l >= 0; l-- {
 		b := &block{dsts: need}
-		srcSet := make(map[int32]struct{}, 2*len(need))
 		nbrs := make([][]int32, len(need))
+		edges := 0
 		for di, v := range need {
-			srcSet[v] = struct{}{} // the self row is always present
 			ns := o.inNbrs(v)
 			if fanouts != nil {
 				ns = sampler.Pick(ns, fanouts[l], rng)
 			}
 			nbrs[di] = ns
-			for _, u := range ns {
-				srcSet[u] = struct{}{}
-			}
+			edges += len(ns)
 		}
-		b.srcs = sortedKeys(srcSet)
-		srcPos := make(map[int32]int32, len(b.srcs))
-		for i, u := range b.srcs {
-			srcPos[u] = int32(i)
+		// The input frontier: every destination's own row plus its neighbors.
+		srcs := make([]int32, 0, len(need)+edges)
+		srcs = append(srcs, need...)
+		for _, ns := range nbrs {
+			srcs = append(srcs, ns...)
 		}
+		b.srcs = sortedSet(srcs)
 		b.offsets = make([]int32, len(need)+1)
 		b.selfIdx = make([]int32, len(need))
 		b.selfNorm = make([]float32, len(need))
+		b.srcIdx = make([]int32, 0, edges)
+		b.dstIdx = make([]int32, 0, edges)
+		b.edgeNorm = make([]float32, 0, edges)
 		for di, v := range need {
-			b.selfIdx[di] = srcPos[v]
+			b.selfIdx[di] = int32(posIn(b.srcs, v))
 			inv := o.invSqrtDeg(v)
 			b.selfNorm[di] = float32(inv * inv)
 			for _, u := range nbrs[di] {
-				b.srcIdx = append(b.srcIdx, srcPos[u])
+				b.srcIdx = append(b.srcIdx, int32(posIn(b.srcs, u)))
 				b.dstIdx = append(b.dstIdx, int32(di))
 				b.edgeNorm = append(b.edgeNorm, float32(inv*o.invSqrtDeg(u)))
 			}
@@ -185,10 +185,10 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 
 	// Assemble the raw feature rows the bottom block consumes. When every
 	// layer-1 input was cache-served the bottom frontier is empty and this
-	// is a 0-row tensor.
+	// is a 0-row tensor. The compute worker hands it back to the pool.
 	dim := s.cfg.Features.Cols()
 	bottom := blocks[0]
-	feats := tensor.New(len(bottom.srcs), dim)
+	feats := s.scratch.Get(len(bottom.srcs), dim)
 	// A fully cache-satisfied walk leaves empty lower frontiers: their
 	// blocks compute nothing, and the cached rows enter at the layer above.
 	if len(bottom.dsts) > 0 {
@@ -208,16 +208,14 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 	}, nil
 }
 
-func sortedKeys(m map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// sortedSet sorts vs in place and drops duplicates.
+func sortedSet(vs []int32) []int32 {
+	slices.Sort(vs)
+	return slices.Compact(vs)
 }
 
 // posIn locates v in the ascending slice s; extraction guarantees presence.
 func posIn(s []int32, v int32) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
+	i, _ := slices.BinarySearch(s, v)
+	return i
 }

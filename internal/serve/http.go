@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"sync"
 
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
@@ -168,11 +170,29 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
 	return &req, true
 }
 
+// jsonWriter is an indenting encoder with the buffers it grows: the output
+// and, inside the Encoder, the indent buffer. A fresh Encoder per response
+// regrows both from nothing, which for a 32-vertex /predict answer is most
+// of what the request allocates.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	_ = jw.enc.Encode(v) // an unencodable value leaves the body empty
+	_, _ = w.Write(jw.buf.Bytes())
+	jsonWriters.Put(jw)
 }
 
 func argmaxRows(t *tensor.Tensor) []int {

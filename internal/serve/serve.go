@@ -240,6 +240,10 @@ type Server struct {
 
 	extractQ chan *job
 	computeQ chan *assembled
+	// scratch recycles what a job needs only until its answer is out: the
+	// assembled feature rows and the forward pass's intermediates. A cold
+	// request then costs the heap little more than the rows it returns.
+	scratch *tensor.Pool
 
 	// model/version are the server-wide snapshot, refreshed when the source
 	// version moves; compute workers keep private clones keyed by version.
@@ -297,6 +301,7 @@ func New(cfg Config) (*Server, error) {
 		version:  cfg.Source.Version(),
 		extractQ: make(chan *job, 4*cfg.ExtractWorkers),
 		computeQ: make(chan *assembled, 4*cfg.ComputeWorkers),
+		scratch:  tensor.NewPool(),
 		metrics: &serveMetrics{
 			requests: cfg.Registry.Counter("ns_serve_requests_total", "Inference requests received."),
 			errors:   cfg.Registry.Counter("ns_serve_errors_total", "Inference requests that failed."),
@@ -534,6 +539,7 @@ func (s *Server) computeLoop(idx int) {
 	row := s.cfg.ExtractWorkers + idx
 	var model *nn.Model
 	var version uint64
+	scratch := s.scratch.Arena()
 	for asm := range s.computeQ {
 		start := time.Now()
 		for _, w := range asm.items {
@@ -548,7 +554,9 @@ func (s *Server) computeLoop(idx int) {
 			model = cloneForCompute(asm.model)
 			version = asm.version
 		}
-		s.compute(asm, model)
+		s.compute(asm, model, scratch)
+		scratch.Release()
+		s.scratch.Put(asm.plan.feats)
 		if sp != nil {
 			sp.End()
 		}

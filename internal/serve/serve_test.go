@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -309,6 +310,67 @@ func TestServeCloseDrains(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.Query(&Request{Verts: []int32{1}}); err == nil {
 		t.Fatal("query accepted after Close")
+	}
+}
+
+// TestServeScratchRecycled pins the scratch pool's contract: answers handed
+// out never alias recycled storage (a result kept across many later jobs of
+// other shapes still equals the reference), every buffer a job borrows is
+// back once the server has drained, and later jobs do reuse earlier ones'.
+func TestServeScratchRecycled(t *testing.T) {
+	ds := testDataset(t, 120, 19)
+	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
+		t.Run(string(kind), func(t *testing.T) {
+			model := testModel(ds, kind, 91)
+			s, err := New(Config{
+				Graph: ds.Graph, Features: ds.Features, Source: NewStatic(model),
+				CacheBytes: 1 << 12, Registry: obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ref := engine.ReferenceForward(ds.Graph, model, ds.Features)
+			kept, err := s.Query(&Request{Verts: []int32{5, 50, 100}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						verts := make([]int32, 1+(i+c)%9)
+						for k := range verts {
+							verts[k] = int32((7*i + 13*k + 31*c) % 120)
+						}
+						res, err := s.Query(&Request{Verts: verts})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for k, v := range verts {
+							if !slices.Equal(res.Logits.Row(k), ref.Row(int(v))) {
+								t.Errorf("client %d request %d: logits of vertex %d differ from the reference", c, i, v)
+							}
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			for k, v := range []int32{5, 50, 100} {
+				assertRowEqual(t, "kept logits", v, kept.Logits.Row(k), ref.Row(int(v)))
+			}
+			s.Close()
+			st := s.scratch.Stats()
+			if st.BytesInFlight != 0 {
+				t.Errorf("%d scratch bytes still checked out after Close", st.BytesInFlight)
+			}
+			if st.Hits == 0 {
+				t.Errorf("no scratch buffer was ever reused (%d misses)", st.Misses)
+			}
+		})
 	}
 }
 

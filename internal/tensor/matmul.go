@@ -121,15 +121,8 @@ func gemmRows(dst, a, b *Tensor, lo, hi int) {
 // gemmScalarPanel applies one k-panel with the original zero-skipping scalar
 // kernel; used when the panel contains a zero a-value.
 func gemmScalarPanel(dr, ap []float32, b *Tensor, k0 int) {
-	n := b.cols
 	for kk, av := range ap {
-		if av == 0 {
-			continue
-		}
-		br := b.data[(k0+kk)*n : (k0+kk)*n+n]
-		for j, bv := range br {
-			dr[j] += av * bv
-		}
+		axpySkipZero(dr, av, b.Row(k0+kk))
 	}
 }
 
@@ -153,39 +146,69 @@ func MatMulTAInto(dst, a, b *Tensor) {
 	dst.Zero()
 	m, n := a.cols, b.cols
 	if a.rows*m*n < gemmParallelThreshold || m < 2 {
-		for k := 0; k < a.rows; k++ {
-			ar, br := a.Row(k), b.Row(k)
-			for i, av := range ar {
-				if av == 0 {
-					continue
-				}
-				dr := dst.data[i*n : i*n+n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
+		matMulTARows(dst, a, b, 0, m)
+	} else {
+		// Parallelise over output rows (columns of a) so goroutines never
+		// write the same destination row.
+		parallelRows(m, func(lo, hi int) { matMulTARows(dst, a, b, lo, hi) })
+	}
+	obsMatMulTA.Observe(time.Since(start).Seconds())
+}
+
+// matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, register-blocked the
+// way gemmRows is: k (the shared row index of a and b) advances in panels of
+// 4 and the j loop is 4x-unrolled, so one sweep over the small dst block
+// consumes four rows of a and b. The bit-identity argument is gemmRows's:
+// dst[i][j] still receives its k-terms in ascending k, one add at a time
+// (d + t0 + t1 + t2 + t3 evaluates left to right), and the panel is taken
+// only when all four a-values are non-zero, otherwise the zero-skipping
+// scalar update runs for that element row.
+func matMulTARows(dst, a, b *Tensor, lo, hi int) {
+	n := b.cols
+	k := 0
+	for ; k+4 <= a.rows; k += 4 {
+		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
+		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+		for i := lo; i < hi; i++ {
+			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
+			dr := dst.data[i*n : i*n+n]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				axpySkipZero(dr, a0, b0)
+				axpySkipZero(dr, a1, b1)
+				axpySkipZero(dr, a2, b2)
+				axpySkipZero(dr, a3, b3)
+				continue
+			}
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				d0 := dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				d1 := dr[j+1] + a0*b0[j+1] + a1*b1[j+1] + a2*b2[j+1] + a3*b3[j+1]
+				d2 := dr[j+2] + a0*b0[j+2] + a1*b1[j+2] + a2*b2[j+2] + a3*b3[j+2]
+				d3 := dr[j+3] + a0*b0[j+3] + a1*b1[j+3] + a2*b2[j+3] + a3*b3[j+3]
+				dr[j], dr[j+1], dr[j+2], dr[j+3] = d0, d1, d2, d3
+			}
+			for ; j < n; j++ {
+				dr[j] = dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
 		}
-		obsMatMulTA.Observe(time.Since(start).Seconds())
+	}
+	for ; k < a.rows; k++ {
+		ar, br := a.Row(k), b.Row(k)
+		for i := lo; i < hi; i++ {
+			axpySkipZero(dst.data[i*n:i*n+n], ar[i], br)
+		}
+	}
+}
+
+// axpySkipZero is dr += av * br, skipped entirely when av is zero: the
+// scalar GEMM update whose 0*Inf and signed-zero behaviour blocking keeps.
+func axpySkipZero(dr []float32, av float32, br []float32) {
+	if av == 0 {
 		return
 	}
-	// Parallelise over output rows (columns of a) so goroutines never write
-	// the same destination row.
-	parallelRows(m, func(lo, hi int) {
-		for k := 0; k < a.rows; k++ {
-			ar, br := a.Row(k), b.Row(k)
-			for i := lo; i < hi; i++ {
-				av := ar[i]
-				if av == 0 {
-					continue
-				}
-				dr := dst.data[i*n : i*n+n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
-	obsMatMulTA.Observe(time.Since(start).Seconds())
+	for j, bv := range br {
+		dr[j] += av * bv
+	}
 }
 
 // MatMulTB returns a @ bᵀ, computed without materialising bᵀ.

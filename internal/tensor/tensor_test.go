@@ -294,6 +294,68 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 	}
 }
 
+// scalarMatMulTA is the unblocked kernel MatMulTAInto replaced: k outermost,
+// one zero-skipping add per term. The blocked kernel must reproduce it bit
+// for bit.
+func scalarMatMulTA(a, b *Tensor) *Tensor {
+	dst := New(a.cols, b.cols)
+	for k := 0; k < a.rows; k++ {
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			dr := dst.Row(i)
+			for j, bv := range b.Row(k) {
+				dr[j] += av * bv
+			}
+		}
+	}
+	return dst
+}
+
+func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
+	rng := NewRNG(41)
+	inf := float32(math.Inf(1))
+	// Odd shapes exercise the k tail (K%4), the j tail (N%4) and both the
+	// serial and the parallelRows branch (K*M*N across gemmParallelThreshold).
+	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {7, 2, 9},
+		{31, 17, 23}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
+		K, M, N := dims[0], dims[1], dims[2]
+		for _, variant := range []string{"random", "zeros", "inf"} {
+			a := RandNormal(K, M, 0, 1, rng)
+			b := RandNormal(K, N, 0, 1, rng)
+			switch variant {
+			case "zeros": // zero-laden, signed zeros included: the skip must be kept
+				for i := range a.data {
+					switch rng.Intn(3) {
+					case 0:
+						a.data[i] = 0
+					case 1:
+						a.data[i] = float32(math.Copysign(0, -1))
+					}
+				}
+			case "inf": // 0*Inf must stay skipped, Inf-Inf must stay NaN
+				for i := range b.data {
+					if rng.Intn(5) == 0 {
+						b.data[i] = inf * float32(1-2*rng.Intn(2))
+					}
+				}
+				for i := range a.data {
+					if rng.Intn(4) == 0 {
+						a.data[i] = 0
+					}
+				}
+			}
+			got, want := MatMulTA(a, b), scalarMatMulTA(a, b)
+			for i := range want.data {
+				if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+					t.Fatalf("%v/%s: element %d = %v, scalar kernel %v", dims, variant, i, got.data[i], want.data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulTBMatchesMatMulTranspose(t *testing.T) {
 	rng := NewRNG(6)
 	a := RandNormal(19, 29, 0, 1, rng)

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"neutronstar/internal/autograd"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
 )
@@ -20,6 +22,42 @@ func TestModelGradientsFast(t *testing.T) {
 				t.Errorf("FAIL %s", r)
 			} else {
 				t.Logf("ok   %s", r)
+			}
+		}
+	}
+}
+
+// TestReferenceMatchesEdgeSrcEntry runs every model kind through the second
+// ForwardCtx entry — one pre-gathered row per edge in EdgeSrc, no Src/SrcRow —
+// and requires the logits CheckModelGrads differentiates (ReferenceForward,
+// which passes Src/SrcRow) bit for bit: the two entries are one kernel.
+func TestReferenceMatchesEdgeSrcEntry(t *testing.T) {
+	ds := SmallDataset(24, 3, 7)
+	g := ds.Graph
+	srcIdx, dstIdx, offsets := CSC(g)
+	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	dims := []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}
+	for _, kind := range nn.ModelKinds() {
+		model := nn.MustNewModel(kind, dims, 0, 11)
+		h := ds.Features
+		for _, layer := range model.Layers {
+			tape := autograd.NewTape()
+			rows := tape.Constant(h, "h")
+			if pt, ok := layer.(nn.PreTransformer); ok {
+				rows = pt.PreTransform(tape, rows, false, nil)
+			}
+			h = layer.Forward(&nn.ForwardCtx{
+				Tape: tape, EdgeSrc: tape.Gather(rows, srcIdx), Self: rows,
+				Offsets: offsets, EdgeDst: dstIdx, EdgeNorm: edgeNorm, SelfNorm: selfNorm,
+			}).Value
+			for _, p := range layer.Params() {
+				p.CollectGrad()
+			}
+		}
+		want := engine.ReferenceForward(g, model, ds.Features)
+		for i, w := range want.Data() {
+			if math.Float32bits(h.Data()[i]) != math.Float32bits(w) {
+				t.Fatalf("%s: logit %d = %v through EdgeSrc, %v through Src/SrcRow", kind, i, h.Data()[i], w)
 			}
 		}
 	}

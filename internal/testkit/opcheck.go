@@ -64,11 +64,11 @@ func CheckClosure(name string, inputs []*tensor.Tensor, build Closure,
 	return reports
 }
 
-// opGraph is the fixture every per-op check runs on: small but structurally
+// OpGraph is the fixture every per-op check runs on: small but structurally
 // adversarial — a hub with many in-edges (duplicate gather sources), a
 // self-loop, a multi-edge, a zero-in-degree vertex and a zero-out-degree
 // vertex. CSC arrays are derived exactly as the engines derive them.
-func opGraph() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
+func OpGraph() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 	g = graph.MustFromEdges(6, []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, // hub fan-out
 		{Src: 2, Dst: 1}, {Src: 3, Dst: 1}, {Src: 4, Dst: 1}, // hub fan-in
@@ -76,6 +76,14 @@ func opGraph() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 		{Src: 4, Dst: 3}, {Src: 4, Dst: 3}, // multi-edge
 		// vertex 5: no in-edges, no out-edges
 	})
+	srcIdx, dstIdx, offsets = CSC(g)
+	return g, srcIdx, dstIdx, offsets
+}
+
+// CSC lists g's edges in destination-grouped order — source and destination
+// of each edge plus the per-destination offsets — exactly as the engines
+// derive a full-graph block.
+func CSC(g *graph.Graph) (srcIdx, dstIdx, offsets []int32) {
 	n := g.NumVertices()
 	offsets = make([]int32, n+1)
 	for v := 0; v < n; v++ {
@@ -85,19 +93,20 @@ func opGraph() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 		}
 		offsets[v+1] = int32(len(srcIdx))
 	}
-	return g, srcIdx, dstIdx, offsets
+	return srcIdx, dstIdx, offsets
 }
 
 // CheckDecoupledOps gradient-checks each decoupled graph operation of the
 // paper's programming model (§4.1) in isolation, on the adversarial fixture
 // graph: ScatterToEdge (Gather), GatherByDst with the sum and max
 // aggregators (ScatterAddRows / ScatterMaxRows), the EdgeForward primitives
-// (per-edge normalisation, attention softmax, attention-weighted messages)
-// and the VertexForward primitives (dense transform, bias, activations).
+// (per-edge normalisation, attention softmax, attention-weighted messages),
+// the fused aggregation kernel in both flavours, and the VertexForward
+// primitives (dense transform, bias, activations).
 // Every backward dual the engines rely on is exercised through at least one
 // entry.
 func CheckDecoupledOps(seed uint64, eps float64) []GradReport {
-	g, srcIdx, dstIdx, offsets := opGraph()
+	g, srcIdx, dstIdx, offsets := OpGraph()
 	n := g.NumVertices()
 	e := len(srcIdx)
 	const dim = 4
@@ -150,6 +159,19 @@ func CheckDecoupledOps(seed uint64, eps float64) []GradReport {
 			src := t.RowDot(t.Gather(xs[0], srcIdx), xs[1])
 			dst := t.Gather(t.RowDot(xs[0], xs[1]), dstIdx)
 			return t.LeakyReLU(t.Add(src, dst), 0.2)
+		})
+	// The fused execution of ScatterToEdge · EdgeForward · GatherByDst that the
+	// sum-type layers run, constant-coefficient flavour (GCN, GIN) …
+	add("aggregate(norm)", []*tensor.Tensor{h},
+		func(t *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			return t.Aggregate(xs[0], srcIdx, norm, dstIdx, n)
+		})
+	// … and attention flavour (GAT): differentiable in the vertex rows and,
+	// through the softmax, in the per-edge scores.
+	add("aggregate(attention)", []*tensor.Tensor{h, scores},
+		func(t *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			alpha := t.SegmentSoftmax(xs[1], offsets)
+			return t.AggregateWeighted(xs[0], srcIdx, alpha, dstIdx, n)
 		})
 	// VertexForward: dense transform + bias + ReLU over aggregated rows.
 	add("vertex_forward(dense)", []*tensor.Tensor{h, w, bias},
