@@ -8,82 +8,79 @@
 //	nsbench -exp fig10 -workers 8 -graphs google,reddit
 //	nsbench -exp all -quick
 //
-// With -json the paper experiments are skipped and the fixed perf-smoke
-// pipeline runs instead, writing a schema-versioned BENCH.json document
-// (per-stage medians, traffic, cost-model residuals, straggler indices and
-// per-run critical paths) for tools/benchdiff. Alongside it, -critpath
-// writes the critical-path report as standalone JSON and -trace a Chrome
-// trace of the bench engines with cross-worker flow arrows:
-//
-//	nsbench -json BENCH.json -workers 4 -trace trace.json -critpath critpath.json
-//	nsbench -json BENCH.json -workers 4 -policy deptp
+// Performance measurement lives in benchmark/ (bash benchmark/run.sh), not
+// here; -trace writes a Chrome trace of the experiment engines.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 
-	"neutronstar/internal/bench"
-	"neutronstar/internal/dataset"
-	"neutronstar/internal/engine"
 	"neutronstar/internal/experiments"
 	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
 
+// experimentNames lists every -exp value in the order "all" runs them.
+var experimentNames = []string{"table2", "fig2a", "fig2b", "fig2c", "fig9", "table3",
+	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table4", "table5",
+	"ablations"}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "", "experiment: table2 fig2a fig2b fig2c fig9 table3 fig10 fig11 fig12 fig13 fig14 fig15 table4 table5 ablations all")
-		workers   = flag.Int("workers", 8, "simulated cluster size")
-		epochs    = flag.Int("epochs", 3, "measured epochs per configuration")
-		graphs    = flag.String("graphs", "", "comma-separated dataset subset (default: experiment-specific)")
-		quick     = flag.Bool("quick", false, "cut-down scale for a fast smoke run")
-		jsonOut   = flag.String("json", "", "write the perf-smoke BENCH.json document to this path and exit (ignores -exp)")
-		policy    = flag.String("policy", "", "with -json, add extra <policy>-wN runs to the pipeline (comma-separated: "+strings.Join(engine.ModeNames(), ", ")+")")
-		trace     = flag.String("trace", "", "write a Chrome trace of all experiment (or, with -json, bench) engines to this file")
-		critPath  = flag.String("critpath", "", "with -json, also write the per-run critical-path report to this path")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /status, /healthz and pprof on this address (e.g. :8080)")
+		exp       = fs.String("exp", "", "experiment: "+strings.Join(experimentNames, " ")+" all")
+		workers   = fs.Int("workers", 8, "simulated cluster size")
+		epochs    = fs.Int("epochs", 3, "measured epochs per configuration")
+		graphs    = fs.String("graphs", "", "comma-separated dataset subset (default: experiment-specific)")
+		quick     = fs.Bool("quick", false, "cut-down scale for a fast smoke run")
+		trace     = fs.String("trace", "", "write a Chrome trace of all experiment engines to this file")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /status, /healthz and pprof on this address (e.g. :8080)")
 	)
-	flag.Parse()
-	if *critPath != "" && *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "nsbench: -critpath requires -json (the report is produced by the perf-smoke pipeline)")
-		os.Exit(2)
-	}
-	if *jsonOut != "" {
-		if err := writeBenchDoc(*jsonOut, *workers, *trace, *critPath, *policy); err != nil {
-			fmt.Fprintln(os.Stderr, "nsbench:", err)
-			os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
 	}
-	if *policy != "" {
-		fmt.Fprintln(os.Stderr, "nsbench: -policy requires -json (it extends the perf-smoke run set)")
-		os.Exit(2)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "nsbench: "+format+"\n", a...)
+		return 2
 	}
 	if *exp == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return usage("-exp is required")
+	}
+	names := []string{*exp}
+	if *exp == "all" {
+		names = experimentNames
+	} else if !slices.Contains(experimentNames, *exp) {
+		return usage("unknown experiment %q (want one of: %s all)", *exp, strings.Join(experimentNames, " "))
 	}
 	// Reject nonsensical scales up front: a negative worker count would
 	// otherwise surface as a partitioner panic several layers down.
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "nsbench: -workers must be non-negative, got %d\n", *workers)
-		os.Exit(2)
+		return usage("-workers must be non-negative, got %d", *workers)
 	}
 	if *epochs < 0 {
-		fmt.Fprintf(os.Stderr, "nsbench: -epochs must be non-negative, got %d\n", *epochs)
-		os.Exit(2)
+		return usage("-epochs must be non-negative, got %d", *epochs)
 	}
 	if *graphs != "" {
 		for _, g := range strings.Split(*graphs, ",") {
 			if strings.TrimSpace(g) == "" {
-				fmt.Fprintf(os.Stderr, "nsbench: -graphs contains an empty dataset name: %q\n", *graphs)
-				os.Exit(2)
+				return usage("-graphs contains an empty dataset name: %q", *graphs)
 			}
 		}
 	}
@@ -98,11 +95,11 @@ func main() {
 			},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Printf("debug server on http://%s (/metrics /status /healthz /debug/pprof/)\n", srv.Addr())
+		fmt.Fprintf(stdout, "debug server on http://%s (/metrics /status /healthz /debug/pprof/)\n", srv.Addr())
 	}
 	if *trace != "" {
 		coll := metrics.NewCollector()
@@ -110,15 +107,15 @@ func main() {
 		defer func() {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			if err := coll.WriteChromeTrace(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
-			fmt.Printf("trace written to %s\n", *trace)
+			fmt.Fprintf(stdout, "trace written to %s\n", *trace)
 		}()
 	}
 
@@ -136,151 +133,25 @@ func main() {
 		sc.Graphs = strings.Split(*graphs, ",")
 	}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table2", "fig2a", "fig2b", "fig2c", "fig9", "table3",
-			"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table4", "table5",
-			"ablations"}
-	}
 	for _, name := range names {
 		current.Store(name)
-		runExperiment(name, sc, *quick)
+		runExperiment(stdout, name, sc, *quick)
 	}
+	return 0
 }
 
-// writeBenchDoc runs the fixed perf-smoke pipeline and writes BENCH.json.
-// The workload and run set are pinned (see internal/bench) so documents from
-// different commits are comparable; only the cluster size is adjustable.
-// tracePath and critPathOut, when non-empty, additionally emit a Chrome
-// trace of the bench engines and a standalone critical-path report.
-func writeBenchDoc(path string, workers int, tracePath, critPathOut, policies string) error {
-	if workers <= 0 {
-		workers = 4
-	}
-	ds := dataset.Load(bench.BenchSpec())
-	specs := bench.DefaultRuns(workers)
-	if policies != "" {
-		for _, policy := range strings.Split(policies, ",") {
-			policy = strings.TrimSpace(policy)
-			if policy == "" {
-				return fmt.Errorf("-policy contains an empty policy name: %q", policies)
-			}
-			extra, err := bench.PolicyRun(policy, workers)
-			if err != nil {
-				return err
-			}
-			dup := false
-			for _, s := range specs {
-				if s.Name == extra.Name {
-					dup = true // already in the set; don't run it twice
-					break
-				}
-			}
-			if !dup {
-				specs = append(specs, extra)
-			}
-		}
-	}
-	var coll *metrics.Collector
-	if tracePath != "" {
-		coll = metrics.NewCollector()
-		for i := range specs {
-			specs[i].Collector = coll
-		}
-	}
-	doc, err := bench.Execute(ds, specs)
-	if err != nil {
-		return err
-	}
-	if err := doc.Validate(); err != nil {
-		return err
-	}
-	if err := doc.WriteFile(path); err != nil {
-		return err
-	}
-	for _, r := range doc.Runs {
-		line := fmt.Sprintf("%-14s wall_median=%.4fs epochs/s=%.2f bytes/epoch=%d coverage=%.3f",
-			r.Name, r.WallMedianSeconds, r.EpochsPerSec, r.BytesPerEpoch, r.StageCoverage)
-		if r.Workers > 1 {
-			line += fmt.Sprintf(" straggler=%.2f", r.StragglerIndex)
-		}
-		if p := r.CritPath; p != nil {
-			if label, share := p.Dominant(); label != "" {
-				line += fmt.Sprintf(" critpath=%s@%.0f%%", label, 100*share)
-			}
-		}
-		fmt.Println(line)
-	}
-	fmt.Printf("bench document written to %s\n", path)
-	if coll != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := coll.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s\n", tracePath)
-	}
-	if critPathOut != "" {
-		if err := writeCritPathReport(critPathOut, doc); err != nil {
-			return err
-		}
-		fmt.Printf("critical-path report written to %s\n", critPathOut)
-	}
-	return nil
-}
-
-// writeCritPathReport distils the document's causal fields into a standalone
-// JSON report: per run, the straggler indices, the critical path, and its
-// label breakdown — the artifact CI uploads next to the Chrome trace.
-func writeCritPathReport(path string, doc *bench.Doc) error {
-	type entry struct {
-		Run            string             `json:"run"`
-		Workers        int                `json:"workers"`
-		WallMedian     float64            `json:"wall_median_seconds"`
-		StragglerIndex float64            `json:"straggler_index"`
-		BarrierShare   float64            `json:"barrier_share"`
-		Dominant       string             `json:"dominant,omitempty"`
-		DominantShare  float64            `json:"dominant_share,omitempty"`
-		Breakdown      map[string]float64 `json:"breakdown,omitempty"`
-		CritPath       *obs.CritPath      `json:"crit_path,omitempty"`
-	}
-	report := make([]entry, 0, len(doc.Runs))
-	for _, r := range doc.Runs {
-		e := entry{
-			Run: r.Name, Workers: r.Workers, WallMedian: r.WallMedianSeconds,
-			StragglerIndex: r.StragglerIndex, BarrierShare: r.BarrierShare,
-			CritPath: r.CritPath,
-		}
-		if p := r.CritPath; p != nil {
-			e.Breakdown = p.Breakdown()
-			e.Dominant, e.DominantShare = p.Dominant()
-		}
-		report = append(report, e)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runExperiment(name string, sc experiments.Scale, quick bool) {
-	fmt.Printf("==== %s (workers=%d epochs=%d graphs=%v) ====\n", name, sc.Workers, sc.Epochs, sc.Graphs)
+// runExperiment prints one experiment; name is one of experimentNames.
+func runExperiment(out io.Writer, name string, sc experiments.Scale, quick bool) {
+	fmt.Fprintf(out, "==== %s (workers=%d epochs=%d graphs=%v) ====\n", name, sc.Workers, sc.Epochs, sc.Graphs)
 	printRows := func(rows []experiments.Row) {
 		for _, r := range rows {
-			fmt.Println("  " + r.Format())
+			fmt.Fprintln(out, "  "+r.Format())
 		}
 	}
 	switch name {
 	case "table2":
 		for _, line := range experiments.Table2() {
-			fmt.Println("  " + line)
+			fmt.Fprintln(out, "  "+line)
 		}
 	case "fig2a":
 		printRows(experiments.Fig2a(sc))
@@ -295,15 +166,15 @@ func runExperiment(name string, sc experiments.Scale, quick bool) {
 		if quick {
 			epochs = 2
 		}
-		fmt.Printf("  (runtime of %d epochs; the paper reports 100)\n", epochs)
+		fmt.Fprintf(out, "  (runtime of %d epochs; the paper reports 100)\n", epochs)
 		printRows(experiments.Table3(sc, epochs))
 	case "fig10":
 		printRows(experiments.Fig10(sc))
 	case "fig11":
-		fmt.Println("  GCN on reddit:")
+		fmt.Fprintln(out, "  GCN on reddit:")
 		printRows(experiments.Fig11(sc, nn.GCN, "reddit"))
 		if !quick {
-			fmt.Println("  GAT on orkut:")
+			fmt.Fprintln(out, "  GAT on orkut:")
 			printRows(experiments.Fig11(sc, nn.GAT, "orkut"))
 		}
 	case "fig12":
@@ -324,7 +195,7 @@ func runExperiment(name string, sc experiments.Scale, quick bool) {
 			graph = "google"
 		}
 		for _, rep := range experiments.Fig13(sc, graph) {
-			fmt.Printf("  %-12s accel_util=%.2f host_util=%.2f sample_util=%.2f net_peak=%.1fMB/s net_cv=%.2f recv=%.1fMB\n",
+			fmt.Fprintf(out, "  %-12s accel_util=%.2f host_util=%.2f sample_util=%.2f net_peak=%.1fMB/s net_cv=%.2f recv=%.1fMB\n",
 				rep.System, rep.AcceleratorUtil, rep.HostUtil, rep.SampleUtil,
 				rep.NetPeakMBs, rep.NetSmoothnessCV, rep.TotalRecvMB)
 		}
@@ -335,9 +206,9 @@ func runExperiment(name string, sc experiments.Scale, quick bool) {
 		}
 		curves := experiments.Fig14(sc, maxEpochs, evalEvery, 0.95)
 		for _, c := range curves {
-			fmt.Printf("  %-18s best=%.4f time_to_95%%=%.1fs\n", c.System, c.Best, c.TimeToTarget)
+			fmt.Fprintf(out, "  %-18s best=%.4f time_to_95%%=%.1fs\n", c.System, c.Best, c.TimeToTarget)
 			for _, p := range c.Points {
-				fmt.Printf("      t=%6.1fs epoch=%3d acc=%.4f\n", p.Seconds, p.Epoch, p.Accuracy)
+				fmt.Fprintf(out, "      t=%6.1fs epoch=%3d acc=%.4f\n", p.Seconds, p.Epoch, p.Accuracy)
 			}
 		}
 	case "fig15":
@@ -364,8 +235,5 @@ func runExperiment(name string, sc experiments.Scale, quick bool) {
 			graph = "google"
 		}
 		printRows(experiments.Ablations(sc, graph))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-		os.Exit(2)
 	}
 }

@@ -2,18 +2,15 @@
 // instance and reports latency percentiles, throughput and cache
 // effectiveness. It can run closed-loop (fixed concurrency, the next request
 // fires when one completes) or open-loop (fixed arrival rate, independent of
-// completions), and can write its results as the serving block of a
-// schema-versioned bench document for benchdiff gating.
+// completions).
 //
 //	nsserve -dataset cora -model gcn -train 30 -addr :8090 &
 //	nsload -addr localhost:8090 -requests 500 -concurrency 8
 //	nsload -addr localhost:8090 -rate 200 -duration 5s
 //
-// For CI gating, merge the serving block into an existing bench document and
-// fail on absolute floors:
+// For CI smoke jobs, fail on absolute floors:
 //
 //	nsload -addr localhost:8090 -requests 400 -seed 7 \
-//	  -bench-out BENCH.json -merge BENCH_baseline.json \
 //	  -min-qps 20 -max-p99-ms 500 -min-cache-hits 1
 //
 // The request mix is deterministic in -seed: request i derives its own RNG
@@ -24,6 +21,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,64 +35,80 @@ import (
 	"sync/atomic"
 	"time"
 
-	"neutronstar/internal/bench"
 	"neutronstar/internal/serve"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "localhost:8090", "nsserve address (host:port)")
-		requests    = flag.Int("requests", 400, "total requests to send")
-		duration    = flag.Duration("duration", 0, "stop after this long even if -requests remain (0 = no limit)")
-		concurrency = flag.Int("concurrency", 4, "closed-loop worker count")
-		rate        = flag.Float64("rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop)")
-		vertsPerReq = flag.Int("verts", 4, "queried vertices per request")
-		mixSpec     = flag.String("mix", "predict=0.8,embed=0.1,linkscore=0.1", "request mix as endpoint=weight pairs")
-		fanoutSpec  = flag.String("fanouts", "", "comma-separated per-layer fanouts for sampled queries (empty = exact)")
-		seed        = flag.Uint64("seed", 1, "seed pinning the request mix")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		benchOut     = flag.String("bench-out", "", "write a bench document with the serving summary to this file")
-		mergeFrom    = flag.String("merge", "", "read this bench document and carry its runs into -bench-out")
-		minQPS       = flag.Float64("min-qps", 0, "exit 1 if measured QPS falls below this")
-		maxP99Ms     = flag.Float64("max-p99-ms", 0, "exit 1 if p99 latency exceeds this many ms (0 = no gate)")
-		minCacheHits = flag.Int64("min-cache-hits", -1, "exit 1 if the server's cache hit delta is below this (-1 = no gate)")
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", "localhost:8090", "nsserve address (host:port)")
+		requests    = fs.Int("requests", 400, "total requests to send")
+		duration    = fs.Duration("duration", 0, "stop after this long even if -requests remain (0 = no limit)")
+		concurrency = fs.Int("concurrency", 4, "closed-loop worker count")
+		rate        = fs.Float64("rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop)")
+		vertsPerReq = fs.Int("verts", 4, "queried vertices per request")
+		mixSpec     = fs.String("mix", "predict=0.8,embed=0.1,linkscore=0.1", "request mix as endpoint=weight pairs")
+		fanoutSpec  = fs.String("fanouts", "", "comma-separated per-layer fanouts for sampled queries (empty = exact)")
+		seed        = fs.Uint64("seed", 1, "seed pinning the request mix")
+		timeout     = fs.Duration("timeout", 10*time.Second, "per-request HTTP timeout")
+
+		minQPS       = fs.Float64("min-qps", 0, "exit 1 if measured QPS falls below this")
+		maxP99Ms     = fs.Float64("max-p99-ms", 0, "exit 1 if p99 latency exceeds this many ms (0 = no gate)")
+		minCacheHits = fs.Int64("min-cache-hits", -1, "exit 1 if the server's cache hit delta is below this (-1 = no gate)")
 	)
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "nsload: %v\n", err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "nsload: %v\n", err)
+		return 1
 	}
 
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	fanouts, err := parseFanouts(*fanoutSpec)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *requests <= 0 {
-		fail(fmt.Errorf("-requests must be positive, got %d", *requests))
+		return fail(fmt.Errorf("-requests must be positive, got %d", *requests))
 	}
 	if *vertsPerReq <= 0 {
-		fail(fmt.Errorf("-verts must be positive, got %d", *vertsPerReq))
+		return fail(fmt.Errorf("-verts must be positive, got %d", *vertsPerReq))
 	}
 	if *rate < 0 {
-		fail(fmt.Errorf("-rate must be non-negative, got %g", *rate))
+		return fail(fmt.Errorf("-rate must be non-negative, got %g", *rate))
 	}
-	if *rate == 0 && *concurrency <= 0 {
-		fail(fmt.Errorf("-concurrency must be positive, got %d", *concurrency))
+	// interval is the open-loop send period; 0 means closed loop.
+	var interval time.Duration
+	if *rate > 0 {
+		interval = time.Duration(float64(time.Second) / *rate)
+		if interval <= 0 {
+			return fail(fmt.Errorf("-rate %g is too high: the send interval rounds to 0 ns (max 1e9)", *rate))
+		}
+	}
+	if interval == 0 && *concurrency <= 0 {
+		return fail(fmt.Errorf("-concurrency must be positive, got %d", *concurrency))
 	}
 
 	base := "http://" + *addr
 	client := &http.Client{Timeout: *timeout}
 	before, err := fetchStats(client, base)
 	if err != nil {
-		fail(fmt.Errorf("is nsserve running at %s? %w", *addr, err))
+		return fail(fmt.Errorf("is nsserve running at %s? %w", *addr, err))
 	}
 	if fanouts != nil && len(fanouts) != before.Layers {
-		fail(fmt.Errorf("-fanouts has %d entries but the served model has %d layers", len(fanouts), before.Layers))
+		return fail(fmt.Errorf("-fanouts has %d entries but the served model has %d layers", len(fanouts), before.Layers))
 	}
 
 	gen := &reqGen{
@@ -142,9 +156,8 @@ func main() {
 
 	mode := "closed"
 	start := time.Now()
-	if *rate > 0 {
+	if interval > 0 {
 		mode = "open"
-		interval := time.Duration(float64(time.Second) / *rate)
 		var wg sync.WaitGroup
 		tick := time.NewTicker(interval)
 		for i := 0; i < *requests && !expired(); i++ {
@@ -176,104 +189,60 @@ func main() {
 
 	after, err := fetchStats(client, base)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	hits := after.Cache.Hits - before.Cache.Hits
 	misses := after.Cache.Misses - before.Cache.Misses
 
 	sent := int64(len(lats)) + errs
 	if len(lats) == 0 {
-		fail(fmt.Errorf("all %d requests failed", sent))
+		return fail(fmt.Errorf("all %d requests failed", sent))
 	}
-	sort.Float64s(lats)
-	sum := 0.0
-	for _, l := range lats {
-		sum += l
-	}
-	summary := &bench.ServingSummary{
-		Mode:            mode,
-		Requests:        sent,
-		Errors:          errs,
-		VertsPerReq:     *vertsPerReq,
-		Seed:            *seed,
-		DurationSeconds: elapsed.Seconds(),
-		QPS:             float64(len(lats)) / elapsed.Seconds(),
-		P50LatencyMs:    percentile(lats, 0.50),
-		P99LatencyMs:    percentile(lats, 0.99),
-		MeanLatencyMs:   sum / float64(len(lats)),
-		CacheHits:       hits,
-		CacheMisses:     misses,
-	}
-	if mode == "open" {
-		summary.RateQPS = *rate
-	} else {
-		summary.Concurrency = *concurrency
-	}
-	summary.Stages, summary.StageCoverage = stageSummary(stageMS, summary.MeanLatencyMs)
+	qps := float64(len(lats)) / elapsed.Seconds()
+	lat := summarize(lats)
+	stages, coverage := stageSummary(stageMS, lat.mean)
 
-	fmt.Printf("mode=%s requests=%d errors=%d elapsed=%.2fs qps=%.1f\n",
-		mode, sent, errs, elapsed.Seconds(), summary.QPS)
-	fmt.Printf("latency_ms p50=%.3f p99=%.3f mean=%.3f\n",
-		summary.P50LatencyMs, summary.P99LatencyMs, summary.MeanLatencyMs)
+	fmt.Fprintf(stdout, "mode=%s requests=%d errors=%d elapsed=%.2fs qps=%.1f\n",
+		mode, sent, errs, elapsed.Seconds(), qps)
+	fmt.Fprintf(stdout, "latency_ms p50=%.3f p99=%.3f mean=%.3f\n", lat.p50, lat.p99, lat.mean)
 	for _, stage := range []string{serve.StageQueue, serve.StageCache, serve.StageExtract, serve.StageCompute} {
-		if q, ok := summary.Stages[stage]; ok {
-			fmt.Printf("stage %-7s p50=%.3f p99=%.3f mean=%.3f ms\n", stage, q.P50Ms, q.P99Ms, q.MeanMs)
+		if q, ok := stages[stage]; ok {
+			fmt.Fprintf(stdout, "stage %-7s p50=%.3f p99=%.3f mean=%.3f ms\n", stage, q.p50, q.p99, q.mean)
 		}
 	}
-	if summary.StageCoverage > 0 {
-		fmt.Printf("stage sum covers %.0f%% of server pipeline latency", 100*summary.StageCoverage)
-		if t, ok := summary.Stages[serve.StageTotal]; ok && summary.MeanLatencyMs > 0 {
-			fmt.Printf(" (pipeline is %.0f%% of client latency; rest is HTTP)",
-				100*t.MeanMs/summary.MeanLatencyMs)
+	if coverage > 0 {
+		fmt.Fprintf(stdout, "stage sum covers %.0f%% of server pipeline latency", 100*coverage)
+		if t, ok := stages[serve.StageTotal]; ok && lat.mean > 0 {
+			fmt.Fprintf(stdout, " (pipeline is %.0f%% of client latency; rest is HTTP)", 100*t.mean/lat.mean)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("cache hits=%d misses=%d (delta over this window)\n", hits, misses)
-
-	if *benchOut != "" {
-		doc := &bench.Doc{
-			SchemaVersion: bench.SchemaVersion,
-			Graph: bench.GraphInfo{Name: "served", Vertices: before.NumVertices,
-				Classes: before.Classes, Layers: before.Layers},
-			Host: bench.CurrentHost(),
-		}
-		if *mergeFrom != "" {
-			doc, err = bench.ReadFile(*mergeFrom)
-			if err != nil {
-				fail(fmt.Errorf("-merge: %w", err))
-			}
-			doc.SchemaVersion = bench.SchemaVersion
-		}
-		doc.Serving = summary
-		if err := doc.WriteFile(*benchOut); err != nil {
-			fail(err)
-		}
-		fmt.Printf("bench document written to %s\n", *benchOut)
-	}
+	fmt.Fprintf(stdout, "cache hits=%d misses=%d (delta over this window)\n", hits, misses)
 
 	// Absolute gates for CI smoke jobs: these catch a broken serving path
 	// (zero throughput, pathological tail, cold cache) without needing a
-	// baseline document.
+	// baseline to compare against.
 	bad := false
-	if *minQPS > 0 && summary.QPS < *minQPS {
-		fmt.Fprintf(os.Stderr, "nsload: GATE qps %.1f < min %.1f\n", summary.QPS, *minQPS)
+	if *minQPS > 0 && qps < *minQPS {
+		fmt.Fprintf(stderr, "nsload: GATE qps %.1f < min %.1f\n", qps, *minQPS)
 		bad = true
 	}
-	if *maxP99Ms > 0 && summary.P99LatencyMs > *maxP99Ms {
-		fmt.Fprintf(os.Stderr, "nsload: GATE p99 %.3fms > max %.3fms\n", summary.P99LatencyMs, *maxP99Ms)
+	if *maxP99Ms > 0 && lat.p99 > *maxP99Ms {
+		fmt.Fprintf(stderr, "nsload: GATE p99 %.3fms > max %.3fms\n", lat.p99, *maxP99Ms)
 		bad = true
 	}
 	if *minCacheHits >= 0 && hits < *minCacheHits {
-		fmt.Fprintf(os.Stderr, "nsload: GATE cache hits %d < min %d\n", hits, *minCacheHits)
+		fmt.Fprintf(stderr, "nsload: GATE cache hits %d < min %d\n", hits, *minCacheHits)
 		bad = true
 	}
 	if errs > 0 {
-		fmt.Fprintf(os.Stderr, "nsload: GATE %d request errors\n", errs)
+		fmt.Fprintf(stderr, "nsload: GATE %d request errors\n", errs)
 		bad = true
 	}
 	if bad {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // reqGen builds the i-th request of the deterministic mix. Each request
@@ -417,37 +386,41 @@ func post(client *http.Client, url string, body []byte) (http.Header, bool) {
 	return resp.Header, resp.StatusCode == http.StatusOK
 }
 
+// quantiles summarises one latency sample in milliseconds.
+type quantiles struct{ p50, p99, mean float64 }
+
+// summarize sorts xs in place and returns its quantiles.
+func summarize(xs []float64) quantiles {
+	sort.Float64s(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return quantiles{p50: percentile(xs, 0.50), p99: percentile(xs, 0.99), mean: sum / float64(len(xs))}
+}
+
 // stageSummary folds the per-request Server-Timing samples into per-stage
 // quantiles and computes the coverage ratio: the sum of the four additive
 // stage means over the server's mean end-to-end pipeline latency (the
 // "total" header entry; the stages partition it, so coverage should sit at
 // ~1.0). When no total was reported the mean client-observed latency stands
 // in, which additionally counts HTTP overhead.
-func stageSummary(stageMS map[string][]float64, meanClientMs float64) (map[string]bench.StageQuantiles, float64) {
+func stageSummary(stageMS map[string][]float64, meanClientMs float64) (map[string]quantiles, float64) {
 	if len(stageMS) == 0 {
 		return nil, 0
 	}
-	out := make(map[string]bench.StageQuantiles, len(stageMS))
+	out := make(map[string]quantiles, len(stageMS))
 	var stageMeanSum float64
 	for stage, xs := range stageMS {
-		sort.Float64s(xs)
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		mean := sum / float64(len(xs))
-		out[stage] = bench.StageQuantiles{
-			P50Ms:  percentile(xs, 0.50),
-			P99Ms:  percentile(xs, 0.99),
-			MeanMs: mean,
-		}
+		q := summarize(xs)
+		out[stage] = q
 		if stage != serve.StageTotal {
-			stageMeanSum += mean
+			stageMeanSum += q.mean
 		}
 	}
 	basis := meanClientMs
-	if t, ok := out[serve.StageTotal]; ok && t.MeanMs > 0 {
-		basis = t.MeanMs
+	if t, ok := out[serve.StageTotal]; ok && t.mean > 0 {
+		basis = t.mean
 	}
 	var coverage float64
 	if basis > 0 {

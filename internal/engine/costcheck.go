@@ -89,7 +89,7 @@ func (e *Engine) CostReport() *CostReport {
 }
 
 // CostReportFrom validates against an explicit set of epoch records (the
-// bench pipeline passes only post-warmup epochs).
+// benchmark passes only post-warmup epochs).
 func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	if len(recs) == 0 {
 		return nil

@@ -69,7 +69,7 @@ type policy struct {
 
 // policies is the policy table, in declaration order. Adding a policy is one
 // row here (plus its dataflow, if it needs a new one): NewEngine, ModeNames,
-// the counterfactual, the facade, the bench pipeline and the CLIs read it.
+// the counterfactual, the facade and the CLIs read it.
 var policies = []policy{
 	{DepCache, hybrid.ModeAllCache, hybrid.ModeHybrid},
 	{DepComm, hybrid.ModeAllComm, hybrid.ModeHybrid},

@@ -68,7 +68,8 @@ var stageNames = [NumStages]string{
 }
 
 // String returns the stage's stable snake_case name, used in JSON documents
-// and the BENCH schema. These names are part of the BENCH.json contract.
+// and read by name in benchmark/ (StageSeconds("dep_fetch_recv") behind
+// engine.dep_fetch_recv_share): renaming one silently zeroes that metric.
 func (s Stage) String() string {
 	if s >= NumStages {
 		return "unknown"

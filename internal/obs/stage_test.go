@@ -8,8 +8,8 @@ import (
 )
 
 func TestStageNamesStable(t *testing.T) {
-	// These names are the BENCH.json contract; renaming one is a schema
-	// change and must bump bench.SchemaVersion.
+	// benchmark/ reads stages by these names (engine.*_share metrics);
+	// renaming one silently zeroes its metric there.
 	want := []string{"forward", "backward", "dep_fetch_send", "dep_fetch_recv",
 		"mirror_scatter", "grad_sync", "barrier", "checkpoint"}
 	got := StageNames()

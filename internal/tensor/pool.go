@@ -240,7 +240,7 @@ func (a *Arena) Live() int {
 }
 
 // Pool gauges on the default registry: allocation reuse behaviour of every
-// pool in the process, for /metrics and the bench document.
+// pool in the process, for /metrics.
 var (
 	obsPoolHits = obs.Default().Counter("ns_tensor_pool_hits_total",
 		"Pooled tensor Gets satisfied from a bucket.")

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"neutronstar/internal/bench"
 	"neutronstar/internal/engine"
 )
 
@@ -107,9 +106,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestPolicyRegistry: the engine's policy table is the one registry of policy
-// names. Every row must be accepted by the facade, the bench pipeline and the
-// engine itself (an engine that plans and runs an epoch also proves the row's
-// planner mode has its row in the planner's table), and a name that is not a
+// names. Every row must be accepted by the facade and the engine itself (an
+// engine that plans and runs an epoch also proves the row's planner mode has
+// its row in the planner's table), and a name that is not a
 // row must be rejected by each with an error listing the valid set. A policy
 // added in one place only fails the build or this test.
 func TestPolicyRegistry(t *testing.T) {
@@ -137,8 +136,6 @@ func TestPolicyRegistry(t *testing.T) {
 			s.TrainEpoch()
 			s.Close()
 		}
-		_, err = bench.PolicyRun(name, 2)
-		check(name, "bench.PolicyRun", err)
 		e, err := engine.NewEngine(ds.inner, engine.Options{Workers: 2, Mode: engine.Mode(name), Seed: 2})
 		check(name, "engine.NewEngine", err)
 		if err == nil {

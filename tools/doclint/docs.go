@@ -1,39 +1,42 @@
 // Doc-to-code cross-checks (the -docs flag): markdown guides drift from the
 // code silently, so two contracts are verified mechanically on every CI run.
 //
-//  1. Flag-to-doc: every value a document passes to -engine (nstrain) or
-//     -policy (nsbench) — including comma-separated lists — must name a mode
-//     the engine actually registers (engine.ModeNames()). A doc advertising
-//     `-engine hybrid5` fails the lint.
-//  2. Schema-to-doc: inside regions bracketed by `<!-- doclint:bench-schema -->`
+//  1. Flag-to-doc: every value a document passes to -engine (nstrain) must
+//     name a mode the engine actually registers (engine.ModeNames()). A doc
+//     advertising `-engine hybrid5` fails the lint.
+//  2. Metric-to-doc: inside regions bracketed by `<!-- doclint:bench-schema -->`
 //     and `<!-- doclint:end -->`, every backticked lowercase token must be a
-//     JSON field that exists somewhere in the bench.Doc schema (collected by
-//     reflection over the struct tags, nested types included). A doc table
-//     describing a renamed or misspelled BENCH.json field fails the lint.
+//     workload or metric name declared in BENCHMARK.json (workloads,
+//     end_to_end, per_layer). A doc table describing a renamed or misspelled
+//     benchmark metric fails the lint.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"regexp"
 	"strings"
 
-	"neutronstar/internal/bench"
 	"neutronstar/internal/engine"
 )
 
+// manifestPath is the benchmark manifest, relative to the repository root
+// the lint is run from (like the -docs paths).
+const manifestPath = "BENCHMARK.json"
+
 var (
-	// policyFlagRe captures the value(s) handed to -engine or -policy in doc
-	// prose and code blocks: `-engine hybrid3`, `-policy deptp,deprep`. The
-	// leading guard keeps hyphenated prose ("cross-policy equivalence") from
-	// matching: a flag's dash is never preceded by a word character.
-	policyFlagRe = regexp.MustCompile("(^|[^A-Za-z0-9])-(?:engine|policy)[ =]([a-z0-9,]+)")
-	// schemaOpenRe / schemaCloseRe bracket a schema-checked region.
+	// engineFlagRe captures the value handed to -engine in doc prose and
+	// code blocks: `-engine hybrid3`. The leading guard keeps hyphenated
+	// prose ("cross-engine equivalence") from matching: a flag's dash is
+	// never preceded by a word character.
+	engineFlagRe = regexp.MustCompile("(^|[^A-Za-z0-9])-engine[ =]([a-z0-9]+)")
+	// schemaOpenRe / schemaCloseRe bracket a name-checked region.
 	schemaOpenRe  = regexp.MustCompile(`<!--\s*doclint:bench-schema\s*-->`)
 	schemaCloseRe = regexp.MustCompile(`<!--\s*doclint:end\s*-->`)
-	// backtickTokenRe matches a backticked json-field-shaped token.
-	backtickTokenRe = regexp.MustCompile("`([a-z][a-z0-9_]*)`")
+	// backtickTokenRe matches a backticked token shaped like a workload or
+	// metric name (`train-comm`, `op_ms_p50`, `serve.queue_ms_mean.hot`).
+	backtickTokenRe = regexp.MustCompile("`([a-z][a-z0-9_.-]*)`")
 )
 
 // modeNameSet indexes engine.ModeNames() for membership checks.
@@ -45,46 +48,43 @@ func modeNameSet() map[string]bool {
 	return set
 }
 
-// benchFieldSet collects every JSON field name reachable from bench.Doc,
-// recursing through pointers, slices, maps and nested structs.
-func benchFieldSet() map[string]bool {
+// benchNameSet reads the benchmark manifest and collects every workload,
+// end-to-end metric and per-layer metric name it declares.
+func benchNameSet(path string) (map[string]bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	type named struct {
+		Name string `json:"name"`
+	}
+	var manifest struct {
+		Workloads []named `json:"workloads"`
+		EndToEnd  []named `json:"end_to_end"`
+		PerLayer  []named `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &manifest); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	set := make(map[string]bool)
-	seen := make(map[reflect.Type]bool)
-	var walk func(t reflect.Type)
-	walk = func(t reflect.Type) {
-		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice ||
-			t.Kind() == reflect.Map || t.Kind() == reflect.Array {
-			t = t.Elem()
-		}
-		if t.Kind() != reflect.Struct || seen[t] {
-			return
-		}
-		seen[t] = true
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != "-" {
-				set[name] = true
-			}
-			walk(f.Type)
+	for _, list := range [][]named{manifest.Workloads, manifest.EndToEnd, manifest.PerLayer} {
+		for _, n := range list {
+			set[n.Name] = true
 		}
 	}
-	walk(reflect.TypeOf(bench.Doc{}))
-	return set
+	return set, nil
 }
 
 // lintDoc runs both cross-checks over one markdown file's contents.
-func lintDoc(path, content string, modes, fields map[string]bool) []string {
+func lintDoc(path, content string, modes, names map[string]bool) []string {
 	var problems []string
 	lineOf := func(off int) int { return 1 + strings.Count(content[:off], "\n") }
 
-	for _, m := range policyFlagRe.FindAllStringSubmatchIndex(content, -1) {
-		values := content[m[4]:m[5]]
-		for _, v := range strings.Split(values, ",") {
-			if v != "" && !modes[v] {
-				problems = append(problems, fmt.Sprintf(
-					"%s:%d: policy %q is not a registered engine mode (have: %s)",
-					path, lineOf(m[0]), v, strings.Join(engine.ModeNames(), ", ")))
-			}
+	for _, m := range engineFlagRe.FindAllStringSubmatchIndex(content, -1) {
+		if v := content[m[4]:m[5]]; !modes[v] {
+			problems = append(problems, fmt.Sprintf(
+				"%s:%d: policy %q is not a registered engine mode (have: %s)",
+				path, lineOf(m[0]), v, strings.Join(engine.ModeNames(), ", ")))
 		}
 	}
 
@@ -105,10 +105,10 @@ func lintDoc(path, content string, modes, fields map[string]bool) []string {
 		region := content[open[1]:close[0]]
 		for _, t := range backtickTokenRe.FindAllStringSubmatchIndex(region, -1) {
 			tok := region[t[2]:t[3]]
-			if !fields[tok] {
+			if !names[tok] {
 				problems = append(problems, fmt.Sprintf(
-					"%s:%d: `%s` is not a field of the BENCH.json schema (v%d)",
-					path, lineOf(open[1]+t[0]), tok, bench.SchemaVersion))
+					"%s:%d: `%s` is not a workload or metric name in %s",
+					path, lineOf(open[1]+t[0]), tok, manifestPath))
 			}
 		}
 	}
@@ -117,14 +117,18 @@ func lintDoc(path, content string, modes, fields map[string]bool) []string {
 
 // lintDocs runs the cross-checks over every named markdown file.
 func lintDocs(paths []string) ([]string, error) {
-	modes, fields := modeNameSet(), benchFieldSet()
+	modes := modeNameSet()
+	names, err := benchNameSet(manifestPath)
+	if err != nil {
+		return nil, err
+	}
 	var problems []string
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		problems = append(problems, lintDoc(path, string(data), modes, fields)...)
+		problems = append(problems, lintDoc(path, string(data), modes, names)...)
 	}
 	return problems, nil
 }

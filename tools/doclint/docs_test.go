@@ -1,17 +1,25 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// repoManifest is BENCHMARK.json as seen from this package's directory.
+const repoManifest = "../../" + manifestPath
+
 func lintSnippet(t *testing.T, content string) []string {
 	t.Helper()
-	return lintDoc("doc.md", content, modeNameSet(), benchFieldSet())
+	names, err := benchNameSet(repoManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lintDoc("doc.md", content, modeNameSet(), names)
 }
 
 func TestDocPolicyCheckAcceptsRegisteredModes(t *testing.T) {
-	clean := "Run `nstrain -engine hybrid3` or `nsbench -json B.json -policy deptp,deprep,hybrid4`.\n"
+	clean := "Run `nstrain -engine hybrid3` or `nstrain -engine=deprep -critpath`; per-engine prose is not a flag.\n"
 	if ps := lintSnippet(t, clean); len(ps) != 0 {
 		t.Fatalf("clean doc flagged: %v", ps)
 	}
@@ -22,49 +30,51 @@ func TestDocPolicyCheckFlagsUnknownMode(t *testing.T) {
 	if len(ps) != 1 || !strings.Contains(ps[0], `"hybrid5"`) {
 		t.Fatalf("want one hybrid5 problem, got %v", ps)
 	}
-	// A bad entry hiding inside a comma-separated list is still caught.
-	ps = lintSnippet(t, "`nsbench -policy deptp,depwarp`\n")
-	if len(ps) != 1 || !strings.Contains(ps[0], `"depwarp"`) {
-		t.Fatalf("want one depwarp problem, got %v", ps)
-	}
 }
 
 func TestDocSchemaCheckValidatesMarkedRegions(t *testing.T) {
-	clean := "intro `not_a_field` unchecked outside markers\n" +
+	clean := "intro `not_a_metric` unchecked outside markers\n" +
 		"<!-- doclint:bench-schema -->\n" +
-		"| `schema_version` | `wall_median_seconds` | `flips_to_rep` |\n" +
-		"| `serving` | `p99_latency_ms` | `crit_path` |\n" +
+		"| `train-compute` | `op_ms_p50` | `engine.critpath_comm_share` |\n" +
+		"| `serve-mix` | `serve.queue_ms_mean.hot` | see `benchmark/README.md` and `BENCHMARK.json` |\n" +
 		"<!-- doclint:end -->\n"
 	if ps := lintSnippet(t, clean); len(ps) != 0 {
-		t.Fatalf("valid schema region flagged: %v", ps)
+		t.Fatalf("valid region flagged: %v", ps)
 	}
-	bad := "<!-- doclint:bench-schema -->\n`wall_median_secs` is the median.\n<!-- doclint:end -->\n"
+	bad := "<!-- doclint:bench-schema -->\n`op_ms_p51` is the median.\n<!-- doclint:end -->\n"
 	ps := lintSnippet(t, bad)
-	if len(ps) != 1 || !strings.Contains(ps[0], "wall_median_secs") {
-		t.Fatalf("want one wall_median_secs problem, got %v", ps)
+	if len(ps) != 1 || !strings.Contains(ps[0], "op_ms_p51") {
+		t.Fatalf("want one op_ms_p51 problem, got %v", ps)
 	}
 }
 
 func TestDocSchemaCheckFlagsUnbalancedMarkers(t *testing.T) {
-	ps := lintSnippet(t, "<!-- doclint:bench-schema -->\n`runs`\n")
+	ps := lintSnippet(t, "<!-- doclint:bench-schema -->\n`setup_s`\n")
 	if len(ps) != 1 || !strings.Contains(ps[0], "marker") {
 		t.Fatalf("want one marker problem, got %v", ps)
 	}
 }
 
-func TestBenchFieldSetCoversNestedTypes(t *testing.T) {
-	fields := benchFieldSet()
-	for _, f := range []string{
-		"schema_version", "runs", "serving", // top level
-		"flips_to_tp", "flips_from_rep", // nested ResidualSummary
-		"p50_ms", // map-valued StageQuantiles
-		"spans",  // obs.CritPath behind a pointer
+func TestBenchNameSetReadsAllThreeLists(t *testing.T) {
+	names, err := benchNameSet(repoManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{
+		"train-hybrid-gat",        // workloads
+		"peak_rss_mb",             // end_to_end
+		"hybrid.regret",           // per_layer
+		"serve.cache_ms_mean.hot", // per_layer, two dots
 	} {
-		if !fields[f] {
-			t.Fatalf("field set is missing %q; reflection walk incomplete", f)
+		if !names[n] {
+			t.Fatalf("name set is missing %q", n)
 		}
 	}
-	if fields["not_a_field"] {
-		t.Fatal("field set contains a fabricated name")
+	if names["not_a_metric"] || names["bound"] || names["ms"] {
+		t.Fatal("name set contains something that is not a declared name")
+	}
+
+	if _, err := benchNameSet(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+		t.Fatal("a missing manifest is not an error")
 	}
 }

@@ -5,16 +5,16 @@
 // types, types, constants and variables — must have a doc comment.
 //
 // The -docs flag names markdown files (comma-separated) to cross-check
-// against the code: every -engine/-policy value they mention must be a
-// registered engine mode, and every backticked token inside a
+// against the code: every -engine value they mention must be a registered
+// engine mode, and every backticked token inside a
 // `<!-- doclint:bench-schema -->` … `<!-- doclint:end -->` region must be a
-// real BENCH.json field (see docs.go).
+// workload or metric name in BENCHMARK.json (see docs.go).
 //
-// Usage (mirrors the CI step):
+// Usage (mirrors the CI step; run from the repository root):
 //
 //	go run ./tools/doclint -symbols internal/tensor \
 //	    -docs README.md,DESIGN.md,EXPERIMENTS.md,POLICIES.md \
-//	    internal/tensor internal/bench internal/testkit internal/obs
+//	    internal/tensor internal/testkit internal/obs
 //
 // Exit status: 0 when clean, 1 on missing docs or doc-to-code drift, 2 on
 // usage or parse errors.
@@ -35,7 +35,7 @@ func main() {
 	symbolDirs := flag.String("symbols", "",
 		"comma-separated dirs whose exported symbols must all be documented")
 	docFiles := flag.String("docs", "",
-		"comma-separated markdown files to cross-check against code (policies, bench schema)")
+		"comma-separated markdown files to cross-check against code (policies, benchmark metric names)")
 	flag.Parse()
 	if flag.NArg() == 0 && *docFiles == "" {
 		fmt.Fprintln(os.Stderr, "doclint: no package directories or -docs files given")
