@@ -121,8 +121,9 @@ func main() {
 		FaultSpec:      *faultSpec,
 		CritPath:       *critPath,
 		WatchRules:     *watchSpec,
-		// The debug server's /status busy fractions need the collector too.
-		Metrics: *trace != "" || *debugAddr != "",
+		// Only the Chrome trace needs the span log: /status reads the flight
+		// recorder, and a collector keeps every span of the run in memory.
+		Metrics: *trace != "",
 	})
 	if err != nil {
 		fail(err)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
@@ -12,26 +11,23 @@ import (
 // bit-identical summed gradients, which keeps the model replicas in exact
 // sync after the deterministic optimiser step.
 func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
-	m := ws.eng.opts.Workers
-	if m == 1 {
-		return
-	}
-	coll := ws.eng.opts.Collector
-
 	total := 0
 	for _, p := range params {
 		total += p.Grad.Len()
 	}
-	sp := coll.Span(ws.id, metrics.Comm, "allreduce",
+	ws.clock.Phase(obs.StageGradSync, 0, "allreduce",
 		obs.Int("epoch", epoch), obs.Int("bytes", 4*total))
-	defer sp.End()
+	m := ws.eng.opts.Workers
+	if m == 1 {
+		return
+	}
 	buf := make([]float32, total)
 	off := 0
 	for _, p := range params {
 		copy(buf[off:], p.Grad.Data())
 		off += p.Grad.Len()
 	}
-	comm.RingAllReduce(ws.eng.fabric, ws.id, m, epoch, buf, coll)
+	comm.RingAllReduce(ws.eng.fabric, ws.id, m, epoch, buf, ws.eng.opts.Collector)
 	off = 0
 	for _, p := range params {
 		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])

@@ -173,7 +173,10 @@ type Options struct {
 	// manual sweep of Figure 11.
 	ForceRatio bool
 	CacheRatio float64
-	// Collector receives utilisation metrics (may be nil).
+	// Collector, when non-nil, receives the run's span log — every worker's
+	// clock emits its intervals onto the collector's tracer — and the
+	// fabric's traffic counts: the input of the utilisation series (Fig. 13)
+	// and of the Chrome trace.
 	Collector *metrics.Collector
 	// Fault, when non-nil, wraps the fabric in seeded fault injection
 	// (drops, delays, duplicates per comm.FaultSpec) with retransmission.
@@ -182,14 +185,10 @@ type Options struct {
 	// failed save is reported on the epoch's EpochStats, never fatal.
 	Ckpt *ckpt.Saver
 	// Recorder, when non-nil, receives per-stage time/byte attribution for
-	// every epoch (see obs.FlightRecorder). Nil disables all recording paths
-	// at zero cost.
+	// every epoch (see obs.FlightRecorder). With Recorder and Collector both
+	// nil the workers' clocks are nil and every phase call is a no-op that
+	// allocates nothing.
 	Recorder *obs.FlightRecorder
-	// History, when non-nil, takes a whole-registry metric snapshot at every
-	// epoch barrier — the natural sampling point of a training run, where the
-	// per-epoch gauges have just advanced. Periodic sampling between barriers
-	// is the history's own Start; this hook only adds the barrier alignment.
-	History *obs.History
 	// Pool, when non-nil, recycles training-time tensor storage (tape
 	// intermediates, gradients, message payloads) through per-worker arenas
 	// released at each epoch barrier. Nil reproduces the allocate-per-call
@@ -481,9 +480,8 @@ func (e *Engine) RunEpoch() EpochStats {
 		wg.Add(1)
 		go func(i int, ws *workerState) {
 			defer wg.Done()
-			t0 := time.Now()
-			sum, n := ws.runEpoch(e.epoch)
-			results[i] = result{lossSum: sum, count: n, busy: time.Since(t0)}
+			sum, n, busy := ws.runEpoch(e.epoch)
+			results[i] = result{lossSum: sum, count: n, busy: busy}
 		}(i, ws)
 	}
 	wg.Wait()
@@ -495,8 +493,9 @@ func (e *Engine) RunEpoch() EpochStats {
 	}
 	wall := time.Since(start)
 	// Barrier attribution: a worker that finished early idles until the
-	// slowest one crosses the epoch barrier. That idle gap is wall minus its
-	// own busy span (spawn skew makes it approximate, never negative).
+	// slowest one crosses the epoch barrier. That idle gap is wall minus the
+	// span its own clock ran for (spawn skew makes it approximate, never
+	// negative).
 	for i := range results {
 		if gap := wall - results[i].busy; gap > 0 {
 			rec.AddTime(i, obs.StageBarrier, 0, gap)
@@ -532,39 +531,7 @@ func (e *Engine) RunEpoch() EpochStats {
 		}
 	}
 	rec.EndEpoch(wall, st.Loss)
-	e.exportFlows(rec)
-	e.opts.History.Sample(time.Now())
 	return st
-}
-
-// exportFlows mirrors the finished epoch's cross-worker wait-matches into
-// the collector's tracer as Chrome flow events, so the trace export draws a
-// send→receive arrow for every message that a worker actually blocked on.
-// The causal offsets are anchored at the epoch start; Offset rebases them
-// onto the tracer's run-relative clock.
-func (e *Engine) exportFlows(rec *obs.FlightRecorder) {
-	if e.opts.Collector == nil || !rec.CausalEnabled() {
-		return
-	}
-	last, ok := rec.Last()
-	if !ok || last.CausalStart.IsZero() {
-		return
-	}
-	tr := e.opts.Collector.Tracer()
-	base := tr.Offset(last.CausalStart)
-	for _, m := range last.Matches {
-		if m.SpanID == 0 {
-			continue // untraced message (sent outside the epoch window)
-		}
-		tr.AddFlow(obs.FlowEvent{
-			ID:         m.SpanID,
-			Name:       "msg:" + m.Kind,
-			FromWorker: m.From,
-			At:         base + m.Sent,
-			ToWorker:   m.Worker,
-			End:        base + m.WaitEnd,
-		})
-	}
 }
 
 // Train runs epochs epochs and returns the stats of each.

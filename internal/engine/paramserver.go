@@ -2,7 +2,6 @@ package engine
 
 import (
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
@@ -27,20 +26,17 @@ const (
 // pattern that motivates all-reduce in the first place, observable under a
 // throttled NetworkProfile.
 func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
+	total := 0
+	for _, p := range params {
+		total += p.Grad.Len()
+	}
+	ws.clock.Phase(obs.StageGradSync, 0, "param_server",
+		obs.Int("epoch", epoch), obs.Int("bytes", 4*total))
 	m := ws.eng.opts.Workers
 	if m == 1 {
 		ws.opt.Step(params)
 		return
 	}
-	coll := ws.eng.opts.Collector
-
-	total := 0
-	for _, p := range params {
-		total += p.Grad.Len()
-	}
-	sp := coll.Span(ws.id, metrics.Comm, "param_server",
-		obs.Int("epoch", epoch), obs.Int("bytes", 4*total))
-	defer sp.End()
 
 	if ws.id != 0 {
 		// Push gradients, then install the broadcast parameters.

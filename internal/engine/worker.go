@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"time"
+
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
@@ -25,6 +26,12 @@ type workerState struct {
 	// releases it at every epoch barrier. Nil when pooling is off or fault
 	// injection is on (retransmissions may outlive the barrier).
 	arena *tensor.Arena
+	// clock times the pass the worker is running — a training epoch, or an
+	// inference pass on a trace-only lane — and is the one place its phases
+	// are emitted: every boundary is one Phase call, on the worker's own
+	// goroutine. Nil (a no-op) when neither a recorder nor a collector is
+	// attached.
+	clock *obs.StageClock
 
 	// feat is the layer-1 input in prev-layout: owned features followed by
 	// cached (replicated) features — the one-time fetch of Algorithm 2
@@ -64,11 +71,11 @@ type dataflow interface {
 	bindFeatures(ws *workerState)
 	// forward executes layer l on prevVal, the previous layer's output (ws.feat
 	// for l = 1), keeping the tape state the backward sweep needs.
-	forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun
+	forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun
 	// backward runs layer l's tapes backward and returns the input gradients
 	// to whoever produced the inputs, leaving runs[l-1].hPrev.Grad as the
 	// seed of layer l-1.
-	backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock)
+	backward(ws *workerState, epoch, l int, runs []layerRun)
 }
 
 // masterMirror is the dataflow of Fig. 7: send master rows, redundantly
@@ -164,31 +171,24 @@ func (ws *workerState) peerOrder() []int {
 }
 
 // runEpoch performs one full forward/backward/update cycle and returns the
-// local loss sum and labeled-vertex count.
-func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
+// local loss sum and labeled-vertex count, and the span its clock ran for.
+func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy time.Duration) {
 	L := len(ws.plan.layers)
 	runs := make([]layerRun, L)
-	coll := ws.eng.opts.Collector
-	eg := coll.Group(ws.id, "epoch",
+	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Collector.Tracer())
+	ws.clock.Group("epoch",
 		obs.Int("epoch", epoch), obs.String("mode", string(ws.eng.opts.Mode)))
-	defer eg.End()
-	// sc is this worker's exclusive stage clock for the epoch (nil when
-	// recording is off — every method on it is nil-safe). It lives on this
-	// goroutine only; background send goroutines must never touch it.
-	sc := ws.eng.opts.Recorder.Clock(ws.id)
-	defer sc.End()
 
 	// ---- Forward: synchronize-compute per layer ----
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
-		runs[l-1] = ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, true, sc)
+		runs[l-1] = ws.forwardLayer(epoch, l, prevVal, true)
 		prevVal = runs[l-1].out.Value
 	}
 
 	// ---- Loss on owned rows of the final layer ----
-	sc.Switch(obs.StageBackward, L)
+	ws.clock.Phase(obs.StageBackward, L, "loss_backward", obs.Int("epoch", epoch))
 	last := &runs[L-1]
-	lossSp := coll.Span(ws.id, metrics.Compute, "loss_backward", obs.Int("epoch", epoch))
 	tape := last.tape
 	ownedRows := len(ws.plan.owned)
 	logits := last.out
@@ -207,25 +207,24 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 		seed.Set(0, 0, float32(n)/float32(ws.totalLabeled))
 	}
 	tape.Backward(loss, seed)
-	lossSp.End()
 
 	// ---- Backward: compute-synchronize per layer ----
 	for l := L; l >= 1; l-- {
-		ws.plan.layers[l-1].flow.backward(ws, epoch, l, runs, sc)
+		ws.clock.Phase(obs.StageBackward, l, "seed_backward", obs.Int("layer", l))
+		ws.clock.Group("backward", obs.Int("layer", l))
+		ws.plan.layers[l-1].flow.backward(ws, epoch, l, runs)
+		ws.clock.EndGroup()
 	}
 
 	// ---- Parameter update: collect, synchronise, step ----
-	sc.Switch(obs.StageBackward, 0)
-	collectSp := coll.Span(ws.id, metrics.Compute, "collect_grads")
+	ws.clock.Phase(obs.StageBackward, 0, "collect_grads")
 	params := ws.model.Params()
 	for _, p := range params {
 		p.CollectGrad()
 	}
-	collectSp.End()
 	if sched := ws.eng.opts.Scheduler; sched != nil {
 		nn.SetLR(ws.opt, sched.LR(epoch))
 	}
-	sc.Switch(obs.StageGradSync, 0)
 	if ws.eng.opts.ParamServer {
 		// Clipping happens on the server after summation; workers receive
 		// the already-stepped parameters.
@@ -238,38 +237,46 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 		ws.opt.Step(params)
 	}
 	nn.ZeroGrads(params)
-	return lossSum, count
+	return lossSum, count, ws.clock.End()
 }
 
-func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
+// forwardLayer runs layer l's dataflow on prevVal inside its structural
+// "layer" group, on whichever clock the pass is running.
+func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
+	ws.clock.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+	ws.clock.Group("layer", obs.Int("layer", l))
+	defer ws.clock.EndGroup()
+	return ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, training)
+}
+
+func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
-	coll := ws.eng.opts.Collector
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
-	sc.Switch(obs.StageForward, l)
+	sc := ws.clock
 
 	sendDone := make(chan struct{})
-	send := func() {
-		defer close(sendDone)
-		ws.sendReps(epoch, l, prevVal, training)
-	}
 	if ws.eng.opts.Overlap {
-		// Background send must never touch sc: the clock is single-goroutine.
+		// The background sender runs beside the worker's own timeline: it gets
+		// a lane of its own and must never touch sc, which is single-goroutine.
 		// Its wire bytes are still attributed via the fabric hooks.
-		go send()
+		lane := sc.Lane()
+		go func() {
+			defer close(sendDone)
+			ws.sendReps(epoch, l, prevVal, training, lane)
+			lane.End()
+		}()
 	} else {
-		sc.Switch(obs.StageDepFetchSend, l)
-		send()
-		sc.Switch(obs.StageForward, l)
+		ws.sendReps(epoch, l, prevVal, training, sc)
+		close(sendDone)
+		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
 	// Chunk-pipelined path (§4.3, Fig. 8): for sum-decomposable layers each
 	// received chunk's edge stage runs as the chunk arrives, so compute on
 	// chunk k overlaps delivery of chunk k+1.
 	if sd, ok := layer.(nn.SumDecomposable); ok && ws.eng.opts.Overlap && !ws.eng.opts.Broadcast {
-		run := ws.forwardLayerChunked(epoch, l, prevVal, coll, training, sd, tape, sc)
+		run := ws.forwardLayerChunked(epoch, l, prevVal, training, sd, tape)
 		<-sendDone
 		return run
 	}
@@ -282,9 +289,8 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 	zPrev := hPrev
 	pt, hasPT := layer.(nn.PreTransformer)
 	if hasPT {
-		sp := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
+		sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
 		zPrev = pt.PreTransform(tape, hPrev, training, ws.rng)
-		sp.End()
 	}
 
 	// Cached (DepCache) block: all sources are local, so it runs while the
@@ -292,10 +298,9 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 	var outCached *autograd.Variable
 	if lp.cached.numDst() > 0 {
 		depCacheHits.Add(float64(lp.cached.numDst()))
-		sp := coll.Span(ws.id, metrics.Compute, "compute_cached",
+		sc.Phase(obs.StageForward, l, "compute_cached",
 			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
 		outCached = ws.runBlock(tape, layer, &lp.cached, zPrev, zPrev, training)
-		sp.End()
 	}
 
 	// Receive mirror chunks; assemble the received row block.
@@ -304,8 +309,7 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 	numRecv := lp.numHAllRows - lp.numPrevRows
 	if numRecv > 0 {
 		depCacheMisses.Add(float64(numRecv))
-		sc.Switch(obs.StageDepFetchRecv, l)
-		sp := coll.Span(ws.id, metrics.Comm, "gather_dep_nbr",
+		sc.Phase(obs.StageDepFetchRecv, l, "gather_dep_nbr",
 			obs.Int("layer", l), obs.Int("rows", numRecv))
 		recvBytes := 0
 		recvVal := ws.alloc(training, numRecv, layer.InDim())
@@ -330,28 +334,25 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 				copy(recvVal.Row(base+r), msg.Rows.Row(r))
 			}
 		}
-		sp.SetAttrs(obs.Int("bytes", recvBytes))
-		sp.End()
-		sc.Switch(obs.StageForward, l)
+		sc.SetAttrs(obs.Int("bytes", recvBytes))
+		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 		hRecv = tape.Leaf(recvVal, true, "h_recv")
 		zRecv := hRecv
 		if hasPT {
-			spC := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
+			sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
 			zRecv = pt.PreTransform(tape, hRecv, training, ws.rng)
-			spC.End()
 		}
 		zAll = tape.ConcatRows(zPrev, zRecv)
 	}
 
 	// Owned block: sources may live anywhere in zAll.
-	sp := coll.Span(ws.id, metrics.Compute, "compute_owned",
+	sc.Phase(obs.StageForward, l, "compute_owned",
 		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
 	outOwned := ws.runBlock(tape, layer, &lp.owned, zAll, zPrev, training)
 	out := outOwned
 	if outCached != nil {
 		out = tape.ConcatRows(outOwned, outCached)
 	}
-	sp.End()
 
 	<-sendDone
 	return layerRun{tape: tape, hPrev: hPrev, hRecv: hRecv, out: out}
@@ -363,12 +364,14 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 // a dedicated counter range so inference messages never alias training ones).
 func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 	L := len(ws.plan.layers)
+	// An inference pass runs outside any epoch: it is timed on a trace-only
+	// lane, so a collector sees its spans and the flight recorder nothing.
+	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Collector.Tracer()).Lane()
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
-		// Inference passes carry a nil clock: they run outside any epoch and
-		// the recorder would drop their samples anyway.
-		prevVal = ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, false, nil).out.Value
+		prevVal = ws.forwardLayer(epoch, l, prevVal, false).out.Value
 	}
+	ws.clock.End()
 	for _, p := range ws.model.Params() {
 		p.CollectGrad()
 	}
@@ -380,11 +383,11 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 // peer's chunk in arrival schedule order), partial aggregations are summed,
 // and the vertex stage runs once at the end.
 func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sd nn.SumDecomposable, tape *autograd.Tape,
-	sc *obs.StageClock) layerRun {
+	training bool, sd nn.SumDecomposable, tape *autograd.Tape) layerRun {
 
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
+	sc := ws.clock
 	hPrev := tape.Leaf(prevVal, training && l > 1, "h_prev")
 
 	// Cached (DepCache) block first: pure local work that hides behind the
@@ -392,10 +395,9 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 	var outCached *autograd.Variable
 	if lp.cached.numDst() > 0 {
 		depCacheHits.Add(float64(lp.cached.numDst()))
-		sp := coll.Span(ws.id, metrics.Compute, "compute_cached",
+		sc.Phase(obs.StageForward, l, "compute_cached",
 			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
 		outCached = ws.runBlock(tape, layer, &lp.cached, hPrev, hPrev, training)
-		sp.End()
 	}
 
 	numDst := lp.owned.numDst()
@@ -406,11 +408,10 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 		if g.peer < 0 {
 			// Local region: aggregate immediately.
 			if len(g.srcLocal) > 0 {
-				sp := coll.Span(ws.id, metrics.Compute, "edge_stage",
+				sc.Phase(obs.StageForward, l, "edge_stage",
 					obs.Int("layer", l), obs.Int("peer", -1))
 				partials = append(partials,
 					sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
-				sp.End()
 			}
 			continue
 		}
@@ -425,26 +426,24 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 			continue
 		}
 		depCacheMisses.Add(float64(len(verts)))
-		sc.Switch(obs.StageDepFetchRecv, l)
-		sp := coll.Span(ws.id, metrics.Comm, "recv_chunk",
+		sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
 			obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
 		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-		sp.End()
-		sc.Switch(obs.StageForward, l)
+		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+		// The chunk's edge stage, from wrapping it as a leaf on; empty when
+		// the chunk was received for availability but no owned edge uses it.
+		sc.Phase(obs.StageForward, l, "edge_stage",
+			obs.Int("layer", l), obs.Int("peer", j))
 		leaf := tape.Leaf(msg.Rows, true, "h_chunk")
 		leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
 		if g == nil {
-			continue // received for availability but no owned edge uses it
+			continue
 		}
-		spC := coll.Span(ws.id, metrics.Compute, "edge_stage",
-			obs.Int("layer", l), obs.Int("peer", j))
 		partials = append(partials,
 			sd.EdgeStage(tape, leaf, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
-		spC.End()
 	}
 
-	vertexSp := coll.Span(ws.id, metrics.Compute, "vertex_stage",
+	sc.Phase(obs.StageForward, l, "vertex_stage",
 		obs.Int("layer", l), obs.Int("rows", numDst))
 	var agg *autograd.Variable
 	for _, p := range partials {
@@ -463,7 +462,6 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 	if outCached != nil {
 		out = tape.ConcatRows(outOwned, outCached)
 	}
-	vertexSp.End()
 	return layerRun{tape: tape, hPrev: hPrev, out: out, chunkLeaves: leaves}
 }
 
@@ -488,24 +486,25 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 }
 
 // sendReps packs and sends this worker's master rows needed by each peer at
-// layer l. prevVal rows 0..len(owned) are the owned vertices in ascending
-// order, so row lookup is the position in the owned list. Training sends draw
-// payload buffers from the arena (the receiver is done with them by the epoch
-// barrier); inference payloads must outlive barriers and allocate plainly.
-func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training bool) {
+// layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
+// the send runs inline, a lane of it when it runs in the background. prevVal
+// rows 0..len(owned) are the owned vertices in ascending order, so row lookup
+// is the position in the owned list. Training sends draw payload buffers from
+// the arena (the receiver is done with them by the epoch barrier); inference
+// payloads must outlive barriers and allocate plainly.
+func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) {
 	var arena *tensor.Arena
 	if training {
 		arena = ws.arena
 	}
 	lp := &ws.plan.layers[l-1]
-	coll := ws.eng.opts.Collector
 	ownedPos := ws.plan.prevIndex[l-1] // owned rows come first in every layout
 	for _, j := range ws.peerOrder() {
 		verts := lp.send[j]
 		if len(verts) == 0 {
 			continue
 		}
-		sp := coll.Span(ws.id, metrics.Comm, "send_dep_nbr",
+		sc.Phase(obs.StageDepFetchSend, l, "send_dep_nbr",
 			obs.Int("layer", l), obs.Int("peer", j))
 		if ws.eng.opts.Broadcast {
 			// ROC-style: ship the whole owned block; the receiver picks the
@@ -516,9 +515,8 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 				Vertices: ws.plan.owned,
 				Rows:     prevVal.RowSlice(0, len(ws.plan.owned)),
 			}
-			sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+			sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 			ws.eng.fabric.Send(msg)
-			sp.End()
 			continue
 		}
 		buf := comm.NewEnqueuerArena(ws.eng.opts.LockFree, verts, prevVal.Cols(), arena)
@@ -534,9 +532,8 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 			From: ws.id, To: j, Kind: comm.KindRep,
 			Epoch: epoch, Layer: l, Vertices: ids, Rows: rows,
 		}
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		ws.eng.fabric.Send(msg)
-		sp.End()
 	}
 }
 
@@ -563,7 +560,7 @@ func searchVertex(list []int32, v int32) int {
 // layer's input gradient plus the mirror gradients of the master rows this
 // worker sent it (none when the upper layer is tensor-parallel: its backward
 // already returned every gradient into hPrev.Grad).
-func (ws *workerState) seedBackward(epoch, l int, runs []layerRun, sc *obs.StageClock) {
+func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 	if l >= len(runs) {
 		return
 	}
@@ -572,28 +569,21 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun, sc *obs.Stage
 	if seed == nil {
 		seed = ws.alloc(true, run.out.Value.Rows(), run.out.Value.Cols())
 	}
-	ws.receiveMirrorGrads(epoch, l+1, seed, sc)
-	sc.Switch(obs.StageBackward, l)
-	sp := ws.eng.opts.Collector.Span(ws.id, metrics.Compute, "tape_backward", obs.Int("layer", l))
+	ws.receiveMirrorGrads(epoch, l+1, seed)
+	ws.clock.Phase(obs.StageBackward, l, "tape_backward", obs.Int("layer", l))
 	run.tape.Backward(run.out, seed)
-	sp.End()
 }
 
 // backward runs layer l's tape backward, then posts mirror gradients back to
 // their masters (PostToDepNbr).
-func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
+func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
-	sc.Switch(obs.StageBackward, l)
-	ws.seedBackward(epoch, l, runs, sc)
+	ws.seedBackward(epoch, l, runs)
 	// Post mirror gradients of chunk-pipelined leaves (one message per peer
 	// chunk) — except layer 1, whose inputs are static features.
 	if len(run.chunkLeaves) > 0 && l > 1 {
-		sc.Switch(obs.StageMirrorScatter, l)
-		sp := coll.Span(ws.id, metrics.Comm, "post_to_dep_nbr", obs.Int("layer", l))
+		ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
 		for _, cl := range run.chunkLeaves {
 			verts := lp.recv[cl.peer]
 			grad := cl.v.Grad
@@ -605,8 +595,6 @@ func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun, sc 
 				Epoch: epoch, Layer: l, Vertices: verts, Rows: grad,
 			})
 		}
-		sp.End()
-		sc.Switch(obs.StageBackward, l)
 	}
 	// Post mirror gradients of this layer's received rows to their masters
 	// — except layer 1, whose inputs are static features.
@@ -615,8 +603,7 @@ func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun, sc 
 		if grad == nil {
 			grad = ws.alloc(true, run.hRecv.Value.Rows(), run.hRecv.Value.Cols())
 		}
-		sc.Switch(obs.StageMirrorScatter, l)
-		sp := coll.Span(ws.id, metrics.Comm, "post_to_dep_nbr", obs.Int("layer", l))
+		ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
 		for _, j := range ws.peerOrder() {
 			verts := lp.recv[j]
 			if len(verts) == 0 {
@@ -644,43 +631,37 @@ func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun, sc 
 				Epoch: epoch, Layer: l, Vertices: verts, Rows: rows,
 			})
 		}
-		sp.End()
-		sc.Switch(obs.StageBackward, l)
 	}
 }
 
 // receiveMirrorGrads waits for the gradient chunks of the masters this
 // worker sent at layer l and accumulates them into seed's owned rows.
-// Layer-1 sends carry features and produce no gradients.
-func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc *obs.StageClock) {
+// Layer-1 sends carry features and produce no gradients. Waiting on mirror
+// gradients is scatter-side time of the layer that sent the mirrors; the
+// caller's next phase returns the clock to backward compute.
+func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
 	if l <= 1 {
 		return
 	}
 	lp := &ws.plan.layers[l-1]
-	coll := ws.eng.opts.Collector
 	ownedPos := ws.plan.prevIndex[l-1]
-	// Waiting on mirror gradients is scatter-side time of the layer that sent
-	// the mirrors; the caller flips the clock back to backward-compute.
-	sc.Switch(obs.StageMirrorScatter, l)
 	for _, j := range ws.peerOrder() {
 		verts := lp.send[j]
 		if len(verts) == 0 {
 			continue
 		}
-		sp := coll.Span(ws.id, metrics.Comm, "recv_mirror_grads",
+		ws.clock.Phase(obs.StageMirrorScatter, l, "recv_mirror_grads",
 			obs.Int("layer", l), obs.Int("peer", j))
 		msg := ws.mb.Wait(comm.KindGrad, epoch, l, 0, j)
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+		ws.clock.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		if ws.eng.opts.Broadcast {
 			// Full-width block aligned with my owned rows (which are the
 			// first rows of every layout).
 			addWindow(at(seed, 0, 0), at(msg.Rows, 0, 0), len(msg.Vertices), msg.Rows.Cols())
-			sp.End()
 			continue
 		}
 		for r, v := range verts {
 			addRow(seed.Row(int(ownedPos[v])), msg.Rows.Row(r))
 		}
-		sp.End()
 	}
 }

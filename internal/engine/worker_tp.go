@@ -3,7 +3,6 @@ package engine
 import (
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
@@ -128,63 +127,52 @@ func (f *tpSlice) bindFeatures(ws *workerState) {
 // rows (static features at layer 1, a slice-scatter above), aggregate the full
 // graph over that slice on a dedicated tape, re-gather the owned rows to full
 // width, and run the vertex stage on the main tape.
-func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
+func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	x := f.x
 	sh := f.shared
 	layer := ws.model.Layers[l-1]
 	sd := layer.(nn.SumDecomposable)
 	tape := ws.newTape(training)
-	coll := ws.eng.opts.Collector
+	sc := ws.clock
 	totalV := len(sh.globalRow)
 	nOwned := len(ws.plan.owned)
 	lo, hi := x.cols(ws.id)
 	width := hi - lo
 	requiresGrad := training && l > 1
 
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
-	sc.Switch(obs.StageForward, l)
-
 	// 1. Slice input X_j (|V| × width_j). Layer 1 reads the static feature
 	// slice assembled at construction; deeper layers run the slice-scatter.
 	xVal := f.feat
 	if l > 1 {
-		sc.Switch(obs.StageDepFetchSend, l)
-		sp := coll.Span(ws.id, metrics.Comm, "tp_slice_scatter", obs.Int("layer", l))
+		sc.Phase(obs.StageDepFetchSend, l, "tp_slice_scatter", obs.Int("layer", l))
 		ws.scatterCols(x, epoch, l, 0, prevVal, training)
-		sp.End()
 		xVal = nil
 		if width > 0 {
-			sc.Switch(obs.StageDepFetchRecv, l)
-			spR := coll.Span(ws.id, metrics.Comm, "tp_slice_gather", obs.Int("layer", l))
+			sc.Phase(obs.StageDepFetchRecv, l, "tp_slice_gather", obs.Int("layer", l))
 			xVal = ws.gatherBlocks(x, epoch, l, 0, prevVal, lo, width, training)
-			spR.End()
 		}
-		sc.Switch(obs.StageForward, l)
 	}
 
 	// 2. Edge stage over the full graph, restricted to this worker's columns,
-	// on its own tape.
+	// on its own tape (nothing to do for a zero-width slice).
+	sc.Phase(obs.StageForward, l, "tp_edge_stage",
+		obs.Int("layer", l), obs.Int("rows", totalV))
 	trun := &tpLayerRun{}
 	if width > 0 {
-		sp := coll.Span(ws.id, metrics.Compute, "tp_edge_stage",
-			obs.Int("layer", l), obs.Int("rows", totalV))
 		trun.sliceTape = ws.newTape(training)
 		trun.x = trun.sliceTape.Leaf(xVal, requiresGrad, "tp_x")
 		trun.aggSlice = sd.EdgeStage(trun.sliceTape,
 			trun.x, sh.all.srcRow, sh.all.edgeNorm, sh.all.dstRow, totalV)
-		sp.End()
 	}
 
 	// 3. Re-gather: every owner receives its rows' aggregation at full width.
 	aggFull := ws.alloc(training, nOwned, layer.InDim())
-	sc.Switch(obs.StageDepFetchSend, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_re_gather", obs.Int("layer", l))
+	sc.Phase(obs.StageDepFetchSend, l, "tp_re_gather", obs.Int("layer", l))
 	if width > 0 {
 		ws.sendBlocks(x, epoch, l, 1, trun.aggSlice.Value)
 	}
 	if nOwned > 0 {
-		sc.Switch(obs.StageDepFetchRecv, l)
+		sc.Phase(obs.StageDepFetchRecv, l, "tp_re_gather", obs.Int("layer", l))
 		for _, j := range ws.peerOrder() {
 			plo, phi := x.cols(j)
 			if phi == plo {
@@ -197,31 +185,25 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 			copyWindow(at(aggFull, 0, lo), at(trun.aggSlice.Value, x.BlockStart[ws.id], 0), nOwned, width)
 		}
 	}
-	sp.End()
-	sc.Switch(obs.StageForward, l)
 
 	// 4. Vertex stage on the main tape. prevVal is exactly the owned rows
 	// (TP layers admit no cached block below them), so it doubles as self.
-	spV := coll.Span(ws.id, metrics.Compute, "tp_vertex_stage",
+	sc.Phase(obs.StageForward, l, "tp_vertex_stage",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
 	hPrev := tape.Leaf(prevVal, requiresGrad, "h_prev")
 	trun.agg = tape.Leaf(aggFull, requiresGrad, "tp_agg")
 	out := sd.VertexStage(tape, trun.agg, hPrev, f.selfNormOwned, training, ws.rng)
-	spV.End()
 	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: trun}
 }
 
 // backward reverses forward: main tape backward, re-scatter dAgg into column
 // slices (Seq 2), slice tape backward, scatter dX back to the owners (Seq 3)
 // who accumulate it with the self-path gradient.
-func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
+func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	run := &runs[l-1]
 	x := f.x
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
-	sc.Switch(obs.StageBackward, l)
-	ws.seedBackward(epoch, l, runs, sc)
+	sc := ws.clock
+	ws.seedBackward(epoch, l, runs)
 	if l == 1 {
 		return // layer-1 inputs are static features: param grads only
 	}
@@ -237,33 +219,28 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun, sc *o
 
 	// Re-scatter (adjoint of the re-gather): route each worker's columns of
 	// my owned rows' aggregation gradient back to that worker.
-	sc.Switch(obs.StageMirrorScatter, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_re_scatter", obs.Int("layer", l))
+	sc.Phase(obs.StageMirrorScatter, l, "tp_re_scatter", obs.Int("layer", l))
 	ws.scatterCols(x, epoch, l, 2, dAgg, true)
 	var dASlice *tensor.Tensor
 	if width > 0 {
 		dASlice = ws.gatherBlocks(x, epoch, l, 2, dAgg, lo, width, true)
 	}
-	sp.End()
-	sc.Switch(obs.StageBackward, l)
 
 	// Slice-tape backward: dA_j → dX_j over the full graph.
+	sc.Phase(obs.StageBackward, l, "tp_edge_backward", obs.Int("layer", l))
 	var dX *tensor.Tensor
 	if width > 0 {
-		spB := coll.Span(ws.id, metrics.Compute, "tp_edge_backward", obs.Int("layer", l))
 		run.tp.sliceTape.Backward(run.tp.aggSlice, dASlice)
 		dX = run.tp.x.Grad
 		if dX == nil {
 			dX = ws.alloc(true, dASlice.Rows(), width)
 		}
-		spB.End()
 	}
 
 	// Gradient scatter (adjoint of the slice-scatter): ship each owner its
 	// rows of dX; owners accumulate every worker's columns — plus the local
 	// self-path gradient already on hPrev — into the layer input's gradient.
-	sc.Switch(obs.StageMirrorScatter, l)
-	spG := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
+	sc.Phase(obs.StageMirrorScatter, l, "tp_grad_scatter", obs.Int("layer", l))
 	if width > 0 {
 		ws.sendBlocks(x, epoch, l, 3, dX)
 	}
@@ -283,8 +260,6 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun, sc *o
 		msg := ws.mb.Wait(comm.KindSlice, epoch, l, 3, j)
 		addWindow(at(hg, 0, plo), at(msg.Rows, 0, 0), nOwned, phi-plo)
 	}
-	spG.End()
-	sc.Switch(obs.StageBackward, l)
 }
 
 // ---- Assemble dataflow ----
@@ -315,21 +290,16 @@ func (f *tpAssemble) bindFeatures(ws *workerState) {
 // owner-block row universe, then run the owned destination block over it —
 // the layer's edge stage (attention, pooling) sees every source at full
 // width, so no model assumption is needed.
-func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
+func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
-	coll := ws.eng.opts.Collector
+	sc := ws.clock
 	nOwned := len(ws.plan.owned)
 	requiresGrad := training && l > 1
 
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
-	sc.Switch(obs.StageForward, l)
-
 	hAllVal := f.shared.featAll
 	if l > 1 {
-		sc.Switch(obs.StageDepFetchSend, l)
-		sp := coll.Span(ws.id, metrics.Comm, "tp_all_gather", obs.Int("layer", l))
+		sc.Phase(obs.StageDepFetchSend, l, "tp_all_gather", obs.Int("layer", l))
 		if nOwned > 0 {
 			// One shared view for every peer, like the broadcast path.
 			block := prevVal.RowSlice(0, nOwned)
@@ -337,23 +307,20 @@ func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tens
 				ws.tpSend(epoch, l, 0, j, block)
 			}
 		}
-		sc.Switch(obs.StageDepFetchRecv, l)
+		sc.Phase(obs.StageDepFetchRecv, l, "tp_all_gather", obs.Int("layer", l))
 		hAllVal = ws.gatherBlocks(f.x, epoch, l, 0, prevVal, 0, layer.InDim(), training)
-		sp.End()
-		sc.Switch(obs.StageForward, l)
+		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
 	hAll := tape.Leaf(hAllVal, requiresGrad, "tp_h_all")
 	zAll := hAll
 	if pt, ok := layer.(nn.PreTransformer); ok {
-		sp := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
+		sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
 		zAll = pt.PreTransform(tape, hAll, training, ws.rng)
-		sp.End()
 	}
-	sp := coll.Span(ws.id, metrics.Compute, "compute_owned",
+	sc.Phase(obs.StageForward, l, "compute_owned",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
 	out := ws.runBlock(tape, layer, &f.full, zAll, zAll, training)
-	sp.End()
 
 	// hPrev is a carrier for the lower layer's backward seed: the layer
 	// consumed hAll, not prevVal, so this leaf is off the gradient path and
@@ -366,13 +333,9 @@ func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tens
 // every owner's rows back to that owner, and owners sum their own
 // contribution with every peer's (schedule order, so the float sum is
 // deterministic) into the layer input's gradient.
-func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun, sc *obs.StageClock) {
+func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	run := &runs[l-1]
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
-	sc.Switch(obs.StageBackward, l)
-	ws.seedBackward(epoch, l, runs, sc)
+	ws.seedBackward(epoch, l, runs)
 	if l == 1 {
 		return // layer-1 inputs are static features: param grads only
 	}
@@ -384,8 +347,7 @@ func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun, sc
 		dHAll = ws.alloc(true, run.tp.hAll.Value.Rows(), d)
 	}
 
-	sc.Switch(obs.StageMirrorScatter, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
+	ws.clock.Phase(obs.StageMirrorScatter, l, "tp_grad_scatter", obs.Int("layer", l))
 	ws.sendBlocks(f.x, epoch, l, 2, dHAll)
 	dPrev := run.hPrev.Grad
 	if dPrev == nil {
@@ -399,6 +361,4 @@ func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun, sc
 			addWindow(at(dPrev, 0, 0), at(msg.Rows, 0, 0), nOwned, d)
 		}
 	}
-	sp.End()
-	sc.Switch(obs.StageBackward, l)
 }

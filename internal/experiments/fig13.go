@@ -40,11 +40,9 @@ func Fig13(sc Scale, graphName string) []UtilizationReport {
 
 	run := func(system string, fn func(coll *metrics.Collector)) {
 		coll := metrics.NewCollector()
-		start := time.Now()
 		fn(coll)
-		wall := time.Since(start)
 		series := coll.BuildSeries(100*time.Millisecond, sc.Workers)
-		rep := UtilizationReport{
+		out = append(out, UtilizationReport{
 			System:          system,
 			AcceleratorUtil: series.MeanUtil(metrics.Compute),
 			HostUtil:        series.MeanUtil(metrics.Compute) + series.MeanUtil(metrics.Comm),
@@ -52,9 +50,7 @@ func Fig13(sc Scale, graphName string) []UtilizationReport {
 			NetPeakMBs:      series.PeakNetRate() / 1e6,
 			NetSmoothnessCV: series.SmoothnessCV(),
 			TotalRecvMB:     float64(coll.BytesReceived()) / 1e6,
-		}
-		_ = wall
-		out = append(out, rep)
+		})
 	}
 
 	run("distdgl", func(coll *metrics.Collector) {

@@ -1,16 +1,16 @@
-// Package metrics collects per-worker busy-time and traffic accounting for
-// the utilisation experiments (paper §5.4, Figure 13). Engines bracket their
-// compute and communication phases with Track calls; the collector
-// post-processes the recorded intervals into time-bucketed utilisation
-// series, the same quantity the paper samples every 100 ms.
+// Package metrics is the utilisation view of the span log (paper §5.4,
+// Figure 13): it post-processes class-bearing spans into per-kind busy totals
+// and time-bucketed utilisation series, the quantity the paper samples every
+// 100 ms, and counts the fabric's traffic for the network-rate curve.
 //
-// Since the observability rework, the collector is a thin classification
-// layer over an obs.Tracer: every tracked interval is a named span carrying
-// its Kind as the span class, and structural spans (epochs, layers — class
-// obs.ClassNone) organise those intervals into a hierarchy without
-// perturbing the utilisation series. BuildSeries and Busy only consume
-// spans whose class is a valid Kind, so adding structural or foreign-class
-// spans to the same tracer never changes Figure-13 numbers.
+// A Collector is a thin classification layer over an obs.Tracer. The engine
+// does not call it to time anything: each worker's obs.StageClock emits its
+// intervals onto the collector's tracer, classed by the stage→class table in
+// internal/obs, whose two busy classes are this package's Compute and Comm.
+// The sampling baseline, which has no stages, brackets its phases with Track.
+// Structural spans (epochs, layers, ring steps — class obs.ClassNone)
+// organise the trace without perturbing the series: BuildSeries and Busy only
+// consume spans whose class is a valid Kind.
 package metrics
 
 import (
@@ -78,21 +78,14 @@ type recvStamp struct {
 // tracked event.
 func NewCollector() *Collector { return &Collector{tr: obs.NewTracer()} }
 
-// Tracer exposes the underlying span tracer so callers can open structural
-// spans (epochs, layers) on the same timeline. Nil-safe.
+// Tracer exposes the underlying span tracer: the sink the engine attaches to
+// its workers' stage clocks, so their intervals land on this collector's
+// timeline. Nil-safe.
 func (c *Collector) Tracer() *obs.Tracer {
 	if c == nil {
 		return nil
 	}
 	return c.tr
-}
-
-// Elapsed returns the time since the collector's first event.
-func (c *Collector) Elapsed() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.tr.Now()
 }
 
 // Track records the start of an interval of the given kind on worker w and
@@ -107,22 +100,14 @@ func (c *Collector) Track(w int, kind Kind) func() {
 	return sp.End
 }
 
-// Span opens a named, attributed busy interval of the given kind on worker
-// w's timeline. It counts toward the kind's utilisation exactly like Track.
-func (c *Collector) Span(w int, kind Kind, name string, attrs ...obs.Attr) *obs.Span {
-	if c == nil {
-		return nil
-	}
-	return c.tr.Start(w, int(kind), name, attrs...)
-}
-
-// Group opens a structural span (an epoch, a layer) that organises busy
-// intervals in the trace without itself counting as busy time.
+// Group opens a structural span (a ring step) that organises busy intervals
+// in the trace without itself counting as busy time. attrs is copied, so a
+// call on a nil collector allocates nothing.
 func (c *Collector) Group(w int, name string, attrs ...obs.Attr) *obs.Span {
 	if c == nil {
 		return nil
 	}
-	return c.tr.Start(w, obs.ClassNone, name, attrs...)
+	return c.tr.Start(w, obs.ClassNone, name, append([]obs.Attr(nil), attrs...)...)
 }
 
 // AddSent records n payload bytes leaving any worker.
@@ -190,20 +175,6 @@ func (c *Collector) Busy(kind Kind) time.Duration {
 		}
 	}
 	return total
-}
-
-// BusyByWorker returns each worker's busy time of the given kind.
-func (c *Collector) BusyByWorker(kind Kind) map[int]time.Duration {
-	if c == nil {
-		return nil
-	}
-	out := make(map[int]time.Duration)
-	for _, sp := range c.tr.Snapshot() {
-		if k, ok := kindOf(sp); ok && k == kind {
-			out[sp.Worker] += sp.Duration()
-		}
-	}
-	return out
 }
 
 // Series is a time-bucketed utilisation report.

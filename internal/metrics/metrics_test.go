@@ -182,48 +182,64 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestSpanAndGroup: a stage clock's intervals arrive on the collector's
+// tracer classed with this package's kinds — the stage→class table lives in
+// internal/obs and must agree with Compute and Comm — and structural groups
+// never count as busy time.
 func TestSpanAndGroup(t *testing.T) {
 	c := NewCollector()
-	g := c.Group(0, "epoch", obs.Int("epoch", 1))
-	sp := c.Span(0, Compute, "matmul", obs.Int("layer", 2))
+	var noRecorder *obs.FlightRecorder
+	sc := noRecorder.Clock(0, c.Tracer())
+	sc.Group("epoch", obs.Int("epoch", 1))
+	sc.Phase(obs.StageForward, 2, "matmul", obs.Int("layer", 2))
 	time.Sleep(2 * time.Millisecond)
-	sp.End()
+	sc.Phase(obs.StageGradSync, 0, "allreduce")
+	g := c.Group(0, "ring_step", obs.Int("step", 0))
+	time.Sleep(time.Millisecond)
 	g.End()
-	// The structural group must not count as busy time.
-	busy := c.Busy(Compute)
-	if busy <= 0 {
-		t.Fatal("span busy time missing")
+	sc.End()
+	// The structural groups must not count as busy time.
+	compute, comm := c.Busy(Compute), c.Busy(Comm)
+	if compute < 2*time.Millisecond || comm < time.Millisecond {
+		t.Fatalf("busy time missing: compute %v, comm %v", compute, comm)
 	}
-	spans := c.Tracer().Snapshot()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d", len(spans))
+	byName := map[string]obs.SpanData{}
+	for _, sp := range c.Tracer().Snapshot() {
+		byName[sp.Name] = sp
 	}
-	var group, op *obs.SpanData
-	for i := range spans {
-		switch spans[i].Name {
-		case "epoch":
-			group = &spans[i]
-		case "matmul":
-			op = &spans[i]
+	if len(byName) != 5 { // epoch_setup, matmul, allreduce + the two groups
+		t.Fatalf("spans = %+v", byName)
+	}
+	for name, class := range map[string]int{
+		"epoch": obs.ClassNone, "ring_step": obs.ClassNone,
+		"epoch_setup": int(Compute), "matmul": int(Compute), "allreduce": int(Comm),
+	} {
+		if sp, ok := byName[name]; !ok || sp.Class != class {
+			t.Fatalf("span %q: present %v, class %d, want %d", name, ok, sp.Class, class)
 		}
 	}
-	if group == nil || op == nil {
-		t.Fatalf("missing spans: %+v", spans)
-	}
-	if group.Class != obs.ClassNone || op.Class != int(Compute) {
-		t.Fatalf("classes: group=%d op=%d", group.Class, op.Class)
-	}
-	if op.Attr("layer") != 2 {
+	if op := byName["matmul"]; op.Attr("layer") != int64(2) {
 		t.Fatalf("op attrs = %+v", op.Attrs)
 	}
-	if w := c.BusyByWorker(Compute); w[0] != busy {
-		t.Fatalf("BusyByWorker = %v, Busy = %v", w, busy)
+	if got := byName["epoch_setup"].Duration() + byName["matmul"].Duration(); got != compute {
+		t.Fatalf("Busy(Compute) = %v, compute spans hold %v", compute, got)
+	}
+	for s, kind := range map[obs.Stage]Kind{
+		obs.StageForward: Compute, obs.StageBackward: Compute,
+		obs.StageDepFetchSend: Comm, obs.StageDepFetchRecv: Comm,
+		obs.StageMirrorScatter: Comm, obs.StageGradSync: Comm,
+	} {
+		if s.Class() != int(kind) {
+			t.Fatalf("stage %v is class %d, want %v (%d)", s, s.Class(), kind, int(kind))
+		}
+	}
+	if obs.StageBarrier.Class() != obs.ClassNone || obs.StageCheckpoint.Class() != obs.ClassNone {
+		t.Fatal("barrier and checkpoint must not be busy")
 	}
 	// Nil collector derivatives are no-ops.
 	var nilC *Collector
-	nilC.Span(0, Compute, "x").End()
 	nilC.Group(0, "y").End()
-	if nilC.Tracer() != nil || nilC.Elapsed() != 0 || nilC.BusyByWorker(Compute) != nil {
+	if nilC.Tracer() != nil || nilC.Busy(Compute) != 0 {
 		t.Fatal("nil collector leaked state")
 	}
 }

@@ -131,8 +131,8 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					sc := rec.Clock(w)
-					sc.Switch(StageBackward, 1)
+					sc := rec.Clock(w, nil)
+					sc.Phase(StageBackward, 1, "tape_backward")
 					if w != 0 {
 						rec.OnWaitMatch(w, 0, "rep", 1, 0, uint64(epoch*10+w),
 							time.Now().UnixNano(), time.Now(), time.Now().Add(time.Millisecond))

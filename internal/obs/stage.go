@@ -17,15 +17,18 @@ import (
 //
 //  1. Correctness of the accounting identity. Per worker, the stage times of
 //     one epoch partition the worker's wall time with no gaps: StageClock is
-//     an exclusive state machine that attributes elapsed-since-last-switch to
-//     the stage being left, so the per-worker sum equals the worker's span
-//     by construction, not by hoping every interval was wrapped.
-//  2. Low overhead. One clock per worker goroutine (no locks, no maps on the
-//     hot path — a Switch is one monotonic clock read and one atomic add);
+//     an exclusive state machine that attributes elapsed-since-last-boundary
+//     to the interval being left, so the per-worker sum equals the worker's
+//     span by construction, not by hoping every interval was wrapped.
+//  2. One emission point. The clock hands each closed interval to the cells,
+//     the causal log and the span tracer from the same two clock reads, so
+//     the three views cannot disagree (DESIGN.md §9 describes the model).
+//  3. Low overhead. One clock per worker goroutine (no locks, no maps on the
+//     hot path — a boundary is one monotonic clock read and one atomic add);
 //     byte attribution is one atomic add per message.
-//  3. Nil safety. A nil *FlightRecorder and a nil *StageClock are no-ops, so
-//     instrumented paths cost nothing when recording is off — matching the
-//     Tracer/Span convention of this package.
+//  4. Nil safety. A nil *FlightRecorder and a nil *StageClock are no-ops that
+//     allocate nothing, so instrumented paths cost nothing when recording is
+//     off.
 
 // Stage is one slot of the fixed attribution taxonomy.
 type Stage uint8
@@ -84,6 +87,28 @@ func StageNames() []string {
 	return out
 }
 
+// Busy classes of the training path's spans. internal/metrics names them
+// Compute and Comm: its Kind values are these numbers (pinned by its tests).
+const (
+	classCompute = 0
+	classComm    = 1
+)
+
+// Class is the one stage→busy-class table: compute for forward and backward,
+// communication for the four exchange stages, ClassNone (not busy) for
+// barrier and checkpoint. The clock's tracer sink classes each span with it
+// and the facade's /status shares sum cells by it, so utilisation (Fig. 13)
+// and stage attribution cannot disagree on what counts as compute.
+func (s Stage) Class() int {
+	switch s {
+	case StageForward, StageBackward:
+		return classCompute
+	case StageDepFetchSend, StageDepFetchRecv, StageMirrorScatter, StageGradSync:
+		return classComm
+	}
+	return ClassNone
+}
+
 // stageCell is one (worker, stage, layer) accumulator.
 type stageCell struct {
 	nanos atomic.Int64
@@ -100,6 +125,9 @@ type epochAccum struct {
 	// causal, when non-nil, collects the epoch's event DAG (stage intervals
 	// and message wait-matches) for critical-path extraction.
 	causal *causalAccum
+	// tracer is the span tracer the epoch's clocks feed, if any; EndEpoch
+	// draws the causal log's flow arrows on it.
+	tracer atomic.Pointer[Tracer]
 }
 
 // causalAccum is the live causal-event log of one open epoch.
@@ -124,7 +152,7 @@ type workerCausal struct {
 	curSpan atomic.Uint64
 }
 
-// IntervalEvent is one closed stage interval of one worker: the compute
+// IntervalEvent is one closed StageClock interval of one worker: the compute
 // nodes of the epoch's event DAG. Offsets are relative to the epoch start.
 type IntervalEvent struct {
 	Worker int
@@ -196,13 +224,6 @@ type EpochRecord struct {
 	// CritPath is the epoch's critical path; nil unless causal recording was
 	// enabled (see FlightRecorder.EnableCausal).
 	CritPath *CritPath `json:"crit_path,omitempty"`
-	// CausalStart anchors the causal offsets (Matches, CritPath spans) in
-	// absolute time; zero when causal recording was off. Not serialised.
-	CausalStart time.Time `json:"-"`
-	// Matches holds the epoch's cross-worker wait-match events for flow-event
-	// export; populated only under causal recording. Not serialised — the
-	// JSON surface carries the distilled CritPath instead.
-	Matches []MatchEvent `json:"-"`
 }
 
 // StageSeconds sums the stage's time across all workers and layers.
@@ -379,6 +400,26 @@ func (r *FlightRecorder) CausalSendContext(worker int) (traceID, spanID, parent 
 		time.Now().UnixNano(), true
 }
 
+// drawFlows writes every traced cross-worker wait-match of the epoch onto tr
+// as a flow event, so the Chrome trace draws a send→receive arrow for each
+// message a worker waited on. The causal offsets are anchored at the epoch
+// start; the tracer's clock is the one the epoch's spans are on.
+func (ca *causalAccum) drawFlows(tr *Tracer, matches [][]MatchEvent) {
+	base := tr.offset(ca.startWall)
+	for _, ms := range matches {
+		for _, m := range ms {
+			if m.SpanID == 0 {
+				continue // untraced message (sent outside the epoch window)
+			}
+			tr.AddFlow(FlowEvent{
+				ID: m.SpanID, Name: "msg:" + m.Kind,
+				FromWorker: m.From, At: base + m.Sent,
+				ToWorker: m.Worker, End: base + m.WaitEnd,
+			})
+		}
+	}
+}
+
 // EndEpoch closes the open epoch into an immutable record. Attribution
 // arriving after the swap (e.g. a late duplicate delivery) is dropped —
 // exactly-once counting is decided at the dedup point, not here.
@@ -435,7 +476,6 @@ func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
 		rec.BarrierShare = barrier / total
 	}
 	if ca := a.causal; ca != nil {
-		rec.CausalStart = ca.startWall
 		intervals := make([][]IntervalEvent, a.workers)
 		matches := make([][]MatchEvent, a.workers)
 		for w := range ca.workers {
@@ -444,7 +484,9 @@ func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
 			intervals[w] = wc.intervals
 			matches[w] = wc.matches
 			wc.mu.Unlock()
-			rec.Matches = append(rec.Matches, matches[w]...)
+		}
+		if tr := a.tracer.Load(); tr != nil {
+			ca.drawFlows(tr, matches)
 		}
 		rec.CritPath = extractCritPath(wall, intervals, matches)
 	}
@@ -475,8 +517,9 @@ func (r *FlightRecorder) AddTraffic(worker int, s Stage, layer int, bytes, msgs 
 }
 
 // AddTime attributes a duration directly to a stage cell of the open epoch —
-// for intervals measured outside a worker's StageClock (barrier tails,
-// checkpoint saves). Non-positive durations are dropped.
+// for the two intervals no worker's StageClock is running in: the barrier
+// tail (epoch wall minus the span the clock's End reported) and the
+// checkpoint save. Non-positive durations are dropped.
 func (r *FlightRecorder) AddTime(worker int, s Stage, layer int, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
@@ -490,21 +533,33 @@ func (r *FlightRecorder) AddTime(worker int, s Stage, layer int, d time.Duration
 	}
 }
 
-// Clock starts a stage clock for one worker of the open epoch, initially in
-// StageForward at layer 1. Returns nil (a no-op clock) when the recorder is
-// nil or no epoch is open. The clock must be used from a single goroutine.
-func (r *FlightRecorder) Clock(worker int) *StageClock {
-	if r == nil {
+// Clock starts worker's clock, initially in StageForward at layer 1. Inside
+// an open epoch it feeds the epoch's cells and causal log; a non-nil tr adds
+// the tracer, and alone (nil recorder, or no open epoch) makes the clock
+// trace-only. With no sink at all it returns nil, the no-op clock. The clock
+// must be used from a single goroutine.
+func (r *FlightRecorder) Clock(worker int, tr *Tracer) *StageClock {
+	var acc *epochAccum
+	if r != nil {
+		if a := r.cur.Load(); a != nil && worker >= 0 && worker < a.workers {
+			acc = a
+		}
+	}
+	if acc == nil && tr == nil {
 		return nil
 	}
-	a := r.cur.Load()
-	if a == nil || worker < 0 || worker >= a.workers {
-		return nil
+	now := time.Now()
+	c := &StageClock{acc: acc, tr: tr, worker: worker, begun: now, stage: StageForward, layer: 1}
+	c.cur.open("epoch_setup", now, nil)
+	if tr != nil {
+		tr.offset(now) // the tracer's clock starts no later than this one
 	}
-	c := &StageClock{acc: a, worker: worker, stage: StageForward, layer: 1, last: time.Now()}
-	if ca := a.causal; ca != nil {
-		c.spanID = ca.spanSeq.Add(1)
-		ca.workers[worker].curSpan.Store(c.spanID)
+	if acc != nil {
+		acc.tracer.Store(tr)
+		if ca := acc.causal; ca != nil {
+			c.spanID = ca.spanSeq.Add(1)
+			ca.workers[worker].curSpan.Store(c.spanID)
+		}
 	}
 	return c
 }
@@ -544,54 +599,165 @@ func (r *FlightRecorder) Last() (EpochRecord, bool) {
 	return r.recs[len(r.recs)-1], true
 }
 
-// StageClock attributes one worker goroutine's wall time exclusively: at any
-// instant the worker is in exactly one (stage, layer), and Switch charges the
-// elapsed time to the stage being left. The per-worker stage sum therefore
-// equals the worker's measured span exactly — there is no "untracked" bucket
-// to hide time in. Not safe for concurrent use; nil is a no-op.
+// maxPhaseAttrs bounds the attributes one interval or group carries (the
+// widest today is recv_chunk: layer, peer, rows, bytes); more are dropped.
+const maxPhaseAttrs = 4
+
+// StageClock is one worker's clock, the single emission point of the
+// training path's timing. At any instant the worker is inside exactly one
+// interval — a (stage, layer) with a span name and attributes — and Phase
+// closes it with one clock read and hands it, once, to each attached sink:
+// the (worker, stage, layer) cell, the causal log (an IntervalEvent) and the
+// tracer (a span classed by Stage.Class). The intervals tile the clock's
+// life, so the stage sum equals the span End reports exactly — there is no
+// "untracked" bucket to hide time in; time between two kernels belongs to
+// the interval the earlier one opened. Not safe for concurrent use; nil is a
+// no-op that allocates nothing.
 type StageClock struct {
-	acc    *epochAccum
+	acc    *epochAccum // cells and causal log; nil on a trace-only lane
+	tr     *Tracer     // span sink; nil when none is attached
 	worker int
+	begun  time.Time // the clock's own start
+
+	// The running interval; an empty name marks a lane that has not entered
+	// its first phase (nothing to emit).
 	stage  Stage
 	layer  int
-	last   time.Time
-	// spanID identifies the currently open interval under causal recording.
-	spanID uint64
+	cur    clockSpan
+	spanID uint64 // its id under causal recording
+
+	// groups are the open structural spans, innermost last; the closing
+	// innermost ones end at the next boundary.
+	groups  [3]clockSpan // epoch → layer | backward is depth 2
+	ngroups int
+	closing int
 }
 
-// Switch charges elapsed time to the current stage and enters (s, layer).
-func (c *StageClock) Switch(s Stage, layer int) {
-	if c == nil || c.acc == nil {
+// clockSpan is what a StageClock holds of a span still open: the running
+// interval or a group. Attributes are held by value so that no caller's
+// argument list is ever retained.
+type clockSpan struct {
+	name   string
+	attrs  [maxPhaseAttrs]Attr
+	nattrs int
+	start  time.Time
+}
+
+// open starts the span at the given instant.
+func (sp *clockSpan) open(name string, start time.Time, attrs []Attr) {
+	sp.name, sp.start = name, start
+	sp.nattrs = copy(sp.attrs[:], attrs)
+}
+
+// Phase closes the running interval and enters (s, layer) under the given
+// span name and attributes.
+func (c *StageClock) Phase(s Stage, layer int, name string, attrs ...Attr) {
+	if c == nil {
 		return
 	}
 	now := time.Now()
-	if d := now.Sub(c.last); d > 0 {
-		if cell := c.acc.cell(c.worker, c.stage, c.layer); cell != nil {
-			cell.nanos.Add(int64(d))
-		}
-	}
-	if ca := c.acc.causal; ca != nil {
-		wc := &ca.workers[c.worker]
-		start, end := c.last.Sub(ca.startWall), now.Sub(ca.startWall)
-		if end > start {
-			wc.mu.Lock()
-			wc.intervals = append(wc.intervals, IntervalEvent{
-				Worker: c.worker, Stage: c.stage, Layer: c.layer,
-				SpanID: c.spanID, Start: start, End: end,
-			})
-			wc.mu.Unlock()
-		}
-		c.spanID = ca.spanSeq.Add(1)
-		wc.curSpan.Store(c.spanID)
-	}
-	c.stage, c.layer, c.last = s, layer, now
+	c.boundary(now)
+	c.stage, c.layer = s, layer
+	c.cur.open(name, now, attrs)
 }
 
-// End charges the final interval and detaches the clock.
-func (c *StageClock) End() {
-	if c == nil || c.acc == nil {
+// SetAttrs adds attributes to the running interval — for values only known
+// once it is under way, such as bytes received.
+func (c *StageClock) SetAttrs(attrs ...Attr) {
+	if c == nil {
 		return
 	}
-	c.Switch(c.stage, c.layer)
-	c.acc = nil
+	c.cur.nattrs += copy(c.cur.attrs[c.cur.nattrs:], attrs)
+}
+
+// boundary hands the running interval, ending now, to the sinks, and ends the
+// groups that were waiting for a boundary.
+func (c *StageClock) boundary(now time.Time) {
+	if a := c.acc; a != nil {
+		if d := now.Sub(c.cur.start); d > 0 {
+			if cell := a.cell(c.worker, c.stage, c.layer); cell != nil {
+				cell.nanos.Add(int64(d))
+			}
+		}
+		if ca := a.causal; ca != nil {
+			wc := &ca.workers[c.worker]
+			start, end := c.cur.start.Sub(ca.startWall), now.Sub(ca.startWall)
+			if end > start {
+				wc.mu.Lock()
+				wc.intervals = append(wc.intervals, IntervalEvent{
+					Worker: c.worker, Stage: c.stage, Layer: c.layer,
+					SpanID: c.spanID, Start: start, End: end,
+				})
+				wc.mu.Unlock()
+			}
+			c.spanID = ca.spanSeq.Add(1)
+			wc.curSpan.Store(c.spanID)
+		}
+	}
+	if c.tr == nil {
+		return
+	}
+	if c.cur.name != "" {
+		c.emit(&c.cur, c.stage.Class(), now)
+	}
+	for ; c.closing > 0; c.closing-- {
+		c.ngroups--
+		c.emit(&c.groups[c.ngroups], ClassNone, now)
+	}
+}
+
+// emit records sp, ending now, on the tracer.
+func (c *StageClock) emit(sp *clockSpan, class int, now time.Time) {
+	c.tr.Add(SpanData{
+		Worker: c.worker, Class: class, Name: sp.name,
+		Start: c.tr.offset(sp.start), End: c.tr.offset(now),
+		Attrs: append([]Attr(nil), sp.attrs[:sp.nattrs]...),
+	})
+}
+
+// Group opens a structural span (an epoch, a layer) on the tracer: it
+// organises the intervals in the trace without counting as busy time. It
+// starts with the running interval — call it right after the Phase that
+// begins the group — and EndGroup ends it.
+func (c *StageClock) Group(name string, attrs ...Attr) {
+	if c == nil || c.tr == nil || c.ngroups == len(c.groups) {
+		return
+	}
+	c.groups[c.ngroups].open(name, c.cur.start, attrs)
+	c.ngroups++
+}
+
+// EndGroup ends the innermost open group at the next boundary, so that a
+// group and the last interval inside it end at the same instant.
+func (c *StageClock) EndGroup() {
+	if c != nil && c.closing < c.ngroups {
+		c.closing++
+	}
+}
+
+// Lane returns a trace-only clock for the same worker, nil when no tracer is
+// attached: it feeds the tracer and never the cells or the causal log. Work
+// beside the worker's own timeline (the overlap path's background sender) or
+// outside any epoch (an inference pass) is timed on a lane, so the exclusive
+// per-worker identity survives while utilisation still sees the work. A lane
+// is a clock of its own: one goroutine, ended with End.
+func (c *StageClock) Lane() *StageClock {
+	if c == nil || c.tr == nil {
+		return nil
+	}
+	return &StageClock{tr: c.tr, worker: c.worker, begun: time.Now()}
+}
+
+// End closes the final interval and every group still open, detaches the
+// clock and returns the span it ran for: what the worker was busy, and to
+// the nanosecond what its cells were charged.
+func (c *StageClock) End() time.Duration {
+	if c == nil || (c.acc == nil && c.tr == nil) {
+		return 0
+	}
+	now := time.Now()
+	c.closing = c.ngroups
+	c.boundary(now)
+	c.acc, c.tr = nil, nil
+	return now.Sub(c.begun)
 }

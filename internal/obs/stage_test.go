@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -38,11 +39,11 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	if rec.Epochs() != 0 {
 		t.Fatal("nil recorder must report 0 epochs")
 	}
-	c := rec.Clock(0)
+	c := rec.Clock(0, nil)
 	if c != nil {
 		t.Fatal("nil recorder must hand out nil clocks")
 	}
-	c.Switch(StageForward, 1) // must not panic
+	c.Phase(StageForward, 1, "x") // must not panic
 	c.End()
 }
 
@@ -51,7 +52,7 @@ func TestFlightRecorderNoOpenEpoch(t *testing.T) {
 	// Attribution outside BeginEpoch/EndEpoch (e.g. inference traffic) is
 	// dropped, not misfiled into a neighbouring epoch.
 	rec.AddTraffic(0, StageDepFetchSend, 1, 999, 1)
-	if rec.Clock(0) != nil {
+	if rec.Clock(0, nil) != nil {
 		t.Fatal("Clock must be nil with no open epoch")
 	}
 	rec.EndEpoch(time.Second, 0) // no-op
@@ -77,14 +78,14 @@ func TestStageClockExclusiveAttribution(t *testing.T) {
 	rec := NewFlightRecorder()
 	rec.BeginEpoch(3, 1, 2)
 	start := time.Now()
-	sc := rec.Clock(0)
+	sc := rec.Clock(0, nil)
 	if sc == nil {
 		t.Fatal("clock must be non-nil with an open epoch")
 	}
 	time.Sleep(10 * time.Millisecond)
-	sc.Switch(StageBackward, 2)
+	sc.Phase(StageBackward, 2, "tape_backward")
 	time.Sleep(10 * time.Millisecond)
-	sc.Switch(StageGradSync, 0)
+	sc.Phase(StageGradSync, 0, "allreduce")
 	time.Sleep(5 * time.Millisecond)
 	sc.End()
 	span := time.Since(start).Seconds()
@@ -116,6 +117,108 @@ func TestStageClockExclusiveAttribution(t *testing.T) {
 	}
 	if got := r.LayerStageSeconds("backward", 2); got < 0.009 {
 		t.Fatalf("backward layer 2 got %.6fs", got)
+	}
+}
+
+// TestStageClockSinksAgree drives one clock with every sink attached and
+// checks the three views of its interval stream against each other: each
+// interval is one cell charge, one causal IntervalEvent and one span classed
+// by its stage, all from the same clock reads — so the sums agree to the
+// nanosecond — while groups share their boundaries with the intervals they
+// hold and a lane reaches the tracer only.
+func TestStageClockSinksAgree(t *testing.T) {
+	rec := NewFlightRecorder()
+	rec.EnableCausal()
+	tr := NewTracer()
+	rec.BeginEpoch(1, 1, 2)
+	sc := rec.Clock(0, tr)
+	sc.Group("epoch", Int("epoch", 1), String("mode", "hybrid"))
+	sc.Phase(StageForward, 1, "tape_setup", Int("layer", 1))
+	sc.Group("layer", Int("layer", 1))
+	sc.Phase(StageDepFetchRecv, 1, "gather_dep_nbr", Int("layer", 1), Int("rows", 7))
+	sc.SetAttrs(Int("bytes", 4096))
+	lane := sc.Lane()
+	lane.Phase(StageDepFetchSend, 1, "send_dep_nbr", Int("layer", 1), Int("peer", 0))
+	time.Sleep(time.Millisecond)
+	lane.End()
+	sc.Phase(StageForward, 1, "compute_owned", Int("layer", 1))
+	sc.EndGroup()
+	sc.Phase(StageBackward, 2, "loss_backward")
+	sc.Phase(StageGradSync, 0, "allreduce")
+	busy := sc.End()
+	rec.EndEpoch(busy, 0)
+
+	r := rec.Snapshot()[0]
+	var cellNanos int64
+	for _, c := range r.Cells {
+		cellNanos += int64(math.Round(c.Seconds * 1e9))
+	}
+	if cellNanos != int64(busy) {
+		t.Fatalf("cells hold %d ns, the clock ran for %d", cellNanos, int64(busy))
+	}
+	if got := r.StageSeconds("dep_fetch_send"); got != 0 {
+		t.Fatalf("the lane charged %.9fs to a cell", got)
+	}
+
+	byName := map[string]SpanData{}
+	var spanNanos int64
+	for _, sp := range tr.Snapshot() {
+		byName[sp.Name] = sp
+		if sp.Class != ClassNone && sp.Name != "send_dep_nbr" {
+			spanNanos += int64(sp.Duration())
+		}
+	}
+	if spanNanos != cellNanos {
+		t.Fatalf("main-lane spans hold %d ns, cells %d", spanNanos, cellNanos)
+	}
+	for name, class := range map[string]int{
+		"epoch_setup": classCompute, "tape_setup": classCompute, "gather_dep_nbr": classComm,
+		"send_dep_nbr": classComm, "compute_owned": classCompute, "loss_backward": classCompute,
+		"allreduce": classComm, "epoch": ClassNone, "layer": ClassNone,
+	} {
+		sp, ok := byName[name]
+		if !ok || sp.Class != class {
+			t.Fatalf("span %q: present %v, class %d, want %d", name, ok, sp.Class, class)
+		}
+	}
+	if g := byName["gather_dep_nbr"]; g.Attr("rows") != int64(7) || g.Attr("bytes") != int64(4096) {
+		t.Fatalf("gather attrs = %v", g.Attrs)
+	}
+	if e := byName["epoch"]; e.Attr("mode") != "hybrid" ||
+		e.Start != byName["epoch_setup"].Start || e.End != byName["allreduce"].End {
+		t.Fatalf("epoch group %+v does not span the clock's life", e)
+	}
+	if l := byName["layer"]; l.Start != byName["tape_setup"].Start || l.End != byName["compute_owned"].End {
+		t.Fatalf("layer group %+v does not share its intervals' boundaries", l)
+	}
+	if send := byName["send_dep_nbr"]; send.Duration() < time.Millisecond {
+		t.Fatalf("lane span %+v lost its time", send)
+	}
+}
+
+// TestPhaseOffPathAllocFree pins what "the disabled path is free" means: with
+// no sink attached (a nil clock), and with only the always-on cells, a phase
+// boundary carrying attributes — and the group and attribute calls around it
+// — reach the heap zero times. Gated behind NS_PERF_ALLOCS like the other
+// allocation budgets (the race runtime allocates on its own).
+func TestPhaseOffPathAllocFree(t *testing.T) {
+	if os.Getenv("NS_PERF_ALLOCS") == "" {
+		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
+	}
+	rec := NewFlightRecorder()
+	rec.BeginEpoch(1, 1, 2)
+	for name, sc := range map[string]*StageClock{"nil clock": nil, "cells-only clock": rec.Clock(0, nil)} {
+		layer, rows := 2, 1000 // not constants: boxing them would allocate
+		n := testing.AllocsPerRun(1000, func() {
+			sc.Phase(StageDepFetchRecv, layer, "gather_dep_nbr", Int("layer", layer), Int("rows", rows))
+			sc.SetAttrs(Int("bytes", 4*rows))
+			sc.Group("layer", Int("layer", layer))
+			sc.EndGroup()
+			rows++
+		})
+		if n != 0 {
+			t.Fatalf("%s: a phase boundary allocated %v times, want 0", name, n)
+		}
 	}
 }
 
@@ -153,13 +256,13 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sc := rec.Clock(w)
+				sc := rec.Clock(w, nil)
 				for i := 0; i < 200; i++ {
-					sc.Switch(StageForward, 1)
+					sc.Phase(StageForward, 1, "compute_owned")
 					rec.AddTraffic(w, StageDepFetchSend, 1, 64, 1)
-					sc.Switch(StageDepFetchRecv, 2)
+					sc.Phase(StageDepFetchRecv, 2, "gather_dep_nbr")
 					rec.AddTraffic((w+1)%workers, StageDepFetchRecv, 2, 64, 1)
-					sc.Switch(StageBackward, 1)
+					sc.Phase(StageBackward, 1, "tape_backward")
 				}
 				sc.End()
 			}(w)

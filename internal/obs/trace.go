@@ -1,29 +1,25 @@
-// Package obs is NeutronStar-Go's stdlib-only observability substrate. It
-// has three parts:
+// Package obs is NeutronStar-Go's stdlib-only observability substrate.
 //
-//   - a hierarchical span tracer (this file): named, nested, attributed
-//     spans per worker, exported in Chrome trace-event format so a training
-//     run's epoch → layer → operator structure can be inspected in
-//     chrome://tracing or Perfetto;
-//   - a metric registry (registry.go): counters, gauges and fixed-bucket
-//     histograms with label support, exposed in Prometheus text exposition
-//     format;
-//   - a debug server (server.go): an opt-in net/http server wiring
-//     /metrics, /healthz, /status, /critpath, /healthwatch and
-//     net/http/pprof to a running process;
-//   - causal telemetry (stage.go, critpath.go): per-epoch event DAGs of
-//     stage intervals and cross-worker message waits, distilled into the
-//     epoch's critical path and straggler indices;
-//   - an anomaly watchdog (anomaly.go): threshold rules over epoch records
-//     firing structured alerts and a health report.
+// The training path has one timing substrate (DESIGN.md §9): each worker owns
+// one StageClock, every phase boundary is one Phase call, and the interval it
+// closes is handed once to whichever sinks are attached — the flight
+// recorder's (worker, stage, layer) cells, the causal log the critical path
+// is extracted from (stage.go, critpath.go), and the span tracer (this file),
+// whose Chrome trace-event export shows a run's epoch → layer → operator
+// structure in chrome://tracing or Perfetto and which internal/metrics
+// post-processes into utilisation series. The tracer is also usable on its
+// own: the serving path opens its spans with Start.
 //
-// The flat busy-interval accounting of internal/metrics is built on top of
-// the tracer: each tracked interval is a span carrying a class (the
-// metrics.Kind), and structural spans (class ClassNone) organise those
-// intervals into a hierarchy without perturbing utilisation series.
+// Beside it sit a metric registry with Prometheus text exposition and a
+// time-series history (registry.go, history.go), an opt-in debug server
+// wiring /metrics, /healthz, /status, /critpath, /healthwatch and
+// net/http/pprof to a running process (server.go), and an anomaly watchdog:
+// threshold rules over epoch records firing structured alerts and a health
+// report (anomaly.go).
 //
-// Every entry point is nil-safe: a nil *Tracer or *Span makes every method
-// a no-op, so instrumentation stays in place unconditionally.
+// Every entry point is nil-safe: a nil *Tracer, *Span, *StageClock or
+// *FlightRecorder makes every method a no-op, so instrumentation stays in
+// place unconditionally.
 package obs
 
 import (
@@ -34,23 +30,33 @@ import (
 	"time"
 )
 
-// Attr is one key/value annotation on a span (layer index, byte count, …).
+// Attr is one key/value annotation on a span (layer index, byte count, …):
+// an integer or a string. It holds its value unboxed so that building one
+// never allocates — an instrumented hot path passes Attrs by value and pays
+// nothing when no sink is attached.
 type Attr struct {
 	Key   string
-	Value any
+	num   int64
+	str   string
+	isStr bool
 }
 
 // String builds a string attribute.
-func String(key, v string) Attr { return Attr{Key: key, Value: v} }
+func String(key, v string) Attr { return Attr{Key: key, str: v, isStr: true} }
 
-// Int builds an int attribute.
-func Int(key string, v int) Attr { return Attr{Key: key, Value: v} }
+// Int builds an integer attribute.
+func Int(key string, v int) Attr { return Attr{Key: key, num: int64(v)} }
 
-// Int64 builds an int64 attribute.
-func Int64(key string, v int64) Attr { return Attr{Key: key, Value: v} }
+// Int64 builds an integer attribute.
+func Int64(key string, v int64) Attr { return Attr{Key: key, num: v} }
 
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Value: v} }
+// Value returns the attribute's value: an int64 or a string.
+func (a Attr) Value() any {
+	if a.isStr {
+		return a.str
+	}
+	return a.num
+}
 
 // ClassNone marks a structural span — one that groups other spans (an epoch,
 // a layer) and must not be counted as busy time by class-filtered consumers.
@@ -60,8 +66,10 @@ const ClassNone = -1
 // first event.
 type SpanData struct {
 	Worker int
-	// Class is a caller-defined busy-time taxonomy (internal/metrics uses
-	// its Kind values); ClassNone for structural spans.
+	// Class is the span's busy class: Stage.Class for the intervals a
+	// StageClock emits, the caller's own taxonomy for spans opened with Start
+	// (internal/metrics passes its Kind values); ClassNone for structural
+	// spans.
 	Class int
 	Name  string
 	Start time.Duration
@@ -76,7 +84,7 @@ func (d SpanData) Duration() time.Duration { return d.End - d.Start }
 func (d SpanData) Attr(key string) any {
 	for _, a := range d.Attrs {
 		if a.Key == key {
-			return a.Value
+			return a.Value()
 		}
 	}
 	return nil
@@ -103,18 +111,14 @@ func (t *Tracer) Now() time.Duration {
 	if t == nil {
 		return 0
 	}
-	t.startOnce.Do(func() { t.start = time.Now() })
-	return time.Since(t.start)
+	return t.offset(time.Now())
 }
 
-// Offset converts an absolute time to this tracer's run-relative clock,
-// starting the clock on first use. It lets externally anchored events (the
-// flight recorder's causal offsets) be imported onto the same timeline as
-// live spans.
-func (t *Tracer) Offset(at time.Time) time.Duration {
-	if t == nil {
-		return 0
-	}
+// offset converts an absolute time to this tracer's run-relative clock,
+// starting the clock on first use. It is how a StageClock puts the intervals
+// it timed itself — and the recorder its flow arrows — on the same timeline
+// as spans opened with Start.
+func (t *Tracer) offset(at time.Time) time.Duration {
 	t.startOnce.Do(func() { t.start = time.Now() })
 	return at.Sub(t.start)
 }
@@ -154,8 +158,7 @@ func (t *Tracer) Flows() []FlowEvent {
 	return out
 }
 
-// Span is an open span; End finishes it. A span must be ended by the
-// goroutine that started it (attrs are not synchronised before End).
+// Span is an open span; End finishes it.
 type Span struct {
 	tr     *Tracer
 	worker int
@@ -182,15 +185,6 @@ func (s *Span) Child(class int, name string, attrs ...Attr) *Span {
 		return nil
 	}
 	return s.tr.Start(s.worker, class, name, attrs...)
-}
-
-// SetAttrs appends attributes (for values only known mid-span, e.g. bytes
-// received). Must be called before End, from the owning goroutine.
-func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
 }
 
 // End closes the span and records it.
@@ -271,18 +265,28 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, workerName func(worker int) strin
 		})
 	}
 
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	// A StageClock's group and its first interval start at the same instant
+	// and its last interval ends with it: the longer span goes first so the
+	// viewer nests the shorter inside, and a duration is the difference of the
+	// two truncated endpoints, so that spans sharing an instant still share
+	// it in whole microseconds and a child never outlasts its parent.
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
+		}
+		return spans[i].End > spans[j].End
+	})
 	for _, sp := range spans {
 		ev := map[string]any{
 			"name": sp.Name, "ph": "X",
 			"ts":  float64(sp.Start.Microseconds()),
-			"dur": float64(sp.Duration().Microseconds()),
+			"dur": float64(sp.End.Microseconds() - sp.Start.Microseconds()),
 			"pid": 0, "tid": sp.Worker,
 		}
 		if len(sp.Attrs) > 0 {
 			args := make(map[string]any, len(sp.Attrs))
 			for _, a := range sp.Attrs {
-				args[a.Key] = a.Value
+				args[a.Key] = a.Value()
 			}
 			ev["args"] = args
 		}

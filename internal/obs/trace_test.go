@@ -15,7 +15,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
-	sp.SetAttrs(Int("x", 1))
 	sp.Child(0, "child").End()
 	sp.End()
 	if got := tr.Snapshot(); got != nil {
@@ -34,8 +33,7 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	tr := NewTracer()
 	epoch := tr.Start(1, ClassNone, "epoch", Int("epoch", 3), String("mode", "hybrid"))
 	layer := epoch.Child(ClassNone, "layer[1]", Int("layer", 1))
-	op := layer.Child(0, "gather_dep_nbr")
-	op.SetAttrs(Int64("bytes", 4096))
+	op := layer.Child(0, "gather_dep_nbr", Int64("bytes", 4096))
 	op.End()
 	layer.End()
 	epoch.End()
@@ -51,7 +49,7 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	if spans[0].Attr("bytes") != int64(4096) {
 		t.Fatalf("bytes attr = %v", spans[0].Attr("bytes"))
 	}
-	if spans[2].Attr("mode") != "hybrid" || spans[2].Attr("epoch") != 3 {
+	if spans[2].Attr("mode") != "hybrid" || spans[2].Attr("epoch") != int64(3) {
 		t.Fatalf("epoch attrs = %v", spans[2].Attrs)
 	}
 	if spans[2].Attr("missing") != nil {
@@ -136,8 +134,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := tr.Start(w, 0, "op")
-				sp.SetAttrs(Int("i", i))
+				sp := tr.Start(w, 0, "op", Int("i", i))
 				sp.End()
 			}
 		}(w)

@@ -345,12 +345,11 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 		watch = obs.NewWatchdog(rules, nil, obs.Default())
 	}
 	// Every session keeps a metric history, sampled at each epoch barrier
-	// (engine wiring below); the serving SLO rules evaluate on every sample.
+	// (see Train); the serving SLO rules evaluate on every sample.
 	hist := obs.NewHistory(obs.Default(), 0)
 	if watch != nil {
 		hist.SetOnSample(func() { watch.EvaluateSLO(hist) })
 	}
-	opts.History = hist
 	eng, err := engine.NewEngine(ds.inner, opts)
 	if err != nil {
 		return nil, err
@@ -495,6 +494,10 @@ func (s *Session) Train(epochs int) []EpochResult {
 		s.mu.Lock()
 		s.lastEpoch, s.lastLoss = st.Epoch, st.Loss
 		s.mu.Unlock()
+		// The epoch barrier is the natural sampling point of a training run:
+		// the per-epoch gauges have just advanced. Periodic sampling between
+		// barriers is the history's own Start.
+		s.hist.Sample(time.Now())
 		if s.watch != nil {
 			if rec, ok := s.rec.Last(); ok {
 				s.watch.ObserveEpoch(rec)
@@ -518,17 +521,24 @@ type Status struct {
 	// Epoch/Loss reflect the last completed epoch (zero before training).
 	Epoch int     `json:"epoch"`
 	Loss  float64 `json:"loss"`
-	// Traffic totals require Config.Metrics; zero otherwise.
+	// BytesSent / BytesReceived are the wire bytes of the epochs the flight
+	// recorder retains (the most recent 4096). Every message is counted once
+	// at its sender and once at its receiver, so over completed epochs the
+	// two directions are equal.
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
-	// ComputeBusy / CommBusy are per-worker busy fractions of the elapsed
-	// run time (the live view of the paper's Figure 13 utilisation curves).
+	// ComputeBusy / CommBusy are, per worker, the shares of training wall time
+	// over the retained epochs spent in compute stages and in communication
+	// stages (obs.Stage.Class — the live view of the paper's Figure 13
+	// utilisation). A worker is in one stage at a time, so the two never sum
+	// to more than 1; the rest is the barrier.
 	ComputeBusy map[int]float64 `json:"compute_busy,omitempty"`
 	CommBusy    map[int]float64 `json:"comm_busy,omitempty"`
 }
 
 // Status snapshots the session. Safe to call concurrently with Train — the
-// debug server polls it from its own goroutines.
+// debug server polls it from its own goroutines. It reads only the flight
+// recorder's retained records, so a poll costs the same however long the run.
 func (s *Session) Status() Status {
 	s.mu.Lock()
 	st := Status{Epoch: s.lastEpoch, Loss: s.lastLoss}
@@ -536,26 +546,37 @@ func (s *Session) Status() Status {
 	st.Dataset = s.ds.Name()
 	st.Engine = string(s.eng.Mode())
 	st.Workers = s.eng.NumWorkers()
-	if s.coll != nil {
-		st.BytesSent = s.coll.BytesSent()
-		st.BytesReceived = s.coll.BytesReceived()
-		if elapsed := s.coll.Elapsed().Seconds(); elapsed > 0 {
-			st.ComputeBusy = busyFractions(s.coll.BusyByWorker(metrics.Compute), elapsed)
-			st.CommBusy = busyFractions(s.coll.BusyByWorker(metrics.Comm), elapsed)
+
+	class := make(map[string]int, obs.NumStages)
+	for i, name := range obs.StageNames() {
+		class[name] = obs.Stage(i).Class()
+	}
+	var wall float64
+	var bytes int64
+	compute, comm := map[int]float64{}, map[int]float64{}
+	for _, r := range s.rec.Snapshot() {
+		wall += r.WallSeconds
+		for _, c := range r.Cells {
+			bytes += c.Bytes
+			switch class[c.Stage] {
+			case int(metrics.Compute):
+				compute[c.Worker] += c.Seconds
+			case int(metrics.Comm):
+				comm[c.Worker] += c.Seconds
+			}
 		}
 	}
+	st.BytesSent, st.BytesReceived = bytes/2, bytes/2
+	if wall > 0 {
+		for w := range compute {
+			compute[w] /= wall
+		}
+		for w := range comm {
+			comm[w] /= wall
+		}
+		st.ComputeBusy, st.CommBusy = compute, comm
+	}
 	return st
-}
-
-func busyFractions(busy map[int]time.Duration, elapsed float64) map[int]float64 {
-	if len(busy) == 0 {
-		return nil
-	}
-	out := make(map[int]float64, len(busy))
-	for w, d := range busy {
-		out[w] = d.Seconds() / elapsed
-	}
-	return out
 }
 
 // TrainEpoch runs a single epoch.

@@ -206,6 +206,35 @@ func TestMetricsEnabled(t *testing.T) {
 	}
 }
 
+// TestStatusWithoutMetrics: /status is a view of the always-on flight
+// recorder — traffic and per-worker busy shares are there without a
+// collector, and the session keeps a barrier-aligned metric history.
+func TestStatusWithoutMetrics(t *testing.T) {
+	ds, _ := LoadDataset("cora")
+	s, err := NewSession(ds, Config{Workers: 2, Engine: EngineDepComm, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Status(); st.BytesSent != 0 || st.ComputeBusy != nil {
+		t.Fatalf("status before training: %+v", st)
+	}
+	s.Train(3)
+	st := s.Status()
+	if st.Epoch != 3 || st.BytesSent <= 0 || st.BytesReceived <= 0 {
+		t.Fatalf("status without Config.Metrics: %+v", st)
+	}
+	for w := 0; w < 2; w++ {
+		compute, comm := st.ComputeBusy[w], st.CommBusy[w]
+		if compute <= 0 || comm <= 0 || compute+comm > 1 {
+			t.Fatalf("worker %d: compute %v + comm %v must be positive shares of the wall", w, compute, comm)
+		}
+	}
+	if n := s.MetricHistory().Len(); n != 3 {
+		t.Fatalf("metric history holds %d samples after 3 epochs, want one per barrier", n)
+	}
+}
+
 func TestSessionCheckpointRoundTrip(t *testing.T) {
 	ds, _ := LoadDataset("cora")
 	s, err := NewSession(ds, Config{Workers: 2, Model: ModelSAGE, Seed: 6, LR: 0.02})
