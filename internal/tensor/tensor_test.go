@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -294,6 +295,88 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 	}
 }
 
+// bitPinVariants are the operand classes the blocked GEMMs are pinned on.
+var bitPinVariants = []string{"random", "zeros", "inf"}
+
+// plantSpecials rewrites the operands of a bit-identity pin for variant: a is
+// the side whose zeros the kernels skip, b the side they stream.
+func plantSpecials(variant string, a, b *Tensor, rng *RNG) {
+	switch variant {
+	case "zeros": // zero-laden, signed zeros included: the skip must be kept
+		for i := range a.data {
+			switch rng.Intn(3) {
+			case 0:
+				a.data[i] = 0
+			case 1:
+				a.data[i] = float32(math.Copysign(0, -1))
+			}
+		}
+	case "inf": // 0*Inf must stay skipped, Inf-Inf must stay NaN
+		inf := float32(math.Inf(1))
+		for i := range b.data {
+			if rng.Intn(5) == 0 {
+				b.data[i] = inf * float32(1-2*rng.Intn(2))
+			}
+		}
+		for i := range a.data {
+			if rng.Intn(4) == 0 {
+				a.data[i] = 0
+			}
+		}
+	}
+}
+
+// mustBitEqual fails unless got and want hold the same float32 bit patterns,
+// NaN payloads included.
+func mustBitEqual(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.rows, got.cols, want.rows, want.cols)
+	}
+	for i := range want.data {
+		if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), scalar kernel %v (%#x)", what, i,
+				got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
+		}
+	}
+}
+
+// scalarMatMul is the unblocked ikj kernel gemmRows replaced: one
+// zero-skipping add per term, k ascending. The blocked kernel must reproduce
+// it bit for bit.
+func scalarMatMul(a, b *Tensor) *Tensor {
+	dst := New(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		dr := dst.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				dr[j] += float32(av * bv)
+			}
+		}
+	}
+	return dst
+}
+
+func TestMatMulBlockedBitIdenticalToScalar(t *testing.T) {
+	rng := NewRNG(43)
+	// M x K @ K x N: the k tail (K%4), the j tail (N%4), N < 4, empty
+	// operands, and both the serial and the parallelRows branch (M*K*N either
+	// side of gemmParallelThreshold).
+	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+		{7, 2, 9}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
+		M, K, N := dims[0], dims[1], dims[2]
+		for _, variant := range bitPinVariants {
+			a := RandNormal(M, K, 0, 1, rng)
+			b := RandNormal(K, N, 0, 1, rng)
+			plantSpecials(variant, a, b, rng)
+			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), MatMul(a, b), scalarMatMul(a, b))
+		}
+	}
+}
+
 // scalarMatMulTA is the unblocked kernel MatMulTAInto replaced: k outermost,
 // one zero-skipping add per term. The blocked kernel must reproduce it bit
 // for bit.
@@ -315,43 +398,16 @@ func scalarMatMulTA(a, b *Tensor) *Tensor {
 
 func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(41)
-	inf := float32(math.Inf(1))
 	// Odd shapes exercise the k tail (K%4), the j tail (N%4) and both the
 	// serial and the parallelRows branch (K*M*N across gemmParallelThreshold).
 	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {7, 2, 9},
 		{31, 17, 23}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
 		K, M, N := dims[0], dims[1], dims[2]
-		for _, variant := range []string{"random", "zeros", "inf"} {
+		for _, variant := range bitPinVariants {
 			a := RandNormal(K, M, 0, 1, rng)
 			b := RandNormal(K, N, 0, 1, rng)
-			switch variant {
-			case "zeros": // zero-laden, signed zeros included: the skip must be kept
-				for i := range a.data {
-					switch rng.Intn(3) {
-					case 0:
-						a.data[i] = 0
-					case 1:
-						a.data[i] = float32(math.Copysign(0, -1))
-					}
-				}
-			case "inf": // 0*Inf must stay skipped, Inf-Inf must stay NaN
-				for i := range b.data {
-					if rng.Intn(5) == 0 {
-						b.data[i] = inf * float32(1-2*rng.Intn(2))
-					}
-				}
-				for i := range a.data {
-					if rng.Intn(4) == 0 {
-						a.data[i] = 0
-					}
-				}
-			}
-			got, want := MatMulTA(a, b), scalarMatMulTA(a, b)
-			for i := range want.data {
-				if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
-					t.Fatalf("%v/%s: element %d = %v, scalar kernel %v", dims, variant, i, got.data[i], want.data[i])
-				}
-			}
+			plantSpecials(variant, a, b, rng)
+			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), MatMulTA(a, b), scalarMatMulTA(a, b))
 		}
 	}
 }
