@@ -33,11 +33,7 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 		}
 		g := t.alloc(x.Value.Rows(), x.Value.Cols())
 		for i, src := range idx {
-			dst := g.Row(int(src))
-			gr := grad.Row(i)
-			for j, v := range gr {
-				dst[j] += v
-			}
+			tensor.AddTo(g.Row(int(src)), grad.Row(i))
 		}
 		x.accumulate(g)
 	}, x)
@@ -52,8 +48,9 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 // constant.
 //
 // Edges are applied in ascending e and each product is rounded to float32
-// before it is added (float32(v*c) forbids FMA contraction), so the values
-// are bit-identical to ScatterAddRows(MulColVec(Gather(x, src), coeff), dst).
+// before it is added (tensor.Axpy's contract: no FMA contraction), so the
+// values are bit-identical to
+// ScatterAddRows(MulColVec(Gather(x, src), coeff), dst).
 // The backward pass is the same loop with the two indices swapped,
 // x.Grad[src[e]] += coeff[e] · dOut[dst[e]], accumulated in place.
 func (t *Tape) Aggregate(x *Variable, src []int32, coeff []float32, dst []int32, numDst int) *Variable {
@@ -107,8 +104,9 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 	}, x, alpha)
 }
 
-// scaledScatterAdd is out[oi[e]] += c[e] · in[ii[e]] for e = 0..n-1 in order.
-// A nil index stands for the identity and a nil c for all ones.
+// scaledScatterAdd is out[oi[e]] += c[e] · in[ii[e]] for e = 0..n-1 in order,
+// one row kernel per edge. A nil index stands for the identity and a nil c
+// for all ones.
 func scaledScatterAdd(out *tensor.Tensor, oi []int32, in *tensor.Tensor, ii []int32, c []float32, n int) {
 	for e := 0; e < n; e++ {
 		o, i := e, e
@@ -118,17 +116,10 @@ func scaledScatterAdd(out *tensor.Tensor, oi []int32, in *tensor.Tensor, ii []in
 		if ii != nil {
 			i = int(ii[e])
 		}
-		src := in.Row(i)
-		dst := out.Row(o)[:len(src)]
 		if c == nil {
-			for j, v := range src {
-				dst[j] += v
-			}
-			continue
-		}
-		ce := c[e]
-		for j, v := range src {
-			dst[j] += float32(v * ce)
+			tensor.AddTo(out.Row(o), in.Row(i))
+		} else {
+			tensor.Axpy(out.Row(o), c[e], in.Row(i))
 		}
 	}
 }

@@ -268,12 +268,7 @@ func (t *Tape) RowDot(x, w *Variable) *Variable {
 		if w.requiresGrad {
 			gw := t.alloc(1, w.Value.Cols())
 			for i := 0; i < r; i++ {
-				gi := grad.At(i, 0)
-				xr := x.Value.Row(i)
-				dst := gw.Row(0)
-				for j, xv := range xr {
-					dst[j] += gi * xv
-				}
+				tensor.Axpy(gw.Row(0), grad.At(i, 0), x.Value.Row(i))
 			}
 			w.accumulate(gw)
 		}

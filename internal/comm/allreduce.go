@@ -51,10 +51,7 @@ func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Colle
 		send(step, cSend, chunk(cSend))
 		cRecv := (id - step - 1 + 2*m) % m
 		msg := mb.Wait(KindAllReduce, tag, step, cRecv, prev)
-		dst := chunk(cRecv)
-		for k, v := range msg.Rows.Data() {
-			dst[k] += v
-		}
+		tensor.AddTo(chunk(cRecv), msg.Rows.Data())
 		sp.End()
 	}
 	// All-gather: circulate the reduced chunks.

@@ -57,10 +57,7 @@ func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
 		off := 0
 		for _, p := range params {
 			dst := p.Grad.Data()
-			src := msg.Rows.Data()[off : off+len(dst)]
-			for k, v := range src {
-				dst[k] += v
-			}
+			tensor.AddTo(dst, msg.Rows.Data()[off:off+len(dst)])
 			off += len(dst)
 		}
 	}

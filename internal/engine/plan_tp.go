@@ -154,14 +154,7 @@ func copyWindow(dst, src window, rows, cols int) {
 // counterpart wherever gradients from several sources meet.
 func addWindow(dst, src window, rows, cols int) {
 	for r := 0; r < rows; r++ {
-		addRow(dst.t.Row(dst.row + r)[dst.col:dst.col+cols], src.t.Row(src.row + r)[src.col:])
-	}
-}
-
-// addRow accumulates src's leading len(dst) elements into dst.
-func addRow(dst, src []float32) {
-	for c, g := range src[:len(dst)] {
-		dst[c] += g
+		tensor.AddTo(dst.t.Row(dst.row + r)[dst.col:dst.col+cols], src.t.Row(src.row + r)[src.col:src.col+cols])
 	}
 }
 

@@ -661,7 +661,7 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
 			continue
 		}
 		for r, v := range verts {
-			addRow(seed.Row(int(ownedPos[v])), msg.Rows.Row(r))
+			tensor.AddTo(seed.Row(int(ownedPos[v])), msg.Rows.Row(r))
 		}
 	}
 }

@@ -64,65 +64,38 @@ func MatMulInto(dst, a, b *Tensor) {
 	obsMatMulNN.Observe(time.Since(start).Seconds())
 }
 
-// gemmRows computes rows [lo,hi) of dst = a @ b using an ikj loop order (the
-// inner loop streams over contiguous rows of b and dst) with register
-// blocking: k advances in panels of 4, and within a panel the j loop is
-// 4x-unrolled so eight b-rows/dst values live in registers per iteration.
+// gemmRows computes rows [lo,hi) of dst = a @ b in ikj order — the inner loop
+// streams over contiguous rows of b and dst — with k advancing in panels of 4:
+// one axpy4 pass over the dst row consumes four rows of b.
 //
 // Float addition is not associative, so blocking must preserve the exact
 // per-element accumulation order of the scalar kernel — dst[i][j] receives
-// its k-terms in ascending k, one add at a time — or results drift between
-// builds. The fused update d + t0 + t1 + t2 + t3 evaluates left-to-right
-// (Go spec), which is that same order; and the zero-skip fast path is kept
-// exactly by taking the panel only when all four a-values are non-zero,
-// falling back to the skipping scalar loop otherwise (0*Inf and signed-zero
-// semantics are therefore untouched).
+// its k-terms in ascending k, one rounded product and one add at a time — or
+// results drift between builds. axpy4 sums d + t0 + t1 + t2 + t3 left to
+// right, which is that order; and the zero-skip fast path is kept exactly by
+// taking the panel only when all four a-values are non-zero, falling back to
+// the skipping single-row update otherwise (0*Inf and signed-zero semantics
+// are therefore untouched).
 func gemmRows(dst, a, b *Tensor, lo, hi int) {
-	n := b.cols
 	for i := lo; i < hi; i++ {
 		ar := a.Row(i)
 		dr := dst.Row(i)
 		k := 0
 		for ; k+4 <= len(ar); k += 4 {
 			a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
+			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
 			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				gemmScalarPanel(dr, ar[k:k+4], b, k)
+				axpySkipZero(dr, a0, b0)
+				axpySkipZero(dr, a1, b1)
+				axpySkipZero(dr, a2, b2)
+				axpySkipZero(dr, a3, b3)
 				continue
 			}
-			b0 := b.data[k*n : k*n+n]
-			b1 := b.data[(k+1)*n : (k+1)*n+n]
-			b2 := b.data[(k+2)*n : (k+2)*n+n]
-			b3 := b.data[(k+3)*n : (k+3)*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				d0 := dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				d1 := dr[j+1] + a0*b0[j+1] + a1*b1[j+1] + a2*b2[j+1] + a3*b3[j+1]
-				d2 := dr[j+2] + a0*b0[j+2] + a1*b1[j+2] + a2*b2[j+2] + a3*b3[j+2]
-				d3 := dr[j+3] + a0*b0[j+3] + a1*b1[j+3] + a2*b2[j+3] + a3*b3[j+3]
-				dr[j], dr[j+1], dr[j+2], dr[j+3] = d0, d1, d2, d3
-			}
-			for ; j < n; j++ {
-				dr[j] = dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			axpy4(dr, a0, a1, a2, a3, b0, b1, b2, b3)
 		}
 		for ; k < len(ar); k++ {
-			av := ar[k]
-			if av == 0 {
-				continue
-			}
-			br := b.data[k*n : k*n+n]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
+			axpySkipZero(dr, ar[k], b.Row(k))
 		}
-	}
-}
-
-// gemmScalarPanel applies one k-panel with the original zero-skipping scalar
-// kernel; used when the panel contains a zero a-value.
-func gemmScalarPanel(dr, ap []float32, b *Tensor, k0 int) {
-	for kk, av := range ap {
-		axpySkipZero(dr, av, b.Row(k0+kk))
 	}
 }
 
@@ -155,23 +128,21 @@ func MatMulTAInto(dst, a, b *Tensor) {
 	obsMatMulTA.Observe(time.Since(start).Seconds())
 }
 
-// matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, register-blocked the
-// way gemmRows is: k (the shared row index of a and b) advances in panels of
-// 4 and the j loop is 4x-unrolled, so one sweep over the small dst block
-// consumes four rows of a and b. The bit-identity argument is gemmRows's:
-// dst[i][j] still receives its k-terms in ascending k, one add at a time
-// (d + t0 + t1 + t2 + t3 evaluates left to right), and the panel is taken
-// only when all four a-values are non-zero, otherwise the zero-skipping
-// scalar update runs for that element row.
+// matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, blocked the way
+// gemmRows is: k (the shared row index of a and b) advances in panels of 4,
+// so one sweep over the small dst block consumes four rows of a and b. The
+// bit-identity argument is gemmRows's: dst[i][j] still receives its k-terms
+// in ascending k, one add at a time, and the panel is taken only when all
+// four a-values are non-zero, otherwise the zero-skipping single-row update
+// runs for that element row.
 func matMulTARows(dst, a, b *Tensor, lo, hi int) {
-	n := b.cols
 	k := 0
 	for ; k+4 <= a.rows; k += 4 {
 		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
 		for i := lo; i < hi; i++ {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
-			dr := dst.data[i*n : i*n+n]
+			dr := dst.Row(i)
 			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
 				axpySkipZero(dr, a0, b0)
 				axpySkipZero(dr, a1, b1)
@@ -179,23 +150,13 @@ func matMulTARows(dst, a, b *Tensor, lo, hi int) {
 				axpySkipZero(dr, a3, b3)
 				continue
 			}
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				d0 := dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				d1 := dr[j+1] + a0*b0[j+1] + a1*b1[j+1] + a2*b2[j+1] + a3*b3[j+1]
-				d2 := dr[j+2] + a0*b0[j+2] + a1*b1[j+2] + a2*b2[j+2] + a3*b3[j+2]
-				d3 := dr[j+3] + a0*b0[j+3] + a1*b1[j+3] + a2*b2[j+3] + a3*b3[j+3]
-				dr[j], dr[j+1], dr[j+2], dr[j+3] = d0, d1, d2, d3
-			}
-			for ; j < n; j++ {
-				dr[j] = dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			axpy4(dr, a0, a1, a2, a3, b0, b1, b2, b3)
 		}
 	}
 	for ; k < a.rows; k++ {
 		ar, br := a.Row(k), b.Row(k)
 		for i := lo; i < hi; i++ {
-			axpySkipZero(dst.data[i*n:i*n+n], ar[i], br)
+			axpySkipZero(dst.Row(i), ar[i], br)
 		}
 	}
 }
@@ -203,11 +164,8 @@ func matMulTARows(dst, a, b *Tensor, lo, hi int) {
 // axpySkipZero is dr += av * br, skipped entirely when av is zero: the
 // scalar GEMM update whose 0*Inf and signed-zero behaviour blocking keeps.
 func axpySkipZero(dr []float32, av float32, br []float32) {
-	if av == 0 {
-		return
-	}
-	for j, bv := range br {
-		dr[j] += av * bv
+	if av != 0 {
+		Axpy(dr, av, br)
 	}
 }
 

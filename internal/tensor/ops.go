@@ -13,9 +13,14 @@ func Add(t, o *Tensor) *Tensor {
 }
 
 // AddInto stores a + b into dst. All shapes must match; dst may alias a or b.
+// Accumulating in place (dst is a) is one row-kernel call.
 func AddInto(dst, a, b *Tensor) {
 	a.mustSameShape(b, "Add")
 	dst.mustSameShape(a, "Add")
+	if dst == a {
+		AddTo(dst.data, b.data)
+		return
+	}
 	for i := range dst.data {
 		dst.data[i] = a.data[i] + b.data[i]
 	}
@@ -75,9 +80,7 @@ func ScaleInPlace(t *Tensor, s float32) {
 // AXPY computes dst += alpha * x element-wise.
 func AXPY(dst *Tensor, alpha float32, x *Tensor) {
 	dst.mustSameShape(x, "AXPY")
-	for i := range dst.data {
-		dst.data[i] += alpha * x.data[i]
-	}
+	Axpy(dst.data, alpha, x.data)
 }
 
 // AddRowVector adds the 1xC row vector v to every row of t, in place.
@@ -86,10 +89,7 @@ func AddRowVector(t *Tensor, v *Tensor) {
 		panic(fmt.Sprintf("tensor: AddRowVector %dx%d to %dx%d", v.rows, v.cols, t.rows, t.cols))
 	}
 	for i := 0; i < t.rows; i++ {
-		row := t.Row(i)
-		for j, b := range v.data {
-			row[j] += b
-		}
+		AddTo(t.Row(i), v.data)
 	}
 }
 
@@ -109,10 +109,7 @@ func SumRowsInto(dst, t *Tensor) {
 	}
 	dst.Zero()
 	for i := 0; i < t.rows; i++ {
-		row := t.Row(i)
-		for j, v := range row {
-			dst.data[j] += v
-		}
+		AddTo(dst.data, t.Row(i))
 	}
 }
 

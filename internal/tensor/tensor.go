@@ -7,6 +7,14 @@
 // tensor with a single row or a single column. The package favours explicit
 // destination arguments (Into variants) so hot paths can reuse buffers, with
 // allocating convenience wrappers on top.
+//
+// The multiply-accumulate and accumulate loops of the hot path — GEMM, the
+// weight-gradient GEMM, and (through Axpy and AddTo) the aggregation and
+// gradient accumulation of the packages above — are three row kernels in
+// rowkernels.go: SSE2 assembly on amd64, a portable Go twin elsewhere, bound
+// at compile time and bit-identical to each other and to the scalar loops
+// they replaced. The dot-product kernels (MatMulTB, Dot) are plain Go: their
+// sums run along the row, so vectorising them would reorder the additions.
 package tensor
 
 import (

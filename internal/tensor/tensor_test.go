@@ -333,11 +333,9 @@ func mustBitEqual(t *testing.T, what string, got, want *Tensor) {
 	if !got.SameShape(want) {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.rows, got.cols, want.rows, want.cols)
 	}
-	for i := range want.data {
-		if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
-			t.Fatalf("%s: element %d = %v (%#x), scalar kernel %v (%#x)", what, i,
-				got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
-		}
+	if i := bitsEqual(got.data, want.data); i >= 0 {
+		t.Fatalf("%s: element %d = %v (%#x), scalar kernel %v (%#x)", what, i,
+			got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
 	}
 }
 
@@ -389,7 +387,7 @@ func scalarMatMulTA(a, b *Tensor) *Tensor {
 			}
 			dr := dst.Row(i)
 			for j, bv := range b.Row(k) {
-				dr[j] += av * bv
+				dr[j] += float32(av * bv)
 			}
 		}
 	}
