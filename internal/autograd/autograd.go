@@ -29,9 +29,6 @@ type Variable struct {
 	name         string
 }
 
-// RequiresGrad reports whether gradients flow into this variable.
-func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
-
 // Tape returns the tape the variable is recorded on.
 func (v *Variable) Tape() *Tape { return v.tape }
 

@@ -205,14 +205,6 @@ func TestGradLogSoftmaxNLL(t *testing.T) {
 		})
 }
 
-func TestGradMSE(t *testing.T) {
-	target := randT(2, 3, 37)
-	checkGrad(t, "mse", []*tensor.Tensor{randT(2, 3, 38)},
-		func(tape *Tape, l []*Variable) *Variable {
-			return tape.MSELoss(l[0], target)
-		})
-}
-
 func TestGradTwoLayerMLPChain(t *testing.T) {
 	// End-to-end: x @ W1 -> relu -> @ W2 -> logsoftmax -> nll.
 	labels := []int32{1, 0, 2, 1}
@@ -437,13 +429,6 @@ func TestSegmentSoftmaxBadOffsetsPanics(t *testing.T) {
 		}
 	}()
 	tape.SegmentSoftmax(s, []int32{0, 3}) // ends at 3, not 5
-}
-
-func TestGradSigmoid(t *testing.T) {
-	checkGrad(t, "sigmoid", []*tensor.Tensor{randT(2, 3, 80)},
-		func(tape *Tape, l []*Variable) *Variable {
-			return sumAll(tape, tape.Sigmoid(l[0]))
-		})
 }
 
 func TestGradBCEWithLogits(t *testing.T) {

@@ -73,49 +73,6 @@ func (t *Tape) NLLLossMasked(logp *Variable, labels []int32, mask []bool) (*Vari
 	return v, n
 }
 
-// MSELoss computes the mean squared error between pred and target
-// (a constant), returning a 1x1 loss variable.
-func (t *Tape) MSELoss(pred *Variable, target *tensor.Tensor) *Variable {
-	pred.Value.SameShape(target)
-	n := float64(pred.Value.Len())
-	var loss float64
-	for i, v := range pred.Value.Data() {
-		d := float64(v - target.Data()[i])
-		loss += d * d
-	}
-	out := t.alloc(1, 1)
-	out.Set(0, 0, float32(loss/n))
-	return t.record(out, "mse_loss", func(grad *tensor.Tensor) {
-		if !pred.requiresGrad {
-			return
-		}
-		scale := grad.At(0, 0) * float32(2/n)
-		g := t.alloc(pred.Value.Rows(), pred.Value.Cols())
-		for i, v := range pred.Value.Data() {
-			g.Data()[i] = scale * (v - target.Data()[i])
-		}
-		pred.accumulate(g)
-	}, pred)
-}
-
-// Sigmoid applies the logistic function element-wise.
-func (t *Tape) Sigmoid(x *Variable) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
-	for i, v := range x.Value.Data() {
-		out.Data()[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return t.record(out, "sigmoid", func(grad *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
-		}
-		g := t.alloc(grad.Rows(), grad.Cols())
-		for i, s := range out.Data() {
-			g.Data()[i] = grad.Data()[i] * s * (1 - s)
-		}
-		x.accumulate(g)
-	}, x)
-}
-
 // BCEWithLogitsLoss computes the mean binary cross-entropy between logits
 // and targets (0/1 values, captured by reference as constants), using the
 // numerically stable formulation. It returns a 1x1 loss variable.

@@ -149,9 +149,6 @@ func New(ds *dataset.Dataset, opts Options) (*Trainer, error) {
 // Close releases the fabric.
 func (t *Trainer) Close() { t.fabric.Close() }
 
-// BatchesPerEpoch returns the synchronised batch count per epoch.
-func (t *Trainer) BatchesPerEpoch() int { return t.batchesPerEpoch }
-
 // RunEpoch trains one epoch of synchronous mini-batches across workers.
 func (t *Trainer) RunEpoch() EpochStats {
 	start := time.Now()

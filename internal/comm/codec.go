@@ -12,7 +12,7 @@ import (
 
 // Wire format for TCP transport, little-endian throughout:
 //
-//	magic     u32  (v1 0x4E545301 "NTS\x01", v2 0x4E545302 "NTS\x02")
+//	magic     u32  (0x4E545302 "NTS\x02")
 //	kind      u8
 //	from, to  u32
 //	epoch     i64
@@ -20,7 +20,7 @@ import (
 //	seq       i32
 //	numVerts  u32
 //	rows,cols u32, u32
-//	--- v2 only: trace context block ---
+//	--- trace context block ---
 //	traceID   u64
 //	spanID    u64
 //	parent    u64
@@ -32,15 +32,14 @@ import (
 // The format is self-delimiting (lengths precede payloads), so a stream of
 // messages needs no extra framing.
 //
-// Versioning: the encoder always emits v2. The decoder accepts both magics —
-// a v1 stream simply yields messages with a zero TraceContext — so a v2
-// process can still read streams captured by older builds. A v2 header whose
+// Versioning: this is format v2, the only one spoken — both ends of every
+// TCPFabric are one process, and nothing captures streams. Any other magic,
+// v1's "NTS\x01" included, is rejected as a bad magic, and a header whose
 // trace block is truncated is rejected (io.ErrUnexpectedEOF), never padded.
 
 const (
-	wireMagicV1 = 0x4E545301
 	wireMagicV2 = 0x4E545302
-	// traceBlockLen is the byte length of the v2 trace-context block.
+	// traceBlockLen is the byte length of the trace-context block.
 	traceBlockLen = 32
 )
 
@@ -48,7 +47,7 @@ const (
 // streams: no legitimate message in this system approaches it.
 const maxWireDim = 1 << 28
 
-// encodeMessage writes msg in the wire format (always v2).
+// encodeMessage writes msg in the wire format.
 func encodeMessage(w *bufio.Writer, msg *Message) error {
 	var hdr [41 + traceBlockLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], wireMagicV2)
@@ -90,15 +89,13 @@ func encodeMessage(w *bufio.Writer, msg *Message) error {
 	return nil
 }
 
-// decodeMessage reads one message in the wire format. Both v1 (no trace
-// block) and v2 magics are accepted; v1 messages decode with a zero Trace.
+// decodeMessage reads one message in the wire format.
 func decodeMessage(r *bufio.Reader) (*Message, error) {
 	var hdr [41]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	magic := binary.LittleEndian.Uint32(hdr[0:])
-	if magic != wireMagicV1 && magic != wireMagicV2 {
+	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != wireMagicV2 {
 		return nil, fmt.Errorf("comm: bad wire magic %#x", magic)
 	}
 	msg := &Message{
@@ -112,20 +109,18 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 	nv := binary.LittleEndian.Uint32(hdr[29:])
 	rows := binary.LittleEndian.Uint32(hdr[33:])
 	cols := binary.LittleEndian.Uint32(hdr[37:])
-	if magic == wireMagicV2 {
-		var tb [traceBlockLen]byte
-		if _, err := io.ReadFull(r, tb[:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF // a v2 header promises the block
-			}
-			return nil, err
+	var tb [traceBlockLen]byte
+	if _, err := io.ReadFull(r, tb[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promises the block
 		}
-		msg.Trace = TraceContext{
-			TraceID:      binary.LittleEndian.Uint64(tb[0:]),
-			SpanID:       binary.LittleEndian.Uint64(tb[8:]),
-			Parent:       binary.LittleEndian.Uint64(tb[16:]),
-			SentUnixNano: int64(binary.LittleEndian.Uint64(tb[24:])),
-		}
+		return nil, err
+	}
+	msg.Trace = TraceContext{
+		TraceID:      binary.LittleEndian.Uint64(tb[0:]),
+		SpanID:       binary.LittleEndian.Uint64(tb[8:]),
+		Parent:       binary.LittleEndian.Uint64(tb[16:]),
+		SentUnixNano: int64(binary.LittleEndian.Uint64(tb[24:])),
 	}
 	if nv > maxWireDim || rows > maxWireDim || cols > maxWireDim ||
 		(rows > 0 && cols > maxWireDim/rows) {

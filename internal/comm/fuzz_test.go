@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"math"
 	"testing"
 
@@ -48,7 +47,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(encodeToBytes(f, m))
 	}
 	// Hostile seeds: bad magic, truncated header, header claiming a huge
-	// payload with no bytes behind it, and a v2 header whose promised trace
+	// payload with no bytes behind it, and a header whose promised trace
 	// block is cut off mid-way (must reject, never zero-pad).
 	f.Add([]byte("not a wire message at all, just junk bytes padding"))
 	f.Add(encodeToBytes(f, seeds[0])[:20])
@@ -56,13 +55,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	huge[29], huge[30], huge[31] = 0xff, 0xff, 0xff // numVerts ~ 2^24, absent
 	f.Add(huge)
 	f.Add(encodeToBytes(f, seeds[2])[:41+traceBlockLen/2])
-	// A v1 stream: same 41-byte header under the old magic with the trace
-	// block cut out and the payload following directly. It must still decode
-	// (with a zero Trace) for old-capture compatibility.
-	full := encodeToBytes(f, seeds[3])
-	v1 := append(append([]byte(nil), full[:41]...), full[41+traceBlockLen:]...)
-	binary.LittleEndian.PutUint32(v1[0:], wireMagicV1)
-	f.Add(v1)
+	// The retired v1 magic over an otherwise well-formed message: a bad
+	// magic, not a second dialect.
+	retired := encodeToBytes(f, seeds[3])
+	retired[0] = 0x01
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := decodeMessage(bufio.NewReader(bytes.NewReader(data)))

@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"sync"
@@ -24,38 +23,6 @@ func TestCodecTraceRoundTrip(t *testing.T) {
 	}
 	if got.Trace != want {
 		t.Fatalf("trace round trip: %+v, want %+v", got.Trace, want)
-	}
-}
-
-// TestCodecDecodesV1Streams pins backward compatibility: a stream written in
-// the v1 format (41-byte header under the old magic, no trace block) must
-// decode to the same message with a zero TraceContext.
-func TestCodecDecodesV1Streams(t *testing.T) {
-	msg := &Message{From: 2, To: 0, Kind: KindGrad, Epoch: 5, Layer: 2, Seq: 1,
-		Vertices: []int32{10, 20, 30},
-		Rows:     tensor.FromSlice(1, 3, []float32{0.5, -1, 2}),
-		// The encoder stamps a trace block; cutting it out below must also
-		// discard these values, not smear them into the payload.
-		Trace: TraceContext{TraceID: 1, SpanID: 2, Parent: 3, SentUnixNano: 4}}
-	v2 := encodeToBytes(t, msg)
-	v1 := append(append([]byte(nil), v2[:41]...), v2[41+traceBlockLen:]...)
-	binary.LittleEndian.PutUint32(v1[0:], wireMagicV1)
-
-	got, err := decodeMessage(bufio.NewReader(bytes.NewReader(v1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != (TraceContext{}) {
-		t.Fatalf("v1 stream decoded a non-zero trace: %+v", got.Trace)
-	}
-	if got.From != msg.From || got.Kind != msg.Kind || got.Epoch != msg.Epoch {
-		t.Fatalf("v1 header drift: %+v vs %+v", got, msg)
-	}
-	if len(got.Vertices) != 3 || got.Vertices[2] != 30 {
-		t.Fatalf("v1 vertices drift: %v", got.Vertices)
-	}
-	if !got.Rows.Equal(msg.Rows) {
-		t.Fatal("v1 tensor drift")
 	}
 }
 

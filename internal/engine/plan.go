@@ -17,7 +17,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"neutronstar/internal/graph"
 	"neutronstar/internal/hybrid"
@@ -178,7 +177,6 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 
 	L := len(dims) - 1
 	owned := part.Parts[i]
-	isOwned := func(v int32) bool { return part.Assign[v] == int32(i) }
 
 	// Tensor-parallel layers must form a suffix: a TP layer's input is
 	// exactly the owned rows, which a regular layer above it (whose cached
@@ -191,40 +189,12 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		}
 	}
 
-	// 1. Derive cachedCompute sets by expanding every cached dependency's
-	// subtree: caching u for layer l requires h^(l-1)_u locally, which
-	// requires u at every lower level (self chain) and u's non-owned
-	// in-neighbors one level down.
-	cachedSet := make([]map[int32]struct{}, L) // index k = level
-	for k := range cachedSet {
-		cachedSet[k] = make(map[int32]struct{})
-	}
-	var need func(v int32, lvl int)
-	need = func(v int32, lvl int) {
-		if isOwned(v) || lvl < 0 {
-			return
-		}
-		if _, ok := cachedSet[lvl][v]; ok {
-			return
-		}
-		cachedSet[lvl][v] = struct{}{}
-		// Self chain: h^(lvl)_v needs h^(lvl-1)_v (self term) ... down to
-		// features.
-		need(v, lvl-1)
-		if lvl >= 1 {
-			for _, w := range g.InNeighbors(v) {
-				need(w, lvl-1)
-			}
-		}
-	}
-	for l := 1; l <= L; l++ {
-		for _, u := range dec.R[l-1] {
-			need(u, l-1)
-		}
-	}
+	// 1. The cached blocks are the levels of the Decision's closure — the
+	// walk the planner priced (hybrid.Closure owns the expansion rule).
+	held := hybrid.ClosureOf(g, part, i, dec)
 	p := &workerPlan{id: i, owned: owned, cachedCompute: make([][]int32, L)}
 	for k := 0; k < L; k++ {
-		p.cachedCompute[k] = sortedFromSet(cachedSet[k])
+		p.cachedCompute[k] = held.At(k)
 		p.cacheBytes += int64(len(p.cachedCompute[k])) * int64(4*dims[k])
 	}
 
@@ -266,7 +236,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		// Communicated dependencies still missing locally at this layer.
 		recvByPeer := make([]map[int32]struct{}, part.NumParts)
 		for _, u := range dec.C[l-1] {
-			if _, cached := cachedSet[l-1][u]; cached {
+			if held.Holds(u, l-1) {
 				continue // replicated by another layer's subtree
 			}
 			o := part.Assign[u]
@@ -279,7 +249,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		lp.recvOffset = make([]int32, part.NumParts)
 		off := int32(lp.numPrevRows)
 		for j := 0; j < part.NumParts; j++ {
-			lp.recv[j] = sortedFromSet(recvByPeer[j])
+			lp.recv[j] = graph.SortedKeys(recvByPeer[j])
 			lp.recvOffset[j] = off
 			off += int32(len(lp.recv[j]))
 		}
@@ -413,13 +383,4 @@ func buildBlock(g *graph.Graph, dsts []int32, srcRow, selfRow func(int32) (int32
 // graph.GCNNormCoefficients' per-edge formula.
 func gcnInvSqrt(d int) float32 {
 	return float32(1 / math.Sqrt(float64(d+1)))
-}
-
-func sortedFromSet(m map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

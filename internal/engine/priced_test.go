@@ -1,0 +1,117 @@
+package engine_test
+
+import (
+	"fmt"
+	"testing"
+
+	"neutronstar/internal/costmodel"
+	"neutronstar/internal/dataset"
+	"neutronstar/internal/engine"
+	"neutronstar/internal/nn"
+	"neutronstar/internal/partition"
+	"neutronstar/internal/testkit"
+)
+
+// pricedMatchesPlan checks, for one engine, that what the planner priced is
+// what the execution plan holds: per worker and per layer l >= 2 the rows
+// charged CommCost are the rows the layer fetches, and at every level the
+// replicas charged recompute are the destinations of the layer's cached
+// block. It returns the layer-1 rows the plans fetch in total — the price's
+// documented exception, which charges none of them.
+func pricedMatchesPlan(eng *engine.Engine, L int) (layer1Rows int64, err error) {
+	for w := 0; w < eng.NumWorkers(); w++ {
+		ch := eng.Charge(w)
+		recvRows, cachedDsts := eng.PlanRows(w)
+		if ch.CommRows[0] != 0 {
+			return 0, fmt.Errorf("worker %d: layer 1 is charged %d rows; feature rows are priced at setup", w, ch.CommRows[0])
+		}
+		layer1Rows += recvRows[0]
+		for l := 2; l <= L; l++ {
+			if ch.CommRows[l-1] != recvRows[l-1] {
+				return 0, fmt.Errorf("worker %d layer %d: %d rows charged CommCost, plan fetches %d", w, l, ch.CommRows[l-1], recvRows[l-1])
+			}
+		}
+		// Level k is computed by layer k; nothing consumes a replica's h^(L).
+		for k := 1; k < L; k++ {
+			if ch.ReplicaRows[k] != cachedDsts[k-1] {
+				return 0, fmt.Errorf("worker %d level %d: %d replicas charged recompute, cached block has %d destinations", w, k, ch.ReplicaRows[k], cachedDsts[k-1])
+			}
+		}
+		if cachedDsts[L-1] != 0 {
+			return 0, fmt.Errorf("worker %d: top layer recomputes %d replicas nothing consumes", w, cachedDsts[L-1])
+		}
+	}
+	return layer1Rows, nil
+}
+
+// TestPricedCountsMatchPlan: the plan that runs is read from the walk that
+// was priced. Every mode × {GCN, GAT} × L ∈ {2, 3} on random graphs, under
+// cost regimes that make the greedy cache nothing, some and everything.
+func TestPricedCountsMatchPlan(t *testing.T) {
+	regimes := []costmodel.Costs{
+		{Tv: 1e-8, Te: 2e-9, Tc: 1e-9},
+		{Tv: 1e-8, Te: 2e-9, Tc: 3e-8},
+		{Tv: 1e-8, Te: 2e-9, Tc: 1e-4},
+	}
+	// Beside the defaults: a forced 50 % split, whose upper layers' subtrees
+	// hold dependencies the lower layers communicate, and a cache budget too
+	// tight for anything but the (compressed) replicated candidate.
+	variants := []func(*engine.Options){
+		func(*engine.Options) {},
+		func(o *engine.Options) { o.ForceRatio, o.CacheRatio = true, 0.5 },
+		func(o *engine.Options) { o.MemBudget, o.RepQuant = 256, partition.RepQuantFP16 },
+	}
+	prop := func(ds *dataset.Dataset) error {
+		for _, mode := range engine.ModeNames() {
+			for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
+				for L := 2; L <= 3; L++ {
+					for i := 0; i < len(regimes)*len(variants); i++ {
+						opts := engine.Options{
+							Workers: min(3, ds.Graph.NumVertices()), Mode: engine.Mode(mode),
+							Model: kind, Layers: L, Costs: regimes[i%len(regimes)], Seed: 1,
+						}
+						variants[i/len(regimes)](&opts)
+						eng, err := engine.NewEngine(ds, opts)
+						if err == nil {
+							_, err = pricedMatchesPlan(eng, L)
+							eng.Close()
+						}
+						if err != nil {
+							return fmt.Errorf("%s/%s/L%d/config %d: %w", mode, kind, L, i, err)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if cex := testkit.Check(12, 41, testkit.GenSpec{MaxVertices: 60, MaxAvgDegree: 5}, prop); cex != nil {
+		t.Fatal(cex)
+	}
+
+	// The documented exception, at the benchmark's size: DepComm fetches its
+	// feature rows at layer 1 every epoch, and Charge prices them at zero
+	// ("features are fetched once at setup"). Logged, not asserted: repricing
+	// layer 1 moves the Hybrid3/4 argmin (ROADMAP item 3).
+	ds := dataset.Load(dataset.Spec{
+		Name: "bench-rmat", Gen: dataset.GenRMAT, Vertices: 7000, AvgDegree: 18, Skew: 0.45,
+		FeatureDim: 64, HiddenDim: 32, NumClasses: 16, Seed: 11,
+	})
+	eng, err := engine.NewEngine(ds, engine.Options{
+		Workers: 4, Mode: engine.DepComm, Model: nn.GCN, Layers: 2, Costs: regimes[1], Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	layer1, err := pricedMatchesPlan(eng, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layer2 int64
+	for w := 0; w < eng.NumWorkers(); w++ {
+		layer2 += eng.Charge(w).CommRows[1]
+	}
+	t.Logf("layer-1 exception (bench-rmat, 4 workers, DepComm): the plan fetches %d feature rows of width 64 at layer 1 and %d rows of width 32 at layer 2 per epoch; the price charges 0 and %d",
+		layer1, layer2, layer2)
+}

@@ -30,10 +30,6 @@ type Graph struct {
 	// CSR: out-edges of vertex u are OutDst[OutOff[u]:OutOff[u+1]].
 	outOff []int64
 	outDst []int32
-
-	// cscToCSR maps the i-th CSC edge to its position in CSR order, so
-	// per-edge data laid out in one order can be permuted to the other.
-	cscToCSR []int64
 }
 
 // NumVertices returns |V|.
@@ -65,15 +61,6 @@ func (g *Graph) InOffsets() []int64 { return g.inOff }
 // InSources exposes the CSC source array: entry e is the source of the e-th
 // in-edge in destination-sorted order.
 func (g *Graph) InSources() []int32 { return g.inSrc }
-
-// OutOffsets exposes the CSR offset array (len NumVertices+1).
-func (g *Graph) OutOffsets() []int64 { return g.outOff }
-
-// OutDestinations exposes the CSR destination array.
-func (g *Graph) OutDestinations() []int32 { return g.outDst }
-
-// CSCToCSR maps CSC edge position i to the corresponding CSR position.
-func (g *Graph) CSCToCSR() []int64 { return g.cscToCSR }
 
 // EdgeDst returns, for every CSC edge position, its destination vertex.
 // The result is freshly allocated.
@@ -120,7 +107,7 @@ func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
 	}
 
-	// CSR build + csc->csr map, derived from the (now canonical) CSC layout.
+	// CSR build, derived from the (now canonical) CSC layout.
 	g.outOff = make([]int64, n+1)
 	for _, u := range g.inSrc {
 		g.outOff[u+1]++
@@ -129,14 +116,11 @@ func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 		g.outOff[v+1] += g.outOff[v]
 	}
 	g.outDst = make([]int32, len(edges))
-	g.cscToCSR = make([]int64, len(edges))
 	clear(cursor)
 	for v := int32(0); v < n; v++ {
 		for e := g.inOff[v]; e < g.inOff[v+1]; e++ {
 			u := g.inSrc[e]
-			p := g.outOff[u] + cursor[u]
-			g.outDst[p] = v
-			g.cscToCSR[e] = p
+			g.outDst[g.outOff[u]+cursor[u]] = v
 			cursor[u]++
 		}
 	}
@@ -169,15 +153,4 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	nbrs := g.InNeighbors(v)
 	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= u })
 	return i < len(nbrs) && nbrs[i] == u
-}
-
-// Reverse returns a new graph with every edge direction flipped.
-func (g *Graph) Reverse() *Graph {
-	edges := make([]Edge, 0, g.numEdges)
-	for v := int32(0); v < g.numVertices; v++ {
-		for _, u := range g.InNeighbors(v) {
-			edges = append(edges, Edge{Src: v, Dst: u})
-		}
-	}
-	return MustFromEdges(int(g.numVertices), edges)
 }

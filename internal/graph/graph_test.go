@@ -59,32 +59,6 @@ func TestSelfLoopsAndMultiEdges(t *testing.T) {
 	}
 }
 
-func TestCSCToCSRMapping(t *testing.T) {
-	g := diamond()
-	dst := g.EdgeDst()
-	m := g.CSCToCSR()
-	for e := 0; e < g.NumEdges(); e++ {
-		u := g.InSources()[e]
-		v := dst[e]
-		p := m[e]
-		// CSR position p must lie in u's out range and point at v.
-		if p < g.OutOffsets()[u] || p >= g.OutOffsets()[u+1] {
-			t.Fatalf("edge %d mapped outside source %d's CSR range", e, u)
-		}
-		if g.OutDestinations()[p] != v {
-			t.Fatalf("edge %d (%d->%d) CSR slot holds %d", e, u, v, g.OutDestinations()[p])
-		}
-	}
-	// The mapping must be a bijection.
-	seen := make([]bool, g.NumEdges())
-	for _, p := range m {
-		if seen[p] {
-			t.Fatal("cscToCSR not injective")
-		}
-		seen[p] = true
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	in := []Edge{{0, 1}, {2, 1}, {1, 0}, {2, 0}}
 	g := MustFromEdges(3, in)
@@ -110,19 +84,6 @@ func sortEdges(e []Edge) {
 	})
 }
 
-func TestReverse(t *testing.T) {
-	g := diamond()
-	r := g.Reverse()
-	if r.NumEdges() != g.NumEdges() {
-		t.Fatal("reverse changed edge count")
-	}
-	for _, e := range g.Edges() {
-		if !r.HasEdge(e.Dst, e.Src) {
-			t.Fatalf("reverse missing %d->%d", e.Dst, e.Src)
-		}
-	}
-}
-
 func TestKHopInClosure(t *testing.T) {
 	// Chain 0->1->2->3 plus 4->2.
 	g := MustFromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 2}})
@@ -135,41 +96,6 @@ func TestKHopInClosure(t *testing.T) {
 	}
 	if len(hops[1]) != 2 || hops[1][0] != 1 || hops[1][1] != 4 {
 		t.Fatalf("hop2 = %v", hops[1])
-	}
-}
-
-func TestInClosureUnion(t *testing.T) {
-	g := MustFromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 2}})
-	got := g.InClosureUnion([]int32{3}, 2)
-	want := []int32{1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("closure = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("closure = %v, want %v", got, want)
-		}
-	}
-	// Depth 3 pulls in 0.
-	if got := g.InClosureUnion([]int32{3}, 3); len(got) != 5 {
-		t.Fatalf("depth-3 closure = %v", got)
-	}
-}
-
-func TestDependencySubtreeSize(t *testing.T) {
-	// Tree: 1,2 -> 3; 0 -> 1; depth 2 from 3: vertices {1,2,0}, edges {1->3,2->3,0->1}.
-	g := MustFromEdges(4, []Edge{{1, 3}, {2, 3}, {0, 1}})
-	v, e := g.DependencySubtreeSize(3, 2, nil)
-	if v != 3 || e != 3 {
-		t.Fatalf("subtree = %d vertices %d edges", v, e)
-	}
-	// Excluding vertex 1 removes it from the charge and stops expansion to 0.
-	v, e = g.DependencySubtreeSize(3, 2, func(x int32) bool { return x == 1 })
-	if v != 1 || e != 2 {
-		t.Fatalf("excluded subtree = %d vertices %d edges", v, e)
-	}
-	if v, e := g.DependencySubtreeSize(3, 0, nil); v != 0 || e != 0 {
-		t.Fatal("depth 0 should be empty")
 	}
 }
 
@@ -281,52 +207,20 @@ func TestQuickCSRCSCConsistency(t *testing.T) {
 	}
 }
 
-// Property: InClosureUnion is monotone in depth and always contains the seeds.
-func TestQuickClosureMonotone(t *testing.T) {
-	f := func(seed uint64, n8 uint8) bool {
-		n := int(n8%15) + 2
-		rng := tensor.NewRNG(seed)
-		edges := make([]Edge, n*2)
-		for i := range edges {
-			edges[i] = Edge{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n))}
-		}
-		g := MustFromEdges(n, edges)
-		seed0 := []int32{int32(rng.Intn(n))}
-		prev := 0
-		for k := 0; k <= 3; k++ {
-			c := g.InClosureUnion(seed0, k)
-			if len(c) < prev {
-				return false
-			}
-			found := false
-			for _, v := range c {
-				if v == seed0[0] {
-					found = true
-				}
-			}
-			if !found {
-				return false
-			}
-			prev = len(c)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortInt32(t *testing.T) {
+func TestSortedKeys(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	for _, n := range []int{0, 1, 5, 31, 32, 33, 100, 1000} {
-		s := make([]int32, n)
-		for i := range s {
-			s[i] = int32(rng.Intn(50))
+	for _, n := range []int{0, 1, 5, 33, 1000} {
+		m := make(map[int32]bool, n)
+		for len(m) < n {
+			m[int32(rng.Intn(4*n))] = true
 		}
-		sortInt32(s)
-		for i := 1; i < n; i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d not sorted at %d", n, i)
+		s := SortedKeys(m)
+		if len(s) != n {
+			t.Fatalf("n=%d: %d keys", n, len(s))
+		}
+		for i, v := range s {
+			if !m[v] || (i > 0 && s[i-1] >= v) {
+				t.Fatalf("n=%d: keys %v not the ascending key set", n, s)
 			}
 		}
 	}

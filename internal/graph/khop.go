@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // KHopInClosure returns, for each hop h in 1..k, the set of vertices reached
 // by following in-edges h steps backward from seeds, matching the BFS
 // dependency retrieval of Algorithm 2 (line 3-4): hop[h-1] is V_i^{L-h} \ V_i
@@ -17,76 +19,10 @@ func (g *Graph) KHopInClosure(seeds []int32, k int) [][]int32 {
 				mark[u] = struct{}{}
 			}
 		}
-		next := make([]int32, 0, len(mark))
-		for u := range mark {
-			next = append(next, u)
-		}
-		sortInt32(next)
-		hops[h] = next
-		frontier = next
+		hops[h] = SortedKeys(mark)
+		frontier = hops[h]
 	}
 	return hops
-}
-
-// InClosureUnion returns the union of seeds and every vertex reachable by up
-// to k in-edge steps backward from seeds, ascending. This is the full cached
-// working set a DepCache worker needs for a k-layer model.
-func (g *Graph) InClosureUnion(seeds []int32, k int) []int32 {
-	inSet := make(map[int32]struct{}, len(seeds))
-	for _, v := range seeds {
-		inSet[v] = struct{}{}
-	}
-	frontier := seeds
-	for h := 0; h < k; h++ {
-		var next []int32
-		for _, v := range frontier {
-			for _, u := range g.InNeighbors(v) {
-				if _, ok := inSet[u]; !ok {
-					inSet[u] = struct{}{}
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	out := make([]int32, 0, len(inSet))
-	for v := range inSet {
-		out = append(out, v)
-	}
-	sortInt32(out)
-	return out
-}
-
-// DependencySubtreeSize returns the number of distinct vertices and edges in
-// the in-dependency subtree rooted at u, descending depth layers, excluding
-// vertices in the exclude set (both as subtree members and as expansion
-// roots). This is the quantity |V_i^k(u) \ V_i| and |E_i^k(u) \ E_i| of
-// Eq. 1 aggregated over k, used by the cost model.
-func (g *Graph) DependencySubtreeSize(u int32, depth int, exclude func(int32) bool) (vertices, edges int) {
-	if depth <= 0 {
-		return 0, 0
-	}
-	visited := map[int32]struct{}{u: {}}
-	frontier := []int32{u}
-	for h := 0; h < depth; h++ {
-		var next []int32
-		for _, v := range frontier {
-			for _, w := range g.InNeighbors(v) {
-				edges++
-				if _, ok := visited[w]; ok {
-					continue
-				}
-				visited[w] = struct{}{}
-				if exclude != nil && exclude(w) {
-					continue // counted as edge endpoint but not expanded or charged
-				}
-				vertices++
-				next = append(next, w)
-			}
-		}
-		frontier = next
-	}
-	return vertices, edges
 }
 
 // InducedSubgraph builds the subgraph on the given vertices (ascending,
@@ -112,71 +48,13 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, map[int32]in
 	return sub, globals, toLocal
 }
 
-func sortInt32(s []int32) {
-	// Insertion sort for tiny inputs, otherwise a simple in-place quicksort;
-	// avoids the interface overhead of sort.Slice in hot BFS loops.
-	if len(s) < 32 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
+// SortedKeys returns the keys of a vertex-keyed map in ascending order: the
+// one way a vertex set leaves a map, so no map iteration order reaches a plan.
+func SortedKeys[V any](m map[int32]V) []int32 {
+	out := make([]int32, 0, len(m))
+	for v := range m {
+		out = append(out, v)
 	}
-	quickSortInt32(s)
-}
-
-func quickSortInt32(s []int32) {
-	for len(s) > 32 {
-		p := partitionInt32(s)
-		if p < len(s)-p {
-			quickSortInt32(s[:p])
-			s = s[p:]
-		} else {
-			quickSortInt32(s[p:])
-			s = s[:p]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
-
-func partitionInt32(s []int32) int {
-	mid := len(s) / 2
-	if s[0] > s[mid] {
-		s[0], s[mid] = s[mid], s[0]
-	}
-	if s[0] > s[len(s)-1] {
-		s[0], s[len(s)-1] = s[len(s)-1], s[0]
-	}
-	if s[mid] > s[len(s)-1] {
-		s[mid], s[len(s)-1] = s[len(s)-1], s[mid]
-	}
-	pivot := s[mid]
-	i, j := 0, len(s)-1
-	for {
-		for s[i] < pivot {
-			i++
-		}
-		for s[j] > pivot {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		s[i], s[j] = s[j], s[i]
-		i++
-		j--
-	}
+	slices.Sort(out)
+	return out
 }

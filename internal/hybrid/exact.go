@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"neutronstar/internal/costmodel"
 )
@@ -15,27 +14,35 @@ import (
 // to measure how far the greedy lands from the true optimum under the same
 // cost semantics.
 
-// EvaluateCost computes the exact modeled per-epoch cost of a concrete
-// decision for one worker, using level-aware replica accounting that
-// mirrors the execution plan: a cached dependency u at layer l requires
-// h^(l-1)_u, hence the self-chain of u and the subtrees of its in-neighbors
-// down to the features; every replicated vertex w with requirement level k
-// is charged the vertex and edge work of all levels 1..k exactly once.
-// Tensor-parallel layers contribute their slice-exchange collective cost
-// instead (tpLayerCost). It returns the cost and the replica storage bytes.
-func (p *Planner) EvaluateCost(worker int, d *Decision) (cost float64, bytes int64) {
-	cacheCost, commCost, bytes := p.evaluateCostSplit(worker, d)
-	return cacheCost + commCost, bytes
+// Charge is what the exact evaluator charges one worker's Decision: the
+// prices the candidate argmin compares, and the row counts they were summed
+// over — the counts an execution plan built from the same Decision must
+// reproduce (engine.TestPricedCountsMatchPlan).
+type Charge struct {
+	// CacheCost / CommCost are the modeled per-epoch seconds of redundant
+	// compute and of communication (slice-exchange collectives included).
+	CacheCost, CommCost float64
+	// Bytes is the replica storage, compressed when any layer is replicated.
+	Bytes int64
+	// CommRows[l-1] counts the dependency rows charged CommCost at layer l.
+	// CommRows[0] is always zero: layer-1 dependencies are feature rows,
+	// priced as fetched once at setup.
+	CommRows []int64
+	// ReplicaRows[k] counts the replicas held at level k: storage at k = 0,
+	// and for k >= 1 the vertex and edge work of layer k, charged once each.
+	ReplicaRows []int64
 }
 
-// evaluateCostSplit is EvaluateCost with the redundant-compute and
-// communication components reported separately (slice-exchange collective
-// cost counts as communication).
-func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCost float64, bytes int64) {
+// Charge prices d for worker with level-aware replica accounting: the
+// Decision's Closure is walked once, every replica w held at level k is
+// charged the vertex and edge work of levels 1..k exactly once, and a
+// communicated dependency the closure already holds costs nothing.
+// Tensor-parallel layers contribute their slice-exchange collective cost
+// instead (tpLayerCost).
+func (p *Planner) Charge(worker int, d *Decision) Charge {
 	L := p.numLayers()
-	owner := p.Part.Assign
-	isOwned := func(v int32) bool { return owner[v] == int32(worker) }
-	req := p.replicaLevels(worker, d)
+	held := ClosureOf(p.Graph, p.Part, worker, d)
+	ch := Charge{CommRows: make([]int64, L), ReplicaRows: make([]int64, L)}
 
 	// Replicated plans store their replica feature/activation rows compressed
 	// by the quantization factor; plans without replicated layers price at
@@ -48,38 +55,40 @@ func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCos
 	// Iterate replicas in sorted vertex order: map-range order would make the
 	// float sum — and with it the candidate argmin on near-ties — depend on
 	// the run, and the planner must be deterministic.
-	reps := make([]int32, 0, len(req))
-	for w := range req {
-		reps = append(reps, w)
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-	for _, w := range reps {
-		k := req[w]
+	for _, w := range held.At(0) {
+		k := held.Level(w)
 		deg := float64(p.Graph.InDegree(w))
+		ch.ReplicaRows[0]++
 		for j := 1; j <= k; j++ {
-			cacheCost += (p.Costs.Tv + deg*p.Costs.Te) * float64(p.Dims[j])
+			ch.CacheCost += (p.Costs.Tv + deg*p.Costs.Te) * float64(p.Dims[j])
+			ch.ReplicaRows[j]++
 		}
-		bytes += costmodel.RepReplicaBytes(p.Dims, k, p.Graph.InDegree(w), compression)
+		ch.Bytes += costmodel.RepReplicaBytes(p.Dims, k, p.Graph.InDegree(w), compression)
 	}
 	for l := 1; l <= L; l++ {
 		if d.TPAt(l) {
-			commCost += p.tpLayerCost(worker, l)
+			ch.CommCost += p.tpLayerCost(worker, l)
 			continue
 		}
+		if l == 1 {
+			continue // features are fetched once at setup, not per epoch
+		}
 		for _, u := range d.C[l-1] {
-			if isOwned(u) {
-				continue
-			}
-			if have, ok := req[u]; ok && have >= l-1 {
+			if held.Holds(u, l-1) {
 				continue // replicated anyway: nothing to fetch
 			}
-			if l == 1 {
-				continue // features are fetched once at setup, not per epoch
-			}
-			commCost += p.Costs.CommCost(p.Dims[l-1])
+			ch.CommCost += p.Costs.CommCost(p.Dims[l-1])
+			ch.CommRows[l-1]++
 		}
 	}
-	return cacheCost, commCost, bytes
+	return ch
+}
+
+// EvaluateCost returns the modeled per-epoch cost Charge prices d at for
+// worker, and the replica storage bytes.
+func (p *Planner) EvaluateCost(worker int, d *Decision) (cost float64, bytes int64) {
+	ch := p.Charge(worker, d)
+	return ch.CacheCost + ch.CommCost, ch.Bytes
 }
 
 // tpLayerCost returns the modeled slice-exchange cost of worker `worker`
@@ -94,49 +103,14 @@ func (p *Planner) tpLayerCost(worker, l int) float64 {
 	return p.Costs.TPCost(vol)
 }
 
-// replicaLevels computes the worker's replica requirement map for a decision:
-// req[w] is the highest representation level of non-owned vertex w that must
-// be locally computable, derived by closing the cached sets over self chains
-// and in-neighbor subtrees (the same expansion the execution plan performs).
-func (p *Planner) replicaLevels(worker int, d *Decision) map[int32]int {
-	L := p.numLayers()
-	owner := p.Part.Assign
-	isOwned := func(v int32) bool { return owner[v] == int32(worker) }
-	req := make(map[int32]int)
-	var mark func(v int32, lvl int)
-	mark = func(v int32, lvl int) {
-		if isOwned(v) || lvl < 0 {
-			return
-		}
-		if have, ok := req[v]; ok && have >= lvl {
-			return
-		}
-		req[v] = lvl
-		if lvl >= 1 {
-			for _, w := range p.Graph.InNeighbors(v) {
-				mark(w, lvl-1)
-			}
-		}
-	}
-	for l := 1; l <= L; l++ {
-		if d.TPAt(l) {
-			continue // TP layers carry no R set
-		}
-		for _, u := range d.R[l-1] {
-			mark(u, l-1)
-		}
-	}
-	return req
-}
-
-// repSetupCost prices the worker's one-time replica feature broadcast under
-// the configured compression — reported on the Decision, excluded from the
-// per-epoch argmin.
-func (p *Planner) repSetupCost(worker int, d *Decision) float64 {
+// repSetupCost prices the one-time feature broadcast of a plan's replicas
+// under the configured compression — reported on the Decision, excluded from
+// the per-epoch argmin.
+func (p *Planner) repSetupCost(d *Decision, replicas int64) float64 {
 	if d.NumRep() == 0 {
 		return 0
 	}
-	return p.Costs.RepSetupCost(len(p.replicaLevels(worker, d)), p.Dims[0], p.RepCompression)
+	return p.Costs.RepSetupCost(int(replicas), p.Dims[0], p.RepCompression)
 }
 
 // ExactDecision enumerates every per-layer cache/communicate assignment for

@@ -20,7 +20,6 @@ package hybrid
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 
 	"neutronstar/internal/costmodel"
@@ -141,7 +140,7 @@ const (
 	// compression factor, and no per-epoch dependency traffic remains.
 	ModeAllRep
 	// ModeHybrid4 widens the candidate family once more: everything
-	// ModeHybrid3 considers plus replicated layer suffixes, gated by
+	// ModeHybrid3 considers plus the replicated top layer, gated by
 	// RepBudget.
 	ModeHybrid4
 )
@@ -202,18 +201,24 @@ func repBudget(p *Planner) int64 { return p.RepBudget }
 // sound by construction and the candidate space linear in L. A TP layer's
 // input must be exactly the owned rows, which holds iff no layer at or above
 // it caches dependencies; the greedy prefix below t only replicates at levels
-// < t-1. Dependency traffic grows with depth (subtrees widen), so if
-// replicating layer l pays off, replicating l+1 pays off at least as much.
+// < t-1.
 //
-// Replicated candidates answer to RepBudget, not MemBudget: replica rows are
-// stored (re)quantized in their own store, so the full-precision cache budget
-// does not govern them.
+// The replicated family is one candidate, the suffix {L}. Every replicated
+// suffix replicates layer L, which caches the whole dependency set at level
+// L-1; the Closure of that already holds everything a lower layer could cache
+// or fetch, so for every t the closure, the recompute price, the zero
+// communication price and the bytes are the same (TestRepSuffixesShareOneClosure)
+// and the strict argmin below could only ever return the shallowest.
+//
+// The replicated candidate answers to RepBudget, not MemBudget: replica rows
+// are stored (re)quantized in their own store, so the full-precision cache
+// budget does not govern them.
 //
 // Tie rule (generalizing Algorithm 4 line 11's "tie falls to comm"): the
 // argmin takes a strictly cheaper candidate only, so on an exact tie the
 // order below decides — comm over greedy over cache over TP over rep, and
-// (suffixes come shallowest first) less tensor parallelism / replication over
-// more. In particular a fully replicated plan that ties with pure caching
+// (suffixes come shallowest first) less tensor parallelism over more. In
+// particular a fully replicated plan that ties with pure caching
 // (same sets, same recompute, zero traffic on both) loses to it: replication
 // must buy something — budget feasibility through compression — to be chosen.
 // With one worker every volume is zero, every candidate ties at zero cost,
@@ -252,33 +257,26 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	c.deps = make([][]int32, p.Part.NumParts)
 	c.perWorker(func(i int) { c.deps[i] = p.dependencies(i) })
 
-	type price struct {
-		cache, comm float64
-		bytes       int64
-	}
 	var best []*Decision
-	var bestPrices []price
+	var bestCharges []Charge
 	bestCost := 0.0
 	for _, fam := range modeTable[mode] {
 		limit := fam.budget(p)
 		for _, plan := range fam.gen(c) {
-			prices := make([]price, len(plan))
-			c.perWorker(func(w int) {
-				pr := &prices[w]
-				pr.cache, pr.comm, pr.bytes = p.evaluateCostSplit(w, plan[w])
-			})
+			charges := make([]Charge, len(plan))
+			c.perWorker(func(w int) { charges[w] = p.Charge(w, plan[w]) })
 			// Sum in worker order: the argmin must not depend on scheduling.
 			total := 0.0
 			feasible := true
-			for _, pr := range prices {
-				if limit > 0 && pr.bytes > limit {
+			for _, ch := range charges {
+				if limit > 0 && ch.Bytes > limit {
 					feasible = false
 					break
 				}
-				total += pr.cache + pr.comm
+				total += ch.CacheCost + ch.CommCost
 			}
 			if feasible && (best == nil || total < bestCost) {
-				best, bestPrices, bestCost = plan, prices, total
+				best, bestCharges, bestCost = plan, charges, total
 			}
 		}
 	}
@@ -287,9 +285,10 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 		return nil, fmt.Errorf("hybrid: no feasible plan under budget %d", p.MemBudget)
 	}
 	for w, d := range best {
-		d.CacheBytes = bestPrices[w].bytes
-		d.EstCacheCost, d.EstCommCost = bestPrices[w].cache, bestPrices[w].comm
-		d.EstSetupCost = p.repSetupCost(w, d)
+		ch := bestCharges[w]
+		d.CacheBytes = ch.Bytes
+		d.EstCacheCost, d.EstCommCost = ch.CacheCost, ch.CommCost
+		d.EstSetupCost = p.repSetupCost(d, ch.ReplicaRows[0])
 	}
 	return best, nil
 }
@@ -387,11 +386,11 @@ func (c *candidates) suffix(t int, rep bool) []*Decision {
 	return plan
 }
 
-// suffixes lists the suffix plans shallowest first.
-func (c *candidates) suffixes(rep bool) [][]*Decision {
+// tpSuffixes lists the tensor-parallel suffix plans shallowest first.
+func (c *candidates) tpSuffixes() [][]*Decision {
 	var out [][]*Decision
 	for t := c.p.numLayers(); t >= 1; t-- {
-		out = append(out, c.suffix(t, rep))
+		out = append(out, c.suffix(t, false))
 	}
 	return out
 }
@@ -399,15 +398,14 @@ func (c *candidates) suffixes(rep bool) [][]*Decision {
 func (c *candidates) allTP() [][]*Decision  { return [][]*Decision{c.suffix(1, false)} }
 func (c *candidates) allRep() [][]*Decision { return [][]*Decision{c.suffix(1, true)} }
 
-func (c *candidates) tpSuffixes() [][]*Decision { return c.suffixes(false) }
-
-// repSuffixes is empty under RepBudget = 0: the family is removed and
-// ModeHybrid4 degenerates to ModeHybrid3 exactly.
+// repSuffixes is the one replicated candidate (see competing). It is empty
+// under RepBudget = 0: the family is removed and ModeHybrid4 degenerates to
+// ModeHybrid3 exactly.
 func (c *candidates) repSuffixes() [][]*Decision {
 	if c.p.RepBudget == 0 {
 		return nil
 	}
-	return c.suffixes(true)
+	return [][]*Decision{c.suffix(c.p.numLayers(), true)}
 }
 
 // dependencies returns worker i's remote dependency set D_i: the distinct
@@ -421,7 +419,7 @@ func (p *Planner) dependencies(i int) []int32 {
 			}
 		}
 	}
-	return sortedSet(seen)
+	return graph.SortedKeys(seen)
 }
 
 // depItem is a priority-queue entry ⟨u, t_r^l(u)⟩.
@@ -448,31 +446,21 @@ func (h *depHeap) Pop() interface{} {
 // replaced by a per-layer quota (cache the `ratio` fraction with the
 // smallest t_r), which is how Figure 11 forces intermediate mixes.
 //
-// V_rep is level-aware: repLevel[v] = k records that h^(k)_v (and therefore
-// v's whole subtree below level k) is already locally computable, so later
-// dependencies whose subtrees overlap are charged only for the levels not
-// yet replicated. Level 0 means "features cached" — free compute, memory
-// only — which is why layer-1 dependencies always measure zero.
+// V_rep is the worker's Closure, grown as dependencies are cached: it records
+// that h^(k)_v (and therefore v's whole subtree below level k) is already
+// locally computable, so later dependencies whose subtrees overlap are
+// charged only for the levels not yet held. Level 0 means "features cached" —
+// free compute, memory only — which is why layer-1 dependencies always
+// measure zero.
 //
 // greedy fills only d.R and d.C; its running byte count exists to enforce
 // MemBudget, and the reported costs come from the evaluator like every plan's.
 func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 	L := p.numLayers()
-	repLevel := make(map[int32]int) // vertex -> highest locally computable rep level
-	owner := p.Part.Assign
-	isOwned := func(v int32) bool { return owner[v] == int32(worker) }
-	avail := func(v int32, lvl int) bool {
-		if isOwned(v) {
-			return true
-		}
-		if lvl == 0 {
-			// Feature replicas are fetched once at setup; they never cost
-			// per-epoch compute.
-			return true
-		}
-		have, ok := repLevel[v]
-		return ok && have >= lvl
-	}
+	vrep := NewClosure(p.Graph, p.Part, worker)
+	// Feature replicas are fetched once at setup; they never cost per-epoch
+	// compute.
+	avail := func(v int32, lvl int) bool { return lvl == 0 || vrep.Holds(v, lvl) }
 
 	// measure computes t_r^l(u): the redundant compute to produce h^(l-1)_u
 	// locally, excluding already-available sub-results.
@@ -507,44 +495,13 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 		return t
 	}
 
-	// addToVRep replicates u's subtree for a layer-l use and returns the
-	// newly charged storage bytes.
-	addToVRep := func(u int32, l int) int64 {
-		var bytes int64
-		type qent struct {
-			v   int32
-			lvl int
+	// The greedy budgets at full float32 width (compression 1), where the
+	// price is integer arithmetic and differences of it are exact.
+	stored := func(v int32, lvl int) int64 {
+		if lvl < 0 {
+			return 0
 		}
-		queue := []qent{{v: u, lvl: l - 1}}
-		for len(queue) > 0 {
-			e := queue[0]
-			queue = queue[1:]
-			if isOwned(e.v) {
-				continue
-			}
-			have, seen := repLevel[e.v]
-			if seen && have >= e.lvl {
-				continue
-			}
-			// Charge storage for the newly replicated levels.
-			from := 0
-			if seen {
-				from = have + 1
-			}
-			for k := from; k <= e.lvl; k++ {
-				bytes += int64(4 * p.Dims[k])
-			}
-			if !seen {
-				bytes += int64(8 * p.Graph.InDegree(e.v)) // edge index storage
-			}
-			repLevel[e.v] = e.lvl
-			if e.lvl >= 1 {
-				for _, w := range p.Graph.InNeighbors(e.v) {
-					queue = append(queue, qent{v: w, lvl: e.lvl - 1})
-				}
-			}
-		}
-		return bytes
+		return costmodel.RepReplicaBytes(p.Dims, lvl, p.Graph.InDegree(v), 1)
 	}
 
 	var cacheBytes int64
@@ -572,7 +529,10 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 			if !take {
 				continue
 			}
-			bytes := addToVRep(item.u, l)
+			var bytes int64
+			for _, r := range vrep.Add(item.u, l-1) {
+				bytes += stored(r.V, r.To) - stored(r.V, r.From)
+			}
 			if p.MemBudget > 0 && cacheBytes+bytes > p.MemBudget {
 				// Line 14-15: memory exceeded — drop u and stop caching.
 				overBudget = true
@@ -581,7 +541,7 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 			cacheBytes += bytes
 			cached[item.u] = struct{}{}
 		}
-		d.R[l-1] = sortedSet(cached)
+		d.R[l-1] = graph.SortedKeys(cached)
 		d.C[l-1] = subtract(deps, cached)
 		if overBudget {
 			// Remaining layers communicate everything.
@@ -592,15 +552,6 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 			return
 		}
 	}
-}
-
-func sortedSet(m map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func subtract(all []int32, drop map[int32]struct{}) []int32 {

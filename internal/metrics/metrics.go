@@ -62,7 +62,6 @@ type Collector struct {
 
 	bytesSent atomic.Int64
 	bytesRecv atomic.Int64
-	msgsSent  atomic.Int64
 	// recvStamps records (offset, bytes) pairs for network-rate series,
 	// stamped on the tracer's clock so spans and rate curves align.
 	recvMu     sync.Mutex
@@ -116,7 +115,6 @@ func (c *Collector) AddSent(n int64) {
 		return
 	}
 	c.bytesSent.Add(n)
-	c.msgsSent.Add(1)
 }
 
 // AddReceived records n payload bytes arriving, stamped for rate series.
@@ -145,14 +143,6 @@ func (c *Collector) BytesReceived() int64 {
 		return 0
 	}
 	return c.bytesRecv.Load()
-}
-
-// MessagesSent returns the number of messages sent.
-func (c *Collector) MessagesSent() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.msgsSent.Load()
 }
 
 // kindOf maps a span to its Kind, or false for structural / foreign spans.

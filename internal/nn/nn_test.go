@@ -245,7 +245,7 @@ func TestSGDStep(t *testing.T) {
 	p := NewParam("w", tensor.FromRows([][]float32{{1, 2}}))
 	p.Grad.Set(0, 0, 0.5)
 	p.Grad.Set(0, 1, -0.5)
-	NewSGD(0.1).Step([]*Param{p})
+	(&SGD{LR: 0.1}).Step([]*Param{p})
 	if math.Abs(float64(p.Value.At(0, 0))-0.95) > 1e-6 ||
 		math.Abs(float64(p.Value.At(0, 1))-2.05) > 1e-6 {
 		t.Fatalf("sgd result %v", p.Value)
@@ -473,7 +473,7 @@ func TestSchedulers(t *testing.T) {
 }
 
 func TestSetLR(t *testing.T) {
-	sgd := NewSGD(0.1)
+	sgd := &SGD{LR: 0.1}
 	SetLR(sgd, 0.01)
 	if sgd.LR != 0.01 {
 		t.Fatal("SetLR on SGD failed")

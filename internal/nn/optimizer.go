@@ -21,9 +21,6 @@ type SGD struct {
 	WeightDecay float32
 }
 
-// NewSGD returns an SGD optimiser with the given learning rate.
-func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
-
 // Step applies p.Value -= lr * (p.Grad + wd * p.Value) to every parameter.
 func (o *SGD) Step(params []*Param) {
 	for _, p := range params {

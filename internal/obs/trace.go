@@ -177,16 +177,6 @@ func (t *Tracer) Start(worker, class int, name string, attrs ...Attr) *Span {
 	return &Span{tr: t, worker: worker, class: class, name: name, from: t.Now(), attrs: attrs}
 }
 
-// Child opens a sub-span on the same worker timeline. (The Chrome trace
-// format nests events by time containment within a worker row, so no
-// explicit parent link is recorded.)
-func (s *Span) Child(class int, name string, attrs ...Attr) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.Start(s.worker, class, name, attrs...)
-}
-
 // End closes the span and records it.
 func (s *Span) End() {
 	if s == nil {

@@ -15,7 +15,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
-	sp.Child(0, "child").End()
 	sp.End()
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer recorded %d spans", len(got))
@@ -32,8 +31,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestSpanNestingAndAttrs(t *testing.T) {
 	tr := NewTracer()
 	epoch := tr.Start(1, ClassNone, "epoch", Int("epoch", 3), String("mode", "hybrid"))
-	layer := epoch.Child(ClassNone, "layer[1]", Int("layer", 1))
-	op := layer.Child(0, "gather_dep_nbr", Int64("bytes", 4096))
+	layer := tr.Start(1, ClassNone, "layer[1]", Int("layer", 1))
+	op := tr.Start(1, 0, "gather_dep_nbr", Int64("bytes", 4096))
 	op.End()
 	layer.End()
 	epoch.End()

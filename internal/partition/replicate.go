@@ -12,7 +12,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"neutronstar/internal/graph"
 )
@@ -98,7 +97,7 @@ func BuildReplicas(g *graph.Graph, p *Partition, levels int) *ReplicaPlan {
 		}
 		cur := deps
 		for k := levels - 1; k >= 0; k-- {
-			rp.Sets[i][k] = sortedKeys(cur)
+			rp.Sets[i][k] = graph.SortedKeys(cur)
 			if k == 0 {
 				break
 			}
@@ -243,13 +242,4 @@ func f16to32(h uint16) float32 {
 	default:
 		return math.Float32frombits(sign | (exp-15+127)<<23 | mant<<13)
 	}
-}
-
-func sortedKeys(m map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

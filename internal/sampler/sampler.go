@@ -42,8 +42,8 @@ func (b *Block) NumEdges() int { return len(b.SrcIdx) }
 //
 // rng is mutated on every draw and must not be shared across goroutines: a
 // training loop hands its epoch RNG in, a concurrent serving path must give
-// each request its own (see SampleSeeded). Two calls with identically seeded
-// RNGs and equal inputs produce identical blocks.
+// each request its own, seeded from the request id. Two calls with
+// identically seeded RNGs and equal inputs produce identical blocks.
 func Sample(g *graph.Graph, seeds []int32, fanouts []int, rng *tensor.RNG) []*Block {
 	L := len(fanouts)
 	blocks := make([]*Block, L)
@@ -66,7 +66,7 @@ func Sample(g *graph.Graph, seeds []int32, fanouts []int, rng *tensor.RNG) []*Bl
 				edges = append(edges, edge{src: u, dst: int32(di)})
 			}
 		}
-		b.Srcs = sortedKeys(srcSet)
+		b.Srcs = graph.SortedKeys(srcSet)
 		srcPos := make(map[int32]int32, len(b.Srcs))
 		for i, u := range b.Srcs {
 			srcPos[u] = int32(i)
@@ -88,14 +88,6 @@ func Sample(g *graph.Graph, seeds []int32, fanouts []int, rng *tensor.RNG) []*Bl
 		frontier = b.Srcs
 	}
 	return blocks
-}
-
-// SampleSeeded is Sample with a private RNG seeded from seed: the race-free
-// form for concurrent callers. An online serving path derives seed from the
-// request id, making every inductive query individually reproducible no
-// matter how requests interleave.
-func SampleSeeded(g *graph.Graph, seeds []int32, fanouts []int, seed uint64) []*Block {
-	return Sample(g, seeds, fanouts, tensor.NewRNG(seed))
 }
 
 // Pick samples up to fanout elements of nbrs without replacement using a
@@ -129,24 +121,7 @@ func dedupSorted(in []int32) []int32 {
 	for _, v := range in {
 		set[v] = struct{}{}
 	}
-	return sortedKeys(set)
-}
-
-func sortedKeys(m map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && out[j] > v {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = v
-	}
-	return out
+	return graph.SortedKeys(set)
 }
 
 // BatchIterator yields shuffled mini-batches of vertex ids each epoch.

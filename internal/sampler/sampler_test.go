@@ -188,7 +188,7 @@ func TestSampleSeededConcurrent(t *testing.T) {
 
 	want := make([][]*Block, 8)
 	for s := range want {
-		want[s] = SampleSeeded(g, seeds, fanouts, uint64(s+1))
+		want[s] = Sample(g, seeds, fanouts, tensor.NewRNG(uint64(s+1)))
 	}
 
 	var wg sync.WaitGroup
@@ -197,7 +197,7 @@ func TestSampleSeededConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				got := SampleSeeded(g, seeds, fanouts, uint64(s+1))
+				got := Sample(g, seeds, fanouts, tensor.NewRNG(uint64(s+1)))
 				for l := range got {
 					if !equalInt32(got[l].Srcs, want[s][l].Srcs) ||
 						!equalInt32(got[l].SrcIdx, want[s][l].SrcIdx) ||

@@ -99,16 +99,8 @@ func gemmRows(dst, a, b *Tensor, lo, hi int) {
 	}
 }
 
-// MatMulTA returns aᵀ @ b, computed without materialising aᵀ.
-// a is KxM, b is KxN, result is MxN. This is the shape of weight gradients.
-func MatMulTA(a, b *Tensor) *Tensor {
-	out := New(a.cols, b.cols)
-	MatMulTAInto(out, a, b)
-	return out
-}
-
-// MatMulTAInto computes dst = aᵀ @ b without materialising aᵀ. dst must have
-// shape a.cols x b.cols and must not alias a or b.
+// MatMulTAInto computes dst = aᵀ @ b without materialising aᵀ: a is KxM, b is
+// KxN, dst MxN — the shape of weight gradients. dst must not alias a or b.
 func MatMulTAInto(dst, a, b *Tensor) {
 	if a.rows != b.rows || dst.rows != a.cols || dst.cols != b.cols {
 		panic(fmt.Sprintf("tensor: MatMulTAInto %dx%d = (%dx%d)ᵀ @ %dx%d",
@@ -169,16 +161,8 @@ func axpySkipZero(dr []float32, av float32, br []float32) {
 	}
 }
 
-// MatMulTB returns a @ bᵀ, computed without materialising bᵀ.
-// a is MxK, b is NxK, result is MxN. This is the shape of input gradients.
-func MatMulTB(a, b *Tensor) *Tensor {
-	out := New(a.rows, b.rows)
-	MatMulTBInto(out, a, b)
-	return out
-}
-
-// MatMulTBInto computes dst = a @ bᵀ without materialising bᵀ. dst must have
-// shape a.rows x b.rows and must not alias a or b.
+// MatMulTBInto computes dst = a @ bᵀ without materialising bᵀ: a is MxK, b is
+// NxK, dst MxN — the shape of input gradients. dst must not alias a or b.
 func MatMulTBInto(dst, a, b *Tensor) {
 	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMulTBInto %dx%d = %dx%d @ (%dx%d)ᵀ",

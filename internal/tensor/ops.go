@@ -93,16 +93,9 @@ func AddRowVector(t *Tensor, v *Tensor) {
 	}
 }
 
-// SumRows returns the 1xC column-wise sum of t (the gradient of a broadcast
-// row-vector add).
-func SumRows(t *Tensor) *Tensor {
-	out := New(1, t.cols)
-	SumRowsInto(out, t)
-	return out
-}
-
-// SumRowsInto stores the 1xC column-wise sum of t into dst, which must have
-// shape 1 x t.Cols() and must not alias t.
+// SumRowsInto stores the 1xC column-wise sum of t (the gradient of a
+// broadcast row-vector add) into dst, which must have shape 1 x t.Cols() and
+// must not alias t.
 func SumRowsInto(dst, t *Tensor) {
 	if dst.rows != 1 || dst.cols != t.cols {
 		panic(fmt.Sprintf("tensor: SumRowsInto %dx%d from %dx%d", dst.rows, dst.cols, t.rows, t.cols))

@@ -152,7 +152,8 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	if !m.Equal(FromRows([][]float32{{11, 22}, {13, 24}})) {
 		t.Fatalf("AddRowVector = %v", m)
 	}
-	s := SumRows(m)
+	s := New(1, 2)
+	SumRowsInto(s, m)
 	if !s.Equal(FromRows([][]float32{{24, 46}})) {
 		t.Fatalf("SumRows = %v", s)
 	}
@@ -288,7 +289,8 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 	rng := NewRNG(4)
 	a := RandNormal(31, 17, 0, 1, rng)
 	b := RandNormal(31, 23, 0, 1, rng)
-	got := MatMulTA(a, b)
+	got := New(a.Cols(), b.Cols())
+	MatMulTAInto(got, a, b)
 	want := MatMul(a.Transpose(), b)
 	if !got.AllClose(want, 1e-3) {
 		t.Fatalf("MatMulTA mismatch, maxdiff %v", got.MaxAbsDiff(want))
@@ -405,7 +407,9 @@ func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
 			a := RandNormal(K, M, 0, 1, rng)
 			b := RandNormal(K, N, 0, 1, rng)
 			plantSpecials(variant, a, b, rng)
-			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), MatMulTA(a, b), scalarMatMulTA(a, b))
+			got := New(a.Cols(), b.Cols())
+			MatMulTAInto(got, a, b)
+			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTA(a, b))
 		}
 	}
 }
@@ -414,7 +418,8 @@ func TestMatMulTBMatchesMatMulTranspose(t *testing.T) {
 	rng := NewRNG(6)
 	a := RandNormal(19, 29, 0, 1, rng)
 	b := RandNormal(37, 29, 0, 1, rng)
-	got := MatMulTB(a, b)
+	got := New(a.Rows(), b.Rows())
+	MatMulTBInto(got, a, b)
 	want := MatMul(a, b.Transpose())
 	if !got.AllClose(want, 1e-3) {
 		t.Fatalf("MatMulTB mismatch, maxdiff %v", got.MaxAbsDiff(want))
@@ -573,10 +578,11 @@ func BenchmarkMatMulTA256(b *testing.B) {
 	rng := NewRNG(1)
 	x := RandNormal(256, 256, 0, 1, rng)
 	y := RandNormal(256, 256, 0, 1, rng)
+	out := New(256, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTA(x, y)
+		MatMulTAInto(out, x, y)
 	}
 }
 
@@ -646,8 +652,9 @@ func TestStringForms(t *testing.T) {
 
 func TestSumRowsOfEmpty(t *testing.T) {
 	m := New(0, 3)
-	s := SumRows(m)
-	if s.Rows() != 1 || s.Cols() != 3 || Norm(s) != 0 {
+	s := FromRows([][]float32{{7, 7, 7}})
+	SumRowsInto(s, m)
+	if Norm(s) != 0 {
 		t.Fatal("SumRows of empty wrong")
 	}
 }
