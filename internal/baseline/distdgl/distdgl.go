@@ -331,7 +331,8 @@ func (w *worker) fetchFeatures(step int, frontier []int32, coll *metrics.Collect
 	return out
 }
 
-// allReduce synchronises gradients across workers with the ring collective.
+// allReduce synchronises gradients across workers with the engine's own
+// collective, so the baseline and NeutronStar pay the same gradient sync.
 func (w *worker) allReduce(step int) {
 	params := w.model.Params()
 	total := 0
@@ -345,7 +346,7 @@ func (w *worker) allReduce(step int) {
 		off += p.Grad.Len()
 	}
 	stop := w.tr.opts.Collector.Track(w.id, metrics.Comm)
-	comm.RingAllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf, w.tr.opts.Collector)
+	comm.AllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf)
 	stop()
 	off = 0
 	for _, p := range params {

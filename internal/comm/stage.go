@@ -28,8 +28,8 @@ func StageOfMsg(msg *Message, recv bool) (obs.Stage, int) {
 		// Mirror-gradient exchange: one stage covers both directions.
 		return obs.StageMirrorScatter, msg.Layer
 	case KindAllReduce:
-		// The all-reduce ring and the parameter server reuse Layer as a
-		// step/phase tag, so their traffic always lands in layer cell 0.
+		// The ring collective and the parameter server reuse Layer as a
+		// step/phase tag, so gradient-sync traffic always lands in layer cell 0.
 		return obs.StageGradSync, 0
 	case KindSlice:
 		// Tensor-parallel collectives: Seq 0 (slice-scatter / block

@@ -15,7 +15,7 @@ import (
 // directed link, and a reader goroutine per socket delivering into the same
 // tagged mailboxes the channel fabric uses. It exists to demonstrate that
 // nothing in the engines depends on shared memory — the entire protocol
-// (master–mirror exchange, ring all-reduce, parameter server) serialises
+// (master–mirror exchange, gradient all-reduce, parameter server) serialises
 // cleanly — and to measure real codec + kernel-socket costs.
 //
 // Pacing: the NetworkProfile still applies on the egress side (loopback TCP

@@ -6,10 +6,10 @@ import (
 	"neutronstar/internal/obs"
 )
 
-// allReduceGrads sums every parameter gradient across workers with a ring
-// all-reduce (the AllReduceUpdate of Fig. 6). Every worker finishes with
-// bit-identical summed gradients, which keeps the model replicas in exact
-// sync after the deterministic optimiser step.
+// allReduceGrads sums every parameter gradient across workers with one
+// all-reduce exchange (the AllReduceUpdate of Fig. 6). Every worker finishes
+// with bit-identical summed gradients, which keeps the model replicas in
+// exact sync after the deterministic optimiser step.
 func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
 	total := 0
 	for _, p := range params {
@@ -27,7 +27,7 @@ func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
 		copy(buf[off:], p.Grad.Data())
 		off += p.Grad.Len()
 	}
-	comm.RingAllReduce(ws.eng.fabric, ws.id, m, epoch, buf, ws.eng.opts.Collector)
+	comm.AllReduce(ws.eng.fabric, ws.id, m, epoch, buf)
 	off = 0
 	for _, p := range params {
 		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])

@@ -82,7 +82,7 @@ func BenchmarkEpochBroadcast(b *testing.B) {
 		Profile: comm.ProfileECS, Broadcast: true})
 }
 
-// Parameter synchronisation: ring all-reduce vs parameter server.
+// Parameter synchronisation: all-reduce exchange vs parameter server.
 func BenchmarkEpochAllReduce(b *testing.B) {
 	benchEpochs(b, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 1,
 		Profile: comm.ProfileECS})

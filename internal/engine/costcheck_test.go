@@ -101,8 +101,9 @@ func TestCostReportZeroResidualsWhenModelExact(t *testing.T) {
 			t.Fatalf("layer %d residuals not ~0: compute %g comm %g",
 				lr.Layer, lr.ComputeResidual, lr.CommResidual)
 		}
-		if lr.RecvRows == 0 {
-			t.Fatalf("layer %d: DepComm plan has no recv rows", lr.Layer)
+		// Layer 1's rows are held, not fetched: nothing to predict there.
+		if (lr.RecvRows == 0) != (lr.Layer == 1) {
+			t.Fatalf("layer %d: DepComm plan fetches %d rows per epoch", lr.Layer, lr.RecvRows)
 		}
 	}
 	if rel := math.Abs(cr.Fitted.Tc-pinnedCosts.Tc) / pinnedCosts.Tc; rel > 1e-9 {
@@ -150,7 +151,8 @@ func TestCostReportTcOffByTenFlipsDecisions(t *testing.T) {
 
 // TestLayerWorkCounts pins the validator's work counts on the ring: every
 // vertex is computed once per layer with exactly one in-edge, and each
-// worker fetches its single boundary dependency.
+// worker fetches its single boundary dependency — above layer 1, where it
+// holds that dependency's feature row instead.
 func TestLayerWorkCounts(t *testing.T) {
 	eng := ringEngine(t)
 	works := eng.layerWorks()
@@ -164,8 +166,8 @@ func TestLayerWorkCounts(t *testing.T) {
 		if w.edgeOps != 40 {
 			t.Fatalf("layer %d edgeOps = %d, want 40", l+1, w.edgeOps)
 		}
-		if w.recvRows != 2 {
-			t.Fatalf("layer %d recvRows = %d, want 2 (one boundary dep per worker)", l+1, w.recvRows)
+		if want := int64(2 * min(l, 1)); w.recvRows != want {
+			t.Fatalf("layer %d recvRows = %d, want %d (one boundary dep per worker, held at layer 1)", l+1, w.recvRows, want)
 		}
 	}
 }

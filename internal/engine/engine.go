@@ -129,7 +129,7 @@ type Options struct {
 	LockFree bool
 	// Overlap enables communication/computation overlapping ("P").
 	Overlap bool
-	// ParamServer replaces the ring all-reduce with a parameter-server
+	// ParamServer replaces the gradient all-reduce with a parameter-server
 	// update: workers push gradients to worker 0, which applies the
 	// optimiser once and broadcasts fresh parameters (the alternative the
 	// paper notes the All-Reduce model can be swapped for, §4.1).
@@ -428,11 +428,12 @@ func (e *Engine) NumWorkers() int { return e.opts.Workers }
 // Decisions exposes the per-worker dependency decisions (for reporting).
 func (e *Engine) Decisions() []*hybrid.Decision { return e.decs }
 
-// CacheBytes returns the total replica storage across workers.
+// CacheBytes returns the total storage of remote vertices' rows across
+// workers: replicas, and the layer-1 rows held instead of fetched.
 func (e *Engine) CacheBytes() int64 {
 	var b int64
 	for _, p := range e.plans {
-		b += p.cacheBytes
+		b += p.cacheBytes + p.heldBytes
 	}
 	return b
 }

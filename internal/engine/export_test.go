@@ -9,12 +9,37 @@ func (e *Engine) Charge(w int) hybrid.Charge {
 }
 
 // PlanRows returns worker w's per-layer execution-plan counts: the dependency
-// rows layer l fetches every epoch (index l-1) and the destinations of the
-// cached block layer l recomputes.
-func (e *Engine) PlanRows(w int) (recvRows, cachedDsts []int64) {
+// rows layer l fetches every epoch (index l-1), the rows it holds since
+// construction instead, and the destinations of the cached block it
+// recomputes.
+func (e *Engine) PlanRows(w int) (recvRows, heldRows, cachedDsts []int64) {
 	for _, lp := range e.plans[w].layers {
+		held := 0
+		for _, verts := range lp.held {
+			held += len(verts)
+		}
 		recvRows = append(recvRows, lp.work.recvRows)
+		heldRows = append(heldRows, int64(held))
 		cachedDsts = append(cachedDsts, int64(lp.cached.numDst()))
 	}
-	return recvRows, cachedDsts
+	return recvRows, heldRows, cachedDsts
+}
+
+// Layer1CommSet returns the size of worker w's layer-1 communicated set: the
+// dependencies its Decision communicates at layer 1 and its closure does not
+// hold anyway (none under a tensor-parallel layer 1, which has no per-vertex
+// exchange).
+func (e *Engine) Layer1CommSet(w int) int64 {
+	dec := e.decs[w]
+	if dec.TPAt(1) {
+		return 0
+	}
+	held := hybrid.ClosureOf(e.ds.Graph, e.part, w, dec)
+	var n int64
+	for _, u := range dec.C[0] {
+		if !held.Holds(u, 0) {
+			n++
+		}
+	}
+	return n
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Message phase tags for the parameter-server exchange, carried in the
-// Layer field (a PS round replaces the ring all-reduce entirely, so the
+// Layer field (a PS round replaces the all-reduce exchange entirely, so the
 // tags cannot collide with it).
 const (
 	psPhaseGrad  = 1 // worker -> server: flattened gradients

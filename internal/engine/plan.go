@@ -63,7 +63,8 @@ type layerWork struct {
 	// vertexOps / edgeOps are the destination rows and edges computed (owned
 	// plus redundantly recomputed cached blocks).
 	vertexOps, edgeOps int64
-	// recvRows is the number of dependency rows fetched over the network.
+	// recvRows is the number of dependency rows fetched over the network
+	// every epoch; rows held since construction are not among them.
 	recvRows int64
 	// recvElems is the tensor-parallel slice-exchange volume (elements, not
 	// rows: TP messages are column slices of varying width).
@@ -81,7 +82,13 @@ type layerPlan struct {
 	// recv[j] lists vertices received from peer j this layer (ascending);
 	// empty for j == self and peers with nothing to send.
 	recv [][]int32
-	// recvOffset[j] is the starting HAll row of peer j's chunk.
+	// held[j] lists peer j's vertices (ascending) whose rows this layer reads
+	// from the block its dataflow bound at construction instead of the wire.
+	// A master–mirror layer's communicated dependencies are one or the other:
+	// held at layer 1, whose input rows are static features, received above it.
+	held [][]int32
+	// recvOffset[j] is the starting HAll row of peer j's chunk, received or
+	// held.
 	recvOffset []int32
 	// send[j] lists owned vertices whose rows are sent to peer j.
 	send [][]int32
@@ -93,7 +100,7 @@ type layerPlan struct {
 	// numPrevRows = |owned| + |cachedCompute[l-1]|: the rows carried over
 	// from the previous layer's output (or the feature assembly for l=1).
 	numPrevRows int
-	// numHAllRows = numPrevRows + total received rows.
+	// numHAllRows = numPrevRows + total received or held rows.
 	numHAllRows int
 	// ownedGroups re-expresses the owned block's edges grouped by source
 	// region for chunk-pipelined aggregation.
@@ -115,6 +122,11 @@ type workerPlan struct {
 	// cacheBytes is the replica storage implied by cachedCompute (for
 	// reporting against the Decision estimate).
 	cacheBytes int64
+	// heldBytes is the storage of layer 1's held rows. It is reported with
+	// cacheBytes but never charged to MemBudget: no decision the planner can
+	// take avoids holding a worker's own layer-1 inputs, exactly as the
+	// tensor-parallel feature slices are unbudgeted.
+	heldBytes int64
 }
 
 // buildPlans derives all workers' execution plans from the dependency
@@ -245,20 +257,28 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			}
 			recvByPeer[o][u] = struct{}{}
 		}
-		lp.recv = make([][]int32, part.NumParts)
+		chunks := make([][]int32, part.NumParts)
 		lp.recvOffset = make([]int32, part.NumParts)
 		off := int32(lp.numPrevRows)
 		for j := 0; j < part.NumParts; j++ {
-			lp.recv[j] = graph.SortedKeys(recvByPeer[j])
+			chunks[j] = graph.SortedKeys(recvByPeer[j])
 			lp.recvOffset[j] = off
-			off += int32(len(lp.recv[j]))
+			off += int32(len(chunks[j]))
 		}
 		lp.numHAllRows = int(off)
+		// Static inputs move once: layer 1 reads features, which never change,
+		// so its chunks are held from construction and its wire lists stay
+		// empty — nothing is sent, awaited or posted back for them.
+		none := make([][]int32, part.NumParts)
+		lp.recv, lp.held = chunks, none
+		if l == 1 {
+			lp.recv, lp.held = none, chunks
+		}
 
 		// Row resolver for edge sources in HAll.
 		recvIndex := make(map[int32]int32)
 		for j := 0; j < part.NumParts; j++ {
-			for r, v := range lp.recv[j] {
+			for r, v := range chunks[j] {
 				recvIndex[v] = lp.recvOffset[j] + int32(r)
 			}
 		}
@@ -288,25 +308,30 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		if err != nil {
 			return nil, err
 		}
-		lp.ownedGroups = buildChunkGroups(lp, part.NumParts)
-		lp.flow = masterMirror{}
+		lp.ownedGroups = buildChunkGroups(lp, chunks)
+		lp.flow = &masterMirror{}
 		lp.work = layerWork{
 			vertexOps: int64(lp.owned.numDst() + lp.cached.numDst()),
 			edgeOps:   int64(len(lp.owned.srcRow) + len(lp.cached.srcRow)),
-			recvRows:  int64(lp.numHAllRows - lp.numPrevRows),
+		}
+		for j := range chunks {
+			lp.work.recvRows += int64(len(lp.recv[j]))
+			p.heldBytes += int64(len(lp.held[j])) * int64(4*dims[l-1])
 		}
 	}
 	return p, nil
 }
 
-// buildChunkGroups splits the owned block's edges by source region.
-func buildChunkGroups(lp *layerPlan, numPeers int) []chunkGroup {
+// buildChunkGroups splits the owned block's edges by source region: the local
+// prev rows, or peer j's chunk of len(chunks[j]) rows at recvOffset[j].
+func buildChunkGroups(lp *layerPlan, chunks [][]int32) []chunkGroup {
+	numPeers := len(chunks)
 	local := chunkGroup{peer: -1}
 	byPeer := make(map[int]*chunkGroup)
 	peerOf := func(row int32) int {
 		for j := numPeers - 1; j >= 0; j-- {
-			if len(lp.recv[j]) > 0 && row >= lp.recvOffset[j] {
-				if row < lp.recvOffset[j]+int32(len(lp.recv[j])) {
+			if len(chunks[j]) > 0 && row >= lp.recvOffset[j] {
+				if row < lp.recvOffset[j]+int32(len(chunks[j])) {
 					return j
 				}
 			}

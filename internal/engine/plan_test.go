@@ -31,9 +31,9 @@ func TestChunkGroupsPartitionOwnedEdges(t *testing.T) {
 							if int(sr) >= lp.numPrevRows {
 								t.Fatalf("%s: local group row %d >= %d", mode, sr, lp.numPrevRows)
 							}
-						} else if int(sr) >= len(lp.recv[g.peer]) {
+						} else if chunk := len(lp.recv[g.peer]) + len(lp.held[g.peer]); int(sr) >= chunk {
 							t.Fatalf("%s: peer %d group row %d >= chunk %d",
-								mode, g.peer, sr, len(lp.recv[g.peer]))
+								mode, g.peer, sr, chunk)
 						}
 						if int(g.dstRow[k]) >= lp.owned.numDst() {
 							t.Fatalf("%s: dst row out of block", mode)
@@ -63,8 +63,8 @@ func TestChunkGroupsPartitionOwnedEdges(t *testing.T) {
 	}
 }
 
-// Every peer with a non-empty recv list must have (at most) one chunk group,
-// and peers without recv entries must have none.
+// Every peer with a non-empty recv or held list must have (at most) one chunk
+// group, and peers with neither must have none.
 func TestChunkGroupsMatchRecvLists(t *testing.T) {
 	ds := testDataset(t, 200, 6, 47)
 	e, err := NewEngine(ds, Options{Workers: 3, Mode: DepComm, Model: nn.GCN, Seed: 5,
@@ -82,8 +82,8 @@ func TestChunkGroupsMatchRecvLists(t *testing.T) {
 					t.Fatalf("duplicate group for peer %d", g.peer)
 				}
 				seen[g.peer] = true
-				if g.peer >= 0 && len(lp.recv[g.peer]) == 0 {
-					t.Fatalf("group for peer %d with empty recv list", g.peer)
+				if g.peer >= 0 && len(lp.recv[g.peer])+len(lp.held[g.peer]) == 0 {
+					t.Fatalf("group for peer %d with empty recv and held lists", g.peer)
 				}
 			}
 			if !seen[-1] {

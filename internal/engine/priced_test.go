@@ -13,24 +13,29 @@ import (
 )
 
 // pricedMatchesPlan checks, for one engine, that what the planner priced is
-// what the execution plan holds: per worker and per layer l >= 2 the rows
-// charged CommCost are the rows the layer fetches, and at every level the
-// replicas charged recompute are the destinations of the layer's cached
-// block. It returns the layer-1 rows the plans fetch in total — the price's
-// documented exception, which charges none of them.
-func pricedMatchesPlan(eng *engine.Engine, L int) (layer1Rows int64, err error) {
+// what the execution plan holds: per worker and per layer the rows charged
+// CommCost are the rows the layer fetches every epoch — none at layer 1
+// (Charge never charges it), whose communicated set is held from
+// construction instead — and at every
+// level the replicas charged recompute are the destinations of the layer's
+// cached block. It returns the layer-1 rows the plans hold in total.
+func pricedMatchesPlan(eng *engine.Engine, L int) (layer1Held int64, err error) {
 	for w := 0; w < eng.NumWorkers(); w++ {
 		ch := eng.Charge(w)
-		recvRows, cachedDsts := eng.PlanRows(w)
-		if ch.CommRows[0] != 0 {
-			return 0, fmt.Errorf("worker %d: layer 1 is charged %d rows; feature rows are priced at setup", w, ch.CommRows[0])
-		}
-		layer1Rows += recvRows[0]
-		for l := 2; l <= L; l++ {
+		recvRows, heldRows, cachedDsts := eng.PlanRows(w)
+		for l := 1; l <= L; l++ {
 			if ch.CommRows[l-1] != recvRows[l-1] {
 				return 0, fmt.Errorf("worker %d layer %d: %d rows charged CommCost, plan fetches %d", w, l, ch.CommRows[l-1], recvRows[l-1])
 			}
+			want := int64(0)
+			if l == 1 {
+				want = eng.Layer1CommSet(w)
+			}
+			if heldRows[l-1] != want {
+				return 0, fmt.Errorf("worker %d layer %d: plan holds %d rows, want %d", w, l, heldRows[l-1], want)
+			}
 		}
+		layer1Held += heldRows[0]
 		// Level k is computed by layer k; nothing consumes a replica's h^(L).
 		for k := 1; k < L; k++ {
 			if ch.ReplicaRows[k] != cachedDsts[k-1] {
@@ -41,7 +46,7 @@ func pricedMatchesPlan(eng *engine.Engine, L int) (layer1Rows int64, err error) 
 			return 0, fmt.Errorf("worker %d: top layer recomputes %d replicas nothing consumes", w, cachedDsts[L-1])
 		}
 	}
-	return layer1Rows, nil
+	return layer1Held, nil
 }
 
 // TestPricedCountsMatchPlan: the plan that runs is read from the walk that
@@ -89,10 +94,8 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		t.Fatal(cex)
 	}
 
-	// The documented exception, at the benchmark's size: DepComm fetches its
-	// feature rows at layer 1 every epoch, and Charge prices them at zero
-	// ("features are fetched once at setup"). Logged, not asserted: repricing
-	// layer 1 moves the Hybrid3/4 argmin (ROADMAP item 3).
+	// At the benchmark's size: DepComm holds its layer-1 communicated set and
+	// fetches only layer 2's rows every epoch, which is what Charge prices.
 	ds := dataset.Load(dataset.Spec{
 		Name: "bench-rmat", Gen: dataset.GenRMAT, Vertices: 7000, AvgDegree: 18, Skew: 0.45,
 		FeatureDim: 64, HiddenDim: 32, NumClasses: 16, Seed: 11,
@@ -104,7 +107,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	layer1, err := pricedMatchesPlan(eng, 2)
+	layer1Held, err := pricedMatchesPlan(eng, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +115,11 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	for w := 0; w < eng.NumWorkers(); w++ {
 		layer2 += eng.Charge(w).CommRows[1]
 	}
-	t.Logf("layer-1 exception (bench-rmat, 4 workers, DepComm): the plan fetches %d feature rows of width 64 at layer 1 and %d rows of width 32 at layer 2 per epoch; the price charges 0 and %d",
-		layer1, layer2, layer2)
+	if layer1Held != 6981 || layer2 != 6981 {
+		t.Fatalf("bench-rmat, 4 workers, DepComm: %d rows held at layer 1, %d rows charged at layer 2; want 6981 each",
+			layer1Held, layer2)
+	}
+	if got, want := eng.CacheBytes(), int64(6981*64*4); got != want {
+		t.Fatalf("CacheBytes = %d, want %d (the held rows at 4·d⁰ B each)", got, want)
+	}
 }

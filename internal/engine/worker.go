@@ -50,10 +50,11 @@ type workerState struct {
 type layerRun struct {
 	tape  *autograd.Tape
 	hPrev *autograd.Variable // leaf: previous layer's output (prev-layout)
-	hRecv *autograd.Variable // leaf: received mirror rows (nil if none)
+	hRecv *autograd.Variable // leaf: received mirror rows (nil if none, or held)
 	out   *autograd.Variable // this layer's output (owned ++ cached layout)
 	// chunkLeaves holds per-peer received leaves when the layer ran through
-	// the chunk-pipelined path (hRecv is nil then).
+	// the chunk-pipelined path (hRecv is nil then). Held chunks are not among
+	// them: nothing is posted back for static rows.
 	chunkLeaves []chunkLeaf
 	// tp holds the tensor-parallel tape state when the layer ran a DepTP
 	// dataflow (hRecv and chunkLeaves are nil then).
@@ -66,8 +67,10 @@ type layerRun struct {
 // chooses it when it builds the layer.
 type dataflow interface {
 	// bindFeatures assembles whatever static layer-1 input the dataflow reads
-	// besides ws.feat. Called once, at worker construction, on layer 1's
-	// dataflow only — deeper layers' inputs arrive every epoch.
+	// besides ws.feat, straight from the dataset — the stand-in for the
+	// one-time fetch, so there is no set-up exchange and nothing to re-fetch
+	// on Restore or under faults. Called once, at worker construction, on
+	// layer 1's dataflow only — deeper layers' inputs arrive every epoch.
 	bindFeatures(ws *workerState)
 	// forward executes layer l on prevVal, the previous layer's output (ws.feat
 	// for l = 1), keeping the tape state the backward sweep needs.
@@ -82,10 +85,35 @@ type dataflow interface {
 // compute the cached block, receive mirror rows, compute the owned block;
 // backward, post mirror gradients to their masters. All of its plan lives on
 // the layerPlan itself.
-type masterMirror struct{}
+type masterMirror struct {
+	// held is the layer's held chunks as one block: HAll rows numPrevRows and
+	// up, so peer j's chunk is the len(held[j]) rows from recvOffset[j] on
+	// (nil when the layer holds nothing).
+	held *tensor.Tensor
+}
 
-// bindFeatures: ws.feat — owned ++ cached features — is the whole input.
-func (masterMirror) bindFeatures(*workerState) {}
+// bindFeatures copies the feature rows of layer 1's held chunks beside
+// ws.feat, the owned ++ cached features.
+func (f *masterMirror) bindFeatures(ws *workerState) {
+	lp := &ws.plan.layers[0]
+	if lp.numHAllRows == lp.numPrevRows {
+		return
+	}
+	feats := ws.eng.ds.Features
+	f.held = tensor.New(lp.numHAllRows-lp.numPrevRows, feats.Cols())
+	for j, verts := range lp.held {
+		chunk := f.heldChunk(lp, j)
+		for r, v := range verts {
+			copy(chunk.Row(r), feats.Row(int(v)))
+		}
+	}
+}
+
+// heldChunk returns peer j's held chunk as a view of the held block.
+func (f *masterMirror) heldChunk(lp *layerPlan, j int) *tensor.Tensor {
+	base := int(lp.recvOffset[j]) - lp.numPrevRows
+	return f.held.RowSlice(base, base+len(lp.held[j]))
+}
 
 // chunkLeaf is one peer's received chunk as a tape leaf.
 type chunkLeaf struct {
@@ -249,7 +277,7 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, traini
 	return ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, training)
 }
 
-func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
+func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
@@ -276,7 +304,7 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 	// received chunk's edge stage runs as the chunk arrives, so compute on
 	// chunk k overlaps delivery of chunk k+1.
 	if sd, ok := layer.(nn.SumDecomposable); ok && ws.eng.opts.Overlap && !ws.eng.opts.Broadcast {
-		run := ws.forwardLayerChunked(epoch, l, prevVal, training, sd, tape)
+		run := f.forwardLayerChunked(ws, epoch, l, prevVal, training, sd, tape)
 		<-sendDone
 		return run
 	}
@@ -303,46 +331,26 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 		outCached = ws.runBlock(tape, layer, &lp.cached, zPrev, zPrev, training)
 	}
 
-	// Receive mirror chunks; assemble the received row block.
+	// The rows of other workers: the held block as it stands, or mirror chunks
+	// received and assembled into one block. Only received rows take a
+	// gradient — they have masters to post it to.
 	var hRecv *autograd.Variable
 	zAll := zPrev
-	numRecv := lp.numHAllRows - lp.numPrevRows
-	if numRecv > 0 {
-		depCacheMisses.Add(float64(numRecv))
-		sc.Phase(obs.StageDepFetchRecv, l, "gather_dep_nbr",
-			obs.Int("layer", l), obs.Int("rows", numRecv))
-		recvBytes := 0
-		recvVal := ws.alloc(training, numRecv, layer.InDim())
-		for _, j := range ws.peerOrder() {
-			verts := lp.recv[j]
-			if len(verts) == 0 {
-				continue
-			}
-			base := int(lp.recvOffset[j]) - lp.numPrevRows
-			if ws.eng.opts.Broadcast {
-				msg := ws.mb.Wait(comm.KindBlock, epoch, l, 0, j)
-				recvBytes += msg.WireBytes()
-				for r, v := range verts {
-					idx := searchVertex(msg.Vertices, v)
-					copy(recvVal.Row(base+r), msg.Rows.Row(idx))
-				}
-				continue
-			}
-			msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-			recvBytes += msg.WireBytes()
-			for r := range verts {
-				copy(recvVal.Row(base+r), msg.Rows.Row(r))
-			}
+	if lp.numHAllRows > lp.numPrevRows {
+		var hRest *autograd.Variable
+		if f.held != nil {
+			sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+			hRest = tape.Leaf(f.held, false, "h_held")
+		} else {
+			hRecv = ws.recvReps(tape, epoch, l, training)
+			hRest = hRecv
 		}
-		sc.SetAttrs(obs.Int("bytes", recvBytes))
-		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
-		hRecv = tape.Leaf(recvVal, true, "h_recv")
-		zRecv := hRecv
+		zRest := hRest
 		if hasPT {
 			sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-			zRecv = pt.PreTransform(tape, hRecv, training, ws.rng)
+			zRest = pt.PreTransform(tape, hRest, training, ws.rng)
 		}
-		zAll = tape.ConcatRows(zPrev, zRecv)
+		zAll = tape.ConcatRows(zPrev, zRest)
 	}
 
 	// Owned block: sources may live anywhere in zAll.
@@ -356,6 +364,43 @@ func (masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tenso
 
 	<-sendDone
 	return layerRun{tape: tape, hPrev: hPrev, hRecv: hRecv, out: out}
+}
+
+// recvReps waits for every peer's mirror chunk of layer l and assembles them
+// into one leaf, HAll rows numPrevRows and up.
+func (ws *workerState) recvReps(tape *autograd.Tape, epoch, l int, training bool) *autograd.Variable {
+	lp := &ws.plan.layers[l-1]
+	sc := ws.clock
+	numRecv := lp.numHAllRows - lp.numPrevRows
+	depCacheMisses.Add(float64(numRecv))
+	sc.Phase(obs.StageDepFetchRecv, l, "gather_dep_nbr",
+		obs.Int("layer", l), obs.Int("rows", numRecv))
+	recvBytes := 0
+	recvVal := ws.alloc(training, numRecv, ws.model.Layers[l-1].InDim())
+	for _, j := range ws.peerOrder() {
+		verts := lp.recv[j]
+		if len(verts) == 0 {
+			continue
+		}
+		base := int(lp.recvOffset[j]) - lp.numPrevRows
+		if ws.eng.opts.Broadcast {
+			msg := ws.mb.Wait(comm.KindBlock, epoch, l, 0, j)
+			recvBytes += msg.WireBytes()
+			for r, v := range verts {
+				idx := searchVertex(msg.Vertices, v)
+				copy(recvVal.Row(base+r), msg.Rows.Row(idx))
+			}
+			continue
+		}
+		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
+		recvBytes += msg.WireBytes()
+		for r := range verts {
+			copy(recvVal.Row(base+r), msg.Rows.Row(r))
+		}
+	}
+	sc.SetAttrs(obs.Int("bytes", recvBytes))
+	sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+	return tape.Leaf(recvVal, true, "h_recv")
 }
 
 // runForward executes a forward-only (inference) pass and returns the owned
@@ -382,7 +427,7 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 // block's edges are processed per source region (local first, then each
 // peer's chunk in arrival schedule order), partial aggregations are summed,
 // and the vertex stage runs once at the end.
-func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
+func (f *masterMirror) forwardLayerChunked(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 	training bool, sd nn.SumDecomposable, tape *autograd.Tape) layerRun {
 
 	lp := &ws.plan.layers[l-1]
@@ -421,22 +466,27 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 	var leaves []chunkLeaf
 	for _, j := range ws.peerOrder() {
 		g := groupFor[j]
-		verts := lp.recv[j]
-		if len(verts) == 0 {
-			continue
+		var leaf *autograd.Variable
+		switch {
+		case len(lp.held[j]) > 0:
+			sc.Phase(obs.StageForward, l, "edge_stage",
+				obs.Int("layer", l), obs.Int("peer", j))
+			leaf = tape.Leaf(f.heldChunk(lp, j), false, "h_held")
+		case len(lp.recv[j]) > 0:
+			verts := lp.recv[j]
+			depCacheMisses.Add(float64(len(verts)))
+			sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
+				obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
+			msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
+			sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+			// The chunk's edge stage, from wrapping it as a leaf on; empty when
+			// the chunk was received for availability but no owned edge uses it.
+			sc.Phase(obs.StageForward, l, "edge_stage",
+				obs.Int("layer", l), obs.Int("peer", j))
+			leaf = tape.Leaf(msg.Rows, true, "h_chunk")
+			leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
 		}
-		depCacheMisses.Add(float64(len(verts)))
-		sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
-			obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
-		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-		// The chunk's edge stage, from wrapping it as a leaf on; empty when
-		// the chunk was received for availability but no owned edge uses it.
-		sc.Phase(obs.StageForward, l, "edge_stage",
-			obs.Int("layer", l), obs.Int("peer", j))
-		leaf := tape.Leaf(msg.Rows, true, "h_chunk")
-		leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
-		if g == nil {
+		if leaf == nil || g == nil {
 			continue
 		}
 		partials = append(partials,
@@ -576,13 +626,13 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 
 // backward runs layer l's tape backward, then posts mirror gradients back to
 // their masters (PostToDepNbr).
-func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
+func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
 	ws.seedBackward(epoch, l, runs)
 	// Post mirror gradients of chunk-pipelined leaves (one message per peer
-	// chunk) — except layer 1, whose inputs are static features.
-	if len(run.chunkLeaves) > 0 && l > 1 {
+	// chunk).
+	if len(run.chunkLeaves) > 0 {
 		ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
 		for _, cl := range run.chunkLeaves {
 			verts := lp.recv[cl.peer]
@@ -596,9 +646,8 @@ func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 			})
 		}
 	}
-	// Post mirror gradients of this layer's received rows to their masters
-	// — except layer 1, whose inputs are static features.
-	if run.hRecv != nil && l > 1 {
+	// Post mirror gradients of this layer's received rows to their masters.
+	if run.hRecv != nil {
 		grad := run.hRecv.Grad
 		if grad == nil {
 			grad = ws.alloc(true, run.hRecv.Value.Rows(), run.hRecv.Value.Cols())
@@ -636,13 +685,9 @@ func (masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 
 // receiveMirrorGrads waits for the gradient chunks of the masters this
 // worker sent at layer l and accumulates them into seed's owned rows.
-// Layer-1 sends carry features and produce no gradients. Waiting on mirror
-// gradients is scatter-side time of the layer that sent the mirrors; the
-// caller's next phase returns the clock to backward compute.
+// Waiting on mirror gradients is scatter-side time of the layer that sent the
+// mirrors; the caller's next phase returns the clock to backward compute.
 func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
-	if l <= 1 {
-		return
-	}
 	lp := &ws.plan.layers[l-1]
 	ownedPos := ws.plan.prevIndex[l-1]
 	for _, j := range ws.peerOrder() {

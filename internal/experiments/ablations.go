@@ -9,7 +9,7 @@ import (
 // Ablations isolates each engine mechanism on one workload (GCN on the
 // given graph, ECS profile): ring vs naive send order, lock-free vs locked
 // enqueue, chunk-pipelined overlap on/off, source-specific chunks vs
-// ROC-style whole-block broadcast, and ring all-reduce vs parameter server.
+// ROC-style whole-block broadcast, and gradient all-reduce vs parameter server.
 // These complement Figure 9 (which stacks R/L/P cumulatively) by toggling
 // one mechanism at a time.
 func Ablations(sc Scale, graphName string) []Row {

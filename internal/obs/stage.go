@@ -51,8 +51,8 @@ const (
 	// StageMirrorScatter covers mirror-gradient exchange in the backward pass
 	// (PostToDepNbr), both posting and waiting.
 	StageMirrorScatter
-	// StageGradSync is parameter-gradient synchronisation: ring all-reduce or
-	// parameter-server exchange, plus clipping and the optimiser step.
+	// StageGradSync is parameter-gradient synchronisation: the all-reduce or
+	// the parameter-server exchange, plus clipping and the optimiser step.
 	StageGradSync
 	// StageBarrier is the per-worker idle tail between a worker's own finish
 	// and the slowest worker's finish — the epoch-synchronous straggler cost.

@@ -9,7 +9,7 @@
 // The "cluster" is simulated in-process: workers are goroutine groups that
 // communicate exclusively through a message fabric with configurable
 // bandwidth and latency, so the distributed algorithms — master–mirror
-// exchange, ring scheduling, overlap, ring all-reduce — run for real, on one
+// exchange, ring scheduling, overlap, gradient all-reduce — run for real, on one
 // machine. All tensor math is genuine float32 computation; training
 // converges and accuracy numbers are meaningful.
 //
