@@ -6,10 +6,12 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// MatMul returns a @ b on the tape.
+// MatMul returns a @ b on the tape. The product and the weight gradient
+// accumulate into tensors t.alloc has just handed out zeroed, so neither is
+// cleared a second time (MatMulTBInto overwrites and never cleared).
 func (t *Tape) MatMul(a, b *Variable) *Variable {
 	out := t.alloc(a.Value.Rows(), b.Value.Cols())
-	tensor.MatMulInto(out, a.Value, b.Value)
+	tensor.MatMulAddInto(out, a.Value, b.Value)
 	return t.record(out, "matmul", func(grad *tensor.Tensor) {
 		if a.requiresGrad {
 			ga := t.alloc(grad.Rows(), b.Value.Rows())
@@ -18,7 +20,7 @@ func (t *Tape) MatMul(a, b *Variable) *Variable {
 		}
 		if b.requiresGrad {
 			gb := t.alloc(a.Value.Cols(), grad.Cols())
-			tensor.MatMulTAInto(gb, a.Value, grad) // dB = Aᵀ @ dOut
+			tensor.MatMulTAAddInto(gb, a.Value, grad) // dB = Aᵀ @ dOut
 			b.accumulate(gb)
 		}
 	}, a, b)

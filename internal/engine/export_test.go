@@ -25,6 +25,19 @@ func (e *Engine) PlanRows(w int) (recvRows, heldRows, cachedDsts []int64) {
 	return recvRows, heldRows, cachedDsts
 }
 
+// PlanEdges returns worker w's per-layer edge counts (index l-1): the edges
+// the layer's work report says every epoch walks, the edges of its owned and
+// cached blocks, and the cached block's share of those — what Planner.Charge
+// prices Te on at level l.
+func (e *Engine) PlanEdges(w int) (walked, planned, cached []int64) {
+	for _, lp := range e.plans[w].layers {
+		walked = append(walked, lp.work.edgeOps)
+		planned = append(planned, int64(len(lp.owned.srcRow)+len(lp.cached.srcRow)))
+		cached = append(cached, int64(len(lp.cached.srcRow)))
+	}
+	return walked, planned, cached
+}
+
 // Layer1CommSet returns the size of worker w's layer-1 communicated set: the
 // dependencies its Decision communicates at layer 1 and its closure does not
 // hold anyway (none under a tensor-parallel layer 1, which has no per-vertex

@@ -60,8 +60,10 @@ type chunkGroup struct {
 // layerWork is the modeled work of one layer of one worker — the quantities
 // Eq. 1–3 charge, counted exactly from the plan for the cost-model validator.
 type layerWork struct {
-	// vertexOps / edgeOps are the destination rows and edges computed (owned
-	// plus redundantly recomputed cached blocks).
+	// vertexOps / edgeOps are the destination rows computed and the edges
+	// walked every epoch (owned plus redundantly recomputed cached blocks).
+	// Edges a boundCombine layer walked once, at construction, are not among
+	// them — as rows held since construction are not among recvRows.
 	vertexOps, edgeOps int64
 	// recvRows is the number of dependency rows fetched over the network
 	// every epoch; rows held since construction are not among them.
@@ -103,8 +105,11 @@ type layerPlan struct {
 	// numHAllRows = numPrevRows + total received or held rows.
 	numHAllRows int
 	// ownedGroups re-expresses the owned block's edges grouped by source
-	// region for chunk-pipelined aggregation.
+	// region for chunk-pipelined aggregation: the local group first, then one
+	// per peer with a used chunk. groupOf[j] is peer j's (nil when no owned
+	// edge reads its chunk).
 	ownedGroups []chunkGroup
+	groupOf     []*chunkGroup
 }
 
 // workerPlan is the full static execution plan of one worker.
@@ -130,10 +135,12 @@ type workerPlan struct {
 }
 
 // buildPlans derives all workers' execution plans from the dependency
-// decisions. dims is d^(0)..d^(L); sliceTP selects the tensor-parallel
-// dataflow (column-sliced aggregation vs. full-width assemble) for any
-// TP layers in the decisions.
-func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decision, dims []int, sliceTP bool) ([]*workerPlan, error) {
+// decisions. dims is d^(0)..d^(L); sumDecomposable says the model's layers
+// are nn.SumDecomposable (nn.SliceSeparable names the same kinds): a
+// master–mirror layer 1 then binds its Combine output at construction
+// (boundCombine), and any TP layers in the decisions run the column-sliced
+// dataflow instead of the full-width assemble.
+func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decision, dims []int, sumDecomposable bool) ([]*workerPlan, error) {
 	m := part.NumParts
 	L := len(dims) - 1
 	if len(decs) != m {
@@ -151,7 +158,7 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 	for _, d := range decs {
 		if d.NumTP() > 0 {
 			var err error
-			if shared, err = buildTPShared(g, part, sliceTP, selfNormAll); err != nil {
+			if shared, err = buildTPShared(g, part, sumDecomposable, selfNormAll); err != nil {
 				return nil, err
 			}
 			break
@@ -160,7 +167,7 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 
 	plans := make([]*workerPlan, m)
 	for i := 0; i < m; i++ {
-		p, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared)
+		p, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared, sumDecomposable)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +192,7 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 
 // buildWorkerPlan derives worker i's plan from its dependency decision.
 func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Decision,
-	dims []int, i int, selfNormAll []float32, shared *tpShared) (*workerPlan, error) {
+	dims []int, i int, selfNormAll []float32, shared *tpShared, sumDecomposable bool) (*workerPlan, error) {
 
 	L := len(dims) - 1
 	owned := part.Parts[i]
@@ -308,11 +315,18 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		if err != nil {
 			return nil, err
 		}
-		lp.ownedGroups = buildChunkGroups(lp, chunks)
+		lp.ownedGroups, lp.groupOf = buildChunkGroups(lp, chunks)
 		lp.flow = &masterMirror{}
 		lp.work = layerWork{
 			vertexOps: int64(lp.owned.numDst() + lp.cached.numDst()),
 			edgeOps:   int64(len(lp.owned.srcRow) + len(lp.cached.srcRow)),
+		}
+		// Static inputs combine once: everything a sum-decomposable layer 1
+		// does before its first parameter reads only features and this plan,
+		// so its dataflow walks the edges at construction and no epoch does.
+		if l == 1 && sumDecomposable {
+			lp.flow = &boundCombine{}
+			lp.work.edgeOps = 0
 		}
 		for j := range chunks {
 			lp.work.recvRows += int64(len(lp.recv[j]))
@@ -323,8 +337,9 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 }
 
 // buildChunkGroups splits the owned block's edges by source region: the local
-// prev rows, or peer j's chunk of len(chunks[j]) rows at recvOffset[j].
-func buildChunkGroups(lp *layerPlan, chunks [][]int32) []chunkGroup {
+// prev rows, or peer j's chunk of len(chunks[j]) rows at recvOffset[j]. It
+// returns the groups, local first, and the per-peer index into them.
+func buildChunkGroups(lp *layerPlan, chunks [][]int32) ([]chunkGroup, []*chunkGroup) {
 	numPeers := len(chunks)
 	local := chunkGroup{peer: -1}
 	byPeer := make(map[int]*chunkGroup)
@@ -361,7 +376,11 @@ func buildChunkGroups(lp *layerPlan, chunks [][]int32) []chunkGroup {
 			groups = append(groups, *gp)
 		}
 	}
-	return groups
+	groupOf := make([]*chunkGroup, numPeers)
+	for gi := 1; gi < len(groups); gi++ {
+		groupOf[groups[gi].peer] = &groups[gi]
+	}
+	return groups, groupOf
 }
 
 // cachedComputeAt returns the cached set for level k, where level L is

@@ -18,11 +18,27 @@ import (
 // (Charge never charges it), whose communicated set is held from
 // construction instead — and at every
 // level the replicas charged recompute are the destinations of the layer's
-// cached block. It returns the layer-1 rows the plans hold in total.
-func pricedMatchesPlan(eng *engine.Engine, L int) (layer1Held int64, err error) {
+// cached block. The work report counts what every epoch does: a master–mirror
+// layer walks its blocks' edges, except a sum-decomposable layer 1, which
+// walked them once at construction (bound says the model is one). It returns
+// the layer-1 rows the plans hold in total.
+func pricedMatchesPlan(eng *engine.Engine, L int, bound bool) (layer1Held int64, err error) {
 	for w := 0; w < eng.NumWorkers(); w++ {
 		ch := eng.Charge(w)
 		recvRows, heldRows, cachedDsts := eng.PlanRows(w)
+		walked, planned, _ := eng.PlanEdges(w)
+		for l := 1; l <= L; l++ {
+			want := planned[l-1]
+			if eng.Decisions()[w].TPAt(l) {
+				continue // pro-rated by column slice, pinned in the TP tests
+			}
+			if l == 1 && bound {
+				want = 0
+			}
+			if walked[l-1] != want {
+				return 0, fmt.Errorf("worker %d layer %d: work report walks %d edges an epoch, plan %d", w, l, walked[l-1], want)
+			}
+		}
 		for l := 1; l <= L; l++ {
 			if ch.CommRows[l-1] != recvRows[l-1] {
 				return 0, fmt.Errorf("worker %d layer %d: %d rows charged CommCost, plan fetches %d", w, l, ch.CommRows[l-1], recvRows[l-1])
@@ -78,7 +94,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 						variants[i/len(regimes)](&opts)
 						eng, err := engine.NewEngine(ds, opts)
 						if err == nil {
-							_, err = pricedMatchesPlan(eng, L)
+							_, err = pricedMatchesPlan(eng, L, nn.SliceSeparable(kind))
 							eng.Close()
 						}
 						if err != nil {
@@ -107,7 +123,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	layer1Held, err := pricedMatchesPlan(eng, 2)
+	layer1Held, err := pricedMatchesPlan(eng, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,4 +138,25 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	if got, want := eng.CacheBytes(), int64(6981*64*4); got != want {
 		t.Fatalf("CacheBytes = %d, want %d (the held rows at 4·d⁰ B each)", got, want)
 	}
+
+	// The price does not know yet: Charge still charges every level-1 replica
+	// its in-edges at Te, work a bound layer 1 no longer does (ROADMAP 3a).
+	cache, err := engine.NewEngine(ds, engine.Options{
+		Workers: 4, Mode: engine.DepCache, Model: nn.GCN, Layers: 2, Costs: regimes[1], Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	if _, err := pricedMatchesPlan(cache, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	var gap, cacheCost float64
+	for w := 0; w < cache.NumWorkers(); w++ {
+		_, _, cached := cache.PlanEdges(w)
+		gap += float64(cached[0]) * regimes[1].Te * 32
+		cacheCost += cache.Charge(w).CacheCost
+	}
+	t.Logf("bench-rmat, 4 workers, DepCache GCN: level-1 Te charged for bound edges is %.3g s of %.3g s CacheCost (%.0f %%)",
+		gap, cacheCost, 100*gap/cacheCost)
 }

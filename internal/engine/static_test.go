@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,7 +12,30 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
+	"neutronstar/internal/partition"
+	"neutronstar/internal/tensor"
 )
+
+// tapeLog collects every tape an engine's workers create.
+type tapeLog struct {
+	mu    sync.Mutex
+	tapes []*autograd.Tape
+}
+
+func (l *tapeLog) attach(e *Engine) {
+	e.tapeHook = func(tp *autograd.Tape) {
+		l.mu.Lock()
+		l.tapes = append(l.tapes, tp)
+		l.mu.Unlock()
+	}
+}
+
+// staticVariants are the three master–mirror forward configurations.
+var staticVariants = map[string]func(*Options){
+	"blocks":    func(*Options) {},
+	"overlap":   func(o *Options) { o.Overlap, o.Ring = true, true },
+	"broadcast": func(o *Options) { o.Broadcast = true },
+}
 
 // layer1Spy counts the representation messages that carry layer 1.
 type layer1Spy struct {
@@ -31,18 +57,14 @@ func (s *layer1Spy) Send(msg *comm.Message) {
 // at construction. On both master–mirror forward paths and under whole-block
 // broadcast, a training epoch and an inference pass send no layer-1
 // representation message, the flight record attributes no dependency fetch
-// to layer 1, the held leaves take no gradient, and the logits still match
-// the single-machine forward.
+// to layer 1, the held leaves (GAT) or the bound blocks that absorbed them
+// (GCN) take no gradient, and the logits still match the single-machine
+// forward.
 func TestStaticLayer1MovesOnce(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
-	variants := map[string]func(*Options){
-		"blocks":    func(*Options) {},
-		"overlap":   func(o *Options) { o.Overlap, o.Ring = true, true },
-		"broadcast": func(o *Options) { o.Broadcast = true },
-	}
 	for _, mode := range []Mode{DepComm, Hybrid} {
 		for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
-			for name, variant := range variants {
+			for name, variant := range staticVariants {
 				t.Run(fmt.Sprintf("%s/%s/%s", mode, kind, name), func(t *testing.T) {
 					rec := obs.NewFlightRecorder()
 					// A forced half-and-half split leaves Hybrid a layer-1
@@ -57,13 +79,8 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 					defer e.Close()
 					spy := &layer1Spy{Network: e.fabric}
 					e.fabric = spy
-					var mu sync.Mutex
-					var tapes []*autograd.Tape
-					e.tapeHook = func(tp *autograd.Tape) {
-						mu.Lock()
-						tapes = append(tapes, tp)
-						mu.Unlock()
-					}
+					var log tapeLog
+					log.attach(e)
 
 					e.Train(1)
 					last, _ := rec.Last()
@@ -73,15 +90,32 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 							t.Fatalf("layer 1 cell %+v: nothing is fetched there", c)
 						}
 					}
+					// A sum-decomposable layer 1 folded its held rows into the
+					// bound blocks at construction; the others read them
+					// through a leaf every epoch.
+					static, heldRows := "h_held", 0
+					if nn.SliceSeparable(kind) {
+						static = "combined"
+					}
+					for _, p := range e.plans {
+						for _, verts := range p.layers[0].held {
+							heldRows += len(verts)
+						}
+					}
+					if heldRows == 0 {
+						t.Fatal("the configuration communicates nothing at layer 1")
+					}
 					held := 0
-					for _, tp := range tapes {
+					for _, tp := range log.tapes {
 						for _, v := range tp.Nodes() {
 							switch v.Name() {
-							case "h_held":
+							case static:
 								held++
 								if v.Grad != nil {
-									t.Fatalf("held leaf of %d rows took a gradient", v.Value.Rows())
+									t.Fatalf("%s leaf of %d rows took a gradient", static, v.Value.Rows())
 								}
+							case "h_held", "combined":
+								t.Fatalf("%s leaf on a %s tape", v.Name(), kind)
 							case "h_recv", "h_chunk":
 								if v.Value.Cols() == ds.Spec.FeatureDim {
 									t.Fatalf("%s leaf carries feature rows", v.Name())
@@ -90,7 +124,7 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 						}
 					}
 					if held == 0 {
-						t.Fatal("no held leaf on any tape: the configuration communicates nothing at layer 1")
+						t.Fatalf("no %s leaf on any tape", static)
 					}
 
 					got := e.Predict()
@@ -101,6 +135,167 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 						t.Fatalf("%d layer-1 representation messages sent", spy.reps)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestStaticCombineBindsOnce: a sum-decomposable layer 1 combines its static
+// input at construction. Over every master–mirror policy × {GCN, GIN} × the
+// three forward configurations × exact and fp16 replicas, three epochs and an
+// inference pass record no edge-stage or Combine op on a layer-1 tape and
+// read the very tensors bindFeatures left, the logits match the
+// single-machine forward, and a run killed after two epochs resumes to the
+// uninterrupted loss bits — there is nothing bound to restore.
+func TestStaticCombineBindsOnce(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	const epochs, workers = 3, 4
+	for _, mode := range []Mode{DepCache, DepComm, Hybrid, DepRep} {
+		for _, kind := range []nn.ModelKind{nn.GCN, nn.GIN} {
+			for name, variant := range staticVariants {
+				for _, quant := range []partition.RepQuant{partition.RepQuantOff, partition.RepQuantFP16} {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", mode, kind, name, quant), func(t *testing.T) {
+						// The forced half-and-half split is Hybrid's; the
+						// pure policies ignore it.
+						opts := Options{Workers: workers, Mode: mode, Model: kind, Seed: 44,
+							ForceRatio: true, CacheRatio: 0.5, RepQuant: quant}
+						variant(&opts)
+						e, err := NewEngine(ds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer e.Close()
+						bound := map[*tensor.Tensor]*float32{}
+						for _, ws := range e.states {
+							f := ws.plan.layers[0].flow.(*boundCombine)
+							if ws.feat != nil {
+								t.Fatalf("worker %d keeps its feature block beside the bound one", ws.id)
+							}
+							if ws.plan.layers[0].work.edgeOps != 0 {
+								t.Fatalf("worker %d reports %d layer-1 edges walked per epoch", ws.id, ws.plan.layers[0].work.edgeOps)
+							}
+							for _, b := range []*tensor.Tensor{f.owned, f.cached} {
+								if b != nil && b.Len() > 0 {
+									bound[b] = &b.Data()[0]
+								}
+							}
+						}
+						var log tapeLog
+						log.attach(e)
+
+						var losses []float64
+						for _, st := range e.Train(epochs) {
+							losses = append(losses, st.Loss)
+						}
+						got := e.Predict()
+
+						layer1 := 0
+						for _, tp := range log.tapes {
+							isLayer1 := false
+							for _, v := range tp.Nodes() {
+								isLayer1 = isLayer1 || v.Value.Cols() == ds.Spec.FeatureDim
+							}
+							if !isLayer1 {
+								continue
+							}
+							layer1++
+							for _, v := range tp.Nodes() {
+								switch v.Name() {
+								case "aggregate", "gather", "mul_colvec", "scale", "h_prev", "h_held":
+									t.Fatalf("layer-1 tape holds a %s node", v.Name())
+								case "combined":
+									if data, ok := bound[v.Value]; !ok || (v.Value.Len() > 0 && data != &v.Value.Data()[0]) {
+										t.Fatal("a layer-1 tape reads a block other than the ones bound at construction")
+									}
+								default:
+									if v.Value.Cols() == ds.Spec.FeatureDim {
+										t.Fatalf("layer-1 tape holds a feature-wide %s node", v.Name())
+									}
+								}
+							}
+						}
+						if want := workers * (epochs + 1); layer1 != want {
+							t.Fatalf("%d layer-1 tapes, want %d", layer1, want)
+						}
+
+						// Quantized replicas move the logits by the format's
+						// rounding (partition.RequantizeErrorBound per feature).
+						tol := 1e-3
+						if quant != partition.RepQuantOff && mode == DepRep {
+							tol = 5e-2
+						}
+						if want := ReferenceForward(ds.Graph, e.Model(), ds.Features); !got.AllClose(want, tol) {
+							t.Fatalf("distributed predict deviates, maxdiff %v", got.MaxAbsDiff(want))
+						}
+
+						first, err := NewEngine(ds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						first.Train(epochs - 1)
+						snap := first.Snapshot()
+						first.Close() // the "crash"
+						second, err := NewEngine(ds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer second.Close()
+						if err := second.Restore(snap); err != nil {
+							t.Fatal(err)
+						}
+						if st := second.RunEpoch(); math.Float64bits(st.Loss) != math.Float64bits(losses[epochs-1]) {
+							t.Fatalf("resumed epoch %d loss %.17g, uninterrupted %.17g", st.Epoch, st.Loss, losses[epochs-1])
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// staticTapeNodes is the multiset of tape node names one training epoch plus
+// one inference pass record on four workers (dataset 220/5/43, seed 44,
+// forced 50 % split), as the commit before boundCombine recorded it: models
+// that are not sum-decomposable bind nothing new.
+var staticTapeNodes = map[string]string{
+	"depcache/gat":  "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:8 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_prev:16 leaky_relu:24 log_softmax:4 matmul:16 nll_loss:4 row_dot:48 segment_softmax:24",
+	"depcache/sage": "add:24 add_bias:8 add_bias_relu:16 concat_rows:8 gather:48 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
+	"depcomm/gat":   "add:32 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:16 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:48 h_held:8 h_prev:16 h_recv:8 leaky_relu:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32 segment_softmax:16",
+	"depcomm/sage":  "add:16 add_bias:8 add_bias_relu:8 concat_rows:16 gather:32 h_held:8 h_prev:16 h_recv:8 log_softmax:4 matmul:48 nll_loss:4 relu:16 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:16",
+	"hybrid/gat":    "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_held:8 h_prev:16 h_recv:8 leaky_relu:24 log_softmax:4 matmul:32 nll_loss:4 row_dot:48 segment_softmax:24",
+	"hybrid/sage":   "add:24 add_bias:8 add_bias_relu:16 concat_rows:24 gather:48 h_held:8 h_prev:16 h_recv:8 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
+}
+
+// TestStaticCombineLeavesOtherModelsAlone: GAT and SAGE tapes record what
+// they recorded before a sum-decomposable layer 1 was bound.
+func TestStaticCombineLeavesOtherModelsAlone(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	for _, mode := range []Mode{DepCache, DepComm, Hybrid} {
+		for _, kind := range []nn.ModelKind{nn.GAT, nn.SAGE} {
+			e, err := NewEngine(ds, Options{Workers: 4, Mode: mode, Model: kind, Seed: 44,
+				ForceRatio: true, CacheRatio: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log tapeLog
+			log.attach(e)
+			e.Train(1)
+			e.Predict()
+			e.Close()
+			counts := map[string]int{}
+			for _, tp := range log.tapes {
+				for _, v := range tp.Nodes() {
+					counts[v.Name()]++
+				}
+			}
+			var parts []string
+			for name, c := range counts {
+				parts = append(parts, fmt.Sprintf("%s:%d", name, c))
+			}
+			sort.Strings(parts)
+			key := fmt.Sprintf("%s/%s", mode, kind)
+			if got := strings.Join(parts, " "); got != staticTapeNodes[key] {
+				t.Errorf("%s tape nodes\n got %s\nwant %s", key, got, staticTapeNodes[key])
 			}
 		}
 	}

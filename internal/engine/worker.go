@@ -35,7 +35,8 @@ type workerState struct {
 
 	// feat is the layer-1 input in prev-layout: owned features followed by
 	// cached (replicated) features — the one-time fetch of Algorithm 2
-	// line 5 happens here at construction.
+	// line 5 happens here at construction. Nil once a boundCombine layer 1
+	// has combined it: nothing reads it afterwards.
 	feat *tensor.Tensor
 	// labels / trainMask are aligned with the owned rows.
 	labels    []int32
@@ -49,7 +50,7 @@ type workerState struct {
 // backward sweep.
 type layerRun struct {
 	tape  *autograd.Tape
-	hPrev *autograd.Variable // leaf: previous layer's output (prev-layout)
+	hPrev *autograd.Variable // leaf: previous layer's output (prev-layout; nil under boundCombine)
 	hRecv *autograd.Variable // leaf: received mirror rows (nil if none, or held)
 	out   *autograd.Variable // this layer's output (owned ++ cached layout)
 	// chunkLeaves holds per-peer received leaves when the layer ran through
@@ -62,14 +63,17 @@ type layerRun struct {
 }
 
 // dataflow is how one layer of one worker obtains its input rows and returns
-// their gradients: master–mirror messages (masterMirror), or one of the two
-// tensor-parallel slice exchanges (tpSlice, tpAssemble). buildWorkerPlan
-// chooses it when it builds the layer.
+// their gradients: master–mirror messages (masterMirror, and boundCombine
+// for a sum-decomposable layer 1), or one of the two tensor-parallel slice
+// exchanges (tpSlice, tpAssemble). buildWorkerPlan chooses it when it builds
+// the layer.
 type dataflow interface {
-	// bindFeatures assembles whatever static layer-1 input the dataflow reads
-	// besides ws.feat, straight from the dataset — the stand-in for the
+	// bindFeatures does, once, everything layer 1 does with its static input
+	// that no parameter can change: it assembles what the dataflow reads
+	// besides ws.feat straight from the dataset — the stand-in for the
 	// one-time fetch, so there is no set-up exchange and nothing to re-fetch
-	// on Restore or under faults. Called once, at worker construction, on
+	// on Restore or under faults — and, where the layer allows, combines it.
+	// Called at worker construction, after replica rows are requantized, on
 	// layer 1's dataflow only — deeper layers' inputs arrive every epoch.
 	bindFeatures(ws *workerState)
 	// forward executes layer l on prevVal, the previous layer's output (ws.feat
@@ -86,33 +90,118 @@ type dataflow interface {
 // backward, post mirror gradients to their masters. All of its plan lives on
 // the layerPlan itself.
 type masterMirror struct {
-	// held is the layer's held chunks as one block: HAll rows numPrevRows and
-	// up, so peer j's chunk is the len(held[j]) rows from recvOffset[j] on
-	// (nil when the layer holds nothing).
+	// held is layer 1's held chunks as one block (heldFeatures; nil above
+	// layer 1 and when the layer holds nothing).
 	held *tensor.Tensor
 }
 
 // bindFeatures copies the feature rows of layer 1's held chunks beside
 // ws.feat, the owned ++ cached features.
 func (f *masterMirror) bindFeatures(ws *workerState) {
-	lp := &ws.plan.layers[0]
+	f.held = heldFeatures(ws, &ws.plan.layers[0])
+}
+
+// heldFeatures copies the feature rows of layer 1's held chunks into one
+// block: HAll rows numPrevRows and up, so peer j's chunk is the len(held[j])
+// rows from recvOffset[j] on (nil when the layer holds nothing).
+func heldFeatures(ws *workerState, lp *layerPlan) *tensor.Tensor {
 	if lp.numHAllRows == lp.numPrevRows {
-		return
+		return nil
 	}
 	feats := ws.eng.ds.Features
-	f.held = tensor.New(lp.numHAllRows-lp.numPrevRows, feats.Cols())
+	held := tensor.New(lp.numHAllRows-lp.numPrevRows, feats.Cols())
 	for j, verts := range lp.held {
-		chunk := f.heldChunk(lp, j)
+		chunk := heldChunk(lp, held, j)
 		for r, v := range verts {
 			copy(chunk.Row(r), feats.Row(int(v)))
 		}
 	}
+	return held
 }
 
 // heldChunk returns peer j's held chunk as a view of the held block.
-func (f *masterMirror) heldChunk(lp *layerPlan, j int) *tensor.Tensor {
+func heldChunk(lp *layerPlan, held *tensor.Tensor, j int) *tensor.Tensor {
 	base := int(lp.recvOffset[j]) - lp.numPrevRows
-	return f.held.RowSlice(base, base+len(lp.held[j]))
+	return held.RowSlice(base, base+len(lp.held[j]))
+}
+
+// boundCombine is the master–mirror dataflow of a sum-decomposable layer 1.
+// Everything such a layer does before its first parameter — the edge stage
+// over owned, cached and held feature rows, the destinations' own rows,
+// Combine — reads only features and the plan, so bindFeatures does it once
+// and an epoch or inference pass runs Transform on the result. Nothing is
+// sent, awaited or posted back, and no gradient leaves the layer's tape.
+type boundCombine struct {
+	// owned / cached are Combine's output for the layer's two destination
+	// blocks (cached is nil when the layer recomputes nothing).
+	owned, cached *tensor.Tensor
+}
+
+// bindFeatures runs the edge stage and Combine for both blocks with the ops,
+// and in the order, of the forward path the options select for the layers
+// above — the chunk-pipelined one sums per-region partials left to right, the
+// other walks the block's CSR once — so the bound rows carry that path's own
+// bits. The tape is a plain one: the rows outlive every epoch barrier. Held
+// rows and ws.feat have no reader afterwards and are let go.
+func (f *boundCombine) bindFeatures(ws *workerState) {
+	lp := &ws.plan.layers[0]
+	sd := ws.model.Layers[0].(nn.SumDecomposable)
+	tape := autograd.NewTape()
+	feat := tape.Constant(ws.feat, "h_prev")
+	held := heldFeatures(ws, lp)
+	combine := func(b *blockPlan, agg *autograd.Variable) *tensor.Tensor {
+		return sd.Combine(tape, agg, tape.Gather(feat, b.selfRow), b.selfNorm).Value
+	}
+
+	if b := &lp.cached; b.numDst() > 0 {
+		f.cached = combine(b, sd.EdgeStage(tape, feat, b.srcRow, b.edgeNorm, b.dstRow, b.numDst()))
+	}
+	b := &lp.owned
+	var agg *autograd.Variable
+	if ws.chunkPipelined() {
+		agg = ws.aggregateChunked(tape, 1, sd, feat, false, func(j int) *autograd.Variable {
+			if len(lp.held[j]) == 0 {
+				return nil
+			}
+			return tape.Constant(heldChunk(lp, held, j), "h_held")
+		})
+	} else {
+		all := feat
+		if held != nil {
+			all = tape.ConcatRows(feat, tape.Constant(held, "h_held"))
+		}
+		agg = sd.EdgeStage(tape, all, b.srcRow, b.edgeNorm, b.dstRow, b.numDst())
+	}
+	f.owned = combine(b, agg)
+	ws.feat = nil
+}
+
+// forward runs Transform on the bound blocks, the cached one first as the
+// master–mirror paths do (dropout draws in that order).
+func (f *boundCombine) forward(ws *workerState, epoch, l int, _ *tensor.Tensor, training bool) layerRun {
+	sd := ws.model.Layers[l-1].(nn.SumDecomposable)
+	tape := ws.newTape(training)
+	sc := ws.clock
+	var outCached *autograd.Variable
+	if f.cached != nil {
+		depCacheHits.Add(float64(f.cached.Rows()))
+		sc.Phase(obs.StageForward, l, "compute_cached",
+			obs.Int("layer", l), obs.Int("rows", f.cached.Rows()))
+		outCached = sd.Transform(tape, tape.Constant(f.cached, "combined"), training, ws.rng)
+	}
+	sc.Phase(obs.StageForward, l, "compute_owned",
+		obs.Int("layer", l), obs.Int("rows", f.owned.Rows()))
+	out := sd.Transform(tape, tape.Constant(f.owned, "combined"), training, ws.rng)
+	if outCached != nil {
+		out = tape.ConcatRows(out, outCached)
+	}
+	return layerRun{tape: tape, out: out}
+}
+
+// backward runs the layer's tape backward for its parameter gradients; the
+// bound rows take none.
+func (*boundCombine) backward(ws *workerState, epoch, l int, runs []layerRun) {
+	ws.seedBackward(epoch, l, runs)
 }
 
 // chunkLeaf is one peer's received chunk as a tape leaf.
@@ -196,6 +285,12 @@ func (ws *workerState) peerOrder() []int {
 		return comm.RingOrder(ws.id, ws.eng.opts.Workers)
 	}
 	return comm.NaiveOrder(ws.id, ws.eng.opts.Workers)
+}
+
+// chunkPipelined reports whether sum-decomposable layers aggregate chunk by
+// chunk (§4.3, Fig. 8) rather than over one assembled block.
+func (ws *workerState) chunkPipelined() bool {
+	return ws.eng.opts.Overlap && !ws.eng.opts.Broadcast
 }
 
 // runEpoch performs one full forward/backward/update cycle and returns the
@@ -303,7 +398,7 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 	// Chunk-pipelined path (§4.3, Fig. 8): for sum-decomposable layers each
 	// received chunk's edge stage runs as the chunk arrives, so compute on
 	// chunk k overlaps delivery of chunk k+1.
-	if sd, ok := layer.(nn.SumDecomposable); ok && ws.eng.opts.Overlap && !ws.eng.opts.Broadcast {
+	if sd, ok := layer.(nn.SumDecomposable); ok && ws.chunkPipelined() {
 		run := f.forwardLayerChunked(ws, epoch, l, prevVal, training, sd, tape)
 		<-sendDone
 		return run
@@ -426,7 +521,9 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 // forwardLayerChunked is the incremental-aggregation forward: the owned
 // block's edges are processed per source region (local first, then each
 // peer's chunk in arrival schedule order), partial aggregations are summed,
-// and the vertex stage runs once at the end.
+// and Combine and Transform run once at the end. Its layers sit above layer
+// 1 (a sum-decomposable layer 1 is a boundCombine), so every chunk is
+// received.
 func (f *masterMirror) forwardLayerChunked(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 	training bool, sd nn.SumDecomposable, tape *autograd.Tape) layerRun {
 
@@ -445,74 +542,69 @@ func (f *masterMirror) forwardLayerChunked(ws *workerState, epoch, l int, prevVa
 		outCached = ws.runBlock(tape, layer, &lp.cached, hPrev, hPrev, training)
 	}
 
-	numDst := lp.owned.numDst()
-	var partials []*autograd.Variable
-	groupFor := make(map[int]*chunkGroup, len(lp.ownedGroups))
-	for gi := range lp.ownedGroups {
-		g := &lp.ownedGroups[gi]
-		if g.peer < 0 {
-			// Local region: aggregate immediately.
-			if len(g.srcLocal) > 0 {
-				sc.Phase(obs.StageForward, l, "edge_stage",
-					obs.Int("layer", l), obs.Int("peer", -1))
-				partials = append(partials,
-					sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
-			}
-			continue
-		}
-		groupFor[g.peer] = g
-	}
-
 	var leaves []chunkLeaf
-	for _, j := range ws.peerOrder() {
-		g := groupFor[j]
-		var leaf *autograd.Variable
-		switch {
-		case len(lp.held[j]) > 0:
-			sc.Phase(obs.StageForward, l, "edge_stage",
-				obs.Int("layer", l), obs.Int("peer", j))
-			leaf = tape.Leaf(f.heldChunk(lp, j), false, "h_held")
-		case len(lp.recv[j]) > 0:
-			verts := lp.recv[j]
-			depCacheMisses.Add(float64(len(verts)))
-			sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
-				obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
-			msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-			sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-			// The chunk's edge stage, from wrapping it as a leaf on; empty when
-			// the chunk was received for availability but no owned edge uses it.
-			sc.Phase(obs.StageForward, l, "edge_stage",
-				obs.Int("layer", l), obs.Int("peer", j))
-			leaf = tape.Leaf(msg.Rows, true, "h_chunk")
-			leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
+	agg := ws.aggregateChunked(tape, l, sd, hPrev, training, func(j int) *autograd.Variable {
+		verts := lp.recv[j]
+		if len(verts) == 0 {
+			return nil
 		}
-		if leaf == nil || g == nil {
-			continue
-		}
-		partials = append(partials,
-			sd.EdgeStage(tape, leaf, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
-	}
-
-	sc.Phase(obs.StageForward, l, "vertex_stage",
-		obs.Int("layer", l), obs.Int("rows", numDst))
-	var agg *autograd.Variable
-	for _, p := range partials {
-		if agg == nil {
-			agg = p
-		} else {
-			agg = tape.Add(agg, p)
-		}
-	}
-	if agg == nil {
-		agg = tape.Constant(ws.alloc(training, numDst, layer.InDim()), "agg_zero")
-	}
+		depCacheMisses.Add(float64(len(verts)))
+		sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
+			obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
+		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
+		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+		// The chunk's edge stage, from wrapping it as a leaf on; empty when
+		// the chunk was received for availability but no owned edge uses it.
+		sc.Phase(obs.StageForward, l, "edge_stage",
+			obs.Int("layer", l), obs.Int("peer", j))
+		leaf := tape.Leaf(msg.Rows, true, "h_chunk")
+		leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
+		return leaf
+	})
 	self := tape.Gather(hPrev, lp.owned.selfRow)
-	outOwned := sd.VertexStage(tape, agg, self, lp.owned.selfNorm, training, ws.rng)
+	outOwned := sd.Transform(tape, sd.Combine(tape, agg, self, lp.owned.selfNorm), training, ws.rng)
 	out := outOwned
 	if outCached != nil {
 		out = tape.ConcatRows(outOwned, outCached)
 	}
 	return layerRun{tape: tape, hPrev: hPrev, out: out, chunkLeaves: leaves}
+}
+
+// aggregateChunked is §4.3's incremental aggregation of layer l's owned
+// block: the local region's edge stage, then each peer chunk's as chunk(j)
+// yields it (nil when nothing of peer j's is there to read) in schedule
+// order, and the partials summed left to right.
+func (ws *workerState) aggregateChunked(tape *autograd.Tape, l int, sd nn.SumDecomposable,
+	hPrev *autograd.Variable, training bool, chunk func(j int) *autograd.Variable) *autograd.Variable {
+
+	lp := &ws.plan.layers[l-1]
+	sc := ws.clock
+	numDst := lp.owned.numDst()
+	var partials []*autograd.Variable
+	if g := &lp.ownedGroups[0]; len(g.srcLocal) > 0 {
+		sc.Phase(obs.StageForward, l, "edge_stage",
+			obs.Int("layer", l), obs.Int("peer", -1))
+		partials = append(partials,
+			sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
+	}
+	for _, j := range ws.peerOrder() {
+		leaf := chunk(j)
+		if g := lp.groupOf[j]; leaf != nil && g != nil {
+			partials = append(partials,
+				sd.EdgeStage(tape, leaf, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
+		}
+	}
+
+	sc.Phase(obs.StageForward, l, "vertex_stage",
+		obs.Int("layer", l), obs.Int("rows", numDst))
+	if len(partials) == 0 {
+		return tape.Constant(ws.alloc(training, numDst, hPrev.Value.Cols()), "agg_zero")
+	}
+	agg := partials[0]
+	for _, p := range partials[1:] {
+		agg = tape.Add(agg, p)
+	}
+	return agg
 }
 
 // runBlock executes one destination block through the layer's Forward.

@@ -126,7 +126,7 @@ func (f *tpSlice) bindFeatures(ws *workerState) {
 // forward: assemble the layer input's column slice over all |V| owner-block
 // rows (static features at layer 1, a slice-scatter above), aggregate the full
 // graph over that slice on a dedicated tape, re-gather the owned rows to full
-// width, and run the vertex stage on the main tape.
+// width, and run Combine and Transform on the main tape.
 func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	x := f.x
 	sh := f.shared
@@ -186,13 +186,13 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 		}
 	}
 
-	// 4. Vertex stage on the main tape. prevVal is exactly the owned rows
-	// (TP layers admit no cached block below them), so it doubles as self.
+	// 4. Combine and Transform on the main tape. prevVal is exactly the owned
+	// rows (TP layers admit no cached block below them), so it doubles as self.
 	sc.Phase(obs.StageForward, l, "tp_vertex_stage",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
 	hPrev := tape.Leaf(prevVal, requiresGrad, "h_prev")
 	trun.agg = tape.Leaf(aggFull, requiresGrad, "tp_agg")
-	out := sd.VertexStage(tape, trun.agg, hPrev, f.selfNormOwned, training, ws.rng)
+	out := sd.Transform(tape, sd.Combine(tape, trun.agg, hPrev, f.selfNormOwned), training, ws.rng)
 	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: trun}
 }
 

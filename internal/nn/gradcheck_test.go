@@ -24,8 +24,8 @@ func layerFixture() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 }
 
 // TestLayerForwardGradients differentiates every layer kind's full
-// EdgeStage+VertexStage data path with respect to the incoming vertex
-// representations (parameter gradients are covered end to end by
+// EdgeStage, Combine and Transform data path with respect to the incoming
+// vertex representations (parameter gradients are covered end to end by
 // testkit.CheckModelGrads); a broken dual in any layer's op composition
 // surfaces here with the layer named. Each kind runs through both ForwardCtx
 // entries — Src+SrcRow as the engines pass them, and pre-gathered EdgeSrc

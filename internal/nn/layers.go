@@ -11,6 +11,7 @@ import (
 // renormalisation trick: h_v' = act( W · Σ_{u∈N(v)∪{v}} ĉ_uv · h_u + b ).
 // EdgeForward multiplies each incoming message by its normalisation
 // coefficient; GatherByDst sums; VertexForward applies the dense layer.
+// The layer is SumDecomposable (nn.go): Forward is Transform(Combine(EdgeStage)).
 type GCNLayer struct {
 	in, out int
 	w       *Param
@@ -38,12 +39,12 @@ func (l *GCNLayer) OutDim() int { return l.out }
 // Params returns the layer's weight and bias.
 func (l *GCNLayer) Params() []*Param { return []*Param{l.w, l.b} }
 
-// Forward runs the edge stage (normalised sum over in-edges) and the vertex
-// stage (self term, dense + activation) for one destination block.
+// Forward runs the edge stage (normalised sum over in-edges), joins the self
+// term and applies dense + activation, for one destination block.
 func (l *GCNLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	src, srcRow := ctx.source()
 	agg := l.EdgeStage(ctx.Tape, src, srcRow, ctx.EdgeNorm, ctx.EdgeDst, ctx.NumDst())
-	return l.VertexStage(ctx.Tape, agg, ctx.Self, ctx.SelfNorm, ctx.Training, ctx.RNG)
+	return l.Transform(ctx.Tape, l.Combine(ctx.Tape, agg, ctx.Self, ctx.SelfNorm), ctx.Training, ctx.RNG)
 }
 
 // GINLayer implements the Graph Isomorphism Network layer:
@@ -78,11 +79,11 @@ func (l *GINLayer) OutDim() int { return l.out }
 func (l *GINLayer) Params() []*Param { return []*Param{l.w1, l.b1, l.w2, l.b2} }
 
 // Forward sums raw neighbor messages (edge stage), adds the (1+ε)-scaled self
-// term and applies the two-layer MLP (vertex stage).
+// term and applies the two-layer MLP.
 func (l *GINLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	src, srcRow := ctx.source()
 	agg := l.EdgeStage(ctx.Tape, src, srcRow, nil, ctx.EdgeDst, ctx.NumDst())
-	return l.VertexStage(ctx.Tape, agg, ctx.Self, nil, ctx.Training, ctx.RNG)
+	return l.Transform(ctx.Tape, l.Combine(ctx.Tape, agg, ctx.Self, nil), ctx.Training, ctx.RNG)
 }
 
 // GATLayer implements single-head graph attention:

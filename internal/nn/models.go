@@ -30,9 +30,11 @@ func ModelKinds() []ModelKind { return []ModelKind{GCN, GIN, GAT, SAGE} }
 // input column. GCN (normalised copy + sum) and GIN (raw sum) qualify — they
 // are exactly the SumDecomposable layers whose EdgeStage never mixes columns
 // — so a tensor-parallel engine can aggregate an F/N-wide feature shard
-// independently per worker. GAT (softmax over learned per-edge scores) and
-// SAGE (wPool transform before pooling) mix columns and need the full width;
-// a tensor-parallel engine must fall back to assembling full-width rows.
+// independently per worker, and any engine can run such a model's
+// parameter-free EdgeStage and Combine over static features once. GAT
+// (softmax over learned per-edge scores) and SAGE (wPool transform before
+// pooling) mix columns and need the full width; a tensor-parallel engine must
+// fall back to assembling full-width rows.
 func SliceSeparable(kind ModelKind) bool {
 	switch kind {
 	case GCN, GIN:

@@ -179,13 +179,18 @@ func (m *Model) Validate() error {
 }
 
 // SumDecomposable is implemented by layers whose neighbor aggregation is a
-// plain (possibly per-edge-weighted) sum. For such layers the engine can
-// aggregate incrementally, one received source-worker chunk at a time — the
-// chunk-based computation of the paper's §4.3 (Fig. 8): the EdgeStage of
-// chunk k runs while chunk k+1 is still on the wire, and the VertexStage
-// runs once after all partials are summed. GAT is not sum-decomposable (its
-// per-destination softmax needs every score first), matching the paper's
-// observation that edge-softmax models limit chunk pipelining.
+// plain (possibly per-edge-weighted) sum and whose first parameter comes after
+// it: Forward is Transform(Combine(EdgeStage(sources), self)). For such layers
+// the engine can aggregate incrementally, one received source-worker chunk at
+// a time — the chunk-based computation of the paper's §4.3 (Fig. 8): the
+// EdgeStage of chunk k runs while chunk k+1 is still on the wire, and Combine
+// and Transform run once after all partials are summed. And because EdgeStage
+// and Combine read no parameter and draw no random number, a layer whose
+// input never changes — layer 1, over features — has a Combine output that
+// never changes either: the engine computes it once and runs only Transform
+// every epoch. GAT is not sum-decomposable (its per-destination softmax needs
+// every score first, and its weights come before the edge stage), matching
+// the paper's observation that edge-softmax models limit chunk pipelining.
 type SumDecomposable interface {
 	// EdgeStage computes the partial aggregation of one edge chunk: one row
 	// per destination (numDst rows), summed over the chunk's edges. Edge e
@@ -193,10 +198,13 @@ type SumDecomposable interface {
 	// holds one row per edge) — the Src/SrcRow contract of ForwardCtx.
 	EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []int32, edgeNorm []float32,
 		edgeDst []int32, numDst int) *autograd.Variable
-	// VertexStage combines the total aggregation with the destinations' own
-	// rows and applies the layer's NN transform.
-	VertexStage(t *autograd.Tape, agg, self *autograd.Variable, selfNorm []float32,
-		training bool, rng *tensor.RNG) *autograd.Variable
+	// Combine joins the total aggregation with the destinations' own rows:
+	// the layer's input to its first parameter. It must not read a parameter
+	// or an RNG.
+	Combine(t *autograd.Tape, agg, self *autograd.Variable, selfNorm []float32) *autograd.Variable
+	// Transform applies the layer's NN transform — dropout first, then every
+	// parameter — to Combine's output.
+	Transform(t *autograd.Tape, combined *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable
 }
 
 // EdgeStage implements SumDecomposable for GCN: normalised sum.
@@ -205,13 +213,16 @@ func (l *GCNLayer) EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []
 	return t.Aggregate(src, srcRow, edgeNorm, edgeDst, numDst)
 }
 
-// VertexStage implements SumDecomposable for GCN.
-func (l *GCNLayer) VertexStage(t *autograd.Tape, agg, self *autograd.Variable,
-	selfNorm []float32, training bool, rng *tensor.RNG) *autograd.Variable {
+// Combine implements SumDecomposable for GCN: Σ ĉ_uv·h_u + ĉ_vv·h_v.
+func (l *GCNLayer) Combine(t *autograd.Tape, agg, self *autograd.Variable, selfNorm []float32) *autograd.Variable {
 	if selfNorm != nil {
 		self = t.MulColVec(self, selfNorm)
 	}
-	combined := t.Add(agg, self)
+	return t.Add(agg, self)
+}
+
+// Transform implements SumDecomposable for GCN: act(W·combined + b).
+func (l *GCNLayer) Transform(t *autograd.Tape, combined *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable {
 	combined = t.Dropout(combined, l.dropout, rng, training)
 	wz := t.MatMul(combined, l.w.Bind(t))
 	if l.act {
@@ -226,10 +237,13 @@ func (l *GINLayer) EdgeStage(t *autograd.Tape, src *autograd.Variable, srcRow []
 	return t.Aggregate(src, srcRow, nil, edgeDst, numDst)
 }
 
-// VertexStage implements SumDecomposable for GIN.
-func (l *GINLayer) VertexStage(t *autograd.Tape, agg, self *autograd.Variable,
-	selfNorm []float32, training bool, rng *tensor.RNG) *autograd.Variable {
-	combined := t.Add(agg, t.Scale(self, 1+l.epsilon))
+// Combine implements SumDecomposable for GIN: Σ h_u + (1+ε)·h_v.
+func (l *GINLayer) Combine(t *autograd.Tape, agg, self *autograd.Variable, selfNorm []float32) *autograd.Variable {
+	return t.Add(agg, t.Scale(self, 1+l.epsilon))
+}
+
+// Transform implements SumDecomposable for GIN: the two-linear MLP.
+func (l *GINLayer) Transform(t *autograd.Tape, combined *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable {
 	combined = t.Dropout(combined, l.dropout, rng, training)
 	h := t.AddBiasReLU(t.MatMul(combined, l.w1.Bind(t)), l.b1.Bind(t))
 	wz := t.MatMul(h, l.w2.Bind(t))

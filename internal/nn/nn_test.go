@@ -214,6 +214,14 @@ func TestModelConstruction(t *testing.T) {
 		if len(m.Params()) == 0 {
 			t.Fatalf("%s has no params", kind)
 		}
+		// The engine plans on the kind and executes on the layer: a
+		// slice-separable kind's layers must be the sum-decomposable ones
+		// (its layer 1 binds Combine's output, its TP layers slice).
+		for i, l := range m.Layers {
+			if _, sd := l.(SumDecomposable); sd != SliceSeparable(kind) {
+				t.Fatalf("%s layer %d: SumDecomposable %v, SliceSeparable %v", kind, i+1, sd, SliceSeparable(kind))
+			}
+		}
 	}
 	if _, err := NewModel("bogus", []int{4, 2}, 0, 1); err == nil {
 		t.Fatal("expected error for unknown kind")

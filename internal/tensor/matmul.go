@@ -47,14 +47,25 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a @ b. dst must have shape a.rows x b.cols and
 // must not alias a or b (overlapping storage panics).
-func MatMulInto(dst, a, b *Tensor) {
+func MatMulInto(dst, a, b *Tensor) { matMul("MatMulInto", dst, a, b, true) }
+
+// MatMulAddInto computes dst += a @ b under MatMulInto's shape and aliasing
+// rules: every element keeps its value and receives its k-terms after it, in
+// ascending k. On a dst that is all +0 — what New, a Pool and an Arena hand
+// out — it is MatMulInto bit for bit without the clearing pass; the autograd
+// tape calls it on the outputs it has just allocated.
+func MatMulAddInto(dst, a, b *Tensor) { matMul("MatMulAddInto", dst, a, b, false) }
+
+func matMul(op string, dst, a, b *Tensor, zero bool) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("tensor: MatMulInto %dx%d = %dx%d @ %dx%d",
+		panic(fmt.Sprintf("tensor: %s %dx%d = %dx%d @ %dx%d", op,
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
-	mustNotAlias("MatMulInto", dst, a, b)
+	mustNotAlias(op, dst, a, b)
 	start := time.Now()
-	dst.Zero()
+	if zero {
+		dst.Zero()
+	}
 	work := a.rows * a.cols * b.cols
 	if work < gemmParallelThreshold || a.rows < 2 {
 		gemmRows(dst, a, b, 0, a.rows)
@@ -101,14 +112,22 @@ func gemmRows(dst, a, b *Tensor, lo, hi int) {
 
 // MatMulTAInto computes dst = aᵀ @ b without materialising aᵀ: a is KxM, b is
 // KxN, dst MxN — the shape of weight gradients. dst must not alias a or b.
-func MatMulTAInto(dst, a, b *Tensor) {
+func MatMulTAInto(dst, a, b *Tensor) { matMulTA("MatMulTAInto", dst, a, b, true) }
+
+// MatMulTAAddInto computes dst += aᵀ @ b: MatMulTAInto as MatMulAddInto is
+// MatMulInto, for the tape's freshly allocated weight-gradient temporaries.
+func MatMulTAAddInto(dst, a, b *Tensor) { matMulTA("MatMulTAAddInto", dst, a, b, false) }
+
+func matMulTA(op string, dst, a, b *Tensor, zero bool) {
 	if a.rows != b.rows || dst.rows != a.cols || dst.cols != b.cols {
-		panic(fmt.Sprintf("tensor: MatMulTAInto %dx%d = (%dx%d)ᵀ @ %dx%d",
+		panic(fmt.Sprintf("tensor: %s %dx%d = (%dx%d)ᵀ @ %dx%d", op,
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
-	mustNotAlias("MatMulTAInto", dst, a, b)
+	mustNotAlias(op, dst, a, b)
 	start := time.Now()
-	dst.Zero()
+	if zero {
+		dst.Zero()
+	}
 	m, n := a.cols, b.cols
 	if a.rows*m*n < gemmParallelThreshold || m < 2 {
 		matMulTARows(dst, a, b, 0, m)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Add returns t + o element-wise.
@@ -140,6 +141,34 @@ func ArgMaxRows(t *Tensor) []int {
 	return out
 }
 
+// posMask is all ones when the float32 with bit pattern b is greater than
+// zero and zero otherwise: the test `v > 0` as data, so the five rectifier
+// loops below select with AND/OR instead of a branch that sign-random
+// activations mispredict every other element. v > 0 holds exactly for b in
+// [1, 0x7F800000], the smallest positive denormal up to +Inf; +0 lies below
+// the range and −0, every negative and every NaN above it. In uint32
+// arithmetic that is b−1 < 0x7F800000 (b = 0 wraps to the top), and the
+// borrow of the 64-bit subtraction is the comparison: the difference is
+// negative, its upper word all ones, exactly when it holds. Selecting v's own
+// bits or zero bits reproduces the branchy loops bit for bit: NaN → +0,
+// −0 → +0.
+func posMask(b uint32) uint32 {
+	return uint32((uint64(b-1) - 0x7F800000) >> 32)
+}
+
+// bitsOf views a float32 slice as its bit patterns, so the rectifier loops
+// load and store them without a round trip through a float register.
+func bitsOf(x []float32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(x))), len(x))
+}
+
+// selectPos returns pos when v > 0 and neg otherwise, both already computed:
+// the leaky pair's select. A NaN v takes neg, as `if v > 0 … else` does.
+func selectPos(v, pos, neg float32) float32 {
+	m := posMask(math.Float32bits(v))
+	return math.Float32frombits(math.Float32bits(pos)&m | math.Float32bits(neg)&^m)
+}
+
 // ReLU returns max(0, t) element-wise.
 func ReLU(t *Tensor) *Tensor {
 	out := New(t.rows, t.cols)
@@ -150,12 +179,9 @@ func ReLU(t *Tensor) *Tensor {
 // ReLUInto stores max(0, t) into dst; dst may alias t.
 func ReLUInto(dst, t *Tensor) {
 	dst.mustSameShape(t, "ReLU")
-	for i, v := range t.data {
-		if v > 0 {
-			dst.data[i] = v
-		} else {
-			dst.data[i] = 0
-		}
+	out := bitsOf(dst.data)[:len(t.data)]
+	for i, b := range bitsOf(t.data) {
+		out[i] = b & posMask(b)
 	}
 }
 
@@ -171,12 +197,9 @@ func ReLUBackward(grad, input *Tensor) *Tensor {
 func ReLUBackwardInto(dst, grad, input *Tensor) {
 	grad.mustSameShape(input, "ReLUBackward")
 	dst.mustSameShape(grad, "ReLUBackward")
-	for i, v := range input.data {
-		if v > 0 {
-			dst.data[i] = grad.data[i]
-		} else {
-			dst.data[i] = 0
-		}
+	g, out := bitsOf(grad.data)[:len(input.data)], bitsOf(dst.data)[:len(input.data)]
+	for i, b := range bitsOf(input.data) {
+		out[i] = g[i] & posMask(b)
 	}
 }
 
@@ -198,14 +221,10 @@ func AddBiasReLUInto(dst, t, bias *Tensor) {
 	}
 	dst.mustSameShape(t, "AddBiasReLU")
 	for i := 0; i < t.rows; i++ {
-		src, out := t.Row(i), dst.Row(i)
+		src, out := t.Row(i)[:len(bias.data)], bitsOf(dst.Row(i))[:len(bias.data)]
 		for j, b := range bias.data {
-			z := src[j] + b
-			if z > 0 {
-				out[j] = z
-			} else {
-				out[j] = 0
-			}
+			z := math.Float32bits(src[j] + b)
+			out[j] = z & posMask(z)
 		}
 	}
 }
@@ -220,12 +239,9 @@ func LeakyReLU(t *Tensor, slope float32) *Tensor {
 // LeakyReLUInto stores the leaky rectification of t into dst; dst may alias t.
 func LeakyReLUInto(dst, t *Tensor, slope float32) {
 	dst.mustSameShape(t, "LeakyReLU")
+	out := dst.data[:len(t.data)]
 	for i, v := range t.data {
-		if v > 0 {
-			dst.data[i] = v
-		} else {
-			dst.data[i] = v * slope
-		}
+		out[i] = selectPos(v, v, v*slope)
 	}
 }
 
@@ -241,12 +257,9 @@ func LeakyReLUBackward(grad, input *Tensor, slope float32) *Tensor {
 func LeakyReLUBackwardInto(dst, grad, input *Tensor, slope float32) {
 	grad.mustSameShape(input, "LeakyReLUBackward")
 	dst.mustSameShape(grad, "LeakyReLUBackward")
+	g, out := grad.data[:len(input.data)], dst.data[:len(input.data)]
 	for i, v := range input.data {
-		if v > 0 {
-			dst.data[i] = grad.data[i]
-		} else {
-			dst.data[i] = grad.data[i] * slope
-		}
+		out[i] = selectPos(v, g[i], g[i]*slope)
 	}
 }
 
