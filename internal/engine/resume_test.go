@@ -36,12 +36,14 @@ func trainLosses(t *testing.T, opts Options, epochs int) []float64 {
 }
 
 // pinnedRun is what TestSameSeedBitIdentical compares between two runs of one
-// configuration: the loss curve, the last epoch's traffic, and the plan.
+// configuration: the loss curve, the last epoch's traffic, the plan, the
+// trained parameters and what they predict.
 type pinnedRun struct {
 	losses      []float64
 	bytes, msgs int64
 	plan        string // hash of every worker's R/C/TP/Rep
 	params      string // hash of the trained parameters' bits
+	predict     string // hash of an inference pass's logits after training
 	shape       string // worker 0's per-layer cached/communicated counts and TP/Rep bits
 	topRep      bool
 	repFactor   float64
@@ -83,6 +85,11 @@ func runPinned(t *testing.T, opts Options, epochs int) pinnedRun {
 		}
 	}
 	run.params = fmt.Sprintf("%016x", h.Sum64())
+	h.Reset()
+	for _, v := range e.Predict().Data() {
+		fmt.Fprintf(h, "%08x", math.Float32bits(v))
+	}
+	run.predict = fmt.Sprintf("%016x", h.Sum64())
 	d0 := e.Decisions()[0]
 	for l := range d0.R {
 		run.shape += fmt.Sprintf("[R%d C%d tp=%v rep=%v]", len(d0.R[l]), len(d0.C[l]), d0.TPAt(l+1), d0.RepAt(l+1))
@@ -110,18 +117,51 @@ func TestSameSeedBitIdentical(t *testing.T) {
 		model     nn.ModelKind
 		costs     costmodel.Costs
 		memBudget int64
+		// path names the master–mirror forward configuration ("" is the
+		// assembled one every row above the path rows runs); deep adds a third
+		// layer and dropout.
+		path string
+		deep bool
 	}
 	var rows []row
 	for _, name := range ModeNames() {
-		rows = append(rows, row{Mode(name), nn.GCN, mixed, 0})
+		rows = append(rows, row{mode: Mode(name), model: nn.GCN, costs: mixed})
 	}
 	rows = append(rows,
-		row{DepTP, nn.GAT, mixed, 0}, // the assemble dataflow (GCN runs the slice one)
-		row{Hybrid4, nn.GCN, repWins, 1})
+		row{mode: DepTP, model: nn.GAT, costs: mixed}, // the assemble dataflow (GCN runs the slice one)
+		row{mode: Hybrid4, model: nn.GCN, costs: repWins, memBudget: 1})
+	// The forward configurations production runs: every benchmark workload is
+	// chunk-pipelined (R+L+P), the ROC baseline broadcasts whole blocks.
+	paths := map[string]func(*Options){
+		"":          func(*Options) {},
+		"rlp":       func(o *Options) { o.Ring, o.LockFree, o.Overlap = true, true, true },
+		"broadcast": func(o *Options) { o.Broadcast = true },
+	}
+	for _, path := range []string{"rlp", "broadcast"} {
+		for _, mode := range []Mode{DepComm, Hybrid} {
+			for _, model := range []nn.ModelKind{nn.GCN, nn.GAT} {
+				rows = append(rows, row{mode: mode, model: model, costs: mixed, path: path})
+			}
+		}
+	}
+	for _, path := range []string{"", "rlp", "broadcast"} {
+		rows = append(rows, row{mode: Hybrid, model: nn.GCN, costs: mixed, path: path, deep: true})
+	}
 	for i, r := range rows {
-		t.Run(fmt.Sprintf("%d-%s-%s", i, r.mode, r.model), func(t *testing.T) {
+		name := fmt.Sprintf("%d-%s-%s", i, r.mode, r.model)
+		if r.path != "" {
+			name += "-" + r.path
+		}
+		if r.deep {
+			name += "-deep"
+		}
+		t.Run(name, func(t *testing.T) {
 			opts := Options{Workers: 4, Mode: r.mode, Model: r.model, Seed: 11,
 				Costs: r.costs, MemBudget: r.memBudget}
+			paths[r.path](&opts)
+			if r.deep {
+				opts.Layers, opts.Dropout = 3, 0.3
+			}
 			a := runPinned(t, opts, 5)
 			b := runPinned(t, opts, 5)
 			for i := range a.losses {
@@ -129,9 +169,9 @@ func TestSameSeedBitIdentical(t *testing.T) {
 					t.Fatalf("epoch %d: losses diverge bitwise: %.17g vs %.17g", i+1, a.losses[i], b.losses[i])
 				}
 			}
-			if a.bytes != b.bytes || a.msgs != b.msgs || a.plan != b.plan || a.params != b.params {
-				t.Fatalf("runs differ: %d B / %d msgs / plan %s / params %s vs %d B / %d msgs / plan %s / params %s",
-					a.bytes, a.msgs, a.plan, a.params, b.bytes, b.msgs, b.plan, b.params)
+			if a.bytes != b.bytes || a.msgs != b.msgs || a.plan != b.plan || a.params != b.params || a.predict != b.predict {
+				t.Fatalf("runs differ: %d B / %d msgs / plan %s / params %s / predict %s vs %d B / %d msgs / plan %s / params %s / predict %s",
+					a.bytes, a.msgs, a.plan, a.params, a.predict, b.bytes, b.msgs, b.plan, b.params, b.predict)
 			}
 			// A replicated top layer holds the whole boundary closure, so the
 			// run is communication-free whatever policy name asked for it, and
@@ -139,8 +179,8 @@ func TestSameSeedBitIdentical(t *testing.T) {
 			if a.topRep != (a.repFactor > 1) {
 				t.Fatalf("top layer replicated = %v but ReplicationFactor() = %g", a.topRep, a.repFactor)
 			}
-			t.Logf("pin: loss5=%.17g bytes/epoch=%d msgs/epoch=%d plan=%s params=%s shape=%s",
-				a.losses[4], a.bytes, a.msgs, a.plan, a.params, a.shape)
+			t.Logf("pin: loss5=%.17g bytes/epoch=%d msgs/epoch=%d plan=%s params=%s predict=%s shape=%s",
+				a.losses[4], a.bytes, a.msgs, a.plan, a.params, a.predict, a.shape)
 		})
 	}
 }
