@@ -87,7 +87,7 @@ func TestEpochSpanHierarchy(t *testing.T) {
 	}
 	// Cross-worker communication happened, so dep-gather spans must carry a
 	// positive byte attribute on at least one worker.
-	gathers := append(byName["gather_dep_nbr"], byName["recv_chunk"]...)
+	gathers := byName["recv_chunk"]
 	if len(gathers) == 0 {
 		t.Fatal("no dependency-gather spans recorded")
 	}

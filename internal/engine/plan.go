@@ -62,8 +62,8 @@ type chunkGroup struct {
 type layerWork struct {
 	// vertexOps / edgeOps are the destination rows computed and the edges
 	// walked every epoch (owned plus redundantly recomputed cached blocks).
-	// Edges a boundCombine layer walked once, at construction, are not among
-	// them — as rows held since construction are not among recvRows.
+	// Edges a bound layer 1 walked once, at construction, are not among them
+	// — as rows held since construction are not among recvRows.
 	vertexOps, edgeOps int64
 	// recvRows is the number of dependency rows fetched over the network
 	// every epoch; rows held since construction are not among them.
@@ -92,8 +92,13 @@ type layerPlan struct {
 	// recvOffset[j] is the starting HAll row of peer j's chunk, received or
 	// held.
 	recvOffset []int32
-	// send[j] lists owned vertices whose rows are sent to peer j.
-	send [][]int32
+	// send[j] lists owned vertices whose rows are sent to peer j; sendRow[j]
+	// is their rows in the owned block, which leads every layout — the plan
+	// owns positions, so nothing on the epoch path looks a vertex up. sends
+	// says whether any send[j] has a row.
+	send    [][]int32
+	sendRow [][]int32
+	sends   bool
 	// owned is the block of destinations this worker owns; cached is the
 	// block of replicated destinations whose layer output is recomputed
 	// locally (the DepCache portion of the hybrid split).
@@ -120,10 +125,6 @@ type workerPlan struct {
 	// computes redundantly (k>=1), or whose features it caches (k=0).
 	cachedCompute [][]int32
 	layers        []layerPlan
-	// prevIndex[k] maps a global vertex id to its row in the layer-k output
-	// layout (owned ++ cachedCompute[k]); -1 if absent.
-	// Only vertices in the layout appear.
-	prevIndex []map[int32]int32
 	// cacheBytes is the replica storage implied by cachedCompute (for
 	// reporting against the Decision estimate).
 	cacheBytes int64
@@ -138,8 +139,8 @@ type workerPlan struct {
 // decisions. dims is d^(0)..d^(L); sumDecomposable says the model's layers
 // are nn.SumDecomposable (nn.SliceSeparable names the same kinds): a
 // master–mirror layer 1 then binds its Combine output at construction
-// (boundCombine), and any TP layers in the decisions run the column-sliced
-// dataflow instead of the full-width assemble.
+// (masterMirror.bindFeatures), and any TP layers in the decisions run the
+// column-sliced dataflow instead of the full-width assemble.
 func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decision, dims []int, sumDecomposable bool) ([]*workerPlan, error) {
 	m := part.NumParts
 	L := len(dims) - 1
@@ -175,19 +176,36 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 	}
 
 	// Wire send lists: worker i sends to j at layer l exactly what j's plan
-	// receives from i.
+	// receives from i, from the rows of its owned block they sit in.
 	for i := 0; i < m; i++ {
 		for l := 0; l < L; l++ {
-			plans[i].layers[l].send = make([][]int32, m)
+			lp := &plans[i].layers[l]
+			lp.send, lp.sendRow = make([][]int32, m), make([][]int32, m)
 			for j := 0; j < m; j++ {
 				if j == i {
 					continue
 				}
-				plans[i].layers[l].send[j] = plans[j].layers[l].recv[i]
+				lp.send[j] = plans[j].layers[l].recv[i]
+				lp.sendRow[j] = positionsIn(plans[i].owned, lp.send[j])
+				lp.sends = lp.sends || len(lp.send[j]) > 0
 			}
 		}
 	}
 	return plans, nil
+}
+
+// positionsIn returns the position in list of every element of sub; both are
+// ascending and sub is drawn from list.
+func positionsIn(list, sub []int32) []int32 {
+	pos := make([]int32, len(sub))
+	r := 0
+	for k, v := range sub {
+		for list[r] != v {
+			r++
+		}
+		pos[k] = int32(r)
+	}
+	return pos
 }
 
 // buildWorkerPlan derives worker i's plan from its dependency decision.
@@ -217,8 +235,10 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		p.cacheBytes += int64(len(p.cachedCompute[k])) * int64(4*dims[k])
 	}
 
-	// 2. prevIndex maps for each level layout (owned ++ cachedCompute[k]).
-	p.prevIndex = make([]map[int32]int32, L)
+	// 2. prevIndex[k] maps a global vertex id to its row in the level-k layout
+	// (owned ++ cachedCompute[k]); only vertices in the layout appear. The
+	// maps resolve the index arrays below and die with this call.
+	prevIndex := make([]map[int32]int32, L)
 	for k := 0; k < L; k++ {
 		idx := make(map[int32]int32, len(owned)+len(p.cachedCompute[k]))
 		for r, v := range owned {
@@ -227,7 +247,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		for r, v := range p.cachedCompute[k] {
 			idx[v] = int32(len(owned) + r)
 		}
-		p.prevIndex[k] = idx
+		prevIndex[k] = idx
 	}
 
 	// 3. Per-layer recv chunks and edge index arrays.
@@ -290,7 +310,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			}
 		}
 		resolve := func(u int32) (int32, error) {
-			if r, ok := p.prevIndex[l-1][u]; ok {
+			if r, ok := prevIndex[l-1][u]; ok {
 				return r, nil
 			}
 			if r, ok := recvIndex[u]; ok {
@@ -300,7 +320,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		}
 
 		prevRow := func(v int32) (int32, error) {
-			if r, ok := p.prevIndex[l-1][v]; ok {
+			if r, ok := prevIndex[l-1][v]; ok {
 				return r, nil
 			}
 			return 0, fmt.Errorf("engine: destination %d has no previous-layer row", v)
@@ -325,7 +345,6 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		// does before its first parameter reads only features and this plan,
 		// so its dataflow walks the edges at construction and no epoch does.
 		if l == 1 && sumDecomposable {
-			lp.flow = &boundCombine{}
 			lp.work.edgeOps = 0
 		}
 		for j := range chunks {

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
+	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/partition"
+	"neutronstar/internal/tensor"
 )
 
 // Chunk-group invariants: groups partition the owned block's edges exactly,
@@ -108,6 +112,114 @@ func TestChunkGroupsDepCacheLocalOnly(t *testing.T) {
 			if len(groups) != 1 || groups[0].peer != -1 {
 				t.Fatalf("DepCache worker %d layer %d has %d groups", p.id, l+1, len(groups))
 			}
+		}
+	}
+}
+
+// gradSpy keeps every mirror-gradient message a worker posts.
+type gradSpy struct {
+	comm.Network
+	mu    sync.Mutex
+	grads []*comm.Message
+}
+
+func (s *gradSpy) Send(msg *comm.Message) {
+	if msg.Kind == comm.KindGrad {
+		s.mu.Lock()
+		s.grads = append(s.grads, msg)
+		s.mu.Unlock()
+	}
+	s.Network.Send(msg)
+}
+
+// TestPlanOwnsRowPositions holds the master–mirror contract on a 3-layer
+// Hybrid plan with a forced 50 % split, over the three forward configurations:
+// sendRow[j][k] is the position of send[j][k] in the sender's owned block, and
+// every posted mirror gradient is the very tensor the tape's backward left in
+// an h_chunk leaf's Grad — no copy, no hand assembly — or, for a chunk no
+// owned edge read, zeros of the leaf's shape. The pool is off, so a tensor's
+// identity is its own.
+func TestPlanOwnsRowPositions(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
+		for name, variant := range staticVariants {
+			t.Run(fmt.Sprintf("%s/%s", kind, name), func(t *testing.T) {
+				opts := Options{Workers: 4, Mode: Hybrid, Model: kind, Layers: 3, Seed: 44,
+					ForceRatio: true, CacheRatio: 0.5}
+				variant(&opts)
+				e, err := NewEngine(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				sent := 0
+				for _, p := range e.plans {
+					for l := range p.layers {
+						lp := &p.layers[l]
+						sends := false
+						for j, verts := range lp.send {
+							sends = sends || len(verts) > 0
+							if len(lp.sendRow[j]) != len(verts) {
+								t.Fatalf("worker %d layer %d peer %d: %d rows for %d vertices",
+									p.id, l+1, j, len(lp.sendRow[j]), len(verts))
+							}
+							for k, v := range verts {
+								if p.owned[lp.sendRow[j][k]] != v {
+									t.Fatalf("worker %d layer %d peer %d: sendRow[%d] = %d holds vertex %d, not %d",
+										p.id, l+1, j, k, lp.sendRow[j][k], p.owned[lp.sendRow[j][k]], v)
+								}
+							}
+							sent += len(verts)
+						}
+						if lp.sends != sends {
+							t.Fatalf("worker %d layer %d: sends = %v", p.id, l+1, lp.sends)
+						}
+					}
+				}
+				if sent == 0 {
+					t.Fatal("the plan sends nothing")
+				}
+
+				spy := &gradSpy{Network: e.fabric}
+				e.fabric = spy
+				var log tapeLog
+				log.attach(e)
+				e.Train(1)
+
+				left := map[*tensor.Tensor]bool{} // Grads the backward left in h_chunk leaves
+				unread := 0                       // h_chunk leaves it left none in
+				for _, tp := range log.tapes {
+					for _, v := range tp.Nodes() {
+						if v.Name() != "h_chunk" {
+							continue
+						}
+						if v.Grad == nil {
+							unread++
+						} else {
+							left[v.Grad] = true
+						}
+					}
+				}
+				if len(spy.grads) == 0 || len(spy.grads) != len(left)+unread {
+					t.Fatalf("%d gradient messages for %d h_chunk leaves", len(spy.grads), len(left)+unread)
+				}
+				for _, msg := range spy.grads {
+					if left[msg.Rows] {
+						delete(left, msg.Rows)
+						continue
+					}
+					unread--
+					for _, x := range msg.Rows.Data() {
+						if x != 0 {
+							t.Fatalf("worker %d posted layer %d peer %d a gradient no h_chunk leaf holds",
+								msg.From, msg.Layer, msg.To)
+						}
+					}
+				}
+				if len(left) != 0 || unread != 0 {
+					t.Fatalf("%d leaf gradients never posted, %d zero blocks unaccounted for", len(left), unread)
+				}
+			})
 		}
 	}
 }

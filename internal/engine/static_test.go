@@ -167,14 +167,14 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 						defer e.Close()
 						bound := map[*tensor.Tensor]*float32{}
 						for _, ws := range e.states {
-							f := ws.plan.layers[0].flow.(*boundCombine)
+							f := ws.plan.layers[0].flow.(*masterMirror)
 							if ws.feat != nil {
 								t.Fatalf("worker %d keeps its feature block beside the bound one", ws.id)
 							}
 							if ws.plan.layers[0].work.edgeOps != 0 {
 								t.Fatalf("worker %d reports %d layer-1 edges walked per epoch", ws.id, ws.plan.layers[0].work.edgeOps)
 							}
-							for _, b := range []*tensor.Tensor{f.owned, f.cached} {
+							for _, b := range []*tensor.Tensor{f.boundOwned, f.boundCached} {
 								if b != nil && b.Len() > 0 {
 									bound[b] = &b.Data()[0]
 								}
@@ -255,15 +255,17 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 
 // staticTapeNodes is the multiset of tape node names one training epoch plus
 // one inference pass record on four workers (dataset 220/5/43, seed 44,
-// forced 50 % split), as the commit before boundCombine recorded it: models
+// forced 50 % split), as the commit before layer 1 was bound recorded it —
+// but for the received rows, since then one h_chunk leaf per peer and the
+// concat_rows that assembles them where there was one h_recv leaf: models
 // that are not sum-decomposable bind nothing new.
 var staticTapeNodes = map[string]string{
 	"depcache/gat":  "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:8 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_prev:16 leaky_relu:24 log_softmax:4 matmul:16 nll_loss:4 row_dot:48 segment_softmax:24",
 	"depcache/sage": "add:24 add_bias:8 add_bias_relu:16 concat_rows:8 gather:48 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
-	"depcomm/gat":   "add:32 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:16 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:48 h_held:8 h_prev:16 h_recv:8 leaky_relu:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32 segment_softmax:16",
-	"depcomm/sage":  "add:16 add_bias:8 add_bias_relu:8 concat_rows:16 gather:32 h_held:8 h_prev:16 h_recv:8 log_softmax:4 matmul:48 nll_loss:4 relu:16 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:16",
-	"hybrid/gat":    "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_held:8 h_prev:16 h_recv:8 leaky_relu:24 log_softmax:4 matmul:32 nll_loss:4 row_dot:48 segment_softmax:24",
-	"hybrid/sage":   "add:24 add_bias:8 add_bias_relu:16 concat_rows:24 gather:48 h_held:8 h_prev:16 h_recv:8 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
+	"depcomm/gat":   "add:32 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:48 h_chunk:24 h_held:8 h_prev:16 leaky_relu:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32 segment_softmax:16",
+	"depcomm/sage":  "add:16 add_bias:8 add_bias_relu:8 concat_rows:24 gather:32 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:48 nll_loss:4 relu:16 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:16",
+	"hybrid/gat":    "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:32 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_chunk:24 h_held:8 h_prev:16 leaky_relu:24 log_softmax:4 matmul:32 nll_loss:4 row_dot:48 segment_softmax:24",
+	"hybrid/sage":   "add:24 add_bias:8 add_bias_relu:16 concat_rows:32 gather:48 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
 }
 
 // TestStaticCombineLeavesOtherModelsAlone: GAT and SAGE tapes record what

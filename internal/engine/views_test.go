@@ -27,7 +27,6 @@ var spanStages = map[string][]obs.Stage{
 
 	"send_dep_nbr":     {obs.StageDepFetchSend},
 	"tp_slice_scatter": {obs.StageDepFetchSend},
-	"gather_dep_nbr":   {obs.StageDepFetchRecv},
 	"recv_chunk":       {obs.StageDepFetchRecv},
 	"tp_slice_gather":  {obs.StageDepFetchRecv},
 	"tp_re_gather":     {obs.StageDepFetchSend, obs.StageDepFetchRecv},
@@ -65,8 +64,8 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 		// want names a span only this dataflow (and path) emits.
 		want string
 	}{
-		{"masterMirror/gcn", Hybrid, nn.GCN, false, "gather_dep_nbr"},
-		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, "recv_chunk"},
+		{"masterMirror/gcn", Hybrid, nn.GCN, false, "recv_chunk"},
+		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, "vertex_stage"},
 		{"masterMirror/gat", Hybrid, nn.GAT, false, "pre_transform"},
 		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, "pre_transform"},
 		{"tpSlice/gcn", DepTP, nn.GCN, true, "tp_re_gather"},

@@ -35,8 +35,8 @@ type workerState struct {
 
 	// feat is the layer-1 input in prev-layout: owned features followed by
 	// cached (replicated) features — the one-time fetch of Algorithm 2
-	// line 5 happens here at construction. Nil once a boundCombine layer 1
-	// has combined it: nothing reads it afterwards.
+	// line 5 happens here at construction. Nil once a sum-decomposable layer 1
+	// has combined it (masterMirror.bindFeatures): nothing reads it afterwards.
 	feat *tensor.Tensor
 	// labels / trainMask are aligned with the owned rows.
 	labels    []int32
@@ -50,23 +50,28 @@ type workerState struct {
 // backward sweep.
 type layerRun struct {
 	tape  *autograd.Tape
-	hPrev *autograd.Variable // leaf: previous layer's output (prev-layout; nil under boundCombine)
-	hRecv *autograd.Variable // leaf: received mirror rows (nil if none, or held)
+	hPrev *autograd.Variable // leaf: previous layer's output (prev-layout; nil when layer 1 is bound)
 	out   *autograd.Variable // this layer's output (owned ++ cached layout)
-	// chunkLeaves holds per-peer received leaves when the layer ran through
-	// the chunk-pipelined path (hRecv is nil then). Held chunks are not among
+	// recv holds every representation message the layer received as the tape
+	// leaf it entered on, in arrival order: what the backward leaves in a
+	// leaf's Grad is what is posted to its peer. Held rows are not among
 	// them: nothing is posted back for static rows.
-	chunkLeaves []chunkLeaf
+	recv []recvLeaf
 	// tp holds the tensor-parallel tape state when the layer ran a DepTP
-	// dataflow (hRecv and chunkLeaves are nil then).
+	// dataflow (recv is nil then).
 	tp *tpLayerRun
 }
 
+// recvLeaf is one peer's representation message as a tape leaf.
+type recvLeaf struct {
+	peer int
+	v    *autograd.Variable
+}
+
 // dataflow is how one layer of one worker obtains its input rows and returns
-// their gradients: master–mirror messages (masterMirror, and boundCombine
-// for a sum-decomposable layer 1), or one of the two tensor-parallel slice
-// exchanges (tpSlice, tpAssemble). buildWorkerPlan chooses it when it builds
-// the layer.
+// their gradients: master–mirror messages (masterMirror), or one of the two
+// tensor-parallel slice exchanges (tpSlice, tpAssemble). buildWorkerPlan
+// chooses it when it builds the layer.
 type dataflow interface {
 	// bindFeatures does, once, everything layer 1 does with its static input
 	// that no parameter can change: it assembles what the dataflow reads
@@ -88,126 +93,57 @@ type dataflow interface {
 // masterMirror is the dataflow of Fig. 7: send master rows, redundantly
 // compute the cached block, receive mirror rows, compute the owned block;
 // backward, post mirror gradients to their masters. All of its plan lives on
-// the layerPlan itself.
+// the layerPlan itself; the fields are what layer 1 binds at construction.
 type masterMirror struct {
-	// held is layer 1's held chunks as one block (heldFeatures; nil above
-	// layer 1 and when the layer holds nothing).
+	// held is layer 1's held chunks as one block: HAll rows numPrevRows and
+	// up, so peer j's chunk is the len(held[j]) rows from recvOffset[j] on.
+	// Nil above layer 1, when the layer holds nothing, and once the rows
+	// below have absorbed it.
 	held *tensor.Tensor
+	// boundOwned / boundCached are a sum-decomposable layer 1's combined rows
+	// for its two destination blocks (boundCached is nil when the layer
+	// recomputes nothing). Everything such a layer does before its first
+	// parameter reads only features and the plan, so epochs and inference
+	// passes run Transform on these: nothing is sent, awaited or posted back,
+	// and no gradient leaves the layer's tape.
+	boundOwned, boundCached *tensor.Tensor
 }
 
 // bindFeatures copies the feature rows of layer 1's held chunks beside
-// ws.feat, the owned ++ cached features.
+// ws.feat, the owned ++ cached features, and, for a sum-decomposable layer,
+// runs the forward's own combine over them once, on a plain tape: the bound
+// rows outlive every epoch barrier and carry the bits of the path the options
+// select, because that path's code computed them. Held rows and ws.feat have
+// no reader afterwards and are let go.
 func (f *masterMirror) bindFeatures(ws *workerState) {
-	f.held = heldFeatures(ws, &ws.plan.layers[0])
-}
-
-// heldFeatures copies the feature rows of layer 1's held chunks into one
-// block: HAll rows numPrevRows and up, so peer j's chunk is the len(held[j])
-// rows from recvOffset[j] on (nil when the layer holds nothing).
-func heldFeatures(ws *workerState, lp *layerPlan) *tensor.Tensor {
-	if lp.numHAllRows == lp.numPrevRows {
-		return nil
-	}
-	feats := ws.eng.ds.Features
-	held := tensor.New(lp.numHAllRows-lp.numPrevRows, feats.Cols())
-	for j, verts := range lp.held {
-		chunk := heldChunk(lp, held, j)
-		for r, v := range verts {
-			copy(chunk.Row(r), feats.Row(int(v)))
+	lp := &ws.plan.layers[0]
+	if lp.numHAllRows > lp.numPrevRows {
+		feats := ws.eng.ds.Features
+		f.held = tensor.New(lp.numHAllRows-lp.numPrevRows, feats.Cols())
+		for j, verts := range lp.held {
+			chunk := f.heldChunk(lp, j)
+			for r, v := range verts {
+				copy(chunk.Row(r), feats.Row(int(v)))
+			}
 		}
 	}
-	return held
+	sd, ok := ws.model.Layers[0].(nn.SumDecomposable)
+	if !ok {
+		return
+	}
+	run := layerRun{tape: autograd.NewTape()}
+	feat := run.tape.Constant(ws.feat, "h_prev")
+	if lp.cached.numDst() > 0 {
+		f.boundCached = combineBlock(run.tape, sd, &lp.cached, feat, feat).Value
+	}
+	f.boundOwned = f.combineOwned(ws, &run, 0, 1, sd, feat, false).Value
+	ws.feat, f.held = nil, nil
 }
 
 // heldChunk returns peer j's held chunk as a view of the held block.
-func heldChunk(lp *layerPlan, held *tensor.Tensor, j int) *tensor.Tensor {
+func (f *masterMirror) heldChunk(lp *layerPlan, j int) *tensor.Tensor {
 	base := int(lp.recvOffset[j]) - lp.numPrevRows
-	return held.RowSlice(base, base+len(lp.held[j]))
-}
-
-// boundCombine is the master–mirror dataflow of a sum-decomposable layer 1.
-// Everything such a layer does before its first parameter — the edge stage
-// over owned, cached and held feature rows, the destinations' own rows,
-// Combine — reads only features and the plan, so bindFeatures does it once
-// and an epoch or inference pass runs Transform on the result. Nothing is
-// sent, awaited or posted back, and no gradient leaves the layer's tape.
-type boundCombine struct {
-	// owned / cached are Combine's output for the layer's two destination
-	// blocks (cached is nil when the layer recomputes nothing).
-	owned, cached *tensor.Tensor
-}
-
-// bindFeatures runs the edge stage and Combine for both blocks with the ops,
-// and in the order, of the forward path the options select for the layers
-// above — the chunk-pipelined one sums per-region partials left to right, the
-// other walks the block's CSR once — so the bound rows carry that path's own
-// bits. The tape is a plain one: the rows outlive every epoch barrier. Held
-// rows and ws.feat have no reader afterwards and are let go.
-func (f *boundCombine) bindFeatures(ws *workerState) {
-	lp := &ws.plan.layers[0]
-	sd := ws.model.Layers[0].(nn.SumDecomposable)
-	tape := autograd.NewTape()
-	feat := tape.Constant(ws.feat, "h_prev")
-	held := heldFeatures(ws, lp)
-	combine := func(b *blockPlan, agg *autograd.Variable) *tensor.Tensor {
-		return sd.Combine(tape, agg, tape.Gather(feat, b.selfRow), b.selfNorm).Value
-	}
-
-	if b := &lp.cached; b.numDst() > 0 {
-		f.cached = combine(b, sd.EdgeStage(tape, feat, b.srcRow, b.edgeNorm, b.dstRow, b.numDst()))
-	}
-	b := &lp.owned
-	var agg *autograd.Variable
-	if ws.chunkPipelined() {
-		agg = ws.aggregateChunked(tape, 1, sd, feat, false, func(j int) *autograd.Variable {
-			if len(lp.held[j]) == 0 {
-				return nil
-			}
-			return tape.Constant(heldChunk(lp, held, j), "h_held")
-		})
-	} else {
-		all := feat
-		if held != nil {
-			all = tape.ConcatRows(feat, tape.Constant(held, "h_held"))
-		}
-		agg = sd.EdgeStage(tape, all, b.srcRow, b.edgeNorm, b.dstRow, b.numDst())
-	}
-	f.owned = combine(b, agg)
-	ws.feat = nil
-}
-
-// forward runs Transform on the bound blocks, the cached one first as the
-// master–mirror paths do (dropout draws in that order).
-func (f *boundCombine) forward(ws *workerState, epoch, l int, _ *tensor.Tensor, training bool) layerRun {
-	sd := ws.model.Layers[l-1].(nn.SumDecomposable)
-	tape := ws.newTape(training)
-	sc := ws.clock
-	var outCached *autograd.Variable
-	if f.cached != nil {
-		depCacheHits.Add(float64(f.cached.Rows()))
-		sc.Phase(obs.StageForward, l, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", f.cached.Rows()))
-		outCached = sd.Transform(tape, tape.Constant(f.cached, "combined"), training, ws.rng)
-	}
-	sc.Phase(obs.StageForward, l, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", f.owned.Rows()))
-	out := sd.Transform(tape, tape.Constant(f.owned, "combined"), training, ws.rng)
-	if outCached != nil {
-		out = tape.ConcatRows(out, outCached)
-	}
-	return layerRun{tape: tape, out: out}
-}
-
-// backward runs the layer's tape backward for its parameter gradients; the
-// bound rows take none.
-func (*boundCombine) backward(ws *workerState, epoch, l int, runs []layerRun) {
-	ws.seedBackward(epoch, l, runs)
-}
-
-// chunkLeaf is one peer's received chunk as a tape leaf.
-type chunkLeaf struct {
-	peer int
-	v    *autograd.Variable
+	return f.held.RowSlice(base, base+len(lp.held[j]))
 }
 
 func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
@@ -372,14 +308,18 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, traini
 	return ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, training)
 }
 
+// forward sets up the tape and the sender, then runs the layer by its kind.
 func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
-	tape := ws.newTape(training)
+	run := layerRun{tape: ws.newTape(training)}
 	sc := ws.clock
 
 	sendDone := make(chan struct{})
-	if ws.eng.opts.Overlap {
+	switch {
+	case !lp.sends:
+		close(sendDone)
+	case ws.eng.opts.Overlap:
 		// The background sender runs beside the worker's own timeline: it gets
 		// a lane of its own and must never touch sc, which is single-goroutine.
 		// Its wire bytes are still attributed via the fabric hooks.
@@ -389,113 +329,194 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 			ws.sendReps(epoch, l, prevVal, training, lane)
 			lane.End()
 		}()
-	} else {
+	default:
 		ws.sendReps(epoch, l, prevVal, training, sc)
 		close(sendDone)
 		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
-	// Chunk-pipelined path (§4.3, Fig. 8): for sum-decomposable layers each
-	// received chunk's edge stage runs as the chunk arrives, so compute on
-	// chunk k overlaps delivery of chunk k+1.
-	if sd, ok := layer.(nn.SumDecomposable); ok && ws.chunkPipelined() {
-		run := f.forwardLayerChunked(ws, epoch, l, prevVal, training, sd, tape)
-		<-sendDone
-		return run
+	// Either way the cached (DepCache) block runs first, Transform included:
+	// all its sources are local, so it hides behind the in-flight mirror
+	// exchange (the overlap of Fig. 8), and dropout draws in that order.
+	var outOwned, outCached *autograd.Variable
+	if sd, ok := layer.(nn.SumDecomposable); ok {
+		outOwned, outCached = f.forwardSum(ws, &run, epoch, l, sd, prevVal, training)
+	} else {
+		outOwned, outCached = f.forwardBlocks(ws, &run, epoch, l, layer, prevVal, training)
 	}
-
-	requireFeatGrad := training && l > 1 // layer 1's input is the static feature block
-	hPrev := tape.Leaf(prevVal, requireFeatGrad, "h_prev")
-
-	// Vertex-level pre-transform (e.g. GAT's z = W·h) applies to every row
-	// universe exactly once.
-	zPrev := hPrev
-	pt, hasPT := layer.(nn.PreTransformer)
-	if hasPT {
-		sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-		zPrev = pt.PreTransform(tape, hPrev, training, ws.rng)
-	}
-
-	// Cached (DepCache) block: all sources are local, so it runs while the
-	// mirror exchange is in flight — the overlap of Fig. 8.
-	var outCached *autograd.Variable
-	if lp.cached.numDst() > 0 {
-		depCacheHits.Add(float64(lp.cached.numDst()))
-		sc.Phase(obs.StageForward, l, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
-		outCached = ws.runBlock(tape, layer, &lp.cached, zPrev, zPrev, training)
-	}
-
-	// The rows of other workers: the held block as it stands, or mirror chunks
-	// received and assembled into one block. Only received rows take a
-	// gradient — they have masters to post it to.
-	var hRecv *autograd.Variable
-	zAll := zPrev
-	if lp.numHAllRows > lp.numPrevRows {
-		var hRest *autograd.Variable
-		if f.held != nil {
-			sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
-			hRest = tape.Leaf(f.held, false, "h_held")
-		} else {
-			hRecv = ws.recvReps(tape, epoch, l, training)
-			hRest = hRecv
-		}
-		zRest := hRest
-		if hasPT {
-			sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-			zRest = pt.PreTransform(tape, hRest, training, ws.rng)
-		}
-		zAll = tape.ConcatRows(zPrev, zRest)
-	}
-
-	// Owned block: sources may live anywhere in zAll.
-	sc.Phase(obs.StageForward, l, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
-	outOwned := ws.runBlock(tape, layer, &lp.owned, zAll, zPrev, training)
-	out := outOwned
+	run.out = outOwned
 	if outCached != nil {
-		out = tape.ConcatRows(outOwned, outCached)
+		run.out = run.tape.ConcatRows(outOwned, outCached)
 	}
-
 	<-sendDone
-	return layerRun{tape: tape, hPrev: hPrev, hRecv: hRecv, out: out}
+	return run
 }
 
-// recvReps waits for every peer's mirror chunk of layer l and assembles them
-// into one leaf, HAll rows numPrevRows and up.
-func (ws *workerState) recvReps(tape *autograd.Tape, epoch, l int, training bool) *autograd.Variable {
+// forwardSum runs a sum-decomposable layer: Transform of each destination
+// block's combined rows — the ones bound at construction, or computed now.
+func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
+	prevVal *tensor.Tensor, training bool) (outOwned, outCached *autograd.Variable) {
+
 	lp := &ws.plan.layers[l-1]
+	tape := run.tape
 	sc := ws.clock
-	numRecv := lp.numHAllRows - lp.numPrevRows
-	depCacheMisses.Add(float64(numRecv))
-	sc.Phase(obs.StageDepFetchRecv, l, "gather_dep_nbr",
-		obs.Int("layer", l), obs.Int("rows", numRecv))
-	recvBytes := 0
-	recvVal := ws.alloc(training, numRecv, ws.model.Layers[l-1].InDim())
-	for _, j := range ws.peerOrder() {
-		verts := lp.recv[j]
-		if len(verts) == 0 {
-			continue
+	bound := f.boundOwned != nil
+	if !bound {
+		// Layer 1's input is the static feature block: it takes no gradient.
+		run.hPrev = tape.Leaf(prevVal, training && l > 1, "h_prev")
+	}
+	if b := &lp.cached; b.numDst() > 0 {
+		depCacheHits.Add(float64(b.numDst()))
+		sc.Phase(obs.StageForward, l, "compute_cached",
+			obs.Int("layer", l), obs.Int("rows", b.numDst()))
+		var combined *autograd.Variable
+		if bound {
+			combined = tape.Constant(f.boundCached, "combined")
+		} else {
+			combined = combineBlock(tape, sd, b, run.hPrev, run.hPrev)
 		}
-		base := int(lp.recvOffset[j]) - lp.numPrevRows
-		if ws.eng.opts.Broadcast {
-			msg := ws.mb.Wait(comm.KindBlock, epoch, l, 0, j)
-			recvBytes += msg.WireBytes()
-			for r, v := range verts {
-				idx := searchVertex(msg.Vertices, v)
-				copy(recvVal.Row(base+r), msg.Rows.Row(idx))
-			}
-			continue
-		}
-		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-		recvBytes += msg.WireBytes()
-		for r := range verts {
-			copy(recvVal.Row(base+r), msg.Rows.Row(r))
+		outCached = sd.Transform(tape, combined, training, ws.rng)
+	}
+	var combined *autograd.Variable
+	if bound {
+		sc.Phase(obs.StageForward, l, "compute_owned",
+			obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
+		combined = tape.Constant(f.boundOwned, "combined")
+	} else {
+		combined = f.combineOwned(ws, run, epoch, l, sd, run.hPrev, training)
+	}
+	return sd.Transform(tape, combined, training, ws.rng), outCached
+}
+
+// combineBlock is a sum-decomposable layer's work on one destination block
+// before its first parameter, in the order Layer.Forward records it: the
+// destinations' own rows, the edge stage over src, Combine.
+func combineBlock(tape *autograd.Tape, sd nn.SumDecomposable, b *blockPlan, src, selfUniverse *autograd.Variable) *autograd.Variable {
+	self := tape.Gather(selfUniverse, b.selfRow)
+	agg := sd.EdgeStage(tape, src, b.srcRow, b.edgeNorm, b.dstRow, b.numDst())
+	return sd.Combine(tape, agg, self, b.selfNorm)
+}
+
+// combineOwned combines the owned block, whose sources may live in any
+// peer's chunk, in one of the two arithmetic forms: chunk-pipelined (§4.3,
+// Fig. 8) each chunk's edge stage runs as the chunk arrives, so compute on
+// chunk k overlaps delivery of chunk k+1, and the partials are summed; or the
+// block's CSR is walked once over the assembled rows.
+func (f *masterMirror) combineOwned(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
+	hPrev *autograd.Variable, training bool) *autograd.Variable {
+
+	lp := &ws.plan.layers[l-1]
+	tape := run.tape
+	if ws.chunkPipelined() {
+		agg := f.aggregateChunked(ws, run, epoch, l, sd, hPrev, training)
+		return sd.Combine(tape, agg, tape.Gather(hPrev, lp.owned.selfRow), lp.owned.selfNorm)
+	}
+	hAll := hPrev
+	if hRest := f.rest(ws, run, epoch, l); hRest != nil {
+		hAll = tape.ConcatRows(hPrev, hRest)
+	}
+	ws.clock.Phase(obs.StageForward, l, "compute_owned",
+		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
+	return combineBlock(tape, sd, &lp.owned, hAll, hPrev)
+}
+
+// forwardBlocks runs any other layer: its vertex-level pre-transform (e.g.
+// GAT's z = W·h) over every row universe exactly once, then Layer.Forward on
+// each destination block.
+func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l int, layer nn.Layer,
+	prevVal *tensor.Tensor, training bool) (outOwned, outCached *autograd.Variable) {
+
+	lp := &ws.plan.layers[l-1]
+	tape := run.tape
+	sc := ws.clock
+	run.hPrev = tape.Leaf(prevVal, training && l > 1, "h_prev")
+	pre := func(h *autograd.Variable) *autograd.Variable { return h }
+	if pt, ok := layer.(nn.PreTransformer); ok {
+		pre = func(h *autograd.Variable) *autograd.Variable {
+			sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
+			return pt.PreTransform(tape, h, training, ws.rng)
 		}
 	}
-	sc.SetAttrs(obs.Int("bytes", recvBytes))
-	sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
-	return tape.Leaf(recvVal, true, "h_recv")
+	zPrev := pre(run.hPrev)
+	if b := &lp.cached; b.numDst() > 0 {
+		depCacheHits.Add(float64(b.numDst()))
+		sc.Phase(obs.StageForward, l, "compute_cached",
+			obs.Int("layer", l), obs.Int("rows", b.numDst()))
+		outCached = ws.runBlock(tape, layer, b, zPrev, zPrev, training)
+	}
+	zAll := zPrev
+	if hRest := f.rest(ws, run, epoch, l); hRest != nil {
+		zAll = tape.ConcatRows(zPrev, pre(hRest))
+	}
+	sc.Phase(obs.StageForward, l, "compute_owned",
+		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
+	return ws.runBlock(tape, layer, &lp.owned, zAll, zPrev, training), outCached
+}
+
+// rest returns the rows of other workers the owned block reads, HAll rows
+// numPrevRows and up, as one block: layer 1's held block as it stands, or the
+// received chunks in HAll order (ascending peer). Nil when there is none.
+func (f *masterMirror) rest(ws *workerState, run *layerRun, epoch, l int) *autograd.Variable {
+	lp := &ws.plan.layers[l-1]
+	if lp.numHAllRows == lp.numPrevRows {
+		return nil
+	}
+	if f.held != nil {
+		ws.clock.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+		return run.tape.Leaf(f.held, false, "h_held")
+	}
+	byPeer := make([]*autograd.Variable, len(lp.recv))
+	for _, j := range ws.peerOrder() {
+		byPeer[j] = ws.recvChunk(run, epoch, l, j)
+	}
+	var chunks []*autograd.Variable
+	for _, c := range byPeer {
+		if c != nil {
+			chunks = append(chunks, c)
+		}
+	}
+	ws.clock.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+	return run.tape.ConcatRows(chunks...)
+}
+
+// chunk returns peer j's rows of HAll on their own: a view of the held block
+// at layer 1, what recvChunk receives above it, nil when the layer reads
+// nothing of peer j's.
+func (f *masterMirror) chunk(ws *workerState, run *layerRun, epoch, l, j int) *autograd.Variable {
+	lp := &ws.plan.layers[l-1]
+	if len(lp.held[j]) > 0 {
+		return run.tape.Constant(f.heldChunk(lp, j), "h_held")
+	}
+	return ws.recvChunk(run, epoch, l, j)
+}
+
+// recvChunk is the one way a remote row enters a master–mirror layer
+// (GetFromDepNbr): it waits for peer j's representation message of layer l,
+// puts msg.Rows on the tape as a leaf, notes the leaf in run.recv for the
+// post-back, and returns the rows this worker asked for — the leaf itself,
+// or under Broadcast, where the message is the master's whole owned block, a
+// Gather of them, whose backward leaves in the leaf's Grad the zero-padded
+// block ROC posts. Nil when the layer receives nothing from peer j.
+func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Variable {
+	verts := ws.plan.layers[l-1].recv[j]
+	if len(verts) == 0 {
+		return nil
+	}
+	depCacheMisses.Add(float64(len(verts)))
+	ws.clock.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
+		obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
+	kind := comm.KindRep
+	if ws.eng.opts.Broadcast {
+		kind = comm.KindBlock
+	}
+	msg := ws.mb.Wait(kind, epoch, l, 0, j)
+	ws.clock.SetAttrs(obs.Int("bytes", msg.WireBytes()))
+	leaf := run.tape.Leaf(msg.Rows, true, "h_chunk")
+	run.recv = append(run.recv, recvLeaf{peer: j, v: leaf})
+	if ws.eng.opts.Broadcast {
+		return run.tape.Gather(leaf, ws.eng.plans[j].layers[l-1].sendRow[ws.id])
+	}
+	return leaf
 }
 
 // runForward executes a forward-only (inference) pass and returns the owned
@@ -518,66 +539,14 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 	return prevVal.RowSlice(0, len(ws.plan.owned))
 }
 
-// forwardLayerChunked is the incremental-aggregation forward: the owned
-// block's edges are processed per source region (local first, then each
-// peer's chunk in arrival schedule order), partial aggregations are summed,
-// and Combine and Transform run once at the end. Its layers sit above layer
-// 1 (a sum-decomposable layer 1 is a boundCombine), so every chunk is
-// received.
-func (f *masterMirror) forwardLayerChunked(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
-	training bool, sd nn.SumDecomposable, tape *autograd.Tape) layerRun {
-
-	lp := &ws.plan.layers[l-1]
-	layer := ws.model.Layers[l-1]
-	sc := ws.clock
-	hPrev := tape.Leaf(prevVal, training && l > 1, "h_prev")
-
-	// Cached (DepCache) block first: pure local work that hides behind the
-	// in-flight mirror exchange.
-	var outCached *autograd.Variable
-	if lp.cached.numDst() > 0 {
-		depCacheHits.Add(float64(lp.cached.numDst()))
-		sc.Phase(obs.StageForward, l, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
-		outCached = ws.runBlock(tape, layer, &lp.cached, hPrev, hPrev, training)
-	}
-
-	var leaves []chunkLeaf
-	agg := ws.aggregateChunked(tape, l, sd, hPrev, training, func(j int) *autograd.Variable {
-		verts := lp.recv[j]
-		if len(verts) == 0 {
-			return nil
-		}
-		depCacheMisses.Add(float64(len(verts)))
-		sc.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
-			obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
-		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-		// The chunk's edge stage, from wrapping it as a leaf on; empty when
-		// the chunk was received for availability but no owned edge uses it.
-		sc.Phase(obs.StageForward, l, "edge_stage",
-			obs.Int("layer", l), obs.Int("peer", j))
-		leaf := tape.Leaf(msg.Rows, true, "h_chunk")
-		leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
-		return leaf
-	})
-	self := tape.Gather(hPrev, lp.owned.selfRow)
-	outOwned := sd.Transform(tape, sd.Combine(tape, agg, self, lp.owned.selfNorm), training, ws.rng)
-	out := outOwned
-	if outCached != nil {
-		out = tape.ConcatRows(outOwned, outCached)
-	}
-	return layerRun{tape: tape, hPrev: hPrev, out: out, chunkLeaves: leaves}
-}
-
 // aggregateChunked is §4.3's incremental aggregation of layer l's owned
-// block: the local region's edge stage, then each peer chunk's as chunk(j)
-// yields it (nil when nothing of peer j's is there to read) in schedule
-// order, and the partials summed left to right.
-func (ws *workerState) aggregateChunked(tape *autograd.Tape, l int, sd nn.SumDecomposable,
-	hPrev *autograd.Variable, training bool, chunk func(j int) *autograd.Variable) *autograd.Variable {
+// block: the local region's edge stage, then each peer chunk's as it arrives
+// in schedule order, and the partials summed left to right.
+func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
+	hPrev *autograd.Variable, training bool) *autograd.Variable {
 
 	lp := &ws.plan.layers[l-1]
+	tape := run.tape
 	sc := ws.clock
 	numDst := lp.owned.numDst()
 	var partials []*autograd.Variable
@@ -588,10 +557,13 @@ func (ws *workerState) aggregateChunked(tape *autograd.Tape, l int, sd nn.SumDec
 			sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
 	}
 	for _, j := range ws.peerOrder() {
-		leaf := chunk(j)
-		if g := lp.groupOf[j]; leaf != nil && g != nil {
+		// A chunk may be there for availability only: no owned edge reads it.
+		rows := f.chunk(ws, run, epoch, l, j)
+		if g := lp.groupOf[j]; rows != nil && g != nil {
+			sc.Phase(obs.StageForward, l, "edge_stage",
+				obs.Int("layer", l), obs.Int("peer", j))
 			partials = append(partials,
-				sd.EdgeStage(tape, leaf, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
+				sd.EdgeStage(tape, rows, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
 		}
 	}
 
@@ -629,9 +601,8 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 
 // sendReps packs and sends this worker's master rows needed by each peer at
 // layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
-// the send runs inline, a lane of it when it runs in the background. prevVal
-// rows 0..len(owned) are the owned vertices in ascending order, so row lookup
-// is the position in the owned list. Training sends draw payload buffers from
+// the send runs inline, a lane of it when it runs in the background. The
+// plan's sendRow says which of prevVal's rows go. Training sends draw payload buffers from
 // the arena (the receiver is done with them by the epoch barrier); inference
 // payloads must outlive barriers and allocate plainly.
 func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) {
@@ -640,9 +611,8 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 		arena = ws.arena
 	}
 	lp := &ws.plan.layers[l-1]
-	ownedPos := ws.plan.prevIndex[l-1] // owned rows come first in every layout
 	for _, j := range ws.peerOrder() {
-		verts := lp.send[j]
+		verts, rowOf := lp.send[j], lp.sendRow[j]
 		if len(verts) == 0 {
 			continue
 		}
@@ -666,7 +636,7 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 			for k := lo; k < hi; k++ {
 				// verts is the buffer's own vertex list, so position k IS the
 				// destination row: skip the per-vertex position lookup.
-				buf.WriteRowAt(k, prevVal.Row(int(ownedPos[verts[k]])))
+				buf.WriteRowAt(k, prevVal.Row(int(rowOf[k])))
 			}
 		})
 		rows, ids := buf.Finish()
@@ -677,23 +647,6 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		ws.eng.fabric.Send(msg)
 	}
-}
-
-// searchVertex returns the index of v in the ascending list, or -1.
-func searchVertex(list []int32, v int32) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo] == v {
-		return lo
-	}
-	return -1
 }
 
 // seedBackward runs layer l's main tape backward from the gradient of its
@@ -716,62 +669,31 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 	run.tape.Backward(run.out, seed)
 }
 
-// backward runs layer l's tape backward, then posts mirror gradients back to
-// their masters (PostToDepNbr).
+// backward runs layer l's tape backward, then posts what it left in each
+// received leaf's Grad to the leaf's peer, in arrival order (PostToDepNbr):
+// the chunk's gradient, or under Broadcast the full-width block aligned with
+// the master's owned list that Gather's backward zero-padded.
 func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
 	ws.seedBackward(epoch, l, runs)
-	// Post mirror gradients of chunk-pipelined leaves (one message per peer
-	// chunk).
-	if len(run.chunkLeaves) > 0 {
-		ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
-		for _, cl := range run.chunkLeaves {
-			verts := lp.recv[cl.peer]
-			grad := cl.v.Grad
-			if grad == nil {
-				grad = ws.alloc(true, cl.v.Value.Rows(), cl.v.Value.Cols())
-			}
-			ws.eng.fabric.Send(&comm.Message{
-				From: ws.id, To: cl.peer, Kind: comm.KindGrad,
-				Epoch: epoch, Layer: l, Vertices: verts, Rows: grad,
-			})
-		}
+	if len(run.recv) == 0 {
+		return
 	}
-	// Post mirror gradients of this layer's received rows to their masters.
-	if run.hRecv != nil {
-		grad := run.hRecv.Grad
+	ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
+	for _, leaf := range run.recv {
+		verts := lp.recv[leaf.peer]
+		if ws.eng.opts.Broadcast {
+			verts = ws.eng.plans[leaf.peer].owned
+		}
+		grad := leaf.v.Grad
 		if grad == nil {
-			grad = ws.alloc(true, run.hRecv.Value.Rows(), run.hRecv.Value.Cols())
+			grad = ws.alloc(true, leaf.v.Value.Rows(), leaf.v.Value.Cols())
 		}
-		ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
-		for _, j := range ws.peerOrder() {
-			verts := lp.recv[j]
-			if len(verts) == 0 {
-				continue
-			}
-			base := int(lp.recvOffset[j]) - lp.numPrevRows
-			if ws.eng.opts.Broadcast {
-				// ROC-style: a full-width gradient block aligned with the
-				// master's owned list, zero-padded.
-				ownerOwned := ws.eng.plans[j].owned
-				block := ws.alloc(true, len(ownerOwned), grad.Cols())
-				for r, v := range verts {
-					pos := searchVertex(ownerOwned, v)
-					copy(block.Row(pos), grad.Row(base+r))
-				}
-				ws.eng.fabric.Send(&comm.Message{
-					From: ws.id, To: j, Kind: comm.KindGrad,
-					Epoch: epoch, Layer: l, Vertices: ownerOwned, Rows: block,
-				})
-				continue
-			}
-			rows := ws.arena.GetCopy(grad.RowSlice(base, base+len(verts)))
-			ws.eng.fabric.Send(&comm.Message{
-				From: ws.id, To: j, Kind: comm.KindGrad,
-				Epoch: epoch, Layer: l, Vertices: verts, Rows: rows,
-			})
-		}
+		ws.eng.fabric.Send(&comm.Message{
+			From: ws.id, To: leaf.peer, Kind: comm.KindGrad,
+			Epoch: epoch, Layer: l, Vertices: verts, Rows: grad,
+		})
 	}
 }
 
@@ -781,10 +703,8 @@ func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 // mirrors; the caller's next phase returns the clock to backward compute.
 func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
 	lp := &ws.plan.layers[l-1]
-	ownedPos := ws.plan.prevIndex[l-1]
 	for _, j := range ws.peerOrder() {
-		verts := lp.send[j]
-		if len(verts) == 0 {
+		if len(lp.send[j]) == 0 {
 			continue
 		}
 		ws.clock.Phase(obs.StageMirrorScatter, l, "recv_mirror_grads",
@@ -797,8 +717,8 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
 			addWindow(at(seed, 0, 0), at(msg.Rows, 0, 0), len(msg.Vertices), msg.Rows.Cols())
 			continue
 		}
-		for r, v := range verts {
-			tensor.AddTo(seed.Row(int(ownedPos[v])), msg.Rows.Row(r))
+		for r, row := range lp.sendRow[j] {
+			tensor.AddTo(seed.Row(int(row)), msg.Rows.Row(r))
 		}
 	}
 }
