@@ -63,7 +63,6 @@ func main() {
 		opt       = flag.Bool("optimized", true, "enable ring/lock-free/overlap optimisations")
 		repBudget = flag.Int64("rep-budget", 0, "per-worker compressed replica byte budget for deprep/hybrid4 (0 = unlimited)")
 		repQuant  = flag.String("rep-quant", "off", "replica feature storage for deprep/hybrid4: off, fp16, int8")
-		pool      = flag.Bool("pool", defaultPool(), "recycle tensor memory across epochs (default also settable via NS_POOL=0/1)")
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = flag.Int("ckpt-every", 5, "checkpoint cadence in epochs")
 		resume    = flag.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
@@ -111,7 +110,6 @@ func main() {
 		Network: neutronstar.NetworkKind(*network),
 		Layers:  *layers,
 		Ring:    *opt, LockFree: *opt, Overlap: *opt,
-		Pool:           *pool,
 		LR:             *lr,
 		Seed:           *seed,
 		RepBudgetBytes: *repBudget,
@@ -241,16 +239,6 @@ func main() {
 		}
 		log.Info("model saved", "path", *saveModel, "model", *model)
 	}
-}
-
-// defaultPool reads the NS_POOL environment toggle: pooling is on unless
-// NS_POOL is set to 0/false/off. The -pool flag overrides either way.
-func defaultPool() bool {
-	switch strings.ToLower(os.Getenv("NS_POOL")) {
-	case "0", "false", "off", "no":
-		return false
-	}
-	return true
 }
 
 // validateFlags rejects nonsensical flag combinations up front with a usage

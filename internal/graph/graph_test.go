@@ -99,24 +99,6 @@ func TestKHopInClosure(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := diamond()
-	sub, globals, toLocal := g.InducedSubgraph([]int32{0, 1, 3})
-	if sub.NumVertices() != 3 {
-		t.Fatalf("sub V = %d", sub.NumVertices())
-	}
-	// Kept edges: 0->1 and 1->3 and 3->0 (2 dropped since 2 excluded... edge 0->2, 2->3 dropped).
-	if sub.NumEdges() != 3 {
-		t.Fatalf("sub E = %d", sub.NumEdges())
-	}
-	if globals[toLocal[3]] != 3 {
-		t.Fatal("mapping broken")
-	}
-	if !sub.HasEdge(toLocal[0], toLocal[1]) || !sub.HasEdge(toLocal[3], toLocal[0]) {
-		t.Fatal("subgraph lost an edge")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{0, 1}, {2, 1}, {3, 1}})
 	s := ComputeStats(g)

@@ -25,29 +25,6 @@ func (g *Graph) KHopInClosure(seeds []int32, k int) [][]int32 {
 	return hops
 }
 
-// InducedSubgraph builds the subgraph on the given vertices (ascending,
-// deduplicated by the caller) keeping only edges whose endpoints are both in
-// the set. It returns the subgraph and the mapping local id -> global id.
-// The inverse mapping is returned as a map for sparse lookup.
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, map[int32]int32) {
-	toLocal := make(map[int32]int32, len(vertices))
-	for i, v := range vertices {
-		toLocal[v] = int32(i)
-	}
-	var edges []Edge
-	for i, v := range vertices {
-		for _, u := range g.InNeighbors(v) {
-			if lu, ok := toLocal[u]; ok {
-				edges = append(edges, Edge{Src: lu, Dst: int32(i)})
-			}
-		}
-	}
-	sub := MustFromEdges(len(vertices), edges)
-	globals := make([]int32, len(vertices))
-	copy(globals, vertices)
-	return sub, globals, toLocal
-}
-
 // SortedKeys returns the keys of a vertex-keyed map in ascending order: the
 // one way a vertex set leaves a map, so no map iteration order reaches a plan.
 func SortedKeys[V any](m map[int32]V) []int32 {

@@ -17,8 +17,8 @@ import (
 // Get zeroes the returned tensor, making a pooled allocation semantically
 // identical to New: computations run bit-for-bit the same whether a pool is
 // in play or not. A nil *Pool is valid and degrades every method to the
-// unpooled behaviour (Get == New, Put == no-op), which is how the engine's
-// -pool toggle reproduces the allocator-per-call baseline exactly.
+// unpooled behaviour (Get == New, Put == no-op): the allocator-per-call
+// reference the engine's pooled runs are compared against.
 //
 // All methods are safe for concurrent use.
 type Pool struct {

@@ -123,15 +123,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Reshape returns a tensor with the new shape sharing t's storage.
-// rows*cols must equal t.Len().
-func (t *Tensor) Reshape(rows, cols int) *Tensor {
-	if rows*cols != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %dx%d to %dx%d", t.rows, t.cols, rows, cols))
-	}
-	return &Tensor{rows: rows, cols: cols, data: t.data}
-}
-
 // SameShape reports whether t and o have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool { return t.rows == o.rows && t.cols == o.cols }
 

@@ -88,18 +88,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	r := m.Reshape(3, 2)
-	if r.At(2, 1) != 6 || r.At(1, 0) != 3 {
-		t.Fatalf("Reshape wrong: %v", r)
-	}
-	r.Set(0, 0, 42)
-	if m.At(0, 0) != 42 {
-		t.Fatal("Reshape must share storage")
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := NewRNG(1)
 	m := RandNormal(37, 53, 0, 1, rng)
@@ -598,15 +586,6 @@ func TestRowSliceBoundsPanics(t *testing.T) {
 			m.RowSlice(r[0], r[1])
 		}()
 	}
-}
-
-func TestReshapeBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(2, 3).Reshape(4, 2)
 }
 
 func TestCopyFromShapeMismatchPanics(t *testing.T) {

@@ -163,14 +163,6 @@ type Config struct {
 	// faulted run converges to the same losses as a clean one. Empty
 	// disables injection.
 	FaultSpec string
-	// Pool recycles training-time tensor storage (tape intermediates,
-	// gradients, message payloads) through a size-bucketed allocator whose
-	// arenas drain back at every epoch barrier, cutting per-epoch heap
-	// allocations sharply. Results are bit-identical either way: pooled
-	// buffers are zeroed on checkout, so disabling the pool reproduces the
-	// exact same training trajectory. Ignored under FaultSpec (retransmission
-	// goroutines may hold payloads past the barrier).
-	Pool bool
 	// CritPath enables causal recording: every message carries a trace
 	// context, each epoch closes with a critical-path extraction and
 	// straggler indices (served on /critpath and via SlowEpochReport), and
@@ -452,10 +444,6 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 			return engine.Options{}, nil, err
 		}
 	}
-	var pool *tensor.Pool
-	if cfg.Pool {
-		pool = tensor.NewPool()
-	}
 	repQuant, err := partition.ParseRepQuant(cfg.RepQuant)
 	if err != nil {
 		return engine.Options{}, nil, err
@@ -482,7 +470,9 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 		RepQuant:    repQuant,
 		Collector:   coll,
 		Fault:       fault,
-		Pool:        pool,
+		// Training-time tensor storage is always recycled through per-worker
+		// arenas; results are bit-identical to fresh allocation.
+		Pool: tensor.NewPool(),
 	}, coll, nil
 }
 
