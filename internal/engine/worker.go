@@ -315,23 +315,22 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 	run := layerRun{tape: ws.newTape(training)}
 	sc := ws.clock
 
-	sendDone := make(chan struct{})
+	var sent chan struct{} // closed by the background sender; nil without one
 	switch {
 	case !lp.sends:
-		close(sendDone)
 	case ws.eng.opts.Overlap:
 		// The background sender runs beside the worker's own timeline: it gets
 		// a lane of its own and must never touch sc, which is single-goroutine.
 		// Its wire bytes are still attributed via the fabric hooks.
+		sent = make(chan struct{})
 		lane := sc.Lane()
 		go func() {
-			defer close(sendDone)
+			defer close(sent)
 			ws.sendReps(epoch, l, prevVal, training, lane)
 			lane.End()
 		}()
 	default:
 		ws.sendReps(epoch, l, prevVal, training, sc)
-		close(sendDone)
 		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
@@ -348,7 +347,9 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 	if outCached != nil {
 		run.out = run.tape.ConcatRows(outOwned, outCached)
 	}
-	<-sendDone
+	if sent != nil {
+		<-sent
+	}
 	return run
 }
 
@@ -469,7 +470,7 @@ func (f *masterMirror) rest(ws *workerState, run *layerRun, epoch, l int) *autog
 	for _, j := range ws.peerOrder() {
 		byPeer[j] = ws.recvChunk(run, epoch, l, j)
 	}
-	var chunks []*autograd.Variable
+	chunks := byPeer[:0]
 	for _, c := range byPeer {
 		if c != nil {
 			chunks = append(chunks, c)
@@ -602,9 +603,9 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 // sendReps packs and sends this worker's master rows needed by each peer at
 // layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
 // the send runs inline, a lane of it when it runs in the background. The
-// plan's sendRow says which of prevVal's rows go. Training sends draw payload buffers from
-// the arena (the receiver is done with them by the epoch barrier); inference
-// payloads must outlive barriers and allocate plainly.
+// plan's sendRow says which of prevVal's rows go. Training sends draw payload
+// buffers from the arena (the receiver is done with them by the epoch
+// barrier); inference payloads must outlive barriers and allocate plainly.
 func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) {
 	var arena *tensor.Arena
 	if training {
