@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 
 	"neutronstar/internal/dataset"
@@ -28,7 +29,7 @@ func main() {
 		importDir = flag.String("import", "", "load and describe a dataset directory")
 	)
 	flag.Parse()
-	log := obs.NewLogger(os.Stderr)
+	log := obs.NewLogger(os.Stderr, false, slog.LevelInfo)
 	fail := func(err error) {
 		log.Error("fatal", "err", err)
 		os.Exit(1)

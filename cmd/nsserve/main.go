@@ -25,9 +25,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -67,15 +69,28 @@ func main() {
 	)
 	flag.Parse()
 
-	log := obs.NewLogger(os.Stdout).WithJSON(*logJSON)
-	log.SetLevel(obs.ParseLevel(*logLevel))
-	fail := func(err error) {
-		log.Error("fatal", "err", err)
-		os.Exit(1)
+	// Malformed watch rules are a usage error, and so are the epoch rules:
+	// no epoch stream reaches this watchdog, so they could never fire.
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "nsserve: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	rules, err := obs.ParseWatchRules(*watchSpec)
 	if err != nil {
-		fail(fmt.Errorf("-watch-rules: %w", err))
+		usage(fmt.Errorf("-watch-rules: %w", err))
+	} else if rules.WatchesEpochs() {
+		usage(fmt.Errorf("-watch-rules %q: stall, regress, straggler and window watch training epochs; nsserve evaluates slo_p99, slo_window and hitrate", *watchSpec))
+	}
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		usage(fmt.Errorf("-log-level: %w", err))
+	}
+
+	log := obs.NewLogger(os.Stdout, *logJSON, level)
+	fail := func(err error) {
+		log.Error("fatal", "err", err)
+		os.Exit(1)
 	}
 	if *loadModel == "" && *trainN <= 0 {
 		fail(fmt.Errorf("need a model: pass -load-model FILE or -train EPOCHS"))
@@ -178,7 +193,13 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Info("shutting down")
-	_ = hs.Close()
+	// Drain: stop accepting, let requests already accepted get their
+	// answers (bounded by drainTimeout), then close the pipeline.
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	if err := hs.Shutdown(ctx); err != nil {
+		log.Warn("drain cut short", "err", err)
+	}
+	cancel()
 	srv.Close()
 	if tracer != nil {
 		if err := writeServeTrace(*trace, tracer, *extractW); err != nil {
@@ -191,6 +212,9 @@ func main() {
 	log.Info("served", "requests", st.Requests, "errors", st.Errors,
 		"batches", st.Batches, "cache_hits", st.Cache.Hits, "cache_misses", st.Cache.Misses)
 }
+
+// drainTimeout bounds how long shutdown waits for in-flight requests.
+const drainTimeout = 10 * time.Second
 
 // writeServeTrace exports the serving pools' spans as a Chrome trace, naming
 // the rows after their pool: extract workers first, compute workers after

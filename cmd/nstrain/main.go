@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -82,15 +83,24 @@ func main() {
 		os.Exit(2)
 	}
 	// Malformed watch rules are a usage error: reject them before building
-	// the cluster, with the parser's explanation of what a valid spec is.
-	if _, err := obs.ParseWatchRules(*watchSpec); err != nil {
-		fmt.Fprintf(os.Stderr, "nstrain: -watch-rules: %v\n", err)
+	// the cluster, with the parser's explanation of what a valid spec is. So
+	// are serving rules: nstrain serves nothing, so they could never fire.
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "nstrain: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
+	if rules, err := obs.ParseWatchRules(*watchSpec); err != nil {
+		usage(fmt.Errorf("-watch-rules: %w", err))
+	} else if rules.WatchesServing() {
+		usage(fmt.Errorf("-watch-rules %q: slo_p99, slo_window and hitrate watch a server; nstrain evaluates stall, regress, straggler and window", *watchSpec))
+	}
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		usage(fmt.Errorf("-log-level: %w", err))
+	}
 
-	log := obs.NewLogger(os.Stdout).WithJSON(*logJSON)
-	log.SetLevel(obs.ParseLevel(*logLevel))
+	log := obs.NewLogger(os.Stdout, *logJSON, level)
 	fail := func(err error) {
 		log.Error("fatal", "err", err)
 		os.Exit(1)

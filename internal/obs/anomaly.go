@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +138,20 @@ func (r WatchRules) Enabled() bool {
 	return r.Stall > 0 || r.Regress > 0 || r.Straggler > 0 || r.SLOP99 > 0 || r.HitRate > 0
 }
 
+// WatchesEpochs reports whether r sets a key of the epoch family (stall,
+// regress, straggler, window): rules only a watchdog fed ObserveEpoch — a
+// training session's — can evaluate.
+func (r WatchRules) WatchesEpochs() bool {
+	return r.Stall > 0 || r.Regress > 0 || r.Straggler > 0 || r.Window > 0
+}
+
+// WatchesServing reports whether r sets a key of the serving family
+// (slo_p99, slo_window, hitrate): rules read from the ns_serve_* series, which
+// only a process that serves has.
+func (r WatchRules) WatchesServing() bool {
+	return r.SLOP99 > 0 || r.SLOWindow > 0 || r.HitRate > 0
+}
+
 // window returns the effective trailing-median window.
 func (r WatchRules) window() int {
 	if r.Window > 0 {
@@ -258,7 +273,7 @@ type Watchdog struct {
 	reg   *Registry
 
 	mu           sync.Mutex
-	log          *Logger
+	log          *slog.Logger
 	walls        []float64 // trailing wall times, oldest first, cap window
 	alerts       []Alert
 	lastEpoch    int
@@ -273,12 +288,12 @@ type Watchdog struct {
 // NewWatchdog returns a watchdog with the given rules, logging alerts to log
 // (nil discards) and counting them in reg (nil skips metrics; the counter is
 // registered lazily on first alert, so an idle watchdog adds no series).
-func NewWatchdog(rules WatchRules, log *Logger, reg *Registry) *Watchdog {
+func NewWatchdog(rules WatchRules, log *slog.Logger, reg *Registry) *Watchdog {
 	return &Watchdog{rules: rules, reg: reg, log: log, lastEpoch: -1, now: time.Now}
 }
 
-// SetLogger replaces the alert logger.
-func (w *Watchdog) SetLogger(log *Logger) {
+// SetLogger replaces the alert logger (nil discards).
+func (w *Watchdog) SetLogger(log *slog.Logger) {
 	if w == nil {
 		return
 	}
@@ -514,8 +529,12 @@ func countAboveBuckets(upper []float64, counts []uint64, t float64) float64 {
 	return above
 }
 
-// emit logs fired alerts outside w.mu (the logger takes its own lock).
-func emit(log *Logger, fired []Alert) {
+// emit logs fired alerts outside w.mu (the logger takes its own lock); a
+// nil logger discards them.
+func emit(log *slog.Logger, fired []Alert) {
+	if log == nil {
+		return
+	}
 	for _, a := range fired {
 		log.Warn("watchdog alert", "rule", a.Rule, "epoch", a.Epoch,
 			"worker", a.Worker, "value", a.Value, "bound", a.Bound, "detail", a.Message)

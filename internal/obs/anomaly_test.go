@@ -63,6 +63,36 @@ func TestParseWatchRulesErrors(t *testing.T) {
 	}
 }
 
+// TestWatchRuleFamilies pins which keys each family predicate sees: the
+// CLIs reject a spec whose family they cannot evaluate.
+func TestWatchRuleFamilies(t *testing.T) {
+	cases := []struct {
+		spec            string
+		epochs, serving bool
+	}{
+		{"", false, false},
+		{"default", true, false},
+		{"stall=30s", true, false},
+		{"regress=1.5", true, false},
+		{"straggler=2", true, false},
+		{"window=4", true, false},
+		{"slo_p99=250ms", false, true},
+		{"slo_window=30s", false, true},
+		{"hitrate=0.3", false, true},
+		{"regress=1.5,hitrate=0.3", true, true},
+	}
+	for _, tc := range cases {
+		r, err := ParseWatchRules(tc.spec)
+		if err != nil {
+			t.Fatalf("ParseWatchRules(%q): %v", tc.spec, err)
+		}
+		if r.WatchesEpochs() != tc.epochs || r.WatchesServing() != tc.serving {
+			t.Fatalf("%q: WatchesEpochs=%v WatchesServing=%v, want %v %v",
+				tc.spec, r.WatchesEpochs(), r.WatchesServing(), tc.epochs, tc.serving)
+		}
+	}
+}
+
 func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
 	reg := NewRegistry()
 	w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil, reg)

@@ -10,9 +10,10 @@ import (
 
 // Gathering turns the live registry into plain data: one SeriesSnapshot per
 // labeled series, ordered by family name then label values. The metric
-// history samples these into its ring buffer, and the OpenMetrics writer
-// renders them with exemplars — both consumers want a consistent point-in-
-// time view without holding registry locks while they work.
+// history samples these into its ring buffer, and both exposition writers
+// render them (the OpenMetrics one with exemplars) — every consumer wants a
+// consistent point-in-time view without holding registry locks while it
+// works.
 
 // SeriesSnapshot is one series' instantaneous state. Counters and gauges
 // carry Value; histograms carry Count/Sum plus the per-bucket breakdown
@@ -63,29 +64,29 @@ func (s *SeriesSnapshot) Quantile(p float64) float64 {
 	return bucketQuantile(s.Upper, s.Buckets, s.Sum, p)
 }
 
-// Gather snapshots every series in the registry, sorted by family name then
-// label values. Under concurrent updates each series is individually
-// consistent (its values were loaded together), like any monitoring read.
-func (r *Registry) Gather() []SeriesSnapshot {
+// walk is the one traversal of the registry: families in name order, each
+// visited with its series snapshotted in label-value order under the family
+// lock (a family declared but never resolved visits with none). Gather and
+// both exposition formats are views of it. Under concurrent updates each
+// series is individually consistent (its values were loaded together), like
+// any monitoring read.
+func (r *Registry) walk(visit func(f *family, series []SeriesSnapshot)) {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for name, f := range r.families {
-		names = append(names, name)
-		fams[name] = f
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
-	sort.Strings(names)
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	var out []SeriesSnapshot
-	for _, name := range names {
-		f := fams[name]
+	for _, f := range fams {
 		f.mu.Lock()
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		snaps := make([]SeriesSnapshot, 0, len(keys))
 		for _, k := range keys {
 			se := f.series[k]
 			snap := SeriesSnapshot{
@@ -106,51 +107,90 @@ func (r *Registry) Gather() []SeriesSnapshot {
 				snap.Buckets = se.h.bucketCounts()
 				snap.Exemplars = se.h.Exemplars()
 			}
-			out = append(out, snap)
+			snaps = append(snaps, snap)
 		}
 		f.mu.Unlock()
+		visit(f, snaps)
 	}
+}
+
+// Gather snapshots every series in the registry, sorted by family name then
+// label values.
+func (r *Registry) Gather() []SeriesSnapshot {
+	var out []SeriesSnapshot
+	r.walk(func(_ *family, series []SeriesSnapshot) { out = append(out, series...) })
 	return out
+}
+
+// WritePrometheus renders every family in text exposition format (version
+// 0.0.4): families sorted by name with their HELP and TYPE lines (also for a
+// family with no series yet), series sorted by label values, histograms
+// expanded into cumulative _bucket/_sum/_count series with a trailing +Inf
+// bucket.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	r.walk(func(f *family, series []SeriesSnapshot) {
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		for i := range series {
+			writeSeries(&b, &series[i], false)
+		}
+	})
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteOpenMetrics renders the registry in OpenMetrics 1.0 text format: like
 // the classic exposition but with counter families declared under their base
 // name (the _total suffix stays on the sample), bucket exemplars rendered as
 // "# {trace_id=...} value timestamp" payloads, and a terminating # EOF line.
-// Exemplars are the reason this format exists here — they are not expressible
-// in the 0.0.4 text format.
+// Families with no series are left out. Exemplars are the reason this format
+// exists here — they are not expressible in the 0.0.4 text format.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	var b strings.Builder
-	var lastFamily string
-	for _, s := range r.Gather() {
-		if s.Name != lastFamily {
-			lastFamily = s.Name
-			base := s.Name
-			if s.Kind == "counter" {
-				base = strings.TrimSuffix(base, "_total")
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", base, s.Kind)
+	r.walk(func(f *family, series []SeriesSnapshot) {
+		if len(series) == 0 {
+			return
 		}
-		switch s.Kind {
-		case "counter", "gauge":
-			writeSample(&b, s.Name, s.LabelNames, s.LabelValues, "", "", s.Value)
-		case "histogram":
-			var cum uint64
-			for i, upper := range s.Upper {
-				cum += s.Buckets[i]
-				writeExemplarSample(&b, s.Name+"_bucket", s.LabelNames, s.LabelValues,
-					formatFloat(upper), float64(cum), s.Exemplars[i])
-			}
-			cum += s.Buckets[len(s.Upper)]
-			writeExemplarSample(&b, s.Name+"_bucket", s.LabelNames, s.LabelValues,
-				"+Inf", float64(cum), s.Exemplars[len(s.Upper)])
-			writeSample(&b, s.Name+"_sum", s.LabelNames, s.LabelValues, "", "", s.Sum)
-			writeSample(&b, s.Name+"_count", s.LabelNames, s.LabelValues, "", "", float64(s.Count))
+		base := f.name
+		if f.kind == counterKind {
+			base = strings.TrimSuffix(base, "_total")
 		}
-	}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", base, f.kind)
+		for i := range series {
+			writeSeries(&b, &series[i], true)
+		}
+	})
 	b.WriteString("# EOF\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// writeSeries renders one series' sample lines: one line for a counter or
+// gauge; for a histogram the cumulative _bucket lines (+Inf last, carrying
+// the bucket exemplars when exemplars is set), then _sum and _count.
+func writeSeries(b *strings.Builder, s *SeriesSnapshot, exemplars bool) {
+	if s.Kind != "histogram" {
+		writeSample(b, s.Name, s.LabelNames, s.LabelValues, "", "", s.Value)
+		return
+	}
+	var cum uint64
+	for i, n := range s.Buckets {
+		cum += n
+		le := "+Inf"
+		if i < len(s.Upper) {
+			le = formatFloat(s.Upper[i])
+		}
+		var ex *Exemplar
+		if exemplars {
+			ex = s.Exemplars[i]
+		}
+		writeExemplarSample(b, s.Name+"_bucket", s.LabelNames, s.LabelValues, le, float64(cum), ex)
+	}
+	writeSample(b, s.Name+"_sum", s.LabelNames, s.LabelValues, "", "", s.Sum)
+	writeSample(b, s.Name+"_count", s.LabelNames, s.LabelValues, "", "", float64(s.Count))
 }
 
 // writeExemplarSample renders one _bucket line, appending the OpenMetrics

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -446,61 +445,6 @@ type HistogramVec struct{ f *family }
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.f.get(labelValues).h }
-
-// WritePrometheus renders every family in text exposition format (version
-// 0.0.4): families sorted by name, series sorted by label values, histograms
-// expanded into cumulative _bucket/_sum/_count series with a trailing +Inf
-// bucket.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for name, f := range r.families {
-		names = append(names, name)
-		fams[name] = f
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
-	var b strings.Builder
-	for _, name := range names {
-		f := fams[name]
-		f.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, k := range keys {
-			s := f.series[k]
-			switch f.kind {
-			case counterKind:
-				writeSample(&b, f.name, f.labelNames, s.labelValues, "", "", s.c.Value())
-			case gaugeKind:
-				writeSample(&b, f.name, f.labelNames, s.labelValues, "", "", s.g.Value())
-			case histogramKind:
-				var cum uint64
-				for i, upper := range s.h.upper {
-					cum += s.h.counts[i].Load()
-					writeSample(&b, f.name+"_bucket", f.labelNames, s.labelValues,
-						"le", formatFloat(upper), float64(cum))
-				}
-				cum += s.h.counts[len(s.h.upper)].Load()
-				writeSample(&b, f.name+"_bucket", f.labelNames, s.labelValues,
-					"le", "+Inf", float64(cum))
-				writeSample(&b, f.name+"_sum", f.labelNames, s.labelValues, "", "", s.h.Sum())
-				writeSample(&b, f.name+"_count", f.labelNames, s.labelValues, "", "", float64(s.h.Count()))
-			}
-		}
-		f.mu.Unlock()
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
 
 // writeSample renders one series line; extraName/extraValue append one more
 // label (histograms' le), placed last.

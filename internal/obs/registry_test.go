@@ -71,8 +71,9 @@ func TestLabelCardinality(t *testing.T) {
 }
 
 // TestPrometheusGolden validates the full exposition output: HELP/TYPE
-// lines, label ordering and escaping, and the histogram
-// _bucket/_sum/_count expansion with a trailing +Inf bucket.
+// lines, label ordering and escaping, the histogram _bucket/_sum/_count
+// expansion with a trailing +Inf bucket, and a declared family no series
+// has been resolved in yet (its HELP and TYPE still appear).
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("ns_a_total", "Counts \"a\" events.\nSecond line.", "kind", "peer")
@@ -84,6 +85,7 @@ func TestPrometheusGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(0.5)
 	h.Observe(5)
+	r.CounterVec("ns_d_total", "Declared, never resolved.", "reason")
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -103,6 +105,8 @@ ns_c_seconds_bucket{le="1"} 3
 ns_c_seconds_bucket{le="+Inf"} 4
 ns_c_seconds_sum 6.05
 ns_c_seconds_count 4
+# HELP ns_d_total Declared, never resolved.
+# TYPE ns_d_total counter
 `
 	if b.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)

@@ -10,12 +10,13 @@
 // post-processes into utilisation series. The tracer is also usable on its
 // own: the serving path opens its spans with Start.
 //
-// Beside it sit a metric registry with Prometheus text exposition and a
-// time-series history (registry.go, history.go), an opt-in debug server
-// wiring /metrics, /healthz, /status, /critpath, /healthwatch and
-// net/http/pprof to a running process (server.go), and an anomaly watchdog:
-// threshold rules over epoch records firing structured alerts and a health
-// report (anomaly.go).
+// Beside it sit a metric registry with Prometheus and OpenMetrics text
+// exposition and a time-series history (registry.go, gather.go, history.go),
+// an opt-in debug server wiring /metrics, /healthz, /status, /critpath,
+// /healthwatch and net/http/pprof to a running process (server.go), an
+// anomaly watchdog: threshold rules over epoch records firing structured
+// alerts and a health report (anomaly.go), and NewLogger, the log/slog
+// constructor the CLIs share (logger.go).
 //
 // Every entry point is nil-safe: a nil *Tracer, *Span, *StageClock or
 // *FlightRecorder makes every method a no-op, so instrumentation stays in

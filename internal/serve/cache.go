@@ -40,21 +40,20 @@ type embedCache struct {
 	lru    *list.List // front = most recently used; values are *cacheEntry
 	idx    map[cacheKey]*list.Element
 
-	hits, misses, evictions int64
-
-	mHits, mMisses, mEvict *obs.Counter
-	mBytes                 *obs.Gauge
+	// The registry holds the cache's counts; stats reads them back.
+	hits, misses, evictions *obs.Counter
+	resident                *obs.Gauge
 }
 
 func newEmbedCache(budget int64, reg *obs.Registry) *embedCache {
 	return &embedCache{
-		budget:  budget,
-		lru:     list.New(),
-		idx:     make(map[cacheKey]*list.Element),
-		mHits:   reg.Counter("ns_serve_cache_hits_total", "Embedding cache rows served."),
-		mMisses: reg.Counter("ns_serve_cache_misses_total", "Embedding cache lookups that missed."),
-		mEvict:  reg.Counter("ns_serve_cache_evictions_total", "Embedding cache rows evicted past the byte budget."),
-		mBytes:  reg.Gauge("ns_serve_cache_bytes", "Embedding cache resident row bytes."),
+		budget:    budget,
+		lru:       list.New(),
+		idx:       make(map[cacheKey]*list.Element),
+		hits:      reg.Counter("ns_serve_cache_hits_total", "Embedding cache rows served."),
+		misses:    reg.Counter("ns_serve_cache_misses_total", "Embedding cache lookups that missed."),
+		evictions: reg.Counter("ns_serve_cache_evictions_total", "Embedding cache rows evicted past the byte budget."),
+		resident:  reg.Gauge("ns_serve_cache_bytes", "Embedding cache resident row bytes."),
 	}
 }
 
@@ -79,12 +78,10 @@ func (c *embedCache) Get(layer int, vert int32) []float32 {
 	defer c.mu.Unlock()
 	el, ok := c.idx[cacheKey{layer, vert}]
 	if !ok {
-		c.misses++
-		c.mMisses.Inc()
+		c.misses.Inc()
 		return nil
 	}
-	c.hits++
-	c.mHits.Inc()
+	c.hits.Inc()
 	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).row
 }
@@ -117,10 +114,9 @@ func (c *embedCache) Put(layer int, vert int32, row []float32, gen uint64) {
 		c.lru.Remove(back)
 		delete(c.idx, ev.key)
 		c.bytes -= int64(4 * len(ev.row))
-		c.evictions++
-		c.mEvict.Inc()
+		c.evictions.Inc()
 	}
-	c.mBytes.Set(float64(c.bytes))
+	c.resident.Set(float64(c.bytes))
 }
 
 // Invalidate drops every entry and advances the generation: the parameters
@@ -136,7 +132,7 @@ func (c *embedCache) Invalidate() {
 	c.lru.Init()
 	c.idx = make(map[cacheKey]*list.Element)
 	c.bytes = 0
-	c.mBytes.Set(0)
+	c.resident.Set(0)
 }
 
 func (c *embedCache) stats() CacheStats {
@@ -147,9 +143,9 @@ func (c *embedCache) stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Enabled:     true,
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
+		Hits:        int64(c.hits.Value()),
+		Misses:      int64(c.misses.Value()),
+		Evictions:   int64(c.evictions.Value()),
 		Bytes:       c.bytes,
 		BudgetBytes: c.budget,
 	}

@@ -80,7 +80,7 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 			emit(n + int32(k))
 		}
 		w.res = &Result{Version: asm.version, Logits: logits, Embeds: embeds}
-		w.trace.finished = time.Now()
+		w.finished = time.Now()
 		close(w.done)
 	}
 }

@@ -82,11 +82,11 @@ type LinkResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
-	if !ok {
+	var req Request
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, err := s.Query(req)
+	res, err := s.Query(&req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -101,11 +101,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
-	if !ok {
+	var req Request
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, err := s.Query(req)
+	res, err := s.Query(&req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -115,13 +115,8 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var lr LinkRequest
-	if err := json.NewDecoder(r.Body).Decode(&lr); err != nil {
-		http.Error(w, fmt.Sprintf("serve: bad request: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, &lr) {
 		return
 	}
 	if len(lr.Pairs) == 0 {
@@ -157,17 +152,25 @@ func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
+// maxRequestBytes bounds a query body read off the network. The bodies
+// nsload (at its defaults), the benchmark and the fuzz seed corpus send are
+// well under a kilobyte; the limit leaves room for requests of ~10^5
+// vertices or a batch of inductive vertices with their feature rows.
+const maxRequestBytes = 4 << 20
+
+// decodeBody decodes a POSTed JSON body of at most maxRequestBytes into v. It
+// answers the request itself when it cannot: 405 for another method, 400 for
+// a malformed or over-limit body.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return nil, false
+		return false
 	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("serve: bad request: %v", err), http.StatusBadRequest)
-		return nil, false
+		return false
 	}
-	return &req, true
+	return true
 }
 
 // jsonWriter is an indenting encoder with the buffers it grows: the output

@@ -116,3 +116,33 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing serve counters:\n%s", body)
 	}
 }
+
+// TestHTTPRequestBodyBounded sends each query endpoint a well-formed body
+// that runs past maxRequestBytes: the decoder must stop at the limit and the
+// client gets 400, not an answer. A normal request still answers after.
+func TestHTTPRequestBodyBounded(t *testing.T) {
+	ds := testDataset(t, 80, 19)
+	h := newTestServer(t, ds, NewStatic(testModel(ds, nn.GCN, 91)), 0).Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	for _, c := range []struct{ path, open, item, close string }{
+		{"/predict", `{"vertices":[`, `0,`, `0]}`},
+		{"/embed", `{"vertices":[`, `0,`, `0]}`},
+		{"/linkscore", `{"pairs":[`, `[0,1],`, `[0,1]]}`},
+	} {
+		body := []byte(c.open)
+		body = append(body, bytes.Repeat([]byte(c.item), maxRequestBytes/len(c.item)+1)...)
+		body = append(body, c.close...)
+		rec := post(c.path, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+			t.Fatalf("POST %s with a %d-byte body: status %d %q, want 400 too large",
+				c.path, len(body), rec.Code, rec.Body.String())
+		}
+	}
+	if rec := post("/predict", []byte(`{"vertices":[3,12]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("normal request after over-limit ones: status %d %q", rec.Code, rec.Body.String())
+	}
+}

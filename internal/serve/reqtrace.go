@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// Per-request causal tracing: every query carries a reqTrace through the
-// pipeline, stamped at each stage boundary. The stamps partition the server's
-// wall time for the request into four stages that sum to the pipeline total:
+// The request record: every query is one work value carried through the
+// pipeline and stamped at each stage boundary. The stamps partition the
+// server's wall time for the request into four stages that sum to the
+// pipeline total:
 //
 //	queue   = (extractStart - submitted) + (computeStart - extractEnd)
 //	        batcher wait plus both channel handoffs — time spent owned by
@@ -18,10 +19,12 @@ import (
 //	extract = extraction work minus the cache share
 //	compute = forward-pass work until the result row is sliced out
 //
-// The breakdown rides back to clients on a Server-Timing header (response
-// bodies stay bit-identical), feeds the ns_serve_stage_seconds histograms,
-// and its trace id is attached as an exemplar to the end-to-end latency
-// histogram so a p99 bucket links to a concrete request.
+// Server.finish folds the stamps into one StageTiming per request, and every
+// view reads that value: the Server-Timing header (response bodies stay
+// bit-identical), the ns_serve_latency_seconds histogram (Total, with the
+// trace id as an exemplar so a p99 bucket links to a concrete request) and
+// the ns_serve_stage_seconds histograms — the serving half of "one clock,
+// three views".
 
 // Stage names used by the stage histogram's label, the Server-Timing header
 // and the nsload report. StageTotal is the pipeline total (submitted to
@@ -34,39 +37,52 @@ const (
 	StageTotal   = "total"
 )
 
-// reqTrace carries one request's stage boundary stamps through the pipeline.
-// Stamps before the extraction pool are written by the submitting goroutine;
-// later ones by exactly one pool worker, each ordered by the channel handoff
-// that moves the work — no stamp is written concurrently with a read.
-type reqTrace struct {
-	id           uint64
+// work is one in-flight request and its record. submitted is stamped when
+// Query takes the request; later stamps are written by exactly one pool
+// worker each, ordered by the channel handoff that moves the work, and
+// finished is the last write before done closes — no stamp is written
+// concurrently with a read. The pipeline fills res or err.
+type work struct {
+	req  *Request
+	seed uint64
+	id   uint64
+
 	submitted    time.Time
 	extractStart time.Time
 	extractEnd   time.Time
 	computeStart time.Time
 	finished     time.Time
 	cacheNanos   int64
+
+	res  *Result
+	err  error
+	done chan struct{}
+}
+
+func (w *work) fail(err error) {
+	w.err = err
+	close(w.done)
 }
 
 // timing folds the stamps into a StageTiming. Requests that failed before
 // reaching a stage report zero for it.
-func (t *reqTrace) timing() StageTiming {
-	st := StageTiming{TraceID: t.id, Cache: time.Duration(t.cacheNanos)}
-	if !t.extractStart.IsZero() {
-		st.Queue = t.extractStart.Sub(t.submitted)
+func (w *work) timing() StageTiming {
+	st := StageTiming{TraceID: w.id, Cache: time.Duration(w.cacheNanos)}
+	if !w.extractStart.IsZero() {
+		st.Queue = w.extractStart.Sub(w.submitted)
 	}
-	if !t.extractEnd.IsZero() {
-		st.Extract = t.extractEnd.Sub(t.extractStart) - st.Cache
+	if !w.extractEnd.IsZero() {
+		st.Extract = w.extractEnd.Sub(w.extractStart) - st.Cache
 		if st.Extract < 0 {
 			st.Extract = 0
 		}
 	}
-	if !t.computeStart.IsZero() {
-		st.Queue += t.computeStart.Sub(t.extractEnd)
+	if !w.computeStart.IsZero() {
+		st.Queue += w.computeStart.Sub(w.extractEnd)
 	}
-	if !t.finished.IsZero() {
-		st.Compute = t.finished.Sub(t.computeStart)
-		st.Total = t.finished.Sub(t.submitted)
+	if !w.finished.IsZero() {
+		st.Compute = w.finished.Sub(w.computeStart)
+		st.Total = w.finished.Sub(w.submitted)
 	}
 	return st
 }
@@ -154,7 +170,7 @@ func traceIDs(items []*work) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%016x", w.trace.id)
+		fmt.Fprintf(&b, "%016x", w.id)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -238,5 +239,105 @@ func TestServeFlushReasonMetrics(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no flushes recorded")
+	}
+}
+
+// TestServeViewsAgree is the serving twin of the engine's
+// TestViewsAgreePerDataflow: every view of a request reads the one record
+// finish folds. Requests go one at a time — exact (batched, then again from
+// the cache), sampled, inductive and one invalid — so the histograms' float
+// sums add in the order the test adds them: the latency histogram holds
+// exactly Σ Timing.Total, bit for bit, each stage histogram its stage's Σ,
+// Stats reads what the registry holds, and the flush counters sum to
+// Stats().Batches.
+func TestServeViewsAgree(t *testing.T) {
+	ds := testDataset(t, 120, 49)
+	reg := obs.NewRegistry()
+	s, err := New(Config{
+		Graph: ds.Graph, Features: ds.Features, Source: NewStatic(testModel(ds, nn.GCN, 50)),
+		CacheBytes: 1 << 20, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	feat := make([]float32, ds.Spec.FeatureDim)
+	reqs := []*Request{
+		{Verts: []int32{1, 2, 40}},
+		{Verts: []int32{1, 2, 40}},
+		{Verts: []int32{8, 33}, Fanouts: []int{2, 2}, Seed: 3},
+		{Verts: []int32{7}, Inductive: []InductiveVertex{{Features: feat, Neighbors: []int32{2, 5}}}},
+		{Verts: []int32{9999}},
+		{Verts: []int32{90}},
+	}
+	var answered int
+	var total float64
+	stages := map[string]float64{}
+	var last StageTiming
+	for i, req := range reqs {
+		res, err := s.Query(req)
+		if err != nil {
+			if i != 4 {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			continue
+		}
+		answered++
+		last = res.Timing
+		total += last.Total.Seconds()
+		stages[StageQueue] += last.Queue.Seconds()
+		stages[StageCache] += last.Cache.Seconds()
+		stages[StageExtract] += last.Extract.Seconds()
+		stages[StageCompute] += last.Compute.Seconds()
+	}
+
+	snaps := map[string]obs.SeriesSnapshot{}
+	var flushes float64
+	for _, sn := range reg.Gather() {
+		snaps[sn.Key()] = sn
+		if sn.Name == "ns_serve_batcher_flushes_total" {
+			flushes += sn.Value
+		}
+	}
+	lat := snaps["ns_serve_latency_seconds"]
+	if lat.Count != uint64(answered) || math.Float64bits(lat.Sum) != math.Float64bits(total) {
+		t.Fatalf("latency histogram count %d sum %v, want %d and Σ Timing.Total %v",
+			lat.Count, lat.Sum, answered, total)
+	}
+	var exemplar bool
+	for _, ex := range lat.Exemplars {
+		exemplar = exemplar || ex != nil && ex.TraceID == last.TraceIDHex() && ex.Value == last.Total.Seconds()
+	}
+	if !exemplar {
+		t.Fatalf("no latency exemplar for the last request (%s, %v)", last.TraceIDHex(), last.Total)
+	}
+	for stage, sum := range stages {
+		sn := snaps["ns_serve_stage_seconds\xff"+stage]
+		if sn.Count != uint64(answered) || math.Float64bits(sn.Sum) != math.Float64bits(sum) {
+			t.Fatalf("stage %s histogram count %d sum %v, want %d and %v", stage, sn.Count, sn.Sum, answered, sum)
+		}
+	}
+
+	st := s.Stats()
+	if st.Requests != int64(len(reqs)) || st.Errors != 1 {
+		t.Fatalf("Stats requests %d errors %d, want %d and 1", st.Requests, st.Errors, len(reqs))
+	}
+	if st.Cache.Hits == 0 {
+		t.Fatal("the repeated request hit nothing in the cache")
+	}
+	for name, got := range map[string]int64{
+		"ns_serve_requests_total":        st.Requests,
+		"ns_serve_errors_total":          st.Errors,
+		"ns_serve_batches_total":         st.Batches,
+		"ns_serve_cache_hits_total":      st.Cache.Hits,
+		"ns_serve_cache_misses_total":    st.Cache.Misses,
+		"ns_serve_cache_evictions_total": st.Cache.Evictions,
+	} {
+		if float64(got) != snaps[name].Value {
+			t.Fatalf("Stats reports %d for %s, the registry %v", got, name, snaps[name].Value)
+		}
+	}
+	if int64(flushes) != st.Batches {
+		t.Fatalf("flush counters sum to %v, Stats().Batches = %d", flushes, st.Batches)
 	}
 }

@@ -121,7 +121,10 @@ type Config struct {
 	// Seed is folded with the request id into each sampled query's private
 	// RNG, making every inductive answer reproducible in isolation.
 	Seed uint64
-	// Registry receives the serving metrics (default obs.Default()).
+	// Registry receives the serving metrics and is the only store of the
+	// counts Stats reports. Nil gives the server a registry of its own, so two
+	// servers in one process never share counters; pass obs.Default() to
+	// expose them beside the process-wide families (Session.ServeConfig does).
 	Registry *obs.Registry
 	// Tracer, when non-nil, records one span per extraction/compute job on
 	// per-worker rows (extract workers first, compute workers after),
@@ -144,7 +147,7 @@ func (c Config) withDefaults() Config {
 		c.ComputeWorkers = 2
 	}
 	if c.Registry == nil {
-		c.Registry = obs.Default()
+		c.Registry = obs.NewRegistry()
 	}
 	return c
 }
@@ -190,21 +193,6 @@ type Result struct {
 	// Timing is the request's per-stage latency breakdown; its stages sum to
 	// its Total (see StageTiming).
 	Timing StageTiming
-}
-
-// work is one in-flight request: the pipeline fills res/err and closes done.
-type work struct {
-	req   *Request
-	seed  uint64
-	trace reqTrace
-	res   *Result
-	err   error
-	done  chan struct{}
-}
-
-func (w *work) fail(err error) {
-	w.err = err
-	close(w.done)
 }
 
 // job is a unit handed to the extraction pool: one micro-batch of exact
@@ -256,11 +244,9 @@ type Server struct {
 	extWG   sync.WaitGroup
 	compWG  sync.WaitGroup
 	metrics *serveMetrics
-
-	requests atomic.Int64
-	errors   atomic.Int64
-	batches  atomic.Int64
-	batched  atomic.Int64
+	// batched counts requests that went through the micro-batcher; it has no
+	// registry family.
+	batched atomic.Int64
 }
 
 type serveMetrics struct {
@@ -339,7 +325,6 @@ func New(cfg Config) (*Server, error) {
 		s.cache = newEmbedCache(cfg.CacheBytes, cfg.Registry)
 	}
 	s.bat = newBatcher(cfg.MaxBatch, cfg.MaxWait, func(items []*work, reason string) {
-		s.batches.Add(1)
 		s.metrics.batches.Inc()
 		s.metrics.flushes.With(reason).Inc()
 		n := 0
@@ -409,58 +394,58 @@ func (s *Server) refresh() (*nn.Model, uint64) {
 // Query answers one request, blocking until the pipeline completes it.
 // Exact known-vertex requests ride the micro-batcher; sampled and inductive
 // requests run as their own job with a private, request-derived RNG. The
-// returned Result carries the request's per-stage timing, and the end-to-end
-// latency observation carries the trace id as an exemplar — a histogram
-// outlier links back to a concrete request.
+// returned Result carries the request's per-stage timing — the same value
+// the latency and stage histograms recorded.
 func (s *Server) Query(req *Request) (*Result, error) {
-	start := time.Now()
-	s.requests.Add(1)
-	s.metrics.requests.Inc()
-	res, err := s.query(req)
-	if err != nil {
-		s.errors.Add(1)
-		s.metrics.errors.Inc()
-		return nil, err
-	}
-	s.metrics.latency.ObserveWithExemplar(time.Since(start).Seconds(), res.Timing.TraceIDHex(), time.Now())
-	s.observeStages(res.Timing)
-	return res, nil
+	w := s.submit(req)
+	<-w.done
+	return s.finish(w)
 }
 
-// observeStages records one request's breakdown into the stage histograms.
-func (s *Server) observeStages(t StageTiming) {
-	s.metrics.stage.With(StageQueue).Observe(t.Queue.Seconds())
-	s.metrics.stage.With(StageCache).Observe(t.Cache.Seconds())
-	s.metrics.stage.With(StageExtract).Observe(t.Extract.Seconds())
-	s.metrics.stage.With(StageCompute).Observe(t.Compute.Seconds())
-}
-
-func (s *Server) query(req *Request) (*Result, error) {
+// submit stamps the request's record and hands it to the pipeline; a request
+// that fails validation, or arrives after Close, is failed on the spot.
+func (s *Server) submit(req *Request) *work {
+	w := &work{req: req, submitted: time.Now(), done: make(chan struct{})}
 	if err := s.validate(req); err != nil {
-		return nil, err
+		w.fail(err)
+		return w
 	}
 	if s.closed.Load() {
-		return nil, fmt.Errorf("serve: server closed")
+		w.fail(fmt.Errorf("serve: server closed"))
+		return w
 	}
-	id := s.reqID.Add(1)
-	w := &work{req: req, done: make(chan struct{})}
-	w.trace.id = id
-	w.trace.submitted = time.Now()
+	w.id = s.reqID.Add(1)
 	if req.sampled() {
 		w.seed = req.Seed
 		if w.seed == 0 {
 			// splitmix-style fold so consecutive request ids land far apart.
-			w.seed = (s.cfg.Seed ^ (id * 0x9E3779B97F4A7C15)) | 1
+			w.seed = (s.cfg.Seed ^ (w.id * 0x9E3779B97F4A7C15)) | 1
 		}
 		s.extractQ <- &job{items: []*work{w}}
 	} else if err := s.bat.Submit(w); err != nil {
-		return nil, err
+		w.fail(err)
 	}
-	<-w.done
-	if w.res != nil {
-		w.res.Timing = w.trace.timing()
+	return w
+}
+
+// finish is a request's one emission point: it counts the request (and its
+// failure), folds the stamps into StageTiming once, and records that value
+// into the latency histogram — Total, with the trace id as an exemplar
+// stamped at finished — and the four stage histograms.
+func (s *Server) finish(w *work) (*Result, error) {
+	s.metrics.requests.Inc()
+	if w.err != nil {
+		s.metrics.errors.Inc()
+		return nil, w.err
 	}
-	return w.res, w.err
+	t := w.timing()
+	w.res.Timing = t
+	s.metrics.latency.ObserveWithExemplar(t.Total.Seconds(), t.TraceIDHex(), w.finished)
+	s.metrics.stage.With(StageQueue).Observe(t.Queue.Seconds())
+	s.metrics.stage.With(StageCache).Observe(t.Cache.Seconds())
+	s.metrics.stage.With(StageExtract).Observe(t.Extract.Seconds())
+	s.metrics.stage.With(StageCompute).Observe(t.Compute.Seconds())
+	return w.res, nil
 }
 
 func (s *Server) validate(req *Request) error {
@@ -501,7 +486,7 @@ func (s *Server) extractLoop(idx int) {
 	for j := range s.extractQ {
 		start := time.Now()
 		for _, w := range j.items {
-			w.trace.extractStart = start
+			w.extractStart = start
 		}
 		var sp *obs.Span
 		if s.cfg.Tracer != nil {
@@ -522,8 +507,8 @@ func (s *Server) extractLoop(idx int) {
 			continue
 		}
 		for _, w := range j.items {
-			w.trace.extractEnd = end
-			w.trace.cacheNanos = asm.cacheNanos
+			w.extractEnd = end
+			w.cacheNanos = asm.cacheNanos
 		}
 		s.computeQ <- asm
 	}
@@ -543,7 +528,7 @@ func (s *Server) computeLoop(idx int) {
 	for asm := range s.computeQ {
 		start := time.Now()
 		for _, w := range asm.items {
-			w.trace.computeStart = start
+			w.computeStart = start
 		}
 		var sp *obs.Span
 		if s.cfg.Tracer != nil {
@@ -602,7 +587,8 @@ type CacheStats struct {
 	BudgetBytes int64 `json:"budget_bytes"`
 }
 
-// Stats snapshots the server. Safe to call concurrently with Query.
+// Stats snapshots the server, reading its counts from the registry. Safe to
+// call concurrently with Query.
 func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	dims := s.model.Dims()
@@ -613,9 +599,9 @@ func (s *Server) Stats() Stats {
 		NumVertices:     s.cfg.Graph.NumVertices(),
 		Layers:          len(dims) - 1,
 		Classes:         dims[len(dims)-1],
-		Requests:        s.requests.Load(),
-		Errors:          s.errors.Load(),
-		Batches:         s.batches.Load(),
+		Requests:        int64(s.metrics.requests.Value()),
+		Errors:          int64(s.metrics.errors.Value()),
+		Batches:         int64(s.metrics.batches.Value()),
 		BatchedRequests: s.batched.Load(),
 	}
 	st.Cache = s.cache.stats()

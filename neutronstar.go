@@ -172,6 +172,8 @@ type Config struct {
 	// "stall=30s,regress=1.5,straggler=3.0" or "default" — see the grammar
 	// in internal/obs's ParseWatchRules. Alerts are logged, counted in the
 	// metric registry and served on /healthwatch. Empty disables watching.
+	// Both rule families are accepted: the epoch rules watch training, the
+	// serving SLO rules a server built from ServeConfig in this process.
 	WatchRules string
 }
 
@@ -812,13 +814,16 @@ func (s *Session) Close() {
 func (s *Session) ServeSource() serve.Source { return serve.EngineSource(s.eng) }
 
 // ServeConfig returns a serve.Config pre-filled with the session's graph,
-// feature matrix and live model source. Callers set pool sizes, batching and
-// cache budget before handing it to serve.New.
+// feature matrix and live model source, with the serving metrics in the
+// process-wide obs.Default() registry the session's metric history and
+// debug server read. Callers set pool sizes, batching and cache budget
+// before handing it to serve.New.
 func (s *Session) ServeConfig() serve.Config {
 	return serve.Config{
 		Graph:    s.ds.inner.Graph,
 		Features: s.ds.inner.Features,
 		Source:   serve.EngineSource(s.eng),
+		Registry: obs.Default(),
 	}
 }
 
