@@ -80,7 +80,7 @@ func TestFabricByteAccounting(t *testing.T) {
 }
 
 func TestFabricThrottlingSlowsDelivery(t *testing.T) {
-	// 1 MB at 10 MB/s should take ~200ms (egress + ingress pacing).
+	// 1 MB at 10 MB/s should take ~200ms (egress + ingress serialisation).
 	slow := NetworkProfile{Name: "slow", BytesPerSec: 10e6}
 	f := NewFabric(2, slow, nil)
 	defer f.Close()
@@ -92,6 +92,53 @@ func TestFabricThrottlingSlowsDelivery(t *testing.T) {
 	if elapsed < 150*time.Millisecond {
 		t.Fatalf("throttled delivery took only %v", elapsed)
 	}
+}
+
+// wireMsg is a from→to message of exactly 1 000 wire bytes: 1 ms at 1e6 B/s.
+func wireMsg(from, to int) *Message {
+	return &Message{From: from, To: to, Rows: tensor.New(1, 234)}
+}
+
+// TestWireSchedule pins the α–β schedule itself, at a fixed send time, so
+// no sleep or timer is measured.
+func TestWireSchedule(t *testing.T) {
+	if b := wireMsg(0, 1).WireBytes(); b != 1000 {
+		t.Fatalf("wireMsg is %d bytes, want 1000", b)
+	}
+	const tx = time.Millisecond // b/β
+	const alpha = 100 * time.Microsecond
+	ab := NetworkProfile{BytesPerSec: 1e6, Latency: alpha}
+	cases := []struct {
+		name    string
+		profile NetworkProfile
+		sends   [][2]int // from, to; all sent at now
+		want    []time.Duration
+	}{
+		{"per-link FIFO and egress serialisation", ab,
+			[][2]int{{0, 1}, {0, 1}}, []time.Duration{2*tx + alpha, 3*tx + alpha}},
+		{"ingress contention", ab,
+			[][2]int{{0, 2}, {1, 2}}, []time.Duration{2*tx + alpha, 3*tx + alpha}},
+		{"latency pipelines", NetworkProfile{Latency: alpha},
+			[][2]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}, []time.Duration{alpha, alpha, alpha, alpha}},
+		{"disjoint pairs do not interact", ab,
+			[][2]int{{0, 1}, {2, 3}, {1, 0}}, []time.Duration{2*tx + alpha, 2*tx + alpha, 2*tx + alpha}},
+	}
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWire(4, c.profile)
+			for i, s := range c.sends {
+				if got := w.due(wireMsg(s[0], s[1]), now).Sub(now); got != c.want[i] {
+					t.Errorf("send %d (%d→%d) due at now+%v, want now+%v", i, s[0], s[1], got, c.want[i])
+				}
+			}
+		})
+	}
+	t.Run("unthrottled profile has no schedule", func(t *testing.T) {
+		if w := newWire(4, ProfileLocal); w != nil {
+			t.Fatalf("newWire(ProfileLocal) = %+v, want nil", w)
+		}
+	})
 }
 
 func TestFabricUnthrottledIsFast(t *testing.T) {
@@ -326,22 +373,35 @@ func TestSendOnClosedFabricPanics(t *testing.T) {
 }
 
 func TestCloseDropsInFlightQuietly(t *testing.T) {
-	// Messages sitting in pacers when the fabric closes are dropped; Close
-	// must not hang or panic.
+	// Messages still on the wire when the fabric closes are dropped: Close
+	// returns without waiting for them, and none is counted or delivered
+	// after it.
 	slow := NetworkProfile{Name: "slow", BytesPerSec: 1e6}
-	f := NewFabric(2, slow, nil)
+	coll := metrics.NewCollector()
+	f := NewFabric(2, slow, coll)
+	tx := time.Duration((&Message{Rows: tensor.New(64, 64)}).WireBytes()) * time.Microsecond // b/β at 1e6 B/s
+	start := time.Now()
 	for i := 0; i < 10; i++ {
 		f.Send(&Message{From: 0, To: 1, Kind: KindRep, Seq: i, Rows: tensor.New(64, 64)})
 	}
-	done := make(chan struct{})
-	go func() {
-		f.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung with in-flight messages")
+	last := start.Add(11 * tx) // the tenth message's due time, or later
+	f.Close()
+	if closedAt := time.Now(); closedAt.After(last) {
+		t.Fatalf("Close returned %v after the last message was due", closedAt.Sub(last))
+	}
+	mb := f.Mailbox(1)
+	pending := func() int {
+		mb.mu.Lock()
+		defer mb.mu.Unlock()
+		return len(mb.pending)
+	}
+	recv, held := coll.BytesReceived(), pending()
+	time.Sleep(time.Until(last) + 20*time.Millisecond)
+	if got := coll.BytesReceived(); got != recv {
+		t.Fatalf("BytesReceived moved after Close: %d -> %d", recv, got)
+	}
+	if got := pending(); got != held {
+		t.Fatalf("mailbox received %d deliveries after Close", got-held)
 	}
 }
 
@@ -617,6 +677,22 @@ func TestTCPRingAllReduce(t *testing.T) {
 				t.Fatalf("worker %d elem %d: %v want %v", i, k, bufs[i][k], want[k])
 			}
 		}
+	}
+}
+
+func TestTCPFabricWaitsForDue(t *testing.T) {
+	// A fresh wire makes the first message due 2b/β + α after its send.
+	const alpha = 20 * time.Millisecond
+	f, err := NewTCPFabric(2, NetworkProfile{BytesPerSec: 1e6, Latency: alpha}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	start := time.Now()
+	f.Send(wireMsg(0, 1))
+	f.Mailbox(1).Wait(KindRep, 0, 0, 0, 0)
+	if elapsed, due := time.Since(start), 2*time.Millisecond+alpha; elapsed < due {
+		t.Fatalf("delivered %v after Send, before its due time %v", elapsed, due)
 	}
 }
 

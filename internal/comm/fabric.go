@@ -4,11 +4,10 @@
 // optimise against), the ring-based chunk schedule of §4.3, and the
 // lock-free parallel message enqueue buffer of §4.3.
 //
-// Workers live in one process, so "communication" is the movement of a
-// message through the sender's egress pacer, the wire latency, and the
-// receiver's ingress pacer — each modeled as serialised delays derived from
-// a NetworkProfile. With an unthrottled profile the fabric degenerates to
-// plain channel passing.
+// Workers live in one process, so "communication" is a delivery time that
+// one α–β schedule (wire) computes from a NetworkProfile: egress b/β, then
+// latency α, then ingress b/β. One runtime timer per message delivers it
+// then; with an unthrottled profile delivery is immediate.
 package comm
 
 import (
@@ -112,9 +111,9 @@ func (m *Message) WireBytes() int {
 	return b
 }
 
-// NetworkProfile models a cluster fabric. BytesPerSec bounds each node's
-// egress and ingress independently (a full-duplex NIC); Latency is added per
-// message. A zero BytesPerSec disables throttling.
+// NetworkProfile models a cluster fabric. BytesPerSec (β) bounds each node's
+// egress and ingress independently (a full-duplex NIC); Latency (α) is added
+// per message, in parallel across messages. Zero fields disable their term.
 type NetworkProfile struct {
 	Name        string
 	BytesPerSec float64
@@ -134,9 +133,9 @@ var (
 )
 
 // Network is the transport surface engines depend on: tagged message send,
-// per-worker mailboxes, teardown. Two implementations exist: the in-process
-// channel Fabric (with simulated pacing) and the TCPFabric, which moves the
-// same messages over real loopback TCP connections.
+// per-worker mailboxes, teardown. Two implementations share one wire
+// schedule: the in-process Fabric and the TCPFabric, which moves the same
+// messages over real loopback TCP connections.
 type Network interface {
 	Send(msg *Message)
 	Mailbox(i int) *Mailbox
@@ -144,45 +143,70 @@ type Network interface {
 	Close()
 }
 
-// Fabric connects m workers. Create with NewFabric, stop with Close.
-type Fabric struct {
-	m       int
-	profile NetworkProfile
-	coll    *metrics.Collector
-
-	egress  []chan *Message // per-sender serialised queue
-	ingress []chan *Message // per-receiver serialised queue
-	inbox   []*Mailbox
-
-	wg     sync.WaitGroup
-	closed chan struct{}
+// wire is the α–β schedule both transports share (DESIGN.md §5 "Simulated
+// network"). Its state is when each node's egress and ingress are next free,
+// so per-link FIFO and contention at either end hold while latency
+// pipelines: k messages in flight together pay α once, not k times.
+type wire struct {
+	p           NetworkProfile
+	mu          sync.Mutex
+	egressFree  []time.Time
+	ingressFree []time.Time
 }
 
-// queueDepth bounds in-flight messages per pacer; deep enough that senders
-// rarely block on the queue itself, so the pacing delay dominates.
-const queueDepth = 4096
+// newWire returns the schedule for m workers, or nil when p neither
+// throttles nor delays.
+func newWire(m int, p NetworkProfile) *wire {
+	if p.BytesPerSec <= 0 && p.Latency <= 0 {
+		return nil
+	}
+	return &wire{p: p, egressFree: make([]time.Time, m), ingressFree: make([]time.Time, m)}
+}
+
+// due books msg, sent at now, on its sender's egress and its receiver's
+// ingress and returns its delivery time.
+func (w *wire) due(msg *Message, now time.Time) time.Time {
+	var tx time.Duration // b/β
+	if w.p.BytesPerSec > 0 {
+		tx = time.Duration(float64(msg.WireBytes()) / w.p.BytesPerSec * float64(time.Second))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	t := later(now, w.egressFree[msg.From]).Add(tx)
+	w.egressFree[msg.From] = t
+	t = later(t.Add(w.p.Latency), w.ingressFree[msg.To]).Add(tx)
+	w.ingressFree[msg.To] = t
+	return t
+}
+
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
+}
+
+// Fabric connects m workers in one process. It owns no goroutine: a message
+// is one runtime timer firing at its due time, so it pays the timer floor
+// once, not once per hop. Create with NewFabric, stop with Close.
+type Fabric struct {
+	m     int
+	coll  *metrics.Collector
+	wire  *wire // nil: deliver inline
+	inbox []*Mailbox
+
+	// mu orders arrivals against Close: arrive holds it while it counts and
+	// delivers, so nothing is counted or delivered once Close has held it.
+	mu     sync.Mutex
+	closed bool
+}
 
 // NewFabric builds a fabric for m workers with the given network profile.
 // coll may be nil.
 func NewFabric(m int, profile NetworkProfile, coll *metrics.Collector) *Fabric {
-	f := &Fabric{
-		m:       m,
-		profile: profile,
-		coll:    coll,
-		egress:  make([]chan *Message, m),
-		ingress: make([]chan *Message, m),
-		inbox:   make([]*Mailbox, m),
-		closed:  make(chan struct{}),
-	}
-	for i := 0; i < m; i++ {
-		f.egress[i] = make(chan *Message, queueDepth)
-		f.ingress[i] = make(chan *Message, queueDepth)
+	f := &Fabric{m: m, coll: coll, wire: newWire(m, profile), inbox: make([]*Mailbox, m)}
+	for i := range f.inbox {
 		f.inbox[i] = newMailbox()
-	}
-	for i := 0; i < m; i++ {
-		f.wg.Add(2)
-		go f.egressLoop(i)
-		go f.ingressLoop(i)
 	}
 	return f
 }
@@ -190,13 +214,10 @@ func NewFabric(m int, profile NetworkProfile, coll *metrics.Collector) *Fabric {
 // NumWorkers returns the number of workers the fabric connects.
 func (f *Fabric) NumWorkers() int { return f.m }
 
-// Profile returns the fabric's network profile.
-func (f *Fabric) Profile() NetworkProfile { return f.profile }
-
-// Send enqueues msg for delivery. Self-sends bypass the network entirely
-// (local dependency handling is free, as in the real system's shared memory).
-// Send never blocks longer than pacing requires; it panics on a closed
-// fabric, which would indicate an engine lifecycle bug.
+// Send schedules msg for delivery and returns without blocking. Self-sends
+// bypass the network entirely (local dependency handling is free, as in the
+// real system's shared memory). Send panics on a closed fabric, which would
+// indicate an engine lifecycle bug.
 func (f *Fabric) Send(msg *Message) {
 	if msg.To < 0 || msg.To >= f.m || msg.From < 0 || msg.From >= f.m {
 		panic(fmt.Sprintf("comm: route %d->%d outside [0,%d)", msg.From, msg.To, f.m))
@@ -205,76 +226,43 @@ func (f *Fabric) Send(msg *Message) {
 		f.inbox[msg.To].deliver(msg)
 		return
 	}
-	select {
-	case <-f.closed:
+	f.mu.Lock()
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
 		panic("comm: Send on closed fabric")
-	default:
 	}
 	f.coll.AddSent(int64(msg.WireBytes()))
 	recordSend(msg)
-	select {
-	case f.egress[msg.From] <- msg:
-	case <-f.closed:
-		panic("comm: Send on closed fabric")
-	}
-}
-
-// egressLoop serialises a sender's outgoing traffic at the profile rate.
-func (f *Fabric) egressLoop(i int) {
-	defer f.wg.Done()
-	for {
-		select {
-		case msg := <-f.egress[i]:
-			f.pace(msg.WireBytes())
-			select {
-			case f.ingress[msg.To] <- msg:
-			case <-f.closed:
-				return
-			}
-		case <-f.closed:
-			return
-		}
-	}
-}
-
-// ingressLoop serialises a receiver's incoming traffic at the profile rate
-// and applies wire latency, then delivers to the mailbox.
-func (f *Fabric) ingressLoop(i int) {
-	defer f.wg.Done()
-	for {
-		select {
-		case msg := <-f.ingress[i]:
-			if f.profile.Latency > 0 {
-				time.Sleep(f.profile.Latency)
-			}
-			f.pace(msg.WireBytes())
-			f.coll.AddReceived(int64(msg.WireBytes()))
-			recordDelivered(i, msg)
-			f.inbox[i].deliver(msg)
-		case <-f.closed:
-			return
-		}
-	}
-}
-
-// pace sleeps for the transmission time of n bytes at the profile rate.
-func (f *Fabric) pace(n int) {
-	if f.profile.BytesPerSec <= 0 {
+	if f.wire == nil {
+		f.arrive(msg)
 		return
 	}
-	d := time.Duration(float64(n) / f.profile.BytesPerSec * float64(time.Second))
-	if d > 0 {
-		time.Sleep(d)
+	time.AfterFunc(time.Until(f.wire.due(msg, msg.sentAt)), func() { f.arrive(msg) })
+}
+
+// arrive counts msg as received and hands it to its receiver's mailbox,
+// unless the fabric closed while it was on the wire.
+func (f *Fabric) arrive(msg *Message) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return
 	}
+	f.coll.AddReceived(int64(msg.WireBytes()))
+	recordDelivered(msg.To, msg)
+	f.inbox[msg.To].deliver(msg)
 }
 
 // Mailbox returns worker i's mailbox.
 func (f *Fabric) Mailbox(i int) *Mailbox { return f.inbox[i] }
 
-// Close shuts the fabric down. Messages still in pacers are dropped.
+// Close shuts the fabric down without waiting: messages still on the wire
+// are dropped when they arrive.
 func (f *Fabric) Close() {
-	close(f.closed)
-	f.wg.Wait()
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
 	for _, mb := range f.inbox {
 		mb.close()
 	}

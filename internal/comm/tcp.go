@@ -18,13 +18,13 @@ import (
 // (master–mirror exchange, gradient all-reduce, parameter server) serialises
 // cleanly — and to measure real codec + kernel-socket costs.
 //
-// Pacing: the NetworkProfile still applies on the egress side (loopback TCP
-// is far faster than any cluster fabric being modeled); set ProfileLocal to
-// measure raw socket throughput.
+// Timing: a link's writer holds each message until the Fabric's wire
+// schedule says it is due (loopback TCP is far faster than any cluster
+// fabric being modeled); set ProfileLocal to measure raw socket throughput.
 type TCPFabric struct {
-	m       int
-	profile NetworkProfile
-	coll    *metrics.Collector
+	m    int
+	wire *wire // nil: write at once
+	coll *metrics.Collector
 
 	inbox []*Mailbox
 	// out[i][j] is the outbound queue of link i->j.
@@ -38,7 +38,7 @@ type TCPFabric struct {
 // NewTCPFabric builds the full mesh over 127.0.0.1 ephemeral ports.
 func NewTCPFabric(m int, profile NetworkProfile, coll *metrics.Collector) (*TCPFabric, error) {
 	f := &TCPFabric{
-		m: m, profile: profile, coll: coll,
+		m: m, wire: newWire(m, profile), coll: coll,
 		inbox:  make([]*Mailbox, m),
 		out:    make([][]chan *Message, m),
 		closed: make(chan struct{}),
@@ -48,7 +48,7 @@ func NewTCPFabric(m int, profile NetworkProfile, coll *metrics.Collector) (*TCPF
 		f.out[i] = make([]chan *Message, m)
 		for j := 0; j < m; j++ {
 			if i != j {
-				f.out[i][j] = make(chan *Message, queueDepth)
+				f.out[i][j] = make(chan *Message, 4096) // senders rarely block
 			}
 		}
 	}
@@ -181,19 +181,15 @@ func (f *TCPFabric) Send(msg *Message) {
 	}
 }
 
-// writeLoop serialises link owner->peer: pace, encode, flush.
+// writeLoop serialises link owner->peer: wait until due, encode, flush.
 func (f *TCPFabric) writeLoop(owner, peer int, conn net.Conn) {
 	defer f.wg.Done()
 	w := bufio.NewWriterSize(conn, 1<<16)
 	for {
 		select {
 		case msg := <-f.out[owner][peer]:
-			if f.profile.BytesPerSec > 0 {
-				d := time.Duration(float64(msg.WireBytes()) / f.profile.BytesPerSec * float64(time.Second))
-				time.Sleep(d)
-			}
-			if f.profile.Latency > 0 {
-				time.Sleep(f.profile.Latency)
+			if f.wire != nil {
+				time.Sleep(time.Until(f.wire.due(msg, msg.sentAt)))
 			}
 			if err := encodeMessage(w, msg); err != nil {
 				return // connection torn down

@@ -97,8 +97,9 @@ func Probe(bytesPerSec float64, latencyPerMsg time.Duration) Costs {
 }
 
 // commCostPerElement converts a network profile into T_c. Each float32
-// element is 4 bytes and crosses both the sender's egress and the receiver's
-// ingress pacer; per-message latency is amortised over a typical chunk.
+// element is 4 bytes and the fabric's wire schedule charges its bytes twice,
+// at the sender's egress and the receiver's ingress; the per-message latency
+// is amortised over a typical chunk.
 func commCostPerElement(bytesPerSec float64, latencyPerMsg time.Duration) float64 {
 	if bytesPerSec <= 0 {
 		// Unthrottled in-process fabric: channel hop + copy, measured to be

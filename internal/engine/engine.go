@@ -120,8 +120,8 @@ type Options struct {
 	// Profile is the simulated network; default ProfileLocal (unthrottled).
 	Profile comm.NetworkProfile
 	// TCP moves all worker communication over real loopback TCP sockets
-	// (with the profile's pacing applied at egress) instead of in-process
-	// channels — same protocol, real serialisation.
+	// instead of the in-process fabric — same protocol and the same wire
+	// schedule for Profile, real serialisation.
 	TCP bool
 	// Ring enables ring-based communication scheduling (the paper's "R").
 	Ring bool

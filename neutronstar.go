@@ -125,7 +125,8 @@ type Config struct {
 	Layers    int
 	// Ring, LockFree and Overlap are the paper's R/L/P optimisations.
 	Ring, LockFree, Overlap bool
-	// TCP runs all worker communication over real loopback TCP sockets.
+	// TCP runs all worker communication over real loopback TCP sockets,
+	// timed by the same wire schedule as the in-process fabric.
 	TCP     bool
 	LR      float64
 	Dropout float64
