@@ -5,14 +5,18 @@ import (
 	"sync"
 
 	"neutronstar/internal/obs"
+	"neutronstar/internal/tensor"
 )
 
 // cacheKey addresses one vertex's representation at one layer: layer l is
 // the row entering layer l's computation, so layer 1..L are computed
 // embeddings (raw features are layer 0 and never cached — they are free).
-type cacheKey struct {
-	layer int
-	vert  int32
+// The layer sits in the high word and the vertex in the low one, so the
+// index hashes one machine word.
+type cacheKey uint64
+
+func keyOf(layer int, vert int32) cacheKey {
+	return cacheKey(uint64(layer)<<32 | uint64(uint32(vert)))
 }
 
 // cacheEntry is one cached row plus the generation it was computed under.
@@ -58,7 +62,7 @@ func newEmbedCache(budget int64, reg *obs.Registry) *embedCache {
 }
 
 // generation returns the current generation, captured by extraction so a
-// job's later Put calls can be rejected if the parameters moved meanwhile.
+// job's later putMany calls can be rejected if the parameters moved meanwhile.
 func (c *embedCache) generation() uint64 {
 	if c == nil {
 		return 0
@@ -68,28 +72,43 @@ func (c *embedCache) generation() uint64 {
 	return c.gen
 }
 
-// Get returns the cached row for (layer, vert) or nil. The returned slice is
-// owned by the cache: callers copy out of it and never mutate it.
-func (c *embedCache) Get(layer int, vert int32) []float32 {
+// getMany looks up one block's sources at layer under one lock: out[i] is
+// verts[i]'s cached row, or nil on a miss. Ids from n up are a request's
+// virtual vertices, never cached and not counted. The returned rows are
+// owned by the cache: callers copy out of them and never mutate them.
+// getMany returns the number of hits.
+func (c *embedCache) getMany(layer int, verts []int32, n int32, out [][]float32) int {
 	if c == nil {
-		return nil
+		return 0
 	}
+	hits, misses := 0, 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[cacheKey{layer, vert}]
-	if !ok {
-		c.misses.Inc()
-		return nil
+	for i, v := range verts {
+		out[i] = nil
+		if v >= n {
+			continue
+		}
+		el, ok := c.idx[keyOf(layer, v)]
+		if !ok {
+			misses++
+			continue
+		}
+		c.lru.MoveToFront(el)
+		out[i] = el.Value.(*cacheEntry).row
+		hits++
 	}
-	c.hits.Inc()
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).row
+	c.hits.Add(float64(hits))
+	c.misses.Add(float64(misses))
+	return hits
 }
 
-// Put inserts a copy of row, evicting LRU rows past the byte budget. A put
-// whose generation is stale (Invalidate ran since the caller captured gen)
-// is dropped — the row was computed under superseded parameters.
-func (c *embedCache) Put(layer int, vert int32, row []float32, gen uint64) {
+// putMany inserts a copy of rows.Row(d) as verts[d]'s layer row for every
+// real vertex (id below n), under one lock, evicting LRU rows past the byte
+// budget after each insert. A put whose generation is stale (Invalidate ran
+// since the caller captured gen) is dropped — the rows were computed under
+// superseded parameters.
+func (c *embedCache) putMany(layer int, verts []int32, n int32, rows *tensor.Tensor, gen uint64) {
 	if c == nil {
 		return
 	}
@@ -98,23 +117,28 @@ func (c *embedCache) Put(layer int, vert int32, row []float32, gen uint64) {
 	if gen != c.gen {
 		return
 	}
-	key := cacheKey{layer, vert}
-	if el, ok := c.idx[key]; ok {
-		// Same generation ⇒ same parameters ⇒ same value; just refresh
-		// recency.
-		c.lru.MoveToFront(el)
-		return
-	}
-	e := &cacheEntry{key: key, gen: gen, row: append([]float32(nil), row...)}
-	c.idx[key] = c.lru.PushFront(e)
-	c.bytes += int64(4 * len(e.row))
-	for c.bytes > c.budget && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		ev := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.idx, ev.key)
-		c.bytes -= int64(4 * len(ev.row))
-		c.evictions.Inc()
+	for d, v := range verts {
+		if v >= n {
+			continue
+		}
+		key := keyOf(layer, v)
+		if el, ok := c.idx[key]; ok {
+			// Same generation ⇒ same parameters ⇒ same value; just refresh
+			// recency.
+			c.lru.MoveToFront(el)
+			continue
+		}
+		e := &cacheEntry{key: key, gen: gen, row: append([]float32(nil), rows.Row(d)...)}
+		c.idx[key] = c.lru.PushFront(e)
+		c.bytes += int64(4 * len(e.row))
+		for c.bytes > c.budget && c.lru.Len() > 1 {
+			back := c.lru.Back()
+			ev := back.Value.(*cacheEntry)
+			c.lru.Remove(back)
+			delete(c.idx, ev.key)
+			c.bytes -= int64(4 * len(ev.row))
+			c.evictions.Inc()
+		}
 	}
 	c.resident.Set(float64(c.bytes))
 }

@@ -26,58 +26,37 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 	n := int32(s.cfg.Graph.NumVertices())
 
 	var prevOut *tensor.Tensor
-	var prevDsts []int32
 	var topIn *tensor.Tensor // the top block's input: penultimate-layer rows
 	for l, b := range p.blocks {
 		// The bottom block reads the assembled feature rows as they are
 		// (nothing is cached below layer 1); the blocks above stitch theirs.
 		H := p.feats
 		if l > 0 {
-			H = scratch.Get(len(b.srcs), dims[l])
-			for i, v := range b.srcs {
-				if b.cached[i] != nil {
-					copy(H.Row(i), b.cached[i])
-				} else {
-					copy(H.Row(i), prevOut.Row(posIn(prevDsts, v)))
-				}
-			}
+			H = stitch(b, prevOut, scratch, dims[l])
 		}
 		if l == L-1 {
 			topIn = H
 		}
 		if len(b.dsts) == 0 {
 			// The walk above was fully cache-served; nothing to compute here.
-			prevOut, prevDsts = tensor.New(0, dims[l+1]), b.dsts
+			prevOut = nil
 			continue
 		}
-		out := forwardBlock(model.Layers[l], b, H, scratch)
+		prevOut = forwardBlock(model.Layers[l], b, H, scratch)
 		if asm.exact && l+1 < L {
-			for d, v := range b.dsts {
-				if v < n {
-					s.cache.Put(l+1, v, out.Row(d), asm.gen)
-				}
-			}
+			s.cache.putMany(l+1, b.dsts, n, prevOut, asm.gen)
 		}
-		prevOut, prevDsts = out, b.dsts
 	}
 
-	top := p.blocks[L-1]
-	for _, w := range asm.items {
-		nq := w.req.numQueries()
-		logits := tensor.New(nq, dims[L])
-		embeds := tensor.New(nq, dims[L-1])
-		row := 0
-		emit := func(v int32) {
-			d := posIn(top.dsts, v)
-			copy(logits.Row(row), prevOut.Row(d))
-			copy(embeds.Row(row), topIn.Row(int(top.selfIdx[d])))
-			row++
-		}
-		for _, v := range w.req.Verts {
-			emit(v)
-		}
-		for k := range w.req.Inductive {
-			emit(n + int32(k))
+	// A block's destinations lead its input rows, so top destination d's
+	// embedding is the top input's row d.
+	for i, w := range asm.items {
+		rows := p.rows[i]
+		logits := tensor.New(len(rows), dims[L])
+		embeds := tensor.New(len(rows), dims[L-1])
+		for r, d := range rows {
+			copy(logits.Row(r), prevOut.Row(int(d)))
+			copy(embeds.Row(r), topIn.Row(int(d)))
 		}
 		w.res = &Result{Version: asm.version, Logits: logits, Embeds: embeds}
 		w.finished = time.Now()
@@ -85,12 +64,32 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 	}
 }
 
+// stitch assembles block b's input rows: the cache-served row where the walk
+// stopped, otherwise the next row of prev, the block below's output — whose
+// destinations are b's uncached sources in order. With nothing cache-served
+// the input is prev itself.
+func stitch(b *block, prev *tensor.Tensor, scratch *tensor.Arena, dim int) *tensor.Tensor {
+	if b.cached == nil {
+		return prev
+	}
+	H := scratch.Get(len(b.srcs), dim)
+	k := 0
+	for i, row := range b.cached {
+		if row == nil {
+			row = prev.Row(k)
+			k++
+		}
+		copy(H.Row(i), row)
+	}
+	return H
+}
+
 // forwardBlock evaluates one layer over one bipartite block. The ForwardCtx
 // mirrors engine.forwardOnTape restricted to the block: SrcRow indexes the
 // (possibly pre-transformed) source rows in destination-grouped order and
-// Self gathers each destination's own row, so per-destination float32
-// aggregation order — and therefore the result — matches the full-graph
-// reference bitwise.
+// Self is their leading rows, the destinations' own, so per-destination
+// float32 aggregation order — and therefore the result — matches the
+// full-graph reference bitwise.
 func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor, scratch *tensor.Arena) *tensor.Tensor {
 	tape := autograd.NewTapeArena(scratch)
 	in := tape.Constant(H, "h")
@@ -103,7 +102,7 @@ func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor, scratch *tensor.Ar
 		Tape:     tape,
 		Src:      rows,
 		SrcRow:   b.srcIdx,
-		Self:     tape.Gather(rows, b.selfIdx),
+		Self:     tape.Constant(rows.Value.RowSlice(0, len(b.dsts)), "self"),
 		Offsets:  b.offsets,
 		EdgeDst:  b.dstIdx,
 		EdgeNorm: b.edgeNorm,

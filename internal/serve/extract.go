@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"neutronstar/internal/nn"
@@ -54,40 +53,112 @@ func (o *overlay) invSqrtDeg(v int32) float64 {
 // sampler.Block but carrying everything the compute pool needs — norm
 // coefficients from full-graph degrees and any cache-served input rows.
 type block struct {
-	srcs []int32 // input frontier, ascending
-	dsts []int32 // output frontier, ascending, subset of srcs
+	// srcs is the input frontier: the destinations first, so input row d is
+	// dsts[d]'s own row, then every other in-neighbor in the order the walk
+	// first meets it. dsts is srcs[:len(dsts)].
+	srcs, dsts []int32
 	// srcIdx/dstIdx address edges into srcs/dsts; edges are grouped by
 	// destination in in-neighbor order (the reference aggregation order, so
 	// float32 sums match it bitwise).
 	srcIdx, dstIdx []int32
 	offsets        []int32 // len(dsts)+1
-	selfIdx        []int32 // row of dsts[d] within srcs
 	// edgeNorm/selfNorm are the GCN renormalisation coefficients computed
 	// from full-graph in-degrees (a sampled block keeps true degrees: the
 	// norm describes the graph, not the sample).
 	edgeNorm, selfNorm []float32
 	// cached[i], when non-nil, is srcs[i]'s input row served from the
-	// embedding cache; the frontier below was not expanded through it.
+	// embedding cache; the frontier below was not expanded through it. The
+	// k-th source without one is the block below's k-th destination. Nil
+	// when no source was cache-served.
 	cached [][]float32
 }
 
 // plan is a full extraction: blocks input-first (blocks[0] consumes raw
-// feature rows, blocks[L-1] produces the queried vertices' logits) plus the
-// assembled layer-0 feature rows.
+// feature rows, blocks[L-1] produces the queried vertices' logits), the
+// assembled layer-0 feature rows, and rows[i][q], the top-block destination
+// answering item i's q-th query.
 type plan struct {
 	blocks []*block
 	feats  *tensor.Tensor // one row per blocks[0].srcs entry
+	rows   [][]int32
 }
 
-// seeds returns the queried frontier (the top block's destinations).
-func (p *plan) seeds() []int32 { return p.blocks[len(p.blocks)-1].dsts }
+// walk is an extraction worker's scratch. slot[v] is 1 + v's row in the
+// block being built and 0 for every vertex outside it: a block enters its
+// destinations, the walk enters each new in-neighbor, and the block clears
+// every entry it set once its edges are laid out, so slot is all zeros
+// between blocks. frontier holds the next block's destinations.
+type walk struct {
+	slot     []int32
+	frontier []int32
+}
+
+// enter appends v to the frontier unless it is already there and returns
+// its row.
+func (w *walk) enter(v int32) int32 {
+	if p := w.slot[v]; p != 0 {
+		return p - 1
+	}
+	w.frontier = append(w.frontier, v)
+	w.slot[v] = int32(len(w.frontier))
+	return w.slot[v] - 1
+}
+
+// expand lays out the block whose destinations are the frontier, already
+// entered in slot as rows 0..len-1: one pass over their in-neighbors
+// (sampled down to fanout when it is positive) in CSR order.
+func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
+	dsts := w.frontier
+	edges := 0
+	for _, v := range dsts {
+		d := o.inDeg(v)
+		if fanout > 0 && d > fanout {
+			d = fanout
+		}
+		edges += d
+	}
+	nd := len(dsts)
+	b := &block{
+		srcs:     append(make([]int32, 0, nd+edges), dsts...),
+		srcIdx:   make([]int32, 0, edges),
+		dstIdx:   make([]int32, 0, edges),
+		offsets:  make([]int32, nd+1),
+		edgeNorm: make([]float32, 0, edges),
+		selfNorm: make([]float32, nd),
+	}
+	b.dsts = b.srcs[:nd]
+	for di, v := range b.dsts {
+		inv := o.invSqrtDeg(v)
+		b.selfNorm[di] = float32(inv * inv)
+		ns := o.inNbrs(v)
+		if fanout > 0 {
+			ns = sampler.Pick(ns, fanout, rng)
+		}
+		for _, u := range ns {
+			p := w.slot[u]
+			if p == 0 {
+				b.srcs = append(b.srcs, u)
+				p = int32(len(b.srcs))
+				w.slot[u] = p
+			}
+			b.srcIdx = append(b.srcIdx, p-1)
+			b.dstIdx = append(b.dstIdx, int32(di))
+			b.edgeNorm = append(b.edgeNorm, float32(inv*o.invSqrtDeg(u)))
+		}
+		b.offsets[di+1] = int32(len(b.srcIdx))
+	}
+	for _, v := range b.srcs {
+		w.slot[v] = 0
+	}
+	return b
+}
 
 // extract builds the assembled job: the k-hop (or fanout-sampled) dependency
 // walk for every queried vertex, stopping at cache-served rows, plus the
 // feature rows the bottom layer needs. Pure graph-and-memory work — the
 // point of a separate extraction pool is that none of this contends with
-// the GEMMs in the compute pool.
-func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, error) {
+// the GEMMs in the compute pool. w is the calling worker's scratch.
+func (s *Server) extract(j *job, model *nn.Model, version uint64, w *walk) (*assembled, error) {
 	L := model.NumLayers()
 	var virt []InductiveVertex
 	var fanouts []int
@@ -106,95 +177,69 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 		}
 	}
 	o := &overlay{s: s, virt: virt, n: int32(s.cfg.Graph.NumVertices())}
+	if grow := int(o.n) + len(virt) - len(w.slot); grow > 0 {
+		w.slot = append(w.slot, make([]int32, grow)...)
+	}
 	// cacheNanos carves the embedding-cache lookup time out of the extract
 	// stage for the per-request breakdown.
 	var cacheNanos int64
 
-	// Merge every item's queried vertices into one sorted seed frontier.
-	var need []int32
-	for _, w := range j.items {
-		need = append(need, w.req.Verts...)
-		for k := range w.req.Inductive {
-			need = append(need, o.n+int32(k))
-		}
+	// The top block's destinations: every queried vertex once, in the order
+	// the items ask for them.
+	nq := 0
+	for _, it := range j.items {
+		nq += it.req.numQueries()
 	}
-	need = sortedSet(need)
+	flat := make([]int32, 0, nq)
+	rows := make([][]int32, len(j.items))
+	w.frontier = w.frontier[:0]
+	for i, it := range j.items {
+		lo := len(flat)
+		for _, v := range it.req.Verts {
+			flat = append(flat, w.enter(v))
+		}
+		for k := range it.req.Inductive {
+			flat = append(flat, w.enter(o.n+int32(k)))
+		}
+		rows[i] = flat[lo:]
+	}
 
 	gen := s.cache.generation()
 	blocks := make([]*block, L)
 	for l := L - 1; l >= 0; l-- {
-		b := &block{dsts: need}
-		nbrs := make([][]int32, len(need))
-		edges := 0
-		for di, v := range need {
-			ns := o.inNbrs(v)
-			if fanouts != nil {
-				ns = sampler.Pick(ns, fanouts[l], rng)
-			}
-			nbrs[di] = ns
-			edges += len(ns)
+		fanout := 0
+		if fanouts != nil {
+			fanout = fanouts[l]
 		}
-		// The input frontier: every destination's own row plus its neighbors.
-		srcs := make([]int32, 0, len(need)+edges)
-		srcs = append(srcs, need...)
-		for _, ns := range nbrs {
-			srcs = append(srcs, ns...)
-		}
-		b.srcs = sortedSet(srcs)
-		b.offsets = make([]int32, len(need)+1)
-		b.selfIdx = make([]int32, len(need))
-		b.selfNorm = make([]float32, len(need))
-		b.srcIdx = make([]int32, 0, edges)
-		b.dstIdx = make([]int32, 0, edges)
-		b.edgeNorm = make([]float32, 0, edges)
-		for di, v := range need {
-			b.selfIdx[di] = int32(posIn(b.srcs, v))
-			inv := o.invSqrtDeg(v)
-			b.selfNorm[di] = float32(inv * inv)
-			for _, u := range nbrs[di] {
-				b.srcIdx = append(b.srcIdx, int32(posIn(b.srcs, u)))
-				b.dstIdx = append(b.dstIdx, int32(di))
-				b.edgeNorm = append(b.edgeNorm, float32(inv*o.invSqrtDeg(u)))
-			}
-			b.offsets[di+1] = int32(len(b.srcIdx))
-		}
+		b := w.expand(o, fanout, rng)
 		blocks[l] = b
 		if l == 0 {
 			break // layer-0 inputs are raw features — always available
 		}
 		// Sources whose layer-l row the cache holds are not expanded below.
-		b.cached = make([][]float32, len(b.srcs))
-		next := make([]int32, 0, len(b.srcs))
-		if exact {
+		if exact && s.cache != nil {
 			lookupStart := time.Now()
-			for i, v := range b.srcs {
-				if v < o.n {
-					if row := s.cache.Get(l, v); row != nil {
-						b.cached[i] = row
-						continue
-					}
-				}
-				next = append(next, v)
+			b.cached = make([][]float32, len(b.srcs))
+			if s.cache.getMany(l, b.srcs, o.n, b.cached) == 0 {
+				b.cached = nil
 			}
 			cacheNanos += time.Since(lookupStart).Nanoseconds()
-		} else {
-			next = append(next, b.srcs...)
 		}
-		need = next
+		w.frontier = w.frontier[:0]
+		for i, v := range b.srcs {
+			if b.cached == nil || b.cached[i] == nil {
+				w.enter(v)
+			}
+		}
 	}
 
 	// Assemble the raw feature rows the bottom block consumes. When every
 	// layer-1 input was cache-served the bottom frontier is empty and this
 	// is a 0-row tensor. The compute worker hands it back to the pool.
-	dim := s.cfg.Features.Cols()
 	bottom := blocks[0]
-	feats := s.scratch.Get(len(bottom.srcs), dim)
-	// A fully cache-satisfied walk leaves empty lower frontiers: their
-	// blocks compute nothing, and the cached rows enter at the layer above.
-	if len(bottom.dsts) > 0 {
-		for i, v := range bottom.srcs {
-			copy(feats.Row(i), o.featRow(v))
-		}
+	feats := s.scratch.Get(len(bottom.srcs), s.cfg.Features.Cols())
+	for i, v := range bottom.srcs {
+		copy(feats.Row(i), o.featRow(v))
 	}
 
 	return &assembled{
@@ -203,19 +248,7 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 		cacheNanos: cacheNanos,
 		model:      model,
 		gen:        gen,
-		plan:       &plan{blocks: blocks, feats: feats},
+		plan:       &plan{blocks: blocks, feats: feats, rows: rows},
 		exact:      exact,
 	}, nil
-}
-
-// sortedSet sorts vs in place and drops duplicates.
-func sortedSet(vs []int32) []int32 {
-	slices.Sort(vs)
-	return slices.Compact(vs)
-}
-
-// posIn locates v in the ascending slice s; extraction guarantees presence.
-func posIn(s []int32, v int32) int {
-	i, _ := slices.BinarySearch(s, v)
-	return i
 }

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"neutronstar/internal/obs"
@@ -36,7 +36,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/embed", s.handleEmbed)
 	mux.HandleFunc("/linkscore", s.handleLinkScore)
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, s.Stats())
+		writeJSON(w, nil, s.Stats())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -82,36 +82,30 @@ type LinkResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if !decodeBody(w, r, &req) {
-		return
+	if res, ok := s.answer(w, r); ok {
+		writeRows(w, res, appendPredict, res.Logits)
 	}
-	res, err := s.Query(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	out := PredictResponse{
-		ModelVersion: res.Version,
-		Labels:       argmaxRows(res.Logits),
-		Logits:       copyRows(res.Logits),
-	}
-	setTimingHeaders(w.Header(), res.Timing)
-	writeJSON(w, out)
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
+	if res, ok := s.answer(w, r); ok {
+		writeRows(w, res, appendEmbed, res.Embeds)
+	}
+}
+
+// answer decodes a query body and runs it; a request it cannot answer has
+// had its 4xx when it returns false.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request) (*Result, bool) {
 	var req Request
 	if !decodeBody(w, r, &req) {
-		return
+		return nil, false
 	}
 	res, err := s.Query(&req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, false
 	}
-	setTimingHeaders(w.Header(), res.Timing)
-	writeJSON(w, EmbedResponse{ModelVersion: res.Version, Embeddings: copyRows(res.Embeds)})
+	return res, true
 }
 
 func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
@@ -139,7 +133,6 @@ func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	setTimingHeaders(w.Header(), res.Timing)
 	out := LinkResponse{ModelVersion: res.Version, Scores: make([]float64, len(lr.Pairs))}
 	for k, p := range lr.Pairs {
 		a, b := res.Embeds.Row(pos[p[0]]), res.Embeds.Row(pos[p[1]])
@@ -149,7 +142,7 @@ func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Scores[k] = 1 / (1 + math.Exp(-dot))
 	}
-	writeJSON(w, out)
+	writeJSON(w, &res.Timing, out)
 }
 
 // maxRequestBytes bounds a query body read off the network. The bodies
@@ -173,50 +166,122 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// jsonWriter is an indenting encoder with the buffers it grows: the output
-// and, inside the Encoder, the indent buffer. A fresh Encoder per response
-// regrows both from nothing, which for a 32-vertex /predict answer is most
-// of what the request allocates.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// writeJSON sends v compact, as json.Marshal encodes it, with the query's
+// timing headers when t is non-nil.
+func writeJSON(w http.ResponseWriter, t *StageTiming, v any) {
+	b, err := json.Marshal(v)
+	writeBody(w, t, append(b, '\n'), err)
 }
 
-var jsonWriters = sync.Pool{New: func() any {
-	jw := &jsonWriter{}
-	jw.enc = json.NewEncoder(&jw.buf)
-	jw.enc.SetIndent("", "  ")
-	return jw
-}}
-
-func writeJSON(w http.ResponseWriter, v any) {
+// writeBody sends an encoded response, or — when encoding failed, as it does
+// on a value JSON has no form for — a 500 that names it. Only a response
+// carries the timing headers.
+func writeBody(w http.ResponseWriter, t *StageTiming, body []byte, err error) {
+	if err != nil {
+		http.Error(w, fmt.Sprintf("serve: cannot encode the response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	if t != nil {
+		setTimingHeaders(w.Header(), *t)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	jw := jsonWriters.Get().(*jsonWriter)
-	jw.buf.Reset()
-	_ = jw.enc.Encode(v) // an unencodable value leaves the body empty
-	_, _ = w.Write(jw.buf.Bytes())
-	jsonWriters.Put(jw)
+	_, _ = w.Write(body)
 }
 
-func argmaxRows(t *tensor.Tensor) []int {
-	out := make([]int, t.Rows())
-	for r := 0; r < t.Rows(); r++ {
-		row := t.Row(r)
-		best := 0
-		for c, v := range row {
-			if v > row[best] {
-				best = c
-			}
+// bodies recycles the buffers /predict and /embed encode into, so a
+// response costs no allocation once the buffers have grown to the answers'
+// size.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRows sends a query's rows as appendBody encodes them, in a pooled
+// buffer.
+func writeRows(w http.ResponseWriter, res *Result,
+	appendBody func([]byte, uint64, *tensor.Tensor) ([]byte, error), rows *tensor.Tensor) {
+	bp := bodies.Get().(*[]byte)
+	b, err := appendBody((*bp)[:0], res.Version, rows)
+	writeBody(w, &res.Timing, b, err)
+	*bp = b
+	bodies.Put(bp)
+}
+
+// appendPredict appends /predict's body: the bytes json.Marshal gives for
+// PredictResponse{version, per-row argmax labels, logits} plus a newline,
+// written straight from the tensor.
+func appendPredict(b []byte, version uint64, logits *tensor.Tensor) ([]byte, error) {
+	b = append(b, `{"model_version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, `,"labels":[`...)
+	for r := 0; r < logits.Rows(); r++ {
+		if r > 0 {
+			b = append(b, ',')
 		}
-		out[r] = best
+		b = strconv.AppendInt(b, int64(argmax(logits.Row(r))), 10)
 	}
-	return out
+	b = append(b, `],"logits":`...)
+	b, err := appendRows(b, "logits", logits)
+	return append(b, "}\n"...), err
 }
 
-func copyRows(t *tensor.Tensor) [][]float32 {
-	out := make([][]float32, t.Rows())
+// appendEmbed appends /embed's body: the bytes json.Marshal gives for
+// EmbedResponse{version, embeds} plus a newline.
+func appendEmbed(b []byte, version uint64, embeds *tensor.Tensor) ([]byte, error) {
+	b = append(b, `{"model_version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, `,"embeddings":`...)
+	b, err := appendRows(b, "embeddings", embeds)
+	return append(b, "}\n"...), err
+}
+
+// appendRows appends t as an array of row arrays. A NaN or an infinity has
+// no JSON form; the error names it and its place.
+func appendRows(b []byte, what string, t *tensor.Tensor) ([]byte, error) {
+	b = append(b, '[')
 	for r := 0; r < t.Rows(); r++ {
-		out[r] = append([]float32(nil), t.Row(r)...)
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for c, v := range t.Row(r) {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return b, fmt.Errorf("%s row %d column %d is %v", what, r, c, v)
+			}
+			b = appendFloat32(b, v)
+		}
+		b = append(b, ']')
 	}
-	return out
+	return append(b, ']'), nil
+}
+
+// appendFloat32 formats a finite f the way encoding/json formats a float32:
+// the shortest digits that round-trip to the same bits, in exponent form
+// below 1e-6 and from 1e21 up, with a two-digit negative exponent's leading
+// zero dropped (1e-07 becomes 1e-7).
+func appendFloat32(b []byte, f float32) []byte {
+	abs := float32(math.Abs(float64(f)))
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, float64(f), format, -1, 32)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// argmax returns the index of row's first largest value.
+func argmax(row []float32) int {
+	best := 0
+	for c, v := range row {
+		if v > row[best] {
+			best = c
+		}
+	}
+	return best
 }

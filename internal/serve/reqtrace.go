@@ -112,22 +112,20 @@ func (t StageTiming) StageSum() time.Duration {
 }
 
 // ServerTiming renders the breakdown as a Server-Timing header value
-// (RFC-style "name;dur=millis" entries, millisecond durations).
+// (RFC-style "name;dur=millis" entries, millisecond durations to 1µs).
 func (t StageTiming) ServerTiming() string {
-	var b strings.Builder
-	writeServerTimingEntry(&b, StageQueue, t.Queue)
-	writeServerTimingEntry(&b, StageCache, t.Cache)
-	writeServerTimingEntry(&b, StageExtract, t.Extract)
-	writeServerTimingEntry(&b, StageCompute, t.Compute)
-	writeServerTimingEntry(&b, StageTotal, t.Total)
-	return b.String()
-}
-
-func writeServerTimingEntry(b *strings.Builder, name string, d time.Duration) {
-	if b.Len() > 0 {
-		b.WriteString(", ")
+	b := make([]byte, 0, 128)
+	for i, e := range [...]struct {
+		name string
+		d    time.Duration
+	}{{StageQueue, t.Queue}, {StageCache, t.Cache}, {StageExtract, t.Extract}, {StageCompute, t.Compute}, {StageTotal, t.Total}} {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(append(b, e.name...), ";dur="...)
+		b = strconv.AppendFloat(b, float64(e.d)/float64(time.Millisecond), 'f', 3, 64)
 	}
-	fmt.Fprintf(b, "%s;dur=%.3f", name, float64(d)/float64(time.Millisecond))
+	return string(b)
 }
 
 // ParseServerTiming parses a Server-Timing header value back into per-stage

@@ -112,6 +112,10 @@ func TestParseServerTiming(t *testing.T) {
 	if out := ParseServerTiming(""); len(out) != 0 {
 		t.Fatalf("empty header parsed to %v", out)
 	}
+	st := StageTiming{Queue: 1500 * time.Microsecond, Extract: 2*time.Millisecond + 499, Compute: 7, Total: 1234567 * time.Microsecond}
+	if got, want := st.ServerTiming(), "queue;dur=1.500, cache;dur=0.000, extract;dur=2.000, compute;dur=0.000, total;dur=1234.567"; got != want {
+		t.Fatalf("ServerTiming() = %q, want %q", got, want)
+	}
 }
 
 // TestBatcherDepthCallback asserts the queue-depth hook tracks pending

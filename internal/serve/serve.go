@@ -169,7 +169,11 @@ type Request struct {
 	Verts     []int32           `json:"vertices,omitempty"`
 	Inductive []InductiveVertex `json:"inductive,omitempty"`
 	// Fanouts bounds the neighbors kept per vertex per hop, input layer
-	// first (DGL order). Empty means exact extraction.
+	// first (DGL order). Empty means exact extraction. The sampler draws per
+	// vertex in the order the frontier walk meets it — queried vertices in
+	// request order, then each new in-neighbor as the walk reaches it — so
+	// one request and seed always give the same bits, and those bits depend
+	// on that order as well as on the seed.
 	Fanouts []int `json:"fanouts,omitempty"`
 	// Seed pins the sampling RNG; 0 derives one from the request id.
 	Seed uint64 `json:"seed,omitempty"`
@@ -478,11 +482,13 @@ func (s *Server) validate(req *Request) error {
 }
 
 // extractLoop is the extraction pool: k-hop closure walk (or sampling) and
-// feature-row assembly, no NN math. idx is the worker's row in the trace
-// timeline and its label in the busy-time counter.
+// feature-row assembly, no NN math, on the worker's own walk scratch. idx is
+// the worker's row in the trace timeline and its label in the busy-time
+// counter.
 func (s *Server) extractLoop(idx int) {
 	defer s.extWG.Done()
 	busy := s.metrics.busy.With("extract", strconv.Itoa(idx))
+	scratch := &walk{slot: make([]int32, s.cfg.Graph.NumVertices())}
 	for j := range s.extractQ {
 		start := time.Now()
 		for _, w := range j.items {
@@ -494,7 +500,7 @@ func (s *Server) extractLoop(idx int) {
 				obs.Int("items", len(j.items)), obs.String("trace_ids", traceIDs(j.items)))
 		}
 		model, version := s.refresh()
-		asm, err := s.extract(j, model, version)
+		asm, err := s.extract(j, model, version, scratch)
 		end := time.Now()
 		if sp != nil {
 			sp.End()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
@@ -40,27 +41,131 @@ func newTestServer(t testing.TB, ds *dataset.Dataset, src Source, cacheBytes int
 	return s
 }
 
+// withSink returns ds's graph and features plus one vertex n (= the vertex
+// count) whose in-neighbors are nbrs and whose feature row is feat: the
+// materialised form of an inductive vertex. Appending a sink leaves every
+// existing in-degree and in-neighbor list unchanged, so a reference forward
+// over the extended graph answers the known vertices exactly as over ds.
+func withSink(t *testing.T, ds *dataset.Dataset, feat []float32, nbrs []int32) (*graph.Graph, *tensor.Tensor) {
+	t.Helper()
+	n := ds.Graph.NumVertices()
+	var edges []graph.Edge
+	off, srcs := ds.Graph.InOffsets(), ds.Graph.InSources()
+	for v := 0; v < n; v++ {
+		for e := off[v]; e < off[v+1]; e++ {
+			edges = append(edges, graph.Edge{Src: srcs[e], Dst: int32(v)})
+		}
+	}
+	for _, u := range nbrs {
+		edges = append(edges, graph.Edge{Src: u, Dst: int32(n)})
+	}
+	g2, err := graph.FromEdges(n+1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := tensor.New(n+1, ds.Spec.FeatureDim)
+	for v := 0; v < n; v++ {
+		copy(f2.Row(v), ds.Features.Row(v))
+	}
+	copy(f2.Row(n), feat)
+	return g2, f2
+}
+
 // TestServeMatchesReferenceAllKinds is the core exactness contract: for every
 // architecture, an exact (unsampled) query answers with the same float32 rows
 // as the full-graph reference forward restricted to the queried vertices —
-// both logits and penultimate-layer embeddings — with caching disabled.
+// both logits and penultimate-layer embeddings. The cases cover the shapes
+// the frontier walk lays out differently: a plain request without a cache,
+// vertices repeated inside one request and across requests batched into one
+// job, a repeat whose top block the cache serves entirely, and known vertices
+// beside an inductive one that draws edges from them.
 func TestServeMatchesReferenceAllKinds(t *testing.T) {
 	ds := testDataset(t, 120, 11)
-	verts := []int32{0, 3, 17, 55, 119, 64, 7}
+	n := int32(ds.Graph.NumVertices())
+	feat := make([]float32, ds.Spec.FeatureDim)
+	for i := range feat {
+		feat[i] = 0.05 * float32(i-3)
+	}
+	nbrs := []int32{2, 7, 64} // ascending and distinct: the order FromEdges gives vertex n
+	g2, f2 := withSink(t, ds, feat, nbrs)
 	for _, kind := range nn.ModelKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			model := testModel(ds, kind, 21)
-			s := newTestServer(t, ds, NewStatic(model), 0)
-			res, err := s.Query(&Request{Verts: verts})
+			ref := engine.ReferenceForward(g2, model, f2)
+			penult := &nn.Model{Name: model.Name, Layers: model.Layers[:len(model.Layers)-1]}
+			refEmb := engine.ReferenceForward(g2, penult, f2)
+			check := func(what string, res *Result, verts []int32) {
+				t.Helper()
+				if res.Logits.Rows() != len(verts) || res.Embeds.Rows() != len(verts) {
+					t.Fatalf("%s: %d logit rows, %d embedding rows for %d queries",
+						what, res.Logits.Rows(), res.Embeds.Rows(), len(verts))
+				}
+				for i, v := range verts {
+					assertRowEqual(t, what+" logits", v, res.Logits.Row(i), ref.Row(int(v)))
+					assertRowEqual(t, what+" embeds", v, res.Embeds.Row(i), refEmb.Row(int(v)))
+				}
+			}
+			query := func(s *Server, req *Request) *Result {
+				t.Helper()
+				res, err := s.Query(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+
+			plain := newTestServer(t, ds, NewStatic(model), 0)
+			verts := []int32{0, 3, 17, 55, 119, 64, 7}
+			check("plain", query(plain, &Request{Verts: verts}), verts)
+			dups := []int32{5, 9, 5, 5, 100, 9, 2}
+			check("repeats in one request", query(plain, &Request{Verts: dups}), dups)
+			mixed := &Request{Verts: []int32{7, 2, 7, 30}, Inductive: []InductiveVertex{{Features: feat, Neighbors: nbrs}}}
+			check("known beside inductive", query(plain, mixed), []int32{7, 2, 7, 30, n})
+
+			// MaxBatch is the three requests' vertex total and MaxWait never
+			// fires, so they flush as one job whatever order they arrive in.
+			batched, err := New(Config{
+				Graph: ds.Graph, Features: ds.Features, Source: NewStatic(model),
+				MaxBatch: 8, MaxWait: time.Hour, Registry: obs.NewRegistry(),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := engine.ReferenceForward(ds.Graph, model, ds.Features)
-			penult := &nn.Model{Name: model.Name, Layers: model.Layers[:len(model.Layers)-1]}
-			refEmb := engine.ReferenceForward(ds.Graph, penult, ds.Features)
-			for i, v := range verts {
-				assertRowEqual(t, "logits", v, res.Logits.Row(i), ref.Row(int(v)))
-				assertRowEqual(t, "embeds", v, res.Embeds.Row(i), refEmb.Row(int(v)))
+			t.Cleanup(batched.Close)
+			reqs := [][]int32{{1, 2, 3}, {3, 2, 40}, {40, 1}}
+			results := make([]*Result, len(reqs))
+			var wg sync.WaitGroup
+			for i, vs := range reqs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := batched.Query(&Request{Verts: vs})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[i] = res
+				}()
+			}
+			wg.Wait()
+			if st := batched.Stats(); st.Batches != 1 {
+				t.Fatalf("%d batches, want the three requests in one", st.Batches)
+			}
+			for i, vs := range reqs {
+				if results[i] == nil {
+					t.FailNow()
+				}
+				check("repeats across a batch", results[i], vs)
+			}
+
+			cached := newTestServer(t, ds, NewStatic(model), 1<<20)
+			check("cold", query(cached, &Request{Verts: verts}), verts)
+			before := cached.Stats().Cache
+			check("top block from the cache", query(cached, &Request{Verts: verts}), verts)
+			after := cached.Stats().Cache
+			if after.Misses != before.Misses || after.Hits == before.Hits {
+				t.Fatalf("repeat request: hits %d -> %d, misses %d -> %d; want hits only",
+					before.Hits, after.Hits, before.Misses, after.Misses)
 			}
 		})
 	}
@@ -177,25 +282,7 @@ func TestServeInductive(t *testing.T) {
 	}
 
 	n := ds.Graph.NumVertices()
-	var edges []graph.Edge
-	off, srcs := ds.Graph.InOffsets(), ds.Graph.InSources()
-	for v := 0; v < n; v++ {
-		for e := off[v]; e < off[v+1]; e++ {
-			edges = append(edges, graph.Edge{Src: srcs[e], Dst: int32(v)})
-		}
-	}
-	for _, u := range nbrs {
-		edges = append(edges, graph.Edge{Src: u, Dst: int32(n)})
-	}
-	g2, err := graph.FromEdges(n+1, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2 := tensor.New(n+1, ds.Spec.FeatureDim)
-	for v := 0; v < n; v++ {
-		copy(f2.Row(v), ds.Features.Row(v))
-	}
-	copy(f2.Row(n), feat)
+	g2, f2 := withSink(t, ds, feat, nbrs)
 	ref := engine.ReferenceForward(g2, model, f2)
 
 	assertRowEqual(t, "known-vertex logits", 7, res.Logits.Row(0), ref.Row(7))
@@ -372,6 +459,76 @@ func TestServeScratchRecycled(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeConcurrentWalks runs four extraction workers, each on its own
+// walk scratch, under concurrent clients that mix exact requests with
+// repeated vertices, seeded sampled requests and inductive ones, over a cache
+// small enough to evict. Exact answers must equal the reference and the
+// others the same request answered alone: a slot entry a walk left set, or
+// one another worker wrote, would move them.
+func TestServeConcurrentWalks(t *testing.T) {
+	ds := testDataset(t, 150, 23)
+	model := testModel(ds, nn.GCN, 24)
+	s, err := New(Config{
+		Graph: ds.Graph, Features: ds.Features, Source: NewStatic(model),
+		CacheBytes: 1 << 12, ExtractWorkers: 4, ComputeWorkers: 2, MaxBatch: 16,
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ref := engine.ReferenceForward(ds.Graph, model, ds.Features)
+	feat := make([]float32, ds.Spec.FeatureDim)
+	for i := range feat {
+		feat[i] = 0.1 * float32(i)
+	}
+	alone := []*Request{
+		{Verts: []int32{8, 33, 8}, Fanouts: []int{3, 2}, Seed: 5},
+		{Verts: []int32{4, 9}, Inductive: []InductiveVertex{{Features: feat, Neighbors: []int32{4, 20, 140}}}},
+	}
+	want := make([]*Result, len(alone))
+	for i, req := range alone {
+		if want[i], err = s.Query(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if k := (i + c) % 3; k < len(alone) {
+					res, err := s.Query(alone[k])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !res.Logits.Equal(want[k].Logits) || !res.Embeds.Equal(want[k].Embeds) {
+						t.Errorf("client %d request %d: %+v answered differently than alone", c, i, *alone[k])
+					}
+					continue
+				}
+				verts := make([]int32, 2+(i+c)%7)
+				for q := range verts {
+					verts[q] = int32((11*i + 7*q*q + 29*c) % 150)
+				}
+				res, err := s.Query(&Request{Verts: verts})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for q, v := range verts {
+					if !slices.Equal(res.Logits.Row(q), ref.Row(int(v))) {
+						t.Errorf("client %d request %d: logits of vertex %d differ from the reference", c, i, v)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func assertRowEqual(t *testing.T, what string, v int32, got, want []float32) {
