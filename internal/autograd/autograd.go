@@ -83,6 +83,17 @@ func (t *Tape) alloc(rows, cols int) *tensor.Tensor {
 	return t.arena.Get(rows, cols)
 }
 
+// allocUnzeroed is alloc for outputs the op overwrites in full before any
+// element is read: recycled arena storage is handed out uncleared. Anything
+// that accumulates — gradient buffers, scatter targets, the MatMul product —
+// takes alloc.
+func (t *Tape) allocUnzeroed(rows, cols int) *tensor.Tensor {
+	if t == nil {
+		return tensor.New(rows, cols)
+	}
+	return t.arena.GetUnzeroed(rows, cols)
+}
+
 // Reset drops all recorded operations, keeping the backing storage for reuse.
 func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
 

@@ -1,0 +1,220 @@
+package autograd_test
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"neutronstar/internal/autograd"
+	"neutronstar/internal/graph"
+	"neutronstar/internal/tensor"
+	"neutronstar/internal/testkit"
+)
+
+const slope = 0.2
+
+// edgeCase is one input of EdgeSoftmax: a source score column read through
+// srcRow (row e when nil), one destination score per segment, and the CSC
+// structure — edgeDst[e] is the segment offsets put edge e in.
+type edgeCase struct {
+	name     string
+	src, dst *tensor.Tensor
+	srcRow   []int32
+	edgeDst  []int32
+	offsets  []int32
+}
+
+// edgeCases runs aggCases' graphs — the fixture's hub, multi-edge,
+// self-loop and zero-in-degree destinations, random graphs, an edgeless
+// graph — with srcRow set and nil, plus an engine block without edges (nil
+// index over a non-empty column) and a block without destinations.
+func edgeCases() []edgeCase {
+	rng := tensor.NewRNG(29)
+	scores := func(n int) *tensor.Tensor { return tensor.RandNormal(n, 1, 0, 2, rng) }
+	var cases []edgeCase
+	add := func(name string, g *graph.Graph) {
+		src, dst, offsets := testkit.CSC(g)
+		if src == nil {
+			src = []int32{} // a nil index means "row e", not "no edges"
+		}
+		n := g.NumVertices()
+		cases = append(cases,
+			edgeCase{name, scores(n), scores(n), src, dst, offsets},
+			edgeCase{name + "/srcRow=nil", scores(len(dst)), scores(n), nil, dst, offsets})
+	}
+	fixture, _, _, _ := testkit.OpGraph()
+	add("fixture", fixture)
+	for i := 0; i < 8; i++ {
+		add(fmt.Sprintf("random%d", i), testkit.RandomGraph(rng, testkit.GenSpec{}))
+	}
+	add("edgeless", graph.MustFromEdges(4, nil))
+	cases = append(cases,
+		edgeCase{"edgeless/nil index", scores(4), scores(4), nil, nil, []int32{0, 0, 0, 0, 0}},
+		edgeCase{"empty block", scores(3), scores(0), nil, nil, []int32{0}})
+	return cases
+}
+
+// unfusedEdgeSoftmax is the chain EdgeSoftmax replaces, kept as its oracle.
+func unfusedEdgeSoftmax(tp *autograd.Tape, src, dst *autograd.Variable, c edgeCase) *autograd.Variable {
+	srcE := src
+	if c.srcRow != nil || c.src.Rows() != len(c.edgeDst) {
+		srcE = tp.Gather(src, c.srcRow)
+	}
+	score := tp.LeakyReLU(tp.Add(srcE, tp.Gather(dst, c.edgeDst)), slope)
+	return tp.SegmentSoftmax(score, c.offsets)
+}
+
+// requireGradBitEqual is requireBitEqual for gradients, which may be absent
+// on both sides.
+func requireGradBitEqual(t *testing.T, name string, got, want *tensor.Tensor) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: gradient present on one side only (%v vs %v)", name, got, want)
+		}
+		return
+	}
+	requireBitEqual(t, name, got, want)
+}
+
+// TestEdgeSoftmaxMatchesUnfused: α and both score gradients bit-equal to the
+// Gather → Gather → Add → LeakyReLU → SegmentSoftmax chain.
+func TestEdgeSoftmaxMatchesUnfused(t *testing.T) {
+	for _, c := range edgeCases() {
+		seed := tensor.RandNormal(len(c.edgeDst), 1, 0, 1, tensor.NewRNG(13))
+
+		ft := autograd.NewTape()
+		fs, fd := ft.Leaf(c.src, true, "src"), ft.Leaf(c.dst, true, "dst")
+		fused := ft.EdgeSoftmax(fs, c.srcRow, fd, c.offsets, slope)
+		ft.Backward(fused, seed)
+
+		ut := autograd.NewTape()
+		us, ud := ut.Leaf(c.src, true, "src"), ut.Leaf(c.dst, true, "dst")
+		ref := unfusedEdgeSoftmax(ut, us, ud, c)
+		ut.Backward(ref, seed)
+
+		requireBitEqual(t, c.name+" alpha", fused.Value, ref.Value)
+		requireGradBitEqual(t, c.name+" dsrc", fs.Grad, us.Grad)
+		requireGradBitEqual(t, c.name+" ddst", fd.Grad, ud.Grad)
+	}
+}
+
+// TestEdgeSoftmaxStableAtExtremes: scores at ±1e30 next to ordinary ones
+// still give every non-empty segment weights that sum to 1, and neither α
+// nor a gradient is NaN.
+func TestEdgeSoftmaxStableAtExtremes(t *testing.T) {
+	rng := tensor.NewRNG(17)
+	extreme := func(x *tensor.Tensor) *tensor.Tensor {
+		y := x.Clone()
+		for i := range y.Data() {
+			switch rng.Intn(3) {
+			case 0:
+				y.Data()[i] = 1e30
+			case 1:
+				y.Data()[i] = -1e30
+			}
+		}
+		return y
+	}
+	noNaN := func(name string, x *tensor.Tensor) {
+		t.Helper()
+		for i, v := range x.Data() {
+			if math.IsNaN(float64(v)) {
+				t.Fatalf("%s: element %d is NaN", name, i)
+			}
+		}
+	}
+	for _, c := range edgeCases() {
+		tp := autograd.NewTape()
+		s, d := tp.Leaf(extreme(c.src), true, "src"), tp.Leaf(extreme(c.dst), true, "dst")
+		alpha := tp.EdgeSoftmax(s, c.srcRow, d, c.offsets, slope)
+		noNaN(c.name+" alpha", alpha.Value)
+		p := alpha.Value.Data()
+		for seg := 0; seg+1 < len(c.offsets); seg++ {
+			lo, hi := c.offsets[seg], c.offsets[seg+1]
+			if lo == hi {
+				continue
+			}
+			var sum float64
+			for i := lo; i < hi; i++ {
+				sum += float64(p[i])
+			}
+			if math.Abs(sum-1) > 1e-6 {
+				t.Fatalf("%s: segment %d sums to %v", c.name, seg, sum)
+			}
+		}
+		tp.Backward(alpha, tensor.RandNormal(len(p), 1, 0, 1, rng))
+		noNaN(c.name+" dsrc", s.Grad)
+		noNaN(c.name+" ddst", d.Grad)
+	}
+}
+
+// TestEdgeSoftmaxBackwardAllocations counts the tensors Backward draws from
+// the tape's arena: the root's gradient accumulator, then src.Grad and
+// dst.Grad for whichever requires one — no per-edge temporary.
+func TestEdgeSoftmaxBackwardAllocations(t *testing.T) {
+	c := edgeCases()[0]
+	seed := tensor.RandNormal(len(c.edgeDst), 1, 0, 1, tensor.NewRNG(19))
+	for _, tc := range []struct {
+		name             string
+		srcGrad, dstGrad bool
+		want             int64
+	}{
+		{"constant scores", false, false, 1},
+		{"src requires grad", true, false, 2},
+		{"dst requires grad", false, true, 2},
+		{"both require grad", true, true, 3},
+	} {
+		pool := tensor.NewPool()
+		tp := autograd.NewTapeArena(pool.Arena())
+		out := tp.EdgeSoftmax(tp.Leaf(c.src, tc.srcGrad, "src"), c.srcRow,
+			tp.Leaf(c.dst, tc.dstGrad, "dst"), c.offsets, slope)
+		before := pool.Stats()
+		tp.Backward(out, seed)
+		after := pool.Stats()
+		if got := after.Hits + after.Misses - before.Hits - before.Misses; got != tc.want {
+			t.Errorf("%s: Backward drew %d tensors, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSoftmaxOpsRejectBadOffsets: offsets that do not start at 0 or that
+// decrease would leave rows outside every segment — stale storage in an
+// uncleared output — so both softmax ops panic naming the offset.
+func TestSoftmaxOpsRejectBadOffsets(t *testing.T) {
+	scores := tensor.RandNormal(5, 1, 0, 1, tensor.NewRNG(23))
+	for _, tc := range []struct {
+		name    string
+		offsets []int32
+		want    string
+	}{
+		{"not from zero", []int32{1, 3, 5}, "offsets[0] = 1, want 0"},
+		{"decreasing", []int32{0, 4, 2, 5}, "offsets[2] = 2 is below offsets[1] = 4"},
+		{"none", nil, "at least one offset"},
+	} {
+		ops := map[string]func(tp *autograd.Tape){
+			"SegmentSoftmax": func(tp *autograd.Tape) {
+				tp.SegmentSoftmax(tp.Leaf(scores, true, "s"), tc.offsets)
+			},
+			"EdgeSoftmax": func(tp *autograd.Tape) {
+				dst := tensor.New(max(len(tc.offsets)-1, 0), 1)
+				tp.EdgeSoftmax(tp.Leaf(scores, true, "s"), nil, tp.Leaf(dst, true, "d"), tc.offsets, slope)
+			},
+		}
+		for op, run := range ops {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s %s: no panic", op, tc.name)
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, op) || !strings.Contains(msg, tc.want) {
+						t.Fatalf("%s %s: panic %q does not name %q", op, tc.name, msg, tc.want)
+					}
+				}()
+				run(autograd.NewTape())
+			}()
+		}
+	}
+}

@@ -14,7 +14,8 @@ import (
 // and GAT's per-destination attention normalisation is SegmentSoftmax.
 // Their backward rules are the paper's ScatterBackToEdge / GatherBySrc duals.
 // The decoupled ops are the programming model; sum-type layers execute the
-// three of them as one Aggregate, which never builds the per-edge tensors.
+// three of them as one Aggregate, which never builds the per-edge tensors,
+// and GAT computes its attention weights with one EdgeSoftmax.
 
 // Gather selects rows of x by idx: out[i] = x[idx[i]]. The same source row may
 // appear many times (a vertex feeds all its out-edges); the backward pass
@@ -22,7 +23,7 @@ import (
 func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 	start := time.Now()
 	cols := x.Value.Cols()
-	out := t.alloc(len(idx), cols)
+	out := t.allocUnzeroed(len(idx), cols)
 	for i, src := range idx {
 		copy(out.Row(i), x.Value.Row(int(src)))
 	}
@@ -61,7 +62,11 @@ func (t *Tape) Aggregate(x *Variable, src []int32, coeff []float32, dst []int32,
 // column (GAT's attention α): values bit-identical to
 // ScatterAddRows(BroadcastColMul(Gather(x, src), alpha), dst). Besides x's
 // gradient, backward adds the per-edge dot dOut[dst[e]] · x[src[e]] to
-// alpha.Grad[e].
+// alpha.Grad[e]. Both run in one pass over the edges: up to four consecutive
+// edges of one destination share one read of dOut[dst[e]] with four
+// independent dot chains, each summing its terms in ascending column order
+// as tensor.Dot does, and the x.Grad updates follow in ascending e — the bits
+// of a per-edge Dot loop followed by the Axpy loop.
 func (t *Tape) AggregateWeighted(x *Variable, src []int32, alpha *Variable, dst []int32, numDst int) *Variable {
 	if alpha.Value.Cols() != 1 {
 		panic("autograd: AggregateWeighted wants an Ex1 coefficient column")
@@ -88,20 +93,57 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 	scaledScatterAdd(out, dst, x.Value, src, coeff, len(dst))
 	obsAggregateSeconds.Observe(time.Since(start).Seconds())
 	return t.record(out, "aggregate", func(grad *tensor.Tensor) {
-		if alpha != nil && alpha.requiresGrad {
-			ga := alpha.gradBuf().Data()
-			for e, d := range dst {
-				s := e
-				if src != nil {
-					s = int(src[e])
-				}
-				ga[e] += tensor.Dot(grad.Row(int(d)), x.Value.Row(s))
-			}
-		}
+		var gx *tensor.Tensor
 		if x.requiresGrad {
-			scaledScatterAdd(x.gradBuf(), src, grad, dst, coeff, len(dst))
+			gx = x.gradBuf()
+		}
+		if alpha != nil && alpha.requiresGrad {
+			weightedBackward(alpha.gradBuf().Data(), gx, x.Value, src, grad, dst, coeff)
+		} else if gx != nil {
+			scaledScatterAdd(gx, src, grad, dst, coeff, len(dst))
 		}
 	}, x, alpha)
+}
+
+// weightedBackward is AggregateWeighted's backward pass in one sweep over the
+// edges: ga[e] += dOut[dst[e]] · x[src[e]] and, when gx is not nil,
+// gx[src[e]] += coeff[e] · dOut[dst[e]]. Runs of four edges with one
+// destination take their dots together, matMulTBRows-style: four
+// accumulators over one read of the dOut row, each adding its products in
+// ascending k, so every dot has tensor.Dot's bits.
+func weightedBackward(ga []float32, gx, x *tensor.Tensor, src []int32, dOut *tensor.Tensor, dst []int32, coeff []float32) {
+	n := len(dst)
+	for e := 0; e < n; {
+		d := dst[e]
+		g := dOut.Row(int(d))
+		if e+4 <= n && dst[e+1] == d && dst[e+2] == d && dst[e+3] == d {
+			x0, x1, x2, x3 := x.Row(rowOf(src, e)), x.Row(rowOf(src, e+1)), x.Row(rowOf(src, e+2)), x.Row(rowOf(src, e+3))
+			x0, x1, x2, x3 = x0[:len(g)], x1[:len(g)], x2[:len(g)], x3[:len(g)]
+			var s0, s1, s2, s3 float32
+			for k, v := range g {
+				s0 += v * x0[k]
+				s1 += v * x1[k]
+				s2 += v * x2[k]
+				s3 += v * x3[k]
+			}
+			ga[e] += s0
+			ga[e+1] += s1
+			ga[e+2] += s2
+			ga[e+3] += s3
+			if gx != nil {
+				for i := e; i < e+4; i++ {
+					tensor.Axpy(gx.Row(rowOf(src, i)), coeff[i], g)
+				}
+			}
+			e += 4
+			continue
+		}
+		ga[e] += tensor.Dot(g, x.Row(rowOf(src, e)))
+		if gx != nil {
+			tensor.Axpy(gx.Row(rowOf(src, e)), coeff[e], g)
+		}
+		e++
+	}
 }
 
 // scaledScatterAdd is out[oi[e]] += c[e] · in[ii[e]] for e = 0..n-1 in order,
@@ -109,19 +151,22 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 // for all ones.
 func scaledScatterAdd(out *tensor.Tensor, oi []int32, in *tensor.Tensor, ii []int32, c []float32, n int) {
 	for e := 0; e < n; e++ {
-		o, i := e, e
-		if oi != nil {
-			o = int(oi[e])
-		}
-		if ii != nil {
-			i = int(ii[e])
-		}
+		o, i := rowOf(oi, e), rowOf(ii, e)
 		if c == nil {
 			tensor.AddTo(out.Row(o), in.Row(i))
 		} else {
 			tensor.Axpy(out.Row(o), c[e], in.Row(i))
 		}
 	}
+}
+
+// rowOf is the row edge e reads through idx: idx[e], or e itself when idx is
+// the nil identity index.
+func rowOf(idx []int32, e int) int {
+	if idx == nil {
+		return e
+	}
+	return int(idx[e])
 }
 
 // ScatterAddRows sums rows of edges into numRows output rows keyed by idx:
@@ -181,58 +226,170 @@ func (t *Tape) ScatterMaxRows(edges *Variable, idx []int32, numRows int) *Variab
 // SegmentSoftmax normalises the Ex1 score column within contiguous segments.
 // offsets has numSegments+1 entries; segment s spans rows
 // [offsets[s], offsets[s+1]). Scores must therefore be ordered by segment
-// (for GAT: edges sorted by destination, i.e. CSC order).
+// (for GAT: edges sorted by destination, i.e. CSC order), and the segments
+// must tile the column: offsets start at 0, never decrease and end at its
+// row count (it panics naming the first offset that does not).
 func (t *Tape) SegmentSoftmax(scores *Variable, offsets []int32) *Variable {
 	if scores.Value.Cols() != 1 {
 		panic("autograd: SegmentSoftmax wants an Ex1 score column")
 	}
-	e := scores.Value.Rows()
-	if int(offsets[len(offsets)-1]) != e {
-		panic(fmt.Sprintf("autograd: SegmentSoftmax offsets end %d != %d rows", offsets[len(offsets)-1], e))
+	e := segmentEnd("SegmentSoftmax", offsets)
+	if e != scores.Value.Rows() {
+		panic(fmt.Sprintf("autograd: SegmentSoftmax offsets end %d != %d rows", e, scores.Value.Rows()))
 	}
-	out := t.alloc(e, 1)
-	src := scores.Value.Data()
-	dst := out.Data()
+	out := t.allocUnzeroed(e, 1)
+	src, p := scores.Value.Data(), out.Data()
 	for s := 0; s+1 < len(offsets); s++ {
-		lo, hi := int(offsets[s]), int(offsets[s+1])
-		if lo == hi {
-			continue
-		}
-		maxV := float32(math.Inf(-1))
-		for i := lo; i < hi; i++ {
-			if src[i] > maxV {
-				maxV = src[i]
-			}
-		}
-		var sum float64
-		for i := lo; i < hi; i++ {
-			v := math.Exp(float64(src[i] - maxV))
-			dst[i] = float32(v)
-			sum += v
-		}
-		inv := float32(1 / sum)
-		for i := lo; i < hi; i++ {
-			dst[i] *= inv
+		if lo, hi := int(offsets[s]), int(offsets[s+1]); lo < hi {
+			softmaxSegment(p[lo:hi], src[lo:hi])
 		}
 	}
 	return t.record(out, "segment_softmax", func(grad *tensor.Tensor) {
 		if !scores.requiresGrad {
 			return
 		}
-		g := t.alloc(e, 1)
-		gd, p := grad.Data(), out.Data()
+		g := t.allocUnzeroed(e, 1)
+		gd, gs := grad.Data(), g.Data()
 		for s := 0; s+1 < len(offsets); s++ {
 			lo, hi := int(offsets[s]), int(offsets[s+1])
-			var dot float64
+			dot := segmentDot(p[lo:hi], gd[lo:hi])
 			for i := lo; i < hi; i++ {
-				dot += float64(p[i]) * float64(gd[i])
-			}
-			for i := lo; i < hi; i++ {
-				g.Data()[i] = p[i] * (gd[i] - float32(dot))
+				gs[i] = p[i] * (gd[i] - dot)
 			}
 		}
 		scores.accumulate(g)
 	}, scores)
+}
+
+// EdgeSoftmax is GAT's edge stage up to the attention weights, as one op:
+// α[e] = softmax over segment s of LeakyReLU(src[srcRow[e]] + dst[s]), for
+// every edge e of segment s = [offsets[s], offsets[s+1]) — in CSC order, the
+// edges of destination s. src and dst are score columns (one row per source
+// row, one per segment); a nil srcRow means edge e reads row e of src. α is
+// the only per-edge tensor: the scores are written into it and normalised
+// in place by SegmentSoftmax's kernel, so values are bit-identical to
+// SegmentSoftmax(LeakyReLU(Add(Gather(src, srcRow), Gather(dst, edgeDst)), slope), offsets).
+//
+// Backward recomputes each pre-activation score instead of keeping it, runs
+// the softmax dual and the leaky mask per edge and adds the result straight
+// into src.Grad[srcRow[e]] and dst.Grad[s] in ascending e: the sums, in the
+// order, that the two Gather backwards produce, so both gradients carry the
+// unfused chain's bits too.
+func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets []int32, slope float32) *Variable {
+	if src.Value.Cols() != 1 || dst.Value.Cols() != 1 {
+		panic("autograd: EdgeSoftmax wants Nx1 score columns")
+	}
+	e := segmentEnd("EdgeSoftmax", offsets)
+	if dst.Value.Rows() != len(offsets)-1 {
+		panic(fmt.Sprintf("autograd: EdgeSoftmax %d destination scores for %d segments", dst.Value.Rows(), len(offsets)-1))
+	}
+	// As in aggregate: a nil index is the identity only over one row per
+	// edge; over any other column it is an edgeless block.
+	if identity := srcRow == nil && src.Value.Rows() == e; !identity && len(srcRow) != e {
+		panic(fmt.Sprintf("autograd: EdgeSoftmax %d source rows over %d scores for %d edges",
+			len(srcRow), src.Value.Rows(), e))
+	}
+	out := t.allocUnzeroed(e, 1)
+	p, sv, dv := out.Data(), src.Value.Data(), dst.Value.Data()
+	for s := 0; s+1 < len(offsets); s++ {
+		lo, hi := int(offsets[s]), int(offsets[s+1])
+		if lo == hi {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			x := sv[rowOf(srcRow, i)] + dv[s]
+			if !(x > 0) { // not x <= 0: a NaN takes the slope, as LeakyReLU's does
+				x = float32(x * slope)
+			}
+			p[i] = x
+		}
+		softmaxSegment(p[lo:hi], p[lo:hi])
+	}
+	return t.record(out, "edge_softmax", func(grad *tensor.Tensor) {
+		var gs, gd []float32
+		if src.requiresGrad {
+			gs = src.gradBuf().Data()
+		}
+		if dst.requiresGrad {
+			gd = dst.gradBuf().Data()
+		}
+		g := grad.Data()
+		for s := 0; s+1 < len(offsets); s++ {
+			lo, hi := int(offsets[s]), int(offsets[s+1])
+			dot := segmentDot(p[lo:hi], g[lo:hi])
+			for i := lo; i < hi; i++ {
+				r := rowOf(srcRow, i)
+				// The conversions round where the unfused chain stored a
+				// tensor, so no compiler may fuse them into the adds below.
+				d := float32(p[i] * (g[i] - dot))
+				if !(sv[r]+dv[s] > 0) {
+					d = float32(d * slope)
+				}
+				if gs != nil {
+					gs[r] += d
+				}
+				if gd != nil {
+					gd[s] += d
+				}
+			}
+		}
+	}, src, dst)
+}
+
+// segmentEnd checks that offsets delimit contiguous segments starting at row
+// 0 — offsets[0] is 0 and no offset is below its predecessor — and returns
+// the row the last segment ends at. Softmax outputs are drawn uncleared, so
+// a row outside every segment would hold stale storage; the panic names the
+// first offset that breaks the contract.
+func segmentEnd(op string, offsets []int32) int {
+	if len(offsets) == 0 {
+		panic(fmt.Sprintf("autograd: %s needs at least one offset", op))
+	}
+	if offsets[0] != 0 {
+		panic(fmt.Sprintf("autograd: %s offsets[0] = %d, want 0", op, offsets[0]))
+	}
+	for s := 1; s < len(offsets); s++ {
+		if offsets[s] < offsets[s-1] {
+			panic(fmt.Sprintf("autograd: %s offsets[%d] = %d is below offsets[%d] = %d",
+				op, s, offsets[s], s-1, offsets[s-1]))
+		}
+	}
+	return int(offsets[len(offsets)-1])
+}
+
+// softmaxSegment writes the softmax of scores into p, which may be scores
+// itself: the per-segment kernel of SegmentSoftmax and EdgeSoftmax. The
+// maximum is subtracted first, the exponentials are summed in float64 and
+// each is scaled by the rounded reciprocal of the sum.
+func softmaxSegment(p, scores []float32) {
+	p = p[:len(scores)]
+	maxV := float32(math.Inf(-1))
+	for _, v := range scores {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for i, v := range scores {
+		ev := math.Exp(float64(v - maxV))
+		p[i] = float32(ev)
+		sum += ev
+	}
+	inv := float32(1 / sum)
+	for i := range p {
+		p[i] *= inv
+	}
+}
+
+// segmentDot is Σ p[i]·g[i] over one segment, in float64: the term the
+// softmax dual p[i]·(g[i] − Σ p·g) subtracts.
+func segmentDot(p, g []float32) float32 {
+	g = g[:len(p)]
+	var dot float64
+	for i, v := range p {
+		dot += float64(v) * float64(g[i])
+	}
+	return float32(dot)
 }
 
 // BroadcastColMul multiplies each row i of x by the scalar in column vector

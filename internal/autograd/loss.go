@@ -9,14 +9,14 @@ import (
 
 // LogSoftmax applies a row-wise log-softmax.
 func (t *Tape) LogSoftmax(x *Variable) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	tensor.LogSoftmaxRowsInto(out, x.Value)
 	return t.record(out, "log_softmax", func(grad *tensor.Tensor) {
 		if !x.requiresGrad {
 			return
 		}
 		// d/dx_j = g_j - softmax(x)_j * sum_k g_k, per row.
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		for i := 0; i < grad.Rows(); i++ {
 			gr := grad.Row(i)
 			or := out.Row(i)

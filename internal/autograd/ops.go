@@ -8,13 +8,14 @@ import (
 
 // MatMul returns a @ b on the tape. The product and the weight gradient
 // accumulate into tensors t.alloc has just handed out zeroed, so neither is
-// cleared a second time (MatMulTBInto overwrites and never cleared).
+// cleared a second time; MatMulTBInto overwrites dA, which is therefore
+// drawn uncleared.
 func (t *Tape) MatMul(a, b *Variable) *Variable {
 	out := t.alloc(a.Value.Rows(), b.Value.Cols())
 	tensor.MatMulAddInto(out, a.Value, b.Value)
 	return t.record(out, "matmul", func(grad *tensor.Tensor) {
 		if a.requiresGrad {
-			ga := t.alloc(grad.Rows(), b.Value.Rows())
+			ga := t.allocUnzeroed(grad.Rows(), b.Value.Rows())
 			tensor.MatMulTBInto(ga, grad, b.Value) // dA = dOut @ Bᵀ
 			a.accumulate(ga)
 		}
@@ -28,7 +29,7 @@ func (t *Tape) MatMul(a, b *Variable) *Variable {
 
 // Add returns a + b element-wise.
 func (t *Tape) Add(a, b *Variable) *Variable {
-	out := t.alloc(a.Value.Rows(), a.Value.Cols())
+	out := t.allocUnzeroed(a.Value.Rows(), a.Value.Cols())
 	tensor.AddInto(out, a.Value, b.Value)
 	return t.record(out, "add", func(grad *tensor.Tensor) {
 		a.accumulate(grad)
@@ -38,7 +39,7 @@ func (t *Tape) Add(a, b *Variable) *Variable {
 
 // AddBias adds the 1xC row vector bias to every row of x.
 func (t *Tape) AddBias(x, bias *Variable) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	out.CopyFrom(x.Value)
 	tensor.AddRowVector(out, bias.Value)
 	return t.record(out, "add_bias", func(grad *tensor.Tensor) {
@@ -56,10 +57,10 @@ func (t *Tape) AddBias(x, bias *Variable) *Variable {
 // bit-identical to the unfused chain (the rectifier's mask can be read off
 // the fused output because out > 0 exactly when x+bias > 0).
 func (t *Tape) AddBiasReLU(x, bias *Variable) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	tensor.AddBiasReLUInto(out, x.Value, bias.Value)
 	return t.record(out, "add_bias_relu", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		tensor.ReLUBackwardInto(g, grad, out)
 		x.accumulate(g)
 		if bias.requiresGrad {
@@ -180,7 +181,7 @@ func (t *Tape) ConcatRows(parts ...*Variable) *Variable {
 		}
 		total += p.Value.Rows()
 	}
-	out := t.alloc(total, cols)
+	out := t.allocUnzeroed(total, cols)
 	off := 0
 	for _, p := range parts {
 		copy(out.Data()[off*cols:], p.Value.Data())
@@ -192,7 +193,7 @@ func (t *Tape) ConcatRows(parts ...*Variable) *Variable {
 		for _, p := range ps {
 			n := p.Value.Rows()
 			if p.requiresGrad {
-				g := t.alloc(n, cols)
+				g := t.allocUnzeroed(n, cols)
 				copy(g.Data(), grad.Data()[off*cols:(off+n)*cols])
 				p.accumulate(g)
 			}
@@ -222,7 +223,7 @@ func (t *Tape) MulColVec(x *Variable, coeff []float32) *Variable {
 	if len(coeff) != x.Value.Rows() {
 		panic(fmt.Sprintf("autograd: MulColVec %d coeffs for %d rows", len(coeff), x.Value.Rows()))
 	}
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	for i := 0; i < x.Value.Rows(); i++ {
 		c := coeff[i]
 		src, dst := x.Value.Row(i), out.Row(i)
@@ -231,7 +232,7 @@ func (t *Tape) MulColVec(x *Variable, coeff []float32) *Variable {
 		}
 	}
 	return t.record(out, "mul_colvec", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		for i := 0; i < grad.Rows(); i++ {
 			c := coeff[i]
 			src, dst := grad.Row(i), g.Row(i)
@@ -245,27 +246,22 @@ func (t *Tape) MulColVec(x *Variable, coeff []float32) *Variable {
 
 // RowDot computes, for each row i, the dot product of x's row i with the 1xC
 // vector w, yielding an Rx1 column. Used for attention score computation.
+// Backward adds grad[i]·w straight into row i of x.Grad.
 func (t *Tape) RowDot(x, w *Variable) *Variable {
 	if w.Value.Rows() != 1 || w.Value.Cols() != x.Value.Cols() {
 		panic("autograd: RowDot wants 1xC weight matching x columns")
 	}
 	r := x.Value.Rows()
-	out := t.alloc(r, 1)
+	out := t.allocUnzeroed(r, 1)
 	for i := 0; i < r; i++ {
 		out.Set(i, 0, tensor.Dot(x.Value.Row(i), w.Value.Row(0)))
 	}
 	return t.record(out, "row_dot", func(grad *tensor.Tensor) {
 		if x.requiresGrad {
-			gx := t.alloc(r, x.Value.Cols())
+			gx := x.gradBuf()
 			for i := 0; i < r; i++ {
-				gi := grad.At(i, 0)
-				wr := w.Value.Row(0)
-				dst := gx.Row(i)
-				for j, wv := range wr {
-					dst[j] = gi * wv
-				}
+				tensor.Axpy(gx.Row(i), grad.At(i, 0), w.Value.Row(0))
 			}
-			x.accumulate(gx)
 		}
 		if w.requiresGrad {
 			gw := t.alloc(1, w.Value.Cols())

@@ -258,13 +258,15 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 // forced 50 % split), as the commit before layer 1 was bound recorded it —
 // but for the received rows, since then one h_chunk leaf per peer and the
 // concat_rows that assembles them where there was one h_recv leaf: models
-// that are not sum-decomposable bind nothing new.
+// that are not sum-decomposable bind nothing new — and for GAT's fused edge
+// stage: one edge_softmax per block in place of two E×1 gathers, an add, a
+// leaky_relu and a segment_softmax (the add left is the self residual).
 var staticTapeNodes = map[string]string{
-	"depcache/gat":  "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:8 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_prev:16 leaky_relu:24 log_softmax:4 matmul:16 nll_loss:4 row_dot:48 segment_softmax:24",
+	"depcache/gat":  "add:24 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:8 edge_softmax:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:24 h_prev:16 log_softmax:4 matmul:16 nll_loss:4 row_dot:48",
 	"depcache/sage": "add:24 add_bias:8 add_bias_relu:16 concat_rows:8 gather:48 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
-	"depcomm/gat":   "add:32 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:48 h_chunk:24 h_held:8 h_prev:16 leaky_relu:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32 segment_softmax:16",
+	"depcomm/gat":   "add:16 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:24 edge_softmax:16 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:16 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32",
 	"depcomm/sage":  "add:16 add_bias:8 add_bias_relu:8 concat_rows:24 gather:32 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:48 nll_loss:4 relu:16 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:16",
-	"hybrid/gat":    "add:48 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:32 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:72 h_chunk:24 h_held:8 h_prev:16 leaky_relu:24 log_softmax:4 matmul:32 nll_loss:4 row_dot:48 segment_softmax:24",
+	"hybrid/gat":    "add:24 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:32 edge_softmax:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:24 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:48",
 	"hybrid/sage":   "add:24 add_bias:8 add_bias_relu:16 concat_rows:32 gather:48 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
 }
 

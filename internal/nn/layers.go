@@ -134,17 +134,13 @@ func (l *GATLayer) PreTransform(t *autograd.Tape, h *autograd.Variable, training
 func (l *GATLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	t := ctx.Tape
 	// Source rows and Self are already z = W·h via PreTransform. a_s·z is
-	// computed once per source row and only the score column is gathered onto
-	// edges — the same bits as dotting gathered rows.
+	// computed once per source row and a_d·z once per destination, and
+	// EdgeSoftmax reads both score columns through the edge index, so α is
+	// the only per-edge tensor — the same bits as dotting gathered rows.
 	z, srcRow := ctx.source()
-	srcScore := t.RowDot(z, l.aSrc.Bind(t))
-	if ctx.Src != nil {
-		srcScore = t.Gather(srcScore, srcRow) // E x 1
-	}
-	dstScoreV := t.RowDot(ctx.Self, l.aDst.Bind(t)) // NumDst x 1
-	dstScoreE := t.Gather(dstScoreV, ctx.EdgeDst)   // E x 1
-	score := t.LeakyReLU(t.Add(srcScore, dstScoreE), l.slope)
-	alpha := t.SegmentSoftmax(score, ctx.Offsets)
+	srcScore := t.RowDot(z, l.aSrc.Bind(t))        // rows of z x 1
+	dstScore := t.RowDot(ctx.Self, l.aDst.Bind(t)) // NumDst x 1
+	alpha := t.EdgeSoftmax(srcScore, srcRow, dstScore, ctx.Offsets, l.slope)
 	agg := t.AggregateWeighted(z, srcRow, alpha, ctx.EdgeDst, ctx.NumDst())
 	// Self residual: destinations keep their own transformed representation
 	// (GAT's residual connection); vertices with no in-edges degrade to a

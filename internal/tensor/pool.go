@@ -18,7 +18,9 @@ import (
 // identical to New: computations run bit-for-bit the same whether a pool is
 // in play or not. A nil *Pool is valid and degrades every method to the
 // unpooled behaviour (Get == New, Put == no-op): the allocator-per-call
-// reference the engine's pooled runs are compared against.
+// reference the engine's pooled runs are compared against. The one exception
+// is Arena.GetUnzeroed, for destinations that are overwritten in full before
+// they are read, where the clear would only be a second write.
 //
 // All methods are safe for concurrent use.
 type Pool struct {
@@ -59,7 +61,12 @@ func bucketFor(n int) int {
 
 // Get returns a zeroed rows x cols tensor, reusing pooled storage when a
 // large enough buffer is available. On a nil pool it is exactly New.
-func (p *Pool) Get(rows, cols int) *Tensor {
+func (p *Pool) Get(rows, cols int) *Tensor { return p.get(rows, cols, true) }
+
+// get is Get with the clear of recycled storage optional: with zero unset a
+// reused tensor keeps whatever its last owner left in it. Fresh storage is
+// zero either way.
+func (p *Pool) get(rows, cols int, zero bool) *Tensor {
 	if p == nil {
 		return New(rows, cols)
 	}
@@ -77,7 +84,9 @@ func (p *Pool) Get(rows, cols int) *Tensor {
 		t = v.(*Tensor)
 		t.rows, t.cols = rows, cols
 		t.data = t.data[:n]
-		clear(t.data)
+		if zero {
+			clear(t.data)
+		}
 		p.hits.Add(1)
 		obsPoolHits.Add(1)
 	} else {
@@ -195,11 +204,21 @@ type Arena struct {
 
 // Get returns a zeroed rows x cols tensor owned by the arena. On a nil
 // arena it is exactly New.
-func (a *Arena) Get(rows, cols int) *Tensor {
+func (a *Arena) Get(rows, cols int) *Tensor { return a.get(rows, cols, true) }
+
+// GetUnzeroed returns a rows x cols tensor owned by the arena whose contents
+// are unspecified: recycled storage is handed out as its last owner left it.
+// It is for destinations the caller overwrites in full before reading any
+// element — it skips Get's clearing pass, which there would be a second
+// write of every element. Anything that accumulates into its destination
+// must use Get. On a nil arena it is exactly New.
+func (a *Arena) GetUnzeroed(rows, cols int) *Tensor { return a.get(rows, cols, false) }
+
+func (a *Arena) get(rows, cols int, zero bool) *Tensor {
 	if a == nil {
 		return New(rows, cols)
 	}
-	t := a.pool.Get(rows, cols)
+	t := a.pool.get(rows, cols, zero)
 	a.mu.Lock()
 	a.live = append(a.live, t)
 	a.mu.Unlock()

@@ -150,6 +150,38 @@ func TestArenaReleaseRecycles(t *testing.T) {
 	}
 }
 
+// TestArenaGetUnzeroed: the unzeroed draw is arena-owned like Get's, comes
+// from the same buckets, and skips only the clear — a recycled buffer comes
+// back as its last owner left it, while a nil arena's is New's zeroes.
+func TestArenaGetUnzeroed(t *testing.T) {
+	p := NewPool()
+	a := p.Arena()
+	a.Get(4, 4).Fill(2.5)
+	a.Release()
+	before := p.Stats().Hits
+	got := a.GetUnzeroed(3, 5) // 15 elements: the same 16-element bucket
+	if got.Rows() != 3 || got.Cols() != 5 || a.Live() != 1 {
+		t.Fatalf("shape %dx%d, live %d", got.Rows(), got.Cols(), a.Live())
+	}
+	// The race runtime drops sync.Pool items at random, so only a hit is
+	// known to be the recycled buffer.
+	if p.Stats().Hits > before {
+		for i, v := range got.Data() {
+			if v != 2.5 {
+				t.Fatalf("element %d = %v: the recycled buffer was cleared", i, v)
+			}
+		}
+	}
+	a.Release()
+	if got := p.Stats().BytesInFlight; got != 0 {
+		t.Fatalf("%d bytes in flight after Release", got)
+	}
+	var nilArena *Arena
+	if u := nilArena.GetUnzeroed(2, 3); !u.Equal(New(2, 3)) {
+		t.Fatal("nil arena GetUnzeroed is not New")
+	}
+}
+
 func TestPoolConcurrentGetPut(t *testing.T) {
 	// Race-detector fodder: many goroutines churning the same buckets and
 	// one arena, like an epoch's workers sharing the engine pool.

@@ -100,9 +100,10 @@ func CSC(g *graph.Graph) (srcIdx, dstIdx, offsets []int32) {
 // paper's programming model (§4.1) in isolation, on the adversarial fixture
 // graph: ScatterToEdge (Gather), GatherByDst with the sum and max
 // aggregators (ScatterAddRows / ScatterMaxRows), the EdgeForward primitives
-// (per-edge normalisation, attention softmax, attention-weighted messages),
-// the fused aggregation kernel in both flavours, and the VertexForward
-// primitives (dense transform, bias, activations).
+// (per-edge normalisation, attention softmax, GAT's fused EdgeSoftmax,
+// attention-weighted messages), the fused aggregation kernel in both
+// flavours, and the VertexForward primitives (dense transform, bias,
+// activations).
 // Every backward dual the engines rely on is exercised through at least one
 // entry.
 func CheckDecoupledOps(seed uint64, eps float64) []GradReport {
@@ -111,12 +112,13 @@ func CheckDecoupledOps(seed uint64, eps float64) []GradReport {
 	e := len(srcIdx)
 	const dim = 4
 	rng := tensor.NewRNG(seed)
-	h := tensor.RandNormal(n, dim, 0, 1, rng)        // vertex rows
-	edgeRows := tensor.RandNormal(e, dim, 0, 1, rng) // per-edge rows
-	scores := tensor.RandNormal(e, 1, 0, 1, rng)     // per-edge scores
-	w := tensor.RandNormal(dim, dim, 0, 0.7, rng)    // dense weight
-	bias := tensor.RandNormal(1, dim, 0, 0.5, rng)   // bias row
-	attn := tensor.RandNormal(1, dim, 0, 0.7, rng)   // attention vector
+	h := tensor.RandNormal(n, dim, 0, 1, rng)         // vertex rows
+	edgeRows := tensor.RandNormal(e, dim, 0, 1, rng)  // per-edge rows
+	scores := tensor.RandNormal(e, 1, 0, 1, rng)      // per-edge scores
+	w := tensor.RandNormal(dim, dim, 0, 0.7, rng)     // dense weight
+	bias := tensor.RandNormal(1, dim, 0, 0.5, rng)    // bias row
+	attn := tensor.RandNormal(1, dim, 0, 0.7, rng)    // attention vector
+	attnDst := tensor.RandNormal(1, dim, 0, 0.7, rng) // destination-side one
 	norm, _ := graph.GCNNormCoefficients(g)
 
 	var out []GradReport
@@ -159,6 +161,12 @@ func CheckDecoupledOps(seed uint64, eps float64) []GradReport {
 			src := t.RowDot(t.Gather(xs[0], srcIdx), xs[1])
 			dst := t.Gather(t.RowDot(xs[0], xs[1]), dstIdx)
 			return t.LeakyReLU(t.Add(src, dst), 0.2)
+		})
+	// The same scores and the softmax as GAT runs them, in one op: both score
+	// columns are read through the edge index, differentiable in each.
+	add("edge_forward(edge_softmax)", []*tensor.Tensor{h, attn, attnDst},
+		func(t *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			return t.EdgeSoftmax(t.RowDot(xs[0], xs[1]), srcIdx, t.RowDot(xs[0], xs[2]), offsets, 0.2)
 		})
 	// The fused execution of ScatterToEdge · EdgeForward · GatherByDst that the
 	// sum-type layers run, constant-coefficient flavour (GCN, GIN) …
