@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"neutronstar/internal/experiments"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
@@ -102,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "debug server on http://%s (/metrics /status /healthz /debug/pprof/)\n", srv.Addr())
 	}
 	if *trace != "" {
-		coll := metrics.NewCollector()
-		experiments.SetCollector(coll)
+		tracer := obs.NewTracer()
+		experiments.SetTracer(tracer)
 		defer func() {
 			f, err := os.Create(*trace)
 			if err != nil {
@@ -111,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return
 			}
 			defer f.Close()
-			if err := coll.WriteChromeTrace(f); err != nil {
+			if err := tracer.WriteChromeTrace(f, nil); err != nil {
 				fmt.Fprintln(stderr, err)
 				return
 			}

@@ -130,7 +130,7 @@ func main() {
 		CritPath:       *critPath,
 		WatchRules:     *watchSpec,
 		// Only the Chrome trace needs the span log: /status reads the flight
-		// recorder, and a collector keeps every span of the run in memory.
+		// recorder, and a tracer keeps every span of the run in memory.
 		Metrics: *trace != "",
 	})
 	if err != nil {
@@ -206,7 +206,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := s.Metrics().WriteChromeTrace(f); err != nil {
+		if err := s.Metrics().WriteChromeTrace(f, nil); err != nil {
 			fail(err)
 		}
 		f.Close()

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"neutronstar"
-	"neutronstar/internal/metrics"
 )
 
 func main() {
@@ -33,8 +32,7 @@ func main() {
 			Model:   neutronstar.ModelGCN,
 			Network: neutronstar.NetworkECS,
 			Ring:    true, LockFree: true, Overlap: true,
-			Seed:    7,
-			Metrics: true,
+			Seed: 7,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -48,16 +46,22 @@ func main() {
 			lastLoss = ep.Loss
 		}
 		cached, communicated := s.DependencySummary()
-		coll := s.Metrics()
+		// Status reads the always-on flight recorder: bytes and busy shares
+		// over the trained epochs, warmup included.
+		st := s.Status()
 		fmt.Printf("%-9s  %6.0f ms/epoch  loss %.3f  replicas %6.1f MB  sent %6.1f MB\n",
 			engineKind, totalMs/epochs, lastLoss,
-			float64(s.CacheBytes())/1e6, float64(coll.BytesSent())/1e6)
+			float64(s.CacheBytes())/1e6, float64(st.BytesSent)/1e6)
 		for l := range cached {
 			fmt.Printf("           layer %d: %5d cached / %5d communicated deps\n",
 				l+1, cached[l], communicated[l])
 		}
-		fmt.Printf("           busy: compute %v, comm %v\n\n",
-			coll.Busy(metrics.Compute).Round(1e6), coll.Busy(metrics.Comm).Round(1e6))
+		var compute, comm float64
+		for w := range st.ComputeBusy {
+			compute += st.ComputeBusy[w] / float64(st.Workers)
+			comm += st.CommBusy[w] / float64(st.Workers)
+		}
+		fmt.Printf("           busy: compute %.0f%%, comm %.0f%% of wall time\n\n", 100*compute, 100*comm)
 		s.Close()
 	}
 	fmt.Println("Hybrid caches the cheap-to-recompute dependencies and communicates")

@@ -3,7 +3,6 @@ package autograd
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"neutronstar/internal/tensor"
 )
@@ -21,13 +20,11 @@ import (
 // appear many times (a vertex feeds all its out-edges); the backward pass
 // scatter-adds edge gradients back to the vertex rows.
 func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
-	start := time.Now()
 	cols := x.Value.Cols()
 	out := t.allocUnzeroed(len(idx), cols)
 	for i, src := range idx {
 		copy(out.Row(i), x.Value.Row(int(src)))
 	}
-	obsGatherSeconds.Observe(time.Since(start).Seconds())
 	return t.record(out, "gather", func(grad *tensor.Tensor) {
 		if !x.requiresGrad {
 			return
@@ -88,10 +85,8 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 	if coeff != nil && len(coeff) != len(dst) {
 		panic(fmt.Sprintf("autograd: aggregate %d coefficients for %d edges", len(coeff), len(dst)))
 	}
-	start := time.Now()
 	out := t.alloc(numDst, x.Value.Cols())
 	scaledScatterAdd(out, dst, x.Value, src, coeff, len(dst))
-	obsAggregateSeconds.Observe(time.Since(start).Seconds())
 	return t.record(out, "aggregate", func(grad *tensor.Tensor) {
 		var gx *tensor.Tensor
 		if x.requiresGrad {

@@ -21,8 +21,8 @@ import (
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
 	"neutronstar/internal/graph"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
 	"neutronstar/internal/sampler"
 	"neutronstar/internal/tensor"
@@ -34,13 +34,15 @@ type Options struct {
 	BatchSize int
 	// Fanouts per layer, input-first; default (25, 10): at most 10 sampled
 	// neighbors for a seed, at most 25 for each of those.
-	Fanouts   []int
-	Model     nn.ModelKind
-	Hidden    int
-	LR        float32
-	Seed      uint64
-	Profile   comm.NetworkProfile
-	Collector *metrics.Collector
+	Fanouts []int
+	Model   nn.ModelKind
+	Hidden  int
+	LR      float32
+	Seed    uint64
+	Profile comm.NetworkProfile
+	// Tracer, when non-nil, receives one sample / comm / compute span per
+	// phase of every batch and the fabric's delivery stamps (Fig. 13).
+	Tracer *obs.Tracer
 }
 
 func (o Options) withDefaults(ds *dataset.Dataset) Options {
@@ -112,7 +114,7 @@ func New(ds *dataset.Dataset, opts Options) (*Trainer, error) {
 	}
 	t := &Trainer{
 		ds: ds, opts: opts, part: part,
-		fabric: comm.NewFabric(opts.Workers, opts.Profile, opts.Collector),
+		fabric: comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer),
 	}
 	_, t.selfNorm = graph.GCNNormCoefficients(ds.Graph)
 	t.edgeInvSqrt = make([]float32, ds.NumVertices())
@@ -190,7 +192,6 @@ func (t *Trainer) Evaluate(mask []bool) float64 {
 // runEpoch runs the worker's mini-batches, returning its mean batch loss.
 func (w *worker) runEpoch(epoch int) float64 {
 	t := w.tr
-	coll := t.opts.Collector
 	w.it.Reset()
 	var lossSum float64
 	batches := 0
@@ -198,7 +199,7 @@ func (w *worker) runEpoch(epoch int) float64 {
 		step := epoch*t.batchesPerEpoch + b
 		batch := w.it.Next()
 		if len(batch) > 0 {
-			lossSum += w.trainBatch(step, batch, coll)
+			lossSum += w.trainBatch(step, batch)
 			batches++
 		}
 		// Synchronous data parallelism: everyone joins every all-reduce.
@@ -213,20 +214,19 @@ func (w *worker) runEpoch(epoch int) float64 {
 }
 
 // trainBatch samples, fetches remote features, and runs forward/backward.
-func (w *worker) trainBatch(step int, batch []int32, coll *metrics.Collector) float64 {
+func (w *worker) trainBatch(step int, batch []int32) float64 {
 	t := w.tr
 
 	// --- Sampling phase (the DistDGL bottleneck) ---
-	stop := coll.Track(w.id, metrics.Sample)
+	sp := t.opts.Tracer.Start(w.id, obs.ClassSample, "sample")
 	blocks := sampler.Sample(t.ds.Graph, batch, t.opts.Fanouts, w.rng)
-	stop()
+	sp.End()
 
 	// --- Remote feature fetch for the input frontier ---
-	feats := w.fetchFeatures(step, blocks[0].Srcs, coll)
+	feats := w.fetchFeatures(step, blocks[0].Srcs)
 
 	// --- Compute phase ---
-	stop = coll.Track(w.id, metrics.Compute)
-	defer stop()
+	defer t.opts.Tracer.Start(w.id, obs.ClassCompute, "compute").End()
 	type run struct {
 		tape *autograd.Tape
 		in   *autograd.Variable
@@ -297,7 +297,7 @@ func (w *worker) trainBatch(step int, batch []int32, coll *metrics.Collector) fl
 // partition of the distributed feature store. (The owner's rows are read
 // directly — the transfer cost, which is what matters, is charged to the
 // owner's egress and this worker's ingress.)
-func (w *worker) fetchFeatures(step int, frontier []int32, coll *metrics.Collector) *tensor.Tensor {
+func (w *worker) fetchFeatures(step int, frontier []int32) *tensor.Tensor {
 	t := w.tr
 	dim := t.ds.Spec.FeatureDim
 	out := tensor.New(len(frontier), dim)
@@ -310,8 +310,7 @@ func (w *worker) fetchFeatures(step int, frontier []int32, coll *metrics.Collect
 			byOwner[owner] = append(byOwner[owner], i)
 		}
 	}
-	stop := coll.Track(w.id, metrics.Comm)
-	defer stop()
+	defer t.opts.Tracer.Start(w.id, obs.ClassComm, "comm").End()
 	for owner, positions := range byOwner {
 		rows := tensor.New(len(positions), dim)
 		verts := make([]int32, len(positions))
@@ -345,9 +344,9 @@ func (w *worker) allReduce(step int) {
 		copy(buf[off:], p.Grad.Data())
 		off += p.Grad.Len()
 	}
-	stop := w.tr.opts.Collector.Track(w.id, metrics.Comm)
+	sp := w.tr.opts.Tracer.Start(w.id, obs.ClassComm, "comm")
 	comm.AllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf)
-	stop()
+	sp.End()
 	off = 0
 	for _, p := range params {
 		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])

@@ -2,9 +2,10 @@ package distdgl
 
 import (
 	"testing"
+	"time"
 
 	"neutronstar/internal/dataset"
-	"neutronstar/internal/metrics"
+	"neutronstar/internal/obs"
 )
 
 func testDS(t testing.TB) *dataset.Dataset {
@@ -64,17 +65,23 @@ func TestReplicasStayInSync(t *testing.T) {
 
 func TestSamplingTrafficRecorded(t *testing.T) {
 	ds := testDS(t)
-	coll := metrics.NewCollector()
-	tr, err := New(ds, Options{Workers: 3, BatchSize: 32, Seed: 3, Collector: coll})
+	tracer := obs.NewTracer()
+	tr, err := New(ds, Options{Workers: 3, BatchSize: 32, Seed: 3, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	tr.RunEpoch()
-	if coll.BytesSent() == 0 {
+	if len(tracer.Deliveries()) == 0 {
 		t.Fatal("no feature-fetch traffic recorded")
 	}
-	if coll.Busy(metrics.Sample) == 0 {
+	var sampling time.Duration
+	for _, sp := range tracer.Snapshot() {
+		if sp.Class == obs.ClassSample {
+			sampling += sp.Duration()
+		}
+	}
+	if sampling == 0 {
 		t.Fatal("no sampling time recorded")
 	}
 }

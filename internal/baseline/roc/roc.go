@@ -14,19 +14,19 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 )
 
 // Options configures the ROC-like baseline.
 type Options struct {
-	Workers   int
-	Model     nn.ModelKind
-	Hidden    int
-	LR        float32
-	Seed      uint64
-	Profile   comm.NetworkProfile
-	Collector *metrics.Collector
+	Workers int
+	Model   nn.ModelKind
+	Hidden  int
+	LR      float32
+	Seed    uint64
+	Profile comm.NetworkProfile
+	Tracer  *obs.Tracer
 }
 
 // New returns an engine emulating ROC's execution strategy. GAT is rejected
@@ -43,7 +43,7 @@ func New(ds *dataset.Dataset, opts Options) (*engine.Engine, error) {
 		LR:        opts.LR,
 		Seed:      opts.Seed,
 		Profile:   opts.Profile,
-		Collector: opts.Collector,
+		Tracer:    opts.Tracer,
 		Broadcast: true,
 		// No ring scheduling, no lock-free enqueue, no overlap: ROC predates
 		// these NeutronStar optimisations.

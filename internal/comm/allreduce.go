@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
 )
@@ -61,10 +60,10 @@ func AllReduce(f Network, id, m, tag int, buf []float32) {
 // Callers must choose tags unique per collective (e.g. a global step
 // counter) so concurrent epochs cannot alias.
 //
-// coll (may be nil) records one structural ring_step span per step on the
+// tracer (may be nil) records one structural ring_step span per step on the
 // caller's timeline, making skew between ring neighbours visible in traces
 // without altering utilisation accounting.
-func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Collector) {
+func RingAllReduce(f Network, id, m, tag int, buf []float32, tracer *obs.Tracer) {
 	if m <= 1 {
 		return
 	}
@@ -90,7 +89,7 @@ func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Colle
 	// Scatter-reduce: after m-1 steps worker id holds the fully reduced
 	// chunk (id+1) mod m.
 	for step := 0; step < m-1; step++ {
-		sp := coll.Group(id, "ring_step", obs.Int("step", step), obs.String("phase", "scatter_reduce"))
+		sp := tracer.Start(id, obs.ClassNone, "ring_step", obs.Int("step", step), obs.String("phase", "scatter_reduce"))
 		cSend := (id - step + 2*m) % m
 		send(step, cSend, chunk(cSend))
 		cRecv := (id - step - 1 + 2*m) % m
@@ -100,7 +99,7 @@ func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Colle
 	}
 	// All-gather: circulate the reduced chunks.
 	for step := 0; step < m-1; step++ {
-		sp := coll.Group(id, "ring_step", obs.Int("step", m-1+step), obs.String("phase", "all_gather"))
+		sp := tracer.Start(id, obs.ClassNone, "ring_step", obs.Int("step", m-1+step), obs.String("phase", "all_gather"))
 		cSend := (id + 1 - step + 2*m) % m
 		send(m-1+step, cSend, chunk(cSend))
 		cRecv := (id - step + 2*m) % m

@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"neutronstar/internal/metrics"
+	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
 )
 
@@ -49,23 +49,32 @@ func TestFabricWaitBeforeSend(t *testing.T) {
 	}
 }
 
+// stampedBytes sums the wire bytes of a tracer's delivery stamps.
+func stampedBytes(tr *obs.Tracer) int64 {
+	var n int64
+	for _, d := range tr.Deliveries() {
+		n += d.Bytes
+	}
+	return n
+}
+
 func TestFabricSelfSendBypassesNetwork(t *testing.T) {
-	coll := metrics.NewCollector()
-	f := NewFabric(2, ProfileLocal, coll)
+	tr := obs.NewTracer()
+	f := NewFabric(2, ProfileLocal, tr)
 	defer f.Close()
 	f.Send(&Message{From: 1, To: 1, Kind: KindRep, Rows: tensor.New(4, 4)})
 	m := f.Mailbox(1).Wait(KindRep, 0, 0, 0, 1)
 	if m == nil {
 		t.Fatal("self send lost")
 	}
-	if coll.BytesSent() != 0 {
-		t.Fatal("self send charged network bytes")
+	if n := len(tr.Deliveries()); n != 0 {
+		t.Fatalf("self send stamped %d network deliveries", n)
 	}
 }
 
 func TestFabricByteAccounting(t *testing.T) {
-	coll := metrics.NewCollector()
-	f := NewFabric(2, ProfileLocal, coll)
+	tr := obs.NewTracer()
+	f := NewFabric(2, ProfileLocal, tr)
 	defer f.Close()
 	msg := &Message{From: 0, To: 1, Kind: KindRep, Vertices: []int32{1, 2}, Rows: tensor.New(2, 3)}
 	want := int64(64 + 8 + 24)
@@ -74,8 +83,8 @@ func TestFabricByteAccounting(t *testing.T) {
 	}
 	f.Send(msg)
 	f.Mailbox(1).Wait(KindRep, 0, 0, 0, 0)
-	if coll.BytesSent() != want || coll.BytesReceived() != want {
-		t.Fatalf("accounting: sent %d recv %d want %d", coll.BytesSent(), coll.BytesReceived(), want)
+	if ds := tr.Deliveries(); len(ds) != 1 || ds[0].Worker != 1 || ds[0].Bytes != want {
+		t.Fatalf("delivery stamps %+v, want one of %d bytes at worker 1", ds, want)
 	}
 }
 
@@ -377,8 +386,8 @@ func TestCloseDropsInFlightQuietly(t *testing.T) {
 	// returns without waiting for them, and none is counted or delivered
 	// after it.
 	slow := NetworkProfile{Name: "slow", BytesPerSec: 1e6}
-	coll := metrics.NewCollector()
-	f := NewFabric(2, slow, coll)
+	tr := obs.NewTracer()
+	f := NewFabric(2, slow, tr)
 	tx := time.Duration((&Message{Rows: tensor.New(64, 64)}).WireBytes()) * time.Microsecond // b/β at 1e6 B/s
 	start := time.Now()
 	for i := 0; i < 10; i++ {
@@ -395,10 +404,10 @@ func TestCloseDropsInFlightQuietly(t *testing.T) {
 		defer mb.mu.Unlock()
 		return len(mb.pending)
 	}
-	recv, held := coll.BytesReceived(), pending()
+	recv, held := stampedBytes(tr), pending()
 	time.Sleep(time.Until(last) + 20*time.Millisecond)
-	if got := coll.BytesReceived(); got != recv {
-		t.Fatalf("BytesReceived moved after Close: %d -> %d", recv, got)
+	if got := stampedBytes(tr); got != recv {
+		t.Fatalf("delivery stamps moved after Close: %d -> %d bytes", recv, got)
 	}
 	if got := pending(); got != held {
 		t.Fatalf("mailbox received %d deliveries after Close", got-held)
@@ -604,7 +613,8 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 
 func TestTCPFabricAllToAll(t *testing.T) {
 	const m = 5
-	f, err := NewTCPFabric(m, ProfileLocal, nil)
+	tr := obs.NewTracer()
+	f, err := NewTCPFabric(m, ProfileLocal, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,6 +642,15 @@ func TestTCPFabricAllToAll(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	// Each receiver stamps a message before its mailbox sees it.
+	perWorker := map[int]int{}
+	for _, d := range tr.Deliveries() {
+		perWorker[d.Worker]++
+	}
+	want := int64(m * (m - 1) * (&Message{Vertices: []int32{0}, Rows: tensor.New(2, 3)}).WireBytes())
+	if got := stampedBytes(tr); got != want || len(perWorker) != m || perWorker[0] != m-1 {
+		t.Fatalf("delivery stamps: %d bytes over %v, want %d bytes, %d per worker", got, perWorker, want, m-1)
+	}
 }
 
 func TestTCPFabricSelfSend(t *testing.T) {

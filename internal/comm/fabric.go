@@ -15,7 +15,7 @@ import (
 	"sync"
 	"time"
 
-	"neutronstar/internal/metrics"
+	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
 )
 
@@ -96,8 +96,9 @@ type Message struct {
 	Rows     *tensor.Tensor
 	// Trace is the causal trace context (zero when tracing is off).
 	Trace TraceContext
-	// sentAt is stamped by the fabric at Send for latency accounting; it is
-	// process-local and never serialised.
+	// sentAt is the send time TCPFabric's link writer books the message on
+	// the wire schedule from, stamped at Send when a profile throttles or
+	// delays; it is process-local and never serialised.
 	sentAt time.Time
 }
 
@@ -190,21 +191,21 @@ func later(a, b time.Time) time.Time {
 // is one runtime timer firing at its due time, so it pays the timer floor
 // once, not once per hop. Create with NewFabric, stop with Close.
 type Fabric struct {
-	m     int
-	coll  *metrics.Collector
-	wire  *wire // nil: deliver inline
-	inbox []*Mailbox
+	m      int
+	tracer *obs.Tracer
+	wire   *wire // nil: deliver inline
+	inbox  []*Mailbox
 
-	// mu orders arrivals against Close: arrive holds it while it counts and
-	// delivers, so nothing is counted or delivered once Close has held it.
+	// mu orders arrivals against Close: arrive holds it while it stamps and
+	// delivers, so nothing is stamped or delivered once Close has held it.
 	mu     sync.Mutex
 	closed bool
 }
 
 // NewFabric builds a fabric for m workers with the given network profile.
-// coll may be nil.
-func NewFabric(m int, profile NetworkProfile, coll *metrics.Collector) *Fabric {
-	f := &Fabric{m: m, coll: coll, wire: newWire(m, profile), inbox: make([]*Mailbox, m)}
+// tracer, when non-nil, receives a delivery stamp per arriving message.
+func NewFabric(m int, profile NetworkProfile, tracer *obs.Tracer) *Fabric {
+	f := &Fabric{m: m, tracer: tracer, wire: newWire(m, profile), inbox: make([]*Mailbox, m)}
 	for i := range f.inbox {
 		f.inbox[i] = newMailbox()
 	}
@@ -232,24 +233,23 @@ func (f *Fabric) Send(msg *Message) {
 	if closed {
 		panic("comm: Send on closed fabric")
 	}
-	f.coll.AddSent(int64(msg.WireBytes()))
 	recordSend(msg)
 	if f.wire == nil {
 		f.arrive(msg)
 		return
 	}
-	time.AfterFunc(time.Until(f.wire.due(msg, msg.sentAt)), func() { f.arrive(msg) })
+	time.AfterFunc(time.Until(f.wire.due(msg, time.Now())), func() { f.arrive(msg) })
 }
 
-// arrive counts msg as received and hands it to its receiver's mailbox,
-// unless the fabric closed while it was on the wire.
+// arrive counts and stamps msg as received and hands it to its receiver's
+// mailbox, unless the fabric closed while it was on the wire.
 func (f *Fabric) arrive(msg *Message) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return
 	}
-	f.coll.AddReceived(int64(msg.WireBytes()))
+	f.tracer.Received(msg.To, int64(msg.WireBytes()))
 	recordDelivered(msg.To, msg)
 	f.inbox[msg.To].deliver(msg)
 }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"strconv"
-	"time"
 
 	"neutronstar/internal/obs"
 )
@@ -19,9 +18,6 @@ var (
 		"Messages sent, by protocol kind.", "kind")
 	obsMsgBytes = obs.Default().Histogram("ns_comm_message_bytes",
 		"Wire size of sent messages.", obs.SizeBuckets)
-	obsSendLatency = obs.Default().Histogram("ns_comm_send_latency_seconds",
-		"Time from Send to mailbox delivery (in-process) or socket write (TCP).",
-		obs.TimeBuckets)
 )
 
 // Fault-injection metrics (FaultyFabric). All zero unless a fault spec is
@@ -41,21 +37,16 @@ var (
 		"Duplicate deliveries absorbed by mailbox dedup.")
 )
 
-// recordSend stamps the message and updates the send-side counters; both
-// fabrics call it for every non-self send.
+// recordSend updates the send-side counters; both fabrics call it for every
+// non-self send.
 func recordSend(msg *Message) {
-	msg.sentAt = time.Now()
 	n := float64(msg.WireBytes())
 	obsSentBytes.With(strconv.Itoa(msg.To)).Add(n)
 	obsSentMsgs.With(msg.Kind.String()).Inc()
 	obsMsgBytes.Observe(n)
 }
 
-// recordDelivered observes the send-to-delivery latency and the
-// receive-side byte counter for worker w.
+// recordDelivered updates the receive-side byte counter for worker w.
 func recordDelivered(w int, msg *Message) {
-	if !msg.sentAt.IsZero() {
-		obsSendLatency.Observe(time.Since(msg.sentAt).Seconds())
-	}
 	obsRecvBytes.With(strconv.Itoa(w)).Add(float64(msg.WireBytes()))
 }

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"neutronstar/internal/metrics"
+	"neutronstar/internal/obs"
 )
 
 // TCPFabric moves the training protocol's messages over real loopback TCP
@@ -22,9 +22,9 @@ import (
 // schedule says it is due (loopback TCP is far faster than any cluster
 // fabric being modeled); set ProfileLocal to measure raw socket throughput.
 type TCPFabric struct {
-	m    int
-	wire *wire // nil: write at once
-	coll *metrics.Collector
+	m      int
+	wire   *wire // nil: write at once
+	tracer *obs.Tracer
 
 	inbox []*Mailbox
 	// out[i][j] is the outbound queue of link i->j.
@@ -35,10 +35,11 @@ type TCPFabric struct {
 	once   sync.Once
 }
 
-// NewTCPFabric builds the full mesh over 127.0.0.1 ephemeral ports.
-func NewTCPFabric(m int, profile NetworkProfile, coll *metrics.Collector) (*TCPFabric, error) {
+// NewTCPFabric builds the full mesh over 127.0.0.1 ephemeral ports. tracer,
+// when non-nil, receives a delivery stamp per decoded message.
+func NewTCPFabric(m int, profile NetworkProfile, tracer *obs.Tracer) (*TCPFabric, error) {
 	f := &TCPFabric{
-		m: m, wire: newWire(m, profile), coll: coll,
+		m: m, wire: newWire(m, profile), tracer: tracer,
 		inbox:  make([]*Mailbox, m),
 		out:    make([][]chan *Message, m),
 		closed: make(chan struct{}),
@@ -172,8 +173,10 @@ func (f *TCPFabric) Send(msg *Message) {
 		f.inbox[msg.To].deliver(msg)
 		return
 	}
-	f.coll.AddSent(int64(msg.WireBytes()))
 	recordSend(msg)
+	if f.wire != nil {
+		msg.sentAt = time.Now()
+	}
 	select {
 	case f.out[msg.From][msg.To] <- msg:
 	case <-f.closed:
@@ -193,11 +196,6 @@ func (f *TCPFabric) writeLoop(owner, peer int, conn net.Conn) {
 			}
 			if err := encodeMessage(w, msg); err != nil {
 				return // connection torn down
-			}
-			// The decoded copy on the receive side carries no send stamp, so
-			// TCP send latency is measured up to the socket write.
-			if !msg.sentAt.IsZero() {
-				obsSendLatency.Observe(time.Since(msg.sentAt).Seconds())
 			}
 			// Flush when the queue drains so batches coalesce.
 			if len(f.out[owner][peer]) == 0 {
@@ -220,7 +218,7 @@ func (f *TCPFabric) readLoop(owner int, conn net.Conn) {
 		if err != nil {
 			return // closed or corrupt; teardown path
 		}
-		f.coll.AddReceived(int64(msg.WireBytes()))
+		f.tracer.Received(owner, int64(msg.WireBytes()))
 		recordDelivered(owner, msg)
 		f.inbox[owner].deliver(msg)
 	}

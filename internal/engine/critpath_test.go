@@ -5,20 +5,19 @@ import (
 	"time"
 
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/obs"
 )
 
 // trainCausal trains a small engine with causal recording enabled and
-// returns the epoch records and the collector used.
-func trainCausal(t *testing.T, opts Options, epochs int) ([]obs.EpochRecord, *metrics.Collector) {
+// returns the epoch records and the tracer used.
+func trainCausal(t *testing.T, opts Options, epochs int) ([]obs.EpochRecord, *obs.Tracer) {
 	t.Helper()
 	ds := testDataset(t, 600, 6, 21)
 	rec := obs.NewFlightRecorder()
 	rec.EnableCausal()
 	opts.Recorder = rec
-	if opts.Collector == nil {
-		opts.Collector = metrics.NewCollector()
+	if opts.Tracer == nil {
+		opts.Tracer = obs.NewTracer()
 	}
 	eng, err := NewEngine(ds, opts)
 	if err != nil {
@@ -30,7 +29,7 @@ func trainCausal(t *testing.T, opts Options, epochs int) ([]obs.EpochRecord, *me
 	if len(recs) != epochs {
 		t.Fatalf("recorded %d epochs, want %d", len(recs), epochs)
 	}
-	return recs, opts.Collector
+	return recs, opts.Tracer
 }
 
 // TestCausalCritPathCoversWall is the acceptance gate for the critical-path
@@ -73,11 +72,11 @@ func TestCausalCritPathCoversWall(t *testing.T) {
 	}
 }
 
-// TestCausalRunExportsFlowEvents: with a collector attached, every epoch's
+// TestCausalRunExportsFlowEvents: with a tracer attached, every epoch's
 // traced cross-worker wait-matches must surface as Chrome flow events.
 func TestCausalRunExportsFlowEvents(t *testing.T) {
-	_, col := trainCausal(t, Options{Workers: 3, Mode: DepComm, Seed: 7}, 2)
-	flows := col.Tracer().Flows()
+	_, tr := trainCausal(t, Options{Workers: 3, Mode: DepComm, Seed: 7}, 2)
+	flows := tr.Flows()
 	if len(flows) == 0 {
 		t.Fatal("causal multi-worker run exported no flow events")
 	}

@@ -16,7 +16,6 @@ import (
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/graph"
 	"neutronstar/internal/hybrid"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
@@ -173,11 +172,10 @@ type Options struct {
 	// manual sweep of Figure 11.
 	ForceRatio bool
 	CacheRatio float64
-	// Collector, when non-nil, receives the run's span log — every worker's
-	// clock emits its intervals onto the collector's tracer — and the
-	// fabric's traffic counts: the input of the utilisation series (Fig. 13)
-	// and of the Chrome trace.
-	Collector *metrics.Collector
+	// Tracer, when non-nil, receives the run's span log — every worker's
+	// clock emits its intervals onto it — and the fabric's delivery stamps:
+	// the input of the utilisation series (Fig. 13) and of the Chrome trace.
+	Tracer *obs.Tracer
 	// Fault, when non-nil, wraps the fabric in seeded fault injection
 	// (drops, delays, duplicates per comm.FaultSpec) with retransmission.
 	Fault *comm.FaultSpec
@@ -185,7 +183,7 @@ type Options struct {
 	// failed save is reported on the epoch's EpochStats, never fatal.
 	Ckpt *ckpt.Saver
 	// Recorder, when non-nil, receives per-stage time/byte attribution for
-	// every epoch (see obs.FlightRecorder). With Recorder and Collector both
+	// every epoch (see obs.FlightRecorder). With Recorder and Tracer both
 	// nil the workers' clocks are nil and every phase call is a no-op that
 	// allocates nothing.
 	Recorder *obs.FlightRecorder
@@ -354,12 +352,12 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 
 	var fabric comm.Network
 	if opts.TCP {
-		fabric, err = comm.NewTCPFabric(opts.Workers, opts.Profile, opts.Collector)
+		fabric, err = comm.NewTCPFabric(opts.Workers, opts.Profile, opts.Tracer)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Collector)
+		fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer)
 	}
 	if opts.Fault != nil {
 		fabric = comm.NewFaultyFabric(fabric, opts.Fault)

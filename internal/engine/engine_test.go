@@ -9,8 +9,8 @@ import (
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/hybrid"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
 	"neutronstar/internal/tensor"
 )
@@ -364,17 +364,17 @@ func TestBroadcastModeMatchesReference(t *testing.T) {
 func TestBroadcastMovesMoreBytes(t *testing.T) {
 	ds := testDataset(t, 300, 8, 36)
 	run := func(broadcast bool) int64 {
-		coll := metrics.NewCollector()
+		tr := obs.NewTracer()
 		e, err := NewEngine(ds, Options{
 			Workers: 4, Mode: DepComm, Model: nn.GCN, Seed: 16,
-			Broadcast: broadcast, Collector: coll,
+			Broadcast: broadcast, Tracer: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
 		e.RunEpoch()
-		return coll.BytesSent()
+		return stampedBytes(tr)
 	}
 	chunked := run(false)
 	broadcast := run(true)

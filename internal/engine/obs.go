@@ -4,8 +4,7 @@ import "neutronstar/internal/obs"
 
 // Process-wide engine metrics on the default registry, feeding the optional
 // debug server's /metrics endpoint. Gauges reflect the most recent epoch of
-// whichever engine ran last; the dependency-cache counters accumulate across
-// all engines in the process (registration is idempotent).
+// whichever engine ran last (registration is idempotent).
 var (
 	obsEpoch = obs.Default().Gauge("ns_engine_epoch",
 		"Epochs completed by the most recently stepped engine.")
@@ -15,8 +14,4 @@ var (
 		"Wall-clock duration of the last completed epoch.")
 	obsCacheRatio = obs.Default().Gauge("ns_engine_cache_ratio",
 		"Fraction of remote dependencies the planner chose to cache (0..1).")
-	depCacheHits = obs.Default().Counter("ns_engine_dep_cache_hits_total",
-		"Remote dependencies served from the local replica cache (DepCache path).")
-	depCacheMisses = obs.Default().Counter("ns_engine_dep_cache_misses_total",
-		"Remote dependencies fetched over the fabric (DepComm path).")
 )

@@ -2,32 +2,32 @@ package engine
 
 import (
 	"testing"
+	"time"
 
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/obs"
 )
 
 // TestEpochSpanHierarchy checks that a hybrid training epoch produces the
 // structural epoch → layer → op span hierarchy: structural spans carry
 // ClassNone (so utilisation series are unaffected), op spans carry their
-// metrics.Kind and the attributes the trace viewer groups by.
+// busy class and the attributes the trace viewer groups by.
 func TestEpochSpanHierarchy(t *testing.T) {
 	ds := testDataset(t, 120, 6, 3)
-	coll := metrics.NewCollector()
+	tr := obs.NewTracer()
 	// A forced half-and-half split keeps the plan — and with it which spans
 	// exist — independent of what the cost probe measured on this host.
 	eng, err := NewEngine(ds, Options{
-		Workers: 2, Mode: Hybrid, Collector: coll,
+		Workers: 2, Mode: Hybrid, Tracer: tr,
 		ForceRatio: true, CacheRatio: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	busyBefore := coll.Busy(metrics.Compute) + coll.Busy(metrics.Comm)
+	before := len(tr.Snapshot())
 	eng.RunEpoch()
 
-	spans := coll.Tracer().Snapshot()
+	spans := tr.Snapshot()
 	byName := map[string][]obs.SpanData{}
 	for _, sp := range spans {
 		byName[sp.Name] = append(byName[sp.Name], sp)
@@ -61,7 +61,7 @@ func TestEpochSpanHierarchy(t *testing.T) {
 		// window on the same worker row (time-containment nesting).
 		found := false
 		for _, sp := range spans {
-			if sp.Worker == lg.Worker && sp.Class == int(metrics.Compute) &&
+			if sp.Worker == lg.Worker && sp.Class == obs.ClassCompute &&
 				sp.Start >= lg.Start && sp.End <= lg.End {
 				found = true
 				break
@@ -78,7 +78,7 @@ func TestEpochSpanHierarchy(t *testing.T) {
 		t.Fatalf("allreduce spans = %d", len(byName["allreduce"]))
 	}
 	for _, sp := range byName["allreduce"] {
-		if sp.Class != int(metrics.Comm) {
+		if sp.Class != obs.ClassComm {
 			t.Fatalf("allreduce class = %d", sp.Class)
 		}
 		if b, ok := sp.Attr("bytes").(int64); !ok || b <= 0 {
@@ -92,23 +92,23 @@ func TestEpochSpanHierarchy(t *testing.T) {
 		t.Fatal("no dependency-gather spans recorded")
 	}
 	for _, sp := range gathers {
-		if sp.Class != int(metrics.Comm) {
+		if sp.Class != obs.ClassComm {
 			t.Fatalf("gather span class = %d", sp.Class)
 		}
 	}
-	if coll.Busy(metrics.Compute)+coll.Busy(metrics.Comm) <= busyBefore {
-		t.Fatal("busy accounting did not advance")
-	}
-	// Structural groups must not inflate the utilisation series: total busy
-	// time equals the sum over class-bearing spans only.
-	var classed int64
-	for _, sp := range spans {
-		if sp.Class >= 0 {
-			classed += int64(sp.Duration())
+	// Every span the epoch added is structural or compute / comm: the
+	// training path has no other busy class.
+	var busy time.Duration
+	for _, sp := range spans[before:] {
+		switch sp.Class {
+		case obs.ClassCompute, obs.ClassComm:
+			busy += sp.Duration()
+		case obs.ClassNone:
+		default:
+			t.Fatalf("span %q has class %d", sp.Name, sp.Class)
 		}
 	}
-	total := int64(coll.Busy(metrics.Compute) + coll.Busy(metrics.Comm) + coll.Busy(metrics.Sample))
-	if classed != total {
-		t.Fatalf("busy mismatch: classed spans %d vs Busy %d", classed, total)
+	if busy <= 0 {
+		t.Fatal("busy accounting did not advance")
 	}
 }

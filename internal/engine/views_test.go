@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
@@ -47,13 +46,23 @@ var spanStages = map[string][]obs.Stage{
 	"param_server": {obs.StageGradSync},
 }
 
+// stampedBytes sums the wire bytes of a tracer's delivery stamps.
+func stampedBytes(tr *obs.Tracer) int64 {
+	var n int64
+	for _, d := range tr.Deliveries() {
+		n += d.Bytes
+	}
+	return n
+}
+
 // TestViewsAgreePerDataflow runs every dataflow with every sink attached and
 // compares the views of the one interval stream: per worker and epoch the
 // main-lane spans of each busy class hold exactly the nanoseconds the cells
 // of that class's stages were charged (same clock reads, so no tolerance),
 // every span carries its stage's class, the overlap path's lane spans exist
-// and charge no cell, flow arrows reach the Chrome trace, and an inference
-// pass adds spans without adding an epoch record.
+// and charge no cell, the fabric's delivery stamps hold the bytes the cells'
+// receive side was charged, flow arrows reach the Chrome trace, and an
+// inference pass adds spans without adding an epoch record.
 func TestViewsAgreePerDataflow(t *testing.T) {
 	const workers, epochs, layers = 3, 2, 2
 	rows := []struct {
@@ -61,29 +70,31 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 		mode    Mode
 		model   nn.ModelKind
 		overlap bool
+		tcp     bool
 		// want names a span only this dataflow (and path) emits.
 		want string
 	}{
-		{"masterMirror/gcn", Hybrid, nn.GCN, false, "recv_chunk"},
-		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, "vertex_stage"},
-		{"masterMirror/gat", Hybrid, nn.GAT, false, "pre_transform"},
-		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, "pre_transform"},
-		{"tpSlice/gcn", DepTP, nn.GCN, true, "tp_re_gather"},
-		{"tpAssemble/gat", DepTP, nn.GAT, true, "tp_all_gather"},
+		{"masterMirror/gcn", Hybrid, nn.GCN, false, false, "recv_chunk"},
+		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, false, "vertex_stage"},
+		{"masterMirror/gcn/tcp", Hybrid, nn.GCN, false, true, "recv_chunk"},
+		{"masterMirror/gat", Hybrid, nn.GAT, false, false, "pre_transform"},
+		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, false, "pre_transform"},
+		{"tpSlice/gcn", DepTP, nn.GCN, true, false, "tp_re_gather"},
+		{"tpAssemble/gat", DepTP, nn.GAT, true, false, "tp_all_gather"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			ds := testDataset(t, 300, 6, 21)
 			rec := obs.NewFlightRecorder()
 			rec.EnableCausal()
-			coll := metrics.NewCollector()
+			tr := obs.NewTracer()
 			eng, err := NewEngine(ds, Options{
 				Workers: workers, Mode: row.mode, Model: row.model, Seed: 5,
-				Ring: true, LockFree: true, Overlap: row.overlap,
+				Ring: true, LockFree: true, Overlap: row.overlap, TCP: row.tcp,
 				// Half cached, half fetched: both sides of the master–mirror
 				// dataflow run whatever the cost probe measured.
 				ForceRatio: true, CacheRatio: 0.5,
-				Recorder: rec, Collector: coll,
+				Recorder: rec, Tracer: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -91,7 +102,20 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 			defer eng.Close()
 			eng.Train(epochs)
 			recs := rec.Snapshot()
-			spans := coll.Tracer().Snapshot()
+			spans := tr.Snapshot()
+
+			// Traffic: every cross-worker message is charged to one cell of
+			// its sender and one of its receiver, and stamped once on delivery.
+			var cellBytes int64
+			for _, r := range recs {
+				for _, c := range r.Cells {
+					cellBytes += c.Bytes
+				}
+			}
+			if stamped := stampedBytes(tr); stamped == 0 || stamped*2 != cellBytes {
+				t.Fatalf("delivery stamps hold %d bytes, the cells' receive side %d (Σ cells %d)",
+					stamped, cellBytes/2, cellBytes)
+			}
 
 			// The lane of a training epoch is the background sender's.
 			onLane := func(sp obs.SpanData) bool {
@@ -165,7 +189,7 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 				}
 			}
 
-			flows := coll.Tracer().Flows()
+			flows := tr.Flows()
 			if len(flows) == 0 {
 				t.Fatal("no flow arrows")
 			}
@@ -175,7 +199,7 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 				}
 			}
 			var buf bytes.Buffer
-			if err := coll.WriteChromeTrace(&buf); err != nil {
+			if err := tr.WriteChromeTrace(&buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			var events []map[string]any
@@ -193,7 +217,7 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 			}
 
 			eng.Predict()
-			after := coll.Tracer().Snapshot()
+			after := tr.Snapshot()
 			if len(after) <= len(spans) {
 				t.Fatal("the inference pass added no spans")
 			}

@@ -29,7 +29,7 @@ type workerState struct {
 	// clock times the pass the worker is running — a training epoch, or an
 	// inference pass on a trace-only lane — and is the one place its phases
 	// are emitted: every boundary is one Phase call, on the worker's own
-	// goroutine. Nil (a no-op) when neither a recorder nor a collector is
+	// goroutine. Nil (a no-op) when neither a recorder nor a tracer is
 	// attached.
 	clock *obs.StageClock
 
@@ -234,7 +234,7 @@ func (ws *workerState) chunkPipelined() bool {
 func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy time.Duration) {
 	L := len(ws.plan.layers)
 	runs := make([]layerRun, L)
-	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Collector.Tracer())
+	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Tracer)
 	ws.clock.Group("epoch",
 		obs.Int("epoch", epoch), obs.String("mode", string(ws.eng.opts.Mode)))
 
@@ -367,7 +367,6 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 		run.hPrev = tape.Leaf(prevVal, training && l > 1, "h_prev")
 	}
 	if b := &lp.cached; b.numDst() > 0 {
-		depCacheHits.Add(float64(b.numDst()))
 		sc.Phase(obs.StageForward, l, "compute_cached",
 			obs.Int("layer", l), obs.Int("rows", b.numDst()))
 		var combined *autograd.Variable
@@ -440,7 +439,6 @@ func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l in
 	}
 	zPrev := pre(run.hPrev)
 	if b := &lp.cached; b.numDst() > 0 {
-		depCacheHits.Add(float64(b.numDst()))
 		sc.Phase(obs.StageForward, l, "compute_cached",
 			obs.Int("layer", l), obs.Int("rows", b.numDst()))
 		outCached = ws.runBlock(tape, layer, b, zPrev, zPrev, training)
@@ -503,7 +501,6 @@ func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Varia
 	if len(verts) == 0 {
 		return nil
 	}
-	depCacheMisses.Add(float64(len(verts)))
 	ws.clock.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
 		obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
 	kind := comm.KindRep
@@ -527,8 +524,8 @@ func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Varia
 func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 	L := len(ws.plan.layers)
 	// An inference pass runs outside any epoch: it is timed on a trace-only
-	// lane, so a collector sees its spans and the flight recorder nothing.
-	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Collector.Tracer()).Lane()
+	// lane, so a tracer sees its spans and the flight recorder nothing.
+	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Tracer).Lane()
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
 		prevVal = ws.forwardLayer(epoch, l, prevVal, false).out.Value

@@ -13,8 +13,8 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 )
 
 // Scale bounds an experiment's size so the full suite stays runnable on one
@@ -77,20 +77,20 @@ func newRow(label string, kv ...any) Row {
 	return r
 }
 
-// defaultCollector, when set via SetCollector, is attached to every engine
-// an experiment builds that does not bring its own collector, so a whole
-// nsbench run can be traced with one -trace flag.
-var defaultCollector *metrics.Collector
+// defaultTracer, when set via SetTracer, is attached to every engine an
+// experiment builds that does not bring its own tracer, so a whole nsbench
+// run can be traced with one -trace flag.
+var defaultTracer *obs.Tracer
 
-// SetCollector installs a collector that epochMillis-driven experiments
-// record spans into. Pass nil to detach.
-func SetCollector(c *metrics.Collector) { defaultCollector = c }
+// SetTracer installs a tracer that epochMillis-driven experiments record
+// spans into. Pass nil to detach.
+func SetTracer(t *obs.Tracer) { defaultTracer = t }
 
 // epochMillis builds the engine, runs one warmup epoch plus `epochs`
 // measured epochs, and returns the mean per-epoch wall time in milliseconds.
 func epochMillis(ds *dataset.Dataset, opts engine.Options, epochs int) float64 {
-	if opts.Collector == nil {
-		opts.Collector = defaultCollector
+	if opts.Tracer == nil {
+		opts.Tracer = defaultTracer
 	}
 	e, err := engine.NewEngine(ds, opts)
 	if err != nil {

@@ -102,6 +102,13 @@ func TestFig11Quick(t *testing.T) {
 	if rows[5].Label != "greedy(auto)" {
 		t.Fatalf("last row = %s", rows[5].Label)
 	}
+	// The busy columns come from the run's class-bearing spans; even the
+	// all-cached run synchronises gradients.
+	for _, r := range rows[:5] {
+		if r.Values["comm_busy_ms"] <= 0 || r.Values["compute_busy_ms"] <= 0 {
+			t.Fatalf("%s: busy columns %v", r.Label, r.Values)
+		}
+	}
 }
 
 func TestFig12Quick(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/engine"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 )
 
 // Fig11 reproduces the DepCache–DepComm ratio sweep of Figure 11: the
@@ -21,18 +21,18 @@ func Fig11(sc Scale, model nn.ModelKind, graphName string) []Row {
 	ds := load(graphName)
 	var rows []Row
 	for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		coll := metrics.NewCollector()
+		tracer := obs.NewTracer()
 		opts := withRLP(stdOpts(engine.Hybrid, model, sc.Workers, comm.ProfileECS), true, true, true)
 		opts.ForceRatio = true
 		opts.CacheRatio = ratio
 		// Fixed probe-free costs, as the paper does for this sweep.
 		opts.Costs = costmodel.Costs{Tv: 1e-8, Te: 1e-9, Tc: 1e-7}
-		opts.Collector = coll
+		opts.Tracer = tracer
 		ms := epochMillis(ds, opts, sc.Epochs)
 		rows = append(rows, newRow(fmt.Sprintf("cached=%.0f%%", ratio*100),
 			"epoch_ms", ms,
-			"comm_busy_ms", float64(coll.Busy(metrics.Comm).Microseconds())/1000/float64(sc.Epochs+1),
-			"compute_busy_ms", float64(coll.Busy(metrics.Compute).Microseconds())/1000/float64(sc.Epochs+1),
+			"comm_busy_ms", float64(busy(tracer, obs.ClassComm).Microseconds())/1000/float64(sc.Epochs+1),
+			"compute_busy_ms", float64(busy(tracer, obs.ClassCompute).Microseconds())/1000/float64(sc.Epochs+1),
 		))
 	}
 	auto := withRLP(stdOpts(engine.Hybrid, model, sc.Workers, comm.ProfileECS), true, true, true)

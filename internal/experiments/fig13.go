@@ -7,8 +7,8 @@ import (
 	"neutronstar/internal/baseline/roc"
 	"neutronstar/internal/comm"
 	"neutronstar/internal/engine"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
+	"neutronstar/internal/obs"
 )
 
 // UtilizationReport is one system's resource profile for Figure 13.
@@ -31,31 +31,31 @@ type UtilizationReport struct {
 }
 
 // Fig13 reproduces the utilisation study of Figure 13 (GCN on Orkut): for
-// each of the five systems, run a few epochs under a metrics collector and
-// summarise compute/comm/network behaviour over 100 ms buckets.
+// each of the five systems, run a few epochs under a tracer and summarise
+// compute/comm/network behaviour over 100 ms buckets.
 func Fig13(sc Scale, graphName string) []UtilizationReport {
 	ds := load(graphName)
 	epochs := sc.Epochs + 1
 	var out []UtilizationReport
 
-	run := func(system string, fn func(coll *metrics.Collector)) {
-		coll := metrics.NewCollector()
-		fn(coll)
-		series := coll.BuildSeries(100*time.Millisecond, sc.Workers)
+	run := func(system string, fn func(tracer *obs.Tracer)) {
+		tracer := obs.NewTracer()
+		fn(tracer)
+		s := buildSeries(tracer, 100*time.Millisecond, sc.Workers)
 		out = append(out, UtilizationReport{
 			System:          system,
-			AcceleratorUtil: series.MeanUtil(metrics.Compute),
-			HostUtil:        series.MeanUtil(metrics.Compute) + series.MeanUtil(metrics.Comm),
-			SampleUtil:      series.MeanUtil(metrics.Sample),
-			NetPeakMBs:      series.PeakNetRate() / 1e6,
-			NetSmoothnessCV: series.SmoothnessCV(),
-			TotalRecvMB:     float64(coll.BytesReceived()) / 1e6,
+			AcceleratorUtil: s.meanUtil(obs.ClassCompute),
+			HostUtil:        s.meanUtil(obs.ClassCompute) + s.meanUtil(obs.ClassComm),
+			SampleUtil:      s.meanUtil(obs.ClassSample),
+			NetPeakMBs:      s.peakNetRate() / 1e6,
+			NetSmoothnessCV: s.smoothnessCV(),
+			TotalRecvMB:     float64(recvBytes(tracer)) / 1e6,
 		})
 	}
 
-	run("distdgl", func(coll *metrics.Collector) {
+	run("distdgl", func(tracer *obs.Tracer) {
 		tr, err := distdgl.New(ds, distdgl.Options{
-			Workers: sc.Workers, Model: nn.GCN, Seed: 1, Profile: comm.ProfileECS, Collector: coll,
+			Workers: sc.Workers, Model: nn.GCN, Seed: 1, Profile: comm.ProfileECS, Tracer: tracer,
 		})
 		if err != nil {
 			panic(err)
@@ -65,9 +65,9 @@ func Fig13(sc Scale, graphName string) []UtilizationReport {
 			tr.RunEpoch()
 		}
 	})
-	run("roc", func(coll *metrics.Collector) {
+	run("roc", func(tracer *obs.Tracer) {
 		e, err := roc.New(ds, roc.Options{
-			Workers: sc.Workers, Model: nn.GCN, Seed: 1, Profile: comm.ProfileECS, Collector: coll,
+			Workers: sc.Workers, Model: nn.GCN, Seed: 1, Profile: comm.ProfileECS, Tracer: tracer,
 		})
 		if err != nil {
 			panic(err)
@@ -76,12 +76,12 @@ func Fig13(sc Scale, graphName string) []UtilizationReport {
 		e.Train(epochs)
 	})
 	engineRun := func(system string, mode engine.Mode, rlp bool) {
-		run(system, func(coll *metrics.Collector) {
+		run(system, func(tracer *obs.Tracer) {
 			opts := stdOpts(mode, nn.GCN, sc.Workers, comm.ProfileECS)
 			if rlp {
 				opts = withRLP(opts, true, true, true)
 			}
-			opts.Collector = coll
+			opts.Tracer = tracer
 			e, err := engine.NewEngine(ds, opts)
 			if err != nil {
 				panic(err)

@@ -87,13 +87,6 @@ func StageNames() []string {
 	return out
 }
 
-// Busy classes of the training path's spans. internal/metrics names them
-// Compute and Comm: its Kind values are these numbers (pinned by its tests).
-const (
-	classCompute = 0
-	classComm    = 1
-)
-
 // Class is the one stage→busy-class table: compute for forward and backward,
 // communication for the four exchange stages, ClassNone (not busy) for
 // barrier and checkpoint. The clock's tracer sink classes each span with it
@@ -102,9 +95,9 @@ const (
 func (s Stage) Class() int {
 	switch s {
 	case StageForward, StageBackward:
-		return classCompute
+		return ClassCompute
 	case StageDepFetchSend, StageDepFetchRecv, StageMirrorScatter, StageGradSync:
-		return classComm
+		return ClassComm
 	}
 	return ClassNone
 }

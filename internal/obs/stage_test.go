@@ -172,9 +172,9 @@ func TestStageClockSinksAgree(t *testing.T) {
 		t.Fatalf("main-lane spans hold %d ns, cells %d", spanNanos, cellNanos)
 	}
 	for name, class := range map[string]int{
-		"epoch_setup": classCompute, "tape_setup": classCompute, "gather_dep_nbr": classComm,
-		"send_dep_nbr": classComm, "compute_owned": classCompute, "loss_backward": classCompute,
-		"allreduce": classComm, "epoch": ClassNone, "layer": ClassNone,
+		"epoch_setup": ClassCompute, "tape_setup": ClassCompute, "gather_dep_nbr": ClassComm,
+		"send_dep_nbr": ClassComm, "compute_owned": ClassCompute, "loss_backward": ClassCompute,
+		"allreduce": ClassComm, "epoch": ClassNone, "layer": ClassNone,
 	} {
 		sp, ok := byName[name]
 		if !ok || sp.Class != class {

@@ -6,9 +6,10 @@
 // recorder's (worker, stage, layer) cells, the causal log the critical path
 // is extracted from (stage.go, critpath.go), and the span tracer (this file),
 // whose Chrome trace-event export shows a run's epoch → layer → operator
-// structure in chrome://tracing or Perfetto and which internal/metrics
-// post-processes into utilisation series. The tracer is also usable on its
-// own: the serving path opens its spans with Start.
+// structure in chrome://tracing or Perfetto and which internal/experiments
+// post-processes, with the fabric's delivery stamps, into Fig. 13's
+// utilisation series. The tracer is also usable on its own: the serving path
+// and the sampling baseline open their spans with Start.
 //
 // Beside it sit a metric registry with Prometheus and OpenMetrics text
 // exposition and a time-series history (registry.go, gather.go, history.go),
@@ -27,6 +28,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -59,18 +61,29 @@ func (a Attr) Value() any {
 	return a.num
 }
 
-// ClassNone marks a structural span — one that groups other spans (an epoch,
-// a layer) and must not be counted as busy time by class-filtered consumers.
-const ClassNone = -1
+// Span classes: what a span's worker was doing, for busy-time accounting
+// (Fig. 13). Stage.Class maps the training path's stages onto compute and
+// communication; the sampling baseline, which has no stages, opens
+// ClassSample spans with Start.
+const (
+	// ClassNone marks a structural span — one that groups other spans (an
+	// epoch, a layer, a ring step) and is never busy time.
+	ClassNone = -1
+	// ClassCompute is tensor compute: the paper's GPU utilisation.
+	ClassCompute = 0
+	// ClassComm is communication work — packing, sending, waiting,
+	// unpacking; compute + comm is the CPU utilisation analogue.
+	ClassComm = 1
+	// ClassSample is neighbour sampling (the DistDGL-like baseline only).
+	ClassSample = 2
+)
 
 // SpanData is one finished span. Start/End are offsets from the tracer's
 // first event.
 type SpanData struct {
 	Worker int
-	// Class is the span's busy class: Stage.Class for the intervals a
-	// StageClock emits, the caller's own taxonomy for spans opened with Start
-	// (internal/metrics passes its Kind values); ClassNone for structural
-	// spans.
+	// Class is the span's busy class (ClassCompute, ClassComm, ClassSample)
+	// or ClassNone for structural spans.
 	Class int
 	Name  string
 	Start time.Duration
@@ -91,16 +104,18 @@ func (d SpanData) Attr(key string) any {
 	return nil
 }
 
-// Tracer accumulates finished spans. The zero value is not usable; call
-// NewTracer. A nil *Tracer is legal everywhere and records nothing. Its
-// clock starts at the first event so trace timestamps are run-relative.
+// Tracer accumulates finished spans, flow arrows and delivery stamps. The
+// zero value is not usable; call NewTracer. A nil *Tracer is legal
+// everywhere and records nothing. Its clock starts at the first event so
+// trace timestamps are run-relative.
 type Tracer struct {
 	startOnce sync.Once
 	start     time.Time
 
-	mu    sync.Mutex
-	spans []SpanData
-	flows []FlowEvent
+	mu         sync.Mutex
+	spans      []SpanData
+	flows      []FlowEvent
+	deliveries []Delivery
 }
 
 // NewTracer returns an empty tracer.
@@ -156,6 +171,39 @@ func (t *Tracer) Flows() []FlowEvent {
 	defer t.mu.Unlock()
 	out := make([]FlowEvent, len(t.flows))
 	copy(out, t.flows)
+	return out
+}
+
+// Delivery is one message's arrival: the receiving worker, its wire bytes,
+// and when, on the tracer's clock. Both fabrics stamp one per delivered
+// message (comm.Fabric.arrive, comm.TCPFabric.readLoop); Fig. 13's network
+// rate and received volume are read from them.
+type Delivery struct {
+	Worker int
+	Bytes  int64
+	At     time.Duration
+}
+
+// Received stamps n wire bytes arriving at worker now.
+func (t *Tracer) Received(worker int, n int64) {
+	if t == nil {
+		return
+	}
+	at := t.Now()
+	t.mu.Lock()
+	t.deliveries = append(t.deliveries, Delivery{Worker: worker, Bytes: n, At: at})
+	t.mu.Unlock()
+}
+
+// Deliveries copies all delivery stamps in arrival order.
+func (t *Tracer) Deliveries() []Delivery {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Delivery, len(t.deliveries))
+	copy(out, t.deliveries)
 	return out
 }
 
@@ -218,12 +266,16 @@ func (t *Tracer) Snapshot() []SpanData {
 
 // WriteChromeTrace exports every finished span in Chrome trace-event format
 // (a JSON array loadable in chrome://tracing or Perfetto): one "M" metadata
-// event naming each worker row via workerName, one "X" complete event per
-// span with its attributes as args, and an "s"/"f" flow-event pair per
-// recorded FlowEvent (rendered as a cross-worker arrow). Timestamps are
-// microseconds from the tracer's first event. Output always ends with a
-// newline, including for a nil tracer (which writes an empty array).
+// event naming each worker row via workerName ("worker N" when nil), one "X"
+// complete event per span with its attributes as args, and an "s"/"f"
+// flow-event pair per recorded FlowEvent (rendered as a cross-worker arrow).
+// Timestamps are microseconds from the tracer's first event. Output always
+// ends with a newline, including for a nil tracer (which writes an empty
+// array).
 func (t *Tracer) WriteChromeTrace(w io.Writer, workerName func(worker int) string) error {
+	if workerName == nil {
+		workerName = func(i int) string { return "worker " + strconv.Itoa(i) }
+	}
 	spans := t.Snapshot()
 	flows := t.Flows()
 	events := make([]map[string]any, 0, len(spans)+2*len(flows)+8)
@@ -242,13 +294,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, workerName func(worker int) strin
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		name := ""
-		if workerName != nil {
-			name = workerName(id)
-		}
 		events = append(events, map[string]any{
 			"name": "thread_name", "ph": "M", "pid": 0, "tid": id,
-			"args": map[string]any{"name": name},
+			"args": map[string]any{"name": workerName(id)},
 		})
 		events = append(events, map[string]any{
 			"name": "thread_sort_index", "ph": "M", "pid": 0, "tid": id,

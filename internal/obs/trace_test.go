@@ -16,8 +16,12 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatal("nil tracer returned a span")
 	}
 	sp.End()
+	tr.Received(1, 100)
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer recorded %d spans", len(got))
+	}
+	if got := tr.Deliveries(); got != nil {
+		t.Fatalf("nil tracer recorded %d deliveries", len(got))
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf, nil); err != nil {
@@ -141,5 +145,77 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := len(tr.Snapshot()); n != 800 {
 		t.Fatalf("spans = %d", n)
+	}
+}
+
+// TestTracerConcurrentDeliveries: workers opening compute and comm spans while
+// stamping deliveries lose neither spans nor stamps, and every stamp keeps its
+// bytes.
+func TestTracerConcurrentDeliveries(t *testing.T) {
+	tr := NewTracer()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sp := tr.Start(w, i%2, "op")
+				tr.Received(w, 1)
+				sp.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(tr.Snapshot()); n != 400 {
+		t.Fatalf("spans = %d", n)
+	}
+	ds := tr.Deliveries()
+	var total int64
+	for _, d := range ds {
+		total += d.Bytes
+	}
+	if len(ds) != 400 || total != 400 {
+		t.Fatalf("deliveries = %d carrying %d bytes", len(ds), total)
+	}
+}
+
+// TestTracerDeliveryStamps: a stamp keeps its receiver and bytes, in arrival
+// order, on the clock spans use.
+func TestTracerDeliveryStamps(t *testing.T) {
+	tr := NewTracer()
+	sp := tr.Start(0, ClassComm, "recv")
+	tr.Received(2, 10)
+	tr.Received(0, 5)
+	sp.End()
+	ds := tr.Deliveries()
+	if len(ds) != 2 || ds[0].Worker != 2 || ds[0].Bytes != 10 || ds[1].Worker != 0 || ds[1].Bytes != 5 {
+		t.Fatalf("deliveries = %+v", ds)
+	}
+	span := tr.Snapshot()[0]
+	if ds[0].At < span.Start || ds[1].At < ds[0].At || ds[1].At > span.End {
+		t.Fatalf("stamps %+v are not on the span's clock %+v", ds, span)
+	}
+	ds[0].Bytes = 99
+	if tr.Deliveries()[0].Bytes != 10 {
+		t.Fatal("Deliveries returned the tracer's own slice")
+	}
+}
+
+// TestWriteChromeTraceDefaultWorkerNames: a nil name function names each
+// worker row "worker N".
+func TestWriteChromeTraceDefaultWorkerNames(t *testing.T) {
+	tr := NewTracer()
+	tr.Add(SpanData{Worker: 12, Class: ClassComm, Name: "comm", End: time.Millisecond})
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("invalid trace JSON: %v", err)
+	}
+	if len(events) != 3 || events[0]["name"] != "thread_name" ||
+		events[0]["args"].(map[string]any)["name"] != "worker 12" {
+		t.Fatalf("events = %v", events)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 	"unsafe"
 )
 
@@ -62,7 +61,6 @@ func matMul(op string, dst, a, b *Tensor, zero bool) {
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
 	mustNotAlias(op, dst, a, b)
-	start := time.Now()
 	if zero {
 		dst.Zero()
 	}
@@ -72,7 +70,6 @@ func matMul(op string, dst, a, b *Tensor, zero bool) {
 	} else {
 		parallelRows(a.rows, func(lo, hi int) { gemmRows(dst, a, b, lo, hi) })
 	}
-	obsMatMulNN.Observe(time.Since(start).Seconds())
 }
 
 // gemmRows computes rows [lo,hi) of dst = a @ b in ikj order — the inner loop
@@ -124,7 +121,6 @@ func matMulTA(op string, dst, a, b *Tensor, zero bool) {
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
 	mustNotAlias(op, dst, a, b)
-	start := time.Now()
 	if zero {
 		dst.Zero()
 	}
@@ -136,7 +132,6 @@ func matMulTA(op string, dst, a, b *Tensor, zero bool) {
 		// write the same destination row.
 		parallelRows(m, func(lo, hi int) { matMulTARows(dst, a, b, lo, hi) })
 	}
-	obsMatMulTA.Observe(time.Since(start).Seconds())
 }
 
 // matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, blocked the way
@@ -188,13 +183,11 @@ func MatMulTBInto(dst, a, b *Tensor) {
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
 	mustNotAlias("MatMulTBInto", dst, a, b)
-	start := time.Now()
 	if a.rows*a.cols*b.rows < gemmParallelThreshold || a.rows < 2 {
 		matMulTBRows(dst, a, b, 0, a.rows)
 	} else {
 		parallelRows(a.rows, func(lo, hi int) { matMulTBRows(dst, a, b, lo, hi) })
 	}
-	obsMatMulTB.Observe(time.Since(start).Seconds())
 }
 
 // matMulTBRows is a dot-product kernel with the output column loop unrolled

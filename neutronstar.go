@@ -40,7 +40,6 @@ import (
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
 	"neutronstar/internal/graph"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
@@ -146,7 +145,8 @@ type Config struct {
 	// replica rows; owners keep full precision. See
 	// partition.RequantizeErrorBound for the per-element error bounds.
 	RepQuant string
-	// Metrics enables utilisation collection (see Session.Metrics).
+	// Metrics keeps the run's span log in memory (see Session.Metrics), the
+	// input of the Chrome trace. Status needs no span log.
 	Metrics bool
 	// CkptDir enables checkpointing: a full training snapshot (parameters,
 	// optimiser moments, RNG positions, loss history) is written into this
@@ -297,7 +297,7 @@ type EpochResult struct {
 type Session struct {
 	ds    *Dataset
 	eng   *engine.Engine
-	coll  *metrics.Collector
+	trace *obs.Tracer
 	store *ckpt.Store
 	rec   *obs.FlightRecorder
 	watch *obs.Watchdog
@@ -311,7 +311,7 @@ type Session struct {
 // NewSession builds the simulated cluster and plans dependency management
 // per the configured engine. Close must be called when done.
 func NewSession(ds *Dataset, cfg Config) (*Session, error) {
-	opts, coll, err := toEngineOptions(cfg)
+	opts, err := toEngineOptions(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{ds: ds, eng: eng, coll: coll, store: store, rec: rec, watch: watch, hist: hist}, nil
+	return &Session{ds: ds, eng: eng, trace: opts.Tracer, store: store, rec: rec, watch: watch, hist: hist}, nil
 }
 
 // Resume restores the newest snapshot in Config.CkptDir and reports whether
@@ -403,7 +403,7 @@ func (s *Session) History() []EpochResult {
 	return out
 }
 
-func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
+func toEngineOptions(cfg Config) (engine.Options, error) {
 	var profile comm.NetworkProfile
 	switch cfg.Network {
 	case NetworkLocal, "":
@@ -413,7 +413,7 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 	case NetworkIBV:
 		profile = comm.ProfileIBV
 	default:
-		return engine.Options{}, nil, fmt.Errorf("neutronstar: unknown network %q", cfg.Network)
+		return engine.Options{}, fmt.Errorf("neutronstar: unknown network %q", cfg.Network)
 	}
 	var model nn.ModelKind
 	switch cfg.Model {
@@ -426,11 +426,11 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 	case ModelSAGE:
 		model = nn.SAGE
 	default:
-		return engine.Options{}, nil, fmt.Errorf("neutronstar: unknown model %q", cfg.Model)
+		return engine.Options{}, fmt.Errorf("neutronstar: unknown model %q", cfg.Model)
 	}
-	var coll *metrics.Collector
+	var tracer *obs.Tracer
 	if cfg.Metrics {
-		coll = metrics.NewCollector()
+		tracer = obs.NewTracer()
 	}
 	lr := cfg.LR
 	if lr == 0 {
@@ -438,18 +438,18 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 	}
 	sched, err := cfg.Schedule.toScheduler(lr)
 	if err != nil {
-		return engine.Options{}, nil, err
+		return engine.Options{}, err
 	}
 	var fault *comm.FaultSpec
 	if cfg.FaultSpec != "" {
 		fault, err = comm.ParseFaultSpec(cfg.FaultSpec)
 		if err != nil {
-			return engine.Options{}, nil, err
+			return engine.Options{}, err
 		}
 	}
 	repQuant, err := partition.ParseRepQuant(cfg.RepQuant)
 	if err != nil {
-		return engine.Options{}, nil, err
+		return engine.Options{}, err
 	}
 	return engine.Options{
 		Workers:     cfg.Workers,
@@ -471,12 +471,12 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 		MemBudget:   cfg.MemBudgetBytes,
 		RepBudget:   cfg.RepBudgetBytes,
 		RepQuant:    repQuant,
-		Collector:   coll,
+		Tracer:      tracer,
 		Fault:       fault,
 		// Training-time tensor storage is always recycled through per-worker
 		// arenas; results are bit-identical to fresh allocation.
 		Pool: tensor.NewPool(),
-	}, coll, nil
+	}, nil
 }
 
 // Train runs the given number of epochs and returns per-epoch results.
@@ -552,9 +552,9 @@ func (s *Session) Status() Status {
 		for _, c := range r.Cells {
 			bytes += c.Bytes
 			switch class[c.Stage] {
-			case int(metrics.Compute):
+			case obs.ClassCompute:
 				compute[c.Worker] += c.Seconds
-			case int(metrics.Comm):
+			case obs.ClassComm:
 				comm[c.Worker] += c.Seconds
 			}
 		}
@@ -792,9 +792,9 @@ func (s *Session) CostSummary() []string {
 	return lines
 }
 
-// Metrics returns the utilisation collector, or nil if Config.Metrics was
-// false.
-func (s *Session) Metrics() *metrics.Collector { return s.coll }
+// Metrics returns the run's span tracer — every worker's intervals and the
+// fabric's delivery stamps — or nil if Config.Metrics was false.
+func (s *Session) Metrics() *obs.Tracer { return s.trace }
 
 // ReplicationFactor reports the vertex replication factor of the loaded plan,
 // (|V| + replicas) / |V|, for engines that materialised a replication pass

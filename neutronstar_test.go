@@ -196,7 +196,7 @@ func TestMetricsEnabled(t *testing.T) {
 	}
 	defer s.Close()
 	s.TrainEpoch()
-	if s.Metrics() == nil || s.Metrics().Busy(0) == 0 {
+	if s.Metrics() == nil || len(s.Metrics().Snapshot()) == 0 || len(s.Metrics().Deliveries()) == 0 {
 		t.Fatal("metrics not collected")
 	}
 	s2, _ := NewSession(ds, Config{Workers: 2, Seed: 4})

@@ -1,5 +1,5 @@
 // Doc-to-code cross-checks (the -docs flag): markdown guides drift from the
-// code silently, so two contracts are verified mechanically on every CI run.
+// code silently, so three contracts are verified mechanically on every CI run.
 //
 //  1. Flag-to-doc: every value a document passes to -engine (nstrain) must
 //     name a mode the engine actually registers (engine.ModeNames()). A doc
@@ -9,12 +9,21 @@
 //     workload or metric name declared in BENCHMARK.json (workloads,
 //     end_to_end, per_layer). A doc table describing a renamed or misspelled
 //     benchmark metric fails the lint.
+//  3. Family-to-doc: every backticked `ns_…` token must name a metric family
+//     registered in non-test Go. Brace alternations expand
+//     (`ns_ckpt_{saves,restores}_total` is two names), a trailing brace group
+//     without a comma is a label set (`ns_comm_sent_messages_total{kind}`), a
+//     trailing `*` matches any family with that prefix, and a `<…>`
+//     placeholder marks a naming template, not a name. A doc still listing a
+//     deleted family fails the lint.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 
@@ -37,7 +46,75 @@ var (
 	// backtickTokenRe matches a backticked token shaped like a workload or
 	// metric name (`train-comm`, `op_ms_p50`, `serve.queue_ms_mean.hot`).
 	backtickTokenRe = regexp.MustCompile("`([a-z][a-z0-9_.-]*)`")
+	// familyTokenRe matches a backticked metric family reference.
+	familyTokenRe = regexp.MustCompile("`(ns_[^`\\s]*)`")
+	// registrationRe matches a registry constructor call on a literal family
+	// name: reg.Counter("ns_…", …), obs.Default().HistogramVec("ns_…", …).
+	registrationRe = regexp.MustCompile(`\.(?:Counter|Gauge|Histogram)(?:Vec)?\(\s*"(ns_[a-z0-9_]+)"`)
 )
+
+// familyNameSet collects every metric family registered in the non-test Go
+// files under root.
+func familyNameSet(root string) (map[string]bool, error) {
+	set := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range registrationRe.FindAllSubmatch(src, -1) {
+			set[string(m[1])] = true
+		}
+		return nil
+	})
+	return set, err
+}
+
+// expandFamilyToken turns a doc's family reference into the names it stands
+// for: brace alternations expanded, a trailing label set dropped. A trailing
+// "*" is kept for the caller to match as a prefix.
+func expandFamilyToken(tok string) []string {
+	if i := strings.LastIndexByte(tok, '{'); i >= 0 && strings.HasSuffix(tok, "}") &&
+		!strings.Contains(tok[i:], ",") {
+		tok = tok[:i]
+	}
+	i := strings.IndexByte(tok, '{')
+	j := strings.IndexByte(tok, '}')
+	if i < 0 || j < i {
+		return []string{tok}
+	}
+	var out []string
+	for _, alt := range strings.Split(tok[i+1:j], ",") {
+		for _, rest := range expandFamilyToken(tok[j+1:]) {
+			out = append(out, tok[:i]+alt+rest)
+		}
+	}
+	return out
+}
+
+// familyKnown reports whether name (or, ending in "*", a prefix) names a
+// registered family.
+func familyKnown(name string, families map[string]bool) bool {
+	prefix, wild := strings.CutSuffix(name, "*")
+	if !wild {
+		return families[name]
+	}
+	for f := range families {
+		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
+}
 
 // modeNameSet indexes engine.ModeNames() for membership checks.
 func modeNameSet() map[string]bool {
@@ -75,8 +152,8 @@ func benchNameSet(path string) (map[string]bool, error) {
 	return set, nil
 }
 
-// lintDoc runs both cross-checks over one markdown file's contents.
-func lintDoc(path, content string, modes, names map[string]bool) []string {
+// lintDoc runs the three cross-checks over one markdown file's contents.
+func lintDoc(path, content string, modes, names, families map[string]bool) []string {
 	var problems []string
 	lineOf := func(off int) int { return 1 + strings.Count(content[:off], "\n") }
 
@@ -85,6 +162,20 @@ func lintDoc(path, content string, modes, names map[string]bool) []string {
 			problems = append(problems, fmt.Sprintf(
 				"%s:%d: policy %q is not a registered engine mode (have: %s)",
 				path, lineOf(m[0]), v, strings.Join(engine.ModeNames(), ", ")))
+		}
+	}
+
+	for _, m := range familyTokenRe.FindAllStringSubmatchIndex(content, -1) {
+		tok := content[m[2]:m[3]]
+		if strings.Contains(tok, "<") {
+			continue
+		}
+		for _, name := range expandFamilyToken(tok) {
+			if !familyKnown(name, families) {
+				problems = append(problems, fmt.Sprintf(
+					"%s:%d: `%s` names no metric family registered in non-test Go (%s)",
+					path, lineOf(m[0]), tok, name))
+			}
 		}
 	}
 
@@ -122,13 +213,17 @@ func lintDocs(paths []string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	families, err := familyNameSet(".")
+	if err != nil {
+		return nil, err
+	}
 	var problems []string
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		problems = append(problems, lintDoc(path, string(data), modes, names)...)
+		problems = append(problems, lintDoc(path, string(data), modes, names, families)...)
 	}
 	return problems, nil
 }

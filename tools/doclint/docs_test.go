@@ -9,13 +9,61 @@ import (
 // repoManifest is BENCHMARK.json as seen from this package's directory.
 const repoManifest = "../../" + manifestPath
 
+// testFamilies stands in for the registered metric families.
+var testFamilies = map[string]bool{
+	"ns_ckpt_saves_total": true, "ns_ckpt_restores_total": true,
+	"ns_comm_fault_dropped_total": true, "ns_comm_fault_duplicated_total": true,
+	"ns_tensor_pool_hits_total": true,
+}
+
 func lintSnippet(t *testing.T, content string) []string {
 	t.Helper()
 	names, err := benchNameSet(repoManifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lintDoc("doc.md", content, modeNameSet(), names)
+	return lintDoc("doc.md", content, modeNameSet(), names, testFamilies)
+}
+
+func TestDocFamilyCheck(t *testing.T) {
+	// Code blocks are not backticked tokens, so a grep pattern is free.
+	clean := "`ns_ckpt_{saves,restores}_total`, `ns_comm_fault_{dropped,duplicated}_total{kind}`,\n" +
+		"`ns_tensor_pool_*` and the template `ns_<subsystem>_<name>_<unit>`;\n" +
+		"```sh\ncurl -s :8080/metrics | grep ns_gone_total\n```\n"
+	if ps := lintSnippet(t, clean); len(ps) != 0 {
+		t.Fatalf("clean doc flagged: %v", ps)
+	}
+	for _, c := range []struct{ doc, name string }{
+		{"`ns_tensor_matmul_seconds{op}`", "ns_tensor_matmul_seconds"},
+		{"`ns_ckpt_{saves,save_failures}_total`", "ns_ckpt_save_failures_total"},
+		{"`ns_autograd_*`", "ns_autograd_*"},
+	} {
+		ps := lintSnippet(t, "see "+c.doc+" here\n")
+		if len(ps) != 1 || !strings.Contains(ps[0], "("+c.name+")") || !strings.HasPrefix(ps[0], "doc.md:1:") {
+			t.Fatalf("%s: want one problem naming %s, got %v", c.doc, c.name, ps)
+		}
+	}
+}
+
+func TestFamilyNameSetReadsRegistrations(t *testing.T) {
+	families, err := familyNameSet("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{
+		"ns_engine_loss",                // Gauge
+		"ns_comm_sent_messages_total",   // CounterVec
+		"ns_serve_stage_seconds",        // HistogramVec, registered on a server's own registry
+		"ns_ckpt_save_duration_seconds", // Histogram
+	} {
+		if !families[n] {
+			t.Fatalf("family set is missing %q", n)
+		}
+	}
+	// Registered only in tests, or read by name without registering.
+	if families["ns_a_total"] || families["ns_srv_hits_total"] || len(families) > 60 {
+		t.Fatalf("family set holds names no non-test code registers (%d names)", len(families))
+	}
 }
 
 func TestDocPolicyCheckAcceptsRegisteredModes(t *testing.T) {

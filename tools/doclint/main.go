@@ -6,7 +6,8 @@
 //
 // The -docs flag names markdown files (comma-separated) to cross-check
 // against the code: every -engine value they mention must be a registered
-// engine mode, and every backticked token inside a
+// engine mode, every backticked `ns_…` token must name a metric family
+// registered in non-test Go, and every backticked token inside a
 // `<!-- doclint:bench-schema -->` … `<!-- doclint:end -->` region must be a
 // workload or metric name in BENCHMARK.json (see docs.go).
 //
@@ -35,7 +36,7 @@ func main() {
 	symbolDirs := flag.String("symbols", "",
 		"comma-separated dirs whose exported symbols must all be documented")
 	docFiles := flag.String("docs", "",
-		"comma-separated markdown files to cross-check against code (policies, benchmark metric names)")
+		"comma-separated markdown files to cross-check against code (policies, metric families, benchmark metric names)")
 	flag.Parse()
 	if flag.NArg() == 0 && *docFiles == "" {
 		fmt.Fprintln(os.Stderr, "doclint: no package directories or -docs files given")
