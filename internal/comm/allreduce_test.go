@@ -53,8 +53,7 @@ func TestAllReduceBitIdenticalToRing(t *testing.T) {
 		"fabric": func(m int) (Network, error) { return NewFabric(m, ProfileLocal, nil), nil },
 		"tcp":    func(m int) (Network, error) { return NewTCPFabric(m, ProfileLocal, nil) },
 		"faulty": func(m int) (Network, error) {
-			spec, err := ParseFaultSpec("drop=0.3,dup=0.3,jitter=100us,seed=5,timeout=100us")
-			return NewFaultyFabric(NewFabric(m, ProfileLocal, nil), spec), err
+			return NewFabric(m, faulted(t, "drop=0.3,dup=0.3,jitter=100us,seed=5,timeout=100us"), nil), nil
 		},
 	}
 	for name, build := range fabrics {

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"neutronstar/internal/tensor"
 )
 
 // Wire format for TCP transport, little-endian throughout:
 //
-//	magic     u32  (0x4E545302 "NTS\x02")
+//	magic     u32  (0x4E545303 "NTS\x03")
 //	kind      u8
 //	from, to  u32
 //	epoch     i64
@@ -21,9 +22,7 @@ import (
 //	numVerts  u32
 //	rows,cols u32, u32
 //	--- trace context block ---
-//	traceID   u64
 //	spanID    u64
-//	parent    u64
 //	sentNanos i64
 //	--- payload ---
 //	verts     numVerts × i32
@@ -32,70 +31,64 @@ import (
 // The format is self-delimiting (lengths precede payloads), so a stream of
 // messages needs no extra framing.
 //
-// Versioning: this is format v2, the only one spoken — both ends of every
+// Versioning: this is format v3, the only one spoken — both ends of every
 // TCPFabric are one process, and nothing captures streams. Any other magic,
-// v1's "NTS\x01" included, is rejected as a bad magic, and a header whose
-// trace block is truncated is rejected (io.ErrUnexpectedEOF), never padded.
+// v1's "NTS\x01" and v2's "NTS\x02" included, is rejected as a bad magic,
+// and a header whose trace block is truncated is rejected
+// (io.ErrUnexpectedEOF), never padded.
 
 const (
-	wireMagicV2 = 0x4E545302
-	// traceBlockLen is the byte length of the trace-context block.
-	traceBlockLen = 32
+	wireMagic = 0x4E545303
+	// headerLen is the byte length of the fixed header before the trace
+	// block; traceBlockLen that of the trace-context block.
+	headerLen     = 41
+	traceBlockLen = 16
 )
 
 // maxWireDim bounds decoded allocation sizes against corrupt or hostile
 // streams: no legitimate message in this system approaches it.
 const maxWireDim = 1 << 28
 
-// encodeMessage writes msg in the wire format.
-func encodeMessage(w *bufio.Writer, msg *Message) error {
-	var hdr [41 + traceBlockLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], wireMagicV2)
-	hdr[4] = byte(msg.Kind)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(msg.From))
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(msg.To))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(int64(msg.Epoch)))
-	binary.LittleEndian.PutUint32(hdr[21:], uint32(int32(msg.Layer)))
-	binary.LittleEndian.PutUint32(hdr[25:], uint32(int32(msg.Seq)))
-	binary.LittleEndian.PutUint32(hdr[29:], uint32(len(msg.Vertices)))
+// appendFrame appends msg's frame in the wire format to dst. It reads the
+// whole payload before the frame reaches any writer, so a frame written
+// twice reads the payload once.
+func appendFrame(dst []byte, msg *Message) []byte {
 	rows, cols := 0, 0
 	if msg.Rows != nil {
 		rows, cols = msg.Rows.Rows(), msg.Rows.Cols()
 	}
-	binary.LittleEndian.PutUint32(hdr[33:], uint32(rows))
-	binary.LittleEndian.PutUint32(hdr[37:], uint32(cols))
-	binary.LittleEndian.PutUint64(hdr[41:], msg.Trace.TraceID)
-	binary.LittleEndian.PutUint64(hdr[49:], msg.Trace.SpanID)
-	binary.LittleEndian.PutUint64(hdr[57:], msg.Trace.Parent)
-	binary.LittleEndian.PutUint64(hdr[65:], uint64(msg.Trace.SentUnixNano))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var scratch [4]byte
+	dst = slices.Grow(dst, headerLen+traceBlockLen+4*len(msg.Vertices)+4*rows*cols)
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, wireMagic)
+	dst = append(dst, byte(msg.Kind))
+	dst = le.AppendUint32(dst, uint32(msg.From))
+	dst = le.AppendUint32(dst, uint32(msg.To))
+	dst = le.AppendUint64(dst, uint64(int64(msg.Epoch)))
+	dst = le.AppendUint32(dst, uint32(int32(msg.Layer)))
+	dst = le.AppendUint32(dst, uint32(int32(msg.Seq)))
+	dst = le.AppendUint32(dst, uint32(len(msg.Vertices)))
+	dst = le.AppendUint32(dst, uint32(rows))
+	dst = le.AppendUint32(dst, uint32(cols))
+	dst = le.AppendUint64(dst, msg.Trace.SpanID)
+	dst = le.AppendUint64(dst, uint64(msg.Trace.SentUnixNano))
 	for _, v := range msg.Vertices {
-		binary.LittleEndian.PutUint32(scratch[:], uint32(v))
-		if _, err := w.Write(scratch[:]); err != nil {
-			return err
-		}
+		dst = le.AppendUint32(dst, uint32(v))
 	}
 	if msg.Rows != nil {
 		for _, f := range msg.Rows.Data() {
-			binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(f))
-			if _, err := w.Write(scratch[:]); err != nil {
-				return err
-			}
+			dst = le.AppendUint32(dst, math.Float32bits(f))
 		}
 	}
-	return nil
+	return dst
 }
 
 // decodeMessage reads one message in the wire format.
 func decodeMessage(r *bufio.Reader) (*Message, error) {
-	var hdr [41]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != wireMagicV2 {
+	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != wireMagic {
 		return nil, fmt.Errorf("comm: bad wire magic %#x", magic)
 	}
 	msg := &Message{
@@ -117,10 +110,8 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 		return nil, err
 	}
 	msg.Trace = TraceContext{
-		TraceID:      binary.LittleEndian.Uint64(tb[0:]),
-		SpanID:       binary.LittleEndian.Uint64(tb[8:]),
-		Parent:       binary.LittleEndian.Uint64(tb[16:]),
-		SentUnixNano: int64(binary.LittleEndian.Uint64(tb[24:])),
+		SpanID:       binary.LittleEndian.Uint64(tb[0:]),
+		SentUnixNano: int64(binary.LittleEndian.Uint64(tb[8:])),
 	}
 	if nv > maxWireDim || rows > maxWireDim || cols > maxWireDim ||
 		(rows > 0 && cols > maxWireDim/rows) {
@@ -148,7 +139,7 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 // The chunked readers decode n little-endian u32 values straight into their
 // final element type in bounded chunks, so a corrupt or hostile length field
 // costs at most one chunk of allocation beyond the bytes actually present in
-// the stream — a 41-byte header claiming 2^28 elements fails at the first
+// the stream — a header claiming 2^28 elements fails at the first
 // short read instead of committing a gigabyte up front. Decoding in place
 // also avoids the intermediate []uint32 a generic reader would force.
 

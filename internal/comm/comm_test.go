@@ -199,7 +199,7 @@ func TestFabricRouteValidation(t *testing.T) {
 }
 
 func TestMailboxDuplicatePanics(t *testing.T) {
-	mb := newMailbox()
+	mb := newMailbox(false)
 	msg := &Message{From: 0, Kind: KindRep}
 	mb.deliver(msg)
 	defer func() {
@@ -415,7 +415,7 @@ func TestCloseDropsInFlightQuietly(t *testing.T) {
 }
 
 func TestMailboxDeliveryAfterCloseIsDropped(t *testing.T) {
-	mb := newMailbox()
+	mb := newMailbox(false)
 	mb.close()
 	mb.deliver(&Message{From: 0, Kind: KindRep}) // must not panic
 }
@@ -564,12 +564,15 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Fatal("expected truncation error")
 	}
-	// A v1 header (the retired "NTS\x01" magic over an otherwise well-formed
-	// message) is a bad magic like any other, not a second dialect.
-	v1 := append([]byte(nil), buf.Bytes()...)
-	binary.LittleEndian.PutUint32(v1, 0x4E545301)
-	if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(v1))); err == nil || !strings.Contains(err.Error(), "bad wire magic") {
-		t.Fatalf("v1 magic: err = %v, want bad wire magic", err)
+	// A v1 or v2 header (the retired "NTS\x01" and "NTS\x02" magics over an
+	// otherwise well-formed message) is a bad magic like any other, not a
+	// second dialect.
+	for _, magic := range []uint32{0x4E545301, 0x4E545302} {
+		old := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(old, magic)
+		if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(old))); err == nil || !strings.Contains(err.Error(), "bad wire magic") {
+			t.Fatalf("magic %#x: err = %v, want bad wire magic", magic, err)
+		}
 	}
 }
 

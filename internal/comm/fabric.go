@@ -61,24 +61,17 @@ func (k MsgKind) String() string {
 }
 
 // TraceContext is the causal identity a message carries across the fabric:
-// which epoch-level trace it belongs to, which send event it is, which
-// sender-side span caused it, and when the logical send happened. It is
-// stamped once per logical Send (outside any fault-injection wrapper), rides
-// the v2 wire codec, and survives retransmission and duplication unchanged —
-// a redelivered copy is causally the same message, which is exactly what
+// which send event it is and when that send happened. The fabric's Send
+// stamps it once, when the sender's mailbox is bound to a causal recorder;
+// it rides the wire codec, and a duplicate carries the original's unchanged
+// — a redelivered copy is causally the same message, which is exactly what
 // keeps mailbox dedup and critical-path attribution consistent. The zero
 // value means "untraced" and is always legal.
 type TraceContext struct {
-	// TraceID identifies the causal domain (one training epoch of one
-	// recorder); all messages of an epoch share it.
-	TraceID uint64
-	// SpanID uniquely identifies this send event within the trace. It doubles
-	// as the Chrome trace flow-event id.
+	// SpanID uniquely identifies this send event within its epoch. It is the
+	// Chrome trace flow-event id and the critical path's tie-break.
 	SpanID uint64
-	// Parent is the sender-side span (stage interval) that caused the send;
-	// zero when unknown (e.g. a background send goroutine).
-	Parent uint64
-	// SentUnixNano is the sender's wall clock at the logical Send.
+	// SentUnixNano is the sender's wall clock at Send.
 	SentUnixNano int64
 }
 
@@ -96,10 +89,6 @@ type Message struct {
 	Rows     *tensor.Tensor
 	// Trace is the causal trace context (zero when tracing is off).
 	Trace TraceContext
-	// sentAt is the send time TCPFabric's link writer books the message on
-	// the wire schedule from, stamped at Send when a profile throttles or
-	// delays; it is process-local and never serialised.
-	sentAt time.Time
 }
 
 // WireBytes returns the simulated on-wire size of the message.
@@ -114,11 +103,14 @@ func (m *Message) WireBytes() int {
 
 // NetworkProfile models a cluster fabric. BytesPerSec (β) bounds each node's
 // egress and ingress independently (a full-duplex NIC); Latency (α) is added
-// per message, in parallel across messages. Zero fields disable their term.
+// per message, in parallel across messages; Fault, when non-nil, loses,
+// delays and duplicates messages (see FaultSpec). Zero fields disable their
+// term.
 type NetworkProfile struct {
 	Name        string
 	BytesPerSec float64
 	Latency     time.Duration
+	Fault       *FaultSpec
 }
 
 // The two cluster presets of the paper's §2.3 comparison, calibrated so the
@@ -134,9 +126,9 @@ var (
 )
 
 // Network is the transport surface engines depend on: tagged message send,
-// per-worker mailboxes, teardown. Two implementations share one wire
-// schedule: the in-process Fabric and the TCPFabric, which moves the same
-// messages over real loopback TCP connections.
+// per-worker mailboxes, teardown. Two implementations share one Send-time
+// decision (endpoints.decide): the in-process Fabric and the TCPFabric,
+// which moves the same messages over real loopback TCP connections.
 type Network interface {
 	Send(msg *Message)
 	Mailbox(i int) *Mailbox
@@ -187,14 +179,92 @@ func later(a, b time.Time) time.Time {
 	return a
 }
 
+// endpoints is what both transports share: the workers' mailboxes, the
+// wire schedule and fault spec of their profile, the delivery-stamp sink,
+// and the one decision a Send makes about a message.
+type endpoints struct {
+	m      int
+	wire   *wire      // nil: no α–β delay
+	fault  *FaultSpec // nil: no faults
+	tracer *obs.Tracer
+	inbox  []*Mailbox
+}
+
+func newEndpoints(m int, p NetworkProfile, tracer *obs.Tracer) endpoints {
+	e := endpoints{m: m, wire: newWire(m, p), fault: p.Fault, tracer: tracer, inbox: make([]*Mailbox, m)}
+	for i := range e.inbox {
+		// Faults duplicate messages on purpose: the mailboxes absorb them.
+		e.inbox[i] = newMailbox(p.Fault != nil)
+	}
+	return e
+}
+
+// NumWorkers returns the number of workers the fabric connects.
+func (e *endpoints) NumWorkers() int { return e.m }
+
+// Mailbox returns worker i's mailbox.
+func (e *endpoints) Mailbox(i int) *Mailbox { return e.inbox[i] }
+
+// local validates msg's route and delivers a self-send, which bypasses the
+// network entirely (local dependency handling is free, as in the real
+// system's shared memory). It reports whether msg was one.
+func (e *endpoints) local(msg *Message) bool {
+	if msg.To < 0 || msg.To >= e.m || msg.From < 0 || msg.From >= e.m {
+		panic(fmt.Sprintf("comm: route %d->%d outside [0,%d)", msg.From, msg.To, e.m))
+	}
+	if msg.From != msg.To {
+		return false
+	}
+	e.inbox[msg.To].deliver(msg)
+	return true
+}
+
+// schedule is what Send decides for one cross-worker message.
+type schedule struct {
+	bytes int64     // wire size, computed once at Send
+	due   time.Time // delivery time; zero: deliver at once
+	dup   bool      // a duplicate follows the message
+}
+
+// decide is the one place a cross-worker message's fate is decided: it
+// counts msg on its sender's side and stamps its trace context (see
+// stage.go), draws its fault outcome, and books it on the wire, which puts
+// its due time after the lost attempts' backoff and the injected delay.
+func (e *endpoints) decide(msg *Message) schedule {
+	s := schedule{bytes: int64(msg.WireBytes())}
+	recordSend(msg, s.bytes)
+	e.inbox[msg.From].stampSend(msg, s.bytes)
+	var delay time.Duration
+	if e.fault != nil {
+		ft := e.fault.fate(msg)
+		ft.count(msg.Kind)
+		delay, s.dup = ft.delay(), ft.dup
+		if s.dup {
+			recordSend(msg, s.bytes)
+		}
+	}
+	switch {
+	case e.wire != nil:
+		s.due = e.wire.due(msg, time.Now()).Add(delay)
+	case delay > 0:
+		s.due = time.Now().Add(delay)
+	}
+	return s
+}
+
+// receive stamps and counts msg's arrival at worker to and hands it to the
+// worker's mailbox.
+func (e *endpoints) receive(to int, msg *Message, bytes int64) {
+	e.tracer.Received(to, bytes)
+	recordDelivered(to, bytes)
+	e.inbox[to].deliver(msg)
+}
+
 // Fabric connects m workers in one process. It owns no goroutine: a message
 // is one runtime timer firing at its due time, so it pays the timer floor
 // once, not once per hop. Create with NewFabric, stop with Close.
 type Fabric struct {
-	m      int
-	tracer *obs.Tracer
-	wire   *wire // nil: deliver inline
-	inbox  []*Mailbox
+	endpoints
 
 	// mu orders arrivals against Close: arrive holds it while it stamps and
 	// delivers, so nothing is stamped or delivered once Close has held it.
@@ -205,26 +275,14 @@ type Fabric struct {
 // NewFabric builds a fabric for m workers with the given network profile.
 // tracer, when non-nil, receives a delivery stamp per arriving message.
 func NewFabric(m int, profile NetworkProfile, tracer *obs.Tracer) *Fabric {
-	f := &Fabric{m: m, tracer: tracer, wire: newWire(m, profile), inbox: make([]*Mailbox, m)}
-	for i := range f.inbox {
-		f.inbox[i] = newMailbox()
-	}
-	return f
+	return &Fabric{endpoints: newEndpoints(m, profile, tracer)}
 }
 
-// NumWorkers returns the number of workers the fabric connects.
-func (f *Fabric) NumWorkers() int { return f.m }
-
-// Send schedules msg for delivery and returns without blocking. Self-sends
-// bypass the network entirely (local dependency handling is free, as in the
-// real system's shared memory). Send panics on a closed fabric, which would
-// indicate an engine lifecycle bug.
+// Send decides msg's fate and returns without blocking: it arrives inline
+// when nothing delays it, else when its timer fires. Send panics on a closed
+// fabric, which would indicate an engine lifecycle bug.
 func (f *Fabric) Send(msg *Message) {
-	if msg.To < 0 || msg.To >= f.m || msg.From < 0 || msg.From >= f.m {
-		panic(fmt.Sprintf("comm: route %d->%d outside [0,%d)", msg.From, msg.To, f.m))
-	}
-	if msg.From == msg.To {
-		f.inbox[msg.To].deliver(msg)
+	if f.local(msg) {
 		return
 	}
 	f.mu.Lock()
@@ -233,29 +291,28 @@ func (f *Fabric) Send(msg *Message) {
 	if closed {
 		panic("comm: Send on closed fabric")
 	}
-	recordSend(msg)
-	if f.wire == nil {
-		f.arrive(msg)
+	s := f.decide(msg)
+	if s.due.IsZero() {
+		f.arrive(msg, s)
 		return
 	}
-	time.AfterFunc(time.Until(f.wire.due(msg, time.Now())), func() { f.arrive(msg) })
+	time.AfterFunc(time.Until(s.due), func() { f.arrive(msg, s) })
 }
 
-// arrive counts and stamps msg as received and hands it to its receiver's
-// mailbox, unless the fabric closed while it was on the wire.
-func (f *Fabric) arrive(msg *Message) {
+// arrive hands msg, and its duplicate if it has one, to the receiver's
+// mailbox, unless the fabric closed while it was on the wire. The duplicate
+// arrives second, so dedup drops it without reading its payload.
+func (f *Fabric) arrive(msg *Message, s schedule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return
 	}
-	f.tracer.Received(msg.To, int64(msg.WireBytes()))
-	recordDelivered(msg.To, msg)
-	f.inbox[msg.To].deliver(msg)
+	f.receive(msg.To, msg, s.bytes)
+	if s.dup {
+		f.receive(msg.To, msg, s.bytes)
+	}
 }
-
-// Mailbox returns worker i's mailbox.
-func (f *Fabric) Mailbox(i int) *Mailbox { return f.inbox[i] }
 
 // Close shuts the fabric down without waiting: messages still on the wire
 // are dropped when they arrive.
@@ -281,9 +338,9 @@ type routeKey struct {
 // (kind, epoch, layer, seq, from). The training protocol guarantees at most
 // one message per key, so each key is a single-assignment cell; a duplicate
 // delivery panics, because in a fault-free fabric it indicates a protocol
-// bug. Under fault injection (FaultyFabric) duplicates are a deliberately
-// injected condition: EnableDedup switches the mailbox to at-least-once
-// semantics, where redelivered keys are silently dropped and counted.
+// bug. A fabric whose profile injects faults builds its mailboxes with
+// at-least-once semantics (dedup), where redelivered keys are silently
+// dropped and counted.
 type Mailbox struct {
 	mu      sync.Mutex
 	pending map[routeKey]*Message
@@ -293,8 +350,8 @@ type Mailbox struct {
 	dedup bool
 	seen  map[routeKey]struct{}
 
-	// stage, when set, attributes deduplicated deliveries to a flight
-	// recorder (see stage.go).
+	// stage, when set, attributes this worker's sends and deduplicated
+	// deliveries to a flight recorder (see stage.go).
 	stage stageRec
 }
 
@@ -304,23 +361,13 @@ type Mailbox struct {
 // which wastes one message of memory instead of corrupting the protocol.
 const dedupSeenMax = 1 << 16
 
-func newMailbox() *Mailbox {
+func newMailbox(dedup bool) *Mailbox {
 	return &Mailbox{
 		pending: make(map[routeKey]*Message),
 		waiting: make(map[routeKey]chan *Message),
+		dedup:   dedup,
+		seen:    make(map[routeKey]struct{}),
 	}
-}
-
-// EnableDedup switches the mailbox to at-least-once delivery: duplicate
-// keys are dropped instead of panicking. Enabled by FaultyFabric, which
-// injects duplicates and retransmissions on purpose.
-func (mb *Mailbox) EnableDedup() {
-	mb.mu.Lock()
-	if !mb.dedup {
-		mb.dedup = true
-		mb.seen = make(map[routeKey]struct{})
-	}
-	mb.mu.Unlock()
 }
 
 func (mb *Mailbox) deliver(msg *Message) {

@@ -4,24 +4,26 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"neutronstar/internal/tensor"
 )
 
-// Fault injection: FaultyFabric wraps any Network and subjects every
-// non-local message to seeded, deterministic drops, delays and duplicates,
-// while the send path runs a bounded retransmit-with-backoff protocol so
-// training completes anyway. The failure model is per transmission attempt:
-// an attempt is "lost" with probability drop, the sender detects the loss by
+// Fault injection: a NetworkProfile with a Fault spec subjects every
+// non-local message to seeded, deterministic drops, delays and duplicates
+// under a bounded retransmit-with-backoff protocol, so training completes
+// anyway. The failure model is per transmission attempt: an attempt is
+// "lost" with probability drop, the sender detects the loss by
 // retransmission timeout and resends with doubled backoff (up to retries
 // attempts), and a delivered message may additionally be delayed by
-// delay+U(0,jitter) and duplicated with probability dup. Duplicates are
-// absorbed by the mailboxes' at-least-once dedup (see Mailbox.EnableDedup),
-// so the engine above observes exactly-once semantics with degraded timing —
-// message *content* is never altered, which is what keeps fault-injected
-// runs loss-for-loss identical to clean ones.
+// delay+U(0,jitter) and duplicated with probability dup. The fabric decides
+// all of it at Send (FaultSpec.fate): the lost attempts' backoff and the
+// injected delay push the message's wire due time back, and a duplicate
+// reaches the mailbox right behind the original. Mailboxes of a faulted
+// fabric run at-least-once dedup, so the engine above observes exactly-once
+// semantics with degraded timing — message *content* is never altered,
+// which is what keeps fault-injected runs loss-for-loss identical to clean
+// ones.
 //
 // Every decision derives from a per-message RNG seeded by the message's
 // routing identity (from, to, kind, epoch, layer, seq) hashed with the spec
@@ -232,120 +234,72 @@ func (s *FaultSpec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// FaultyFabric implements Network by wrapping another fabric with fault
-// injection and the retransmission protocol. Create with NewFaultyFabric;
-// Close tears down the wrapper's in-flight deliveries, then the inner
-// fabric.
-type FaultyFabric struct {
-	inner Network
-	spec  *FaultSpec
-
-	wg     sync.WaitGroup
-	closed chan struct{}
-	once   sync.Once
+// fate is what the fault model decides for one message, once, at Send:
+// how many attempts were lost and whether that exhausted the retry budget,
+// the Σ of their retransmission timeouts, the rule's delay plus its jitter
+// draw, and whether a duplicate follows the message.
+type fate struct {
+	lost              int
+	exhausted         bool
+	backoff, injected time.Duration
+	dup               bool
 }
 
-// NewFaultyFabric wraps inner. The inner fabric's mailboxes are switched to
-// at-least-once dedup, since duplicates and retransmissions are now
-// expected conditions.
-func NewFaultyFabric(inner Network, spec *FaultSpec) *FaultyFabric {
-	f := &FaultyFabric{inner: inner, spec: spec, closed: make(chan struct{})}
-	for i := 0; i < inner.NumWorkers(); i++ {
-		inner.Mailbox(i).EnableDedup()
-	}
-	return f
-}
-
-// NumWorkers returns the inner fabric's worker count.
-func (f *FaultyFabric) NumWorkers() int { return f.inner.NumWorkers() }
-
-// Mailbox returns worker i's mailbox (the inner fabric's, dedup-enabled).
-func (f *FaultyFabric) Mailbox(i int) *Mailbox { return f.inner.Mailbox(i) }
-
-// Send routes msg through the fault model. Self-sends and kinds with an
-// all-zero rule bypass injection entirely, so an empty rule costs nothing.
-func (f *FaultyFabric) Send(msg *Message) {
-	if msg.From == msg.To {
-		f.inner.Send(msg)
-		return
-	}
-	rule := f.spec.Rule(msg.Kind)
+// fate decides msg's fault outcome: a pure function of the spec and the
+// message's routing identity. One drop draw per attempt, then the jitter
+// draw, then the dup draw, from the message's own RNG.
+func (s *FaultSpec) fate(msg *Message) fate {
+	rule := s.Rule(msg.Kind)
 	if rule.zero() {
-		f.inner.Send(msg)
-		return
+		return fate{}
 	}
-	f.wg.Add(1)
-	go f.deliver(msg, rule)
-}
-
-// deliver runs one message's retransmission protocol: attempt, lose with
-// P(drop), back off, retransmit; then apply delay and jitter, hand the
-// survivor to the inner fabric, and possibly inject a duplicate.
-func (f *FaultyFabric) deliver(msg *Message, rule FaultRule) {
-	defer f.wg.Done()
-	rng := tensor.NewRNG(f.msgSeed(msg))
-	backoff := f.spec.RetryTimeout
-	attempt := 0
-	for ; attempt < f.spec.MaxRetries; attempt++ {
+	rng := tensor.NewRNG(s.msgSeed(msg))
+	var ft fate
+	timeout := s.RetryTimeout
+	for ; ft.lost < s.MaxRetries; ft.lost++ {
 		if rule.Drop == 0 || rng.Float64() >= rule.Drop {
 			break
 		}
 		// This attempt was lost on the wire: the sender notices via the
 		// retransmission timeout and resends.
-		obsFaultDropped.With(msg.Kind.String()).Inc()
-		obsFaultRetransmits.Inc()
-		if !f.sleep(backoff) {
-			return
-		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		ft.backoff += timeout
+		timeout = min(2*timeout, maxBackoff)
 	}
-	if attempt == f.spec.MaxRetries {
-		// Retry budget exhausted: deliver anyway rather than wedge the
-		// epoch barrier forever — a persistent partition is beyond what
-		// retransmission can fix, and the counter makes it visible.
+	// Retry budget exhausted: deliver anyway rather than wedge the epoch
+	// barrier forever — a persistent partition is beyond what retransmission
+	// can fix, and the counter makes it visible.
+	ft.exhausted = ft.lost == s.MaxRetries
+	ft.injected = rule.Delay
+	if rule.Jitter > 0 {
+		ft.injected += time.Duration(rng.Float64() * float64(rule.Jitter))
+	}
+	ft.dup = rule.Dup > 0 && rng.Float64() < rule.Dup
+	return ft
+}
+
+// delay is how much later than the wire schedule the message arrives.
+func (ft fate) delay() time.Duration { return ft.backoff + ft.injected }
+
+// count adds the fate to the ns_comm_fault_* families.
+func (ft fate) count(kind MsgKind) {
+	if ft.lost > 0 {
+		obsFaultDropped.With(kind.String()).Add(float64(ft.lost))
+		obsFaultRetransmits.Add(float64(ft.lost))
+	}
+	if ft.exhausted {
 		obsFaultExhausted.Inc()
 	}
-	if d := rule.Delay + jitter(rng, rule.Jitter); d > 0 {
-		obsFaultDelaySeconds.Observe(d.Seconds())
-		if !f.sleep(d) {
-			return
-		}
+	if ft.injected > 0 {
+		obsFaultDelaySeconds.Observe(ft.injected.Seconds())
 	}
-	f.inner.Send(msg)
-	if rule.Dup > 0 && rng.Float64() < rule.Dup {
-		obsFaultDuplicated.With(msg.Kind.String()).Inc()
-		dup := *msg
-		f.inner.Send(&dup)
-	}
-}
-
-// jitter draws a uniform duration in [0, max].
-func jitter(rng *tensor.RNG, max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	return time.Duration(rng.Float64() * float64(max))
-}
-
-// sleep waits for d or until the fabric closes; it reports whether the
-// delivery should proceed.
-func (f *FaultyFabric) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-f.closed:
-		return false
+	if ft.dup {
+		obsFaultDuplicated.With(kind.String()).Inc()
 	}
 }
 
 // msgSeed hashes the message's routing identity with the spec seed
 // (FNV-1a), giving each message its own deterministic fault stream.
-func (f *FaultyFabric) msgSeed(msg *Message) uint64 {
+func (s *FaultSpec) msgSeed(msg *Message) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -354,7 +308,7 @@ func (f *FaultyFabric) msgSeed(msg *Message) uint64 {
 			v >>= 8
 		}
 	}
-	mix(f.spec.Seed)
+	mix(s.Seed)
 	mix(uint64(msg.From))
 	mix(uint64(msg.To))
 	mix(uint64(msg.Kind))
@@ -362,15 +316,4 @@ func (f *FaultyFabric) msgSeed(msg *Message) uint64 {
 	mix(uint64(msg.Layer))
 	mix(uint64(msg.Seq))
 	return h
-}
-
-// Close stops in-flight fault deliveries (in-backoff messages are dropped,
-// as a closing cluster's wire traffic would be), then closes the inner
-// fabric.
-func (f *FaultyFabric) Close() {
-	f.once.Do(func() {
-		close(f.closed)
-		f.wg.Wait()
-		f.inner.Close()
-	})
 }

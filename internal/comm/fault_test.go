@@ -60,6 +60,16 @@ func TestParseFaultSpecErrors(t *testing.T) {
 	}
 }
 
+// faulted returns the unthrottled profile carrying the given fault spec.
+func faulted(t testing.TB, spec string) NetworkProfile {
+	t.Helper()
+	s, err := ParseFaultSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NetworkProfile{Name: "faulted", Fault: s}
+}
+
 // sendAll pushes n uniquely keyed messages 0->1 and returns after they are
 // all matched by the receiver.
 func sendAll(t *testing.T, net Network, n int) {
@@ -76,39 +86,8 @@ func sendAll(t *testing.T, net Network, n int) {
 	}
 }
 
-// settle polls the given counter values until they stop changing: dup
-// injection and dedup absorption happen after the original delivery that
-// unblocks Wait, so counters can lag the last Wait by a scheduling beat.
-func settle(t *testing.T, read func() []float64) []float64 {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	last := read()
-	for {
-		time.Sleep(20 * time.Millisecond)
-		cur := read()
-		same := true
-		for i := range cur {
-			if cur[i] != last[i] {
-				same = false
-			}
-		}
-		if same {
-			return cur
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fault counters never settled: %v", cur)
-		}
-		last = cur
-	}
-}
-
 func TestFaultyFabricDeliversEverythingExactlyOnce(t *testing.T) {
-	spec, err := ParseFaultSpec("drop=0.3,dup=0.3,jitter=200us,seed=11,timeout=100us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFaultyFabric(NewFabric(2, ProfileLocal, nil), spec)
-	defer f.Close()
+	f := NewFabric(2, faulted(t, "drop=0.3,dup=0.3,jitter=200us,seed=11,timeout=100us"), nil)
 
 	dropped := obsFaultDropped.With("rep")
 	duped := obsFaultDuplicated.With("rep")
@@ -117,32 +96,30 @@ func TestFaultyFabricDeliversEverythingExactlyOnce(t *testing.T) {
 
 	const n = 200
 	sendAll(t, f, n)
-	vals := settle(t, func() []float64 {
-		return []float64{dropped.Value() - d0, duped.Value() - p0, dedup.Value() - x0}
-	})
+	// A duplicate reaches the mailbox in the timer callback that delivered
+	// its original, and Close waits out a callback in progress: past it,
+	// every duplicate of a delivered message has met dedup.
+	f.Close()
+	drops, dups, absorbed := dropped.Value()-d0, duped.Value()-p0, dedup.Value()-x0
 
-	if vals[0] == 0 {
+	if drops == 0 {
 		t.Error("30% drop over 200 messages injected no drops")
 	}
-	if vals[1] == 0 {
+	if dups == 0 {
 		t.Error("30% dup over 200 messages injected no duplicates")
 	}
 	// Every injected duplicate must be absorbed by mailbox dedup — none may
 	// surface as a protocol message. (Waits above consumed exactly one per
 	// key; this checks the duplicates were counted as dropped-by-dedup.)
-	if vals[2] != vals[1] {
-		t.Errorf("injected %v duplicates but dedup absorbed %v", vals[1], vals[2])
+	if absorbed != dups {
+		t.Errorf("injected %v duplicates but dedup absorbed %v", dups, absorbed)
 	}
 }
 
 func TestFaultyFabricExhaustedRetriesStillDeliver(t *testing.T) {
 	// drop=0.99 with 3 retries: nearly every message runs out of budget and
 	// must be force-delivered; nothing may deadlock.
-	spec, err := ParseFaultSpec("drop=0.99,retries=3,timeout=50us,seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFaultyFabric(NewFabric(2, ProfileLocal, nil), spec)
+	f := NewFabric(2, faulted(t, "drop=0.99,retries=3,timeout=50us,seed=3"), nil)
 	defer f.Close()
 	e0 := obsFaultExhausted.Value()
 	sendAll(t, f, 50)
@@ -153,19 +130,13 @@ func TestFaultyFabricExhaustedRetriesStillDeliver(t *testing.T) {
 
 func TestFaultyFabricDeterministicPattern(t *testing.T) {
 	run := func() (drops, dups float64) {
-		spec, err := ParseFaultSpec("drop=0.5,dup=0.2,seed=42,timeout=50us")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := NewFaultyFabric(NewFabric(2, ProfileLocal, nil), spec)
+		f := NewFabric(2, faulted(t, "drop=0.5,dup=0.2,seed=42,timeout=50us"), nil)
 		defer f.Close()
 		d0 := obsFaultDropped.With("rep").Value()
 		p0 := obsFaultDuplicated.With("rep").Value()
 		sendAll(t, f, 100)
-		vals := settle(t, func() []float64 {
-			return []float64{obsFaultDropped.With("rep").Value() - d0, obsFaultDuplicated.With("rep").Value() - p0}
-		})
-		return vals[0], vals[1]
+		// Both counters are decided at Send.
+		return obsFaultDropped.With("rep").Value() - d0, obsFaultDuplicated.With("rep").Value() - p0
 	}
 	d1, p1 := run()
 	d2, p2 := run()
@@ -174,12 +145,35 @@ func TestFaultyFabricDeterministicPattern(t *testing.T) {
 	}
 }
 
-func TestFaultyFabricSelfSendBypassesFaults(t *testing.T) {
-	spec, err := ParseFaultSpec("drop=0.999,retries=2,timeout=10ms,seed=1")
+// TestFaultFateIsPure pins FaultSpec.fate to its draw order: one drop draw
+// per attempt, then jitter, then dup, from the message's own RNG.
+func TestFaultFateIsPure(t *testing.T) {
+	spec, err := ParseFaultSpec("drop=0.5,dup=0.5,delay=1ms,jitter=1ms,retries=3,timeout=1ms,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFaultyFabric(NewFabric(2, ProfileLocal, nil), spec)
+	for seq := 0; seq < 50; seq++ {
+		msg := &Message{From: 1, To: 2, Kind: KindGrad, Epoch: 4, Layer: 1, Seq: seq}
+		rng := tensor.NewRNG(spec.msgSeed(msg))
+		var want fate
+		for want.lost < 3 && rng.Float64() < 0.5 {
+			want.backoff += time.Millisecond << want.lost
+			want.lost++
+		}
+		want.exhausted = want.lost == 3
+		want.injected = time.Millisecond + time.Duration(rng.Float64()*float64(time.Millisecond))
+		want.dup = rng.Float64() < 0.5
+		if got := spec.fate(msg); got != want || spec.fate(msg) != got {
+			t.Fatalf("seq %d: fate %+v, want %+v every time", seq, got, want)
+		}
+	}
+	if ft := spec.fate(&Message{Kind: KindRep}); ft.delay() != ft.backoff+ft.injected {
+		t.Fatalf("delay %v is not backoff %v + injected %v", ft.delay(), ft.backoff, ft.injected)
+	}
+}
+
+func TestFaultyFabricSelfSendBypassesFaults(t *testing.T) {
+	f := NewFabric(2, faulted(t, "drop=0.999,retries=2,timeout=10ms,seed=1"), nil)
 	defer f.Close()
 	start := time.Now()
 	for i := 0; i < 50; i++ {
@@ -194,7 +188,7 @@ func TestFaultyFabricSelfSendBypassesFaults(t *testing.T) {
 }
 
 func TestMailboxDedupPanicsStayForNonFaultyFabrics(t *testing.T) {
-	mb := newMailbox()
+	mb := NewFabric(2, ProfileLocal, nil).Mailbox(1)
 	msg := &Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1}
 	mb.deliver(msg)
 	defer func() {

@@ -9,6 +9,12 @@ import (
 	"neutronstar/internal/tensor"
 )
 
+// encodeMessage writes msg's frame to w.
+func encodeMessage(w *bufio.Writer, msg *Message) error {
+	_, err := w.Write(appendFrame(nil, msg))
+	return err
+}
+
 // encodeToBytes renders one message in the wire format for corpus seeding.
 func encodeToBytes(t testing.TB, msg *Message) []byte {
 	t.Helper()
@@ -32,11 +38,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		{From: 0, To: 1, Kind: KindRep, Epoch: 3, Layer: 1, Seq: 2,
 			Vertices: []int32{7, 9, 11},
 			Rows:     tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6}),
-			Trace: TraceContext{TraceID: 1<<32 | 3, SpanID: 42, Parent: 41,
-				SentUnixNano: 1_700_000_000_123_456_789}},
+			Trace:    TraceContext{SpanID: 42, SentUnixNano: 1_700_000_000_123_456_789}},
 		{From: 2, To: 0, Kind: KindGrad, Epoch: 0, Layer: 0, Seq: 0,
 			Rows:  tensor.FromSlice(1, 4, []float32{0, float32(math.Inf(1)), -0.5, float32(math.NaN())}),
-			Trace: TraceContext{TraceID: ^uint64(0), SpanID: ^uint64(0), Parent: ^uint64(0), SentUnixNano: -1}},
+			Trace: TraceContext{SpanID: ^uint64(0), SentUnixNano: -1}},
 		{From: 1, To: 2, Kind: KindAllReduce, Epoch: -1, Layer: -1, Seq: 41},
 		{From: 0, To: 3, Kind: KindSample, Epoch: 12, Layer: 2, Seq: 1,
 			Vertices: []int32{-1, 0, 1 << 30}},
@@ -54,12 +59,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	huge := encodeToBytes(f, seeds[2])
 	huge[29], huge[30], huge[31] = 0xff, 0xff, 0xff // numVerts ~ 2^24, absent
 	f.Add(huge)
-	f.Add(encodeToBytes(f, seeds[2])[:41+traceBlockLen/2])
-	// The retired v1 magic over an otherwise well-formed message: a bad
-	// magic, not a second dialect.
-	retired := encodeToBytes(f, seeds[3])
-	retired[0] = 0x01
-	f.Add(retired)
+	f.Add(encodeToBytes(f, seeds[2])[:headerLen+traceBlockLen/2])
+	// The retired v1 and v2 magics over an otherwise well-formed message: a
+	// bad magic, not a second dialect.
+	for _, v := range []byte{0x01, 0x02} {
+		retired := encodeToBytes(f, seeds[3])
+		retired[0] = v
+		f.Add(retired)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := decodeMessage(bufio.NewReader(bytes.NewReader(data)))

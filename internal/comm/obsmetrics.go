@@ -20,8 +20,8 @@ var (
 		"Wire size of sent messages.", obs.SizeBuckets)
 )
 
-// Fault-injection metrics (FaultyFabric). All zero unless a fault spec is
-// active.
+// Fault-injection metrics, counted at Send (see FaultSpec.fate) and, for
+// dedup, at delivery. All zero unless a profile carries a fault spec.
 var (
 	obsFaultDropped = obs.Default().CounterVec("ns_comm_fault_dropped_total",
 		"Transmission attempts lost by fault injection, by protocol kind.", "kind")
@@ -37,16 +37,17 @@ var (
 		"Duplicate deliveries absorbed by mailbox dedup.")
 )
 
-// recordSend updates the send-side counters; both fabrics call it for every
-// non-self send.
-func recordSend(msg *Message) {
-	n := float64(msg.WireBytes())
+// recordSend updates the send-side counters for one transmission of msg,
+// of the given wire size; both fabrics call it for every non-self send and
+// every injected duplicate.
+func recordSend(msg *Message, bytes int64) {
+	n := float64(bytes)
 	obsSentBytes.With(strconv.Itoa(msg.To)).Add(n)
 	obsSentMsgs.With(msg.Kind.String()).Inc()
 	obsMsgBytes.Observe(n)
 }
 
 // recordDelivered updates the receive-side byte counter for worker w.
-func recordDelivered(w int, msg *Message) {
-	obsRecvBytes.With(strconv.Itoa(w)).Add(float64(msg.WireBytes()))
+func recordDelivered(w int, bytes int64) {
+	obsRecvBytes.With(strconv.Itoa(w)).Add(float64(bytes))
 }

@@ -9,9 +9,10 @@ import (
 
 // Flight-recorder byte attribution. The exactly-once contract under faults:
 //
-//   - Send side: counted by the engine's recording wrapper, which sits
-//     OUTSIDE FaultyFabric — one count per logical Send, no matter how many
-//     times the fault layer retransmits or duplicates the message underneath.
+//   - Send side: counted in the fabric's Send, through the sender's own
+//     mailbox binding, before the fault model decides anything — one count
+//     per Send, however many attempts were lost and whether or not a
+//     duplicate follows.
 //   - Receive side: counted in Mailbox.deliver after the dedup check, so a
 //     duplicate that the at-least-once mailbox drops is never counted, and
 //     whichever copy arrives first is counted exactly once.
@@ -64,16 +65,35 @@ type stageRec struct {
 	p atomic.Pointer[stageRecorder]
 }
 
-// SetStageRecorder attributes this mailbox's future deliveries to worker's
-// receive-side cells of rec. A nil rec detaches. Works identically for the
-// channel fabric, the TCP fabric and any fault-injecting wrapper, because
-// every path funnels into deliver.
+// SetStageRecorder attributes worker's future sends and this mailbox's
+// future deliveries to worker's cells of rec, and stamps the trace context
+// of worker's sends while rec records causally. A nil rec detaches. Works
+// identically for the channel fabric and the TCP fabric, because both
+// decide every send in endpoints.decide and funnel every delivery into
+// deliver.
 func (mb *Mailbox) SetStageRecorder(rec *obs.FlightRecorder, worker int) {
 	if rec == nil {
 		mb.stage.p.Store(nil)
 		return
 	}
 	mb.stage.p.Store(&stageRecorder{rec: rec, worker: worker})
+}
+
+// stampSend counts one cross-worker Send of msg, of the given wire size, on
+// the sender's side, and stamps msg's trace context under causal recording.
+// mb is the sender's mailbox. A duplicate is the stamped message again (its
+// frame again, over TCP), so every copy carries the original causal id and
+// dedup keeps tracing exactly-once.
+func (mb *Mailbox) stampSend(msg *Message, bytes int64) {
+	sr := mb.stage.p.Load()
+	if sr == nil {
+		return
+	}
+	stage, layer := StageOfMsg(msg, false)
+	sr.rec.AddTraffic(sr.worker, stage, layer, bytes, 1)
+	if span, sent, ok := sr.rec.CausalSend(); ok {
+		msg.Trace = TraceContext{SpanID: span, SentUnixNano: sent}
+	}
 }
 
 // recordDelivery counts one deduplicated delivery. Called from deliver with

@@ -35,32 +35,18 @@ func TestStageOfMsg(t *testing.T) {
 	}
 }
 
-// sendCounted mimics the engine's recording wrapper: one send-side count per
-// logical Send, taken before the (possibly faulty) fabric sees the message.
-func sendCounted(rec *obs.FlightRecorder, f Network, msg *Message) {
-	if msg.From != msg.To {
-		stage, layer := StageOfMsg(msg, false)
-		rec.AddTraffic(msg.From, stage, layer, int64(msg.WireBytes()), 1)
-	}
-	f.Send(msg)
-}
-
 // TestStageByteConservationUnderFaults injects 5% drops and 5% duplicates
 // and asserts exact byte conservation between send-side and receive-side
-// attribution: retransmissions and duplicate deliveries must count toward
-// the originating stage exactly once.
+// attribution, both taken by the fabric itself: retransmissions and
+// duplicate deliveries must count toward the originating stage exactly once.
 func TestStageByteConservationUnderFaults(t *testing.T) {
 	const (
 		workers = 3
 		perPair = 40
 	)
-	spec, err := ParseFaultSpec("drop=0.05,dup=0.05,seed=11")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewFlightRecorder()
 	rec.BeginEpoch(1, workers, 2)
-	ff := NewFaultyFabric(NewFabric(workers, ProfileLocal, nil), spec)
+	ff := NewFabric(workers, faulted(t, "drop=0.05,dup=0.05,seed=11"), nil)
 	for i := 0; i < workers; i++ {
 		ff.Mailbox(i).SetStageRecorder(rec, i)
 	}
@@ -77,11 +63,11 @@ func TestStageByteConservationUnderFaults(t *testing.T) {
 				rep := &Message{From: from, To: to, Kind: KindRep,
 					Epoch: 1, Layer: 1, Seq: k, Rows: rows}
 				wantRepBytes += int64(rep.WireBytes())
-				sendCounted(rec, ff, rep)
+				ff.Send(rep)
 				grad := &Message{From: from, To: to, Kind: KindGrad,
 					Epoch: 1, Layer: 2, Seq: k, Rows: tensor.New(1, 4)}
 				wantGradBytes += int64(grad.WireBytes())
-				sendCounted(rec, ff, grad)
+				ff.Send(grad)
 			}
 		}
 	}
@@ -146,7 +132,7 @@ func TestStageSelfSendNotAttributed(t *testing.T) {
 	defer f.Close()
 	f.Mailbox(0).SetStageRecorder(rec, 0)
 	msg := &Message{From: 0, To: 0, Kind: KindRep, Epoch: 1, Layer: 1, Rows: tensor.New(1, 4)}
-	sendCounted(rec, f, msg)
+	f.Send(msg)
 	if f.Mailbox(0).Wait(KindRep, 1, 1, 0, 0) == nil {
 		t.Fatal("self-send lost")
 	}
@@ -156,8 +142,9 @@ func TestStageSelfSendNotAttributed(t *testing.T) {
 	}
 }
 
-// TestStageRecorderTCPFabric: the mailbox-level hook covers the TCP path for
-// free, because readLoop delivery funnels into the same deliver.
+// TestStageRecorderTCPFabric: the mailbox binding covers the TCP path for
+// free, because its Send decides in the same endpoints.decide and readLoop
+// delivery funnels into the same deliver.
 func TestStageRecorderTCPFabric(t *testing.T) {
 	rec := obs.NewFlightRecorder()
 	rec.BeginEpoch(1, 2, 1)
@@ -172,7 +159,7 @@ func TestStageRecorderTCPFabric(t *testing.T) {
 	msg := &Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1,
 		Vertices: []int32{3}, Rows: tensor.New(1, 4)}
 	want := int64(msg.WireBytes())
-	sendCounted(rec, f, msg)
+	f.Send(msg)
 	got := f.Mailbox(1).Wait(KindRep, 1, 1, 0, 0)
 	if got == nil {
 		t.Fatal("message lost")

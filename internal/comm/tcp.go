@@ -18,38 +18,40 @@ import (
 // (master–mirror exchange, gradient all-reduce, parameter server) serialises
 // cleanly — and to measure real codec + kernel-socket costs.
 //
-// Timing: a link's writer holds each message until the Fabric's wire
-// schedule says it is due (loopback TCP is far faster than any cluster
-// fabric being modeled); set ProfileLocal to measure raw socket throughput.
+// Timing: Send decides each message's due time as the Fabric's does, and a
+// link's writer holds the message until then (loopback TCP is far faster
+// than any cluster fabric being modeled); set ProfileLocal to measure raw
+// socket throughput.
 type TCPFabric struct {
-	m      int
-	wire   *wire // nil: write at once
-	tracer *obs.Tracer
+	endpoints
 
-	inbox []*Mailbox
 	// out[i][j] is the outbound queue of link i->j.
-	out    [][]chan *Message
+	out    [][]chan outbound
 	conns  []net.Conn
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
 }
 
+// outbound is a message queued on a link with what Send decided for it.
+type outbound struct {
+	msg *Message
+	schedule
+}
+
 // NewTCPFabric builds the full mesh over 127.0.0.1 ephemeral ports. tracer,
 // when non-nil, receives a delivery stamp per decoded message.
 func NewTCPFabric(m int, profile NetworkProfile, tracer *obs.Tracer) (*TCPFabric, error) {
 	f := &TCPFabric{
-		m: m, wire: newWire(m, profile), tracer: tracer,
-		inbox:  make([]*Mailbox, m),
-		out:    make([][]chan *Message, m),
-		closed: make(chan struct{}),
+		endpoints: newEndpoints(m, profile, tracer),
+		out:       make([][]chan outbound, m),
+		closed:    make(chan struct{}),
 	}
 	for i := 0; i < m; i++ {
-		f.inbox[i] = newMailbox()
-		f.out[i] = make([]chan *Message, m)
+		f.out[i] = make([]chan outbound, m)
 		for j := 0; j < m; j++ {
 			if i != j {
-				f.out[i][j] = make(chan *Message, 4096) // senders rarely block
+				f.out[i][j] = make(chan outbound, 4096) // senders rarely block
 			}
 		}
 	}
@@ -157,45 +159,40 @@ func (f *TCPFabric) shutdownListeners(ls []net.Listener) {
 	}
 }
 
-// NumWorkers returns the mesh size.
-func (f *TCPFabric) NumWorkers() int { return f.m }
-
-// Mailbox returns worker i's mailbox.
-func (f *TCPFabric) Mailbox(i int) *Mailbox { return f.inbox[i] }
-
-// Send routes msg: self-sends deliver directly, remote sends enqueue on the
-// directed link's writer.
+// Send decides msg's fate and enqueues it on the directed link's writer;
+// self-sends deliver directly.
 func (f *TCPFabric) Send(msg *Message) {
-	if msg.To < 0 || msg.To >= f.m || msg.From < 0 || msg.From >= f.m {
-		panic(fmt.Sprintf("comm: route %d->%d outside [0,%d)", msg.From, msg.To, f.m))
-	}
-	if msg.From == msg.To {
-		f.inbox[msg.To].deliver(msg)
+	if f.local(msg) {
 		return
 	}
-	recordSend(msg)
-	if f.wire != nil {
-		msg.sentAt = time.Now()
-	}
+	o := outbound{msg: msg, schedule: f.decide(msg)}
 	select {
-	case f.out[msg.From][msg.To] <- msg:
+	case f.out[msg.From][msg.To] <- o:
 	case <-f.closed:
 		panic("comm: Send on closed TCP fabric")
 	}
 }
 
-// writeLoop serialises link owner->peer: wait until due, encode, flush.
+// writeLoop serialises link owner->peer: wait until due, encode, write the
+// frame (twice when a duplicate follows), flush.
 func (f *TCPFabric) writeLoop(owner, peer int, conn net.Conn) {
 	defer f.wg.Done()
 	w := bufio.NewWriterSize(conn, 1<<16)
+	var frame []byte
 	for {
 		select {
-		case msg := <-f.out[owner][peer]:
-			if f.wire != nil {
-				time.Sleep(time.Until(f.wire.due(msg, msg.sentAt)))
+		case o := <-f.out[owner][peer]:
+			if !o.due.IsZero() {
+				time.Sleep(time.Until(o.due))
 			}
-			if err := encodeMessage(w, msg); err != nil {
+			frame = appendFrame(frame[:0], o.msg)
+			if _, err := w.Write(frame); err != nil {
 				return // connection torn down
+			}
+			if o.dup {
+				if _, err := w.Write(frame); err != nil {
+					return
+				}
 			}
 			// Flush when the queue drains so batches coalesce.
 			if len(f.out[owner][peer]) == 0 {
@@ -218,9 +215,7 @@ func (f *TCPFabric) readLoop(owner int, conn net.Conn) {
 		if err != nil {
 			return // closed or corrupt; teardown path
 		}
-		f.tracer.Received(owner, int64(msg.WireBytes()))
-		recordDelivered(owner, msg)
-		f.inbox[owner].deliver(msg)
+		f.receive(owner, msg, int64(msg.WireBytes()))
 	}
 }
 

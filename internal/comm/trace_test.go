@@ -5,19 +5,24 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync"
+	"runtime"
 	"testing"
+	"time"
 
+	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
 )
 
 func TestCodecTraceRoundTrip(t *testing.T) {
-	want := TraceContext{TraceID: 7<<32 | 12, SpanID: 99, Parent: 98,
-		SentUnixNano: 1_754_000_000_000_000_000}
+	want := TraceContext{SpanID: 99, SentUnixNano: 1_754_000_000_000_000_000}
 	msg := &Message{From: 1, To: 2, Kind: KindRep, Epoch: 12, Layer: 1, Seq: 4,
 		Vertices: []int32{3, 5}, Rows: tensor.FromSlice(2, 2, []float32{1, 2, 3, 4}),
 		Trace: want}
-	got, err := decodeMessage(bufio.NewReader(bytes.NewReader(encodeToBytes(t, msg))))
+	frame := encodeToBytes(t, msg)
+	if got, wantLen := len(frame), headerLen+traceBlockLen+4*2+4*4; got != wantLen {
+		t.Fatalf("frame is %d bytes, want %d", got, wantLen)
+	}
+	got, err := decodeMessage(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +31,14 @@ func TestCodecTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsTruncatedTraceBlock: a v2 header promises a trace block;
-// a stream that ends inside it must fail with io.ErrUnexpectedEOF rather
-// than zero-padding the missing fields.
+// TestCodecRejectsTruncatedTraceBlock: a header promises a trace block; a
+// stream that ends inside it must fail with io.ErrUnexpectedEOF rather than
+// zero-padding the missing fields.
 func TestCodecRejectsTruncatedTraceBlock(t *testing.T) {
 	msg := &Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1, Seq: 0,
-		Trace: TraceContext{TraceID: 42, SpanID: 7}}
+		Trace: TraceContext{SpanID: 7, SentUnixNano: 42}}
 	full := encodeToBytes(t, msg)
-	for _, cut := range []int{41, 41 + 1, 41 + traceBlockLen - 1} {
+	for _, cut := range []int{headerLen, headerLen + 1, headerLen + traceBlockLen - 1} {
 		_, err := decodeMessage(bufio.NewReader(bytes.NewReader(full[:cut])))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
@@ -41,48 +46,63 @@ func TestCodecRejectsTruncatedTraceBlock(t *testing.T) {
 	}
 }
 
-// traceCapture wraps a Network and records the TraceContext of every message
-// the wrapped fabric is asked to deliver — including injected duplicates.
-type traceCapture struct {
-	Network
-	mu   sync.Mutex
-	sent []TraceContext
-}
-
-func (c *traceCapture) Send(msg *Message) {
-	c.mu.Lock()
-	c.sent = append(c.sent, msg.Trace)
-	c.mu.Unlock()
-	c.Network.Send(msg)
-}
-
 // TestFaultyFabricDuplicateKeepsTrace pins the causal contract for
-// retransmission: an injected duplicate is a struct copy of the original, so
-// it carries the original's trace context — the duplicate is the same causal
-// event on the wire, not a new one.
+// duplication on both transports: Send stamps the trace context once, from
+// the sender's causal recorder, and the duplicate that follows carries it
+// unchanged — it is the same causal event on the wire, not a new one.
 func TestFaultyFabricDuplicateKeepsTrace(t *testing.T) {
-	spec, err := ParseFaultSpec("dup=1,seed=9,timeout=50us")
-	if err != nil {
-		t.Fatal(err)
+	p := faulted(t, "dup=1,seed=9")
+	transports := map[string]func() (Network, error){
+		"fabric": func() (Network, error) { return NewFabric(2, p, nil), nil },
+		"tcp":    func() (Network, error) { return NewTCPFabric(2, p, nil) },
 	}
-	cap := &traceCapture{Network: NewFabric(2, ProfileLocal, nil)}
-	f := NewFaultyFabric(cap, spec)
+	for name, build := range transports {
+		t.Run(name, func(t *testing.T) {
+			f, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rec := obs.NewFlightRecorder()
+			rec.EnableCausal()
+			rec.BeginEpoch(1, 2, 1)
+			f.Mailbox(0).SetStageRecorder(rec, 0)
 
-	want := TraceContext{TraceID: 3<<32 | 1, SpanID: 11, Parent: 10,
-		SentUnixNano: 1_700_000_000_000_000_001}
-	f.Send(&Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1, Seq: 0,
-		Trace: want})
-	f.Mailbox(1).Wait(KindRep, 1, 1, 0, 0)
-	f.Close() // waits for the in-flight duplicate delivery
-
-	cap.mu.Lock()
-	defer cap.mu.Unlock()
-	if len(cap.sent) != 2 {
-		t.Fatalf("dup=1 delivered %d messages, want original + duplicate", len(cap.sent))
-	}
-	for i, tc := range cap.sent {
-		if tc != want {
-			t.Fatalf("delivery %d trace %+v, want %+v", i, tc, want)
-		}
+			// With dedup off the duplicate stays pending behind the original,
+			// which goes to a receiver already waiting, so both can be read.
+			mb := f.Mailbox(1)
+			mb.mu.Lock()
+			mb.dedup = false
+			mb.mu.Unlock()
+			got := make(chan *Message, 2)
+			go func() {
+				for i := 0; i < 2; i++ {
+					got <- mb.Wait(KindRep, 1, 1, 0, 0)
+				}
+			}()
+			for waiting := false; !waiting; {
+				runtime.Gosched()
+				mb.mu.Lock()
+				waiting = len(mb.waiting) == 1
+				mb.mu.Unlock()
+			}
+			f.Send(&Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1, Seq: 0})
+			var copies []*Message
+			for len(copies) < 2 {
+				select {
+				case m := <-got:
+					copies = append(copies, m)
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of 2 copies delivered", len(copies))
+				}
+			}
+			orig, dup := copies[0], copies[1]
+			if orig.Trace.SpanID == 0 || orig.Trace.SentUnixNano == 0 {
+				t.Fatalf("Send left the message untraced: %+v", orig.Trace)
+			}
+			if dup.Trace != orig.Trace {
+				t.Fatalf("duplicate trace %+v, original %+v", dup.Trace, orig.Trace)
+			}
+		})
 	}
 }

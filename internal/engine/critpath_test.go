@@ -105,7 +105,7 @@ func TestCritPathShiftsUnderMessageDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := trainCausal(t, Options{Workers: 4, Mode: DepComm, Seed: 5, Fault: spec}, 2)
+	recs, _ := trainCausal(t, Options{Workers: 4, Mode: DepComm, Seed: 5, Profile: comm.NetworkProfile{Fault: spec}}, 2)
 	agg := make(map[string]float64)
 	var total float64
 	for _, r := range recs {
@@ -146,7 +146,7 @@ func TestCausalSameSeedSameStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	structure := func() (top string, agg map[string]float64) {
-		recs, _ := trainCausal(t, Options{Workers: 3, Mode: DepComm, Seed: 11, Fault: spec}, 2)
+		recs, _ := trainCausal(t, Options{Workers: 3, Mode: DepComm, Seed: 11, Profile: comm.NetworkProfile{Fault: spec}}, 2)
 		agg = make(map[string]float64)
 		for _, r := range recs {
 			for label, sec := range r.CritPath.Breakdown() {

@@ -117,6 +117,8 @@ type Options struct {
 	// Partitioner selects the graph partitioning algorithm (default Chunk).
 	Partitioner partition.Algorithm
 	// Profile is the simulated network; default ProfileLocal (unthrottled).
+	// Its Fault spec, when set, injects seeded drops, delays and duplicates
+	// with retransmission; faults move timing only, never content.
 	Profile comm.NetworkProfile
 	// TCP moves all worker communication over real loopback TCP sockets
 	// instead of the in-process fabric — same protocol and the same wire
@@ -176,9 +178,6 @@ type Options struct {
 	// clock emits its intervals onto it — and the fabric's delivery stamps:
 	// the input of the utilisation series (Fig. 13) and of the Chrome trace.
 	Tracer *obs.Tracer
-	// Fault, when non-nil, wraps the fabric in seeded fault injection
-	// (drops, delays, duplicates per comm.FaultSpec) with retransmission.
-	Fault *comm.FaultSpec
 	// Ckpt, when non-nil, saves a snapshot at every due epoch barrier. A
 	// failed save is reported on the epoch's EpochStats, never fatal.
 	Ckpt *ckpt.Saver
@@ -190,9 +189,7 @@ type Options struct {
 	// Pool, when non-nil, recycles training-time tensor storage (tape
 	// intermediates, gradients, message payloads) through per-worker arenas
 	// released at each epoch barrier. Nil reproduces the allocate-per-call
-	// behaviour bit-for-bit. Ignored when Fault is set: fault-injected
-	// retransmission goroutines can hold message payloads past the barrier,
-	// which would break the arena's quiescence requirement.
+	// behaviour bit-for-bit.
 	Pool *tensor.Pool
 }
 
@@ -350,24 +347,21 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		}
 	}
 
-	var fabric comm.Network
 	if opts.TCP {
-		fabric, err = comm.NewTCPFabric(opts.Workers, opts.Profile, opts.Tracer)
+		e.fabric, err = comm.NewTCPFabric(opts.Workers, opts.Profile, opts.Tracer)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer)
-	}
-	if opts.Fault != nil {
-		fabric = comm.NewFaultyFabric(fabric, opts.Fault)
+		e.fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer)
 	}
 	if opts.Recorder != nil {
-		// Outermost wrapper: send-side attribution must see each logical
-		// Send once, before fault injection multiplies transmissions.
-		fabric = newRecordingNet(fabric, opts.Recorder)
+		// Each worker's sends and deliveries are attributed to its cells,
+		// once per Send and once per deduplicated delivery (comm/stage.go).
+		for i := 0; i < opts.Workers; i++ {
+			e.fabric.Mailbox(i).SetStageRecorder(opts.Recorder, i)
+		}
 	}
-	e.fabric = fabric
 	cached, comms := 0, 0
 	for _, d := range e.decs {
 		cached += d.NumCached()
@@ -408,7 +402,10 @@ func (e *Engine) planner(costs costmodel.Costs) *hybrid.Planner {
 // 4's decisions deterministic across engines built in the same run.
 var probeCache sync.Map // NetworkProfile -> costmodel.Costs
 
+// probeCached keys the cache on the profile's α–β terms: faults only delay,
+// so a faulted engine plans exactly as its clean twin does.
 func probeCached(p comm.NetworkProfile) costmodel.Costs {
+	p.Fault = nil
 	if v, ok := probeCache.Load(p); ok {
 		return v.(costmodel.Costs)
 	}

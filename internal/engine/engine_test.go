@@ -570,16 +570,29 @@ func TestRandomDecisionsMatchReference(t *testing.T) {
 }
 
 // The whole training protocol must serialise over real TCP sockets: loss
-// trajectories over the TCP fabric match the in-process reference exactly.
+// trajectories over the TCP fabric match the in-process reference, with and
+// without faults on the wire.
 func TestTCPTransportMatchesReference(t *testing.T) {
 	ds := testDataset(t, 180, 5, 45)
 	const epochs = 3
 	ref := referenceLosses(ds, nn.GCN, epochs, 19)
-	for _, mode := range []Mode{DepComm, Hybrid} {
+	spec, err := comm.ParseFaultSpec("drop=0.05,dup=0.2,jitter=300us,seed=4,timeout=200us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name    string
+		mode    Mode
+		profile comm.NetworkProfile
+	}{
+		{"depcomm", DepComm, comm.ProfileLocal},
+		{"hybrid", Hybrid, comm.ProfileLocal},
+		{"depcomm+faults", DepComm, comm.NetworkProfile{Name: "faulted", Fault: spec}},
+	} {
 		got := engineLosses(t, ds, Options{
-			Workers: 3, Mode: mode, Model: nn.GCN, Seed: 19, TCP: true,
-			Ring: true, Overlap: true,
+			Workers: 3, Mode: row.mode, Model: nn.GCN, Seed: 19, TCP: true,
+			Ring: true, Overlap: true, Profile: row.profile,
 		}, epochs)
-		assertLossesClose(t, fmt.Sprintf("tcp/%s", mode), got, ref, 2e-3)
+		assertLossesClose(t, "tcp/"+row.name, got, ref, 2e-3)
 	}
 }

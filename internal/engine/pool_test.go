@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
 )
@@ -47,6 +48,36 @@ func TestPooledMatchesUnpooledAcrossModes(t *testing.T) {
 			if plain[i] != recycled[i] {
 				t.Fatalf("%s epoch %d: %.17g vs %.17g", mode, i+1, plain[i], recycled[i])
 			}
+		}
+	}
+}
+
+// TestPooledFaultsBitIdenticalToClean trains a pooled 4-worker engine under
+// drops, a duplicate of every message and jitter, on both transports. Faults
+// move timing only, so the losses equal the clean pooled run's bit for bit;
+// and every copy of a message reaches its mailbox before the epoch barrier,
+// so the arenas stay on and recycle. CI runs it under GOMAXPROCS=4 -race.
+func TestPooledFaultsBitIdenticalToClean(t *testing.T) {
+	spec, err := comm.ParseFaultSpec("drop=0.05,dup=1,jitter=500us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Workers: 4, Mode: DepComm, Seed: 11, Ring: true, LockFree: true, Overlap: true}
+	clean := base
+	clean.Pool = tensor.NewPool()
+	want := trainLosses(t, clean, 3)
+	for _, tcp := range []bool{false, true} {
+		pool := tensor.NewPool()
+		faulted := base
+		faulted.Pool, faulted.TCP, faulted.Profile.Fault = pool, tcp, spec
+		got := trainLosses(t, faulted, 3)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tcp=%v epoch %d: faulted loss %.17g, clean %.17g", tcp, i+1, got[i], want[i])
+			}
+		}
+		if s := pool.Stats(); s.Hits == 0 || s.BytesInFlight != 0 {
+			t.Fatalf("tcp=%v: pool %+v; want hits and nothing checked out past the barrier", tcp, s)
 		}
 	}
 }

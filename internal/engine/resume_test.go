@@ -297,7 +297,7 @@ func TestFaultInjectedRunCompletes(t *testing.T) {
 	}
 	clean := trainLosses(t, Options{Workers: 4, Mode: Hybrid, Seed: 7}, 3)
 	before := metricValues(t, "ns_comm_fault_dropped_total", "ns_comm_fault_retransmissions_total")
-	faulted := trainLosses(t, Options{Workers: 4, Mode: Hybrid, Seed: 7, Fault: spec}, 3)
+	faulted := trainLosses(t, Options{Workers: 4, Mode: Hybrid, Seed: 7, Profile: comm.NetworkProfile{Fault: spec}}, 3)
 	after := metricValues(t, "ns_comm_fault_dropped_total", "ns_comm_fault_retransmissions_total")
 	for i := range clean {
 		if clean[i] != faulted[i] {

@@ -23,8 +23,7 @@ type workerState struct {
 	rng   *tensor.RNG
 	// arena recycles this worker's training-time tensors (tape intermediates,
 	// gradients, outgoing payloads) through the engine's pool; the engine
-	// releases it at every epoch barrier. Nil when pooling is off or fault
-	// injection is on (retransmissions may outlive the barrier).
+	// releases it at every epoch barrier. Nil when pooling is off.
 	arena *tensor.Arena
 	// clock times the pass the worker is running — a training epoch, or an
 	// inference pass on a trace-only lane — and is the one place its phases
@@ -151,12 +150,10 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 	ds := e.ds
 	ws := &workerState{
 		id: id, eng: e, plan: plan, model: model,
-		opt: nn.NewAdam(e.opts.LR),
-		mb:  e.fabric.Mailbox(id),
-		rng: tensor.NewRNG(e.opts.Seed ^ (uint64(id)+1)*0x9E3779B9),
-	}
-	if e.opts.Fault == nil {
-		ws.arena = e.opts.Pool.Arena()
+		opt:   nn.NewAdam(e.opts.LR),
+		mb:    e.fabric.Mailbox(id),
+		rng:   tensor.NewRNG(e.opts.Seed ^ (uint64(id)+1)*0x9E3779B9),
+		arena: e.opts.Pool.Arena(),
 	}
 	// Assemble the layer-1 input block: owned features ++ cached features.
 	dim := ds.Spec.FeatureDim

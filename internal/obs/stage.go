@@ -125,24 +125,20 @@ type epochAccum struct {
 
 // causalAccum is the live causal-event log of one open epoch.
 type causalAccum struct {
-	traceID   uint64
 	startWall time.Time // monotonic anchor: all offsets are relative to it
 	startUnix int64     // matching wall-clock nanos, for message send stamps
-	spanSeq   atomic.Uint64
-	workers   []workerCausal
+	// spanSeq allocates the epoch's message span ids.
+	spanSeq atomic.Uint64
+	workers []workerCausal
 }
 
 // workerCausal is one worker's slice of the causal log. Intervals and
 // matches are appended from the worker's own goroutine; the mutex makes the
-// log safe against scrapes and late fault-layer deliveries regardless.
+// log safe against a reader regardless.
 type workerCausal struct {
 	mu        sync.Mutex
 	intervals []IntervalEvent
 	matches   []MatchEvent
-	// curSpan is the id of the worker's currently open stage interval, read
-	// racily (atomically) by send stamping — background send goroutines may
-	// observe the previous interval, which is an acceptable approximation.
-	curSpan atomic.Uint64
 }
 
 // IntervalEvent is one closed StageClock interval of one worker: the compute
@@ -151,7 +147,6 @@ type IntervalEvent struct {
 	Worker int
 	Stage  Stage
 	Layer  int
-	SpanID uint64
 	Start  time.Duration
 	End    time.Duration
 }
@@ -285,21 +280,16 @@ const recorderKeep = 4096
 type FlightRecorder struct {
 	cur atomic.Pointer[epochAccum]
 
-	// id distinguishes this recorder's trace ids from other recorders in the
-	// same process; causal switches BeginEpoch to event-DAG collection.
-	id     uint64
+	// causal switches BeginEpoch to event-DAG collection.
 	causal atomic.Bool
 
 	mu   sync.Mutex
 	recs []EpochRecord
 }
 
-// recorderSeq allocates process-unique recorder ids for trace-id spaces.
-var recorderSeq atomic.Uint64
-
 // NewFlightRecorder returns an empty recorder.
 func NewFlightRecorder() *FlightRecorder {
-	return &FlightRecorder{id: recorderSeq.Add(1)}
+	return &FlightRecorder{}
 }
 
 // EnableCausal switches the recorder to causal mode: every following epoch
@@ -332,7 +322,6 @@ func (r *FlightRecorder) BeginEpoch(epoch, workers, layers int) {
 	if r.causal.Load() {
 		now := time.Now()
 		a.causal = &causalAccum{
-			traceID:   r.id<<32 | uint64(uint32(epoch)),
 			startWall: now,
 			startUnix: now.UnixNano(),
 			workers:   make([]workerCausal, workers),
@@ -374,23 +363,19 @@ func (r *FlightRecorder) OnWaitMatch(worker, from int, kind string, layer, seq i
 	wc.mu.Unlock()
 }
 
-// CausalSendContext allocates the trace context for one logical message send
-// by worker: the epoch's trace id, a fresh span id (which doubles as the
-// flow-event id), the sender's currently open stage interval as parent, and
-// the send wall-clock stamp. ok is false — and the values zero — when causal
-// recording is off or no epoch is open; callers then leave the message
-// untraced.
-func (r *FlightRecorder) CausalSendContext(worker int) (traceID, spanID, parent uint64, sentUnixNano int64, ok bool) {
+// CausalSend allocates the trace context of one message send: a fresh span
+// id (the flow-event id) and the send wall-clock stamp. ok is false — and
+// the values zero — when causal recording is off or no epoch is open;
+// callers then leave the message untraced.
+func (r *FlightRecorder) CausalSend() (spanID uint64, sentUnixNano int64, ok bool) {
 	if r == nil {
-		return 0, 0, 0, 0, false
+		return 0, 0, false
 	}
 	a := r.cur.Load()
-	if a == nil || a.causal == nil || worker < 0 || worker >= a.workers {
-		return 0, 0, 0, 0, false
+	if a == nil || a.causal == nil {
+		return 0, 0, false
 	}
-	ca := a.causal
-	return ca.traceID, ca.spanSeq.Add(1), ca.workers[worker].curSpan.Load(),
-		time.Now().UnixNano(), true
+	return a.causal.spanSeq.Add(1), time.Now().UnixNano(), true
 }
 
 // drawFlows writes every traced cross-worker wait-match of the epoch onto tr
@@ -549,10 +534,6 @@ func (r *FlightRecorder) Clock(worker int, tr *Tracer) *StageClock {
 	}
 	if acc != nil {
 		acc.tracer.Store(tr)
-		if ca := acc.causal; ca != nil {
-			c.spanID = ca.spanSeq.Add(1)
-			ca.workers[worker].curSpan.Store(c.spanID)
-		}
 	}
 	return c
 }
@@ -614,10 +595,9 @@ type StageClock struct {
 
 	// The running interval; an empty name marks a lane that has not entered
 	// its first phase (nothing to emit).
-	stage  Stage
-	layer  int
-	cur    clockSpan
-	spanID uint64 // its id under causal recording
+	stage Stage
+	layer int
+	cur   clockSpan
 
 	// groups are the open structural spans, innermost last; the closing
 	// innermost ones end at the next boundary.
@@ -679,12 +659,10 @@ func (c *StageClock) boundary(now time.Time) {
 				wc.mu.Lock()
 				wc.intervals = append(wc.intervals, IntervalEvent{
 					Worker: c.worker, Stage: c.stage, Layer: c.layer,
-					SpanID: c.spanID, Start: start, End: end,
+					Start: start, End: end,
 				})
 				wc.mu.Unlock()
 			}
-			c.spanID = ca.spanSeq.Add(1)
-			wc.curSpan.Store(c.spanID)
 		}
 	}
 	if c.tr == nil {

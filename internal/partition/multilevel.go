@@ -9,8 +9,10 @@ import (
 // This file implements a multilevel partitioner in the style of METIS
 // (Karypis & Kumar): coarsen the graph by heavy-edge matching until it is
 // small, partition the coarsest graph, then project the assignment back up,
-// refining at every level. It replaces the single-level BFS growth as the
-// "metis" algorithm's core when the graph is large enough to benefit.
+// refining at every level. It is the "metis" algorithm. A graph already
+// small relative to the part count is not coarsened at all: the multi-start
+// greedy growth and refinement partition it directly, which also covers
+// graphs with fewer vertices than parts (some parts stay empty).
 
 // weightedGraph is an undirected multigraph with vertex and edge weights,
 // in adjacency-list form, used only during multilevel partitioning.
@@ -313,12 +315,8 @@ func refineWeighted(wg *weightedGraph, assign []int32, numParts int) {
 }
 
 // multilevelPartition runs the full coarsen → partition → uncoarsen+refine
-// pipeline. It falls back to the single-level BFS partitioner for graphs
-// already small relative to the part count.
+// pipeline.
 func multilevelPartition(g *graph.Graph, numParts int) *Partition {
-	if numParts == 1 || g.NumVertices() <= numParts*16 {
-		return metisBFSPartition(g, numParts)
-	}
 	wg := buildWeighted(g)
 	var levels []level
 	cur := wg

@@ -2,8 +2,9 @@
 // graph partitioning from dependency partitioning (§3, "Graph Partitioning");
 // this package provides the three algorithms the paper evaluates against in
 // Figure 15: chunk-based (Gemini-style contiguous ranges balanced by edges),
-// a METIS-like multi-seed BFS grower with boundary refinement, and Fennel
-// streaming partitioning. All three return the same Partition structure, so
+// a METIS-like multilevel partitioner (heavy-edge coarsening, multi-start
+// greedy growth, refinement at every level), and Fennel streaming
+// partitioning. All three return the same Partition structure, so
 // engines are oblivious to which algorithm produced the assignment.
 package partition
 
@@ -19,7 +20,8 @@ type Algorithm string
 const (
 	// Chunk is contiguous-range partitioning balanced on α|V|+|E| (Gemini).
 	Chunk Algorithm = "chunk"
-	// Metis is a METIS-like BFS-grown partitioning with refinement.
+	// Metis is METIS-like multilevel partitioning: coarsen, partition the
+	// coarsest graph, refine while projecting back (multilevel.go).
 	Metis Algorithm = "metis"
 	// Fennel is streaming partitioning with the Fennel objective.
 	Fennel Algorithm = "fennel"

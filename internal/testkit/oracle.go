@@ -150,7 +150,7 @@ func RunEquivalence(ds *dataset.Dataset, opt OracleOptions) ([]PolicyRun, error)
 				with(base, func(o *engine.Options) {
 					o.Workers = opt.Workers
 					o.Mode = mode
-					o.Fault = opt.Fault
+					o.Profile.Fault = opt.Fault
 				}),
 			})
 		}

@@ -440,9 +440,8 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 	if err != nil {
 		return engine.Options{}, err
 	}
-	var fault *comm.FaultSpec
 	if cfg.FaultSpec != "" {
-		fault, err = comm.ParseFaultSpec(cfg.FaultSpec)
+		profile.Fault, err = comm.ParseFaultSpec(cfg.FaultSpec)
 		if err != nil {
 			return engine.Options{}, err
 		}
@@ -472,7 +471,6 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 		RepBudget:   cfg.RepBudgetBytes,
 		RepQuant:    repQuant,
 		Tracer:      tracer,
-		Fault:       fault,
 		// Training-time tensor storage is always recycled through per-worker
 		// arenas; results are bit-identical to fresh allocation.
 		Pool: tensor.NewPool(),
