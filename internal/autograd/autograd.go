@@ -85,8 +85,7 @@ func (t *Tape) alloc(rows, cols int) *tensor.Tensor {
 
 // allocUnzeroed is alloc for outputs the op overwrites in full before any
 // element is read: recycled arena storage is handed out uncleared. Anything
-// that accumulates — gradient buffers, scatter targets, the MatMul product —
-// takes alloc.
+// that accumulates — gradient buffers, scatter targets — takes alloc.
 func (t *Tape) allocUnzeroed(rows, cols int) *tensor.Tensor {
 	if t == nil {
 		return tensor.New(rows, cols)

@@ -46,8 +46,8 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 // constant.
 //
 // Edges are applied in ascending e and each product is rounded to float32
-// before it is added (tensor.Axpy's contract: no FMA contraction), so the
-// values are bit-identical to
+// before it is added (tensor.ScaledScatterAdd's contract: no FMA
+// contraction), so the values are bit-identical to
 // ScatterAddRows(MulColVec(Gather(x, src), coeff), dst).
 // The backward pass is the same loop with the two indices swapped,
 // x.Grad[src[e]] += coeff[e] · dOut[dst[e]], accumulated in place.
@@ -86,7 +86,7 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 		panic(fmt.Sprintf("autograd: aggregate %d coefficients for %d edges", len(coeff), len(dst)))
 	}
 	out := t.alloc(numDst, x.Value.Cols())
-	scaledScatterAdd(out, dst, x.Value, src, coeff, len(dst))
+	tensor.ScaledScatterAdd(out, dst, x.Value, src, coeff, len(dst))
 	return t.record(out, "aggregate", func(grad *tensor.Tensor) {
 		var gx *tensor.Tensor
 		if x.requiresGrad {
@@ -95,7 +95,7 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 		if alpha != nil && alpha.requiresGrad {
 			weightedBackward(alpha.gradBuf().Data(), gx, x.Value, src, grad, dst, coeff)
 		} else if gx != nil {
-			scaledScatterAdd(gx, src, grad, dst, coeff, len(dst))
+			tensor.ScaledScatterAdd(gx, src, grad, dst, coeff, len(dst))
 		}
 	}, x, alpha)
 }
@@ -103,9 +103,9 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 // weightedBackward is AggregateWeighted's backward pass in one sweep over the
 // edges: ga[e] += dOut[dst[e]] · x[src[e]] and, when gx is not nil,
 // gx[src[e]] += coeff[e] · dOut[dst[e]]. Runs of four edges with one
-// destination take their dots together, matMulTBRows-style: four
-// accumulators over one read of the dOut row, each adding its products in
-// ascending k, so every dot has tensor.Dot's bits.
+// destination take their dots together: four accumulators over one read of
+// the dOut row, each adding its products in ascending k, so every dot has
+// tensor.Dot's bits.
 func weightedBackward(ga []float32, gx, x *tensor.Tensor, src []int32, dOut *tensor.Tensor, dst []int32, coeff []float32) {
 	n := len(dst)
 	for e := 0; e < n; {
@@ -138,20 +138,6 @@ func weightedBackward(ga []float32, gx, x *tensor.Tensor, src []int32, dOut *ten
 			tensor.Axpy(gx.Row(rowOf(src, e)), coeff[e], g)
 		}
 		e++
-	}
-}
-
-// scaledScatterAdd is out[oi[e]] += c[e] · in[ii[e]] for e = 0..n-1 in order,
-// one row kernel per edge. A nil index stands for the identity and a nil c
-// for all ones.
-func scaledScatterAdd(out *tensor.Tensor, oi []int32, in *tensor.Tensor, ii []int32, c []float32, n int) {
-	for e := 0; e < n; e++ {
-		o, i := rowOf(oi, e), rowOf(ii, e)
-		if c == nil {
-			tensor.AddTo(out.Row(o), in.Row(i))
-		} else {
-			tensor.Axpy(out.Row(o), c[e], in.Row(i))
-		}
 	}
 }
 

@@ -15,22 +15,33 @@ func (t *Tape) LogSoftmax(x *Variable) *Variable {
 		if !x.requiresGrad {
 			return
 		}
-		// d/dx_j = g_j - softmax(x)_j * sum_k g_k, per row.
 		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		for i := 0; i < grad.Rows(); i++ {
-			gr := grad.Row(i)
-			or := out.Row(i)
-			var sum float64
-			for _, v := range gr {
-				sum += float64(v)
-			}
-			dst := g.Row(i)
-			for j, v := range gr {
-				dst[j] = v - float32(math.Exp(float64(or[j])))*float32(sum)
-			}
+			logSoftmaxBackwardRow(g.Row(i), grad.Row(i), out.Row(i))
 		}
 		x.accumulate(g)
 	}, x)
+}
+
+// logSoftmaxBackwardRow writes dst_j = g_j - softmax(x)_j * sum_k g_k for one
+// row, softmax(x)_j being exp(o_j) of the forward output o. A row whose
+// upstream sum is zero — every row the loss masks out — has dst_j = g_j -
+// exp(o_j)·0, which is g_j unless exp(o_j) is NaN or +Inf: o_j <= 0, what a
+// log-softmax output is unless NaN, takes g_j without calling math.Exp, and
+// anything else (a NaN row) the unskipped expression.
+func logSoftmaxBackwardRow(dst, g, o []float32) {
+	var sum float64
+	for _, v := range g {
+		sum += float64(v)
+	}
+	dst, o = dst[:len(g)], o[:len(g)]
+	for j, v := range g {
+		if sum == 0 && o[j] <= 0 {
+			dst[j] = v
+		} else {
+			dst[j] = v - float32(math.Exp(float64(o[j])))*float32(sum)
+		}
+	}
 }
 
 // NLLLossMasked computes the mean negative log-likelihood of log-probability

@@ -6,13 +6,11 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// MatMul returns a @ b on the tape. The product and the weight gradient
-// accumulate into tensors t.alloc has just handed out zeroed, so neither is
-// cleared a second time; MatMulTBInto overwrites dA, which is therefore
-// drawn uncleared.
+// MatMul returns a @ b on the tape. All three GEMMs write every element of
+// their destination, so the product, dA and dB are drawn uncleared.
 func (t *Tape) MatMul(a, b *Variable) *Variable {
-	out := t.alloc(a.Value.Rows(), b.Value.Cols())
-	tensor.MatMulAddInto(out, a.Value, b.Value)
+	out := t.allocUnzeroed(a.Value.Rows(), b.Value.Cols())
+	tensor.MatMulInto(out, a.Value, b.Value)
 	return t.record(out, "matmul", func(grad *tensor.Tensor) {
 		if a.requiresGrad {
 			ga := t.allocUnzeroed(grad.Rows(), b.Value.Rows())
@@ -20,8 +18,8 @@ func (t *Tape) MatMul(a, b *Variable) *Variable {
 			a.accumulate(ga)
 		}
 		if b.requiresGrad {
-			gb := t.alloc(a.Value.Cols(), grad.Cols())
-			tensor.MatMulTAAddInto(gb, a.Value, grad) // dB = Aᵀ @ dOut
+			gb := t.allocUnzeroed(a.Value.Cols(), grad.Cols())
+			tensor.MatMulTAInto(gb, a.Value, grad) // dB = Aᵀ @ dOut
 			b.accumulate(gb)
 		}
 	}, a, b)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"neutronstar/internal/autograd"
@@ -218,6 +219,19 @@ func (ws *workerState) peerOrder() []int {
 		return comm.RingOrder(ws.id, ws.eng.opts.Workers)
 	}
 	return comm.NaiveOrder(ws.id, ws.eng.opts.Workers)
+}
+
+// arrivalOrder is the order peers' messages of one exchange reach this
+// worker. Under the ring schedule sender j puts worker i at position
+// (i−j−1) mod m of its RingOrder, so peer i−1 arrives first and i+1 last:
+// the reverse of peerOrder. Without the ring every sender walks its peers
+// in ascending order, no peer is reliably first, and it is peerOrder.
+func (ws *workerState) arrivalOrder() []int {
+	order := ws.peerOrder()
+	if ws.eng.opts.Ring {
+		slices.Reverse(order)
+	}
+	return order
 }
 
 // chunkPipelined reports whether sum-decomposable layers aggregate chunk by
@@ -535,8 +549,10 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 }
 
 // aggregateChunked is §4.3's incremental aggregation of layer l's owned
-// block: the local region's edge stage, then each peer chunk's as it arrives
-// in schedule order, and the partials summed left to right.
+// block: the local region's edge stage, then each peer chunk's as it
+// arrives (arrivalOrder), so a chunk's edge stage overlaps the ones still in
+// flight; the partials are summed left to right in schedule order, which
+// keeps the sum's bits independent of arrival.
 func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
 	hPrev *autograd.Variable, training bool) *autograd.Variable {
 
@@ -551,14 +567,19 @@ func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l
 		partials = append(partials,
 			sd.EdgeStage(tape, hPrev, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
 	}
-	for _, j := range ws.peerOrder() {
+	byPeer := make([]*autograd.Variable, len(lp.recv))
+	for _, j := range ws.arrivalOrder() {
 		// A chunk may be there for availability only: no owned edge reads it.
 		rows := f.chunk(ws, run, epoch, l, j)
 		if g := lp.groupOf[j]; rows != nil && g != nil {
 			sc.Phase(obs.StageForward, l, "edge_stage",
 				obs.Int("layer", l), obs.Int("peer", j))
-			partials = append(partials,
-				sd.EdgeStage(tape, rows, g.srcLocal, g.edgeNorm, g.dstRow, numDst))
+			byPeer[j] = sd.EdgeStage(tape, rows, g.srcLocal, g.edgeNorm, g.dstRow, numDst)
+		}
+	}
+	for _, j := range ws.peerOrder() {
+		if byPeer[j] != nil {
+			partials = append(partials, byPeer[j])
 		}
 	}
 

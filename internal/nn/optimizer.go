@@ -25,9 +25,9 @@ type SGD struct {
 func (o *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if o.WeightDecay != 0 {
-			tensor.AXPY(p.Grad, o.WeightDecay, p.Value)
+			tensor.Axpy(p.Grad.Data(), o.WeightDecay, p.Value.Data())
 		}
-		tensor.AXPY(p.Value, -o.LR, p.Grad)
+		tensor.Axpy(p.Value.Data(), -o.LR, p.Grad.Data())
 	}
 }
 

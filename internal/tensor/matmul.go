@@ -45,85 +45,114 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes dst = a @ b. dst must have shape a.rows x b.cols and
-// must not alias a or b (overlapping storage panics).
-func MatMulInto(dst, a, b *Tensor) { matMul("MatMulInto", dst, a, b, true) }
-
-// MatMulAddInto computes dst += a @ b under MatMulInto's shape and aliasing
-// rules: every element keeps its value and receives its k-terms after it, in
-// ascending k. On a dst that is all +0 — what New, a Pool and an Arena hand
-// out — it is MatMulInto bit for bit without the clearing pass; the autograd
-// tape calls it on the outputs it has just allocated.
-func MatMulAddInto(dst, a, b *Tensor) { matMul("MatMulAddInto", dst, a, b, false) }
-
-func matMul(op string, dst, a, b *Tensor, zero bool) {
+// must not alias a or b (overlapping storage panics). Every element of dst is
+// written, so its prior contents never matter: it may come uncleared.
+func MatMulInto(dst, a, b *Tensor) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("tensor: %s %dx%d = %dx%d @ %dx%d", op,
+		panic(fmt.Sprintf("tensor: MatMulInto %dx%d = %dx%d @ %dx%d",
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
-	mustNotAlias(op, dst, a, b)
-	if zero {
-		dst.Zero()
-	}
-	work := a.rows * a.cols * b.cols
-	if work < gemmParallelThreshold || a.rows < 2 {
+	mustNotAlias("MatMulInto", dst, a, b)
+	if a.rows*a.cols*b.cols < gemmParallelThreshold || a.rows < 2 {
 		gemmRows(dst, a, b, 0, a.rows)
 	} else {
 		parallelRows(a.rows, func(lo, hi int) { gemmRows(dst, a, b, lo, hi) })
 	}
 }
 
-// gemmRows computes rows [lo,hi) of dst = a @ b in ikj order — the inner loop
-// streams over contiguous rows of b and dst — with k advancing in panels of 4:
-// one axpy4 pass over the dst row consumes four rows of b.
-//
-// Float addition is not associative, so blocking must preserve the exact
-// per-element accumulation order of the scalar kernel — dst[i][j] receives
-// its k-terms in ascending k, one rounded product and one add at a time — or
-// results drift between builds. axpy4 sums d + t0 + t1 + t2 + t3 left to
-// right, which is that order; and the zero-skip fast path is kept exactly by
-// taking the panel only when all four a-values are non-zero, falling back to
-// the skipping single-row update otherwise (0*Inf and signed-zero semantics
-// are therefore untouched).
+// kBlock is the most k-terms one accRowsKernel call of the NN or TA GEMM
+// takes: the compacted index and coefficient lists are stack arrays of this
+// length, and a longer k runs in blocks, each continuing from the last.
+const kBlock = 64
+
+// gemmRows computes rows [lo,hi) of dst = a @ b in ikj order: for each row i
+// and k-block, accRow adds a[i,k]·b[k,·] for every non-zero a[i,k] into the
+// dst row, which the kernel holds in registers across the block.
 func gemmRows(dst, a, b *Tensor, lo, hi int) {
+	var idx [kBlock]int32
+	var c [kBlock]float32
 	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		k := 0
-		for ; k+4 <= len(ar); k += 4 {
-			a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
-			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				axpySkipZero(dr, a0, b0)
-				axpySkipZero(dr, a1, b1)
-				axpySkipZero(dr, a2, b2)
-				axpySkipZero(dr, a3, b3)
-				continue
-			}
-			axpy4(dr, a0, a1, a2, a3, b0, b1, b2, b3)
-		}
-		for ; k < len(ar); k++ {
-			axpySkipZero(dr, ar[k], b.Row(k))
+		ar := a.data[i*a.cols : (i+1)*a.cols]
+		dr := dst.data[i*dst.cols : (i+1)*dst.cols]
+		for k0 := 0; k0 == 0 || k0 < len(ar); k0 += kBlock {
+			blk := ar[k0:min(k0+kBlock, len(ar))]
+			accRow(dr, blk, hasZero(blk), b, k0, idx[:], c[:])
 		}
 	}
 }
 
+// accRow adds ar[t]·b[k0+t,·] into dr for every t whose ar[t] is not zero,
+// in ascending t, starting from +0 in the first block (k0 == 0) and from dr
+// itself after it: one k-block of one row of a GEMM. zeros says whether ar
+// holds a zero. A block without one goes to the kernel as it stands; any
+// other is first listed by nonZeros into idx and c (ar may be c itself),
+// branch-free, so ReLU-sparse rows skip their zero terms without a
+// mispredicted branch per term.
+//
+// Float addition is not associative, so this must keep the exact per-element
+// accumulation order of the scalar kernel — dst[i][j] receives its k-terms in
+// ascending k, one rounded product and one add at a time, starting from +0 —
+// or results drift between builds. Both lists are in ascending k, and they
+// leave out exactly the terms the scalar kernel skips (a[i,k] == 0, so 0·Inf
+// and signed-zero behaviour are untouched).
+func accRow(dr, ar []float32, zeros bool, b *Tensor, k0 int, idx []int32, c []float32) {
+	if !zeros {
+		accRowsKernel(dr, b.data[k0*b.cols:], b.cols, nil, ar, len(ar), k0 == 0)
+		return
+	}
+	n := nonZeros(idx, c, ar, k0)
+	accRowsKernel(dr, b.data, b.cols, idx[:n], c[:n], n, k0 == 0)
+}
+
+// hasZero reports whether a holds a ±0. It, gather and nonZeros stay out of
+// line: inlined into a loop around a call, their loops' counters would live
+// on the stack.
+//
+//go:noinline
+func hasZero(a []float32) bool {
+	var z uint32
+	b := bitsOf(a)
+	for ; len(b) >= 4; b = b[4:] {
+		z |= (b[0]&absMask - 1) | (b[1]&absMask - 1) | (b[2]&absMask - 1) | (b[3]&absMask - 1)
+	}
+	for _, x := range b {
+		z |= x&absMask - 1
+	}
+	return z>>31 != 0
+}
+
+// absMask clears a float32's sign bit. For bits b, b&absMask − 1 has its top
+// bit set exactly when b is ±0 (it wraps), which hasZero and gather OR up.
+const absMask = 0x7fffffff
+
+// nonZeros lists the non-zero entries of a in ascending position — the
+// position plus base in idx, the value in c — and returns how many there are.
+// Every entry is written to the next free slot and the count advances past
+// the non-zero ones only, so the pass has no branch to mispredict. Zero means
+// ±0, the scalar GEMM's skip rule; NaN is kept. c may be a itself: slot n is
+// never past the entry being read.
+//
+//go:noinline
+func nonZeros(idx []int32, c, a []float32, base int) int {
+	idx, cb := idx[:len(a)], bitsOf(c)[:len(a)]
+	n := 0
+	for k, b := range bitsOf(a) {
+		idx[n] = int32(base + k)
+		cb[n] = b
+		n += int((b&absMask + absMask) >> 31)
+	}
+	return n
+}
+
 // MatMulTAInto computes dst = aᵀ @ b without materialising aᵀ: a is KxM, b is
-// KxN, dst MxN — the shape of weight gradients. dst must not alias a or b.
-func MatMulTAInto(dst, a, b *Tensor) { matMulTA("MatMulTAInto", dst, a, b, true) }
-
-// MatMulTAAddInto computes dst += aᵀ @ b: MatMulTAInto as MatMulAddInto is
-// MatMulInto, for the tape's freshly allocated weight-gradient temporaries.
-func MatMulTAAddInto(dst, a, b *Tensor) { matMulTA("MatMulTAAddInto", dst, a, b, false) }
-
-func matMulTA(op string, dst, a, b *Tensor, zero bool) {
+// KxN, dst MxN — the shape of weight gradients. dst must not alias a or b,
+// and may come uncleared.
+func MatMulTAInto(dst, a, b *Tensor) {
 	if a.rows != b.rows || dst.rows != a.cols || dst.cols != b.cols {
-		panic(fmt.Sprintf("tensor: %s %dx%d = (%dx%d)ᵀ @ %dx%d", op,
+		panic(fmt.Sprintf("tensor: MatMulTAInto %dx%d = (%dx%d)ᵀ @ %dx%d",
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
-	mustNotAlias(op, dst, a, b)
-	if zero {
-		dst.Zero()
-	}
+	mustNotAlias("MatMulTAInto", dst, a, b)
 	m, n := a.cols, b.cols
 	if a.rows*m*n < gemmParallelThreshold || m < 2 {
 		matMulTARows(dst, a, b, 0, m)
@@ -134,92 +163,84 @@ func matMulTA(op string, dst, a, b *Tensor, zero bool) {
 	}
 }
 
-// matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, blocked the way
-// gemmRows is: k (the shared row index of a and b) advances in panels of 4,
-// so one sweep over the small dst block consumes four rows of a and b. The
-// bit-identity argument is gemmRows's: dst[i][j] still receives its k-terms
-// in ascending k, one add at a time, and the panel is taken only when all
-// four a-values are non-zero, otherwise the zero-skipping single-row update
-// runs for that element row.
+// matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, k (the shared row index
+// of a and b) in blocks of kBlock: for each dst row i, column i of the
+// block of a — a k-block of row i of aᵀ — is staged contiguously in c and
+// handed to accRow, as a row of a is in gemmRows. A block of a and of b is
+// small enough to stay in cache while every dst row reads it.
 func matMulTARows(dst, a, b *Tensor, lo, hi int) {
-	k := 0
-	for ; k+4 <= a.rows; k += 4 {
-		ar0, ar1, ar2, ar3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+	var idx [kBlock]int32
+	var c [kBlock]float32
+	m := a.cols
+	for k0 := 0; k0 == 0 || k0 < a.rows; k0 += kBlock {
+		k1 := min(k0+kBlock, a.rows)
+		blk := a.data[k0*m : k1*m]
 		for i := lo; i < hi; i++ {
-			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
-			dr := dst.Row(i)
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				axpySkipZero(dr, a0, b0)
-				axpySkipZero(dr, a1, b1)
-				axpySkipZero(dr, a2, b2)
-				axpySkipZero(dr, a3, b3)
-				continue
-			}
-			axpy4(dr, a0, a1, a2, a3, b0, b1, b2, b3)
-		}
-	}
-	for ; k < a.rows; k++ {
-		ar, br := a.Row(k), b.Row(k)
-		for i := lo; i < hi; i++ {
-			axpySkipZero(dst.Row(i), ar[i], br)
+			col := c[:k1-k0]
+			zeros := gather(col, blk, i, m)
+			accRow(dst.data[i*dst.cols:(i+1)*dst.cols], col, zeros, b, k0, idx[:], c[:])
 		}
 	}
 }
 
-// axpySkipZero is dr += av * br, skipped entirely when av is zero: the
-// scalar GEMM update whose 0*Inf and signed-zero behaviour blocking keeps.
-func axpySkipZero(dr []float32, av float32, br []float32) {
-	if av != 0 {
-		Axpy(dr, av, br)
+// gather sets dst[t] = a[first + t·step] for every t < len(dst) and reports
+// whether any of them is ±0.
+//
+//go:noinline
+func gather(dst, a []float32, first, step int) bool {
+	var z uint32
+	d, src := bitsOf(dst), bitsOf(a)
+	for t, p := 0, first; t < len(d); t, p = t+1, p+step {
+		d[t] = src[p]
+		z |= src[p]&absMask - 1
 	}
+	return z>>31 != 0
 }
 
-// MatMulTBInto computes dst = a @ bᵀ without materialising bᵀ: a is MxK, b is
-// NxK, dst MxN — the shape of input gradients. dst must not alias a or b.
+// MatMulTBInto computes dst = a @ bᵀ without materialising bᵀ in the
+// caller's storage: a is MxK, b is NxK, dst MxN — the shape of input
+// gradients. dst must not alias a or b, and may come uncleared.
+//
+// bᵀ (KxN) is staged once per call in pooled scratch, and each dst row is one
+// accRowsKernel call over all K rows of it with a's row as the coefficients,
+// no term skipped: every element is the dot product Σ_k a[i,k]·b[j,k] summed
+// from +0 in ascending k, one rounded product and one add at a time, as the
+// scalar dot loop sums it.
 func MatMulTBInto(dst, a, b *Tensor) {
 	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMulTBInto %dx%d = %dx%d @ (%dx%d)ᵀ",
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
 	mustNotAlias("MatMulTBInto", dst, a, b)
-	if a.rows*a.cols*b.rows < gemmParallelThreshold || a.rows < 2 {
-		matMulTBRows(dst, a, b, 0, a.rows)
+	k, n := b.cols, b.rows
+	stage := tbStage.Get().(*[]float32)
+	if cap(*stage) < k*n {
+		*stage = make([]float32, k*n)
+	}
+	bt := (*stage)[:k*n]
+	for j := 0; j < n; j++ {
+		for kk, v := range b.data[j*k : (j+1)*k] {
+			bt[kk*n+j] = v
+		}
+	}
+	if a.rows*k*n < gemmParallelThreshold || a.rows < 2 {
+		matMulTBRows(dst, a, bt, 0, a.rows)
 	} else {
-		parallelRows(a.rows, func(lo, hi int) { matMulTBRows(dst, a, b, lo, hi) })
+		parallelRows(a.rows, func(lo, hi int) { matMulTBRows(dst, a, bt, lo, hi) })
+	}
+	tbStage.Put(stage)
+}
+
+// matMulTBRows computes rows [lo,hi) of dst = a @ bᵀ from the staged bᵀ.
+func matMulTBRows(dst, a *Tensor, bt []float32, lo, hi int) {
+	k, n := a.cols, dst.cols
+	for i := lo; i < hi; i++ {
+		accRowsKernel(dst.data[i*n:(i+1)*n], bt, n, nil, a.data[i*k:(i+1)*k], k, true)
 	}
 }
 
-// matMulTBRows is a dot-product kernel with the output column loop unrolled
-// 4x: four independent accumulators share one streaming read of a's row.
-// Each accumulator still sums its k-terms in ascending k, so per-element
-// results are bit-identical to the scalar kernel.
-func matMulTBRows(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.rows; j += 4 {
-			b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-			var s0, s1, s2, s3 float32
-			for k, av := range ar {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.rows; j++ {
-			br := b.Row(j)
-			var s float32
-			for k, av := range ar {
-				s += av * br[k]
-			}
-			dr[j] = s
-		}
-	}
-}
+// tbStage recycles MatMulTBInto's bᵀ scratch across calls.
+var tbStage = sync.Pool{New: func() any { return new([]float32) }}
 
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float32) float32 {

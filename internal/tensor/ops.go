@@ -78,12 +78,6 @@ func ScaleInPlace(t *Tensor, s float32) {
 	}
 }
 
-// AXPY computes dst += alpha * x element-wise.
-func AXPY(dst *Tensor, alpha float32, x *Tensor) {
-	dst.mustSameShape(x, "AXPY")
-	Axpy(dst.data, alpha, x.data)
-}
-
 // AddRowVector adds the 1xC row vector v to every row of t, in place.
 func AddRowVector(t *Tensor, v *Tensor) {
 	if v.rows != 1 || v.cols != t.cols {

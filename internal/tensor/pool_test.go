@@ -245,10 +245,11 @@ func TestMatMulIntoAliasingPanics(t *testing.T) {
 }
 
 // TestPooledGEMMAllocFree is the CI perf gate for the kernel path: with
-// destination storage in hand, a serial-sized MatMulInto must not allocate.
-// Gated behind NS_PERF_ALLOCS because alloc counting is meaningless under
-// -race and on heavily loaded CI machines is only run in the dedicated
-// perf-smoke job.
+// destination storage in hand, a serial-sized GEMM of any of the three forms
+// must not allocate — MatMulTBInto's bᵀ staging included, on a ReLU-sparse
+// operand as on a dense one. Gated behind NS_PERF_ALLOCS because alloc
+// counting is meaningless under -race and on heavily loaded CI machines is
+// only run in the dedicated perf-smoke job.
 func TestPooledGEMMAllocFree(t *testing.T) {
 	if os.Getenv("NS_PERF_ALLOCS") == "" {
 		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
@@ -257,8 +258,18 @@ func TestPooledGEMMAllocFree(t *testing.T) {
 	a := RandNormal(32, 32, 0, 1, rng) // 32*32*32 ops, below the parallel threshold
 	b := RandNormal(32, 32, 0, 1, rng)
 	out := New(32, 32)
-	if n := testing.AllocsPerRun(100, func() { MatMulInto(out, a, b) }); n > 0 {
-		t.Fatalf("MatMulInto allocated %v times per call, want 0", n)
+	for _, operand := range []string{"dense", "relu"} {
+		if operand == "relu" {
+			a = ReLU(a)
+		}
+		for _, g := range []struct {
+			name string
+			fn   func(dst, a, b *Tensor)
+		}{{"MatMulInto", MatMulInto}, {"MatMulTAInto", MatMulTAInto}, {"MatMulTBInto", MatMulTBInto}} {
+			if n := testing.AllocsPerRun(100, func() { g.fn(out, a, b) }); n > 0 {
+				t.Fatalf("%s (%s a) allocated %v times per call, want 0", g.name, operand, n)
+			}
+		}
 	}
 	bias := RandNormal(1, 32, 0, 1, rng)
 	if n := testing.AllocsPerRun(100, func() { AddBiasReLUInto(out, a, bias) }); n > 0 {

@@ -1,8 +1,12 @@
 package tensor
 
-// Row kernels: the three inner loops the hot path has. GEMM, the
-// weight-gradient GEMM, the fused aggregation and every gradient or row
-// accumulation bottom out in axpy, add or axpy4 over one contiguous row.
+import "fmt"
+
+// Row kernels: the three inner loops the hot path has. The three GEMMs and
+// the fused aggregation bottom out in accRows, which adds a list of scaled
+// source rows into one destination row; single-edge aggregation runs and
+// every other gradient or row accumulation in axpy or add over one
+// contiguous row.
 //
 // Each kernel exists twice: amd64 assembly on SSE2 (rowkernels_amd64.s) and
 // the portable Go twin below, which is what every other architecture runs
@@ -26,7 +30,9 @@ package tensor
 //
 // The wrappers own the length contract — the assembly trusts its arguments —
 // and panic with constant strings: one compare and one call is all the
-// inliner will carry into a caller's row loop.
+// inliner will carry into a caller's row loop. accRows has no wrapper: its
+// callers in this package derive every row index from shapes they have
+// checked, and ScaledScatterAdd checks the indices it is handed.
 
 // Axpy adds a·x[j] to dst[j] for every j < len(x), each product rounded to
 // float32 before it is added. It panics, before storing anything, when dst
@@ -50,16 +56,79 @@ func AddTo(dst, x []float32) {
 	addKernel(dst, x)
 }
 
-// axpy4 computes dst[j] = dst[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// for every j < len(dst), the sum taken left to right with every product
-// rounded first: four consecutive Axpy steps in one pass over dst. All five
-// slices must have the same length (it panics before storing anything
-// otherwise) and dst must not overlap any b.
-func axpy4(dst []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
-	if n := len(dst); len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
-		panic("tensor: axpy4 rows differ in length")
+// ScaledScatterAdd computes out[oi[e]] += c[e]·in[ii[e]] for e = 0..n-1 in
+// ascending e, each product rounded to float32 before it is added: the fused
+// aggregation (out a destination block, in the source rows) and, with the
+// indices swapped, its backward. A nil index stands for the identity (edge e
+// reads or writes row e) and a nil c for all ones, which is exact: 1·x is x.
+// Each run of consecutive edges with one output row is one accRowsKernel
+// call, so the row is loaded and stored once per run (a run of one edge, one
+// axpy or add). Per element the result is the loop of one Axpy (AddTo when c
+// is nil) per edge, bit for bit.
+//
+// out and in must have equal widths and must not share storage, and c, when
+// not nil, and each index must cover n edges. It panics on any of these, and
+// on an index that names no row of its tensor.
+func ScaledScatterAdd(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float32, n int) {
+	if out.cols != in.cols {
+		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d-wide rows into %d-wide", in.cols, out.cols))
 	}
-	axpy4Kernel(dst, a0, a1, a2, a3, b0, b1, b2, b3)
+	if sharesStorage(out, in) {
+		panic("tensor: ScaledScatterAdd output aliases its input")
+	}
+	if (oi == nil && n > out.rows) || (oi != nil && len(oi) < n) ||
+		(ii == nil && n > in.rows) || (ii != nil && len(ii) < n) || (c != nil && len(c) < n) {
+		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d edges over %d/%d output, %d/%d input indices, %d coefficients",
+			n, len(oi), out.rows, len(ii), in.rows, len(c)))
+	}
+	cols := in.cols
+	for e := 0; e < n; {
+		o, r := e, e+1
+		if oi != nil {
+			o = int(oi[e])
+			for r < n && oi[r] == oi[e] {
+				r++
+			}
+		}
+		if uint(o) >= uint(out.rows) {
+			panic(fmt.Sprintf("tensor: ScaledScatterAdd output index %d outside %d rows", o, out.rows))
+		}
+		dst := out.data[o*cols : (o+1)*cols]
+		if r == e+1 {
+			// A run of one edge — every run of the backward, whose output
+			// rows are sources — costs less through the plain row kernels.
+			i := e
+			if ii != nil {
+				i = int(ii[e])
+			}
+			if uint(i) >= uint(in.rows) {
+				panic(fmt.Sprintf("tensor: ScaledScatterAdd input index %d outside %d rows", i, in.rows))
+			}
+			if c == nil {
+				addKernel(dst, in.data[i*cols:(i+1)*cols])
+			} else {
+				axpyKernel(dst, c[e], in.data[i*cols:(i+1)*cols])
+			}
+			e = r
+			continue
+		}
+		src, idx, cr := in.data, []int32(nil), []float32(nil)
+		if ii == nil {
+			src = in.data[e*cols:]
+		} else {
+			idx = ii[e:r]
+			for _, v := range idx {
+				if uint32(v) >= uint32(in.rows) {
+					panic(fmt.Sprintf("tensor: ScaledScatterAdd input index %d outside %d rows", v, in.rows))
+				}
+			}
+		}
+		if c != nil {
+			cr = c[e:r]
+		}
+		accRowsKernel(dst, src, cols, idx, cr, r-e, false)
+		e = r
+	}
 }
 
 // axpyGo is the portable twin of axpyKernel.
@@ -78,11 +147,30 @@ func addGo(dst, x []float32) {
 	}
 }
 
-// axpy4Go is the portable twin of axpy4Kernel.
-func axpy4Go(dst []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
-	n := len(dst)
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for j := range dst {
-		dst[j] = dst[j] + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
+// accRowsGo is the portable twin of accRowsKernel: for every j < len(dst),
+//
+//	dst[j] = d + float32(c(0)·src[r(0)·stride+j]) + … + float32(c(n-1)·src[r(n-1)·stride+j])
+//
+// summed left to right, where d is dst[j], or +0 when zero is set; r(t) is
+// idx[t], or t when idx is nil; and c(t) is c[t], or 1 when c is nil. It is n
+// Axpy steps over one row, and with zero set the first of them lands on a
+// cleared row. Every row read must lie inside src, idx and c must hold n
+// entries unless nil, and dst must not overlap src.
+func accRowsGo(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool) {
+	if zero {
+		clear(dst)
+	}
+	for t := 0; t < n; t++ {
+		r, a := t, float32(1)
+		if idx != nil {
+			r = int(idx[t])
+		}
+		if c != nil {
+			a = c[t]
+		}
+		row := src[r*stride:][:len(dst)]
+		for j, v := range row {
+			dst[j] += float32(a * v)
+		}
 	}
 }

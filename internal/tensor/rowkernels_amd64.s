@@ -5,8 +5,10 @@
 // Go twin writes them, so each lane computes exactly what the scalar loop
 // computes for that element. No FMA: it would fuse the rounding the
 // bit-identity pins depend on. Loads and stores are unaligned (MOVUPS); rows
-// start wherever the row width puts them. Each block loads everything it
-// reads before its first store, which is what lets dst and x be one slice.
+// start wherever the row width puts them. Each block of axpy and add loads
+// everything it reads before its first store, which is what lets dst and x
+// be one slice; accRows reads src while a strip of dst is in registers, so
+// the two must not overlap.
 
 // func axpyKernel(dst []float32, a float32, x []float32)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-56
@@ -131,100 +133,238 @@ tail:
 done:
 	RET
 
-// func axpy4Kernel(dst []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
-TEXT ·axpy4Kernel(SB), NOSPLIT, $0-136
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   dst_len+8(FP), CX
-	MOVSS  a0+24(FP), X0
-	MOVSS  a1+28(FP), X1
-	MOVSS  a2+32(FP), X2
-	MOVSS  a3+36(FP), X3
-	MOVQ   b0_base+40(FP), R8
-	MOVQ   b1_base+64(FP), R9
-	MOVQ   b2_base+88(FP), R10
-	MOVQ   b3_base+112(FP), R11
-	SHUFPS $0, X0, X0
-	SHUFPS $0, X1, X1
-	SHUFPS $0, X2, X2
-	SHUFPS $0, X3, X3
-	XORQ   AX, AX               // byte offset shared by dst and the four b rows
-	CMPQ   CX, $8
-	JLT    four
+// TERM points R10 at the current strip of term AX's source row — row idx[AX],
+// or row AX when idx (R8) is nil — and, when c (R9) is not nil, broadcasts
+// c[AX] into X8; with c nil, X8 keeps the 1.0 set at entry.
+#define TERM \
+	MOVQ    AX, R10; \
+	TESTQ   R8, R8; \
+	JEQ     2(PC); \
+	MOVLQSX (R8)(AX*4), R10; \
+	IMULQ   DX, R10; \
+	ADDQ    SI, R10; \
+	TESTQ   R9, R9; \
+	JEQ     3(PC); \
+	MOVSS   (R9)(AX*4), X8; \
+	SHUFPS  $0, X8, X8
 
-eight:
-	MOVUPS (DI)(AX*1), X4
-	MOVUPS 16(DI)(AX*1), X5
-	MOVUPS (R8)(AX*1), X6
-	MOVUPS 16(R8)(AX*1), X7
-	MULPS  X0, X6
-	MULPS  X0, X7
-	ADDPS  X6, X4
-	ADDPS  X7, X5
-	MOVUPS (R9)(AX*1), X8
-	MOVUPS 16(R9)(AX*1), X9
-	MULPS  X1, X8
-	MULPS  X1, X9
-	ADDPS  X8, X4
-	ADDPS  X9, X5
-	MOVUPS (R10)(AX*1), X10
-	MOVUPS 16(R10)(AX*1), X11
-	MULPS  X2, X10
-	MULPS  X2, X11
-	ADDPS  X10, X4
-	ADDPS  X11, X5
-	MOVUPS (R11)(AX*1), X12
-	MOVUPS 16(R11)(AX*1), X13
-	MULPS  X3, X12
-	MULPS  X3, X13
-	ADDPS  X12, X4
-	ADDPS  X13, X5
-	MOVUPS X4, (DI)(AX*1)
-	MOVUPS X5, 16(DI)(AX*1)
-	ADDQ   $32, AX
-	SUBQ   $8, CX
-	CMPQ   CX, $8
-	JGE    eight
+// ACC adds X8 times the four floats at off(R10) to acc, through tmp.
+#define ACC(off, acc, tmp) \
+	MOVUPS off(R10), tmp; \
+	MULPS  X8, tmp; \
+	ADDPS  tmp, acc
 
-four:
-	CMPQ   CX, $4
-	JLT    tail
-	MOVUPS (DI)(AX*1), X4
-	MOVUPS (R8)(AX*1), X6
-	MULPS  X0, X6
-	ADDPS  X6, X4
-	MOVUPS (R9)(AX*1), X8
-	MULPS  X1, X8
-	ADDPS  X8, X4
-	MOVUPS (R10)(AX*1), X10
-	MULPS  X2, X10
-	ADDPS  X10, X4
-	MOVUPS (R11)(AX*1), X12
-	MULPS  X3, X12
-	ADDPS  X12, X4
-	MOVUPS X4, (DI)(AX*1)
-	ADDQ   $16, AX
-	SUBQ   $4, CX
+// func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool)
+//
+// dst is cut into strips of 32, 16, 8 and 4 floats, then single floats. A
+// strip lives in X0-X7 while all n terms are added to it, so it is loaded (or
+// cleared to +0) once and stored once per call, whatever n is.
+TEXT ·accRowsKernel(SB), NOSPLIT, $0-113
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), BX
+	MOVQ    src_base+24(FP), SI
+	MOVQ    stride+48(FP), DX
+	SHLQ    $2, DX              // row stride in bytes
+	MOVQ    idx_base+56(FP), R8
+	MOVQ    c_base+80(FP), R9
+	MOVQ    n+104(FP), CX
+	MOVBQZX zero+112(FP), R11
+	MOVQ    $0x3f800000, R10    // 1.0
+	MOVQ    R10, X8
+	SHUFPS  $0, X8, X8
 
-tail:
-	TESTQ CX, CX
+strip32:
+	CMPQ   BX, $32
+	JLT    strip16
+	TESTQ  R11, R11
+	JNE    clear32
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	MOVUPS 64(DI), X4
+	MOVUPS 80(DI), X5
+	MOVUPS 96(DI), X6
+	MOVUPS 112(DI), X7
+	JMP    terms32
+
+clear32:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+
+terms32:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  store32
+
+loop32:
+	TERM
+	ACC(0, X0, X9)
+	ACC(16, X1, X10)
+	ACC(32, X2, X11)
+	ACC(48, X3, X12)
+	ACC(64, X4, X13)
+	ACC(80, X5, X14)
+	ACC(96, X6, X15)
+	ACC(112, X7, X9)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  loop32
+
+store32:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	ADDQ   $128, DI
+	ADDQ   $128, SI
+	SUBQ   $32, BX
+	JMP    strip32
+
+strip16:
+	CMPQ   BX, $16
+	JLT    strip8
+	TESTQ  R11, R11
+	JNE    clear16
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	JMP    terms16
+
+clear16:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+
+terms16:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  store16
+
+loop16:
+	TERM
+	ACC(0, X0, X9)
+	ACC(16, X1, X10)
+	ACC(32, X2, X11)
+	ACC(48, X3, X12)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  loop16
+
+store16:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	ADDQ   $64, DI
+	ADDQ   $64, SI
+	SUBQ   $16, BX
+
+strip8:
+	CMPQ   BX, $8
+	JLT    strip4
+	TESTQ  R11, R11
+	JNE    clear8
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	JMP    terms8
+
+clear8:
+	XORPS X0, X0
+	XORPS X1, X1
+
+terms8:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  store8
+
+loop8:
+	TERM
+	ACC(0, X0, X9)
+	ACC(16, X1, X10)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  loop8
+
+store8:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	ADDQ   $32, DI
+	ADDQ   $32, SI
+	SUBQ   $8, BX
+
+strip4:
+	CMPQ   BX, $4
+	JLT    strip1
+	TESTQ  R11, R11
+	JNE    clear4
+	MOVUPS (DI), X0
+	JMP    terms4
+
+clear4:
+	XORPS X0, X0
+
+terms4:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  store4
+
+loop4:
+	TERM
+	ACC(0, X0, X9)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  loop4
+
+store4:
+	MOVUPS X0, (DI)
+	ADDQ   $16, DI
+	ADDQ   $16, SI
+	SUBQ   $4, BX
+
+strip1:
+	TESTQ BX, BX
 	JEQ   done
-	MOVSS (DI)(AX*1), X4
-	MOVSS (R8)(AX*1), X6
-	MULSS X0, X6
-	ADDSS X6, X4
-	MOVSS (R9)(AX*1), X8
-	MULSS X1, X8
-	ADDSS X8, X4
-	MOVSS (R10)(AX*1), X10
-	MULSS X2, X10
-	ADDSS X10, X4
-	MOVSS (R11)(AX*1), X12
-	MULSS X3, X12
-	ADDSS X12, X4
-	MOVSS X4, (DI)(AX*1)
-	ADDQ  $4, AX
-	DECQ  CX
-	JMP   tail
+	TESTQ R11, R11
+	JNE   clear1
+	MOVSS (DI), X0
+	JMP   terms1
+
+clear1:
+	XORPS X0, X0
+
+terms1:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  store1
+
+loop1:
+	TERM
+	MOVSS (R10), X9
+	MULSS X8, X9
+	ADDSS X9, X0
+	INCQ  AX
+	CMPQ  AX, CX
+	JLT   loop1
+
+store1:
+	MOVSS X0, (DI)
+	ADDQ  $4, DI
+	ADDQ  $4, SI
+	DECQ  BX
+	JMP   strip1
 
 done:
 	RET

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The row-kernel tests hold whatever axpyKernel / addKernel / axpy4Kernel are
+// The row-kernel tests hold whatever axpyKernel / addKernel / accRowsKernel are
 // bound to (SSE2 assembly on amd64) to the portable twins, bit for bit. On
 // other architectures the kernels are the twins and the comparisons are
 // trivially true; the contract tests (guard band, panics, aliasing) still
@@ -125,41 +125,140 @@ func TestRowKernelsAxpyAndAddMatchTwin(t *testing.T) {
 	}
 }
 
-func TestRowKernelsAxpy4MatchesTwin(t *testing.T) {
+func TestRowKernelsAccumulateRowsMatchesTwin(t *testing.T) {
 	rng := NewRNG(73)
+	const srcRows = 5
 	for _, class := range rowValueClasses {
 		for n := 0; n <= rowMaxLen; n++ {
-			// Every start offset for each of the five operands in turn; the
-			// other four sit at unrelated offsets.
-			for moved := 0; moved < 5; moved++ {
-				for off := 0; off <= rowMaxOff; off++ {
-					var offs [5]int
-					for p := range offs {
-						offs[p] = (3*p + moved + 1) % (rowMaxOff + 1)
-					}
-					offs[moved] = off
-					dBack := rowBuf(class, rng)
-					var b [4][]float32
-					var a [4]float32
-					for p := range b {
-						b[p] = rowAt(rowBuf(class, rng), offs[p+1], n)
-						a[p] = rowValue(class, rng)
-					}
-					got, want := slices.Clone(dBack), slices.Clone(dBack)
-					axpy4Kernel(rowAt(got, offs[0], n), a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
-					axpy4Go(rowAt(want, offs[0], n), a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
-					checkRow(t, fmt.Sprintf("axpy4 %s n=%d offsets %v", class, n, offs), got, want)
+			for off := 0; off <= rowMaxOff; off++ {
+				// The source rows start at an unrelated offset and, for some
+				// lengths, sit further apart than the destination is wide.
+				sOff, stride := (3*off+n)%(rowMaxOff+1), n+off%3
+				src := make([]float32, sOff+srcRows*stride+n)
+				for i := range src {
+					src[i] = rowValue(class, rng)
+				}
+				src = src[sOff:]
+				dBack := rowBuf(class, rng)
+				for _, zero := range []bool{false, true} {
+					// Every combination of a nil or listed index and a nil or
+					// listed coefficient, over term counts 0..5.
+					for v := 0; v < 4; v++ {
+						terms := (n + off + v) % 6
+						var idx []int32
+						if v&1 == 1 {
+							idx = make([]int32, terms)
+							for t := range idx {
+								idx[t] = int32(rng.Intn(srcRows))
+							}
+						}
+						var c []float32
+						if v&2 == 2 {
+							c = make([]float32, terms)
+							for t := range c {
+								c[t] = rowValue(class, rng)
+							}
+						}
+						what := fmt.Sprintf("%s n=%d dst+%d src+%d stride=%d zero=%v terms=%d idx=%v c=%v",
+							class, n, off, sOff, stride, zero, terms, idx != nil, c != nil)
+						got, want := slices.Clone(dBack), slices.Clone(dBack)
+						accRowsKernel(rowAt(got, off, n), src, stride, idx, c, terms, zero)
+						accRowsGo(rowAt(want, off, n), src, stride, idx, c, terms, zero)
+						checkRow(t, "accRows "+what, got, want)
 
-					// axpy4 is four axpy steps in one pass.
-					steps := slices.Clone(dBack)
-					for p := range b {
-						axpyGo(rowAt(steps, offs[0], n), a[p], b[p])
+						// The kernel is terms Axpy steps over one row, the first
+						// onto a cleared row when zero is set.
+						steps := slices.Clone(dBack)
+						if zero {
+							clear(rowAt(steps, off, n))
+						}
+						for t := 0; t < terms; t++ {
+							r, a := t, float32(1)
+							if idx != nil {
+								r = int(idx[t])
+							}
+							if c != nil {
+								a = c[t]
+							}
+							axpyGo(rowAt(steps, off, n), a, src[r*stride:][:n])
+						}
+						checkRow(t, "accRows vs Axpy steps "+what, got, steps)
 					}
-					checkRow(t, fmt.Sprintf("axpy4 vs 4 x axpy %s n=%d", class, n), got, steps)
 				}
 			}
 		}
 	}
+}
+
+// TestRowKernelsScaledScatterAddMatchesEdgeLoop holds ScaledScatterAdd to
+// one Axpy (AddTo without coefficients) per edge in ascending e, bit for bit,
+// with runs of one output row of every length, nil indices and nil
+// coefficients, over every value class.
+func TestRowKernelsScaledScatterAddMatchesEdgeLoop(t *testing.T) {
+	rng := NewRNG(83)
+	for _, class := range rowValueClasses {
+		for _, cols := range []int{0, 1, 5, 16, 32, 37} {
+			for v := 0; v < 8; v++ {
+				const inRows, outRows = 9, 7
+				n := 1 + rng.Intn(inRows)
+				var oi, ii []int32
+				if v&1 == 1 {
+					// Sorted destinations give runs; the unsorted tail does not.
+					oi = make([]int32, n)
+					for e := range oi {
+						oi[e] = int32(rng.Intn(outRows))
+					}
+					slices.Sort(oi[:n/2])
+				} else {
+					n = min(n, outRows)
+				}
+				if v&2 == 2 {
+					ii = make([]int32, n)
+					for e := range ii {
+						ii[e] = int32(rng.Intn(inRows))
+					}
+				}
+				var c []float32
+				if v&4 == 4 {
+					c = make([]float32, n)
+					for e := range c {
+						c[e] = rowValue(class, rng)
+					}
+				}
+				in, out := New(inRows, cols), New(outRows, cols)
+				for _, x := range []*Tensor{in, out} {
+					for i := range x.data {
+						x.data[i] = rowValue(class, rng)
+					}
+				}
+				want := out.Clone()
+				for e := 0; e < n; e++ {
+					o, i := e, e
+					if oi != nil {
+						o = int(oi[e])
+					}
+					if ii != nil {
+						i = int(ii[e])
+					}
+					if c == nil {
+						addGo(want.Row(o), in.Row(i))
+					} else {
+						axpyGo(want.Row(o), c[e], in.Row(i))
+					}
+				}
+				ScaledScatterAdd(out, oi, in, ii, c, n)
+				checkRow(t, fmt.Sprintf("%s cols=%d oi=%v ii=%v c=%v n=%d", class, cols, oi, ii, c != nil, n), out.data, want.data)
+			}
+		}
+	}
+	in, out := New(3, 2), New(2, 2)
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, []int32{0, 2}, in, nil, nil, 2) })
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, []int32{0, 1}, in, []int32{0, 3}, nil, 2) })
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, []int32{-1}, nil, 1) })
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, nil, nil, 3) })
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, nil, []float32{1}, 2) })
+	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(New(2, 3), nil, in, nil, nil, 1) })
+	mustPanic(t, "aliases", func() { ScaledScatterAdd(in.RowSlice(0, 2), nil, in, nil, nil, 1) })
 }
 
 // TestRowKernelsShortDestinationPanics: the wrappers own the length contract
@@ -180,11 +279,6 @@ func TestRowKernelsShortDestinationPanics(t *testing.T) {
 		}{
 			{"Axpy", func(dst []float32) { Axpy(dst, 2, x) }},
 			{"AddTo", func(dst []float32) { AddTo(dst, x) }},
-			{"axpy4 short dst", func(dst []float32) { axpy4(dst, 1, 2, 3, 4, x, x, x, x) }},
-			{"axpy4 short b0", func(dst []float32) { axpy4(x, 1, 2, 3, 4, dst, fresh(n), fresh(n), fresh(n)) }},
-			{"axpy4 short b1", func(dst []float32) { axpy4(x, 1, 2, 3, 4, fresh(n), dst, fresh(n), fresh(n)) }},
-			{"axpy4 short b2", func(dst []float32) { axpy4(x, 1, 2, 3, 4, fresh(n), fresh(n), dst, fresh(n)) }},
-			{"axpy4 short b3", func(dst []float32) { axpy4(x, 1, 2, 3, 4, fresh(n), fresh(n), fresh(n), dst) }},
 		} {
 			short, xBefore := fresh(n-1), slices.Clone(x)
 			before := slices.Clone(short)
@@ -243,8 +337,11 @@ func BenchmarkRowKernels(b *testing.B) {
 		for p := range x {
 			x[p] = RandNormal(1, n, 0, 1, rng).data
 		}
+		rows := slices.Concat(x[0], x[1], x[2], x[3])
+		idx := []int32{0, 1, 2, 3}
 		// Coefficients small enough that dst stays finite over b.N rounds.
 		const a = float32(1e-9)
+		c := []float32{a, a, a, a}
 		for _, k := range []struct {
 			name string
 			fn   func()
@@ -253,8 +350,8 @@ func BenchmarkRowKernels(b *testing.B) {
 			{"axpy/%d/twin", func() { axpyGo(dst, a, x[0]) }},
 			{"add/%d/kernel", func() { addKernel(dst, x[0]) }},
 			{"add/%d/twin", func() { addGo(dst, x[0]) }},
-			{"axpy4/%d/kernel", func() { axpy4Kernel(dst, a, a, a, a, x[0], x[1], x[2], x[3]) }},
-			{"axpy4/%d/twin", func() { axpy4Go(dst, a, a, a, a, x[0], x[1], x[2], x[3]) }},
+			{"accRows4/%d/kernel", func() { accRowsKernel(dst, rows, n, idx, c, len(idx), false) }},
+			{"accRows4/%d/twin", func() { accRowsGo(dst, rows, n, idx, c, len(idx), false) }},
 		} {
 			b.Run(fmt.Sprintf(k.name, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * n))
@@ -267,29 +364,39 @@ func BenchmarkRowKernels(b *testing.B) {
 }
 
 // BenchmarkMatMulNarrow times the GEMM shapes a training epoch runs — a
-// tall block of vertex rows against a narrow weight matrix (NN, forward) and
-// the weight gradient of the same pair (TA) — which the 256-cubed benchmarks
-// say nothing about.
+// tall block of vertex rows against a narrow weight matrix (NN, forward), the
+// weight gradient of the same pair (TA) and the input gradient (TB) — which
+// the 256-cubed benchmarks say nothing about. The halfzero rows rectify the
+// vertex rows and the gradient first, so about half of their entries are
+// zero, as a ReLU output and its masked gradient are.
 func BenchmarkMatMulNarrow(b *testing.B) {
 	rng := NewRNG(1)
 	for _, s := range [][3]int{{3000, 64, 32}, {3000, 32, 16}} {
 		rows, in, out := s[0], s[1], s[2]
-		x := RandNormal(rows, in, 0, 1, rng)
-		w := RandNormal(in, out, 0, 1, rng)
-		g := RandNormal(rows, out, 0, 1, rng)
-		y, gw := New(rows, out), New(in, out)
-		flops := int64(2 * rows * in * out)
-		b.Run(fmt.Sprintf("NN/%dx%dx%d", rows, in, out), func(b *testing.B) {
-			b.SetBytes(flops) // MB/s reads as MFLOP/s
-			for i := 0; i < b.N; i++ {
-				MatMulInto(y, x, w)
+		for _, operands := range []string{"dense", "halfzero"} {
+			x := RandNormal(rows, in, 0, 1, rng)
+			w := RandNormal(in, out, 0, 1, rng)
+			g := RandNormal(rows, out, 0, 1, rng)
+			if operands == "halfzero" {
+				x, g = ReLU(x), ReLU(g)
 			}
-		})
-		b.Run(fmt.Sprintf("TA/%dx%dx%d", rows, in, out), func(b *testing.B) {
-			b.SetBytes(flops)
-			for i := 0; i < b.N; i++ {
-				MatMulTAInto(gw, x, g)
+			y, gw, gx := New(rows, out), New(in, out), New(rows, in)
+			flops := int64(2 * rows * in * out)
+			for _, m := range []struct {
+				name string
+				fn   func()
+			}{
+				{"NN", func() { MatMulInto(y, x, w) }},
+				{"TA", func() { MatMulTAInto(gw, x, g) }},
+				{"TB", func() { MatMulTBInto(gx, g, w) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", m.name, operands, rows, in, out), func(b *testing.B) {
+					b.SetBytes(flops) // MB/s reads as MFLOP/s
+					for i := 0; i < b.N; i++ {
+						m.fn()
+					}
+				})
 			}
-		})
+		}
 	}
 }

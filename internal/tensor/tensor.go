@@ -8,13 +8,16 @@
 // destination arguments (Into variants) so hot paths can reuse buffers, with
 // allocating convenience wrappers on top.
 //
-// The multiply-accumulate and accumulate loops of the hot path — GEMM, the
-// weight-gradient GEMM, and (through Axpy and AddTo) the aggregation and
-// gradient accumulation of the packages above — are three row kernels in
-// rowkernels.go: SSE2 assembly on amd64, a portable Go twin elsewhere, bound
-// at compile time and bit-identical to each other and to the scalar loops
-// they replaced. The dot-product kernels (MatMulTB, Dot) are plain Go: their
-// sums run along the row, so vectorising them would reorder the additions.
+// The multiply-accumulate and accumulate loops of the hot path are three row
+// kernels in rowkernels.go: SSE2 assembly on amd64, a portable Go twin
+// elsewhere, bound at compile time and bit-identical to each other and to
+// the scalar loops they replaced. One of them adds a list of scaled rows
+// into a destination row it holds in registers; the three GEMMs and the
+// aggregation of the packages above (ScaledScatterAdd) run on it, the TB
+// GEMM as well: each element of a @ bᵀ is summed in its own lane from +0 in
+// ascending k, as the dot loop sums it. The other two, Axpy and AddTo, serve
+// the remaining row accumulations. Dot stays plain Go: its sum runs along
+// the row, so vectorising it would reorder the additions.
 package tensor
 
 import (

@@ -127,9 +127,9 @@ func TestAddSubMulScale(t *testing.T) {
 func TestAXPY(t *testing.T) {
 	a := FromRows([][]float32{{1, 1}})
 	x := FromRows([][]float32{{2, 3}})
-	AXPY(a, 0.5, x)
+	Axpy(a.Data(), 0.5, x.Data())
 	if !a.Equal(FromRows([][]float32{{2, 2.5}})) {
-		t.Fatalf("AXPY = %v", a)
+		t.Fatalf("Axpy = %v", a)
 	}
 }
 
@@ -285,13 +285,19 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 	}
 }
 
-// bitPinVariants are the operand classes the blocked GEMMs are pinned on.
-var bitPinVariants = []string{"random", "zeros", "inf"}
+// bitPinVariants are the operand classes the GEMMs are pinned on.
+var bitPinVariants = []string{"random", "relu", "zeros", "inf"}
 
 // plantSpecials rewrites the operands of a bit-identity pin for variant: a is
-// the side whose zeros the kernels skip, b the side they stream.
+// the side whose zeros the NN and TA kernels skip, b the side they stream.
 func plantSpecials(variant string, a, b *Tensor, rng *RNG) {
 	switch variant {
+	case "relu": // a rectified output: about half +0, and every 7th row all zero
+		for i := range a.data {
+			if a.data[i] < 0 || (a.cols > 0 && (i/a.cols)%7 == 3) {
+				a.data[i] = 0
+			}
+		}
 	case "zeros": // zero-laden, signed zeros included: the skip must be kept
 		for i := range a.data {
 			switch rng.Intn(3) {
@@ -329,6 +335,14 @@ func mustBitEqual(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
+// poisoned returns a rows x cols tensor filled with NaN: the GEMMs write every
+// element of their destination, so nothing of it may survive into a result.
+func poisoned(rows, cols int) *Tensor {
+	t := New(rows, cols)
+	t.Fill(float32(math.NaN()))
+	return t
+}
+
 // scalarMatMul is the unblocked ikj kernel gemmRows replaced: one
 // zero-skipping add per term, k ascending. The blocked kernel must reproduce
 // it bit for bit.
@@ -348,19 +362,24 @@ func scalarMatMul(a, b *Tensor) *Tensor {
 	return dst
 }
 
+// TestMatMulBlockedBitIdenticalToScalar runs MatMulInto into a NaN-poisoned
+// destination, which must come out exactly as the scalar kernel's.
 func TestMatMulBlockedBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(43)
-	// M x K @ K x N: the k tail (K%4), the j tail (N%4), N < 4, empty
-	// operands, and both the serial and the parallelRows branch (M*K*N either
-	// side of gemmParallelThreshold).
+	// M x K @ K x N: the j tail (N%4), N < 4, empty operands, K past one
+	// k-block (kBlock), and both the serial and the parallelRows branch
+	// (M*K*N either side of gemmParallelThreshold).
 	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
-		{7, 2, 9}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
+		{7, 2, 9}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3},
+		{9, 130, 7}, {40, 200, 33}} {
 		M, K, N := dims[0], dims[1], dims[2]
 		for _, variant := range bitPinVariants {
 			a := RandNormal(M, K, 0, 1, rng)
 			b := RandNormal(K, N, 0, 1, rng)
 			plantSpecials(variant, a, b, rng)
-			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), MatMul(a, b), scalarMatMul(a, b))
+			got := poisoned(M, N)
+			MatMulInto(got, a, b)
+			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMul(a, b))
 		}
 	}
 }
@@ -386,8 +405,9 @@ func scalarMatMulTA(a, b *Tensor) *Tensor {
 
 func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(41)
-	// Odd shapes exercise the k tail (K%4), the j tail (N%4) and both the
-	// serial and the parallelRows branch (K*M*N across gemmParallelThreshold).
+	// Odd shapes exercise the j tail (N%4), K within one k-block and across
+	// several, and both the serial and the parallelRows branch (K*M*N across
+	// gemmParallelThreshold).
 	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {7, 2, 9},
 		{31, 17, 23}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
 		K, M, N := dims[0], dims[1], dims[2]
@@ -395,9 +415,44 @@ func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
 			a := RandNormal(K, M, 0, 1, rng)
 			b := RandNormal(K, N, 0, 1, rng)
 			plantSpecials(variant, a, b, rng)
-			got := New(a.Cols(), b.Cols())
+			got := poisoned(a.Cols(), b.Cols())
 			MatMulTAInto(got, a, b)
 			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTA(a, b))
+		}
+	}
+}
+
+// scalarMatMulTB is the dot loop MatMulTBInto replaced: each element sums
+// a[i,k]·b[j,k] from +0 in ascending k, one rounded product and one add per
+// term, no term skipped — 0·Inf is NaN here.
+func scalarMatMulTB(a, b *Tensor) *Tensor {
+	dst := New(a.rows, b.rows)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.rows; j++ {
+			var s float32
+			for k, av := range a.Row(i) {
+				s += float32(av * b.At(j, k))
+			}
+			dst.Set(i, j, s)
+		}
+	}
+	return dst
+}
+
+func TestMatMulTBBitIdenticalToScalar(t *testing.T) {
+	rng := NewRNG(47)
+	// M x K @ (N x K)ᵀ: N and K off multiples of 4, empty operands, and both
+	// the serial and the parallelRows branch.
+	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+		{7, 2, 9}, {31, 17, 23}, {64, 16, 32}, {130, 32, 64}, {301, 18, 33}, {1000, 3, 64}, {9, 130, 7}} {
+		M, K, N := dims[0], dims[1], dims[2]
+		for _, variant := range bitPinVariants {
+			a := RandNormal(M, K, 0, 1, rng)
+			b := RandNormal(N, K, 0, 1, rng)
+			plantSpecials(variant, a, b, rng)
+			got := poisoned(M, N)
+			MatMulTBInto(got, a, b)
+			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTB(a, b))
 		}
 	}
 }
