@@ -35,80 +35,116 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 
 	"neutronstar"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
 
-// engineNames lists the accepted -engine values, straight from the engine
-// package's mode registry so the help text can never drift from the code.
-func engineNames() []string { return engine.ModeNames() }
+// The accepted -engine, -model and -network values, straight from the code
+// that interprets them, so neither the help text nor the check can drift.
+var (
+	engineNames  = engine.ModeNames()
+	modelNames   = modelKindNames()
+	networkNames = []string{string(neutronstar.NetworkLocal), string(neutronstar.NetworkECS), string(neutronstar.NetworkIBV)}
+)
+
+func modelKindNames() []string {
+	var names []string
+	for _, k := range nn.ModelKinds() {
+		names = append(names, string(k))
+	}
+	return names
+}
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is nstrain with its process boundary as parameters: log lines go to
+// stdout, usage errors to stderr. It returns 2 for a usage error, found
+// before any work, and 1 for a failure after it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nstrain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dsName    = flag.String("dataset", "cora", "dataset name ("+strings.Join(neutronstar.DatasetNames(), ", ")+")")
-		engName   = flag.String("engine", "hybrid", "engine: "+strings.Join(engineNames(), ", "))
-		model     = flag.String("model", "gcn", "model: gcn, gin, gat")
-		workers   = flag.Int("workers", 4, "simulated cluster size")
-		epochs    = flag.Int("epochs", 30, "training epochs")
-		layers    = flag.Int("layers", 0, "propagation depth L (0 = the paper's default of 2)")
-		network   = flag.String("network", "local", "network profile: local, ecs, ibv")
-		lr        = flag.Float64("lr", 0.01, "learning rate")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		opt       = flag.Bool("optimized", true, "enable ring/lock-free/overlap optimisations")
-		repBudget = flag.Int64("rep-budget", 0, "per-worker compressed replica byte budget for deprep/hybrid4 (0 = unlimited)")
-		repQuant  = flag.String("rep-quant", "off", "replica feature storage for deprep/hybrid4: off, fp16, int8")
-		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
-		ckptEvery = flag.Int("ckpt-every", 5, "checkpoint cadence in epochs")
-		resume    = flag.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
-		saveModel = flag.String("save-model", "", "write the trained model parameters to this file for nsserve (gob)")
-		faultSpec = flag.String("fault-spec", "", "network fault injection, e.g. 'drop=0.05,jitter=1ms,seed=7'")
-		trace     = flag.String("trace", "", "write a Chrome trace of worker activity to this file")
-		critPath  = flag.Bool("critpath", false, "record causal traces and report each epoch's critical path and stragglers")
-		watchSpec = flag.String("watch-rules", "", "anomaly watchdog rules, e.g. 'stall=30s,regress=1.5,straggler=3.0' or 'default'")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /status, /epochs, /critpath, /healthwatch, /timeline, /healthz and pprof on this address (e.g. :8080)")
-		logJSON   = flag.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		dsName    = fs.String("dataset", "cora", "dataset name ("+strings.Join(neutronstar.DatasetNames(), ", ")+")")
+		engName   = fs.String("engine", "hybrid", "engine: "+strings.Join(engineNames, ", "))
+		model     = fs.String("model", "gcn", "model: "+strings.Join(modelNames, ", "))
+		workers   = fs.Int("workers", 4, "simulated cluster size")
+		epochs    = fs.Int("epochs", 30, "training epochs")
+		layers    = fs.Int("layers", 0, "propagation depth L (0 = the paper's default of 2)")
+		network   = fs.String("network", "local", "network profile: "+strings.Join(networkNames, ", "))
+		lr        = fs.Float64("lr", 0.01, "learning rate")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		opt       = fs.Bool("optimized", true, "enable ring/lock-free/overlap optimisations")
+		repBudget = fs.Int64("rep-budget", 0, "per-worker compressed replica byte budget for deprep/hybrid4 (0 = unlimited)")
+		repQuant  = fs.String("rep-quant", "off", "replica feature storage for deprep/hybrid4: off, fp16, int8")
+		ckptDir   = fs.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
+		ckptEvery = fs.Int("ckpt-every", 5, "checkpoint cadence in epochs")
+		resume    = fs.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
+		saveModel = fs.String("save-model", "", "write the trained model parameters to this file for nsserve (gob)")
+		faultSpec = fs.String("fault-spec", "", "network fault injection, e.g. 'drop=0.05,jitter=1ms,seed=7'")
+		trace     = fs.String("trace", "", "write a Chrome trace of worker activity to this file")
+		critPath  = fs.Bool("critpath", false, "record causal traces and report each epoch's critical path and stragglers")
+		watchSpec = fs.String("watch-rules", "", "anomaly watchdog rules, e.g. 'stall=30s,regress=1.5,straggler=3.0' or 'default'")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /status, /epochs, /critpath, /healthwatch, /timeline, /healthz and pprof on this address (e.g. :8080)")
+		logJSON   = fs.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
+		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "nstrain: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 	if err := validateFlags(*dsName, *workers, *epochs, *layers, *ckptDir, *ckptEvery, *resume); err != nil {
-		fmt.Fprintf(os.Stderr, "nstrain: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		return usage(err)
+	}
+	for _, f := range []struct {
+		name, value string
+		valid       []string
+	}{{"-engine", *engName, engineNames}, {"-model", *model, modelNames}, {"-network", *network, networkNames}} {
+		if !slices.Contains(f.valid, f.value) {
+			return usage(fmt.Errorf("%s %q: valid values are %s", f.name, f.value, strings.Join(f.valid, ", ")))
+		}
 	}
 	// Malformed watch rules are a usage error: reject them before building
 	// the cluster, with the parser's explanation of what a valid spec is. So
 	// are serving rules: nstrain serves nothing, so they could never fire.
-	usage := func(err error) {
-		fmt.Fprintf(os.Stderr, "nstrain: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if rules, err := obs.ParseWatchRules(*watchSpec); err != nil {
-		usage(fmt.Errorf("-watch-rules: %w", err))
+		return usage(fmt.Errorf("-watch-rules: %w", err))
 	} else if rules.WatchesServing() {
-		usage(fmt.Errorf("-watch-rules %q: slo_p99, slo_window and hitrate watch a server; nstrain evaluates stall, regress, straggler and window", *watchSpec))
+		return usage(fmt.Errorf("-watch-rules %q: slo_p99, slo_window and hitrate watch a server; nstrain evaluates stall, regress, straggler and window", *watchSpec))
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		usage(fmt.Errorf("-log-level: %w", err))
+		return usage(fmt.Errorf("-log-level: %w", err))
 	}
 
-	log := obs.NewLogger(os.Stdout, *logJSON, level)
-	fail := func(err error) {
+	log := obs.NewLogger(stdout, *logJSON, level)
+	fail := func(err error) int {
 		log.Error("fatal", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	ds, err := neutronstar.LoadDataset(*dsName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	log.Info("dataset loaded", "dataset", ds.Name(),
 		"vertices", ds.NumVertices(), "edges", ds.NumEdges())
@@ -134,7 +170,7 @@ func main() {
 		Metrics: *trace != "",
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer s.Close()
 	s.Watchdog().SetLogger(log)
@@ -147,7 +183,7 @@ func main() {
 	if *resume {
 		resumed, err := s.Resume()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if resumed {
 			hist := s.History()
@@ -172,7 +208,7 @@ func main() {
 			History:     s.MetricHistory(),
 		})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer srv.Close()
 		log.Info("debug server listening", "addr", srv.Addr(),
@@ -204,10 +240,10 @@ func main() {
 	if *trace != "" {
 		f, err := os.Create(*trace)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := s.Metrics().WriteChromeTrace(f, nil); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		f.Close()
 		log.Info("trace written", "path", *trace)
@@ -239,16 +275,17 @@ func main() {
 	if *saveModel != "" {
 		f, err := os.Create(*saveModel)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := s.SaveModel(f); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		log.Info("model saved", "path", *saveModel, "model", *model)
 	}
+	return 0
 }
 
 // validateFlags rejects nonsensical flag combinations up front with a usage

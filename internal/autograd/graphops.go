@@ -116,10 +116,10 @@ func weightedBackward(ga []float32, gx, x *tensor.Tensor, src []int32, dOut *ten
 			x0, x1, x2, x3 = x0[:len(g)], x1[:len(g)], x2[:len(g)], x3[:len(g)]
 			var s0, s1, s2, s3 float32
 			for k, v := range g {
-				s0 += v * x0[k]
-				s1 += v * x1[k]
-				s2 += v * x2[k]
-				s3 += v * x3[k]
+				s0 += float32(v * x0[k])
+				s1 += float32(v * x1[k])
+				s2 += float32(v * x2[k])
+				s3 += float32(v * x3[k])
 			}
 			ga[e] += s0
 			ga[e+1] += s1
@@ -368,7 +368,7 @@ func segmentDot(p, g []float32) float32 {
 	g = g[:len(p)]
 	var dot float64
 	for i, v := range p {
-		dot += float64(v) * float64(g[i])
+		dot += float64(float64(v) * float64(g[i]))
 	}
 	return float32(dot)
 }

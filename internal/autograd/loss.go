@@ -35,11 +35,12 @@ func logSoftmaxBackwardRow(dst, g, o []float32) {
 		sum += float64(v)
 	}
 	dst, o = dst[:len(g)], o[:len(g)]
+	s := float32(sum)
 	for j, v := range g {
 		if sum == 0 && o[j] <= 0 {
 			dst[j] = v
 		} else {
-			dst[j] = v - float32(math.Exp(float64(o[j])))*float32(sum)
+			dst[j] = v - float32(float32(math.Exp(float64(o[j])))*s)
 		}
 	}
 }
@@ -97,7 +98,7 @@ func (t *Tape) BCEWithLogitsLoss(logits *Variable, targets []float32) *Variable 
 		xf := float64(x)
 		tf := float64(targets[i])
 		// max(x,0) - x*t + log(1+exp(-|x|))
-		loss += math.Max(xf, 0) - xf*tf + math.Log1p(math.Exp(-math.Abs(xf)))
+		loss += math.Max(xf, 0) - float64(xf*tf) + math.Log1p(math.Exp(-math.Abs(xf)))
 	}
 	out := t.alloc(1, 1)
 	out.Set(0, 0, float32(loss/float64(n)))

@@ -169,24 +169,10 @@ func (t *Trainer) RunEpoch() EpochStats {
 	}
 }
 
-// Evaluate computes full-graph accuracy with the current parameters.
+// Evaluate computes full-graph accuracy with the current parameters, through
+// the engines' evaluator.
 func (t *Trainer) Evaluate(mask []bool) float64 {
-	logits := engine.ReferenceForward(t.ds.Graph, t.ws[0].model, t.ds.Features)
-	pred := tensor.ArgMaxRows(logits)
-	correct, total := 0, 0
-	for v, m := range mask {
-		if !m {
-			continue
-		}
-		total++
-		if int32(pred[v]) == t.ds.Labels[v] {
-			correct++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+	return engine.ReferenceAccuracy(t.ds, t.ws[0].model, mask)
 }
 
 // runEpoch runs the worker's mini-batches, returning its mean batch loss.

@@ -27,7 +27,7 @@ type Costs struct {
 
 // CommCost returns t_c^l(u) = Tc · d^(l-1) (Eq. 2): the cost of fetching one
 // dependency row of the given dimension.
-func (c Costs) CommCost(dim int) float64 { return c.Tc * float64(dim) }
+func (c Costs) CommCost(dim int) float64 { return float64(c.Tc * float64(dim)) }
 
 // Probe measures T_v and T_e by timing a small tape-based training kernel —
 // the same differentiable fused aggregation (gather · edge scale ·
@@ -109,6 +109,6 @@ func commCostPerElement(bytesPerSec float64, latencyPerMsg time.Duration) float6
 	const bytesPerElement = 4
 	const typicalChunkElements = 32 * 1024
 	perElement := 2 * bytesPerElement / bytesPerSec
-	perElement += latencyPerMsg.Seconds() / typicalChunkElements
+	perElement += float64(latencyPerMsg.Seconds() / typicalChunkElements)
 	return perElement
 }

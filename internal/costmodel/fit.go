@@ -20,20 +20,20 @@ func FitComputeFactors(vertexElems, edgeElems, seconds []float64) (tv, te float6
 	var svv, sve, see, svs, ses float64
 	for i := range seconds {
 		v, e, s := vertexElems[i], edgeElems[i], seconds[i]
-		svv += v * v
-		sve += v * e
-		see += e * e
-		svs += v * s
-		ses += e * s
+		svv += float64(v * v)
+		sve += float64(v * e)
+		see += float64(e * e)
+		svs += float64(v * s)
+		ses += float64(e * s)
 	}
-	det := svv*see - sve*sve
+	det := float64(svv*see) - float64(sve*sve)
 	// Relative singularity check: det is a product of squared magnitudes, so
 	// compare against the scale of the matrix rather than an absolute epsilon.
 	if scale := svv * see; scale <= 0 || det <= 1e-9*scale {
 		return 0, 0, false
 	}
-	tv = (see*svs - sve*ses) / det
-	te = (svv*ses - sve*svs) / det
+	tv = (float64(see*svs) - float64(sve*ses)) / det
+	te = (float64(svv*ses) - float64(sve*svs)) / det
 	if tv < 0 || te < 0 {
 		// Negative factors mean the observations contradict the model shape;
 		// a uniform rescale of the probe is more trustworthy than these.

@@ -50,4 +50,4 @@ func TPVolume(slice, firstLayer bool, totalVerts, ownedVerts, dim, colWidth int)
 
 // TPCost prices a slice-exchange element volume: elems · Tc, the Eq. 2
 // factor applied to collective volume instead of boundary-vertex volume.
-func (c Costs) TPCost(elems int64) float64 { return c.Tc * float64(elems) }
+func (c Costs) TPCost(elems int64) float64 { return float64(c.Tc * float64(elems)) }

@@ -139,7 +139,7 @@ func synthesizeFeatures(spec Spec, labels []int32, rng *tensor.RNG) *tensor.Tens
 		c := centroids.Row(int(labels[v]))
 		row := f.Row(v)
 		for j := range row {
-			row[j] = row[j]*0.8 + c[j]
+			row[j] = float32(row[j]*0.8) + c[j]
 		}
 	}
 	return f

@@ -28,8 +28,8 @@ func generateRMAT(spec Spec, rng *tensor.RNG) *graph.Graph {
 	// corner. a = 0.25+skew stays < 1 for skew < 0.75.
 	a := 0.25 + skew
 	rem := 1 - a
-	b := rem * 0.4
-	c := rem * 0.4
+	b := float64(rem * 0.4)
+	c := float64(rem * 0.4)
 	// d = rem * 0.2 implied.
 
 	edges := make([]graph.Edge, 0, numEdges)

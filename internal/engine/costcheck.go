@@ -125,7 +125,7 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 		vElems = append(vElems, float64(w.vertexOps)*d)
 		eElems = append(eElems, float64(w.edgeOps)*d)
 		seconds = append(seconds, measCompute[l])
-		predSum += (float64(w.vertexOps)*e.costs.Tv + float64(w.edgeOps)*e.costs.Te) * d
+		predSum += float64(predCompute(w, e.costs) * d)
 		measSum += measCompute[l]
 	}
 	if tv, te, ok := costmodel.FitComputeFactors(vElems, eElems, seconds); ok {
@@ -142,7 +142,7 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	// rows at their layer width plus TP collective volume.
 	var commElems, commSeconds float64
 	for l := 1; l <= L; l++ {
-		commElems += float64(works[l-1].recvRows)*float64(e.dims[l-1]) +
+		commElems += float64(float64(works[l-1].recvRows)*float64(e.dims[l-1])) +
 			float64(works[l-1].recvElems)
 		commSeconds += measComm[l]
 	}
@@ -155,9 +155,9 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 		lr := LayerResidual{
 			Layer: l, VertexOps: w.vertexOps, EdgeOps: w.edgeOps,
 			RecvRows: w.recvRows, RecvElems: w.recvElems,
-			PredComputeSeconds: (float64(w.vertexOps)*e.costs.Tv + float64(w.edgeOps)*e.costs.Te) * float64(e.dims[l]),
+			PredComputeSeconds: float64(predCompute(w, e.costs) * float64(e.dims[l])),
 			MeasComputeSeconds: measCompute[l],
-			PredCommSeconds: float64(w.recvRows)*e.costs.CommCost(e.dims[l-1]) +
+			PredCommSeconds: float64(float64(w.recvRows)*e.costs.CommCost(e.dims[l-1])) +
 				e.costs.TPCost(w.recvElems),
 			MeasCommSeconds: measComm[l],
 		}
@@ -185,4 +185,11 @@ func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
 		return hybrid.FlipReport{}
 	}
 	return hybrid.DiffDecisions(planA, planB)
+}
+
+// predCompute is Eq. 1's compute term per feature column of a layer's work,
+// vertexOps·Tv + edgeOps·Te, each product rounded before the sum so no
+// architecture fuses it (DESIGN §13).
+func predCompute(w layerWork, c costmodel.Costs) float64 {
+	return float64(float64(w.vertexOps)*c.Tv) + float64(float64(w.edgeOps)*c.Te)
 }

@@ -255,8 +255,6 @@ type Engine struct {
 	// history accumulates every completed epoch's stats; it rides along in
 	// snapshots so a resumed run reports a continuous loss curve.
 	history []EpochStats
-	// predicts counts inference passes for message-tag uniqueness.
-	predicts int
 	// paramVersion counts parameter mutations (optimiser steps, LoadModel,
 	// Restore). Serving caches key their freshness off it: any bump means
 	// previously computed embeddings may be stale.
@@ -545,55 +543,14 @@ func (e *Engine) Params() []*nn.Param { return e.states[0].model.Params() }
 // Model returns worker 0's model replica.
 func (e *Engine) Model() *nn.Model { return e.states[0].model }
 
-// predictEpochBase keeps inference message tags disjoint from training
-// epochs in the mailbox routing space.
-const predictEpochBase = 1 << 28
-
-// Predict runs one distributed forward-only pass (dropout disabled) and
-// returns the final-layer logits for every vertex, assembled from the
-// workers' owned blocks.
-func (e *Engine) Predict() *tensor.Tensor {
-	e.predicts++
-	epoch := predictEpochBase + e.predicts
-	type part struct {
-		id   int
-		rows *tensor.Tensor
-	}
-	results := make(chan part, len(e.states))
-	for _, ws := range e.states {
-		go func(ws *workerState) {
-			results <- part{id: ws.id, rows: ws.runForward(epoch)}
-		}(ws)
-	}
-	out := tensor.New(e.ds.NumVertices(), e.dims[len(e.dims)-1])
-	for range e.states {
-		p := <-results
-		for r, v := range e.plans[p.id].owned {
-			copy(out.Row(int(v)), p.rows.Row(r))
-		}
-	}
-	return out
-}
-
 // Evaluate computes classification accuracy over the vertices selected by
-// mask, using a distributed forward pass with the current parameters.
+// mask with the current parameters. The engine's passes are training epochs
+// only: the read-out is the single-machine ReferenceForward of worker 0's
+// replica, the evaluator the sampling baseline shares (ReferenceAccuracy).
+// It therefore scores the exact model even when replica rows train
+// quantized (Options.RepQuant): that is a training-time storage format.
 func (e *Engine) Evaluate(mask []bool) float64 {
-	logits := e.Predict()
-	pred := tensor.ArgMaxRows(logits)
-	correct, total := 0, 0
-	for v, m := range mask {
-		if !m {
-			continue
-		}
-		total++
-		if int32(pred[v]) == e.ds.Labels[v] {
-			correct++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+	return ReferenceAccuracy(e.ds, e.Model(), mask)
 }
 
 // ReplicasInSync reports whether all workers hold bit-identical parameters;

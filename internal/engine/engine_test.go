@@ -469,28 +469,6 @@ func TestSchedulerAndClipping(t *testing.T) {
 	}
 }
 
-func TestDistributedPredictMatchesReference(t *testing.T) {
-	ds := testDataset(t, 220, 5, 43)
-	for _, mode := range []Mode{DepCache, DepComm, Hybrid} {
-		e, err := NewEngine(ds, Options{Workers: 4, Mode: mode, Model: nn.GCN, Seed: 44})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Train(2)
-		got := e.Predict()
-		want := ReferenceForward(ds.Graph, e.Model(), ds.Features)
-		if !got.AllClose(want, 1e-3) {
-			t.Fatalf("%s: distributed predict deviates, maxdiff %v", mode, got.MaxAbsDiff(want))
-		}
-		// Prediction must not disturb subsequent training.
-		st := e.RunEpoch()
-		if st.Loss <= 0 || !e.ReplicasInSync() {
-			t.Fatalf("%s: training broken after Predict", mode)
-		}
-		e.Close()
-	}
-}
-
 // newEngineWithDecisions builds an engine around externally constructed
 // dependency decisions, bypassing the planner — the test-only path for
 // exercising arbitrary R/C splits.

@@ -76,9 +76,9 @@ type layerWork struct {
 // layerPlan is the per-layer execution structure of one worker.
 type layerPlan struct {
 	// flow is the layer's dataflow, chosen here and nowhere else: the epoch
-	// loop, the inference pass and worker construction only call it. Under a
-	// tensor-parallel flow the master–mirror structures below stay empty, so
-	// the send/recv wiring no-ops.
+	// loop and worker construction only call it. Under a tensor-parallel flow
+	// the master–mirror structures below stay empty, so the send/recv wiring
+	// no-ops.
 	flow dataflow
 	work layerWork
 	// recv[j] lists vertices received from peer j this layer (ascending);

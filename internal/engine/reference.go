@@ -2,6 +2,7 @@ package engine
 
 import (
 	"neutronstar/internal/autograd"
+	"neutronstar/internal/dataset"
 	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
@@ -14,9 +15,30 @@ import (
 func ReferenceForward(g *graph.Graph, model *nn.Model, features *tensor.Tensor) *tensor.Tensor {
 	h := features
 	for _, layer := range model.Layers {
-		h = referenceLayer(g, layer, h, false, nil)
+		h = referenceLayer(g, layer, h)
 	}
 	return h
+}
+
+// ReferenceAccuracy is the share of the vertices selected by mask whose
+// argmax ReferenceForward logit is their label (0 for an empty mask): the one
+// evaluator of the engines and the sampling baseline alike.
+func ReferenceAccuracy(ds *dataset.Dataset, model *nn.Model, mask []bool) float64 {
+	pred := tensor.ArgMaxRows(ReferenceForward(ds.Graph, model, ds.Features))
+	correct, total := 0, 0
+	for v, m := range mask {
+		if !m {
+			continue
+		}
+		total++
+		if int32(pred[v]) == ds.Labels[v] {
+			correct++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(correct) / float64(total)
 }
 
 // ReferenceTrainStep runs one full-graph training step on a single machine
@@ -59,7 +81,7 @@ func referenceStep(g *graph.Graph, model *nn.Model, features *tensor.Tensor,
 	for li, layer := range model.Layers {
 		tape := autograd.NewTape()
 		in := tape.Leaf(h, li > 0 || featGrad, "h")
-		out := forwardOnTape(g, layer, tape, in, false, nil)
+		out := forwardOnTape(g, layer, tape, in)
 		runs = append(runs, run{tape: tape, in: in, out: out})
 		h = out.Value
 	}
@@ -88,10 +110,10 @@ func referenceStep(g *graph.Graph, model *nn.Model, features *tensor.Tensor,
 
 // referenceLayer evaluates one layer over the whole graph without autograd
 // bookkeeping beyond a throwaway tape.
-func referenceLayer(g *graph.Graph, layer nn.Layer, h *tensor.Tensor, training bool, rng *tensor.RNG) *tensor.Tensor {
+func referenceLayer(g *graph.Graph, layer nn.Layer, h *tensor.Tensor) *tensor.Tensor {
 	tape := autograd.NewTape()
 	in := tape.Constant(h, "h")
-	out := forwardOnTape(g, layer, tape, in, training, rng)
+	out := forwardOnTape(g, layer, tape, in)
 	// Detach parameters bound during inference so a later training pass does
 	// not try to collect stale gradients.
 	for _, p := range layer.Params() {
@@ -100,16 +122,12 @@ func referenceLayer(g *graph.Graph, layer nn.Layer, h *tensor.Tensor, training b
 	return out.Value
 }
 
-// forwardOnTape builds the full-graph ForwardCtx for layer and runs it.
-func forwardOnTape(g *graph.Graph, layer nn.Layer, tape *autograd.Tape,
-	in *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable {
-
-	if rng == nil {
-		rng = tensor.NewRNG(0)
-	}
+// forwardOnTape builds the full-graph ForwardCtx for layer and runs it with
+// dropout off, so no RNG is drawn.
+func forwardOnTape(g *graph.Graph, layer nn.Layer, tape *autograd.Tape, in *autograd.Variable) *autograd.Variable {
 	rows := in
 	if pt, ok := layer.(nn.PreTransformer); ok {
-		rows = pt.PreTransform(tape, in, training, rng)
+		rows = pt.PreTransform(tape, in, false, nil)
 	}
 	n := g.NumVertices()
 	srcIdx := make([]int32, 0, g.NumEdges())
@@ -134,8 +152,6 @@ func forwardOnTape(g *graph.Graph, layer nn.Layer, tape *autograd.Tape,
 		EdgeDst:  dstIdx,
 		EdgeNorm: edgeNorm,
 		SelfNorm: selfNorm,
-		Training: training,
-		RNG:      rng,
 	}
 	return layer.Forward(ctx)
 }

@@ -71,9 +71,8 @@ func TestInferenceDoesNotMutateParams(t *testing.T) {
 }
 
 func TestEngineTrainAfterEvaluateInterleaved(t *testing.T) {
-	// Alternating Train and Evaluate must not corrupt message routing or
-	// replica sync (Evaluate runs distributed forward passes with their own
-	// tag space).
+	// Alternating Train and Evaluate must not break replica sync (Evaluate
+	// reads worker 0's replica through the reference forward).
 	ds := testDataset(t, 100, 4, 64)
 	e, err := NewEngine(ds, Options{Workers: 3, Mode: Hybrid, Model: nn.GCN, Seed: 9, LR: 0.02})
 	if err != nil {
@@ -92,6 +91,77 @@ func TestEngineTrainAfterEvaluateInterleaved(t *testing.T) {
 	_ = prev
 	if !e.ReplicasInSync() {
 		t.Fatal("interleaved evaluate broke replica sync")
+	}
+}
+
+// TestEvaluateIsReferenceArgmax: for every kind of dataflow, Evaluate is the
+// masked accuracy of argmax ReferenceForward over the trained parameters.
+func TestEvaluateIsReferenceArgmax(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	for _, mode := range []Mode{DepCache, DepComm, Hybrid, DepTP, DepRep} {
+		e, err := NewEngine(ds, Options{Workers: 4, Mode: mode, Model: nn.GCN, Seed: 44, LR: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Train(5)
+		pred := tensor.ArgMaxRows(ReferenceForward(ds.Graph, e.Model(), ds.Features))
+		for name, mask := range map[string][]bool{"train": ds.TrainMask, "val": ds.ValMask, "test": ds.TestMask} {
+			correct, total := 0, 0
+			for v, m := range mask {
+				if m {
+					total++
+					if int32(pred[v]) == ds.Labels[v] {
+						correct++
+					}
+				}
+			}
+			if total == 0 || correct == 0 {
+				t.Fatalf("%s/%s: %d of %d correct; the check would prove nothing", mode, name, correct, total)
+			}
+			if got, want := e.Evaluate(mask), float64(correct)/float64(total); got != want {
+				t.Fatalf("%s/%s: Evaluate %v, reference argmax %v", mode, name, got, want)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestEvaluateLeavesTrainingBitIdentical: evaluating between epochs touches
+// nothing training reads — a run that calls Evaluate after every epoch has
+// the loss bits and final parameters of one that never does.
+func TestEvaluateLeavesTrainingBitIdentical(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	for _, mode := range []Mode{Hybrid, DepTP} {
+		for _, model := range []nn.ModelKind{nn.GCN, nn.GAT} {
+			run := func(evaluate bool) ([]float64, []*nn.Param) {
+				e, err := NewEngine(ds, Options{Workers: 3, Mode: mode, Model: model, Seed: 8,
+					Ring: true, LockFree: true, Overlap: true, Dropout: 0.3, Pool: tensor.NewPool()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				var losses []float64
+				for i := 0; i < 3; i++ {
+					losses = append(losses, e.RunEpoch().Loss)
+					if evaluate {
+						e.Evaluate(ds.ValMask)
+					}
+				}
+				return losses, e.Params()
+			}
+			plain, plainParams := run(false)
+			evaluated, evaluatedParams := run(true)
+			for i := range plain {
+				if math.Float64bits(plain[i]) != math.Float64bits(evaluated[i]) {
+					t.Fatalf("%s/%s epoch %d: loss %.17g with Evaluate, %.17g without", mode, model, i+1, evaluated[i], plain[i])
+				}
+			}
+			for i := range plainParams {
+				if !plainParams[i].Value.Equal(evaluatedParams[i].Value) {
+					t.Fatalf("%s/%s: parameter %s differs after evaluating", mode, model, plainParams[i].Name)
+				}
+			}
+		}
 	}
 }
 

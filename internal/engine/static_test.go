@@ -55,11 +55,10 @@ func (s *layer1Spy) Send(msg *comm.Message) {
 
 // TestStaticLayer1MovesOnce: layer 1's communicated rows are features, bound
 // at construction. On both master–mirror forward paths and under whole-block
-// broadcast, a training epoch and an inference pass send no layer-1
-// representation message, the flight record attributes no dependency fetch
-// to layer 1, the held leaves (GAT) or the bound blocks that absorbed them
-// (GCN) take no gradient, and the logits still match the single-machine
-// forward.
+// broadcast, a training epoch sends no layer-1 representation message, the
+// flight record attributes no dependency fetch to layer 1, the held leaves
+// (GAT) or the bound blocks that absorbed them (GCN) take no gradient, and
+// the epoch's loss still matches the single-machine step.
 func TestStaticLayer1MovesOnce(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	for _, mode := range []Mode{DepComm, Hybrid} {
@@ -82,7 +81,7 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 					var log tapeLog
 					log.attach(e)
 
-					e.Train(1)
+					loss := e.Train(1)[0].Loss
 					last, _ := rec.Last()
 					for _, c := range last.Cells {
 						fetch := c.Stage == obs.StageDepFetchSend.String() || c.Stage == obs.StageDepFetchRecv.String()
@@ -127,10 +126,7 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 						t.Fatalf("no %s leaf on any tape", static)
 					}
 
-					got := e.Predict()
-					if want := ReferenceForward(ds.Graph, e.Model(), ds.Features); !got.AllClose(want, 1e-3) {
-						t.Fatalf("distributed predict deviates, maxdiff %v", got.MaxAbsDiff(want))
-					}
+					assertLossesClose(t, "epoch 1", []float64{loss}, referenceLosses(ds, kind, 1, 44), 2e-3)
 					if spy.reps != 0 {
 						t.Fatalf("%d layer-1 representation messages sent", spy.reps)
 					}
@@ -142,11 +138,11 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 
 // TestStaticCombineBindsOnce: a sum-decomposable layer 1 combines its static
 // input at construction. Over every master–mirror policy × {GCN, GIN} × the
-// three forward configurations × exact and fp16 replicas, three epochs and an
-// inference pass record no edge-stage or Combine op on a layer-1 tape and
-// read the very tensors bindFeatures left, the logits match the
-// single-machine forward, and a run killed after two epochs resumes to the
-// uninterrupted loss bits — there is nothing bound to restore.
+// three forward configurations × exact and fp16 replicas, three epochs record
+// no edge-stage or Combine op on a layer-1 tape and read the very tensors
+// bindFeatures left, the losses match the single-machine steps, and a run
+// killed after two epochs resumes to the uninterrupted loss bits — there is
+// nothing bound to restore.
 func TestStaticCombineBindsOnce(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	const epochs, workers = 3, 4
@@ -187,7 +183,6 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 						for _, st := range e.Train(epochs) {
 							losses = append(losses, st.Loss)
 						}
-						got := e.Predict()
 
 						layer1 := 0
 						for _, tp := range log.tapes {
@@ -214,19 +209,17 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 								}
 							}
 						}
-						if want := workers * (epochs + 1); layer1 != want {
+						if want := workers * epochs; layer1 != want {
 							t.Fatalf("%d layer-1 tapes, want %d", layer1, want)
 						}
 
-						// Quantized replicas move the logits by the format's
+						// Quantized replicas move the losses by the format's
 						// rounding (partition.RequantizeErrorBound per feature).
-						tol := 1e-3
+						tol := 2e-3
 						if quant != partition.RepQuantOff && mode == DepRep {
 							tol = 5e-2
 						}
-						if want := ReferenceForward(ds.Graph, e.Model(), ds.Features); !got.AllClose(want, tol) {
-							t.Fatalf("distributed predict deviates, maxdiff %v", got.MaxAbsDiff(want))
-						}
+						assertLossesClose(t, "bound", losses, referenceLosses(ds, kind, epochs, 44), tol)
 
 						first, err := NewEngine(ds, opts)
 						if err != nil {
@@ -253,21 +246,21 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 	}
 }
 
-// staticTapeNodes is the multiset of tape node names one training epoch plus
-// one inference pass record on four workers (dataset 220/5/43, seed 44,
-// forced 50 % split), as the commit before layer 1 was bound recorded it —
+// staticTapeNodes is the multiset of tape node names one training epoch
+// records on four workers (dataset 220/5/43, seed 44, forced 50 % split), as
+// the commit before layer 1 was bound recorded it —
 // but for the received rows, since then one h_chunk leaf per peer and the
 // concat_rows that assembles them where there was one h_recv leaf: models
 // that are not sum-decomposable bind nothing new — and for GAT's fused edge
 // stage: one edge_softmax per block in place of two E×1 gathers, an add, a
 // leaky_relu and a segment_softmax (the add left is the self residual).
 var staticTapeNodes = map[string]string{
-	"depcache/gat":  "add:24 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:8 edge_softmax:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:24 h_prev:16 log_softmax:4 matmul:16 nll_loss:4 row_dot:48",
-	"depcache/sage": "add:24 add_bias:8 add_bias_relu:16 concat_rows:8 gather:48 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
-	"depcomm/gat":   "add:16 add_bias:8 add_bias_relu:8 aggregate:16 concat_rows:24 edge_softmax:16 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:16 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:32",
-	"depcomm/sage":  "add:16 add_bias:8 add_bias_relu:8 concat_rows:24 gather:32 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:48 nll_loss:4 relu:16 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:16",
-	"hybrid/gat":    "add:24 add_bias:8 add_bias_relu:16 aggregate:24 concat_rows:32 edge_softmax:24 gat_adst_4:8 gat_adst_8:8 gat_asrc_4:8 gat_asrc_8:8 gat_b_4:8 gat_b_8:8 gat_w_12x8:8 gat_w_8x4:8 gather:24 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:32 nll_loss:4 row_dot:48",
-	"hybrid/sage":   "add:24 add_bias:8 add_bias_relu:16 concat_rows:32 gather:48 h_chunk:24 h_held:8 h_prev:16 log_softmax:4 matmul:72 nll_loss:4 relu:24 sage_b_4:8 sage_b_8:8 sage_wnbr_12x8:8 sage_wnbr_8x4:8 sage_wpool_12x12:8 sage_wpool_8x8:8 sage_wself_12x8:8 sage_wself_8x4:8 scatter_max:24",
+	"depcache/gat":  "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:4 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_prev:8 log_softmax:4 matmul:8 nll_loss:4 row_dot:24",
+	"depcache/sage": "add:12 add_bias:4 add_bias_relu:8 concat_rows:4 gather:24 h_prev:8 log_softmax:4 matmul:36 nll_loss:4 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
+	"depcomm/gat":   "add:8 add_bias:4 add_bias_relu:4 aggregate:8 concat_rows:12 edge_softmax:8 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:8 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:16 nll_loss:4 row_dot:16",
+	"depcomm/sage":  "add:8 add_bias:4 add_bias_relu:4 concat_rows:12 gather:16 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:24 nll_loss:4 relu:8 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:8",
+	"hybrid/gat":    "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:16 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:16 nll_loss:4 row_dot:24",
+	"hybrid/sage":   "add:12 add_bias:4 add_bias_relu:8 concat_rows:16 gather:24 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:36 nll_loss:4 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
 }
 
 // TestStaticCombineLeavesOtherModelsAlone: GAT and SAGE tapes record what
@@ -284,7 +277,6 @@ func TestStaticCombineLeavesOtherModelsAlone(t *testing.T) {
 			var log tapeLog
 			log.attach(e)
 			e.Train(1)
-			e.Predict()
 			e.Close()
 			counts := map[string]int{}
 			for _, tp := range log.tapes {

@@ -22,15 +22,14 @@ type workerState struct {
 	opt   nn.Optimizer
 	mb    *comm.Mailbox
 	rng   *tensor.RNG
-	// arena recycles this worker's training-time tensors (tape intermediates,
-	// gradients, outgoing payloads) through the engine's pool; the engine
-	// releases it at every epoch barrier. Nil when pooling is off.
+	// arena recycles this worker's tensors (tape intermediates, gradients,
+	// outgoing payloads) through the engine's pool; the engine releases it at
+	// every epoch barrier. Nil when pooling is off, and while layer 1 is bound.
 	arena *tensor.Arena
-	// clock times the pass the worker is running — a training epoch, or an
-	// inference pass on a trace-only lane — and is the one place its phases
-	// are emitted: every boundary is one Phase call, on the worker's own
-	// goroutine. Nil (a no-op) when neither a recorder nor a tracer is
-	// attached.
+	// clock times the training epoch the worker is running and is the one
+	// place its phases are emitted: every boundary is one Phase call, on the
+	// worker's own goroutine. Nil (a no-op) when neither a recorder nor a
+	// tracer is attached.
 	clock *obs.StageClock
 
 	// feat is the layer-1 input in prev-layout: owned features followed by
@@ -83,7 +82,7 @@ type dataflow interface {
 	bindFeatures(ws *workerState)
 	// forward executes layer l on prevVal, the previous layer's output (ws.feat
 	// for l = 1), keeping the tape state the backward sweep needs.
-	forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun
+	forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor) layerRun
 	// backward runs layer l's tapes backward and returns the input gradients
 	// to whoever produced the inputs, leaving runs[l-1].hPrev.Grad as the
 	// seed of layer l-1.
@@ -103,18 +102,19 @@ type masterMirror struct {
 	// boundOwned / boundCached are a sum-decomposable layer 1's combined rows
 	// for its two destination blocks (boundCached is nil when the layer
 	// recomputes nothing). Everything such a layer does before its first
-	// parameter reads only features and the plan, so epochs and inference
-	// passes run Transform on these: nothing is sent, awaited or posted back,
-	// and no gradient leaves the layer's tape.
+	// parameter reads only features and the plan, so epochs run Transform on
+	// these: nothing is sent, awaited or posted back, and no gradient leaves
+	// the layer's tape.
 	boundOwned, boundCached *tensor.Tensor
 }
 
 // bindFeatures copies the feature rows of layer 1's held chunks beside
 // ws.feat, the owned ++ cached features, and, for a sum-decomposable layer,
-// runs the forward's own combine over them once, on a plain tape: the bound
-// rows outlive every epoch barrier and carry the bits of the path the options
-// select, because that path's code computed them. Held rows and ws.feat have
-// no reader afterwards and are let go.
+// runs the forward's own combine over them once, on a plain tape and before
+// the worker's arena is attached: the bound rows, and everything drawn to
+// compute them, outlive every epoch barrier. They carry the bits of the path
+// the options select, because that path's code computed them. Held rows and
+// ws.feat have no reader afterwards and are let go.
 func (f *masterMirror) bindFeatures(ws *workerState) {
 	lp := &ws.plan.layers[0]
 	if lp.numHAllRows > lp.numPrevRows {
@@ -136,7 +136,7 @@ func (f *masterMirror) bindFeatures(ws *workerState) {
 	if lp.cached.numDst() > 0 {
 		f.boundCached = combineBlock(run.tape, sd, &lp.cached, feat, feat).Value
 	}
-	f.boundOwned = f.combineOwned(ws, &run, 0, 1, sd, feat, false).Value
+	f.boundOwned = f.combineOwned(ws, &run, 0, 1, sd, feat).Value
 	ws.feat, f.held = nil, nil
 }
 
@@ -151,10 +151,9 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 	ds := e.ds
 	ws := &workerState{
 		id: id, eng: e, plan: plan, model: model,
-		opt:   nn.NewAdam(e.opts.LR),
-		mb:    e.fabric.Mailbox(id),
-		rng:   tensor.NewRNG(e.opts.Seed ^ (uint64(id)+1)*0x9E3779B9),
-		arena: e.opts.Pool.Arena(),
+		opt: nn.NewAdam(e.opts.LR),
+		mb:  e.fabric.Mailbox(id),
+		rng: tensor.NewRNG(e.opts.Seed ^ (uint64(id)+1)*0x9E3779B9),
 	}
 	// Assemble the layer-1 input block: owned features ++ cached features.
 	dim := ds.Spec.FeatureDim
@@ -178,6 +177,7 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 		}
 	}
 	plan.layers[0].flow.bindFeatures(ws)
+	ws.arena = e.opts.Pool.Arena()
 	ws.labels = make([]int32, len(plan.owned))
 	ws.trainMask = make([]bool, len(plan.owned))
 	for r, v := range plan.owned {
@@ -188,28 +188,14 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 	return ws
 }
 
-// newTape returns the tape for one layer's forward pass: arena-backed during
-// training (everything on it dies by the epoch barrier), plain-allocating for
-// inference, whose outputs outlive any barrier.
-func (ws *workerState) newTape(training bool) *autograd.Tape {
-	var arena *tensor.Arena // nil: plain allocation
-	if training {
-		arena = ws.arena
-	}
-	tape := autograd.NewTapeArena(arena)
+// newTape returns the tape for one layer's forward pass, backed by the
+// worker's arena: everything on it dies by the epoch barrier.
+func (ws *workerState) newTape() *autograd.Tape {
+	tape := autograd.NewTapeArena(ws.arena)
 	if ws.eng.tapeHook != nil {
 		ws.eng.tapeHook(tape)
 	}
 	return tape
-}
-
-// alloc returns a zeroed tensor from the worker's arena when it may be
-// recycled at the epoch barrier (training), or a plain allocation otherwise.
-func (ws *workerState) alloc(training bool, rows, cols int) *tensor.Tensor {
-	if training {
-		return ws.arena.Get(rows, cols)
-	}
-	return tensor.New(rows, cols)
 }
 
 // peerOrder returns the peer iteration order for this worker under the
@@ -252,7 +238,10 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 	// ---- Forward: synchronize-compute per layer ----
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
-		runs[l-1] = ws.forwardLayer(epoch, l, prevVal, true)
+		ws.clock.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
+		ws.clock.Group("layer", obs.Int("layer", l))
+		runs[l-1] = ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal)
+		ws.clock.EndGroup()
 		prevVal = runs[l-1].out.Value
 	}
 
@@ -272,7 +261,7 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 
 	// Seed so that the aggregated gradient equals the gradient of the
 	// global mean loss: d(global mean)/d(local mean) = n / totalLabeled.
-	seed := ws.alloc(true, 1, 1)
+	seed := ws.arena.Get(1, 1)
 	if ws.totalLabeled > 0 {
 		seed.Set(0, 0, float32(n)/float32(ws.totalLabeled))
 	}
@@ -310,20 +299,11 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 	return lossSum, count, ws.clock.End()
 }
 
-// forwardLayer runs layer l's dataflow on prevVal inside its structural
-// "layer" group, on whichever clock the pass is running.
-func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
-	ws.clock.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
-	ws.clock.Group("layer", obs.Int("layer", l))
-	defer ws.clock.EndGroup()
-	return ws.plan.layers[l-1].flow.forward(ws, epoch, l, prevVal, training)
-}
-
 // forward sets up the tape and the sender, then runs the layer by its kind.
-func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
+func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
-	run := layerRun{tape: ws.newTape(training)}
+	run := layerRun{tape: ws.newTape()}
 	sc := ws.clock
 
 	var sent chan struct{} // closed by the background sender; nil without one
@@ -337,11 +317,11 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 		lane := sc.Lane()
 		go func() {
 			defer close(sent)
-			ws.sendReps(epoch, l, prevVal, training, lane)
+			ws.sendReps(epoch, l, prevVal, lane)
 			lane.End()
 		}()
 	default:
-		ws.sendReps(epoch, l, prevVal, training, sc)
+		ws.sendReps(epoch, l, prevVal, sc)
 		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
@@ -350,9 +330,9 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 	// exchange (the overlap of Fig. 8), and dropout draws in that order.
 	var outOwned, outCached *autograd.Variable
 	if sd, ok := layer.(nn.SumDecomposable); ok {
-		outOwned, outCached = f.forwardSum(ws, &run, epoch, l, sd, prevVal, training)
+		outOwned, outCached = f.forwardSum(ws, &run, epoch, l, sd, prevVal)
 	} else {
-		outOwned, outCached = f.forwardBlocks(ws, &run, epoch, l, layer, prevVal, training)
+		outOwned, outCached = f.forwardBlocks(ws, &run, epoch, l, layer, prevVal)
 	}
 	run.out = outOwned
 	if outCached != nil {
@@ -367,7 +347,7 @@ func (f *masterMirror) forward(ws *workerState, epoch, l int, prevVal *tensor.Te
 // forwardSum runs a sum-decomposable layer: Transform of each destination
 // block's combined rows — the ones bound at construction, or computed now.
 func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
-	prevVal *tensor.Tensor, training bool) (outOwned, outCached *autograd.Variable) {
+	prevVal *tensor.Tensor) (outOwned, outCached *autograd.Variable) {
 
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
@@ -375,7 +355,7 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 	bound := f.boundOwned != nil
 	if !bound {
 		// Layer 1's input is the static feature block: it takes no gradient.
-		run.hPrev = tape.Leaf(prevVal, training && l > 1, "h_prev")
+		run.hPrev = tape.Leaf(prevVal, l > 1, "h_prev")
 	}
 	if b := &lp.cached; b.numDst() > 0 {
 		sc.Phase(obs.StageForward, l, "compute_cached",
@@ -386,7 +366,7 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 		} else {
 			combined = combineBlock(tape, sd, b, run.hPrev, run.hPrev)
 		}
-		outCached = sd.Transform(tape, combined, training, ws.rng)
+		outCached = sd.Transform(tape, combined, true, ws.rng)
 	}
 	var combined *autograd.Variable
 	if bound {
@@ -394,9 +374,9 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 			obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
 		combined = tape.Constant(f.boundOwned, "combined")
 	} else {
-		combined = f.combineOwned(ws, run, epoch, l, sd, run.hPrev, training)
+		combined = f.combineOwned(ws, run, epoch, l, sd, run.hPrev)
 	}
-	return sd.Transform(tape, combined, training, ws.rng), outCached
+	return sd.Transform(tape, combined, true, ws.rng), outCached
 }
 
 // combineBlock is a sum-decomposable layer's work on one destination block
@@ -414,12 +394,12 @@ func combineBlock(tape *autograd.Tape, sd nn.SumDecomposable, b *blockPlan, src,
 // chunk k overlaps delivery of chunk k+1, and the partials are summed; or the
 // block's CSR is walked once over the assembled rows.
 func (f *masterMirror) combineOwned(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
-	hPrev *autograd.Variable, training bool) *autograd.Variable {
+	hPrev *autograd.Variable) *autograd.Variable {
 
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
 	if ws.chunkPipelined() {
-		agg := f.aggregateChunked(ws, run, epoch, l, sd, hPrev, training)
+		agg := f.aggregateChunked(ws, run, epoch, l, sd, hPrev)
 		return sd.Combine(tape, agg, tape.Gather(hPrev, lp.owned.selfRow), lp.owned.selfNorm)
 	}
 	hAll := hPrev
@@ -435,24 +415,24 @@ func (f *masterMirror) combineOwned(ws *workerState, run *layerRun, epoch, l int
 // GAT's z = W·h) over every row universe exactly once, then Layer.Forward on
 // each destination block.
 func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l int, layer nn.Layer,
-	prevVal *tensor.Tensor, training bool) (outOwned, outCached *autograd.Variable) {
+	prevVal *tensor.Tensor) (outOwned, outCached *autograd.Variable) {
 
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
 	sc := ws.clock
-	run.hPrev = tape.Leaf(prevVal, training && l > 1, "h_prev")
+	run.hPrev = tape.Leaf(prevVal, l > 1, "h_prev")
 	pre := func(h *autograd.Variable) *autograd.Variable { return h }
 	if pt, ok := layer.(nn.PreTransformer); ok {
 		pre = func(h *autograd.Variable) *autograd.Variable {
 			sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-			return pt.PreTransform(tape, h, training, ws.rng)
+			return pt.PreTransform(tape, h, true, ws.rng)
 		}
 	}
 	zPrev := pre(run.hPrev)
 	if b := &lp.cached; b.numDst() > 0 {
 		sc.Phase(obs.StageForward, l, "compute_cached",
 			obs.Int("layer", l), obs.Int("rows", b.numDst()))
-		outCached = ws.runBlock(tape, layer, b, zPrev, zPrev, training)
+		outCached = ws.runBlock(tape, layer, b, zPrev, zPrev)
 	}
 	zAll := zPrev
 	if hRest := f.rest(ws, run, epoch, l); hRest != nil {
@@ -460,7 +440,7 @@ func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l in
 	}
 	sc.Phase(obs.StageForward, l, "compute_owned",
 		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
-	return ws.runBlock(tape, layer, &lp.owned, zAll, zPrev, training), outCached
+	return ws.runBlock(tape, layer, &lp.owned, zAll, zPrev), outCached
 }
 
 // rest returns the rows of other workers the owned block reads, HAll rows
@@ -528,33 +508,13 @@ func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Varia
 	return leaf
 }
 
-// runForward executes a forward-only (inference) pass and returns the owned
-// vertices' final-layer outputs. Parameters bound on the throwaway tapes are
-// released immediately. epoch must be unique per collective (the engine uses
-// a dedicated counter range so inference messages never alias training ones).
-func (ws *workerState) runForward(epoch int) *tensor.Tensor {
-	L := len(ws.plan.layers)
-	// An inference pass runs outside any epoch: it is timed on a trace-only
-	// lane, so a tracer sees its spans and the flight recorder nothing.
-	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Tracer).Lane()
-	prevVal := ws.feat
-	for l := 1; l <= L; l++ {
-		prevVal = ws.forwardLayer(epoch, l, prevVal, false).out.Value
-	}
-	ws.clock.End()
-	for _, p := range ws.model.Params() {
-		p.CollectGrad()
-	}
-	return prevVal.RowSlice(0, len(ws.plan.owned))
-}
-
 // aggregateChunked is §4.3's incremental aggregation of layer l's owned
 // block: the local region's edge stage, then each peer chunk's as it
 // arrives (arrivalOrder), so a chunk's edge stage overlaps the ones still in
 // flight; the partials are summed left to right in schedule order, which
 // keeps the sum's bits independent of arrival.
 func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
-	hPrev *autograd.Variable, training bool) *autograd.Variable {
+	hPrev *autograd.Variable) *autograd.Variable {
 
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
@@ -586,7 +546,8 @@ func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l
 	sc.Phase(obs.StageForward, l, "vertex_stage",
 		obs.Int("layer", l), obs.Int("rows", numDst))
 	if len(partials) == 0 {
-		return tape.Constant(ws.alloc(training, numDst, hPrev.Value.Cols()), "agg_zero")
+		// Plain while layer 1 is bound: the worker has no arena yet.
+		return tape.Constant(ws.arena.Get(numDst, hPrev.Value.Cols()), "agg_zero")
 	}
 	agg := partials[0]
 	for _, p := range partials[1:] {
@@ -599,7 +560,7 @@ func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l
 // srcUniverse provides edge-source rows, read through b.srcRow; selfUniverse
 // provides the destinations' own rows (always within the prev-layout part).
 func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPlan,
-	srcUniverse, selfUniverse *autograd.Variable, training bool) *autograd.Variable {
+	srcUniverse, selfUniverse *autograd.Variable) *autograd.Variable {
 	ctx := &nn.ForwardCtx{
 		Tape:     tape,
 		Src:      srcUniverse,
@@ -609,7 +570,7 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 		EdgeDst:  b.dstRow,
 		EdgeNorm: b.edgeNorm,
 		SelfNorm: b.selfNorm,
-		Training: training,
+		Training: true,
 		RNG:      ws.rng,
 	}
 	return layer.Forward(ctx)
@@ -618,14 +579,9 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 // sendReps packs and sends this worker's master rows needed by each peer at
 // layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
 // the send runs inline, a lane of it when it runs in the background. The
-// plan's sendRow says which of prevVal's rows go. Training sends draw payload
-// buffers from the arena (the receiver is done with them by the epoch
-// barrier); inference payloads must outlive barriers and allocate plainly.
-func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) {
-	var arena *tensor.Arena
-	if training {
-		arena = ws.arena
-	}
+// plan's sendRow says which of prevVal's rows go. Payload buffers come from
+// the arena: the receiver is done with them by the epoch barrier.
+func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, sc *obs.StageClock) {
 	lp := &ws.plan.layers[l-1]
 	for _, j := range ws.peerOrder() {
 		verts, rowOf := lp.send[j], lp.sendRow[j]
@@ -647,7 +603,7 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 			ws.eng.fabric.Send(msg)
 			continue
 		}
-		buf := comm.NewEnqueuerArena(ws.eng.opts.LockFree, verts, prevVal.Cols(), arena)
+		buf := comm.NewEnqueuerArena(ws.eng.opts.LockFree, verts, prevVal.Cols(), ws.arena)
 		tensor.ParallelRows(len(verts), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				// verts is the buffer's own vertex list, so position k IS the
@@ -678,7 +634,7 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 	run := &runs[l-1]
 	seed := runs[l].hPrev.Grad
 	if seed == nil {
-		seed = ws.alloc(true, run.out.Value.Rows(), run.out.Value.Cols())
+		seed = ws.arena.Get(run.out.Value.Rows(), run.out.Value.Cols())
 	}
 	ws.receiveMirrorGrads(epoch, l+1, seed)
 	ws.clock.Phase(obs.StageBackward, l, "tape_backward", obs.Int("layer", l))
@@ -704,7 +660,7 @@ func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 		}
 		grad := leaf.v.Grad
 		if grad == nil {
-			grad = ws.alloc(true, leaf.v.Value.Rows(), leaf.v.Value.Cols())
+			grad = ws.arena.Get(leaf.v.Value.Rows(), leaf.v.Value.Cols())
 		}
 		ws.eng.fabric.Send(&comm.Message{
 			From: ws.id, To: leaf.peer, Kind: comm.KindGrad,

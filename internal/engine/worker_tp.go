@@ -55,14 +55,14 @@ func (ws *workerState) tpSend(epoch, l, seq, to int, rows *tensor.Tensor) {
 
 // scatterCols ships every peer with a non-empty column slice its columns of
 // this worker's owned row block (the send half of Seq 0 and Seq 2).
-func (ws *workerState) scatterCols(x TPSliceExchange, epoch, l, seq int, block *tensor.Tensor, training bool) {
+func (ws *workerState) scatterCols(x TPSliceExchange, epoch, l, seq int, block *tensor.Tensor) {
 	nOwned := len(ws.plan.owned)
 	for _, j := range ws.peerOrder() {
 		lo, hi := x.cols(j)
 		if nOwned == 0 || hi == lo {
 			continue
 		}
-		rows := ws.alloc(training, nOwned, hi-lo)
+		rows := ws.arena.Get(nOwned, hi-lo)
 		copyWindow(at(rows, 0, 0), at(block, 0, lo), nOwned, hi-lo)
 		ws.tpSend(epoch, l, seq, j, rows)
 	}
@@ -72,8 +72,8 @@ func (ws *workerState) scatterCols(x TPSliceExchange, epoch, l, seq int, block *
 // row block from its Seq message, this worker's own from the cols columns of
 // own starting at ownCol (the receive half of Seq 0 and Seq 2, and the
 // assemble all-gather).
-func (ws *workerState) gatherBlocks(x TPSliceExchange, epoch, l, seq int, own *tensor.Tensor, ownCol, cols int, training bool) *tensor.Tensor {
-	all := ws.alloc(training, x.BlockStart[x.NumWorkers()], cols)
+func (ws *workerState) gatherBlocks(x TPSliceExchange, epoch, l, seq int, own *tensor.Tensor, ownCol, cols int) *tensor.Tensor {
+	all := ws.arena.Get(x.BlockStart[x.NumWorkers()], cols)
 	for _, j := range ws.peerOrder() {
 		blo, bhi := x.rows(j)
 		if bhi == blo {
@@ -127,29 +127,29 @@ func (f *tpSlice) bindFeatures(ws *workerState) {
 // rows (static features at layer 1, a slice-scatter above), aggregate the full
 // graph over that slice on a dedicated tape, re-gather the owned rows to full
 // width, and run Combine and Transform on the main tape.
-func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
+func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor) layerRun {
 	x := f.x
 	sh := f.shared
 	layer := ws.model.Layers[l-1]
 	sd := layer.(nn.SumDecomposable)
-	tape := ws.newTape(training)
+	tape := ws.newTape()
 	sc := ws.clock
 	totalV := len(sh.globalRow)
 	nOwned := len(ws.plan.owned)
 	lo, hi := x.cols(ws.id)
 	width := hi - lo
-	requiresGrad := training && l > 1
+	requiresGrad := l > 1
 
 	// 1. Slice input X_j (|V| × width_j). Layer 1 reads the static feature
 	// slice assembled at construction; deeper layers run the slice-scatter.
 	xVal := f.feat
 	if l > 1 {
 		sc.Phase(obs.StageDepFetchSend, l, "tp_slice_scatter", obs.Int("layer", l))
-		ws.scatterCols(x, epoch, l, 0, prevVal, training)
+		ws.scatterCols(x, epoch, l, 0, prevVal)
 		xVal = nil
 		if width > 0 {
 			sc.Phase(obs.StageDepFetchRecv, l, "tp_slice_gather", obs.Int("layer", l))
-			xVal = ws.gatherBlocks(x, epoch, l, 0, prevVal, lo, width, training)
+			xVal = ws.gatherBlocks(x, epoch, l, 0, prevVal, lo, width)
 		}
 	}
 
@@ -159,14 +159,14 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 		obs.Int("layer", l), obs.Int("rows", totalV))
 	trun := &tpLayerRun{}
 	if width > 0 {
-		trun.sliceTape = ws.newTape(training)
+		trun.sliceTape = ws.newTape()
 		trun.x = trun.sliceTape.Leaf(xVal, requiresGrad, "tp_x")
 		trun.aggSlice = sd.EdgeStage(trun.sliceTape,
 			trun.x, sh.all.srcRow, sh.all.edgeNorm, sh.all.dstRow, totalV)
 	}
 
 	// 3. Re-gather: every owner receives its rows' aggregation at full width.
-	aggFull := ws.alloc(training, nOwned, layer.InDim())
+	aggFull := ws.arena.Get(nOwned, layer.InDim())
 	sc.Phase(obs.StageDepFetchSend, l, "tp_re_gather", obs.Int("layer", l))
 	if width > 0 {
 		ws.sendBlocks(x, epoch, l, 1, trun.aggSlice.Value)
@@ -192,7 +192,7 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor,
 		obs.Int("layer", l), obs.Int("rows", nOwned))
 	hPrev := tape.Leaf(prevVal, requiresGrad, "h_prev")
 	trun.agg = tape.Leaf(aggFull, requiresGrad, "tp_agg")
-	out := sd.Transform(tape, sd.Combine(tape, trun.agg, hPrev, f.selfNormOwned), training, ws.rng)
+	out := sd.Transform(tape, sd.Combine(tape, trun.agg, hPrev, f.selfNormOwned), true, ws.rng)
 	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: trun}
 }
 
@@ -214,16 +214,16 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun) {
 
 	dAgg := run.tp.agg.Grad
 	if dAgg == nil {
-		dAgg = ws.alloc(true, nOwned, run.tp.agg.Value.Cols())
+		dAgg = ws.arena.Get(nOwned, run.tp.agg.Value.Cols())
 	}
 
 	// Re-scatter (adjoint of the re-gather): route each worker's columns of
 	// my owned rows' aggregation gradient back to that worker.
 	sc.Phase(obs.StageMirrorScatter, l, "tp_re_scatter", obs.Int("layer", l))
-	ws.scatterCols(x, epoch, l, 2, dAgg, true)
+	ws.scatterCols(x, epoch, l, 2, dAgg)
 	var dASlice *tensor.Tensor
 	if width > 0 {
-		dASlice = ws.gatherBlocks(x, epoch, l, 2, dAgg, lo, width, true)
+		dASlice = ws.gatherBlocks(x, epoch, l, 2, dAgg, lo, width)
 	}
 
 	// Slice-tape backward: dA_j → dX_j over the full graph.
@@ -233,7 +233,7 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun) {
 		run.tp.sliceTape.Backward(run.tp.aggSlice, dASlice)
 		dX = run.tp.x.Grad
 		if dX == nil {
-			dX = ws.alloc(true, dASlice.Rows(), width)
+			dX = ws.arena.Get(dASlice.Rows(), width)
 		}
 	}
 
@@ -246,7 +246,7 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	}
 	hg := run.hPrev.Grad
 	if hg == nil {
-		hg = ws.alloc(true, run.hPrev.Value.Rows(), run.hPrev.Value.Cols())
+		hg = ws.arena.Get(run.hPrev.Value.Rows(), run.hPrev.Value.Cols())
 		run.hPrev.Grad = hg
 	}
 	if width > 0 {
@@ -290,12 +290,12 @@ func (f *tpAssemble) bindFeatures(ws *workerState) {
 // owner-block row universe, then run the owned destination block over it —
 // the layer's edge stage (attention, pooling) sees every source at full
 // width, so no model assumption is needed.
-func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor, training bool) layerRun {
+func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor) layerRun {
 	layer := ws.model.Layers[l-1]
-	tape := ws.newTape(training)
+	tape := ws.newTape()
 	sc := ws.clock
 	nOwned := len(ws.plan.owned)
-	requiresGrad := training && l > 1
+	requiresGrad := l > 1
 
 	hAllVal := f.shared.featAll
 	if l > 1 {
@@ -308,7 +308,7 @@ func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tens
 			}
 		}
 		sc.Phase(obs.StageDepFetchRecv, l, "tp_all_gather", obs.Int("layer", l))
-		hAllVal = ws.gatherBlocks(f.x, epoch, l, 0, prevVal, 0, layer.InDim(), training)
+		hAllVal = ws.gatherBlocks(f.x, epoch, l, 0, prevVal, 0, layer.InDim())
 		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
 	}
 
@@ -316,11 +316,11 @@ func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tens
 	zAll := hAll
 	if pt, ok := layer.(nn.PreTransformer); ok {
 		sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-		zAll = pt.PreTransform(tape, hAll, training, ws.rng)
+		zAll = pt.PreTransform(tape, hAll, true, ws.rng)
 	}
 	sc.Phase(obs.StageForward, l, "compute_owned",
 		obs.Int("layer", l), obs.Int("rows", nOwned))
-	out := ws.runBlock(tape, layer, &f.full, zAll, zAll, training)
+	out := ws.runBlock(tape, layer, &f.full, zAll, zAll)
 
 	// hPrev is a carrier for the lower layer's backward seed: the layer
 	// consumed hAll, not prevVal, so this leaf is off the gradient path and
@@ -344,14 +344,14 @@ func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	d := run.hPrev.Value.Cols()
 	dHAll := run.tp.hAll.Grad
 	if dHAll == nil {
-		dHAll = ws.alloc(true, run.tp.hAll.Value.Rows(), d)
+		dHAll = ws.arena.Get(run.tp.hAll.Value.Rows(), d)
 	}
 
 	ws.clock.Phase(obs.StageMirrorScatter, l, "tp_grad_scatter", obs.Int("layer", l))
 	ws.sendBlocks(f.x, epoch, l, 2, dHAll)
 	dPrev := run.hPrev.Grad
 	if dPrev == nil {
-		dPrev = ws.alloc(true, run.hPrev.Value.Rows(), d)
+		dPrev = ws.arena.Get(run.hPrev.Value.Rows(), d)
 		run.hPrev.Grad = dPrev
 	}
 	if nOwned > 0 {

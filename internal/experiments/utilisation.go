@@ -145,7 +145,7 @@ func (s *series) smoothnessCV() float64 {
 	mean /= float64(len(vals))
 	var varSum float64
 	for _, v := range vals {
-		varSum += (v - mean) * (v - mean)
+		varSum += float64((v - mean) * (v - mean))
 	}
 	if mean == 0 {
 		return 0

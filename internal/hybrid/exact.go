@@ -60,7 +60,7 @@ func (p *Planner) Charge(worker int, d *Decision) Charge {
 		deg := float64(p.Graph.InDegree(w))
 		ch.ReplicaRows[0]++
 		for j := 1; j <= k; j++ {
-			ch.CacheCost += (p.Costs.Tv + deg*p.Costs.Te) * float64(p.Dims[j])
+			ch.CacheCost += float64((p.Costs.Tv + float64(deg*p.Costs.Te)) * float64(p.Dims[j]))
 			ch.ReplicaRows[j]++
 		}
 		ch.Bytes += costmodel.RepReplicaBytes(p.Dims, k, p.Graph.InDegree(w), compression)

@@ -476,7 +476,7 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 			var next []int32
 			for _, v := range frontier {
 				deg := float64(p.Graph.InDegree(v))
-				t += (p.Costs.Tv + deg*p.Costs.Te) * dim
+				t += float64((p.Costs.Tv + float64(deg*p.Costs.Te)) * dim)
 				if lvl-1 >= 1 {
 					for _, w := range p.Graph.InNeighbors(v) {
 						if _, ok := visited[w]; ok {

@@ -66,8 +66,8 @@ func (o *Adam) Step(params []*Param) {
 		v := o.v[p]
 		md, vd, gd, pd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
 		for i, g := range gd {
-			md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-			vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
+			md[i] = float32(o.Beta1*md[i]) + float32((1-o.Beta1)*g)
+			vd[i] = float32(o.Beta2*vd[i]) + float32((1-o.Beta2)*g*g)
 			mHat := md[i] / c1
 			vHat := vd[i] / c2
 			pd[i] -= o.LR * mHat / (float32(math.Sqrt(float64(vHat))) + o.Eps)
@@ -127,7 +127,7 @@ func (c CosineLR) LR(epoch int) float32 {
 		return c.Min
 	}
 	frac := float64(epoch) / float64(c.Span)
-	return c.Min + (c.Base-c.Min)*float32((1+math.Cos(math.Pi*frac))/2)
+	return c.Min + float32((c.Base-c.Min)*float32((1+math.Cos(math.Pi*frac))/2))
 }
 
 // SetLR updates an optimiser's learning rate (for use with a Scheduler
@@ -148,7 +148,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		n := tensor.Norm(p.Grad)
-		sq += n * n
+		sq += float64(n * n)
 	}
 	total := math.Sqrt(sq)
 	if maxNorm > 0 && total > maxNorm {

@@ -237,7 +237,7 @@ func bucketQuantile(upper []float64, counts []uint64, sum, p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	rank := p * float64(n)
+	rank := float64(p * float64(n))
 	var cum float64
 	for i, cn := range counts {
 		c := float64(cn)
@@ -256,7 +256,7 @@ func bucketQuantile(upper []float64, counts []uint64, sum, p float64) float64 {
 			if i > 0 {
 				lower = upper[i-1]
 			}
-			return lower + (upper[i]-lower)*((rank-cum)/c)
+			return lower + float64((upper[i]-lower)*((rank-cum)/c))
 		}
 		cum += c
 	}
@@ -282,7 +282,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 func LinearBuckets(start, width float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = start + float64(i)*width
+		out[i] = start + float64(float64(i)*width)
 	}
 	return out
 }

@@ -478,8 +478,8 @@ func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
 }
 
 // AddTraffic attributes bytes and message counts to a stage cell of the open
-// epoch. A no-op when no epoch is open (e.g. inference traffic between
-// epochs) — time attribution has the same property via Clock.
+// epoch. A no-op when no epoch is open — time attribution has the same
+// property via Clock.
 func (r *FlightRecorder) AddTraffic(worker int, s Stage, layer int, bytes, msgs int64) {
 	if r == nil {
 		return
@@ -708,10 +708,10 @@ func (c *StageClock) EndGroup() {
 
 // Lane returns a trace-only clock for the same worker, nil when no tracer is
 // attached: it feeds the tracer and never the cells or the causal log. Work
-// beside the worker's own timeline (the overlap path's background sender) or
-// outside any epoch (an inference pass) is timed on a lane, so the exclusive
-// per-worker identity survives while utilisation still sees the work. A lane
-// is a clock of its own: one goroutine, ended with End.
+// beside the worker's own timeline (the overlap path's background sender) is
+// timed on a lane, so the exclusive per-worker identity survives while
+// utilisation still sees the work. A lane is a clock of its own: one
+// goroutine, ended with End.
 func (c *StageClock) Lane() *StageClock {
 	if c == nil || c.tr == nil {
 		return nil

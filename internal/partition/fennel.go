@@ -54,7 +54,7 @@ func fennelPartition(g *graph.Graph, numParts int) *Partition {
 			if sizes[i] >= capLimit {
 				continue
 			}
-			score := float64(affinity[i]) - alpha*gamma*math.Pow(float64(sizes[i]), gamma-1)
+			score := float64(affinity[i]) - float64(alpha*gamma*math.Pow(float64(sizes[i]), gamma-1))
 			if score > bestScore {
 				best, bestScore = i, score
 			}

@@ -177,7 +177,7 @@ func Requantize(q RepQuant, row []float32) {
 func RequantizeErrorBound(q RepQuant, absmax float64) float64 {
 	switch q {
 	case RepQuantFP16:
-		return absmax/2048 + 0x1p-25
+		return float64(absmax/2048) + 0x1p-25
 	case RepQuantInt8:
 		return absmax / 254
 	}

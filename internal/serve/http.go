@@ -138,7 +138,7 @@ func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
 		a, b := res.Embeds.Row(pos[p[0]]), res.Embeds.Row(pos[p[1]])
 		var dot float64
 		for i := range a {
-			dot += float64(a[i]) * float64(b[i])
+			dot += float64(float64(a[i]) * float64(b[i]))
 		}
 		out.Scores[k] = 1 / (1 + math.Exp(-dot))
 	}

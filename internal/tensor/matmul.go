@@ -249,7 +249,7 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i, v := range a {
-		s += v * b[i]
+		s += float32(v * b[i])
 	}
 	return s
 }

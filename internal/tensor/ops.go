@@ -114,7 +114,7 @@ func Sum(t *Tensor) float64 {
 func Norm(t *Tensor) float64 {
 	var s float64
 	for _, v := range t.data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

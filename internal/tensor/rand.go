@@ -101,7 +101,7 @@ func RandUniform(rows, cols int, lo, hi float32, rng *RNG) *Tensor {
 	t := New(rows, cols)
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = lo + span*rng.Float32()
+		t.data[i] = lo + float32(span*rng.Float32())
 	}
 	return t
 }
@@ -110,7 +110,7 @@ func RandUniform(rows, cols int, lo, hi float32, rng *RNG) *Tensor {
 func RandNormal(rows, cols int, mean, std float32, rng *RNG) *Tensor {
 	t := New(rows, cols)
 	for i := range t.data {
-		t.data[i] = mean + std*float32(rng.NormFloat64())
+		t.data[i] = mean + float32(std*float32(rng.NormFloat64()))
 	}
 	return t
 }

@@ -85,7 +85,7 @@ func CheckTensorGrad(name string, x, analytic *tensor.Tensor, loss func() float6
 		// real bug's intact, so failures are retried at smaller steps before
 		// they are believed.
 		for k := 0; k < 2 && diff > tol*math.Max(math.Max(math.Abs(ana), math.Abs(num)), magFloor); k++ {
-			h /= 2
+			h = float32(h / 2)
 			data[i] = old + h
 			fp = loss()
 			data[i] = old - h

@@ -44,7 +44,7 @@ func CheckClosure(name string, inputs []*tensor.Tensor, build Closure,
 		var s float64
 		od, wd := o.Value.Data(), weights.Data()
 		for i := range od {
-			s += float64(od[i]) * float64(wd[i])
+			s += float64(float64(od[i]) * float64(wd[i]))
 		}
 		return s
 	}

@@ -575,8 +575,11 @@ func (s *Session) TrainEpoch() EpochResult {
 	return s.Train(1)[0]
 }
 
-// Accuracy evaluates classification accuracy on the chosen split using a
-// full-graph inference pass with the current parameters.
+// Accuracy evaluates classification accuracy on the chosen split with the
+// current parameters, read out by the single-machine full-graph forward pass
+// (engine.ReferenceAccuracy). A run whose replica rows train quantized
+// (Config.RepQuant) is scored on the exact model: quantization is a
+// training-time storage format.
 func (s *Session) Accuracy(split Split) float64 {
 	switch split {
 	case SplitTrain:
