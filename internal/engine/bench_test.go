@@ -96,16 +96,15 @@ func BenchmarkEpochParamServer(b *testing.B) {
 // Plan construction cost (the per-job preprocessing beyond Algorithm 4).
 func BenchmarkBuildPlans(b *testing.B) {
 	ds := benchDataset(b)
-	e, err := NewEngine(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 1})
+	plan, err := PlanFor(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer e.Close()
-	dims := e.dims
+	p := plan.Planner
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildPlans(ds.Graph, e.part, e.decs, dims, false); err != nil {
+		if _, err := buildPlans(ds.Graph, p.Part, plan.Decisions, p.Dims, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,7 +96,7 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	}
 	works := e.layerWorks()
 	L := len(works)
-	rep := &CostReport{Epochs: len(recs), Probed: e.costs, Fitted: e.costs, FitMethod: "probe"}
+	rep := &CostReport{Epochs: len(recs), Probed: e.planner.Costs, Fitted: e.planner.Costs, FitMethod: "probe"}
 
 	// Average measured stage seconds per layer across the sampled epochs.
 	measCompute := make([]float64, L+1)
@@ -125,7 +125,7 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 		vElems = append(vElems, float64(w.vertexOps)*d)
 		eElems = append(eElems, float64(w.edgeOps)*d)
 		seconds = append(seconds, measCompute[l])
-		predSum += float64(predCompute(w, e.costs) * d)
+		predSum += float64(predCompute(w, e.planner.Costs) * d)
 		measSum += measCompute[l]
 	}
 	if tv, te, ok := costmodel.FitComputeFactors(vElems, eElems, seconds); ok {
@@ -133,8 +133,8 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 		rep.FitMethod = "least_squares"
 	} else if predSum > 0 && measSum > 0 {
 		scale := measSum / predSum
-		rep.Fitted.Tv = e.costs.Tv * scale
-		rep.Fitted.Te = e.costs.Te * scale
+		rep.Fitted.Tv = e.planner.Costs.Tv * scale
+		rep.Fitted.Te = e.planner.Costs.Te * scale
 		rep.FitMethod = "scaled"
 	}
 
@@ -155,10 +155,10 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 		lr := LayerResidual{
 			Layer: l, VertexOps: w.vertexOps, EdgeOps: w.edgeOps,
 			RecvRows: w.recvRows, RecvElems: w.recvElems,
-			PredComputeSeconds: float64(predCompute(w, e.costs) * float64(e.dims[l])),
+			PredComputeSeconds: float64(predCompute(w, e.planner.Costs) * float64(e.dims[l])),
 			MeasComputeSeconds: measCompute[l],
-			PredCommSeconds: float64(float64(w.recvRows)*e.costs.CommCost(e.dims[l-1])) +
-				e.costs.TPCost(w.recvElems),
+			PredCommSeconds: float64(float64(w.recvRows)*e.planner.Costs.CommCost(e.dims[l-1])) +
+				e.planner.Costs.TPCost(w.recvElems),
 			MeasCommSeconds: measComm[l],
 		}
 		if lr.PredComputeSeconds > 0 {
@@ -179,8 +179,10 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 // relative to training) with the policy's re-plan family, so the comparison
 // is policy-to-policy regardless of the engine's actual mode.
 func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
-	planA, errA := e.planner(e.costs).DecideAll(e.policy.replan)
-	planB, errB := e.planner(fitted).DecideAll(e.policy.replan)
+	refit := *e.planner
+	refit.Costs = fitted
+	planA, errA := e.planner.DecideAll(e.policy.replan)
+	planB, errB := refit.DecideAll(e.policy.replan)
 	if errA != nil || errB != nil {
 		return hybrid.FlipReport{}
 	}

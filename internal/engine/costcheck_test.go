@@ -48,10 +48,10 @@ var pinnedCosts = costmodel.Costs{Tv: 1e-6, Te: 1e-6, Tc: 1e-5}
 // costs — DepComm so every layer has communication work to validate against.
 func ringEngine(t *testing.T) *Engine {
 	t.Helper()
-	eng, err := NewEngine(ringDataset(t, 40), Options{
-		Workers: 2, Mode: DepComm, Costs: pinnedCosts, Seed: 1,
+	eng, err := newTuned(ringDataset(t, 40), Options{
+		Workers: 2, Mode: DepComm, Seed: 1,
 		Recorder: obs.NewFlightRecorder(),
-	})
+	}, fixedCosts(pinnedCosts, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/dataset"
-	"neutronstar/internal/graph"
 	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
@@ -67,7 +66,7 @@ type policy struct {
 }
 
 // policies is the policy table, in declaration order. Adding a policy is one
-// row here (plus its dataflow, if it needs a new one): NewEngine, ModeNames,
+// row here (plus its dataflow, if it needs a new one): PlanFor, New, ModeNames,
 // the counterfactual, the facade and the CLIs read it.
 var policies = []policy{
 	{DepCache, hybrid.ModeAllCache, hybrid.ModeHybrid},
@@ -105,7 +104,8 @@ type Options struct {
 	// Workers is the simulated cluster size m.
 	Workers int
 	// Mode selects the dependency-management policy, one of ModeNames()
-	// (default Hybrid).
+	// (default Hybrid): the row PlanFor decides and the cost-model
+	// counterfactual re-plans under.
 	Mode Mode
 	// Model selects the GNN architecture; Hidden overrides the dataset's
 	// default hidden dimension when > 0; Layers sets the propagation depth L
@@ -114,8 +114,6 @@ type Options struct {
 	Model  nn.ModelKind
 	Hidden int
 	Layers int
-	// Partitioner selects the graph partitioning algorithm (default Chunk).
-	Partitioner partition.Algorithm
 	// Profile is the simulated network; default ProfileLocal (unthrottled).
 	// Its Fault spec, when set, injects seeded drops, delays and duplicates
 	// with retransmission; faults move timing only, never content.
@@ -152,28 +150,13 @@ type Options struct {
 	Dropout float32
 	// Seed fixes model init and dropout streams.
 	Seed uint64
-	// MemBudget caps per-worker replica bytes for Hybrid (0 = unlimited).
-	MemBudget int64
-	// RepBudget caps per-worker (compressed) replica bytes for Hybrid4's
-	// replicated candidates: > 0 is a cap, < 0 unlimited. 0 (unset) defaults
-	// to unlimited — use Hybrid3 to exclude replication outright; the
-	// planner-level 0-disables semantics is reachable through
-	// hybrid.Planner.RepBudget directly.
-	RepBudget int64
 	// RepQuant selects the replica feature storage format for DepRep/Hybrid4
 	// plans with replicated layers: off (default, exact), fp16, or int8
 	// (partition.RepQuant). Owners keep full precision; only replica rows
 	// round-trip through the format, bounding the deviation from the exact
-	// run by partition.RequantizeErrorBound.
+	// run by partition.RequantizeErrorBound. The plan step prices replica
+	// bytes with its compression factor; the run step stores rows in it.
 	RepQuant partition.RepQuant
-	// Costs overrides probed environment factors when non-zero; the Fig 11
-	// sweep uses this together with ForceRatio.
-	Costs costmodel.Costs
-	// ForceRatio, when enabled, bypasses the cost-based greedy and caches a
-	// fixed fraction (CacheRatio ∈ [0,1]) of dependencies per layer — the
-	// manual sweep of Figure 11.
-	ForceRatio bool
-	CacheRatio float64
 	// Tracer, when non-nil, receives the run's span log — every worker's
 	// clock emits its intervals onto it — and the fabric's delivery stamps:
 	// the input of the utilisation series (Fig. 13) and of the Chrome trace.
@@ -193,8 +176,9 @@ type Options struct {
 	Pool *tensor.Pool
 }
 
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
+// withDefaults fills unset options, normalises RepQuant and returns Mode's
+// row of the policy table; an unknown mode or replica format is an error.
+func (o Options) withDefaults() (Options, policy, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
@@ -204,16 +188,17 @@ func (o Options) withDefaults() Options {
 	if o.Model == "" {
 		o.Model = nn.GCN
 	}
-	if o.Partitioner == "" {
-		o.Partitioner = partition.Chunk
+	if o.Layers <= 0 {
+		o.Layers = 2
 	}
 	if o.LR == 0 {
 		o.LR = 0.01
 	}
-	if o.RepBudget == 0 {
-		o.RepBudget = -1
+	pol, err := policyOf(o.Mode)
+	if err == nil {
+		o.RepQuant, err = partition.ParseRepQuant(string(o.RepQuant))
 	}
-	return o
+	return o, pol, err
 }
 
 // EpochStats reports one epoch's outcome.
@@ -233,22 +218,16 @@ type EpochStats struct {
 type Engine struct {
 	opts Options
 	// policy is opts.Mode's row of the policy table.
-	policy policy
-	ds     *dataset.Dataset
-	part   *partition.Partition
-	decs   []*hybrid.Decision
-	plans  []*workerPlan
-	fabric comm.Network
-	states []*workerState
-	dims   []int
-	// costs are the probed (or forced) environment factors the planner used;
-	// the cost-model validator compares them against measured ones.
-	costs costmodel.Costs
-	// repQuant is the validated replica feature storage format (off when the
-	// plan has no replicated layers or quantization is disabled).
-	repQuant partition.RepQuant
+	policy  policy
+	ds      *dataset.Dataset
+	planner *hybrid.Planner // priced decs, under the Costs the validator checks
+	decs    []*hybrid.Decision
+	plans   []*workerPlan
+	fabric  comm.Network
+	states  []*workerState
+	dims    []int
 	// replicas is the vertex-cut replication pass's output for plans whose top
-	// layer is replicated (nil otherwise); NewEngine cross-checks it against
+	// layer is replicated (nil otherwise); New cross-checks it against
 	// the execution plans.
 	replicas *partition.ReplicaPlan
 	epoch    int
@@ -263,64 +242,95 @@ type Engine struct {
 	// from the worker goroutines) so a test can inspect what was recorded.
 	tapeHook func(*autograd.Tape)
 
-	// PreprocessTime is the hybrid dependency-partitioning time (Table 3's
-	// "Preprocessing" row).
+	// PreprocessTime is the plan's DecideAll time (Table 3's "Preprocessing"
+	// row).
 	PreprocessTime time.Duration
 }
 
-// NewEngine builds the cluster: partitions the graph, runs the dependency
-// planner for the chosen mode, derives execution plans, and replicates the
-// model onto every worker.
-func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
-	opts = opts.withDefaults()
-	pol, err := policyOf(opts.Mode)
+// Plan is what the plan step hands the run step: Decisions, one per part —
+// the planner's pick or any other plan it prices (hybrid.Planner.Candidates)
+// — and the Planner that priced them, which the run step keeps for Charge
+// and the cost-model counterfactual.
+type Plan struct {
+	Planner   *hybrid.Planner
+	Decisions []*hybrid.Decision
+	Time      time.Duration // DecideAll's: Table 3's "Preprocessing" row
+}
+
+// PlanFor is the plan step. It builds (ds, opts)'s planner — the Chunk
+// partition over Workers, the memoised probe of Profile, dims from ds, Hidden
+// and Layers, SliceTP from Model, RepCompression from RepQuant, replication
+// unbudgeted and no cache budget — and decides it under opts.Mode's policy
+// row. tune, when non-nil, first sets what Options does not carry: another
+// partition, fixed costs, budgets, or another planner mode.
+func PlanFor(ds *dataset.Dataset, opts Options, tune func(p *hybrid.Planner, mode *hybrid.Mode)) (*Plan, error) {
+	opts, pol, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	hiddenDim := ds.Spec.HiddenDim
+	part, err := partition.New(partition.Chunk, ds.Graph, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	hidden := ds.Spec.HiddenDim
 	if opts.Hidden > 0 {
-		hiddenDim = opts.Hidden
+		hidden = opts.Hidden
 	}
-	layers := opts.Layers
-	if layers <= 0 {
-		layers = 2
+	dims := []int{ds.Spec.FeatureDim}
+	for l := 1; l < opts.Layers; l++ {
+		dims = append(dims, hidden)
 	}
-	dims := make([]int, 0, layers+1)
-	dims = append(dims, ds.Spec.FeatureDim)
-	for l := 1; l < layers; l++ {
-		dims = append(dims, hiddenDim)
-	}
-	dims = append(dims, ds.Spec.NumClasses)
-
-	part, err := partition.New(opts.Partitioner, ds.Graph, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	costs := opts.Costs
-	if costs == (costmodel.Costs{}) {
-		costs = probeCached(opts.Profile)
-	}
-	repQuant, err := partition.ParseRepQuant(string(opts.RepQuant))
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{
-		opts: opts, policy: pol, ds: ds, part: part, dims: dims,
-		costs: costs, repQuant: repQuant,
+	p := &hybrid.Planner{
+		Graph: ds.Graph, Part: part, Dims: append(dims, ds.Spec.NumClasses), Costs: probeCached(opts.Profile),
+		RepBudget: -1, RepCompression: partition.CompressionFactor(opts.RepQuant), SliceTP: nn.SliceSeparable(opts.Model),
 	}
 	mode := pol.plan
-	if opts.ForceRatio && mode == hybrid.ModeHybrid {
-		mode = hybrid.ModeRatio
+	if tune != nil {
+		tune(p, &mode)
 	}
 	start := time.Now()
-	e.decs, err = e.planner(costs).DecideAll(mode)
+	decs, err := p.DecideAll(mode)
 	if err != nil {
 		return nil, err
 	}
-	e.PreprocessTime = time.Since(start)
+	return &Plan{Planner: p, Decisions: decs, Time: time.Since(start)}, nil
+}
 
-	e.plans, err = buildPlans(ds.Graph, part, e.decs, dims, nn.SliceSeparable(opts.Model))
+// NewEngine plans (ds, opts) and runs the plan: PlanFor, then New.
+func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
+	plan, err := PlanFor(ds, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return New(ds, plan, opts)
+}
+
+// New is the run step: it derives the execution plans of plan's Decisions
+// and replicates the model onto every worker. It rejects a plan for another
+// graph or cluster size, and Decisions that do not match the planner's
+// partition or layer count.
+func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
+	opts, pol, err := opts.withDefaults()
+	p := plan.Planner
+	switch {
+	case err != nil:
+		return nil, err
+	case p.Graph != ds.Graph:
+		return nil, fmt.Errorf("engine: the plan is for another graph")
+	case p.Part.NumParts != opts.Workers:
+		return nil, fmt.Errorf("engine: a %d-part plan for %d workers", p.Part.NumParts, opts.Workers)
+	}
+	L := len(p.Dims) - 1
+	for w, d := range plan.Decisions {
+		if len(d.R) != L || len(d.C) != L {
+			return nil, fmt.Errorf("engine: worker %d's Decision has %d layers, the plan's dims %d", w, len(d.R), L)
+		}
+	}
+	e := &Engine{
+		opts: opts, policy: pol, ds: ds, planner: p, decs: plan.Decisions, dims: p.Dims,
+		PreprocessTime: plan.Time,
+	}
+	e.plans, err = buildPlans(ds.Graph, p.Part, e.decs, e.dims, nn.SliceSeparable(opts.Model))
 	if err != nil {
 		return nil, err
 	}
@@ -333,13 +343,13 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	// one of the two closures is wrong — fail loudly rather than train against
 	// a silently incomplete replica store. (Replication is a cluster-global
 	// per-layer bit: worker 0's Decision speaks for all.)
-	if L := len(dims) - 1; e.decs[0].RepAt(L) {
-		e.replicas = partition.BuildReplicas(ds.Graph, part, L)
-		for i, p := range e.plans {
-			for k := range p.cachedCompute {
-				if !equalVerts(p.cachedCompute[k], e.replicas.Sets[i][k]) {
+	if e.decs[0].RepAt(L) {
+		e.replicas = partition.BuildReplicas(ds.Graph, p.Part, L)
+		for i, wp := range e.plans {
+			for k := range wp.cachedCompute {
+				if !equalVerts(wp.cachedCompute[k], e.replicas.Sets[i][k]) {
 					return nil, fmt.Errorf("engine: worker %d level %d: replication pass (%d replicas) and execution plan (%d) disagree",
-						i, k, len(e.replicas.Sets[i][k]), len(p.cachedCompute[k]))
+						i, k, len(e.replicas.Sets[i][k]), len(wp.cachedCompute[k]))
 				}
 			}
 		}
@@ -372,7 +382,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	}
 	e.states = make([]*workerState, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		model, err := nn.NewModel(opts.Model, dims, opts.Dropout, opts.Seed+7)
+		model, err := nn.NewModel(opts.Model, e.dims, opts.Dropout, opts.Seed+7)
 		if err != nil {
 			e.fabric.Close()
 			return nil, err
@@ -380,18 +390,6 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		e.states[i] = newWorkerState(i, e, model)
 	}
 	return e, nil
-}
-
-// planner returns the dependency planner for this engine's graph, partition
-// and budgets under the given environment factors — the probed ones to plan,
-// fitted ones for the cost-model counterfactual.
-func (e *Engine) planner(costs costmodel.Costs) *hybrid.Planner {
-	return &hybrid.Planner{
-		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
-		Costs: costs, MemBudget: e.opts.MemBudget, Ratio: e.opts.CacheRatio,
-		RepBudget: e.opts.RepBudget, RepCompression: partition.CompressionFactor(e.repQuant),
-		SliceTP: nn.SliceSeparable(e.opts.Model),
-	}
 }
 
 // probeCache memoises environment probes per network profile: the factors
@@ -567,9 +565,6 @@ func (e *Engine) ReplicasInSync() bool {
 	}
 	return true
 }
-
-// graphOf exposes the dataset graph to worker internals.
-func (e *Engine) graphOf() *graph.Graph { return e.ds.Graph }
 
 // SaveModel serialises the current parameters (all replicas are identical,
 // so worker 0's copy is canonical).

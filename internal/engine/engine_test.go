@@ -39,9 +39,50 @@ func referenceLosses(ds *dataset.Dataset, kind nn.ModelKind, epochs int, seed ui
 	return out
 }
 
+// newTuned is NewEngine with tune handed to PlanFor.
+func newTuned(ds *dataset.Dataset, opts Options, tune func(*hybrid.Planner, *hybrid.Mode)) (*Engine, error) {
+	plan, err := PlanFor(ds, opts, tune)
+	if err != nil {
+		return nil, err
+	}
+	return New(ds, plan, opts)
+}
+
+// fixedCosts plans under c instead of the probed factors, with a per-worker
+// cache budget of memBudget bytes (0: none).
+func fixedCosts(c costmodel.Costs, memBudget int64) func(*hybrid.Planner, *hybrid.Mode) {
+	return func(p *hybrid.Planner, _ *hybrid.Mode) { p.Costs, p.MemBudget = c, memBudget }
+}
+
+// forcedRatio replaces Hybrid's greedy with a fixed cached fraction of every
+// layer's dependencies (hybrid.ModeRatio, Fig. 11's sweep); every other
+// policy plans as usual.
+func forcedRatio(ratio float64) func(*hybrid.Planner, *hybrid.Mode) {
+	return func(p *hybrid.Planner, mode *hybrid.Mode) {
+		if *mode == hybrid.ModeHybrid {
+			p.Ratio, *mode = ratio, hybrid.ModeRatio
+		}
+	}
+}
+
+// partitionedBy plans on algo's partition instead of the Chunk one.
+func partitionedBy(t testing.TB, algo partition.Algorithm) func(*hybrid.Planner, *hybrid.Mode) {
+	return func(p *hybrid.Planner, _ *hybrid.Mode) {
+		var err error
+		if p.Part, err = partition.New(algo, p.Graph, p.Part.NumParts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func engineLosses(t *testing.T, ds *dataset.Dataset, opts Options, epochs int) []float64 {
 	t.Helper()
-	e, err := NewEngine(ds, opts)
+	return tunedLosses(t, ds, opts, nil, epochs)
+}
+
+func tunedLosses(t *testing.T, ds *dataset.Dataset, opts Options, tune func(*hybrid.Planner, *hybrid.Mode), epochs int) []float64 {
+	t.Helper()
+	e, err := newTuned(ds, opts, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +156,8 @@ func TestForcedRatioEndpointsMatchPureModes(t *testing.T) {
 	const epochs = 3
 	ref := referenceLosses(ds, nn.GCN, epochs, 9)
 	for _, ratio := range []float64{0, 0.5, 1} {
-		got := engineLosses(t, ds, Options{
-			Workers: 3, Mode: Hybrid, Model: nn.GCN, Seed: 9,
-			ForceRatio: true, CacheRatio: ratio,
-		}, epochs)
+		got := tunedLosses(t, ds, Options{Workers: 3, Mode: Hybrid, Model: nn.GCN, Seed: 9},
+			forcedRatio(ratio), epochs)
 		assertLossesClose(t, fmt.Sprintf("ratio %.1f", ratio), got, ref, 2e-3)
 	}
 }
@@ -128,9 +167,8 @@ func TestPartitionersAllCorrect(t *testing.T) {
 	const epochs = 2
 	ref := referenceLosses(ds, nn.GCN, epochs, 11)
 	for _, algo := range []partition.Algorithm{partition.Chunk, partition.Metis, partition.Fennel} {
-		got := engineLosses(t, ds, Options{
-			Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 11, Partitioner: algo,
-		}, epochs)
+		got := tunedLosses(t, ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 11},
+			partitionedBy(t, algo), epochs)
 		assertLossesClose(t, string(algo), got, ref, 2e-3)
 	}
 }
@@ -256,7 +294,7 @@ func TestPlanInvariants(t *testing.T) {
 					}
 					// Everything I send must be owned by me.
 					for _, v := range lp.send[j] {
-						if e.part.Assign[v] != int32(p.id) {
+						if e.planner.Part.Assign[v] != int32(p.id) {
 							t.Fatalf("%s: worker %d sends non-owned %d", mode, p.id, v)
 						}
 					}
@@ -272,12 +310,12 @@ func TestHybridCachesLessThanDepCache(t *testing.T) {
 	// Comm-expensive regime: hybrid should still cache less than DepCache
 	// overall (DepCache caches everything).
 	costs := costmodel.Costs{Tv: 1e-7, Te: 1e-8, Tc: 1e-6}
-	h, err := NewEngine(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Costs: costs, Seed: 4})
+	h, err := newTuned(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 4}, fixedCosts(costs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	c, err := NewEngine(ds, Options{Workers: 4, Mode: DepCache, Model: nn.GCN, Costs: costs, Seed: 4})
+	c, err := newTuned(ds, Options{Workers: 4, Mode: DepCache, Model: nn.GCN, Seed: 4}, fixedCosts(costs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +366,13 @@ func TestSingleWorkerNoComm(t *testing.T) {
 func TestMemBudgetLimitsHybridReplicas(t *testing.T) {
 	ds := testDataset(t, 300, 10, 34)
 	costs := costmodel.Costs{Tv: 1e-9, Te: 1e-10, Tc: 1e-3} // cache-greedy regime
-	unlimited, err := NewEngine(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Costs: costs, Seed: 10})
+	opts := Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Seed: 10}
+	unlimited, err := newTuned(ds, opts, fixedCosts(costs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer unlimited.Close()
-	limited, err := NewEngine(ds, Options{Workers: 4, Mode: Hybrid, Model: nn.GCN, Costs: costs,
-		MemBudget: 4096, Seed: 10})
+	limited, err := newTuned(ds, opts, fixedCosts(costs, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,33 +507,6 @@ func TestSchedulerAndClipping(t *testing.T) {
 	}
 }
 
-// newEngineWithDecisions builds an engine around externally constructed
-// dependency decisions, bypassing the planner — the test-only path for
-// exercising arbitrary R/C splits.
-func newEngineWithDecisions(t *testing.T, ds *dataset.Dataset, decs []*hybrid.Decision,
-	part *partition.Partition, workers int, seed uint64) *Engine {
-	t.Helper()
-	dims := []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}
-	plans, err := buildPlans(ds.Graph, part, decs, dims, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Workers: workers, Mode: Hybrid, Model: nn.GCN, Seed: seed}.withDefaults()
-	e := &Engine{
-		opts: opts, ds: ds, part: part, decs: decs, plans: plans, dims: dims,
-		fabric: comm.NewFabric(workers, comm.ProfileLocal, nil),
-	}
-	e.states = make([]*workerState, workers)
-	for i := 0; i < workers; i++ {
-		model, err := nn.NewModel(nn.GCN, dims, 0, seed+7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.states[i] = newWorkerState(i, e, model)
-	}
-	return e
-}
-
 // Any valid per-layer cache/communicate split — including splits no cost
 // model would ever choose — must produce the exact full-graph gradients.
 // This fuzzes the plan derivation (subtree expansion, row maps, mirror
@@ -505,10 +516,12 @@ func TestRandomDecisionsMatchReference(t *testing.T) {
 		seed := uint64(500 + trial)
 		ds := testDataset(t, 160, 5, seed)
 		const workers = 3
-		part, err := partition.New(partition.Chunk, ds.Graph, workers)
+		opts := Options{Workers: workers, Mode: Hybrid, Model: nn.GCN, Seed: seed}
+		plan, err := PlanFor(ds, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		part := plan.Planner.Part
 		rng := tensor.NewRNG(seed * 31)
 		decs := make([]*hybrid.Decision, workers)
 		for w := 0; w < workers; w++ {
@@ -533,7 +546,11 @@ func TestRandomDecisionsMatchReference(t *testing.T) {
 			}
 			decs[w] = d
 		}
-		e := newEngineWithDecisions(t, ds, decs, part, workers, seed)
+		// The run step executes any plan it is handed, not only a priced one.
+		e, err := New(ds, &Plan{Planner: plan.Planner, Decisions: decs}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ref := referenceLosses(ds, nn.GCN, 3, seed)
 		var got []float64
 		for i := 0; i < 3; i++ {

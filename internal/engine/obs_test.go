@@ -16,10 +16,7 @@ func TestEpochSpanHierarchy(t *testing.T) {
 	tr := obs.NewTracer()
 	// A forced half-and-half split keeps the plan — and with it which spans
 	// exist — independent of what the cost probe measured on this host.
-	eng, err := NewEngine(ds, Options{
-		Workers: 2, Mode: Hybrid, Tracer: tr,
-		ForceRatio: true, CacheRatio: 0.5,
-	})
+	eng, err := newTuned(ds, Options{Workers: 2, Mode: Hybrid, Tracer: tr}, forcedRatio(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

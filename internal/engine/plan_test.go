@@ -71,8 +71,8 @@ func TestChunkGroupsPartitionOwnedEdges(t *testing.T) {
 // group, and peers with neither must have none.
 func TestChunkGroupsMatchRecvLists(t *testing.T) {
 	ds := testDataset(t, 200, 6, 47)
-	e, err := NewEngine(ds, Options{Workers: 3, Mode: DepComm, Model: nn.GCN, Seed: 5,
-		Partitioner: partition.Fennel})
+	e, err := newTuned(ds, Options{Workers: 3, Mode: DepComm, Model: nn.GCN, Seed: 5},
+		partitionedBy(t, partition.Fennel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,9 @@ func TestPlanOwnsRowPositions(t *testing.T) {
 	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
 		for name, variant := range staticVariants {
 			t.Run(fmt.Sprintf("%s/%s", kind, name), func(t *testing.T) {
-				opts := Options{Workers: 4, Mode: Hybrid, Model: kind, Layers: 3, Seed: 44,
-					ForceRatio: true, CacheRatio: 0.5}
+				opts := Options{Workers: 4, Mode: Hybrid, Model: kind, Layers: 3, Seed: 44}
 				variant(&opts)
-				e, err := NewEngine(ds, opts)
+				e, err := newTuned(ds, opts, forcedRatio(0.5))
 				if err != nil {
 					t.Fatal(err)
 				}

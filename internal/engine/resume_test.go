@@ -14,6 +14,7 @@ import (
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
+	"neutronstar/internal/partition"
 )
 
 // trainLosses runs a fresh engine for `epochs` and returns the loss curve.
@@ -51,11 +52,11 @@ type pinnedRun struct {
 // runPinned trains a fresh engine under a flight recorder. bytes and msgs count
 // every logical message of the last epoch once (the recorder attributes each
 // at the sender and at the receiver).
-func runPinned(t *testing.T, opts Options, epochs int) pinnedRun {
+func runPinned(t *testing.T, opts Options, costs costmodel.Costs, memBudget int64, epochs int) pinnedRun {
 	t.Helper()
 	rec := obs.NewFlightRecorder()
 	opts.Recorder = rec
-	e, err := NewEngine(testDataset(t, 300, 6, 3), opts)
+	e, err := newTuned(testDataset(t, 300, 6, 3), opts, fixedCosts(costs, memBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +151,13 @@ func TestSameSeedBitIdentical(t *testing.T) {
 			name += "-deep"
 		}
 		t.Run(name, func(t *testing.T) {
-			opts := Options{Workers: 4, Mode: r.mode, Model: r.model, Seed: 11,
-				Costs: r.costs, MemBudget: r.memBudget}
+			opts := Options{Workers: 4, Mode: r.mode, Model: r.model, Seed: 11}
 			paths[r.path](&opts)
 			if r.deep {
 				opts.Layers, opts.Dropout = 3, 0.3
 			}
-			a := runPinned(t, opts, 5)
-			b := runPinned(t, opts, 5)
+			a := runPinned(t, opts, r.costs, r.memBudget, 5)
+			b := runPinned(t, opts, r.costs, r.memBudget, 5)
 			for i := range a.losses {
 				if a.losses[i] != b.losses[i] {
 					t.Fatalf("epoch %d: losses diverge bitwise: %.17g vs %.17g", i+1, a.losses[i], b.losses[i])
@@ -256,7 +256,7 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatchedFingerprint: a snapshot from a different
-// cluster shape must be refused, not loaded misaligned.
+// cluster shape or partition must be refused, not loaded misaligned.
 func TestRestoreRejectsMismatchedFingerprint(t *testing.T) {
 	ds := testDataset(t, 300, 6, 3)
 	a, err := NewEngine(ds, Options{Workers: 4, Mode: Hybrid, Seed: 5})
@@ -267,13 +267,21 @@ func TestRestoreRejectsMismatchedFingerprint(t *testing.T) {
 	a.RunEpoch()
 	snap := a.Snapshot()
 
-	b, err := NewEngine(ds, Options{Workers: 2, Mode: Hybrid, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Restore(snap); err == nil {
-		t.Fatal("restore of a 4-worker snapshot into a 2-worker engine succeeded")
+	for name, build := range map[string]func() (*Engine, error){
+		"2 workers": func() (*Engine, error) { return NewEngine(ds, Options{Workers: 2, Mode: Hybrid, Seed: 5}) },
+		"4 workers, fennel": func() (*Engine, error) {
+			return newTuned(ds, Options{Workers: 4, Mode: Hybrid, Seed: 5}, partitionedBy(t, partition.Fennel))
+		},
+	} {
+		b, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = b.Restore(snap)
+		b.Close()
+		if err == nil {
+			t.Fatalf("%s: restore of a 4-worker chunk snapshot succeeded", name)
+		}
 	}
 }
 

@@ -33,14 +33,13 @@ func (e *Engine) Fingerprint() uint64 {
 	wInt(e.opts.Workers)
 	wStr(string(e.opts.Mode))
 	wStr(string(e.opts.Model))
-	wStr(string(e.opts.Partitioner))
 	wInt(len(e.dims))
 	for _, d := range e.dims {
 		wInt(d)
 	}
 	binary.LittleEndian.PutUint64(b[:], e.opts.Seed)
 	h.Write(b[:])
-	for _, owner := range e.part.Assign {
+	for _, owner := range e.planner.Part.Assign {
 		binary.LittleEndian.PutUint32(b[:4], uint32(owner))
 		h.Write(b[:4])
 	}

@@ -68,10 +68,9 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 					rec := obs.NewFlightRecorder()
 					// A forced half-and-half split leaves Hybrid a layer-1
 					// communicated set; DepComm ignores it.
-					opts := Options{Workers: 4, Mode: mode, Model: kind, Seed: 44,
-						ForceRatio: true, CacheRatio: 0.5, Recorder: rec}
+					opts := Options{Workers: 4, Mode: mode, Model: kind, Seed: 44, Recorder: rec}
 					variant(&opts)
-					e, err := NewEngine(ds, opts)
+					e, err := newTuned(ds, opts, forcedRatio(0.5))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -153,10 +152,9 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", mode, kind, name, quant), func(t *testing.T) {
 						// The forced half-and-half split is Hybrid's; the
 						// pure policies ignore it.
-						opts := Options{Workers: workers, Mode: mode, Model: kind, Seed: 44,
-							ForceRatio: true, CacheRatio: 0.5, RepQuant: quant}
+						opts := Options{Workers: workers, Mode: mode, Model: kind, Seed: 44, RepQuant: quant}
 						variant(&opts)
-						e, err := NewEngine(ds, opts)
+						e, err := newTuned(ds, opts, forcedRatio(0.5))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -221,14 +219,14 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 						}
 						assertLossesClose(t, "bound", losses, referenceLosses(ds, kind, epochs, 44), tol)
 
-						first, err := NewEngine(ds, opts)
+						first, err := newTuned(ds, opts, forcedRatio(0.5))
 						if err != nil {
 							t.Fatal(err)
 						}
 						first.Train(epochs - 1)
 						snap := first.Snapshot()
 						first.Close() // the "crash"
-						second, err := NewEngine(ds, opts)
+						second, err := newTuned(ds, opts, forcedRatio(0.5))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -269,8 +267,7 @@ func TestStaticCombineLeavesOtherModelsAlone(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	for _, mode := range []Mode{DepCache, DepComm, Hybrid} {
 		for _, kind := range []nn.ModelKind{nn.GAT, nn.SAGE} {
-			e, err := NewEngine(ds, Options{Workers: 4, Mode: mode, Model: kind, Seed: 44,
-				ForceRatio: true, CacheRatio: 0.5})
+			e, err := newTuned(ds, Options{Workers: 4, Mode: mode, Model: kind, Seed: 44}, forcedRatio(0.5))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,14 +87,13 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 			rec := obs.NewFlightRecorder()
 			rec.EnableCausal()
 			tr := obs.NewTracer()
-			eng, err := NewEngine(ds, Options{
+			// Half cached, half fetched: both sides of the master–mirror
+			// dataflow run whatever the cost probe measured.
+			eng, err := newTuned(ds, Options{
 				Workers: workers, Mode: row.mode, Model: row.model, Seed: 5,
 				Ring: true, LockFree: true, Overlap: row.overlap, TCP: row.tcp,
-				// Half cached, half fetched: both sides of the master–mirror
-				// dataflow run whatever the cost probe measured.
-				ForceRatio: true, CacheRatio: 0.5,
 				Recorder: rec, Tracer: tr,
-			})
+			}, forcedRatio(0.5))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,7 +171,7 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 	// the same vertex round-trips the same source row identically, so the runs
 	// stay deterministic and the deviation from the exact run is bounded by
 	// partition.RequantizeErrorBound.
-	if q := e.repQuant; q != partition.RepQuantOff && e.decs[id].NumRep() > 0 {
+	if q := e.opts.RepQuant; q != partition.RepQuantOff && e.decs[id].NumRep() > 0 {
 		for r := range cached0 {
 			partition.Requantize(q, ws.feat.Row(len(plan.owned)+r))
 		}

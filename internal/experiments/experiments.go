@@ -13,6 +13,7 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
@@ -89,10 +90,19 @@ func SetTracer(t *obs.Tracer) { defaultTracer = t }
 // epochMillis builds the engine, runs one warmup epoch plus `epochs`
 // measured epochs, and returns the mean per-epoch wall time in milliseconds.
 func epochMillis(ds *dataset.Dataset, opts engine.Options, epochs int) float64 {
+	return tunedMillis(ds, opts, nil, epochs)
+}
+
+// tunedMillis is epochMillis with tune handed to engine.PlanFor.
+func tunedMillis(ds *dataset.Dataset, opts engine.Options, tune func(*hybrid.Planner, *hybrid.Mode), epochs int) float64 {
 	if opts.Tracer == nil {
 		opts.Tracer = defaultTracer
 	}
-	e, err := engine.NewEngine(ds, opts)
+	plan, err := engine.PlanFor(ds, opts, tune)
+	var e *engine.Engine
+	if err == nil {
+		e, err = engine.New(ds, plan, opts)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

@@ -6,6 +6,7 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
@@ -23,12 +24,11 @@ func Fig11(sc Scale, model nn.ModelKind, graphName string) []Row {
 	for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		tracer := obs.NewTracer()
 		opts := withRLP(stdOpts(engine.Hybrid, model, sc.Workers, comm.ProfileECS), true, true, true)
-		opts.ForceRatio = true
-		opts.CacheRatio = ratio
-		// Fixed probe-free costs, as the paper does for this sweep.
-		opts.Costs = costmodel.Costs{Tv: 1e-8, Te: 1e-9, Tc: 1e-7}
 		opts.Tracer = tracer
-		ms := epochMillis(ds, opts, sc.Epochs)
+		ms := tunedMillis(ds, opts, func(p *hybrid.Planner, mode *hybrid.Mode) {
+			// Fixed costs in place of the probe, as the paper does for this sweep.
+			p.Costs, p.Ratio, *mode = costmodel.Costs{Tv: 1e-8, Te: 1e-9, Tc: 1e-7}, ratio, hybrid.ModeRatio
+		}, sc.Epochs)
 		rows = append(rows, newRow(fmt.Sprintf("cached=%.0f%%", ratio*100),
 			"epoch_ms", ms,
 			"comm_busy_ms", float64(busy(tracer, obs.ClassComm).Microseconds())/1000/float64(sc.Epochs+1),

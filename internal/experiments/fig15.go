@@ -6,6 +6,7 @@ import (
 
 	"neutronstar/internal/comm"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/partition"
 )
@@ -20,12 +21,15 @@ func Fig15(sc Scale) []Row {
 	for _, name := range sc.Graphs {
 		ds := load(name)
 		for _, algo := range []partition.Algorithm{partition.Chunk, partition.Metis, partition.Fennel} {
+			part, err := partition.New(algo, ds.Graph, sc.Workers)
+			if err != nil {
+				panic(err)
+			}
+			partitioned := func(p *hybrid.Planner, _ *hybrid.Mode) { p.Part = part }
 			oc := withRLP(stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)
-			oc.Partitioner = algo
 			oh := withRLP(stdOpts(engine.Hybrid, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)
-			oh.Partitioner = algo
-			commMs := epochMillis(ds, oc, sc.Epochs)
-			hyMs := epochMillis(ds, oh, sc.Epochs)
+			commMs := tunedMillis(ds, oc, partitioned, sc.Epochs)
+			hyMs := tunedMillis(ds, oh, partitioned, sc.Epochs)
 			rows = append(rows, newRow(fmt.Sprintf("%s/%s", name, algo),
 				"depcomm_ms", commMs,
 				"hybrid_ms", hyMs,

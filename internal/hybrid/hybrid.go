@@ -243,10 +243,16 @@ var modeTable = [...][]family{
 	ModeHybrid4:  competing,
 }
 
-// DecideAll computes one Decision per worker: it generates the mode's
-// candidate plans, prices each with the exact evaluator (evaluateCostSplit),
-// and returns the cheapest feasible one with its modeled costs filled in.
-func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
+// Candidate is a plan (one Decision per worker) and the replica-byte budget
+// it answers to on every worker (zero or negative: none).
+type Candidate struct {
+	Plan   []*Decision
+	Budget int64
+}
+
+// Candidates lists mode's candidate plans in tie order, each with its own
+// Decision structs: exactly the list DecideAll's argmin runs over.
+func (p *Planner) Candidates(mode Mode) ([]Candidate, error) {
 	if p.numLayers() < 1 {
 		return nil, fmt.Errorf("hybrid: need at least 1 layer, dims=%v", p.Dims)
 	}
@@ -255,29 +261,43 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	}
 	c := &candidates{p: p}
 	c.deps = make([][]int32, p.Part.NumParts)
-	c.perWorker(func(i int) { c.deps[i] = p.dependencies(i) })
+	p.perWorker(func(i int) { c.deps[i] = p.dependencies(i) })
+	var out []Candidate
+	for _, fam := range modeTable[mode] {
+		for _, plan := range fam.gen(c) {
+			out = append(out, Candidate{Plan: plan, Budget: fam.budget(p)})
+		}
+	}
+	return out, nil
+}
 
+// DecideAll computes one Decision per worker: it prices every candidate of
+// the mode with the exact evaluator (Charge) and returns the cheapest
+// feasible one with its modeled costs filled in.
+func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
+	cands, err := p.Candidates(mode)
+	if err != nil {
+		return nil, err
+	}
 	var best []*Decision
 	var bestCharges []Charge
 	bestCost := 0.0
-	for _, fam := range modeTable[mode] {
-		limit := fam.budget(p)
-		for _, plan := range fam.gen(c) {
-			charges := make([]Charge, len(plan))
-			c.perWorker(func(w int) { charges[w] = p.Charge(w, plan[w]) })
-			// Sum in worker order: the argmin must not depend on scheduling.
-			total := 0.0
-			feasible := true
-			for _, ch := range charges {
-				if limit > 0 && ch.Bytes > limit {
-					feasible = false
-					break
-				}
-				total += ch.CacheCost + ch.CommCost
+	for _, cand := range cands {
+		plan := cand.Plan
+		charges := make([]Charge, len(plan))
+		p.perWorker(func(w int) { charges[w] = p.Charge(w, plan[w]) })
+		// Sum in worker order: the argmin must not depend on scheduling.
+		total := 0.0
+		feasible := true
+		for _, ch := range charges {
+			if cand.Budget > 0 && ch.Bytes > cand.Budget {
+				feasible = false
+				break
 			}
-			if feasible && (best == nil || total < bestCost) {
-				best, bestCharges, bestCost = plan, charges, total
-			}
+			total += ch.CacheCost + ch.CommCost
+		}
+		if feasible && (best == nil || total < bestCost) {
+			best, bestCharges, bestCost = plan, charges, total
 		}
 	}
 	if best == nil {
@@ -293,7 +313,7 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	return best, nil
 }
 
-// candidates generates one DecideAll call's candidate plans. Dependency lists
+// candidates generates one Candidates call's plans. Dependency lists
 // and the greedy plan are shared read-only between the candidates built on
 // them; every candidate has its own Decision structs.
 type candidates struct {
@@ -304,9 +324,9 @@ type candidates struct {
 
 // perWorker runs fn for every worker in parallel (the paper executes
 // Algorithm 4's cost evaluation in parallel, §5.2).
-func (c *candidates) perWorker(fn func(i int)) {
+func (p *Planner) perWorker(fn func(i int)) {
 	var wg sync.WaitGroup
-	for i := 0; i < c.p.Part.NumParts; i++ {
+	for i := 0; i < p.Part.NumParts; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -349,7 +369,7 @@ func (c *candidates) cache() [][]*Decision {
 // runGreedy runs Algorithm 4 (ratio < 0) or the fixed-ratio sweep per worker.
 func (c *candidates) runGreedy(ratio float64) []*Decision {
 	plan := c.newPlan()
-	c.perWorker(func(w int) { c.p.greedy(w, c.deps[w], plan[w], ratio) })
+	c.p.perWorker(func(w int) { c.p.greedy(w, c.deps[w], plan[w], ratio) })
 	return plan
 }
 

@@ -10,6 +10,7 @@ import (
 	"neutronstar/internal/costmodel"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
+	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
 )
@@ -105,7 +106,7 @@ func RunEquivalence(ds *dataset.Dataset, opt OracleOptions) ([]PolicyRun, error)
 	runs := []PolicyRun{ref}
 
 	base := engine.Options{
-		Model: opt.Model, Seed: opt.Seed, Costs: oracleCosts,
+		Model: opt.Model, Seed: opt.Seed,
 	}
 	type policy struct {
 		label string
@@ -204,11 +205,21 @@ func with(o engine.Options, f func(*engine.Options)) engine.Options {
 	return o
 }
 
+// newEngine is engine.NewEngine planned under oracleCosts instead of the
+// probed factors.
+func newEngine(ds *dataset.Dataset, opts engine.Options) (*engine.Engine, error) {
+	plan, err := engine.PlanFor(ds, opts, func(p *hybrid.Planner, _ *hybrid.Mode) { p.Costs = oracleCosts })
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(ds, plan, opts)
+}
+
 // trainEngine runs one engine policy to completion and captures its
 // trajectory. Replica divergence is an immediate error: parameters that
 // drift apart across workers invalidate any loss agreement downstream.
 func trainEngine(ds *dataset.Dataset, label string, opts engine.Options, epochs int) (*PolicyRun, error) {
-	e, err := engine.NewEngine(ds, opts)
+	e, err := newEngine(ds, opts)
 	if err != nil {
 		return nil, fmt.Errorf("oracle %s: %w", label, err)
 	}
@@ -251,7 +262,7 @@ func resumeRun(ds *dataset.Dataset, base engine.Options, opt OracleOptions, mode
 	first := opts
 	first.Ckpt = &ckpt.Saver{Store: store, Every: 1}
 	run := &PolicyRun{Label: label}
-	e1, err := engine.NewEngine(ds, first)
+	e1, err := newEngine(ds, first)
 	if err != nil {
 		return nil, fmt.Errorf("oracle %s: %w", label, err)
 	}
@@ -272,7 +283,7 @@ func resumeRun(ds *dataset.Dataset, base engine.Options, opt OracleOptions, mode
 	if snap == nil {
 		return nil, fmt.Errorf("oracle %s: no snapshot after %d checkpointed epochs", label, k)
 	}
-	e2, err := engine.NewEngine(ds, opts)
+	e2, err := newEngine(ds, opts)
 	if err != nil {
 		return nil, fmt.Errorf("oracle %s: %w", label, err)
 	}

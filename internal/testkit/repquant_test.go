@@ -24,7 +24,7 @@ func TestDepRepQuantizedReplicaBound(t *testing.T) {
 	ds := SmallDataset(32, 4, 11)
 	const epochs = 3
 	base := engine.Options{
-		Model: nn.GCN, Seed: 3, Costs: oracleCosts,
+		Model: nn.GCN, Seed: 3,
 		Workers: 4, Mode: engine.DepRep,
 	}
 	exact, err := trainEngine(ds, "deprep-exact", base, epochs)

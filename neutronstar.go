@@ -40,6 +40,7 @@ import (
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
 	"neutronstar/internal/graph"
+	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
@@ -345,7 +346,11 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 	if watch != nil {
 		hist.SetOnSample(func() { watch.EvaluateSLO(hist) })
 	}
-	eng, err := engine.NewEngine(ds.inner, opts)
+	plan, err := planFor(ds.inner, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.New(ds.inner, plan, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -403,6 +408,29 @@ func (s *Session) History() []EpochResult {
 	return out
 }
 
+// planFor is the plan step with the Config's planner inputs applied: its
+// partitioner, and the cache and replica budgets. RepBudgetBytes 0 means
+// unlimited here, where hybrid.Planner.RepBudget 0 disables replication.
+func planFor(ds *dataset.Dataset, cfg Config, opts engine.Options) (*engine.Plan, error) {
+	var part *partition.Partition
+	if cfg.Partitioner != "" {
+		// The engine runs a worker count below 1 as 1.
+		var err error
+		if part, err = partition.New(partition.Algorithm(cfg.Partitioner), ds.Graph, max(opts.Workers, 1)); err != nil {
+			return nil, err
+		}
+	}
+	return engine.PlanFor(ds, opts, func(p *hybrid.Planner, _ *hybrid.Mode) {
+		if part != nil {
+			p.Part = part
+		}
+		p.MemBudget = cfg.MemBudgetBytes
+		if cfg.RepBudgetBytes != 0 {
+			p.RepBudget = cfg.RepBudgetBytes
+		}
+	})
+}
+
 func toEngineOptions(cfg Config) (engine.Options, error) {
 	var profile comm.NetworkProfile
 	switch cfg.Network {
@@ -446,31 +474,24 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 			return engine.Options{}, err
 		}
 	}
-	repQuant, err := partition.ParseRepQuant(cfg.RepQuant)
-	if err != nil {
-		return engine.Options{}, err
-	}
 	return engine.Options{
-		Workers:     cfg.Workers,
-		Mode:        cfg.Engine,
-		Model:       model,
-		Hidden:      cfg.HiddenDim,
-		Layers:      cfg.Layers,
-		Partitioner: partition.Algorithm(cfg.Partitioner),
-		Profile:     profile,
-		Ring:        cfg.Ring,
-		LockFree:    cfg.LockFree,
-		Overlap:     cfg.Overlap,
-		TCP:         cfg.TCP,
-		LR:          float32(cfg.LR),
-		Scheduler:   sched,
-		ClipNorm:    cfg.ClipNorm,
-		Dropout:     float32(cfg.Dropout),
-		Seed:        cfg.Seed,
-		MemBudget:   cfg.MemBudgetBytes,
-		RepBudget:   cfg.RepBudgetBytes,
-		RepQuant:    repQuant,
-		Tracer:      tracer,
+		Workers:   cfg.Workers,
+		Mode:      cfg.Engine,
+		Model:     model,
+		Hidden:    cfg.HiddenDim,
+		Layers:    cfg.Layers,
+		Profile:   profile,
+		Ring:      cfg.Ring,
+		LockFree:  cfg.LockFree,
+		Overlap:   cfg.Overlap,
+		TCP:       cfg.TCP,
+		LR:        float32(cfg.LR),
+		Scheduler: sched,
+		ClipNorm:  cfg.ClipNorm,
+		Dropout:   float32(cfg.Dropout),
+		Seed:      cfg.Seed,
+		RepQuant:  partition.RepQuant(cfg.RepQuant), // the engine validates it
+		Tracer:    tracer,
 		// Training-time tensor storage is always recycled through per-worker
 		// arenas; results are bit-identical to fresh allocation.
 		Pool: tensor.NewPool(),

@@ -2,10 +2,12 @@ package neutronstar
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"neutronstar/internal/engine"
+	"neutronstar/internal/partition"
 )
 
 func TestLoadDatasetAndTrain(t *testing.T) {
@@ -98,9 +100,57 @@ func TestConfigValidation(t *testing.T) {
 		{Engine: "warp"},
 		{Model: "transformer"},
 		{Network: "wifi"},
+		{Partitioner: "bogus"},
+		{RepQuant: "fp8"},
 	} {
 		if _, err := NewSession(ds, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestPlannerInputsReachPlanner: Config.Partitioner, MemBudgetBytes and
+// RepBudgetBytes are planner inputs, set on the planner the session's plan
+// is decided by. RepBudgetBytes 0 is unlimited: the facade maps it to the
+// planner's -1, whose 0 would remove the replicated candidate.
+func TestPlannerInputsReachPlanner(t *testing.T) {
+	ds, err := LoadDataset("cora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := map[partition.Algorithm]*partition.Partition{}
+	for _, algo := range []partition.Algorithm{partition.Chunk, partition.Fennel} {
+		if parts[algo], err = partition.New(algo, ds.inner.Graph, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if slices.Equal(parts[partition.Chunk].Assign, parts[partition.Fennel].Assign) {
+		t.Fatal("fennel and chunk agree on cora: the partitioner row proves nothing")
+	}
+	for _, tc := range []struct {
+		cfg       Config
+		algo      partition.Algorithm
+		repBudget int64
+	}{
+		{Config{Workers: 3, Engine: EngineHybrid4}, partition.Chunk, -1},
+		{Config{Workers: 3, Engine: EngineHybrid4, Partitioner: PartitionFennel,
+			MemBudgetBytes: 4096, RepBudgetBytes: 8192}, partition.Fennel, 8192},
+	} {
+		opts, err := toEngineOptions(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := planFor(ds.inner, tc.cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := plan.Planner
+		if !slices.Equal(p.Part.Assign, parts[tc.algo].Assign) {
+			t.Errorf("%+v: the planner's partition is not %s's", tc.cfg, tc.algo)
+		}
+		if p.MemBudget != tc.cfg.MemBudgetBytes || p.RepBudget != tc.repBudget {
+			t.Errorf("%+v: planner MemBudget %d RepBudget %d, want %d and %d",
+				tc.cfg, p.MemBudget, p.RepBudget, tc.cfg.MemBudgetBytes, tc.repBudget)
 		}
 	}
 }
