@@ -1,33 +1,28 @@
 // Cost-model exploration: how Algorithm 4's decisions shift with the
 // environment. The same graph is planned under a slow Ethernet profile, a
 // fast InfiniBand profile, and a tight memory budget; the example prints the
-// probed T_v/T_e/T_c factors and the resulting per-layer cache/communicate
-// split — the mechanism behind every headline result in the paper.
+// host's probed T_v/T_e, each profile's T_c and the resulting per-layer
+// cache/communicate split — the mechanism behind every headline result in the paper.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"neutronstar"
+	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
 )
 
 func main() {
-	// Probe the environment factors exactly as Algorithm 4 line 1 does.
-	fmt.Println("probed environment factors (seconds per tensor element):")
-	for _, env := range []struct {
-		name        string
-		bytesPerSec float64
-		latency     time.Duration
-	}{
-		{"ecs (slow ethernet)", 48e6, 150 * time.Microsecond},
-		{"ibv (fast infiniband)", 1.6e9, 10 * time.Microsecond},
-	} {
-		c := costmodel.Probe(env.bytesPerSec, env.latency)
-		fmt.Printf("  %-22s Tv=%.2e Te=%.2e Tc=%.2e (Tc/Tv=%.1f)\n",
-			env.name, c.Tv, c.Te, c.Tc, c.Tc/c.Tv)
+	// Probe the host once, as Algorithm 4 line 1 does. T_c is not timed: it
+	// derives from each network profile's bandwidth and latency.
+	host := costmodel.Probe(0, 0)
+	fmt.Printf("host factors (seconds per tensor element): Tv=%.2e Te=%.2e\n", host.Tv, host.Te)
+	for _, p := range []comm.NetworkProfile{comm.ProfileECS, comm.ProfileIBV} {
+		tc := costmodel.CommFactor(p.BytesPerSec, p.Latency)
+		fmt.Printf("  %-3s %6.0f MB/s %6v/msg  Tc=%.2e (Tc/Tv=%.1f)\n",
+			p.Name, p.BytesPerSec/1e6, p.Latency, tc, tc/host.Tv)
 	}
 	fmt.Println()
 

@@ -117,11 +117,6 @@ func TestGradReLUFamily(t *testing.T) {
 }
 
 func TestGradConcat(t *testing.T) {
-	checkGrad(t, "concat_cols", []*tensor.Tensor{randT(3, 2, 13), randT(3, 4, 14)},
-		func(tape *Tape, l []*Variable) *Variable {
-			w := randT(6, 1, 15)
-			return sumAll(tape, tape.MatMul(tape.ConcatCols(l[0], l[1]), tape.Constant(w, "w")))
-		})
 	checkGrad(t, "concat_rows", []*tensor.Tensor{randT(2, 3, 16), randT(4, 3, 17)},
 		func(tape *Tape, l []*Variable) *Variable {
 			w := randT(3, 1, 18)

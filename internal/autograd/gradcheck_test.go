@@ -28,9 +28,6 @@ func TestTapeOpGradients(t *testing.T) {
 		inputs []*tensor.Tensor
 		build  testkit.Closure
 	}{
-		{"concat_cols", []*tensor.Tensor{a, c}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
-			return tp.ConcatCols(xs[0], xs[1])
-		}},
 		{"concat_rows", []*tensor.Tensor{a, b}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
 			return tp.ConcatRows(xs[0], xs[1])
 		}},

@@ -136,36 +136,6 @@ func (t *Tape) Dropout(x *Variable, p float32, rng *tensor.RNG, training bool) *
 	}, x)
 }
 
-// ConcatCols concatenates a and b along columns: result is R x (Ca+Cb).
-func (t *Tape) ConcatCols(a, b *Variable) *Variable {
-	if a.Value.Rows() != b.Value.Rows() {
-		panic(fmt.Sprintf("autograd: ConcatCols rows %d vs %d", a.Value.Rows(), b.Value.Rows()))
-	}
-	r, ca, cb := a.Value.Rows(), a.Value.Cols(), b.Value.Cols()
-	out := t.alloc(r, ca+cb)
-	for i := 0; i < r; i++ {
-		row := out.Row(i)
-		copy(row[:ca], a.Value.Row(i))
-		copy(row[ca:], b.Value.Row(i))
-	}
-	return t.record(out, "concat_cols", func(grad *tensor.Tensor) {
-		if a.requiresGrad {
-			ga := t.alloc(r, ca)
-			for i := 0; i < r; i++ {
-				copy(ga.Row(i), grad.Row(i)[:ca])
-			}
-			a.accumulate(ga)
-		}
-		if b.requiresGrad {
-			gb := t.alloc(r, cb)
-			for i := 0; i < r; i++ {
-				copy(gb.Row(i), grad.Row(i)[ca:])
-			}
-			b.accumulate(gb)
-		}
-	}, a, b)
-}
-
 // ConcatRows stacks variables vertically. All must share the column count.
 func (t *Tape) ConcatRows(parts ...*Variable) *Variable {
 	if len(parts) == 0 {

@@ -4,13 +4,12 @@ package costmodel
 // dependency traffic entirely: every remote dependency's multi-hop subtree is
 // materialized as local vertex copies (CoFree-GNN's vertex cut) and recomputed
 // against local state, so Eq. 2's t_c never applies. What replication pays
-// instead is (a) replica storage — priced per replicated vertex below, with
-// the feature/activation rows divided by the quantization compression factor
+// instead is replica storage — priced per replicated vertex below, with the
+// feature/activation rows divided by the quantization compression factor
 // (CAGNET-style: fp16 halves, int8 quarters the stored bytes) while the edge
-// index slots stay full-size — and (b) a one-time replica feature broadcast at
-// setup, priced with the same T_c the per-epoch terms use but reported
-// separately: like the 2-way modes' layer-1 feature fetch, it is amortised
-// over the whole run and therefore excluded from the per-epoch argmin.
+// index slots stay full-size. The one-time replica feature broadcast at setup
+// is not priced: like the 2-way modes' layer-1 feature fetch, it is amortised
+// over the whole run and lies outside the per-epoch argmin.
 
 // RepReplicaBytes prices the storage of one replicated vertex held at
 // representation levels 0..topLevel: 4 bytes per element of each level's row,
@@ -26,15 +25,4 @@ func RepReplicaBytes(dims []int, topLevel, inDegree int, compression float64) in
 		feat += int64(4 * dims[k])
 	}
 	return int64(float64(feat)/compression) + int64(8*inDegree)
-}
-
-// RepSetupCost prices the one-time replica feature broadcast of a worker:
-// each of its replicas' level-0 rows (dimension dim0) crosses the fabric once
-// at setup, compressed by the quantization factor. This is reported cost, not
-// per-epoch cost — the planner's argmin never sees it.
-func (c Costs) RepSetupCost(replicas, dim0 int, compression float64) float64 {
-	if compression < 1 {
-		compression = 1
-	}
-	return c.Tc * float64(replicas) * float64(dim0) / compression
 }

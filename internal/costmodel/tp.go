@@ -5,9 +5,10 @@ package costmodel
 // column ranges; per-vertex dependency traffic disappears and is replaced by
 // two slice-exchange collectives whose volume is |V|·d/N-shaped — independent
 // of the degree distribution, which is the whole point (NeutronTP). The
-// planner prices that volume with the same per-element factor T_c Eq. 2 uses
-// (already calibrated for the bidirectional forward/backward exchange), so
-// the 3-way comparison against t_r and t_c stays in one unit system.
+// planner prices that volume with Costs.CommCost, the same per-element factor
+// T_c Eq. 2 uses (CommFactor already counts the bidirectional
+// forward/backward exchange), so the 3-way comparison against t_r and t_c
+// stays in one unit system.
 
 // TPColRange returns worker j's half-open column range [lo, hi) of a
 // dimension split into n contiguous slices. Slices differ in width by at
@@ -19,7 +20,7 @@ func TPColRange(dim, n, j int) (lo, hi int) {
 
 // TPVolume returns the per-epoch forward received element volume of one
 // worker at a tensor-parallel layer (the backward re-scatter mirrors it and
-// is covered by Tc's bidirectional calibration).
+// is covered by CommFactor's bidirectional factor).
 //
 // For a slice-separable layer (slice=true) worker j receives the other
 // workers' column slices of its owned rows in the re-gather,
@@ -47,7 +48,3 @@ func TPVolume(slice, firstLayer bool, totalVerts, ownedVerts, dim, colWidth int)
 	}
 	return int64(totalVerts-ownedVerts) * int64(dim)
 }
-
-// TPCost prices a slice-exchange element volume: elems · Tc, the Eq. 2
-// factor applied to collective volume instead of boundary-vertex volume.
-func (c Costs) TPCost(elems int64) float64 { return float64(c.Tc * float64(elems)) }

@@ -157,8 +157,8 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 			RecvRows: w.recvRows, RecvElems: w.recvElems,
 			PredComputeSeconds: float64(predCompute(w, e.planner.Costs) * float64(e.dims[l])),
 			MeasComputeSeconds: measCompute[l],
-			PredCommSeconds: float64(float64(w.recvRows)*e.planner.Costs.CommCost(e.dims[l-1])) +
-				e.planner.Costs.TPCost(w.recvElems),
+			PredCommSeconds: float64(float64(w.recvRows)*e.planner.Costs.CommCost(int64(e.dims[l-1]))) +
+				e.planner.Costs.CommCost(w.recvElems),
 			MeasCommSeconds: measComm[l],
 		}
 		if lr.PredComputeSeconds > 0 {

@@ -47,7 +47,8 @@ const (
 	// be stored (re)quantized (Options.RepQuant).
 	DepRep Mode = "deprep"
 	// Hybrid4 widens the planner once more: replicated layer suffixes compete
-	// against the hybrid3 family on modeled cost, gated by Options.RepBudget.
+	// against the hybrid3 family on modeled cost, gated by the planner's
+	// RepBudget.
 	Hybrid4 Mode = "hybrid4"
 )
 
@@ -258,11 +259,12 @@ type Plan struct {
 }
 
 // PlanFor is the plan step. It builds (ds, opts)'s planner — the Chunk
-// partition over Workers, the memoised probe of Profile, dims from ds, Hidden
-// and Layers, SliceTP from Model, RepCompression from RepQuant, replication
-// unbudgeted and no cache budget — and decides it under opts.Mode's policy
-// row. tune, when non-nil, first sets what Options does not carry: another
-// partition, fixed costs, budgets, or another planner mode.
+// partition over Workers, the host's probed T_v/T_e with Profile's T_c, dims
+// from ds, Hidden and Layers, SliceTP from Model, RepCompression from
+// RepQuant, and no cache or replica budget — and decides it under
+// opts.Mode's policy row. tune, when non-nil, first sets what Options does
+// not carry: another partition, fixed costs, budgets, or another planner
+// mode.
 func PlanFor(ds *dataset.Dataset, opts Options, tune func(p *hybrid.Planner, mode *hybrid.Mode)) (*Plan, error) {
 	opts, pol, err := opts.withDefaults()
 	if err != nil {
@@ -280,9 +282,11 @@ func PlanFor(ds *dataset.Dataset, opts Options, tune func(p *hybrid.Planner, mod
 	for l := 1; l < opts.Layers; l++ {
 		dims = append(dims, hidden)
 	}
+	costs := hostFactors()
+	costs.Tc = costmodel.CommFactor(opts.Profile.BytesPerSec, opts.Profile.Latency)
 	p := &hybrid.Planner{
-		Graph: ds.Graph, Part: part, Dims: append(dims, ds.Spec.NumClasses), Costs: probeCached(opts.Profile),
-		RepBudget: -1, RepCompression: partition.CompressionFactor(opts.RepQuant), SliceTP: nn.SliceSeparable(opts.Model),
+		Graph: ds.Graph, Part: part, Dims: append(dims, ds.Spec.NumClasses), Costs: costs,
+		RepCompression: partition.CompressionFactor(opts.RepQuant), SliceTP: nn.SliceSeparable(opts.Model),
 	}
 	mode := pol.plan
 	if tune != nil {
@@ -392,23 +396,12 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// probeCache memoises environment probes per network profile: the factors
-// describe the host and fabric, not the workload, so one measurement per
-// process is both faster and — more importantly — stable, keeping Algorithm
-// 4's decisions deterministic across engines built in the same run.
-var probeCache sync.Map // NetworkProfile -> costmodel.Costs
-
-// probeCached keys the cache on the profile's α–β terms: faults only delay,
-// so a faulted engine plans exactly as its clean twin does.
-func probeCached(p comm.NetworkProfile) costmodel.Costs {
-	p.Fault = nil
-	if v, ok := probeCache.Load(p); ok {
-		return v.(costmodel.Costs)
-	}
-	c := costmodel.Probe(p.BytesPerSec, p.Latency)
-	probeCache.Store(p, c)
-	return c
-}
+// hostFactors probes T_v and T_e once per process: they describe the host,
+// not the workload or the fabric, so every engine built in one run — over
+// any network profile, faulted or not — plans against the same factors, and
+// Algorithm 4's decisions stay deterministic across them. T_c is not timed;
+// PlanFor derives it from the profile.
+var hostFactors = sync.OnceValue(func() costmodel.Costs { return costmodel.Probe(0, 0) })
 
 // Mode returns the engine's dependency-management mode.
 func (e *Engine) Mode() Mode { return e.opts.Mode }

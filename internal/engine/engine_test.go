@@ -507,6 +507,40 @@ func TestSchedulerAndClipping(t *testing.T) {
 	}
 }
 
+// TestPlanForProbesHostOnce: T_v and T_e describe the host, so engines
+// planned over different network profiles in one process — faulted or not —
+// price compute with the same probed factors, and each prices communication
+// with costmodel.CommFactor of its own profile.
+func TestPlanForProbesHostOnce(t *testing.T) {
+	ds := testDataset(t, 60, 4, 47)
+	spec, err := comm.ParseFaultSpec("drop=0.05,seed=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := comm.ProfileECS
+	faulted.Fault = spec
+	var first costmodel.Costs
+	for i, profile := range []comm.NetworkProfile{comm.ProfileECS, comm.ProfileIBV, faulted, comm.ProfileLocal} {
+		plan, err := PlanFor(ds, Options{Workers: 2, Mode: DepComm, Model: nn.GCN, Seed: 1, Profile: profile}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := plan.Planner.Costs
+		if i == 0 {
+			first = c
+		}
+		if c.Tv != first.Tv || c.Te != first.Te {
+			t.Errorf("%s: Tv %g Te %g, %s planned with Tv %g Te %g", profile.Name, c.Tv, c.Te, comm.ProfileECS.Name, first.Tv, first.Te)
+		}
+		if want := costmodel.CommFactor(profile.BytesPerSec, profile.Latency); c.Tc != want {
+			t.Errorf("%s: Tc %g, want CommFactor's %g", profile.Name, c.Tc, want)
+		}
+	}
+	if first.Tv <= 0 || first.Te <= 0 {
+		t.Fatalf("probed factors %+v not positive", first)
+	}
+}
+
 // Any valid per-layer cache/communicate split — including splits no cost
 // model would ever choose — must produce the exact full-graph gradients.
 // This fuzzes the plan derivation (subtree expansion, row maps, mirror

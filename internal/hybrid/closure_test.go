@@ -17,6 +17,13 @@ func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCos
 	return ch.CacheCost, ch.CommCost, ch.Bytes
 }
 
+// epochCost is the per-epoch seconds Charge prices d at, the sum the
+// candidate argmin compares.
+func (p *Planner) epochCost(worker int, d *Decision) float64 {
+	ch := p.Charge(worker, d)
+	return ch.CacheCost + ch.CommCost
+}
+
 // randomInstance draws a skewed random graph (low ids are hubs, with
 // self-loops and multi-edges) under a chunk partition.
 func randomInstance(t *testing.T, rng *tensor.RNG, parts int) (*graph.Graph, *partition.Partition) {

@@ -77,18 +77,11 @@ func (p *Planner) Charge(worker int, d *Decision) Charge {
 			if held.Holds(u, l-1) {
 				continue // replicated anyway: nothing to fetch
 			}
-			ch.CommCost += p.Costs.CommCost(p.Dims[l-1])
+			ch.CommCost += p.Costs.CommCost(int64(p.Dims[l-1]))
 			ch.CommRows[l-1]++
 		}
 	}
 	return ch
-}
-
-// EvaluateCost returns the modeled per-epoch cost Charge prices d at for
-// worker, and the replica storage bytes.
-func (p *Planner) EvaluateCost(worker int, d *Decision) (cost float64, bytes int64) {
-	ch := p.Charge(worker, d)
-	return ch.CacheCost + ch.CommCost, ch.Bytes
 }
 
 // tpLayerCost returns the modeled slice-exchange cost of worker `worker`
@@ -100,21 +93,11 @@ func (p *Planner) tpLayerCost(worker, l int) float64 {
 	lo, hi := costmodel.TPColRange(d, n, worker)
 	vol := costmodel.TPVolume(p.SliceTP, l == 1, p.Graph.NumVertices(),
 		len(p.Part.Parts[worker]), d, hi-lo)
-	return p.Costs.TPCost(vol)
-}
-
-// repSetupCost prices the one-time feature broadcast of a plan's replicas
-// under the configured compression — reported on the Decision, excluded from
-// the per-epoch argmin.
-func (p *Planner) repSetupCost(d *Decision, replicas int64) float64 {
-	if d.NumRep() == 0 {
-		return 0
-	}
-	return p.Costs.RepSetupCost(int(replicas), p.Dims[0], p.RepCompression)
+	return p.Costs.CommCost(vol)
 }
 
 // ExactDecision enumerates every per-layer cache/communicate assignment for
-// worker and returns the decision minimising EvaluateCost subject to the
+// worker and returns the decision Charge prices cheapest subject to the
 // memory budget. It refuses instances where the search space exceeds
 // maxStates (the problem is NP-hard; this is a test oracle, not a planner).
 func (p *Planner) ExactDecision(worker int, maxStates int) (*Decision, error) {
@@ -140,15 +123,12 @@ func (p *Planner) ExactDecision(worker int, maxStates int) (*Decision, error) {
 				}
 			}
 		}
-		cost, bytes := p.EvaluateCost(worker, d)
-		if p.MemBudget > 0 && bytes > p.MemBudget {
+		ch := p.Charge(worker, d)
+		if p.MemBudget > 0 && ch.Bytes > p.MemBudget {
 			continue
 		}
-		if cost < bestCost {
-			bestCost = cost
-			d.CacheBytes = bytes
-			d.EstCacheCost = cost
-			best = d
+		if cost := ch.CacheCost + ch.CommCost; cost < bestCost {
+			best, bestCost = d, cost
 		}
 	}
 	if best == nil {

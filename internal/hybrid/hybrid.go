@@ -49,18 +49,6 @@ type Decision struct {
 	// at full float32 width. Like TP, Rep is a cluster-level per-layer choice
 	// and may be nil (all false) on Decisions built outside DecideAll.
 	Rep []bool
-	// CacheBytes estimates the replica storage the cached sets require
-	// (compressed by Planner.RepCompression when any layer is replicated).
-	CacheBytes int64
-	// EstCacheCost / EstCommCost are the modeled per-epoch costs (seconds)
-	// of the chosen split as the exact evaluator prices them, for reporting.
-	// Slice-exchange collective cost counts as communication.
-	EstCacheCost, EstCommCost float64
-	// EstSetupCost is the one-time replica feature broadcast cost of a
-	// replicated plan (costmodel.RepSetupCost) — reported, never part of the
-	// per-epoch argmin, mirroring how the 2-way modes treat the layer-1
-	// feature fetch. Zero for plans without replicated layers.
-	EstSetupCost float64
 }
 
 // TPAt reports whether layer l (1-based) is tensor-parallel under this
@@ -152,13 +140,13 @@ type Planner struct {
 	// Dims is the representation dimension chain d^(0)..d^(L).
 	Dims  []int
 	Costs costmodel.Costs
-	// MemBudget caps CacheBytes per worker; 0 means unlimited.
+	// MemBudget caps a plan's replica bytes (Charge.Bytes) per worker; zero
+	// or negative means unlimited.
 	MemBudget int64
-	// RepBudget caps a replicated candidate's (compressed) replica bytes per
-	// worker in ModeHybrid4: > 0 is a cap, 0 removes replicated candidates
-	// entirely (hybrid4 then degenerates to hybrid3), < 0 is unlimited.
-	// ModeAllRep ignores it — an explicitly requested pure policy is not a
-	// candidate competition.
+	// RepBudget caps the replicated candidate's compressed replica bytes per
+	// worker in ModeHybrid4; zero or negative means unlimited. ModeAllRep
+	// ignores it — an explicitly requested pure policy is not a candidate
+	// competition.
 	RepBudget int64
 	// RepCompression is the replica storage compression factor of the
 	// configured quantization (partition.CompressionFactor); values < 1 are
@@ -273,14 +261,14 @@ func (p *Planner) Candidates(mode Mode) ([]Candidate, error) {
 
 // DecideAll computes one Decision per worker: it prices every candidate of
 // the mode with the exact evaluator (Charge) and returns the cheapest
-// feasible one with its modeled costs filled in.
+// feasible one. The Decisions carry only the split; Charge prices it again
+// for any reader that wants the numbers.
 func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	cands, err := p.Candidates(mode)
 	if err != nil {
 		return nil, err
 	}
 	var best []*Decision
-	var bestCharges []Charge
 	bestCost := 0.0
 	for _, cand := range cands {
 		plan := cand.Plan
@@ -297,18 +285,12 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 			total += ch.CacheCost + ch.CommCost
 		}
 		if feasible && (best == nil || total < bestCost) {
-			best, bestCharges, bestCost = plan, charges, total
+			best, bestCost = plan, total
 		}
 	}
 	if best == nil {
 		// Unreachable: pure communication stores no replicas and always fits.
 		return nil, fmt.Errorf("hybrid: no feasible plan under budget %d", p.MemBudget)
-	}
-	for w, d := range best {
-		ch := bestCharges[w]
-		d.CacheBytes = ch.Bytes
-		d.EstCacheCost, d.EstCommCost = ch.CacheCost, ch.CommCost
-		d.EstSetupCost = p.repSetupCost(d, ch.ReplicaRows[0])
 	}
 	return best, nil
 }
@@ -418,13 +400,8 @@ func (c *candidates) tpSuffixes() [][]*Decision {
 func (c *candidates) allTP() [][]*Decision  { return [][]*Decision{c.suffix(1, false)} }
 func (c *candidates) allRep() [][]*Decision { return [][]*Decision{c.suffix(1, true)} }
 
-// repSuffixes is the one replicated candidate (see competing). It is empty
-// under RepBudget = 0: the family is removed and ModeHybrid4 degenerates to
-// ModeHybrid3 exactly.
+// repSuffixes is the one replicated candidate (see competing).
 func (c *candidates) repSuffixes() [][]*Decision {
-	if c.p.RepBudget == 0 {
-		return nil
-	}
 	return [][]*Decision{c.suffix(c.p.numLayers(), true)}
 }
 
@@ -474,7 +451,7 @@ func (h *depHeap) Pop() interface{} {
 // measure zero.
 //
 // greedy fills only d.R and d.C; its running byte count exists to enforce
-// MemBudget, and the reported costs come from the evaluator like every plan's.
+// MemBudget, and the plan's price comes from Charge like every plan's.
 func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 	L := p.numLayers()
 	vrep := NewClosure(p.Graph, p.Part, worker)
@@ -526,7 +503,7 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 
 	var cacheBytes int64
 	for l := 1; l <= L; l++ {
-		tc := p.Costs.CommCost(p.Dims[l-1])
+		tc := p.Costs.CommCost(int64(p.Dims[l-1]))
 		h := make(depHeap, 0, len(deps))
 		for _, u := range deps {
 			h = append(h, depItem{u: u, tr: measure(u, l)})

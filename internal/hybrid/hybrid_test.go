@@ -157,8 +157,8 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 	}
 	for i, d := range decs {
 		checkPartitionOfDeps(t, pl, i, d)
-		if d.CacheBytes > pl.MemBudget {
-			t.Fatalf("worker %d: cache bytes %d over budget %d", i, d.CacheBytes, pl.MemBudget)
+		if bytes := pl.Charge(i, d).Bytes; bytes > pl.MemBudget {
+			t.Fatalf("worker %d: cache bytes %d over budget %d", i, bytes, pl.MemBudget)
 		}
 	}
 	// The same regime without a budget must cache strictly more.
@@ -339,9 +339,9 @@ func TestExactSolverBeatsOrMatchesPureStrategies(t *testing.T) {
 	}
 	allCache := decideWorker(t, pl, w, ModeAllCache)
 	allComm := decideWorker(t, pl, w, ModeAllComm)
-	exactCost, _ := pl.EvaluateCost(w, exact)
-	cacheCost, _ := pl.EvaluateCost(w, allCache)
-	commCost, _ := pl.EvaluateCost(w, allComm)
+	exactCost := pl.epochCost(w, exact)
+	cacheCost := pl.epochCost(w, allCache)
+	commCost := pl.epochCost(w, allComm)
 	if exactCost > cacheCost+1e-12 || exactCost > commCost+1e-12 {
 		t.Fatalf("exact %v worse than pure strategies (cache %v, comm %v)", exactCost, cacheCost, commCost)
 	}
@@ -369,8 +369,8 @@ func TestGreedyNearOptimal(t *testing.T) {
 				t.Fatal(err)
 			}
 			greedy := decideWorker(t, pl, w, ModeHybrid)
-			exactCost, _ := pl.EvaluateCost(w, exact)
-			greedyCost, _ := pl.EvaluateCost(w, greedy)
+			exactCost := pl.epochCost(w, exact)
+			greedyCost := pl.epochCost(w, greedy)
 			if exactCost == 0 {
 				if greedyCost > 1e-12 {
 					t.Fatalf("seed %d regime %d: optimum free but greedy cost %v", seed, ri, greedyCost)
@@ -401,8 +401,8 @@ func TestExactRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.CacheBytes > 64 {
-		t.Fatalf("exact solution uses %d bytes over budget", d.CacheBytes)
+	if bytes := pl.Charge(w, d).Bytes; bytes > 64 {
+		t.Fatalf("exact solution uses %d bytes over budget", bytes)
 	}
 }
 

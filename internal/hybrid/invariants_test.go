@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"neutronstar/internal/costmodel"
@@ -65,25 +66,35 @@ func TestDecisionPartitionInvariantAcrossModes(t *testing.T) {
 	}
 }
 
-// TestEveryModeReportsEvaluatorPrices: a Decision's CacheBytes and Est* costs
-// are what the one exact evaluator — the function the candidate argmin prices
-// every plan with — says about its sets, whatever mode produced it. So the
-// all-comm plan reports the same numbers as ModeAllComm's result and as a
-// candidate inside ModeHybrid4, and likewise for all-cache.
+// TestEveryModeReportsEvaluatorPrices: a plan's price is what the one exact
+// evaluator — the function the candidate argmin prices every plan with —
+// says about its sets, whatever mode produced it. So ModeAllComm's plan is
+// priced exactly as the comm candidate inside ModeHybrid4, and likewise for
+// all-cache.
 func TestEveryModeReportsEvaluatorPrices(t *testing.T) {
 	g, p := testSetup(t, 160, 5, 4, 31)
 	pl := planner(g, p, costmodel.Costs{Tv: 1e-8, Te: 2e-9, Tc: 3e-8})
 	pl.Ratio, pl.MemBudget, pl.RepBudget, pl.RepCompression = 0.5, 16<<10, -1, 2
-	for mode := range modeTable {
-		ds, err := pl.DecideAll(Mode(mode))
+	cands, err := pl.Candidates(ModeHybrid4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// competing's tie order: comm, greedy, cache, ...
+	for _, c := range []struct {
+		mode Mode
+		cand int
+	}{{ModeAllComm, 0}, {ModeAllCache, 2}} {
+		ds, err := pl.DecideAll(c.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for w, d := range ds {
-			cache, comm, bytes := pl.evaluateCostSplit(w, d)
-			if d.EstCacheCost != cache || d.EstCommCost != comm || d.CacheBytes != bytes {
-				t.Fatalf("mode %d worker %d: reports cache %g comm %g bytes %d, evaluator prices %g / %g / %d",
-					mode, w, d.EstCacheCost, d.EstCommCost, d.CacheBytes, cache, comm, bytes)
+			got, want := pl.Charge(w, d), pl.Charge(w, cands[c.cand].Plan[w])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %d worker %d: priced %+v, hybrid4's candidate %d priced %+v", c.mode, w, got, c.cand, want)
+			}
+			if got.CacheCost+got.CommCost == 0 {
+				t.Fatalf("mode %d worker %d: free plan proves nothing", c.mode, w)
 			}
 		}
 	}
@@ -101,7 +112,7 @@ func assertAscending(t *testing.T, set string, worker, layer int, s []int32) {
 // TestGreedyMatchesExactInExtremeRegimes pins Algorithm 4 against the
 // exhaustive solver where the optimum is unambiguous: when communication
 // dwarfs compute the optimal plan caches everything, and when communication
-// is free it communicates everything. The comparison is on EvaluateCost (the
+// is free it communicates everything. The comparison is on Charge's price (the
 // shared cost semantics), not on the raw sets, because cost-equal ties can
 // legitimately differ.
 func TestGreedyMatchesExactInExtremeRegimes(t *testing.T) {
@@ -122,8 +133,8 @@ func TestGreedyMatchesExactInExtremeRegimes(t *testing.T) {
 					t.Skipf("instance too large for exact solver: %v", err)
 				}
 				greedy := decideWorker(t, pl, w, ModeHybrid)
-				gc, _ := pl.EvaluateCost(w, greedy)
-				ec, _ := pl.EvaluateCost(w, exact)
+				gc := pl.epochCost(w, greedy)
+				ec := pl.epochCost(w, exact)
 				if math.Abs(gc-ec) > 1e-12*math.Max(1, ec) {
 					t.Fatalf("worker %d: greedy cost %g, exact optimum %g", w, gc, ec)
 				}
@@ -175,7 +186,7 @@ func TestZeroDegreeDependencyCost(t *testing.T) {
 	dims := []int{4, 6, 2}
 	pl := twoVertexPlanner(costs, dims)
 	d := &Decision{R: [][]int32{nil, {0}}, C: [][]int32{{0}, nil}}
-	got, _ := pl.EvaluateCost(1, d)
+	got := pl.epochCost(1, d)
 	want := costs.Tv * float64(dims[1]) // one vertex op at level 1, zero edges
 	if math.Abs(got-want) > 1e-18 {
 		t.Fatalf("zero-degree cached dep cost %g, want %g", got, want)
@@ -197,8 +208,8 @@ func TestSingleWorkerDegeneratePlan(t *testing.T) {
 		if d.NumCached() != 0 || d.NumComm() != 0 {
 			t.Fatalf("mode %d: R=%d C=%d deps on a single worker", mode, d.NumCached(), d.NumComm())
 		}
-		if d.CacheBytes != 0 || d.EstCacheCost != 0 || d.EstCommCost != 0 {
-			t.Fatalf("mode %d: nonzero estimates %d/%g/%g", mode, d.CacheBytes, d.EstCacheCost, d.EstCommCost)
+		if ch := pl.Charge(0, d); ch.Bytes != 0 || ch.CacheCost != 0 || ch.CommCost != 0 {
+			t.Fatalf("mode %d: nonzero prices %d/%g/%g", mode, ch.Bytes, ch.CacheCost, ch.CommCost)
 		}
 		if mode == ModeHybrid3 && d.NumTP() != 0 {
 			// Every candidate ties at zero on one worker and the tie rule

@@ -199,68 +199,3 @@ func (l *SAGELayer) Forward(ctx *ForwardCtx) *autograd.Variable {
 	}
 	return t.AddBias(z, l.b.Bind(t))
 }
-
-// MultiHeadGATLayer runs H independent attention heads and concatenates
-// their outputs (the standard GAT formulation; the single-head GATLayer is
-// the H=1 special case). OutDim is the concatenated width, so each head
-// produces OutDim/H features; OutDim must be divisible by the head count.
-type MultiHeadGATLayer struct {
-	in, out int
-	heads   []*GATLayer
-}
-
-// NewMultiHeadGATLayer builds an H-head GAT layer.
-func NewMultiHeadGATLayer(in, out, numHeads int, act bool, dropout float32, rng *tensor.RNG) (*MultiHeadGATLayer, error) {
-	if numHeads <= 0 || out%numHeads != 0 {
-		return nil, fmt.Errorf("nn: out dim %d not divisible by %d heads", out, numHeads)
-	}
-	l := &MultiHeadGATLayer{in: in, out: out}
-	for h := 0; h < numHeads; h++ {
-		l.heads = append(l.heads, NewGATLayer(in, out/numHeads, act, dropout, rng))
-	}
-	return l, nil
-}
-
-// InDim returns the input dimension.
-func (l *MultiHeadGATLayer) InDim() int { return l.in }
-
-// OutDim returns the concatenated output dimension.
-func (l *MultiHeadGATLayer) OutDim() int { return l.out }
-
-// NumHeads returns the head count.
-func (l *MultiHeadGATLayer) NumHeads() int { return len(l.heads) }
-
-// Params returns all heads' parameters.
-func (l *MultiHeadGATLayer) Params() []*Param {
-	var out []*Param
-	for _, h := range l.heads {
-		out = append(out, h.Params()...)
-	}
-	return out
-}
-
-// Forward evaluates every head on the shared raw inputs and concatenates.
-// Unlike the single-head layer, the vertex transform z = W_h·h happens
-// inside Forward per head (a shared PreTransform cannot serve differently
-// parameterised heads), so the source rows and Self carry raw representations
-// here, and each head transforms one row per edge.
-func (l *MultiHeadGATLayer) Forward(ctx *ForwardCtx) *autograd.Variable {
-	t := ctx.Tape
-	edgeRows := ctx.edgeRows()
-	outs := make([]*autograd.Variable, len(l.heads))
-	for i, h := range l.heads {
-		headCtx := *ctx
-		headCtx.Src, headCtx.SrcRow = nil, nil
-		headCtx.EdgeSrc = t.MatMul(edgeRows, h.w.Bind(t))
-		headCtx.Self = t.MatMul(ctx.Self, h.w.Bind(t))
-		outs[i] = h.Forward(&headCtx)
-	}
-	if len(outs) == 1 {
-		return outs[0]
-	}
-	cat := outs[0]
-	for _, o := range outs[1:] {
-		cat = t.ConcatCols(cat, o)
-	}
-	return cat
-}

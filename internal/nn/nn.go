@@ -68,7 +68,7 @@ func (p *Param) NumElements() int { return p.Value.Len() }
 // that has already gathered one row per edge passes EdgeSrc alone; that is
 // the same kernel with the identity index, with bit-identical outputs.
 // Layers whose edge stage is not a weighted sum of source rows (SAGE's
-// per-edge MLP, multi-head GAT) gather one row per edge on demand.
+// per-edge MLP) gather one row per edge on demand.
 type ForwardCtx struct {
 	Tape *autograd.Tape
 	// Src is the row universe edge sources are read from: previous-layer

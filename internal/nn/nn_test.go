@@ -401,55 +401,6 @@ func buildCtxBench(g *graph.Graph, layer Layer, h *tensor.Tensor, training bool)
 	return ctx, hVar
 }
 
-func TestMultiHeadGAT(t *testing.T) {
-	g := toyGraph()
-	rng := tensor.NewRNG(31)
-	l, err := NewMultiHeadGATLayer(8, 6, 3, true, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.NumHeads() != 3 || l.OutDim() != 6 || l.InDim() != 8 {
-		t.Fatal("dims wrong")
-	}
-	if len(l.Params()) != 3*4 {
-		t.Fatalf("params = %d", len(l.Params()))
-	}
-	h := tensor.RandNormal(5, 8, 0, 1, rng)
-	ctx, hVar := buildCtx(t, g, l, h, true)
-	out := l.Forward(ctx)
-	if out.Value.Rows() != 5 || out.Value.Cols() != 6 {
-		t.Fatalf("output %dx%d", out.Value.Rows(), out.Value.Cols())
-	}
-	seed := tensor.New(5, 6)
-	seed.Fill(1)
-	ctx.Tape.Backward(out, seed)
-	for _, p := range l.Params() {
-		p.CollectGrad()
-	}
-	grads := 0
-	for _, p := range l.Params() {
-		if tensor.Norm(p.Grad) > 0 {
-			grads++
-		}
-	}
-	if grads < len(l.Params())-3 { // biases of dead heads may be zero-ish, but most must flow
-		t.Fatalf("only %d of %d params got gradients", grads, len(l.Params()))
-	}
-	if hVar.Grad == nil || tensor.Norm(hVar.Grad) == 0 {
-		t.Fatal("input got no gradient")
-	}
-}
-
-func TestMultiHeadGATRejectsBadHeads(t *testing.T) {
-	rng := tensor.NewRNG(32)
-	if _, err := NewMultiHeadGATLayer(8, 6, 4, true, 0, rng); err == nil {
-		t.Fatal("expected divisibility error")
-	}
-	if _, err := NewMultiHeadGATLayer(8, 6, 0, true, 0, rng); err == nil {
-		t.Fatal("expected zero-head error")
-	}
-}
-
 func TestSchedulers(t *testing.T) {
 	if ConstantLR(0.1).LR(99) != 0.1 {
 		t.Fatal("constant changed")

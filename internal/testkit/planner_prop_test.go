@@ -15,8 +15,8 @@ import (
 func planCost(p *hybrid.Planner, decs []*hybrid.Decision) float64 {
 	var total float64
 	for w := range decs {
-		c, _ := p.EvaluateCost(w, decs[w])
-		total += c
+		ch := p.Charge(w, decs[w])
+		total += ch.CacheCost + ch.CommCost
 	}
 	return total
 }
@@ -171,9 +171,12 @@ func TestFourWayPlannerNeverWorseOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestFourWayDegeneratesToThreeWayWithoutRepBudget pins the documented
-// contract: RepBudget = 0 removes the replicated suffix family entirely, so
-// hybrid4 must produce a plan deeply equal to hybrid3's on any graph.
+// TestFourWayDegeneratesToThreeWayWithoutRepBudget: a positive RepBudget that
+// no replica fits (every replica stores at least one 4-byte element) makes
+// the replicated candidate infeasible wherever a worker has a remote
+// dependency, and where none has, it ties at zero with pure communication
+// and loses the tie. Either way hybrid4 must produce a plan deeply equal to
+// hybrid3's on any graph.
 func TestFourWayDegeneratesToThreeWayWithoutRepBudget(t *testing.T) {
 	trials := 5
 	if FullSweep() {
@@ -192,7 +195,7 @@ func TestFourWayDegeneratesToThreeWayWithoutRepBudget(t *testing.T) {
 		for _, costs := range plannerCostRegimes {
 			p := &hybrid.Planner{
 				Graph: ds.Graph, Part: part, Dims: dims,
-				Costs: costs, SliceTP: true, RepBudget: 0,
+				Costs: costs, SliceTP: true, RepBudget: 1,
 			}
 			p3, err := p.DecideAll(hybrid.ModeHybrid3)
 			if err != nil {
@@ -203,7 +206,7 @@ func TestFourWayDegeneratesToThreeWayWithoutRepBudget(t *testing.T) {
 				return err
 			}
 			if !reflect.DeepEqual(p3, p4) {
-				return fmt.Errorf("costs %+v: hybrid4 with RepBudget=0 differs from hybrid3", costs)
+				return fmt.Errorf("costs %+v: hybrid4 with RepBudget=1 differs from hybrid3", costs)
 			}
 		}
 		return nil
@@ -217,8 +220,9 @@ func TestFourWayDegeneratesToThreeWayWithoutRepBudget(t *testing.T) {
 // regime the replicated family exists for: communication is priced
 // prohibitively (huge Tc makes every per-epoch fetch and TP collective
 // enormous), while a 1-byte MemBudget bars full-precision caching — only the
-// replicated store (unlimited RepBudget, priced as a one-time broadcast, not
-// per epoch) escapes the traffic. The chosen plan must replicate.
+// replicated store (unlimited RepBudget; its one-time broadcast is not a
+// per-epoch cost) escapes the traffic. The chosen plan must replicate. Zero
+// and negative RepBudgets both mean unlimited, as MemBudget's zero does.
 func TestFourWayPrefersRepWhenCommUnaffordable(t *testing.T) {
 	ds := SmallDataset(32, 4, 11)
 	part, err := partition.New(partition.Chunk, ds.Graph, 4)
@@ -226,23 +230,25 @@ func TestFourWayPrefersRepWhenCommUnaffordable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dims := []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}
-	p := &hybrid.Planner{
-		Graph: ds.Graph, Part: part, Dims: dims,
-		Costs:     costmodel.Costs{Tv: 1e-12, Te: 1e-13, Tc: 1e6},
-		SliceTP:   true,
-		MemBudget: 1,
-		RepBudget: -1,
-	}
-	plan, err := p.DecideAll(hybrid.ModeHybrid4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, d := range plan {
-		if d.NumRep() == 0 {
-			t.Fatalf("worker %d: expected a replicated suffix under Tc=1e6, got TP=%v Rep=%v", w, d.TP, d.Rep)
+	for _, repBudget := range []int64{-1, 0} {
+		p := &hybrid.Planner{
+			Graph: ds.Graph, Part: part, Dims: dims,
+			Costs:     costmodel.Costs{Tv: 1e-12, Te: 1e-13, Tc: 1e6},
+			SliceTP:   true,
+			MemBudget: 1,
+			RepBudget: repBudget,
 		}
-		if d.EstCommCost != 0 {
-			t.Fatalf("worker %d: replicated plan still models per-epoch comm cost %g", w, d.EstCommCost)
+		plan, err := p.DecideAll(hybrid.ModeHybrid4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, d := range plan {
+			if d.NumRep() == 0 {
+				t.Fatalf("RepBudget %d worker %d: expected a replicated suffix under Tc=1e6, got TP=%v Rep=%v", repBudget, w, d.TP, d.Rep)
+			}
+			if comm := p.Charge(w, d).CommCost; comm != 0 {
+				t.Fatalf("RepBudget %d worker %d: replicated plan still models per-epoch comm cost %g", repBudget, w, comm)
+			}
 		}
 	}
 }

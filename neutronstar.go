@@ -409,8 +409,7 @@ func (s *Session) History() []EpochResult {
 }
 
 // planFor is the plan step with the Config's planner inputs applied: its
-// partitioner, and the cache and replica budgets. RepBudgetBytes 0 means
-// unlimited here, where hybrid.Planner.RepBudget 0 disables replication.
+// partitioner, and the cache and replica budgets.
 func planFor(ds *dataset.Dataset, cfg Config, opts engine.Options) (*engine.Plan, error) {
 	var part *partition.Partition
 	if cfg.Partitioner != "" {
@@ -424,10 +423,7 @@ func planFor(ds *dataset.Dataset, cfg Config, opts engine.Options) (*engine.Plan
 		if part != nil {
 			p.Part = part
 		}
-		p.MemBudget = cfg.MemBudgetBytes
-		if cfg.RepBudgetBytes != 0 {
-			p.RepBudget = cfg.RepBudgetBytes
-		}
+		p.MemBudget, p.RepBudget = cfg.MemBudgetBytes, cfg.RepBudgetBytes
 	})
 }
 

@@ -111,8 +111,7 @@ func TestConfigValidation(t *testing.T) {
 
 // TestPlannerInputsReachPlanner: Config.Partitioner, MemBudgetBytes and
 // RepBudgetBytes are planner inputs, set on the planner the session's plan
-// is decided by. RepBudgetBytes 0 is unlimited: the facade maps it to the
-// planner's -1, whose 0 would remove the replicated candidate.
+// is decided by, unchanged: 0 is unlimited on both sides.
 func TestPlannerInputsReachPlanner(t *testing.T) {
 	ds, err := LoadDataset("cora")
 	if err != nil {
@@ -128,13 +127,12 @@ func TestPlannerInputsReachPlanner(t *testing.T) {
 		t.Fatal("fennel and chunk agree on cora: the partitioner row proves nothing")
 	}
 	for _, tc := range []struct {
-		cfg       Config
-		algo      partition.Algorithm
-		repBudget int64
+		cfg  Config
+		algo partition.Algorithm
 	}{
-		{Config{Workers: 3, Engine: EngineHybrid4}, partition.Chunk, -1},
+		{Config{Workers: 3, Engine: EngineHybrid4}, partition.Chunk},
 		{Config{Workers: 3, Engine: EngineHybrid4, Partitioner: PartitionFennel,
-			MemBudgetBytes: 4096, RepBudgetBytes: 8192}, partition.Fennel, 8192},
+			MemBudgetBytes: 4096, RepBudgetBytes: 8192}, partition.Fennel},
 	} {
 		opts, err := toEngineOptions(tc.cfg)
 		if err != nil {
@@ -148,9 +146,9 @@ func TestPlannerInputsReachPlanner(t *testing.T) {
 		if !slices.Equal(p.Part.Assign, parts[tc.algo].Assign) {
 			t.Errorf("%+v: the planner's partition is not %s's", tc.cfg, tc.algo)
 		}
-		if p.MemBudget != tc.cfg.MemBudgetBytes || p.RepBudget != tc.repBudget {
+		if p.MemBudget != tc.cfg.MemBudgetBytes || p.RepBudget != tc.cfg.RepBudgetBytes {
 			t.Errorf("%+v: planner MemBudget %d RepBudget %d, want %d and %d",
-				tc.cfg, p.MemBudget, p.RepBudget, tc.cfg.MemBudgetBytes, tc.repBudget)
+				tc.cfg, p.MemBudget, p.RepBudget, tc.cfg.MemBudgetBytes, tc.cfg.RepBudgetBytes)
 		}
 	}
 }
