@@ -27,8 +27,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -44,86 +46,102 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is nsserve with its process boundary as parameters: log lines go to
+// stdout, usage errors to stderr. It returns 2 for a usage error, found
+// before any work, and 1 for a failure after it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dsName    = flag.String("dataset", "cora", "dataset name ("+strings.Join(neutronstar.DatasetNames(), ", ")+")")
-		model     = flag.String("model", "gcn", "model: gcn, gin, gat, sage (must match the saved model)")
-		layers    = flag.Int("layers", 0, "propagation depth L (0 = default 2; must match the saved model)")
-		workers   = flag.Int("workers", 1, "simulated cluster size for the backing session")
-		seed      = flag.Uint64("seed", 1, "session seed (also folded into sampled-query RNGs)")
-		loadModel = flag.String("load-model", "", "serve parameters from this file (written by nstrain -save-model)")
-		trainN    = flag.Int("train", 0, "train this many epochs in-process before serving")
-		lr        = flag.Float64("lr", 0.01, "learning rate for -train")
+		dsName    = fs.String("dataset", "cora", "dataset name ("+strings.Join(neutronstar.DatasetNames(), ", ")+")")
+		model     = fs.String("model", "gcn", "model: gcn, gin, gat, sage (must match the saved model)")
+		layers    = fs.Int("layers", 0, "propagation depth L (0 = default 2; must match the saved model)")
+		workers   = fs.Int("workers", 1, "simulated cluster size for the backing session")
+		seed      = fs.Uint64("seed", 1, "session seed (also folded into sampled-query RNGs)")
+		loadModel = fs.String("load-model", "", "serve parameters from this file (written by nstrain -save-model)")
+		trainN    = fs.Int("train", 0, "train this many epochs in-process before serving")
+		lr        = fs.Float64("lr", 0.01, "learning rate for -train")
 
-		addr       = flag.String("addr", ":8090", "HTTP listen address")
-		maxBatch   = flag.Int("max-batch", 32, "micro-batch flush threshold in queried vertices")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
-		cacheBytes = flag.Int64("cache-bytes", 8<<20, "embedding cache budget in bytes (0 disables)")
-		extractW   = flag.Int("extract-workers", 2, "extraction (graph walk) pool size")
-		computeW   = flag.Int("compute-workers", 2, "compute (NN forward) pool size")
+		addr       = fs.String("addr", ":8090", "HTTP listen address")
+		maxBatch   = fs.Int("max-batch", 32, "micro-batch flush threshold in queried vertices")
+		maxWait    = fs.Duration("max-wait", 2*time.Millisecond, "micro-batch flush deadline")
+		cacheBytes = fs.Int64("cache-bytes", 8<<20, "embedding cache budget in bytes (0 disables)")
+		extractW   = fs.Int("extract-workers", 2, "extraction (graph walk) pool size")
+		computeW   = fs.Int("compute-workers", 2, "compute (NN forward) pool size")
 
-		watchSpec = flag.String("watch-rules", "", "serving SLO rules, e.g. 'slo_p99=250ms,hitrate=0.3,slo_window=30s' (empty disables)")
-		trace     = flag.String("trace", "", "write a Chrome trace of the extract/compute pools to this file on shutdown")
+		watchSpec = fs.String("watch-rules", "", "serving SLO rules, e.g. 'slo_p99=250ms,hitrate=0.3,slo_window=30s' (empty disables)")
+		trace     = fs.String("trace", "", "write a Chrome trace of the extract/compute pools to this file on shutdown")
 
-		logJSON  = flag.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		logJSON  = fs.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
+		logLevel = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Malformed watch rules are a usage error, and so are the epoch rules:
-	// no epoch stream reaches this watchdog, so they could never fire.
-	usage := func(err error) {
-		fmt.Fprintf(os.Stderr, "nsserve: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	// nsserve watches a server, and no epoch completes while it serves.
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "nsserve: %v\n", err)
+		fs.Usage()
+		return 2
 	}
-	rules, err := obs.ParseWatchRules(*watchSpec)
-	if err != nil {
-		usage(fmt.Errorf("-watch-rules: %w", err))
+	if rules, err := obs.ParseWatchRules(*watchSpec); err != nil {
+		return usage(fmt.Errorf("-watch-rules: %w", err))
 	} else if rules.WatchesEpochs() {
-		usage(fmt.Errorf("-watch-rules %q: stall, regress, straggler and window watch training epochs; nsserve evaluates slo_p99, slo_window and hitrate", *watchSpec))
+		return usage(fmt.Errorf("-watch-rules %q: stall, regress, straggler and window watch training epochs; nsserve evaluates slo_p99, slo_window and hitrate", *watchSpec))
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		usage(fmt.Errorf("-log-level: %w", err))
+		return usage(fmt.Errorf("-log-level: %w", err))
 	}
 
-	log := obs.NewLogger(os.Stdout, *logJSON, level)
-	fail := func(err error) {
+	log := obs.NewLogger(stdout, *logJSON, level)
+	fail := func(err error) int {
 		log.Error("fatal", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	if *loadModel == "" && *trainN <= 0 {
-		fail(fmt.Errorf("need a model: pass -load-model FILE or -train EPOCHS"))
+		return fail(fmt.Errorf("need a model: pass -load-model FILE or -train EPOCHS"))
 	}
 
 	ds, err := neutronstar.LoadDataset(*dsName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	log.Info("dataset loaded", "dataset", ds.Name(),
 		"vertices", ds.NumVertices(), "edges", ds.NumEdges())
 
 	s, err := neutronstar.NewSession(ds, neutronstar.Config{
-		Workers: *workers,
-		Model:   neutronstar.ModelKind(*model),
-		Layers:  *layers,
-		LR:      *lr,
-		Seed:    *seed,
+		Workers:    *workers,
+		Model:      neutronstar.ModelKind(*model),
+		Layers:     *layers,
+		LR:         *lr,
+		Seed:       *seed,
+		WatchRules: *watchSpec,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer s.Close()
+	s.Watchdog().SetLogger(log)
 
 	if *loadModel != "" {
 		f, err := os.Open(*loadModel)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if err := s.LoadModel(f); err != nil {
-			fail(fmt.Errorf("loading %s (does -model/-layers match how it was trained?): %w", *loadModel, err))
-		}
+		err = s.LoadModel(f)
 		f.Close()
+		if err != nil {
+			return fail(fmt.Errorf("loading %s (does -model/-layers match how it was trained?): %w", *loadModel, err))
+		}
 		log.Info("model loaded", "path", *loadModel, "model", *model)
 	}
 	if *trainN > 0 {
@@ -147,42 +165,31 @@ func main() {
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer srv.Close()
 
-	// The observability plane: constant build-info gauge, a 1s-sampled metric
-	// history behind /timeline, and the SLO watchdog evaluated on every
-	// sample behind /healthwatch.
-	obs.RegisterBuildInfo(obs.Default())
-	hist := obs.NewHistory(obs.Default(), 0)
-	watch := obs.NewWatchdog(rules, log, obs.Default())
-	if rules.Enabled() {
-		hist.SetOnSample(func() { watch.EvaluateSLO(hist) })
-	}
-	hist.Start(obs.DefaultHistoryStep)
-	defer hist.Stop()
-
+	// The session's metric history, sampled every second, is behind
+	// /timeline; its watchdog evaluates the SLO rules on every sample and
+	// is behind /healthwatch.
+	s.MetricHistory().Start(obs.DefaultHistoryStep)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("/timeline", obs.TimelineHandler(hist))
+	mux.HandleFunc("/timeline", obs.TimelineHandler(s.MetricHistory()))
 	mux.HandleFunc("/healthwatch", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(watch.Health())
+		_ = enc.Encode(s.HealthWatch())
 	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fail(err)
-		}
-	}()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
 	log.Info("serving", "addr", ln.Addr().String(), "model", *model,
 		"version", srv.ModelVersion(), "max_batch", *maxBatch, "max_wait", maxWait.String(),
 		"cache_bytes", *cacheBytes, "extract_workers", *extractW, "compute_workers", *computeW,
@@ -191,7 +198,12 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	defer signal.Stop(sig)
+	select {
+	case err := <-serveErr:
+		return fail(err)
+	case <-sig:
+	}
 	log.Info("shutting down")
 	// Drain: stop accepting, let requests already accepted get their
 	// answers (bounded by drainTimeout), then close the pipeline.
@@ -211,6 +223,7 @@ func main() {
 	st := srv.Stats()
 	log.Info("served", "requests", st.Requests, "errors", st.Errors,
 		"batches", st.Batches, "cache_hits", st.Cache.Hits, "cache_misses", st.Cache.Misses)
+	return 0
 }
 
 // drainTimeout bounds how long shutdown waits for in-flight requests.

@@ -1,0 +1,43 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+func TestRunFlagValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		msg  string // substring of stderr
+	}{
+		{"malformed watch rules", []string{"-watch-rules", "slo_p99"}, "-watch-rules: "},
+		{"epoch watch rules", []string{"-watch-rules", "stall=1s"}, "stall, regress, straggler and window watch training epochs"},
+		{"unknown log level", []string{"-log-level", "bogus"}, `-log-level: slog: level string "bogus": unknown name`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.msg) {
+				t.Errorf("stderr %q does not contain %q", stderr.String(), c.msg)
+			}
+			// Nothing is loaded before the flags are checked: no log line.
+			if stdout.Len() != 0 {
+				t.Errorf("rejected invocation wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}
+
+func TestRunWithoutModelFails(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "need a model: pass -load-model FILE or -train EPOCHS") {
+		t.Fatalf("stdout has no fatal log line: %q", stdout.String())
+	}
+}

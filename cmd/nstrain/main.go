@@ -196,9 +196,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *debugAddr != "" {
-		obs.RegisterBuildInfo(obs.Default())
-		// Periodic sampling keeps /timeline moving between epoch barriers
-		// (long epochs would otherwise leave the dashboard flat).
+		// /timeline samples the default registry — the message-size and
+		// fault families on a training process, and the serving families
+		// when ServeConfig shares it. Periodic sampling keeps it moving
+		// between epoch barriers.
 		s.MetricHistory().Start(obs.DefaultHistoryStep)
 		srv, err := obs.NewServer(*debugAddr, obs.Default(), obs.Endpoints{
 			Status:      func() any { return s.Status() },

@@ -9,7 +9,7 @@
 // are kept, how often one is written) lives in Store and Saver. The package
 // deliberately knows nothing about engines or models: the engine translates
 // its state into Snapshot and back, so ckpt depends only on the standard
-// library and the metric registry.
+// library.
 package ckpt
 
 import (

@@ -154,42 +154,34 @@ func parseEntry(line string) (Entry, error) {
 // Save writes the snapshot atomically, appends it to the manifest and
 // applies retention rotation. It returns the snapshot's path.
 func (st *Store) Save(s *Snapshot) (string, error) {
-	start := time.Now()
 	name := fmt.Sprintf("snap-%08d.nsck", s.Epoch)
 	path := filepath.Join(st.dir, name)
 	tmp, err := os.CreateTemp(st.dir, ".tmp-snap-*")
 	if err != nil {
-		obsSaveFailures.Inc()
 		return "", fmt.Errorf("ckpt: creating temp snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := s.Encode(tmp); err != nil {
 		tmp.Close()
-		obsSaveFailures.Inc()
 		return "", fmt.Errorf("ckpt: encoding snapshot: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		obsSaveFailures.Inc()
 		return "", fmt.Errorf("ckpt: syncing snapshot: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		obsSaveFailures.Inc()
 		return "", err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		obsSaveFailures.Inc()
 		return "", fmt.Errorf("ckpt: publishing snapshot: %w", err)
 	}
 	info, err := os.Stat(path)
 	if err != nil {
-		obsSaveFailures.Inc()
 		return "", err
 	}
 
 	entries, err := st.Entries()
 	if err != nil {
-		obsSaveFailures.Inc()
 		return "", err
 	}
 	// Replace any previous entry for the same epoch (a resumed run re-saves
@@ -209,7 +201,6 @@ func (st *Store) Save(s *Snapshot) (string, error) {
 		entries = entries[len(entries)-r:]
 	}
 	if err := st.writeManifest(entries); err != nil {
-		obsSaveFailures.Inc()
 		return "", err
 	}
 	// Delete rotated-out files only after the manifest no longer names
@@ -218,11 +209,6 @@ func (st *Store) Save(s *Snapshot) (string, error) {
 	for _, e := range evicted {
 		os.Remove(filepath.Join(st.dir, e.File))
 	}
-
-	obsSaves.Inc()
-	obsSaveSeconds.Set(time.Since(start).Seconds())
-	obsSnapshotBytes.Set(float64(info.Size()))
-	obsRetained.Set(float64(len(entries)))
 	return path, nil
 }
 
@@ -263,7 +249,6 @@ func (st *Store) Load(e Entry) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", e.File, err)
 	}
-	obsRestores.Inc()
 	return s, nil
 }
 

@@ -232,7 +232,7 @@ type schedule struct {
 // its due time after the lost attempts' backoff and the injected delay.
 func (e *endpoints) decide(msg *Message) schedule {
 	s := schedule{bytes: int64(msg.WireBytes())}
-	recordSend(msg, s.bytes)
+	obsMsgBytes.Observe(float64(s.bytes))
 	e.inbox[msg.From].stampSend(msg, s.bytes)
 	var delay time.Duration
 	if e.fault != nil {
@@ -240,7 +240,7 @@ func (e *endpoints) decide(msg *Message) schedule {
 		ft.count(msg.Kind)
 		delay, s.dup = ft.delay(), ft.dup
 		if s.dup {
-			recordSend(msg, s.bytes)
+			obsMsgBytes.Observe(float64(s.bytes))
 		}
 	}
 	switch {
@@ -256,7 +256,6 @@ func (e *endpoints) decide(msg *Message) schedule {
 // worker's mailbox.
 func (e *endpoints) receive(to int, msg *Message, bytes int64) {
 	e.tracer.Received(to, bytes)
-	recordDelivered(to, bytes)
 	e.inbox[to].deliver(msg)
 }
 

@@ -177,7 +177,7 @@ func TestCausalSameSeedSameStructure(t *testing.T) {
 // /healthwatch endpoint serves.
 func TestWatchdogFiresOnInjectedStall(t *testing.T) {
 	recs, _ := trainCausal(t, Options{Workers: 2, Mode: Hybrid, Seed: 3}, 2)
-	w := obs.NewWatchdog(obs.WatchRules{Stall: 50 * time.Millisecond}, nil, nil)
+	w := obs.NewWatchdog(obs.WatchRules{Stall: 50 * time.Millisecond}, nil)
 	for _, r := range recs {
 		w.ObserveEpoch(r)
 	}

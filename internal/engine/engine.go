@@ -374,16 +374,6 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 			e.fabric.Mailbox(i).SetStageRecorder(opts.Recorder, i)
 		}
 	}
-	cached, comms := 0, 0
-	for _, d := range e.decs {
-		cached += d.NumCached()
-		comms += d.NumComm()
-	}
-	if cached+comms > 0 {
-		obsCacheRatio.Set(float64(cached) / float64(cached+comms))
-	} else {
-		obsCacheRatio.Set(0)
-	}
 	e.states = make([]*workerState, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		model, err := nn.NewModel(opts.Model, e.dims, opts.Dropout, opts.Seed+7)
@@ -502,9 +492,6 @@ func (e *Engine) RunEpoch() EpochStats {
 		st.Loss = lossSum / float64(count)
 	}
 	e.history = append(e.history, st)
-	obsEpoch.Set(float64(st.Epoch))
-	obsLoss.Set(st.Loss)
-	obsEpochSeconds.Set(st.Duration.Seconds())
 	// The epoch barrier has passed: every worker is quiescent, so the
 	// snapshot sees one consistent cluster state.
 	if e.opts.Ckpt.Due(e.epoch) {

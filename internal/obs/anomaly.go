@@ -14,12 +14,11 @@ import (
 // The anomaly watchdog evaluates threshold rules over the flight recorder's
 // epoch records: a stalled run (no epoch completing within a bound), an
 // epoch-time regression against the trailing median, and a straggler index
-// above bound. Alerts go three ways — a structured log line, the
-// ns_watchdog_alerts_total{rule} counter, and the /healthwatch endpoint —
-// so both a human tailing logs and a scraper polling the debug server see
-// the same events.
+// above bound. Alerts go two ways — a structured log line and the
+// /healthwatch endpoint — so both a human tailing logs and a client polling
+// the debug server see the same events.
 
-// Watchdog rule names, used as the Alert.Rule value and the counter label.
+// Watchdog rule names, used as the Alert.Rule value.
 const (
 	RuleStall     = "stall"
 	RuleRegress   = "regress"
@@ -270,7 +269,6 @@ type HealthReport struct {
 // safe for concurrent use; a nil *Watchdog is a no-op that reports healthy.
 type Watchdog struct {
 	rules WatchRules
-	reg   *Registry
 
 	mu           sync.Mutex
 	log          *slog.Logger
@@ -286,10 +284,9 @@ type Watchdog struct {
 }
 
 // NewWatchdog returns a watchdog with the given rules, logging alerts to log
-// (nil discards) and counting them in reg (nil skips metrics; the counter is
-// registered lazily on first alert, so an idle watchdog adds no series).
-func NewWatchdog(rules WatchRules, log *slog.Logger, reg *Registry) *Watchdog {
-	return &Watchdog{rules: rules, reg: reg, log: log, lastEpoch: -1, now: time.Now}
+// (nil discards).
+func NewWatchdog(rules WatchRules, log *slog.Logger) *Watchdog {
+	return &Watchdog{rules: rules, log: log, lastEpoch: -1, now: time.Now}
 }
 
 // SetLogger replaces the alert logger (nil discards).
@@ -398,8 +395,7 @@ func (w *Watchdog) healthAt(now time.Time) HealthReport {
 	return rep
 }
 
-// record appends fired alerts to the retained history and bumps the metric.
-// Caller holds w.mu.
+// record appends fired alerts to the retained history. Caller holds w.mu.
 func (w *Watchdog) record(fired []Alert) {
 	for _, a := range fired {
 		if len(w.alerts) >= watchAlertKeep {
@@ -407,10 +403,6 @@ func (w *Watchdog) record(fired []Alert) {
 			w.alerts = w.alerts[:len(w.alerts)-1]
 		}
 		w.alerts = append(w.alerts, a)
-		if w.reg != nil {
-			w.reg.CounterVec("ns_watchdog_alerts_total",
-				"Watchdog alerts fired, by rule.", "rule").With(a.Rule).Inc()
-		}
 	}
 }
 

@@ -94,8 +94,7 @@ func TestWatchRuleFamilies(t *testing.T) {
 }
 
 func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
-	reg := NewRegistry()
-	w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil, reg)
+	w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil)
 	// Three steady epochs build the history; none may alert (no history yet
 	// for the first, and steady walls after).
 	for e := 1; e <= 3; e++ {
@@ -116,16 +115,10 @@ func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
 	if rep := w.Health(); rep.Healthy || len(rep.Alerts) != 1 {
 		t.Fatalf("health after regress: %+v", rep)
 	}
-	// The alert counter was registered lazily and incremented.
-	var dump strings.Builder
-	reg.WritePrometheus(&dump)
-	if !strings.Contains(dump.String(), `ns_watchdog_alerts_total{rule="regress"} 1`) {
-		t.Fatalf("alert counter missing:\n%s", dump.String())
-	}
 }
 
 func TestWatchdogStragglerNamesSlowestWorker(t *testing.T) {
-	w := NewWatchdog(WatchRules{Straggler: 2.0}, nil, nil)
+	w := NewWatchdog(WatchRules{Straggler: 2.0}, nil)
 	// Single-worker runs cannot straggle.
 	if fired := w.ObserveEpoch(EpochRecord{Epoch: 1, Workers: 1, StragglerIndex: 9, SlowestWorker: 0}); len(fired) != 0 {
 		t.Fatalf("single-worker run fired %v", fired)
@@ -144,7 +137,7 @@ func TestWatchdogStragglerNamesSlowestWorker(t *testing.T) {
 
 func TestWatchdogStallLatchesAndResets(t *testing.T) {
 	clock := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	w := NewWatchdog(WatchRules{Stall: 10 * time.Second}, nil, nil)
+	w := NewWatchdog(WatchRules{Stall: 10 * time.Second}, nil)
 	w.now = func() time.Time { return clock }
 
 	// Before any epoch there is nothing to stall against.

@@ -92,35 +92,3 @@ func TestMetricsHandlerContentNegotiation(t *testing.T) {
 		t.Fatalf("exemplar payload missing:\n%s", body)
 	}
 }
-
-func TestRegisterBuildInfo(t *testing.T) {
-	reg := NewRegistry()
-	RegisterBuildInfo(reg)
-	RegisterBuildInfo(reg) // idempotent
-
-	var found *SeriesSnapshot
-	for _, s := range reg.Gather() {
-		if s.Name == "ns_build_info" {
-			s := s
-			if found != nil {
-				t.Fatal("ns_build_info registered twice")
-			}
-			found = &s
-		}
-	}
-	if found == nil {
-		t.Fatal("ns_build_info not registered")
-	}
-	if found.Value != 1 {
-		t.Fatalf("ns_build_info = %v, want 1", found.Value)
-	}
-	labels := found.Labels()
-	for _, k := range []string{"version", "commit", "go_version"} {
-		if labels[k] == "" {
-			t.Fatalf("ns_build_info missing label %q: %v", k, labels)
-		}
-	}
-	if !strings.HasPrefix(labels["go_version"], "go") {
-		t.Fatalf("go_version = %q", labels["go_version"])
-	}
-}

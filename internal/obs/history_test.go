@@ -354,7 +354,7 @@ func TestWatchdogSLOBurnRate(t *testing.T) {
 	h := NewHistory(reg, 0)
 	h.now = clock.now
 	rules := WatchRules{SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second}
-	w := NewWatchdog(rules, nil, reg)
+	w := NewWatchdog(rules, nil)
 	w.now = clock.now
 
 	observe := func(n int, sec float64) {
@@ -410,7 +410,7 @@ func TestWatchdogSLOHitRateFloor(t *testing.T) {
 	clock := newHistClock()
 	h := NewHistory(reg, 0)
 	h.now = clock.now
-	w := NewWatchdog(WatchRules{HitRate: 0.5, SLOWindow: 30 * time.Second}, nil, reg)
+	w := NewWatchdog(WatchRules{HitRate: 0.5, SLOWindow: 30 * time.Second}, nil)
 	w.now = clock.now
 
 	h.Sample(clock.now())
@@ -436,7 +436,7 @@ func TestWatchdogSLOMinTraffic(t *testing.T) {
 	clock := newHistClock()
 	h := NewHistory(reg, 0)
 	h.now = clock.now
-	w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond}, nil, reg)
+	w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond}, nil)
 	w.now = clock.now
 
 	h.Sample(clock.now())

@@ -359,8 +359,9 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry that package-level
-// instrumentation (engine, comm, tensor) registers into and the debug
-// server serves by default.
+// instrumentation (comm's message-size and fault families) registers into,
+// that a Session's serving path shares, and that the debug server serves by
+// default.
 func Default() *Registry { return defaultRegistry }
 
 func (r *Registry) family(name, help string, kind metricKind, labelNames []string, buckets []float64) *family {
@@ -412,11 +413,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, gaugeKind, nil, nil).get(nil).g
 }
 
-// GaugeVec declares a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, gaugeKind, labelNames, nil)}
-}
-
 // Histogram returns the unlabeled histogram with the given name and bucket
 // bounds (the +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -433,12 +429,6 @@ type CounterVec struct{ f *family }
 
 // With returns the counter for the given label values (created on first use).
 func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.get(labelValues).c }
-
-// GaugeVec resolves label values to gauges.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.get(labelValues).g }
 
 // HistogramVec resolves label values to histograms.
 type HistogramVec struct{ f *family }

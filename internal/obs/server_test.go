@@ -108,7 +108,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewFlightRecorder()
 	rec.EnableCausal()
-	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, nil, reg)
+	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, nil)
 	srv, err := NewServer("127.0.0.1:0", reg, Endpoints{
 		Epochs:      func() any { return rec.Snapshot() },
 		CritPath:    func() any { return rec.Snapshot() },

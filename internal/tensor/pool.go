@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"neutronstar/internal/obs"
 )
 
 // Pool is a size-bucketed, sync.Pool-backed tensor allocator. Buckets hold
@@ -88,11 +86,9 @@ func (p *Pool) get(rows, cols int, zero bool) *Tensor {
 			clear(t.data)
 		}
 		p.hits.Add(1)
-		obsPoolHits.Add(1)
 	} else {
 		t = &Tensor{rows: rows, cols: cols, data: make([]float32, n, 1<<b)}
 		p.misses.Add(1)
-		obsPoolMisses.Add(1)
 	}
 	t.pooled = poolLive
 	p.track(4 * int64(n))
@@ -128,19 +124,12 @@ func (p *Pool) Put(t *Tensor) {
 	p.buckets[b].Put(t)
 }
 
-// track updates the bytes-in-flight gauge and its high-water mark.
+// track updates the bytes-in-flight count and its high-water mark.
 func (p *Pool) track(delta int64) {
 	v := p.inFlight.Add(delta)
-	obsPoolInFlight.Add(float64(delta))
 	for {
 		h := p.high.Load()
-		if v <= h {
-			return
-		}
-		if p.high.CompareAndSwap(h, v) {
-			if float64(v) > obsPoolHighWater.Value() {
-				obsPoolHighWater.Set(float64(v))
-			}
+		if v <= h || p.high.CompareAndSwap(h, v) {
 			return
 		}
 	}
@@ -257,16 +246,3 @@ func (a *Arena) Live() int {
 	defer a.mu.Unlock()
 	return len(a.live)
 }
-
-// Pool gauges on the default registry: allocation reuse behaviour of every
-// pool in the process, for /metrics.
-var (
-	obsPoolHits = obs.Default().Counter("ns_tensor_pool_hits_total",
-		"Pooled tensor Gets satisfied from a bucket.")
-	obsPoolMisses = obs.Default().Counter("ns_tensor_pool_misses_total",
-		"Pooled tensor Gets that allocated fresh storage.")
-	obsPoolInFlight = obs.Default().Gauge("ns_tensor_pool_in_flight_bytes",
-		"Tensor bytes currently checked out of pools (Get minus Put).")
-	obsPoolHighWater = obs.Default().Gauge("ns_tensor_pool_high_water_bytes",
-		"High-water mark of pooled tensor bytes in flight.")
-)

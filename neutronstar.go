@@ -172,8 +172,8 @@ type Config struct {
 	CritPath bool
 	// WatchRules enables the anomaly watchdog, e.g.
 	// "stall=30s,regress=1.5,straggler=3.0" or "default" — see the grammar
-	// in internal/obs's ParseWatchRules. Alerts are logged, counted in the
-	// metric registry and served on /healthwatch. Empty disables watching.
+	// in internal/obs's ParseWatchRules. Alerts are logged and served on
+	// /healthwatch. Empty disables watching.
 	// Both rule families are accepted: the epoch rules watch training, the
 	// serving SLO rules a server built from ServeConfig in this process.
 	WatchRules string
@@ -338,7 +338,7 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		watch = obs.NewWatchdog(rules, nil, obs.Default())
+		watch = obs.NewWatchdog(rules, nil)
 	}
 	// Every session keeps a metric history, sampled at each epoch barrier
 	// (see Train); the serving SLO rules evaluate on every sample.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neutronstar/internal/engine"
+	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
 )
 
@@ -314,6 +315,38 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	r := s2.TrainEpoch()
 	if r.Loss <= 0 {
 		t.Fatal("no loss after restore")
+	}
+}
+
+// TestDefaultRegistryHoldsOnlyReadFamilies trains, checkpoints and resumes a
+// session, then asserts the process-wide registry holds only families with a
+// reader other than the scrape (DESIGN §9): every other fact lives in a typed
+// store — the flight recorder, Engine.History, Store.Entries, Pool.Stats.
+func TestDefaultRegistryHoldsOnlyReadFamilies(t *testing.T) {
+	ds, _ := LoadDataset("cora")
+	s, err := NewSession(ds, Config{Workers: 2, Seed: 1, CkptDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ep := s.TrainEpoch(); ep.CkptErr != nil {
+		t.Fatal(ep.CkptErr)
+	}
+	if ok, err := s.Resume(); !ok || err != nil {
+		t.Fatalf("Resume = %v, %v", ok, err)
+	}
+	sent := false
+	for _, ser := range obs.Default().Gather() {
+		switch n := ser.Name; {
+		case n == "ns_comm_message_bytes":
+			sent = ser.Count > 0
+		case strings.HasPrefix(n, "ns_comm_fault_"), strings.HasPrefix(n, "ns_serve_"):
+		default:
+			t.Errorf("family %s has no reader but the scrape", n)
+		}
+	}
+	if !sent {
+		t.Fatal("ns_comm_message_bytes observed no message")
 	}
 }
 

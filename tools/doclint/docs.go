@@ -11,8 +11,8 @@
 //     benchmark metric fails the lint.
 //  3. Family-to-doc: every backticked `ns_…` token must name a metric family
 //     registered in non-test Go. Brace alternations expand
-//     (`ns_ckpt_{saves,restores}_total` is two names), a trailing brace group
-//     without a comma is a label set (`ns_comm_sent_messages_total{kind}`), a
+//     (`ns_serve_cache_{hits,misses}_total` is two names), a trailing brace
+//     group without a comma is a label set (`ns_comm_fault_dropped_total{kind}`), a
 //     trailing `*` matches any family with that prefix, and a `<…>`
 //     placeholder marks a naming template, not a name. A doc still listing a
 //     deleted family fails the lint.

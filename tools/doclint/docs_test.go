@@ -51,10 +51,10 @@ func TestFamilyNameSetReadsRegistrations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []string{
-		"ns_engine_loss",                // Gauge
-		"ns_comm_sent_messages_total",   // CounterVec
-		"ns_serve_stage_seconds",        // HistogramVec, registered on a server's own registry
-		"ns_ckpt_save_duration_seconds", // Histogram
+		"ns_serve_batcher_queue_depth", // Gauge, registered on a server's own registry
+		"ns_comm_fault_dropped_total",  // CounterVec
+		"ns_serve_stage_seconds",       // HistogramVec
+		"ns_comm_message_bytes",        // Histogram
 	} {
 		if !families[n] {
 			t.Fatalf("family set is missing %q", n)
