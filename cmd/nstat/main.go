@@ -20,8 +20,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -36,14 +38,34 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "localhost:8090", "nsserve or nstrain debug address (host:port)")
-		interval = flag.Duration("interval", 2*time.Second, "refresh interval")
-		window   = flag.Duration("window", time.Minute, "trailing window the timeline series cover")
-		once     = flag.Bool("once", false, "render one frame and exit (no screen clearing)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-poll HTTP timeout")
+		addr     = fs.String("addr", "localhost:8090", "nsserve or nstrain debug address (host:port)")
+		interval = fs.Duration("interval", 2*time.Second, "refresh interval")
+		window   = fs.Duration("window", time.Minute, "trailing window the timeline series cover")
+		once     = fs.Bool("once", false, "render one frame and exit (no screen clearing)")
+		timeout  = fs.Duration("timeout", 5*time.Second, "per-poll HTTP timeout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"interval", *interval}, {"window", *window}, {"timeout", *timeout}} {
+		if d.v <= 0 {
+			fmt.Fprintf(stderr, "nstat: -%s must be positive, got %s\n", d.name, d.v)
+			return 2
+		}
+	}
 
 	client := &http.Client{Timeout: *timeout}
 	base := "http://" + *addr
@@ -51,11 +73,11 @@ func main() {
 	if *once {
 		frame, err := render(client, base, *window, *interval)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nstat: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "nstat: %v\n", err)
+			return 1
 		}
-		fmt.Print(frame)
-		return
+		fmt.Fprint(stdout, frame)
+		return 0
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -66,15 +88,15 @@ func main() {
 		frame, err := render(client, base, *window, *interval)
 		// Clear screen + home, then draw; a failed poll shows the error in
 		// place of the frame and keeps trying (the server may be restarting).
-		fmt.Print("\x1b[2J\x1b[H")
+		fmt.Fprint(stdout, "\x1b[2J\x1b[H")
 		if err != nil {
-			fmt.Printf("nstat: %v (retrying every %s)\n", err, interval)
+			fmt.Fprintf(stdout, "nstat: %v (retrying every %s)\n", err, *interval)
 		} else {
-			fmt.Print(frame)
+			fmt.Fprint(stdout, frame)
 		}
 		select {
 		case <-sig:
-			return
+			return 0
 		case <-tick.C:
 		}
 	}

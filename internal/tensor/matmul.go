@@ -60,23 +60,38 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 }
 
-// kBlock is the most k-terms one accRowsKernel call of the NN or TA GEMM
-// takes: the compacted index and coefficient lists are stack arrays of this
-// length, and a longer k runs in blocks, each continuing from the last.
+// kBlock is the most k-terms one accRowsKernel or accRows4Kernel call of the
+// NN or TA GEMM takes: the compacted index and coefficient lists are stack
+// arrays of this length, and a longer k runs in blocks, each continuing from
+// the last.
 const kBlock = 64
 
-// gemmRows computes rows [lo,hi) of dst = a @ b in ikj order: for each row i
-// and k-block, accRow adds a[i,k]·b[k,·] for every non-zero a[i,k] into the
-// dst row, which the kernel holds in registers across the block.
+// gemmRows computes rows [lo,hi) of dst = a @ b in ikj order, in groups of
+// four rows (fewer in the last group). For each group and k-block, every
+// row's block is scanned for ±0 once. A full group with none is one
+// accRows4Kernel call, the coefficients read in place from a's rows; any
+// other group runs row by row through accRow, which skips the zero terms.
 func gemmRows(dst, a, b *Tensor, lo, hi int) {
 	var idx [kBlock]int32
 	var c [kBlock]float32
-	for i := lo; i < hi; i++ {
-		ar := a.data[i*a.cols : (i+1)*a.cols]
-		dr := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for k0 := 0; k0 == 0 || k0 < len(ar); k0 += kBlock {
-			blk := ar[k0:min(k0+kBlock, len(ar))]
-			accRow(dr, blk, hasZero(blk), b, k0, idx[:], c[:])
+	var zeros [4]bool
+	k, n := a.cols, b.cols
+	for i := lo; i < hi; i += 4 {
+		rows := min(4, hi-i)
+		for k0 := 0; k0 == 0 || k0 < k; k0 += kBlock {
+			kb := min(k-k0, kBlock)
+			tile := rows == 4
+			for r := 0; r < rows; r++ {
+				zeros[r] = hasZero(a.data[(i+r)*k+k0:][:kb])
+				tile = tile && !zeros[r]
+			}
+			if tile {
+				accRows4Kernel(dst.data[i*n:], n, n, b.data[k0*n:], n, a.data[i*k+k0:], k, 1, kb, k0 == 0)
+				continue
+			}
+			for r := 0; r < rows; r++ {
+				accRow(dst.data[(i+r)*n:][:n], a.data[(i+r)*k+k0:][:kb], zeros[r], b, k0, idx[:], c[:])
+			}
 		}
 	}
 }
@@ -85,59 +100,54 @@ func gemmRows(dst, a, b *Tensor, lo, hi int) {
 // in ascending t, starting from +0 in the first block (k0 == 0) and from dr
 // itself after it: one k-block of one row of a GEMM. zeros says whether ar
 // holds a zero. A block without one goes to the kernel as it stands; any
-// other is first listed by nonZeros into idx and c (ar may be c itself),
-// branch-free, so ReLU-sparse rows skip their zero terms without a
-// mispredicted branch per term.
+// other goes through accNonZeros.
 //
 // Float addition is not associative, so this must keep the exact per-element
 // accumulation order of the scalar kernel — dst[i][j] receives its k-terms in
 // ascending k, one rounded product and one add at a time, starting from +0 —
-// or results drift between builds. Both lists are in ascending k, and they
-// leave out exactly the terms the scalar kernel skips (a[i,k] == 0, so 0·Inf
-// and signed-zero behaviour are untouched).
+// or results drift between builds. The list is in ascending k, and it leaves
+// out exactly the terms the scalar kernel skips (a[i,k] == 0, so 0·Inf and
+// signed-zero behaviour are untouched). The four-row tile keeps both rules,
+// and the GEMMs hand it only blocks without a zero, where the scalar kernel
+// skips nothing.
 func accRow(dr, ar []float32, zeros bool, b *Tensor, k0 int, idx []int32, c []float32) {
 	if !zeros {
 		accRowsKernel(dr, b.data[k0*b.cols:], b.cols, nil, ar, len(ar), k0 == 0)
 		return
 	}
-	n := nonZeros(idx, c, ar, k0)
+	accNonZeros(dr, ar, 1, b, k0, idx[:len(ar)], c)
+}
+
+// accNonZeros is accRow for coefficients a[t·step], t < len(idx), that may
+// hold zeros: nonZeros lists them into idx and c, branch-free, so ReLU-sparse
+// rows skip their zero terms without a mispredicted branch per term.
+func accNonZeros(dr, a []float32, step int, b *Tensor, k0 int, idx []int32, c []float32) {
+	n := nonZeros(idx, c, a, step, k0)
 	accRowsKernel(dr, b.data, b.cols, idx[:n], c[:n], n, k0 == 0)
 }
 
-// hasZero reports whether a holds a ±0. It, gather and nonZeros stay out of
-// line: inlined into a loop around a call, their loops' counters would live
-// on the stack.
-//
-//go:noinline
-func hasZero(a []float32) bool {
-	var z uint32
-	b := bitsOf(a)
-	for ; len(b) >= 4; b = b[4:] {
-		z |= (b[0]&absMask - 1) | (b[1]&absMask - 1) | (b[2]&absMask - 1) | (b[3]&absMask - 1)
-	}
-	for _, x := range b {
-		z |= x&absMask - 1
-	}
-	return z>>31 != 0
-}
+// hasZero reports whether a holds a ±0.
+func hasZero(a []float32) bool { return anyZeroKernel(a, 1, len(a), 0) }
 
-// absMask clears a float32's sign bit. For bits b, b&absMask − 1 has its top
-// bit set exactly when b is ±0 (it wraps), which hasZero and gather OR up.
+// absMask clears a float32's sign bit: b&absMask is 0 exactly when the bits b
+// are ±0.
 const absMask = 0x7fffffff
 
-// nonZeros lists the non-zero entries of a in ascending position — the
-// position plus base in idx, the value in c — and returns how many there are.
-// Every entry is written to the next free slot and the count advances past
-// the non-zero ones only, so the pass has no branch to mispredict. Zero means
-// ±0, the scalar GEMM's skip rule; NaN is kept. c may be a itself: slot n is
-// never past the entry being read.
+// nonZeros lists the non-zero entries of a[t·step], t < len(idx), in
+// ascending t — t plus base in idx, the value in c — and returns how many
+// there are. Every entry is written to the next free slot and the count
+// advances past the non-zero ones only, so the pass has no branch to
+// mispredict. Zero means ±0, the scalar GEMM's skip rule; NaN is kept. It
+// stays out of line: inlined into a loop around a call, its loop's counters
+// would live on the stack.
 //
 //go:noinline
-func nonZeros(idx []int32, c, a []float32, base int) int {
-	idx, cb := idx[:len(a)], bitsOf(c)[:len(a)]
+func nonZeros(idx []int32, c, a []float32, step, base int) int {
+	cb, src := bitsOf(c)[:len(idx)], bitsOf(a)
 	n := 0
-	for k, b := range bitsOf(a) {
-		idx[n] = int32(base + k)
+	for t := range idx {
+		b := src[t*step]
+		idx[n] = int32(base + t)
 		cb[n] = b
 		n += int((b&absMask + absMask) >> 31)
 	}
@@ -164,48 +174,47 @@ func MatMulTAInto(dst, a, b *Tensor) {
 }
 
 // matMulTARows computes rows [lo,hi) of dst = aᵀ @ b, k (the shared row index
-// of a and b) in blocks of kBlock: for each dst row i, column i of the
-// block of a — a k-block of row i of aᵀ — is staged contiguously in c and
-// handed to accRow, as a row of a is in gemmRows. A block of a and of b is
-// small enough to stay in cache while every dst row reads it.
+// of a and b) in blocks of kBlock. Within a block, dst rows go in groups of
+// four — four adjacent columns of a, a k-block of four rows of aᵀ. A group
+// whose columns hold no ±0 over the block is one accRows4Kernel call, the
+// coefficients read in place (row stride 1, term stride a.cols); every row of
+// any other group, and of a last group of fewer than four, has its column
+// listed by accNonZeros, as a row of a with a zero is in gemmRows. A block of
+// a and of b is small enough to stay in cache while every dst row reads it.
 func matMulTARows(dst, a, b *Tensor, lo, hi int) {
+	m, n := a.cols, b.cols
+	if a.rows == 0 {
+		clear(dst.data[lo*n : hi*n])
+		return
+	}
 	var idx [kBlock]int32
 	var c [kBlock]float32
-	m := a.cols
-	for k0 := 0; k0 == 0 || k0 < a.rows; k0 += kBlock {
-		k1 := min(k0+kBlock, a.rows)
-		blk := a.data[k0*m : k1*m]
-		for i := lo; i < hi; i++ {
-			col := c[:k1-k0]
-			zeros := gather(col, blk, i, m)
-			accRow(dst.data[i*dst.cols:(i+1)*dst.cols], col, zeros, b, k0, idx[:], c[:])
+	for k0 := 0; k0 < a.rows; k0 += kBlock {
+		kb := min(a.rows-k0, kBlock)
+		blk := a.data[k0*m : (k0+kb)*m]
+		for i := lo; i < hi; {
+			if i+4 <= hi && !anyZeroKernel(blk[i:], kb, 4, m) {
+				accRows4Kernel(dst.data[i*n:], n, n, b.data[k0*n:], n, blk[i:], 1, m, kb, k0 == 0)
+				i += 4
+				continue
+			}
+			for end := min(i+4, hi); i < end; i++ {
+				accNonZeros(dst.data[i*n:(i+1)*n], blk[i:], m, b, k0, idx[:kb], c[:])
+			}
 		}
 	}
-}
-
-// gather sets dst[t] = a[first + t·step] for every t < len(dst) and reports
-// whether any of them is ±0.
-//
-//go:noinline
-func gather(dst, a []float32, first, step int) bool {
-	var z uint32
-	d, src := bitsOf(dst), bitsOf(a)
-	for t, p := 0, first; t < len(d); t, p = t+1, p+step {
-		d[t] = src[p]
-		z |= src[p]&absMask - 1
-	}
-	return z>>31 != 0
 }
 
 // MatMulTBInto computes dst = a @ bᵀ without materialising bᵀ in the
 // caller's storage: a is MxK, b is NxK, dst MxN — the shape of input
 // gradients. dst must not alias a or b, and may come uncleared.
 //
-// bᵀ (KxN) is staged once per call in pooled scratch, and each dst row is one
-// accRowsKernel call over all K rows of it with a's row as the coefficients,
-// no term skipped: every element is the dot product Σ_k a[i,k]·b[j,k] summed
-// from +0 in ascending k, one rounded product and one add at a time, as the
-// scalar dot loop sums it.
+// bᵀ (KxN) is staged once per call in pooled scratch, and each group of four
+// dst rows is one accRows4Kernel call over all K rows of it with a's four
+// rows as the coefficients (each row past the last group, one accRowsKernel
+// call), no term skipped: every element is the dot product Σ_k a[i,k]·b[j,k]
+// summed from +0 in ascending k, one rounded product and one add at a time,
+// as the scalar dot loop sums it.
 func MatMulTBInto(dst, a, b *Tensor) {
 	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMulTBInto %dx%d = %dx%d @ (%dx%d)ᵀ",
@@ -234,7 +243,11 @@ func MatMulTBInto(dst, a, b *Tensor) {
 // matMulTBRows computes rows [lo,hi) of dst = a @ bᵀ from the staged bᵀ.
 func matMulTBRows(dst, a *Tensor, bt []float32, lo, hi int) {
 	k, n := a.cols, dst.cols
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		accRows4Kernel(dst.data[i*n:], n, n, bt, n, a.data[i*k:], k, 1, k, true)
+	}
+	for ; i < hi; i++ {
 		accRowsKernel(dst.data[i*n:(i+1)*n], bt, n, nil, a.data[i*k:(i+1)*k], k, true)
 	}
 }

@@ -2,31 +2,35 @@ package tensor
 
 import "fmt"
 
-// Row kernels: the three inner loops the hot path has. The three GEMMs and
-// the fused aggregation bottom out in accRows, which adds a list of scaled
-// source rows into one destination row; single-edge aggregation runs and
-// every other gradient or row accumulation in axpy or add over one
-// contiguous row.
+// Row kernels: the inner loops the hot path has. The three GEMMs and the
+// fused aggregation bottom out in accRows, which adds a list of scaled source
+// rows into one destination row, and the GEMMs in accRows4, which does the
+// same for four destination rows at once, sharing each streamed source row
+// between them; single-edge aggregation runs and every other gradient or row
+// accumulation run in axpy or add over one contiguous row. anyZero is the
+// zero scan the NN and TA GEMMs choose between accRows4 and accRows with.
 //
-// Each kernel exists twice: amd64 assembly on SSE2 (rowkernels_amd64.s) and
+// Each kernel exists twice: amd64 assembly on AVX (rowkernels_amd64.s) and
 // the portable Go twin below, which is what every other architecture runs
 // and what the tests hold the assembly to. The binding is made at compile
-// time by file name (rowkernels_amd64.go / rowkernels_other.go); nothing is
-// chosen at run time.
+// time by file name (rowkernels_amd64.go / rowkernels_other.go), plus one
+// choice at run time: an amd64 CPU without AVX, probed once at package init,
+// runs the twins too.
 //
 // The assembly vectorises across j only. Element j of dst still receives one
 // product rounded to float32 and one add per term, in the order the scalar
 // loop applies them, so the two forms agree to the bit — and so does any
-// blocking of the loops around them that keeps the per-element term order.
+// blocking of the loops around them that keeps the per-element term order,
+// accRows4 included: it is four accRows calls.
 //
 // The twins write every product as float32(a*b). Go's spec lets a compiler
 // fuse x*y + z into one instruction with a single rounding, and the arm64,
 // ppc64le, s390x and riscv64 back ends do; an explicit conversion (like an
 // assignment) rounds to the target type and so forbids the fusion. With it
-// every architecture rounds twice per term, as MULPS/ADDPS and the scalar
-// MULSS/ADDSS of the amd64 build do, and checkpoints and the bit-identity
+// every architecture rounds twice per term, as VMULPS/VADDPS and the scalar
+// VMULSS/VADDSS of the amd64 build do, and checkpoints and the bit-identity
 // pins carry across architectures. FMA is ruled out in the assembly for the
-// same reason.
+// same reason: VMULPS and VADDPS, never VFMADD.
 //
 // The wrappers own the length contract — the assembly trusts its arguments —
 // and panic with constant strings: one compare and one call is all the
@@ -173,4 +177,41 @@ func accRowsGo(dst, src []float32, stride int, idx []int32, c []float32, n int, 
 			dst[j] += float32(a * v)
 		}
 	}
+}
+
+// accRows4Go is the portable twin of accRows4Kernel: for r < 4 it is
+//
+//	accRowsGo(dst[r·ds:][:w], src, ss, nil, c_r, n, zero)
+//
+// with c_r(t) = c[r·cr + t·ct]. Coefficients with cr = a row's length and
+// ct = 1 are four rows of a matrix; with cr = 1 and ct = its row length,
+// four adjacent columns of one, read in place. Every row read must lie inside
+// src and c, and dst must not overlap src.
+func accRows4Go(dst []float32, ds, w int, src []float32, ss int, c []float32, cr, ct, n int, zero bool) {
+	for r := 0; r < 4; r++ {
+		d := dst[r*ds:][:w]
+		if zero {
+			clear(d)
+		}
+		for t := 0; t < n; t++ {
+			a := c[r*cr+t*ct]
+			for j, v := range src[t*ss:][:w] {
+				d[j] += float32(a * v)
+			}
+		}
+	}
+}
+
+// anyZeroGo is the portable twin of anyZeroKernel: it reports whether any
+// of rows rows of w floats, stride floats apart from a[0], holds a ±0. NaN
+// is not zero. Every row scanned must lie inside a.
+func anyZeroGo(a []float32, rows, w, stride int) bool {
+	for r := 0; r < rows; r++ {
+		for _, b := range bitsOf(a[r*stride:][:w]) {
+			if b&absMask == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }

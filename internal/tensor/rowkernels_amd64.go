@@ -1,10 +1,32 @@
 package tensor
 
-// The amd64 binding of the row kernels: SSE2 assembly in rowkernels_amd64.s.
-// SSE2 is part of the amd64 baseline (GOAMD64=v1), so there is no feature
-// probe. The assembly trusts its arguments — the lengths are checked by the
-// Go wrappers in rowkernels.go and the row indices by the callers of
-// accRowsKernel, all in this package.
+// The amd64 binding of the row kernels: AVX assembly in rowkernels_amd64.s.
+// AVX is not part of the amd64 baseline (GOAMD64=v1), so one probe at package
+// init sets useAVX, and every kernel reads it on entry: with it set the kernel
+// runs its AVX body, without it it tail-jumps to its portable Go twin — the
+// code every other architecture runs. The assembly trusts its arguments — the
+// lengths are checked by the Go wrappers in rowkernels.go and the row indices
+// by the callers of accRowsKernel and accRows4Kernel, all in this package.
+
+// useAVX is set when the CPU has AVX and the OS saves the YMM registers.
+var useAVX = avxUsable()
+
+// avxUsable reads CPUID leaf 1 for AVX and OSXSAVE and, when both are there,
+// XCR0 for XMM and YMM state (bits 1 and 2). XGETBV faults without OSXSAVE,
+// hence the order.
+func avxUsable() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if cpuid1()&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	return xcr0()&6 == 6
+}
+
+// cpuid1 returns ECX of CPUID leaf 1.
+func cpuid1() (ecx uint32)
+
+// xcr0 returns the low half of XCR0 (XGETBV with ECX = 0).
+func xcr0() (eax uint32)
 
 // axpyKernel adds a*x[j] to dst[j] for j < len(x); len(dst) >= len(x).
 //
@@ -21,3 +43,14 @@ func addKernel(dst, x []float32)
 //
 //go:noescape
 func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool)
+
+// accRows4Kernel is accRows4Go's contract: every row and coefficient it reads
+// lies inside src and c, and dst does not overlap src.
+//
+//go:noescape
+func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32, cr, ct, n int, zero bool)
+
+// anyZeroKernel is anyZeroGo: every row it scans lies inside a.
+//
+//go:noescape
+func anyZeroKernel(a []float32, rows, w, stride int) bool

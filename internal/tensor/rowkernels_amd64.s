@@ -1,202 +1,238 @@
 #include "textflag.h"
 
-// SSE2 row kernels (see rowkernels.go). Every product is one MULPS/MULSS and
-// every sum one ADDPS/ADDSS, applied to the running dst value in the order the
-// Go twin writes them, so each lane computes exactly what the scalar loop
+// AVX row kernels (see rowkernels.go). Every product is one VMULPS/VMULSS and
+// every sum one VADDPS/VADDSS, applied to the running dst value in the order
+// the Go twin writes them, so each lane computes exactly what the scalar loop
 // computes for that element. No FMA: it would fuse the rounding the
-// bit-identity pins depend on. Loads and stores are unaligned (MOVUPS); rows
-// start wherever the row width puts them. Each block of axpy and add loads
-// everything it reads before its first store, which is what lets dst and x
-// be one slice; accRows reads src while a strip of dst is in registers, so
-// the two must not overlap.
+// bit-identity pins depend on. The product's first operand is the source
+// value and the sum's the running dst value, as in the scalar loop. Loads and
+// stores are unaligned (VMOVUPS); rows start wherever the row width puts them.
+// Each block of axpy and add loads everything it reads before its first
+// store, which is what lets dst and x be one slice; accRows and accRows4 read
+// src while a strip of dst is in registers, so the two must not overlap.
+//
+// Every kernel first reads useAVX, set once at package init
+// (rowkernels_amd64.go). Without AVX it tail-jumps to its Go twin, whose
+// frame is its own. Every AVX path ends in VZEROUPPER.
 
 // func axpyKernel(dst []float32, a float32, x []float32)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-56
-	MOVQ   dst_base+0(FP), DI
-	MOVSS  a+24(FP), X0
-	MOVQ   x_base+32(FP), SI
-	MOVQ   x_len+40(FP), CX
-	SHUFPS $0, X0, X0
-	CMPQ   CX, $16
-	JLT    four
+	CMPB         ·useAVX(SB), $0
+	JEQ          portable
+	MOVQ         dst_base+0(FP), DI
+	VBROADCASTSS a+24(FP), Y0
+	MOVQ         x_base+32(FP), SI
+	MOVQ         x_len+40(FP), CX
+	CMPQ         CX, $32
+	JLT          eight
 
-sixteen:
-	MOVUPS (SI), X1
-	MOVUPS 16(SI), X2
-	MOVUPS 32(SI), X3
-	MOVUPS 48(SI), X4
-	MULPS  X0, X1
-	MULPS  X0, X2
-	MULPS  X0, X3
-	MULPS  X0, X4
-	MOVUPS (DI), X5
-	MOVUPS 16(DI), X6
-	MOVUPS 32(DI), X7
-	MOVUPS 48(DI), X8
-	ADDPS  X1, X5
-	ADDPS  X2, X6
-	ADDPS  X3, X7
-	ADDPS  X4, X8
-	MOVUPS X5, (DI)
-	MOVUPS X6, 16(DI)
-	MOVUPS X7, 32(DI)
-	MOVUPS X8, 48(DI)
-	ADDQ   $64, SI
-	ADDQ   $64, DI
-	SUBQ   $16, CX
-	CMPQ   CX, $16
-	JGE    sixteen
+thirtytwo:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS 64(SI), Y3
+	VMOVUPS 96(SI), Y4
+	VMULPS  Y0, Y1, Y1
+	VMULPS  Y0, Y2, Y2
+	VMULPS  Y0, Y3, Y3
+	VMULPS  Y0, Y4, Y4
+	VMOVUPS (DI), Y5
+	VMOVUPS 32(DI), Y6
+	VMOVUPS 64(DI), Y7
+	VMOVUPS 96(DI), Y8
+	VADDPS  Y1, Y5, Y5
+	VADDPS  Y2, Y6, Y6
+	VADDPS  Y3, Y7, Y7
+	VADDPS  Y4, Y8, Y8
+	VMOVUPS Y5, (DI)
+	VMOVUPS Y6, 32(DI)
+	VMOVUPS Y7, 64(DI)
+	VMOVUPS Y8, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JGE     thirtytwo
+
+eight:
+	CMPQ    CX, $8
+	JLT     four
+	VMOVUPS (SI), Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS (DI), Y5
+	VADDPS  Y1, Y5, Y5
+	VMOVUPS Y5, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     eight
 
 four:
-	CMPQ   CX, $4
-	JLT    tail
-	MOVUPS (SI), X1
-	MULPS  X0, X1
-	MOVUPS (DI), X5
-	ADDPS  X1, X5
-	MOVUPS X5, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	SUBQ   $4, CX
-	JMP    four
+	CMPQ    CX, $4
+	JLT     tail
+	VMOVUPS (SI), X1
+	VMULPS  X0, X1, X1
+	VMOVUPS (DI), X5
+	VADDPS  X1, X5, X5
+	VMOVUPS X5, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	SUBQ    $4, CX
 
 tail:
-	TESTQ CX, CX
-	JEQ   done
-	MOVSS (SI), X1
-	MULSS X0, X1
-	MOVSS (DI), X5
-	ADDSS X1, X5
-	MOVSS X5, (DI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JMP   tail
+	TESTQ  CX, CX
+	JEQ    done
+	VMOVSS (SI), X1
+	VMULSS X0, X1, X1
+	VMOVSS (DI), X5
+	VADDSS X1, X5, X5
+	VMOVSS X5, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
 
 done:
+	VZEROUPPER
 	RET
+
+portable:
+	JMP ·axpyGo(SB)
 
 // func addKernel(dst, x []float32)
 TEXT ·addKernel(SB), NOSPLIT, $0-48
+	CMPB ·useAVX(SB), $0
+	JEQ  portable
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
 	MOVQ x_len+32(FP), CX
-	CMPQ CX, $16
-	JLT  four
+	CMPQ CX, $32
+	JLT  eight
 
-sixteen:
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS 32(DI), X2
-	MOVUPS 48(DI), X3
-	MOVUPS (SI), X4
-	MOVUPS 16(SI), X5
-	MOVUPS 32(SI), X6
-	MOVUPS 48(SI), X7
-	ADDPS  X4, X0
-	ADDPS  X5, X1
-	ADDPS  X6, X2
-	ADDPS  X7, X3
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	ADDQ   $64, SI
-	ADDQ   $64, DI
-	SUBQ   $16, CX
-	CMPQ   CX, $16
-	JGE    sixteen
+thirtytwo:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS (SI), Y4
+	VMOVUPS 32(SI), Y5
+	VMOVUPS 64(SI), Y6
+	VMOVUPS 96(SI), Y7
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JGE     thirtytwo
+
+eight:
+	CMPQ    CX, $8
+	JLT     four
+	VMOVUPS (DI), Y0
+	VMOVUPS (SI), Y4
+	VADDPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     eight
 
 four:
-	CMPQ   CX, $4
-	JLT    tail
-	MOVUPS (DI), X0
-	MOVUPS (SI), X4
-	ADDPS  X4, X0
-	MOVUPS X0, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	SUBQ   $4, CX
-	JMP    four
+	CMPQ    CX, $4
+	JLT     tail
+	VMOVUPS (DI), X0
+	VMOVUPS (SI), X4
+	VADDPS  X4, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	SUBQ    $4, CX
 
 tail:
-	TESTQ CX, CX
-	JEQ   done
-	MOVSS (DI), X0
-	ADDSS (SI), X0
-	MOVSS X0, (DI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JMP   tail
+	TESTQ  CX, CX
+	JEQ    done
+	VMOVSS (DI), X0
+	VMOVSS (SI), X4
+	VADDSS X4, X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
 
 done:
+	VZEROUPPER
 	RET
+
+portable:
+	JMP ·addGo(SB)
 
 // TERM points R10 at the current strip of term AX's source row — row idx[AX],
 // or row AX when idx (R8) is nil — and, when c (R9) is not nil, broadcasts
-// c[AX] into X8; with c nil, X8 keeps the 1.0 set at entry.
+// c[AX] into Y8; with c nil, Y8 keeps the 1.0 set at entry.
 #define TERM \
-	MOVQ    AX, R10; \
-	TESTQ   R8, R8; \
-	JEQ     2(PC); \
-	MOVLQSX (R8)(AX*4), R10; \
-	IMULQ   DX, R10; \
-	ADDQ    SI, R10; \
-	TESTQ   R9, R9; \
-	JEQ     3(PC); \
-	MOVSS   (R9)(AX*4), X8; \
-	SHUFPS  $0, X8, X8
+	MOVQ         AX, R10; \
+	TESTQ        R8, R8; \
+	JEQ          2(PC); \
+	MOVLQSX      (R8)(AX*4), R10; \
+	IMULQ        DX, R10; \
+	ADDQ         SI, R10; \
+	TESTQ        R9, R9; \
+	JEQ          2(PC); \
+	VBROADCASTSS (R9)(AX*4), Y8
 
-// ACC adds X8 times the four floats at off(R10) to acc, through tmp.
+// ACC adds Y8 times the eight floats at off(R10) to acc, through tmp.
 #define ACC(off, acc, tmp) \
-	MOVUPS off(R10), tmp; \
-	MULPS  X8, tmp; \
-	ADDPS  tmp, acc
+	VMOVUPS off(R10), tmp; \
+	VMULPS  Y8, tmp, tmp; \
+	VADDPS  tmp, acc, acc
+
+// one is the coefficient of every term when c is nil.
+DATA one<>+0(SB)/4, $0x3f800000
+GLOBL one<>(SB), RODATA|NOPTR, $4
 
 // func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool)
 //
 // dst is cut into strips of 32, 16, 8 and 4 floats, then single floats. A
-// strip lives in X0-X7 while all n terms are added to it, so it is loaded (or
-// cleared to +0) once and stored once per call, whatever n is.
+// strip lives in Y0-Y3 (X0 for 4, the low lane of X0 for 1) while all n terms
+// are added to it, so it is loaded (or cleared to +0) once and stored once per
+// call, whatever n is.
 TEXT ·accRowsKernel(SB), NOSPLIT, $0-113
-	MOVQ    dst_base+0(FP), DI
-	MOVQ    dst_len+8(FP), BX
-	MOVQ    src_base+24(FP), SI
-	MOVQ    stride+48(FP), DX
-	SHLQ    $2, DX              // row stride in bytes
-	MOVQ    idx_base+56(FP), R8
-	MOVQ    c_base+80(FP), R9
-	MOVQ    n+104(FP), CX
-	MOVBQZX zero+112(FP), R11
-	MOVQ    $0x3f800000, R10    // 1.0
-	MOVQ    R10, X8
-	SHUFPS  $0, X8, X8
+	CMPB         ·useAVX(SB), $0
+	JEQ          portable
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), BX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         stride+48(FP), DX
+	SHLQ         $2, DX                // row stride in bytes
+	MOVQ         idx_base+56(FP), R8
+	MOVQ         c_base+80(FP), R9
+	MOVQ         n+104(FP), CX
+	MOVBQZX      zero+112(FP), R11
+	VBROADCASTSS one<>(SB), Y8
 
 strip32:
-	CMPQ   BX, $32
-	JLT    strip16
-	TESTQ  R11, R11
-	JNE    clear32
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS 32(DI), X2
-	MOVUPS 48(DI), X3
-	MOVUPS 64(DI), X4
-	MOVUPS 80(DI), X5
-	MOVUPS 96(DI), X6
-	MOVUPS 112(DI), X7
-	JMP    terms32
+	CMPQ    BX, $32
+	JLT     strip16
+	TESTQ   R11, R11
+	JNE     clear32
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	JMP     terms32
 
 clear32:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
 
 terms32:
 	XORQ AX, AX
@@ -205,48 +241,36 @@ terms32:
 
 loop32:
 	TERM
-	ACC(0, X0, X9)
-	ACC(16, X1, X10)
-	ACC(32, X2, X11)
-	ACC(48, X3, X12)
-	ACC(64, X4, X13)
-	ACC(80, X5, X14)
-	ACC(96, X6, X15)
-	ACC(112, X7, X9)
+	ACC(0, Y0, Y9)
+	ACC(32, Y1, Y10)
+	ACC(64, Y2, Y11)
+	ACC(96, Y3, Y12)
 	INCQ AX
 	CMPQ AX, CX
 	JLT  loop32
 
 store32:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	MOVUPS X4, 64(DI)
-	MOVUPS X5, 80(DI)
-	MOVUPS X6, 96(DI)
-	MOVUPS X7, 112(DI)
-	ADDQ   $128, DI
-	ADDQ   $128, SI
-	SUBQ   $32, BX
-	JMP    strip32
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, BX
+	JMP     strip32
 
 strip16:
-	CMPQ   BX, $16
-	JLT    strip8
-	TESTQ  R11, R11
-	JNE    clear16
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS 32(DI), X2
-	MOVUPS 48(DI), X3
-	JMP    terms16
+	CMPQ    BX, $16
+	JLT     strip8
+	TESTQ   R11, R11
+	JNE     clear16
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	JMP     terms16
 
 clear16:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
 
 terms16:
 	XORQ AX, AX
@@ -255,35 +279,29 @@ terms16:
 
 loop16:
 	TERM
-	ACC(0, X0, X9)
-	ACC(16, X1, X10)
-	ACC(32, X2, X11)
-	ACC(48, X3, X12)
+	ACC(0, Y0, Y9)
+	ACC(32, Y1, Y10)
 	INCQ AX
 	CMPQ AX, CX
 	JLT  loop16
 
 store16:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	ADDQ   $64, DI
-	ADDQ   $64, SI
-	SUBQ   $16, BX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	SUBQ    $16, BX
 
 strip8:
-	CMPQ   BX, $8
-	JLT    strip4
-	TESTQ  R11, R11
-	JNE    clear8
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	JMP    terms8
+	CMPQ    BX, $8
+	JLT     strip4
+	TESTQ   R11, R11
+	JNE     clear8
+	VMOVUPS (DI), Y0
+	JMP     terms8
 
 clear8:
-	XORPS X0, X0
-	XORPS X1, X1
+	VXORPS Y0, Y0, Y0
 
 terms8:
 	XORQ AX, AX
@@ -292,29 +310,27 @@ terms8:
 
 loop8:
 	TERM
-	ACC(0, X0, X9)
-	ACC(16, X1, X10)
+	ACC(0, Y0, Y9)
 	INCQ AX
 	CMPQ AX, CX
 	JLT  loop8
 
 store8:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	ADDQ   $32, DI
-	ADDQ   $32, SI
-	SUBQ   $8, BX
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, BX
 
 strip4:
-	CMPQ   BX, $4
-	JLT    strip1
-	TESTQ  R11, R11
-	JNE    clear4
-	MOVUPS (DI), X0
-	JMP    terms4
+	CMPQ    BX, $4
+	JLT     strip1
+	TESTQ   R11, R11
+	JNE     clear4
+	VMOVUPS (DI), X0
+	JMP     terms4
 
 clear4:
-	XORPS X0, X0
+	VXORPS X0, X0, X0
 
 terms4:
 	XORQ AX, AX
@@ -323,27 +339,29 @@ terms4:
 
 loop4:
 	TERM
-	ACC(0, X0, X9)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  loop4
+	VMOVUPS (R10), X9
+	VMULPS  X8, X9, X9
+	VADDPS  X9, X0, X0
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     loop4
 
 store4:
-	MOVUPS X0, (DI)
-	ADDQ   $16, DI
-	ADDQ   $16, SI
-	SUBQ   $4, BX
+	VMOVUPS X0, (DI)
+	ADDQ    $16, DI
+	ADDQ    $16, SI
+	SUBQ    $4, BX
 
 strip1:
-	TESTQ BX, BX
-	JEQ   done
-	TESTQ R11, R11
-	JNE   clear1
-	MOVSS (DI), X0
-	JMP   terms1
+	TESTQ  BX, BX
+	JEQ    done
+	TESTQ  R11, R11
+	JNE    clear1
+	VMOVSS (DI), X0
+	JMP    terms1
 
 clear1:
-	XORPS X0, X0
+	VXORPS X0, X0, X0
 
 terms1:
 	XORQ AX, AX
@@ -352,19 +370,428 @@ terms1:
 
 loop1:
 	TERM
-	MOVSS (R10), X9
-	MULSS X8, X9
-	ADDSS X9, X0
-	INCQ  AX
-	CMPQ  AX, CX
-	JLT   loop1
+	VMOVSS (R10), X9
+	VMULSS X8, X9, X9
+	VADDSS X9, X0, X0
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
 
 store1:
-	MOVSS X0, (DI)
-	ADDQ  $4, DI
-	ADDQ  $4, SI
-	DECQ  BX
-	JMP   strip1
+	VMOVSS X0, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	DECQ   BX
+	JMP    strip1
 
 done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·accRowsGo(SB)
+
+// ROW16, ROW8, ROW4 and ROW1 add one term to one destination row of the
+// tile: they broadcast the row's coefficient from coef into Y13 (X13) and add
+// its products with the source strip in Y8:Y9, Y8, X8 or the low lane of X8
+// to the row's accumulators.
+#define ROW16(coef, acc0, acc1) \
+	VBROADCASTSS coef, Y13; \
+	VMULPS       Y13, Y8, Y10; \
+	VMULPS       Y13, Y9, Y11; \
+	VADDPS       Y10, acc0, acc0; \
+	VADDPS       Y11, acc1, acc1
+
+#define ROW8(coef, acc) \
+	VBROADCASTSS coef, Y13; \
+	VMULPS       Y13, Y8, Y10; \
+	VADDPS       Y10, acc, acc
+
+#define ROW4(coef, acc) \
+	VBROADCASTSS coef, X13; \
+	VMULPS       X13, X8, X10; \
+	VADDPS       X10, acc, acc
+
+#define ROW1(coef, acc) \
+	VMOVSS coef, X13; \
+	VMULSS X13, X8, X10; \
+	VADDSS X10, acc, acc
+
+// func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32, cr, ct, n int, zero bool)
+//
+// Four destination rows, ds floats apart, each w floats wide, are cut into
+// strips of 16, 8 and 4 floats, then single floats. The four rows of a strip
+// live in Y0-Y7 (two registers a row for 16, one for 8, X0-X3 for 4 and their
+// low lanes for 1) while all n terms are added to them: each term's strip of
+// source row t (ss floats apart) is loaded once, into Y8:Y9, and multiplied by
+// the four rows' coefficients c[r·cr + t·ct], each broadcast from memory:
+// row r's at R8 + r·cr, R8 stepping ct floats a term, and 3·cr kept in R12.
+TEXT ·accRows4Kernel(SB), NOSPLIT, $0-121
+	CMPB    ·useAVX(SB), $0
+	JEQ     portable
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    ds+24(FP), R14
+	SHLQ    $2, R14              // dst row stride in bytes
+	MOVQ    w+32(FP), BX
+	MOVQ    src_base+40(FP), SI
+	MOVQ    ss+64(FP), DX
+	SHLQ    $2, DX               // source row stride in bytes
+	MOVQ    cr+96(FP), R13
+	SHLQ    $2, R13              // coefficient row stride in bytes
+	LEAQ    (R13)(R13*2), R12    // three of them
+	MOVQ    ct+104(FP), R9
+	SHLQ    $2, R9               // coefficient term stride in bytes
+	MOVQ    n+112(FP), CX
+	MOVBQZX zero+120(FP), R11
+
+strip16:
+	CMPQ    BX, $16
+	JLT     strip8
+	TESTQ   R11, R11
+	JNE     clear16
+	MOVQ    DI, R10
+	VMOVUPS (R10), Y0
+	VMOVUPS 32(R10), Y1
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y2
+	VMOVUPS 32(R10), Y3
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y4
+	VMOVUPS 32(R10), Y5
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y6
+	VMOVUPS 32(R10), Y7
+	JMP     terms16
+
+clear16:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+terms16:
+	MOVQ  SI, R10
+	MOVQ  c_base+72(FP), R8
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JEQ   store16
+
+loop16:
+	VMOVUPS (R10), Y8
+	VMOVUPS 32(R10), Y9
+	ROW16((R8), Y0, Y1)
+	ROW16((R8)(R13*1), Y2, Y3)
+	ROW16((R8)(R13*2), Y4, Y5)
+	ROW16((R8)(R12*1), Y6, Y7)
+	ADDQ    DX, R10
+	ADDQ    R9, R8
+	DECQ    AX
+	JNE     loop16
+
+store16:
+	MOVQ    DI, R10
+	VMOVUPS Y0, (R10)
+	VMOVUPS Y1, 32(R10)
+	ADDQ    R14, R10
+	VMOVUPS Y2, (R10)
+	VMOVUPS Y3, 32(R10)
+	ADDQ    R14, R10
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	ADDQ    R14, R10
+	VMOVUPS Y6, (R10)
+	VMOVUPS Y7, 32(R10)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	SUBQ    $16, BX
+	JMP     strip16
+
+strip8:
+	CMPQ    BX, $8
+	JLT     strip4
+	TESTQ   R11, R11
+	JNE     clear8
+	MOVQ    DI, R10
+	VMOVUPS (R10), Y0
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y2
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y4
+	ADDQ    R14, R10
+	VMOVUPS (R10), Y6
+	JMP     terms8
+
+clear8:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y2, Y2, Y2
+	VXORPS Y4, Y4, Y4
+	VXORPS Y6, Y6, Y6
+
+terms8:
+	MOVQ  SI, R10
+	MOVQ  c_base+72(FP), R8
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JEQ   store8
+
+loop8:
+	VMOVUPS (R10), Y8
+	ROW8((R8), Y0)
+	ROW8((R8)(R13*1), Y2)
+	ROW8((R8)(R13*2), Y4)
+	ROW8((R8)(R12*1), Y6)
+	ADDQ    DX, R10
+	ADDQ    R9, R8
+	DECQ    AX
+	JNE     loop8
+
+store8:
+	MOVQ    DI, R10
+	VMOVUPS Y0, (R10)
+	ADDQ    R14, R10
+	VMOVUPS Y2, (R10)
+	ADDQ    R14, R10
+	VMOVUPS Y4, (R10)
+	ADDQ    R14, R10
+	VMOVUPS Y6, (R10)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, BX
+
+strip4:
+	CMPQ    BX, $4
+	JLT     strip1
+	TESTQ   R11, R11
+	JNE     clear4
+	MOVQ    DI, R10
+	VMOVUPS (R10), X0
+	ADDQ    R14, R10
+	VMOVUPS (R10), X2
+	ADDQ    R14, R10
+	VMOVUPS (R10), X4
+	ADDQ    R14, R10
+	VMOVUPS (R10), X6
+	JMP     terms4
+
+clear4:
+	VXORPS X0, X0, X0
+	VXORPS X2, X2, X2
+	VXORPS X4, X4, X4
+	VXORPS X6, X6, X6
+
+terms4:
+	MOVQ  SI, R10
+	MOVQ  c_base+72(FP), R8
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JEQ   store4
+
+loop4:
+	VMOVUPS (R10), X8
+	ROW4((R8), X0)
+	ROW4((R8)(R13*1), X2)
+	ROW4((R8)(R13*2), X4)
+	ROW4((R8)(R12*1), X6)
+	ADDQ    DX, R10
+	ADDQ    R9, R8
+	DECQ    AX
+	JNE     loop4
+
+store4:
+	MOVQ    DI, R10
+	VMOVUPS X0, (R10)
+	ADDQ    R14, R10
+	VMOVUPS X2, (R10)
+	ADDQ    R14, R10
+	VMOVUPS X4, (R10)
+	ADDQ    R14, R10
+	VMOVUPS X6, (R10)
+	ADDQ    $16, DI
+	ADDQ    $16, SI
+	SUBQ    $4, BX
+
+strip1:
+	TESTQ   BX, BX
+	JEQ     done
+	TESTQ   R11, R11
+	JNE     clear1
+	MOVQ    DI, R10
+	VMOVSS  (R10), X0
+	ADDQ    R14, R10
+	VMOVSS  (R10), X2
+	ADDQ    R14, R10
+	VMOVSS  (R10), X4
+	ADDQ    R14, R10
+	VMOVSS  (R10), X6
+	JMP     terms1
+
+clear1:
+	VXORPS X0, X0, X0
+	VXORPS X2, X2, X2
+	VXORPS X4, X4, X4
+	VXORPS X6, X6, X6
+
+terms1:
+	MOVQ  SI, R10
+	MOVQ  c_base+72(FP), R8
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JEQ   store1
+
+loop1:
+	VMOVSS (R10), X8
+	ROW1((R8), X0)
+	ROW1((R8)(R13*1), X2)
+	ROW1((R8)(R13*2), X4)
+	ROW1((R8)(R12*1), X6)
+	ADDQ   DX, R10
+	ADDQ   R9, R8
+	DECQ   AX
+	JNE    loop1
+
+store1:
+	MOVQ   DI, R10
+	VMOVSS X0, (R10)
+	ADDQ   R14, R10
+	VMOVSS X2, (R10)
+	ADDQ   R14, R10
+	VMOVSS X4, (R10)
+	ADDQ   R14, R10
+	VMOVSS X6, (R10)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	DECQ   BX
+	JMP    strip1
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·accRows4Go(SB)
+
+// func anyZeroKernel(a []float32, rows, w, stride int) bool
+//
+// Each row is compared with +0 (VCMPPS EQ_OQ, true for +0 and -0 and false
+// for NaN) 32, 8 and 4 floats at a time, then one float at a time on its
+// bits; the row's compare masks are OR-ed in Y0 and tested once at its end.
+// Rows of exactly four floats (TA's column groups) go four rows to a test
+// first, the rest of them through the general loop.
+TEXT ·anyZeroKernel(SB), NOSPLIT, $0-49
+	CMPB   ·useAVX(SB), $0
+	JEQ    portable
+	MOVQ   a_base+0(FP), SI
+	MOVQ   rows+24(FP), CX
+	MOVQ   w+32(FP), BX
+	MOVQ   stride+40(FP), DX
+	SHLQ   $2, DX              // row stride in bytes
+	VXORPS Y15, Y15, Y15
+	CMPQ   BX, $4
+	JNE    row
+	LEAQ   (DX)(DX*2), R9      // three row strides
+
+quad:
+	CMPQ      CX, $4
+	JLT       row
+	VCMPPS    $0, (SI), X15, X1
+	VCMPPS    $0, (SI)(DX*1), X15, X2
+	VCMPPS    $0, (SI)(DX*2), X15, X3
+	VCMPPS    $0, (SI)(R9*1), X15, X4
+	VORPS     X2, X1, X1
+	VORPS     X4, X3, X3
+	VORPS     X3, X1, X1
+	VMOVMSKPS X1, R8
+	TESTL     R8, R8
+	JNE       found
+	LEAQ      (SI)(DX*4), SI
+	SUBQ      $4, CX
+	JMP       quad
+
+row:
+	TESTQ  CX, CX
+	JEQ    none
+	MOVQ   SI, R10
+	MOVQ   BX, AX
+	VXORPS Y0, Y0, Y0
+
+scan32:
+	CMPQ   AX, $32
+	JLT    scan8
+	VCMPPS $0, (R10), Y15, Y1
+	VCMPPS $0, 32(R10), Y15, Y2
+	VCMPPS $0, 64(R10), Y15, Y3
+	VCMPPS $0, 96(R10), Y15, Y4
+	VORPS  Y1, Y0, Y0
+	VORPS  Y2, Y0, Y0
+	VORPS  Y3, Y0, Y0
+	VORPS  Y4, Y0, Y0
+	ADDQ   $128, R10
+	SUBQ   $32, AX
+	JMP    scan32
+
+scan8:
+	CMPQ   AX, $8
+	JLT    scan4
+	VCMPPS $0, (R10), Y15, Y1
+	VORPS  Y1, Y0, Y0
+	ADDQ   $32, R10
+	SUBQ   $8, AX
+	JMP    scan8
+
+scan4:
+	CMPQ   AX, $4
+	JLT    scan1
+	VCMPPS $0, (R10), X15, X1 // clears the upper lane of Y1
+	VORPS  Y1, Y0, Y0
+	ADDQ   $16, R10
+	SUBQ   $4, AX
+
+scan1:
+	TESTQ AX, AX
+	JEQ   endrow
+	MOVL  (R10), R8
+	ANDL  $0x7fffffff, R8
+	JEQ   found
+	ADDQ  $4, R10
+	DECQ  AX
+	JMP   scan1
+
+endrow:
+	VMOVMSKPS Y0, R8
+	TESTL     R8, R8
+	JNE       found
+	ADDQ      DX, SI
+	DECQ      CX
+	JMP       row
+
+none:
+	MOVB $0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+found:
+	MOVB $1, ret+48(FP)
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·anyZeroGo(SB)
+
+// func cpuid1() (ecx uint32)
+TEXT ·cpuid1(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ecx+0(FP)
+	RET
+
+// func xcr0() (eax uint32)
+TEXT ·xcr0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

@@ -11,3 +11,9 @@ func addKernel(dst, x []float32) { addGo(dst, x) }
 func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool) {
 	accRowsGo(dst, src, stride, idx, c, n, zero)
 }
+
+func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32, cr, ct, n int, zero bool) {
+	accRows4Go(dst, ds, w, src, ss, c, cr, ct, n, zero)
+}
+
+func anyZeroKernel(a []float32, rows, w, stride int) bool { return anyZeroGo(a, rows, w, stride) }

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// The row-kernel tests hold whatever axpyKernel / addKernel / accRowsKernel are
-// bound to (SSE2 assembly on amd64) to the portable twins, bit for bit. On
-// other architectures the kernels are the twins and the comparisons are
-// trivially true; the contract tests (guard band, panics, aliasing) still
-// bite.
+// The row-kernel tests hold whatever axpyKernel / addKernel / accRowsKernel /
+// accRows4Kernel / anyZeroKernel are bound to (AVX assembly on an amd64 host
+// that has it) to the portable twins, bit for bit. Elsewhere the kernels are
+// the twins and the comparisons are trivially true; the contract tests (guard
+// band, panics, aliasing) still bite.
 
 const (
 	rowMaxLen  = 67 // lengths 0..67 cover 16-wide, 4-wide and scalar tails together
@@ -190,6 +190,143 @@ func TestRowKernelsAccumulateRowsMatchesTwin(t *testing.T) {
 	}
 }
 
+// tileWidths and tileTerms are what the four-row tile is compared over: every
+// width up to 70 (16-wide strips with 8-, 4- and 1-wide tails, and two to
+// four strips), and every term count up to 130 (past two k-blocks), with
+// kBlock ± 1 at the widths around a strip boundary taken in full.
+const tileWidths, tileTerms = 70, 130
+
+var tileEdgeWidths = []int{15, 16, 17, 31, 32, 33, 64}
+
+// TestRowKernelsAccRows4MatchesTwin holds accRows4Kernel to accRows4Go, bit
+// for bit, and both to four accRowsGo calls, one per destination row. The
+// four rows sit a guard band apart, and the coefficients are read in both
+// layouts the GEMMs use: four rows of a matrix (row stride a row's length,
+// term stride 1) and four adjacent columns of one (row stride 1, term stride
+// its row length).
+func TestRowKernelsAccRows4MatchesTwin(t *testing.T) {
+	rng := NewRNG(89)
+	check := func(class string, w, n int, columns, zero bool) {
+		t.Helper()
+		off := rng.Intn(rowMaxOff + 1)
+		ds := w + rowGuard
+		dBack := make([]float32, rowGuard+off+3*ds+w+rowGuard)
+		for i := range dBack {
+			dBack[i] = rowValue(class, rng)
+		}
+		ss := w + rng.Intn(3)
+		src := make([]float32, rng.Intn(rowMaxOff+1)+n*ss+w)
+		for i := range src {
+			src[i] = rowValue(class, rng)
+		}
+		src = src[len(src)-n*ss-w:]
+		cr, ct := n+rng.Intn(3), 1
+		if columns {
+			cr, ct = 1, 4+rng.Intn(3)
+		}
+		c := make([]float32, 3*cr+n*ct+1)
+		for i := range c {
+			c[i] = rowValue(class, rng)
+		}
+		what := fmt.Sprintf("%s w=%d n=%d dst+%d ss=%d cr=%d ct=%d zero=%v", class, w, n, off, ss, cr, ct, zero)
+
+		lo := rowGuard + off
+		got, want := slices.Clone(dBack), slices.Clone(dBack)
+		accRows4Kernel(got[lo:], ds, w, src, ss, c, cr, ct, n, zero)
+		accRows4Go(want[lo:], ds, w, src, ss, c, cr, ct, n, zero)
+		checkRow(t, "accRows4 "+what, got, want)
+
+		rows := slices.Clone(dBack)
+		cRow := make([]float32, n)
+		for r := 0; r < 4; r++ {
+			for k := range cRow {
+				cRow[k] = c[r*cr+k*ct]
+			}
+			accRowsGo(rows[lo+r*ds:][:w], src, ss, nil, cRow, n, zero)
+		}
+		checkRow(t, "accRows4 vs four accRows "+what, got, rows)
+	}
+	step := 0
+	for _, class := range rowValueClasses {
+		for w := 0; w <= tileWidths; w++ {
+			for _, columns := range []bool{false, true} {
+				for _, zero := range []bool{false, true} {
+					check(class, w, step%(tileTerms+1), columns, zero)
+					step += 7 // coprime to 131: each class walks every term count
+				}
+			}
+		}
+	}
+	for _, w := range tileEdgeWidths {
+		for _, n := range []int{kBlock - 1, kBlock, kBlock + 1} {
+			for _, columns := range []bool{false, true} {
+				for _, zero := range []bool{false, true} {
+					check("mixed", w, n, columns, zero)
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelsAnyZeroMatchesTwin holds anyZeroKernel to anyZeroGo over
+// every width up to 70 and row counts up to 64 (the TA tile's four-column
+// groups over a k-block), rows packed and a gap apart. The rows hold no
+// zero but NaN, ±Inf and subnormals, every gap and both guard bands hold ±0,
+// which must not be seen, and then a lone ±0 is planted at every position
+// (a sample of them for the larger shapes), which must.
+func TestRowKernelsAnyZeroMatchesTwin(t *testing.T) {
+	rng := NewRNG(97)
+	nonZero := func() float32 {
+		for {
+			v := rowValue(rowValueClasses[rng.Intn(len(rowValueClasses))], rng)
+			if v != 0 {
+				return v
+			}
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for w := 0; w <= tileWidths; w++ {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64} {
+			for _, gap := range []int{0, 3} {
+				stride := w + gap
+				off := rowGuard + rng.Intn(rowMaxOff+1)
+				back := make([]float32, off+rows*stride+rowGuard)
+				for i := range back {
+					back[i] = negZero * float32(rng.Intn(2)) // ±0 wherever no row is
+				}
+				var cells []int
+				for r := 0; r < rows; r++ {
+					for j := 0; j < w; j++ {
+						p := off + r*stride + j
+						back[p] = nonZero()
+						cells = append(cells, p)
+					}
+				}
+				if len(cells) > 256 {
+					sample := make([]int, 64)
+					for i, q := range rng.Perm(len(cells))[:64] {
+						sample[i] = cells[q]
+					}
+					cells = sample
+				}
+				what := fmt.Sprintf("w=%d rows=%d stride=%d", w, rows, stride)
+				a := back[off:]
+				if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); got || want {
+					t.Fatalf("%s, no zero: kernel %v, twin %v", what, got, want)
+				}
+				for _, p := range cells {
+					v := back[p]
+					back[p] = negZero * float32(rng.Intn(2))
+					if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); !got || !want {
+						t.Fatalf("%s, zero at %d: kernel %v, twin %v", what, p-off, got, want)
+					}
+					back[p] = v
+				}
+			}
+		}
+	}
+}
+
 // TestRowKernelsScaledScatterAddMatchesEdgeLoop holds ScaledScatterAdd to
 // one Axpy (AddTo without coefficients) per edge in ascending e, bit for bit,
 // with runs of one output row of every length, nil indices and nil
@@ -342,6 +479,9 @@ func BenchmarkRowKernels(b *testing.B) {
 		// Coefficients small enough that dst stays finite over b.N rounds.
 		const a = float32(1e-9)
 		c := []float32{a, a, a, a}
+		// The tile: four destination rows, each taking the four source rows.
+		tile := RandNormal(4, n, 0, 1, rng).data
+		c16 := slices.Concat(c, c, c, c)
 		for _, k := range []struct {
 			name string
 			fn   func()
@@ -350,8 +490,10 @@ func BenchmarkRowKernels(b *testing.B) {
 			{"axpy/%d/twin", func() { axpyGo(dst, a, x[0]) }},
 			{"add/%d/kernel", func() { addKernel(dst, x[0]) }},
 			{"add/%d/twin", func() { addGo(dst, x[0]) }},
-			{"accRows4/%d/kernel", func() { accRowsKernel(dst, rows, n, idx, c, len(idx), false) }},
-			{"accRows4/%d/twin", func() { accRowsGo(dst, rows, n, idx, c, len(idx), false) }},
+			{"accRows/%d/kernel", func() { accRowsKernel(dst, rows, n, idx, c, len(idx), false) }},
+			{"accRows/%d/twin", func() { accRowsGo(dst, rows, n, idx, c, len(idx), false) }},
+			{"accRows4/%d/kernel", func() { accRows4Kernel(tile, n, n, rows, n, c16, 4, 1, 4, false) }},
+			{"accRows4/%d/twin", func() { accRows4Go(tile, n, n, rows, n, c16, 4, 1, 4, false) }},
 		} {
 			b.Run(fmt.Sprintf(k.name, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * n))

@@ -286,7 +286,7 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 }
 
 // bitPinVariants are the operand classes the GEMMs are pinned on.
-var bitPinVariants = []string{"random", "relu", "zeros", "inf"}
+var bitPinVariants = []string{"random", "relu", "zeros", "inf", "lonezero"}
 
 // plantSpecials rewrites the operands of a bit-identity pin for variant: a is
 // the side whose zeros the NN and TA kernels skip, b the side they stream.
@@ -308,16 +308,33 @@ func plantSpecials(variant string, a, b *Tensor, rng *RNG) {
 			}
 		}
 	case "inf": // 0*Inf must stay skipped, Inf-Inf must stay NaN
-		inf := float32(math.Inf(1))
-		for i := range b.data {
-			if rng.Intn(5) == 0 {
-				b.data[i] = inf * float32(1-2*rng.Intn(2))
-			}
-		}
+		plantInf(b, rng)
 		for i := range a.data {
 			if rng.Intn(4) == 0 {
 				a.data[i] = 0
 			}
+		}
+	case "lonezero": // a dense a with a lone ±0 in every other four-row and four-column group: the tile must not take its block
+		plantInf(b, rng)
+		if len(a.data) == 0 {
+			return
+		}
+		zero := func() float32 { return float32(math.Copysign(0, float64(1-2*rng.Intn(2)))) }
+		for g := 0; g < a.rows; g += 8 { // NN's groups of four rows of a
+			a.Set(g+rng.Intn(min(4, a.rows-g)), rng.Intn(a.cols), zero())
+		}
+		for g := 0; g < a.cols; g += 8 { // TA's groups of four columns of a
+			a.Set(rng.Intn(a.rows), g+rng.Intn(min(4, a.cols-g)), zero())
+		}
+	}
+}
+
+// plantInf sets about a fifth of b to ±Inf.
+func plantInf(b *Tensor, rng *RNG) {
+	inf := float32(math.Inf(1))
+	for i := range b.data {
+		if rng.Intn(5) == 0 {
+			b.data[i] = inf * float32(1-2*rng.Intn(2))
 		}
 	}
 }
@@ -367,11 +384,12 @@ func scalarMatMul(a, b *Tensor) *Tensor {
 func TestMatMulBlockedBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(43)
 	// M x K @ K x N: the j tail (N%4), N < 4, empty operands, K past one
-	// k-block (kBlock), and both the serial and the parallelRows branch
-	// (M*K*N either side of gemmParallelThreshold).
-	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
-		{7, 2, 9}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3},
-		{9, 130, 7}, {40, 200, 33}} {
+	// k-block (kBlock), M around groups of four rows (the tile's), and both
+	// the serial and the parallelRows branch (M*K*N either side of
+	// gemmParallelThreshold).
+	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+		{5, 6, 17}, {6, 70, 16}, {7, 2, 9}, {9, 65, 33}, {13, 130, 20}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32},
+		{130, 64, 32}, {301, 33, 18}, {1000, 64, 3}, {9, 130, 7}, {40, 200, 33}} {
 		M, K, N := dims[0], dims[1], dims[2]
 		for _, variant := range bitPinVariants {
 			a := RandNormal(M, K, 0, 1, rng)
@@ -406,10 +424,12 @@ func scalarMatMulTA(a, b *Tensor) *Tensor {
 func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(41)
 	// Odd shapes exercise the j tail (N%4), K within one k-block and across
-	// several, and both the serial and the parallelRows branch (K*M*N across
+	// several, M around groups of four columns of a (the tile's), and both
+	// the serial and the parallelRows branch (K*M*N across
 	// gemmParallelThreshold).
-	for _, dims := range [][3]int{{0, 3, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {7, 2, 9},
-		{31, 17, 23}, {130, 64, 32}, {301, 33, 18}, {1000, 64, 3}} {
+	for _, dims := range [][3]int{{0, 3, 2}, {0, 9, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {17, 5, 16},
+		{70, 6, 17}, {7, 2, 9}, {65, 7, 33}, {130, 9, 16}, {40, 13, 20}, {31, 17, 23}, {130, 64, 32},
+		{301, 33, 18}, {1000, 64, 3}} {
 		K, M, N := dims[0], dims[1], dims[2]
 		for _, variant := range bitPinVariants {
 			a := RandNormal(K, M, 0, 1, rng)
@@ -441,10 +461,12 @@ func scalarMatMulTB(a, b *Tensor) *Tensor {
 
 func TestMatMulTBBitIdenticalToScalar(t *testing.T) {
 	rng := NewRNG(47)
-	// M x K @ (N x K)ᵀ: N and K off multiples of 4, empty operands, and both
-	// the serial and the parallelRows branch.
-	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
-		{7, 2, 9}, {31, 17, 23}, {64, 16, 32}, {130, 32, 64}, {301, 18, 33}, {1000, 3, 64}, {9, 130, 7}} {
+	// M x K @ (N x K)ᵀ: N and K off multiples of 4, empty operands, M around
+	// groups of four rows (the tile's), and both the serial and the
+	// parallelRows branch.
+	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+		{5, 17, 16}, {6, 16, 17}, {7, 2, 9}, {9, 33, 70}, {13, 130, 20}, {31, 17, 23}, {64, 16, 32},
+		{130, 32, 64}, {301, 18, 33}, {1000, 3, 64}, {9, 130, 7}} {
 		M, K, N := dims[0], dims[1], dims[2]
 		for _, variant := range bitPinVariants {
 			a := RandNormal(M, K, 0, 1, rng)
