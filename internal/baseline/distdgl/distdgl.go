@@ -95,7 +95,7 @@ type worker struct {
 	id    int
 	tr    *Trainer
 	model *nn.Model
-	opt   nn.Optimizer
+	opt   *nn.Adam
 	it    *sampler.BatchIterator
 	rng   *tensor.RNG
 	mb    *comm.Mailbox

@@ -119,10 +119,6 @@ type Options struct {
 	// Its Fault spec, when set, injects seeded drops, delays and duplicates
 	// with retransmission; faults move timing only, never content.
 	Profile comm.NetworkProfile
-	// TCP moves all worker communication over real loopback TCP sockets
-	// instead of the in-process fabric — same protocol and the same wire
-	// schedule for Profile, real serialisation.
-	TCP bool
 	// Ring enables ring-based communication scheduling (the paper's "R").
 	Ring bool
 	// LockFree enables lock-free parallel message enqueuing ("L").
@@ -140,13 +136,8 @@ type Options struct {
 	// the communication inefficiency the paper measured in ROC (§5.3); the
 	// default (false) is NeutronStar's source-specific chunking.
 	Broadcast bool
-	// LR is the optimiser learning rate (default 0.01, Adam). Scheduler,
-	// when set, overrides LR per epoch (replicas evaluate it identically).
-	LR        float32
-	Scheduler nn.Scheduler
-	// ClipNorm, when > 0, clips the global gradient L2 norm after the
-	// all-reduce, before the optimiser step.
-	ClipNorm float64
+	// LR is the Adam learning rate (default 0.01).
+	LR float32
 	// Dropout applies during training (default 0).
 	Dropout float32
 	// Seed fixes model init and dropout streams.
@@ -359,14 +350,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		}
 	}
 
-	if opts.TCP {
-		e.fabric, err = comm.NewTCPFabric(opts.Workers, opts.Profile, opts.Tracer)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		e.fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer)
-	}
+	e.fabric = comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer)
 	if opts.Recorder != nil {
 		// Each worker's sends and deliveries are attributed to its cells,
 		// once per Send and once per deduplicated delivery (comm/stage.go).

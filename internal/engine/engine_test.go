@@ -487,26 +487,6 @@ func TestFourLayerHybrid(t *testing.T) {
 	assertLossesClose(t, "4layer", got, ref, 2e-3)
 }
 
-func TestSchedulerAndClipping(t *testing.T) {
-	ds := testDataset(t, 150, 4, 42)
-	e, err := NewEngine(ds, Options{
-		Workers: 3, Mode: Hybrid, Model: nn.GCN, Seed: 33,
-		Scheduler: nn.CosineLR{Base: 0.05, Min: 0.001, Span: 10},
-		ClipNorm:  1.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	stats := e.Train(10)
-	if stats[9].Loss >= stats[0].Loss {
-		t.Fatalf("scheduled training did not learn: %v -> %v", stats[0].Loss, stats[9].Loss)
-	}
-	if !e.ReplicasInSync() {
-		t.Fatal("replicas diverged under scheduler+clipping")
-	}
-}
-
 // TestPlanForProbesHostOnce: T_v and T_e describe the host, so engines
 // planned over different network profiles in one process — faulted or not —
 // price compute with the same probed factors, and each prices communication
@@ -595,33 +575,5 @@ func TestRandomDecisionsMatchReference(t *testing.T) {
 		}
 		e.Close()
 		assertLossesClose(t, fmt.Sprintf("random-decision trial %d", trial), got, ref, 2e-3)
-	}
-}
-
-// The whole training protocol must serialise over real TCP sockets: loss
-// trajectories over the TCP fabric match the in-process reference, with and
-// without faults on the wire.
-func TestTCPTransportMatchesReference(t *testing.T) {
-	ds := testDataset(t, 180, 5, 45)
-	const epochs = 3
-	ref := referenceLosses(ds, nn.GCN, epochs, 19)
-	spec, err := comm.ParseFaultSpec("drop=0.05,dup=0.2,jitter=300us,seed=4,timeout=200us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range []struct {
-		name    string
-		mode    Mode
-		profile comm.NetworkProfile
-	}{
-		{"depcomm", DepComm, comm.ProfileLocal},
-		{"hybrid", Hybrid, comm.ProfileLocal},
-		{"depcomm+faults", DepComm, comm.NetworkProfile{Name: "faulted", Fault: spec}},
-	} {
-		got := engineLosses(t, ds, Options{
-			Workers: 3, Mode: row.mode, Model: nn.GCN, Seed: 19, TCP: true,
-			Ring: true, Overlap: true, Profile: row.profile,
-		}, epochs)
-		assertLossesClose(t, "tcp/"+row.name, got, ref, 2e-3)
 	}
 }

@@ -61,9 +61,6 @@ func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
 			off += len(dst)
 		}
 	}
-	if ws.eng.opts.ClipNorm > 0 {
-		nn.ClipGradNorm(params, ws.eng.opts.ClipNorm)
-	}
 	ws.opt.Step(params)
 	out := tensor.New(1, total)
 	flattenInto(out.Data(), params, func(p *nn.Param) []float32 { return p.Value.Data() })

@@ -53,7 +53,7 @@ func TestPooledMatchesUnpooledAcrossModes(t *testing.T) {
 }
 
 // TestPooledFaultsBitIdenticalToClean trains a pooled 4-worker engine under
-// drops, a duplicate of every message and jitter, on both transports. Faults
+// drops, a duplicate of every message and jitter. Faults
 // move timing only, so the losses equal the clean pooled run's bit for bit;
 // and every copy of a message reaches its mailbox before the epoch barrier,
 // so the arenas stay on and recycle. CI runs it under GOMAXPROCS=4 -race.
@@ -66,19 +66,17 @@ func TestPooledFaultsBitIdenticalToClean(t *testing.T) {
 	clean := base
 	clean.Pool = tensor.NewPool()
 	want := trainLosses(t, clean, 3)
-	for _, tcp := range []bool{false, true} {
-		pool := tensor.NewPool()
-		faulted := base
-		faulted.Pool, faulted.TCP, faulted.Profile.Fault = pool, tcp, spec
-		got := trainLosses(t, faulted, 3)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tcp=%v epoch %d: faulted loss %.17g, clean %.17g", tcp, i+1, got[i], want[i])
-			}
+	pool := tensor.NewPool()
+	faulted := base
+	faulted.Pool, faulted.Profile.Fault = pool, spec
+	got := trainLosses(t, faulted, 3)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("epoch %d: faulted loss %.17g, clean %.17g", i+1, got[i], want[i])
 		}
-		if s := pool.Stats(); s.Hits == 0 || s.BytesInFlight != 0 {
-			t.Fatalf("tcp=%v: pool %+v; want hits and nothing checked out past the barrier", tcp, s)
-		}
+	}
+	if s := pool.Stats(); s.Hits == 0 || s.BytesInFlight != 0 {
+		t.Fatalf("pool %+v; want hits and nothing checked out past the barrier", s)
 	}
 }
 

@@ -285,6 +285,52 @@ func TestRestoreRejectsMismatchedFingerprint(t *testing.T) {
 	}
 }
 
+// TestRejectedSnapshotLeavesEngineUntouched: a snapshot whose last worker
+// carries an optimiser state the engine cannot load is refused before any
+// worker takes its parameters, moments or RNG position, so the engine goes
+// on exactly as a twin that never saw it.
+func TestRejectedSnapshotLeavesEngineUntouched(t *testing.T) {
+	ds := testDataset(t, 300, 6, 3)
+	opts := Options{Workers: 3, Mode: Hybrid, Seed: 5}
+	build := func() *Engine {
+		e, err := NewEngine(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	donor, victim, twin := build(), build(), build()
+	donor.Train(2)
+	snap := donor.Snapshot()
+	snap.Workers[len(snap.Workers)-1].OptAlgo = "sgd"
+	victim.RunEpoch()
+	twin.RunEpoch()
+
+	var before [][]float32
+	for _, p := range victim.Params() {
+		before = append(before, append([]float32(nil), p.Value.Data()...))
+	}
+	if err := victim.Restore(snap); err == nil {
+		t.Fatal("restore of a snapshot with an sgd optimiser state succeeded")
+	}
+	for i, p := range victim.Params() {
+		for k, v := range p.Value.Data() {
+			if math.Float32bits(v) != math.Float32bits(before[i][k]) {
+				t.Fatalf("worker 0 param %s[%d] moved from %v to %v", p.Name, k, before[i][k], v)
+			}
+		}
+	}
+	if !victim.ReplicasInSync() {
+		t.Fatal("replicas out of sync after a rejected restore")
+	}
+	got, want := victim.RunEpoch(), twin.RunEpoch()
+	if got.Epoch != want.Epoch || math.Float64bits(got.Loss) != math.Float64bits(want.Loss) {
+		t.Fatalf("after the rejected restore: epoch %d loss %.17g, twin epoch %d loss %.17g",
+			got.Epoch, got.Loss, want.Epoch, want.Loss)
+	}
+}
+
 // TestFaultInjectedRunCompletes is the acceptance run: 5% drop with jittered
 // delay on every kind. Retransmission must carry the run to completion, the
 // fault counters must show real injected faults, and — because faults touch

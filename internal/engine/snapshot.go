@@ -73,7 +73,7 @@ func (e *Engine) Snapshot() *ckpt.Snapshot {
 				Rows: p.Value.Rows(), Cols: p.Value.Cols(),
 				Value: append([]float32(nil), p.Value.Data()...),
 			}
-			if opt.M != nil && opt.M[i] != nil {
+			if opt.M[i] != nil {
 				ps.M, ps.V = opt.M[i], opt.V[i] // CaptureOptState already copied
 			}
 			w.Params = append(w.Params, ps)
@@ -93,35 +93,33 @@ func (e *Engine) Restore(snap *ckpt.Snapshot) error {
 	if len(snap.Workers) != len(e.states) {
 		return fmt.Errorf("engine: snapshot has %d workers, engine has %d", len(snap.Workers), len(e.states))
 	}
+	applyOpt := make([]func(), len(e.states))
 	for wi, ws := range e.states {
 		params := ws.model.Params()
 		sw := &snap.Workers[wi]
 		if len(sw.Params) != len(params) {
 			return fmt.Errorf("engine: worker %d snapshot has %d params, model has %d", wi, len(sw.Params), len(params))
 		}
+		opt := nn.OptState{Algo: sw.OptAlgo, Step: sw.OptStep,
+			M: make([][]float32, len(params)), V: make([][]float32, len(params))}
 		for i, p := range params {
 			sp := &sw.Params[i]
 			if sp.Rows != p.Value.Rows() || sp.Cols != p.Value.Cols() {
 				return fmt.Errorf("engine: worker %d param %s is %dx%d in the snapshot, %dx%d in the model",
 					wi, p.Name, sp.Rows, sp.Cols, p.Value.Rows(), p.Value.Cols())
 			}
+			opt.M[i], opt.V[i] = sp.M, sp.V
 		}
+		apply, err := nn.RestoreOptState(ws.opt, params, opt)
+		if err != nil {
+			return fmt.Errorf("engine: worker %d: %w", wi, err)
+		}
+		applyOpt[wi] = apply
 	}
 	for wi, ws := range e.states {
 		sw := &snap.Workers[wi]
-		params := ws.model.Params()
-		opt := nn.OptState{Algo: sw.OptAlgo, Step: sw.OptStep,
-			M: make([][]float32, len(params)), V: make([][]float32, len(params))}
-		for i := range params {
-			opt.M[i], opt.V[i] = sw.Params[i].M, sw.Params[i].V
-		}
-		if sw.OptAlgo == "sgd" {
-			opt.M, opt.V = nil, nil
-		}
-		if err := nn.RestoreOptState(ws.opt, params, opt); err != nil {
-			return fmt.Errorf("engine: worker %d: %w", wi, err)
-		}
-		for i, p := range params {
+		applyOpt[wi]()
+		for i, p := range ws.model.Params() {
 			copy(p.Value.Data(), sw.Params[i].Value)
 		}
 		ws.rng.SetState(sw.RNGState)

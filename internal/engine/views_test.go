@@ -69,17 +69,15 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 		mode    Mode
 		model   nn.ModelKind
 		overlap bool
-		tcp     bool
 		// want names a span only this dataflow (and path) emits.
 		want string
 	}{
-		{"masterMirror/gcn", Hybrid, nn.GCN, false, false, "recv_chunk"},
-		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, false, "vertex_stage"},
-		{"masterMirror/gcn/tcp", Hybrid, nn.GCN, false, true, "recv_chunk"},
-		{"masterMirror/gat", Hybrid, nn.GAT, false, false, "pre_transform"},
-		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, false, "pre_transform"},
-		{"tpSlice/gcn", DepTP, nn.GCN, true, false, "tp_re_gather"},
-		{"tpAssemble/gat", DepTP, nn.GAT, true, false, "tp_all_gather"},
+		{"masterMirror/gcn", Hybrid, nn.GCN, false, "recv_chunk"},
+		{"masterMirror/gcn/chunked", Hybrid, nn.GCN, true, "vertex_stage"},
+		{"masterMirror/gat", Hybrid, nn.GAT, false, "pre_transform"},
+		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, "pre_transform"},
+		{"tpSlice/gcn", DepTP, nn.GCN, true, "tp_re_gather"},
+		{"tpAssemble/gat", DepTP, nn.GAT, true, "tp_all_gather"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -91,7 +89,7 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 			// dataflow run whatever the cost probe measured.
 			eng, err := newTuned(ds, Options{
 				Workers: workers, Mode: row.mode, Model: row.model, Seed: 5,
-				Ring: true, LockFree: true, Overlap: row.overlap, TCP: row.tcp,
+				Ring: true, LockFree: true, Overlap: row.overlap,
 				Recorder: rec, Tracer: tr,
 			}, forcedRatio(0.5))
 			if err != nil {

@@ -19,7 +19,7 @@ type workerState struct {
 	eng   *Engine
 	plan  *workerPlan
 	model *nn.Model
-	opt   nn.Optimizer
+	opt   *nn.Adam
 	mb    *comm.Mailbox
 	rng   *tensor.RNG
 	// arena recycles this worker's tensors (tape intermediates, gradients,
@@ -281,18 +281,11 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 	for _, p := range params {
 		p.CollectGrad()
 	}
-	if sched := ws.eng.opts.Scheduler; sched != nil {
-		nn.SetLR(ws.opt, sched.LR(epoch))
-	}
 	if ws.eng.opts.ParamServer {
-		// Clipping happens on the server after summation; workers receive
-		// the already-stepped parameters.
+		// The server steps once; workers receive the stepped parameters.
 		ws.paramServerUpdate(epoch, params)
 	} else {
 		ws.allReduceGrads(epoch, params)
-		if ws.eng.opts.ClipNorm > 0 {
-			nn.ClipGradNorm(params, ws.eng.opts.ClipNorm)
-		}
 		ws.opt.Step(params)
 	}
 	nn.ZeroGrads(params)

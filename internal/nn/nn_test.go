@@ -249,17 +249,6 @@ func TestCloneModelIdenticalWeights(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("w", tensor.FromRows([][]float32{{1, 2}}))
-	p.Grad.Set(0, 0, 0.5)
-	p.Grad.Set(0, 1, -0.5)
-	(&SGD{LR: 0.1}).Step([]*Param{p})
-	if math.Abs(float64(p.Value.At(0, 0))-0.95) > 1e-6 ||
-		math.Abs(float64(p.Value.At(0, 1))-2.05) > 1e-6 {
-		t.Fatalf("sgd result %v", p.Value)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimise (w-3)^2 by feeding grad = 2(w-3).
 	p := NewParam("w", tensor.FromRows([][]float32{{0}}))
@@ -399,69 +388,6 @@ func buildCtxBench(g *graph.Graph, layer Layer, h *tensor.Tensor, training bool)
 		Training: training, RNG: tensor.NewRNG(2),
 	}
 	return ctx, hVar
-}
-
-func TestSchedulers(t *testing.T) {
-	if ConstantLR(0.1).LR(99) != 0.1 {
-		t.Fatal("constant changed")
-	}
-	s := StepLR{Base: 1, StepSize: 10, Gamma: 0.5}
-	if s.LR(0) != 1 || s.LR(9) != 1 || s.LR(10) != 0.5 || s.LR(25) != 0.25 {
-		t.Fatalf("step lr wrong: %v %v %v %v", s.LR(0), s.LR(9), s.LR(10), s.LR(25))
-	}
-	c := CosineLR{Base: 1, Min: 0.1, Span: 100}
-	if c.LR(0) != 1 {
-		t.Fatalf("cosine start %v", c.LR(0))
-	}
-	if got := c.LR(100); got != 0.1 {
-		t.Fatalf("cosine end %v", got)
-	}
-	mid := c.LR(50)
-	if mid <= 0.1 || mid >= 1 {
-		t.Fatalf("cosine mid %v", mid)
-	}
-	// Monotone decreasing over the span.
-	prev := c.LR(0)
-	for e := 1; e <= 100; e += 7 {
-		if v := c.LR(e); v > prev+1e-6 {
-			t.Fatalf("cosine not decreasing at %d: %v > %v", e, v, prev)
-		} else {
-			prev = v
-		}
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	sgd := &SGD{LR: 0.1}
-	SetLR(sgd, 0.01)
-	if sgd.LR != 0.01 {
-		t.Fatal("SetLR on SGD failed")
-	}
-	adam := NewAdam(0.1)
-	SetLR(adam, 0.02)
-	if adam.LR != 0.02 {
-		t.Fatal("SetLR on Adam failed")
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("w", tensor.New(1, 2))
-	p.Grad.Set(0, 0, 3)
-	p.Grad.Set(0, 1, 4) // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if math.Abs(pre-5) > 1e-6 {
-		t.Fatalf("pre-clip norm %v", pre)
-	}
-	if post := tensor.Norm(p.Grad); math.Abs(post-1) > 1e-5 {
-		t.Fatalf("post-clip norm %v", post)
-	}
-	// Under the limit: unchanged.
-	p.Grad.Set(0, 0, 0.3)
-	p.Grad.Set(0, 1, 0.4)
-	ClipGradNorm([]*Param{p}, 1)
-	if p.Grad.At(0, 0) != 0.3 {
-		t.Fatal("clip changed a small gradient")
-	}
 }
 
 // BenchmarkGATLayer runs one single-head GAT layer forward and backward the

@@ -12,62 +12,52 @@ import (
 // trajectory of the uninterrupted one — Adam's moment estimates and step
 // count are part of the training state, not an implementation detail.
 type OptState struct {
-	// Algo names the optimiser ("sgd" or "adam").
+	// Algo names the optimiser: always "adam" when captured, and checked on
+	// restore because it is read back from a file.
 	Algo string
-	// Step is Adam's bias-correction step counter t (0 for SGD).
+	// Step is Adam's bias-correction step counter t.
 	Step int
 	// M and V are Adam's first/second moment estimates per parameter, in
 	// Params() order. Entries are nil for parameters the optimiser has not
-	// stepped yet, and both slices are nil for SGD.
+	// stepped yet.
 	M, V [][]float32
 }
 
-// CaptureOptState snapshots opt's state for the given parameter list. The
+// CaptureOptState snapshots o's state for the given parameter list. The
 // returned slices are copies, stable against further training steps.
-func CaptureOptState(opt Optimizer, params []*Param) OptState {
-	switch o := opt.(type) {
-	case *SGD:
-		return OptState{Algo: "sgd"}
-	case *Adam:
-		st := OptState{Algo: "adam", Step: o.t,
-			M: make([][]float32, len(params)), V: make([][]float32, len(params))}
-		for i, p := range params {
-			if m, ok := o.m[p]; ok {
-				st.M[i] = append([]float32(nil), m.Data()...)
-				st.V[i] = append([]float32(nil), o.v[p].Data()...)
-			}
+func CaptureOptState(o *Adam, params []*Param) OptState {
+	st := OptState{Algo: "adam", Step: o.t,
+		M: make([][]float32, len(params)), V: make([][]float32, len(params))}
+	for i, p := range params {
+		if m, ok := o.m[p]; ok {
+			st.M[i] = append([]float32(nil), m.Data()...)
+			st.V[i] = append([]float32(nil), o.v[p].Data()...)
 		}
-		return st
-	default:
-		return OptState{}
 	}
+	return st
 }
 
-// RestoreOptState loads a state captured by CaptureOptState into opt for the
-// same parameter list (matched by position; shapes must agree). It fails
-// without partial mutation on any mismatch.
-func RestoreOptState(opt Optimizer, params []*Param, st OptState) error {
-	switch o := opt.(type) {
-	case *SGD:
-		if st.Algo != "sgd" {
-			return fmt.Errorf("nn: optimiser state is %q, optimiser is sgd", st.Algo)
+// RestoreOptState checks a state captured by CaptureOptState against the
+// same parameter list (matched by position; shapes must agree) and returns
+// the function that loads it into o. Every check runs here and apply cannot
+// fail, so a caller restoring several optimisers can check all of their
+// states before it mutates any.
+func RestoreOptState(o *Adam, params []*Param, st OptState) (apply func(), err error) {
+	if st.Algo != "adam" {
+		return nil, fmt.Errorf("nn: optimiser state is %q, optimiser is adam", st.Algo)
+	}
+	if len(st.M) != len(params) || len(st.V) != len(params) {
+		return nil, fmt.Errorf("nn: optimiser state covers %d params, model has %d",
+			len(st.M), len(params))
+	}
+	for i, p := range params {
+		want := p.Value.Rows() * p.Value.Cols()
+		if st.M[i] == nil != (st.V[i] == nil) || (st.M[i] != nil && (len(st.M[i]) != want || len(st.V[i]) != want)) {
+			return nil, fmt.Errorf("nn: optimiser state for param %s has %d/%d moments, want %d",
+				p.Name, len(st.M[i]), len(st.V[i]), want)
 		}
-		return nil
-	case *Adam:
-		if st.Algo != "adam" {
-			return fmt.Errorf("nn: optimiser state is %q, optimiser is adam", st.Algo)
-		}
-		if len(st.M) != len(params) || len(st.V) != len(params) {
-			return fmt.Errorf("nn: optimiser state covers %d params, model has %d",
-				len(st.M), len(params))
-		}
-		for i, p := range params {
-			want := p.Value.Rows() * p.Value.Cols()
-			if st.M[i] == nil != (st.V[i] == nil) || (st.M[i] != nil && (len(st.M[i]) != want || len(st.V[i]) != want)) {
-				return fmt.Errorf("nn: optimiser state for param %s has %d/%d moments, want %d",
-					p.Name, len(st.M[i]), len(st.V[i]), want)
-			}
-		}
+	}
+	return func() {
 		o.t = st.Step
 		o.m = make(map[*Param]*tensor.Tensor, len(params))
 		o.v = make(map[*Param]*tensor.Tensor, len(params))
@@ -78,8 +68,5 @@ func RestoreOptState(opt Optimizer, params []*Param, st OptState) error {
 			o.m[p] = tensor.FromSlice(p.Value.Rows(), p.Value.Cols(), append([]float32(nil), st.M[i]...))
 			o.v[p] = tensor.FromSlice(p.Value.Rows(), p.Value.Cols(), append([]float32(nil), st.V[i]...))
 		}
-		return nil
-	default:
-		return fmt.Errorf("nn: cannot restore state into %T", opt)
-	}
+	}, nil
 }

@@ -104,19 +104,6 @@ func (p *CritPath) Dominant() (label string, share float64) {
 	return label, best / p.CoveredSeconds
 }
 
-// WorkerSeconds aggregates span seconds by the worker the time is attributed
-// to (net spans charge the receiver, whose progress the message bounded).
-func (p *CritPath) WorkerSeconds() map[int]float64 {
-	if p == nil {
-		return nil
-	}
-	out := make(map[int]float64)
-	for _, s := range p.Spans {
-		out[s.Worker] += s.Seconds()
-	}
-	return out
-}
-
 // String renders a compact one-line summary for logs.
 func (p *CritPath) String() string {
 	if p == nil {

@@ -95,7 +95,12 @@ func TestCritPathAttributesSlowWorker(t *testing.T) {
 	if p.CoveredSeconds != p.WallSeconds {
 		t.Fatalf("coverage identity broken: %+v", p)
 	}
-	ws := p.WorkerSeconds()
+	// Seconds by the worker each span charges (net spans charge the
+	// receiver, whose progress the message bounded).
+	ws := map[int]float64{}
+	for _, s := range p.Spans {
+		ws[s.Worker] += s.Seconds()
+	}
 	if ws[2] <= ws[0] || ws[2] <= ws[1] {
 		t.Fatalf("slow worker 2 not dominant on the path: %v", ws)
 	}
@@ -181,7 +186,7 @@ func TestCritPathDegenerateInputs(t *testing.T) {
 		t.Fatalf("negative wall: %+v", p)
 	}
 	var nilPath *CritPath
-	if nilPath.Breakdown() != nil || nilPath.WorkerSeconds() != nil {
+	if nilPath.Breakdown() != nil {
 		t.Fatal("nil path aggregations must be nil")
 	}
 	if label, share := nilPath.Dominant(); label != "" || share != 0 {

@@ -52,7 +52,7 @@ const (
 	// (PostToDepNbr), both posting and waiting.
 	StageMirrorScatter
 	// StageGradSync is parameter-gradient synchronisation: the all-reduce or
-	// the parameter-server exchange, plus clipping and the optimiser step.
+	// the parameter-server exchange, plus the optimiser step.
 	StageGradSync
 	// StageBarrier is the per-worker idle tail between a worker's own finish
 	// and the slowest worker's finish — the epoch-synchronous straggler cost.

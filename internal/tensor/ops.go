@@ -71,13 +71,6 @@ func ScaleInto(dst, t *Tensor, s float32) {
 	}
 }
 
-// ScaleInPlace multiplies every element of t by s.
-func ScaleInPlace(t *Tensor, s float32) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
 // AddRowVector adds the 1xC row vector v to every row of t, in place.
 func AddRowVector(t *Tensor, v *Tensor) {
 	if v.rows != 1 || v.cols != t.cols {

@@ -96,16 +96,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// RandUniform fills a new rows x cols tensor with uniform values in [lo, hi).
-func RandUniform(rows, cols int, lo, hi float32, rng *RNG) *Tensor {
-	t := New(rows, cols)
-	span := hi - lo
-	for i := range t.data {
-		t.data[i] = lo + float32(span*rng.Float32())
-	}
-	return t
-}
-
 // RandNormal fills a new rows x cols tensor with N(mean, std²) values.
 func RandNormal(rows, cols int, mean, std float32, rng *RNG) *Tensor {
 	t := New(rows, cols)
@@ -119,5 +109,9 @@ func RandNormal(rows, cols int, mean, std float32, rng *RNG) *Tensor {
 // Glorot/Xavier uniform scheme: U(-a, a) with a = sqrt(6 / (fanIn + fanOut)).
 func XavierUniform(rows, cols int, rng *RNG) *Tensor {
 	a := float32(math.Sqrt(6 / float64(rows+cols)))
-	return RandUniform(rows, cols, -a, a, rng)
+	t := New(rows, cols)
+	for i := range t.data {
+		t.data[i] = -a + float32(2*a*rng.Float32())
+	}
+	return t
 }

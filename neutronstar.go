@@ -90,16 +90,6 @@ const (
 	NetworkIBV   NetworkKind = "ibv"
 )
 
-// PartitionerKind names a graph partitioning algorithm.
-type PartitionerKind string
-
-// The partitioners evaluated in the paper's Figure 15.
-const (
-	PartitionChunk  PartitionerKind = "chunk"
-	PartitionMetis  PartitionerKind = "metis"
-	PartitionFennel PartitionerKind = "fennel"
-)
-
 // Split selects a labeled vertex subset for evaluation.
 type Split int
 
@@ -112,29 +102,21 @@ const (
 
 // Config configures a training session. Zero values select sensible
 // defaults: 1 worker, Hybrid engine, GCN, unthrottled network, chunk
-// partitioning, learning rate 0.01.
+// partitioning, Adam at learning rate 0.01.
 type Config struct {
-	Workers     int
-	Engine      EngineKind
-	Model       ModelKind
-	Network     NetworkKind
-	Partitioner PartitionerKind
-	// HiddenDim overrides the dataset's default hidden layer size; Layers
-	// sets the propagation depth L (default 2, as in the paper).
-	HiddenDim int
-	Layers    int
+	Workers int
+	Engine  EngineKind
+	Model   ModelKind
+	Network NetworkKind
+	// Layers sets the propagation depth L (default 2, as in the paper); the
+	// hidden width is the dataset's.
+	Layers int
 	// Ring, LockFree and Overlap are the paper's R/L/P optimisations.
 	Ring, LockFree, Overlap bool
-	// TCP runs all worker communication over real loopback TCP sockets,
-	// timed by the same wire schedule as the in-process fabric.
-	TCP     bool
+	// LR is Adam's learning rate (default 0.01).
 	LR      float64
 	Dropout float64
 	Seed    uint64
-	// ClipNorm, when > 0, clips the global gradient norm before each step.
-	ClipNorm float64
-	// Schedule optionally decays the learning rate over epochs.
-	Schedule LRSchedule
 	// MemBudgetBytes caps per-worker replica storage for the Hybrid engine.
 	MemBudgetBytes int64
 	// RepBudgetBytes caps per-worker compressed replica storage for the
@@ -155,10 +137,8 @@ type Config struct {
 	// newest one. Empty disables checkpointing.
 	CkptDir string
 	// CkptEvery is the checkpoint cadence in epochs (<=1 means every epoch).
+	// The directory keeps the newest 3 snapshots.
 	CkptEvery int
-	// CkptRetain caps how many snapshots are kept (0 = default 3, negative =
-	// unlimited).
-	CkptRetain int
 	// FaultSpec enables deterministic network fault injection, e.g.
 	// "drop=0.05,jitter=1ms,seed=7" — see the grammar in internal/comm's
 	// ParseFaultSpec. Faults degrade timing, never message content, so a
@@ -177,32 +157,6 @@ type Config struct {
 	// Both rule families are accepted: the epoch rules watch training, the
 	// serving SLO rules a server built from ServeConfig in this process.
 	WatchRules string
-}
-
-// LRSchedule selects a learning-rate decay policy. The zero value keeps a
-// constant rate.
-type LRSchedule struct {
-	// Kind is "", "step" or "cosine".
-	Kind string
-	// StepSize/Gamma configure "step": LR *= Gamma every StepSize epochs.
-	StepSize int
-	Gamma    float64
-	// MinLR/Span configure "cosine": anneal from LR to MinLR over Span epochs.
-	MinLR float64
-	Span  int
-}
-
-func (l LRSchedule) toScheduler(base float64) (nn.Scheduler, error) {
-	switch l.Kind {
-	case "":
-		return nil, nil
-	case "step":
-		return nn.StepLR{Base: float32(base), StepSize: l.StepSize, Gamma: float32(l.Gamma)}, nil
-	case "cosine":
-		return nn.CosineLR{Base: float32(base), Min: float32(l.MinLR), Span: l.Span}, nil
-	default:
-		return nil, fmt.Errorf("neutronstar: unknown LR schedule %q", l.Kind)
-	}
 }
 
 // Dataset is a graph with features, labels and train/val/test splits.
@@ -322,7 +276,6 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		store.Retain = cfg.CkptRetain
 		opts.Ckpt = &ckpt.Saver{Store: store, Every: cfg.CkptEvery}
 	}
 	// Every session records its epoch flights: the recorder's hot path is a
@@ -408,21 +361,10 @@ func (s *Session) History() []EpochResult {
 	return out
 }
 
-// planFor is the plan step with the Config's planner inputs applied: its
-// partitioner, and the cache and replica budgets.
+// planFor is the plan step with the Config's planner inputs applied: the
+// cache and replica budgets.
 func planFor(ds *dataset.Dataset, cfg Config, opts engine.Options) (*engine.Plan, error) {
-	var part *partition.Partition
-	if cfg.Partitioner != "" {
-		// The engine runs a worker count below 1 as 1.
-		var err error
-		if part, err = partition.New(partition.Algorithm(cfg.Partitioner), ds.Graph, max(opts.Workers, 1)); err != nil {
-			return nil, err
-		}
-	}
 	return engine.PlanFor(ds, opts, func(p *hybrid.Planner, _ *hybrid.Mode) {
-		if part != nil {
-			p.Part = part
-		}
 		p.MemBudget, p.RepBudget = cfg.MemBudgetBytes, cfg.RepBudgetBytes
 	})
 }
@@ -456,38 +398,27 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 	if cfg.Metrics {
 		tracer = obs.NewTracer()
 	}
-	lr := cfg.LR
-	if lr == 0 {
-		lr = 0.01
-	}
-	sched, err := cfg.Schedule.toScheduler(lr)
-	if err != nil {
-		return engine.Options{}, err
-	}
 	if cfg.FaultSpec != "" {
+		var err error
 		profile.Fault, err = comm.ParseFaultSpec(cfg.FaultSpec)
 		if err != nil {
 			return engine.Options{}, err
 		}
 	}
 	return engine.Options{
-		Workers:   cfg.Workers,
-		Mode:      cfg.Engine,
-		Model:     model,
-		Hidden:    cfg.HiddenDim,
-		Layers:    cfg.Layers,
-		Profile:   profile,
-		Ring:      cfg.Ring,
-		LockFree:  cfg.LockFree,
-		Overlap:   cfg.Overlap,
-		TCP:       cfg.TCP,
-		LR:        float32(cfg.LR),
-		Scheduler: sched,
-		ClipNorm:  cfg.ClipNorm,
-		Dropout:   float32(cfg.Dropout),
-		Seed:      cfg.Seed,
-		RepQuant:  partition.RepQuant(cfg.RepQuant), // the engine validates it
-		Tracer:    tracer,
+		Workers:  cfg.Workers,
+		Mode:     cfg.Engine,
+		Model:    model,
+		Layers:   cfg.Layers,
+		Profile:  profile,
+		Ring:     cfg.Ring,
+		LockFree: cfg.LockFree,
+		Overlap:  cfg.Overlap,
+		LR:       float32(cfg.LR),
+		Dropout:  float32(cfg.Dropout),
+		Seed:     cfg.Seed,
+		RepQuant: partition.RepQuant(cfg.RepQuant), // the engine validates it
+		Tracer:   tracer,
 		// Training-time tensor storage is always recycled through per-worker
 		// arenas; results are bit-identical to fresh allocation.
 		Pool: tensor.NewPool(),
@@ -826,17 +757,13 @@ func (s *Session) Close() {
 	s.eng.Close()
 }
 
-// ServeSource exposes the session's live parameters as a model source for a
-// serve.Server: the version advances with every optimiser step (and on
-// LoadModel/Restore), so a co-located serving path invalidates its embedding
-// cache exactly when training moves the parameters.
-func (s *Session) ServeSource() serve.Source { return serve.EngineSource(s.eng) }
-
 // ServeConfig returns a serve.Config pre-filled with the session's graph,
 // feature matrix and live model source, with the serving metrics in the
 // process-wide obs.Default() registry the session's metric history and
-// debug server read. Callers set pool sizes, batching and cache budget
-// before handing it to serve.New.
+// debug server read. The source's version advances with every optimiser
+// step (and on LoadModel/Restore), so a co-located server's embedding cache
+// goes stale exactly when training moves the parameters. Callers set pool
+// sizes, batching and cache budget before handing it to serve.New.
 func (s *Session) ServeConfig() serve.Config {
 	return serve.Config{
 		Graph:    s.ds.inner.Graph,

@@ -2,13 +2,11 @@ package neutronstar
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 
 	"neutronstar/internal/engine"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 )
 
 func TestLoadDatasetAndTrain(t *testing.T) {
@@ -101,7 +99,6 @@ func TestConfigValidation(t *testing.T) {
 		{Engine: "warp"},
 		{Model: "transformer"},
 		{Network: "wifi"},
-		{Partitioner: "bogus"},
 		{RepQuant: "fp8"},
 	} {
 		if _, err := NewSession(ds, cfg); err == nil {
@@ -110,46 +107,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPlannerInputsReachPlanner: Config.Partitioner, MemBudgetBytes and
-// RepBudgetBytes are planner inputs, set on the planner the session's plan
-// is decided by, unchanged: 0 is unlimited on both sides.
+// TestPlannerInputsReachPlanner: MemBudgetBytes and RepBudgetBytes are
+// planner inputs, set on the planner the session's plan is decided by,
+// unchanged: 0 is unlimited on both sides.
 func TestPlannerInputsReachPlanner(t *testing.T) {
 	ds, err := LoadDataset("cora")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := map[partition.Algorithm]*partition.Partition{}
-	for _, algo := range []partition.Algorithm{partition.Chunk, partition.Fennel} {
-		if parts[algo], err = partition.New(algo, ds.inner.Graph, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if slices.Equal(parts[partition.Chunk].Assign, parts[partition.Fennel].Assign) {
-		t.Fatal("fennel and chunk agree on cora: the partitioner row proves nothing")
-	}
-	for _, tc := range []struct {
-		cfg  Config
-		algo partition.Algorithm
-	}{
-		{Config{Workers: 3, Engine: EngineHybrid4}, partition.Chunk},
-		{Config{Workers: 3, Engine: EngineHybrid4, Partitioner: PartitionFennel,
-			MemBudgetBytes: 4096, RepBudgetBytes: 8192}, partition.Fennel},
+	for _, cfg := range []Config{
+		{Workers: 3, Engine: EngineHybrid4},
+		{Workers: 3, Engine: EngineHybrid4, MemBudgetBytes: 4096, RepBudgetBytes: 8192},
 	} {
-		opts, err := toEngineOptions(tc.cfg)
+		opts, err := toEngineOptions(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := planFor(ds.inner, tc.cfg, opts)
+		plan, err := planFor(ds.inner, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := plan.Planner
-		if !slices.Equal(p.Part.Assign, parts[tc.algo].Assign) {
-			t.Errorf("%+v: the planner's partition is not %s's", tc.cfg, tc.algo)
-		}
-		if p.MemBudget != tc.cfg.MemBudgetBytes || p.RepBudget != tc.cfg.RepBudgetBytes {
+		if p := plan.Planner; p.MemBudget != cfg.MemBudgetBytes || p.RepBudget != cfg.RepBudgetBytes {
 			t.Errorf("%+v: planner MemBudget %d RepBudget %d, want %d and %d",
-				tc.cfg, p.MemBudget, p.RepBudget, tc.cfg.MemBudgetBytes, tc.cfg.RepBudgetBytes)
+				cfg, p.MemBudget, p.RepBudget, cfg.MemBudgetBytes, cfg.RepBudgetBytes)
 		}
 	}
 }
@@ -365,7 +345,7 @@ func TestSAGEViaFacade(t *testing.T) {
 
 func TestDeepModelViaFacade(t *testing.T) {
 	ds, _ := LoadDataset("cora")
-	s, err := NewSession(ds, Config{Workers: 2, Layers: 3, HiddenDim: 12, Seed: 31, LR: 0.02})
+	s, err := NewSession(ds, Config{Workers: 2, Layers: 3, Seed: 31, LR: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,38 +357,6 @@ func TestDeepModelViaFacade(t *testing.T) {
 	cached, _ := s.DependencySummary()
 	if len(cached) != 3 {
 		t.Fatalf("dependency summary has %d layers, want 3", len(cached))
-	}
-}
-
-func TestScheduleViaFacade(t *testing.T) {
-	ds, _ := LoadDataset("cora")
-	s, err := NewSession(ds, Config{
-		Workers: 2, Seed: 41, LR: 0.05, ClipNorm: 5,
-		Schedule: LRSchedule{Kind: "cosine", MinLR: 0.001, Span: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res := s.Train(10)
-	if res[9].Loss >= res[0].Loss {
-		t.Fatalf("scheduled facade training failed: %v -> %v", res[0].Loss, res[9].Loss)
-	}
-	if _, err := NewSession(ds, Config{Schedule: LRSchedule{Kind: "exponential"}}); err == nil {
-		t.Fatal("expected unknown-schedule error")
-	}
-}
-
-func TestTCPViaFacade(t *testing.T) {
-	ds, _ := LoadDataset("citeseer")
-	s, err := NewSession(ds, Config{Workers: 3, TCP: true, Seed: 51, LR: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res := s.Train(6)
-	if res[5].Loss >= res[0].Loss {
-		t.Fatalf("TCP session did not learn: %v -> %v", res[0].Loss, res[5].Loss)
 	}
 }
 
