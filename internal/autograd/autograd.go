@@ -43,10 +43,26 @@ func (v *Variable) gradBuf() *tensor.Tensor {
 	return v.Grad
 }
 
-// accumulate adds g into v.Grad, allocating it on first use.
+// accumulate adds g into v.Grad, allocating it on first use. It is for a
+// gradient that is not v's alone — a pass-through that also feeds another
+// variable; a temporary the caller made for v goes to adopt.
 func (v *Variable) accumulate(g *tensor.Tensor) {
 	if v.requiresGrad {
 		v.accumulateForce(g)
+	}
+}
+
+// adopt hands v a gradient temporary the caller allocated for v alone and
+// will not touch again: v's first contribution becomes v.Grad as it stands,
+// and later ones are added into it. Adding the first into a cleared buffer
+// would give the same bits but for a −0, which +0 + (−0) turns into +0.
+func (v *Variable) adopt(g *tensor.Tensor) {
+	switch {
+	case !v.requiresGrad:
+	case v.Grad == nil:
+		v.Grad = g
+	default:
+		tensor.AddInto(v.Grad, v.Grad, g)
 	}
 }
 

@@ -190,9 +190,9 @@ func TestGradMulColVec(t *testing.T) {
 func TestGradLogSoftmaxNLL(t *testing.T) {
 	labels := []int32{0, 2, 1}
 	mask := []bool{true, false, true}
-	checkGrad(t, "logsoftmax_nll", []*tensor.Tensor{randT(3, 3, 36)},
+	checkGrad(t, "cross_entropy", []*tensor.Tensor{randT(3, 3, 36)},
 		func(tape *Tape, l []*Variable) *Variable {
-			loss, n := tape.NLLLossMasked(tape.LogSoftmax(l[0]), labels, mask)
+			loss, n := tape.CrossEntropyMasked(l[0], labels, mask)
 			if n != 2 {
 				t.Fatalf("mask count = %d", n)
 			}
@@ -200,8 +200,17 @@ func TestGradLogSoftmaxNLL(t *testing.T) {
 		})
 }
 
+func TestGradLinear(t *testing.T) {
+	for _, relu := range []bool{false, true} {
+		checkGrad(t, "linear", []*tensor.Tensor{randT(5, 4, 43), randT(4, 3, 44), randT(1, 3, 45)},
+			func(tape *Tape, l []*Variable) *Variable {
+				return sumAll(tape, tape.Linear(l[0], l[1], l[2], relu))
+			})
+	}
+}
+
 func TestGradTwoLayerMLPChain(t *testing.T) {
-	// End-to-end: x @ W1 -> relu -> @ W2 -> logsoftmax -> nll.
+	// End-to-end: x @ W1 -> relu -> @ W2 -> cross-entropy.
 	labels := []int32{1, 0, 2, 1}
 	mask := []bool{true, true, true, true}
 	checkGrad(t, "mlp_chain",
@@ -209,9 +218,31 @@ func TestGradTwoLayerMLPChain(t *testing.T) {
 		func(tape *Tape, l []*Variable) *Variable {
 			h := tape.ReLU(tape.MatMul(l[0], l[1]))
 			logits := tape.MatMul(h, l[2])
-			loss, _ := tape.NLLLossMasked(tape.LogSoftmax(logits), labels, mask)
+			loss, _ := tape.CrossEntropyMasked(logits, labels, mask)
 			return loss
 		})
+}
+
+// TestAdoptedGradientsStayDistinct: a gradient temporary becomes its
+// variable's Grad as it stands, so a gradient that feeds two variables — the
+// pass-through of Add — must not be handed to both. Here a's second
+// contribution arrives after Add has given a and b theirs; b's gradient must
+// stay 1 while a's becomes 1 + 3.
+func TestAdoptedGradientsStayDistinct(t *testing.T) {
+	tape := NewTape()
+	a := tape.Leaf(randT(2, 3, 46), true, "a")
+	b := tape.Leaf(randT(2, 3, 47), true, "b")
+	sa := tape.Scale(a, 3)
+	s := sumAll(tape, tape.Add(tape.Add(a, b), sa))
+	tape.Backward(s, nil)
+	if a.Grad == b.Grad {
+		t.Fatal("a and b share one gradient buffer")
+	}
+	for i := range a.Grad.Data() {
+		if ga, gb := a.Grad.Data()[i], b.Grad.Data()[i]; ga != 4 || gb != 1 {
+			t.Fatalf("element %d: dL/da = %v, dL/db = %v, want 4 and 1", i, ga, gb)
+		}
+	}
 }
 
 func TestBackwardAccumulatesOverReuse(t *testing.T) {

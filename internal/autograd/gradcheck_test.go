@@ -22,6 +22,8 @@ func TestTapeOpGradients(t *testing.T) {
 	labels := []int32{0, 2, 1, 0, 2}
 	mask := []bool{true, false, true, true, false}
 	targets := []float32{1, 0, 1, 0}
+	w := tensor.RandNormal(3, 2, 0, 1, rng)
+	bias := tensor.RandNormal(1, 2, 0, 1, rng)
 
 	cases := []struct {
 		name   string
@@ -43,12 +45,15 @@ func TestTapeOpGradients(t *testing.T) {
 		{"row_sum", []*tensor.Tensor{a}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
 			return tp.RowSum(xs[0])
 		}},
-		{"log_softmax", []*tensor.Tensor{logits}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
-			return tp.LogSoftmax(xs[0])
-		}},
-		{"nll_masked", []*tensor.Tensor{logits}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
-			loss, _ := tp.NLLLossMasked(tp.LogSoftmax(xs[0]), labels, mask)
+		{"cross_entropy", []*tensor.Tensor{logits}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			loss, _ := tp.CrossEntropyMasked(xs[0], labels, mask)
 			return loss
+		}},
+		{"linear", []*tensor.Tensor{a, w, bias}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			return tp.Linear(xs[0], xs[1], xs[2], false)
+		}},
+		{"linear_relu", []*tensor.Tensor{a, w, bias}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
+			return tp.Linear(xs[0], xs[1], xs[2], true)
 		}},
 		{"bce_logits", []*tensor.Tensor{c}, func(tp *autograd.Tape, xs []*autograd.Variable) *autograd.Variable {
 			return tp.BCEWithLogitsLoss(tp.RowSum(xs[0]), targets)

@@ -33,7 +33,7 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 		for i, src := range idx {
 			tensor.AddTo(g.Row(int(src)), grad.Row(i))
 		}
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
@@ -50,7 +50,8 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 // contraction), so the values are bit-identical to
 // ScatterAddRows(MulColVec(Gather(x, src), coeff), dst).
 // The backward pass is the same loop with the two indices swapped,
-// x.Grad[src[e]] += coeff[e] · dOut[dst[e]], accumulated in place.
+// x.Grad[src[e]] += coeff[e] · dOut[dst[e]], accumulated in place by one
+// tensor.ScaledScatterAddEdgewise call over the whole edge list.
 func (t *Tape) Aggregate(x *Variable, src []int32, coeff []float32, dst []int32, numDst int) *Variable {
 	return t.aggregate(x, src, coeff, nil, dst, numDst)
 }
@@ -95,7 +96,7 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 		if alpha != nil && alpha.requiresGrad {
 			weightedBackward(alpha.gradBuf().Data(), gx, x.Value, src, grad, dst, coeff)
 		} else if gx != nil {
-			tensor.ScaledScatterAdd(gx, src, grad, dst, coeff, len(dst))
+			tensor.ScaledScatterAddEdgewise(gx, src, grad, dst, coeff, len(dst))
 		}
 	}, x, alpha)
 }
@@ -200,7 +201,7 @@ func (t *Tape) ScatterMaxRows(edges *Variable, idx []int32, numRows int) *Variab
 				g.Data()[int(e)*cols+i%cols] += grad.Data()[i]
 			}
 		}
-		edges.accumulate(g)
+		edges.adopt(g)
 	}, edges)
 }
 
@@ -238,7 +239,7 @@ func (t *Tape) SegmentSoftmax(scores *Variable, offsets []int32) *Variable {
 				gs[i] = p[i] * (gd[i] - dot)
 			}
 		}
-		scores.accumulate(g)
+		scores.adopt(g)
 	}, scores)
 }
 
@@ -381,32 +382,20 @@ func (t *Tape) BroadcastColMul(x, c *Variable) *Variable {
 		panic("autograd: BroadcastColMul wants c of shape Rx1 matching x rows")
 	}
 	r, cols := x.Value.Rows(), x.Value.Cols()
-	out := t.alloc(r, cols)
-	for i := 0; i < r; i++ {
-		ci := c.Value.At(i, 0)
-		src, dst := x.Value.Row(i), out.Row(i)
-		for j, v := range src {
-			dst[j] = v * ci
-		}
-	}
+	out := t.allocUnzeroed(r, cols)
+	tensor.MulColVecInto(out, x.Value, c.Value.Data())
 	return t.record(out, "broadcast_col_mul", func(grad *tensor.Tensor) {
 		if x.requiresGrad {
-			gx := t.alloc(r, cols)
-			for i := 0; i < r; i++ {
-				ci := c.Value.At(i, 0)
-				src, dst := grad.Row(i), gx.Row(i)
-				for j, v := range src {
-					dst[j] = v * ci
-				}
-			}
-			x.accumulate(gx)
+			gx := t.allocUnzeroed(r, cols)
+			tensor.MulColVecInto(gx, grad, c.Value.Data())
+			x.adopt(gx)
 		}
 		if c.requiresGrad {
-			gc := t.alloc(r, 1)
+			gc := t.allocUnzeroed(r, 1)
 			for i := 0; i < r; i++ {
 				gc.Set(i, 0, tensor.Dot(grad.Row(i), x.Value.Row(i)))
 			}
-			c.accumulate(gc)
+			c.adopt(gc)
 		}
 	}, x, c)
 }

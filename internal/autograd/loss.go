@@ -7,28 +7,80 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// LogSoftmax applies a row-wise log-softmax.
-func (t *Tape) LogSoftmax(x *Variable) *Variable {
-	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
-	tensor.LogSoftmaxRowsInto(out, x.Value)
-	return t.record(out, "log_softmax", func(grad *tensor.Tensor) {
-		if !x.requiresGrad {
+// CrossEntropyMasked is the mean negative log-likelihood of the row-wise
+// log-softmax of logits over the rows selected by mask — what the engines
+// train on, restricted to the labeled vertex set V_L — as one op. It
+// returns a 1x1 loss variable and the number of rows that contributed;
+// labels[i] is read only where mask[i] is set, and must then name a column
+// of logits (it panics otherwise).
+//
+// Only masked rows are computed: each one's log-softmax with
+// tensor.LogSoftmaxRow, and in backward logSoftmaxBackwardRow on the one-hot
+// row that holds −grad/n at the label; every other row's gradient is +0. The
+// loss and every gradient therefore carry the bits of a row-wise log-softmax
+// followed by a masked NLL over its output, with one exception: an unmasked
+// row whose log-softmax is NaN (a NaN or +Inf logit, or every logit −Inf),
+// which that chain would turn into a NaN gradient for the row, gets +0.
+func (t *Tape) CrossEntropyMasked(logits *Variable, labels []int32, mask []bool) (*Variable, int) {
+	r, cols := logits.Value.Rows(), logits.Value.Cols()
+	if len(labels) != r || len(mask) != r {
+		panic(fmt.Sprintf("autograd: CrossEntropyMasked %d rows, %d labels, %d mask", r, len(labels), len(mask)))
+	}
+	n := 0
+	for i, m := range mask {
+		if !m {
+			continue
+		}
+		if uint32(labels[i]) >= uint32(cols) {
+			panic(fmt.Sprintf("autograd: CrossEntropyMasked row %d label %d outside %d classes", i, labels[i], cols))
+		}
+		n++
+	}
+	// logp holds the masked rows' log-softmax, in row order, for backward.
+	logp := t.allocUnzeroed(n, cols)
+	var loss float64
+	k := 0
+	for i, m := range mask {
+		if m {
+			row := logp.Row(k)
+			tensor.LogSoftmaxRow(row, logits.Value.Row(i))
+			loss -= float64(row[labels[i]])
+			k++
+		}
+	}
+	out := t.alloc(1, 1)
+	if n > 0 {
+		out.Set(0, 0, float32(loss/float64(n)))
+	}
+	v := t.record(out, "cross_entropy", func(grad *tensor.Tensor) {
+		if !logits.requiresGrad || n == 0 {
 			return
 		}
-		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
-		for i := 0; i < grad.Rows(); i++ {
-			logSoftmaxBackwardRow(g.Row(i), grad.Row(i), out.Row(i))
+		scale := grad.At(0, 0) / float32(n)
+		g := t.allocUnzeroed(r, cols)
+		oneHot := t.alloc(1, cols).Data()
+		k := 0
+		for i, m := range mask {
+			if !m {
+				clear(g.Row(i))
+				continue
+			}
+			oneHot[labels[i]] = -scale
+			logSoftmaxBackwardRow(g.Row(i), oneHot, logp.Row(k))
+			oneHot[labels[i]] = 0
+			k++
 		}
-		x.accumulate(g)
-	}, x)
+		logits.adopt(g)
+	}, logits)
+	return v, n
 }
 
 // logSoftmaxBackwardRow writes dst_j = g_j - softmax(x)_j * sum_k g_k for one
 // row, softmax(x)_j being exp(o_j) of the forward output o. A row whose
-// upstream sum is zero — every row the loss masks out — has dst_j = g_j -
-// exp(o_j)·0, which is g_j unless exp(o_j) is NaN or +Inf: o_j <= 0, what a
-// log-softmax output is unless NaN, takes g_j without calling math.Exp, and
-// anything else (a NaN row) the unskipped expression.
+// upstream sum is zero has dst_j = g_j - exp(o_j)·0, which is g_j unless
+// exp(o_j) is NaN or +Inf: o_j <= 0, what a log-softmax output is unless
+// NaN, takes g_j without calling math.Exp, and anything else (a NaN row) the
+// unskipped expression.
 func logSoftmaxBackwardRow(dst, g, o []float32) {
 	var sum float64
 	for _, v := range g {
@@ -43,46 +95,6 @@ func logSoftmaxBackwardRow(dst, g, o []float32) {
 			dst[j] = v - float32(float32(math.Exp(float64(o[j])))*s)
 		}
 	}
-}
-
-// NLLLossMasked computes the mean negative log-likelihood of log-probability
-// rows logp over the rows selected by mask (labels[i] is ignored where
-// mask[i] is false). It returns a 1x1 loss variable and the number of rows
-// that contributed. Rows with mask false receive zero gradient, which is how
-// the engines restrict the loss to the labeled vertex set V_L.
-func (t *Tape) NLLLossMasked(logp *Variable, labels []int32, mask []bool) (*Variable, int) {
-	r := logp.Value.Rows()
-	if len(labels) != r || len(mask) != r {
-		panic(fmt.Sprintf("autograd: NLLLoss %d rows, %d labels, %d mask", r, len(labels), len(mask)))
-	}
-	n := 0
-	var loss float64
-	for i := 0; i < r; i++ {
-		if !mask[i] {
-			continue
-		}
-		n++
-		loss -= float64(logp.Value.At(i, int(labels[i])))
-	}
-	out := t.alloc(1, 1)
-	if n > 0 {
-		out.Set(0, 0, float32(loss/float64(n)))
-	}
-	count := n
-	v := t.record(out, "nll_loss", func(grad *tensor.Tensor) {
-		if !logp.requiresGrad || count == 0 {
-			return
-		}
-		scale := grad.At(0, 0) / float32(count)
-		g := t.alloc(r, logp.Value.Cols())
-		for i := 0; i < r; i++ {
-			if mask[i] {
-				g.Set(i, int(labels[i]), -scale)
-			}
-		}
-		logp.accumulate(g)
-	}, logp)
-	return v, n
 }
 
 // BCEWithLogitsLoss computes the mean binary cross-entropy between logits
@@ -112,7 +124,7 @@ func (t *Tape) BCEWithLogitsLoss(logits *Variable, targets []float32) *Variable 
 			s := float32(1 / (1 + math.Exp(-float64(x))))
 			g.Data()[i] = scale * (s - targets[i])
 		}
-		logits.accumulate(g)
+		logits.adopt(g)
 	}, logits)
 }
 
@@ -140,6 +152,6 @@ func (t *Tape) RowSum(x *Variable) *Variable {
 				row[j] = gi
 			}
 		}
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }

@@ -15,14 +15,54 @@ func (t *Tape) MatMul(a, b *Variable) *Variable {
 		if a.requiresGrad {
 			ga := t.allocUnzeroed(grad.Rows(), b.Value.Rows())
 			tensor.MatMulTBInto(ga, grad, b.Value) // dA = dOut @ Bᵀ
-			a.accumulate(ga)
+			a.adopt(ga)
 		}
 		if b.requiresGrad {
 			gb := t.allocUnzeroed(a.Value.Cols(), grad.Cols())
 			tensor.MatMulTAInto(gb, a.Value, grad) // dB = Aᵀ @ dOut
-			b.accumulate(gb)
+			b.adopt(gb)
 		}
 	}, a, b)
+}
+
+// Linear is the dense-layer tail as one op: x @ w + b, rectified when relu
+// is set, where b is a 1xC row vector added to every row. Forward and
+// backward have the bits of MatMul followed by AddBias (AddBiasReLU with
+// relu), without the pre-activation product on the tape: the GEMM adds the
+// bias (and rectifies) while each group of rows is in cache
+// (tensor.MatMulBiasInto). Backward masks the gradient by the output and
+// sums the bias gradient in the same pass over its rows
+// (tensor.ReLUBackwardSumRowsInto), then runs dx = g @ wᵀ and dw = xᵀ @ g on
+// it.
+func (t *Tape) Linear(x, w, b *Variable, relu bool) *Variable {
+	out := t.allocUnzeroed(x.Value.Rows(), w.Value.Cols())
+	tensor.MatMulBiasInto(out, x.Value, w.Value, b.Value, relu)
+	return t.record(out, "linear", func(grad *tensor.Tensor) {
+		var gb *tensor.Tensor
+		if b.requiresGrad {
+			gb = t.allocUnzeroed(1, grad.Cols())
+		}
+		g := grad
+		if relu {
+			g = t.allocUnzeroed(grad.Rows(), grad.Cols())
+			tensor.ReLUBackwardSumRowsInto(g, gb, grad, out)
+		} else if gb != nil {
+			tensor.SumRowsInto(gb, grad)
+		}
+		if gb != nil {
+			b.adopt(gb)
+		}
+		if x.requiresGrad {
+			gx := t.allocUnzeroed(grad.Rows(), w.Value.Rows())
+			tensor.MatMulTBInto(gx, g, w.Value)
+			x.adopt(gx)
+		}
+		if w.requiresGrad {
+			gw := t.allocUnzeroed(x.Value.Cols(), grad.Cols())
+			tensor.MatMulTAInto(gw, x.Value, g)
+			w.adopt(gw)
+		}
+	}, x, w, b)
 }
 
 // Add returns a + b element-wise.
@@ -43,9 +83,9 @@ func (t *Tape) AddBias(x, bias *Variable) *Variable {
 	return t.record(out, "add_bias", func(grad *tensor.Tensor) {
 		x.accumulate(grad)
 		if bias.requiresGrad {
-			gb := t.alloc(1, grad.Cols())
+			gb := t.allocUnzeroed(1, grad.Cols())
 			tensor.SumRowsInto(gb, grad)
-			bias.accumulate(gb)
+			bias.adopt(gb)
 		}
 	}, x, bias)
 }
@@ -59,64 +99,66 @@ func (t *Tape) AddBiasReLU(x, bias *Variable) *Variable {
 	tensor.AddBiasReLUInto(out, x.Value, bias.Value)
 	return t.record(out, "add_bias_relu", func(grad *tensor.Tensor) {
 		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
-		tensor.ReLUBackwardInto(g, grad, out)
-		x.accumulate(g)
+		var gb *tensor.Tensor
 		if bias.requiresGrad {
-			gb := t.alloc(1, grad.Cols())
-			tensor.SumRowsInto(gb, g)
-			bias.accumulate(gb)
+			gb = t.allocUnzeroed(1, grad.Cols())
 		}
+		tensor.ReLUBackwardSumRowsInto(g, gb, grad, out)
+		if gb != nil {
+			bias.adopt(gb)
+		}
+		x.adopt(g)
 	}, x, bias)
 }
 
 // Scale returns x * s.
 func (t *Tape) Scale(x *Variable, s float32) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	tensor.ScaleInto(out, x.Value, s)
 	return t.record(out, "scale", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		tensor.ScaleInto(g, grad, s)
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
 // Mul returns the element-wise product a*b.
 func (t *Tape) Mul(a, b *Variable) *Variable {
-	out := t.alloc(a.Value.Rows(), a.Value.Cols())
+	out := t.allocUnzeroed(a.Value.Rows(), a.Value.Cols())
 	tensor.MulInto(out, a.Value, b.Value)
 	return t.record(out, "mul", func(grad *tensor.Tensor) {
 		if a.requiresGrad {
-			ga := t.alloc(grad.Rows(), grad.Cols())
+			ga := t.allocUnzeroed(grad.Rows(), grad.Cols())
 			tensor.MulInto(ga, grad, b.Value)
-			a.accumulate(ga)
+			a.adopt(ga)
 		}
 		if b.requiresGrad {
-			gb := t.alloc(grad.Rows(), grad.Cols())
+			gb := t.allocUnzeroed(grad.Rows(), grad.Cols())
 			tensor.MulInto(gb, grad, a.Value)
-			b.accumulate(gb)
+			b.adopt(gb)
 		}
 	}, a, b)
 }
 
 // ReLU applies max(0, x) element-wise.
 func (t *Tape) ReLU(x *Variable) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	tensor.ReLUInto(out, x.Value)
 	return t.record(out, "relu", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		tensor.ReLUBackwardInto(g, grad, x.Value)
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
 // LeakyReLU applies x>0 ? x : slope*x element-wise.
 func (t *Tape) LeakyReLU(x *Variable, slope float32) *Variable {
-	out := t.alloc(x.Value.Rows(), x.Value.Cols())
+	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
 	tensor.LeakyReLUInto(out, x.Value, slope)
 	return t.record(out, "leaky_relu", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		tensor.LeakyReLUBackwardInto(g, grad, x.Value, slope)
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
@@ -130,9 +172,9 @@ func (t *Tape) Dropout(x *Variable, p float32, rng *tensor.RNG, training bool) *
 	mask := t.alloc(x.Value.Rows(), x.Value.Cols())
 	tensor.DropoutInto(out, mask, x.Value, p, rng)
 	return t.record(out, "dropout", func(grad *tensor.Tensor) {
-		g := t.alloc(grad.Rows(), grad.Cols())
+		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
 		tensor.MulInto(g, grad, mask)
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
@@ -163,7 +205,7 @@ func (t *Tape) ConcatRows(parts ...*Variable) *Variable {
 			if p.requiresGrad {
 				g := t.allocUnzeroed(n, cols)
 				copy(g.Data(), grad.Data()[off*cols:(off+n)*cols])
-				p.accumulate(g)
+				p.adopt(g)
 			}
 			off += n
 		}
@@ -173,7 +215,7 @@ func (t *Tape) ConcatRows(parts ...*Variable) *Variable {
 // SliceRows takes rows [lo, hi) of x as a new variable.
 func (t *Tape) SliceRows(x *Variable, lo, hi int) *Variable {
 	src := x.Value.RowSlice(lo, hi)
-	out := t.alloc(src.Rows(), src.Cols())
+	out := t.allocUnzeroed(src.Rows(), src.Cols())
 	out.CopyFrom(src)
 	return t.record(out, "slice_rows", func(grad *tensor.Tensor) {
 		if !x.requiresGrad {
@@ -181,7 +223,7 @@ func (t *Tape) SliceRows(x *Variable, lo, hi int) *Variable {
 		}
 		g := t.alloc(x.Value.Rows(), x.Value.Cols())
 		copy(g.Data()[lo*g.Cols():hi*g.Cols()], grad.Data())
-		x.accumulate(g)
+		x.adopt(g)
 	}, x)
 }
 
@@ -192,23 +234,11 @@ func (t *Tape) MulColVec(x *Variable, coeff []float32) *Variable {
 		panic(fmt.Sprintf("autograd: MulColVec %d coeffs for %d rows", len(coeff), x.Value.Rows()))
 	}
 	out := t.allocUnzeroed(x.Value.Rows(), x.Value.Cols())
-	for i := 0; i < x.Value.Rows(); i++ {
-		c := coeff[i]
-		src, dst := x.Value.Row(i), out.Row(i)
-		for j, v := range src {
-			dst[j] = v * c
-		}
-	}
+	tensor.MulColVecInto(out, x.Value, coeff)
 	return t.record(out, "mul_colvec", func(grad *tensor.Tensor) {
 		g := t.allocUnzeroed(grad.Rows(), grad.Cols())
-		for i := 0; i < grad.Rows(); i++ {
-			c := coeff[i]
-			src, dst := grad.Row(i), g.Row(i)
-			for j, v := range src {
-				dst[j] = v * c
-			}
-		}
-		x.accumulate(g)
+		tensor.MulColVecInto(g, grad, coeff)
+		x.adopt(g)
 	}, x)
 }
 
@@ -236,7 +266,7 @@ func (t *Tape) RowDot(x, w *Variable) *Variable {
 			for i := 0; i < r; i++ {
 				tensor.Axpy(gw.Row(0), grad.At(i, 0), x.Value.Row(i))
 			}
-			w.accumulate(gw)
+			w.adopt(gw)
 		}
 	}, x, w)
 }

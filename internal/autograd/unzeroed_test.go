@@ -51,6 +51,10 @@ func TestUnzeroedOutputsIgnoreRecycledStorage(t *testing.T) {
 	attn := tensor.RandNormal(1, dim, 0, 0.7, rng)
 	attnDst := tensor.RandNormal(1, dim, 0, 0.7, rng)
 	norm, _ := graph.GCNNormCoefficients(g)
+	labels, mask := make([]int32, n), make([]bool, n)
+	for i := range labels {
+		labels[i], mask[i] = int32(rng.Intn(dim)), i%3 != 1
+	}
 
 	type vars = []*autograd.Variable
 	cases := []struct {
@@ -79,11 +83,24 @@ func TestUnzeroedOutputsIgnoreRecycledStorage(t *testing.T) {
 		{"concat_rows", []*tensor.Tensor{h, edgeRows}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
 			return tp.ConcatRows(xs[0], xs[1])
 		}},
-		{"log_softmax", []*tensor.Tensor{h}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
-			return tp.LogSoftmax(xs[0])
+		{"cross_entropy", []*tensor.Tensor{h}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
+			loss, _ := tp.CrossEntropyMasked(xs[0], labels, mask)
+			return loss
 		}},
 		{"matmul", []*tensor.Tensor{h, w}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
 			return tp.MatMul(xs[0], xs[1])
+		}},
+		{"linear", []*tensor.Tensor{h, w, bias}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
+			return tp.Linear(xs[0], xs[1], xs[2], false)
+		}},
+		{"linear_relu", []*tensor.Tensor{h, w, bias}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
+			return tp.Linear(xs[0], xs[1], xs[2], true)
+		}},
+		{"scale", []*tensor.Tensor{h}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
+			return tp.Scale(xs[0], 1.5)
+		}},
+		{"mul_relu", []*tensor.Tensor{h, h2}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
+			return tp.ReLU(tp.Mul(xs[0], xs[1]))
 		}},
 		{"segment_softmax", []*tensor.Tensor{scores}, func(tp *autograd.Tape, xs vars) *autograd.Variable {
 			return tp.SegmentSoftmax(xs[0], offsets)
@@ -95,7 +112,8 @@ func TestUnzeroedOutputsIgnoreRecycledStorage(t *testing.T) {
 			z := tp.MatMul(xs[0], xs[1])
 			alpha := tp.EdgeSoftmax(tp.RowDot(z, xs[2]), srcIdx, tp.RowDot(z, xs[3]), offsets, slope)
 			agg := tp.AggregateWeighted(z, srcIdx, alpha, dstIdx, n)
-			return tp.LogSoftmax(tp.AddBiasReLU(tp.Add(agg, z), xs[4]))
+			loss, _ := tp.CrossEntropyMasked(tp.AddBiasReLU(tp.Add(agg, z), xs[4]), labels, mask)
+			return loss
 		}},
 	}
 	type result struct{ out, grads []*tensor.Tensor }

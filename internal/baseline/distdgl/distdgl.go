@@ -263,7 +263,7 @@ func (w *worker) trainBatch(step int, batch []int32) float64 {
 		labels[i] = t.ds.Labels[v]
 		mask[i] = true
 	}
-	loss, _ := top.tape.NLLLossMasked(top.tape.LogSoftmax(top.out), labels, mask)
+	loss, _ := top.tape.CrossEntropyMasked(top.out, labels, mask)
 	top.tape.Backward(loss, nil)
 	for l := len(runs) - 2; l >= 0; l-- {
 		seed := runs[l+1].in.Grad

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -64,11 +65,6 @@ func LoadDir(dir string) (*Dataset, error) {
 	d.Spec.FeatureDim = ftr.Cols()
 	if err := readLabels(filepath.Join(dir, "labels.txt"), d); err != nil {
 		return nil, err
-	}
-	for _, l := range d.Labels {
-		if int(l) >= d.Spec.NumClasses {
-			return nil, fmt.Errorf("dataset: label %d outside %d classes declared in meta.txt", l, d.Spec.NumClasses)
-		}
 	}
 	return d, nil
 }
@@ -243,11 +239,18 @@ func readFeatures(path string, numVertices int) (*tensor.Tensor, error) {
 			continue
 		}
 		fields := strings.Fields(line)
+		if len(rows) > 0 && len(fields) != len(rows[0]) {
+			return nil, fmt.Errorf("dataset: feature row %d holds %d values, row 0 holds %d", len(rows), len(fields), len(rows[0]))
+		}
 		row := make([]float32, len(fields))
 		for j, fv := range fields {
 			x, err := strconv.ParseFloat(fv, 32)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: bad feature %q on row %d: %w", fv, len(rows), err)
+			}
+			// NaN and ±Inf parse, and would train to NaN losses.
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("dataset: feature %q on row %d is not finite", fv, len(rows))
 			}
 			row[j] = float32(x)
 		}
@@ -310,6 +313,11 @@ func readLabels(path string, d *Dataset) error {
 		l, err := strconv.Atoi(fields[0])
 		if err != nil {
 			return fmt.Errorf("dataset: bad label %q: %w", fields[0], err)
+		}
+		// Checked before the int32 conversion, which would wrap a large label
+		// into range; a negative one would index outside its row of logits.
+		if l < 0 || l >= d.Spec.NumClasses {
+			return fmt.Errorf("dataset: label %d outside %d classes declared in meta.txt", l, d.Spec.NumClasses)
 		}
 		d.Labels = append(d.Labels, int32(l))
 		switch fields[1] {

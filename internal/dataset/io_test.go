@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +99,55 @@ func TestLoadDirRejectsLabelOutOfClassRange(t *testing.T) {
 	}
 	if _, err := LoadDir(dir); err == nil {
 		t.Fatal("expected out-of-range label rejection")
+	}
+
+	// A negative label, and one that int32 would wrap into range (2^32 + 1
+	// wraps to 1), are outside the classes too.
+	for _, label := range []string{"-1", "4294967297"} {
+		lines := make([]byte, 0, 8*orig.NumVertices())
+		for v := 0; v < orig.NumVertices(); v++ {
+			l := "0"
+			if v == 3 {
+				l = label
+			}
+			lines = append(lines, l+" train\n"...)
+		}
+		err := corrupt(t, orig, "labels.txt", string(lines))
+		if err == nil || !strings.Contains(err.Error(), "label "+label+" outside") {
+			t.Fatalf("label %s: err = %v, want an outside-classes error", label, err)
+		}
+	}
+}
+
+// TestLoadDirRejectsBadFeatureRows: a row longer or shorter than the first
+// and a NaN or ±Inf value are errors naming the row, never a panic or a
+// dataset that trains to NaN.
+func TestLoadDirRejectsBadFeatureRows(t *testing.T) {
+	orig := Load(smallSpec(GenRMAT))
+	rows := func(second string) string {
+		var b strings.Builder
+		for v := 0; v < orig.NumVertices(); v++ {
+			switch v {
+			case 1:
+				b.WriteString(second)
+			default:
+				b.WriteString("1 2 3 4")
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, c := range []struct{ row, want string }{
+		{"1 2 3 4 5", "feature row 1 holds 5 values, row 0 holds 4"},
+		{"1 2 3", "feature row 1 holds 3 values, row 0 holds 4"},
+		{"NaN 1 2 3", `feature "NaN" on row 1 is not finite`},
+		{"0 1 2 Inf", `feature "Inf" on row 1 is not finite`},
+		{"0 -inf 2 3", `feature "-inf" on row 1 is not finite`},
+	} {
+		err := corrupt(t, orig, "features.txt", rows(c.row))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("row %q: err = %v, want %q", c.row, err, c.want)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func referenceStep(g *graph.Graph, model *nn.Model, features *tensor.Tensor,
 		h = out.Value
 	}
 	last := runs[len(runs)-1]
-	loss, _ := last.tape.NLLLossMasked(last.tape.LogSoftmax(last.out), labels, trainMask)
+	loss, _ := last.tape.CrossEntropyMasked(last.out, labels, trainMask)
 	last.tape.Backward(loss, nil)
 	for l := len(runs) - 2; l >= 0; l-- {
 		seed := runs[l+1].in.Grad

@@ -251,14 +251,16 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 // concat_rows that assembles them where there was one h_recv leaf: models
 // that are not sum-decomposable bind nothing new — and for GAT's fused edge
 // stage: one edge_softmax per block in place of two E×1 gathers, an add, a
-// leaky_relu and a segment_softmax (the add left is the self residual).
+// leaky_relu and a segment_softmax (the add left is the self residual) — and
+// for the loss head: one cross_entropy per worker in place of a log_softmax
+// and an nll_loss.
 var staticTapeNodes = map[string]string{
-	"depcache/gat":  "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:4 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_prev:8 log_softmax:4 matmul:8 nll_loss:4 row_dot:24",
-	"depcache/sage": "add:12 add_bias:4 add_bias_relu:8 concat_rows:4 gather:24 h_prev:8 log_softmax:4 matmul:36 nll_loss:4 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
-	"depcomm/gat":   "add:8 add_bias:4 add_bias_relu:4 aggregate:8 concat_rows:12 edge_softmax:8 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:8 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:16 nll_loss:4 row_dot:16",
-	"depcomm/sage":  "add:8 add_bias:4 add_bias_relu:4 concat_rows:12 gather:16 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:24 nll_loss:4 relu:8 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:8",
-	"hybrid/gat":    "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:16 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:16 nll_loss:4 row_dot:24",
-	"hybrid/sage":   "add:12 add_bias:4 add_bias_relu:8 concat_rows:16 gather:24 h_chunk:12 h_held:4 h_prev:8 log_softmax:4 matmul:36 nll_loss:4 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
+	"depcache/gat":  "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:4 cross_entropy:4 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_prev:8 matmul:8 row_dot:24",
+	"depcache/sage": "add:12 add_bias:4 add_bias_relu:8 concat_rows:4 cross_entropy:4 gather:24 h_prev:8 matmul:36 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
+	"depcomm/gat":   "add:8 add_bias:4 add_bias_relu:4 aggregate:8 concat_rows:12 cross_entropy:4 edge_softmax:8 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:8 h_chunk:12 h_held:4 h_prev:8 matmul:16 row_dot:16",
+	"depcomm/sage":  "add:8 add_bias:4 add_bias_relu:4 concat_rows:12 cross_entropy:4 gather:16 h_chunk:12 h_held:4 h_prev:8 matmul:24 relu:8 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:8",
+	"hybrid/gat":    "add:12 add_bias:4 add_bias_relu:8 aggregate:12 concat_rows:16 cross_entropy:4 edge_softmax:12 gat_adst_4:4 gat_adst_8:4 gat_asrc_4:4 gat_asrc_8:4 gat_b_4:4 gat_b_8:4 gat_w_12x8:4 gat_w_8x4:4 gather:12 h_chunk:12 h_held:4 h_prev:8 matmul:16 row_dot:24",
+	"hybrid/sage":   "add:12 add_bias:4 add_bias_relu:8 concat_rows:16 cross_entropy:4 gather:24 h_chunk:12 h_held:4 h_prev:8 matmul:36 relu:12 sage_b_4:4 sage_b_8:4 sage_wnbr_12x8:4 sage_wnbr_8x4:4 sage_wpool_12x12:4 sage_wpool_8x8:4 sage_wself_12x8:4 sage_wself_8x4:4 scatter_max:12",
 }
 
 // TestStaticCombineLeavesOtherModelsAlone: GAT and SAGE tapes record what

@@ -255,7 +255,7 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 		// Final layer has no cached block by construction; guard regardless.
 		logits = tape.SliceRows(logits, 0, ownedRows)
 	}
-	loss, n := tape.NLLLossMasked(tape.LogSoftmax(logits), ws.labels, ws.trainMask)
+	loss, n := tape.CrossEntropyMasked(logits, ws.labels, ws.trainMask)
 	count = n
 	lossSum = float64(loss.Value.At(0, 0)) * float64(n)
 

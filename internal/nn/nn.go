@@ -224,11 +224,7 @@ func (l *GCNLayer) Combine(t *autograd.Tape, agg, self *autograd.Variable, selfN
 // Transform implements SumDecomposable for GCN: act(W·combined + b).
 func (l *GCNLayer) Transform(t *autograd.Tape, combined *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable {
 	combined = t.Dropout(combined, l.dropout, rng, training)
-	wz := t.MatMul(combined, l.w.Bind(t))
-	if l.act {
-		return t.AddBiasReLU(wz, l.b.Bind(t))
-	}
-	return t.AddBias(wz, l.b.Bind(t))
+	return t.Linear(combined, l.w.Bind(t), l.b.Bind(t), l.act)
 }
 
 // EdgeStage implements SumDecomposable for GIN: raw sum.
@@ -245,10 +241,6 @@ func (l *GINLayer) Combine(t *autograd.Tape, agg, self *autograd.Variable, selfN
 // Transform implements SumDecomposable for GIN: the two-linear MLP.
 func (l *GINLayer) Transform(t *autograd.Tape, combined *autograd.Variable, training bool, rng *tensor.RNG) *autograd.Variable {
 	combined = t.Dropout(combined, l.dropout, rng, training)
-	h := t.AddBiasReLU(t.MatMul(combined, l.w1.Bind(t)), l.b1.Bind(t))
-	wz := t.MatMul(h, l.w2.Bind(t))
-	if l.act {
-		return t.AddBiasReLU(wz, l.b2.Bind(t))
-	}
-	return t.AddBias(wz, l.b2.Bind(t))
+	h := t.Linear(combined, l.w1.Bind(t), l.b1.Bind(t), true)
+	return t.Linear(h, l.w2.Bind(t), l.b2.Bind(t), l.act)
 }

@@ -342,7 +342,7 @@ func TestTinyGCNTrainingConverges(t *testing.T) {
 		}
 		lossTape := autograd.NewTape()
 		logits := lossTape.Leaf(h, true, "logits")
-		loss, _ := lossTape.NLLLossMasked(lossTape.LogSoftmax(logits), labels, mask)
+		loss, _ := lossTape.CrossEntropyMasked(logits, labels, mask)
 		lastLoss = float64(loss.Value.At(0, 0))
 		lossTape.Backward(loss, nil)
 		grad := logits.Grad

@@ -53,10 +53,33 @@ func MatMulInto(dst, a, b *Tensor) {
 			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
 	}
 	mustNotAlias("MatMulInto", dst, a, b)
+	gemm(dst, a, b, nil, false)
+}
+
+// MatMulBiasInto computes dst = a @ b + bias, rectified (max(0, ·), NaN and
+// ±0 to +0) when relu is set, where the 1 x b.Cols() row vector bias is
+// added to every row: the bits of MatMulInto followed by AddRowVector, or by
+// AddBiasReLUInto, without a second pass over dst — each group of four rows
+// takes its bias (and rectifier) as soon as its last k-block is summed, while
+// the rows are still in cache. dst must not alias a, b or bias, and may come
+// uncleared.
+func MatMulBiasInto(dst, a, b, bias *Tensor, relu bool) {
+	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols || bias.rows != 1 || bias.cols != b.cols {
+		panic(fmt.Sprintf("tensor: MatMulBiasInto %dx%d = %dx%d @ %dx%d + %dx%d",
+			dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols, bias.rows, bias.cols))
+	}
+	mustNotAlias("MatMulBiasInto", dst, a, b)
+	mustNotAlias("MatMulBiasInto", dst, bias, bias)
+	gemm(dst, a, b, bias.data, relu)
+}
+
+// gemm runs gemmRows over every row of dst, split across goroutines when the
+// product is large enough.
+func gemm(dst, a, b *Tensor, bias []float32, relu bool) {
 	if a.rows*a.cols*b.cols < gemmParallelThreshold || a.rows < 2 {
-		gemmRows(dst, a, b, 0, a.rows)
+		gemmRows(dst, a, b, bias, relu, 0, a.rows)
 	} else {
-		parallelRows(a.rows, func(lo, hi int) { gemmRows(dst, a, b, lo, hi) })
+		parallelRows(a.rows, func(lo, hi int) { gemmRows(dst, a, b, bias, relu, lo, hi) })
 	}
 }
 
@@ -71,7 +94,10 @@ const kBlock = 64
 // row's block is scanned for ±0 once. A full group with none is one
 // accRows4Kernel call, the coefficients read in place from a's rows; any
 // other group runs row by row through accRow, which skips the zero terms.
-func gemmRows(dst, a, b *Tensor, lo, hi int) {
+// With bias not nil, each finished group's rows then take bias — added with
+// addKernel, or through biasReLUKernel when relu is set — the epilogue
+// MatMulBiasInto promises.
+func gemmRows(dst, a, b *Tensor, bias []float32, relu bool, lo, hi int) {
 	var idx [kBlock]int32
 	var c [kBlock]float32
 	var zeros [4]bool
@@ -91,6 +117,17 @@ func gemmRows(dst, a, b *Tensor, lo, hi int) {
 			}
 			for r := 0; r < rows; r++ {
 				accRow(dst.data[(i+r)*n:][:n], a.data[(i+r)*k+k0:][:kb], zeros[r], b, k0, idx[:], c[:])
+			}
+		}
+		if bias == nil {
+			continue
+		}
+		for r := i; r < i+rows; r++ {
+			row := dst.data[r*n:][:n]
+			if relu {
+				biasReLUKernel(row, row, bias)
+			} else {
+				addKernel(row, bias)
 			}
 		}
 	}

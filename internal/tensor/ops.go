@@ -13,18 +13,27 @@ func Add(t, o *Tensor) *Tensor {
 	return out
 }
 
-// AddInto stores a + b into dst. All shapes must match; dst may alias a or b.
-// Accumulating in place (dst is a) is one row-kernel call.
+// AddInto stores a + b into dst. All shapes must match; dst may be a or b
+// but must not otherwise overlap either. Accumulating in place (dst is a or
+// b) is one row-kernel call, and so is any other sum after a copy of a.
 func AddInto(dst, a, b *Tensor) {
 	a.mustSameShape(b, "Add")
 	dst.mustSameShape(a, "Add")
-	if dst == a {
+	switch {
+	case sameData(dst, a):
 		AddTo(dst.data, b.data)
-		return
+	case sameData(dst, b):
+		AddTo(dst.data, a.data)
+	default:
+		copy(dst.data, a.data)
+		addKernel(dst.data, b.data)
 	}
-	for i := range dst.data {
-		dst.data[i] = a.data[i] + b.data[i]
-	}
+}
+
+// sameData reports whether a and b start at the same element (two empty
+// tensors always do).
+func sameData(a, b *Tensor) bool {
+	return unsafe.SliceData(a.data) == unsafe.SliceData(b.data) || len(a.data) == 0
 }
 
 // Sub returns a - b element-wise.
@@ -63,11 +72,23 @@ func Scale(t *Tensor, s float32) *Tensor {
 	return out
 }
 
-// ScaleInto stores t*s element-wise into dst; dst may alias t.
+// ScaleInto stores t*s element-wise into dst; dst may be t but must not
+// otherwise overlap it.
 func ScaleInto(dst, t *Tensor, s float32) {
 	dst.mustSameShape(t, "Scale")
-	for i, v := range t.data {
-		dst.data[i] = v * s
+	scaleKernel(dst.data, s, t.data)
+}
+
+// MulColVecInto stores row i of t times c[i] into row i of dst, for every
+// row: dst[i][j] = t[i][j]·c[i]. dst must have t's shape and c one entry a
+// row; dst may be t but must not otherwise overlap it.
+func MulColVecInto(dst, t *Tensor, c []float32) {
+	dst.mustSameShape(t, "MulColVec")
+	if len(c) != t.rows {
+		panic(fmt.Sprintf("tensor: MulColVec %d coefficients for %d rows", len(c), t.rows))
+	}
+	for i, a := range c {
+		scaleKernel(dst.Row(i), a, t.Row(i))
 	}
 }
 
@@ -180,13 +201,34 @@ func ReLUBackward(grad, input *Tensor) *Tensor {
 	return out
 }
 
-// ReLUBackwardInto stores the masked gradient into dst; dst may alias grad.
+// ReLUBackwardInto stores the masked gradient into dst; dst may be grad but
+// must not otherwise overlap it.
 func ReLUBackwardInto(dst, grad, input *Tensor) {
 	grad.mustSameShape(input, "ReLUBackward")
 	dst.mustSameShape(grad, "ReLUBackward")
-	g, out := bitsOf(grad.data)[:len(input.data)], bitsOf(dst.data)[:len(input.data)]
-	for i, b := range bitsOf(input.data) {
-		out[i] = g[i] & posMask(b)
+	reluMaskKernel(dst.data, grad.data, input.data)
+}
+
+// ReLUBackwardSumRowsInto is ReLUBackwardInto(dst, grad, out) followed by
+// SumRowsInto(sum, dst), in one pass over the rows: each row is masked and
+// then added into sum while it is in cache, rows ascending from a cleared
+// sum, as SumRowsInto adds them. A nil sum skips the sum. dst may be grad but
+// must not otherwise overlap it, and sum must not overlap either.
+func ReLUBackwardSumRowsInto(dst, sum, grad, out *Tensor) {
+	grad.mustSameShape(out, "ReLUBackward")
+	dst.mustSameShape(grad, "ReLUBackward")
+	if sum == nil {
+		reluMaskKernel(dst.data, grad.data, out.data)
+		return
+	}
+	if sum.rows != 1 || sum.cols != grad.cols {
+		panic(fmt.Sprintf("tensor: ReLUBackwardSumRows %dx%d sum of %dx%d", sum.rows, sum.cols, grad.rows, grad.cols))
+	}
+	sum.Zero()
+	for i := 0; i < grad.rows; i++ {
+		row := dst.Row(i)
+		reluMaskKernel(row, grad.Row(i), out.Row(i))
+		addKernel(sum.data, row)
 	}
 }
 
@@ -199,20 +241,16 @@ func AddBiasReLU(t, bias *Tensor) *Tensor {
 	return out
 }
 
-// AddBiasReLUInto stores max(0, t + bias) into dst; dst may alias t.
-// Bit-compatible with AddRowVector followed by ReLU: the add happens first,
-// then the max, per element.
+// AddBiasReLUInto stores max(0, t + bias) into dst; dst may be t but must
+// not otherwise overlap it. Bit-compatible with AddRowVector followed by
+// ReLU: the add happens first, then the max, per element.
 func AddBiasReLUInto(dst, t, bias *Tensor) {
 	if bias.rows != 1 || bias.cols != t.cols {
 		panic(fmt.Sprintf("tensor: AddBiasReLU %dx%d bias for %dx%d", bias.rows, bias.cols, t.rows, t.cols))
 	}
 	dst.mustSameShape(t, "AddBiasReLU")
 	for i := 0; i < t.rows; i++ {
-		src, out := t.Row(i)[:len(bias.data)], bitsOf(dst.Row(i))[:len(bias.data)]
-		for j, b := range bias.data {
-			z := math.Float32bits(src[j] + b)
-			out[j] = z & posMask(z)
-		}
+		biasReLUKernel(dst.Row(i), t.Row(i), bias.data)
 	}
 }
 
@@ -287,34 +325,34 @@ func softmaxRow(dst, src []float32) {
 	}
 }
 
-// LogSoftmaxRows applies a numerically stable log-softmax to each row.
+// LogSoftmaxRows applies LogSoftmaxRow to each row.
 func LogSoftmaxRows(t *Tensor) *Tensor {
 	out := New(t.rows, t.cols)
-	LogSoftmaxRowsInto(out, t)
+	for i := 0; i < t.rows; i++ {
+		LogSoftmaxRow(out.Row(i), t.Row(i))
+	}
 	return out
 }
 
-// LogSoftmaxRowsInto stores the row-wise log-softmax of t into dst; dst may
-// alias t.
-func LogSoftmaxRowsInto(dst, t *Tensor) {
-	dst.mustSameShape(t, "LogSoftmaxRows")
-	out := dst
-	for i := 0; i < t.rows; i++ {
-		src, dst := t.Row(i), out.Row(i)
-		maxV := float32(math.Inf(-1))
-		for _, v := range src {
-			if v > maxV {
-				maxV = v
-			}
+// LogSoftmaxRow stores the numerically stable log-softmax of src into dst,
+// which must be as long and may be src: src minus its maximum is
+// exponentiated and summed in float64, and every element takes
+// src[j] − (max + log sum), rounded to float32 once each.
+func LogSoftmaxRow(dst, src []float32) {
+	dst = dst[:len(src)]
+	maxV := float32(math.Inf(-1))
+	for _, v := range src {
+		if v > maxV {
+			maxV = v
 		}
-		var sum float64
-		for _, v := range src {
-			sum += math.Exp(float64(v - maxV))
-		}
-		lse := maxV + float32(math.Log(sum))
-		for j, v := range src {
-			dst[j] = v - lse
-		}
+	}
+	var sum float64
+	for _, v := range src {
+		sum += math.Exp(float64(v - maxV))
+	}
+	lse := maxV + float32(math.Log(sum))
+	for j, v := range src {
+		dst[j] = v - lse
 	}
 }
 

@@ -1,21 +1,28 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Row kernels: the inner loops the hot path has. The three GEMMs and the
 // fused aggregation bottom out in accRows, which adds a list of scaled source
 // rows into one destination row, and the GEMMs in accRows4, which does the
 // same for four destination rows at once, sharing each streamed source row
-// between them; single-edge aggregation runs and every other gradient or row
-// accumulation run in axpy or add over one contiguous row. anyZero is the
-// zero scan the NN and TA GEMMs choose between accRows4 and accRows with.
+// between them; every other gradient or row accumulation runs in axpy or add
+// over one contiguous row, and an aggregation backward in scatterEdges, one
+// axpy per edge in one call. anyZero is the zero scan the NN and TA GEMMs
+// choose between accRows4 and accRows with. The element-wise row ops — bias
+// plus rectifier (biasReLU), the rectifier's gradient mask (reluMask) and a
+// row scale (scale) — write one row once.
 //
-// Each kernel exists twice: amd64 assembly on AVX (rowkernels_amd64.s) and
-// the portable Go twin below, which is what every other architecture runs
-// and what the tests hold the assembly to. The binding is made at compile
-// time by file name (rowkernels_amd64.go / rowkernels_other.go), plus one
-// choice at run time: an amd64 CPU without AVX, probed once at package init,
-// runs the twins too.
+// Each kernel exists twice: amd64 assembly (rowkernels_amd64.s) and the
+// portable Go twin below, which is what every other architecture runs and
+// what the tests hold the assembly to. The binding is made at compile time by
+// file name (rowkernels_amd64.go / rowkernels_other.go), plus two choices at
+// run time, probed once at package init: an amd64 CPU without AVX runs the
+// twins too, and one with AVX-512 runs accRows, accRows4 and scatterEdges
+// 512 bits wide where a row has 32 (scatterEdges: 16) floats left.
 //
 // The assembly vectorises across j only. Element j of dst still receives one
 // product rounded to float32 and one add per term, in the order the scalar
@@ -36,7 +43,8 @@ import "fmt"
 // and panic with constant strings: one compare and one call is all the
 // inliner will carry into a caller's row loop. accRows has no wrapper: its
 // callers in this package derive every row index from shapes they have
-// checked, and ScaledScatterAdd checks the indices it is handed.
+// checked, and ScaledScatterAdd and ScaledScatterAddEdgewise check the
+// indices they are handed.
 
 // Axpy adds a·x[j] to dst[j] for every j < len(x), each product rounded to
 // float32 before it is added. It panics, before storing anything, when dst
@@ -62,29 +70,19 @@ func AddTo(dst, x []float32) {
 
 // ScaledScatterAdd computes out[oi[e]] += c[e]·in[ii[e]] for e = 0..n-1 in
 // ascending e, each product rounded to float32 before it is added: the fused
-// aggregation (out a destination block, in the source rows) and, with the
-// indices swapped, its backward. A nil index stands for the identity (edge e
-// reads or writes row e) and a nil c for all ones, which is exact: 1·x is x.
-// Each run of consecutive edges with one output row is one accRowsKernel
-// call, so the row is loaded and stored once per run (a run of one edge, one
-// axpy or add). Per element the result is the loop of one Axpy (AddTo when c
-// is nil) per edge, bit for bit.
+// aggregation (out a destination block, in the source rows); its backward,
+// the indices swapped, runs ScaledScatterAddEdgewise. A nil index stands for
+// the identity (edge e reads or writes row e) and a nil c for all ones, which
+// is exact: 1·x is x. Each run of consecutive edges with one output row is
+// one accRowsKernel call, so the row is loaded and stored once per run (a run
+// of one edge, one axpy or add). Per element the result is the loop of one
+// Axpy (AddTo when c is nil) per edge, bit for bit.
 //
 // out and in must have equal widths and must not share storage, and c, when
 // not nil, and each index must cover n edges. It panics on any of these, and
 // on an index that names no row of its tensor.
 func ScaledScatterAdd(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float32, n int) {
-	if out.cols != in.cols {
-		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d-wide rows into %d-wide", in.cols, out.cols))
-	}
-	if sharesStorage(out, in) {
-		panic("tensor: ScaledScatterAdd output aliases its input")
-	}
-	if (oi == nil && n > out.rows) || (oi != nil && len(oi) < n) ||
-		(ii == nil && n > in.rows) || (ii != nil && len(ii) < n) || (c != nil && len(c) < n) {
-		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d edges over %d/%d output, %d/%d input indices, %d coefficients",
-			n, len(oi), out.rows, len(ii), in.rows, len(c)))
-	}
+	checkScatter(out, oi, in, ii, c, n)
 	cols := in.cols
 	for e := 0; e < n; {
 		o, r := e, e+1
@@ -99,8 +97,7 @@ func ScaledScatterAdd(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float
 		}
 		dst := out.data[o*cols : (o+1)*cols]
 		if r == e+1 {
-			// A run of one edge — every run of the backward, whose output
-			// rows are sources — costs less through the plain row kernels.
+			// A run of one edge costs less through the plain row kernels.
 			i := e
 			if ii != nil {
 				i = int(ii[e])
@@ -132,6 +129,54 @@ func ScaledScatterAdd(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float
 		}
 		accRowsKernel(dst, src, cols, idx, cr, r-e, false)
 		e = r
+	}
+}
+
+// ScaledScatterAddEdgewise is ScaledScatterAdd — the same contract, the
+// same panics, the same bits — for output indices that seldom repeat from
+// one edge to the next, such as an aggregation backward's, whose output rows
+// are the edges' sources: every index is checked once, then one
+// scatterEdgesKernel call applies all n edges in ascending e, each output row
+// loaded and stored per edge. Widths the kernel does not take (not a multiple
+// of 8) run through ScaledScatterAdd.
+func ScaledScatterAddEdgewise(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float32, n int) {
+	if in.cols%8 != 0 {
+		ScaledScatterAdd(out, oi, in, ii, c, n)
+		return
+	}
+	checkScatter(out, oi, in, ii, c, n)
+	if oi != nil {
+		checkRows("output", oi[:n], out.rows)
+	}
+	if ii != nil {
+		checkRows("input", ii[:n], in.rows)
+	}
+	scatterEdgesKernel(out.data, in.data, in.cols, oi, ii, c, n)
+}
+
+// checkScatter panics unless out and in have equal widths and share no
+// storage, and c, when not nil, and each index cover n edges.
+func checkScatter(out *Tensor, oi []int32, in *Tensor, ii []int32, c []float32, n int) {
+	if out.cols != in.cols {
+		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d-wide rows into %d-wide", in.cols, out.cols))
+	}
+	if sharesStorage(out, in) {
+		panic("tensor: ScaledScatterAdd output aliases its input")
+	}
+	if (oi == nil && n > out.rows) || (oi != nil && len(oi) < n) ||
+		(ii == nil && n > in.rows) || (ii != nil && len(ii) < n) || (c != nil && len(c) < n) {
+		panic(fmt.Sprintf("tensor: ScaledScatterAdd %d edges over %d/%d output, %d/%d input indices, %d coefficients",
+			n, len(oi), out.rows, len(ii), in.rows, len(c)))
+	}
+}
+
+// checkRows panics naming the first index that is no row of a rows-row
+// tensor.
+func checkRows(what string, idx []int32, rows int) {
+	for _, v := range idx {
+		if uint32(v) >= uint32(rows) {
+			panic(fmt.Sprintf("tensor: ScaledScatterAdd %s index %d outside %d rows", what, v, rows))
+		}
 	}
 }
 
@@ -214,4 +259,65 @@ func anyZeroGo(a []float32, rows, w, stride int) bool {
 		}
 	}
 	return false
+}
+
+// scatterEdgesGo is the portable twin of scatterEdgesKernel: for e = 0..n-1
+// in ascending e,
+//
+//	out[o(e)·cols+j] += float32(c(e)·in[i(e)·cols+j])   for j < cols
+//
+// where o(e) is oi[e], or e when oi is nil; i(e) is ii[e], or e when ii is
+// nil; and c(e) is c[e], or 1 when c is nil: one axpy per edge. cols must be
+// a multiple of 8, every row named must lie inside its slice, and out must
+// not overlap in.
+func scatterEdgesGo(out, in []float32, cols int, oi, ii []int32, c []float32, n int) {
+	for e := 0; e < n; e++ {
+		o, i, a := e, e, float32(1)
+		if oi != nil {
+			o = int(oi[e])
+		}
+		if ii != nil {
+			i = int(ii[e])
+		}
+		if c != nil {
+			a = c[e]
+		}
+		d := out[o*cols:][:cols]
+		for j, v := range in[i*cols:][:cols] {
+			d[j] += float32(a * v)
+		}
+	}
+}
+
+// biasReLUGo is the portable twin of biasReLUKernel: dst[j] = x[j]+bias[j]
+// when that sum is greater than zero and +0 otherwise (NaN and −0 too),
+// for every j < len(bias). dst and x must hold len(bias) floats; dst may be
+// x but must not otherwise overlap it.
+func biasReLUGo(dst, x, bias []float32) {
+	out, x := bitsOf(dst)[:len(bias)], x[:len(bias)]
+	for j, b := range bias {
+		z := math.Float32bits(x[j] + b)
+		out[j] = z & posMask(z)
+	}
+}
+
+// reluMaskGo is the portable twin of reluMaskKernel: dst[j] = g[j] when
+// o[j] > 0 and +0 otherwise (o[j] NaN or ±0 too), for every j < len(o): the
+// rectifier's gradient, masked by its output or its input. dst and g must
+// hold len(o) floats; dst may be g but must not otherwise overlap it.
+func reluMaskGo(dst, g, o []float32) {
+	out, gb := bitsOf(dst)[:len(o)], bitsOf(g)[:len(o)]
+	for j, b := range bitsOf(o) {
+		out[j] = gb[j] & posMask(b)
+	}
+}
+
+// scaleGo is the portable twin of scaleKernel: dst[j] = x[j]·a for every
+// j < len(x). dst must hold len(x) floats; it may be x but must not otherwise
+// overlap it.
+func scaleGo(dst []float32, a float32, x []float32) {
+	dst = dst[:len(x)]
+	for j, v := range x {
+		dst[j] = v * a
+	}
 }

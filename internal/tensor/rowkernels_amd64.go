@@ -4,12 +4,19 @@ package tensor
 // AVX is not part of the amd64 baseline (GOAMD64=v1), so one probe at package
 // init sets useAVX, and every kernel reads it on entry: with it set the kernel
 // runs its AVX body, without it it tail-jumps to its portable Go twin — the
-// code every other architecture runs. The assembly trusts its arguments — the
-// lengths are checked by the Go wrappers in rowkernels.go and the row indices
-// by the callers of accRowsKernel and accRows4Kernel, all in this package.
+// code every other architecture runs. A second probe sets useAVX512, which
+// accRowsKernel, accRows4Kernel and scatterEdgesKernel read before their
+// 512-bit strips. The assembly trusts its arguments — the lengths are checked
+// by the Go wrappers in rowkernels.go and ops.go and the row indices by the
+// callers of accRowsKernel, accRows4Kernel and scatterEdgesKernel, all in
+// this package.
 
 // useAVX is set when the CPU has AVX and the OS saves the YMM registers.
 var useAVX = avxUsable()
+
+// useAVX512 is set when useAVX is and the CPU has AVX-512F and the OS saves
+// the opmask and ZMM registers.
+var useAVX512 = useAVX && avx512Usable()
 
 // avxUsable reads CPUID leaf 1 for AVX and OSXSAVE and, when both are there,
 // XCR0 for XMM and YMM state (bits 1 and 2). XGETBV faults without OSXSAVE,
@@ -22,8 +29,20 @@ func avxUsable() bool {
 	return xcr0()&6 == 6
 }
 
+// avx512Usable reads CPUID leaf 7 for AVX-512F (EBX bit 16) and XCR0 for
+// XMM, YMM, opmask and both halves of the ZMM state (bits 1, 2, 5, 6 and 7).
+// It is asked only once AVX, and with it OSXSAVE, is known to be there.
+func avx512Usable() bool {
+	const avx512f = 1 << 16
+	return cpuid7()&avx512f != 0 && xcr0()&0xe6 == 0xe6
+}
+
 // cpuid1 returns ECX of CPUID leaf 1.
 func cpuid1() (ecx uint32)
+
+// cpuid7 returns EBX of CPUID leaf 7, subleaf 0, or 0 when the CPU has no
+// leaf 7.
+func cpuid7() (ebx uint32)
 
 // xcr0 returns the low half of XCR0 (XGETBV with ECX = 0).
 func xcr0() (eax uint32)
@@ -54,3 +73,24 @@ func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32
 //
 //go:noescape
 func anyZeroKernel(a []float32, rows, w, stride int) bool
+
+// scatterEdgesKernel is scatterEdgesGo's contract: cols is a multiple of 8,
+// every row it names lies inside its slice and out does not overlap in.
+//
+//go:noescape
+func scatterEdgesKernel(out, in []float32, cols int, oi, ii []int32, c []float32, n int)
+
+// biasReLUKernel is biasReLUGo: dst and x hold len(bias) floats.
+//
+//go:noescape
+func biasReLUKernel(dst, x, bias []float32)
+
+// reluMaskKernel is reluMaskGo: dst and g hold len(o) floats.
+//
+//go:noescape
+func reluMaskKernel(dst, g, o []float32)
+
+// scaleKernel is scaleGo: dst holds len(x) floats.
+//
+//go:noescape
+func scaleKernel(dst []float32, a float32, x []float32)

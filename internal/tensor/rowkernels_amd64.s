@@ -7,13 +7,18 @@
 // bit-identity pins depend on. The product's first operand is the source
 // value and the sum's the running dst value, as in the scalar loop. Loads and
 // stores are unaligned (VMOVUPS); rows start wherever the row width puts them.
-// Each block of axpy and add loads everything it reads before its first
-// store, which is what lets dst and x be one slice; accRows and accRows4 read
-// src while a strip of dst is in registers, so the two must not overlap.
+// Each block of axpy, add, biasReLU, reluMask and scale loads everything it
+// reads before its first store, which is what lets dst be the slice it reads;
+// accRows and accRows4 read src while a strip of dst is in registers, and
+// scatterEdges reads in while it writes out, so those must not overlap.
 //
 // Every kernel first reads useAVX, set once at package init
 // (rowkernels_amd64.go). Without AVX it tail-jumps to its Go twin, whose
-// frame is its own. Every AVX path ends in VZEROUPPER.
+// frame is its own. accRows, accRows4 and scatterEdges also read useAVX512:
+// with it set they take 32 floats of a row (scatterEdges 32, then 16) at a
+// time in ZMM registers — EVEX VMULPS and VADDPS, the same two roundings per
+// term — before the AVX strips take what is left. Every path that touched a
+// YMM or ZMM register ends in VZEROUPPER.
 
 // func axpyKernel(dst []float32, a float32, x []float32)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-56
@@ -193,6 +198,24 @@ portable:
 	VMULPS  Y8, tmp, tmp; \
 	VADDPS  tmp, acc, acc
 
+// TERMZ is TERM broadcasting c[AX] into all of Z8.
+#define TERMZ \
+	MOVQ         AX, R10; \
+	TESTQ        R8, R8; \
+	JEQ          2(PC); \
+	MOVLQSX      (R8)(AX*4), R10; \
+	IMULQ        DX, R10; \
+	ADDQ         SI, R10; \
+	TESTQ        R9, R9; \
+	JEQ          2(PC); \
+	VBROADCASTSS (R9)(AX*4), Z8
+
+// ACCZ adds Z8 times the sixteen floats at off(R10) to acc, through tmp.
+#define ACCZ(off, acc, tmp) \
+	VMOVUPS off(R10), tmp; \
+	VMULPS  Z8, tmp, tmp; \
+	VADDPS  tmp, acc, acc
+
 // one is the coefficient of every term when c is nil.
 DATA one<>+0(SB)/4, $0x3f800000
 GLOBL one<>(SB), RODATA|NOPTR, $4
@@ -200,9 +223,9 @@ GLOBL one<>(SB), RODATA|NOPTR, $4
 // func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool)
 //
 // dst is cut into strips of 32, 16, 8 and 4 floats, then single floats. A
-// strip lives in Y0-Y3 (X0 for 4, the low lane of X0 for 1) while all n terms
-// are added to it, so it is loaded (or cleared to +0) once and stored once per
-// call, whatever n is.
+// strip lives in Y0-Y3 (Z0-Z1 with AVX-512; X0 for 4, the low lane of X0 for
+// 1) while all n terms are added to it, so it is loaded (or cleared to +0)
+// once and stored once per call, whatever n is.
 TEXT ·accRowsKernel(SB), NOSPLIT, $0-113
 	CMPB         ·useAVX(SB), $0
 	JEQ          portable
@@ -215,6 +238,45 @@ TEXT ·accRowsKernel(SB), NOSPLIT, $0-113
 	MOVQ         c_base+80(FP), R9
 	MOVQ         n+104(FP), CX
 	MOVBQZX      zero+112(FP), R11
+	CMPB         ·useAVX512(SB), $0
+	JEQ          avx
+	VBROADCASTSS one<>(SB), Z8
+
+zstrip32:
+	CMPQ    BX, $32
+	JLT     strip16
+	TESTQ   R11, R11
+	JNE     zclear32
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	JMP     zterms32
+
+zclear32:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+
+zterms32:
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  zstore32
+
+zloop32:
+	TERMZ
+	ACCZ(0, Z0, Z9)
+	ACCZ(64, Z1, Z10)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  zloop32
+
+zstore32:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, BX
+	JMP     zstrip32
+
+avx:
 	VBROADCASTSS one<>(SB), Y8
 
 strip32:
@@ -391,10 +453,17 @@ done:
 portable:
 	JMP ·accRowsGo(SB)
 
-// ROW16, ROW8, ROW4 and ROW1 add one term to one destination row of the
-// tile: they broadcast the row's coefficient from coef into Y13 (X13) and add
-// its products with the source strip in Y8:Y9, Y8, X8 or the low lane of X8
-// to the row's accumulators.
+// ROW32, ROW16, ROW8, ROW4 and ROW1 add one term to one destination row of
+// the tile: they broadcast the row's coefficient from coef into Z13 (Y13,
+// X13) and add its products with the source strip in Z8:Z9, Y8:Y9, Y8, X8 or
+// the low lane of X8 to the row's accumulators.
+#define ROW32(coef, acc0, acc1) \
+	VBROADCASTSS coef, Z13; \
+	VMULPS       Z13, Z8, Z10; \
+	VMULPS       Z13, Z9, Z11; \
+	VADDPS       Z10, acc0, acc0; \
+	VADDPS       Z11, acc1, acc1
+
 #define ROW16(coef, acc0, acc1) \
 	VBROADCASTSS coef, Y13; \
 	VMULPS       Y13, Y8, Y10; \
@@ -420,12 +489,13 @@ portable:
 // func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32, cr, ct, n int, zero bool)
 //
 // Four destination rows, ds floats apart, each w floats wide, are cut into
-// strips of 16, 8 and 4 floats, then single floats. The four rows of a strip
-// live in Y0-Y7 (two registers a row for 16, one for 8, X0-X3 for 4 and their
-// low lanes for 1) while all n terms are added to them: each term's strip of
-// source row t (ss floats apart) is loaded once, into Y8:Y9, and multiplied by
-// the four rows' coefficients c[r·cr + t·ct], each broadcast from memory:
-// row r's at R8 + r·cr, R8 stepping ct floats a term, and 3·cr kept in R12.
+// strips of 32 floats (AVX-512 only), 16, 8 and 4 floats, then single floats.
+// The four rows of a strip live in Z0-Z7 or Y0-Y7 (two registers a row for 32
+// and 16, one for 8, X0, X2, X4 and X6 for 4 and their low lanes for 1)
+// while all n terms are added to them: each term's strip of source row t (ss
+// floats apart) is loaded once, into Z8:Z9 or Y8:Y9, and multiplied by the
+// four rows' coefficients c[r·cr + t·ct], each broadcast from memory: row r's
+// at R8 + r·cr, R8 stepping ct floats a term, and 3·cr kept in R12.
 TEXT ·accRows4Kernel(SB), NOSPLIT, $0-121
 	CMPB    ·useAVX(SB), $0
 	JEQ     portable
@@ -443,6 +513,74 @@ TEXT ·accRows4Kernel(SB), NOSPLIT, $0-121
 	SHLQ    $2, R9               // coefficient term stride in bytes
 	MOVQ    n+112(FP), CX
 	MOVBQZX zero+120(FP), R11
+	CMPB    ·useAVX512(SB), $0
+	JEQ     strip16
+
+strip32:
+	CMPQ    BX, $32
+	JLT     strip16
+	TESTQ   R11, R11
+	JNE     clear32
+	MOVQ    DI, R10
+	VMOVUPS (R10), Z0
+	VMOVUPS 64(R10), Z1
+	ADDQ    R14, R10
+	VMOVUPS (R10), Z2
+	VMOVUPS 64(R10), Z3
+	ADDQ    R14, R10
+	VMOVUPS (R10), Z4
+	VMOVUPS 64(R10), Z5
+	ADDQ    R14, R10
+	VMOVUPS (R10), Z6
+	VMOVUPS 64(R10), Z7
+	JMP     terms32
+
+clear32:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+terms32:
+	MOVQ  SI, R10
+	MOVQ  c_base+72(FP), R8
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JEQ   store32
+
+loop32:
+	VMOVUPS (R10), Z8
+	VMOVUPS 64(R10), Z9
+	ROW32((R8), Z0, Z1)
+	ROW32((R8)(R13*1), Z2, Z3)
+	ROW32((R8)(R13*2), Z4, Z5)
+	ROW32((R8)(R12*1), Z6, Z7)
+	ADDQ    DX, R10
+	ADDQ    R9, R8
+	DECQ    AX
+	JNE     loop32
+
+store32:
+	MOVQ    DI, R10
+	VMOVUPS Z0, (R10)
+	VMOVUPS Z1, 64(R10)
+	ADDQ    R14, R10
+	VMOVUPS Z2, (R10)
+	VMOVUPS Z3, 64(R10)
+	ADDQ    R14, R10
+	VMOVUPS Z4, (R10)
+	VMOVUPS Z5, 64(R10)
+	ADDQ    R14, R10
+	VMOVUPS Z6, (R10)
+	VMOVUPS Z7, 64(R10)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, BX
+	JMP     strip32
 
 strip16:
 	CMPQ    BX, $16
@@ -781,6 +919,408 @@ found:
 portable:
 	JMP ·anyZeroGo(SB)
 
+// func scatterEdgesKernel(out, in []float32, cols int, oi, ii []int32, c []float32, n int)
+//
+// One edge at a time, in ascending e: R11 points at output row oi[e] (row e
+// when oi is nil), R12 at input row ii[e] (row e when ii is nil), and c[e]
+// (1 when c is nil) is broadcast into Y8 (Z8 with AVX-512); then the output
+// row takes its products 32 floats at a time (AVX-512: 32, then 16), then 8,
+// each strip loaded, added to and stored before the next edge is read, so an
+// output row two edges share sees the first edge's stores. cols is a
+// multiple of 8.
+TEXT ·scatterEdgesKernel(SB), NOSPLIT, $0-136
+	CMPB    ·useAVX(SB), $0
+	JEQ     portable
+	MOVQ    out_base+0(FP), DI
+	MOVQ    in_base+24(FP), SI
+	MOVQ    cols+48(FP), DX
+	SHLQ    $2, DX               // row stride in bytes
+	MOVQ    oi_base+56(FP), R8
+	MOVQ    ii_base+80(FP), R9
+	MOVQ    c_base+104(FP), R10
+	MOVQ    n+128(FP), CX
+	XORQ    AX, AX
+	CMPB    ·useAVX512(SB), $0
+	JEQ     avx
+	VBROADCASTSS one<>(SB), Z8
+
+zedge:
+	CMPQ    AX, CX
+	JGE     done
+	MOVQ    AX, R11
+	TESTQ   R8, R8
+	JEQ     2(PC)
+	MOVLQSX (R8)(AX*4), R11
+	IMULQ   DX, R11
+	ADDQ    DI, R11
+	MOVQ    AX, R12
+	TESTQ   R9, R9
+	JEQ     2(PC)
+	MOVLQSX (R9)(AX*4), R12
+	IMULQ   DX, R12
+	ADDQ    SI, R12
+	TESTQ   R10, R10
+	JEQ     2(PC)
+	VBROADCASTSS (R10)(AX*4), Z8
+	MOVQ    DX, BX               // bytes of the row left
+
+z128:
+	CMPQ    BX, $128
+	JLT     z64
+	VMOVUPS (R12), Z1
+	VMOVUPS 64(R12), Z2
+	VMULPS  Z8, Z1, Z1
+	VMULPS  Z8, Z2, Z2
+	VMOVUPS (R11), Z3
+	VMOVUPS 64(R11), Z4
+	VADDPS  Z1, Z3, Z3
+	VADDPS  Z2, Z4, Z4
+	VMOVUPS Z3, (R11)
+	VMOVUPS Z4, 64(R11)
+	ADDQ    $128, R11
+	ADDQ    $128, R12
+	SUBQ    $128, BX
+	JMP     z128
+
+z64:
+	CMPQ    BX, $64
+	JLT     z32
+	VMOVUPS (R12), Z1
+	VMULPS  Z8, Z1, Z1
+	VMOVUPS (R11), Z3
+	VADDPS  Z1, Z3, Z3
+	VMOVUPS Z3, (R11)
+	ADDQ    $64, R11
+	ADDQ    $64, R12
+	SUBQ    $64, BX
+
+z32:
+	TESTQ   BX, BX
+	JEQ     znext
+	VMOVUPS (R12), Y1
+	VMULPS  Y8, Y1, Y1
+	VMOVUPS (R11), Y3
+	VADDPS  Y1, Y3, Y3
+	VMOVUPS Y3, (R11)
+
+znext:
+	INCQ    AX
+	JMP     zedge
+
+avx:
+	VBROADCASTSS one<>(SB), Y8
+
+edge:
+	CMPQ    AX, CX
+	JGE     done
+	MOVQ    AX, R11
+	TESTQ   R8, R8
+	JEQ     2(PC)
+	MOVLQSX (R8)(AX*4), R11
+	IMULQ   DX, R11
+	ADDQ    DI, R11
+	MOVQ    AX, R12
+	TESTQ   R9, R9
+	JEQ     2(PC)
+	MOVLQSX (R9)(AX*4), R12
+	IMULQ   DX, R12
+	ADDQ    SI, R12
+	TESTQ   R10, R10
+	JEQ     2(PC)
+	VBROADCASTSS (R10)(AX*4), Y8
+	MOVQ    DX, BX
+
+y128:
+	CMPQ    BX, $128
+	JLT     y32
+	VMOVUPS (R12), Y1
+	VMOVUPS 32(R12), Y2
+	VMOVUPS 64(R12), Y3
+	VMOVUPS 96(R12), Y4
+	VMULPS  Y8, Y1, Y1
+	VMULPS  Y8, Y2, Y2
+	VMULPS  Y8, Y3, Y3
+	VMULPS  Y8, Y4, Y4
+	VMOVUPS (R11), Y5
+	VMOVUPS 32(R11), Y6
+	VMOVUPS 64(R11), Y7
+	VMOVUPS 96(R11), Y9
+	VADDPS  Y1, Y5, Y5
+	VADDPS  Y2, Y6, Y6
+	VADDPS  Y3, Y7, Y7
+	VADDPS  Y4, Y9, Y9
+	VMOVUPS Y5, (R11)
+	VMOVUPS Y6, 32(R11)
+	VMOVUPS Y7, 64(R11)
+	VMOVUPS Y9, 96(R11)
+	ADDQ    $128, R11
+	ADDQ    $128, R12
+	SUBQ    $128, BX
+	JMP     y128
+
+y32:
+	TESTQ   BX, BX
+	JEQ     next
+	VMOVUPS (R12), Y1
+	VMULPS  Y8, Y1, Y1
+	VMOVUPS (R11), Y5
+	VADDPS  Y1, Y5, Y5
+	VMOVUPS Y5, (R11)
+	ADDQ    $32, R11
+	ADDQ    $32, R12
+	SUBQ    $32, BX
+	JMP     y32
+
+next:
+	INCQ    AX
+	JMP     edge
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·scatterEdgesGo(SB)
+
+// func biasReLUKernel(dst, x, bias []float32)
+//
+// dst[j] = max(x[j] + bias[j], +0): VADDPS with x as its first operand, then
+// VMAXPS with the sum as the first source and +0 as the second, which is
+// what VMAXPS returns when the first is not greater — so a NaN, −0 or
+// negative sum comes out +0, as posMask makes it. 32, 8 and 4 floats at a
+// time, then one.
+TEXT ·biasReLUKernel(SB), NOSPLIT, $0-72
+	CMPB   ·useAVX(SB), $0
+	JEQ    portable
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   x_base+24(FP), SI
+	MOVQ   bias_base+48(FP), DX
+	MOVQ   bias_len+56(FP), CX
+	VXORPS Y15, Y15, Y15
+
+thirtytwo:
+	CMPQ    CX, $32
+	JLT     eight
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VADDPS  (DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+	VADDPS  64(DX), Y2, Y2
+	VADDPS  96(DX), Y3, Y3
+	VMAXPS  Y15, Y0, Y0
+	VMAXPS  Y15, Y1, Y1
+	VMAXPS  Y15, Y2, Y2
+	VMAXPS  Y15, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     thirtytwo
+
+eight:
+	CMPQ    CX, $8
+	JLT     four
+	VMOVUPS (SI), Y0
+	VADDPS  (DX), Y0, Y0
+	VMAXPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     eight
+
+four:
+	CMPQ    CX, $4
+	JLT     tail
+	VMOVUPS (SI), X0
+	VMOVUPS (DX), X1
+	VADDPS  X1, X0, X0
+	VMAXPS  X15, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DX
+	ADDQ    $16, DI
+	SUBQ    $4, CX
+
+tail:
+	TESTQ  CX, CX
+	JEQ    done
+	VMOVSS (SI), X0
+	VMOVSS (DX), X1
+	VADDSS X1, X0, X0
+	VMAXSS X15, X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DX
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·biasReLUGo(SB)
+
+// func reluMaskKernel(dst, g, o []float32)
+//
+// dst[j] = g[j] AND (0 < o[j]): VCMPPS with predicate LT_OQ (ordered, so a
+// NaN compares false) gives all ones exactly where o[j] > 0 — positive
+// subnormals included — and VANDPS keeps g's bits there and +0 elsewhere.
+// 32, 8 and 4 floats at a time, then one.
+TEXT ·reluMaskKernel(SB), NOSPLIT, $0-72
+	CMPB   ·useAVX(SB), $0
+	JEQ    portable
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   g_base+24(FP), SI
+	MOVQ   o_base+48(FP), DX
+	MOVQ   o_len+56(FP), CX
+	VXORPS Y15, Y15, Y15
+
+thirtytwo:
+	CMPQ    CX, $32
+	JLT     eight
+	VCMPPS  $0x11, (DX), Y15, Y0
+	VCMPPS  $0x11, 32(DX), Y15, Y1
+	VCMPPS  $0x11, 64(DX), Y15, Y2
+	VCMPPS  $0x11, 96(DX), Y15, Y3
+	VANDPS  (SI), Y0, Y0
+	VANDPS  32(SI), Y1, Y1
+	VANDPS  64(SI), Y2, Y2
+	VANDPS  96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     thirtytwo
+
+eight:
+	CMPQ    CX, $8
+	JLT     four
+	VCMPPS  $0x11, (DX), Y15, Y0
+	VANDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     eight
+
+four:
+	CMPQ    CX, $4
+	JLT     tail
+	VCMPPS  $0x11, (DX), X15, X0
+	VANDPS  (SI), X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DX
+	ADDQ    $16, DI
+	SUBQ    $4, CX
+
+tail:
+	TESTQ  CX, CX
+	JEQ    done
+	VMOVSS (DX), X1
+	VCMPSS $0x11, X1, X15, X0
+	VMOVSS (SI), X1
+	VANDPS X1, X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DX
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·reluMaskGo(SB)
+
+// func scaleKernel(dst []float32, a float32, x []float32)
+//
+// dst[j] = x[j]·a, one VMULPS (VMULSS) with x as its first operand, 32, 8
+// and 4 floats at a time, then one.
+TEXT ·scaleKernel(SB), NOSPLIT, $0-56
+	CMPB         ·useAVX(SB), $0
+	JEQ          portable
+	MOVQ         dst_base+0(FP), DI
+	VBROADCASTSS a+24(FP), Y8
+	MOVQ         x_base+32(FP), SI
+	MOVQ         x_len+40(FP), CX
+
+thirtytwo:
+	CMPQ    CX, $32
+	JLT     eight
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMULPS  Y8, Y0, Y0
+	VMULPS  Y8, Y1, Y1
+	VMULPS  Y8, Y2, Y2
+	VMULPS  Y8, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     thirtytwo
+
+eight:
+	CMPQ    CX, $8
+	JLT     four
+	VMOVUPS (SI), Y0
+	VMULPS  Y8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     eight
+
+four:
+	CMPQ    CX, $4
+	JLT     tail
+	VMOVUPS (SI), X0
+	VMULPS  X8, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	SUBQ    $4, CX
+
+tail:
+	TESTQ  CX, CX
+	JEQ    done
+	VMOVSS (SI), X0
+	VMULSS X8, X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·scaleGo(SB)
+
 // func cpuid1() (ecx uint32)
 TEXT ·cpuid1(SB), NOSPLIT, $0-4
 	MOVL $1, AX
@@ -794,4 +1334,20 @@ TEXT ·xcr0(SB), NOSPLIT, $0-4
 	XORL   CX, CX
 	XGETBV
 	MOVL   AX, eax+0(FP)
+	RET
+
+// func cpuid7() (ebx uint32)
+TEXT ·cpuid7(SB), NOSPLIT, $0-4
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	XORL BX, BX
+	CMPL AX, $7
+	JLT  none
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+
+none:
+	MOVL BX, ebx+0(FP)
 	RET

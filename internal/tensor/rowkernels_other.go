@@ -17,3 +17,13 @@ func accRows4Kernel(dst []float32, ds, w int, src []float32, ss int, c []float32
 }
 
 func anyZeroKernel(a []float32, rows, w, stride int) bool { return anyZeroGo(a, rows, w, stride) }
+
+func scatterEdgesKernel(out, in []float32, cols int, oi, ii []int32, c []float32, n int) {
+	scatterEdgesGo(out, in, cols, oi, ii, c, n)
+}
+
+func biasReLUKernel(dst, x, bias []float32) { biasReLUGo(dst, x, bias) }
+
+func reluMaskKernel(dst, g, o []float32) { reluMaskGo(dst, g, o) }
+
+func scaleKernel(dst []float32, a float32, x []float32) { scaleGo(dst, a, x) }

@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// The row-kernel tests hold whatever axpyKernel / addKernel / accRowsKernel /
-// accRows4Kernel / anyZeroKernel are bound to (AVX assembly on an amd64 host
-// that has it) to the portable twins, bit for bit. Elsewhere the kernels are
-// the twins and the comparisons are trivially true; the contract tests (guard
-// band, panics, aliasing) still bite.
+// The row-kernel tests hold whatever the kernels are bound to (assembly on an
+// amd64 host with AVX) to the portable twins, bit for bit, in every binding
+// the host can take (inKernelModes: the AVX-512 strips, the AVX bodies alone,
+// the twins). Elsewhere the kernels are the twins and the comparisons are
+// trivially true; the contract tests (guard band, panics, aliasing) still
+// bite.
 
 const (
-	rowMaxLen  = 67 // lengths 0..67 cover 16-wide, 4-wide and scalar tails together
+	rowMaxLen  = 70 // lengths 0..70 cover 32-, 16-, 8- and 4-wide and scalar tails together
 	rowMaxOff  = 7  // start offsets, in floats, into the backing array
 	rowGuard   = 8  // untouched floats required either side of dst
 	rowBacking = rowGuard + rowMaxOff + rowMaxLen + rowGuard
@@ -100,94 +101,98 @@ func checkRow(t *testing.T, what string, got, want []float32) {
 }
 
 func TestRowKernelsAxpyAndAddMatchTwin(t *testing.T) {
-	rng := NewRNG(71)
-	for _, class := range rowValueClasses {
-		for n := 0; n <= rowMaxLen; n++ {
-			for dOff := 0; dOff <= rowMaxOff; dOff++ {
-				for xOff := 0; xOff <= rowMaxOff; xOff++ {
-					dBack := rowBuf(class, rng)
-					x := rowAt(rowBuf(class, rng), xOff, n)
-					a := rowValue(class, rng)
-					what := fmt.Sprintf("%s n=%d dst+%d x+%d", class, n, dOff, xOff)
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(71)
+		for _, class := range rowValueClasses {
+			for n := 0; n <= rowMaxLen; n++ {
+				for dOff := 0; dOff <= rowMaxOff; dOff++ {
+					for xOff := 0; xOff <= rowMaxOff; xOff++ {
+						dBack := rowBuf(class, rng)
+						x := rowAt(rowBuf(class, rng), xOff, n)
+						a := rowValue(class, rng)
+						what := fmt.Sprintf("%s n=%d dst+%d x+%d", class, n, dOff, xOff)
 
-					got, want := slices.Clone(dBack), slices.Clone(dBack)
-					axpyKernel(rowAt(got, dOff, n), a, x)
-					axpyGo(rowAt(want, dOff, n), a, x)
-					checkRow(t, "axpy "+what, got, want)
-
-					got, want = slices.Clone(dBack), slices.Clone(dBack)
-					addKernel(rowAt(got, dOff, n), x)
-					addGo(rowAt(want, dOff, n), x)
-					checkRow(t, "add "+what, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestRowKernelsAccumulateRowsMatchesTwin(t *testing.T) {
-	rng := NewRNG(73)
-	const srcRows = 5
-	for _, class := range rowValueClasses {
-		for n := 0; n <= rowMaxLen; n++ {
-			for off := 0; off <= rowMaxOff; off++ {
-				// The source rows start at an unrelated offset and, for some
-				// lengths, sit further apart than the destination is wide.
-				sOff, stride := (3*off+n)%(rowMaxOff+1), n+off%3
-				src := make([]float32, sOff+srcRows*stride+n)
-				for i := range src {
-					src[i] = rowValue(class, rng)
-				}
-				src = src[sOff:]
-				dBack := rowBuf(class, rng)
-				for _, zero := range []bool{false, true} {
-					// Every combination of a nil or listed index and a nil or
-					// listed coefficient, over term counts 0..5.
-					for v := 0; v < 4; v++ {
-						terms := (n + off + v) % 6
-						var idx []int32
-						if v&1 == 1 {
-							idx = make([]int32, terms)
-							for t := range idx {
-								idx[t] = int32(rng.Intn(srcRows))
-							}
-						}
-						var c []float32
-						if v&2 == 2 {
-							c = make([]float32, terms)
-							for t := range c {
-								c[t] = rowValue(class, rng)
-							}
-						}
-						what := fmt.Sprintf("%s n=%d dst+%d src+%d stride=%d zero=%v terms=%d idx=%v c=%v",
-							class, n, off, sOff, stride, zero, terms, idx != nil, c != nil)
 						got, want := slices.Clone(dBack), slices.Clone(dBack)
-						accRowsKernel(rowAt(got, off, n), src, stride, idx, c, terms, zero)
-						accRowsGo(rowAt(want, off, n), src, stride, idx, c, terms, zero)
-						checkRow(t, "accRows "+what, got, want)
+						axpyKernel(rowAt(got, dOff, n), a, x)
+						axpyGo(rowAt(want, dOff, n), a, x)
+						checkRow(t, "axpy "+what, got, want)
 
-						// The kernel is terms Axpy steps over one row, the first
-						// onto a cleared row when zero is set.
-						steps := slices.Clone(dBack)
-						if zero {
-							clear(rowAt(steps, off, n))
-						}
-						for t := 0; t < terms; t++ {
-							r, a := t, float32(1)
-							if idx != nil {
-								r = int(idx[t])
-							}
-							if c != nil {
-								a = c[t]
-							}
-							axpyGo(rowAt(steps, off, n), a, src[r*stride:][:n])
-						}
-						checkRow(t, "accRows vs Axpy steps "+what, got, steps)
+						got, want = slices.Clone(dBack), slices.Clone(dBack)
+						addKernel(rowAt(got, dOff, n), x)
+						addGo(rowAt(want, dOff, n), x)
+						checkRow(t, "add "+what, got, want)
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+func TestRowKernelsAccumulateRowsMatchesTwin(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(73)
+		const srcRows = 5
+		for _, class := range rowValueClasses {
+			for n := 0; n <= rowMaxLen; n++ {
+				for off := 0; off <= rowMaxOff; off++ {
+					// The source rows start at an unrelated offset and, for some
+					// lengths, sit further apart than the destination is wide.
+					sOff, stride := (3*off+n)%(rowMaxOff+1), n+off%3
+					src := make([]float32, sOff+srcRows*stride+n)
+					for i := range src {
+						src[i] = rowValue(class, rng)
+					}
+					src = src[sOff:]
+					dBack := rowBuf(class, rng)
+					for _, zero := range []bool{false, true} {
+						// Every combination of a nil or listed index and a nil or
+						// listed coefficient, over term counts 0..5.
+						for v := 0; v < 4; v++ {
+							terms := (n + off + v) % 6
+							var idx []int32
+							if v&1 == 1 {
+								idx = make([]int32, terms)
+								for t := range idx {
+									idx[t] = int32(rng.Intn(srcRows))
+								}
+							}
+							var c []float32
+							if v&2 == 2 {
+								c = make([]float32, terms)
+								for t := range c {
+									c[t] = rowValue(class, rng)
+								}
+							}
+							what := fmt.Sprintf("%s n=%d dst+%d src+%d stride=%d zero=%v terms=%d idx=%v c=%v",
+								class, n, off, sOff, stride, zero, terms, idx != nil, c != nil)
+							got, want := slices.Clone(dBack), slices.Clone(dBack)
+							accRowsKernel(rowAt(got, off, n), src, stride, idx, c, terms, zero)
+							accRowsGo(rowAt(want, off, n), src, stride, idx, c, terms, zero)
+							checkRow(t, "accRows "+what, got, want)
+
+							// The kernel is terms Axpy steps over one row, the first
+							// onto a cleared row when zero is set.
+							steps := slices.Clone(dBack)
+							if zero {
+								clear(rowAt(steps, off, n))
+							}
+							for t := 0; t < terms; t++ {
+								r, a := t, float32(1)
+								if idx != nil {
+									r = int(idx[t])
+								}
+								if c != nil {
+									a = c[t]
+								}
+								axpyGo(rowAt(steps, off, n), a, src[r*stride:][:n])
+							}
+							checkRow(t, "accRows vs Axpy steps "+what, got, steps)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // tileWidths and tileTerms are what the four-row tile is compared over: every
@@ -205,67 +210,69 @@ var tileEdgeWidths = []int{15, 16, 17, 31, 32, 33, 64}
 // term stride 1) and four adjacent columns of one (row stride 1, term stride
 // its row length).
 func TestRowKernelsAccRows4MatchesTwin(t *testing.T) {
-	rng := NewRNG(89)
-	check := func(class string, w, n int, columns, zero bool) {
-		t.Helper()
-		off := rng.Intn(rowMaxOff + 1)
-		ds := w + rowGuard
-		dBack := make([]float32, rowGuard+off+3*ds+w+rowGuard)
-		for i := range dBack {
-			dBack[i] = rowValue(class, rng)
-		}
-		ss := w + rng.Intn(3)
-		src := make([]float32, rng.Intn(rowMaxOff+1)+n*ss+w)
-		for i := range src {
-			src[i] = rowValue(class, rng)
-		}
-		src = src[len(src)-n*ss-w:]
-		cr, ct := n+rng.Intn(3), 1
-		if columns {
-			cr, ct = 1, 4+rng.Intn(3)
-		}
-		c := make([]float32, 3*cr+n*ct+1)
-		for i := range c {
-			c[i] = rowValue(class, rng)
-		}
-		what := fmt.Sprintf("%s w=%d n=%d dst+%d ss=%d cr=%d ct=%d zero=%v", class, w, n, off, ss, cr, ct, zero)
-
-		lo := rowGuard + off
-		got, want := slices.Clone(dBack), slices.Clone(dBack)
-		accRows4Kernel(got[lo:], ds, w, src, ss, c, cr, ct, n, zero)
-		accRows4Go(want[lo:], ds, w, src, ss, c, cr, ct, n, zero)
-		checkRow(t, "accRows4 "+what, got, want)
-
-		rows := slices.Clone(dBack)
-		cRow := make([]float32, n)
-		for r := 0; r < 4; r++ {
-			for k := range cRow {
-				cRow[k] = c[r*cr+k*ct]
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(89)
+		check := func(class string, w, n int, columns, zero bool) {
+			t.Helper()
+			off := rng.Intn(rowMaxOff + 1)
+			ds := w + rowGuard
+			dBack := make([]float32, rowGuard+off+3*ds+w+rowGuard)
+			for i := range dBack {
+				dBack[i] = rowValue(class, rng)
 			}
-			accRowsGo(rows[lo+r*ds:][:w], src, ss, nil, cRow, n, zero)
+			ss := w + rng.Intn(3)
+			src := make([]float32, rng.Intn(rowMaxOff+1)+n*ss+w)
+			for i := range src {
+				src[i] = rowValue(class, rng)
+			}
+			src = src[len(src)-n*ss-w:]
+			cr, ct := n+rng.Intn(3), 1
+			if columns {
+				cr, ct = 1, 4+rng.Intn(3)
+			}
+			c := make([]float32, 3*cr+n*ct+1)
+			for i := range c {
+				c[i] = rowValue(class, rng)
+			}
+			what := fmt.Sprintf("%s w=%d n=%d dst+%d ss=%d cr=%d ct=%d zero=%v", class, w, n, off, ss, cr, ct, zero)
+
+			lo := rowGuard + off
+			got, want := slices.Clone(dBack), slices.Clone(dBack)
+			accRows4Kernel(got[lo:], ds, w, src, ss, c, cr, ct, n, zero)
+			accRows4Go(want[lo:], ds, w, src, ss, c, cr, ct, n, zero)
+			checkRow(t, "accRows4 "+what, got, want)
+
+			rows := slices.Clone(dBack)
+			cRow := make([]float32, n)
+			for r := 0; r < 4; r++ {
+				for k := range cRow {
+					cRow[k] = c[r*cr+k*ct]
+				}
+				accRowsGo(rows[lo+r*ds:][:w], src, ss, nil, cRow, n, zero)
+			}
+			checkRow(t, "accRows4 vs four accRows "+what, got, rows)
 		}
-		checkRow(t, "accRows4 vs four accRows "+what, got, rows)
-	}
-	step := 0
-	for _, class := range rowValueClasses {
-		for w := 0; w <= tileWidths; w++ {
-			for _, columns := range []bool{false, true} {
-				for _, zero := range []bool{false, true} {
-					check(class, w, step%(tileTerms+1), columns, zero)
-					step += 7 // coprime to 131: each class walks every term count
+		step := 0
+		for _, class := range rowValueClasses {
+			for w := 0; w <= tileWidths; w++ {
+				for _, columns := range []bool{false, true} {
+					for _, zero := range []bool{false, true} {
+						check(class, w, step%(tileTerms+1), columns, zero)
+						step += 7 // coprime to 131: each class walks every term count
+					}
 				}
 			}
 		}
-	}
-	for _, w := range tileEdgeWidths {
-		for _, n := range []int{kBlock - 1, kBlock, kBlock + 1} {
-			for _, columns := range []bool{false, true} {
-				for _, zero := range []bool{false, true} {
-					check("mixed", w, n, columns, zero)
+		for _, w := range tileEdgeWidths {
+			for _, n := range []int{kBlock - 1, kBlock, kBlock + 1} {
+				for _, columns := range []bool{false, true} {
+					for _, zero := range []bool{false, true} {
+						check("mixed", w, n, columns, zero)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestRowKernelsAnyZeroMatchesTwin holds anyZeroKernel to anyZeroGo over
@@ -275,127 +282,146 @@ func TestRowKernelsAccRows4MatchesTwin(t *testing.T) {
 // which must not be seen, and then a lone ±0 is planted at every position
 // (a sample of them for the larger shapes), which must.
 func TestRowKernelsAnyZeroMatchesTwin(t *testing.T) {
-	rng := NewRNG(97)
-	nonZero := func() float32 {
-		for {
-			v := rowValue(rowValueClasses[rng.Intn(len(rowValueClasses))], rng)
-			if v != 0 {
-				return v
-			}
-		}
-	}
-	negZero := float32(math.Copysign(0, -1))
-	for w := 0; w <= tileWidths; w++ {
-		for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64} {
-			for _, gap := range []int{0, 3} {
-				stride := w + gap
-				off := rowGuard + rng.Intn(rowMaxOff+1)
-				back := make([]float32, off+rows*stride+rowGuard)
-				for i := range back {
-					back[i] = negZero * float32(rng.Intn(2)) // ±0 wherever no row is
-				}
-				var cells []int
-				for r := 0; r < rows; r++ {
-					for j := 0; j < w; j++ {
-						p := off + r*stride + j
-						back[p] = nonZero()
-						cells = append(cells, p)
-					}
-				}
-				if len(cells) > 256 {
-					sample := make([]int, 64)
-					for i, q := range rng.Perm(len(cells))[:64] {
-						sample[i] = cells[q]
-					}
-					cells = sample
-				}
-				what := fmt.Sprintf("w=%d rows=%d stride=%d", w, rows, stride)
-				a := back[off:]
-				if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); got || want {
-					t.Fatalf("%s, no zero: kernel %v, twin %v", what, got, want)
-				}
-				for _, p := range cells {
-					v := back[p]
-					back[p] = negZero * float32(rng.Intn(2))
-					if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); !got || !want {
-						t.Fatalf("%s, zero at %d: kernel %v, twin %v", what, p-off, got, want)
-					}
-					back[p] = v
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(97)
+		nonZero := func() float32 {
+			for {
+				v := rowValue(rowValueClasses[rng.Intn(len(rowValueClasses))], rng)
+				if v != 0 {
+					return v
 				}
 			}
 		}
-	}
+		negZero := float32(math.Copysign(0, -1))
+		for w := 0; w <= tileWidths; w++ {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64} {
+				for _, gap := range []int{0, 3} {
+					stride := w + gap
+					off := rowGuard + rng.Intn(rowMaxOff+1)
+					back := make([]float32, off+rows*stride+rowGuard)
+					for i := range back {
+						back[i] = negZero * float32(rng.Intn(2)) // ±0 wherever no row is
+					}
+					var cells []int
+					for r := 0; r < rows; r++ {
+						for j := 0; j < w; j++ {
+							p := off + r*stride + j
+							back[p] = nonZero()
+							cells = append(cells, p)
+						}
+					}
+					if len(cells) > 256 {
+						sample := make([]int, 64)
+						for i, q := range rng.Perm(len(cells))[:64] {
+							sample[i] = cells[q]
+						}
+						cells = sample
+					}
+					what := fmt.Sprintf("w=%d rows=%d stride=%d", w, rows, stride)
+					a := back[off:]
+					if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); got || want {
+						t.Fatalf("%s, no zero: kernel %v, twin %v", what, got, want)
+					}
+					for _, p := range cells {
+						v := back[p]
+						back[p] = negZero * float32(rng.Intn(2))
+						if got, want := anyZeroKernel(a, rows, w, stride), anyZeroGo(a, rows, w, stride); !got || !want {
+							t.Fatalf("%s, zero at %d: kernel %v, twin %v", what, p-off, got, want)
+						}
+						back[p] = v
+					}
+				}
+			}
+		}
+	})
 }
 
-// TestRowKernelsScaledScatterAddMatchesEdgeLoop holds ScaledScatterAdd to
-// one Axpy (AddTo without coefficients) per edge in ascending e, bit for bit,
-// with runs of one output row of every length, nil indices and nil
-// coefficients, over every value class.
+// TestRowKernelsScaledScatterAddMatchesEdgeLoop holds ScaledScatterAdd and
+// ScaledScatterAddEdgewise to one Axpy (AddTo without coefficients) per edge
+// in ascending e, bit for bit, with runs of one output row of every length,
+// nil indices and nil coefficients, over every value class and widths the
+// edgewise kernel takes and does not; and both to the same panics.
 func TestRowKernelsScaledScatterAddMatchesEdgeLoop(t *testing.T) {
-	rng := NewRNG(83)
-	for _, class := range rowValueClasses {
-		for _, cols := range []int{0, 1, 5, 16, 32, 37} {
-			for v := 0; v < 8; v++ {
-				const inRows, outRows = 9, 7
-				n := 1 + rng.Intn(inRows)
-				var oi, ii []int32
-				if v&1 == 1 {
-					// Sorted destinations give runs; the unsorted tail does not.
-					oi = make([]int32, n)
-					for e := range oi {
-						oi[e] = int32(rng.Intn(outRows))
-					}
-					slices.Sort(oi[:n/2])
-				} else {
-					n = min(n, outRows)
-				}
-				if v&2 == 2 {
-					ii = make([]int32, n)
-					for e := range ii {
-						ii[e] = int32(rng.Intn(inRows))
-					}
-				}
-				var c []float32
-				if v&4 == 4 {
-					c = make([]float32, n)
-					for e := range c {
-						c[e] = rowValue(class, rng)
-					}
-				}
-				in, out := New(inRows, cols), New(outRows, cols)
-				for _, x := range []*Tensor{in, out} {
-					for i := range x.data {
-						x.data[i] = rowValue(class, rng)
-					}
-				}
-				want := out.Clone()
-				for e := 0; e < n; e++ {
-					o, i := e, e
-					if oi != nil {
-						o = int(oi[e])
-					}
-					if ii != nil {
-						i = int(ii[e])
-					}
-					if c == nil {
-						addGo(want.Row(o), in.Row(i))
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(83)
+		for _, class := range rowValueClasses {
+			for _, cols := range []int{0, 1, 5, 8, 16, 32, 37, 64} {
+				for v := 0; v < 8; v++ {
+					const inRows, outRows = 9, 7
+					n := 1 + rng.Intn(inRows)
+					var oi, ii []int32
+					if v&1 == 1 {
+						// Sorted destinations give runs; the unsorted tail does not.
+						oi = make([]int32, n)
+						for e := range oi {
+							oi[e] = int32(rng.Intn(outRows))
+						}
+						slices.Sort(oi[:n/2])
 					} else {
-						axpyGo(want.Row(o), c[e], in.Row(i))
+						n = min(n, outRows)
 					}
+					if v&2 == 2 {
+						ii = make([]int32, n)
+						for e := range ii {
+							ii[e] = int32(rng.Intn(inRows))
+						}
+					}
+					var c []float32
+					if v&4 == 4 {
+						c = make([]float32, n)
+						for e := range c {
+							c[e] = rowValue(class, rng)
+						}
+					}
+					in, out := New(inRows, cols), New(outRows, cols)
+					for _, x := range []*Tensor{in, out} {
+						for i := range x.data {
+							x.data[i] = rowValue(class, rng)
+						}
+					}
+					want := out.Clone()
+					for e := 0; e < n; e++ {
+						o, i := e, e
+						if oi != nil {
+							o = int(oi[e])
+						}
+						if ii != nil {
+							i = int(ii[e])
+						}
+						if c == nil {
+							addGo(want.Row(o), in.Row(i))
+						} else {
+							axpyGo(want.Row(o), c[e], in.Row(i))
+						}
+					}
+					what := fmt.Sprintf("%s cols=%d oi=%v ii=%v c=%v n=%d", class, cols, oi, ii, c != nil, n)
+					edgewise := out.Clone()
+					ScaledScatterAdd(out, oi, in, ii, c, n)
+					checkRow(t, what, out.data, want.data)
+					ScaledScatterAddEdgewise(edgewise, oi, in, ii, c, n)
+					checkRow(t, "edgewise "+what, edgewise.data, want.data)
 				}
-				ScaledScatterAdd(out, oi, in, ii, c, n)
-				checkRow(t, fmt.Sprintf("%s cols=%d oi=%v ii=%v c=%v n=%d", class, cols, oi, ii, c != nil, n), out.data, want.data)
 			}
 		}
-	}
-	in, out := New(3, 2), New(2, 2)
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, []int32{0, 2}, in, nil, nil, 2) })
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, []int32{0, 1}, in, []int32{0, 3}, nil, 2) })
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, []int32{-1}, nil, 1) })
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, nil, nil, 3) })
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(out, nil, in, nil, []float32{1}, 2) })
-	mustPanic(t, "tensor: ", func() { ScaledScatterAdd(New(2, 3), nil, in, nil, nil, 1) })
-	mustPanic(t, "aliases", func() { ScaledScatterAdd(in.RowSlice(0, 2), nil, in, nil, nil, 1) })
+		for _, cols := range []int{2, 8} {
+			for k, scatter := range []func(*Tensor, []int32, *Tensor, []int32, []float32, int){ScaledScatterAdd, ScaledScatterAddEdgewise} {
+				in, out := New(3, cols), New(2, cols)
+				in.Fill(1)
+				mustPanic(t, "tensor: ", func() { scatter(out, []int32{0, 2}, in, nil, nil, 2) })
+				mustPanic(t, "tensor: ", func() { scatter(out, []int32{0, 1}, in, []int32{0, 3}, nil, 2) })
+				mustPanic(t, "tensor: ", func() { scatter(out, nil, in, []int32{-1}, nil, 1) })
+				mustPanic(t, "tensor: ", func() { scatter(out, nil, in, nil, nil, 3) })
+				mustPanic(t, "tensor: ", func() { scatter(out, nil, in, nil, []float32{1}, 2) })
+				mustPanic(t, "tensor: ", func() { scatter(New(2, cols+8), nil, in, nil, nil, 1) })
+				mustPanic(t, "aliases", func() { scatter(in.RowSlice(0, 2), nil, in, nil, nil, 1) })
+				before := out.Clone()
+				mustPanic(t, "tensor: ", func() { scatter(out, []int32{0, 1, 5}, in, nil, nil, 3) })
+				if k == 1 && cols%8 == 0 && bitsEqual(out.data, before.data) >= 0 {
+					t.Fatal("edgewise scatter stored before it panicked on a bad index")
+				}
+			}
+		}
+	})
 }
 
 // TestRowKernelsShortDestinationPanics: the wrappers own the length contract
@@ -443,25 +469,158 @@ func TestRowKernelsShortDestinationPanics(t *testing.T) {
 // TestRowKernelsSameSlice: dst and x may be the same slice, and the result is
 // the scalar loop's (every element reads itself before it is written).
 func TestRowKernelsSameSlice(t *testing.T) {
-	rng := NewRNG(79)
-	for n := 0; n <= rowMaxLen; n++ {
-		v := rowAt(rowBuf("random", rng), n%(rowMaxOff+1), n)
-		a := rowValue("random", rng)
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(79)
+		for n := 0; n <= rowMaxLen; n++ {
+			v := rowAt(rowBuf("random", rng), n%(rowMaxOff+1), n)
+			a := rowValue("random", rng)
 
-		got, want := slices.Clone(v), slices.Clone(v)
-		Axpy(got, a, got)
-		for j, x := range v {
-			want[j] = x + float32(a*x)
-		}
-		checkRow(t, fmt.Sprintf("Axpy(v, a, v) n=%d", n), got, want)
+			got, want := slices.Clone(v), slices.Clone(v)
+			Axpy(got, a, got)
+			for j, x := range v {
+				want[j] = x + float32(a*x)
+			}
+			checkRow(t, fmt.Sprintf("Axpy(v, a, v) n=%d", n), got, want)
 
-		got = append(got[:0], v...)
-		AddTo(got, got)
-		for j, x := range v {
-			want[j] = x + x
+			got = append(got[:0], v...)
+			AddTo(got, got)
+			for j, x := range v {
+				want[j] = x + x
+			}
+			checkRow(t, fmt.Sprintf("AddTo(v, v) n=%d", n), got, want)
 		}
-		checkRow(t, fmt.Sprintf("AddTo(v, v) n=%d", n), got, want)
-	}
+	})
+}
+
+// TestRowKernelsRowOpsMatchTwin holds biasReLUKernel, reluMaskKernel and
+// scaleKernel to their twins, bit for bit, over every length up to 70, every
+// value class (±0, ±Inf, NaN and subnormals planted), destination and operand
+// offsets, a guard band either side of the destination, and the destination
+// being the operand it may be.
+func TestRowKernelsRowOpsMatchTwin(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(101)
+		for _, class := range rowValueClasses {
+			for n := 0; n <= rowMaxLen; n++ {
+				for off := 0; off <= rowMaxOff; off++ {
+					dBack := rowBuf(class, rng)
+					x := rowAt(rowBuf(class, rng), (off+3)%(rowMaxOff+1), n)
+					y := rowAt(rowBuf(class, rng), (off+5)%(rowMaxOff+1), n)
+					a := rowValue(class, rng)
+					what := fmt.Sprintf("%s n=%d dst+%d", class, n, off)
+
+					got, want := slices.Clone(dBack), slices.Clone(dBack)
+					biasReLUKernel(rowAt(got, off, n), x, y)
+					biasReLUGo(rowAt(want, off, n), x, y)
+					checkRow(t, "biasReLU "+what, got, want)
+					got, want = slices.Clone(dBack), slices.Clone(dBack)
+					biasReLUKernel(rowAt(got, off, n), rowAt(got, off, n), y)
+					biasReLUGo(rowAt(want, off, n), rowAt(want, off, n), y)
+					checkRow(t, "biasReLU in place "+what, got, want)
+
+					got, want = slices.Clone(dBack), slices.Clone(dBack)
+					reluMaskKernel(rowAt(got, off, n), x, y)
+					reluMaskGo(rowAt(want, off, n), x, y)
+					checkRow(t, "reluMask "+what, got, want)
+					got, want = slices.Clone(dBack), slices.Clone(dBack)
+					reluMaskKernel(rowAt(got, off, n), rowAt(got, off, n), y)
+					reluMaskGo(rowAt(want, off, n), rowAt(want, off, n), y)
+					checkRow(t, "reluMask in place "+what, got, want)
+
+					got, want = slices.Clone(dBack), slices.Clone(dBack)
+					scaleKernel(rowAt(got, off, n), a, x)
+					scaleGo(rowAt(want, off, n), a, x)
+					checkRow(t, "scale "+what, got, want)
+					got, want = slices.Clone(dBack), slices.Clone(dBack)
+					scaleKernel(rowAt(got, off, n), a, rowAt(got, off, n))
+					scaleGo(rowAt(want, off, n), a, rowAt(want, off, n))
+					checkRow(t, "scale in place "+what, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestRowKernelsScatterEdgesMatchesTwin holds scatterEdgesKernel to
+// scatterEdgesGo, bit for bit, and both to one axpyGo per edge in ascending
+// e, over every width the kernel takes up to 72 (one to nine 8-float strips:
+// 32-, 16- and 8-wide tails), every value class, nil and listed indices and
+// coefficients, and output rows repeated by consecutive edges. Edges write
+// only even rows, so every odd row of the output and a guard band before and
+// after it must come out untouched.
+func TestRowKernelsScatterEdgesMatchesTwin(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(103)
+		const inRows, outRows = 7, 9
+		for _, class := range rowValueClasses {
+			for cols := 0; cols <= 72; cols += 8 {
+				for v := 0; v < 8; v++ {
+					n := rng.Intn(12)
+					var oi, ii []int32
+					if v&2 == 0 {
+						n = min(n, inRows)
+					}
+					if v&1 == 1 {
+						oi = make([]int32, n)
+						for e := range oi {
+							oi[e] = int32(2 * rng.Intn((outRows+1)/2))
+							if e > 0 && rng.Intn(3) == 0 {
+								oi[e] = oi[e-1]
+							}
+						}
+					} else {
+						n = min(n, 1) // the identity writes row e: only row 0 is even and first
+					}
+					if v&2 == 2 {
+						ii = make([]int32, n)
+						for e := range ii {
+							ii[e] = int32(rng.Intn(inRows))
+						}
+					}
+					var c []float32
+					if v&4 == 4 {
+						c = make([]float32, n)
+						for e := range c {
+							c[e] = rowValue(class, rng)
+						}
+					}
+					in := make([]float32, inRows*cols)
+					back := make([]float32, 2*rowGuard+outRows*cols)
+					for _, x := range [][]float32{in, back} {
+						for i := range x {
+							x[i] = rowValue(class, rng)
+						}
+					}
+					what := fmt.Sprintf("%s cols=%d oi=%v ii=%v c=%v", class, cols, oi, ii, c != nil)
+					out := func(b []float32) []float32 { return b[rowGuard : rowGuard+outRows*cols] }
+
+					got, want, steps := slices.Clone(back), slices.Clone(back), slices.Clone(back)
+					scatterEdgesKernel(out(got), in, cols, oi, ii, c, n)
+					scatterEdgesGo(out(want), in, cols, oi, ii, c, n)
+					checkRow(t, "scatterEdges "+what, got, want)
+					for e := 0; e < n; e++ {
+						o, i, a := e, e, float32(1)
+						if oi != nil {
+							o = int(oi[e])
+						}
+						if ii != nil {
+							i = int(ii[e])
+						}
+						if c != nil {
+							a = c[e]
+						}
+						axpyGo(out(steps)[o*cols:][:cols], a, in[i*cols:][:cols])
+					}
+					checkRow(t, "scatterEdges vs Axpy steps "+what, got, steps)
+					for r := 1; r < outRows; r += 2 {
+						if i := bitsEqual(out(got)[r*cols:][:cols], out(back)[r*cols:][:cols]); i >= 0 {
+							t.Fatalf("%s: odd row %d written at %d", what, r, i)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 var rowKernelWidths = []int{16, 32, 64} // the row widths of the benchmark's model (F 64, H 32, 16 classes)

@@ -91,75 +91,79 @@ func signSelectValues(rng *RNG) []float32 {
 // TestSignSelectBitIdenticalToBranchy holds ReLUInto, ReLUBackwardInto,
 // AddBiasReLUInto, LeakyReLUInto and LeakyReLUBackwardInto to their `if v > 0`
 // twins bit for bit (NaN payloads included), with a fresh destination and
-// with the destination aliasing the input, over odd shapes.
+// with the destination aliasing the input, over odd shapes, in every kernel
+// binding: AddBiasReLUInto and ReLUBackwardInto run the biasReLU and
+// reluMask row kernels.
 func TestSignSelectBitIdenticalToBranchy(t *testing.T) {
-	rng := NewRNG(22)
-	vals := signSelectValues(rng)
-	// The second operand (gradient or bias) walks the same classes out of
-	// step with the first, so every class meets every other.
-	other := make([]float32, len(vals))
-	for i := range other {
-		other[i] = vals[(i*7+3)%len(vals)]
-	}
-	const slope = 0.2
-
-	for _, posOnly := range []uint32{0x00000001, 0x7F800000, 0x3F800000} {
-		if posMask(posOnly) != 0xFFFFFFFF {
-			t.Fatalf("posMask(%#x) = %#x, want all ones", posOnly, posMask(posOnly))
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(22)
+		vals := signSelectValues(rng)
+		// The second operand (gradient or bias) walks the same classes out of
+		// step with the first, so every class meets every other.
+		other := make([]float32, len(vals))
+		for i := range other {
+			other[i] = vals[(i*7+3)%len(vals)]
 		}
-	}
-	for _, notPos := range []uint32{0, 0x80000000, 0x7F800001, 0x7FFFFFFF, 0x80000001, 0xFF800000, 0xFFFFFFFF} {
-		if posMask(notPos) != 0 {
-			t.Fatalf("posMask(%#x) = %#x, want 0", notPos, posMask(notPos))
-		}
-	}
+		const slope = 0.2
 
-	// Shapes: one long row, odd lengths around the unroll widths, and a
-	// matrix whose odd row length exercises AddBiasReLU's per-row slices.
-	shapes := [][2]int{{1, len(vals)}, {1, 1}, {1, 3}, {1, 7}, {5, 13}, {101, 67}, {0, 9}}
-	for _, sh := range shapes {
-		rows, cols := sh[0], sh[1]
-		n := rows * cols
-		in := FromSlice(rows, cols, append([]float32(nil), vals[:n]...))
-		grad := FromSlice(rows, cols, append([]float32(nil), other[:n]...))
-		bias := FromSlice(1, cols, append([]float32(nil), other[len(other)-cols:]...))
-		want := make([]float32, n)
-
-		check := func(what string, got *Tensor) {
-			t.Helper()
-			if i := bitsEqual(got.data, want); i >= 0 {
-				t.Fatalf("%s %dx%d: element %d = %#x, branchy %#x (input %#x, other %#x)", what, rows, cols, i,
-					math.Float32bits(got.data[i]), math.Float32bits(want[i]),
-					math.Float32bits(in.data[i]), math.Float32bits(grad.data[i]))
+		for _, posOnly := range []uint32{0x00000001, 0x7F800000, 0x3F800000} {
+			if posMask(posOnly) != 0xFFFFFFFF {
+				t.Fatalf("posMask(%#x) = %#x, want all ones", posOnly, posMask(posOnly))
 			}
 		}
-		// run evaluates op into a fresh destination and into one aliasing
-		// the operand the contract lets it alias.
-		run := func(what string, alias *Tensor, op func(dst, aliased *Tensor)) {
-			t.Helper()
-			dst := New(rows, cols)
-			op(dst, alias)
-			check(what, dst)
-			inPlace := alias.Clone()
-			op(inPlace, inPlace)
-			check(what+" in place", inPlace)
+		for _, notPos := range []uint32{0, 0x80000000, 0x7F800001, 0x7FFFFFFF, 0x80000001, 0xFF800000, 0xFFFFFFFF} {
+			if posMask(notPos) != 0 {
+				t.Fatalf("posMask(%#x) = %#x, want 0", notPos, posMask(notPos))
+			}
 		}
 
-		reluBranchy(want, in.data)
-		run("ReLUInto", in, func(dst, x *Tensor) { ReLUInto(dst, x) })
+		// Shapes: one long row, odd lengths around the unroll widths, and a
+		// matrix whose odd row length exercises AddBiasReLU's per-row slices.
+		shapes := [][2]int{{1, len(vals)}, {1, 1}, {1, 3}, {1, 7}, {5, 13}, {101, 67}, {0, 9}}
+		for _, sh := range shapes {
+			rows, cols := sh[0], sh[1]
+			n := rows * cols
+			in := FromSlice(rows, cols, append([]float32(nil), vals[:n]...))
+			grad := FromSlice(rows, cols, append([]float32(nil), other[:n]...))
+			bias := FromSlice(1, cols, append([]float32(nil), other[len(other)-cols:]...))
+			want := make([]float32, n)
 
-		reluBackwardBranchy(want, grad.data, in.data)
-		run("ReLUBackwardInto", grad, func(dst, g *Tensor) { ReLUBackwardInto(dst, g, in) })
+			check := func(what string, got *Tensor) {
+				t.Helper()
+				if i := bitsEqual(got.data, want); i >= 0 {
+					t.Fatalf("%s %dx%d: element %d = %#x, branchy %#x (input %#x, other %#x)", what, rows, cols, i,
+						math.Float32bits(got.data[i]), math.Float32bits(want[i]),
+						math.Float32bits(in.data[i]), math.Float32bits(grad.data[i]))
+				}
+			}
+			// run evaluates op into a fresh destination and into one aliasing
+			// the operand the contract lets it alias.
+			run := func(what string, alias *Tensor, op func(dst, aliased *Tensor)) {
+				t.Helper()
+				dst := New(rows, cols)
+				op(dst, alias)
+				check(what, dst)
+				inPlace := alias.Clone()
+				op(inPlace, inPlace)
+				check(what+" in place", inPlace)
+			}
 
-		addBiasReLUBranchy(want, in.data, bias.data)
-		run("AddBiasReLUInto", in, func(dst, x *Tensor) { AddBiasReLUInto(dst, x, bias) })
+			reluBranchy(want, in.data)
+			run("ReLUInto", in, func(dst, x *Tensor) { ReLUInto(dst, x) })
 
-		leakyReLUBranchy(want, in.data, slope)
-		run("LeakyReLUInto", in, func(dst, x *Tensor) { LeakyReLUInto(dst, x, slope) })
+			reluBackwardBranchy(want, grad.data, in.data)
+			run("ReLUBackwardInto", grad, func(dst, g *Tensor) { ReLUBackwardInto(dst, g, in) })
 
-		leakyReLUBackwardBranchy(want, grad.data, in.data, slope)
-		run("LeakyReLUBackwardInto", grad, func(dst, g *Tensor) { LeakyReLUBackwardInto(dst, g, in, slope) })
-	}
+			addBiasReLUBranchy(want, in.data, bias.data)
+			run("AddBiasReLUInto", in, func(dst, x *Tensor) { AddBiasReLUInto(dst, x, bias) })
+
+			leakyReLUBranchy(want, in.data, slope)
+			run("LeakyReLUInto", in, func(dst, x *Tensor) { LeakyReLUInto(dst, x, slope) })
+
+			leakyReLUBackwardBranchy(want, grad.data, in.data, slope)
+			run("LeakyReLUBackwardInto", grad, func(dst, g *Tensor) { LeakyReLUBackwardInto(dst, g, in, slope) })
+		}
+	})
 }
 
 // BenchmarkSignSelect times the two hot rectifier loops on sign-random data,

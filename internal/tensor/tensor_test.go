@@ -382,24 +382,38 @@ func scalarMatMul(a, b *Tensor) *Tensor {
 // TestMatMulBlockedBitIdenticalToScalar runs MatMulInto into a NaN-poisoned
 // destination, which must come out exactly as the scalar kernel's.
 func TestMatMulBlockedBitIdenticalToScalar(t *testing.T) {
-	rng := NewRNG(43)
-	// M x K @ K x N: the j tail (N%4), N < 4, empty operands, K past one
-	// k-block (kBlock), M around groups of four rows (the tile's), and both
-	// the serial and the parallelRows branch (M*K*N either side of
-	// gemmParallelThreshold).
-	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
-		{5, 6, 17}, {6, 70, 16}, {7, 2, 9}, {9, 65, 33}, {13, 130, 20}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32},
-		{130, 64, 32}, {301, 33, 18}, {1000, 64, 3}, {9, 130, 7}, {40, 200, 33}} {
-		M, K, N := dims[0], dims[1], dims[2]
-		for _, variant := range bitPinVariants {
-			a := RandNormal(M, K, 0, 1, rng)
-			b := RandNormal(K, N, 0, 1, rng)
-			plantSpecials(variant, a, b, rng)
-			got := poisoned(M, N)
-			MatMulInto(got, a, b)
-			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMul(a, b))
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(43)
+		// M x K @ K x N: the j tail (N%4), N < 4, empty operands, K past one
+		// k-block (kBlock), M around groups of four rows (the tile's), and both
+		// the serial and the parallelRows branch (M*K*N either side of
+		// gemmParallelThreshold).
+		for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+			{5, 6, 17}, {6, 70, 16}, {7, 2, 9}, {9, 65, 33}, {13, 130, 20}, {31, 17, 23}, {64, 32, 31}, {64, 32, 32},
+			{130, 64, 32}, {301, 33, 18}, {1000, 64, 3}, {9, 130, 7}, {40, 200, 33}} {
+			M, K, N := dims[0], dims[1], dims[2]
+			for _, variant := range bitPinVariants {
+				a := RandNormal(M, K, 0, 1, rng)
+				b := RandNormal(K, N, 0, 1, rng)
+				plantSpecials(variant, a, b, rng)
+				got := poisoned(M, N)
+				MatMulInto(got, a, b)
+				want := scalarMatMul(a, b)
+				mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, want)
+
+				// MatMulBiasInto is the product followed by the bias pass.
+				bias := RandNormal(1, N, 0, 1, rng)
+				plantSpecials(variant, bias, bias, rng)
+				AddRowVector(want, bias)
+				MatMulBiasInto(got, a, b, bias, false)
+				mustBitEqual(t, fmt.Sprintf("%v/%s bias", dims, variant), got, want)
+				want = scalarMatMul(a, b)
+				addBiasReLUBranchy(want.data, want.data, bias.data)
+				MatMulBiasInto(got, a, b, bias, true)
+				mustBitEqual(t, fmt.Sprintf("%v/%s bias+relu", dims, variant), got, want)
+			}
 		}
-	}
+	})
 }
 
 // scalarMatMulTA is the unblocked kernel MatMulTAInto replaced: k outermost,
@@ -422,24 +436,26 @@ func scalarMatMulTA(a, b *Tensor) *Tensor {
 }
 
 func TestMatMulTABlockedBitIdenticalToScalar(t *testing.T) {
-	rng := NewRNG(41)
-	// Odd shapes exercise the j tail (N%4), K within one k-block and across
-	// several, M around groups of four columns of a (the tile's), and both
-	// the serial and the parallelRows branch (K*M*N across
-	// gemmParallelThreshold).
-	for _, dims := range [][3]int{{0, 3, 2}, {0, 9, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {17, 5, 16},
-		{70, 6, 17}, {7, 2, 9}, {65, 7, 33}, {130, 9, 16}, {40, 13, 20}, {31, 17, 23}, {130, 64, 32},
-		{301, 33, 18}, {1000, 64, 3}} {
-		K, M, N := dims[0], dims[1], dims[2]
-		for _, variant := range bitPinVariants {
-			a := RandNormal(K, M, 0, 1, rng)
-			b := RandNormal(K, N, 0, 1, rng)
-			plantSpecials(variant, a, b, rng)
-			got := poisoned(a.Cols(), b.Cols())
-			MatMulTAInto(got, a, b)
-			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTA(a, b))
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(41)
+		// Odd shapes exercise the j tail (N%4), K within one k-block and across
+		// several, M around groups of four columns of a (the tile's), and both
+		// the serial and the parallelRows branch (K*M*N across
+		// gemmParallelThreshold).
+		for _, dims := range [][3]int{{0, 3, 2}, {0, 9, 2}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {17, 5, 16},
+			{70, 6, 17}, {7, 2, 9}, {65, 7, 33}, {130, 9, 16}, {40, 13, 20}, {31, 17, 23}, {130, 64, 32},
+			{301, 33, 18}, {1000, 64, 3}} {
+			K, M, N := dims[0], dims[1], dims[2]
+			for _, variant := range bitPinVariants {
+				a := RandNormal(K, M, 0, 1, rng)
+				b := RandNormal(K, N, 0, 1, rng)
+				plantSpecials(variant, a, b, rng)
+				got := poisoned(a.Cols(), b.Cols())
+				MatMulTAInto(got, a, b)
+				mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTA(a, b))
+			}
 		}
-	}
+	})
 }
 
 // scalarMatMulTB is the dot loop MatMulTBInto replaced: each element sums
@@ -460,23 +476,25 @@ func scalarMatMulTB(a, b *Tensor) *Tensor {
 }
 
 func TestMatMulTBBitIdenticalToScalar(t *testing.T) {
-	rng := NewRNG(47)
-	// M x K @ (N x K)ᵀ: N and K off multiples of 4, empty operands, M around
-	// groups of four rows (the tile's), and both the serial and the
-	// parallelRows branch.
-	for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
-		{5, 17, 16}, {6, 16, 17}, {7, 2, 9}, {9, 33, 70}, {13, 130, 20}, {31, 17, 23}, {64, 16, 32},
-		{130, 32, 64}, {301, 18, 33}, {1000, 3, 64}, {9, 130, 7}} {
-		M, K, N := dims[0], dims[1], dims[2]
-		for _, variant := range bitPinVariants {
-			a := RandNormal(M, K, 0, 1, rng)
-			b := RandNormal(N, K, 0, 1, rng)
-			plantSpecials(variant, a, b, rng)
-			got := poisoned(M, N)
-			MatMulTBInto(got, a, b)
-			mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTB(a, b))
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(47)
+		// M x K @ (N x K)ᵀ: N and K off multiples of 4, empty operands, M around
+		// groups of four rows (the tile's), and both the serial and the
+		// parallelRows branch.
+		for _, dims := range [][3]int{{0, 3, 2}, {3, 0, 2}, {2, 3, 0}, {8, 0, 5}, {1, 1, 1}, {3, 5, 7}, {4, 4, 4},
+			{5, 17, 16}, {6, 16, 17}, {7, 2, 9}, {9, 33, 70}, {13, 130, 20}, {31, 17, 23}, {64, 16, 32},
+			{130, 32, 64}, {301, 18, 33}, {1000, 3, 64}, {9, 130, 7}} {
+			M, K, N := dims[0], dims[1], dims[2]
+			for _, variant := range bitPinVariants {
+				a := RandNormal(M, K, 0, 1, rng)
+				b := RandNormal(N, K, 0, 1, rng)
+				plantSpecials(variant, a, b, rng)
+				got := poisoned(M, N)
+				MatMulTBInto(got, a, b)
+				mustBitEqual(t, fmt.Sprintf("%v/%s", dims, variant), got, scalarMatMulTB(a, b))
+			}
 		}
-	}
+	})
 }
 
 func TestMatMulTBMatchesMatMulTranspose(t *testing.T) {
@@ -681,6 +699,16 @@ func TestAddIntoAliasing(t *testing.T) {
 	if !a.Equal(FromRows([][]float32{{11, 22}})) {
 		t.Fatalf("aliased AddInto = %v", a)
 	}
+	AddInto(b, a, b) // dst aliases b
+	if !b.Equal(FromRows([][]float32{{21, 42}})) {
+		t.Fatalf("AddInto into b = %v", b)
+	}
+	c := New(1, 2)
+	AddInto(c, a, b) // dst aliases neither
+	if !c.Equal(FromRows([][]float32{{32, 64}})) || !a.Equal(FromRows([][]float32{{11, 22}})) {
+		t.Fatalf("AddInto into a third tensor = %v (a = %v)", c, a)
+	}
+	b = FromRows([][]float32{{10, 20}})
 	MulInto(b, b, b) // dst aliases both
 	if !b.Equal(FromRows([][]float32{{100, 400}})) {
 		t.Fatalf("aliased MulInto = %v", b)
@@ -713,4 +741,63 @@ func TestSumRowsOfEmpty(t *testing.T) {
 	if Norm(s) != 0 {
 		t.Fatal("SumRows of empty wrong")
 	}
+}
+
+// TestElementwiseIntoMatchScalarLoops holds the element-wise ops the row
+// kernels run — AddInto into a third tensor, ScaleInto, MulColVecInto and
+// ReLUBackwardSumRowsInto — to the scalar loops they replaced, bit for bit,
+// over every value class and odd shapes, in every kernel binding.
+func TestElementwiseIntoMatchScalarLoops(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(107)
+		for _, class := range rowValueClasses {
+			for _, sh := range [][2]int{{0, 3}, {1, 1}, {3, 7}, {5, 16}, {9, 33}, {4, 70}} {
+				rows, cols := sh[0], sh[1]
+				fill := func(x *Tensor) *Tensor {
+					for i := range x.data {
+						x.data[i] = rowValue(class, rng)
+					}
+					return x
+				}
+				a, b, o := fill(New(rows, cols)), fill(New(rows, cols)), fill(New(rows, cols))
+				c := make([]float32, rows)
+				for i := range c {
+					c[i] = rowValue(class, rng)
+				}
+				s := rowValue(class, rng)
+				what := fmt.Sprintf("%s %dx%d", class, rows, cols)
+
+				want := New(rows, cols)
+				for i := range want.data {
+					want.data[i] = a.data[i] + b.data[i]
+				}
+				got := poisoned(rows, cols)
+				AddInto(got, a, b)
+				mustBitEqual(t, "AddInto "+what, got, want)
+
+				for i := range want.data {
+					want.data[i] = a.data[i] * s
+				}
+				ScaleInto(got, a, s)
+				mustBitEqual(t, "ScaleInto "+what, got, want)
+
+				for i := range want.data {
+					want.data[i] = a.data[i] * c[i/max(cols, 1)]
+				}
+				MulColVecInto(got, a, c)
+				mustBitEqual(t, "MulColVecInto "+what, got, want)
+
+				reluBackwardBranchy(want.data, a.data, o.data)
+				wantSum := New(1, cols)
+				SumRowsInto(wantSum, want)
+				gotSum := poisoned(1, cols)
+				ReLUBackwardSumRowsInto(got, gotSum, a, o)
+				mustBitEqual(t, "ReLUBackwardSumRowsInto "+what, got, want)
+				mustBitEqual(t, "ReLUBackwardSumRowsInto sum "+what, gotSum, wantSum)
+			}
+		}
+		mustPanic(t, "tensor: ", func() { MulColVecInto(New(2, 2), New(2, 2), []float32{1}) })
+		mustPanic(t, "tensor: ", func() { ReLUBackwardSumRowsInto(New(2, 2), New(1, 3), New(2, 2), New(2, 2)) })
+		mustPanic(t, "aliases", func() { x := New(2, 2); MatMulBiasInto(x, New(2, 2), New(2, 2), x.RowSlice(0, 1), false) })
+	})
 }

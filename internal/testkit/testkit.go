@@ -62,7 +62,7 @@ func SmallDataset(n int, deg float64, seed uint64) *dataset.Dataset {
 }
 
 // maskedNLL computes the mean negative log-likelihood of logits over the
-// masked rows in float64, mirroring Tape.NLLLossMasked's semantics but with
+// masked rows in float64, mirroring Tape.CrossEntropyMasked's loss but with
 // a float64 reduction — the numeric side of the gradient checker wants the
 // least rounding noise the float32 forward pass allows.
 func maskedNLL(logits *tensor.Tensor, labels []int32, mask []bool) float64 {
