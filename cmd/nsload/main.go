@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -86,8 +87,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *vertsPerReq <= 0 {
 		return fail(fmt.Errorf("-verts must be positive, got %d", *vertsPerReq))
 	}
-	if *rate < 0 {
-		return fail(fmt.Errorf("-rate must be non-negative, got %g", *rate))
+	// NaN fails every comparison: it would turn a gate off, or the open
+	// loop into a closed one, without a word. An infinite gate could never
+	// pass or never fire; an infinite rate is too high, below.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-rate", *rate}, {"-min-qps", *minQPS}, {"-max-p99-ms", *maxP99Ms}} {
+		if !(f.v >= 0) {
+			return fail(fmt.Errorf("%s must be non-negative, got %g", f.name, f.v))
+		}
+		if f.name != "-rate" && math.IsInf(f.v, 1) {
+			return fail(fmt.Errorf("%s must be finite, got %g", f.name, f.v))
+		}
 	}
 	// interval is the open-loop send period; 0 means closed loop.
 	var interval time.Duration

@@ -38,6 +38,15 @@ func TestRunRejectsBeforeDialing(t *testing.T) {
 		{"zero requests", []string{"-requests", "0"}, 1, "-requests must be positive, got 0"},
 		{"zero verts", []string{"-verts", "0"}, 1, "-verts must be positive, got 0"},
 		{"negative rate", []string{"-rate", "-1"}, 1, "-rate must be non-negative, got -1"},
+		// NaN compares false with every bound: it used to turn the open
+		// loop and both gates off without a word.
+		{"NaN rate", []string{"-rate", "NaN"}, 1, "-rate must be non-negative, got NaN"},
+		{"NaN min-qps", []string{"-min-qps", "NaN"}, 1, "-min-qps must be non-negative, got NaN"},
+		{"negative min-qps", []string{"-min-qps", "-5"}, 1, "-min-qps must be non-negative, got -5"},
+		{"infinite min-qps", []string{"-min-qps", "+Inf"}, 1, "-min-qps must be finite, got +Inf"},
+		{"NaN max-p99-ms", []string{"-max-p99-ms", "NaN"}, 1, "-max-p99-ms must be non-negative, got NaN"},
+		{"negative max-p99-ms", []string{"-max-p99-ms", "-1"}, 1, "-max-p99-ms must be non-negative, got -1"},
+		{"infinite max-p99-ms", []string{"-max-p99-ms", "+Inf"}, 1, "-max-p99-ms must be finite, got +Inf"},
 		// An interval that rounds to 0 ns used to reach time.NewTicker(0).
 		{"rate above 1e9", []string{"-rate", "2e9"}, 1, "-rate 2e+09 is too high"},
 		{"infinite rate", []string{"-rate", "+Inf"}, 1, "is too high"},

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -96,6 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-watch-rules: %w", err))
 	} else if rules.WatchesEpochs() {
 		return usage(fmt.Errorf("-watch-rules %q: stall, regress, straggler and window watch training epochs; nsserve evaluates slo_p99, slo_window and hitrate", *watchSpec))
+	}
+	// NaN and +Inf would train to a NaN loss, a negative rate ascends the
+	// loss, and 0 would silently train at the engine's default.
+	if !(*lr > 0) || *lr > math.MaxFloat32 {
+		return usage(fmt.Errorf("-lr must be positive and finite as a float32, got %g", *lr))
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

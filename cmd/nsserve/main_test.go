@@ -15,6 +15,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{"malformed watch rules", []string{"-watch-rules", "slo_p99"}, "-watch-rules: "},
 		{"epoch watch rules", []string{"-watch-rules", "stall=1s"}, "stall, regress, straggler and window watch training epochs"},
 		{"unknown log level", []string{"-log-level", "bogus"}, `-log-level: slog: level string "bogus": unknown name`},
+		{"NaN lr", []string{"-train", "2", "-lr", "NaN"}, "-lr must be positive and finite as a float32, got NaN"},
+		{"infinite lr", []string{"-train", "2", "-lr", "+Inf"}, "-lr must be positive and finite as a float32, got +Inf"},
+		{"negative lr", []string{"-train", "2", "-lr", "-1"}, "-lr must be positive and finite as a float32, got -1"},
+		{"zero lr", []string{"-train", "2", "-lr", "0"}, "-lr must be positive and finite as a float32, got 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

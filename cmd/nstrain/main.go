@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -112,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := validateFlags(*dsName, *workers, *epochs, *layers, *ckptDir, *ckptEvery, *resume); err != nil {
+	if err := validateFlags(*dsName, *workers, *epochs, *layers, *lr, *ckptDir, *ckptEvery, *resume); err != nil {
 		return usage(err)
 	}
 	for _, f := range []struct {
@@ -292,7 +293,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // validateFlags rejects nonsensical flag combinations up front with a usage
 // error, instead of letting them surface as a panic or confusing failure deep
 // inside the engine.
-func validateFlags(dataset string, workers, epochs, layers int, ckptDir string, ckptEvery int, resume bool) error {
+func validateFlags(dataset string, workers, epochs, layers int, lr float64, ckptDir string, ckptEvery int, resume bool) error {
 	if strings.TrimSpace(dataset) == "" {
 		return fmt.Errorf("-dataset must not be empty (available: %s)", strings.Join(neutronstar.DatasetNames(), ", "))
 	}
@@ -304,6 +305,11 @@ func validateFlags(dataset string, workers, epochs, layers int, ckptDir string, 
 	}
 	if layers < 0 {
 		return fmt.Errorf("-layers must be non-negative, got %d", layers)
+	}
+	// NaN and +Inf would train to a NaN loss, a negative rate ascends the
+	// loss, and 0 would silently train at the engine's default.
+	if !(lr > 0) || lr > math.MaxFloat32 {
+		return fmt.Errorf("-lr must be positive and finite as a float32, got %g", lr)
 	}
 	if ckptEvery <= 0 {
 		return fmt.Errorf("-ckpt-every must be positive, got %d", ckptEvery)

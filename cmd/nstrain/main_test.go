@@ -18,6 +18,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero workers", []string{"-workers", "0"}, "-workers must be positive, got 0"},
 		{"zero epochs", []string{"-epochs", "0"}, "-epochs must be positive, got 0"},
 		{"negative layers", []string{"-layers", "-1"}, "-layers must be non-negative, got -1"},
+		{"NaN lr", []string{"-lr", "NaN"}, "-lr must be positive and finite as a float32, got NaN"},
+		{"infinite lr", []string{"-lr", "+Inf"}, "-lr must be positive and finite as a float32, got +Inf"},
+		{"lr past float32", []string{"-lr", "1e300"}, "-lr must be positive and finite as a float32, got 1e+300"},
+		{"negative lr", []string{"-lr", "-1"}, "-lr must be positive and finite as a float32, got -1"},
+		{"zero lr", []string{"-lr", "0"}, "-lr must be positive and finite as a float32, got 0"},
 		{"zero ckpt-every", []string{"-ckpt-every", "0"}, "-ckpt-every must be positive, got 0"},
 		{"resume without dir", []string{"-resume"}, "-resume requires -ckpt-dir"},
 		{"unknown engine", []string{"-engine", "bogus"},

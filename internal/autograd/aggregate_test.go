@@ -241,74 +241,71 @@ func TestAggregateBackwardAllocations(t *testing.T) {
 	}
 }
 
-// TestAggregateWeightedBackwardGrouped holds the one-pass α backward, with
-// its runs of four same-destination dots, to the loop it replaced: one
-// tensor.Dot per edge into α.Grad, then one Axpy per edge into x.Grad, both
-// in ascending e. In-degrees 0–9 give full groups of four and every tail;
-// sources repeat within groups; x is read through an index and as one row
-// per edge; α, x, or both require grad.
+// TestAggregateWeightedBackwardGrouped holds the two-pass α backward, with
+// each destination's dots in one tensor.DotRows call, to the loop it
+// replaced: one tensor.Dot per edge into α.Grad, then one Axpy per edge into
+// x.Grad, both in ascending e. In-degrees 0–20 give one and two full groups
+// of eight and every part-filled group; sources repeat within groups; x is
+// read through an index and as one row per edge, at widths the dot kernel
+// takes and one it does not, over ordinary and ±0, ±Inf, NaN and subnormal
+// operands; α, x, or both require grad, and the other gets no gradient; in
+// every kernel binding.
 func TestAggregateWeightedBackwardGrouped(t *testing.T) {
-	const (
-		numDst = 30
-		numSrc = 7
-		dim    = 13
-	)
-	rng := tensor.NewRNG(41)
-	var src, dst []int32
-	for d := 0; d < numDst; d++ {
-		for k := 0; k < d%10; k++ {
-			src = append(src, int32(rng.Intn(numSrc)))
-			dst = append(dst, int32(d))
-		}
-	}
-	alphaVal := tensor.RandNormal(len(dst), 1, 0, 1, rng)
-	seed := tensor.RandNormal(numDst, dim, 0, 1, rng)
-	for _, idx := range []struct {
-		name string
-		x    *tensor.Tensor
-		src  []int32
-	}{
-		{"indexed", tensor.RandNormal(numSrc, dim, 0, 1, rng), src},
-		{"src=nil", tensor.RandNormal(len(dst), dim, 0, 1, rng), nil},
-	} {
-		row := func(e int) int {
-			if idx.src == nil {
-				return e
-			}
-			return int(idx.src[e])
-		}
-		wantA := tensor.New(len(dst), 1)
-		wantX := tensor.New(idx.x.Rows(), dim)
-		for e, d := range dst {
-			wantA.Data()[e] += tensor.Dot(seed.Row(int(d)), idx.x.Row(row(e)))
-		}
-		for e, d := range dst {
-			tensor.Axpy(wantX.Row(row(e)), alphaVal.Data()[e], seed.Row(int(d)))
-		}
-		for _, tc := range []struct {
-			name         string
-			xGrad, aGrad bool
-		}{
-			{"alpha only", false, true},
-			{"x only", true, false},
-			{"both", true, true},
-		} {
-			tp := autograd.NewTape()
-			x, a := tp.Leaf(idx.x, tc.xGrad, "x"), tp.Leaf(alphaVal, tc.aGrad, "alpha")
-			tp.Backward(tp.AggregateWeighted(x, idx.src, a, dst, numDst), seed)
-			name := idx.name + "/" + tc.name
-			if tc.aGrad {
-				requireBitEqual(t, name+" dalpha", a.Grad, wantA)
-			} else if a.Grad != nil {
-				t.Fatalf("%s: alpha got a gradient", name)
-			}
-			if tc.xGrad {
-				requireBitEqual(t, name+" dx", x.Grad, wantX)
-			} else if x.Grad != nil {
-				t.Fatalf("%s: x got a gradient", name)
+	inKernelModes(t, func(t *testing.T) {
+		rng := tensor.NewRNG(43)
+		const numSrc, numDst = 11, 21
+		var src, dst []int32
+		for d := 0; d < numDst; d++ {
+			for k := 0; k < d; k++ {
+				src = append(src, int32(rng.Intn(numSrc)))
+				dst = append(dst, int32(d))
 			}
 		}
-	}
+		for _, dim := range []int{8, 13, 16, 32} {
+			for _, special := range []bool{false, true} {
+				alpha := edgeTensor(rng, len(dst), 1, special)
+				seed := edgeTensor(rng, numDst, dim, special)
+				for _, in := range []struct {
+					name string
+					x    *tensor.Tensor
+					src  []int32
+				}{
+					{"indexed", edgeTensor(rng, numSrc, dim, special), src},
+					{"src=nil", edgeTensor(rng, len(dst), dim, special), nil},
+				} {
+					row := func(e int) int {
+						if in.src == nil {
+							return e
+						}
+						return int(in.src[e])
+					}
+					wantA, wantX := tensor.New(len(dst), 1), tensor.New(in.x.Rows(), dim)
+					for e, d := range dst {
+						wantA.Data()[e] += tensor.Dot(seed.Row(int(d)), in.x.Row(row(e)))
+					}
+					for e, d := range dst {
+						tensor.Axpy(wantX.Row(row(e)), alpha.Data()[e], seed.Row(int(d)))
+					}
+					for _, grads := range []struct{ x, a bool }{{false, true}, {true, false}, {true, true}} {
+						name := fmt.Sprintf("%s dim=%d special=%v x=%v alpha=%v", in.name, dim, special, grads.x, grads.a)
+						tp := autograd.NewTape()
+						x, a := tp.Leaf(in.x, grads.x, "x"), tp.Leaf(alpha, grads.a, "alpha")
+						tp.Backward(tp.AggregateWeighted(x, in.src, a, dst, numDst), seed)
+						if grads.a {
+							requireBitEqual(t, name+" dalpha", a.Grad, wantA)
+						} else if a.Grad != nil {
+							t.Fatalf("%s: alpha got a gradient", name)
+						}
+						if grads.x {
+							requireBitEqual(t, name+" dx", x.Grad, wantX)
+						} else if x.Grad != nil {
+							t.Fatalf("%s: x got a gradient", name)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestAggregateIndexMismatchPanics(t *testing.T) {

@@ -79,9 +79,30 @@ func requireGradBitEqual(t *testing.T, name string, got, want *tensor.Tensor) {
 }
 
 // TestEdgeSoftmaxMatchesUnfused: α and both score gradients bit-equal to the
-// Gather → Gather → Add → LeakyReLU → SegmentSoftmax chain.
+// Gather → Gather → Add → LeakyReLU → SegmentSoftmax chain, over ordinary
+// scores and over ±0, ±Inf, NaN and subnormal ones — where the fused op's leaky
+// masks, a multiply by {slope, 1}[x > 0], must give what LeakyReLU's
+// selects give, and those are the branchy loops bit for bit
+// (TestSignSelectBitIdenticalToBranchy) — in every kernel binding.
 func TestEdgeSoftmaxMatchesUnfused(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		for _, special := range []bool{false, true} {
+			testEdgeSoftmaxMatchesUnfused(t, special)
+		}
+	})
+}
+
+func testEdgeSoftmaxMatchesUnfused(t *testing.T, special bool) {
+	rng := tensor.NewRNG(59)
 	for _, c := range edgeCases() {
+		if special {
+			c.name += "/special"
+			for _, col := range []*tensor.Tensor{c.src, c.dst} {
+				for i := range col.Data() {
+					col.Data()[i] = edgeValue(rng, true)
+				}
+			}
+		}
 		seed := tensor.RandNormal(len(c.edgeDst), 1, 0, 1, tensor.NewRNG(13))
 
 		ft := autograd.NewTape()

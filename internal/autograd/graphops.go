@@ -30,9 +30,7 @@ func (t *Tape) Gather(x *Variable, idx []int32) *Variable {
 			return
 		}
 		g := t.alloc(x.Value.Rows(), x.Value.Cols())
-		for i, src := range idx {
-			tensor.AddTo(g.Row(int(src)), grad.Row(i))
-		}
+		tensor.ScaledScatterAddEdgewise(g, idx, grad, nil, nil, len(idx))
 		x.adopt(g)
 	}, x)
 }
@@ -60,11 +58,10 @@ func (t *Tape) Aggregate(x *Variable, src []int32, coeff []float32, dst []int32,
 // column (GAT's attention α): values bit-identical to
 // ScatterAddRows(BroadcastColMul(Gather(x, src), alpha), dst). Besides x's
 // gradient, backward adds the per-edge dot dOut[dst[e]] · x[src[e]] to
-// alpha.Grad[e]. Both run in one pass over the edges: up to four consecutive
-// edges of one destination share one read of dOut[dst[e]] with four
-// independent dot chains, each summing its terms in ascending column order
-// as tensor.Dot does, and the x.Grad updates follow in ascending e — the bits
-// of a per-edge Dot loop followed by the Axpy loop.
+// alpha.Grad[e]. It runs in two passes over the edges: every dot first,
+// each summed in ascending column order as tensor.Dot sums it, then the
+// x.Grad updates in ascending e — the bits of a per-edge Dot loop followed by
+// the Axpy loop.
 func (t *Tape) AggregateWeighted(x *Variable, src []int32, alpha *Variable, dst []int32, numDst int) *Variable {
 	if alpha.Value.Cols() != 1 {
 		panic("autograd: AggregateWeighted wants an Ex1 coefficient column")
@@ -101,44 +98,37 @@ func (t *Tape) aggregate(x *Variable, src []int32, coeff []float32, alpha *Varia
 	}, x, alpha)
 }
 
-// weightedBackward is AggregateWeighted's backward pass in one sweep over the
-// edges: ga[e] += dOut[dst[e]] · x[src[e]] and, when gx is not nil,
-// gx[src[e]] += coeff[e] · dOut[dst[e]]. Runs of four edges with one
-// destination take their dots together: four accumulators over one read of
-// the dOut row, each adding its products in ascending k, so every dot has
+// weightedBackward is AggregateWeighted's backward pass in two sweeps over
+// the edges: ga[e] += dOut[dst[e]] · x[src[e]] for every e, then, when gx is
+// not nil, gx[src[e]] += coeff[e] · dOut[dst[e]] in ascending e, one
+// tensor.ScaledScatterAddEdgewise call. ga and gx share no storage with x or
+// dOut, so doing all the dots first moves no bit. The edges of one
+// destination share its dOut row, so up to 64 of them are one
+// tensor.DotRows call, one edge to a dot summed from +0 in ascending k:
 // tensor.Dot's bits.
 func weightedBackward(ga []float32, gx, x *tensor.Tensor, src []int32, dOut *tensor.Tensor, dst []int32, coeff []float32) {
-	n := len(dst)
+	var dots [64]float32 // up to 64 edges to a DotRows call, on the stack
+	xs, cols, n := x.Data(), x.Cols(), len(dst)
 	for e := 0; e < n; {
 		d := dst[e]
 		g := dOut.Row(int(d))
-		if e+4 <= n && dst[e+1] == d && dst[e+2] == d && dst[e+3] == d {
-			x0, x1, x2, x3 := x.Row(rowOf(src, e)), x.Row(rowOf(src, e+1)), x.Row(rowOf(src, e+2)), x.Row(rowOf(src, e+3))
-			x0, x1, x2, x3 = x0[:len(g)], x1[:len(g)], x2[:len(g)], x3[:len(g)]
-			var s0, s1, s2, s3 float32
-			for k, v := range g {
-				s0 += float32(v * x0[k])
-				s1 += float32(v * x1[k])
-				s2 += float32(v * x2[k])
-				s3 += float32(v * x3[k])
-			}
-			ga[e] += s0
-			ga[e+1] += s1
-			ga[e+2] += s2
-			ga[e+3] += s3
-			if gx != nil {
-				for i := e; i < e+4; i++ {
-					tensor.Axpy(gx.Row(rowOf(src, i)), coeff[i], g)
-				}
-			}
-			e += 4
-			continue
+		end := e + 1
+		for end < n && end-e < len(dots) && dst[end] == d {
+			end++
 		}
-		ga[e] += tensor.Dot(g, x.Row(rowOf(src, e)))
-		if gx != nil {
-			tensor.Axpy(gx.Row(rowOf(src, e)), coeff[e], g)
+		m := end - e
+		if src == nil {
+			tensor.DotRows(dots[:m], g, xs[e*cols:], nil)
+		} else {
+			tensor.DotRows(dots[:m], g, xs, src[e:end])
 		}
-		e++
+		for i, s := range dots[:m] {
+			ga[e+i] += s
+		}
+		e = end
+	}
+	if gx != nil {
+		tensor.ScaledScatterAddEdgewise(gx, src, dOut, dst, coeff, n)
 	}
 }
 
@@ -273,6 +263,7 @@ func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets
 	}
 	out := t.allocUnzeroed(e, 1)
 	p, sv, dv := out.Data(), src.Value.Data(), dst.Value.Data()
+	leaky := [2]float32{slope, 1}
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := int(offsets[s]), int(offsets[s+1])
 		if lo == hi {
@@ -280,10 +271,7 @@ func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets
 		}
 		for i := lo; i < hi; i++ {
 			x := sv[rowOf(srcRow, i)] + dv[s]
-			if !(x > 0) { // not x <= 0: a NaN takes the slope, as LeakyReLU's does
-				x = float32(x * slope)
-			}
-			p[i] = x
+			p[i] = x * leaky[posBit(x)]
 		}
 		softmaxSegment(p[lo:hi], p[lo:hi])
 	}
@@ -303,10 +291,7 @@ func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets
 				r := rowOf(srcRow, i)
 				// The conversions round where the unfused chain stored a
 				// tensor, so no compiler may fuse them into the adds below.
-				d := float32(p[i] * (g[i] - dot))
-				if !(sv[r]+dv[s] > 0) {
-					d = float32(d * slope)
-				}
+				d := float32(float32(p[i]*(g[i]-dot)) * leaky[posBit(sv[r]+dv[s])])
 				if gs != nil {
 					gs[r] += d
 				}
@@ -316,6 +301,17 @@ func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets
 			}
 		}
 	}, src, dst)
+}
+
+// posBit is 1 when v > 0 and 0 otherwise, NaN and ±0 included: the test as
+// an index, so EdgeSoftmax's leaky masks multiply by {slope, 1}[v > 0]
+// instead of branching on signs a random score mispredicts half the time.
+// v > 0 holds exactly for the bits b in [1, 0x7F800000]: in uint32
+// arithmetic b−1 < 0x7F800000, whose 64-bit difference borrows into the top
+// bit. Multiplying by 1 is exact for every float, NaN and −0 too, so the
+// select keeps the branchy form's bits.
+func posBit(v float32) int {
+	return int((uint64(math.Float32bits(v)-1) - 0x7F800000) >> 63)
 }
 
 // segmentEnd checks that offsets delimit contiguous segments starting at row

@@ -244,28 +244,24 @@ func (t *Tape) MulColVec(x *Variable, coeff []float32) *Variable {
 
 // RowDot computes, for each row i, the dot product of x's row i with the 1xC
 // vector w, yielding an Rx1 column. Used for attention score computation.
-// Backward adds grad[i]·w straight into row i of x.Grad.
+// Every dot is tensor.Dot's, in one tensor.DotRows call. Backward adds
+// grad[i]·w straight into row i of x.Grad (tensor.AxpyRows) and sums
+// grad[i]·x[i] over the rows in ascending i for w's gradient
+// (tensor.WeightedSumRowsInto): the bits of one Axpy per row in each.
 func (t *Tape) RowDot(x, w *Variable) *Variable {
 	if w.Value.Rows() != 1 || w.Value.Cols() != x.Value.Cols() {
 		panic("autograd: RowDot wants 1xC weight matching x columns")
 	}
 	r := x.Value.Rows()
 	out := t.allocUnzeroed(r, 1)
-	for i := 0; i < r; i++ {
-		out.Set(i, 0, tensor.Dot(x.Value.Row(i), w.Value.Row(0)))
-	}
+	tensor.DotRows(out.Data(), w.Value.Row(0), x.Value.Data(), nil)
 	return t.record(out, "row_dot", func(grad *tensor.Tensor) {
 		if x.requiresGrad {
-			gx := x.gradBuf()
-			for i := 0; i < r; i++ {
-				tensor.Axpy(gx.Row(i), grad.At(i, 0), w.Value.Row(0))
-			}
+			tensor.AxpyRows(x.gradBuf(), grad.Data(), w.Value.Row(0))
 		}
 		if w.requiresGrad {
-			gw := t.alloc(1, w.Value.Cols())
-			for i := 0; i < r; i++ {
-				tensor.Axpy(gw.Row(0), grad.At(i, 0), x.Value.Row(i))
-			}
+			gw := t.allocUnzeroed(1, w.Value.Cols())
+			tensor.WeightedSumRowsInto(gw, x.Value, grad.Data())
 			w.adopt(gw)
 		}
 	}, x, w)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,7 +170,8 @@ type Options struct {
 }
 
 // withDefaults fills unset options, normalises RepQuant and returns Mode's
-// row of the policy table; an unknown mode or replica format is an error.
+// row of the policy table; an unknown mode or replica format is an error, and
+// so is a learning rate that is NaN, infinite or negative (0 is the default).
 func (o Options) withDefaults() (Options, policy, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -185,6 +187,11 @@ func (o Options) withDefaults() (Options, policy, error) {
 	}
 	if o.LR == 0 {
 		o.LR = 0.01
+	}
+	// NaN fails every comparison, so it would train on silently (to a NaN
+	// loss), as would +Inf; a negative rate ascends the loss.
+	if !(o.LR > 0) || math.IsInf(float64(o.LR), 1) {
+		return o, policy{}, fmt.Errorf("engine: learning rate %g is not a finite positive number", o.LR)
 	}
 	pol, err := policyOf(o.Mode)
 	if err == nil {

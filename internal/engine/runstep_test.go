@@ -134,3 +134,36 @@ func TestNewRejectsMismatchedPlan(t *testing.T) {
 	}
 	e.Close()
 }
+
+// TestLearningRateMustBeFinitePositive: a NaN, infinite or negative learning
+// rate is an error from both the plan step and the run step — NaN used to
+// train to a NaN loss, a negative rate to ascend it — while 0 keeps meaning
+// the default.
+func TestLearningRateMustBeFinitePositive(t *testing.T) {
+	ds := testDataset(t, 120, 5, 64)
+	opts := Options{Workers: 2, Mode: DepCache, Model: nn.GCN, Seed: 3}
+	good, err := PlanFor(ds, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lr := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -1, -1e-30} {
+		o := opts
+		o.LR = lr
+		if _, err := PlanFor(ds, o, nil); err == nil || !strings.Contains(err.Error(), "learning rate") {
+			t.Errorf("PlanFor with LR %g: error %v, want one naming the learning rate", lr, err)
+		}
+		if e, err := New(ds, good, o); err == nil {
+			e.Close()
+			t.Errorf("New with LR %g: accepted", lr)
+		}
+	}
+	for _, lr := range []float32{0, 1e-30, 0.01, math.MaxFloat32} {
+		o := opts
+		o.LR = lr
+		e, err := New(ds, good, o)
+		if err != nil {
+			t.Fatalf("New with LR %g: %v", lr, err)
+		}
+		e.Close()
+	}
+}

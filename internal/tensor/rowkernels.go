@@ -12,9 +12,10 @@ import (
 // between them; every other gradient or row accumulation runs in axpy or add
 // over one contiguous row, and an aggregation backward in scatterEdges, one
 // axpy per edge in one call. anyZero is the zero scan the NN and TA GEMMs
-// choose between accRows4 and accRows with. The element-wise row ops — bias
-// plus rectifier (biasReLU), the rectifier's gradient mask (reluMask) and a
-// row scale (scale) — write one row once.
+// choose between accRows4 and accRows with, and dotRows takes the dot
+// products of one vector with a list of rows, eight rows at a time. The
+// element-wise row ops — bias plus rectifier (biasReLU), the rectifier's
+// gradient mask (reluMask) and a row scale (scale) — write one row once.
 //
 // Each kernel exists twice: amd64 assembly (rowkernels_amd64.s) and the
 // portable Go twin below, which is what every other architecture runs and
@@ -24,11 +25,12 @@ import (
 // twins too, and one with AVX-512 runs accRows, accRows4 and scatterEdges
 // 512 bits wide where a row has 32 (scatterEdges: 16) floats left.
 //
-// The assembly vectorises across j only. Element j of dst still receives one
-// product rounded to float32 and one add per term, in the order the scalar
-// loop applies them, so the two forms agree to the bit — and so does any
-// blocking of the loops around them that keeps the per-element term order,
-// accRows4 included: it is four accRows calls.
+// The assembly vectorises across j, or, in dotRows, across rows. Either way
+// each lane's element still receives one product rounded to float32 and one
+// add per term, in the order the scalar loop applies them, so the two forms
+// agree to the bit — and so does any blocking of the loops around them that
+// keeps the per-element term order, accRows4 included: it is four accRows
+// calls. A sum is never split across lanes.
 //
 // The twins write every product as float32(a*b). Go's spec lets a compiler
 // fuse x*y + z into one instruction with a single rounding, and the arm64,
@@ -152,6 +154,77 @@ func ScaledScatterAddEdgewise(out *Tensor, oi []int32, in *Tensor, ii []int32, c
 		checkRows("input", ii[:n], in.rows)
 	}
 	scatterEdgesKernel(out.data, in.data, in.cols, oi, ii, c, n)
+}
+
+// DotRows sets out[t] to Dot(g, row r(t) of x) for every t < len(out),
+// where x holds rows of len(g) floats back to back and r(t) is idx[t], or t
+// when idx is nil: every dot summed from +0 in ascending k, one product
+// rounded to float32 and one add per term, so out[t] has Dot's bits. With a
+// width that is a multiple of 8 it is one dotRowsKernel call, which takes
+// eight rows at a time, one row to a lane; any other width runs the twin.
+//
+// idx, when not nil, must hold len(out) indices, and out must not overlap g
+// or x. It panics on a short index and on an index that names no row of x.
+func DotRows(out, g, x []float32, idx []int32) {
+	n, cols := len(out), len(g)
+	if idx != nil && len(idx) < n {
+		panic(fmt.Sprintf("tensor: DotRows %d indices for %d rows", len(idx), n))
+	}
+	if cols == 0 {
+		clear(out) // every dot of an empty row is +0
+		return
+	}
+	rows := len(x) / cols
+	if idx == nil {
+		if n > rows {
+			panic(fmt.Sprintf("tensor: DotRows %d rows from %d", n, rows))
+		}
+	} else {
+		for _, v := range idx[:n] {
+			if uint32(v) >= uint32(rows) {
+				panic(fmt.Sprintf("tensor: DotRows index %d outside %d rows", v, rows))
+			}
+		}
+	}
+	if cols%8 != 0 {
+		dotRowsGo(out, g, x, cols, idx, n)
+		return
+	}
+	dotRowsKernel(out, g, x, cols, idx, n)
+}
+
+// AxpyRows adds c[i]·v to row i of dst for every row i, each product rounded
+// to float32 before it is added: one Axpy of v per row, four rows to an
+// accRows4Kernel call (the rows past the last four, one axpyKernel call
+// each). v must hold dst.Cols() floats and c dst.Rows(), and v must not
+// share storage with dst; it panics on a short v or c.
+func AxpyRows(dst *Tensor, c, v []float32) {
+	w := dst.cols
+	if len(v) < w || len(c) < dst.rows {
+		panic(fmt.Sprintf("tensor: AxpyRows %d coefficients and %d floats into %dx%d", len(c), len(v), dst.rows, w))
+	}
+	i := 0
+	for ; i+4 <= dst.rows; i += 4 {
+		accRows4Kernel(dst.data[i*w:], w, w, v, 0, c[i:], 1, 0, 1, false)
+	}
+	for ; i < dst.rows; i++ {
+		axpyKernel(dst.data[i*w:(i+1)*w], c[i], v[:w])
+	}
+}
+
+// WeightedSumRowsInto stores Σ_i c[i]·t[i,·] into dst, 1 x t.Cols(): a row
+// dot product's gradient with respect to its shared vector. The terms are
+// summed from +0 in ascending i, each product rounded to float32 before it
+// is added and none skipped — a cleared row taking one Axpy per row of t,
+// bit for bit — in one accRowsKernel call. dst may come uncleared and must
+// not share storage with t; c must hold t.Rows() coefficients.
+func WeightedSumRowsInto(dst, t *Tensor, c []float32) {
+	if dst.rows != 1 || dst.cols != t.cols || len(c) < t.rows {
+		panic(fmt.Sprintf("tensor: WeightedSumRowsInto %dx%d from %dx%d and %d coefficients",
+			dst.rows, dst.cols, t.rows, t.cols, len(c)))
+	}
+	mustNotAlias("WeightedSumRowsInto", dst, t, t)
+	accRowsKernel(dst.data, t.data, t.cols, nil, c, t.rows, true)
 }
 
 // checkScatter panics unless out and in have equal widths and share no
@@ -286,6 +359,29 @@ func scatterEdgesGo(out, in []float32, cols int, oi, ii []int32, c []float32, n 
 		for j, v := range in[i*cols:][:cols] {
 			d[j] += float32(a * v)
 		}
+	}
+}
+
+// dotRowsGo is the portable twin of dotRowsKernel: for every t < n,
+//
+//	out[t] = +0 + float32(g[0]·x[r(t)·cols]) + … + float32(g[cols−1]·x[r(t)·cols+cols−1])
+//
+// summed left to right, where r(t) is idx[t], or t when idx is nil: one Dot
+// per row. g must hold cols floats, every row read must lie inside x, idx
+// must hold n entries unless nil, and out must not overlap g or x.
+func dotRowsGo(out, g, x []float32, cols int, idx []int32, n int) {
+	g = g[:cols]
+	for t := range out[:n] {
+		r := t
+		if idx != nil {
+			r = int(idx[t])
+		}
+		row := x[r*cols:][:cols]
+		var s float32
+		for k, v := range g {
+			s += float32(v * row[k])
+		}
+		out[t] = s
 	}
 }
 

@@ -8,8 +8,10 @@ package tensor
 // accRowsKernel, accRows4Kernel and scatterEdgesKernel read before their
 // 512-bit strips. The assembly trusts its arguments — the lengths are checked
 // by the Go wrappers in rowkernels.go and ops.go and the row indices by the
-// callers of accRowsKernel, accRows4Kernel and scatterEdgesKernel, all in
-// this package.
+// callers of accRowsKernel, accRows4Kernel, scatterEdgesKernel and
+// dotRowsKernel, all in this package.
+
+import "slices"
 
 // useAVX is set when the CPU has AVX and the OS saves the YMM registers.
 var useAVX = avxUsable()
@@ -17,6 +19,34 @@ var useAVX = avxUsable()
 // useAVX512 is set when useAVX is and the CPU has AVX-512F and the OS saves
 // the opmask and ZMM registers.
 var useAVX512 = useAVX && avx512Usable()
+
+// KernelModes names the bindings the row kernels can take on this host, the
+// one they start in first: "avx512" where the CPU has AVX-512, "avx" where
+// it has AVX, and always "twins".
+func KernelModes() []string {
+	modes := []string{"twins"}
+	if avxUsable() {
+		modes = append([]string{"avx"}, modes...)
+		if avx512Usable() {
+			modes = append([]string{"avx512"}, modes...)
+		}
+	}
+	return modes
+}
+
+// SetKernelMode binds the row kernels to mode, one of KernelModes, and
+// returns the call that restores the binding it replaced: "avx" runs the AVX
+// bodies without the 512-bit strips, "twins" the Go twins. It exists so that
+// tests can hold what the kernels compose to its scalar loops in every
+// binding; no kernel may run while it switches.
+func SetKernelMode(mode string) (restore func()) {
+	if !slices.Contains(KernelModes(), mode) {
+		panic("tensor: kernel mode " + mode + " is not available")
+	}
+	avx, avx512 := useAVX, useAVX512
+	useAVX, useAVX512 = mode != "twins", mode == "avx512"
+	return func() { useAVX, useAVX512 = avx, avx512 }
+}
 
 // avxUsable reads CPUID leaf 1 for AVX and OSXSAVE and, when both are there,
 // XCR0 for XMM and YMM state (bits 1 and 2). XGETBV faults without OSXSAVE,
@@ -79,6 +109,12 @@ func anyZeroKernel(a []float32, rows, w, stride int) bool
 //
 //go:noescape
 func scatterEdgesKernel(out, in []float32, cols int, oi, ii []int32, c []float32, n int)
+
+// dotRowsKernel is dotRowsGo's contract with cols a multiple of 8: every row
+// it reads lies inside x and out does not overlap g or x.
+//
+//go:noescape
+func dotRowsKernel(out, g, x []float32, cols int, idx []int32, n int)
 
 // biasReLUKernel is biasReLUGo: dst and x hold len(bias) floats.
 //

@@ -220,6 +220,26 @@ portable:
 DATA one<>+0(SB)/4, $0x3f800000
 GLOBL one<>(SB), RODATA|NOPTR, $4
 
+// dotRowsMask is eight all-ones words, then eight zero words: the eight
+// words from index 8−r keep the first r lanes of a masked store.
+DATA dotRowsMask<>+0(SB)/4, $0xffffffff
+DATA dotRowsMask<>+4(SB)/4, $0xffffffff
+DATA dotRowsMask<>+8(SB)/4, $0xffffffff
+DATA dotRowsMask<>+12(SB)/4, $0xffffffff
+DATA dotRowsMask<>+16(SB)/4, $0xffffffff
+DATA dotRowsMask<>+20(SB)/4, $0xffffffff
+DATA dotRowsMask<>+24(SB)/4, $0xffffffff
+DATA dotRowsMask<>+28(SB)/4, $0xffffffff
+DATA dotRowsMask<>+32(SB)/4, $0
+DATA dotRowsMask<>+36(SB)/4, $0
+DATA dotRowsMask<>+40(SB)/4, $0
+DATA dotRowsMask<>+44(SB)/4, $0
+DATA dotRowsMask<>+48(SB)/4, $0
+DATA dotRowsMask<>+52(SB)/4, $0
+DATA dotRowsMask<>+56(SB)/4, $0
+DATA dotRowsMask<>+60(SB)/4, $0
+GLOBL dotRowsMask<>(SB), RODATA|NOPTR, $64
+
 // func accRowsKernel(dst, src []float32, stride int, idx []int32, c []float32, n int, zero bool)
 //
 // dst is cut into strips of 32, 16, 8 and 4 floats, then single floats. A
@@ -1351,3 +1371,206 @@ TEXT ·cpuid7(SB), NOSPLIT, $0-4
 none:
 	MOVL BX, ebx+0(FP)
 	RET
+
+// func dotRowsKernel(out, g, x []float32, cols int, idx []int32, n int)
+//
+// Eight rows at a time: R8-R13, BX and DX point at rows r(t)..r(t+7), and
+// each 8-float block of the eight rows, loaded into Y0-Y7, is transposed in
+// registers with AVX1 shuffles only (VUNPCKLPS/VUNPCKHPS, VSHUFPS,
+// VPERM2F128), so that column k of the block — element k of every row — is
+// one register. The columns are then multiplied by a VBROADCASTSS of g[k]
+// and added into the one accumulator Y8 in ascending k: lane i of Y8 sums
+// row t+i's products from +0 in ascending k, one VMULPS (the row's value
+// first) and one VADDPS (the running sum first) per term, as the scalar dot
+// loop does. One to seven rows past the last eight are one more group whose
+// spare lanes read the last row again; a VMASKMOVPS stores only the lanes
+// of real rows. cols is a multiple of 8.
+TEXT ·dotRowsKernel(SB), NOSPLIT, $0-112
+	CMPB ·useAVX(SB), $0
+	JEQ  portable
+	MOVQ g_base+24(FP), DI
+	MOVQ cols+72(FP), CX
+	SHLQ $2, CX                // row bytes
+	XORQ AX, AX                // t
+
+group:
+	MOVQ n+104(FP), SI
+	SUBQ AX, SI
+	CMPQ SI, $8
+	JLT  rest
+	MOVQ idx_base+80(FP), DX
+	TESTQ DX, DX
+	JEQ  identity
+	MOVLQSX 0(DX)(AX*4), R8
+	MOVLQSX 4(DX)(AX*4), R9
+	MOVLQSX 8(DX)(AX*4), R10
+	MOVLQSX 12(DX)(AX*4), R11
+	MOVLQSX 16(DX)(AX*4), R12
+	MOVLQSX 20(DX)(AX*4), R13
+	MOVLQSX 24(DX)(AX*4), BX
+	MOVLQSX 28(DX)(AX*4), DX
+	JMP  rows
+
+identity:
+	MOVQ AX, R8
+	LEAQ 1(AX), R9
+	LEAQ 2(AX), R10
+	LEAQ 3(AX), R11
+	LEAQ 4(AX), R12
+	LEAQ 5(AX), R13
+	LEAQ 6(AX), BX
+	LEAQ 7(AX), DX
+
+rows:
+	MOVQ  x_base+48(FP), SI
+	IMULQ CX, R8
+	ADDQ  SI, R8
+	IMULQ CX, R9
+	ADDQ  SI, R9
+	IMULQ CX, R10
+	ADDQ  SI, R10
+	IMULQ CX, R11
+	ADDQ  SI, R11
+	IMULQ CX, R12
+	ADDQ  SI, R12
+	IMULQ CX, R13
+	ADDQ  SI, R13
+	IMULQ CX, BX
+	ADDQ  SI, BX
+	IMULQ CX, DX
+	ADDQ  SI, DX
+	VXORPS Y8, Y8, Y8
+	XORQ  SI, SI               // byte offset of the block
+
+block:
+	CMPQ    SI, CX
+	JGE     store
+	VMOVUPS (R8)(SI*1), Y0     // row i: e0 … e7 (one letter per row below)
+	VMOVUPS (R9)(SI*1), Y1
+	VMOVUPS (R10)(SI*1), Y2
+	VMOVUPS (R11)(SI*1), Y3
+	VMOVUPS (R12)(SI*1), Y4
+	VMOVUPS (R13)(SI*1), Y5
+	VMOVUPS (BX)(SI*1), Y6
+	VMOVUPS (DX)(SI*1), Y7
+
+	// Interleave row pairs: a0 b0 a1 b1 | a4 b4 a5 b5 and a2 b2 a3 b3 | a6 b6 a7 b7.
+	VUNPCKLPS Y1, Y0, Y9
+	VUNPCKHPS Y1, Y0, Y0
+	VUNPCKLPS Y3, Y2, Y1
+	VUNPCKHPS Y3, Y2, Y2
+	VUNPCKLPS Y5, Y4, Y3
+	VUNPCKHPS Y5, Y4, Y4
+	VUNPCKLPS Y7, Y6, Y5
+	VUNPCKHPS Y7, Y6, Y6
+
+	// Four rows per half: a0 b0 c0 d0 | a4 b4 c4 d4 and so on.
+	VSHUFPS $0x44, Y1, Y9, Y7  // k 0, 4 of rows a-d
+	VSHUFPS $0xee, Y1, Y9, Y9  // k 1, 5
+	VSHUFPS $0x44, Y2, Y0, Y1  // k 2, 6
+	VSHUFPS $0xee, Y2, Y0, Y0  // k 3, 7
+	VSHUFPS $0x44, Y5, Y3, Y2  // k 0, 4 of rows e-h
+	VSHUFPS $0xee, Y5, Y3, Y3  // k 1, 5
+	VSHUFPS $0x44, Y6, Y4, Y5  // k 2, 6
+	VSHUFPS $0xee, Y6, Y4, Y4  // k 3, 7
+
+	// Whole columns: the low halves give k 0-3, the high halves k 4-7.
+	VPERM2F128 $0x20, Y2, Y7, Y10
+	VPERM2F128 $0x20, Y3, Y9, Y11
+	VPERM2F128 $0x20, Y5, Y1, Y12
+	VPERM2F128 $0x20, Y4, Y0, Y13
+	VPERM2F128 $0x31, Y2, Y7, Y7
+	VPERM2F128 $0x31, Y3, Y9, Y9
+	VPERM2F128 $0x31, Y5, Y1, Y1
+	VPERM2F128 $0x31, Y4, Y0, Y0
+
+	VBROADCASTSS 0(DI)(SI*1), Y14
+	VMULPS       Y14, Y10, Y10
+	VADDPS       Y10, Y8, Y8
+	VBROADCASTSS 4(DI)(SI*1), Y15
+	VMULPS       Y15, Y11, Y11
+	VADDPS       Y11, Y8, Y8
+	VBROADCASTSS 8(DI)(SI*1), Y14
+	VMULPS       Y14, Y12, Y12
+	VADDPS       Y12, Y8, Y8
+	VBROADCASTSS 12(DI)(SI*1), Y15
+	VMULPS       Y15, Y13, Y13
+	VADDPS       Y13, Y8, Y8
+	VBROADCASTSS 16(DI)(SI*1), Y14
+	VMULPS       Y14, Y7, Y7
+	VADDPS       Y7, Y8, Y8
+	VBROADCASTSS 20(DI)(SI*1), Y15
+	VMULPS       Y15, Y9, Y9
+	VADDPS       Y9, Y8, Y8
+	VBROADCASTSS 24(DI)(SI*1), Y14
+	VMULPS       Y14, Y1, Y1
+	VADDPS       Y1, Y8, Y8
+	VBROADCASTSS 28(DI)(SI*1), Y15
+	VMULPS       Y15, Y0, Y0
+	VADDPS       Y0, Y8, Y8
+	ADDQ         $32, SI
+	JMP          block
+
+store:
+	MOVQ    out_base+0(FP), SI
+	MOVQ    n+104(FP), R8
+	SUBQ    AX, R8             // rows left, counting this group's
+	CMPQ    R8, $8
+	JLT     partial
+	VMOVUPS Y8, (SI)(AX*4)
+	ADDQ    $8, AX
+	JMP     group
+
+partial:
+	NEGQ       R8
+	LEAQ       dotRowsMask<>+32(SB), R9
+	VMOVUPS    (R9)(R8*4), Y0  // all ones in the first n−t lanes
+	VMASKMOVPS Y8, Y0, (SI)(AX*4)
+	JMP        done
+
+rest:
+	MOVQ    n+104(FP), SI
+	CMPQ    AX, SI
+	JGE     done
+	DECQ    SI                 // the last row: lane i reads row min(t+i, n−1)
+	MOVQ    AX, R8
+	LEAQ    1(AX), R9
+	CMPQ    R9, SI
+	CMOVQGT SI, R9
+	LEAQ    2(AX), R10
+	CMPQ    R10, SI
+	CMOVQGT SI, R10
+	LEAQ    3(AX), R11
+	CMPQ    R11, SI
+	CMOVQGT SI, R11
+	LEAQ    4(AX), R12
+	CMPQ    R12, SI
+	CMOVQGT SI, R12
+	LEAQ    5(AX), R13
+	CMPQ    R13, SI
+	CMOVQGT SI, R13
+	LEAQ    6(AX), BX
+	CMPQ    BX, SI
+	CMOVQGT SI, BX
+	LEAQ    7(AX), DX
+	CMPQ    DX, SI
+	CMOVQGT SI, DX
+	MOVQ    idx_base+80(FP), SI
+	TESTQ   SI, SI
+	JEQ     rows
+	MOVLQSX (SI)(R8*4), R8
+	MOVLQSX (SI)(R9*4), R9
+	MOVLQSX (SI)(R10*4), R10
+	MOVLQSX (SI)(R11*4), R11
+	MOVLQSX (SI)(R12*4), R12
+	MOVLQSX (SI)(R13*4), R13
+	MOVLQSX (SI)(BX*4), BX
+	MOVLQSX (SI)(DX*4), DX
+	JMP     rows
+
+done:
+	VZEROUPPER
+	RET
+
+portable:
+	JMP ·dotRowsGo(SB)

@@ -4,6 +4,17 @@ package tensor
 
 // Every architecture without an assembly row kernel runs the portable twins.
 
+// KernelModes names the one binding there is: "twins".
+func KernelModes() []string { return []string{"twins"} }
+
+// SetKernelMode accepts "twins", the binding the kernels already have.
+func SetKernelMode(mode string) (restore func()) {
+	if mode != "twins" {
+		panic("tensor: kernel mode " + mode + " is not available")
+	}
+	return func() {}
+}
+
 func axpyKernel(dst []float32, a float32, x []float32) { axpyGo(dst, a, x) }
 
 func addKernel(dst, x []float32) { addGo(dst, x) }
@@ -20,6 +31,10 @@ func anyZeroKernel(a []float32, rows, w, stride int) bool { return anyZeroGo(a, 
 
 func scatterEdgesKernel(out, in []float32, cols int, oi, ii []int32, c []float32, n int) {
 	scatterEdgesGo(out, in, cols, oi, ii, c, n)
+}
+
+func dotRowsKernel(out, g, x []float32, cols int, idx []int32, n int) {
+	dotRowsGo(out, g, x, cols, idx, n)
 }
 
 func biasReLUKernel(dst, x, bias []float32) { biasReLUGo(dst, x, bias) }

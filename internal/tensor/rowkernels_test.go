@@ -14,6 +14,17 @@ import (
 // trivially true; the contract tests (guard band, panics, aliasing) still
 // bite.
 
+// inKernelModes runs f once in every binding the row kernels can take on
+// this host, as a subtest named after it (KernelModes: "avx512", "avx",
+// "twins"), and restores the binding when f has run in each.
+func inKernelModes(t *testing.T, f func(t *testing.T)) {
+	for _, m := range KernelModes() {
+		restore := SetKernelMode(m)
+		t.Run(m, f)
+		restore()
+	}
+}
+
 const (
 	rowMaxLen  = 70 // lengths 0..70 cover 32-, 16-, 8- and 4-wide and scalar tails together
 	rowMaxOff  = 7  // start offsets, in floats, into the backing array
@@ -621,6 +632,128 @@ func TestRowKernelsScatterEdgesMatchesTwin(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRowKernelsDotRowsMatchesTwin holds dotRowsKernel to its twin and to
+// one Dot per row, bit for bit: every width it takes up to 72, 0–17 rows
+// (two groups of eight and the single rows past them), nil and listed row
+// indices with repeats, every value class, and a guard band either side of
+// out. DotRows must give the same at every other width too.
+func TestRowKernelsDotRowsMatchesTwin(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(107)
+		const xRows = 20
+		for _, class := range rowValueClasses {
+			for cols := 0; cols <= 72; cols++ {
+				x := make([]float32, xRows*cols)
+				g := make([]float32, cols)
+				for _, v := range [][]float32{x, g} {
+					for i := range v {
+						v[i] = rowValue(class, rng)
+					}
+				}
+				for n := 0; n <= 17; n++ {
+					for _, listed := range []bool{false, true} {
+						var idx []int32
+						if listed {
+							idx = make([]int32, n)
+							for i := range idx {
+								idx[i] = int32(rng.Intn(xRows))
+								if i > 0 && rng.Intn(3) == 0 {
+									idx[i] = idx[i-1]
+								}
+							}
+						}
+						back := make([]float32, 2*rowGuard+n)
+						for i := range back {
+							back[i] = rowValue(class, rng)
+						}
+						out := func(b []float32) []float32 { return b[rowGuard : rowGuard+n] }
+						what := fmt.Sprintf("%s cols=%d n=%d idx=%v", class, cols, n, idx)
+
+						dots := slices.Clone(back)
+						for i := range out(dots) {
+							r := i
+							if idx != nil {
+								r = int(idx[i])
+							}
+							out(dots)[i] = Dot(g, x[r*cols:][:cols])
+						}
+						got := slices.Clone(back)
+						DotRows(out(got), g, x, idx)
+						checkRow(t, "DotRows vs Dot "+what, got, dots)
+						if cols%8 != 0 {
+							continue
+						}
+						got, want := slices.Clone(back), slices.Clone(back)
+						dotRowsKernel(out(got), g, x, cols, idx, n)
+						dotRowsGo(out(want), g, x, cols, idx, n)
+						checkRow(t, "dotRows "+what, got, want)
+						checkRow(t, "dotRows vs Dot "+what, got, dots)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestRowKernelsAxpyRowsAndWeightedSumRows holds the two row-wise halves of
+// a row dot product's backward to their loops of one Axpy per row, bit for
+// bit: AxpyRows over 0–9 rows (two tiles of four and the rows past them) and
+// WeightedSumRowsInto from an uncleared destination, at every width up to
+// 40 and in every value class.
+func TestRowKernelsAxpyRowsAndWeightedSumRows(t *testing.T) {
+	inKernelModes(t, func(t *testing.T) {
+		rng := NewRNG(109)
+		for _, class := range rowValueClasses {
+			for cols := 0; cols <= 40; cols++ {
+				for rows := 0; rows <= 9; rows++ {
+					fill := func(n int) []float32 {
+						v := make([]float32, n)
+						for i := range v {
+							v[i] = rowValue(class, rng)
+						}
+						return v
+					}
+					c, v, x := fill(rows), fill(cols), FromSlice(rows, cols, fill(rows*cols))
+					what := fmt.Sprintf("%s rows=%d cols=%d", class, rows, cols)
+
+					got, want := x.Clone(), x.Clone()
+					AxpyRows(got, c, v)
+					for i := 0; i < rows; i++ {
+						axpyGo(want.Row(i), c[i], v)
+					}
+					checkRow(t, "AxpyRows "+what, got.data, want.data)
+
+					sum, loop := FromSlice(1, cols, fill(cols)), New(1, cols)
+					WeightedSumRowsInto(sum, x, c)
+					for i := 0; i < rows; i++ {
+						axpyGo(loop.data, c[i], x.Row(i))
+					}
+					checkRow(t, "WeightedSumRowsInto "+what, sum.data, loop.data)
+				}
+			}
+		}
+	})
+}
+
+// TestRowKernelsDotRowsPanics: a short index, an index past x's rows and
+// more rows than x holds panic before out is written.
+func TestRowKernelsDotRowsPanics(t *testing.T) {
+	x, g := make([]float32, 3*8), make([]float32, 8)
+	for _, c := range []struct {
+		name string
+		idx  []int32
+		n    int
+	}{{"short index", []int32{0}, 2}, {"index past x", []int32{0, 3}, 2}, {"negative index", []int32{-1}, 1}, {"rows past x", nil, 4}} {
+		out := []float32{7, 7, 7, 7}[:c.n]
+		mustPanic(t, "tensor: DotRows", func() { DotRows(out, g, x, c.idx) })
+		for _, v := range out {
+			if v != 7 {
+				t.Fatalf("%s: panicked after writing", c.name)
+			}
+		}
+	}
 }
 
 var rowKernelWidths = []int{16, 32, 64} // the row widths of the benchmark's model (F 64, H 32, 16 classes)

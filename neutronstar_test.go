@@ -2,6 +2,7 @@ package neutronstar
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +101,10 @@ func TestConfigValidation(t *testing.T) {
 		{Model: "transformer"},
 		{Network: "wifi"},
 		{RepQuant: "fp8"},
+		{LR: math.NaN()},
+		{LR: math.Inf(1)},
+		{LR: -1},
+		{LR: 1e300}, // +Inf once it is a float32
 	} {
 		if _, err := NewSession(ds, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
