@@ -1,5 +1,6 @@
-// Command nsbench regenerates the paper's tables and figures. Each -exp
-// value corresponds to one table/figure of the evaluation section; see
+// Command nsbench regenerates the paper's tables and figures: each -exp
+// value names one entry of experiments.All, the evaluation section's
+// experiment table, and nsbench is that table's only front-end; see
 // EXPERIMENTS.md for the mapping and the paper-reported numbers.
 //
 // Usage:
@@ -23,26 +24,24 @@ import (
 	"sync/atomic"
 
 	"neutronstar/internal/experiments"
-	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
-
-// experimentNames lists every -exp value in the order "all" runs them.
-var experimentNames = []string{"table2", "fig2a", "fig2b", "fig2c", "fig9", "table3",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table4", "table5",
-	"ablations"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, x := range experiments.All {
+		names = append(names, x.Name)
+	}
 	fs := flag.NewFlagSet("nsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "", "experiment: "+strings.Join(experimentNames, " ")+" all")
-		workers   = fs.Int("workers", 8, "simulated cluster size")
-		epochs    = fs.Int("epochs", 3, "measured epochs per configuration")
+		exp       = fs.String("exp", "", "experiment: "+strings.Join(names, " ")+" all")
+		workers   = fs.Int("workers", 0, "simulated cluster size (0: the scale's own, 8 or 4 with -quick)")
+		epochs    = fs.Int("epochs", 0, "measured epochs per configuration (0: the scale's own, 3 or 1 with -quick)")
 		graphs    = fs.String("graphs", "", "comma-separated dataset subset (default: experiment-specific)")
 		quick     = fs.Bool("quick", false, "cut-down scale for a fast smoke run")
 		trace     = fs.String("trace", "", "write a Chrome trace of all experiment engines to this file")
@@ -62,11 +61,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return usage("-exp is required")
 	}
-	names := []string{*exp}
-	if *exp == "all" {
-		names = experimentNames
-	} else if !slices.Contains(experimentNames, *exp) {
-		return usage("unknown experiment %q (want one of: %s all)", *exp, strings.Join(experimentNames, " "))
+	selected := experiments.All
+	if *exp != "all" {
+		i := slices.Index(names, *exp)
+		if i < 0 {
+			return usage("unknown experiment %q (want one of: %s all)", *exp, strings.Join(names, " "))
+		}
+		selected = selected[i : i+1]
 	}
 	// Reject nonsensical scales up front: a negative worker count would
 	// otherwise surface as a partitioner panic several layers down.
@@ -100,24 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer srv.Close()
 		fmt.Fprintf(stdout, "debug server on http://%s (/metrics /status /healthz /debug/pprof/)\n", srv.Addr())
 	}
-	if *trace != "" {
-		tracer := obs.NewTracer()
-		experiments.SetTracer(tracer)
-		defer func() {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			defer f.Close()
-			if err := tracer.WriteChromeTrace(f, nil); err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace written to %s\n", *trace)
-		}()
-	}
-
 	sc := experiments.DefaultScale()
 	if *quick {
 		sc = experiments.QuickScale()
@@ -131,108 +114,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *graphs != "" {
 		sc.Graphs = strings.Split(*graphs, ",")
 	}
+	if *trace != "" {
+		sc.Tracer = obs.NewTracer()
+		defer func() {
+			f, err := os.Create(*trace)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return
+			}
+			defer f.Close()
+			if err := sc.Tracer.WriteChromeTrace(f, nil); err != nil {
+				fmt.Fprintln(stderr, err)
+				return
+			}
+			fmt.Fprintf(stdout, "trace written to %s\n", *trace)
+		}()
+	}
 
-	for _, name := range names {
-		current.Store(name)
-		runExperiment(stdout, name, sc, *quick)
+	for _, x := range selected {
+		current.Store(x.Name)
+		fmt.Fprintf(stdout, "==== %s (workers=%d epochs=%d graphs=%v) ====\n", x.Name, sc.Workers, sc.Epochs, sc.Graphs)
+		for _, line := range x.Run(sc) {
+			fmt.Fprintln(stdout, "  "+line)
+		}
 	}
 	return 0
-}
-
-// runExperiment prints one experiment; name is one of experimentNames.
-func runExperiment(out io.Writer, name string, sc experiments.Scale, quick bool) {
-	fmt.Fprintf(out, "==== %s (workers=%d epochs=%d graphs=%v) ====\n", name, sc.Workers, sc.Epochs, sc.Graphs)
-	printRows := func(rows []experiments.Row) {
-		for _, r := range rows {
-			fmt.Fprintln(out, "  "+r.Format())
-		}
-	}
-	switch name {
-	case "table2":
-		for _, line := range experiments.Table2() {
-			fmt.Fprintln(out, "  "+line)
-		}
-	case "fig2a":
-		printRows(experiments.Fig2a(sc))
-	case "fig2b":
-		printRows(experiments.Fig2b(sc))
-	case "fig2c":
-		printRows(experiments.Fig2c(sc))
-	case "fig9":
-		printRows(experiments.Fig9(sc))
-	case "table3":
-		epochs := 10
-		if quick {
-			epochs = 2
-		}
-		fmt.Fprintf(out, "  (runtime of %d epochs; the paper reports 100)\n", epochs)
-		printRows(experiments.Table3(sc, epochs))
-	case "fig10":
-		printRows(experiments.Fig10(sc))
-	case "fig11":
-		fmt.Fprintln(out, "  GCN on reddit:")
-		printRows(experiments.Fig11(sc, nn.GCN, "reddit"))
-		if !quick {
-			fmt.Fprintln(out, "  GAT on orkut:")
-			printRows(experiments.Fig11(sc, nn.GAT, "orkut"))
-		}
-	case "fig12":
-		sizes := []int{1, 2, 4, 8, 16}
-		if quick {
-			sizes = []int{1, 2, 4}
-		}
-		gs := sc.Graphs
-		if len(gs) > 4 {
-			gs = []string{"pokec", "reddit", "orkut", "wiki"}
-		}
-		for _, g := range gs {
-			printRows(experiments.Fig12(g, sizes, sc.Epochs))
-		}
-	case "fig13":
-		graph := "orkut"
-		if quick {
-			graph = "google"
-		}
-		for _, rep := range experiments.Fig13(sc, graph) {
-			fmt.Fprintf(out, "  %-12s accel_util=%.2f host_util=%.2f sample_util=%.2f net_peak=%.1fMB/s net_cv=%.2f recv=%.1fMB\n",
-				rep.System, rep.AcceleratorUtil, rep.HostUtil, rep.SampleUtil,
-				rep.NetPeakMBs, rep.NetSmoothnessCV, rep.TotalRecvMB)
-		}
-	case "fig14":
-		maxEpochs, evalEvery := 45, 5
-		if quick {
-			maxEpochs, evalEvery = 6, 3
-		}
-		curves := experiments.Fig14(sc, maxEpochs, evalEvery, 0.95)
-		for _, c := range curves {
-			fmt.Fprintf(out, "  %-18s best=%.4f time_to_95%%=%.1fs\n", c.System, c.Best, c.TimeToTarget)
-			for _, p := range c.Points {
-				fmt.Fprintf(out, "      t=%6.1fs epoch=%3d acc=%.4f\n", p.Seconds, p.Epoch, p.Accuracy)
-			}
-		}
-	case "fig15":
-		gs := sc.Graphs
-		if len(gs) > 3 {
-			gs = []string{"reddit", "orkut", "wiki"}
-		}
-		sc2 := sc
-		sc2.Graphs = gs
-		printRows(experiments.Fig15(sc2))
-	case "table4":
-		gs := sc.Graphs
-		if len(gs) > 4 {
-			gs = []string{"google", "pokec", "livejournal", "reddit"}
-		}
-		sc2 := sc
-		sc2.Graphs = gs
-		printRows(experiments.Table4(sc2))
-	case "table5":
-		printRows(experiments.Table5(sc.Epochs))
-	case "ablations":
-		graph := "reddit"
-		if quick {
-			graph = "google"
-		}
-		printRows(experiments.Ablations(sc, graph))
-	}
 }

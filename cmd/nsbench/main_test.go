@@ -51,3 +51,16 @@ func TestRunTable2(t *testing.T) {
 		t.Fatalf("unexpected stderr: %s", stderr.String())
 	}
 }
+
+// TestRunQuickHeader pins that -quick runs at QuickScale's own size: the
+// -workers and -epochs defaults (0) must not override it.
+func TestRunQuickHeader(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "table2", "-quick"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	want := "==== table2 (workers=4 epochs=1 graphs=[google reddit]) ====\n"
+	if !strings.HasPrefix(stdout.String(), want) {
+		t.Fatalf("output does not start with %q:\n%s", want, stdout.String())
+	}
+}

@@ -13,6 +13,7 @@ func TestRunFlagValidation(t *testing.T) {
 		msg  string // substring of stderr
 	}{
 		{"malformed watch rules", []string{"-watch-rules", "slo_p99"}, "-watch-rules: "},
+		{"NaN hitrate watch rule", []string{"-watch-rules", "hitrate=NaN"}, "-watch-rules: obs: watch rule hitrate=\"NaN\": want a floor in (0,1]"},
 		{"epoch watch rules", []string{"-watch-rules", "stall=1s"}, "stall, regress, straggler and window watch training epochs"},
 		{"unknown log level", []string{"-log-level", "bogus"}, `-log-level: slog: level string "bogus": unknown name`},
 		{"NaN lr", []string{"-train", "2", "-lr", "NaN"}, "-lr must be positive and finite as a float32, got NaN"},

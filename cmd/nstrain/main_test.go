@@ -30,6 +30,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"unknown model", []string{"-model", "sage2"}, `-model "sage2": valid values are gcn, gin, gat, sage`},
 		{"unknown network", []string{"-network", "fast"}, `-network "fast": valid values are local, ecs, ibv`},
 		{"malformed watch rules", []string{"-watch-rules", "stall"}, "-watch-rules: "},
+		{"NaN regress watch rule", []string{"-watch-rules", "regress=NaN"}, "-watch-rules: obs: watch rule regress=\"NaN\": want a factor > 1"},
+		{"infinite straggler watch rule", []string{"-watch-rules", "straggler=Inf"}, "-watch-rules: obs: watch rule straggler=\"Inf\": want a bound > 1"},
 		{"serving watch rules", []string{"-watch-rules", "slo_p99=250ms"}, "slo_p99, slo_window and hitrate watch a server"},
 		{"unknown log level", []string{"-log-level", "bogus"}, `-log-level: slog: level string "bogus": unknown name`},
 	} {

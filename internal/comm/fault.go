@@ -179,13 +179,14 @@ func applyRuleField(r *FaultRule, key, val string) error {
 		if err != nil {
 			return fmt.Errorf("comm: fault %s %q: %w", key, val, err)
 		}
+		// Written as ranges p is inside, so NaN is out of both.
 		if key == "drop" {
-			if p < 0 || p >= 1 {
+			if !(p >= 0 && p < 1) {
 				return fmt.Errorf("comm: fault drop %v outside [0, 1)", p)
 			}
 			r.Drop = p
 		} else {
-			if p < 0 || p > 1 {
+			if !(p >= 0 && p <= 1) {
 				return fmt.Errorf("comm: fault dup %v outside [0, 1]", p)
 			}
 			r.Dup = p

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,12 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		"retries=0",
 		"timeout=0s",
 		"seed=abc",
+		"drop=NaN",
+		"dup=NaN",
+		"rep.drop=NaN",
+		"grad.dup=NaN",
+		"drop=+Inf",
+		"dup=-Inf",
 	} {
 		if _, err := ParseFaultSpec(spec); err == nil {
 			t.Errorf("spec %q was accepted", spec)
@@ -210,4 +217,38 @@ func TestFaultSpecString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}
 	}
+}
+
+// FuzzParseFaultSpec feeds arbitrary specs to the parser: it must never
+// panic, and every spec it accepts must hold rules inside the documented
+// ranges (a NaN probability is inside none of them).
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, seed := range []string{
+		"drop=0.05,jitter=2ms,seed=7",
+		"rep.drop=0.2,grad.dup=0.1,delay=500us",
+		"drop=0.01,allreduce.drop=0,retries=6,timeout=1ms",
+		"drop=NaN", "dup=NaN", "rep.drop=NaN", "slice.dup=NaN",
+		"drop=+Inf", "dup=-Inf", "drop=1", "retries=0", "timeout=-1s",
+		"drop", ",,", "=", "rep.=1", ".drop=0.1", "rep.seed=1", "delay=1e9h",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		check := func(who string, r FaultRule) {
+			if !(r.Drop >= 0 && r.Drop < 1) || !(r.Dup >= 0 && r.Dup <= 1) || r.Delay < 0 || r.Jitter < 0 {
+				t.Fatalf("%q accepted with %s rule %+v", spec, who, r)
+			}
+		}
+		check("baseline", s.Default)
+		for k, r := range s.PerKind {
+			check(fmt.Sprint("kind ", k), r)
+		}
+		if s.MaxRetries < 1 || s.RetryTimeout <= 0 {
+			t.Fatalf("%q accepted with retries=%d timeout=%v", spec, s.MaxRetries, s.RetryTimeout)
+		}
+	})
 }

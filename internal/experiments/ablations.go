@@ -20,7 +20,7 @@ func Ablations(sc Scale, graphName string) []Row {
 	measure := func(mut func(*engine.Options)) float64 {
 		o := base()
 		mut(&o)
-		return epochMillis(ds, o, sc.Epochs)
+		return epochMillis(sc, ds, o)
 	}
 	var rows []Row
 	add := func(label string, off, on float64) {

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5) at this reproduction's scale. Each experiment is a
-// function returning structured rows; cmd/nsbench prints them and
-// bench_test.go wraps them as benchmarks. EXPERIMENTS.md records the
-// paper-reported numbers next to what these functions measure.
+// evaluation (§5) at this reproduction's scale. All is the experiment table:
+// each entry picks its figure's graphs, sizes and epochs from a Scale and
+// returns printable lines, and cmd/nsbench is its only front-end. Every
+// timed epoch goes through timed, on the monotonic clock. EXPERIMENTS.md
+// records the paper-reported numbers next to what these functions measure.
 package experiments
 
 import (
@@ -19,7 +20,7 @@ import (
 )
 
 // Scale bounds an experiment's size so the full suite stays runnable on one
-// machine; Quick trims it further for smoke tests.
+// machine; QuickScale trims it further for smoke tests.
 type Scale struct {
 	// Workers is the simulated cluster size m (the paper uses 16 physical
 	// nodes; 8 in-process workers exhibit the same tradeoffs at our graph
@@ -30,6 +31,13 @@ type Scale struct {
 	Epochs int
 	// Graphs is the dataset subset for multi-graph experiments.
 	Graphs []string
+	// Quick selects each experiment's cut-down variant: fewer epochs,
+	// cluster sizes and graphs than the paper's figure.
+	Quick bool
+	// Tracer, when set, records the spans of every engine epochMillis times
+	// that brings no tracer of its own, so a whole nsbench run can be traced
+	// with one -trace flag.
+	Tracer *obs.Tracer
 }
 
 // DefaultScale is the full experiment configuration.
@@ -39,7 +47,96 @@ func DefaultScale() Scale {
 
 // QuickScale is a cut-down configuration for smoke tests and -short runs.
 func QuickScale() Scale {
-	return Scale{Workers: 4, Epochs: 1, Graphs: []string{"google", "reddit"}}
+	return Scale{Workers: 4, Epochs: 1, Graphs: []string{"google", "reddit"}, Quick: true}
+}
+
+// Experiment is one table or figure of the evaluation.
+type Experiment struct {
+	Name string
+	// Run measures the experiment at sc and returns its printable lines.
+	Run func(sc Scale) []string
+}
+
+// All lists every experiment in the order `nsbench -exp all` runs them.
+var All = []Experiment{
+	{"table2", func(Scale) []string { return Table2() }},
+	{"fig2a", rowsOf(Fig2a)},
+	{"fig2b", rowsOf(Fig2b)},
+	{"fig2c", rowsOf(Fig2c)},
+	{"fig9", rowsOf(Fig9)},
+	{"table3", func(sc Scale) []string {
+		epochs := quickOr(sc, 2, 10)
+		return append([]string{fmt.Sprintf("(runtime of %d epochs; the paper reports 100)", epochs)},
+			formatRows(Table3(sc, epochs))...)
+	}},
+	{"fig10", rowsOf(Fig10)},
+	{"fig11", func(sc Scale) []string {
+		out := append([]string{"GCN on reddit:"}, formatRows(Fig11(sc, nn.GCN, "reddit"))...)
+		if !sc.Quick {
+			out = append(out, "GAT on orkut:")
+			out = append(out, formatRows(Fig11(sc, nn.GAT, "orkut"))...)
+		}
+		return out
+	}},
+	{"fig12", func(sc Scale) []string {
+		sizes := quickOr(sc, []int{1, 2, 4}, []int{1, 2, 4, 8, 16})
+		var out []string
+		for _, g := range paperGraphs(sc.Graphs, "pokec", "reddit", "orkut", "wiki") {
+			out = append(out, formatRows(Fig12(sc, g, sizes))...)
+		}
+		return out
+	}},
+	{"fig13", func(sc Scale) []string {
+		var out []string
+		for _, rep := range Fig13(sc, quickOr(sc, "google", "orkut")) {
+			out = append(out, fmt.Sprintf("%-12s accel_util=%.2f host_util=%.2f sample_util=%.2f net_peak=%.1fMB/s net_cv=%.2f recv=%.1fMB",
+				rep.System, rep.AcceleratorUtil, rep.HostUtil, rep.SampleUtil,
+				rep.NetPeakMBs, rep.NetSmoothnessCV, rep.TotalRecvMB))
+		}
+		return out
+	}},
+	{"fig14", func(sc Scale) []string {
+		var out []string
+		for _, c := range Fig14(sc, quickOr(sc, 6, 45), quickOr(sc, 3, 5), 0.95) {
+			out = append(out, fmt.Sprintf("%-18s best=%.4f time_to_95%%=%.1fs", c.System, c.Best, c.TimeToTarget))
+			for _, p := range c.Points {
+				out = append(out, fmt.Sprintf("    t=%6.1fs epoch=%3d acc=%.4f", p.Seconds, p.Epoch, p.Accuracy))
+			}
+		}
+		return out
+	}},
+	{"fig15", func(sc Scale) []string {
+		sc.Graphs = paperGraphs(sc.Graphs, "reddit", "orkut", "wiki")
+		return formatRows(Fig15(sc))
+	}},
+	{"table4", func(sc Scale) []string {
+		sc.Graphs = paperGraphs(sc.Graphs, "google", "pokec", "livejournal", "reddit")
+		return formatRows(Table4(sc))
+	}},
+	{"table5", rowsOf(Table5)},
+	{"ablations", func(sc Scale) []string { return formatRows(Ablations(sc, quickOr(sc, "google", "reddit"))) }},
+}
+
+// rowsOf adapts a row-returning experiment to Experiment.Run.
+func rowsOf(fn func(Scale) []Row) func(Scale) []string {
+	return func(sc Scale) []string { return formatRows(fn(sc)) }
+}
+
+// quickOr returns quick at a quick scale and full otherwise.
+func quickOr[T any](sc Scale, quick, full T) T {
+	if sc.Quick {
+		return quick
+	}
+	return full
+}
+
+// paperGraphs returns the paper's graph set for a figure when gs holds more
+// graphs than it (the full scale's seven), and gs otherwise.
+func paperGraphs(gs []string, paper ...string) []string {
+	if len(gs) > len(paper) {
+		return paper
+	}
+	return gs
 }
 
 // Row is one printable result line.
@@ -58,6 +155,15 @@ func (r Row) Format() string {
 	return s
 }
 
+// formatRows renders rows, one line each.
+func formatRows(rows []Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.Format()
+	}
+	return out
+}
+
 // newRow builds a row preserving column order.
 func newRow(label string, kv ...any) Row {
 	r := Row{Label: label, Values: map[string]float64{}}
@@ -70,7 +176,7 @@ func newRow(label string, kv ...any) Row {
 		case int:
 			r.Values[k] = float64(v)
 		case time.Duration:
-			r.Values[k] = float64(v.Microseconds()) / 1000
+			r.Values[k] = millis(v)
 		default:
 			panic(fmt.Sprintf("experiments: bad value %T", kv[i+1]))
 		}
@@ -78,25 +184,40 @@ func newRow(label string, kv ...any) Row {
 	return r
 }
 
-// defaultTracer, when set via SetTracer, is attached to every engine an
-// experiment builds that does not bring its own tracer, so a whole nsbench
-// run can be traced with one -trace flag.
-var defaultTracer *obs.Tracer
+// millis converts a duration to milliseconds at microsecond resolution.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// SetTracer installs a tracer that epochMillis-driven experiments record
-// spans into. Pass nil to detach.
-func SetTracer(t *obs.Tracer) { defaultTracer = t }
+// timed runs epoch n times and returns the elapsed time on the monotonic
+// clock. It is the one timing loop of the package.
+func timed(n int, epoch func()) time.Duration {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		epoch()
+	}
+	return time.Since(start)
+}
 
-// epochMillis builds the engine, runs one warmup epoch plus `epochs`
-// measured epochs, and returns the mean per-epoch wall time in milliseconds.
-func epochMillis(ds *dataset.Dataset, opts engine.Options, epochs int) float64 {
-	return tunedMillis(ds, opts, nil, epochs)
+// meanMillis runs one warmup epoch and returns the mean wall time of the
+// next n epochs in milliseconds.
+func meanMillis(n int, epoch func()) float64 {
+	epoch()
+	// Collect before timing so another configuration's garbage is not
+	// charged to this one — on a single-core host GC pauses are the main
+	// source of run-to-run variance.
+	runtime.GC()
+	return millis(timed(n, epoch)) / float64(n)
+}
+
+// epochMillis builds the engine and returns its mean per-epoch milliseconds
+// over sc.Epochs measured epochs.
+func epochMillis(sc Scale, ds *dataset.Dataset, opts engine.Options) float64 {
+	return tunedMillis(sc, ds, opts, nil)
 }
 
 // tunedMillis is epochMillis with tune handed to engine.PlanFor.
-func tunedMillis(ds *dataset.Dataset, opts engine.Options, tune func(*hybrid.Planner, *hybrid.Mode), epochs int) float64 {
+func tunedMillis(sc Scale, ds *dataset.Dataset, opts engine.Options, tune func(*hybrid.Planner, *hybrid.Mode)) float64 {
 	if opts.Tracer == nil {
-		opts.Tracer = defaultTracer
+		opts.Tracer = sc.Tracer
 	}
 	plan, err := engine.PlanFor(ds, opts, tune)
 	var e *engine.Engine
@@ -107,16 +228,7 @@ func tunedMillis(ds *dataset.Dataset, opts engine.Options, tune func(*hybrid.Pla
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	defer e.Close()
-	e.RunEpoch()
-	// Collect before timing so another configuration's garbage is not
-	// charged to this one — on a single-core host GC pauses are the main
-	// source of run-to-run variance.
-	runtime.GC()
-	start := time.Now()
-	for i := 0; i < epochs; i++ {
-		e.RunEpoch()
-	}
-	return float64(time.Since(start).Microseconds()) / 1000 / float64(epochs)
+	return meanMillis(sc.Epochs, func() { e.RunEpoch() })
 }
 
 // stdOpts returns the baseline engine options for an experiment.
@@ -159,8 +271,8 @@ func Fig2a(sc Scale) []Row {
 	var rows []Row
 	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
 		ds := load(name)
-		cache := epochMillis(ds, stdOpts(engine.DepCache, nn.GCN, sc.Workers, comm.ProfileECS), sc.Epochs)
-		commT := epochMillis(ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS), sc.Epochs)
+		cache := epochMillis(sc, ds, stdOpts(engine.DepCache, nn.GCN, sc.Workers, comm.ProfileECS))
+		commT := epochMillis(sc, ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS))
 		rows = append(rows, newRow(name,
 			"depcache_ms", cache, "depcomm_ms", commT, "cache_over_comm", cache/commT))
 	}
@@ -177,8 +289,8 @@ func Fig2b(sc Scale) []Row {
 		oc.Hidden = hidden
 		om := stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS)
 		om.Hidden = hidden
-		cache := epochMillis(ds, oc, sc.Epochs)
-		commT := epochMillis(ds, om, sc.Epochs)
+		cache := epochMillis(sc, ds, oc)
+		commT := epochMillis(sc, ds, om)
 		rows = append(rows, newRow(fmt.Sprintf("hidden=%d", hidden),
 			"depcache_ms", cache, "depcomm_ms", commT, "cache_over_comm", cache/commT))
 	}
@@ -191,8 +303,8 @@ func Fig2c(sc Scale) []Row {
 	ds := load("google")
 	var rows []Row
 	for _, p := range []comm.NetworkProfile{comm.ProfileECS, comm.ProfileIBV} {
-		cache := epochMillis(ds, stdOpts(engine.DepCache, nn.GCN, sc.Workers, p), sc.Epochs)
-		commT := epochMillis(ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, p), sc.Epochs)
+		cache := epochMillis(sc, ds, stdOpts(engine.DepCache, nn.GCN, sc.Workers, p))
+		commT := epochMillis(sc, ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, p))
 		rows = append(rows, newRow(p.Name,
 			"depcache_ms", cache, "depcomm_ms", commT, "cache_over_comm", cache/commT))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,8 +9,22 @@ import (
 )
 
 // The experiment functions are exercised at QuickScale so the suite stays
-// fast; the full-scale runs live in cmd/nsbench and the repository-level
-// benchmarks.
+// fast; the full-scale runs live in cmd/nsbench.
+
+// TestAllNames pins the experiment table: every -exp value, in the order
+// `nsbench -exp all` runs them.
+func TestAllNames(t *testing.T) {
+	want := []string{"table2", "fig2a", "fig2b", "fig2c", "fig9", "table3",
+		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table4", "table5",
+		"ablations"}
+	var got []string
+	for _, x := range All {
+		got = append(got, x.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("experiments = %v, want %v", got, want)
+	}
+}
 
 func TestTable2(t *testing.T) {
 	rows := Table2()
@@ -115,7 +130,7 @@ func TestFig12Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	rows := Fig12("google", []int{1, 2}, 1)
+	rows := Fig12(QuickScale(), "google", []int{1, 2})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -189,7 +204,7 @@ func TestTables45Quick(t *testing.T) {
 	if len(t4) != 1 || t4[0].Values["sharedmem_ms"] <= 0 {
 		t.Fatalf("table4: %+v", t4)
 	}
-	t5 := Table5(1)
+	t5 := Table5(sc)
 	if len(t5) != 8 {
 		t.Fatalf("table5 rows = %d", len(t5))
 	}

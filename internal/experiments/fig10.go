@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"neutronstar/internal/baseline/distdgl"
 	"neutronstar/internal/baseline/roc"
 	"neutronstar/internal/comm"
@@ -23,11 +21,11 @@ func Fig10(sc Scale) []Row {
 		for _, name := range sc.Graphs {
 			ds := load(name)
 			row := newRow(string(kind)+"/"+name,
-				"distdgl_ms", distDGLEpochMillis(ds, kind, sc),
-				"roc_ms", rocEpochMillis(ds, kind, sc),
-				"depcache_ms", epochMillis(ds, stdOpts(engine.DepCache, kind, sc.Workers, comm.ProfileECS), sc.Epochs),
-				"depcomm_ms", epochMillis(ds, withRLP(stdOpts(engine.DepComm, kind, sc.Workers, comm.ProfileECS), true, true, true), sc.Epochs),
-				"hybrid_ms", epochMillis(ds, withRLP(stdOpts(engine.Hybrid, kind, sc.Workers, comm.ProfileECS), true, true, true), sc.Epochs),
+				"distdgl_ms", distDGLEpochMillis(ds, kind, sc.Workers, sc.Epochs),
+				"roc_ms", rocEpochMillis(ds, kind, sc.Workers, sc.Epochs),
+				"depcache_ms", epochMillis(sc, ds, stdOpts(engine.DepCache, kind, sc.Workers, comm.ProfileECS)),
+				"depcomm_ms", epochMillis(sc, ds, withRLP(stdOpts(engine.DepComm, kind, sc.Workers, comm.ProfileECS), true, true, true)),
+				"hybrid_ms", epochMillis(sc, ds, withRLP(stdOpts(engine.Hybrid, kind, sc.Workers, comm.ProfileECS), true, true, true)),
 			)
 			rows = append(rows, row)
 		}
@@ -36,40 +34,25 @@ func Fig10(sc Scale) []Row {
 }
 
 // distDGLEpochMillis times the sampling baseline's epoch.
-func distDGLEpochMillis(ds *dataset.Dataset, kind nn.ModelKind, sc Scale) float64 {
+func distDGLEpochMillis(ds *dataset.Dataset, kind nn.ModelKind, workers, epochs int) float64 {
 	tr, err := distdgl.New(ds, distdgl.Options{
-		Workers: sc.Workers, Model: kind, Seed: 20220612, Profile: comm.ProfileECS,
+		Workers: workers, Model: kind, Seed: 20220612, Profile: comm.ProfileECS,
 	})
 	if err != nil {
 		return 0
 	}
 	defer tr.Close()
-	tr.RunEpoch()
-	start := time.Now()
-	for i := 0; i < sc.Epochs; i++ {
-		tr.RunEpoch()
-	}
-	return float64(time.Since(start).Microseconds()) / 1000 / float64(sc.Epochs)
+	return meanMillis(epochs, func() { tr.RunEpoch() })
 }
 
 // rocEpochMillis times the ROC-like baseline's epoch (0 when unsupported).
-func rocEpochMillis(ds *dataset.Dataset, kind nn.ModelKind, sc Scale) float64 {
+func rocEpochMillis(ds *dataset.Dataset, kind nn.ModelKind, workers, epochs int) float64 {
 	e, err := roc.New(ds, roc.Options{
-		Workers: sc.Workers, Model: kind, Seed: 20220612, Profile: comm.ProfileECS,
+		Workers: workers, Model: kind, Seed: 20220612, Profile: comm.ProfileECS,
 	})
 	if err != nil {
 		return 0 // GAT: unsupported by ROC, as in the paper
 	}
 	defer e.Close()
-	e.RunEpoch()
-	start := time.Now()
-	for i := 0; i < sc.Epochs; i++ {
-		e.RunEpoch()
-	}
-	return float64(time.Since(start).Microseconds()) / 1000 / float64(sc.Epochs)
-}
-
-// nowMillis returns a monotonic-ish milliseconds reading for interval math.
-func nowMillis() float64 {
-	return float64(time.Now().UnixNano()) / 1e6
+	return meanMillis(epochs, func() { e.RunEpoch() })
 }

@@ -25,24 +25,24 @@ func Fig11(sc Scale, model nn.ModelKind, graphName string) []Row {
 		tracer := obs.NewTracer()
 		opts := withRLP(stdOpts(engine.Hybrid, model, sc.Workers, comm.ProfileECS), true, true, true)
 		opts.Tracer = tracer
-		ms := tunedMillis(ds, opts, func(p *hybrid.Planner, mode *hybrid.Mode) {
+		ms := tunedMillis(sc, ds, opts, func(p *hybrid.Planner, mode *hybrid.Mode) {
 			// Fixed costs in place of the probe, as the paper does for this sweep.
 			p.Costs, p.Ratio, *mode = costmodel.Costs{Tv: 1e-8, Te: 1e-9, Tc: 1e-7}, ratio, hybrid.ModeRatio
-		}, sc.Epochs)
+		})
 		rows = append(rows, newRow(fmt.Sprintf("cached=%.0f%%", ratio*100),
 			"epoch_ms", ms,
-			"comm_busy_ms", float64(busy(tracer, obs.ClassComm).Microseconds())/1000/float64(sc.Epochs+1),
-			"compute_busy_ms", float64(busy(tracer, obs.ClassCompute).Microseconds())/1000/float64(sc.Epochs+1),
+			"comm_busy_ms", millis(busy(tracer, obs.ClassComm))/float64(sc.Epochs+1),
+			"compute_busy_ms", millis(busy(tracer, obs.ClassCompute))/float64(sc.Epochs+1),
 		))
 	}
 	auto := withRLP(stdOpts(engine.Hybrid, model, sc.Workers, comm.ProfileECS), true, true, true)
-	rows = append(rows, newRow("greedy(auto)", "epoch_ms", epochMillis(ds, auto, sc.Epochs)))
+	rows = append(rows, newRow("greedy(auto)", "epoch_ms", epochMillis(sc, ds, auto)))
 	return rows
 }
 
 // Fig12 reproduces the scaling study of Figure 12: per-epoch time of
 // DepCache, DepComm, Hybrid (all NeutronStar codebase) and the two baselines
-// as the cluster grows.
+// as the cluster grows through sizes (sc.Workers is not read).
 //
 // Caveat for reading the absolute numbers: on the single-core host this
 // reproduction targets, all m simulated workers share one CPU, so adding
@@ -54,18 +54,17 @@ func Fig11(sc Scale, model nn.ModelKind, graphName string) []Row {
 // nodes"), while DepComm/Hybrid keep total compute constant and only add
 // communication; ROC degrades faster than NeutronStar because its
 // whole-block transfers grow with m.
-func Fig12(graphName string, sizes []int, epochs int) []Row {
+func Fig12(sc Scale, graphName string, sizes []int) []Row {
 	ds := load(graphName)
 	var rows []Row
 	base := map[string]float64{}
 	for i, m := range sizes {
-		sc := Scale{Workers: m, Epochs: epochs}
 		vals := map[string]float64{
-			"depcache_ms": epochMillis(ds, stdOpts(engine.DepCache, nn.GCN, m, comm.ProfileECS), epochs),
-			"depcomm_ms":  epochMillis(ds, withRLP(stdOpts(engine.DepComm, nn.GCN, m, comm.ProfileECS), true, true, true), epochs),
-			"hybrid_ms":   epochMillis(ds, withRLP(stdOpts(engine.Hybrid, nn.GCN, m, comm.ProfileECS), true, true, true), epochs),
-			"roc_ms":      rocEpochMillis(ds, nn.GCN, sc),
-			"distdgl_ms":  distDGLEpochMillis(ds, nn.GCN, sc),
+			"depcache_ms": epochMillis(sc, ds, stdOpts(engine.DepCache, nn.GCN, m, comm.ProfileECS)),
+			"depcomm_ms":  epochMillis(sc, ds, withRLP(stdOpts(engine.DepComm, nn.GCN, m, comm.ProfileECS), true, true, true)),
+			"hybrid_ms":   epochMillis(sc, ds, withRLP(stdOpts(engine.Hybrid, nn.GCN, m, comm.ProfileECS), true, true, true)),
+			"roc_ms":      rocEpochMillis(ds, nn.GCN, m, sc.Epochs),
+			"distdgl_ms":  distDGLEpochMillis(ds, nn.GCN, m, sc.Epochs),
 		}
 		if i == 0 {
 			for k, v := range vals {

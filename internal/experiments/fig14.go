@@ -34,43 +34,43 @@ type AccuracyCurve struct {
 // the sampling baseline's best, 93.92%).
 func Fig14(sc Scale, maxEpochs, evalEvery int, target float64) []AccuracyCurve {
 	ds := load("reddit")
-	var out []AccuracyCurve
+	curve := func(system string, epoch func(), evaluate func(mask []bool) float64) AccuracyCurve {
+		c := AccuracyCurve{System: system}
+		var cumulative time.Duration // training time only; evaluation is out-of-band
+		for ep := 1; ep <= maxEpochs; ep++ {
+			cumulative += timed(1, epoch)
+			if ep%evalEvery != 0 {
+				continue
+			}
+			acc := evaluate(ds.TestMask)
+			c.Points = append(c.Points, AccuracyPoint{Seconds: cumulative.Seconds(), Accuracy: acc, Epoch: ep})
+			if acc > c.Best {
+				c.Best = acc
+			}
+			if c.TimeToTarget == 0 && acc >= target {
+				c.TimeToTarget = cumulative.Seconds()
+			}
+		}
+		return c
+	}
 
-	engineCurve := func(system string, mode engine.Mode) {
-		opts := withRLP(stdOpts(mode, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)
-		if mode == engine.DepCache {
-			opts = stdOpts(mode, nn.GCN, sc.Workers, comm.ProfileECS)
+	var out []AccuracyCurve
+	for _, sys := range []struct {
+		name string
+		mode engine.Mode
+	}{{"hybrid", engine.Hybrid}, {"depcomm", engine.DepComm}, {"depcache", engine.DepCache}} {
+		opts := stdOpts(sys.mode, nn.GCN, sc.Workers, comm.ProfileECS)
+		if sys.mode != engine.DepCache {
+			opts = withRLP(opts, true, true, true)
 		}
 		opts.LR = 0.02
 		e, err := engine.NewEngine(ds, opts)
 		if err != nil {
 			panic(err)
 		}
-		defer e.Close()
-		c := AccuracyCurve{System: system}
-		var cumulative time.Duration // training time only; evaluation is out-of-band
-		for ep := 1; ep <= maxEpochs; ep++ {
-			t0 := time.Now()
-			e.RunEpoch()
-			cumulative += time.Since(t0)
-			if ep%evalEvery == 0 {
-				acc := e.Evaluate(ds.TestMask)
-				c.Points = append(c.Points, AccuracyPoint{
-					Seconds: cumulative.Seconds(), Accuracy: acc, Epoch: ep,
-				})
-				if acc > c.Best {
-					c.Best = acc
-				}
-				if c.TimeToTarget == 0 && acc >= target {
-					c.TimeToTarget = cumulative.Seconds()
-				}
-			}
-		}
-		out = append(out, c)
+		out = append(out, curve(sys.name, func() { e.RunEpoch() }, e.Evaluate))
+		e.Close()
 	}
-	engineCurve("hybrid", engine.Hybrid)
-	engineCurve("depcomm", engine.DepComm)
-	engineCurve("depcache", engine.DepCache)
 
 	// DepCache-with-sampling baseline (single node, like the paper's
 	// DGL-sampling configuration).
@@ -81,23 +81,5 @@ func Fig14(sc Scale, maxEpochs, evalEvery int, target float64) []AccuracyCurve {
 		panic(err)
 	}
 	defer tr.Close()
-	c := AccuracyCurve{System: "depcache-sampling"}
-	var cumulative time.Duration
-	for ep := 1; ep <= maxEpochs; ep++ {
-		t0 := time.Now()
-		tr.RunEpoch()
-		cumulative += time.Since(t0)
-		if ep%evalEvery == 0 {
-			acc := tr.Evaluate(ds.TestMask)
-			c.Points = append(c.Points, AccuracyPoint{Seconds: cumulative.Seconds(), Accuracy: acc, Epoch: ep})
-			if acc > c.Best {
-				c.Best = acc
-			}
-			if c.TimeToTarget == 0 && acc >= target {
-				c.TimeToTarget = cumulative.Seconds()
-			}
-		}
-	}
-	out = append(out, c)
-	return out
+	return append(out, curve("depcache-sampling", func() { tr.RunEpoch() }, tr.Evaluate))
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"neutronstar/internal/comm"
+	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
 	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
@@ -28,8 +28,8 @@ func Fig15(sc Scale) []Row {
 			partitioned := func(p *hybrid.Planner, _ *hybrid.Mode) { p.Part = part }
 			oc := withRLP(stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)
 			oh := withRLP(stdOpts(engine.Hybrid, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)
-			commMs := tunedMillis(ds, oc, partitioned, sc.Epochs)
-			hyMs := tunedMillis(ds, oh, partitioned, sc.Epochs)
+			commMs := tunedMillis(sc, ds, oc, partitioned)
+			hyMs := tunedMillis(sc, ds, oh, partitioned)
 			rows = append(rows, newRow(fmt.Sprintf("%s/%s", name, algo),
 				"depcomm_ms", commMs,
 				"hybrid_ms", hyMs,
@@ -49,23 +49,10 @@ func Table4(sc Scale) []Row {
 	var rows []Row
 	for _, name := range sc.Graphs {
 		ds := load(name)
-		// Shared-memory baseline: the reference trainer.
-		model := nn.MustNewModel(nn.GCN, []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}, 0, 7)
-		engine.ReferenceTrainStep(ds.Graph, model, ds.Features, ds.Labels, ds.TrainMask) // warmup
-		nn.ZeroGrads(model.Params())
-		start := time.Now()
-		for i := 0; i < sc.Epochs; i++ {
-			engine.ReferenceTrainStep(ds.Graph, model, ds.Features, ds.Labels, ds.TrainMask)
-			nn.ZeroGrads(model.Params())
-		}
-		refMs := float64(time.Since(start).Microseconds()) / 1000 / float64(sc.Epochs)
-
-		nts1 := epochMillis(ds, stdOpts(engine.Hybrid, nn.GCN, 1, comm.ProfileLocal), sc.Epochs)
-		ntsM := epochMillis(ds, withRLP(stdOpts(engine.Hybrid, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true), sc.Epochs)
 		rows = append(rows, newRow(name,
-			"sharedmem_ms", refMs,
-			"nts_1w_ms", nts1,
-			"nts_mw_ms", ntsM,
+			"sharedmem_ms", referenceMillis(ds, nn.GCN, sc.Epochs),
+			"nts_1w_ms", epochMillis(sc, ds, stdOpts(engine.Hybrid, nn.GCN, 1, comm.ProfileLocal)),
+			"nts_mw_ms", epochMillis(sc, ds, withRLP(stdOpts(engine.Hybrid, nn.GCN, sc.Workers, comm.ProfileECS), true, true, true)),
 		))
 	}
 	return rows
@@ -75,29 +62,18 @@ func Table4(sc Scale) []Row {
 // the small graphs, single worker, unthrottled fabric. The ROC-like engine
 // column is absent for GAT, as in the paper; the shared-memory reference
 // stands in for DGL/PyG.
-func Table5(epochs int) []Row {
+func Table5(sc Scale) []Row {
 	var rows []Row
 	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
 		for _, name := range []string{"cora", "citeseer", "pubmed", "google"} {
 			ds := load(name)
-			model := nn.MustNewModel(kind, []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}, 0, 7)
-			engine.ReferenceTrainStep(ds.Graph, model, ds.Features, ds.Labels, ds.TrainMask)
-			nn.ZeroGrads(model.Params())
-			start := time.Now()
-			for i := 0; i < epochs; i++ {
-				engine.ReferenceTrainStep(ds.Graph, model, ds.Features, ds.Labels, ds.TrainMask)
-				nn.ZeroGrads(model.Params())
-			}
-			refMs := float64(time.Since(start).Microseconds()) / 1000 / float64(epochs)
-
-			nts := epochMillis(ds, stdOpts(engine.Hybrid, kind, 1, comm.ProfileLocal), epochs)
+			refMs := referenceMillis(ds, kind, sc.Epochs)
+			nts := epochMillis(sc, ds, stdOpts(engine.Hybrid, kind, 1, comm.ProfileLocal))
 			rocMs := 0.0
 			if kind != nn.GAT {
-				rocMs = epochMillis(ds, func() engine.Options {
-					o := stdOpts(engine.DepComm, kind, 1, comm.ProfileLocal)
-					o.Broadcast = true
-					return o
-				}(), epochs)
+				o := stdOpts(engine.DepComm, kind, 1, comm.ProfileLocal)
+				o.Broadcast = true
+				rocMs = epochMillis(sc, ds, o)
 			}
 			rows = append(rows, newRow(string(kind)+"/"+name,
 				"sharedmem_ms", refMs,
@@ -107,4 +83,15 @@ func Table5(epochs int) []Row {
 		}
 	}
 	return rows
+}
+
+// referenceMillis times the shared-memory reference trainer's epoch: the
+// stand-in for DGL/PyG on one machine (same computation, no partitioning or
+// fabric).
+func referenceMillis(ds *dataset.Dataset, kind nn.ModelKind, epochs int) float64 {
+	model := nn.MustNewModel(kind, []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}, 0, 7)
+	return meanMillis(epochs, func() {
+		engine.ReferenceTrainStep(ds.Graph, model, ds.Features, ds.Labels, ds.TrainMask)
+		nn.ZeroGrads(model.Params())
+	})
 }

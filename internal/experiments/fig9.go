@@ -17,13 +17,13 @@ func Fig9(sc Scale) []Row {
 	for _, name := range sc.Graphs {
 		ds := load(name)
 		base := stdOpts(engine.DepCache, nn.GCN, sc.Workers, comm.ProfileECS)
-		cache := epochMillis(ds, base, sc.Epochs)
-		commT := epochMillis(ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS), sc.Epochs)
+		cache := epochMillis(sc, ds, base)
+		commT := epochMillis(sc, ds, stdOpts(engine.DepComm, nn.GCN, sc.Workers, comm.ProfileECS))
 		hy := stdOpts(engine.Hybrid, nn.GCN, sc.Workers, comm.ProfileECS)
-		hybrid := epochMillis(ds, hy, sc.Epochs)
-		hybridR := epochMillis(ds, withRLP(hy, true, false, false), sc.Epochs)
-		hybridRL := epochMillis(ds, withRLP(hy, true, true, false), sc.Epochs)
-		hybridRLP := epochMillis(ds, withRLP(hy, true, true, true), sc.Epochs)
+		hybrid := epochMillis(sc, ds, hy)
+		hybridR := epochMillis(sc, ds, withRLP(hy, true, false, false))
+		hybridRL := epochMillis(sc, ds, withRLP(hy, true, true, false))
+		hybridRLP := epochMillis(sc, ds, withRLP(hy, true, true, true))
 		rows = append(rows, newRow(name,
 			"depcache_ms", cache,
 			"depcomm_ms", commT,
@@ -58,13 +58,9 @@ func Table3(sc Scale, epochs int) []Row {
 				panic(err)
 			}
 			if mode == engine.Hybrid {
-				preprocess = float64(e.PreprocessTime.Microseconds()) / 1000
+				preprocess = millis(e.PreprocessTime)
 			}
-			start := nowMillis()
-			for i := 0; i < epochs; i++ {
-				e.RunEpoch()
-			}
-			vals[mode] = nowMillis() - start
+			vals[mode] = millis(timed(epochs, func() { e.RunEpoch() }))
 			e.Close()
 		}
 		rows = append(rows, newRow(name,

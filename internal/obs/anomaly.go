@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,7 +171,7 @@ func (r WatchRules) window() int {
 // > 0), slo_window (burn-rate window, Go duration > 0), hitrate (cache
 // hit-rate floor in (0,1]). The literal spec "default" selects
 // DefaultWatchRules; the empty spec parses to the disabled zero rules.
-// Unknown keys and out-of-range values are errors.
+// Unknown keys, NaN, ±Inf and out-of-range values are errors.
 func ParseWatchRules(spec string) (WatchRules, error) {
 	var r WatchRules
 	spec = strings.TrimSpace(spec)
@@ -198,14 +199,14 @@ func ParseWatchRules(spec string) (WatchRules, error) {
 			}
 			r.Stall = d
 		case RuleRegress:
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 1 {
+			f, ok := parseFinite(val)
+			if !ok || f <= 1 {
 				return r, fmt.Errorf("obs: watch rule regress=%q: want a factor > 1", val)
 			}
 			r.Regress = f
 		case RuleStraggler:
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 1 {
+			f, ok := parseFinite(val)
+			if !ok || f <= 1 {
 				return r, fmt.Errorf("obs: watch rule straggler=%q: want a bound > 1", val)
 			}
 			r.Straggler = f
@@ -228,8 +229,8 @@ func ParseWatchRules(spec string) (WatchRules, error) {
 			}
 			r.SLOWindow = d
 		case "hitrate":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f > 1 {
+			f, ok := parseFinite(val)
+			if !ok || f <= 0 || f > 1 {
 				return r, fmt.Errorf("obs: watch rule hitrate=%q: want a floor in (0,1]", val)
 			}
 			r.HitRate = f
@@ -238,6 +239,13 @@ func ParseWatchRules(spec string) (WatchRules, error) {
 		}
 	}
 	return r, nil
+}
+
+// parseFinite parses a float rule value; NaN and ±Inf are not values (a NaN
+// bound fails every comparison, so its rule could never fire).
+func parseFinite(val string) (float64, bool) {
+	f, err := strconv.ParseFloat(val, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // Alert is one fired watchdog rule.
@@ -297,14 +305,6 @@ func (w *Watchdog) SetLogger(log *slog.Logger) {
 	w.mu.Lock()
 	w.log = log
 	w.mu.Unlock()
-}
-
-// Rules returns the watchdog's rule set.
-func (w *Watchdog) Rules() WatchRules {
-	if w == nil {
-		return WatchRules{}
-	}
-	return w.rules
 }
 
 // ObserveEpoch feeds one completed epoch record to the watchdog and returns

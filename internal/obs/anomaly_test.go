@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,12 @@ func TestParseWatchRulesErrors(t *testing.T) {
 		{"window=2", ">= 3"},
 		{"window=abc", ">= 3"},
 		{"stall=30s,regress=0", "factor > 1"}, // later clause still validated
+		{"regress=NaN", "factor > 1"},
+		{"regress=+Inf", "factor > 1"},
+		{"straggler=NaN", "bound > 1"},
+		{"straggler=Inf", "bound > 1"},
+		{"hitrate=NaN", "floor in (0,1]"},
+		{"hitrate=-Inf", "floor in (0,1]"},
 	}
 	for _, tc := range cases {
 		_, err := ParseWatchRules(tc.spec)
@@ -175,7 +182,37 @@ func TestWatchdogNilIsNoOp(t *testing.T) {
 		t.Fatalf("nil watchdog health: %+v", rep)
 	}
 	w.SetLogger(nil)
-	if r := w.Rules(); r.Enabled() {
+	if r := w.Health().Rules; r.Enabled() {
 		t.Fatalf("nil watchdog rules: %+v", r)
 	}
+}
+
+// FuzzParseWatchRules feeds arbitrary specs to the parser: it must never
+// panic, and every spec it accepts must set each rule either not at all
+// (zero) or to a finite value inside its documented range.
+func FuzzParseWatchRules(f *testing.F) {
+	for _, seed := range []string{
+		"", "default",
+		"stall=30s,regress=1.5,straggler=3.0,window=8",
+		"slo_p99=250ms,hitrate=0.3,slo_window=30s",
+		"regress=NaN", "straggler=NaN", "hitrate=NaN",
+		"regress=+Inf", "straggler=Inf", "hitrate=-Inf",
+		"regress=1", "window=2", "stall=0s", "slo_window=-1s",
+		"stall", "=", ",,", "warp=9", "regress=1e309",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		r, err := ParseWatchRules(spec)
+		if err != nil {
+			return
+		}
+		factor := func(v float64) bool { return v == 0 || (v > 1 && !math.IsInf(v, 1)) }
+		if r.Stall < 0 || r.SLOP99 < 0 || r.SLOWindow < 0 ||
+			!factor(r.Regress) || !factor(r.Straggler) ||
+			(r.Window != 0 && r.Window < watchMinHistory) ||
+			!(r.HitRate == 0 || (r.HitRate > 0 && r.HitRate <= 1)) {
+			t.Fatalf("%q accepted as %+v", spec, r)
+		}
+	})
 }

@@ -482,7 +482,7 @@ func TestParseWatchRulesSLOKeys(t *testing.T) {
 	if r.SLOP99 != 250*time.Millisecond || r.HitRate != 0.3 || r.SLOWindow != 45*time.Second {
 		t.Fatalf("parsed %+v", r)
 	}
-	for _, bad := range []string{"slo_p99=0", "hitrate=1.5", "hitrate=0", "slo_window=-1s"} {
+	for _, bad := range []string{"slo_p99=0", "hitrate=1.5", "hitrate=0", "slo_window=-1s", "hitrate=NaN", "hitrate=+Inf"} {
 		if _, err := ParseWatchRules(bad); err == nil {
 			t.Fatalf("%q parsed without error", bad)
 		}

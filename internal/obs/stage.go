@@ -550,16 +550,6 @@ func (r *FlightRecorder) Snapshot() []EpochRecord {
 	return out
 }
 
-// Epochs returns the number of completed epoch records.
-func (r *FlightRecorder) Epochs() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.recs)
-}
-
 // Last returns the most recently completed epoch record, if any.
 func (r *FlightRecorder) Last() (EpochRecord, bool) {
 	if r == nil {

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // repoManifest is BENCHMARK.json as seen from this package's directory.
 const repoManifest = "../../" + manifestPath
+
+// changesEntryBudget bounds one CHANGES.md entry, in characters: an entry
+// names what changed, the claim with its pair counts, and every test, CI and
+// lint change; measurement detail belongs in the commit message.
+const changesEntryBudget = 2000
 
 // testFamilies stands in for the registered metric families.
 var testFamilies = map[string]bool{
@@ -125,4 +132,34 @@ func TestBenchNameSetReadsAllThreeLists(t *testing.T) {
 	if _, err := benchNameSet(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("a missing manifest is not an error")
 	}
+}
+
+// TestChangesEntriesFitBudget fails when a top-level "- " entry of
+// CHANGES.md, with any indented continuation lines, is over
+// changesEntryBudget characters.
+func TestChangesEntriesFitBudget(t *testing.T) {
+	data, err := os.ReadFile("../../CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry string
+	start := 0
+	check := func() {
+		if n := utf8.RuneCountInString(entry); n > changesEntryBudget {
+			t.Errorf("CHANGES.md:%d: entry is %d characters, over %d: %.60s…", start, n, changesEntryBudget, entry)
+		}
+		entry = ""
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(line, "- "):
+			check()
+			entry, start = line, i+1
+		case entry != "" && strings.HasPrefix(line, " "):
+			entry += "\n" + line
+		default:
+			check()
+		}
+	}
+	check()
 }
