@@ -3,6 +3,9 @@ package autograd_test
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -49,10 +52,33 @@ func edgeCases() []edgeCase {
 		add(fmt.Sprintf("random%d", i), testkit.RandomGraph(rng, testkit.GenSpec{}))
 	}
 	add("edgeless", graph.MustFromEdges(4, nil))
+	sweep := degreeSweepCase(rng)
+	cases = append(cases, sweep, edgeCase{sweep.name + "/srcRow=nil",
+		scores(len(sweep.edgeDst)), sweep.dst, nil, sweep.edgeDst, sweep.offsets})
 	cases = append(cases,
 		edgeCase{"edgeless/nil index", scores(4), scores(4), nil, nil, []int32{0, 0, 0, 0, 0}},
 		edgeCase{"empty block", scores(3), scores(0), nil, nil, []int32{0}})
 	return cases
+}
+
+// degreeSweepCase has one destination of every in-degree 0–300, in a
+// shuffled order, reading random source rows: the softmax takes its
+// exponentials 256 at a time across segments, so a chunk ends at every
+// offset into a segment somewhere in it.
+func degreeSweepCase(rng *tensor.RNG) edgeCase {
+	const srcRows = 97
+	degs := rng.Perm(301)
+	offsets := []int32{0}
+	var srcRow, edgeDst []int32
+	for s, d := range degs {
+		for range d {
+			srcRow = append(srcRow, int32(rng.Intn(srcRows)))
+			edgeDst = append(edgeDst, int32(s))
+		}
+		offsets = append(offsets, int32(len(srcRow)))
+	}
+	return edgeCase{"degrees 0-300", tensor.RandNormal(srcRows, 1, 0, 2, rng),
+		tensor.RandNormal(len(degs), 1, 0, 2, rng), srcRow, edgeDst, offsets}
 }
 
 // unfusedEdgeSoftmax is the chain EdgeSoftmax replaces, kept as its oracle.
@@ -198,6 +224,90 @@ func TestEdgeSoftmaxBackwardAllocations(t *testing.T) {
 			t.Errorf("%s: Backward drew %d tensors, want %d", tc.name, got, tc.want)
 		}
 	}
+}
+
+// heapPerRun is the heap allocations (a whole number, as
+// testing.AllocsPerRun counts them) and bytes f makes per call after a
+// warm-up call. It runs on one P with the collector off, so that the arena's
+// pool keeps what it holds: a GOMAXPROCS change or a collection would drop
+// it.
+func heapPerRun(n int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&b)
+	return float64((b.Mallocs - a.Mallocs) / uint64(n)), float64(b.TotalAlloc-a.TotalAlloc) / float64(n)
+}
+
+// requireTapeRecordOnly fails unless the op step makes, beyond the same step
+// without it, exactly the heap allocations of one tape record — its Variable
+// and its backward closure — and under 1 KiB: every tensor comes from the
+// arena, and the exponentials' 2 KiB chunk buffer stays on the stack.
+func requireTapeRecordOnly(t *testing.T, name string, step func(op bool) func()) {
+	t.Helper()
+	withA, withB := heapPerRun(50, step(true))
+	bareA, bareB := heapPerRun(50, step(false))
+	if a, b := withA-bareA, withB-bareB; a != 2 || b >= 1024 {
+		t.Errorf("%s: forward and backward made %v heap allocations of %v bytes per call, want 2 (the tape record) under 1 KiB", name, a, b)
+	}
+}
+
+// TestEdgeSoftmaxForwardAllocations: once the arena is warm, EdgeSoftmax's
+// forward and backward, over segments of every degree 0–300, draw nothing
+// from the heap but the tape's record of the op. Gated behind
+// NS_PERF_ALLOCS (meaningless under -race).
+func TestEdgeSoftmaxForwardAllocations(t *testing.T) {
+	if os.Getenv("NS_PERF_ALLOCS") == "" {
+		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
+	}
+	c := degreeSweepCase(tensor.NewRNG(31))
+	seed := tensor.RandNormal(len(c.edgeDst), 1, 0, 1, tensor.NewRNG(37))
+	arena := tensor.NewPool().Arena()
+	tp := autograd.NewTapeArena(arena)
+	requireTapeRecordOnly(t, "EdgeSoftmax", func(op bool) func() {
+		return func() {
+			tp.Reset()
+			s, d := tp.Leaf(c.src, true, "src"), tp.Leaf(c.dst, true, "dst")
+			if op {
+				tp.Backward(tp.EdgeSoftmax(s, c.srcRow, d, c.offsets, slope), seed)
+			}
+			arena.Release()
+		}
+	})
+}
+
+// TestCrossEntropyMaskedAllocations: once the arena is warm, the loss
+// head's forward and backward, over 16-class rows with a third of them
+// masked out, draw nothing from the heap but the tape's record of the op.
+// Gated behind NS_PERF_ALLOCS (meaningless under -race).
+func TestCrossEntropyMaskedAllocations(t *testing.T) {
+	if os.Getenv("NS_PERF_ALLOCS") == "" {
+		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
+	}
+	rng := tensor.NewRNG(41)
+	x := tensor.RandNormal(500, 16, 0, 3, rng)
+	labels, mask := make([]int32, 500), make([]bool, 500)
+	for i := range labels {
+		labels[i], mask[i] = int32(rng.Intn(16)), i%3 != 0
+	}
+	arena := tensor.NewPool().Arena()
+	tp := autograd.NewTapeArena(arena)
+	requireTapeRecordOnly(t, "CrossEntropyMasked", func(op bool) func() {
+		return func() {
+			tp.Reset()
+			xv := tp.Leaf(x, true, "x")
+			if op {
+				loss, _ := tp.CrossEntropyMasked(xv, labels, mask)
+				tp.Backward(loss, nil)
+			}
+			arena.Release()
+		}
+	})
 }
 
 // TestSoftmaxOpsRejectBadOffsets: offsets that do not start at 0 or that

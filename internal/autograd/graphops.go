@@ -210,12 +210,8 @@ func (t *Tape) SegmentSoftmax(scores *Variable, offsets []int32) *Variable {
 		panic(fmt.Sprintf("autograd: SegmentSoftmax offsets end %d != %d rows", e, scores.Value.Rows()))
 	}
 	out := t.allocUnzeroed(e, 1)
-	src, p := scores.Value.Data(), out.Data()
-	for s := 0; s+1 < len(offsets); s++ {
-		if lo, hi := int(offsets[s]), int(offsets[s+1]); lo < hi {
-			softmaxSegment(p[lo:hi], src[lo:hi])
-		}
-	}
+	p := out.Data()
+	tensor.SoftmaxSegments(p, scores.Value.Data(), offsets)
 	return t.record(out, "segment_softmax", func(grad *tensor.Tensor) {
 		if !scores.requiresGrad {
 			return
@@ -239,7 +235,8 @@ func (t *Tape) SegmentSoftmax(scores *Variable, offsets []int32) *Variable {
 // edges of destination s. src and dst are score columns (one row per source
 // row, one per segment); a nil srcRow means edge e reads row e of src. α is
 // the only per-edge tensor: the scores are written into it and normalised
-// in place by SegmentSoftmax's kernel, so values are bit-identical to
+// in place by tensor.SoftmaxSegments, SegmentSoftmax's body, so values are
+// bit-identical to
 // SegmentSoftmax(LeakyReLU(Add(Gather(src, srcRow), Gather(dst, edgeDst)), slope), offsets).
 //
 // Backward recomputes each pre-activation score instead of keeping it, runs
@@ -265,16 +262,12 @@ func (t *Tape) EdgeSoftmax(src *Variable, srcRow []int32, dst *Variable, offsets
 	p, sv, dv := out.Data(), src.Value.Data(), dst.Value.Data()
 	leaky := [2]float32{slope, 1}
 	for s := 0; s+1 < len(offsets); s++ {
-		lo, hi := int(offsets[s]), int(offsets[s+1])
-		if lo == hi {
-			continue
-		}
-		for i := lo; i < hi; i++ {
+		for i := int(offsets[s]); i < int(offsets[s+1]); i++ {
 			x := sv[rowOf(srcRow, i)] + dv[s]
 			p[i] = x * leaky[posBit(x)]
 		}
-		softmaxSegment(p[lo:hi], p[lo:hi])
 	}
+	tensor.SoftmaxSegments(p, p, offsets)
 	return t.record(out, "edge_softmax", func(grad *tensor.Tensor) {
 		var gs, gd []float32
 		if src.requiresGrad {
@@ -333,30 +326,6 @@ func segmentEnd(op string, offsets []int32) int {
 		}
 	}
 	return int(offsets[len(offsets)-1])
-}
-
-// softmaxSegment writes the softmax of scores into p, which may be scores
-// itself: the per-segment kernel of SegmentSoftmax and EdgeSoftmax. The
-// maximum is subtracted first, the exponentials are summed in float64 and
-// each is scaled by the rounded reciprocal of the sum.
-func softmaxSegment(p, scores []float32) {
-	p = p[:len(scores)]
-	maxV := float32(math.Inf(-1))
-	for _, v := range scores {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for i, v := range scores {
-		ev := math.Exp(float64(v - maxV))
-		p[i] = float32(ev)
-		sum += ev
-	}
-	inv := float32(1 / sum)
-	for i := range p {
-		p[i] *= inv
-	}
 }
 
 // segmentDot is Σ p[i]·g[i] over one segment, in float64: the term the

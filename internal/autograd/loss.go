@@ -14,13 +14,14 @@ import (
 // labels[i] is read only where mask[i] is set, and must then name a column
 // of logits (it panics otherwise).
 //
-// Only masked rows are computed: each one's log-softmax with
-// tensor.LogSoftmaxRow, and in backward logSoftmaxBackwardRow on the one-hot
-// row that holds −grad/n at the label; every other row's gradient is +0. The
-// loss and every gradient therefore carry the bits of a row-wise log-softmax
-// followed by a masked NLL over its output, with one exception: an unmasked
-// row whose log-softmax is NaN (a NaN or +Inf logit, or every logit −Inf),
-// which that chain would turn into a NaN gradient for the row, gets +0.
+// Only masked rows are computed: their log-softmax with
+// tensor.LogSoftmaxRowsInto, and in backward logSoftmaxBackwardRow on the
+// one-hot row that holds −grad/n at the label; every other row's gradient
+// is +0. The loss and every gradient therefore carry the bits of a row-wise
+// log-softmax followed by a masked NLL over its output, with one exception:
+// an unmasked row whose log-softmax is NaN (a NaN or +Inf logit, or every
+// logit −Inf), which that chain would turn into a NaN gradient for the row,
+// gets +0.
 func (t *Tape) CrossEntropyMasked(logits *Variable, labels []int32, mask []bool) (*Variable, int) {
 	r, cols := logits.Value.Rows(), logits.Value.Cols()
 	if len(labels) != r || len(mask) != r {
@@ -38,13 +39,12 @@ func (t *Tape) CrossEntropyMasked(logits *Variable, labels []int32, mask []bool)
 	}
 	// logp holds the masked rows' log-softmax, in row order, for backward.
 	logp := t.allocUnzeroed(n, cols)
+	tensor.LogSoftmaxRowsInto(logp, logits.Value, mask)
 	var loss float64
 	k := 0
 	for i, m := range mask {
 		if m {
-			row := logp.Row(k)
-			tensor.LogSoftmaxRow(row, logits.Value.Row(i))
-			loss -= float64(row[labels[i]])
+			loss -= float64(logp.At(k, int(labels[i])))
 			k++
 		}
 	}
@@ -58,6 +58,9 @@ func (t *Tape) CrossEntropyMasked(logits *Variable, labels []int32, mask []bool)
 		}
 		scale := grad.At(0, 0) / float32(n)
 		g := t.allocUnzeroed(r, cols)
+		// The masked rows' softmax first, one kernel call per chunk of
+		// logp, then the dual row by row over it.
+		tensor.ExpInto(g, logp, mask)
 		oneHot := t.alloc(1, cols).Data()
 		k := 0
 		for i, m := range mask {
@@ -76,11 +79,11 @@ func (t *Tape) CrossEntropyMasked(logits *Variable, labels []int32, mask []bool)
 }
 
 // logSoftmaxBackwardRow writes dst_j = g_j - softmax(x)_j * sum_k g_k for one
-// row, softmax(x)_j being exp(o_j) of the forward output o. A row whose
-// upstream sum is zero has dst_j = g_j - exp(o_j)·0, which is g_j unless
-// exp(o_j) is NaN or +Inf: o_j <= 0, what a log-softmax output is unless
-// NaN, takes g_j without calling math.Exp, and anything else (a NaN row) the
-// unskipped expression.
+// row, softmax(x)_j being float32(exp(o_j)) of the forward output o, which
+// dst holds on entry. A row whose upstream sum is zero has dst_j = g_j -
+// exp(o_j)·0, which is g_j unless exp(o_j) is NaN or +Inf: o_j <= 0, what a
+// log-softmax output is unless NaN, takes g_j without reading the
+// exponential, and anything else (a NaN row) the unskipped expression.
 func logSoftmaxBackwardRow(dst, g, o []float32) {
 	var sum float64
 	for _, v := range g {
@@ -92,7 +95,7 @@ func logSoftmaxBackwardRow(dst, g, o []float32) {
 		if sum == 0 && o[j] <= 0 {
 			dst[j] = v
 		} else {
-			dst[j] = v - float32(float32(math.Exp(float64(o[j])))*s)
+			dst[j] = v - float32(dst[j]*s)
 		}
 	}
 }
@@ -110,7 +113,7 @@ func (t *Tape) BCEWithLogitsLoss(logits *Variable, targets []float32) *Variable 
 		xf := float64(x)
 		tf := float64(targets[i])
 		// max(x,0) - x*t + log(1+exp(-|x|))
-		loss += math.Max(xf, 0) - float64(xf*tf) + math.Log1p(math.Exp(-math.Abs(xf)))
+		loss += math.Max(xf, 0) - float64(xf*tf) + math.Log1p(tensor.Exp(-math.Abs(xf)))
 	}
 	out := t.alloc(1, 1)
 	out.Set(0, 0, float32(loss/float64(n)))
@@ -121,7 +124,7 @@ func (t *Tape) BCEWithLogitsLoss(logits *Variable, targets []float32) *Variable 
 		scale := grad.At(0, 0) / float32(n)
 		g := t.alloc(logits.Value.Rows(), logits.Value.Cols())
 		for i, x := range logits.Value.Data() {
-			s := float32(1 / (1 + math.Exp(-float64(x))))
+			s := float32(1 / (1 + tensor.Exp(-float64(x))))
 			g.Data()[i] = scale * (s - targets[i])
 		}
 		logits.adopt(g)

@@ -56,7 +56,7 @@ func logSoftmaxBackwardUnskipped(dst, g, o []float32) {
 		sum += float64(v)
 	}
 	for j, v := range g {
-		dst[j] = v - float32(math.Exp(float64(o[j])))*float32(sum)
+		dst[j] = v - float32(tensor.Exp(float64(o[j])))*float32(sum)
 	}
 }
 
@@ -90,6 +90,9 @@ func TestLogSoftmaxBackwardSkipsUngradedRows(t *testing.T) {
 	for oi, o := range outs {
 		for gi, g := range grads {
 			got, want := make([]float32, len(g)), make([]float32, len(g))
+			for j, v := range o {
+				got[j] = float32(tensor.Exp(float64(v))) // the softmax dst holds on entry
+			}
 			logSoftmaxBackwardRow(got, g, o)
 			logSoftmaxBackwardUnskipped(want, g, o)
 			for j := range got {

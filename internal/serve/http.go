@@ -140,7 +140,7 @@ func (s *Server) handleLinkScore(w http.ResponseWriter, r *http.Request) {
 		for i := range a {
 			dot += float64(float64(a[i]) * float64(b[i]))
 		}
-		out.Scores[k] = 1 / (1 + math.Exp(-dot))
+		out.Scores[k] = 1 / (1 + tensor.Exp(-dot))
 	}
 	writeJSON(w, &res.Timing, out)
 }

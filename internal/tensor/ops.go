@@ -288,74 +288,6 @@ func LeakyReLUBackwardInto(dst, grad, input *Tensor, slope float32) {
 	}
 }
 
-// Exp returns e^t element-wise.
-func Exp(t *Tensor) *Tensor {
-	out := New(t.rows, t.cols)
-	for i, v := range t.data {
-		out.data[i] = float32(math.Exp(float64(v)))
-	}
-	return out
-}
-
-// SoftmaxRows applies a numerically stable softmax independently to each row.
-func SoftmaxRows(t *Tensor) *Tensor {
-	out := New(t.rows, t.cols)
-	for i := 0; i < t.rows; i++ {
-		softmaxRow(out.Row(i), t.Row(i))
-	}
-	return out
-}
-
-func softmaxRow(dst, src []float32) {
-	maxV := float32(math.Inf(-1))
-	for _, v := range src {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for j, v := range src {
-		e := math.Exp(float64(v - maxV))
-		dst[j] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for j := range dst {
-		dst[j] *= inv
-	}
-}
-
-// LogSoftmaxRows applies LogSoftmaxRow to each row.
-func LogSoftmaxRows(t *Tensor) *Tensor {
-	out := New(t.rows, t.cols)
-	for i := 0; i < t.rows; i++ {
-		LogSoftmaxRow(out.Row(i), t.Row(i))
-	}
-	return out
-}
-
-// LogSoftmaxRow stores the numerically stable log-softmax of src into dst,
-// which must be as long and may be src: src minus its maximum is
-// exponentiated and summed in float64, and every element takes
-// src[j] − (max + log sum), rounded to float32 once each.
-func LogSoftmaxRow(dst, src []float32) {
-	dst = dst[:len(src)]
-	maxV := float32(math.Inf(-1))
-	for _, v := range src {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for _, v := range src {
-		sum += math.Exp(float64(v - maxV))
-	}
-	lse := maxV + float32(math.Log(sum))
-	for j, v := range src {
-		dst[j] = v - lse
-	}
-}
-
 // Dropout zeroes elements of t with probability p using rng, scaling the
 // survivors by 1/(1-p) (inverted dropout). It returns the output and the mask
 // of kept positions (1 or 0) needed by the backward pass.

@@ -16,6 +16,7 @@ import (
 // products of one vector with a list of rows, eight rows at a time. The
 // element-wise row ops — bias plus rectifier (biasReLU), the rectifier's
 // gradient mask (reluMask) and a row scale (scale) — write one row once.
+// expKernel, the one float64 kernel, is described in exp.go.
 //
 // Each kernel exists twice: amd64 assembly (rowkernels_amd64.s) and the
 // portable Go twin below, which is what every other architecture runs and

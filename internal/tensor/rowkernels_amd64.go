@@ -6,7 +6,7 @@ package tensor
 // runs its AVX body, without it it tail-jumps to its portable Go twin — the
 // code every other architecture runs. A second probe sets useAVX512, which
 // accRowsKernel, accRows4Kernel and scatterEdgesKernel read before their
-// 512-bit strips. The assembly trusts its arguments — the lengths are checked
+// 512-bit strips and expKernel before its 8-lane body. The assembly trusts its arguments — the lengths are checked
 // by the Go wrappers in rowkernels.go and ops.go and the row indices by the
 // callers of accRowsKernel, accRows4Kernel, scatterEdgesKernel and
 // dotRowsKernel, all in this package.
@@ -130,3 +130,10 @@ func reluMaskKernel(dst, g, o []float32)
 //
 //go:noescape
 func scaleKernel(dst []float32, a float32, x []float32)
+
+// expKernel is expGo over whole blocks of lanes that lie in [−708, 709]: it
+// stops at the first block that does not, or at a tail shorter than a block
+// in the AVX body, and returns how many elements it replaced.
+//
+//go:noescape
+func expKernel(x []float64) (done int)

@@ -17,8 +17,9 @@
 // frame is its own. accRows, accRows4 and scatterEdges also read useAVX512:
 // with it set they take 32 floats of a row (scatterEdges 32, then 16) at a
 // time in ZMM registers — EVEX VMULPS and VADDPS, the same two roundings per
-// term — before the AVX strips take what is left. Every path that touched a
-// YMM or ZMM register ends in VZEROUPPER.
+// term — before the AVX strips take what is left; expKernel, in float64,
+// runs a ZMM body instead of its YMM one (see its own comment). Every path
+// that touched a YMM or ZMM register ends in VZEROUPPER.
 
 // func axpyKernel(dst []float32, a float32, x []float32)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-56
@@ -1574,3 +1575,275 @@ done:
 
 portable:
 	JMP ·dotRowsGo(SB)
+
+// Exp's constants (exp.go, and math/exp_amd64.s, whose non-FMA path the
+// kernel is), four copies each so that the AVX body can take a 32-byte
+// memory operand; the AVX-512 body broadcasts the first copy.
+#define EXPC(off, v) \
+	DATA expc<>+(off)(SB)/8, $v    \
+	DATA expc<>+(off+8)(SB)/8, $v  \
+	DATA expc<>+(off+16)(SB)/8, $v \
+	DATA expc<>+(off+24)(SB)/8, $v
+
+EXPC(0, 1.4426950408889634073599246810018920)      // log2(e)
+EXPC(32, 0.69314718055966295651160180568695068359375) // ln 2, upper half
+EXPC(64, 0.28235290563031577122588448175013436025525412068e-12) // ln 2, lower half
+EXPC(96, 0.0625)
+EXPC(128, 2.4801587301587301587e-5) // 1/8!
+EXPC(160, 1.9841269841269841270e-4) // 1/7!
+EXPC(192, 1.3888888888888888889e-3) // 1/6!
+EXPC(224, 8.3333333333333333333e-3) // 1/5!
+EXPC(256, 4.1666666666666666667e-2) // 1/4!
+EXPC(288, 1.6666666666666666667e-1) // 1/3!
+EXPC(320, 0.5)
+EXPC(352, 1.0)
+EXPC(384, 2.0)
+EXPC(416, -708.0) // the kernel's range
+EXPC(448, 709.0)
+GLOBL expc<>(SB), RODATA|NOPTR, $480
+
+// EXP8 replaces the eight float64s in x by their exponentials, each lane
+// the arithmetic of Exp (exp.go) for an x in [−708, 709], in four stages.
+// EXPREDUCE: k = x·log2(e) rounded to nearest even (VCVTPD2DQ under the
+// default MXCSR, as CVTSD2SL) into yk, and r = (x − k·ln2Hi − k·ln2Lo)/16
+// into x. EXPPOLY: y = r·p(r), the Taylor polynomial in Horner form.
+// EXPDOUBLE: four y = y·(y+2), then y+1. EXPSCALE: 2^k, built as
+// (k << 52) + bits(1.0) in the integer unit, times y. Z16-Z28 hold the
+// constants and Z29-Z30 the range (EXPBAD); p and t are scratch, and k is
+// the ZMM register whose YMM half is yk. Each stage is one dependency chain, so the main loop runs every
+// stage for four blocks before the next: four chains in flight.
+#define EXPREDUCE(x, p, t, yk) \
+	VMULPD    Z16, x, p \
+	VCVTPD2DQ p, yk     \
+	VCVTDQ2PD yk, p     \
+	VMULPD    Z17, p, t \
+	VSUBPD    t, x, x   \
+	VMULPD    Z18, p, t \
+	VSUBPD    t, x, x   \
+	VMULPD    Z19, x, x
+
+#define EXPPOLY(x, p) \
+	VMULPD Z20, x, p \
+	VADDPD Z21, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z22, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z23, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z24, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z25, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z26, p, p \
+	VMULPD x, p, p   \
+	VADDPD Z27, p, p \
+	VMULPD p, x, x
+
+#define EXPDOUBLE(x, p) \
+	VADDPD Z28, x, p \
+	VMULPD p, x, x   \
+	VADDPD Z28, x, p \
+	VMULPD p, x, x   \
+	VADDPD Z28, x, p \
+	VMULPD p, x, x   \
+	VADDPD Z28, x, p \
+	VMULPD p, x, x   \
+	VADDPD Z27, x, x
+
+#define EXPSCALE(x, k, yk) \
+	VPMOVSXDQ yk, k     \
+	VPSLLQ    $52, k, k \
+	VPADDQ    Z27, k, k \
+	VMULPD    k, x, x
+
+#define EXP8(x, p, t, k, yk) \
+	EXPREDUCE(x, p, t, yk) \
+	EXPPOLY(x, p)          \
+	EXPDOUBLE(x, p)        \
+	EXPSCALE(x, k, yk)
+
+// EXPBAD sets the flags for JNE when a lane of x lies outside [−708, 709] or
+// is NaN (the unordered NLE_UQ and NGE_UQ compares).
+#define EXPBAD(x) \
+	VCMPPD   $0x16, Z30, x, K1 \
+	VCMPPD   $0x19, Z29, x, K2 \
+	KORTESTW K1, K2
+
+// EXP4 is EXP8 in four lanes of YMM with the constants as memory operands.
+// AVX1 has no 256-bit integer ops, so 2^k is built in XMM halves: each k
+// shifted to the top of its dword (xk), interleaved with zero dwords into
+// two pairs of qwords (xk, xp), bits(1.0) added to each and the halves
+// joined in k.
+#define EXP4(x, p, t, k, xp, xt, xk) \
+	VMULPD      expc<>+0(SB), x, p   \
+	VCVTPD2DQY  p, xk                \
+	VCVTDQ2PD   xk, p                \
+	VMULPD      expc<>+32(SB), p, t  \
+	VSUBPD      t, x, x              \
+	VMULPD      expc<>+64(SB), p, t  \
+	VSUBPD      t, x, x              \
+	VMULPD      expc<>+96(SB), x, x  \
+	VMULPD      expc<>+128(SB), x, p \
+	VADDPD      expc<>+160(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+192(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+224(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+256(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+288(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+320(SB), p, p \
+	VMULPD      x, p, p              \
+	VADDPD      expc<>+352(SB), p, p \
+	VMULPD      p, x, x              \
+	VADDPD      expc<>+384(SB), x, p \
+	VMULPD      p, x, x              \
+	VADDPD      expc<>+384(SB), x, p \
+	VMULPD      p, x, x              \
+	VADDPD      expc<>+384(SB), x, p \
+	VMULPD      p, x, x              \
+	VADDPD      expc<>+384(SB), x, p \
+	VMULPD      p, x, x              \
+	VADDPD      expc<>+352(SB), x, x \
+	VPSLLD      $20, xk, xk          \
+	VPXOR       xt, xt, xt           \
+	VPUNPCKHDQ  xk, xt, xp           \
+	VPUNPCKLDQ  xk, xt, xk           \
+	VPADDQ      expc<>+352(SB), xp, xp \
+	VPADDQ      expc<>+352(SB), xk, xk \
+	VINSERTF128 $1, xp, k, k         \
+	VMULPD      k, x, x
+
+// func expKernel(x []float64) (done int)
+//
+// In place, one block of lanes at a time, in element order: eight with
+// AVX-512 (the last one to seven through the opmask K3), four with AVX (the
+// last one to three are left to the caller). Before it computes a block the
+// kernel compares every lane with [−708, 709] (NLE_UQ / NGE_UQ, so a NaN
+// fails too) and returns at the first block outside it, storing nothing of
+// that block; done counts the elements before it.
+TEXT ·expKernel(SB), NOSPLIT, $0-32
+	CMPB ·useAVX(SB), $0
+	JEQ  portable
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), R9
+	XORQ AX, AX
+	CMPB ·useAVX512(SB), $0
+	JEQ  four
+
+	VBROADCASTSD expc<>+0(SB), Z16
+	VBROADCASTSD expc<>+32(SB), Z17
+	VBROADCASTSD expc<>+64(SB), Z18
+	VBROADCASTSD expc<>+96(SB), Z19
+	VBROADCASTSD expc<>+128(SB), Z20
+	VBROADCASTSD expc<>+160(SB), Z21
+	VBROADCASTSD expc<>+192(SB), Z22
+	VBROADCASTSD expc<>+224(SB), Z23
+	VBROADCASTSD expc<>+256(SB), Z24
+	VBROADCASTSD expc<>+288(SB), Z25
+	VBROADCASTSD expc<>+320(SB), Z26
+	VBROADCASTSD expc<>+352(SB), Z27
+	VBROADCASTSD expc<>+384(SB), Z28
+	VBROADCASTSD expc<>+416(SB), Z29
+	VBROADCASTSD expc<>+448(SB), Z30
+
+thirtytwo:
+	LEAQ      32(AX), DX
+	CMPQ      DX, R9
+	JGT       eight
+	VMOVUPD   (SI)(AX*8), Z0
+	VMOVUPD   64(SI)(AX*8), Z4
+	VMOVUPD   128(SI)(AX*8), Z8
+	VMOVUPD   192(SI)(AX*8), Z12
+	VCMPPD    $0x16, Z30, Z0, K1
+	VCMPPD    $0x19, Z29, Z0, K2
+	KORW      K1, K2, K3
+	VCMPPD    $0x16, Z30, Z4, K1
+	VCMPPD    $0x19, Z29, Z4, K2
+	KORW      K1, K2, K4
+	KORW      K3, K4, K3
+	VCMPPD    $0x16, Z30, Z8, K1
+	VCMPPD    $0x19, Z29, Z8, K2
+	KORW      K1, K2, K4
+	KORW      K3, K4, K3
+	VCMPPD    $0x16, Z30, Z12, K1
+	VCMPPD    $0x19, Z29, Z12, K2
+	KORW      K1, K2, K4
+	KORTESTW  K3, K4
+	JNE       eight                // the blocks one at a time, up to the bad one
+	EXPREDUCE(Z0, Z1, Z2, Y3)
+	EXPREDUCE(Z4, Z5, Z6, Y7)
+	EXPREDUCE(Z8, Z9, Z10, Y11)
+	EXPREDUCE(Z12, Z13, Z14, Y15)
+	EXPPOLY(Z0, Z1)
+	EXPPOLY(Z4, Z5)
+	EXPPOLY(Z8, Z9)
+	EXPPOLY(Z12, Z13)
+	EXPDOUBLE(Z0, Z1)
+	EXPDOUBLE(Z4, Z5)
+	EXPDOUBLE(Z8, Z9)
+	EXPDOUBLE(Z12, Z13)
+	EXPSCALE(Z0, Z3, Y3)
+	EXPSCALE(Z4, Z7, Y7)
+	EXPSCALE(Z8, Z11, Y11)
+	EXPSCALE(Z12, Z15, Y15)
+	VMOVUPD   Z0, (SI)(AX*8)
+	VMOVUPD   Z4, 64(SI)(AX*8)
+	VMOVUPD   Z8, 128(SI)(AX*8)
+	VMOVUPD   Z12, 192(SI)(AX*8)
+	MOVQ      DX, AX
+	JMP       thirtytwo
+
+eight:
+	LEAQ      8(AX), DX
+	CMPQ      DX, R9
+	JGT       masked
+	VMOVUPD   (SI)(AX*8), Z0
+	EXPBAD(Z0)
+	JNE       done
+	EXP8(Z0, Z1, Z2, Z3, Y3)
+	VMOVUPD   Z0, (SI)(AX*8)
+	MOVQ      DX, AX
+	JMP       eight
+
+masked:
+	MOVQ      R9, CX
+	SUBQ      AX, CX
+	JEQ       done
+	MOVL      $1, BX
+	SHLL      CX, BX
+	DECL      BX
+	KMOVW     BX, K3
+	VMOVUPD.Z (SI)(AX*8), K3, Z0   // the lanes past the end read +0
+	EXPBAD(Z0)
+	JNE       done
+	EXP8(Z0, Z1, Z2, Z3, Y3)
+	VMOVUPD   Z0, K3, (SI)(AX*8)
+	MOVQ      R9, AX
+	JMP       done
+
+four:
+	LEAQ      4(AX), DX
+	CMPQ      DX, R9
+	JGT       done
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $0x16, expc<>+448(SB), Y0, Y1
+	VCMPPD    $0x19, expc<>+416(SB), Y0, Y2
+	VORPD     Y1, Y2, Y1
+	VMOVMSKPD Y1, CX
+	TESTL     CX, CX
+	JNE       done
+	EXP4(Y0, Y1, Y2, Y3, X1, X2, X3)
+	VMOVUPD   Y0, (SI)(AX*8)
+	MOVQ      DX, AX
+	JMP       four
+
+done:
+	VZEROUPPER
+	MOVQ AX, done+24(FP)
+	RET
+
+portable:
+	JMP ·expGo(SB)

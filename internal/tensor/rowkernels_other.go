@@ -42,3 +42,5 @@ func biasReLUKernel(dst, x, bias []float32) { biasReLUGo(dst, x, bias) }
 func reluMaskKernel(dst, g, o []float32) { reluMaskGo(dst, g, o) }
 
 func scaleKernel(dst []float32, a float32, x []float32) { scaleGo(dst, a, x) }
+
+func expKernel(x []float64) (done int) { return expGo(x) }
