@@ -26,9 +26,9 @@
 //
 // With -critpath every message carries a causal trace context and each epoch
 // closes with a critical-path extraction; the run ends with a "why was this
-// epoch slow" report, /critpath serves the per-epoch paths, and the Chrome
-// trace (-trace) gains cross-worker message arrows. With -watch-rules an
-// anomaly watchdog evaluates threshold rules over the epoch stream and
+// epoch slow" report, each /epochs record carries its epoch's path, and the
+// Chrome trace (-trace) gains cross-worker message arrows. With -watch-rules
+// an anomaly watchdog evaluates threshold rules over the epoch stream and
 // serves its verdict on /healthwatch:
 //
 //	nstrain -dataset reddit -epochs 30 -critpath -watch-rules 'regress=1.5,straggler=3.0'
@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace     = fs.String("trace", "", "write a Chrome trace of worker activity to this file")
 		critPath  = fs.Bool("critpath", false, "record causal traces and report each epoch's critical path and stragglers")
 		watchSpec = fs.String("watch-rules", "", "anomaly watchdog rules, e.g. 'stall=30s,regress=1.5,straggler=3.0' or 'default'")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics, /status, /epochs, /critpath, /healthwatch, /timeline, /healthz and pprof on this address (e.g. :8080)")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /status, /epochs, /healthwatch, /timeline, /healthz and pprof on this address (e.g. :8080)")
 		logJSON   = fs.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
@@ -205,7 +205,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		srv, err := obs.NewServer(*debugAddr, obs.Default(), obs.Endpoints{
 			Status:      func() any { return s.Status() },
 			Epochs:      func() any { return s.FlightTimeline() },
-			CritPath:    func() any { return s.CritPathTimeline() },
 			HealthWatch: func() any { return s.HealthWatch() },
 			History:     s.MetricHistory(),
 		})
@@ -214,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer srv.Close()
 		log.Info("debug server listening", "addr", srv.Addr(),
-			"endpoints", "/metrics /status /epochs /critpath /healthwatch /timeline /healthz /debug/pprof/")
+			"endpoints", "/metrics /status /epochs /healthwatch /timeline /healthz /debug/pprof/")
 	}
 
 	cached, communicated := s.DependencySummary()

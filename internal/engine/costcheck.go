@@ -191,7 +191,7 @@ func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
 
 // predCompute is Eq. 1's compute term per feature column of a layer's work,
 // vertexOps·Tv + edgeOps·Te, each product rounded before the sum so no
-// architecture fuses it (DESIGN §13).
+// architecture fuses it (DESIGN §12).
 func predCompute(w layerWork, c costmodel.Costs) float64 {
 	return float64(float64(w.vertexOps)*c.Tv) + float64(float64(w.edgeOps)*c.Te)
 }

@@ -353,8 +353,9 @@ func (w *Watchdog) ObserveEpoch(rec EpochRecord) []Alert {
 }
 
 // Health evaluates the stall rule lazily and returns the current report —
-// the /healthwatch payload. Healthy means no alert has fired in the current
-// epoch-observation window and the run is not stalled.
+// the /healthwatch payload. Healthy means the run is not stalled, no epoch
+// rule has fired within the last Window observed epochs, and no SLO rule's
+// breach is still latched. Alerts keeps the history either way.
 func (w *Watchdog) Health() HealthReport {
 	if w == nil {
 		return HealthReport{Healthy: true, LastEpoch: -1}
@@ -382,7 +383,7 @@ func (w *Watchdog) healthAt(now time.Time) HealthReport {
 		w.record(fired)
 	}
 	rep := HealthReport{
-		Healthy:          !stalled && len(w.alerts) == 0,
+		Healthy:          !stalled && !w.alertActive(),
 		Rules:            w.rules,
 		LastEpoch:        w.lastEpoch,
 		SinceLastSeconds: since.Seconds(),
@@ -393,6 +394,24 @@ func (w *Watchdog) healthAt(now time.Time) HealthReport {
 	w.mu.Unlock()
 	emit(log, fired)
 	return rep
+}
+
+// alertActive reports whether a retained alert still counts against
+// health: an SLO alert while its breach latch is set, an epoch-rule alert
+// while its epoch is within the trailing window. A stall is judged by the
+// caller from the clock. Caller holds w.mu.
+func (w *Watchdog) alertActive() bool {
+	for _, latched := range w.sloBreached {
+		if latched {
+			return true
+		}
+	}
+	for _, a := range w.alerts {
+		if (a.Rule == RuleRegress || a.Rule == RuleStraggler) && a.Epoch > w.lastEpoch-w.rules.window() {
+			return true
+		}
+	}
+	return false
 }
 
 // record appends fired alerts to the retained history. Caller holds w.mu.

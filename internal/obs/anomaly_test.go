@@ -124,6 +124,65 @@ func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
 	}
 }
 
+// TestWatchdogHealthyRecoversAfterWindow checks that a fired alert counts
+// against health only while it is current: a regress alert until Window more
+// epochs have passed, an SLO alert until its breach latch re-arms. The alert
+// history is kept either way.
+func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
+	t.Run("regress", func(t *testing.T) {
+		w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil)
+		for e := 1; e <= 4; e++ {
+			w.ObserveEpoch(EpochRecord{Epoch: e, WallSeconds: 0.100})
+		}
+		if fired := w.ObserveEpoch(EpochRecord{Epoch: 5, WallSeconds: 0.200}); len(fired) != 1 {
+			t.Fatalf("epoch 5 fired %+v, want one regress alert", fired)
+		}
+		for e := 6; e <= 40; e++ {
+			w.ObserveEpoch(EpochRecord{Epoch: e, WallSeconds: 0.100})
+			rep := w.Health()
+			if want := e >= 5+8; rep.Healthy != want {
+				t.Fatalf("epoch %d: healthy = %v, want %v", e, rep.Healthy, want)
+			}
+			if len(rep.Alerts) != 1 {
+				t.Fatalf("epoch %d: alert history %+v, want the one regress alert", e, rep.Alerts)
+			}
+		}
+	})
+	t.Run("slo", func(t *testing.T) {
+		reg := NewRegistry()
+		lat := reg.Histogram(serveLatencyMetric, "t", ExpBuckets(1e-5, 2.5, 16))
+		clock := newHistClock()
+		h := NewHistory(reg, 0)
+		h.now = clock.now
+		w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second}, nil)
+		w.now = clock.now
+		observe := func(n int, sec float64) {
+			for i := 0; i < n; i++ {
+				lat.Observe(sec)
+			}
+		}
+		h.Sample(clock.now())
+		observe(50, 0.5) // burn
+		h.Sample(clock.advance(5 * time.Second))
+		if alerts := w.EvaluateSLO(h); len(alerts) != 1 {
+			t.Fatalf("breach fired %+v, want one alert", alerts)
+		}
+		if rep := w.Health(); rep.Healthy {
+			t.Fatalf("health during breach: %+v", rep)
+		}
+		clock.advance(time.Minute) // recover: the window holds only fast traffic
+		h.Sample(clock.now())
+		observe(100, 0.001)
+		h.Sample(clock.advance(5 * time.Second))
+		if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+			t.Fatalf("recovered window fired %+v", alerts)
+		}
+		if rep := w.Health(); !rep.Healthy || len(rep.Alerts) != 1 {
+			t.Fatalf("health after recovery: %+v, want healthy with the one alert kept", rep)
+		}
+	})
+}
+
 func TestWatchdogStragglerNamesSlowestWorker(t *testing.T) {
 	w := NewWatchdog(WatchRules{Straggler: 2.0}, nil)
 	// Single-worker runs cannot straggle.

@@ -16,8 +16,9 @@ import (
 //	               exemplars, negotiated via Accept)
 //	/healthz       200 "ok" liveness probe
 //	/status        JSON snapshot from the Status callback
-//	/epochs        JSON flight-recorder timeline from the Epochs callback
-//	/critpath      JSON per-epoch critical paths from the CritPath callback
+//	/epochs        JSON flight-recorder timeline from the Epochs callback:
+//	               each epoch's record carries its critical path, straggler
+//	               index, barrier share and slowest worker
 //	/healthwatch   JSON watchdog HealthReport from the HealthWatch callback
 //	/timeline      windowed metric time series from the History (404 when no
 //	               history is wired)
@@ -35,9 +36,6 @@ type Endpoints struct {
 	Status func() any
 	// Epochs serves /epochs: the flight-recorder timeline.
 	Epochs func() any
-	// CritPath serves /critpath: per-epoch critical paths and straggler
-	// indices (causal recording must be enabled for paths to be non-null).
-	CritPath func() any
 	// HealthWatch serves /healthwatch: the watchdog's HealthReport.
 	HealthWatch func() any
 	// History, when non-nil, serves /timeline: windowed time series of every
@@ -74,7 +72,6 @@ func NewServer(addr string, reg *Registry, eps Endpoints) (*Server, error) {
 	})
 	mux.HandleFunc("/status", serveJSON(eps.Status))
 	mux.HandleFunc("/epochs", serveJSON(eps.Epochs))
-	mux.HandleFunc("/critpath", serveJSON(eps.CritPath))
 	mux.HandleFunc("/healthwatch", serveJSON(eps.HealthWatch))
 	if eps.History != nil {
 		mux.HandleFunc("/timeline", TimelineHandler(eps.History))

@@ -86,9 +86,6 @@ func TestDebugServerNilStatusAndRegistry(t *testing.T) {
 	if code, body := get(t, base+"/epochs"); code != 200 || strings.TrimSpace(body) != "{}" {
 		t.Fatalf("epochs: %d %q", code, body)
 	}
-	if code, body := get(t, base+"/critpath"); code != 200 || strings.TrimSpace(body) != "{}" {
-		t.Fatalf("critpath: %d %q", code, body)
-	}
 	if code, body := get(t, base+"/healthwatch"); code != 200 || strings.TrimSpace(body) != "{}" {
 		t.Fatalf("healthwatch: %d %q", code, body)
 	}
@@ -98,7 +95,7 @@ func TestDebugServerNilStatusAndRegistry(t *testing.T) {
 	}
 }
 
-// TestDebugServerConcurrentScrape races /critpath, /healthwatch and /metrics
+// TestDebugServerConcurrentScrape races /epochs, /healthwatch and /metrics
 // scrapes against a flight recorder that is actively recording causal epochs
 // and a watchdog observing them — the exact shape of a dashboard polling a
 // live training run. Run under -race this is the data-race gate for the
@@ -111,7 +108,6 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, nil)
 	srv, err := NewServer("127.0.0.1:0", reg, Endpoints{
 		Epochs:      func() any { return rec.Snapshot() },
-		CritPath:    func() any { return rec.Snapshot() },
 		HealthWatch: func() any { return watch.Health() },
 	})
 	if err != nil {
@@ -149,7 +145,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	for _, path := range []string{"/critpath", "/healthwatch", "/metrics", "/epochs"} {
+	for _, path := range []string{"/epochs", "/healthwatch", "/metrics"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()

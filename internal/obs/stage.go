@@ -304,11 +304,6 @@ func (r *FlightRecorder) EnableCausal() {
 	r.causal.Store(true)
 }
 
-// CausalEnabled reports whether causal recording is on.
-func (r *FlightRecorder) CausalEnabled() bool {
-	return r != nil && r.causal.Load()
-}
-
 // BeginEpoch opens the accumulator for one epoch over the given cluster
 // shape. An already-open epoch is discarded (protocol misuse, not fatal).
 func (r *FlightRecorder) BeginEpoch(epoch, workers, layers int) {

@@ -13,7 +13,7 @@
 //
 // Beside it sit a metric registry with Prometheus and OpenMetrics text
 // exposition and a time-series history (registry.go, gather.go, history.go),
-// an opt-in debug server wiring /metrics, /healthz, /status, /critpath,
+// an opt-in debug server wiring /metrics, /healthz, /status, /epochs,
 // /healthwatch and net/http/pprof to a running process (server.go), an
 // anomaly watchdog: threshold rules over epoch records firing structured
 // alerts and a health report (anomaly.go), and NewLogger, the log/slog

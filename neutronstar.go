@@ -147,7 +147,7 @@ type Config struct {
 	FaultSpec string
 	// CritPath enables causal recording: every message carries a trace
 	// context, each epoch closes with a critical-path extraction and
-	// straggler indices (served on /critpath and via SlowEpochReport), and
+	// straggler indices (on each /epochs record and via SlowEpochReport), and
 	// the Chrome trace export gains cross-worker flow arrows.
 	CritPath bool
 	// WatchRules enables the anomaly watchdog, e.g.
@@ -613,31 +613,6 @@ func (s *Session) FlightTimeline() any {
 		out["cost_report"] = cr
 	}
 	return out
-}
-
-// CritPathTimeline returns per-epoch critical paths and straggler indices as
-// a JSON-marshalable value — the payload of the debug server's /critpath
-// endpoint. Paths are non-null only under Config.CritPath; the straggler
-// fields are always populated. Safe to call concurrently with Train.
-func (s *Session) CritPathTimeline() any {
-	type entry struct {
-		Epoch          int           `json:"epoch"`
-		WallSeconds    float64       `json:"wall_seconds"`
-		StragglerIndex float64       `json:"straggler_index"`
-		BarrierShare   float64       `json:"barrier_share"`
-		SlowestWorker  int           `json:"slowest_worker"`
-		CritPath       *obs.CritPath `json:"crit_path,omitempty"`
-	}
-	recs := s.rec.Snapshot()
-	out := make([]entry, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, entry{
-			Epoch: r.Epoch, WallSeconds: r.WallSeconds,
-			StragglerIndex: r.StragglerIndex, BarrierShare: r.BarrierShare,
-			SlowestWorker: r.SlowestWorker, CritPath: r.CritPath,
-		})
-	}
-	return map[string]any{"causal": s.rec.CausalEnabled(), "epochs": out}
 }
 
 // Watchdog returns the session's anomaly watchdog, or nil if

@@ -2,7 +2,9 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -14,7 +16,14 @@ const repoManifest = "../../" + manifestPath
 // changesEntryBudget bounds one CHANGES.md entry, in characters: an entry
 // names what changed, the claim with its pair counts, and every test, CI and
 // lint change; measurement detail belongs in the commit message.
-const changesEntryBudget = 2000
+const changesEntryBudget = 1500
+
+// Whole-file budgets for the two documents every reader starts from:
+// CHANGES.md in bytes, DESIGN.md in lines.
+const (
+	changesByteBudget = 35000
+	designLineBudget  = 1400
+)
 
 // testFamilies stands in for the registered metric families.
 var testFamilies = map[string]bool{
@@ -162,4 +171,71 @@ func TestChangesEntriesFitBudget(t *testing.T) {
 		}
 	}
 	check()
+}
+
+// TestDocsFitBudget fails when CHANGES.md is over changesByteBudget bytes or
+// DESIGN.md over designLineBudget lines.
+func TestDocsFitBudget(t *testing.T) {
+	changes, err := os.ReadFile("../../CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(changes); n > changesByteBudget {
+		t.Errorf("CHANGES.md is %d bytes, over %d", n, changesByteBudget)
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(design), "\n"); n > designLineBudget {
+		t.Errorf("DESIGN.md is %d lines, over %d", n, designLineBudget)
+	}
+}
+
+var (
+	// designSectionRe matches a numbered top-level heading of DESIGN.md.
+	designSectionRe = regexp.MustCompile(`(?m)^## (\d+)\.`)
+	// designCiteRe matches a citation of DESIGN.md sections: "DESIGN §9",
+	// "DESIGN.md §12", "DESIGN.md §5/§14/§15".
+	designCiteRe = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:/§\d+)*)`)
+)
+
+// TestDesignCitationsResolve fails when a tracked .go, .s, .yml or .md file
+// cites a DESIGN.md section that has no "## N." heading, so renumbering the
+// document cannot leave a citation pointing at the wrong section.
+func TestDesignCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[string]bool)
+	for _, m := range designSectionRe.FindAllStringSubmatch(string(design), -1) {
+		have[m[1]] = true
+	}
+	cmd := exec.Command("git", "ls-files", "*.go", "*.s", "*.yml", "*.md")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Skipf("tracked files are listed by git, which failed here: %v", err)
+	}
+	cited := 0
+	for _, path := range strings.Fields(string(out)) {
+		data, err := os.ReadFile(filepath.Join("../..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		content := string(data)
+		for _, m := range designCiteRe.FindAllStringSubmatchIndex(content, -1) {
+			for _, sec := range strings.Split(content[m[2]:m[3]], "/§") {
+				cited++
+				if !have[sec] {
+					t.Errorf("%s:%d: cites DESIGN §%s, which DESIGN.md has no \"## %s.\" heading for",
+						path, 1+strings.Count(content[:m[0]], "\n"), sec, sec)
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no DESIGN citation found: the pattern no longer matches how the files cite it")
+	}
 }
