@@ -176,12 +176,15 @@ func TestCausalSameSeedSameStructure(t *testing.T) {
 // and then starves it: the stall rule must fire through the Health path the
 // /healthwatch endpoint serves.
 func TestWatchdogFiresOnInjectedStall(t *testing.T) {
-	recs, _ := trainCausal(t, Options{Workers: 2, Mode: Hybrid, Seed: 3}, 2)
-	w := obs.NewWatchdog(obs.WatchRules{Stall: 50 * time.Millisecond}, nil)
-	for _, r := range recs {
-		w.ObserveEpoch(r)
+	rec := obs.NewFlightRecorder()
+	eng, err := NewEngine(testDataset(t, 600, 6, 21), Options{Workers: 2, Mode: Hybrid, Seed: 3, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep := w.Health(); !rep.Healthy {
+	defer eng.Close()
+	eng.Train(2)
+	w := obs.NewWatchdog(obs.WatchRules{Stall: 50 * time.Millisecond}, rec, nil, nil)
+	if rep := w.Health(); !rep.Healthy || rep.LastEpoch != 2 {
 		t.Fatalf("healthy run reported unhealthy: %+v", rep)
 	}
 	time.Sleep(80 * time.Millisecond)

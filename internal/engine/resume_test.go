@@ -65,10 +65,11 @@ func runPinned(t *testing.T, opts Options, costs costmodel.Costs, memBudget int6
 	for _, st := range e.Train(epochs) {
 		run.losses = append(run.losses, st.Loss)
 	}
-	last, ok := rec.Last()
-	if !ok {
+	tail := rec.Tail(1)
+	if len(tail) == 0 {
 		t.Fatal("no flight record")
 	}
+	last := tail[0]
 	for _, s := range obs.StageNames() {
 		run.msgs += last.StageMsgs(s)
 	}

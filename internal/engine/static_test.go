@@ -81,8 +81,7 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 					log.attach(e)
 
 					loss := e.Train(1)[0].Loss
-					last, _ := rec.Last()
-					for _, c := range last.Cells {
+					for _, c := range rec.Tail(1)[0].Cells {
 						fetch := c.Stage == obs.StageDepFetchSend.String() || c.Stage == obs.StageDepFetchRecv.String()
 						if fetch && c.Layer == 1 {
 							t.Fatalf("layer 1 cell %+v: nothing is fetched there", c)

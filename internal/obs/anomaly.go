@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
@@ -12,12 +12,14 @@ import (
 	"time"
 )
 
-// The anomaly watchdog evaluates threshold rules over the flight recorder's
-// epoch records: a stalled run (no epoch completing within a bound), an
-// epoch-time regression against the trailing median, and a straggler index
-// above bound. Alerts go two ways — a structured log line and the
-// /healthwatch endpoint — so both a human tailing logs and a client polling
-// the debug server see the same events.
+// The anomaly watchdog judges threshold rules over windows that other stores
+// already keep: the epoch rules (a stalled run, an epoch-time regression
+// against the trailing median, a straggler index above bound) over the
+// flight recorder's epoch records, the serving SLO rules over the metric
+// history's samples. Each rule is a pure function of its window; the
+// watchdog keeps only what it has emitted. Alerts go two ways — a structured
+// log line and the /healthwatch endpoint — so both a human tailing logs and
+// a client polling the debug server see the same events.
 
 // Watchdog rule names, used as the Alert.Rule value.
 const (
@@ -25,8 +27,7 @@ const (
 	RuleRegress   = "regress"
 	RuleStraggler = "straggler"
 	// RuleSLOP99 and RuleSLOHitRate are the serving SLO burn-rate rules,
-	// evaluated against the metric history (EvaluateSLO) rather than the
-	// epoch stream.
+	// judged over the metric history rather than the epoch records.
 	RuleSLOP99     = "slo_p99"
 	RuleSLOHitRate = "slo_hitrate"
 )
@@ -43,27 +44,27 @@ const (
 // disabled, so the zero WatchRules watches nothing.
 type WatchRules struct {
 	// Stall fires when no epoch completes for longer than this.
-	Stall time.Duration `json:"stall_seconds,omitempty"`
+	Stall time.Duration
 	// Regress fires when an epoch's wall time exceeds Regress times the
 	// trailing median (needs at least watchMinHistory prior epochs).
-	Regress float64 `json:"regress,omitempty"`
+	Regress float64
 	// Straggler fires when an epoch's straggler index (max/mean per-worker
 	// busy time) exceeds this bound on a multi-worker run.
-	Straggler float64 `json:"straggler,omitempty"`
+	Straggler float64
 	// Window is the trailing-median window in epochs; 0 means
 	// defaultWatchWindow.
-	Window int `json:"window,omitempty"`
+	Window int
 	// SLOP99 is the serving latency SLO target: the promise that at most 1%
-	// of requests over the trailing SLOWindow exceed it. EvaluateSLO fires
+	// of requests over the trailing SLOWindow exceed it. The rule is breached
 	// when the measured tail share burns the budget faster than allowed
 	// (burn rate > 1, i.e. the windowed p99 is above target).
-	SLOP99 time.Duration `json:"slo_p99_seconds,omitempty"`
+	SLOP99 time.Duration
 	// SLOWindow is the burn-rate evaluation window over the metric history;
 	// 0 means defaultSLOWindow.
-	SLOWindow time.Duration `json:"slo_window_seconds,omitempty"`
+	SLOWindow time.Duration
 	// HitRate fires when the embedding cache's windowed hit rate
 	// (delta hits / delta lookups over SLOWindow) drops below this floor.
-	HitRate float64 `json:"hitrate,omitempty"`
+	HitRate float64
 }
 
 const (
@@ -90,57 +91,34 @@ func DefaultWatchRules() WatchRules {
 	return WatchRules{Stall: 30 * time.Second, Regress: 1.5, Straggler: 3.0, Window: defaultWatchWindow}
 }
 
-// MarshalJSON renders Stall in seconds — the struct tag promises
-// stall_seconds, and a raw time.Duration would marshal as nanoseconds.
-func (r WatchRules) MarshalJSON() ([]byte, error) {
-	type wire struct {
-		StallSeconds     float64 `json:"stall_seconds,omitempty"`
-		Regress          float64 `json:"regress,omitempty"`
-		Straggler        float64 `json:"straggler,omitempty"`
-		Window           int     `json:"window,omitempty"`
-		SLOP99Seconds    float64 `json:"slo_p99_seconds,omitempty"`
-		SLOWindowSeconds float64 `json:"slo_window_seconds,omitempty"`
-		HitRate          float64 `json:"hitrate,omitempty"`
+// String renders r in the ParseWatchRules grammar, keys in a fixed order and
+// unset rules left out, so ParseWatchRules(r.String()) == r. The zero rules
+// render as "".
+func (r WatchRules) String() string {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var parts []string
+	for _, kv := range []struct {
+		set      bool
+		key, val string
+	}{
+		{r.Stall > 0, RuleStall, r.Stall.String()},
+		{r.Regress > 0, RuleRegress, num(r.Regress)},
+		{r.Straggler > 0, RuleStraggler, num(r.Straggler)},
+		{r.Window > 0, "window", strconv.Itoa(r.Window)},
+		{r.SLOP99 > 0, RuleSLOP99, r.SLOP99.String()},
+		{r.SLOWindow > 0, "slo_window", r.SLOWindow.String()},
+		{r.HitRate > 0, "hitrate", num(r.HitRate)},
+	} {
+		if kv.set {
+			parts = append(parts, kv.key+"="+kv.val)
+		}
 	}
-	return json.Marshal(wire{r.Stall.Seconds(), r.Regress, r.Straggler, r.Window,
-		r.SLOP99.Seconds(), r.SLOWindow.Seconds(), r.HitRate})
-}
-
-// UnmarshalJSON reads the seconds-valued wire form MarshalJSON writes, so a
-// HealthReport round-trips through JSON (nstat decodes /healthwatch).
-func (r *WatchRules) UnmarshalJSON(data []byte) error {
-	var w struct {
-		StallSeconds     float64 `json:"stall_seconds"`
-		Regress          float64 `json:"regress"`
-		Straggler        float64 `json:"straggler"`
-		Window           int     `json:"window"`
-		SLOP99Seconds    float64 `json:"slo_p99_seconds"`
-		SLOWindowSeconds float64 `json:"slo_window_seconds"`
-		HitRate          float64 `json:"hitrate"`
-	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*r = WatchRules{
-		Stall:     time.Duration(w.StallSeconds * float64(time.Second)),
-		Regress:   w.Regress,
-		Straggler: w.Straggler,
-		Window:    w.Window,
-		SLOP99:    time.Duration(w.SLOP99Seconds * float64(time.Second)),
-		SLOWindow: time.Duration(w.SLOWindowSeconds * float64(time.Second)),
-		HitRate:   w.HitRate,
-	}
-	return nil
-}
-
-// Enabled reports whether any rule is active.
-func (r WatchRules) Enabled() bool {
-	return r.Stall > 0 || r.Regress > 0 || r.Straggler > 0 || r.SLOP99 > 0 || r.HitRate > 0
+	return strings.Join(parts, ",")
 }
 
 // WatchesEpochs reports whether r sets a key of the epoch family (stall,
-// regress, straggler, window): rules only a watchdog fed ObserveEpoch — a
-// training session's — can evaluate.
+// regress, straggler, window): rules read from a flight recorder's epochs,
+// which only a training session has.
 func (r WatchRules) WatchesEpochs() bool {
 	return r.Stall > 0 || r.Regress > 0 || r.Straggler > 0 || r.Window > 0
 }
@@ -150,14 +128,6 @@ func (r WatchRules) WatchesEpochs() bool {
 // only a process that serves has.
 func (r WatchRules) WatchesServing() bool {
 	return r.SLOP99 > 0 || r.SLOWindow > 0 || r.HitRate > 0
-}
-
-// window returns the effective trailing-median window.
-func (r WatchRules) window() int {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return defaultWatchWindow
 }
 
 // ParseWatchRules parses a rule spec of comma-separated key=value pairs,
@@ -264,37 +234,39 @@ type Alert struct {
 // HealthReport is the /healthwatch payload: overall verdict, liveness info
 // and the recent alert history.
 type HealthReport struct {
-	Healthy bool       `json:"healthy"`
-	Rules   WatchRules `json:"rules"`
-	// LastEpoch is the most recently observed epoch (-1 before the first).
+	Healthy bool `json:"healthy"`
+	// Rules is the rule set in the ParseWatchRules grammar.
+	Rules string `json:"rules"`
+	// LastEpoch is the newest judged epoch (-1 before the first).
 	LastEpoch int `json:"last_epoch"`
-	// SinceLastSeconds is the time since that epoch completed.
+	// SinceLastSeconds is the time since that epoch was judged.
 	SinceLastSeconds float64 `json:"since_last_seconds"`
 	Alerts           []Alert `json:"alerts"`
 }
 
-// Watchdog evaluates WatchRules over observed epoch records. All methods are
-// safe for concurrent use; a nil *Watchdog is a no-op that reports healthy.
+// Watchdog judges WatchRules over a flight recorder's epoch records and a
+// metric history's samples. All methods are safe for concurrent use; a nil
+// *Watchdog is a no-op that reports healthy.
 type Watchdog struct {
 	rules WatchRules
+	rec   *FlightRecorder
+	hist  *History
+	now   func() time.Time // test hook
 
-	mu           sync.Mutex
-	log          *slog.Logger
-	walls        []float64 // trailing wall times, oldest first, cap window
-	alerts       []Alert
-	lastEpoch    int
-	lastEpochAt  time.Time
-	stallAlerted bool
-	// sloBreached latches each SLO rule while its breach persists: one alert
-	// per episode, re-armed when the window recovers.
-	sloBreached map[string]bool
-	now         func() time.Time // test hook
+	mu     sync.Mutex
+	log    *slog.Logger
+	alerts []Alert
+	// judged is the newest epoch judged (-1 before the first) and judgedAt
+	// when: the cursor that keeps each epoch judged once and clocks a stall.
+	judged   int
+	judgedAt time.Time
 }
 
-// NewWatchdog returns a watchdog with the given rules, logging alerts to log
-// (nil discards).
-func NewWatchdog(rules WatchRules, log *slog.Logger) *Watchdog {
-	return &Watchdog{rules: rules, log: log, lastEpoch: -1, now: time.Now}
+// NewWatchdog returns a watchdog judging rules over rec's epoch records and
+// hist's samples, logging alerts to log (nil discards). A nil rec or hist
+// gives its rules an empty window, so they never fire.
+func NewWatchdog(rules WatchRules, rec *FlightRecorder, hist *History, log *slog.Logger) *Watchdog {
+	return &Watchdog{rules: rules, rec: rec, hist: hist, log: log, judged: -1, now: time.Now}
 }
 
 // SetLogger replaces the alert logger (nil discards).
@@ -307,211 +279,213 @@ func (w *Watchdog) SetLogger(log *slog.Logger) {
 	w.mu.Unlock()
 }
 
-// ObserveEpoch feeds one completed epoch record to the watchdog and returns
-// any alerts it fired. Call once per epoch, in order.
-func (w *Watchdog) ObserveEpoch(rec EpochRecord) []Alert {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	now := w.now()
-	w.lastEpoch, w.lastEpochAt, w.stallAlerted = rec.Epoch, now, false
+// Check judges what is new — the epochs the recorder completed since the
+// last judged one, the stall clock and the history's newest window — and
+// logs, records and returns the alerts that fire. It is the history's
+// on-sample hook:
+//
+//	hist.SetOnSample(func() { watch.Check() })
+//
+// An alert fires once per episode: an epoch rule once per epoch, a stall
+// once per judged epoch, an SLO rule when its newest window is breached and
+// the window at the previous sample was not. Calling Check again without
+// news fires nothing.
+func (w *Watchdog) Check() []Alert { return w.judge(nil) }
 
-	var fired []Alert
-	if w.rules.Regress > 0 && len(w.walls) >= watchMinHistory {
-		med := median(w.walls)
-		if med > 0 && rec.WallSeconds > w.rules.Regress*med {
-			fired = append(fired, Alert{
-				Rule: RuleRegress, Epoch: rec.Epoch, Worker: -1,
-				Value: rec.WallSeconds, Bound: w.rules.Regress * med,
-				Message: fmt.Sprintf("epoch %d took %.3fs, %.2fx the trailing median %.3fs",
-					rec.Epoch, rec.WallSeconds, rec.WallSeconds/med, med),
-				At: now,
-			})
-		}
-	}
-	if w.rules.Straggler > 0 && rec.Workers > 1 && rec.StragglerIndex > w.rules.Straggler {
-		fired = append(fired, Alert{
-			Rule: RuleStraggler, Epoch: rec.Epoch, Worker: rec.SlowestWorker,
-			Value: rec.StragglerIndex, Bound: w.rules.Straggler,
-			Message: fmt.Sprintf("epoch %d straggler index %.2f exceeds %.2f; slowest worker %d",
-				rec.Epoch, rec.StragglerIndex, w.rules.Straggler, rec.SlowestWorker),
-			At: now,
-		})
-	}
-	// The trailing window excludes the epoch being judged, so one slow epoch
-	// cannot mask itself by dragging the median up.
-	w.walls = append(w.walls, rec.WallSeconds)
-	if max := w.rules.window(); len(w.walls) > max {
-		w.walls = w.walls[len(w.walls)-max:]
-	}
-	w.record(fired)
-	log := w.log
-	w.mu.Unlock()
-	emit(log, fired)
-	return fired
-}
-
-// Health evaluates the stall rule lazily and returns the current report —
-// the /healthwatch payload. Healthy means the run is not stalled, no epoch
-// rule has fired within the last Window observed epochs, and no SLO rule's
-// breach is still latched. Alerts keeps the history either way.
+// Health runs Check and returns the /healthwatch payload. Healthy means no
+// rule fires now: the run is not stalled, no epoch rule fires on any of the
+// last Window records, and no SLO rule is breached over the history's
+// current window. Alerts keeps the history either way.
 func (w *Watchdog) Health() HealthReport {
-	if w == nil {
-		return HealthReport{Healthy: true, LastEpoch: -1}
-	}
-	return w.healthAt(w.now())
-}
-
-func (w *Watchdog) healthAt(now time.Time) HealthReport {
-	w.mu.Lock()
-	var fired []Alert
-	since := time.Duration(0)
-	if !w.lastEpochAt.IsZero() {
-		since = now.Sub(w.lastEpochAt)
-	}
-	stalled := w.rules.Stall > 0 && !w.lastEpochAt.IsZero() && since > w.rules.Stall
-	if stalled && !w.stallAlerted {
-		w.stallAlerted = true // latch: one alert per stall, reset on progress
-		fired = append(fired, Alert{
-			Rule: RuleStall, Epoch: w.lastEpoch, Worker: -1,
-			Value: since.Seconds(), Bound: w.rules.Stall.Seconds(),
-			Message: fmt.Sprintf("no epoch completed for %.1fs (bound %.1fs); last epoch %d",
-				since.Seconds(), w.rules.Stall.Seconds(), w.lastEpoch),
-			At: now,
-		})
-		w.record(fired)
-	}
-	rep := HealthReport{
-		Healthy:          !stalled && !w.alertActive(),
-		Rules:            w.rules,
-		LastEpoch:        w.lastEpoch,
-		SinceLastSeconds: since.Seconds(),
-		// Non-nil so an alert-free report serialises as [], not null.
-		Alerts: append(make([]Alert, 0, len(w.alerts)), w.alerts...),
-	}
-	log := w.log
-	w.mu.Unlock()
-	emit(log, fired)
+	rep := HealthReport{Healthy: true, LastEpoch: -1}
+	w.judge(&rep)
 	return rep
 }
 
-// alertActive reports whether a retained alert still counts against
-// health: an SLO alert while its breach latch is set, an epoch-rule alert
-// while its epoch is within the trailing window. A stall is judged by the
-// caller from the clock. Caller holds w.mu.
-func (w *Watchdog) alertActive() bool {
-	for _, latched := range w.sloBreached {
-		if latched {
-			return true
-		}
-	}
-	for _, a := range w.alerts {
-		if (a.Rule == RuleRegress || a.Rule == RuleStraggler) && a.Epoch > w.lastEpoch-w.rules.window() {
-			return true
-		}
-	}
-	return false
-}
-
-// record appends fired alerts to the retained history. Caller holds w.mu.
-func (w *Watchdog) record(fired []Alert) {
-	for _, a := range fired {
-		if len(w.alerts) >= watchAlertKeep {
-			copy(w.alerts, w.alerts[1:])
-			w.alerts = w.alerts[:len(w.alerts)-1]
-		}
-		w.alerts = append(w.alerts, a)
-	}
-}
-
-// EvaluateSLO runs the serving SLO burn-rate rules against the metric
-// history and returns any alerts fired. Unlike the instant threshold rules,
-// these read windowed deltas: the latency rule computes the share of
-// requests above the SLOP99 target from the bucket increase over SLOWindow
-// (burn rate = share / 1%, fires above 1), the hit-rate rule the windowed
-// delta hit rate against the HitRate floor. Each rule is latched per breach
-// episode — it re-arms only after a window that meets the SLO — so a
-// sustained breach produces one alert, not one per sample. Intended as the
-// history's on-sample hook:
-//
-//	hist.SetOnSample(func() { watch.EvaluateSLO(hist) })
-func (w *Watchdog) EvaluateSLO(h *History) []Alert {
-	if w == nil || h == nil {
+// judge evaluates every rule now: it judges the records after the cursor and
+// moves the cursor to the newest, logs and records what fires, and, given a
+// report, fills it in.
+func (w *Watchdog) judge(rep *HealthReport) (fired []Alert) {
+	if w == nil {
 		return nil
-	}
-	r := w.rules
-	if r.SLOP99 <= 0 && r.HitRate <= 0 {
-		return nil
-	}
-	window := r.SLOWindow
-	if window <= 0 {
-		window = defaultSLOWindow
 	}
 	w.mu.Lock()
-	now := w.now()
-	if w.sloBreached == nil {
-		w.sloBreached = make(map[string]bool)
+	now, r, win := w.now(), w.rules, cmp.Or(w.rules.Window, defaultWatchWindow)
+	// Each record judged — the unjudged ones and the last win — needs its
+	// own win predecessors; epochs are numbered consecutively.
+	n := 2 * win
+	for _, last := range w.rec.Tail(1) {
+		n = max(n, win+last.Epoch-w.judged)
 	}
-	var fired []Alert
-	if r.SLOP99 > 0 {
-		if first, last, dt, ok := h.windowEnds(serveLatencyMetric, window); ok {
-			delta, sum, cnt := histogramDelta(&first, &last)
-			if cnt >= sloMinRequests {
-				over := countAboveBuckets(last.Upper, delta, r.SLOP99.Seconds())
-				share := over / float64(cnt)
-				burn := share / sloTailShare
-				if burn > 1 {
-					if !w.sloBreached[RuleSLOP99] {
-						w.sloBreached[RuleSLOP99] = true
-						p99 := bucketQuantile(last.Upper, delta, sum, 0.99)
-						fired = append(fired, Alert{
-							Rule: RuleSLOP99, Epoch: -1, Worker: -1,
-							Value: burn, Bound: 1,
-							Message: fmt.Sprintf(
-								"serving p99 %.2fms over %.0fs window exceeds SLO %.2fms: %.1f%% of %d requests above target (burn %.1fx)",
-								p99*1e3, dt.Seconds(), r.SLOP99.Seconds()*1e3,
-								share*100, cnt, burn),
-							At: now,
-						})
-					}
-				} else {
-					w.sloBreached[RuleSLOP99] = false
+	recs := w.rec.Tail(n)
+	healthy := true
+	for i, rec := range recs {
+		for _, rule := range []func(WatchRules, EpochRecord, []EpochRecord) (Alert, bool){regress, straggler} {
+			if a, ok := rule(r, rec, recs[max(0, i-win):i]); ok {
+				healthy = healthy && i < len(recs)-win
+				if rec.Epoch > w.judged {
+					a.At = now
+					fired = append(fired, a)
 				}
 			}
 		}
 	}
-	if r.HitRate > 0 {
-		hFirst, hLast, _, okH := h.windowEnds(serveCacheHitsMetric, window)
-		mFirst, mLast, _, okM := h.windowEnds(serveCacheMissesMetric, window)
-		if okH && okM {
-			hits := counterIncrease(hFirst.Value, hLast.Value)
-			misses := counterIncrease(mFirst.Value, mLast.Value)
-			if lookups := hits + misses; lookups >= sloMinLookups {
-				rate := hits / lookups
-				if rate < r.HitRate {
-					if !w.sloBreached[RuleSLOHitRate] {
-						w.sloBreached[RuleSLOHitRate] = true
-						fired = append(fired, Alert{
-							Rule: RuleSLOHitRate, Epoch: -1, Worker: -1,
-							Value: rate, Bound: r.HitRate,
-							Message: fmt.Sprintf(
-								"cache hit rate %.1f%% over %.0fs window below floor %.1f%% (%d lookups)",
-								rate*100, window.Seconds(), r.HitRate*100, int64(lookups)),
-							At: now,
-						})
-					}
-				} else {
-					w.sloBreached[RuleSLOHitRate] = false
-				}
+	if len(recs) > 0 && recs[len(recs)-1].Epoch > w.judged {
+		w.judged, w.judgedAt = recs[len(recs)-1].Epoch, now
+	}
+	if a, ok := stall(r, w.judged, w.judgedAt, now); ok {
+		healthy = false
+		if last, ok := w.lastAlert(RuleStall); !ok || last.Epoch != w.judged {
+			fired = append(fired, a)
+		}
+	}
+	if r.WatchesServing() {
+		cur, prev := w.hist.windows(cmp.Or(r.SLOWindow, defaultSLOWindow))
+		for _, rule := range []func(WatchRules, []histSample) (Alert, bool){sloP99, hitRate} {
+			a, breached := rule(r, cur)
+			if !breached {
+				continue
+			}
+			healthy = false
+			// An SLO alert is stamped with its window's end, so judging the
+			// same window again finds it in the log.
+			a.At = cur[len(cur)-1].at
+			_, wasBreached := rule(r, prev)
+			if last, ok := w.lastAlert(a.Rule); !wasBreached && !(ok && last.At.Equal(a.At)) {
+				fired = append(fired, a)
 			}
 		}
 	}
-	w.record(fired)
+	w.alerts = append(w.alerts, fired...)
+	if extra := len(w.alerts) - watchAlertKeep; extra > 0 {
+		w.alerts = w.alerts[extra:]
+	}
+	if rep != nil {
+		*rep = HealthReport{Healthy: healthy, Rules: r.String(), LastEpoch: w.judged,
+			// Non-nil so an alert-free report serialises as [], not null.
+			Alerts: append(make([]Alert, 0, len(w.alerts)), w.alerts...)}
+		if !w.judgedAt.IsZero() {
+			rep.SinceLastSeconds = now.Sub(w.judgedAt).Seconds()
+		}
+	}
 	log := w.log
 	w.mu.Unlock()
 	emit(log, fired)
 	return fired
+}
+
+// lastAlert returns the newest logged alert of rule. Caller holds w.mu.
+func (w *Watchdog) lastAlert(rule string) (Alert, bool) {
+	for i := len(w.alerts) - 1; i >= 0; i-- {
+		if w.alerts[i].Rule == rule {
+			return w.alerts[i], true
+		}
+	}
+	return Alert{}, false
+}
+
+// regress judges rec's wall time against the median of the records before
+// it; the window excludes rec, so one slow epoch cannot mask itself by
+// dragging the median up.
+func regress(r WatchRules, rec EpochRecord, prior []EpochRecord) (Alert, bool) {
+	bound := r.Regress
+	if bound <= 0 || len(prior) < watchMinHistory {
+		return Alert{}, false
+	}
+	walls := make([]float64, len(prior))
+	for i, p := range prior {
+		walls[i] = p.WallSeconds
+	}
+	med := median(walls)
+	if med <= 0 || rec.WallSeconds <= bound*med {
+		return Alert{}, false
+	}
+	return Alert{
+		Rule: RuleRegress, Epoch: rec.Epoch, Worker: -1,
+		Value: rec.WallSeconds, Bound: bound * med,
+		Message: fmt.Sprintf("epoch %d took %.3fs, %.2fx the trailing median %.3fs",
+			rec.Epoch, rec.WallSeconds, rec.WallSeconds/med, med),
+	}, true
+}
+
+// straggler judges rec's straggler index on a multi-worker run; the records
+// before it do not matter.
+func straggler(r WatchRules, rec EpochRecord, _ []EpochRecord) (Alert, bool) {
+	bound := r.Straggler
+	if bound <= 0 || rec.Workers <= 1 || rec.StragglerIndex <= bound {
+		return Alert{}, false
+	}
+	return Alert{
+		Rule: RuleStraggler, Epoch: rec.Epoch, Worker: rec.SlowestWorker,
+		Value: rec.StragglerIndex, Bound: bound,
+		Message: fmt.Sprintf("epoch %d straggler index %.2f exceeds %.2f; slowest worker %d",
+			rec.Epoch, rec.StragglerIndex, bound, rec.SlowestWorker),
+	}, true
+}
+
+// stall judges the time from at, when epoch was judged, to now; before the
+// first epoch (zero at) there is nothing to stall against.
+func stall(r WatchRules, epoch int, at, now time.Time) (Alert, bool) {
+	bound, since := r.Stall, now.Sub(at)
+	if bound <= 0 || at.IsZero() || since <= bound {
+		return Alert{}, false
+	}
+	return Alert{
+		Rule: RuleStall, Epoch: epoch, Worker: -1, At: now,
+		Value: since.Seconds(), Bound: bound.Seconds(),
+		Message: fmt.Sprintf("no epoch completed for %.1fs (bound %.1fs); last epoch %d",
+			since.Seconds(), bound.Seconds(), epoch),
+	}, true
+}
+
+// sloP99 judges the latency SLO over one window of samples: the share of the
+// window's requests above target, estimated from the bucket increase, burns
+// the 1% budget (burn rate = share / 1%) faster than allowed. A window with
+// fewer than sloMinRequests requests is not a breach.
+func sloP99(r WatchRules, win []histSample) (Alert, bool) {
+	target := r.SLOP99
+	first, last, dt, ok := seriesEnds(win, serveLatencyMetric)
+	if target <= 0 || !ok {
+		return Alert{}, false
+	}
+	delta, sum, cnt := histogramDelta(&first, &last)
+	if cnt < sloMinRequests {
+		return Alert{}, false
+	}
+	share := countAboveBuckets(last.Upper, delta, target.Seconds()) / float64(cnt)
+	burn := share / sloTailShare
+	if burn <= 1 {
+		return Alert{}, false
+	}
+	p99 := bucketQuantile(last.Upper, delta, sum, 0.99)
+	return Alert{
+		Rule: RuleSLOP99, Epoch: -1, Worker: -1, Value: burn, Bound: 1,
+		Message: fmt.Sprintf(
+			"serving p99 %.2fms over %.0fs window exceeds SLO %.2fms: %.1f%% of %d requests above target (burn %.1fx)",
+			p99*1e3, dt.Seconds(), target.Seconds()*1e3, share*100, cnt, burn),
+	}, true
+}
+
+// hitRate judges the cache's hit rate over one window of samples (delta hits
+// / delta lookups) against floor. A window with fewer than sloMinLookups
+// lookups is not a breach.
+func hitRate(r WatchRules, win []histSample) (Alert, bool) {
+	floor := r.HitRate
+	hFirst, hLast, dt, okH := seriesEnds(win, serveCacheHitsMetric)
+	mFirst, mLast, _, okM := seriesEnds(win, serveCacheMissesMetric)
+	if floor <= 0 || !okH || !okM {
+		return Alert{}, false
+	}
+	hits := counterIncrease(hFirst.Value, hLast.Value)
+	lookups := hits + counterIncrease(mFirst.Value, mLast.Value)
+	if lookups < sloMinLookups || hits/lookups >= floor {
+		return Alert{}, false
+	}
+	return Alert{
+		Rule: RuleSLOHitRate, Epoch: -1, Worker: -1, Value: hits / lookups, Bound: floor,
+		Message: fmt.Sprintf("cache hit rate %.1f%% over %.0fs window below floor %.1f%% (%d lookups)",
+			hits/lookups*100, dt.Seconds(), floor*100, int64(lookups)),
+	}, true
 }
 
 // countAboveBuckets estimates how many observations exceed t from per-bucket
@@ -552,13 +526,12 @@ func emit(log *slog.Logger, fired []Alert) {
 	}
 }
 
-// median of a non-empty slice (input not modified).
+// median of a non-empty slice, which it sorts in place.
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
+	sort.Float64s(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return s[n/2]
+		return xs[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

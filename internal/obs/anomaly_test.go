@@ -29,9 +29,6 @@ func TestParseWatchRules(t *testing.T) {
 			t.Fatalf("ParseWatchRules(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
 	}
-	if DefaultWatchRules().Enabled() != true || (WatchRules{}).Enabled() {
-		t.Fatal("Enabled() wrong on defaults or zero rules")
-	}
 }
 
 func TestParseWatchRulesErrors(t *testing.T) {
@@ -100,22 +97,60 @@ func TestWatchRuleFamilies(t *testing.T) {
 	}
 }
 
+// feed appends literal records to the watchdog's flight recorder, as
+// EndEpoch does, and runs Check, as the session's epoch-barrier sample does.
+func feed(w *Watchdog, recs ...EpochRecord) []Alert {
+	w.rec.mu.Lock()
+	w.rec.recs = append(w.rec.recs, recs...)
+	w.rec.mu.Unlock()
+	return w.Check()
+}
+
+// TestWatchRuleFunctions calls each epoch rule on literal records: it is a
+// function of its window alone.
+func TestWatchRuleFunctions(t *testing.T) {
+	rules := WatchRules{Stall: time.Second, Regress: 1.5, Straggler: 2}
+	steady := []EpochRecord{{WallSeconds: 0.1}, {WallSeconds: 0.1}, {WallSeconds: 0.3}}
+	if _, ok := regress(rules, EpochRecord{WallSeconds: 0.2}, steady[:2]); ok {
+		t.Fatal("regress fired on two prior epochs")
+	}
+	if a, ok := regress(rules, EpochRecord{Epoch: 4, WallSeconds: 0.2}, steady); !ok || a.Epoch != 4 || math.Abs(a.Bound-0.15) > 1e-12 {
+		t.Fatalf("regress against median 0.1: %+v %v", a, ok)
+	}
+	if _, ok := regress(WatchRules{}, EpochRecord{WallSeconds: 9}, steady); ok {
+		t.Fatal("disabled regress fired")
+	}
+	if _, ok := straggler(rules, EpochRecord{Workers: 1, StragglerIndex: 9}, nil); ok {
+		t.Fatal("straggler fired on one worker")
+	}
+	if a, ok := straggler(rules, EpochRecord{Workers: 4, StragglerIndex: 2.6, SlowestWorker: 3}, nil); !ok || a.Worker != 3 {
+		t.Fatalf("straggler: %+v %v", a, ok)
+	}
+	at := time.Unix(1700000000, 0)
+	if _, ok := stall(rules, -1, time.Time{}, at); ok {
+		t.Fatal("stall fired before the first epoch")
+	}
+	if a, ok := stall(rules, 7, at, at.Add(2*time.Second)); !ok || a.Epoch != 7 {
+		t.Fatalf("stall: %+v %v", a, ok)
+	}
+}
+
 func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
-	w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil)
+	w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, NewFlightRecorder(), nil, nil)
 	// Three steady epochs build the history; none may alert (no history yet
 	// for the first, and steady walls after).
 	for e := 1; e <= 3; e++ {
-		if fired := w.ObserveEpoch(EpochRecord{Epoch: e, WallSeconds: 0.100}); len(fired) != 0 {
+		if fired := feed(w, EpochRecord{Epoch: e, WallSeconds: 0.100}); len(fired) != 0 {
 			t.Fatalf("epoch %d fired %v with insufficient history", e, fired)
 		}
 	}
 	// 0.120s vs median 0.100s is 1.2x: below the 1.5x bound.
-	if fired := w.ObserveEpoch(EpochRecord{Epoch: 4, WallSeconds: 0.120}); len(fired) != 0 {
+	if fired := feed(w, EpochRecord{Epoch: 4, WallSeconds: 0.120}); len(fired) != 0 {
 		t.Fatalf("epoch 4 fired %v below the bound", fired)
 	}
 	// 0.200s vs trailing median ~0.100s crosses 1.5x. The slow epoch itself
 	// must not be in the window it is judged against.
-	fired := w.ObserveEpoch(EpochRecord{Epoch: 5, WallSeconds: 0.200})
+	fired := feed(w, EpochRecord{Epoch: 5, WallSeconds: 0.200})
 	if len(fired) != 1 || fired[0].Rule != RuleRegress || fired[0].Epoch != 5 || fired[0].Worker != -1 {
 		t.Fatalf("epoch 5: fired = %+v, want one run-wide regress alert", fired)
 	}
@@ -124,21 +159,20 @@ func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
 	}
 }
 
-// TestWatchdogHealthyRecoversAfterWindow checks that a fired alert counts
-// against health only while it is current: a regress alert until Window more
-// epochs have passed, an SLO alert until its breach latch re-arms. The alert
-// history is kept either way.
+// TestWatchdogHealthyRecoversAfterWindow checks that health is judged now: a
+// regress alert counts until Window more epochs have passed, an SLO alert
+// until its window recovers. The alert history is kept either way.
 func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 	t.Run("regress", func(t *testing.T) {
-		w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, nil)
+		w := NewWatchdog(WatchRules{Regress: 1.5, Window: 8}, NewFlightRecorder(), nil, nil)
 		for e := 1; e <= 4; e++ {
-			w.ObserveEpoch(EpochRecord{Epoch: e, WallSeconds: 0.100})
+			feed(w, EpochRecord{Epoch: e, WallSeconds: 0.100})
 		}
-		if fired := w.ObserveEpoch(EpochRecord{Epoch: 5, WallSeconds: 0.200}); len(fired) != 1 {
+		if fired := feed(w, EpochRecord{Epoch: 5, WallSeconds: 0.200}); len(fired) != 1 {
 			t.Fatalf("epoch 5 fired %+v, want one regress alert", fired)
 		}
 		for e := 6; e <= 40; e++ {
-			w.ObserveEpoch(EpochRecord{Epoch: e, WallSeconds: 0.100})
+			feed(w, EpochRecord{Epoch: e, WallSeconds: 0.100})
 			rep := w.Health()
 			if want := e >= 5+8; rep.Healthy != want {
 				t.Fatalf("epoch %d: healthy = %v, want %v", e, rep.Healthy, want)
@@ -154,7 +188,7 @@ func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 		clock := newHistClock()
 		h := NewHistory(reg, 0)
 		h.now = clock.now
-		w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second}, nil)
+		w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second}, nil, h, nil)
 		w.now = clock.now
 		observe := func(n int, sec float64) {
 			for i := 0; i < n; i++ {
@@ -164,7 +198,7 @@ func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 		h.Sample(clock.now())
 		observe(50, 0.5) // burn
 		h.Sample(clock.advance(5 * time.Second))
-		if alerts := w.EvaluateSLO(h); len(alerts) != 1 {
+		if alerts := w.Check(); len(alerts) != 1 {
 			t.Fatalf("breach fired %+v, want one alert", alerts)
 		}
 		if rep := w.Health(); rep.Healthy {
@@ -174,7 +208,7 @@ func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 		h.Sample(clock.now())
 		observe(100, 0.001)
 		h.Sample(clock.advance(5 * time.Second))
-		if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+		if alerts := w.Check(); len(alerts) != 0 {
 			t.Fatalf("recovered window fired %+v", alerts)
 		}
 		if rep := w.Health(); !rep.Healthy || len(rep.Alerts) != 1 {
@@ -184,15 +218,15 @@ func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 }
 
 func TestWatchdogStragglerNamesSlowestWorker(t *testing.T) {
-	w := NewWatchdog(WatchRules{Straggler: 2.0}, nil)
+	w := NewWatchdog(WatchRules{Straggler: 2.0}, NewFlightRecorder(), nil, nil)
 	// Single-worker runs cannot straggle.
-	if fired := w.ObserveEpoch(EpochRecord{Epoch: 1, Workers: 1, StragglerIndex: 9, SlowestWorker: 0}); len(fired) != 0 {
+	if fired := feed(w, EpochRecord{Epoch: 1, Workers: 1, StragglerIndex: 9, SlowestWorker: 0}); len(fired) != 0 {
 		t.Fatalf("single-worker run fired %v", fired)
 	}
-	if fired := w.ObserveEpoch(EpochRecord{Epoch: 2, Workers: 4, StragglerIndex: 1.3, SlowestWorker: 2}); len(fired) != 0 {
+	if fired := feed(w, EpochRecord{Epoch: 2, Workers: 4, StragglerIndex: 1.3, SlowestWorker: 2}); len(fired) != 0 {
 		t.Fatalf("balanced epoch fired %v", fired)
 	}
-	fired := w.ObserveEpoch(EpochRecord{Epoch: 3, Workers: 4, StragglerIndex: 2.6, SlowestWorker: 2})
+	fired := feed(w, EpochRecord{Epoch: 3, Workers: 4, StragglerIndex: 2.6, SlowestWorker: 2})
 	if len(fired) != 1 || fired[0].Rule != RuleStraggler || fired[0].Worker != 2 {
 		t.Fatalf("fired = %+v, want one straggler alert naming worker 2", fired)
 	}
@@ -202,31 +236,38 @@ func TestWatchdogStragglerNamesSlowestWorker(t *testing.T) {
 }
 
 func TestWatchdogStallLatchesAndResets(t *testing.T) {
-	clock := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	w := NewWatchdog(WatchRules{Stall: 10 * time.Second}, nil)
+	start := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	clock := start.Add(time.Hour)
+	w := NewWatchdog(WatchRules{Stall: 10 * time.Second}, NewFlightRecorder(), nil, nil)
 	w.now = func() time.Time { return clock }
+	healthAt := func(d time.Duration) HealthReport {
+		clock = start.Add(d)
+		return w.Health()
+	}
 
 	// Before any epoch there is nothing to stall against.
-	if rep := w.healthAt(clock.Add(time.Hour)); !rep.Healthy {
+	if rep := w.Health(); !rep.Healthy {
 		t.Fatalf("pre-first-epoch health: %+v", rep)
 	}
-	w.ObserveEpoch(EpochRecord{Epoch: 1, WallSeconds: 0.1})
-	if rep := w.healthAt(clock.Add(5 * time.Second)); !rep.Healthy {
+	clock = start
+	feed(w, EpochRecord{Epoch: 1, WallSeconds: 0.1})
+	if rep := healthAt(5 * time.Second); !rep.Healthy {
 		t.Fatalf("5s after an epoch: %+v", rep)
 	}
-	rep := w.healthAt(clock.Add(15 * time.Second))
+	rep := healthAt(15 * time.Second)
 	if rep.Healthy || len(rep.Alerts) != 1 || rep.Alerts[0].Rule != RuleStall {
 		t.Fatalf("15s stall: %+v", rep)
 	}
-	// Latched: polling again while still stalled must not multiply alerts.
-	rep = w.healthAt(clock.Add(20 * time.Second))
+	// One alert per stall: polling again while still stalled must not
+	// multiply alerts.
+	rep = healthAt(20 * time.Second)
 	if len(rep.Alerts) != 1 {
-		t.Fatalf("stall alert not latched: %+v", rep.Alerts)
+		t.Fatalf("stall alert repeated: %+v", rep.Alerts)
 	}
-	// Progress resets the latch; a second stall fires a second alert.
-	clock = clock.Add(30 * time.Second)
-	w.ObserveEpoch(EpochRecord{Epoch: 2, WallSeconds: 0.1})
-	rep = w.healthAt(clock.Add(11 * time.Second))
+	// Progress ends the stall; a second stall fires a second alert.
+	clock = start.Add(30 * time.Second)
+	feed(w, EpochRecord{Epoch: 2, WallSeconds: 0.1})
+	rep = healthAt(41 * time.Second)
 	if len(rep.Alerts) != 2 || rep.Alerts[1].Rule != RuleStall || rep.Alerts[1].Epoch != 2 {
 		t.Fatalf("second stall after progress: %+v", rep.Alerts)
 	}
@@ -234,21 +275,19 @@ func TestWatchdogStallLatchesAndResets(t *testing.T) {
 
 func TestWatchdogNilIsNoOp(t *testing.T) {
 	var w *Watchdog
-	if fired := w.ObserveEpoch(EpochRecord{Epoch: 1}); fired != nil {
+	if fired := w.Check(); fired != nil {
 		t.Fatal("nil watchdog fired")
 	}
-	if rep := w.Health(); !rep.Healthy || rep.LastEpoch != -1 {
+	if rep := w.Health(); !rep.Healthy || rep.LastEpoch != -1 || rep.Rules != "" {
 		t.Fatalf("nil watchdog health: %+v", rep)
 	}
 	w.SetLogger(nil)
-	if r := w.Health().Rules; r.Enabled() {
-		t.Fatalf("nil watchdog rules: %+v", r)
-	}
 }
 
 // FuzzParseWatchRules feeds arbitrary specs to the parser: it must never
-// panic, and every spec it accepts must set each rule either not at all
-// (zero) or to a finite value inside its documented range.
+// panic, every spec it accepts must set each rule either not at all (zero)
+// or to a finite value inside its documented range, and the rules must
+// render back into a spec that parses to the same rules.
 func FuzzParseWatchRules(f *testing.F) {
 	for _, seed := range []string{
 		"", "default",
@@ -272,6 +311,9 @@ func FuzzParseWatchRules(f *testing.F) {
 			(r.Window != 0 && r.Window < watchMinHistory) ||
 			!(r.HitRate == 0 || (r.HitRate > 0 && r.HitRate <= 1)) {
 			t.Fatalf("%q accepted as %+v", spec, r)
+		}
+		if back, err := ParseWatchRules(r.String()); err != nil || back != r {
+			t.Fatalf("%q: %+v renders as %q, which parses to %+v (%v)", spec, r, r.String(), back, err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -102,16 +101,6 @@ func (p *CritPath) Dominant() (label string, share float64) {
 		}
 	}
 	return label, best / p.CoveredSeconds
-}
-
-// String renders a compact one-line summary for logs.
-func (p *CritPath) String() string {
-	if p == nil {
-		return "critpath(nil)"
-	}
-	label, share := p.Dominant()
-	return fmt.Sprintf("critpath(%d spans, %.3fs/%.3fs, dominant %s %.0f%%)",
-		len(p.Spans), p.CoveredSeconds, p.WallSeconds, label, share*100)
 }
 
 // extractCritPath walks the epoch's event DAG backward from wall and returns

@@ -17,7 +17,7 @@ import (
 // via the /timeline endpoint. Counters are rendered as per-second rates,
 // gauges as values, histograms as interval quantiles computed from bucket
 // deltas — a true windowed p99, not the cumulative since-process-start
-// estimate — which is also what the watchdog's SLO burn-rate rules consume.
+// estimate — which is also what the watchdog's SLO burn-rate rules judge.
 
 const (
 	// defaultHistoryCap bounds retained samples: ~10 minutes at the default
@@ -74,7 +74,7 @@ func NewHistory(reg *Registry, capacity int) *History {
 }
 
 // SetOnSample registers a callback invoked after every recorded sample (the
-// SLO watchdog evaluation hook). Call before Start.
+// watchdog's Check). Call before Start.
 func (h *History) SetOnSample(cb func()) {
 	if h == nil {
 		return
@@ -395,31 +395,51 @@ func tailExemplars(exs []*Exemplar) []Exemplar {
 	return out
 }
 
-// windowEnds returns the oldest in-window and newest snapshots of one series
-// key, for windowed SLO evaluation. ok is false when fewer than two
-// in-window samples carry the series.
-func (h *History) windowEnds(key string, window time.Duration) (first, last SeriesSnapshot, dt time.Duration, ok bool) {
+// windows returns the samples within d of the newest sample and within d of
+// the one before it, oldest first: the window an SLO rule judges now and the
+// one it judged at the previous sample.
+func (h *History) windows(d time.Duration) (cur, prev []histSample) {
 	if h == nil {
-		return first, last, 0, false
+		return nil, nil
 	}
-	samples := h.samplesSince(h.now().Add(-window))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	at := func(i int) histSample { return h.ring[(h.head+i)%h.capN] }
+	upTo := func(end int) []histSample {
+		start := end
+		for start > 0 && !at(start-1).at.Before(at(end).at.Add(-d)) {
+			start--
+		}
+		out := make([]histSample, 0, end-start+1)
+		for i := start; i <= end; i++ {
+			out = append(out, at(i))
+		}
+		return out
+	}
+	if h.n > 0 {
+		cur = upTo(h.n - 1)
+	}
+	if h.n > 1 {
+		prev = upTo(h.n - 2)
+	}
+	return cur, prev
+}
+
+// seriesEnds returns the oldest and newest snapshots of one series key in a
+// window of samples and the time between them. ok is false when fewer than
+// two samples carry the series.
+func seriesEnds(win []histSample, key string) (first, last SeriesSnapshot, dt time.Duration, ok bool) {
 	var firstAt, lastAt time.Time
-	found := 0
-	for i := range samples {
-		sn, has := samples[i].series[key]
-		if !has {
-			continue
+	n := 0
+	for _, s := range win {
+		if sn, has := s.series[key]; has {
+			if n == 0 {
+				first, firstAt = sn, s.at
+			}
+			last, lastAt, n = sn, s.at, n+1
 		}
-		if found == 0 {
-			first, firstAt = sn, samples[i].at
-		}
-		last, lastAt = sn, samples[i].at
-		found++
 	}
-	if found < 2 || !lastAt.After(firstAt) {
-		return first, last, 0, false
-	}
-	return first, last, lastAt.Sub(firstAt), true
+	return first, last, lastAt.Sub(firstAt), n >= 2
 }
 
 // TimelineHandler serves a History as the /timeline endpoint:

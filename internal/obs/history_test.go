@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,8 +345,8 @@ func TestHistoryStartStop(t *testing.T) {
 
 // TestWatchdogSLOBurnRate drives a synthetic p99 breach through the history
 // and asserts the burn-rate rule fires once per episode: fast traffic is
-// quiet, a slow window alerts, a sustained breach stays latched, recovery
-// re-arms.
+// quiet, a slow window alerts, a sustained breach stays silent, and a
+// breach after a window that meets the SLO is a new episode.
 func TestWatchdogSLOBurnRate(t *testing.T) {
 	reg := NewRegistry()
 	lat := reg.Histogram(serveLatencyMetric, "t", ExpBuckets(1e-5, 2.5, 16))
@@ -354,7 +354,7 @@ func TestWatchdogSLOBurnRate(t *testing.T) {
 	h := NewHistory(reg, 0)
 	h.now = clock.now
 	rules := WatchRules{SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second}
-	w := NewWatchdog(rules, nil)
+	w := NewWatchdog(rules, nil, h, nil)
 	w.now = clock.now
 
 	observe := func(n int, sec float64) {
@@ -366,13 +366,13 @@ func TestWatchdogSLOBurnRate(t *testing.T) {
 	h.Sample(clock.now())
 	observe(100, 0.001) // all under target
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+	if alerts := w.Check(); len(alerts) != 0 {
 		t.Fatalf("healthy window fired %+v", alerts)
 	}
 
 	observe(50, 0.5) // 50 of 150 windowed requests above 250ms: burn 33x
 	h.Sample(clock.advance(5 * time.Second))
-	alerts := w.EvaluateSLO(h)
+	alerts := w.Check()
 	if len(alerts) != 1 || alerts[0].Rule != RuleSLOP99 {
 		t.Fatalf("breach fired %+v, want one %s alert", alerts, RuleSLOP99)
 	}
@@ -380,25 +380,25 @@ func TestWatchdogSLOBurnRate(t *testing.T) {
 		t.Fatalf("burn rate %v, want > 1", alerts[0].Value)
 	}
 
-	observe(50, 0.5) // breach persists: latched, no second alert
+	observe(50, 0.5) // breach persists: the previous window breached too, no second alert
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+	if alerts := w.Check(); len(alerts) != 0 {
 		t.Fatalf("latched breach re-fired %+v", alerts)
 	}
 
 	// Recovery: advance past the slow samples so the window holds only fast
-	// traffic, which re-arms the latch...
+	// traffic...
 	clock.advance(time.Minute)
 	h.Sample(clock.now())
 	observe(100, 0.001)
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+	if alerts := w.Check(); len(alerts) != 0 {
 		t.Fatalf("recovered window fired %+v", alerts)
 	}
 	// ...and a fresh breach is a new episode with a new alert.
 	observe(50, 0.5)
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 1 {
+	if alerts := w.Check(); len(alerts) != 1 {
 		t.Fatalf("fresh breach after recovery fired %+v, want one alert", alerts)
 	}
 }
@@ -410,19 +410,19 @@ func TestWatchdogSLOHitRateFloor(t *testing.T) {
 	clock := newHistClock()
 	h := NewHistory(reg, 0)
 	h.now = clock.now
-	w := NewWatchdog(WatchRules{HitRate: 0.5, SLOWindow: 30 * time.Second}, nil)
+	w := NewWatchdog(WatchRules{HitRate: 0.5, SLOWindow: 30 * time.Second}, nil, h, nil)
 	w.now = clock.now
 
 	h.Sample(clock.now())
 	hits.Add(90)
 	misses.Add(10)
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+	if alerts := w.Check(); len(alerts) != 0 {
 		t.Fatalf("90%% hit rate fired %+v", alerts)
 	}
 	misses.Add(1000) // windowed hit rate collapses
 	h.Sample(clock.advance(5 * time.Second))
-	alerts := w.EvaluateSLO(h)
+	alerts := w.Check()
 	if len(alerts) != 1 || alerts[0].Rule != RuleSLOHitRate {
 		t.Fatalf("cold cache fired %+v, want one %s alert", alerts, RuleSLOHitRate)
 	}
@@ -436,7 +436,7 @@ func TestWatchdogSLOMinTraffic(t *testing.T) {
 	clock := newHistClock()
 	h := NewHistory(reg, 0)
 	h.now = clock.now
-	w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond}, nil)
+	w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond}, nil, h, nil)
 	w.now = clock.now
 
 	h.Sample(clock.now())
@@ -444,33 +444,71 @@ func TestWatchdogSLOMinTraffic(t *testing.T) {
 		lat.Observe(10.0) // grotesquely slow, but below the traffic gate
 	}
 	h.Sample(clock.advance(5 * time.Second))
-	if alerts := w.EvaluateSLO(h); len(alerts) != 0 {
+	if alerts := w.Check(); len(alerts) != 0 {
 		t.Fatalf("under-traffic window fired %+v", alerts)
 	}
 }
 
+// TestWatchdogHealthyWhenIdleAfterBreach: a window under the traffic gate
+// is not a breach, so an idle server is healthy once its breach leaves the
+// window, with the alert kept in the log; a breach after that idle window
+// is a new episode.
+func TestWatchdogHealthyWhenIdleAfterBreach(t *testing.T) {
+	reg := NewRegistry()
+	lat := reg.Histogram(serveLatencyMetric, "t", ExpBuckets(1e-5, 2.5, 16))
+	clock := newHistClock()
+	h := NewHistory(reg, 0)
+	h.now = clock.now
+	w := NewWatchdog(WatchRules{SLOP99: 250 * time.Millisecond}, nil, h, nil)
+	w.now = clock.now
+	h.SetOnSample(func() { w.Check() })
+	breach := func() {
+		for i := 0; i < 50; i++ {
+			lat.Observe(0.5)
+		}
+		h.Sample(clock.advance(time.Second))
+	}
+
+	h.Sample(clock.now())
+	breach()
+	if rep := w.Health(); rep.Healthy || len(rep.Alerts) != 1 {
+		t.Fatalf("health during breach: %+v", rep)
+	}
+	for i := 0; i < 100; i++ { // 100 s of samples with no requests
+		h.Sample(clock.advance(time.Second))
+	}
+	if rep := w.Health(); !rep.Healthy || len(rep.Alerts) != 1 {
+		t.Fatalf("idle server after a breach: healthy=%v alerts=%d, want healthy with the one alert kept",
+			rep.Healthy, len(rep.Alerts))
+	}
+	breach()
+	if rep := w.Health(); rep.Healthy || len(rep.Alerts) != 2 {
+		t.Fatalf("breach after an idle window: %+v, want a second alert", rep)
+	}
+}
+
+// TestWatchRulesJSONRoundTrip: /healthwatch carries the rules in the
+// ParseWatchRules grammar, and the decoded string parses back to the rules.
 func TestWatchRulesJSONRoundTrip(t *testing.T) {
 	in := WatchRules{
 		Stall: 30 * time.Second, Regress: 1.5, Straggler: 3.0, Window: 8,
 		SLOP99: 250 * time.Millisecond, SLOWindow: 30 * time.Second, HitRate: 0.3,
 	}
-	data, err := json.Marshal(in)
+	data, err := json.Marshal(HealthReport{Rules: in.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out WatchRules
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v\nwire: %s", out, in, data)
+	const wire = `"rules":"stall=30s,regress=1.5,straggler=3,window=8,slo_p99=250ms,slo_window=30s,hitrate=0.3"`
+	if !strings.Contains(string(data), wire) {
+		t.Fatalf("wire %s does not carry %s", data, wire)
 	}
 	var rep HealthReport
-	if err := json.Unmarshal([]byte(`{"healthy":true,"rules":{"slo_p99_seconds":0.25}}`), &rep); err != nil {
+	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("HealthReport decode: %v", err)
 	}
-	if rep.Rules.SLOP99 != 250*time.Millisecond {
-		t.Fatalf("decoded SLOP99 = %v", rep.Rules.SLOP99)
+	out, err := ParseWatchRules(rep.Rules)
+	if err != nil || out != in {
+		t.Fatalf("round trip: %+v (%v) != %+v\nwire: %s", out, err, in, data)
 	}
 }
 

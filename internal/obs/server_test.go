@@ -105,7 +105,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewFlightRecorder()
 	rec.EnableCausal()
-	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, nil)
+	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, rec, nil, nil)
 	srv, err := NewServer("127.0.0.1:0", reg, Endpoints{
 		Epochs:      func() any { return rec.Snapshot() },
 		HealthWatch: func() any { return watch.Health() },
@@ -138,9 +138,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 			}
 			wg.Wait()
 			rec.EndEpoch(time.Millisecond, 0.5)
-			if last, ok := rec.Last(); ok {
-				watch.ObserveEpoch(last)
-			}
+			watch.Check()
 		}
 	}()
 

@@ -534,28 +534,19 @@ func (r *FlightRecorder) Clock(worker int, tr *Tracer) *StageClock {
 }
 
 // Snapshot returns a copy of every completed epoch record, oldest first.
-func (r *FlightRecorder) Snapshot() []EpochRecord {
+func (r *FlightRecorder) Snapshot() []EpochRecord { return r.Tail(recorderKeep) }
+
+// Tail returns a copy of the newest n completed epoch records (all of them
+// when fewer), oldest first.
+func (r *FlightRecorder) Tail(n int) []EpochRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]EpochRecord, len(r.recs))
-	copy(out, r.recs)
+	out := make([]EpochRecord, min(max(n, 0), len(r.recs)))
+	copy(out, r.recs[len(r.recs)-len(out):])
 	return out
-}
-
-// Last returns the most recently completed epoch record, if any.
-func (r *FlightRecorder) Last() (EpochRecord, bool) {
-	if r == nil {
-		return EpochRecord{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.recs) == 0 {
-		return EpochRecord{}, false
-	}
-	return r.recs[len(r.recs)-1], true
 }
 
 // maxPhaseAttrs bounds the attributes one interval or group carries (the

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"neutronstar/internal/ckpt"
@@ -257,10 +256,6 @@ type Session struct {
 	rec   *obs.FlightRecorder
 	watch *obs.Watchdog
 	hist  *obs.History
-
-	mu        sync.Mutex
-	lastEpoch int
-	lastLoss  float64
 }
 
 // NewSession builds the simulated cluster and plans dependency management
@@ -285,19 +280,17 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 		rec.EnableCausal()
 	}
 	opts.Recorder = rec
+	// Every session keeps a metric history, sampled at each epoch barrier
+	// (see Train); the watchdog judges its rules on every sample.
+	hist := obs.NewHistory(obs.Default(), 0)
 	var watch *obs.Watchdog
 	if cfg.WatchRules != "" {
 		rules, err := obs.ParseWatchRules(cfg.WatchRules)
 		if err != nil {
 			return nil, err
 		}
-		watch = obs.NewWatchdog(rules, nil)
-	}
-	// Every session keeps a metric history, sampled at each epoch barrier
-	// (see Train); the serving SLO rules evaluate on every sample.
-	hist := obs.NewHistory(obs.Default(), 0)
-	if watch != nil {
-		hist.SetOnSample(func() { watch.EvaluateSLO(hist) })
+		watch = obs.NewWatchdog(rules, rec, hist, nil)
+		hist.SetOnSample(func() { watch.Check() })
 	}
 	plan, err := planFor(ds.inner, cfg, opts)
 	if err != nil {
@@ -328,12 +321,6 @@ func (s *Session) Resume() (bool, error) {
 	if err := s.eng.Restore(snap); err != nil {
 		return false, err
 	}
-	s.mu.Lock()
-	s.lastEpoch = snap.Epoch
-	if n := len(snap.History); n > 0 {
-		s.lastLoss = snap.History[n-1].Loss
-	}
-	s.mu.Unlock()
 	return true, nil
 }
 
@@ -430,18 +417,11 @@ func (s *Session) Train(epochs int) []EpochResult {
 	out := make([]EpochResult, 0, epochs)
 	for i := 0; i < epochs; i++ {
 		st := s.eng.RunEpoch()
-		s.mu.Lock()
-		s.lastEpoch, s.lastLoss = st.Epoch, st.Loss
-		s.mu.Unlock()
 		// The epoch barrier is the natural sampling point of a training run:
-		// the per-epoch gauges have just advanced. Periodic sampling between
-		// barriers is the history's own Start.
+		// the per-epoch gauges have just advanced, and the watchdog judges
+		// the new epoch record. Periodic sampling between barriers is the
+		// history's own Start.
 		s.hist.Sample(time.Now())
-		if s.watch != nil {
-			if rec, ok := s.rec.Last(); ok {
-				s.watch.ObserveEpoch(rec)
-			}
-		}
 		out = append(out, EpochResult{
 			Epoch: st.Epoch, Loss: st.Loss,
 			Millis:  float64(st.Duration.Microseconds()) / 1000,
@@ -457,7 +437,8 @@ type Status struct {
 	Dataset string `json:"dataset"`
 	Engine  string `json:"engine"`
 	Workers int    `json:"workers"`
-	// Epoch/Loss reflect the last completed epoch (zero before training).
+	// Epoch/Loss are the flight recorder's newest record: the last epoch
+	// this process trained, zero until it completes one (also after Resume).
 	Epoch int     `json:"epoch"`
 	Loss  float64 `json:"loss"`
 	// BytesSent / BytesReceived are the wire bytes of the epochs the flight
@@ -479,12 +460,11 @@ type Status struct {
 // debug server polls it from its own goroutines. It reads only the flight
 // recorder's retained records, so a poll costs the same however long the run.
 func (s *Session) Status() Status {
-	s.mu.Lock()
-	st := Status{Epoch: s.lastEpoch, Loss: s.lastLoss}
-	s.mu.Unlock()
-	st.Dataset = s.ds.Name()
-	st.Engine = string(s.eng.Mode())
-	st.Workers = s.eng.NumWorkers()
+	st := Status{Dataset: s.ds.Name(), Engine: string(s.eng.Mode()), Workers: s.eng.NumWorkers()}
+	recs := s.rec.Snapshot()
+	if n := len(recs); n > 0 {
+		st.Epoch, st.Loss = recs[n-1].Epoch, recs[n-1].Loss
+	}
 
 	class := make(map[string]int, obs.NumStages)
 	for i, name := range obs.StageNames() {
@@ -493,7 +473,7 @@ func (s *Session) Status() Status {
 	var wall float64
 	var bytes int64
 	compute, comm := map[int]float64{}, map[int]float64{}
-	for _, r := range s.rec.Snapshot() {
+	for _, r := range recs {
 		wall += r.WallSeconds
 		for _, c := range r.Cells {
 			bytes += c.Bytes

@@ -253,10 +253,10 @@ func TestStatusWithoutMetrics(t *testing.T) {
 	if st := s.Status(); st.BytesSent != 0 || st.ComputeBusy != nil {
 		t.Fatalf("status before training: %+v", st)
 	}
-	s.Train(3)
+	eps := s.Train(3)
 	st := s.Status()
-	if st.Epoch != 3 || st.BytesSent <= 0 || st.BytesReceived <= 0 {
-		t.Fatalf("status without Config.Metrics: %+v", st)
+	if st.Epoch != 3 || st.Loss != eps[2].Loss || st.BytesSent <= 0 || st.BytesReceived <= 0 {
+		t.Fatalf("status without Config.Metrics: %+v, last epoch %+v", st, eps[2])
 	}
 	for w := 0; w < 2; w++ {
 		compute, comm := st.ComputeBusy[w], st.CommBusy[w]
@@ -266,6 +266,21 @@ func TestStatusWithoutMetrics(t *testing.T) {
 	}
 	if n := s.MetricHistory().Len(); n != 3 {
 		t.Fatalf("metric history holds %d samples after 3 epochs, want one per barrier", n)
+	}
+}
+
+// TestSessionWatchdogJudgesEveryEpoch: the session's watchdog judges each
+// epoch through the history's epoch-barrier sample.
+func TestSessionWatchdogJudgesEveryEpoch(t *testing.T) {
+	ds, _ := LoadDataset("cora")
+	s, err := NewSession(ds, Config{Workers: 2, WatchRules: "stall=1h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Train(3)
+	if rep := s.HealthWatch(); rep.LastEpoch != 3 || !rep.Healthy || rep.Rules != "stall=1h0m0s" {
+		t.Fatalf("health after 3 epochs: %+v", rep)
 	}
 }
 
