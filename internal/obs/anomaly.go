@@ -13,10 +13,10 @@ import (
 )
 
 // The anomaly watchdog judges threshold rules over windows that other stores
-// already keep: the epoch rules (a stalled run, an epoch-time regression
-// against the trailing median, a straggler index above bound) over the
-// flight recorder's epoch records, the serving SLO rules over the metric
-// history's samples. Each rule is a pure function of its window; the
+// already keep: the epoch rules (a stalled run, a sustained epoch-time
+// regression against the trailing median, a straggler index above bound)
+// over the flight recorder's epoch records, the serving SLO rules over the
+// metric history's samples. Each rule is a pure function of its window; the
 // watchdog keeps only what it has emitted. Alerts go two ways — a structured
 // log line and the /healthwatch endpoint — so both a human tailing logs and
 // a client polling the debug server see the same events.
@@ -45,8 +45,10 @@ const (
 type WatchRules struct {
 	// Stall fires when no epoch completes for longer than this.
 	Stall time.Duration
-	// Regress fires when an epoch's wall time exceeds Regress times the
-	// trailing median (needs at least watchMinHistory prior epochs).
+	// Regress fires when an epoch and the regressRun-1 epochs before it all
+	// take longer than Regress times the median of the Window epochs before
+	// that run (needs at least watchMinHistory of them): a sustained
+	// slowdown, not one epoch's scheduler jitter.
 	Regress float64
 	// Straggler fires when an epoch's straggler index (max/mean per-worker
 	// busy time) exceeds this bound on a multi-worker run.
@@ -72,6 +74,9 @@ const (
 	// watchMinHistory is the minimum number of trailing epochs before the
 	// regression rule can fire — a median of one or two samples is noise.
 	watchMinHistory = 3
+	// regressRun is how many consecutive slow epochs make a regression: on
+	// millisecond epochs one slow epoch is a descheduled thread.
+	regressRun = 3
 	// watchAlertKeep bounds retained alerts for /healthwatch.
 	watchAlertKeep = 256
 	// defaultSLOWindow is the burn-rate window when SLOWindow is unset.
@@ -312,16 +317,18 @@ func (w *Watchdog) judge(rep *HealthReport) (fired []Alert) {
 	w.mu.Lock()
 	now, r, win := w.now(), w.rules, cmp.Or(w.rules.Window, defaultWatchWindow)
 	// Each record judged — the unjudged ones and the last win — needs its
-	// own win predecessors; epochs are numbered consecutively.
-	n := 2 * win
+	// own predecessors: the run before it and the win before the run.
+	// Epochs are numbered consecutively.
+	back := win + regressRun - 1
+	n := win + back
 	for _, last := range w.rec.Tail(1) {
-		n = max(n, win+last.Epoch-w.judged)
+		n = max(n, back+last.Epoch-w.judged)
 	}
 	recs := w.rec.Tail(n)
 	healthy := true
 	for i, rec := range recs {
 		for _, rule := range []func(WatchRules, EpochRecord, []EpochRecord) (Alert, bool){regress, straggler} {
-			if a, ok := rule(r, rec, recs[max(0, i-win):i]); ok {
+			if a, ok := rule(r, rec, recs[max(0, i-back):i]); ok {
 				healthy = healthy && i < len(recs)-win
 				if rec.Epoch > w.judged {
 					a.At = now
@@ -384,27 +391,35 @@ func (w *Watchdog) lastAlert(rule string) (Alert, bool) {
 	return Alert{}, false
 }
 
-// regress judges rec's wall time against the median of the records before
-// it; the window excludes rec, so one slow epoch cannot mask itself by
-// dragging the median up.
+// regress judges a run of regressRun epochs ending at rec — the last
+// regressRun-1 of prior, then rec — against the median wall time of the
+// records before the run; the window excludes the run, so slow epochs cannot
+// mask themselves by dragging the median up. Every epoch of the run must
+// exceed the bound: an isolated slow epoch is jitter, not a regression.
 func regress(r WatchRules, rec EpochRecord, prior []EpochRecord) (Alert, bool) {
 	bound := r.Regress
-	if bound <= 0 || len(prior) < watchMinHistory {
+	if bound <= 0 || len(prior) < watchMinHistory+regressRun-1 {
 		return Alert{}, false
 	}
-	walls := make([]float64, len(prior))
-	for i, p := range prior {
+	base, run := prior[:len(prior)-regressRun+1], prior[len(prior)-regressRun+1:]
+	walls := make([]float64, len(base))
+	for i, p := range base {
 		walls[i] = p.WallSeconds
 	}
 	med := median(walls)
 	if med <= 0 || rec.WallSeconds <= bound*med {
 		return Alert{}, false
 	}
+	for _, p := range run {
+		if p.WallSeconds <= bound*med {
+			return Alert{}, false
+		}
+	}
 	return Alert{
 		Rule: RuleRegress, Epoch: rec.Epoch, Worker: -1,
 		Value: rec.WallSeconds, Bound: bound * med,
-		Message: fmt.Sprintf("epoch %d took %.3fs, %.2fx the trailing median %.3fs",
-			rec.Epoch, rec.WallSeconds, rec.WallSeconds/med, med),
+		Message: fmt.Sprintf("epochs %d-%d each took over %.2fx the trailing median %.3fs (epoch %d: %.3fs)",
+			rec.Epoch-regressRun+1, rec.Epoch, bound, med, rec.Epoch, rec.WallSeconds),
 	}, true
 }
 

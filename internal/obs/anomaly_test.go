@@ -110,12 +110,16 @@ func feed(w *Watchdog, recs ...EpochRecord) []Alert {
 // function of its window alone.
 func TestWatchRuleFunctions(t *testing.T) {
 	rules := WatchRules{Stall: time.Second, Regress: 1.5, Straggler: 2}
-	steady := []EpochRecord{{WallSeconds: 0.1}, {WallSeconds: 0.1}, {WallSeconds: 0.3}}
-	if _, ok := regress(rules, EpochRecord{WallSeconds: 0.2}, steady[:2]); ok {
-		t.Fatal("regress fired on two prior epochs")
+	steady := []EpochRecord{{WallSeconds: 0.1}, {WallSeconds: 0.1}, {WallSeconds: 0.3}, {WallSeconds: 0.2}, {WallSeconds: 0.2}}
+	if _, ok := regress(rules, EpochRecord{WallSeconds: 0.2}, steady[1:]); ok {
+		t.Fatal("regress fired on two epochs before the run")
 	}
-	if a, ok := regress(rules, EpochRecord{Epoch: 4, WallSeconds: 0.2}, steady); !ok || a.Epoch != 4 || math.Abs(a.Bound-0.15) > 1e-12 {
+	if a, ok := regress(rules, EpochRecord{Epoch: 6, WallSeconds: 0.2}, steady); !ok || a.Epoch != 6 || math.Abs(a.Bound-0.15) > 1e-12 {
 		t.Fatalf("regress against median 0.1: %+v %v", a, ok)
+	}
+	spike := append(append([]EpochRecord(nil), steady[:4]...), EpochRecord{WallSeconds: 0.1})
+	if _, ok := regress(rules, EpochRecord{WallSeconds: 0.2}, spike); ok {
+		t.Fatal("regress fired on a run broken by a steady epoch")
 	}
 	if _, ok := regress(WatchRules{}, EpochRecord{WallSeconds: 9}, steady); ok {
 		t.Fatal("disabled regress fired")
@@ -148,14 +152,53 @@ func TestWatchdogRegressAgainstTrailingMedian(t *testing.T) {
 	if fired := feed(w, EpochRecord{Epoch: 4, WallSeconds: 0.120}); len(fired) != 0 {
 		t.Fatalf("epoch 4 fired %v below the bound", fired)
 	}
-	// 0.200s vs trailing median ~0.100s crosses 1.5x. The slow epoch itself
-	// must not be in the window it is judged against.
-	fired := feed(w, EpochRecord{Epoch: 5, WallSeconds: 0.200})
-	if len(fired) != 1 || fired[0].Rule != RuleRegress || fired[0].Epoch != 5 || fired[0].Worker != -1 {
-		t.Fatalf("epoch 5: fired = %+v, want one run-wide regress alert", fired)
+	// 0.200s vs trailing median ~0.100s crosses 1.5x, but one or two slow
+	// epochs are not yet a regression; the third in a row is. The slow
+	// epochs must not be in the window they are judged against.
+	for e := 5; e <= 6; e++ {
+		if fired := feed(w, EpochRecord{Epoch: e, WallSeconds: 0.200}); len(fired) != 0 {
+			t.Fatalf("epoch %d fired %v, the %d-th slow epoch in a row", e, fired, e-4)
+		}
+	}
+	fired := feed(w, EpochRecord{Epoch: 7, WallSeconds: 0.200})
+	if len(fired) != 1 || fired[0].Rule != RuleRegress || fired[0].Epoch != 7 || fired[0].Worker != -1 {
+		t.Fatalf("epoch 7: fired = %+v, want one run-wide regress alert", fired)
 	}
 	if rep := w.Health(); rep.Healthy || len(rep.Alerts) != 1 {
 		t.Fatalf("health after regress: %+v", rep)
+	}
+}
+
+// TestWatchdogRegressIgnoresJitter feeds millisecond epochs the way a small
+// graph trains: an isolated 2–3x spike every ~25 epochs (a descheduled
+// thread) fires nothing, and a sustained step to 2x fires within three
+// epochs of the step.
+func TestWatchdogRegressIgnoresJitter(t *testing.T) {
+	w := NewWatchdog(DefaultWatchRules(), NewFlightRecorder(), nil, nil)
+	rng := uint64(7)
+	next := 20
+	for e := 1; e <= 500; e++ {
+		wall := 0.001
+		if e == next {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			wall *= 2 + float64(rng>>40)/float64(1<<24) // 2x to 3x
+			next += 20 + int(rng>>59)                   // every 20 to 51 epochs
+		}
+		if fired := feed(w, EpochRecord{Epoch: e, WallSeconds: wall}); len(fired) != 0 {
+			t.Fatalf("epoch %d (%.4fs) fired %+v on an isolated spike", e, wall, fired)
+		}
+	}
+	if rep := w.Health(); !rep.Healthy {
+		t.Fatalf("jittery run reads unhealthy: %+v", rep)
+	}
+	for e := 501; e <= 503; e++ {
+		fired := feed(w, EpochRecord{Epoch: e, WallSeconds: 0.002})
+		if e < 503 && len(fired) != 0 {
+			t.Fatalf("epoch %d fired %+v before three slow epochs", e, fired)
+		}
+		if e == 503 && (len(fired) != 1 || fired[0].Rule != RuleRegress) {
+			t.Fatalf("a sustained 2x step fired %+v by its third epoch, want one regress alert", fired)
+		}
 	}
 }
 
@@ -168,13 +211,14 @@ func TestWatchdogHealthyRecoversAfterWindow(t *testing.T) {
 		for e := 1; e <= 4; e++ {
 			feed(w, EpochRecord{Epoch: e, WallSeconds: 0.100})
 		}
-		if fired := feed(w, EpochRecord{Epoch: 5, WallSeconds: 0.200}); len(fired) != 1 {
-			t.Fatalf("epoch 5 fired %+v, want one regress alert", fired)
+		feed(w, EpochRecord{Epoch: 5, WallSeconds: 0.200}, EpochRecord{Epoch: 6, WallSeconds: 0.200})
+		if fired := feed(w, EpochRecord{Epoch: 7, WallSeconds: 0.200}); len(fired) != 1 {
+			t.Fatalf("epoch 7 fired %+v, want one regress alert", fired)
 		}
-		for e := 6; e <= 40; e++ {
+		for e := 8; e <= 40; e++ {
 			feed(w, EpochRecord{Epoch: e, WallSeconds: 0.100})
 			rep := w.Health()
-			if want := e >= 5+8; rep.Healthy != want {
+			if want := e >= 7+8; rep.Healthy != want {
 				t.Fatalf("epoch %d: healthy = %v, want %v", e, rep.Healthy, want)
 			}
 			if len(rep.Alerts) != 1 {

@@ -12,9 +12,9 @@ import (
 // replica: each block's input matrix is stitched from raw features, cached
 // rows and the previous block's output, then one layer forward produces the
 // rows the block above consumes. Freshly computed hidden rows for real
-// vertices are offered to the cache (final-layer logits are not — no block
-// ever reads them back). Per-item result rows are sliced out of the top
-// block at the end and each waiting request is released.
+// vertices are offered to the cache, and so are the final rows admit picks.
+// Per-item result rows are sliced out of the top block at the end and each
+// waiting request is released.
 //
 // Every intermediate (block inputs, layer outputs) is drawn from the
 // worker's scratch arena, which the caller releases when compute returns;
@@ -44,9 +44,10 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 		}
 		prevOut = forwardBlock(model.Layers[l], b, H, scratch)
 		if asm.exact && l+1 < L {
-			s.cache.putMany(l+1, b.dsts, n, prevOut, asm.gen)
+			s.cache.putMany(l+1, b.dsts, n, prevOut, nil, asm.gen)
 		}
 	}
+	s.admit(asm, prevOut, n)
 
 	// A block's destinations lead its input rows, so top destination d's
 	// embedding is the top input's row d.
@@ -62,6 +63,26 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 		w.finished = time.Now()
 		close(w.done)
 	}
+}
+
+// admit offers an exact job's final rows to the cache with their JSON text,
+// for the top destinations whose penultimate row the job read from the cache
+// (a one-layer model's are the features, always at hand). putMany admits a
+// row on its vertex's second query; a row JSON cannot carry never enters.
+func (s *Server) admit(asm *assembled, logits *tensor.Tensor, n int32) {
+	L := len(asm.plan.blocks)
+	top := asm.plan.blocks[L-1]
+	if !asm.exact {
+		return
+	}
+	s.cache.putMany(L, top.dsts, n, logits, func(d int) []byte {
+		if L == 1 || top.cached != nil && top.cached[d] != nil {
+			if text, err := appendRow(nil, "logits", d, logits.Row(d)); err == nil {
+				return text
+			}
+		}
+		return nil
+	}, asm.gen)
 }
 
 // stitch assembles block b's input rows: the cache-served row where the walk

@@ -158,7 +158,7 @@ func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 // feature rows the bottom layer needs. Pure graph-and-memory work — the
 // point of a separate extraction pool is that none of this contends with
 // the GEMMs in the compute pool. w is the calling worker's scratch.
-func (s *Server) extract(j *job, model *nn.Model, version uint64, w *walk) (*assembled, error) {
+func (s *Server) extract(j *job, model *nn.Model, version, gen uint64, w *walk) (*assembled, error) {
 	L := model.NumLayers()
 	var virt []InductiveVertex
 	var fanouts []int
@@ -204,7 +204,6 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64, w *walk) (*ass
 		rows[i] = flat[lo:]
 	}
 
-	gen := s.cache.generation()
 	blocks := make([]*block, L)
 	for l := L - 1; l >= 0; l-- {
 		fanout := 0
@@ -220,7 +219,7 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64, w *walk) (*ass
 		if exact && s.cache != nil {
 			lookupStart := time.Now()
 			b.cached = make([][]float32, len(b.srcs))
-			if s.cache.getMany(l, b.srcs, o.n, b.cached) == 0 {
+			if s.cache.getMany(gen, l, b.srcs, o.n, b.cached) == 0 {
 				b.cached = nil
 			}
 			cacheNanos += time.Since(lookupStart).Nanoseconds()

@@ -83,13 +83,13 @@ type LinkResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.answer(w, r); ok {
-		writeRows(w, res, appendPredict, res.Logits)
+		writeRows(w, res, appendPredict)
 	}
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.answer(w, r); ok {
-		writeRows(w, res, appendEmbed, res.Embeds)
+		writeRows(w, res, appendEmbed)
 	}
 }
 
@@ -193,12 +193,11 @@ func writeBody(w http.ResponseWriter, t *StageTiming, body []byte, err error) {
 // size.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeRows sends a query's rows as appendBody encodes them, in a pooled
+// writeRows sends a query's answer as appendBody encodes it, in a pooled
 // buffer.
-func writeRows(w http.ResponseWriter, res *Result,
-	appendBody func([]byte, uint64, *tensor.Tensor) ([]byte, error), rows *tensor.Tensor) {
+func writeRows(w http.ResponseWriter, res *Result, appendBody func([]byte, *Result) ([]byte, error)) {
 	bp := bodies.Get().(*[]byte)
-	b, err := appendBody((*bp)[:0], res.Version, rows)
+	b, err := appendBody((*bp)[:0], res)
 	writeBody(w, &res.Timing, b, err)
 	*bp = b
 	bodies.Put(bp)
@@ -206,10 +205,12 @@ func writeRows(w http.ResponseWriter, res *Result,
 
 // appendPredict appends /predict's body: the bytes json.Marshal gives for
 // PredictResponse{version, per-row argmax labels, logits} plus a newline,
-// written straight from the tensor.
-func appendPredict(b []byte, version uint64, logits *tensor.Tensor) ([]byte, error) {
+// written straight from the tensor — or, for a row the cache kept the text
+// of, from that text.
+func appendPredict(b []byte, res *Result) ([]byte, error) {
+	logits := res.Logits
 	b = append(b, `{"model_version":`...)
-	b = strconv.AppendUint(b, version, 10)
+	b = strconv.AppendUint(b, res.Version, 10)
 	b = append(b, `,"labels":[`...)
 	for r := 0; r < logits.Rows(); r++ {
 		if r > 0 {
@@ -218,39 +219,52 @@ func appendPredict(b []byte, version uint64, logits *tensor.Tensor) ([]byte, err
 		b = strconv.AppendInt(b, int64(argmax(logits.Row(r))), 10)
 	}
 	b = append(b, `],"logits":`...)
-	b, err := appendRows(b, "logits", logits)
+	b, err := appendRows(b, "logits", logits, res.texts)
 	return append(b, "}\n"...), err
 }
 
 // appendEmbed appends /embed's body: the bytes json.Marshal gives for
 // EmbedResponse{version, embeds} plus a newline.
-func appendEmbed(b []byte, version uint64, embeds *tensor.Tensor) ([]byte, error) {
+func appendEmbed(b []byte, res *Result) ([]byte, error) {
 	b = append(b, `{"model_version":`...)
-	b = strconv.AppendUint(b, version, 10)
+	b = strconv.AppendUint(b, res.Version, 10)
 	b = append(b, `,"embeddings":`...)
-	b, err := appendRows(b, "embeddings", embeds)
+	b, err := appendRows(b, "embeddings", res.Embeds, nil)
 	return append(b, "}\n"...), err
 }
 
-// appendRows appends t as an array of row arrays. A NaN or an infinity has
-// no JSON form; the error names it and its place.
-func appendRows(b []byte, what string, t *tensor.Tensor) ([]byte, error) {
+// appendRows appends t as an array of row arrays, row r as texts[r] where
+// that is non-nil. A NaN or an infinity has no JSON form; the error names it
+// and its place.
+func appendRows(b []byte, what string, t *tensor.Tensor, texts [][]byte) ([]byte, error) {
 	b = append(b, '[')
 	for r := 0; r < t.Rows(); r++ {
 		if r > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for c, v := range t.Row(r) {
-			if c > 0 {
-				b = append(b, ',')
-			}
-			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-				return b, fmt.Errorf("%s row %d column %d is %v", what, r, c, v)
-			}
-			b = appendFloat32(b, v)
+		if r < len(texts) && texts[r] != nil {
+			b = append(b, texts[r]...)
+			continue
 		}
-		b = append(b, ']')
+		var err error
+		if b, err = appendRow(b, what, r, t.Row(r)); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+// appendRow appends row r of what as a JSON array.
+func appendRow(b []byte, what string, r int, row []float32) ([]byte, error) {
+	b = append(b, '[')
+	for c, v := range row {
+		if c > 0 {
+			b = append(b, ',')
+		}
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, fmt.Errorf("%s row %d column %d is %v", what, r, c, v)
+		}
+		b = appendFloat32(b, v)
 	}
 	return append(b, ']'), nil
 }

@@ -237,6 +237,14 @@ func TestRowsEncodeLikeEncodingJSON(t *testing.T) {
 				m.Data()[i] = value()
 			}
 			version := versions[trial%len(versions)]
+			// Every other row written from the text a cache admission makes.
+			texts := make([][]byte, m.Rows())
+			var err error
+			for r := 0; r < m.Rows(); r += 2 {
+				if texts[r], err = appendRow(nil, "logits", r, m.Row(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			rows := make([][]float32, m.Rows())
 			labels := make([]int, m.Rows())
 			for r := range rows {
@@ -254,14 +262,23 @@ func TestRowsEncodeLikeEncodingJSON(t *testing.T) {
 				back func([]byte) ([][]float32, error)
 			}{
 				{"predict", PredictResponse{ModelVersion: version, Labels: labels, Logits: rows},
-					func(b []byte) ([]byte, error) { return appendPredict(b, version, m) },
+					func(b []byte) ([]byte, error) { return appendPredict(b, &Result{Version: version, Logits: m}) },
+					func(b []byte) ([][]float32, error) {
+						var out PredictResponse
+						err := json.Unmarshal(b, &out)
+						return out.Logits, err
+					}},
+				{"predict with cached texts", PredictResponse{ModelVersion: version, Labels: labels, Logits: rows},
+					func(b []byte) ([]byte, error) {
+						return appendPredict(b, &Result{Version: version, Logits: m, texts: texts})
+					},
 					func(b []byte) ([][]float32, error) {
 						var out PredictResponse
 						err := json.Unmarshal(b, &out)
 						return out.Logits, err
 					}},
 				{"embed", EmbedResponse{ModelVersion: version, Embeddings: rows},
-					func(b []byte) ([]byte, error) { return appendEmbed(b, version, m) },
+					func(b []byte) ([]byte, error) { return appendEmbed(b, &Result{Version: version, Embeds: m}) },
 					func(b []byte) ([][]float32, error) {
 						var out EmbedResponse
 						err := json.Unmarshal(b, &out)

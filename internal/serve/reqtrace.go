@@ -39,9 +39,10 @@ const (
 
 // work is one in-flight request and its record. submitted is stamped when
 // Query takes the request; later stamps are written by exactly one pool
-// worker each, ordered by the channel handoff that moves the work, and
-// finished is the last write before done closes — no stamp is written
-// concurrently with a read. The pipeline fills res or err.
+// worker each (or by Query, answering from the cache), ordered by the
+// channel handoff that moves the work, and finished is the last write
+// before done closes — no stamp is written concurrently with a read. The
+// pipeline fills res or err.
 type work struct {
 	req  *Request
 	seed uint64

@@ -248,8 +248,10 @@ func TestServeFlushReasonMetrics(t *testing.T) {
 
 // TestServeViewsAgree is the serving twin of the engine's
 // TestViewsAgreePerDataflow: every view of a request reads the one record
-// finish folds. Requests go one at a time — exact (batched, then again from
-// the cache), sampled, inductive and one invalid — so the histograms' float
+// finish folds. Requests go one at a time — exact (batched, again with its
+// top block from the cache, then a third time answered from the cache
+// without the pipeline), sampled, inductive and one invalid — so the
+// histograms' float
 // sums add in the order the test adds them: the latency histogram holds
 // exactly Σ Timing.Total, bit for bit, each stage histogram its stage's Σ,
 // Stats reads what the registry holds, and the flush counters sum to
@@ -269,11 +271,13 @@ func TestServeViewsAgree(t *testing.T) {
 	reqs := []*Request{
 		{Verts: []int32{1, 2, 40}},
 		{Verts: []int32{1, 2, 40}},
+		{Verts: []int32{40, 1, 2}},
 		{Verts: []int32{8, 33}, Fanouts: []int{2, 2}, Seed: 3},
 		{Verts: []int32{7}, Inductive: []InductiveVertex{{Features: feat, Neighbors: []int32{2, 5}}}},
 		{Verts: []int32{9999}},
 		{Verts: []int32{90}},
 	}
+	const invalid, fromCache = 5, 2
 	var answered int
 	var total float64
 	stages := map[string]float64{}
@@ -281,13 +285,16 @@ func TestServeViewsAgree(t *testing.T) {
 	for i, req := range reqs {
 		res, err := s.Query(req)
 		if err != nil {
-			if i != 4 {
+			if i != invalid {
 				t.Fatalf("request %d: %v", i, err)
 			}
 			continue
 		}
 		answered++
 		last = res.Timing
+		if tm := last; i == fromCache && (tm.Queue+tm.Extract+tm.Compute != 0 || tm.Cache != tm.Total) {
+			t.Fatalf("request %d was not answered from the cache: %+v", i, tm)
+		}
 		total += last.Total.Seconds()
 		stages[StageQueue] += last.Queue.Seconds()
 		stages[StageCache] += last.Cache.Seconds()
@@ -328,6 +335,9 @@ func TestServeViewsAgree(t *testing.T) {
 	}
 	if st.Cache.Hits == 0 {
 		t.Fatal("the repeated request hit nothing in the cache")
+	}
+	if st.BatchedRequests != 3 {
+		t.Fatalf("%d requests went through the batcher, want the three exact ones the cache did not answer", st.BatchedRequests)
 	}
 	for name, got := range map[string]int64{
 		"ns_serve_requests_total":        st.Requests,

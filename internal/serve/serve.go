@@ -197,6 +197,9 @@ type Result struct {
 	// Timing is the request's per-stage latency breakdown; its stages sum to
 	// its Total (see StageTiming).
 	Timing StageTiming
+	// texts[r], when non-nil, is Logits row r's JSON text, formatted once
+	// when the row entered the embedding cache; /predict writes it as is.
+	texts [][]byte
 }
 
 // job is a unit handed to the extraction pool: one micro-batch of exact
@@ -239,9 +242,11 @@ type Server struct {
 
 	// model/version are the server-wide snapshot, refreshed when the source
 	// version moves; compute workers keep private clones keyed by version.
+	// gen is the cache generation bound to the snapshot.
 	mu      sync.RWMutex
 	model   *nn.Model
 	version uint64
+	gen     uint64
 
 	reqID   atomic.Uint64
 	closed  atomic.Bool
@@ -375,14 +380,17 @@ func (s *Server) ModelVersion() uint64 {
 
 // refresh re-snapshots the model when the source's version moved, dropping
 // every cached embedding: answers computed after a parameter update must
-// never mix in pre-update rows.
-func (s *Server) refresh() (*nn.Model, uint64) {
+// never mix in pre-update rows. It returns the snapshot, its version and the
+// cache generation bound to it, all three read under s.mu, which every
+// invalidation holds: a caller's cache lookups and inserts, made under that
+// generation, touch only rows of its own snapshot.
+func (s *Server) refresh() (*nn.Model, uint64, uint64) {
 	v := s.cfg.Source.Version()
 	s.mu.RLock()
 	if v == s.version {
-		m := s.model
+		m, gen := s.model, s.gen
 		s.mu.RUnlock()
-		return m, v
+		return m, v, gen
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
@@ -390,14 +398,16 @@ func (s *Server) refresh() (*nn.Model, uint64) {
 	if v != s.version {
 		s.model = s.cfg.Source.Snapshot()
 		s.version = v
-		s.cache.Invalidate()
+		s.gen = s.cache.Invalidate()
 	}
-	return s.model, s.version
+	return s.model, s.version, s.gen
 }
 
 // Query answers one request, blocking until the pipeline completes it.
-// Exact known-vertex requests ride the micro-batcher; sampled and inductive
-// requests run as their own job with a private, request-derived RNG. The
+// An exact request whose every vertex has its final and penultimate rows
+// cached is answered from the cache on the spot; other exact known-vertex
+// requests ride the micro-batcher; sampled and inductive requests run as
+// their own job with a private, request-derived RNG. The
 // returned Result carries the request's per-stage timing — the same value
 // the latency and stage histograms recorded.
 func (s *Server) Query(req *Request) (*Result, error) {
@@ -426,10 +436,44 @@ func (s *Server) submit(req *Request) *work {
 			w.seed = (s.cfg.Seed ^ (w.id * 0x9E3779B97F4A7C15)) | 1
 		}
 		s.extractQ <- &job{items: []*work{w}}
-	} else if err := s.bat.Submit(w); err != nil {
-		w.fail(err)
+	} else if !s.answerCached(w) {
+		if err := s.bat.Submit(w); err != nil {
+			w.fail(err)
+		}
 	}
 	return w
+}
+
+// answerCached answers an exact request from the embedding cache when every
+// vertex has its final row and the penultimate row beneath it cached under
+// the current snapshot's generation (a one-layer model's penultimate rows
+// are the features): no batcher, no pool. The whole request is one cache
+// lookup, and its stamps say so: an extraction that was all cache time,
+// which timing folds into cache = total and zero for the other stages.
+func (s *Server) answerCached(w *work) bool {
+	model, version, gen := s.refresh()
+	L, verts := model.NumLayers(), w.req.Verts
+	es := s.cache.answer(gen, L, verts)
+	if es == nil {
+		return false
+	}
+	k, dims := len(es)/len(verts), model.Dims()
+	res := &Result{Version: version, Logits: tensor.New(len(verts), dims[L]),
+		Embeds: tensor.New(len(verts), dims[L-1]), texts: make([][]byte, len(verts))}
+	for i, v := range verts {
+		copy(res.Logits.Row(i), es[k*i].row)
+		res.texts[i] = es[k*i].text
+		emb := s.cfg.Features.Row(int(v))
+		if L > 1 {
+			emb = es[k*i+1].row
+		}
+		copy(res.Embeds.Row(i), emb)
+	}
+	w.res, w.finished = res, time.Now()
+	w.extractStart, w.extractEnd, w.computeStart = w.submitted, w.finished, w.finished
+	w.cacheNanos = w.finished.Sub(w.submitted).Nanoseconds()
+	close(w.done)
+	return true
 }
 
 // finish is a request's one emission point: it counts the request (and its
@@ -499,8 +543,8 @@ func (s *Server) extractLoop(idx int) {
 			sp = s.cfg.Tracer.Start(idx, obs.ClassNone, "extract",
 				obs.Int("items", len(j.items)), obs.String("trace_ids", traceIDs(j.items)))
 		}
-		model, version := s.refresh()
-		asm, err := s.extract(j, model, version, scratch)
+		model, version, gen := s.refresh()
+		asm, err := s.extract(j, model, version, gen, scratch)
 		end := time.Now()
 		if sp != nil {
 			sp.End()
@@ -577,7 +621,8 @@ type Stats struct {
 	Errors       int64  `json:"errors"`
 	Batches      int64  `json:"batches"`
 	// BatchedRequests counts requests that went through the micro-batcher
-	// (exact queries); the remainder ran as their own sampled job.
+	// (exact queries); the remainder ran as their own sampled job or were
+	// answered from the cache.
 	BatchedRequests int64      `json:"batched_requests"`
 	Cache           CacheStats `json:"cache"`
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -78,7 +79,9 @@ func withSink(t *testing.T, ds *dataset.Dataset, feat []float32, nbrs []int32) (
 // the frontier walk lays out differently: a plain request without a cache,
 // vertices repeated inside one request and across requests batched into one
 // job, a repeat whose top block the cache serves entirely, and known vertices
-// beside an inductive one that draws edges from them.
+// beside an inductive one that draws edges from them; then a third use,
+// answered from the cache without the pipeline, whose /predict bytes must be
+// the pipeline's.
 func TestServeMatchesReferenceAllKinds(t *testing.T) {
 	ds := testDataset(t, 120, 11)
 	n := int32(ds.Graph.NumVertices())
@@ -167,8 +170,42 @@ func TestServeMatchesReferenceAllKinds(t *testing.T) {
 				t.Fatalf("repeat request: hits %d -> %d, misses %d -> %d; want hits only",
 					before.Hits, after.Hits, before.Misses, after.Misses)
 			}
+			viaPipeline := postPredict(t, plain.Handler(), predictRequest(verts)).Body.String()
+			fast := queryFromCache(t, cached, verts)
+			check("fully cached", fast, verts)
+			rec := postPredict(t, cached.Handler(), predictRequest(verts))
+			if got := rec.Body.String(); got != viaPipeline {
+				t.Fatalf("/predict from the cache:\n%s\nfrom the pipeline:\n%s", got, viaPipeline)
+			}
+			if st := ParseServerTiming(rec.Header().Get("Server-Timing")); st[StageCache] != st[StageTotal] {
+				t.Fatalf("a cache-answered /predict reports %v", st)
+			}
+			check("fully cached with repeats", queryFromCache(t, cached, []int32{7, 0, 7}), []int32{7, 0, 7})
 		})
 	}
+}
+
+// predictRequest is the /predict body asking for verts.
+func predictRequest(verts []int32) []byte {
+	b, _ := json.Marshal(Request{Verts: verts})
+	return b
+}
+
+// queryFromCache queries verts and fails unless the cache answered without
+// the pipeline: no batcher, queue, extract and compute zero, cache the
+// total.
+func queryFromCache(t *testing.T, s *Server, verts []int32) *Result {
+	t.Helper()
+	batched := s.Stats().BatchedRequests
+	res, err := s.Query(&Request{Verts: verts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := res.Timing
+	if s.Stats().BatchedRequests != batched || tm.Queue+tm.Extract+tm.Compute != 0 || tm.Cache != tm.Total {
+		t.Fatalf("query %v was not answered from the cache: timing %+v", verts, tm)
+	}
+	return res
 }
 
 // TestServeCacheParityAndInvalidation warms the cache, re-queries (must be
@@ -196,26 +233,122 @@ func TestServeCacheParityAndInvalidation(t *testing.T) {
 		t.Fatalf("no cache hits after a repeat query: %+v", st.Cache)
 	}
 	ref := engine.ReferenceForward(ds.Graph, src.Snapshot(), ds.Features)
+	hot := queryFromCache(t, s, verts)
 	for i, v := range verts {
 		assertRowEqual(t, "warm logits", v, warm.Logits.Row(i), ref.Row(int(v)))
+		assertRowEqual(t, "cache-answered logits", v, hot.Logits.Row(i), ref.Row(int(v)))
 	}
+
+	// After the update every answer, the first and the cache-answered ones
+	// after it alike, is the new model's.
+	next := testModel(ds, nn.GCN, 77)
+	src.Update(next)
+	refNext := engine.ReferenceForward(ds.Graph, next, ds.Features)
+	for k := 0; k < 3; k++ {
+		fresh, err := s.Query(&Request{Verts: verts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Version == warm.Version {
+			t.Fatalf("version did not advance: %d", fresh.Version)
+		}
+		for i, v := range verts {
+			assertRowEqual(t, "post-update logits", v, fresh.Logits.Row(i), refNext.Row(int(v)))
+		}
+	}
+	queryFromCache(t, s, verts)
+}
+
+// TestServeAdmitsFinalRowOnSecondQuery pins the admission rule: a vertex's
+// final row enters the cache on its second query while its penultimate row
+// stays cached, not on the first query that finds that row cached because
+// the vertex was another query's in-neighbour.
+func TestServeAdmitsFinalRowOnSecondQuery(t *testing.T) {
+	ds := testDataset(t, 120, 27)
+	s := newTestServer(t, ds, NewStatic(testModel(ds, nn.GCN, 28)), 1<<20)
+	var u, v int32 = -1, -1
+	for w := int32(0); w < int32(ds.Graph.NumVertices()) && v < 0; w++ {
+		for _, x := range ds.Graph.InNeighbors(w) {
+			if x != w {
+				u, v = w, x
+				break
+			}
+		}
+	}
+	query := func(verts ...int32) {
+		t.Helper()
+		if _, err := s.Query(&Request{Verts: verts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query(u) // caches v's penultimate row as u's in-neighbour
+	for k := 1; k <= 2; k++ {
+		batched := s.Stats().BatchedRequests
+		query(v)
+		if s.Stats().BatchedRequests != batched+1 {
+			t.Fatalf("query %d of vertex %d was answered from the cache before its final row was admitted", k, v)
+		}
+	}
+	queryFromCache(t, s, []int32{v})
+}
+
+// TestServeStaleSnapshotNeverMixesVersions holds a job to the cache
+// generation bound to its model snapshot: a job that took its snapshot
+// before a version bump sees none of the rows a job under the new version
+// cached, not even through the fully cached answer, and the rows it
+// computes are dropped rather than cached as the new version's.
+func TestServeStaleSnapshotNeverMixesVersions(t *testing.T) {
+	ds := testDataset(t, 120, 29)
+	old := testModel(ds, nn.GCN, 31)
+	src := NewStatic(old)
+	s := newTestServer(t, ds, src, 1<<20)
+	staleModel, staleVersion, staleGen := s.refresh()
 
 	next := testModel(ds, nn.GCN, 77)
 	src.Update(next)
-	fresh, err := s.Query(&Request{Verts: verts})
+	verts := []int32{1, 2, 40, 90}
+	for k := 0; k < 2; k++ {
+		if _, err := s.Query(&Request{Verts: verts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queryFromCache(t, s, verts)
+	if es := s.cache.answer(staleGen, staleModel.NumLayers(), verts); es != nil {
+		t.Fatal("a stale snapshot's lookup was answered from the new version's rows")
+	}
+
+	// The stale job asks for those vertices, whose closures are cached, and
+	// for four more, whose are not: it must see none of the cached rows, and
+	// none of the rows it computes may enter.
+	all := append(verts[:len(verts):len(verts)], 3, 50, 77, 119)
+	w := &work{req: &Request{Verts: all}, done: make(chan struct{})}
+	asm, err := s.extract(&job{items: []*work{w}}, staleModel, staleVersion, staleGen,
+		&walk{slot: make([]int32, ds.Graph.NumVertices())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Version == warm.Version {
-		t.Fatalf("version did not advance: %d", fresh.Version)
+	for l, b := range asm.plan.blocks {
+		if b.cached != nil {
+			t.Fatalf("the stale job's block %d read the new version's cached rows", l)
+		}
 	}
+	s.compute(asm, cloneForCompute(staleModel), s.scratch.Arena())
+	<-w.done
+	refOld := engine.ReferenceForward(ds.Graph, old, ds.Features)
 	refNext := engine.ReferenceForward(ds.Graph, next, ds.Features)
-	for i, v := range verts {
-		assertRowEqual(t, "post-update logits", v, fresh.Logits.Row(i), refNext.Row(int(v)))
+	for i, v := range all {
+		assertRowEqual(t, "stale job's logits", v, w.res.Logits.Row(i), refOld.Row(int(v)))
 	}
-	if fresh.Logits.Equal(warm.Logits) {
-		t.Fatal("answer unchanged after parameter update")
+	for k := 0; k < 3; k++ {
+		res, err := s.Query(&Request{Verts: all})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range all {
+			assertRowEqual(t, "logits after the stale job", v, res.Logits.Row(i), refNext.Row(int(v)))
+		}
 	}
+	queryFromCache(t, s, all)
 }
 
 // TestServeEngineSourceTrainingStepInvalidates serves from a live training
@@ -237,25 +370,57 @@ func TestServeEngineSourceTrainingStepInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	refBefore := engine.ReferenceForward(ds.Graph, eng.CloneModel(), ds.Features)
+	if _, err := s.Query(&Request{Verts: verts}); err != nil {
+		t.Fatal(err)
+	}
+	hot := queryFromCache(t, s, verts)
 	for i, v := range verts {
 		assertRowEqual(t, "pre-step logits", v, before.Logits.Row(i), refBefore.Row(int(v)))
+		assertRowEqual(t, "pre-step cache-answered logits", v, hot.Logits.Row(i), refBefore.Row(int(v)))
 	}
 
 	eng.RunEpoch()
 
-	after, err := s.Query(&Request{Verts: verts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Version == before.Version {
-		t.Fatalf("training step did not advance served version (%d)", after.Version)
-	}
 	refAfter := engine.ReferenceForward(ds.Graph, eng.CloneModel(), ds.Features)
-	for i, v := range verts {
-		assertRowEqual(t, "post-step logits", v, after.Logits.Row(i), refAfter.Row(int(v)))
+	for k := 0; k < 3; k++ {
+		after, err := s.Query(&Request{Verts: verts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Version == before.Version {
+			t.Fatalf("training step did not advance served version (%d)", after.Version)
+		}
+		for i, v := range verts {
+			assertRowEqual(t, "post-step logits", v, after.Logits.Row(i), refAfter.Row(int(v)))
+		}
+		if after.Logits.Equal(before.Logits) {
+			t.Fatal("served logits unchanged across a training step")
+		}
 	}
-	if after.Logits.Equal(before.Logits) {
-		t.Fatal("served logits unchanged across a training step")
+	queryFromCache(t, s, verts)
+}
+
+// TestServeOneLayerFromCache serves a one-layer model, whose penultimate
+// rows are the features: its first answer admits the final rows, and the
+// cache-answered repeat gives the reference logits and the feature rows as
+// Embeds.
+func TestServeOneLayerFromCache(t *testing.T) {
+	ds := testDataset(t, 80, 33)
+	for _, kind := range nn.ModelKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			model := nn.MustNewModel(kind, []int{ds.Spec.FeatureDim, ds.Spec.NumClasses}, 0, 34)
+			s := newTestServer(t, ds, NewStatic(model), 1<<20)
+			ref := engine.ReferenceForward(ds.Graph, model, ds.Features)
+			verts := []int32{0, 9, 41, 9}
+			if _, err := s.Query(&Request{Verts: verts}); err != nil {
+				t.Fatal(err)
+			}
+			res := queryFromCache(t, s, verts)
+			for i, v := range verts {
+				assertRowEqual(t, "logits", v, res.Logits.Row(i), ref.Row(int(v)))
+				assertRowEqual(t, "embeds", v, res.Embeds.Row(i), ds.Features.Row(int(v)))
+			}
+		})
 	}
 }
 
