@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,7 +234,8 @@ func TestServeCacheParityAndInvalidation(t *testing.T) {
 	if st := s.Stats(); st.Cache.Hits == 0 {
 		t.Fatalf("no cache hits after a repeat query: %+v", st.Cache)
 	}
-	ref := engine.ReferenceForward(ds.Graph, src.Snapshot(), ds.Features)
+	model, _ := src.Snapshot()
+	ref := engine.ReferenceForward(ds.Graph, model, ds.Features)
 	hot := queryFromCache(t, s, verts)
 	for i, v := range verts {
 		assertRowEqual(t, "warm logits", v, warm.Logits.Row(i), ref.Row(int(v)))
@@ -349,6 +352,73 @@ func TestServeStaleSnapshotNeverMixesVersions(t *testing.T) {
 		}
 	}
 	queryFromCache(t, s, all)
+}
+
+// TestServeAnswersCarryTheirVersion bumps a Static source in a loop beside
+// four querying clients: every answer, from the pipeline or from the cache,
+// must be the reference of the model whose version it reports. A server
+// that reads the version and the model in two calls labels some answers
+// with a version older than the model that computed them.
+func TestServeAnswersCarryTheirVersion(t *testing.T) {
+	ds := testDataset(t, 120, 37)
+	// After k updates the version is 1+k and the model models[k%3].
+	models := []*nn.Model{testModel(ds, nn.GCN, 38), testModel(ds, nn.GCN, 39), testModel(ds, nn.GCN, 40)}
+	refs := make([]*tensor.Tensor, len(models))
+	for i, m := range models {
+		refs[i] = engine.ReferenceForward(ds.Graph, m, ds.Features)
+	}
+	src := NewStatic(models[0])
+	s := newTestServer(t, ds, src, 1<<20)
+
+	stop, bumperDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(bumperDone)
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+				src.Update(models[k%len(models)])
+				runtime.Gosched()
+			}
+		}
+	}()
+	const clients, perClient = 4, 150
+	var answers, mislabelled atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				// Half the requests repeat a small hot set, so the cache
+				// answers some; the rest spread over the graph.
+				verts := []int32{int32(i % 3), int32(5 + i%2)}
+				if i%2 == 1 {
+					verts = []int32{int32((c*perClient + i*7) % 120), int32((i * 13) % 120)}
+				}
+				res, err := s.Query(&Request{Verts: verts})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				answers.Add(1)
+				ref := refs[(res.Version-1)%uint64(len(models))]
+				for r, v := range verts {
+					if !slices.Equal(res.Logits.Row(r), ref.Row(int(v))) {
+						mislabelled.Add(1)
+						break
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-bumperDone
+	if n := mislabelled.Load(); n > 0 {
+		t.Fatalf("%d of %d answers are not the model of the version they report", n, answers.Load())
+	}
 }
 
 // TestServeEngineSourceTrainingStepInvalidates serves from a live training
