@@ -26,11 +26,10 @@ func BenchmarkBuildPlans(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := plan.Planner
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildPlans(ds.Graph, p.Part, plan.Decisions, p.Dims, false); err != nil {
+		if _, err := buildPlans(plan.Planner, plan.Decisions); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ type LayerResidual struct {
 	PredComputeSeconds float64 `json:"pred_compute_seconds"`
 	MeasComputeSeconds float64 `json:"meas_compute_seconds"`
 	ComputeResidual    float64 `json:"compute_residual"`
-	// Communication: prediction is RecvRows·Tc·d^(l-1) (Eq. 2–3);
+	// Communication: prediction is (RecvRows·d^(l-1) + RecvElems)·Tc (Eq. 2–3);
 	// measurement is dep-fetch send+recv plus the layer's mirror-gradient
 	// scatter (Tc is calibrated for the bidirectional exchange).
 	PredCommSeconds float64 `json:"pred_comm_seconds"`
@@ -63,17 +63,16 @@ type CostReport struct {
 	Flips hybrid.FlipReport `json:"flips"`
 }
 
-// layerWorks tallies cluster-wide modeled work per layer from the execution
-// plans — the same quantities Eq. 1–3 charge, counted exactly.
-func (e *Engine) layerWorks() []layerWork {
-	works := make([]layerWork, len(e.dims)-1)
-	for _, p := range e.plans {
-		for l := range works {
-			w := p.layers[l].work
-			works[l].vertexOps += w.vertexOps
-			works[l].edgeOps += w.edgeOps
-			works[l].recvRows += w.recvRows
-			works[l].recvElems += w.recvElems
+// layerWorks tallies the cluster's work per layer from the planner's ledgers
+// of the running Decisions — the counts Eq. 1–3 priced, which the plans run.
+func (e *Engine) layerWorks() []hybrid.Work {
+	works := make([]hybrid.Work, len(e.dims)-1)
+	for w, d := range e.decs {
+		for l, lw := range e.planner.Ledger(w, d).Layers {
+			works[l].Rows += lw.Rows
+			works[l].Edges += lw.Edges
+			works[l].FetchedRows += lw.FetchedRows
+			works[l].TPElems += lw.TPElems
 		}
 	}
 	return works
@@ -122,10 +121,10 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	for l := 1; l <= L; l++ {
 		w := works[l-1]
 		d := float64(e.dims[l])
-		vElems = append(vElems, float64(w.vertexOps)*d)
-		eElems = append(eElems, float64(w.edgeOps)*d)
+		vElems = append(vElems, float64(w.Rows)*d)
+		eElems = append(eElems, float64(w.Edges)*d)
 		seconds = append(seconds, measCompute[l])
-		predSum += float64(predCompute(w, e.planner.Costs) * d)
+		predSum += hybrid.ComputeCost(e.planner.Costs, w.Rows, w.Edges, e.dims[l])
 		measSum += measCompute[l]
 	}
 	if tv, te, ok := costmodel.FitComputeFactors(vElems, eElems, seconds); ok {
@@ -142,8 +141,8 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	// rows at their layer width plus TP collective volume.
 	var commElems, commSeconds float64
 	for l := 1; l <= L; l++ {
-		commElems += float64(float64(works[l-1].recvRows)*float64(e.dims[l-1])) +
-			float64(works[l-1].recvElems)
+		commElems += float64(float64(works[l-1].FetchedRows)*float64(e.dims[l-1])) +
+			float64(works[l-1].TPElems)
 		commSeconds += measComm[l]
 	}
 	if commElems > 0 && commSeconds > 0 {
@@ -153,13 +152,12 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 	for l := 1; l <= L; l++ {
 		w := works[l-1]
 		lr := LayerResidual{
-			Layer: l, VertexOps: w.vertexOps, EdgeOps: w.edgeOps,
-			RecvRows: w.recvRows, RecvElems: w.recvElems,
-			PredComputeSeconds: float64(predCompute(w, e.planner.Costs) * float64(e.dims[l])),
+			Layer: l, VertexOps: w.Rows, EdgeOps: w.Edges,
+			RecvRows: w.FetchedRows, RecvElems: w.TPElems,
+			PredComputeSeconds: hybrid.ComputeCost(e.planner.Costs, w.Rows, w.Edges, e.dims[l]),
 			MeasComputeSeconds: measCompute[l],
-			PredCommSeconds: float64(float64(w.recvRows)*e.planner.Costs.CommCost(int64(e.dims[l-1]))) +
-				e.planner.Costs.CommCost(w.recvElems),
-			MeasCommSeconds: measComm[l],
+			PredCommSeconds:    e.planner.Costs.CommCost(w.FetchedRows*int64(e.dims[l-1]) + w.TPElems),
+			MeasCommSeconds:    measComm[l],
 		}
 		if lr.PredComputeSeconds > 0 {
 			lr.ComputeResidual = (lr.MeasComputeSeconds - lr.PredComputeSeconds) / lr.PredComputeSeconds
@@ -187,11 +185,4 @@ func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
 		return hybrid.FlipReport{}
 	}
 	return hybrid.DiffDecisions(planA, planB)
-}
-
-// predCompute is Eq. 1's compute term per feature column of a layer's work,
-// vertexOps·Tv + edgeOps·Te, each product rounded before the sum so no
-// architecture fuses it (DESIGN §12).
-func predCompute(w layerWork, c costmodel.Costs) float64 {
-	return float64(float64(w.vertexOps)*c.Tv) + float64(float64(w.edgeOps)*c.Te)
 }

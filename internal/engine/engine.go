@@ -321,6 +321,8 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: the plan is for another graph")
 	case p.Part.NumParts != opts.Workers:
 		return nil, fmt.Errorf("engine: a %d-part plan for %d workers", p.Part.NumParts, opts.Workers)
+	case p.SliceTP != nn.SliceSeparable(opts.Model):
+		return nil, fmt.Errorf("engine: a plan with SliceTP = %v for model %s", p.SliceTP, opts.Model)
 	}
 	L := len(p.Dims) - 1
 	for w, d := range plan.Decisions {
@@ -332,7 +334,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		opts: opts, policy: pol, ds: ds, planner: p, decs: plan.Decisions, dims: p.Dims,
 		PreprocessTime: plan.Time,
 	}
-	e.plans, err = buildPlans(ds.Graph, p.Part, e.decs, e.dims, nn.SliceSeparable(opts.Model))
+	e.plans, err = buildPlans(p, e.decs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,45 +9,76 @@ type BuiltPlans struct {
 	plans []*workerPlan
 }
 
-// BuildPlans derives plan's execution plans; sumDecomposable says the model's
-// layers are nn.SumDecomposable.
-func BuildPlans(plan *Plan, sumDecomposable bool) (*BuiltPlans, error) {
-	p := plan.Planner
-	plans, err := buildPlans(p.Graph, p.Part, plan.Decisions, p.Dims, sumDecomposable)
+// BuildPlans derives plan's execution plans.
+func BuildPlans(plan *Plan) (*BuiltPlans, error) {
+	plans, err := buildPlans(plan.Planner, plan.Decisions)
 	if err != nil {
 		return nil, err
 	}
 	return &BuiltPlans{plan: plan, plans: plans}, nil
 }
 
-// PlanRows returns worker w's per-layer execution-plan counts: the dependency
-// rows layer l fetches every epoch (index l-1), the rows it holds since
-// construction instead, and the destinations of the cached block it
-// recomputes.
-func (b *BuiltPlans) PlanRows(w int) (recvRows, heldRows, cachedDsts []int64) {
-	for _, lp := range b.plans[w].layers {
-		held := 0
-		for _, verts := range lp.held {
-			held += len(verts)
+// Executed counts worker w's work every epoch per layer (index l-1) from its
+// execution plan's structures alone: a master–mirror layer computes its owned
+// and cached blocks' destinations, walks their edges, except where bound says
+// layer 1's dataflow combined them at construction, and fetches its recv
+// lists; a tensor-parallel layer computes its owned rows, walks its shard of
+// the edges and receives the forward collectives' elements.
+func (b *BuiltPlans) Executed(w int, bound bool) []hybrid.Work {
+	var out []hybrid.Work
+	for i, lp := range b.plans[w].layers {
+		var wk hybrid.Work
+		switch f := lp.flow.(type) {
+		case *masterMirror:
+			wk.ReplicaRows = int64(lp.cached.numDst())
+			wk.Rows = int64(lp.owned.numDst()) + wk.ReplicaRows
+			if i > 0 || !bound {
+				wk.ReplicaEdges = int64(len(lp.cached.srcRow))
+				wk.Edges = int64(len(lp.owned.srcRow)) + wk.ReplicaEdges
+			}
+			for _, verts := range lp.recv {
+				wk.FetchedRows += int64(len(verts))
+			}
+		case *tpSlice:
+			x, nOwned := f.x, int64(len(b.plans[w].owned))
+			lo, hi := x.cols(w)
+			d := x.ColStart[x.NumWorkers()]
+			wk.Rows = nOwned
+			wk.Edges = int64(len(f.shared.all.srcRow)) * int64(hi-lo) / int64(max(d, 1))
+			// Re-gather: every peer's column slice of the owned rows; above
+			// layer 1 the slice-scatter first brings every peer's rows of
+			// this worker's slice.
+			wk.TPElems = nOwned * int64(d-(hi-lo))
+			if i > 0 {
+				wk.TPElems += int64(x.BlockStart[x.NumWorkers()]-len(b.plans[w].owned)) * int64(hi-lo)
+			}
+		case *tpAssemble:
+			x := f.x
+			wk.Rows = int64(len(b.plans[w].owned))
+			wk.Edges = int64(len(f.full.srcRow))
+			// Above layer 1 the all-gather brings every peer's rows at full
+			// width.
+			if i > 0 {
+				wk.TPElems = int64(x.BlockStart[x.NumWorkers()]-len(b.plans[w].owned)) * int64(x.ColStart[x.NumWorkers()])
+			}
 		}
-		recvRows = append(recvRows, lp.work.recvRows)
-		heldRows = append(heldRows, int64(held))
-		cachedDsts = append(cachedDsts, int64(lp.cached.numDst()))
+		out = append(out, wk)
 	}
-	return recvRows, heldRows, cachedDsts
+	return out
 }
 
-// PlanEdges returns worker w's per-layer edge counts (index l-1): the edges
-// the layer's work report says every epoch walks, the edges of its owned and
-// cached blocks, and the cached block's share of those — what Planner.Charge
-// prices Te on at level l.
-func (b *BuiltPlans) PlanEdges(w int) (walked, planned, cached []int64) {
+// HeldRows returns, per layer, the rows worker w's plan holds since
+// construction instead of fetching them.
+func (b *BuiltPlans) HeldRows(w int) []int64 {
+	var out []int64
 	for _, lp := range b.plans[w].layers {
-		walked = append(walked, lp.work.edgeOps)
-		planned = append(planned, int64(len(lp.owned.srcRow)+len(lp.cached.srcRow)))
-		cached = append(cached, int64(len(lp.cached.srcRow)))
+		var held int64
+		for _, verts := range lp.held {
+			held += int64(len(verts))
+		}
+		out = append(out, held)
 	}
-	return walked, planned, cached
+	return out
 }
 
 // Layer1CommSet returns the size of worker w's layer-1 communicated set: the

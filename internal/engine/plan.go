@@ -57,22 +57,6 @@ type chunkGroup struct {
 	edgeNorm []float32
 }
 
-// layerWork is the modeled work of one layer of one worker — the quantities
-// Eq. 1–3 charge, counted exactly from the plan for the cost-model validator.
-type layerWork struct {
-	// vertexOps / edgeOps are the destination rows computed and the edges
-	// walked every epoch (owned plus redundantly recomputed cached blocks).
-	// Edges a bound layer 1 walked once, at construction, are not among them
-	// — as rows held since construction are not among recvRows.
-	vertexOps, edgeOps int64
-	// recvRows is the number of dependency rows fetched over the network
-	// every epoch; rows held since construction are not among them.
-	recvRows int64
-	// recvElems is the tensor-parallel slice-exchange volume (elements, not
-	// rows: TP messages are column slices of varying width).
-	recvElems int64
-}
-
 // layerPlan is the per-layer execution structure of one worker.
 type layerPlan struct {
 	// flow is the layer's dataflow, chosen here and nowhere else: the epoch
@@ -80,7 +64,6 @@ type layerPlan struct {
 	// the master–mirror structures below stay empty, so the send/recv wiring
 	// no-ops.
 	flow dataflow
-	work layerWork
 	// recv[j] lists vertices received from peer j this layer (ascending);
 	// empty for j == self and peers with nothing to send.
 	recv [][]int32
@@ -136,12 +119,13 @@ type workerPlan struct {
 }
 
 // buildPlans derives all workers' execution plans from the dependency
-// decisions. dims is d^(0)..d^(L); sumDecomposable says the model's layers
-// are nn.SumDecomposable (nn.SliceSeparable names the same kinds): a
-// master–mirror layer 1 then binds its Combine output at construction
-// (masterMirror.bindFeatures), and any TP layers in the decisions run the
-// column-sliced dataflow instead of the full-width assemble.
-func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decision, dims []int, sumDecomposable bool) ([]*workerPlan, error) {
+// decisions under p. p.SliceTP says the model's layers are
+// nn.SumDecomposable: a master–mirror layer 1 then binds its Combine output
+// at construction (masterMirror.bindFeatures), and any TP layers in the
+// decisions run the column-sliced dataflow instead of the full-width
+// assemble.
+func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision) ([]*workerPlan, error) {
+	g, part, dims := p.Graph, p.Part, p.Dims
 	m := part.NumParts
 	L := len(dims) - 1
 	if len(decs) != m {
@@ -159,7 +143,7 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 	for _, d := range decs {
 		if d.NumTP() > 0 {
 			var err error
-			if shared, err = buildTPShared(g, part, sumDecomposable, selfNormAll); err != nil {
+			if shared, err = buildTPShared(g, part, p.SliceTP, selfNormAll); err != nil {
 				return nil, err
 			}
 			break
@@ -168,11 +152,11 @@ func buildPlans(g *graph.Graph, part *partition.Partition, decs []*hybrid.Decisi
 
 	plans := make([]*workerPlan, m)
 	for i := 0; i < m; i++ {
-		p, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared, sumDecomposable)
+		wp, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared)
 		if err != nil {
 			return nil, err
 		}
-		plans[i] = p
+		plans[i] = wp
 	}
 
 	// Wire send lists: worker i sends to j at layer l exactly what j's plan
@@ -210,7 +194,7 @@ func positionsIn(list, sub []int32) []int32 {
 
 // buildWorkerPlan derives worker i's plan from its dependency decision.
 func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Decision,
-	dims []int, i int, selfNormAll []float32, shared *tpShared, sumDecomposable bool) (*workerPlan, error) {
+	dims []int, i int, selfNormAll []float32, shared *tpShared) (*workerPlan, error) {
 
 	L := len(dims) - 1
 	owned := part.Parts[i]
@@ -264,7 +248,7 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 			lp.numPrevRows = len(owned)
 			lp.numHAllRows = len(owned)
 			var err error
-			lp.flow, lp.work, err = buildTPLayer(g, part, shared, dims, l, i, selfNormAll)
+			lp.flow, err = buildTPLayer(g, part, shared, dims, l, i, selfNormAll)
 			if err != nil {
 				return nil, err
 			}
@@ -337,19 +321,8 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		}
 		lp.ownedGroups, lp.groupOf = buildChunkGroups(lp, chunks)
 		lp.flow = &masterMirror{}
-		lp.work = layerWork{
-			vertexOps: int64(lp.owned.numDst() + lp.cached.numDst()),
-			edgeOps:   int64(len(lp.owned.srcRow) + len(lp.cached.srcRow)),
-		}
-		// Static inputs combine once: everything a sum-decomposable layer 1
-		// does before its first parameter reads only features and this plan,
-		// so its dataflow walks the edges at construction and no epoch does.
-		if l == 1 && sumDecomposable {
-			lp.work.edgeOps = 0
-		}
-		for j := range chunks {
-			lp.work.recvRows += int64(len(lp.recv[j]))
-			p.heldBytes += int64(len(lp.held[j])) * int64(4*dims[l-1])
+		for _, verts := range lp.held {
+			p.heldBytes += int64(len(verts)) * int64(4*dims[l-1])
 		}
 	}
 	return p, nil

@@ -73,39 +73,24 @@ func buildTPShared(g *graph.Graph, part *partition.Partition, slice bool, selfNo
 	return sh, err
 }
 
-// buildTPLayer derives worker `worker`'s dataflow for TP layer l and the work
-// the cost-model validator charges it: the layer's owned rows, its edge work,
-// and its slice-exchange element volume.
+// buildTPLayer derives worker `worker`'s dataflow for TP layer l.
 func buildTPLayer(g *graph.Graph, part *partition.Partition, sh *tpShared,
-	dims []int, l, worker int, selfNormAll []float32) (dataflow, layerWork, error) {
+	dims []int, l, worker int, selfNormAll []float32) (dataflow, error) {
 
 	m := part.NumParts
 	tp := tpLayerPlan{shared: sh, x: TPSliceExchange{BlockStart: sh.blockStart, ColStart: make([]int, m+1)}}
 	for j := 0; j <= m; j++ {
 		tp.x.ColStart[j], _ = costmodel.TPColRange(dims[l-1], m, j)
 	}
-	nOwned := len(part.Parts[worker])
-	d := dims[l-1]
-	lo, hi := tp.x.cols(worker)
-	work := layerWork{
-		vertexOps: int64(nOwned),
-		recvElems: costmodel.TPVolume(sh.slice, l == 1, g.NumVertices(), nOwned, d, hi-lo),
-	}
 	if sh.slice {
-		// The edge stage covers all |E| edges at width/d of the feature
-		// dimension: charge the pro-rated edge work.
-		if d > 0 {
-			work.edgeOps = int64(len(sh.all.srcRow)) * int64(hi-lo) / int64(d)
-		}
 		blo, bhi := tp.x.rows(worker)
-		return &tpSlice{tpLayerPlan: tp, selfNormOwned: sh.all.selfNorm[blo:bhi]}, work, nil
+		return &tpSlice{tpLayerPlan: tp, selfNormOwned: sh.all.selfNorm[blo:bhi]}, nil
 	}
 	// The assemble dataflow's owned destination block: edge sources and
 	// destination selves both index the global owner-block row universe (the
 	// assembled full-width input).
 	full, err := buildBlock(g, part.Parts[worker], sh.resolve, sh.resolve, selfNormAll)
-	work.edgeOps = int64(len(full.srcRow))
-	return &tpAssemble{tpLayerPlan: tp, full: full}, work, err
+	return &tpAssemble{tpLayerPlan: tp, full: full}, err
 }
 
 // TPSliceExchange models the two DepTP collectives over plain tensors,

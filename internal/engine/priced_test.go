@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"neutronstar/internal/costmodel"
@@ -13,62 +14,53 @@ import (
 	"neutronstar/internal/testkit"
 )
 
-// pricedMatchesPlan checks, for one plan, that what the planner priced is
-// what the execution plans buildPlans derives from the same Decisions hold:
-// per worker and per layer the rows charged
-// CommCost are the rows the layer fetches every epoch — none at layer 1
-// (Charge never charges it), whose communicated set is held from
-// construction instead — and at every
-// level the replicas charged recompute are the destinations of the layer's
-// cached block. The work report counts what every epoch does: a master–mirror
-// layer walks its blocks' edges, except a sum-decomposable layer 1, which
-// walked them once at construction (bound says the model is one). It returns
-// the execution plans and the layer-1 rows they hold in total.
+// pricedMatchesPlan checks, for one plan, executed = ledger = priced. Per
+// worker and layer, the work the execution plans buildPlans derives from the
+// Decisions run every epoch — counted from their block arrays, recv lists and
+// tensor-parallel shards (BuiltPlans.Executed), none of which read the
+// ledger — equals the planner's Ledger count for count, and Charge's prices
+// are Eq. 1–3 of those executed counts. bound says the model's layer 1 is
+// nn.SumDecomposable, whose dataflow walks its edges once, at construction.
+// Layer 1's communicated set is held from construction instead of fetched.
+// It returns the execution plans and the layer-1 rows they hold in total.
 func pricedMatchesPlan(plan *engine.Plan, bound bool) (built *engine.BuiltPlans, layer1Held int64, err error) {
-	if built, err = engine.BuildPlans(plan, bound); err != nil {
+	if built, err = engine.BuildPlans(plan); err != nil {
 		return nil, 0, err
 	}
-	L := len(plan.Planner.Dims) - 1
+	p := plan.Planner
 	for w, dec := range plan.Decisions {
-		ch := plan.Planner.Charge(w, dec)
-		recvRows, heldRows, cachedDsts := built.PlanRows(w)
-		walked, planned, _ := built.PlanEdges(w)
-		for l := 1; l <= L; l++ {
-			want := planned[l-1]
-			if dec.TPAt(l) {
-				continue // pro-rated by column slice, pinned in the TP tests
+		ch := p.Charge(w, dec)
+		var cache, comm float64
+		for l, ex := range built.Executed(w, bound) {
+			if ex != ch.Layers[l] {
+				return nil, 0, fmt.Errorf("worker %d layer %d: plan runs %+v an epoch, ledger counts %+v", w, l+1, ex, ch.Layers[l])
 			}
-			if l == 1 && bound {
-				want = 0
-			}
-			if walked[l-1] != want {
-				return nil, 0, fmt.Errorf("worker %d layer %d: work report walks %d edges an epoch, plan %d", w, l, walked[l-1], want)
-			}
+			cache += hybrid.ComputeCost(p.Costs, ex.ReplicaRows, ex.ReplicaEdges, p.Dims[l+1])
+			comm += p.Costs.CommCost(ex.FetchedRows*int64(p.Dims[l]) + ex.TPElems)
 		}
-		for l := 1; l <= L; l++ {
-			if ch.CommRows[l-1] != recvRows[l-1] {
-				return nil, 0, fmt.Errorf("worker %d layer %d: %d rows charged CommCost, plan fetches %d", w, l, ch.CommRows[l-1], recvRows[l-1])
-			}
+		if cache != ch.CacheCost || comm != ch.CommCost {
+			return nil, 0, fmt.Errorf("worker %d: plan runs %g s of replica compute and %g s of traffic, Charge prices %g and %g",
+				w, cache, comm, ch.CacheCost, ch.CommCost)
+		}
+		for l, held := range built.HeldRows(w) {
 			want := int64(0)
-			if l == 1 {
+			if l == 0 {
 				want = built.Layer1CommSet(w)
 			}
-			if heldRows[l-1] != want {
-				return nil, 0, fmt.Errorf("worker %d layer %d: plan holds %d rows, want %d", w, l, heldRows[l-1], want)
+			if held != want {
+				return nil, 0, fmt.Errorf("worker %d layer %d: plan holds %d rows, want %d", w, l+1, held, want)
 			}
 		}
-		layer1Held += heldRows[0]
-		// Level k is computed by layer k; nothing consumes a replica's h^(L).
-		for k := 1; k < L; k++ {
-			if ch.ReplicaRows[k] != cachedDsts[k-1] {
-				return nil, 0, fmt.Errorf("worker %d level %d: %d replicas charged recompute, cached block has %d destinations", w, k, ch.ReplicaRows[k], cachedDsts[k-1])
-			}
-		}
-		if cachedDsts[L-1] != 0 {
-			return nil, 0, fmt.Errorf("worker %d: top layer recomputes %d replicas nothing consumes", w, cachedDsts[L-1])
-		}
+		layer1Held += built.HeldRows(w)[0]
 	}
 	return built, layer1Held, nil
+}
+
+// boundLayer1 reports whether kind's layer 1 is nn.SumDecomposable — what
+// masterMirror.bindFeatures asks of the model it runs.
+func boundLayer1(kind nn.ModelKind) bool {
+	_, ok := nn.MustNewModel(kind, []int{2, 2, 2}, 0, 1).Layers[0].(nn.SumDecomposable)
+	return ok
 }
 
 // decide is the plan step under fixed costs, mode and cache budget, with
@@ -79,10 +71,11 @@ func decide(ds *dataset.Dataset, opts engine.Options, costs costmodel.Costs, mod
 	})
 }
 
-// TestPricedCountsMatchPlan: the plan that runs is read from the walk that
-// was priced. Every planner mode × {GCN, GAT} × L ∈ {2, 3} on random graphs,
-// under cost regimes that make the greedy cache nothing, some and everything.
-// No engine is built: the counts come from buildPlans over the Decisions.
+// TestPricedCountsMatchPlan: the plan that runs is the ledger that was
+// priced. Every planner mode × every model kind × L ∈ {2, 3} on random
+// graphs, under cost regimes that make the greedy cache nothing, some and
+// everything, tensor-parallel layers included. No engine is built: the
+// executed counts come from buildPlans over the Decisions.
 func TestPricedCountsMatchPlan(t *testing.T) {
 	regimes := []costmodel.Costs{
 		{Tv: 1e-8, Te: 2e-9, Tc: 1e-9},
@@ -99,7 +92,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	}{{partition.RepQuantOff, 0}, {partition.RepQuantFP16, 256}}
 	prop := func(ds *dataset.Dataset) error {
 		for mode := hybrid.ModeHybrid; mode <= hybrid.ModeHybrid4; mode++ {
-			for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
+			for _, kind := range nn.ModelKinds() {
 				for L := 2; L <= 3; L++ {
 					for i := 0; i < len(regimes)*len(variants); i++ {
 						v := variants[i/len(regimes)]
@@ -108,7 +101,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 						}
 						plan, err := decide(ds, opts, regimes[i%len(regimes)], mode, v.memBudget)
 						if err == nil {
-							_, _, err = pricedMatchesPlan(plan, nn.SliceSeparable(kind))
+							_, _, err = pricedMatchesPlan(plan, boundLayer1(kind))
 						}
 						if err != nil {
 							return fmt.Errorf("mode %d/%s/L%d/config %d: %w", mode, kind, L, i, err)
@@ -140,7 +133,7 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	}
 	var layer2 int64
 	for w, dec := range comm.Decisions {
-		layer2 += comm.Planner.Charge(w, dec).CommRows[1]
+		layer2 += comm.Planner.Charge(w, dec).Layers[1].FetchedRows
 	}
 	if layer1Held != 6981 || layer2 != 6981 {
 		t.Fatalf("bench-rmat, 4 workers, DepComm: %d rows held at layer 1, %d rows charged at layer 2; want 6981 each",
@@ -150,8 +143,8 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		t.Fatalf("CacheBytes = %d, want %d (the held rows at 4·d⁰ B each)", got, want)
 	}
 
-	// The price does not know yet: Charge still charges every level-1 replica
-	// its in-edges at Te, work a bound layer 1 no longer does (ROADMAP 3a).
+	// A bound level-1 replica costs Tv·d¹: DepCache GCN's price has no edge
+	// term, as its plan walks no layer-1 edge in an epoch.
 	cache, err := decide(ds, opts, regimes[1], hybrid.ModeAllCache, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +152,57 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	if built, _, err = pricedMatchesPlan(cache, true); err != nil {
 		t.Fatal(err)
 	}
-	var gap, cacheCost float64
 	for w, dec := range cache.Decisions {
-		_, _, cached := built.PlanEdges(w)
-		gap += float64(cached[0]) * regimes[1].Te * 32
-		cacheCost += cache.Planner.Charge(w, dec).CacheCost
+		rows := built.Executed(w, true)[0].ReplicaRows
+		if got, want := cache.Planner.Charge(w, dec).CacheCost, float64(regimes[1].Tv*float64(rows*32)); rows == 0 || got != want {
+			t.Fatalf("worker %d: DepCache GCN priced %g for %d level-1 replicas, want Tv·d¹ each = %g", w, got, rows, want)
+		}
 	}
-	t.Logf("bench-rmat, 4 workers, DepCache GCN: level-1 Te charged for bound edges is %.3g s of %.3g s CacheCost (%.0f %%)",
-		gap, cacheCost, 100*gap/cacheCost)
+}
+
+// TestBoundLayer1Threshold: with layer 1 bound, a 2-layer GCN's DepCache and
+// DepComm hold the same dependency set, one recomputing it at Tv·d¹ a row and
+// the other fetching it at Tc·d¹ a row, so on every Fig. 2a graph and
+// cluster size their priced ratio is Tv/Tc and Algorithm 4 caches all of it
+// or none: its plan prices exactly min(pure), and a tie falls to comm.
+func TestBoundLayer1Threshold(t *testing.T) {
+	total := func(plan *engine.Plan) (cost float64) {
+		for w, dec := range plan.Decisions {
+			ch := plan.Planner.Charge(w, dec)
+			cost += ch.CacheCost + ch.CommCost
+		}
+		return cost
+	}
+	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
+		ds, err := dataset.LoadByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{4, 8} {
+			opts := engine.Options{Workers: workers, Model: nn.GCN, Layers: 2}
+			for _, tc := range []float64{1e-8, 3e-8, 9e-8} {
+				costs := costmodel.Costs{Tv: 3e-8, Te: 1e-8, Tc: tc}
+				var plans [3]*engine.Plan
+				for i, mode := range []hybrid.Mode{hybrid.ModeAllCache, hybrid.ModeAllComm, hybrid.ModeHybrid} {
+					if plans[i], err = decide(ds, opts, costs, mode, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cache, comm, hyb := total(plans[0]), total(plans[1]), total(plans[2])
+				if rel := math.Abs(cache/comm-costs.Tv/tc) / (costs.Tv / tc); rel > 1e-9 {
+					t.Fatalf("%s W=%d Tc=%g: DepCache/DepComm priced %.12g, want Tv/Tc = %.12g", name, workers, tc, cache/comm, costs.Tv/tc)
+				}
+				if hyb != min(cache, comm) {
+					t.Fatalf("%s W=%d Tc=%g: hybrid priced %.17g, min(pure) %.17g", name, workers, tc, hyb, min(cache, comm))
+				}
+				if tc == costs.Tv {
+					for w, dec := range plans[2].Decisions {
+						if len(dec.R[1]) != 0 {
+							t.Fatalf("%s W=%d: at Tv = Tc worker %d caches %d layer-2 dependencies, want the tie to fall to comm", name, workers, w, len(dec.R[1]))
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -102,10 +102,13 @@ func runPinned(t *testing.T, opts Options, costs costmodel.Costs, memBudget int6
 // buy. The logged line per row is the behaviour pin a refactor is compared
 // on: the same test at two commits must log the same lines.
 func TestSameSeedBitIdentical(t *testing.T) {
-	// Forced factors (no probe). mixed: Algorithm 4 caches some layer-2
-	// dependencies and communicates the rest, and hybrid3/hybrid4 put a TP
-	// layer above a master–mirror one. repWins: traffic is unaffordable and a
-	// 1-byte MemBudget bars full-precision caching, so hybrid4 replicates.
+	// Forced factors (no probe). mixed: Tv < Tc, so with layer 1 bound a
+	// 2-layer GCN caches all of layer 2 (the greedy is all-or-nothing there)
+	// while GAT caches some layer-2 dependencies and communicates the rest;
+	// the deep rows' layer 3 is GCN's mixed plan, and with it the chunked
+	// path over a cached block and fetched rows. repWins: traffic is
+	// unaffordable and a 1-byte MemBudget bars full-precision caching, so
+	// hybrid4 replicates.
 	mixed := costmodel.Costs{Tv: 2e-8, Te: 1e-8, Tc: 8e-8}
 	repWins := costmodel.Costs{Tv: 1e-12, Te: 1e-13, Tc: 1e6}
 	type row struct {

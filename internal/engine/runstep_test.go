@@ -15,12 +15,15 @@ import (
 // planner prices, not only its pick. On one small GCN instance under fixed
 // costs, every ModeHybrid4 candidate — comm, greedy, cache, each TP suffix
 // and the replicated suffix — trains to the single-machine reference's
-// losses and parameters within 1e-5.
+// losses and parameters within 1e-5. With layer 1 bound, a 2-layer GCN's
+// greedy caches all of layer 2 or none of it (Tv against Tc); a 10 kB cache
+// budget stops it partway through layer 2 (Algorithm 4 lines 14–15), so its
+// candidate runs a cached block beside fetched rows.
 func TestEveryCandidateMatchesReference(t *testing.T) {
 	ds := testDataset(t, 160, 5, 61)
 	const epochs, tol = 3, 1e-5
 	opts := Options{Workers: 4, Mode: Hybrid4, Model: nn.GCN, Seed: 8}
-	plan, err := PlanFor(ds, opts, fixedCosts(costmodel.Costs{Tv: 2e-8, Te: 4e-9, Tc: 6e-8}, 0))
+	plan, err := PlanFor(ds, opts, fixedCosts(costmodel.Costs{Tv: 2e-8, Te: 4e-9, Tc: 6e-8}, 10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +118,7 @@ func TestNewRejectsMismatchedPlan(t *testing.T) {
 		{"layer count", &Plan{Planner: good.Planner, Decisions: plan(ds, deep).Decisions}, opts, "has 3 layers"},
 		{"graph", plan(testDataset(t, 120, 5, 63), opts), opts, "another graph"},
 		{"workers", good, Options{Workers: 2, Mode: Hybrid, Model: nn.GCN, Seed: 3}, "4-part plan for 2 workers"},
+		{"model", good, Options{Workers: 4, Mode: Hybrid, Model: nn.GAT, Seed: 3}, "SliceTP = true for model gat"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

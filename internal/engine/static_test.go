@@ -164,8 +164,8 @@ func TestStaticCombineBindsOnce(t *testing.T) {
 							if ws.feat != nil {
 								t.Fatalf("worker %d keeps its feature block beside the bound one", ws.id)
 							}
-							if ws.plan.layers[0].work.edgeOps != 0 {
-								t.Fatalf("worker %d reports %d layer-1 edges walked per epoch", ws.id, ws.plan.layers[0].work.edgeOps)
+							if edges := e.planner.Ledger(ws.id, e.decs[ws.id]).Layers[0].Edges; edges != 0 {
+								t.Fatalf("worker %d's ledger counts %d layer-1 edges walked per epoch", ws.id, edges)
 							}
 							for _, b := range []*tensor.Tensor{f.boundOwned, f.boundCached} {
 								if b != nil && b.Len() > 0 {

@@ -1,8 +1,6 @@
 package hybrid
 
 import (
-	"slices"
-
 	"neutronstar/internal/graph"
 	"neutronstar/internal/partition"
 )
@@ -28,7 +26,7 @@ type Closure struct {
 	g      *graph.Graph
 	assign []int32
 	worker int32
-	level  map[int32]int
+	held   []uint8 // per vertex: 1 + the level it is held at, 0 if none
 	raised []Raise // Add's result buffer
 	stack  []want  // Add's work list
 }
@@ -48,7 +46,7 @@ type Raise struct {
 
 // NewClosure returns worker's empty closure over g under part.
 func NewClosure(g *graph.Graph, part *partition.Partition, worker int) *Closure {
-	return &Closure{g: g, assign: part.Assign, worker: int32(worker), level: make(map[int32]int)}
+	return &Closure{g: g, assign: part.Assign, worker: int32(worker), held: make([]uint8, g.NumVertices())}
 }
 
 // ClosureOf returns the closure of everything d caches for worker: every
@@ -81,7 +79,7 @@ func (c *Closure) Add(u int32, lvl int) []Raise {
 		if have >= e.lvl {
 			continue
 		}
-		c.level[e.v] = e.lvl
+		c.held[e.v] = uint8(e.lvl + 1)
 		c.raised = append(c.raised, Raise{V: e.v, From: have, To: e.lvl})
 		if e.lvl >= 1 {
 			for _, w := range c.g.InNeighbors(e.v) {
@@ -92,14 +90,17 @@ func (c *Closure) Add(u int32, lvl int) []Raise {
 	return c.raised
 }
 
+// Undo reverts the Add that reported raised: every replica it lifted returns
+// to the level it was lifted from.
+func (c *Closure) Undo(raised []Raise) {
+	for i := len(raised) - 1; i >= 0; i-- {
+		c.held[raised[i].V] = uint8(raised[i].From + 1)
+	}
+}
+
 // Level returns the highest level replica v is held at, or -1 when v is not
 // a replica (owned vertices included).
-func (c *Closure) Level(v int32) int {
-	if have, held := c.level[v]; held {
-		return have
-	}
-	return -1
-}
+func (c *Closure) Level(v int32) int { return int(c.held[v]) - 1 }
 
 // Holds reports whether h^(lvl)_v is available without a fetch: v is owned,
 // or a replica held at lvl or above.
@@ -110,12 +111,11 @@ func (c *Closure) Holds(v int32, lvl int) bool {
 // At returns the replicas held at level k (or above, which implies k),
 // ascending.
 func (c *Closure) At(k int) []int32 {
-	out := make([]int32, 0, len(c.level))
-	for v, have := range c.level {
-		if have >= k {
-			out = append(out, v)
+	var out []int32
+	for v, h := range c.held {
+		if int(h) > k {
+			out = append(out, int32(v))
 		}
 	}
-	slices.Sort(out)
 	return out
 }

@@ -154,10 +154,13 @@ type Planner struct {
 	RepCompression float64
 	// Ratio is the cached fraction for ModeRatio, in [0, 1].
 	Ratio float64
-	// SliceTP reports that the model's aggregation is column-wise separable
-	// (nn.SliceSeparable): tensor-parallel layers then run the cheap slice
-	// dataflow instead of full-width row assembly, which changes the DepTP
-	// collective volume the cost model charges (costmodel.TPVolume).
+	// SliceTP reports that the model's layers are nn.SumDecomposable
+	// (nn.SliceSeparable names the same kinds), and names both things that
+	// buys: tensor-parallel layers run the slice dataflow instead of
+	// full-width row assembly, which changes the collective volume
+	// (costmodel.TPVolume), and a master–mirror layer 1 is bound — combined
+	// once, at construction — so no epoch walks its edges (Ledger). The
+	// engine's execution plans read it from here.
 	SliceTP bool
 }
 
@@ -443,70 +446,29 @@ func (h *depHeap) Pop() interface{} {
 // replaced by a per-layer quota (cache the `ratio` fraction with the
 // smallest t_r), which is how Figure 11 forces intermediate mixes.
 //
-// V_rep is the worker's Closure, grown as dependencies are cached: it records
-// that h^(k)_v (and therefore v's whole subtree below level k) is already
-// locally computable, so later dependencies whose subtrees overlap are
-// charged only for the levels not yet held. Level 0 means "features cached" —
-// free compute, memory only — which is why layer-1 dependencies always
-// measure zero.
+// V_rep is the worker's Closure, grown as dependencies are cached. A move
+// caches u for layer l in it, and t_r^l(u) is the Ledger's replica-compute
+// delta over the replicas that move lifts: only levels not yet held are
+// charged, so later dependencies whose subtrees overlap cost less, and level
+// 0 (features) is storage only, which is why layer-1 dependencies always
+// cost nothing. A move not taken is undone.
 //
 // greedy fills only d.R and d.C; its running byte count exists to enforce
 // MemBudget, and the plan's price comes from Charge like every plan's.
 func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 	L := p.numLayers()
 	vrep := NewClosure(p.Graph, p.Part, worker)
-	// Feature replicas are fetched once at setup; they never cost per-epoch
-	// compute.
-	avail := func(v int32, lvl int) bool { return lvl == 0 || vrep.Holds(v, lvl) }
-
-	// measure computes t_r^l(u): the redundant compute to produce h^(l-1)_u
-	// locally, excluding already-available sub-results.
-	measure := func(u int32, l int) float64 {
-		if avail(u, l-1) {
-			return 0
-		}
-		var t float64
-		visited := map[int32]struct{}{u: {}}
-		frontier := []int32{u}
-		for lvl := l - 1; lvl >= 1 && len(frontier) > 0; lvl-- {
-			dim := float64(p.Dims[lvl])
-			var next []int32
-			for _, v := range frontier {
-				deg := float64(p.Graph.InDegree(v))
-				t += float64((p.Costs.Tv + float64(deg*p.Costs.Te)) * dim)
-				if lvl-1 >= 1 {
-					for _, w := range p.Graph.InNeighbors(v) {
-						if _, ok := visited[w]; ok {
-							continue
-						}
-						visited[w] = struct{}{}
-						if avail(w, lvl-1) {
-							continue
-						}
-						next = append(next, w)
-					}
-				}
-			}
-			frontier = next
-		}
-		return t
-	}
-
-	// The greedy budgets at full float32 width (compression 1), where the
-	// price is integer arithmetic and differences of it are exact.
-	stored := func(v int32, lvl int) int64 {
-		if lvl < 0 {
-			return 0
-		}
-		return costmodel.RepReplicaBytes(p.Dims, lvl, p.Graph.InDegree(v), 1)
-	}
+	delta := make([]Work, L)
 
 	var cacheBytes int64
 	for l := 1; l <= L; l++ {
 		tc := p.Costs.CommCost(int64(p.Dims[l-1]))
 		h := make(depHeap, 0, len(deps))
 		for _, u := range deps {
-			h = append(h, depItem{u: u, tr: measure(u, l)})
+			raised := vrep.Add(u, l-1)
+			tr, _ := p.moveCost(raised, delta)
+			vrep.Undo(raised)
+			h = append(h, depItem{u: u, tr: tr})
 		}
 		heap.Init(&h)
 		quota := len(deps)
@@ -518,17 +480,11 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 		for h.Len() > 0 && len(cached) < quota {
 			item := heap.Pop(&h).(depItem)
 			// Re-measure excluding the V_rep accumulated meanwhile (line 10).
-			tr := measure(item.u, l)
-			take := tr < tc
-			if ratio >= 0 {
-				take = true
-			}
-			if !take {
+			raised := vrep.Add(item.u, l-1)
+			tr, bytes := p.moveCost(raised, delta)
+			if ratio < 0 && tr >= tc {
+				vrep.Undo(raised)
 				continue
-			}
-			var bytes int64
-			for _, r := range vrep.Add(item.u, l-1) {
-				bytes += stored(r.V, r.To) - stored(r.V, r.From)
 			}
 			if p.MemBudget > 0 && cacheBytes+bytes > p.MemBudget {
 				// Line 14-15: memory exceeded — drop u and stop caching.
@@ -549,6 +505,25 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 			return
 		}
 	}
+}
+
+// moveCost prices the lifts one Closure.Add reported: the Ledger's
+// replica-compute delta over them, counted into the scratch delta, and the
+// bytes they add at full float32 width (compression 1), where the price is
+// integer arithmetic and differences of it are exact.
+func (p *Planner) moveCost(raised []Raise, delta []Work) (tr float64, bytes int64) {
+	stored := func(v int32, lvl int) int64 {
+		if lvl < 0 {
+			return 0
+		}
+		return costmodel.RepReplicaBytes(p.Dims, lvl, p.Graph.InDegree(v), 1)
+	}
+	clear(delta)
+	for _, r := range raised {
+		p.lift(delta, r.V, r.From, r.To)
+		bytes += stored(r.V, r.To) - stored(r.V, r.From)
+	}
+	return p.replicaCost(delta), bytes
 }
 
 func subtract(all []int32, drop map[int32]struct{}) []int32 {

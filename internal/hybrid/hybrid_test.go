@@ -233,40 +233,42 @@ func TestDecideAllRejectsNoLayers(t *testing.T) {
 	}
 }
 
+// TestVRepMakesLaterCachingCheaper: a hub feeding two dependencies is
+// charged to whichever is cached first. Worker 0 owns {0, 1, 2} and depends
+// on 4 and 5 (edges 4→1, 5→2); hub 3, a replica too, feeds both (3→4, 3→5).
+// Caching a dependency for layer 3 lifts it to level 2 and the hub to level
+// 1 (at L = 2 the hub would sit at level 0, stored and never computed, and
+// there would be no discount to see). So dep 5's ledger delta once dep 4 is
+// cached is its delta alone minus hub 3's level-1 price, and Charge agrees.
 func TestVRepMakesLaterCachingCheaper(t *testing.T) {
-	// Construct a graph where dep subtrees overlap heavily: a shared hub
-	// feeding two dependencies. After caching one, the other's re-measured
-	// cost must drop.
-	// Worker layout (chunk, 2 parts of 3): {0,1,2} and {3,4,5}.
-	// Worker 0 owns {0,1,2}; edges 4->1, 5->2 (deps 4,5); hub 3 feeds both:
-	// 3->4, 3->5.
 	g := graph.MustFromEdges(6, []graph.Edge{
 		{Src: 4, Dst: 1}, {Src: 5, Dst: 2}, {Src: 3, Dst: 4}, {Src: 3, Dst: 5},
 	})
-	assign := []int32{0, 0, 0, 1, 1, 1}
-	p := &partition.Partition{NumParts: 2, Assign: assign, Parts: [][]int32{{0, 1, 2}, {3, 4, 5}}}
+	p := &partition.Partition{NumParts: 2, Assign: []int32{0, 0, 0, 1, 1, 1}, Parts: [][]int32{{0, 1, 2}, {3, 4, 5}}}
 	if err := p.Validate(6); err != nil {
 		t.Fatal(err)
 	}
-	costs := costmodel.Costs{Tv: 1, Te: 1, Tc: 2.5}
-	pl := &Planner{Graph: g, Part: p, Dims: []int{1, 1, 1}, Costs: costs}
-	decs, err := pl.DecideAll(ModeHybrid)
-	if err != nil {
-		t.Fatal(err)
+	pl := &Planner{Graph: g, Part: p, Dims: []int{1, 1, 1, 1}, Costs: costmodel.Costs{Tv: 1, Te: 1, Tc: 2.5}}
+	// delta is the greedy's price of caching u for layer 3.
+	delta := func(c *Closure, u int32) float64 {
+		tr, _ := pl.moveCost(c.Add(u, 2), make([]Work, 3))
+		return tr
 	}
-	// t_c(layer2) = 2.5. First dep alone: subtree {4 (1v,1e), 3 (1v,0e)} =
-	// (1+1)*1 + 1*1 = 3 > 2.5 → without V_rep neither would be cached.
-	// But layer-1 caching (free) replicates features only; V_rep from
-	// layer 1 contains 4,5 (feature level)... the level-less V_rep then
-	// makes layer-2 subtrees cheaper: dep 4 at layer 2 excludes {4,5},
-	// charging root 4: wait root is charged regardless: (1v+1e)*1 for root
-	// + 3 excluded? 3 not in V_rep (not a direct dep).
-	// The decisive assertion: decisions are a valid partition and V_rep
-	// reuse means at most one of {4,5} pays for hub 3.
-	d := decs[0]
-	checkPartitionOfDeps(t, pl, 0, d)
-	if len(d.R[0]) != 2 {
-		t.Fatalf("layer-1 deps not all cached: %v", d.R[0])
+	alone := delta(NewClosure(g, p, 0), 5)
+	c := NewClosure(g, p, 0)
+	first := delta(c, 4)
+	after := delta(c, 5)
+	hub := ComputeCost(pl.Costs, 1, int64(g.InDegree(3)), pl.Dims[1])
+	if hub == 0 || first != alone || after != alone-hub {
+		t.Fatalf("dep 5 costs %g alone and %g after dep 4 (which cost %g); want %g minus hub 3's level-1 price %g",
+			alone, after, first, alone, hub)
+	}
+	charged := func(r ...int32) float64 {
+		return pl.Charge(0, &Decision{R: [][]int32{nil, nil, r}, C: make([][]int32, 3)}).CacheCost
+	}
+	if charged(5) != alone || charged(4, 5)-charged(4) != after {
+		t.Fatalf("Charge prices dep 5 at %g alone and %g after dep 4; the greedy's deltas are %g and %g",
+			charged(5), charged(4, 5)-charged(4), alone, after)
 	}
 }
 

@@ -71,8 +71,9 @@ type PolicyRun struct {
 }
 
 // oracleCosts pins the cost model so hybrid plans are identical across
-// processes (no probing) and genuinely mixed: comm is expensive enough that
-// some dependencies cache, cheap enough that some communicate.
+// processes (no probing). Tv < Tc: a 2-layer GCN, whose layer 1 is bound,
+// caches every dependency; a GAT or SAGE greedy, or a deeper GCN's top
+// layer, caches some and communicates the rest.
 var oracleCosts = costmodel.Costs{Tv: 2e-8, Te: 4e-9, Tc: 6e-8}
 
 // RunEquivalence trains ds under every dependency-management policy — the

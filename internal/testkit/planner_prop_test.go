@@ -22,8 +22,9 @@ func planCost(p *hybrid.Planner, decs []*hybrid.Decision) float64 {
 }
 
 // plannerCostRegimes spans the decision space: comm-dominant (everything
-// should cache), balanced (genuinely mixed plans), and compute-dominant
-// (everything should communicate or go tensor-parallel).
+// should cache), balanced (mixed plans wherever the model's layer 1 is not
+// bound or L > 2), and compute-dominant (everything should communicate or go
+// tensor-parallel).
 var plannerCostRegimes = []costmodel.Costs{
 	{Tv: 1e-9, Te: 1e-10, Tc: 1e-6},
 	oracleCosts,
