@@ -13,7 +13,7 @@ import (
 
 // Wire format for TCP transport, little-endian throughout:
 //
-//	magic     u32  (0x4E545303 "NTS\x03")
+//	magic     u32  (0x4E545304 "NTS\x04")
 //	kind      u8
 //	from, to  u32
 //	epoch     i64
@@ -21,27 +21,29 @@ import (
 //	seq       i32
 //	numVerts  u32
 //	rows,cols u32, u32
+//	numPacked u32
 //	--- trace context block ---
 //	spanID    u64
 //	sentNanos i64
 //	--- payload ---
 //	verts     numVerts × i32
 //	data      rows*cols × f32
+//	packed    numPacked × u32  (Message.Packed)
 //
 // The format is self-delimiting (lengths precede payloads), so a stream of
 // messages needs no extra framing.
 //
-// Versioning: this is format v3, the only one spoken — both ends of every
+// Versioning: this is format v4, the only one spoken — both ends of every
 // TCPFabric are one process, and nothing captures streams. Any other magic,
-// v1's "NTS\x01" and v2's "NTS\x02" included, is rejected as a bad magic,
+// the retired v1–v3 ("NTS\x01"–"NTS\x03") included, is rejected as a bad magic,
 // and a header whose trace block is truncated is rejected
 // (io.ErrUnexpectedEOF), never padded.
 
 const (
-	wireMagic = 0x4E545303
+	wireMagic = 0x4E545304
 	// headerLen is the byte length of the fixed header before the trace
 	// block; traceBlockLen that of the trace-context block.
-	headerLen     = 41
+	headerLen     = 45
 	traceBlockLen = 16
 )
 
@@ -57,7 +59,7 @@ func appendFrame(dst []byte, msg *Message) []byte {
 	if msg.Rows != nil {
 		rows, cols = msg.Rows.Rows(), msg.Rows.Cols()
 	}
-	dst = slices.Grow(dst, headerLen+traceBlockLen+4*len(msg.Vertices)+4*rows*cols)
+	dst = slices.Grow(dst, headerLen+traceBlockLen+4*len(msg.Vertices)+4*rows*cols+4*len(msg.Packed))
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, wireMagic)
 	dst = append(dst, byte(msg.Kind))
@@ -69,6 +71,7 @@ func appendFrame(dst []byte, msg *Message) []byte {
 	dst = le.AppendUint32(dst, uint32(len(msg.Vertices)))
 	dst = le.AppendUint32(dst, uint32(rows))
 	dst = le.AppendUint32(dst, uint32(cols))
+	dst = le.AppendUint32(dst, uint32(len(msg.Packed)))
 	dst = le.AppendUint64(dst, msg.Trace.SpanID)
 	dst = le.AppendUint64(dst, uint64(msg.Trace.SentUnixNano))
 	for _, v := range msg.Vertices {
@@ -78,6 +81,9 @@ func appendFrame(dst []byte, msg *Message) []byte {
 		for _, f := range msg.Rows.Data() {
 			dst = le.AppendUint32(dst, math.Float32bits(f))
 		}
+	}
+	for _, w := range msg.Packed {
+		dst = le.AppendUint32(dst, w)
 	}
 	return dst
 }
@@ -102,6 +108,7 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 	nv := binary.LittleEndian.Uint32(hdr[29:])
 	rows := binary.LittleEndian.Uint32(hdr[33:])
 	cols := binary.LittleEndian.Uint32(hdr[37:])
+	np := binary.LittleEndian.Uint32(hdr[41:])
 	var tb [traceBlockLen]byte
 	if _, err := io.ReadFull(r, tb[:]); err != nil {
 		if err == io.EOF {
@@ -113,12 +120,12 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 		SpanID:       binary.LittleEndian.Uint64(tb[0:]),
 		SentUnixNano: int64(binary.LittleEndian.Uint64(tb[8:])),
 	}
-	if nv > maxWireDim || rows > maxWireDim || cols > maxWireDim ||
+	if nv > maxWireDim || rows > maxWireDim || cols > maxWireDim || np > maxWireDim ||
 		(rows > 0 && cols > maxWireDim/rows) {
-		return nil, fmt.Errorf("comm: wire dimensions out of range (%d verts, %dx%d)", nv, rows, cols)
+		return nil, fmt.Errorf("comm: wire dimensions out of range (%d verts, %dx%d, %d packed)", nv, rows, cols, np)
 	}
 	if nv > 0 {
-		verts, err := readI32Chunked(r, int(nv))
+		verts, err := readIntChunked[int32](r, int(nv))
 		if err != nil {
 			return nil, err
 		}
@@ -133,6 +140,13 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 	} else if rows > 0 || cols > 0 {
 		msg.Rows = tensor.New(int(rows), int(cols))
 	}
+	if np > 0 {
+		packed, err := readIntChunked[uint32](r, int(np))
+		if err != nil {
+			return nil, err
+		}
+		msg.Packed = packed
+	}
 	return msg, nil
 }
 
@@ -141,16 +155,17 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 // costs at most one chunk of allocation beyond the bytes actually present in
 // the stream — a header claiming 2^28 elements fails at the first
 // short read instead of committing a gigabyte up front. Decoding in place
-// also avoids the intermediate []uint32 a generic reader would force.
+// also avoids the intermediate []uint32 a float reader built on the integer
+// one would force.
 
 const wireChunk = 1 << 14
 
-func readI32Chunked(r *bufio.Reader, n int) ([]int32, error) {
+func readIntChunked[T int32 | uint32](r *bufio.Reader, n int) ([]T, error) {
 	first := n
 	if first > wireChunk {
 		first = wireChunk
 	}
-	out := make([]int32, 0, first)
+	out := make([]T, 0, first)
 	var buf [4 * wireChunk]byte
 	for n > 0 {
 		c := n
@@ -162,7 +177,7 @@ func readI32Chunked(r *bufio.Reader, n int) ([]int32, error) {
 			return nil, err
 		}
 		for i := 0; i < c; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(b[4*i:])))
+			out = append(out, T(binary.LittleEndian.Uint32(b[4*i:])))
 		}
 		n -= c
 	}

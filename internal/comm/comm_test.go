@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -510,6 +512,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			Vertices: []int32{5, 9, 100}, Rows: tensor.FromRows([][]float32{{1.5, -2}, {0, 3e9}, {-0.25, 1e-9}})},
 		{From: 0, To: 1, Kind: KindGrad, Epoch: -1, Layer: 0, Seq: 0},
 		{From: 3, To: 0, Kind: KindAllReduce, Epoch: 1 << 40, Vertices: nil, Rows: tensor.New(0, 5)},
+		{From: 2, To: 1, Kind: KindGrad, Epoch: 3, Layer: 2, Vertices: []int32{5},
+			Packed: []uint32{0x80000000, 0x7FC00001, 1}},
 	}
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -545,6 +549,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if want.Rows != nil && !got.Rows.Equal(want.Rows) {
 			t.Fatalf("msg %d rows differ", i)
 		}
+		if !slices.Equal(got.Packed, want.Packed) {
+			t.Fatalf("msg %d packed words: %v vs %v", i, got.Packed, want.Packed)
+		}
 	}
 }
 
@@ -564,10 +571,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Fatal("expected truncation error")
 	}
-	// A v1 or v2 header (the retired "NTS\x01" and "NTS\x02" magics over an
+	// A v1, v2 or v3 header (the retired "NTS\x01"–"NTS\x03" magics over an
 	// otherwise well-formed message) is a bad magic like any other, not a
 	// second dialect.
-	for _, magic := range []uint32{0x4E545301, 0x4E545302} {
+	for _, magic := range []uint32{0x4E545301, 0x4E545302, 0x4E545303} {
 		old := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint32(old, magic)
 		if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(old))); err == nil || !strings.Contains(err.Error(), "bad wire magic") {
@@ -665,6 +672,33 @@ func TestTCPFabricSelfSend(t *testing.T) {
 	f.Send(&Message{From: 1, To: 1, Kind: KindRep, Rows: tensor.New(1, 1)})
 	if f.Mailbox(1).Wait(KindRep, 0, 0, 0, 1) == nil {
 		t.Fatal("self send lost")
+	}
+}
+
+// TestTCPFabricCarriesPackedRows: rows packed by PackRows cross real
+// sockets and unpack to the sent bits, and the message is charged for the
+// packed words only.
+func TestTCPFabricCarriesPackedRows(t *testing.T) {
+	f, err := NewTCPFabric(2, ProfileLocal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows := tensor.FromSlice(2, 4, []float32{0, 1.5, 0, 0, float32(math.Inf(-1)), 0, 0, 2})
+	sent := &Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 2,
+		Vertices: []int32{3, 4}, Packed: PackRows(rows, nil)}
+	f.Send(sent)
+	msg := f.Mailbox(1).Wait(KindRep, 1, 2, 0, 0)
+	got, err := UnpackRows(msg.Packed, 2, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Bits(), rows.Bits()) {
+		t.Fatalf("received %v, sent %v", got.Data(), rows.Data())
+	}
+	dense := &Message{Vertices: sent.Vertices, Rows: rows}
+	if msg.WireBytes() != dense.WireBytes()-4*(8-2-3) {
+		t.Fatalf("packed message is %d bytes, the dense one %d", msg.WireBytes(), dense.WireBytes())
 	}
 }
 

@@ -87,6 +87,10 @@ type Message struct {
 	Seq      int
 	Vertices []int32
 	Rows     *tensor.Tensor
+	// Packed carries rows in the ReLU-packed format of pack.go instead of
+	// Rows: a master–mirror representation (PackRows) or its gradient post
+	// (PackGrad). The receiver's plan knows the block's shape.
+	Packed []uint32
 	// Trace is the causal trace context (zero when tracing is off).
 	Trace TraceContext
 }
@@ -98,7 +102,7 @@ func (m *Message) WireBytes() int {
 	if m.Rows != nil {
 		b += m.Rows.Bytes()
 	}
-	return b
+	return b + 4*len(m.Packed)
 }
 
 // NetworkProfile models a cluster fabric. BytesPerSec (β) bounds each node's

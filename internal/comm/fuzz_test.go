@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"neutronstar/internal/tensor"
@@ -47,6 +48,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			Vertices: []int32{-1, 0, 1 << 30}},
 		{From: 3, To: 1, Kind: KindBlock, Epoch: 1, Layer: 1, Seq: 0,
 			Rows: tensor.New(2, 0)},
+		{From: 1, To: 3, Kind: KindRep, Epoch: 2, Layer: 2, Seq: 0,
+			Vertices: []int32{4, 8},
+			Packed:   PackRows(tensor.FromSlice(2, 3, []float32{0, 1.5, 0, 0, 0, -2}), nil)},
 	}
 	for _, m := range seeds {
 		f.Add(encodeToBytes(f, m))
@@ -60,9 +64,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	huge[29], huge[30], huge[31] = 0xff, 0xff, 0xff // numVerts ~ 2^24, absent
 	f.Add(huge)
 	f.Add(encodeToBytes(f, seeds[2])[:headerLen+traceBlockLen/2])
-	// The retired v1 and v2 magics over an otherwise well-formed message: a
-	// bad magic, not a second dialect.
-	for _, v := range []byte{0x01, 0x02} {
+	// The retired v1–v3 magics over an otherwise well-formed message: a bad
+	// magic, not a second dialect.
+	for _, v := range []byte{0x01, 0x02, 0x03} {
 		retired := encodeToBytes(f, seeds[3])
 		retired[0] = v
 		f.Add(retired)
@@ -91,6 +95,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if again.Vertices[i] != msg.Vertices[i] {
 				t.Fatalf("vertex %d drift: %d vs %d", i, again.Vertices[i], msg.Vertices[i])
 			}
+		}
+		if !slices.Equal(again.Packed, msg.Packed) {
+			t.Fatalf("packed drift: %v vs %v", again.Packed, msg.Packed)
 		}
 		if (again.Rows == nil) != (msg.Rows == nil) {
 			t.Fatalf("tensor presence drift: %v vs %v", again.Rows, msg.Rows)

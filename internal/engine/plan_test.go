@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/partition"
@@ -116,29 +118,36 @@ func TestChunkGroupsDepCacheLocalOnly(t *testing.T) {
 	}
 }
 
-// gradSpy keeps every mirror-gradient message a worker posts.
-type gradSpy struct {
+// mirrorSpy keeps every mirror-gradient message a worker posts and every
+// representation message it sends.
+type mirrorSpy struct {
 	comm.Network
 	mu    sync.Mutex
 	grads []*comm.Message
+	reps  []*comm.Message
 }
 
-func (s *gradSpy) Send(msg *comm.Message) {
-	if msg.Kind == comm.KindGrad {
-		s.mu.Lock()
+func (s *mirrorSpy) Send(msg *comm.Message) {
+	s.mu.Lock()
+	switch msg.Kind {
+	case comm.KindGrad:
 		s.grads = append(s.grads, msg)
-		s.mu.Unlock()
+	case comm.KindRep:
+		s.reps = append(s.reps, msg)
 	}
+	s.mu.Unlock()
 	s.Network.Send(msg)
 }
 
 // TestPlanOwnsRowPositions holds the master–mirror contract on a 3-layer
 // Hybrid plan with a forced 50 % split, over the three forward configurations:
 // sendRow[j][k] is the position of send[j][k] in the sender's owned block, and
-// every posted mirror gradient is the very tensor the tape's backward left in
-// an h_chunk leaf's Grad — no copy, no hand assembly — or, for a chunk no
-// owned edge read, zeros of the leaf's shape. The pool is off, so a tensor's
-// identity is its own.
+// every posted mirror gradient is what the tape's backward left in one
+// h_chunk leaf's Grad — or, for a chunk no owned edge read, zeros of the
+// leaf's shape. Under Broadcast the post is that very tensor, dense: the pool
+// is off, so a tensor's identity is its own. Otherwise it is packed: decoded
+// against the leaf's rows, which are the decoded forward message, it equals
+// the leaf's Grad at every non-zero position of those rows.
 func TestPlanOwnsRowPositions(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
@@ -179,46 +188,124 @@ func TestPlanOwnsRowPositions(t *testing.T) {
 					t.Fatal("the plan sends nothing")
 				}
 
-				spy := &gradSpy{Network: e.fabric}
+				spy := &mirrorSpy{Network: e.fabric}
 				e.fabric = spy
 				var log tapeLog
 				log.attach(e)
 				e.Train(1)
 
-				left := map[*tensor.Tensor]bool{} // Grads the backward left in h_chunk leaves
-				unread := 0                       // h_chunk leaves it left none in
+				var leaves []*autograd.Variable
 				for _, tp := range log.tapes {
 					for _, v := range tp.Nodes() {
-						if v.Name() != "h_chunk" {
-							continue
-						}
-						if v.Grad == nil {
-							unread++
-						} else {
-							left[v.Grad] = true
+						if v.Name() == "h_chunk" {
+							leaves = append(leaves, v)
 						}
 					}
 				}
-				if len(spy.grads) == 0 || len(spy.grads) != len(left)+unread {
-					t.Fatalf("%d gradient messages for %d h_chunk leaves", len(spy.grads), len(left)+unread)
+				if len(spy.grads) == 0 || len(spy.grads) != len(leaves) {
+					t.Fatalf("%d gradient messages for %d h_chunk leaves", len(spy.grads), len(leaves))
 				}
+				used := map[*autograd.Variable]bool{}
 				for _, msg := range spy.grads {
-					if left[msg.Rows] {
-						delete(left, msg.Rows)
-						continue
+					leaf := postedLeaf(t, e, spy, leaves, used, msg)
+					if leaf == nil {
+						t.Fatalf("worker %d posted layer %d peer %d a gradient no h_chunk leaf holds",
+							msg.From, msg.Layer, msg.To)
 					}
-					unread--
-					for _, x := range msg.Rows.Data() {
-						if x != 0 {
-							t.Fatalf("worker %d posted layer %d peer %d a gradient no h_chunk leaf holds",
-								msg.From, msg.Layer, msg.To)
-						}
-					}
-				}
-				if len(left) != 0 || unread != 0 {
-					t.Fatalf("%d leaf gradients never posted, %d zero blocks unaccounted for", len(left), unread)
+					used[leaf] = true
 				}
 			})
 		}
+	}
+}
+
+// postedLeaf returns the unused h_chunk leaf whose gradient msg posts, nil
+// when there is none. A dense post is the leaf's Grad itself, or zeros for a
+// leaf that took none; a packed one is matched to the leaf holding its
+// forward message's rows and must decode against them to the leaf's Grad.
+func postedLeaf(t *testing.T, e *Engine, spy *mirrorSpy, leaves []*autograd.Variable,
+	used map[*autograd.Variable]bool, msg *comm.Message) *autograd.Variable {
+
+	t.Helper()
+	if msg.Rows != nil {
+		zeros := !slices.ContainsFunc(msg.Rows.Data(), func(x float32) bool { return x != 0 })
+		for _, v := range leaves {
+			if !used[v] && (v.Grad == msg.Rows || v.Grad == nil && zeros && v.Value.Rows() == len(msg.Vertices)) {
+				return v
+			}
+		}
+		return nil
+	}
+	i := slices.IndexFunc(spy.reps, func(r *comm.Message) bool {
+		return r.From == msg.To && r.To == msg.From && r.Layer == msg.Layer
+	})
+	if i < 0 {
+		t.Fatalf("worker %d posted layer %d peer %d a gradient for rows never sent", msg.From, msg.Layer, msg.To)
+	}
+	fwd, err := comm.UnpackRows(spy.reps[i].Packed, len(msg.Vertices), e.dims[msg.Layer-1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range leaves {
+		if used[v] || !v.Value.Equal(fwd) {
+			continue
+		}
+		got, rest := tensor.New(fwd.Rows(), fwd.Cols()), msg.Packed
+		for r := range fwd.Rows() {
+			if rest, err = comm.AddPackedGrad(got.Row(r), fwd.Row(r), rest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d gradient words past the rows sent", len(rest))
+		}
+		want := v.Grad
+		if want == nil {
+			want = tensor.New(fwd.Rows(), fwd.Cols())
+		}
+		for k, f := range fwd.Data() {
+			if f != 0 && got.Data()[k] != want.Data()[k] {
+				t.Fatalf("worker %d layer %d peer %d: element %d posted %v, the leaf's Grad holds %v",
+					msg.From, msg.Layer, msg.To, k, got.Data()[k], want.Data()[k])
+			}
+		}
+		return v
+	}
+	return nil
+}
+
+// TestNewRejectsUnrectifiedSender: mirror rows above layer 1 travel packed
+// and their gradient post leaves out the rows' +0 entries, exact only behind
+// a ReLU. A GCN whose hidden layer has no activation is rejected under a plan
+// that sends those rows, and accepted where nothing is packed: under
+// Broadcast's dense blocks, or a DepCache plan that sends nothing.
+func TestNewRejectsUnrectifiedSender(t *testing.T) {
+	ds := testDataset(t, 150, 5, 48)
+	plans := map[Mode][]*workerPlan{}
+	var dims []int
+	for _, mode := range []Mode{DepComm, DepCache} {
+		e, err := NewEngine(ds, Options{Workers: 3, Mode: mode, Model: nn.GCN, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if err := checkRectified(e.Model(), e.plans, false); err != nil {
+			t.Fatalf("%s: the model NewModel builds is rejected: %v", mode, err)
+		}
+		plans[mode], dims = e.plans, e.dims
+	}
+	rng := tensor.NewRNG(1)
+	linear := &nn.Model{Layers: []nn.Layer{
+		nn.NewGCNLayer(dims[0], dims[1], false, 0, rng),
+		nn.NewGCNLayer(dims[1], dims[2], false, 0, rng),
+	}}
+	if err := checkRectified(linear, plans[DepComm], false); err == nil {
+		t.Fatal("a DepComm plan sends an unrectified layer's rows packed")
+	}
+	if err := checkRectified(linear, plans[DepComm], true); err != nil {
+		t.Fatalf("Broadcast: %v", err)
+	}
+	if err := checkRectified(linear, plans[DepCache], false); err != nil {
+		t.Fatalf("DepCache: %v", err)
 	}
 }

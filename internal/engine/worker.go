@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -475,11 +476,12 @@ func (f *masterMirror) chunk(ws *workerState, run *layerRun, epoch, l, j int) *a
 
 // recvChunk is the one way a remote row enters a master–mirror layer
 // (GetFromDepNbr): it waits for peer j's representation message of layer l,
-// puts msg.Rows on the tape as a leaf, notes the leaf in run.recv for the
-// post-back, and returns the rows this worker asked for — the leaf itself,
-// or under Broadcast, where the message is the master's whole owned block, a
-// Gather of them, whose backward leaves in the leaf's Grad the zero-padded
-// block ROC posts. Nil when the layer receives nothing from peer j.
+// unpacks its rows onto the tape as a leaf, notes the leaf in run.recv for
+// the post-back, and returns the rows this worker asked for — the leaf
+// itself, or under Broadcast, where the message is the master's whole owned
+// block, dense, a Gather of them, whose backward leaves in the leaf's Grad
+// the zero-padded block ROC posts. Nil when the layer receives nothing from
+// peer j.
 func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Variable {
 	verts := ws.plan.layers[l-1].recv[j]
 	if len(verts) == 0 {
@@ -493,7 +495,14 @@ func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Varia
 	}
 	msg := ws.mb.Wait(kind, epoch, l, 0, j)
 	ws.clock.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-	leaf := run.tape.Leaf(msg.Rows, true, "h_chunk")
+	rows := msg.Rows
+	if !ws.eng.opts.Broadcast {
+		var err error
+		if rows, err = comm.UnpackRows(msg.Packed, len(verts), ws.eng.dims[l-1], ws.arena); err != nil {
+			panic(fmt.Sprintf("engine: layer %d rows from worker %d: %v", l, j, err))
+		}
+	}
+	leaf := run.tape.Leaf(rows, true, "h_chunk")
 	run.recv = append(run.recv, recvLeaf{peer: j, v: leaf})
 	if ws.eng.opts.Broadcast {
 		return run.tape.Gather(leaf, ws.eng.plans[j].layers[l-1].sendRow[ws.id])
@@ -569,11 +578,12 @@ func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPla
 	return layer.Forward(ctx)
 }
 
-// sendReps packs and sends this worker's master rows needed by each peer at
-// layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
+// sendReps enqueues and sends this worker's master rows needed by each peer
+// at layer l, one send_dep_nbr phase per peer on sc — the worker's clock when
 // the send runs inline, a lane of it when it runs in the background. The
-// plan's sendRow says which of prevVal's rows go. Payload buffers come from
-// the arena: the receiver is done with them by the epoch barrier.
+// plan's sendRow says which of prevVal's rows go; they travel ReLU-packed.
+// Payload buffers come from the arena: the receiver is done with them by the
+// epoch barrier.
 func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, sc *obs.StageClock) {
 	lp := &ws.plan.layers[l-1]
 	for _, j := range ws.peerOrder() {
@@ -607,7 +617,7 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, sc *obs.St
 		rows, ids := buf.Finish()
 		msg := &comm.Message{
 			From: ws.id, To: j, Kind: comm.KindRep,
-			Epoch: epoch, Layer: l, Vertices: ids, Rows: rows,
+			Epoch: epoch, Layer: l, Vertices: ids, Packed: comm.PackRows(rows, ws.arena),
 		}
 		sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		ws.eng.fabric.Send(msg)
@@ -629,15 +639,16 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 	if seed == nil {
 		seed = ws.arena.Get(run.out.Value.Rows(), run.out.Value.Cols())
 	}
-	ws.receiveMirrorGrads(epoch, l+1, seed)
+	ws.receiveMirrorGrads(epoch, l+1, seed, run.out.Value)
 	ws.clock.Phase(obs.StageBackward, l, "tape_backward", obs.Int("layer", l))
 	run.tape.Backward(run.out, seed)
 }
 
 // backward runs layer l's tape backward, then posts what it left in each
 // received leaf's Grad to the leaf's peer, in arrival order (PostToDepNbr):
-// the chunk's gradient, or under Broadcast the full-width block aligned with
-// the master's owned list that Gather's backward zero-padded.
+// the chunk's gradient at the received rows' non-zero positions, or under
+// Broadcast the dense full-width block aligned with the master's owned list
+// that Gather's backward zero-padded.
 func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
@@ -655,18 +666,26 @@ func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 		if grad == nil {
 			grad = ws.arena.Get(leaf.v.Value.Rows(), leaf.v.Value.Cols())
 		}
-		ws.eng.fabric.Send(&comm.Message{
+		msg := &comm.Message{
 			From: ws.id, To: leaf.peer, Kind: comm.KindGrad,
-			Epoch: epoch, Layer: l, Vertices: verts, Rows: grad,
-		})
+			Epoch: epoch, Layer: l, Vertices: verts,
+		}
+		if ws.eng.opts.Broadcast {
+			msg.Rows = grad
+		} else {
+			msg.Packed = comm.PackGrad(grad, leaf.v.Value, ws.arena)
+		}
+		ws.eng.fabric.Send(msg)
 	}
 }
 
 // receiveMirrorGrads waits for the gradient chunks of the masters this
-// worker sent at layer l and accumulates them into seed's owned rows.
+// worker sent at layer l and accumulates them into seed's owned rows. sent
+// is the layer-l input the rows went out of: each packed entry lands at its
+// place among the non-zero entries of its row there.
 // Waiting on mirror gradients is scatter-side time of the layer that sent the
 // mirrors; the caller's next phase returns the clock to backward compute.
-func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
+func (ws *workerState) receiveMirrorGrads(epoch, l int, seed, sent *tensor.Tensor) {
 	lp := &ws.plan.layers[l-1]
 	for _, j := range ws.peerOrder() {
 		if len(lp.send[j]) == 0 {
@@ -682,8 +701,15 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor) {
 			addWindow(at(seed, 0, 0), at(msg.Rows, 0, 0), len(msg.Vertices), msg.Rows.Cols())
 			continue
 		}
-		for r, row := range lp.sendRow[j] {
-			tensor.AddTo(seed.Row(int(row)), msg.Rows.Row(r))
+		rest := msg.Packed
+		var err error
+		for _, row := range lp.sendRow[j] {
+			if rest, err = comm.AddPackedGrad(seed.Row(int(row)), sent.Row(int(row)), rest); err != nil {
+				break
+			}
+		}
+		if err != nil || len(rest) != 0 {
+			panic(fmt.Sprintf("engine: layer %d gradients from worker %d do not fit the rows sent", l, j))
 		}
 	}
 }

@@ -36,6 +36,9 @@ func (l *GCNLayer) InDim() int { return l.in }
 // OutDim returns the output dimension.
 func (l *GCNLayer) OutDim() int { return l.out }
 
+// Rectified reports whether the layer ends in its ReLU.
+func (l *GCNLayer) Rectified() bool { return l.act }
+
 // Params returns the layer's weight and bias.
 func (l *GCNLayer) Params() []*Param { return []*Param{l.w, l.b} }
 
@@ -74,6 +77,9 @@ func (l *GINLayer) InDim() int { return l.in }
 
 // OutDim returns the output dimension.
 func (l *GINLayer) OutDim() int { return l.out }
+
+// Rectified reports whether the layer ends in its ReLU.
+func (l *GINLayer) Rectified() bool { return l.act }
 
 // Params returns the MLP parameters.
 func (l *GINLayer) Params() []*Param { return []*Param{l.w1, l.b1, l.w2, l.b2} }
@@ -118,6 +124,9 @@ func (l *GATLayer) InDim() int { return l.in }
 
 // OutDim returns the output dimension.
 func (l *GATLayer) OutDim() int { return l.out }
+
+// Rectified reports whether the layer ends in its ReLU.
+func (l *GATLayer) Rectified() bool { return l.act }
 
 // Params returns the attention parameters.
 func (l *GATLayer) Params() []*Param { return []*Param{l.w, l.aSrc, l.aDst, l.b} }
@@ -182,6 +191,9 @@ func (l *SAGELayer) InDim() int { return l.in }
 
 // OutDim returns the output dimension.
 func (l *SAGELayer) OutDim() int { return l.out }
+
+// Rectified reports whether the layer ends in its ReLU.
+func (l *SAGELayer) Rectified() bool { return l.act }
 
 // Params returns the layer parameters.
 func (l *SAGELayer) Params() []*Param { return []*Param{l.wSelf, l.wNbr, l.wPool, l.b} }

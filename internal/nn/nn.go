@@ -125,6 +125,10 @@ type Layer interface {
 	Params() []*Param
 	// Forward computes the block's new representations (NumDst x OutDim).
 	Forward(ctx *ForwardCtx) *autograd.Variable
+	// Rectified reports whether Forward's last operation is a ReLU: every
+	// output entry it zeroes is +0, and its backward writes 0 there whatever
+	// gradient arrives — what lets a mirror post nothing for those entries.
+	Rectified() bool
 }
 
 // PreTransformer is implemented by layers that apply a vertex-level

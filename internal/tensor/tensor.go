@@ -84,6 +84,10 @@ func (t *Tensor) Len() int { return len(t.data) }
 // tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
+// Bits exposes the backing slice as the elements' IEEE-754 bit patterns:
+// the same storage as Data, so a write through either is seen by the other.
+func (t *Tensor) Bits() []uint32 { return bitsOf(t.data) }
+
 // At returns the element at (i, j).
 func (t *Tensor) At(i, j int) float32 { return t.data[i*t.cols+j] }
 

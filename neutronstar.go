@@ -679,9 +679,10 @@ func (s *Session) CostSummary() []string {
 		cr.Fitted.Tv, cr.Fitted.Te, cr.Fitted.Tc, cr.FitMethod)}
 	for _, lr := range cr.Layers {
 		lines = append(lines, fmt.Sprintf(
-			"layer %d: compute meas/pred %.3g/%.3gs (res %+.0f%%), comm meas/pred %.3g/%.3gs (res %+.0f%%)",
+			"layer %d: compute meas/pred %.3g/%.3gs (res %+.0f%%), comm meas/pred %.3g/%.3gs (res %+.0f%%), comm bytes meas/dense %d/%d",
 			lr.Layer, lr.MeasComputeSeconds, lr.PredComputeSeconds, 100*lr.ComputeResidual,
-			lr.MeasCommSeconds, lr.PredCommSeconds, 100*lr.CommResidual))
+			lr.MeasCommSeconds, lr.PredCommSeconds, 100*lr.CommResidual,
+			lr.MeasCommBytes, lr.DenseCommBytes))
 	}
 	flip := fmt.Sprintf(
 		"counterfactual (fitted costs): %d/%d decisions flip (%d cache->comm, %d comm->cache)",
