@@ -24,14 +24,13 @@
 //	nstrain -dataset reddit -epochs 100 -debug-addr :8080 &
 //	curl localhost:8080/metrics
 //
-// With -critpath every message carries a causal trace context and each epoch
-// closes with a critical-path extraction; the run ends with a "why was this
-// epoch slow" report, each /epochs record carries its epoch's path, and the
-// Chrome trace (-trace) gains cross-worker message arrows. With -watch-rules
-// an anomaly watchdog evaluates threshold rules over the epoch stream and
-// serves its verdict on /healthwatch:
+// Every epoch closes with a critical-path extraction: the run ends with a
+// "why was this epoch slow" report, each /epochs record carries its epoch's
+// path, and the Chrome trace (-trace) draws cross-worker message arrows. With
+// -watch-rules an anomaly watchdog evaluates threshold rules over the epoch
+// stream and serves its verdict on /healthwatch:
 //
-//	nstrain -dataset reddit -epochs 30 -critpath -watch-rules 'regress=1.5,straggler=3.0'
+//	nstrain -dataset reddit -epochs 30 -watch-rules 'regress=1.5,straggler=3.0'
 package main
 
 import (
@@ -96,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		saveModel = fs.String("save-model", "", "write the trained model parameters to this file for nsserve (gob)")
 		faultSpec = fs.String("fault-spec", "", "network fault injection, e.g. 'drop=0.05,jitter=1ms,seed=7'")
 		trace     = fs.String("trace", "", "write a Chrome trace of worker activity to this file")
-		critPath  = fs.Bool("critpath", false, "record causal traces and report each epoch's critical path and stragglers")
 		watchSpec = fs.String("watch-rules", "", "anomaly watchdog rules, e.g. 'stall=30s,regress=1.5,straggler=3.0' or 'default'")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /status, /epochs, /healthwatch, /timeline, /healthz and pprof on this address (e.g. :8080)")
 		logJSON   = fs.Bool("log-json", false, "emit log lines as JSON instead of key=value text")
@@ -164,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CkptDir:        *ckptDir,
 		CkptEvery:      *ckptEvery,
 		FaultSpec:      *faultSpec,
-		CritPath:       *critPath,
 		WatchRules:     *watchSpec,
 		// Only the Chrome trace needs the span log: /status reads the flight
 		// recorder, and a tracer keeps every span of the run in memory.
@@ -250,7 +247,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Info("trace written", "path", *trace)
 	}
 	// End-of-run flight report: where the epochs went (per stage), how large
-	// the messages were, and how well the planner's cost model predicted it.
+	// the messages were, how well the planner's cost model predicted it, and
+	// why the slowest epoch was slow.
 	for _, sb := range s.StageReport() {
 		log.Info("stage", "name", sb.Stage, "sec_per_epoch", sb.Seconds,
 			"bytes_per_epoch", sb.Bytes, "msgs_per_epoch", sb.Msgs)
@@ -265,10 +263,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, line := range s.CostSummary() {
 		log.Info("cost model", "summary", line)
 	}
-	if *critPath {
-		for _, line := range s.SlowEpochReport() {
-			log.Info("slow epoch", "summary", line)
-		}
+	for _, line := range s.SlowEpochReport() {
+		log.Info("slow epoch", "summary", line)
 	}
 	log.Info("accuracy", "train", s.Accuracy(neutronstar.SplitTrain),
 		"val", s.Accuracy(neutronstar.SplitVal),

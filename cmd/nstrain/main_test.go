@@ -14,6 +14,9 @@ func TestRunFlagValidation(t *testing.T) {
 		msg  string // substring of stderr
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined: -bogus"},
+		// Every record carries its critical path: the retired switch must
+		// be rejected, not silently ignored.
+		{"removed -critpath", []string{"-critpath"}, "flag provided but not defined: -critpath"},
 		{"empty dataset", []string{"-dataset", " "}, "-dataset must not be empty (available: "},
 		{"zero workers", []string{"-workers", "0"}, "-workers must be positive, got 0"},
 		{"zero epochs", []string{"-epochs", "0"}, "-epochs must be positive, got 0"},
@@ -78,7 +81,7 @@ func TestRunTrainsAndSaves(t *testing.T) {
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s\nstdout: %s", code, stderr.String(), stdout.String())
 	}
-	for _, want := range []string{"msg=accuracy", "msg=\"model saved\""} {
+	for _, want := range []string{"msg=accuracy", "msg=\"model saved\"", "summary=\"critical path: "} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("stdout has no %s line:\n%s", want, stdout.String())
 		}

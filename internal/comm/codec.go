@@ -13,7 +13,7 @@ import (
 
 // Wire format for TCP transport, little-endian throughout:
 //
-//	magic     u32  (0x4E545304 "NTS\x04")
+//	magic     u32  (0x4E545305 "NTS\x05")
 //	kind      u8
 //	from, to  u32
 //	epoch     i64
@@ -23,7 +23,6 @@ import (
 //	rows,cols u32, u32
 //	numPacked u32
 //	--- trace context block ---
-//	spanID    u64
 //	sentNanos i64
 //	--- payload ---
 //	verts     numVerts × i32
@@ -33,18 +32,18 @@ import (
 // The format is self-delimiting (lengths precede payloads), so a stream of
 // messages needs no extra framing.
 //
-// Versioning: this is format v4, the only one spoken — both ends of every
+// Versioning: this is format v5, the only one spoken — both ends of every
 // TCPFabric are one process, and nothing captures streams. Any other magic,
-// the retired v1–v3 ("NTS\x01"–"NTS\x03") included, is rejected as a bad magic,
+// the retired v1–v4 ("NTS\x01"–"NTS\x04") included, is rejected as a bad magic,
 // and a header whose trace block is truncated is rejected
 // (io.ErrUnexpectedEOF), never padded.
 
 const (
-	wireMagic = 0x4E545304
+	wireMagic = 0x4E545305
 	// headerLen is the byte length of the fixed header before the trace
 	// block; traceBlockLen that of the trace-context block.
 	headerLen     = 45
-	traceBlockLen = 16
+	traceBlockLen = 8
 )
 
 // maxWireDim bounds decoded allocation sizes against corrupt or hostile
@@ -72,7 +71,6 @@ func appendFrame(dst []byte, msg *Message) []byte {
 	dst = le.AppendUint32(dst, uint32(rows))
 	dst = le.AppendUint32(dst, uint32(cols))
 	dst = le.AppendUint32(dst, uint32(len(msg.Packed)))
-	dst = le.AppendUint64(dst, msg.Trace.SpanID)
 	dst = le.AppendUint64(dst, uint64(msg.Trace.SentUnixNano))
 	for _, v := range msg.Vertices {
 		dst = le.AppendUint32(dst, uint32(v))
@@ -116,10 +114,7 @@ func decodeMessage(r *bufio.Reader) (*Message, error) {
 		}
 		return nil, err
 	}
-	msg.Trace = TraceContext{
-		SpanID:       binary.LittleEndian.Uint64(tb[0:]),
-		SentUnixNano: int64(binary.LittleEndian.Uint64(tb[8:])),
-	}
+	msg.Trace = TraceContext{SentUnixNano: int64(binary.LittleEndian.Uint64(tb[:]))}
 	if nv > maxWireDim || rows > maxWireDim || cols > maxWireDim || np > maxWireDim ||
 		(rows > 0 && cols > maxWireDim/rows) {
 		return nil, fmt.Errorf("comm: wire dimensions out of range (%d verts, %dx%d, %d packed)", nv, rows, cols, np)

@@ -571,10 +571,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Fatal("expected truncation error")
 	}
-	// A v1, v2 or v3 header (the retired "NTS\x01"–"NTS\x03" magics over an
+	// A v1–v4 header (the retired "NTS\x01"–"NTS\x04" magics over an
 	// otherwise well-formed message) is a bad magic like any other, not a
 	// second dialect.
-	for _, magic := range []uint32{0x4E545301, 0x4E545302, 0x4E545303} {
+	for _, magic := range []uint32{0x4E545301, 0x4E545302, 0x4E545303, 0x4E545304} {
 		old := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint32(old, magic)
 		if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(old))); err == nil || !strings.Contains(err.Error(), "bad wire magic") {

@@ -60,17 +60,14 @@ func (k MsgKind) String() string {
 	}
 }
 
-// TraceContext is the causal identity a message carries across the fabric:
-// which send event it is and when that send happened. The fabric's Send
-// stamps it once, when the sender's mailbox is bound to a causal recorder;
-// it rides the wire codec, and a duplicate carries the original's unchanged
-// — a redelivered copy is causally the same message, which is exactly what
-// keeps mailbox dedup and critical-path attribution consistent. The zero
-// value means "untraced" and is always legal.
+// TraceContext is the causal field a message carries across the fabric: when
+// its send happened. The fabric's Send stamps it once, when the sender's
+// mailbox is bound to a flight recorder with an open epoch; it rides the
+// wire codec, and a duplicate carries the original's unchanged — a
+// redelivered copy is causally the same message, which is exactly what keeps
+// mailbox dedup and critical-path attribution consistent. The zero value
+// means "unstamped" and is always legal.
 type TraceContext struct {
-	// SpanID uniquely identifies this send event within its epoch. It is the
-	// Chrome trace flow-event id and the critical path's tie-break.
-	SpanID uint64
 	// SentUnixNano is the sender's wall clock at Send.
 	SentUnixNano int64
 }
@@ -91,7 +88,7 @@ type Message struct {
 	// Rows: a master–mirror representation (PackRows) or its gradient post
 	// (PackGrad). The receiver's plan knows the block's shape.
 	Packed []uint32
-	// Trace is the causal trace context (zero when tracing is off).
+	// Trace is the send stamp (zero when no recorder epoch was open).
 	Trace TraceContext
 }
 
@@ -414,9 +411,9 @@ func (mb *Mailbox) deliver(msg *Message) {
 }
 
 // Wait blocks until the message with the given routing tag arrives. When a
-// stage recorder is attached, every cross-worker match is also reported as a
-// causal wait-match event (who waited, from when to when, for whose send) —
-// the message edges of the epoch's event DAG.
+// stage recorder is attached, every cross-worker match is also logged as a
+// wait-match (who waited, from when to when, for whose send) — the message
+// edges of the epoch's event DAG.
 func (mb *Mailbox) Wait(kind MsgKind, epoch, layer, seq, from int) *Message {
 	key := routeKey{kind: kind, epoch: epoch, layer: layer, seq: seq, from: from}
 	sr := mb.stage.p.Load()

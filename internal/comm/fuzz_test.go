@@ -39,10 +39,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		{From: 0, To: 1, Kind: KindRep, Epoch: 3, Layer: 1, Seq: 2,
 			Vertices: []int32{7, 9, 11},
 			Rows:     tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6}),
-			Trace:    TraceContext{SpanID: 42, SentUnixNano: 1_700_000_000_123_456_789}},
+			Trace:    TraceContext{SentUnixNano: 1_700_000_000_123_456_789}},
 		{From: 2, To: 0, Kind: KindGrad, Epoch: 0, Layer: 0, Seq: 0,
 			Rows:  tensor.FromSlice(1, 4, []float32{0, float32(math.Inf(1)), -0.5, float32(math.NaN())}),
-			Trace: TraceContext{SpanID: ^uint64(0), SentUnixNano: -1}},
+			Trace: TraceContext{SentUnixNano: -1}},
 		{From: 1, To: 2, Kind: KindAllReduce, Epoch: -1, Layer: -1, Seq: 41},
 		{From: 0, To: 3, Kind: KindSample, Epoch: 12, Layer: 2, Seq: 1,
 			Vertices: []int32{-1, 0, 1 << 30}},
@@ -64,9 +64,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	huge[29], huge[30], huge[31] = 0xff, 0xff, 0xff // numVerts ~ 2^24, absent
 	f.Add(huge)
 	f.Add(encodeToBytes(f, seeds[2])[:headerLen+traceBlockLen/2])
-	// The retired v1–v3 magics over an otherwise well-formed message: a bad
+	// The retired v1–v4 magics over an otherwise well-formed message: a bad
 	// magic, not a second dialect.
-	for _, v := range []byte{0x01, 0x02, 0x03} {
+	for _, v := range []byte{0x01, 0x02, 0x03, 0x04} {
 		retired := encodeToBytes(f, seeds[3])
 		retired[0] = v
 		f.Add(retired)

@@ -66,8 +66,8 @@ type stageRec struct {
 }
 
 // SetStageRecorder attributes worker's future sends and this mailbox's
-// future deliveries to worker's cells of rec, and stamps the trace context
-// of worker's sends while rec records causally. A nil rec detaches. Works
+// future deliveries to worker's cells of rec, stamps worker's sends while an
+// epoch is open, and logs the waits this mailbox matches. A nil rec detaches. Works
 // identically for the channel fabric and the TCP fabric, because both
 // decide every send in endpoints.decide and funnel every delivery into
 // deliver.
@@ -80,10 +80,9 @@ func (mb *Mailbox) SetStageRecorder(rec *obs.FlightRecorder, worker int) {
 }
 
 // stampSend counts one cross-worker Send of msg, of the given wire size, on
-// the sender's side, and stamps msg's trace context under causal recording.
-// mb is the sender's mailbox. A duplicate is the stamped message again (its
-// frame again, over TCP), so every copy carries the original causal id and
-// dedup keeps tracing exactly-once.
+// the sender's side, and stamps msg's send time while an epoch is open. mb
+// is the sender's mailbox. A duplicate is the stamped message again (its
+// frame again, over TCP), so every copy carries the original stamp.
 func (mb *Mailbox) stampSend(msg *Message, bytes int64) {
 	sr := mb.stage.p.Load()
 	if sr == nil {
@@ -91,8 +90,8 @@ func (mb *Mailbox) stampSend(msg *Message, bytes int64) {
 	}
 	stage, layer := StageOfMsg(msg, false)
 	sr.rec.AddTraffic(sr.worker, stage, layer, bytes, 1)
-	if span, sent, ok := sr.rec.CausalSend(); ok {
-		msg.Trace = TraceContext{SpanID: span, SentUnixNano: sent}
+	if sent, ok := sr.rec.SendStamp(); ok {
+		msg.Trace = TraceContext{SentUnixNano: sent}
 	}
 }
 
@@ -107,8 +106,8 @@ func (mb *Mailbox) recordDelivery(msg *Message) {
 	sr.rec.AddTraffic(sr.worker, stage, layer, int64(msg.WireBytes()), 1)
 }
 
-// recordWaitMatch reports one matched Wait to the flight recorder's causal
-// log: the receiver, the message's routing identity and trace context, and
+// recordWaitMatch logs one matched Wait in the receiver's flight-recorder
+// log: the receiver, the message's routing identity and send stamp, and
 // the [waitStart, now] interval the receiver's goroutine spent blocked on it.
 // Runs on the receiver's own goroutine, after the message is in hand, so it
 // never holds mb.mu. Self-sends are not causal edges and are skipped, exactly
@@ -118,5 +117,5 @@ func (mb *Mailbox) recordWaitMatch(sr *stageRecorder, msg *Message, waitStart ti
 		return
 	}
 	sr.rec.OnWaitMatch(sr.worker, msg.From, msg.Kind.String(), msg.Layer, msg.Seq,
-		msg.Trace.SpanID, msg.Trace.SentUnixNano, waitStart, time.Now())
+		msg.Trace.SentUnixNano, waitStart, time.Now())
 }

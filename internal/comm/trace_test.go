@@ -14,7 +14,7 @@ import (
 )
 
 func TestCodecTraceRoundTrip(t *testing.T) {
-	want := TraceContext{SpanID: 99, SentUnixNano: 1_754_000_000_000_000_000}
+	want := TraceContext{SentUnixNano: 1_754_000_000_000_000_000}
 	msg := &Message{From: 1, To: 2, Kind: KindRep, Epoch: 12, Layer: 1, Seq: 4,
 		Vertices: []int32{3, 5}, Rows: tensor.FromSlice(2, 2, []float32{1, 2, 3, 4}),
 		Trace: want}
@@ -36,7 +36,7 @@ func TestCodecTraceRoundTrip(t *testing.T) {
 // zero-padding the missing fields.
 func TestCodecRejectsTruncatedTraceBlock(t *testing.T) {
 	msg := &Message{From: 0, To: 1, Kind: KindRep, Epoch: 1, Layer: 1, Seq: 0,
-		Trace: TraceContext{SpanID: 7, SentUnixNano: 42}}
+		Trace: TraceContext{SentUnixNano: 42}}
 	full := encodeToBytes(t, msg)
 	for _, cut := range []int{headerLen, headerLen + 1, headerLen + traceBlockLen - 1} {
 		_, err := decodeMessage(bufio.NewReader(bytes.NewReader(full[:cut])))
@@ -47,8 +47,8 @@ func TestCodecRejectsTruncatedTraceBlock(t *testing.T) {
 }
 
 // TestFaultyFabricDuplicateKeepsTrace pins the causal contract for
-// duplication on both transports: Send stamps the trace context once, from
-// the sender's causal recorder, and the duplicate that follows carries it
+// duplication on both transports: Send stamps the send time once, from the
+// sender's flight recorder, and the duplicate that follows carries it
 // unchanged — it is the same causal event on the wire, not a new one.
 func TestFaultyFabricDuplicateKeepsTrace(t *testing.T) {
 	p := faulted(t, "dup=1,seed=9")
@@ -64,7 +64,6 @@ func TestFaultyFabricDuplicateKeepsTrace(t *testing.T) {
 			}
 			defer f.Close()
 			rec := obs.NewFlightRecorder()
-			rec.EnableCausal()
 			rec.BeginEpoch(1, 2, 1)
 			f.Mailbox(0).SetStageRecorder(rec, 0)
 
@@ -97,7 +96,7 @@ func TestFaultyFabricDuplicateKeepsTrace(t *testing.T) {
 				}
 			}
 			orig, dup := copies[0], copies[1]
-			if orig.Trace.SpanID == 0 || orig.Trace.SentUnixNano == 0 {
+			if orig.Trace.SentUnixNano == 0 {
 				t.Fatalf("Send left the message untraced: %+v", orig.Trace)
 			}
 			if dup.Trace != orig.Trace {

@@ -89,12 +89,20 @@ func (e *Engine) layerWorks() []hybrid.Work {
 }
 
 // CostReport validates the cost model against the engine's flight records.
-// Returns nil when no recorder is attached or no epoch has completed.
+// Returns nil when no recorder is attached or no epoch has completed. The
+// report re-plans under the fitted costs, so it is built once per recorded
+// epoch and shared until the next one: callers must not modify it.
 func (e *Engine) CostReport() *CostReport {
-	if e.opts.Recorder == nil {
+	last := e.opts.Recorder.Tail(1)
+	if len(last) == 0 {
 		return nil
 	}
-	return e.CostReportFrom(e.opts.Recorder.Snapshot())
+	e.cost.mu.Lock()
+	defer e.cost.mu.Unlock()
+	if e.cost.rep == nil || e.cost.epoch != last[0].Epoch {
+		e.cost.rep, e.cost.epoch = e.CostReportFrom(e.opts.Recorder.Snapshot()), last[0].Epoch
+	}
+	return e.cost.rep
 }
 
 // CostReportFrom validates against an explicit set of epoch records (the

@@ -195,6 +195,21 @@ func TestCostReportPlansProbedOnce(t *testing.T) {
 	}
 }
 
+// TestCostReportBuiltOncePerEpoch: the report re-plans, so scrapes between
+// two epochs share one report and the next epoch brings a new one.
+func TestCostReportBuiltOncePerEpoch(t *testing.T) {
+	eng := ringEngine(t)
+	eng.RunEpoch()
+	first := eng.CostReport()
+	if first == nil || first != eng.CostReport() {
+		t.Fatal("two reports with no epoch between them were built twice")
+	}
+	eng.RunEpoch()
+	if next := eng.CostReport(); next == first || next.Epochs != 2 {
+		t.Fatalf("the report after a new epoch is the old one (%d epochs)", next.Epochs)
+	}
+}
+
 // TestCostReportCommBytes: each layer reports the bytes its dependency and
 // mirror-gradient cells carried, averaged over the records, beside the dense
 // volume Eq. 2 prices — 4-byte elements both ways, counted at both ends.

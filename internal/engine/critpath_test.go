@@ -8,13 +8,12 @@ import (
 	"neutronstar/internal/obs"
 )
 
-// trainCausal trains a small engine with causal recording enabled and
+// trainCausal trains a small engine under a flight recorder and a tracer and
 // returns the epoch records and the tracer used.
 func trainCausal(t *testing.T, opts Options, epochs int) ([]obs.EpochRecord, *obs.Tracer) {
 	t.Helper()
 	ds := testDataset(t, 600, 6, 21)
 	rec := obs.NewFlightRecorder()
-	rec.EnableCausal()
 	opts.Recorder = rec
 	if opts.Tracer == nil {
 		opts.Tracer = obs.NewTracer()

@@ -240,6 +240,13 @@ type Engine struct {
 	// probedPlan is replan under the probed costs, decided on first use and
 	// kept: the cost report's counterfactual baseline never changes.
 	probedPlan func() ([]*hybrid.Decision, error)
+	// cost is the last CostReport and the epoch of the newest record it
+	// read; the debug server asks for it while training runs.
+	cost struct {
+		mu    sync.Mutex
+		rep   *CostReport
+		epoch int
+	}
 	// tapeHook, set only by tests, sees every tape a worker creates (called
 	// from the worker goroutines) so a test can inspect what was recorded.
 	tapeHook func(*autograd.Tape)
@@ -470,7 +477,6 @@ func (e *Engine) RunEpoch() EpochStats {
 	type result struct {
 		lossSum float64
 		count   int
-		busy    time.Duration
 	}
 	results := make([]result, len(e.states))
 	var wg sync.WaitGroup
@@ -478,8 +484,8 @@ func (e *Engine) RunEpoch() EpochStats {
 		wg.Add(1)
 		go func(i int, ws *workerState) {
 			defer wg.Done()
-			sum, n, busy := ws.runEpoch(e.epoch)
-			results[i] = result{lossSum: sum, count: n, busy: busy}
+			sum, n := ws.runEpoch(e.epoch)
+			results[i] = result{lossSum: sum, count: n}
 		}(i, ws)
 	}
 	wg.Wait()
@@ -490,15 +496,6 @@ func (e *Engine) RunEpoch() EpochStats {
 		ws.arena.Release()
 	}
 	wall := time.Since(start)
-	// Barrier attribution: a worker that finished early idles until the
-	// slowest one crosses the epoch barrier. That idle gap is wall minus the
-	// span its own clock ran for (spawn skew makes it approximate, never
-	// negative).
-	for i := range results {
-		if gap := wall - results[i].busy; gap > 0 {
-			rec.AddTime(i, obs.StageBarrier, 0, gap)
-		}
-	}
 	// Sum in worker-id order: float addition is not associative, so summing
 	// in completion order would make the reported loss depend on goroutine
 	// scheduling — same-seed runs must be bit-identical.
@@ -520,7 +517,7 @@ func (e *Engine) RunEpoch() EpochStats {
 	if e.opts.Ckpt.Due(e.epoch) {
 		t0 := time.Now()
 		err := e.opts.Ckpt.Save(e.Snapshot())
-		rec.AddTime(0, obs.StageCheckpoint, 0, time.Since(t0))
+		rec.AddCheckpoint(time.Since(t0))
 		if err != nil {
 			st.CkptErr = err
 		}

@@ -53,6 +53,39 @@ func TestFlightCoverageHybrid(t *testing.T) {
 	}
 }
 
+// TestEveryRecordIsAView: a plain recorder, switched on by nothing, derives
+// each epoch's whole report from its workers' logs — every multi-worker epoch
+// carries a critical path covering the wall, and each worker's barrier cell
+// is the wall its stage cells leave uncovered.
+func TestEveryRecordIsAView(t *testing.T) {
+	recs := trainRecorded(t, Options{Workers: 3, Mode: DepComm, Ring: true, Seed: 5}, 3)
+	for _, r := range recs {
+		p := r.CritPath
+		if p == nil || len(p.Spans) == 0 {
+			t.Fatalf("epoch %d: no critical path", r.Epoch)
+		}
+		if math.Abs(p.CoveredSeconds-r.WallSeconds) > 1e-9 || p.WallSeconds != r.WallSeconds {
+			t.Fatalf("epoch %d: path covers %.9fs of a %.9fs wall", r.Epoch, p.CoveredSeconds, r.WallSeconds)
+		}
+		busy := make([]float64, r.Workers)
+		barrier := make([]float64, r.Workers)
+		for _, c := range r.Cells {
+			switch c.Stage {
+			case "barrier":
+				barrier[c.Worker] += c.Seconds
+			case "checkpoint":
+			default:
+				busy[c.Worker] += c.Seconds
+			}
+		}
+		for w := range busy {
+			if want := max(r.WallSeconds-busy[w], 0); math.Abs(barrier[w]-want) > 1e-9 {
+				t.Fatalf("epoch %d worker %d: barrier %.9fs, wall − stages %.9fs", r.Epoch, w, barrier[w], want)
+			}
+		}
+	}
+}
+
 // TestFlightBytesDepComm: a DepComm plan must move dependency traffic every
 // epoch, with send-side and receive-side attribution in exact balance on a
 // clean fabric.

@@ -83,7 +83,6 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			ds := testDataset(t, 300, 6, 21)
 			rec := obs.NewFlightRecorder()
-			rec.EnableCausal()
 			tr := obs.NewTracer()
 			// Half cached, half fetched: both sides of the master–mirror
 			// dataflow run whatever the cost probe measured.

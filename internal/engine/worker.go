@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
@@ -228,8 +227,8 @@ func (ws *workerState) chunkPipelined() bool {
 }
 
 // runEpoch performs one full forward/backward/update cycle and returns the
-// local loss sum and labeled-vertex count, and the span its clock ran for.
-func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy time.Duration) {
+// local loss sum and labeled-vertex count.
+func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 	L := len(ws.plan.layers)
 	runs := make([]layerRun, L)
 	ws.clock = ws.eng.opts.Recorder.Clock(ws.id, ws.eng.opts.Tracer)
@@ -290,7 +289,8 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int, busy tim
 		ws.opt.Step(params)
 	}
 	nn.ZeroGrads(params)
-	return lossSum, count, ws.clock.End()
+	ws.clock.End()
+	return lossSum, count
 }
 
 // forward sets up the tape and the sender, then runs the layer by its kind.

@@ -1,13 +1,14 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
 // Critical-path extraction over one epoch's event DAG.
 //
-// The DAG has two node kinds, both collected under causal recording:
+// The DAG has two node kinds, both read from the workers' logs:
 //
 //   - compute nodes: the closed StageClock intervals of each worker
 //     (IntervalEvent) — at any instant each worker is in exactly one;
@@ -37,9 +38,9 @@ const bindingWaitEps = 20 * time.Microsecond
 const critPathMaxSpans = 512
 
 // CritSpan is one span of an epoch's critical path. Kind is "compute" (the
-// worker was executing Stage at Layer) or "net" (the worker was bound by a
-// MsgKind message in flight from worker From). Times are seconds relative to
-// the epoch start.
+// worker was executing Stage at Layer: a maximal run of intervals with that
+// label) or "net" (the worker was bound by a MsgKind message in flight from
+// worker From). Times are seconds relative to the epoch start.
 type CritSpan struct {
 	Kind   string `json:"kind"`
 	Worker int    `json:"worker"`
@@ -104,31 +105,22 @@ func (p *CritPath) Dominant() (label string, share float64) {
 }
 
 // extractCritPath walks the epoch's event DAG backward from wall and returns
-// the critical path. intervals and matches are indexed by worker; both are
-// treated read-only. Deterministic for identical inputs: ties are broken by
-// fixed ordering, never map iteration.
+// the critical path. intervals and matches are indexed by worker and sorted
+// in place. Deterministic for identical inputs: intervals are ordered by
+// time, and matches by WaitEnd with ties kept in the order they were logged
+// (a worker logs its waits in the order it made them).
 func extractCritPath(wall time.Duration, intervals [][]IntervalEvent, matches [][]MatchEvent) *CritPath {
 	p := &CritPath{WallSeconds: wall.Seconds()}
 	if wall <= 0 || len(intervals) == 0 {
 		return p
 	}
-	for w := range intervals {
-		sort.Slice(intervals[w], func(i, j int) bool {
-			a, b := intervals[w][i], intervals[w][j]
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.End < b.End
+	for _, ivs := range intervals {
+		slices.SortStableFunc(ivs, func(a, b IntervalEvent) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 		})
 	}
-	for w := range matches {
-		sort.Slice(matches[w], func(i, j int) bool {
-			a, b := matches[w][i], matches[w][j]
-			if a.WaitEnd != b.WaitEnd {
-				return a.WaitEnd < b.WaitEnd
-			}
-			return a.SpanID < b.SpanID
-		})
+	for _, ms := range matches {
+		slices.SortStableFunc(ms, func(a, b MatchEvent) int { return cmp.Compare(a.WaitEnd, b.WaitEnd) })
 	}
 
 	// Anchor on the worker whose recorded activity ended last: the epoch
@@ -179,17 +171,7 @@ func extractCritPath(wall time.Duration, intervals [][]IntervalEvent, matches []
 		if m == nil {
 			break
 		}
-		sent := m.Sent
-		if sent < 0 {
-			sent = 0
-		}
-		// Sent derives from wall-clock arithmetic (UnixNano deltas) while the
-		// wait bounds are monotonic reads; a few microseconds of cross-clock
-		// skew can put the stamp after the wait ended. Clamp rather than emit
-		// an inverted span.
-		if sent > m.WaitEnd {
-			sent = m.WaitEnd
-		}
+		sent := max(m.Sent, 0) // a message sent before the epoch began
 		rev = append(rev, CritSpan{
 			Kind: "net", Worker: m.Worker, From: m.From,
 			MsgKind: m.Kind, Layer: m.Layer,
@@ -200,10 +182,11 @@ func extractCritPath(wall time.Duration, intervals [][]IntervalEvent, matches []
 		}
 		worker, t = m.From, sent
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	// Every retained record carries its path: store it at exact length.
+	p.Spans = make([]CritSpan, len(rev))
+	for i, s := range rev {
+		p.Spans[len(rev)-1-i] = s
 	}
-	p.Spans = rev
 	for _, s := range p.Spans {
 		p.CoveredSeconds += s.Seconds()
 	}
@@ -214,8 +197,9 @@ func extractCritPath(wall time.Duration, intervals [][]IntervalEvent, matches []
 // in reverse-chronological order. The block exactly covers the window: each
 // span starts where the previous one ended, so gaps before a recorded
 // interval are charged to that interval's stage and a trailing gap extends
-// the final span to t. Only a window with no overlapping intervals at all
-// yields an "unattributed" span.
+// the final span to t. Consecutive intervals of one (stage, layer) become one
+// span. Only a window with no overlapping intervals at all yields an
+// "unattributed" span.
 func appendComputeBlockRev(rev []CritSpan, ivs []IntervalEvent, worker int, boundary, t time.Duration) []CritSpan {
 	if t <= boundary {
 		return rev
@@ -232,6 +216,11 @@ func appendComputeBlockRev(rev []CritSpan, ivs []IntervalEvent, worker int, boun
 			end = t
 		}
 		if end <= cursor {
+			continue
+		}
+		if n := len(segs); n > 0 && segs[n-1].Stage == iv.Stage.String() && segs[n-1].Layer == iv.Layer {
+			segs[n-1].EndSeconds = end.Seconds()
+			cursor = end
 			continue
 		}
 		segs = append(segs, CritSpan{

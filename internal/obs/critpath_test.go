@@ -20,7 +20,7 @@ func twoWorkerDAG() (time.Duration, [][]IntervalEvent, [][]MatchEvent) {
 	}
 	matches := [][]MatchEvent{
 		nil,
-		{{Worker: 1, From: 0, Kind: "rep", Layer: 1, SpanID: 7,
+		{{Worker: 1, From: 0, Kind: "rep", Layer: 1,
 			Sent: 3 * ms, WaitStart: 2 * ms, WaitEnd: 5 * ms}},
 	}
 	return 10 * ms, intervals, matches
@@ -87,7 +87,7 @@ func TestCritPathAttributesSlowWorker(t *testing.T) {
 		{{Worker: 2, Stage: StageForward, Start: 0, End: 15 * ms}},
 	}
 	matches := [][]MatchEvent{
-		{{Worker: 0, From: 2, Kind: "rep", Layer: 1, SpanID: 3,
+		{{Worker: 0, From: 2, Kind: "rep", Layer: 1,
 			Sent: 15 * ms, WaitStart: 1 * ms, WaitEnd: 18 * ms}},
 		nil, nil,
 	}
@@ -123,7 +123,7 @@ func TestCritPathIgnoresNonBindingWaits(t *testing.T) {
 	}
 	matches := [][]MatchEvent{
 		nil,
-		{{Worker: 1, From: 0, Kind: "rep", SpanID: 1,
+		{{Worker: 1, From: 0, Kind: "rep",
 			Sent: 2 * ms, WaitStart: 6 * ms, WaitEnd: 6*ms + 5*time.Microsecond}},
 	}
 	p := extractCritPath(wall, intervals, matches)
@@ -191,5 +191,53 @@ func TestCritPathDegenerateInputs(t *testing.T) {
 	}
 	if label, share := nilPath.Dominant(); label != "" || share != 0 {
 		t.Fatal("nil path dominant must be empty")
+	}
+}
+
+// TestCritPathMergesSameLabelRuns: consecutive intervals of one (stage,
+// layer) are one compute span — a different layer in between splits the
+// run — and the path is stored at exact length.
+func TestCritPathMergesSameLabelRuns(t *testing.T) {
+	iv := func(s Stage, layer int, start, end time.Duration) IntervalEvent {
+		return IntervalEvent{Stage: s, Layer: layer, Start: start, End: end}
+	}
+	p := extractCritPath(4*ms, [][]IntervalEvent{{
+		iv(StageForward, 1, 0, 1*ms), iv(StageForward, 1, 1*ms, 2*ms),
+		iv(StageForward, 2, 2*ms, 3*ms), iv(StageForward, 1, 3*ms, 4*ms),
+	}}, [][]MatchEvent{nil})
+	want := []CritSpan{
+		{Kind: "compute", Stage: "forward", Layer: 1, StartSeconds: 0, EndSeconds: 0.002},
+		{Kind: "compute", Stage: "forward", Layer: 2, StartSeconds: 0.002, EndSeconds: 0.003},
+		{Kind: "compute", Stage: "forward", Layer: 1, StartSeconds: 0.003, EndSeconds: 0.004},
+	}
+	if !reflect.DeepEqual(p.Spans, want) || cap(p.Spans) != len(want) {
+		t.Fatalf("spans (cap %d):\n got %+v\nwant %+v", cap(p.Spans), p.Spans, want)
+	}
+}
+
+// TestFlowsNumberedPerRecorder: EndEpoch draws one arrow per stamped match,
+// numbered by one counter over the recorder's life, so no two epochs share
+// an arrow id; an unstamped match draws none.
+func TestFlowsNumberedPerRecorder(t *testing.T) {
+	rec, tr := NewFlightRecorder(), NewTracer()
+	for epoch := 1; epoch <= 2; epoch++ {
+		rec.BeginEpoch(epoch, 2, 1)
+		sc := rec.Clock(1, tr)
+		sent, ok := rec.SendStamp()
+		if !ok {
+			t.Fatal("no send stamp inside an open epoch")
+		}
+		now := time.Now()
+		rec.OnWaitMatch(1, 0, "rep", 1, 0, sent, now, now.Add(time.Millisecond))
+		rec.OnWaitMatch(1, 0, "rep", 1, 1, 0, now, now)
+		sc.End()
+		rec.EndEpoch(2*time.Millisecond, 0)
+	}
+	if _, ok := rec.SendStamp(); ok {
+		t.Fatal("a send stamp outside an epoch")
+	}
+	flows := tr.Flows()
+	if len(flows) != 2 || flows[0].ID != 1 || flows[1].ID != 2 {
+		t.Fatalf("flows %+v, want ids 1 and 2", flows)
 	}
 }

@@ -96,7 +96,7 @@ func TestDebugServerNilStatusAndRegistry(t *testing.T) {
 }
 
 // TestDebugServerConcurrentScrape races /epochs, /healthwatch and /metrics
-// scrapes against a flight recorder that is actively recording causal epochs
+// scrapes against a flight recorder that is actively recording epochs
 // and a watchdog observing them — the exact shape of a dashboard polling a
 // live training run. Run under -race this is the data-race gate for the
 // whole causal path: the endpoints read the same structures the epoch loop
@@ -104,7 +104,6 @@ func TestDebugServerNilStatusAndRegistry(t *testing.T) {
 func TestDebugServerConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewFlightRecorder()
-	rec.EnableCausal()
 	watch := NewWatchdog(WatchRules{Regress: 1000, Straggler: 1000}, rec, nil, nil)
 	srv, err := NewServer("127.0.0.1:0", reg, Endpoints{
 		Epochs:      func() any { return rec.Snapshot() },
@@ -130,7 +129,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 					sc := rec.Clock(w, nil)
 					sc.Phase(StageBackward, 1, "tape_backward")
 					if w != 0 {
-						rec.OnWaitMatch(w, 0, "rep", 1, 0, uint64(epoch*10+w),
+						rec.OnWaitMatch(w, 0, "rep", 1, 0,
 							time.Now().UnixNano(), time.Now(), time.Now().Add(time.Millisecond))
 					}
 					sc.End()

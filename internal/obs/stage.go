@@ -20,12 +20,14 @@ import (
 //     an exclusive state machine that attributes elapsed-since-last-boundary
 //     to the interval being left, so the per-worker sum equals the worker's
 //     span by construction, not by hoping every interval was wrapped.
-//  2. One emission point. The clock hands each closed interval to the cells,
-//     the causal log and the span tracer from the same two clock reads, so
-//     the three views cannot disagree (DESIGN.md §9 describes the model).
-//  3. Low overhead. One clock per worker goroutine (no locks, no maps on the
-//     hot path — a boundary is one monotonic clock read and one atomic add);
-//     byte attribution is one atomic add per message.
+//  2. One store of time. The clock hands each closed interval to the
+//     worker's log and to the span tracer from the same two clock reads;
+//     the cells, the barrier and the critical path are computed from the log
+//     at EndEpoch, so no two views can disagree (DESIGN.md §9).
+//  3. Low overhead. One clock per worker goroutine (no maps on the hot path
+//     — a boundary is one monotonic clock read and one append under the
+//     worker's uncontended mutex, into a log kept across epochs); byte
+//     attribution is one atomic add per message.
 //  4. Nil safety. A nil *FlightRecorder and a nil *StageClock are no-ops that
 //     allocate nothing, so instrumented paths cost nothing when recording is
 //     off.
@@ -102,9 +104,9 @@ func (s Stage) Class() int {
 	return ClassNone
 }
 
-// stageCell is one (worker, stage, layer) accumulator.
+// stageCell is one (worker, stage, layer) traffic accumulator. Fabric
+// goroutines add to it; its time is summed from the worker's log at EndEpoch.
 type stageCell struct {
-	nanos atomic.Int64
 	bytes atomic.Int64
 	msgs  atomic.Int64
 }
@@ -115,27 +117,22 @@ type epochAccum struct {
 	workers int
 	layers  int
 	cells   []stageCell // workers × NumStages × (layers+1)
-	// causal, when non-nil, collects the epoch's event DAG (stage intervals
-	// and message wait-matches) for critical-path extraction.
-	causal *causalAccum
+	// start anchors every logged offset.
+	start time.Time
+	// logs is the epoch's one store of time, one log per worker.
+	logs []workerLog
+	// checkpoint is the snapshot save's time, charged to worker 0.
+	checkpoint atomic.Int64
 	// tracer is the span tracer the epoch's clocks feed, if any; EndEpoch
-	// draws the causal log's flow arrows on it.
+	// draws the matched waits on it as flow arrows.
 	tracer atomic.Pointer[Tracer]
 }
 
-// causalAccum is the live causal-event log of one open epoch.
-type causalAccum struct {
-	startWall time.Time // monotonic anchor: all offsets are relative to it
-	startUnix int64     // matching wall-clock nanos, for message send stamps
-	// spanSeq allocates the epoch's message span ids.
-	spanSeq atomic.Uint64
-	workers []workerCausal
-}
-
-// workerCausal is one worker's slice of the causal log. Intervals and
-// matches are appended from the worker's own goroutine; the mutex makes the
-// log safe against a reader regardless.
-type workerCausal struct {
+// workerLog is one worker's time for one epoch: its clock's closed intervals
+// and its matched waits. Both are appended from the worker's own goroutine,
+// so each is in time order by construction; the mutex makes the log safe
+// against a reader regardless.
+type workerLog struct {
 	mu        sync.Mutex
 	intervals []IntervalEvent
 	matches   []MatchEvent
@@ -153,8 +150,8 @@ type IntervalEvent struct {
 
 // MatchEvent is one matched cross-worker message wait: the edges of the
 // epoch's event DAG. Worker blocked on the message from Sent (the sender's
-// stamped send time; equal to WaitStart when the message was untraced)
-// until WaitEnd; a wait that found the message already pending has
+// stamped send time; equal to WaitStart when Stamped is false) until
+// WaitEnd; a wait that found the message already pending has
 // WaitEnd ≈ WaitStart. Offsets are relative to the epoch start.
 type MatchEvent struct {
 	Worker    int
@@ -162,23 +159,20 @@ type MatchEvent struct {
 	Kind      string
 	Layer     int
 	Seq       int
-	SpanID    uint64
+	Stamped   bool
 	Sent      time.Duration
 	WaitStart time.Duration
 	WaitEnd   time.Duration
 }
 
-func (a *epochAccum) cell(worker int, s Stage, layer int) *stageCell {
+// index returns the flat cell index of (worker, s, layer), clamping the
+// layer into range; -1 for an out-of-range worker or stage.
+func (a *epochAccum) index(worker int, s Stage, layer int) int {
 	if worker < 0 || worker >= a.workers || s >= NumStages {
-		return nil
+		return -1
 	}
-	if layer < 0 {
-		layer = 0
-	}
-	if layer > a.layers {
-		layer = a.layers
-	}
-	return &a.cells[(worker*int(NumStages)+int(s))*(a.layers+1)+layer]
+	layer = min(max(layer, 0), a.layers)
+	return (worker*int(NumStages)+int(s))*(a.layers+1) + layer
 }
 
 // StageCell is one non-empty attribution cell of a finished epoch.
@@ -209,8 +203,7 @@ type EpochRecord struct {
 	BarrierShare float64 `json:"barrier_share,omitempty"`
 	// SlowestWorker is the worker with the most busy seconds this epoch.
 	SlowestWorker int `json:"slowest_worker"`
-	// CritPath is the epoch's critical path; nil unless causal recording was
-	// enabled (see FlightRecorder.EnableCausal).
+	// CritPath is the epoch's critical path.
 	CritPath *CritPath `json:"crit_path,omitempty"`
 }
 
@@ -274,14 +267,19 @@ func (r *EpochRecord) TotalBytes() int64 {
 const recorderKeep = 4096
 
 // FlightRecorder collects per-epoch stage attribution. One recorder serves
-// one engine; BeginEpoch/EndEpoch bracket each epoch, worker goroutines feed
-// cells through StageClock (time) and AddTraffic (bytes). All methods are
-// safe for concurrent use and no-ops on a nil receiver.
+// one engine; BeginEpoch/EndEpoch bracket each epoch, worker goroutines log
+// time through StageClock and waits through OnWaitMatch, and any goroutine
+// adds bytes through AddTraffic. All methods are safe for concurrent use and
+// no-ops on a nil receiver.
 type FlightRecorder struct {
 	cur atomic.Pointer[epochAccum]
 
-	// causal switches BeginEpoch to event-DAG collection.
-	causal atomic.Bool
+	// logs are the per-worker logs, kept across epochs and truncated at
+	// BeginEpoch, so that a steady-state boundary appends without allocating.
+	// Only BeginEpoch touches the slice itself.
+	logs []workerLog
+	// flows numbers the flow arrows drawn over the recorder's life.
+	flows atomic.Uint64
 
 	mu   sync.Mutex
 	recs []EpochRecord
@@ -292,100 +290,94 @@ func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{}
 }
 
-// EnableCausal switches the recorder to causal mode: every following epoch
-// also collects its event DAG (per-worker stage intervals plus cross-worker
-// message wait-matches) and closes with a critical-path extraction. The
-// per-event cost is one mutex-protected append; recording stays cheap enough
-// for always-on use but is opt-in because the log grows with message count.
-func (r *FlightRecorder) EnableCausal() {
-	if r == nil {
-		return
-	}
-	r.causal.Store(true)
-}
+// EnableCausal does nothing: every recorder logs intervals and matched waits
+// and extracts each epoch's critical path. It remains for callers written
+// when that was a mode.
+func (r *FlightRecorder) EnableCausal() {}
 
 // BeginEpoch opens the accumulator for one epoch over the given cluster
 // shape. An already-open epoch is discarded (protocol misuse, not fatal).
+// Every clock of the previous epoch must have ended: its worker's log is
+// reused from here on.
 func (r *FlightRecorder) BeginEpoch(epoch, workers, layers int) {
 	if r == nil || workers <= 0 || layers < 0 {
 		return
 	}
-	a := &epochAccum{
+	if len(r.logs) != workers {
+		r.logs = make([]workerLog, workers)
+	}
+	for w := range r.logs {
+		l := &r.logs[w]
+		l.mu.Lock()
+		l.intervals, l.matches = l.intervals[:0], l.matches[:0]
+		l.mu.Unlock()
+	}
+	r.cur.Store(&epochAccum{
 		epoch: epoch, workers: workers, layers: layers,
 		cells: make([]stageCell, workers*int(NumStages)*(layers+1)),
-	}
-	if r.causal.Load() {
-		now := time.Now()
-		a.causal = &causalAccum{
-			startWall: now,
-			startUnix: now.UnixNano(),
-			workers:   make([]workerCausal, workers),
-		}
-	}
-	r.cur.Store(a)
+		start: time.Now(), logs: r.logs,
+	})
 }
 
-// OnWaitMatch appends one message wait-match to the open epoch's causal log:
-// worker matched the message (kind, layer, seq) from peer from, having
-// blocked from waitStart to waitEnd; spanID and sentUnixNano come from the
-// message's trace context (zero when the message was untraced). A no-op when
-// the recorder is nil, causal recording is off, or no epoch is open.
+// OnWaitMatch logs one matched message wait of the open epoch: worker
+// matched the message (kind, layer, seq) from peer from, having blocked from
+// waitStart to waitEnd; sentUnixNano is the message's send stamp (zero when
+// it was sent outside an epoch). Call it from worker's own goroutine. A
+// no-op when the recorder is nil or no epoch is open.
 func (r *FlightRecorder) OnWaitMatch(worker, from int, kind string, layer, seq int,
-	spanID uint64, sentUnixNano int64, waitStart, waitEnd time.Time) {
+	sentUnixNano int64, waitStart, waitEnd time.Time) {
 	if r == nil {
 		return
 	}
 	a := r.cur.Load()
-	if a == nil || a.causal == nil || worker < 0 || worker >= a.workers {
+	if a == nil || worker < 0 || worker >= a.workers {
 		return
 	}
-	ca := a.causal
 	m := MatchEvent{
 		Worker: worker, From: from, Kind: kind, Layer: layer, Seq: seq,
-		SpanID:    spanID,
-		WaitStart: waitStart.Sub(ca.startWall),
-		WaitEnd:   waitEnd.Sub(ca.startWall),
+		Stamped:   sentUnixNano > 0,
+		WaitStart: waitStart.Sub(a.start),
+		WaitEnd:   waitEnd.Sub(a.start),
 	}
-	if sentUnixNano > 0 {
-		m.Sent = time.Duration(sentUnixNano - ca.startUnix)
+	if m.Stamped {
+		// The stamp is a wall-clock reading and the offsets are monotonic:
+		// anchor it on the wait's end, read on both clocks, so that only the
+		// wall clock's drift over the flight itself can move it, and never
+		// past the wait's end.
+		m.Sent = m.WaitEnd - max(time.Duration(waitEnd.UnixNano()-sentUnixNano), 0)
 	} else {
-		// Untraced message: the visible blocking interval is all we know.
+		// Unstamped message: the visible blocking interval is all we know.
 		m.Sent = m.WaitStart
 	}
-	wc := &ca.workers[worker]
-	wc.mu.Lock()
-	wc.matches = append(wc.matches, m)
-	wc.mu.Unlock()
+	l := &a.logs[worker]
+	l.mu.Lock()
+	l.matches = append(l.matches, m)
+	l.mu.Unlock()
 }
 
-// CausalSend allocates the trace context of one message send: a fresh span
-// id (the flow-event id) and the send wall-clock stamp. ok is false — and
-// the values zero — when causal recording is off or no epoch is open;
-// callers then leave the message untraced.
-func (r *FlightRecorder) CausalSend() (spanID uint64, sentUnixNano int64, ok bool) {
-	if r == nil {
-		return 0, 0, false
+// SendStamp returns the wall-clock stamp of one message send. ok is false —
+// and the stamp zero — when no epoch is open; the message then goes
+// unstamped.
+func (r *FlightRecorder) SendStamp() (sentUnixNano int64, ok bool) {
+	if r == nil || r.cur.Load() == nil {
+		return 0, false
 	}
-	a := r.cur.Load()
-	if a == nil || a.causal == nil {
-		return 0, 0, false
-	}
-	return a.causal.spanSeq.Add(1), time.Now().UnixNano(), true
+	return time.Now().UnixNano(), true
 }
 
-// drawFlows writes every traced cross-worker wait-match of the epoch onto tr
+// drawFlows writes every stamped cross-worker wait-match of the epoch onto tr
 // as a flow event, so the Chrome trace draws a send→receive arrow for each
-// message a worker waited on. The causal offsets are anchored at the epoch
-// start; the tracer's clock is the one the epoch's spans are on.
-func (ca *causalAccum) drawFlows(tr *Tracer, matches [][]MatchEvent) {
-	base := tr.offset(ca.startWall)
+// message a worker waited on. The offsets are anchored at the epoch start;
+// the tracer's clock is the one the epoch's spans are on.
+func (r *FlightRecorder) drawFlows(tr *Tracer, a *epochAccum, matches [][]MatchEvent) {
+	base := tr.offset(a.start)
 	for _, ms := range matches {
 		for _, m := range ms {
-			if m.SpanID == 0 {
-				continue // untraced message (sent outside the epoch window)
+			if !m.Stamped {
+				continue
 			}
 			tr.AddFlow(FlowEvent{
-				ID: m.SpanID, Name: "msg:" + m.Kind,
+				ID: r.flows.Add(1), Name: "msg:" + m.Kind,
 				FromWorker: m.From, At: base + m.Sent,
 				ToWorker: m.Worker, End: base + m.WaitEnd,
 			})
@@ -393,7 +385,10 @@ func (ca *causalAccum) drawFlows(tr *Tracer, matches [][]MatchEvent) {
 	}
 }
 
-// EndEpoch closes the open epoch into an immutable record. Attribution
+// EndEpoch closes the open epoch into an immutable record. Every time it
+// reports is a view of the workers' logs: the cells sum the intervals, a
+// worker's barrier is wall minus its intervals (they tile its clock's life),
+// and the critical path walks the intervals and matched waits. Attribution
 // arriving after the swap (e.g. a late duplicate delivery) is dropped —
 // exactly-once counting is decided at the dedup point, not here.
 func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
@@ -408,17 +403,40 @@ func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
 		Epoch: a.epoch, WallSeconds: wall.Seconds(), Loss: loss,
 		Workers: a.workers, Layers: a.layers,
 	}
+	nanos := make([]int64, len(a.cells))
+	intervals := make([][]IntervalEvent, a.workers)
+	matches := make([][]MatchEvent, a.workers)
+	for w := range a.logs {
+		l := &a.logs[w]
+		l.mu.Lock()
+		intervals[w], matches[w] = l.intervals, l.matches
+		l.mu.Unlock()
+		var span time.Duration
+		for _, iv := range intervals[w] {
+			span += iv.End - iv.Start
+			if i := a.index(w, iv.Stage, iv.Layer); i >= 0 {
+				nanos[i] += int64(iv.End - iv.Start)
+			}
+		}
+		// A worker that finished early idled until the slowest one crossed
+		// the barrier (spawn skew makes this approximate, never negative).
+		if gap := wall - span; gap > 0 {
+			nanos[a.index(w, StageBarrier, 0)] += int64(gap)
+		}
+	}
+	nanos[a.index(0, StageCheckpoint, 0)] += a.checkpoint.Load()
+
 	busy := make([]float64, a.workers)
 	var barrier float64
 	for w := 0; w < a.workers; w++ {
 		for s := Stage(0); s < NumStages; s++ {
 			for l := 0; l <= a.layers; l++ {
-				c := &a.cells[(w*int(NumStages)+int(s))*(a.layers+1)+l]
-				nanos, bytes, msgs := c.nanos.Load(), c.bytes.Load(), c.msgs.Load()
-				if nanos == 0 && bytes == 0 && msgs == 0 {
+				i := a.index(w, s, l)
+				bytes, msgs := a.cells[i].bytes.Load(), a.cells[i].msgs.Load()
+				if nanos[i] == 0 && bytes == 0 && msgs == 0 {
 					continue
 				}
-				sec := float64(nanos) / 1e9
+				sec := float64(nanos[i]) / 1e9
 				switch s {
 				case StageBarrier:
 					barrier += sec
@@ -448,21 +466,10 @@ func (r *FlightRecorder) EndEpoch(wall time.Duration, loss float64) {
 	if total := float64(a.workers) * wall.Seconds(); total > 0 {
 		rec.BarrierShare = barrier / total
 	}
-	if ca := a.causal; ca != nil {
-		intervals := make([][]IntervalEvent, a.workers)
-		matches := make([][]MatchEvent, a.workers)
-		for w := range ca.workers {
-			wc := &ca.workers[w]
-			wc.mu.Lock()
-			intervals[w] = wc.intervals
-			matches[w] = wc.matches
-			wc.mu.Unlock()
-		}
-		if tr := a.tracer.Load(); tr != nil {
-			ca.drawFlows(tr, matches)
-		}
-		rec.CritPath = extractCritPath(wall, intervals, matches)
+	if tr := a.tracer.Load(); tr != nil {
+		r.drawFlows(tr, a, matches)
 	}
+	rec.CritPath = extractCritPath(wall, intervals, matches)
 	r.mu.Lock()
 	if len(r.recs) >= recorderKeep {
 		copy(r.recs, r.recs[1:])
@@ -483,34 +490,29 @@ func (r *FlightRecorder) AddTraffic(worker int, s Stage, layer int, bytes, msgs 
 	if a == nil {
 		return
 	}
-	if c := a.cell(worker, s, layer); c != nil {
-		c.bytes.Add(bytes)
-		c.msgs.Add(msgs)
+	if i := a.index(worker, s, layer); i >= 0 {
+		a.cells[i].bytes.Add(bytes)
+		a.cells[i].msgs.Add(msgs)
 	}
 }
 
-// AddTime attributes a duration directly to a stage cell of the open epoch —
-// for the two intervals no worker's StageClock is running in: the barrier
-// tail (epoch wall minus the span the clock's End reported) and the
-// checkpoint save. Non-positive durations are dropped.
-func (r *FlightRecorder) AddTime(worker int, s Stage, layer int, d time.Duration) {
+// AddCheckpoint charges the open epoch's snapshot save, the one interval no
+// worker's StageClock runs in, to worker 0's checkpoint cell. Non-positive
+// durations are dropped.
+func (r *FlightRecorder) AddCheckpoint(d time.Duration) {
 	if r == nil || d <= 0 {
 		return
 	}
-	a := r.cur.Load()
-	if a == nil {
-		return
-	}
-	if c := a.cell(worker, s, layer); c != nil {
-		c.nanos.Add(int64(d))
+	if a := r.cur.Load(); a != nil {
+		a.checkpoint.Add(int64(d))
 	}
 }
 
 // Clock starts worker's clock, initially in StageForward at layer 1. Inside
-// an open epoch it feeds the epoch's cells and causal log; a non-nil tr adds
-// the tracer, and alone (nil recorder, or no open epoch) makes the clock
-// trace-only. With no sink at all it returns nil, the no-op clock. The clock
-// must be used from a single goroutine.
+// an open epoch it logs into the worker's log; a non-nil tr adds the tracer,
+// and alone (nil recorder, or no open epoch) makes the clock trace-only.
+// With no sink at all it returns nil, the no-op clock. The clock must be
+// used from the worker's goroutine and ended before the epoch does.
 func (r *FlightRecorder) Clock(worker int, tr *Tracer) *StageClock {
 	var acc *epochAccum
 	if r != nil {
@@ -557,14 +559,14 @@ const maxPhaseAttrs = 4
 // training path's timing. At any instant the worker is inside exactly one
 // interval — a (stage, layer) with a span name and attributes — and Phase
 // closes it with one clock read and hands it, once, to each attached sink:
-// the (worker, stage, layer) cell, the causal log (an IntervalEvent) and the
-// tracer (a span classed by Stage.Class). The intervals tile the clock's
+// the worker's log (an IntervalEvent, the recorder's one store of time) and
+// the tracer (a span classed by Stage.Class). The intervals tile the clock's
 // life, so the stage sum equals the span End reports exactly — there is no
 // "untracked" bucket to hide time in; time between two kernels belongs to
 // the interval the earlier one opened. Not safe for concurrent use; nil is a
 // no-op that allocates nothing.
 type StageClock struct {
-	acc    *epochAccum // cells and causal log; nil on a trace-only lane
+	acc    *epochAccum // the worker's log; nil on a trace-only lane
 	tr     *Tracer     // span sink; nil when none is attached
 	worker int
 	begun  time.Time // the clock's own start
@@ -619,26 +621,18 @@ func (c *StageClock) SetAttrs(attrs ...Attr) {
 	c.cur.nattrs += copy(c.cur.attrs[c.cur.nattrs:], attrs)
 }
 
-// boundary hands the running interval, ending now, to the sinks, and ends the
-// groups that were waiting for a boundary.
+// boundary hands the running interval, ending now, to the worker's log and
+// the tracer, and ends the groups that were waiting for a boundary.
 func (c *StageClock) boundary(now time.Time) {
 	if a := c.acc; a != nil {
-		if d := now.Sub(c.cur.start); d > 0 {
-			if cell := a.cell(c.worker, c.stage, c.layer); cell != nil {
-				cell.nanos.Add(int64(d))
-			}
-		}
-		if ca := a.causal; ca != nil {
-			wc := &ca.workers[c.worker]
-			start, end := c.cur.start.Sub(ca.startWall), now.Sub(ca.startWall)
-			if end > start {
-				wc.mu.Lock()
-				wc.intervals = append(wc.intervals, IntervalEvent{
-					Worker: c.worker, Stage: c.stage, Layer: c.layer,
-					Start: start, End: end,
-				})
-				wc.mu.Unlock()
-			}
+		if start, end := c.cur.start.Sub(a.start), now.Sub(a.start); end > start {
+			l := &a.logs[c.worker]
+			l.mu.Lock()
+			l.intervals = append(l.intervals, IntervalEvent{
+				Worker: c.worker, Stage: c.stage, Layer: c.layer,
+				Start: start, End: end,
+			})
+			l.mu.Unlock()
 		}
 	}
 	if c.tr == nil {
@@ -683,7 +677,7 @@ func (c *StageClock) EndGroup() {
 }
 
 // Lane returns a trace-only clock for the same worker, nil when no tracer is
-// attached: it feeds the tracer and never the cells or the causal log. Work
+// attached: it feeds the tracer and never the worker's log. Work
 // beside the worker's own timeline (the overlap path's background sender) is
 // timed on a lane, so the exclusive per-worker identity survives while
 // utilisation still sees the work. A lane is a clock of its own: one
@@ -697,7 +691,7 @@ func (c *StageClock) Lane() *StageClock {
 
 // End closes the final interval and every group still open, detaches the
 // clock and returns the span it ran for: what the worker was busy, and to
-// the nanosecond what its cells were charged.
+// the nanosecond what its intervals sum to.
 func (c *StageClock) End() time.Duration {
 	if c == nil || (c.acc == nil && c.tr == nil) {
 		return 0

@@ -31,7 +31,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var rec *FlightRecorder
 	rec.BeginEpoch(1, 2, 2)
 	rec.AddTraffic(0, StageDepFetchSend, 1, 100, 1)
-	rec.AddTime(0, StageBarrier, 0, time.Millisecond)
+	rec.AddCheckpoint(time.Millisecond)
 	rec.EndEpoch(time.Second, 0.5)
 	if got := rec.Snapshot(); got != nil {
 		t.Fatalf("nil recorder snapshot: %v", got)
@@ -120,15 +120,14 @@ func TestStageClockExclusiveAttribution(t *testing.T) {
 	}
 }
 
-// TestStageClockSinksAgree drives one clock with every sink attached and
-// checks the three views of its interval stream against each other: each
-// interval is one cell charge, one causal IntervalEvent and one span classed
-// by its stage, all from the same clock reads — so the sums agree to the
-// nanosecond — while groups share their boundaries with the intervals they
-// hold and a lane reaches the tracer only.
+// TestStageClockSinksAgree drives one clock with both sinks attached and
+// checks the views of its interval stream against each other: each interval
+// is one IntervalEvent in the worker's log, summed into its cell, and one
+// span classed by its stage, all from the same clock reads — so the sums
+// agree to the nanosecond — while groups share their boundaries with the
+// intervals they hold and a lane reaches the tracer only.
 func TestStageClockSinksAgree(t *testing.T) {
 	rec := NewFlightRecorder()
-	rec.EnableCausal()
 	tr := NewTracer()
 	rec.BeginEpoch(1, 1, 2)
 	sc := rec.Clock(0, tr)
@@ -197,17 +196,25 @@ func TestStageClockSinksAgree(t *testing.T) {
 }
 
 // TestPhaseOffPathAllocFree pins what "the disabled path is free" means: with
-// no sink attached (a nil clock), and with only the always-on cells, a phase
-// boundary carrying attributes — and the group and attribute calls around it
-// — reach the heap zero times. Gated behind NS_PERF_ALLOCS like the other
-// allocation budgets (the race runtime allocates on its own).
+// no sink attached (a nil clock), and with only the always-on worker log in
+// the steady state (its buffer kept from an earlier epoch), a phase boundary
+// carrying attributes — and the group and attribute calls around it — reach
+// the heap zero times. Gated behind NS_PERF_ALLOCS like the other allocation
+// budgets (the race runtime allocates on its own).
 func TestPhaseOffPathAllocFree(t *testing.T) {
 	if os.Getenv("NS_PERF_ALLOCS") == "" {
 		t.Skip("set NS_PERF_ALLOCS=1 to run alloc-budget tests")
 	}
 	rec := NewFlightRecorder()
 	rec.BeginEpoch(1, 1, 2)
-	for name, sc := range map[string]*StageClock{"nil clock": nil, "cells-only clock": rec.Clock(0, nil)} {
+	warm := rec.Clock(0, nil)
+	for i := 0; i < 2000; i++ {
+		warm.Phase(StageForward, 1, "warm")
+	}
+	warm.End()
+	rec.EndEpoch(time.Millisecond, 0)
+	rec.BeginEpoch(2, 1, 2)
+	for name, sc := range map[string]*StageClock{"nil clock": nil, "log-only clock": rec.Clock(0, nil)} {
 		layer, rows := 2, 1000 // not constants: boxing them would allocate
 		n := testing.AllocsPerRun(1000, func() {
 			sc.Phase(StageDepFetchRecv, layer, "gather_dep_nbr", Int("layer", layer), Int("rows", rows))
@@ -271,7 +278,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer snapWG.Done()
 			_ = rec.Snapshot()
-			rec.AddTime(0, StageBarrier, 0, time.Microsecond)
+			rec.AddCheckpoint(time.Microsecond)
 		}()
 		wg.Wait()
 		rec.EndEpoch(time.Millisecond, float64(e))

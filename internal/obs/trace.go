@@ -3,12 +3,12 @@
 // The training path has one timing substrate (DESIGN.md §9): each worker owns
 // one StageClock, every phase boundary is one Phase call, and the interval it
 // closes is handed once to whichever sinks are attached — the flight
-// recorder's (worker, stage, layer) cells, the causal log the critical path
-// is extracted from (stage.go, critpath.go), and the span tracer (this file),
-// whose Chrome trace-event export shows a run's epoch → layer → operator
-// structure in chrome://tracing or Perfetto and which internal/experiments
-// post-processes, with the fabric's delivery stamps, into Fig. 13's
-// utilisation series. The tracer is also usable on its own: the serving path
+// recorder's per-worker log, from which each epoch's (worker, stage, layer)
+// cells, barrier and critical path are computed (stage.go, critpath.go), and
+// the span tracer (this file), whose Chrome trace-event export shows a run's
+// epoch → layer → operator structure in chrome://tracing or Perfetto and
+// which internal/experiments post-processes, with the fabric's delivery
+// stamps, into Fig. 13's utilisation series. The tracer is also usable on its own: the serving path
 // and the sampling baseline open their spans with Start.
 //
 // Beside it sit a metric registry with Prometheus and OpenMetrics text
@@ -141,8 +141,8 @@ func (t *Tracer) offset(at time.Time) time.Duration {
 
 // FlowEvent is one cross-worker arrow in the Chrome trace: a message that
 // left FromWorker at At and was consumed on ToWorker at End. ID ties the
-// start and finish halves together and must be unique per arrow (the causal
-// span id is used in practice).
+// start and finish halves together and must be unique per arrow (the flight
+// recorder numbers its arrows with one counter).
 type FlowEvent struct {
 	ID         uint64
 	Name       string

@@ -144,11 +144,6 @@ type Config struct {
 	// faulted run converges to the same losses as a clean one. Empty
 	// disables injection.
 	FaultSpec string
-	// CritPath enables causal recording: every message carries a trace
-	// context, each epoch closes with a critical-path extraction and
-	// straggler indices (on each /epochs record and via SlowEpochReport), and
-	// the Chrome trace export gains cross-worker flow arrows.
-	CritPath bool
 	// WatchRules enables the anomaly watchdog, e.g.
 	// "stall=30s,regress=1.5,straggler=3.0" or "default" — see the grammar
 	// in internal/obs's ParseWatchRules. Alerts are logged and served on
@@ -273,12 +268,10 @@ func NewSession(ds *Dataset, cfg Config) (*Session, error) {
 		}
 		opts.Ckpt = &ckpt.Saver{Store: store, Every: cfg.CkptEvery}
 	}
-	// Every session records its epoch flights: the recorder's hot path is a
-	// handful of atomic adds per stage switch, cheap enough to keep always-on.
+	// Every session records its epoch flights — cells, straggler indices and
+	// each epoch's critical path (on /epochs and via SlowEpochReport): a stage
+	// switch is one append to its worker's log, cheap enough to keep always-on.
 	rec := obs.NewFlightRecorder()
-	if cfg.CritPath {
-		rec.EnableCausal()
-	}
 	opts.Recorder = rec
 	// Every session keeps a metric history, sampled at each epoch barrier
 	// (see Train); the watchdog judges its rules on every sample.
@@ -613,7 +606,7 @@ func (s *Session) HealthWatch() obs.HealthReport { return s.watch.Health() }
 // SlowEpochReport renders the "why was this epoch slow" analysis as
 // human-readable lines: the run's slowest epoch, its critical-path
 // breakdown, and the straggler verdict. Empty before the first trained
-// epoch; critical-path lines require Config.CritPath.
+// epoch.
 func (s *Session) SlowEpochReport() []string {
 	recs := s.rec.Snapshot()
 	if len(recs) == 0 {

@@ -83,7 +83,7 @@ func TestFamilyNameSetReadsRegistrations(t *testing.T) {
 }
 
 func TestDocPolicyCheckAcceptsRegisteredModes(t *testing.T) {
-	clean := "Run `nstrain -engine hybrid3` or `nstrain -engine=deprep -critpath`; per-engine prose is not a flag.\n"
+	clean := "Run `nstrain -engine hybrid3` or `nstrain -engine=deprep -trace t.json`; per-engine prose is not a flag.\n"
 	if ps := lintSnippet(t, clean); len(ps) != 0 {
 		t.Fatalf("clean doc flagged: %v", ps)
 	}
