@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		layers    = fs.Int("layers", 0, "propagation depth L (0 = default 2; must match the saved model)")
 		workers   = fs.Int("workers", 1, "simulated cluster size for the backing session")
 		seed      = fs.Uint64("seed", 1, "session seed (also folded into sampled-query RNGs)")
-		loadModel = fs.String("load-model", "", "serve parameters from this file (written by nstrain -save-model)")
+		loadModel = fs.String("load-model", "", "serve parameters from this file (nstrain -save-model output or any -ckpt-dir snapshot)")
 		trainN    = fs.Int("train", 0, "train this many epochs in-process before serving")
 		lr        = fs.Float64("lr", 0.01, "learning rate for -train")
 

@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ckptDir   = fs.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = fs.Int("ckpt-every", 5, "checkpoint cadence in epochs")
 		resume    = fs.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
-		saveModel = fs.String("save-model", "", "write the trained model parameters to this file for nsserve (gob)")
+		saveModel = fs.String("save-model", "", "write the trained model to this file for nsserve (snapshot format, as in -ckpt-dir)")
 		faultSpec = fs.String("fault-spec", "", "network fault injection, e.g. 'drop=0.05,jitter=1ms,seed=7'")
 		trace     = fs.String("trace", "", "write a Chrome trace of worker activity to this file")
 		watchSpec = fs.String("watch-rules", "", "anomaly watchdog rules, e.g. 'stall=30s,regress=1.5,straggler=3.0' or 'default'")

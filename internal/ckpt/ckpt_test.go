@@ -2,11 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,46 +17,39 @@ func testSnapshot(epoch int) *Snapshot {
 	s := &Snapshot{
 		Fingerprint: 0xDEADBEEFCAFE,
 		Epoch:       epoch,
+		RNG:         []uint64{0x1234 << 7, 0x1235 << 7},
+		Step:        epoch,
 	}
 	for e := 1; e <= epoch; e++ {
 		s.History = append(s.History, EpochRecord{Epoch: e, Loss: 1.0 / float64(e), Millis: float64(10 * e)})
 	}
-	for w := 0; w < 2; w++ {
-		ws := WorkerState{
-			RNGState: uint64(0x1234+w) << 7,
-			OptAlgo:  "adam",
-			OptStep:  epoch,
-		}
-		for p := 0; p < 3; p++ {
-			rows, cols := 2+p, 3
-			n := rows * cols
-			ps := ParamState{Name: fmt.Sprintf("w%d.p%d", w, p), Rows: rows, Cols: cols}
-			for i := 0; i < n; i++ {
-				ps.Value = append(ps.Value, float32(i)*0.25+float32(w))
+	for p := 0; p < 3; p++ {
+		rows, cols := 2+p, 3
+		n := rows * cols
+		ps := ParamState{Name: fmt.Sprintf("p%d", p), Rows: rows, Cols: cols,
+			M: make([]float32, n), V: make([]float32, n)}
+		for i := 0; i < n; i++ {
+			ps.Value = append(ps.Value, float32(i)*0.25+float32(epoch))
+			if p != 2 { // one param deliberately never stepped: zero moments
+				ps.M[i], ps.V[i] = float32(i)*0.5, float32(i)*0.125
 			}
-			if p != 2 { // one param deliberately without moments
-				for i := 0; i < n; i++ {
-					ps.M = append(ps.M, float32(i)*0.5)
-					ps.V = append(ps.V, float32(i)*0.125)
-				}
-			}
-			ws.Params = append(ws.Params, ps)
 		}
-		s.Workers = append(s.Workers, ws)
+		s.Params = append(s.Params, ps)
 	}
 	return s
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	s := testSnapshot(7)
+func encoded(t testing.TB, s *Snapshot) []byte {
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.Len(), s.EncodedBytes(); got != want {
-		t.Fatalf("encoded %d bytes, EncodedBytes says %d", got, want)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	return buf.Bytes()
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	s := testSnapshot(7)
+	got, err := Decode(bytes.NewReader(encoded(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +58,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	s := testSnapshot(3)
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
+func TestEncodeRejectsMisshapedMoments(t *testing.T) {
+	s := testSnapshot(1)
+	s.Params[1].V = s.Params[1].V[1:]
+	if err := s.Encode(io.Discard); err == nil {
+		t.Fatal("encoded a parameter whose second moment is one value short")
 	}
-	clean := buf.Bytes()
+}
+
+func TestDecodeRejectsCorruption(t *testing.T) {
+	clean := encoded(t, testSnapshot(3))
 
 	// Flip one bit somewhere in the body: the CRC must catch it.
 	for _, pos := range []int{8, len(clean) / 2, len(clean) - 5} {
@@ -86,23 +85,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsFutureVersion(t *testing.T) {
-	s := testSnapshot(1)
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[4] = 99 // version field
-	// Recompute the CRC so only the version check can reject it.
-	body := data[:len(data)-4]
-	sum := crc32ChecksumIEEE(body)
-	data[len(data)-4] = byte(sum)
-	data[len(data)-3] = byte(sum >> 8)
-	data[len(data)-2] = byte(sum >> 16)
-	data[len(data)-1] = byte(sum >> 24)
-	if _, err := Decode(bytes.NewReader(data)); err == nil {
-		t.Fatal("decode accepted an unknown snapshot version")
+// TestDecodeRejectsOtherVersions: a file in the old version-1 layout (one
+// copy of the model per worker) and a future version both fail on the
+// version check, not deeper in the body.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	for _, v := range []byte{1, 99} {
+		data := encoded(t, testSnapshot(1))
+		data[4] = v // version field
+		// Recompute the CRC so only the version check can reject it.
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		_, err := Decode(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", v)) {
+			t.Fatalf("version %d: got %v, want an unsupported-version error", v, err)
+		}
 	}
 }
 
@@ -129,11 +124,11 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 }
 
 func TestStoreRotation(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Retain = 2
 	for epoch := 1; epoch <= 5; epoch++ {
 		if _, err := st.Save(testSnapshot(epoch)); err != nil {
 			t.Fatal(err)
@@ -143,25 +138,26 @@ func TestStoreRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].Epoch != 4 || entries[1].Epoch != 5 {
-		t.Fatalf("retained %+v, want epochs 4 and 5", entries)
+	if len(entries) != retain || entries[0].Epoch != 3 || entries[2].Epoch != 5 {
+		t.Fatalf("retained %+v, want epochs 3 to 5", entries)
 	}
-	files, _ := filepath.Glob(filepath.Join(st.Dir(), "snap-*.nsck"))
-	if len(files) != 2 {
-		t.Fatalf("retained %d snapshot files, want 2: %v", len(files), files)
+	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.nsck"))
+	if len(files) != retain {
+		t.Fatalf("retained %d snapshot files, want %d: %v", len(files), retain, files)
 	}
 	// Re-saving an epoch already in the manifest replaces it, not duplicates.
 	if _, err := st.Save(testSnapshot(5)); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ = st.Entries()
-	if len(entries) != 2 || entries[1].Epoch != 5 {
+	if len(entries) != retain || entries[retain-1].Epoch != 5 {
 		t.Fatalf("after re-save: %+v", entries)
 	}
 }
 
 func TestStoreSurvivesStaleManifestEntry(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +167,7 @@ func TestStoreSurvivesStaleManifestEntry(t *testing.T) {
 		}
 	}
 	// Simulate a lost latest snapshot (crash after manifest write).
-	if err := os.Remove(filepath.Join(st.Dir(), "snap-00000002.nsck")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "snap-00000002.nsck")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.LoadLatest()
@@ -180,6 +176,44 @@ func TestStoreSurvivesStaleManifestEntry(t *testing.T) {
 	}
 	if got.Epoch != 1 {
 		t.Fatalf("degraded load returned epoch %d, want 1", got.Epoch)
+	}
+}
+
+// TestStoreLoadLatestSkipsCorruptNewest: a torn newest file falls back to
+// the entry before it; with every entry corrupt, the newest one's error.
+func TestStoreLoadLatestSkipsCorruptNewest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 3; epoch++ {
+		if _, err := st.Save(testSnapshot(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tear := func(epoch int) {
+		path := filepath.Join(dir, fmt.Sprintf("snap-%08d.nsck", epoch))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tear(3)
+	got, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, testSnapshot(2)) {
+		t.Fatalf("LoadLatest returned epoch %d, want the intact epoch 2", got.Epoch)
+	}
+	tear(2)
+	tear(1)
+	if _, err := st.LoadLatest(); err == nil || !strings.Contains(err.Error(), "snap-00000003.nsck") {
+		t.Fatalf("all entries corrupt: got %v, want the newest entry's error", err)
 	}
 }
 
@@ -215,6 +249,24 @@ func TestSaverCadence(t *testing.T) {
 	}
 }
 
-func crc32ChecksumIEEE(b []byte) uint32 {
-	return crc32.ChecksumIEEE(b)
+// FuzzDecode feeds Decode arbitrary bodies sealed with their correct CRC,
+// so the fuzzer reaches the length and bounds checks past the checksum.
+// Decode must never panic, and whatever it accepts must re-encode to the
+// same bytes (the reserved header field aside).
+func FuzzDecode(f *testing.F) {
+	clean := encoded(f, testSnapshot(2))
+	f.Add(clean[:len(clean)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+		s, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		out := encoded(t, s)
+		want := append([]byte(nil), body...)
+		want[6], want[7] = 0, 0
+		if !bytes.Equal(out[:len(out)-4], want) {
+			t.Fatalf("accepted body re-encodes to %d different bytes", len(out)-4)
+		}
+	})
 }

@@ -1,9 +1,11 @@
 // Package ckpt is the checkpoint/restore subsystem: a versioned binary
 // snapshot of everything a training run needs to continue after a crash —
-// model parameters and optimiser state per worker, per-worker RNG stream
-// positions, the epoch/loss history, and a fingerprint of the graph
+// the model's parameters and Adam state (the gradient all-reduce keeps every
+// replica identical, so one copy is the whole model), each worker's RNG
+// stream position, the epoch/loss history, and a fingerprint of the graph
 // partitioning so a snapshot is rejected when the topology it was taken
-// under no longer matches.
+// under no longer matches. The same format is the trained-model file that
+// serving loads.
 //
 // Snapshots are plain data plus a codec; policy (where files live, how many
 // are kept, how often one is written) lives in Store and Saver. The package
@@ -25,33 +27,29 @@ import (
 // Wire format (little-endian throughout):
 //
 //	magic       u32  (0x4E53434B, "NSCK")
-//	version     u16  (currently 1)
+//	version     u16  (currently 2)
 //	reserved    u16
 //	fingerprint u64
 //	epoch       u32
 //	numHistory  u32
 //	history     numHistory × { epoch u32, loss f64, millis f64 }
-//	numWorkers  u32
-//	per worker:
-//	  rngState  u64
-//	  algoLen   u8 + algo bytes ("sgd" / "adam")
-//	  optStep   u32
-//	  numParams u32
-//	  per param:
-//	    nameLen u16 + name bytes
-//	    rows, cols u32, u32
-//	    value   rows*cols × f32
-//	    hasOpt  u8  (1 ⇒ Adam moments follow)
-//	    m, v    rows*cols × f32 each, when hasOpt == 1
+//	numRNG      u32
+//	rng         numRNG × u64 (one stream position per worker)
+//	step        u32  (Adam's bias-correction step t)
+//	numParams   u32
+//	per param:
+//	  nameLen u16 + name bytes
+//	  rows, cols u32, u32
+//	  value, m, v  rows*cols × f32 each
 //	crc32(IEEE) u32 over every preceding byte
 //
 // The trailing CRC makes torn or bit-rotted files fail loudly at load time
-// rather than resuming from garbage; the version field lets future formats
-// coexist with old manifests.
+// rather than resuming from (or serving) garbage; the version field rejects
+// files written in another layout.
 
 const (
 	snapshotMagic   = 0x4E53434B
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
 
 // maxSnapshotDim bounds decoded allocation sizes against corrupt files.
@@ -64,24 +62,14 @@ type EpochRecord struct {
 	Millis float64
 }
 
-// ParamState is one parameter tensor plus its optimiser moments.
+// ParamState is one parameter tensor plus its Adam moments. M and V always
+// hold Rows*Cols values; a parameter never stepped has zero moments, which
+// is exactly the state Adam starts a fresh parameter from.
 type ParamState struct {
 	Name       string
 	Rows, Cols int
 	Value      []float32
-	// M and V are Adam's moment estimates; nil when the optimiser holds no
-	// state for this parameter (SGD, or a parameter never stepped).
-	M, V []float32
-}
-
-// WorkerState is one worker's full training state.
-type WorkerState struct {
-	// RNGState is the worker's dropout/sampling stream position.
-	RNGState uint64
-	// OptAlgo / OptStep mirror nn.OptState's Algo and Step.
-	OptAlgo string
-	OptStep int
-	Params  []ParamState
+	M, V       []float32
 }
 
 // Snapshot is one recoverable point in a training run.
@@ -94,22 +82,11 @@ type Snapshot struct {
 	// Epoch is the number of completed epochs.
 	Epoch   int
 	History []EpochRecord
-	Workers []WorkerState
-}
-
-// EncodedBytes returns the exact on-disk size of the snapshot.
-func (s *Snapshot) EncodedBytes() int {
-	n := 4 + 2 + 2 + 8 + 4 + 4 + len(s.History)*(4+8+8) + 4
-	for _, w := range s.Workers {
-		n += 8 + 1 + len(w.OptAlgo) + 4 + 4
-		for _, p := range w.Params {
-			n += 2 + len(p.Name) + 4 + 4 + 4*len(p.Value) + 1
-			if p.M != nil {
-				n += 4 * (len(p.M) + len(p.V))
-			}
-		}
-	}
-	return n + 4 // trailing CRC
+	// RNG is each worker's dropout/sampling stream position, by worker id.
+	RNG []uint64
+	// Step is Adam's bias-correction step counter.
+	Step   int
+	Params []ParamState
 }
 
 // Encode writes the snapshot in the versioned binary format.
@@ -138,42 +115,30 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		putU64(math.Float64bits(h.Loss))
 		putU64(math.Float64bits(h.Millis))
 	}
-	putU32(uint32(len(s.Workers)))
-	for _, ws := range s.Workers {
-		putU64(ws.RNGState)
-		if len(ws.OptAlgo) > 255 {
-			return fmt.Errorf("ckpt: optimiser name %q too long", ws.OptAlgo)
+	putU32(uint32(len(s.RNG)))
+	for _, r := range s.RNG {
+		putU64(r)
+	}
+	putU32(uint32(s.Step))
+	putU32(uint32(len(s.Params)))
+	for _, p := range s.Params {
+		if len(p.Name) > 1<<16-1 {
+			return fmt.Errorf("ckpt: param name %q too long", p.Name)
 		}
-		bw.WriteByte(byte(len(ws.OptAlgo)))
-		bw.WriteString(ws.OptAlgo)
-		putU32(uint32(ws.OptStep))
-		putU32(uint32(len(ws.Params)))
-		for _, p := range ws.Params {
-			if len(p.Name) > 1<<16-1 {
-				return fmt.Errorf("ckpt: param name %q too long", p.Name)
-			}
-			var nb [2]byte
-			binary.LittleEndian.PutUint16(nb[:], uint16(len(p.Name)))
-			bw.Write(nb[:])
-			bw.WriteString(p.Name)
-			putU32(uint32(p.Rows))
-			putU32(uint32(p.Cols))
-			if len(p.Value) != p.Rows*p.Cols {
-				return fmt.Errorf("ckpt: param %s has %d values for %dx%d", p.Name, len(p.Value), p.Rows, p.Cols)
-			}
-			putF32s(p.Value)
-			if (p.M == nil) != (p.V == nil) || (p.M != nil && (len(p.M) != len(p.Value) || len(p.V) != len(p.Value))) {
-				return fmt.Errorf("ckpt: param %s moments misshaped (%d/%d for %d values)",
-					p.Name, len(p.M), len(p.V), len(p.Value))
-			}
-			if p.M != nil {
-				bw.WriteByte(1)
-				putF32s(p.M)
-				putF32s(p.V)
-			} else {
-				bw.WriteByte(0)
-			}
+		n := p.Rows * p.Cols
+		if len(p.Value) != n || len(p.M) != n || len(p.V) != n {
+			return fmt.Errorf("ckpt: param %s has %d values and %d/%d moments for %dx%d",
+				p.Name, len(p.Value), len(p.M), len(p.V), p.Rows, p.Cols)
 		}
+		var nb [2]byte
+		binary.LittleEndian.PutUint16(nb[:], uint16(len(p.Name)))
+		bw.Write(nb[:])
+		bw.WriteString(p.Name)
+		putU32(uint32(p.Rows))
+		putU32(uint32(p.Cols))
+		putF32s(p.Value)
+		putF32s(p.M)
+		putF32s(p.V)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -225,13 +190,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		}
 		return binary.LittleEndian.Uint64(scratch[:8]), nil
 	}
-	getF32s := func(n int) ([]float32, error) {
-		out, err := readF32s(br, n)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 
 	magic, err := getU32()
 	if err != nil {
@@ -282,82 +240,61 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		h.Millis = math.Float64frombits(mb)
 		s.History = append(s.History, h)
 	}
-	nw, err := getU32()
+	nr, err := getU32()
 	if err != nil {
 		return nil, err
 	}
-	if nw > maxSnapshotDim {
-		return nil, fmt.Errorf("ckpt: worker count %d out of range", nw)
+	if nr > maxSnapshotDim {
+		return nil, fmt.Errorf("ckpt: worker count %d out of range", nr)
 	}
-	for i := uint32(0); i < nw; i++ {
-		var ws WorkerState
-		if ws.RNGState, err = getU64(); err != nil {
-			return nil, err
-		}
-		alen, err := br.ReadByte()
+	for i := uint32(0); i < nr; i++ {
+		r, err := getU64()
 		if err != nil {
 			return nil, err
 		}
-		algo := make([]byte, alen)
-		if _, err := io.ReadFull(br, algo); err != nil {
+		s.RNG = append(s.RNG, r)
+	}
+	step, err := getU32()
+	if err != nil {
+		return nil, err
+	}
+	s.Step = int(step)
+	np, err := getU32()
+	if err != nil {
+		return nil, err
+	}
+	if np > maxSnapshotDim {
+		return nil, fmt.Errorf("ckpt: param count %d out of range", np)
+	}
+	for j := uint32(0); j < np; j++ {
+		var p ParamState
+		if _, err := io.ReadFull(br, scratch[:2]); err != nil {
 			return nil, err
 		}
-		ws.OptAlgo = string(algo)
-		step, err := getU32()
+		name := make([]byte, binary.LittleEndian.Uint16(scratch[:2]))
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, err
+		}
+		p.Name = string(name)
+		rows, err := getU32()
 		if err != nil {
 			return nil, err
 		}
-		ws.OptStep = int(step)
-		np, err := getU32()
+		cols, err := getU32()
 		if err != nil {
 			return nil, err
 		}
-		if np > maxSnapshotDim {
-			return nil, fmt.Errorf("ckpt: param count %d out of range", np)
+		if rows > maxSnapshotDim || cols > maxSnapshotDim ||
+			(rows > 0 && cols > maxSnapshotDim/rows) {
+			return nil, fmt.Errorf("ckpt: param %s dimensions %dx%d out of range", p.Name, rows, cols)
 		}
-		for j := uint32(0); j < np; j++ {
-			var p ParamState
-			if _, err := io.ReadFull(br, scratch[:2]); err != nil {
+		p.Rows, p.Cols = int(rows), int(cols)
+		for _, dst := range []*[]float32{&p.Value, &p.M, &p.V} {
+			if *dst, err = readF32s(br, p.Rows*p.Cols); err != nil {
 				return nil, err
 			}
-			name := make([]byte, binary.LittleEndian.Uint16(scratch[:2]))
-			if _, err := io.ReadFull(br, name); err != nil {
-				return nil, err
-			}
-			p.Name = string(name)
-			rows, err := getU32()
-			if err != nil {
-				return nil, err
-			}
-			cols, err := getU32()
-			if err != nil {
-				return nil, err
-			}
-			if rows > maxSnapshotDim || cols > maxSnapshotDim ||
-				(rows > 0 && cols > maxSnapshotDim/rows) {
-				return nil, fmt.Errorf("ckpt: param %s dimensions %dx%d out of range", p.Name, rows, cols)
-			}
-			p.Rows, p.Cols = int(rows), int(cols)
-			if p.Value, err = getF32s(p.Rows * p.Cols); err != nil {
-				return nil, err
-			}
-			hasOpt, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			if hasOpt == 1 {
-				if p.M, err = getF32s(p.Rows * p.Cols); err != nil {
-					return nil, err
-				}
-				if p.V, err = getF32s(p.Rows * p.Cols); err != nil {
-					return nil, err
-				}
-			} else if hasOpt != 0 {
-				return nil, fmt.Errorf("ckpt: param %s has invalid moment flag %d", p.Name, hasOpt)
-			}
-			ws.Params = append(ws.Params, p)
 		}
-		s.Workers = append(s.Workers, ws)
+		s.Params = append(s.Params, p)
 	}
 	if br.Len() != 0 {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes after snapshot body", br.Len())

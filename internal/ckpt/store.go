@@ -12,9 +12,9 @@ import (
 )
 
 // Store manages a directory of snapshots with a manifest and retention
-// rotation. All writes are atomic (temp file + rename), so a crash mid-save
-// never corrupts an existing snapshot, and the manifest always points at
-// fully written files.
+// rotation that keeps the newest retain (3) snapshots. All writes are atomic
+// (temp file + rename), so a crash mid-save never corrupts an existing
+// snapshot, and the manifest always points at fully written files.
 //
 // Directory layout:
 //
@@ -24,19 +24,16 @@ import (
 // The manifest is a plain text file — first line "nsck-manifest v1", then
 // one line per snapshot: "epoch=<n> file=<name> bytes=<n> saved_unix=<ts>".
 // It is rewritten atomically after every save; readers take the last entry
-// whose file still exists, so a manifest that raced a crash degrades to the
-// previous snapshot instead of failing.
+// whose file still exists and decodes, so a manifest that raced a crash or
+// a torn newest file degrades to the previous snapshot instead of failing.
 type Store struct {
 	dir string
-	// Retain caps how many snapshots are kept (oldest rotated out first).
-	// Zero means the default of 3; negative disables rotation.
-	Retain int
 }
 
 const (
 	manifestName   = "MANIFEST"
 	manifestHeader = "nsck-manifest v1"
-	defaultRetain  = 3
+	retain         = 3
 )
 
 // Entry is one manifest line: a snapshot the store knows about.
@@ -56,20 +53,6 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("ckpt: creating store: %w", err)
 	}
 	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
-func (st *Store) retain() int {
-	switch {
-	case st.Retain == 0:
-		return defaultRetain
-	case st.Retain < 0:
-		return int(^uint(0) >> 1) // effectively unlimited
-	default:
-		return st.Retain
-	}
 }
 
 // Entries reads the manifest. A missing manifest is an empty store, not an
@@ -196,9 +179,9 @@ func (st *Store) Save(s *Snapshot) (string, error) {
 		Epoch: s.Epoch, File: name, Bytes: info.Size(), SavedUnix: time.Now().Unix(),
 	})
 	var evicted []Entry
-	if r := st.retain(); len(entries) > r {
-		evicted = append(evicted, entries[:len(entries)-r]...)
-		entries = entries[len(entries)-r:]
+	if len(entries) > retain {
+		evicted = append(evicted, entries[:len(entries)-retain]...)
+		entries = entries[len(entries)-retain:]
 	}
 	if err := st.writeManifest(entries); err != nil {
 		return "", err
@@ -252,18 +235,27 @@ func (st *Store) Load(e Entry) (*Snapshot, error) {
 	return s, nil
 }
 
-// LoadLatest decodes the newest snapshot in the store, or returns
-// (nil, nil) when the store is empty — an empty store is the normal state
-// of a fresh run, not an error.
+// LoadLatest decodes the newest snapshot in the store that decodes, so a
+// torn or bit-rotted newest file falls back to the entry before it. It
+// returns the newest entry's error when none decodes, and (nil, nil) when
+// the store is empty — an empty store is the normal state of a fresh run,
+// not an error.
 func (st *Store) LoadLatest() (*Snapshot, error) {
 	entries, err := st.Entries()
 	if err != nil {
 		return nil, err
 	}
-	if len(entries) == 0 {
-		return nil, nil
+	var newestErr error
+	for i := len(entries) - 1; i >= 0; i-- {
+		s, err := st.Load(entries[i])
+		if err == nil {
+			return s, nil
+		}
+		if newestErr == nil {
+			newestErr = err
+		}
 	}
-	return st.Load(entries[len(entries)-1])
+	return nil, newestErr
 }
 
 // Saver writes snapshots at a fixed epoch cadence. The engine calls

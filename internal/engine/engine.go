@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -385,7 +383,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 			e.fabric.Close()
 			return nil, err
 		}
-		e.states[i] = newWorkerState(i, e, model)
+		e.states[i] = newWorker(i, e, model)
 	}
 	if err := checkRectified(e.states[0].model, e.plans, opts.Broadcast); err != nil {
 		e.fabric.Close()
@@ -564,29 +562,6 @@ func (e *Engine) ReplicasInSync() bool {
 		}
 	}
 	return true
-}
-
-// SaveModel serialises the current parameters (all replicas are identical,
-// so worker 0's copy is canonical).
-func (e *Engine) SaveModel(w io.Writer) error {
-	return e.states[0].model.SaveParams(w)
-}
-
-// LoadModel restores parameters into every worker's replica, preserving the
-// replicas-identical invariant. The checkpoint must match the engine's
-// model architecture.
-func (e *Engine) LoadModel(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	for _, ws := range e.states {
-		if err := ws.model.LoadParams(bytes.NewReader(data)); err != nil {
-			return err
-		}
-	}
-	e.paramVersion.Add(1)
-	return nil
 }
 
 // ParamVersion returns the parameter mutation counter: it advances on every

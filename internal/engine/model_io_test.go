@@ -66,3 +66,50 @@ func TestSaveLoadModelRoundTripAllKinds(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadModelRejectsEveryByteFlip flips each byte of a saved model in
+// turn: LoadModel must refuse every copy and leave every replica as it was,
+// so a bit-rotted model file can never be served.
+func TestLoadModelRejectsEveryByteFlip(t *testing.T) {
+	ds := testDataset(t, 120, 5, 64)
+	for _, kind := range nn.ModelKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			src, err := NewEngine(ds, Options{Workers: 2, Mode: Hybrid, Model: kind, Seed: 9, LR: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			src.RunEpoch()
+			var buf bytes.Buffer
+			if err := src.SaveModel(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dst, err := NewEngine(ds, Options{Workers: 3, Mode: DepComm, Model: kind, Seed: 123, LR: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			before := dst.CloneModel().Params()
+			v0 := dst.ParamVersion()
+			clean := buf.Bytes()
+			for pos := range clean {
+				bad := append([]byte(nil), clean...)
+				bad[pos] ^= 0xFF
+				if err := dst.LoadModel(bytes.NewReader(bad)); err == nil {
+					t.Fatalf("byte %d of %d flipped: LoadModel accepted it", pos, len(clean))
+				}
+			}
+			if dst.ParamVersion() != v0 {
+				t.Fatal("a rejected load advanced the parameter version")
+			}
+			if !dst.ReplicasInSync() {
+				t.Fatal("replicas out of sync after rejected loads")
+			}
+			for i, p := range dst.Params() {
+				if !p.Value.Equal(before[i].Value) {
+					t.Fatalf("param %s moved under rejected loads", p.Name)
+				}
+			}
+		})
+	}
+}

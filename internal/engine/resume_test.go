@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,22 +190,100 @@ func TestSameSeedBitIdentical(t *testing.T) {
 // snapshot, and trains 3 more. The resumed curve must match the
 // uninterrupted one within 1e-5 (bit-exact in-process, since the probed cost
 // model is memoised; the tolerance absorbs cross-process plan differences).
+// The ParamServer row resumes a run whose non-server workers hold no Adam
+// moments: the snapshot's one copy is the server's.
 func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	const k, total = 3, 6
-	opts := Options{Workers: 4, Mode: Hybrid, Seed: 5}
 	ds := testDataset(t, 300, 6, 3)
+	for _, opts := range []Options{
+		{Workers: 4, Mode: Hybrid, Seed: 5},
+		{Workers: 4, Mode: Hybrid, Seed: 5, ParamServer: true},
+	} {
+		t.Run(fmt.Sprintf("paramserver=%v", opts.ParamServer), func(t *testing.T) {
+			full, err := NewEngine(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, 0, total)
+			for _, st := range full.Train(total) {
+				want = append(want, st.Loss)
+			}
+			full.Close()
 
+			store, err := ckpt.OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			optsCkpt := opts
+			optsCkpt.Ckpt = &ckpt.Saver{Store: store, Every: 1}
+			first, err := NewEngine(ds, optsCkpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range first.Train(k) {
+				if st.CkptErr != nil {
+					t.Fatalf("epoch %d checkpoint: %v", st.Epoch, st.CkptErr)
+				}
+				if st.Loss != want[i] {
+					t.Fatalf("pre-kill epoch %d loss %.17g, uninterrupted %.17g", i+1, st.Loss, want[i])
+				}
+			}
+			first.Close() // the "crash"
+
+			snap, err := store.LoadLatest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				t.Fatal("no snapshot on disk after 3 checkpointed epochs")
+			}
+			if snap.Epoch != k {
+				t.Fatalf("latest snapshot is epoch %d, want %d", snap.Epoch, k)
+			}
+
+			second, err := NewEngine(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer second.Close()
+			if err := second.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(second.History()); got != k {
+				t.Fatalf("restored history has %d epochs, want %d", got, k)
+			}
+			for i, st := range second.Train(total - k) {
+				if st.Epoch != k+i+1 {
+					t.Fatalf("resumed epoch numbered %d, want %d", st.Epoch, k+i+1)
+				}
+				if diff := math.Abs(st.Loss - want[k+i]); diff > 1e-5 {
+					t.Fatalf("resumed epoch %d loss %.17g, uninterrupted %.17g (diff %g)",
+						st.Epoch, st.Loss, want[k+i], diff)
+				}
+			}
+			if !second.ReplicasInSync() {
+				t.Fatal("replicas diverged after resume")
+			}
+		})
+	}
+}
+
+// TestResumeSkipsCorruptNewestSnapshot: with the newest of three snapshots
+// bit-rotted, resuming restores the one before it, and training on from
+// there matches the uninterrupted run.
+func TestResumeSkipsCorruptNewestSnapshot(t *testing.T) {
+	const total = 5
+	opts := Options{Workers: 3, Mode: Hybrid, Seed: 5}
+	ds := testDataset(t, 300, 6, 3)
 	full, err := NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, 0, total)
-	for _, st := range full.Train(total) {
-		want = append(want, st.Loss)
-	}
+	want := full.Train(total)
 	full.Close()
 
-	store, err := ckpt.OpenStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := ckpt.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,27 +293,25 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range first.Train(k) {
-		if st.CkptErr != nil {
-			t.Fatalf("epoch %d checkpoint: %v", st.Epoch, st.CkptErr)
-		}
-		if st.Loss != want[i] {
-			t.Fatalf("pre-kill epoch %d loss %.17g, uninterrupted %.17g", i+1, st.Loss, want[i])
-		}
-	}
-	first.Close() // the "crash"
-
-	snap, err := store.LoadLatest()
+	first.Train(3)
+	first.Close()
+	newest := filepath.Join(dir, "snap-00000003.nsck")
+	data, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("no snapshot on disk after 3 checkpointed epochs")
-	}
-	if snap.Epoch != k {
-		t.Fatalf("latest snapshot is epoch %d, want %d", snap.Epoch, k)
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
+	snap, err := store.LoadLatest()
+	if err != nil {
+		t.Fatalf("a corrupt newest snapshot failed the resume: %v", err)
+	}
+	if snap.Epoch != 2 {
+		t.Fatalf("resumed from epoch %d, want the intact epoch 2", snap.Epoch)
+	}
 	second, err := NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,20 +320,10 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	if err := second.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(second.History()); got != k {
-		t.Fatalf("restored history has %d epochs, want %d", got, k)
-	}
-	for i, st := range second.Train(total - k) {
-		if st.Epoch != k+i+1 {
-			t.Fatalf("resumed epoch numbered %d, want %d", st.Epoch, k+i+1)
+	for i, st := range second.Train(total - 2) {
+		if w := want[2+i]; st.Epoch != w.Epoch || math.Abs(st.Loss-w.Loss) > 1e-5 {
+			t.Fatalf("resumed epoch %d loss %.17g, uninterrupted epoch %d %.17g", st.Epoch, st.Loss, w.Epoch, w.Loss)
 		}
-		if diff := math.Abs(st.Loss - want[k+i]); diff > 1e-5 {
-			t.Fatalf("resumed epoch %d loss %.17g, uninterrupted %.17g (diff %g)",
-				st.Epoch, st.Loss, want[k+i], diff)
-		}
-	}
-	if !second.ReplicasInSync() {
-		t.Fatal("replicas diverged after resume")
 	}
 }
 
@@ -289,10 +357,10 @@ func TestRestoreRejectsMismatchedFingerprint(t *testing.T) {
 	}
 }
 
-// TestRejectedSnapshotLeavesEngineUntouched: a snapshot whose last worker
-// carries an optimiser state the engine cannot load is refused before any
-// worker takes its parameters, moments or RNG position, so the engine goes
-// on exactly as a twin that never saw it.
+// TestRejectedSnapshotLeavesEngineUntouched: a snapshot whose last
+// parameter carries a misshaped moment vector is refused before any worker
+// takes its parameters, moments or RNG position, so the engine goes on
+// exactly as a twin that never saw it.
 func TestRejectedSnapshotLeavesEngineUntouched(t *testing.T) {
 	ds := testDataset(t, 300, 6, 3)
 	opts := Options{Workers: 3, Mode: Hybrid, Seed: 5}
@@ -307,7 +375,8 @@ func TestRejectedSnapshotLeavesEngineUntouched(t *testing.T) {
 	donor, victim, twin := build(), build(), build()
 	donor.Train(2)
 	snap := donor.Snapshot()
-	snap.Workers[len(snap.Workers)-1].OptAlgo = "sgd"
+	last := &snap.Params[len(snap.Params)-1]
+	last.V = last.V[:len(last.V)-1]
 	victim.RunEpoch()
 	twin.RunEpoch()
 
@@ -316,7 +385,7 @@ func TestRejectedSnapshotLeavesEngineUntouched(t *testing.T) {
 		before = append(before, append([]float32(nil), p.Value.Data()...))
 	}
 	if err := victim.Restore(snap); err == nil {
-		t.Fatal("restore of a snapshot with an sgd optimiser state succeeded")
+		t.Fatal("restore of a snapshot with a misshaped moment vector succeeded")
 	}
 	for i, p := range victim.Params() {
 		for k, v := range p.Value.Data() {

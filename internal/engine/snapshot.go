@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"neutronstar/internal/ckpt"
@@ -46,10 +47,13 @@ func (e *Engine) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Snapshot captures the engine's full recoverable state: every worker's
-// parameters, optimiser moments and RNG position, plus the epoch counter and
-// loss history. Call it only between epochs (the engine is externally
-// synchronous, so any caller respecting that is already at a barrier).
+// Snapshot captures the engine's full recoverable state: the model's
+// parameters and Adam state, every worker's RNG position, the epoch counter
+// and the loss history. The gradient all-reduce keeps the replicas
+// identical, and under ParamServer worker 0 is the server that steps, so
+// worker 0's replica and optimiser are the model's one copy. Call it only
+// between epochs (the engine is externally synchronous, so any caller
+// respecting that is already at a barrier).
 func (e *Engine) Snapshot() *ckpt.Snapshot {
 	snap := &ckpt.Snapshot{Fingerprint: e.Fingerprint(), Epoch: e.epoch}
 	for _, h := range e.history {
@@ -60,71 +64,45 @@ func (e *Engine) Snapshot() *ckpt.Snapshot {
 		})
 	}
 	for _, ws := range e.states {
-		params := ws.model.Params()
-		opt := nn.CaptureOptState(ws.opt, params)
-		w := ckpt.WorkerState{
-			RNGState: ws.rng.State(),
-			OptAlgo:  opt.Algo,
-			OptStep:  opt.Step,
-		}
-		for i, p := range params {
-			ps := ckpt.ParamState{
-				Name: p.Name,
-				Rows: p.Value.Rows(), Cols: p.Value.Cols(),
-				Value: append([]float32(nil), p.Value.Data()...),
-			}
-			if opt.M[i] != nil {
-				ps.M, ps.V = opt.M[i], opt.V[i] // CaptureOptState already copied
-			}
-			w.Params = append(w.Params, ps)
-		}
-		snap.Workers = append(snap.Workers, w)
+		snap.RNG = append(snap.RNG, ws.rng.State())
+	}
+	params := e.states[0].model.Params()
+	opt := nn.CaptureOptState(e.states[0].opt, params)
+	snap.Step = opt.Step
+	for i, p := range params {
+		snap.Params = append(snap.Params, ckpt.ParamState{
+			Name: p.Name,
+			Rows: p.Value.Rows(), Cols: p.Value.Cols(),
+			Value: append([]float32(nil), p.Value.Data()...),
+			M:     opt.M[i], V: opt.V[i], // CaptureOptState already copied
+		})
 	}
 	return snap
 }
 
-// Restore loads a snapshot taken by an engine with the same fingerprint. All
-// checks run before any mutation, so a rejected snapshot leaves the engine
-// untouched.
+// Restore loads a snapshot taken by an engine with the same fingerprint
+// into every replica. All checks run before any mutation, so a rejected
+// snapshot leaves the engine untouched.
 func (e *Engine) Restore(snap *ckpt.Snapshot) error {
 	if fp := e.Fingerprint(); snap.Fingerprint != fp {
 		return fmt.Errorf("engine: snapshot fingerprint %#x does not match this configuration (%#x); dataset, partitioning, model or seed changed", snap.Fingerprint, fp)
 	}
-	if len(snap.Workers) != len(e.states) {
-		return fmt.Errorf("engine: snapshot has %d workers, engine has %d", len(snap.Workers), len(e.states))
+	if len(snap.RNG) != len(e.states) {
+		return fmt.Errorf("engine: snapshot has %d worker RNG streams, engine has %d workers", len(snap.RNG), len(e.states))
 	}
-	applyOpt := make([]func(), len(e.states))
+	if err := e.checkParams(snap.Params); err != nil {
+		return err
+	}
+	opt := nn.OptState{Step: snap.Step,
+		M: make([][]float32, len(snap.Params)), V: make([][]float32, len(snap.Params))}
+	for i := range snap.Params {
+		opt.M[i], opt.V[i] = snap.Params[i].M, snap.Params[i].V
+	}
+	e.installParams(snap.Params)
 	for wi, ws := range e.states {
-		params := ws.model.Params()
-		sw := &snap.Workers[wi]
-		if len(sw.Params) != len(params) {
-			return fmt.Errorf("engine: worker %d snapshot has %d params, model has %d", wi, len(sw.Params), len(params))
-		}
-		opt := nn.OptState{Algo: sw.OptAlgo, Step: sw.OptStep,
-			M: make([][]float32, len(params)), V: make([][]float32, len(params))}
-		for i, p := range params {
-			sp := &sw.Params[i]
-			if sp.Rows != p.Value.Rows() || sp.Cols != p.Value.Cols() {
-				return fmt.Errorf("engine: worker %d param %s is %dx%d in the snapshot, %dx%d in the model",
-					wi, p.Name, sp.Rows, sp.Cols, p.Value.Rows(), p.Value.Cols())
-			}
-			opt.M[i], opt.V[i] = sp.M, sp.V
-		}
-		apply, err := nn.RestoreOptState(ws.opt, params, opt)
-		if err != nil {
-			return fmt.Errorf("engine: worker %d: %w", wi, err)
-		}
-		applyOpt[wi] = apply
+		nn.RestoreOptState(ws.opt, ws.model.Params(), opt)
+		ws.rng.SetState(snap.RNG[wi])
 	}
-	for wi, ws := range e.states {
-		sw := &snap.Workers[wi]
-		applyOpt[wi]()
-		for i, p := range ws.model.Params() {
-			copy(p.Value.Data(), sw.Params[i].Value)
-		}
-		ws.rng.SetState(sw.RNGState)
-	}
-	e.paramVersion.Add(1)
 	e.epoch = snap.Epoch
 	e.history = e.history[:0]
 	for _, h := range snap.History {
@@ -134,6 +112,60 @@ func (e *Engine) Restore(snap *ckpt.Snapshot) error {
 		})
 	}
 	return nil
+}
+
+// SaveModel writes the engine's snapshot: the trained model file that
+// LoadModel (and nsserve -load-model) reads is the checkpoint format.
+func (e *Engine) SaveModel(w io.Writer) error { return e.Snapshot().Encode(w) }
+
+// LoadModel reads a snapshot and copies its parameters into every replica.
+// The parameters must match the engine's architecture; the fingerprint, RNG
+// positions, moments and history are ignored, so a model loads into any
+// worker count, mode or seed. A file that fails its checksum or the
+// parameter check leaves every replica untouched.
+func (e *Engine) LoadModel(r io.Reader) error {
+	snap, err := ckpt.Decode(r)
+	if err != nil {
+		return err
+	}
+	if err := e.checkParams(snap.Params); err != nil {
+		return err
+	}
+	e.installParams(snap.Params)
+	return nil
+}
+
+// checkParams checks a snapshot's parameters against the model's by
+// position: the same count, names and shapes, and values and both moments
+// of each parameter's length. Every replica has worker 0's layout.
+func (e *Engine) checkParams(snap []ckpt.ParamState) error {
+	params := e.states[0].model.Params()
+	if len(snap) != len(params) {
+		return fmt.Errorf("engine: snapshot has %d params, model has %d", len(snap), len(params))
+	}
+	for i, p := range params {
+		sp := &snap[i]
+		if sp.Name != p.Name || sp.Rows != p.Value.Rows() || sp.Cols != p.Value.Cols() {
+			return fmt.Errorf("engine: snapshot param %d is %s %dx%d, model wants %s %dx%d",
+				i, sp.Name, sp.Rows, sp.Cols, p.Name, p.Value.Rows(), p.Value.Cols())
+		}
+		if n := p.Value.Len(); len(sp.Value) != n || len(sp.M) != n || len(sp.V) != n {
+			return fmt.Errorf("engine: snapshot param %s has %d values and %d/%d moments, want %d",
+				p.Name, len(sp.Value), len(sp.M), len(sp.V), n)
+		}
+	}
+	return nil
+}
+
+// installParams copies checked parameter values into every replica and
+// advances the parameter version.
+func (e *Engine) installParams(snap []ckpt.ParamState) {
+	for _, ws := range e.states {
+		for i, p := range ws.model.Params() {
+			copy(p.Value.Data(), snap[i].Value)
+		}
+	}
+	e.paramVersion.Add(1)
 }
 
 // History returns a copy of the per-epoch stats of every completed epoch

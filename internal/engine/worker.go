@@ -146,7 +146,7 @@ func (f *masterMirror) heldChunk(lp *layerPlan, j int) *tensor.Tensor {
 	return f.held.RowSlice(base, base+len(lp.held[j]))
 }
 
-func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
+func newWorker(id int, e *Engine, model *nn.Model) *workerState {
 	plan := e.plans[id]
 	ds := e.ds
 	ws := &workerState{

@@ -39,9 +39,6 @@ type Partition struct {
 // Owner returns the worker owning vertex v.
 func (p *Partition) Owner(v int32) int32 { return p.Assign[v] }
 
-// PartSize returns |V_i| for worker i.
-func (p *Partition) PartSize(i int) int { return len(p.Parts[i]) }
-
 // Validate checks the structural invariants: every vertex appears in exactly
 // one part, parts agree with Assign, and part lists are ascending.
 func (p *Partition) Validate(numVertices int) error {

@@ -102,7 +102,7 @@ func TestMetisBalance(t *testing.T) {
 	p, _ := New(Metis, g, 8)
 	maxSize, minSize := 0, g.NumVertices()
 	for i := 0; i < 8; i++ {
-		s := p.PartSize(i)
+		s := len(p.Parts[i])
 		if s > maxSize {
 			maxSize = s
 		}

@@ -64,8 +64,8 @@ func (s engineSource) Snapshot() (*nn.Model, uint64) {
 	return s.eng.CloneModel(), v
 }
 
-// Static is a Source over a fixed model — the nsserve deployment where
-// parameters come from a file. Update swaps the model and bumps the version,
+// Static is a Source over a fixed model, outside any training session
+// (nsserve serves a Session's EngineSource instead). Update swaps the model and bumps the version,
 // which is how a push-style deployment rolls new parameters without a
 // restart (and how tests exercise cache invalidation deterministically).
 type Static struct {

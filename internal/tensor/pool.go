@@ -214,13 +214,6 @@ func (a *Arena) get(rows, cols int, zero bool) *Tensor {
 	return t
 }
 
-// GetCopy returns an arena-owned deep copy of src.
-func (a *Arena) GetCopy(src *Tensor) *Tensor {
-	t := a.Get(src.rows, src.cols)
-	copy(t.data, src.data)
-	return t
-}
-
 // Release returns every tensor obtained since the last Release to the pool.
 // All of them must be dead: no tape, message, or gradient may reference
 // their storage after this call. Nil-safe.

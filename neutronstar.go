@@ -317,16 +317,6 @@ func (s *Session) Resume() (bool, error) {
 	return true, nil
 }
 
-// Checkpoint forces an immediate snapshot save, regardless of the CkptEvery
-// cadence. The session must not be training concurrently.
-func (s *Session) Checkpoint() error {
-	if s.store == nil {
-		return fmt.Errorf("neutronstar: session has no checkpoint directory (set Config.CkptDir)")
-	}
-	_, err := s.store.Save(s.eng.Snapshot())
-	return err
-}
-
 // History returns every completed epoch's result, including epochs restored
 // from a snapshot — a resumed run reports a continuous loss curve.
 func (s *Session) History() []EpochResult {
@@ -722,11 +712,14 @@ func (s *Session) ServeConfig() serve.Config {
 	}
 }
 
-// SaveModel writes the current model parameters to w (gob encoding).
+// SaveModel writes the session's snapshot to w, in the checkpoint format
+// (CRC-checked). Any snapshot file is a valid LoadModel input.
 func (s *Session) SaveModel(w io.Writer) error { return s.eng.SaveModel(w) }
 
-// LoadModel restores parameters previously saved with SaveModel into every
-// worker replica. The checkpoint must match the session's architecture.
+// LoadModel copies the parameters of a snapshot written by SaveModel (or a
+// checkpoint) into every worker replica. They must match the session's
+// architecture; worker count, mode and seed may differ. A corrupt file is
+// refused with no replica changed.
 func (s *Session) LoadModel(r io.Reader) error { return s.eng.LoadModel(r) }
 
 // SaveDataset writes a dataset to dir in the plain-text directory format
