@@ -87,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lr        = fs.Float64("lr", 0.01, "learning rate")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		opt       = fs.Bool("optimized", true, "enable ring/lock-free/overlap optimisations")
-		repBudget = fs.Int64("rep-budget", 0, "per-worker compressed replica byte budget for deprep/hybrid4 (0 = unlimited)")
-		repQuant  = fs.String("rep-quant", "off", "replica feature storage for deprep/hybrid4: off, fp16, int8")
+		repBudget = fs.Int64("rep-budget", 0, "per-worker replica byte budget for deprep/hybrid4 (0 = unlimited)")
 		ckptDir   = fs.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = fs.Int("ckpt-every", 5, "checkpoint cadence in epochs")
 		resume    = fs.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
@@ -158,7 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		LR:             *lr,
 		Seed:           *seed,
 		RepBudgetBytes: *repBudget,
-		RepQuant:       *repQuant,
 		CkptDir:        *ckptDir,
 		CkptEvery:      *ckptEvery,
 		FaultSpec:      *faultSpec,
@@ -221,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	log.Info("planning done", "replica_kb", float64(s.CacheBytes())/1024,
 		"planning_ms", s.PreprocessMillis())
 	if rf := s.ReplicationFactor(); rf > 1 {
-		log.Info("replication pass", "factor", rf, "quant", *repQuant)
+		log.Info("replication pass", "factor", rf)
 	}
 
 	for i := startEpoch; i < *epochs; i++ {

@@ -17,6 +17,9 @@ func TestRunFlagValidation(t *testing.T) {
 		// Every record carries its critical path: the retired switch must
 		// be rejected, not silently ignored.
 		{"removed -critpath", []string{"-critpath"}, "flag provided but not defined: -critpath"},
+		// Replica rows are stored exact: a script asking for a quantised
+		// store must fail loudly, not silently train exact.
+		{"removed -rep-quant", []string{"-rep-quant", "int8"}, "flag provided but not defined: -rep-quant"},
 		{"empty dataset", []string{"-dataset", " "}, "-dataset must not be empty (available: "},
 		{"zero workers", []string{"-workers", "0"}, "-workers must be positive, got 0"},
 		{"zero epochs", []string{"-epochs", "0"}, "-epochs must be positive, got 0"},

@@ -42,8 +42,7 @@ const (
 	// copies (CoFree-GNN's vertex cut): after a one-time replica feature
 	// broadcast, each worker computes all layers entirely locally and the
 	// replica gradients reconcile through the parameter all-reduce at the
-	// epoch barrier — zero per-layer dependency traffic. Replica features may
-	// be stored (re)quantized (Options.RepQuant).
+	// epoch barrier — zero per-layer dependency traffic.
 	DepRep Mode = "deprep"
 	// Hybrid4 widens the planner once more: replicated layer suffixes compete
 	// against the hybrid3 family on modeled cost, gated by the planner's
@@ -141,13 +140,6 @@ type Options struct {
 	Dropout float32
 	// Seed fixes model init and dropout streams.
 	Seed uint64
-	// RepQuant selects the replica feature storage format for DepRep/Hybrid4
-	// plans with replicated layers: off (default, exact), fp16, or int8
-	// (partition.RepQuant). Owners keep full precision; only replica rows
-	// round-trip through the format, bounding the deviation from the exact
-	// run by partition.RequantizeErrorBound. The plan step prices replica
-	// bytes with its compression factor; the run step stores rows in it.
-	RepQuant partition.RepQuant
 	// Tracer, when non-nil, receives the run's span log — every worker's
 	// clock emits its intervals onto it — and the fabric's delivery stamps:
 	// the input of the utilisation series (Fig. 13) and of the Chrome trace.
@@ -167,9 +159,8 @@ type Options struct {
 	Pool *tensor.Pool
 }
 
-// withDefaults fills unset options, normalises RepQuant and returns Mode's
-// row of the policy table; an unknown mode or replica format is an error, and
-// so is a learning rate that is NaN, infinite or negative (0 is the default).
+// withDefaults fills unset options and returns Mode's row of the policy
+// table; an unknown mode is an error, and so is a learning rate that is NaN, infinite or negative (0 is the default).
 func (o Options) withDefaults() (Options, policy, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -192,9 +183,6 @@ func (o Options) withDefaults() (Options, policy, error) {
 		return o, policy{}, fmt.Errorf("engine: learning rate %g is not a finite positive number", o.LR)
 	}
 	pol, err := policyOf(o.Mode)
-	if err == nil {
-		o.RepQuant, err = partition.ParseRepQuant(string(o.RepQuant))
-	}
 	return o, pol, err
 }
 
@@ -266,8 +254,8 @@ type Plan struct {
 
 // PlanFor is the plan step. It builds (ds, opts)'s planner — the Chunk
 // partition over Workers, the host's probed T_v/T_e with Profile's T_c, dims
-// from ds, Hidden and Layers, SliceTP from Model, RepCompression from
-// RepQuant, and no cache or replica budget — and decides it under
+// from ds, Hidden and Layers, SliceTP from Model, and no cache or replica
+// budget — and decides it under
 // opts.Mode's policy row. tune, when non-nil, first sets what Options does
 // not carry: another partition, fixed costs, budgets, or another planner
 // mode.
@@ -292,7 +280,7 @@ func PlanFor(ds *dataset.Dataset, opts Options, tune func(p *hybrid.Planner, mod
 	costs.Tc = costmodel.CommFactor(opts.Profile.BytesPerSec, opts.Profile.Latency)
 	p := &hybrid.Planner{
 		Graph: ds.Graph, Part: part, Dims: append(dims, ds.Spec.NumClasses), Costs: costs,
-		RepCompression: partition.CompressionFactor(opts.RepQuant), SliceTP: nn.SliceSeparable(opts.Model),
+		SliceTP: nn.SliceSeparable(opts.Model),
 	}
 	mode := pol.plan
 	if tune != nil {
@@ -543,8 +531,6 @@ func (e *Engine) Model() *nn.Model { return e.states[0].model }
 // mask with the current parameters. The engine's passes are training epochs
 // only: the read-out is the single-machine ReferenceForward of worker 0's
 // replica, the evaluator the sampling baseline shares (ReferenceAccuracy).
-// It therefore scores the exact model even when replica rows train
-// quantized (Options.RepQuant): that is a training-time storage format.
 func (e *Engine) Evaluate(mask []bool) float64 {
 	return ReferenceAccuracy(e.ds, e.Model(), mask)
 }

@@ -10,7 +10,6 @@ import (
 	"neutronstar/internal/engine"
 	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
-	"neutronstar/internal/partition"
 	"neutronstar/internal/testkit"
 )
 
@@ -84,22 +83,15 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 	}
 	// ModeRatio's forced 50 % split has upper layers whose subtrees hold
 	// dependencies the lower layers communicate. Beside the defaults: a
-	// cache budget too tight for anything but the (compressed) replicated
-	// candidate.
-	variants := []struct {
-		quant     partition.RepQuant
-		memBudget int64
-	}{{partition.RepQuantOff, 0}, {partition.RepQuantFP16, 256}}
+	// cache budget too tight for anything but the replicated candidate.
+	memBudgets := []int64{0, 256}
 	prop := func(ds *dataset.Dataset) error {
 		for mode := hybrid.ModeHybrid; mode <= hybrid.ModeHybrid4; mode++ {
 			for _, kind := range nn.ModelKinds() {
 				for L := 2; L <= 3; L++ {
-					for i := 0; i < len(regimes)*len(variants); i++ {
-						v := variants[i/len(regimes)]
-						opts := engine.Options{
-							Workers: min(3, ds.Graph.NumVertices()), Model: kind, Layers: L, RepQuant: v.quant,
-						}
-						plan, err := decide(ds, opts, regimes[i%len(regimes)], mode, v.memBudget)
+					for i := 0; i < len(regimes)*len(memBudgets); i++ {
+						opts := engine.Options{Workers: min(3, ds.Graph.NumVertices()), Model: kind, Layers: L}
+						plan, err := decide(ds, opts, regimes[i%len(regimes)], mode, memBudgets[i/len(regimes)])
 						if err == nil {
 							_, _, err = pricedMatchesPlan(plan, boundLayer1(kind))
 						}
@@ -156,6 +148,63 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		rows := built.Executed(w, true)[0].ReplicaRows
 		if got, want := cache.Planner.Charge(w, dec).CacheCost, float64(regimes[1].Tv*float64(rows*32)); rows == 0 || got != want {
 			t.Fatalf("worker %d: DepCache GCN priced %g for %d level-1 replicas, want Tv·d¹ each = %g", w, got, rows, want)
+		}
+	}
+}
+
+// TestDepTPHome: DepTP has a home in model space, where NeutronTP
+// (PAPERS.md) puts it — a dense graph, a sum-decomposable model, depth.
+// Over every ModeHybrid3 candidate priced as Σ_w CacheCost + CommCost, a
+// 3-layer GCN on 4 or 8 workers with Tv = 2.98·Te and Tc/Te ∈ {2, 8, 15, 45,
+// 150} (ROADMAP reading (xv)'s sweep) prices the best tensor-parallel
+// candidate at most 0.9 of the best non-TP one on reddit in every cell, and
+// at least 1.1 of it on google and livejournal. Without SliceTP's slice
+// dataflow reddit's cells read 1.000–1.216 and the first bound fails.
+func TestDepTPHome(t *testing.T) {
+	const te = 1e-9
+	for _, c := range []struct {
+		name     string
+		min, max float64 // the TP/non-TP ratio's allowed range
+	}{
+		{"reddit", 0, 0.9},
+		{"google", 1.1, math.Inf(1)},
+		{"livejournal", 1.1, math.Inf(1)},
+	} {
+		ds, err := dataset.LoadByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{4, 8} {
+			opts := engine.Options{Workers: workers, Model: nn.GCN, Layers: 3}
+			for _, tcTe := range []float64{2, 8, 15, 45, 150} {
+				plan, err := decide(ds, opts, costmodel.Costs{Tv: 2.98 * te, Te: te, Tc: tcTe * te}, hybrid.ModeHybrid3, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cands, err := plan.Planner.Candidates(hybrid.ModeHybrid3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bestTP, bestOther := math.Inf(1), math.Inf(1)
+				for _, cand := range cands {
+					var total float64
+					tp := false
+					for w, dec := range cand.Plan {
+						ch := plan.Planner.Charge(w, dec)
+						total += ch.CacheCost + ch.CommCost
+						tp = tp || dec.NumTP() > 0
+					}
+					if tp {
+						bestTP = min(bestTP, total)
+					} else {
+						bestOther = min(bestOther, total)
+					}
+				}
+				if ratio := bestTP / bestOther; !(ratio >= c.min && ratio <= c.max) {
+					t.Errorf("%s W=%d Tc/Te=%g: best TP / best non-TP = %.3f, want in [%g, %g]",
+						c.name, workers, tcTe, ratio, c.min, c.max)
+				}
+			}
 		}
 	}
 }

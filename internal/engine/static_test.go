@@ -12,7 +12,6 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 	"neutronstar/internal/tensor"
 )
 
@@ -136,108 +135,101 @@ func TestStaticLayer1MovesOnce(t *testing.T) {
 
 // TestStaticCombineBindsOnce: a sum-decomposable layer 1 combines its static
 // input at construction. Over every master–mirror policy × {GCN, GIN} × the
-// three forward configurations × exact and fp16 replicas, three epochs record
-// no edge-stage or Combine op on a layer-1 tape and read the very tensors
-// bindFeatures left, the losses match the single-machine steps, and a run
-// killed after two epochs resumes to the uninterrupted loss bits — there is
-// nothing bound to restore.
+// three forward configurations, three epochs record no edge-stage or Combine
+// op on a layer-1 tape and read the very tensors bindFeatures left, the
+// losses match the single-machine steps, and a run killed after two epochs
+// resumes to the uninterrupted loss bits — there is nothing bound to restore.
+// Each subtest name ends in the replica storage, "off": replica rows are
+// stored exact.
 func TestStaticCombineBindsOnce(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	const epochs, workers = 3, 4
 	for _, mode := range []Mode{DepCache, DepComm, Hybrid, DepRep} {
 		for _, kind := range []nn.ModelKind{nn.GCN, nn.GIN} {
 			for name, variant := range staticVariants {
-				for _, quant := range []partition.RepQuant{partition.RepQuantOff, partition.RepQuantFP16} {
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", mode, kind, name, quant), func(t *testing.T) {
-						// The forced half-and-half split is Hybrid's; the
-						// pure policies ignore it.
-						opts := Options{Workers: workers, Mode: mode, Model: kind, Seed: 44, RepQuant: quant}
-						variant(&opts)
-						e, err := newTuned(ds, opts, forcedRatio(0.5))
-						if err != nil {
-							t.Fatal(err)
+				t.Run(fmt.Sprintf("%s/%s/%s/off", mode, kind, name), func(t *testing.T) {
+					// The forced half-and-half split is Hybrid's; the
+					// pure policies ignore it.
+					opts := Options{Workers: workers, Mode: mode, Model: kind, Seed: 44}
+					variant(&opts)
+					e, err := newTuned(ds, opts, forcedRatio(0.5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					bound := map[*tensor.Tensor]*float32{}
+					for _, ws := range e.states {
+						f := ws.plan.layers[0].flow.(*masterMirror)
+						if ws.feat != nil {
+							t.Fatalf("worker %d keeps its feature block beside the bound one", ws.id)
 						}
-						defer e.Close()
-						bound := map[*tensor.Tensor]*float32{}
-						for _, ws := range e.states {
-							f := ws.plan.layers[0].flow.(*masterMirror)
-							if ws.feat != nil {
-								t.Fatalf("worker %d keeps its feature block beside the bound one", ws.id)
+						if edges := e.planner.Ledger(ws.id, e.decs[ws.id]).Layers[0].Edges; edges != 0 {
+							t.Fatalf("worker %d's ledger counts %d layer-1 edges walked per epoch", ws.id, edges)
+						}
+						for _, b := range []*tensor.Tensor{f.boundOwned, f.boundCached} {
+							if b != nil && b.Len() > 0 {
+								bound[b] = &b.Data()[0]
 							}
-							if edges := e.planner.Ledger(ws.id, e.decs[ws.id]).Layers[0].Edges; edges != 0 {
-								t.Fatalf("worker %d's ledger counts %d layer-1 edges walked per epoch", ws.id, edges)
-							}
-							for _, b := range []*tensor.Tensor{f.boundOwned, f.boundCached} {
-								if b != nil && b.Len() > 0 {
-									bound[b] = &b.Data()[0]
+						}
+					}
+					var log tapeLog
+					log.attach(e)
+
+					var losses []float64
+					for _, st := range e.Train(epochs) {
+						losses = append(losses, st.Loss)
+					}
+
+					layer1 := 0
+					for _, tp := range log.tapes {
+						isLayer1 := false
+						for _, v := range tp.Nodes() {
+							isLayer1 = isLayer1 || v.Value.Cols() == ds.Spec.FeatureDim
+						}
+						if !isLayer1 {
+							continue
+						}
+						layer1++
+						for _, v := range tp.Nodes() {
+							switch v.Name() {
+							case "aggregate", "gather", "mul_colvec", "scale", "h_prev", "h_held":
+								t.Fatalf("layer-1 tape holds a %s node", v.Name())
+							case "combined":
+								if data, ok := bound[v.Value]; !ok || (v.Value.Len() > 0 && data != &v.Value.Data()[0]) {
+									t.Fatal("a layer-1 tape reads a block other than the ones bound at construction")
+								}
+							default:
+								if v.Value.Cols() == ds.Spec.FeatureDim {
+									t.Fatalf("layer-1 tape holds a feature-wide %s node", v.Name())
 								}
 							}
 						}
-						var log tapeLog
-						log.attach(e)
+					}
+					if want := workers * epochs; layer1 != want {
+						t.Fatalf("%d layer-1 tapes, want %d", layer1, want)
+					}
 
-						var losses []float64
-						for _, st := range e.Train(epochs) {
-							losses = append(losses, st.Loss)
-						}
+					assertLossesClose(t, "bound", losses, referenceLosses(ds, kind, epochs, 44), 2e-3)
 
-						layer1 := 0
-						for _, tp := range log.tapes {
-							isLayer1 := false
-							for _, v := range tp.Nodes() {
-								isLayer1 = isLayer1 || v.Value.Cols() == ds.Spec.FeatureDim
-							}
-							if !isLayer1 {
-								continue
-							}
-							layer1++
-							for _, v := range tp.Nodes() {
-								switch v.Name() {
-								case "aggregate", "gather", "mul_colvec", "scale", "h_prev", "h_held":
-									t.Fatalf("layer-1 tape holds a %s node", v.Name())
-								case "combined":
-									if data, ok := bound[v.Value]; !ok || (v.Value.Len() > 0 && data != &v.Value.Data()[0]) {
-										t.Fatal("a layer-1 tape reads a block other than the ones bound at construction")
-									}
-								default:
-									if v.Value.Cols() == ds.Spec.FeatureDim {
-										t.Fatalf("layer-1 tape holds a feature-wide %s node", v.Name())
-									}
-								}
-							}
-						}
-						if want := workers * epochs; layer1 != want {
-							t.Fatalf("%d layer-1 tapes, want %d", layer1, want)
-						}
-
-						// Quantized replicas move the losses by the format's
-						// rounding (partition.RequantizeErrorBound per feature).
-						tol := 2e-3
-						if quant != partition.RepQuantOff && mode == DepRep {
-							tol = 5e-2
-						}
-						assertLossesClose(t, "bound", losses, referenceLosses(ds, kind, epochs, 44), tol)
-
-						first, err := newTuned(ds, opts, forcedRatio(0.5))
-						if err != nil {
-							t.Fatal(err)
-						}
-						first.Train(epochs - 1)
-						snap := first.Snapshot()
-						first.Close() // the "crash"
-						second, err := newTuned(ds, opts, forcedRatio(0.5))
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer second.Close()
-						if err := second.Restore(snap); err != nil {
-							t.Fatal(err)
-						}
-						if st := second.RunEpoch(); math.Float64bits(st.Loss) != math.Float64bits(losses[epochs-1]) {
-							t.Fatalf("resumed epoch %d loss %.17g, uninterrupted %.17g", st.Epoch, st.Loss, losses[epochs-1])
-						}
-					})
-				}
+					first, err := newTuned(ds, opts, forcedRatio(0.5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					first.Train(epochs - 1)
+					snap := first.Snapshot()
+					first.Close() // the "crash"
+					second, err := newTuned(ds, opts, forcedRatio(0.5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer second.Close()
+					if err := second.Restore(snap); err != nil {
+						t.Fatal(err)
+					}
+					if st := second.RunEpoch(); math.Float64bits(st.Loss) != math.Float64bits(losses[epochs-1]) {
+						t.Fatalf("resumed epoch %d loss %.17g, uninterrupted %.17g", st.Epoch, st.Loss, losses[epochs-1])
+					}
+				})
 			}
 		}
 	}

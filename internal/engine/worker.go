@@ -8,7 +8,6 @@ import (
 	"neutronstar/internal/comm"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 	"neutronstar/internal/tensor"
 )
 
@@ -77,8 +76,8 @@ type dataflow interface {
 	// besides ws.feat straight from the dataset — the stand-in for the
 	// one-time fetch, so there is no set-up exchange and nothing to re-fetch
 	// on Restore or under faults — and, where the layer allows, combines it.
-	// Called at worker construction, after replica rows are requantized, on
-	// layer 1's dataflow only — deeper layers' inputs arrive every epoch.
+	// Called at worker construction, on layer 1's dataflow only — deeper
+	// layers' inputs arrive every epoch.
 	bindFeatures(ws *workerState)
 	// forward executes layer l on prevVal, the previous layer's output (ws.feat
 	// for l = 1), keeping the tape state the backward sweep needs.
@@ -164,17 +163,6 @@ func newWorker(id int, e *Engine, model *nn.Model) *workerState {
 	}
 	for r, v := range cached0 {
 		copy(ws.feat.Row(len(plan.owned)+r), ds.Features.Row(int(v)))
-	}
-	// Replicated plans may store replica features (re)quantized (CoFree-GNN's
-	// requantized vertex copies): round-trip only the replica rows through the
-	// storage format. Owners keep full precision, and every worker replicating
-	// the same vertex round-trips the same source row identically, so the runs
-	// stay deterministic and the deviation from the exact run is bounded by
-	// partition.RequantizeErrorBound.
-	if q := e.opts.RepQuant; q != partition.RepQuantOff && e.decs[id].NumRep() > 0 {
-		for r := range cached0 {
-			partition.Requantize(q, ws.feat.Row(len(plan.owned)+r))
-		}
 	}
 	plan.layers[0].flow.bindFeatures(ws)
 	ws.arena = e.opts.Pool.Arena()

@@ -45,9 +45,9 @@ type Decision struct {
 	TP []bool
 	// Rep[l-1] marks layer l as replicated (DepRep): every remote dependency
 	// is cached (R[l-1] holds the full dependency set) and the planner prices
-	// the replica storage with the quantization compression factor instead of
-	// at full float32 width. Like TP, Rep is a cluster-level per-layer choice
-	// and may be nil (all false) on Decisions built outside DecideAll.
+	// the replica storage against RepBudget rather than MemBudget. Like TP,
+	// Rep is a cluster-level per-layer choice and may be nil (all false) on
+	// Decisions built outside DecideAll.
 	Rep []bool
 }
 
@@ -143,14 +143,14 @@ type Planner struct {
 	// MemBudget caps a plan's replica bytes (Charge.Bytes) per worker; zero
 	// or negative means unlimited.
 	MemBudget int64
-	// RepBudget caps the replicated candidate's compressed replica bytes per
-	// worker in ModeHybrid4; zero or negative means unlimited. ModeAllRep
-	// ignores it — an explicitly requested pure policy is not a candidate
-	// competition.
+	// RepBudget caps the replicated candidate's replica bytes per worker in
+	// ModeHybrid4; zero or negative means unlimited. ModeAllRep ignores it —
+	// an explicitly requested pure policy is not a candidate competition.
 	RepBudget int64
-	// RepCompression is the replica storage compression factor of the
-	// configured quantization (partition.CompressionFactor); values < 1 are
-	// treated as 1 (uncompressed).
+	// RepCompression divides the replicated candidate's stored row bytes
+	// (costmodel.RepReplicaBytes); values < 1 are treated as 1, the exact
+	// float32 rows the engine stores. Only the benchmark ladder and the
+	// hybrid tests set it.
 	RepCompression float64
 	// Ratio is the cached fraction for ModeRatio, in [0, 1].
 	Ratio float64
@@ -202,8 +202,7 @@ func repBudget(p *Planner) int64 { return p.RepBudget }
 // and the strict argmin below could only ever return the shallowest.
 //
 // The replicated candidate answers to RepBudget, not MemBudget: replica rows
-// are stored (re)quantized in their own store, so the full-precision cache
-// budget does not govern them.
+// live in their own store, so the cache budget does not govern them.
 //
 // Tie rule (generalizing Algorithm 4 line 11's "tie falls to comm"): the
 // argmin takes a strictly cheaper candidate only, so on an exact tie the

@@ -87,9 +87,8 @@ func (p *Planner) Ledger(worker int, d *Decision) Ledger {
 	L := p.numLayers()
 	held := ClosureOf(p.Graph, p.Part, worker, d)
 	led := Ledger{Layers: make([]Work, L)}
-	// Replicated plans store their replica rows compressed by the
-	// quantization factor; plans without replicated layers price at full
-	// float32 width (compression 1).
+	// Replicated plans price their replica rows at RepCompression; plans
+	// without replicated layers price at full float32 width (compression 1).
 	compression := 1.0
 	if d.NumRep() > 0 && p.RepCompression > 1 {
 		compression = p.RepCompression

@@ -42,7 +42,6 @@ import (
 	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 	"neutronstar/internal/serve"
 	"neutronstar/internal/tensor"
 )
@@ -118,15 +117,10 @@ type Config struct {
 	Seed    uint64
 	// MemBudgetBytes caps per-worker replica storage for the Hybrid engine.
 	MemBudgetBytes int64
-	// RepBudgetBytes caps per-worker compressed replica storage for the
-	// DepRep/Hybrid4 engines (0 = unlimited, matching MemBudgetBytes's
-	// convention; use Hybrid3 to exclude replication entirely).
+	// RepBudgetBytes caps per-worker replica storage for the DepRep/Hybrid4
+	// engines (0 = unlimited, matching MemBudgetBytes's convention; use
+	// Hybrid3 to exclude replication entirely).
 	RepBudgetBytes int64
-	// RepQuant selects the replica feature storage format for DepRep/Hybrid4:
-	// "off" (default, exact), "fp16" or "int8". Quantization applies only to
-	// replica rows; owners keep full precision. See
-	// partition.RequantizeErrorBound for the per-element error bounds.
-	RepQuant string
 	// Metrics keeps the run's span log in memory (see Session.Metrics), the
 	// input of the Chrome trace. Status needs no span log.
 	Metrics bool
@@ -387,7 +381,6 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 		LR:       float32(cfg.LR),
 		Dropout:  float32(cfg.Dropout),
 		Seed:     cfg.Seed,
-		RepQuant: partition.RepQuant(cfg.RepQuant), // the engine validates it
 		Tracer:   tracer,
 		// Training-time tensor storage is always recycled through per-worker
 		// arenas; results are bit-identical to fresh allocation.
@@ -488,9 +481,7 @@ func (s *Session) TrainEpoch() EpochResult {
 
 // Accuracy evaluates classification accuracy on the chosen split with the
 // current parameters, read out by the single-machine full-graph forward pass
-// (engine.ReferenceAccuracy). A run whose replica rows train quantized
-// (Config.RepQuant) is scored on the exact model: quantization is a
-// training-time storage format.
+// (engine.ReferenceAccuracy).
 func (s *Session) Accuracy(split Split) float64 {
 	switch split {
 	case SplitTrain:

@@ -100,7 +100,6 @@ func TestConfigValidation(t *testing.T) {
 		{Engine: "warp"},
 		{Model: "transformer"},
 		{Network: "wifi"},
-		{RepQuant: "fp8"},
 		{LR: math.NaN()},
 		{LR: math.Inf(1)},
 		{LR: -1},
