@@ -4,7 +4,9 @@
 // peers instead of source-specific chunks (§5.3: "the ROC worker does not
 // differentiate the output messages with various destinations and send[s]
 // the whole messages block to all workers"), with none of NeutronStar's
-// communication optimisations. Like the real system, it has no
+// communication optimisations. engine.Options.Broadcast states that pattern
+// as the plan's send sets; the blocks travel the engine's one packed
+// master–mirror exchange. Like the real system, it has no
 // edge-associated NN computation and therefore cannot run GAT.
 package roc
 

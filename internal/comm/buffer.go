@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -9,22 +8,19 @@ import (
 )
 
 // Enqueuer assembles the rows a worker is about to send to one peer.
-// Multiple compute threads call WriteRow or WriteRowAt concurrently; Finish
-// returns the packed tensor and the vertex order it was packed in.
+// Multiple compute threads call WriteRowAt concurrently; Finish returns the
+// packed tensor and the vertex order it was packed in.
 //
 // Two implementations exist, matching the paper's §4.3 ablation:
 // LockFreeBuffer (the "L" optimisation — pre-indexed positions, no locks)
 // and LockedBuffer (the mutex-guarded baseline).
 type Enqueuer interface {
-	// WriteRow stores the row for the given global vertex id.
-	WriteRow(vertex int32, row []float32)
 	// WriteRowAt stores the row for the i-th vertex of the destination set
-	// the buffer was built with — the fast path for callers already iterating
-	// that set by index, which skips any vertex-to-position lookup.
+	// the buffer was built with. An i outside the set panics.
 	WriteRowAt(i int, row []float32)
 	// Finish returns the packed rows and their vertex ids. The returned
 	// tensor row i corresponds to vertex ids[i]. Finish must be called
-	// exactly once, after all WriteRow calls completed.
+	// exactly once, after all WriteRowAt calls completed.
 	Finish() (*tensor.Tensor, []int32)
 }
 
@@ -35,54 +31,16 @@ type Enqueuer interface {
 type LockFreeBuffer struct {
 	rows     *tensor.Tensor
 	vertices []int32
-	// pos maps vertex id to row position, built lazily on the first WriteRow:
-	// callers that only use WriteRowAt (position == loop index) never pay for
-	// the map at all.
-	posOnce sync.Once
-	pos     map[int32]int32
 }
 
-// NewLockFreeBuffer builds a buffer for the given destination vertex set
-// (ascending or not; order is preserved) and row width dim.
-func NewLockFreeBuffer(vertices []int32, dim int) *LockFreeBuffer {
-	return NewLockFreeBufferArena(vertices, dim, nil)
-}
-
-// NewLockFreeBufferArena is NewLockFreeBuffer drawing the packed-row storage
-// from arena (nil arena allocates plainly). The arena owner must not release
-// until the message built from this buffer is fully consumed.
-func NewLockFreeBufferArena(vertices []int32, dim int, arena *tensor.Arena) *LockFreeBuffer {
-	return &LockFreeBuffer{
-		rows:     arena.Get(len(vertices), dim),
-		vertices: vertices,
-	}
-}
-
-func (b *LockFreeBuffer) buildPos() {
-	b.pos = make(map[int32]int32, len(b.vertices))
-	for i, v := range b.vertices {
-		b.pos[v] = int32(i)
-	}
-}
-
-// WriteRow copies row into the slot precomputed for vertex. It is safe for
-// concurrent use by multiple goroutines writing distinct vertices.
-func (b *LockFreeBuffer) WriteRow(vertex int32, row []float32) {
-	b.posOnce.Do(b.buildPos)
-	p, ok := b.pos[vertex]
-	if !ok {
-		panic(fmt.Sprintf("comm: vertex %d not in send buffer", vertex))
-	}
-	copy(b.rows.Row(int(p)), row)
-}
-
-// WriteRowAt copies row into slot i (the position of the i-th vertex in the
-// construction-time set). Safe for concurrent use on distinct indices.
+// WriteRowAt copies row into slot i. Safe for concurrent use on distinct
+// indices.
 func (b *LockFreeBuffer) WriteRowAt(i int, row []float32) {
+	_ = b.vertices[i] // pooled storage has spare capacity: Row(i) may not panic
 	copy(b.rows.Row(i), row)
 }
 
-// Finish returns the packed tensor and vertex ids.
+// Finish returns the packed tensor and vertex ids, in construction order.
 func (b *LockFreeBuffer) Finish() (*tensor.Tensor, []int32) {
 	return b.rows, b.vertices
 }
@@ -91,73 +49,41 @@ func (b *LockFreeBuffer) Finish() (*tensor.Tensor, []int32) {
 // sorted and compacted at Finish, modeling the lock-contended message queues
 // of prior graph systems the paper contrasts against.
 type LockedBuffer struct {
-	mu       sync.Mutex
-	dim      int
+	mu sync.Mutex
+	// vertices is the destination set WriteRowAt's index resolves through.
 	vertices []int32
-	rows     [][]float32
-	// universe is the destination vertex set when known at construction;
-	// WriteRowAt resolves index i through it. Nil when built without one.
-	universe []int32
+	// queued holds the vertex of every row written, in append order; rows
+	// holds the rows themselves, one slot per destination vertex.
+	queued []int32
+	rows   *tensor.Tensor
 	// arena, when non-nil, supplies the packed tensor at Finish.
 	arena *tensor.Arena
-	// scratch backs the first capacity row copies with one contiguous block,
-	// so WriteRow claims a slot instead of allocating per row; writes beyond
-	// the capacity hint fall back to individual allocations.
-	scratch *tensor.Tensor
-	used    int
 }
 
-// NewLockedBuffer builds an empty locked buffer for rows of width dim.
-// capacity hints the expected number of rows.
-func NewLockedBuffer(capacity, dim int) *LockedBuffer {
-	return &LockedBuffer{
-		dim:      dim,
-		vertices: make([]int32, 0, capacity),
-		rows:     make([][]float32, 0, capacity),
-		scratch:  tensor.New(capacity, dim),
-	}
-}
-
-// WriteRow appends the row under the mutex, copying it (the caller may reuse
-// the slice).
-func (b *LockedBuffer) WriteRow(vertex int32, row []float32) {
+// WriteRowAt appends a copy of the row for the i-th destination vertex
+// under the mutex (the caller may reuse the slice).
+func (b *LockedBuffer) WriteRowAt(i int, row []float32) {
+	v := b.vertices[i]
 	b.mu.Lock()
-	var cp []float32
-	if b.used < b.scratch.Rows() {
-		cp = b.scratch.Row(b.used)
-		b.used++
-	} else {
-		cp = make([]float32, len(row))
-	}
-	copy(cp, row)
-	b.vertices = append(b.vertices, vertex)
-	b.rows = append(b.rows, cp)
+	copy(b.rows.Row(len(b.queued)), row)
+	b.queued = append(b.queued, v)
 	b.mu.Unlock()
 }
 
-// WriteRowAt appends the row for the i-th vertex of the construction-time
-// set. Panics when the buffer was built without one (NewLockedBuffer).
-func (b *LockedBuffer) WriteRowAt(i int, row []float32) {
-	if b.universe == nil {
-		panic("comm: WriteRowAt on a LockedBuffer built without a vertex set")
-	}
-	b.WriteRow(b.universe[i], row)
-}
-
-// Finish sorts the accumulated rows by vertex id and packs them.
+// Finish sorts the queued rows by vertex id and packs them.
 func (b *LockedBuffer) Finish() (*tensor.Tensor, []int32) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	idx := make([]int, len(b.vertices))
+	idx := make([]int, len(b.queued))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool { return b.vertices[idx[i]] < b.vertices[idx[j]] })
-	out := b.arena.Get(len(idx), b.dim)
+	sort.Slice(idx, func(i, j int) bool { return b.queued[idx[i]] < b.queued[idx[j]] })
+	out := b.arena.Get(len(idx), b.rows.Cols())
 	verts := make([]int32, len(idx))
 	for i, j := range idx {
-		copy(out.Row(i), b.rows[j])
-		verts[i] = b.vertices[j]
+		copy(out.Row(i), b.rows.Row(j))
+		verts[i] = b.queued[j]
 	}
 	return out, verts
 }
@@ -173,16 +99,9 @@ func NewEnqueuer(lockFree bool, vertices []int32, dim int) Enqueuer {
 // message built from this buffer is fully consumed — in the engine, the
 // epoch barrier.
 func NewEnqueuerArena(lockFree bool, vertices []int32, dim int, arena *tensor.Arena) Enqueuer {
+	rows := arena.Get(len(vertices), dim)
 	if lockFree {
-		return NewLockFreeBufferArena(vertices, dim, arena)
+		return &LockFreeBuffer{rows: rows, vertices: vertices}
 	}
-	b := &LockedBuffer{
-		dim:      dim,
-		vertices: make([]int32, 0, len(vertices)),
-		rows:     make([][]float32, 0, len(vertices)),
-		scratch:  arena.Get(len(vertices), dim),
-		universe: vertices,
-		arena:    arena,
-	}
-	return b
+	return &LockedBuffer{vertices: vertices, queued: make([]int32, 0, len(vertices)), rows: rows, arena: arena}
 }

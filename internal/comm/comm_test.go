@@ -257,11 +257,10 @@ func TestNaiveOrderCollides(t *testing.T) {
 }
 
 func TestLockFreeBufferPacksCorrectly(t *testing.T) {
-	verts := []int32{10, 20, 30}
-	b := NewLockFreeBuffer(verts, 2)
-	b.WriteRow(30, []float32{3, 3})
-	b.WriteRow(10, []float32{1, 1})
-	b.WriteRow(20, []float32{2, 2})
+	b := NewEnqueuer(true, []int32{10, 20, 30}, 2)
+	b.WriteRowAt(2, []float32{3, 3})
+	b.WriteRowAt(0, []float32{1, 1})
+	b.WriteRowAt(1, []float32{2, 2})
 	rows, ids := b.Finish()
 	for i, v := range ids {
 		want := float32(v / 10)
@@ -271,21 +270,29 @@ func TestLockFreeBufferPacksCorrectly(t *testing.T) {
 	}
 }
 
+// A position outside the destination set names no vertex: both buffers
+// panic, also over pooled storage, whose capacity runs past the set.
 func TestLockFreeBufferUnknownVertexPanics(t *testing.T) {
-	b := NewLockFreeBuffer([]int32{1}, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, arena := range []*tensor.Arena{nil, tensor.NewPool().Arena()} {
+		for _, lockFree := range []bool{true, false} {
+			func() {
+				b := NewEnqueuerArena(lockFree, []int32{1, 2, 3}, 2, arena)
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("lockFree=%v pooled=%v: expected panic", lockFree, arena != nil)
+					}
+				}()
+				b.WriteRowAt(3, []float32{0, 0})
+			}()
 		}
-	}()
-	b.WriteRow(99, []float32{0, 0})
+	}
 }
 
 func TestLockedBufferSortsByVertex(t *testing.T) {
-	b := NewLockedBuffer(3, 1)
-	b.WriteRow(30, []float32{3})
-	b.WriteRow(10, []float32{1})
-	b.WriteRow(20, []float32{2})
+	b := NewEnqueuer(false, []int32{30, 10, 20}, 1)
+	b.WriteRowAt(0, []float32{3})
+	b.WriteRowAt(1, []float32{1})
+	b.WriteRowAt(2, []float32{2})
 	rows, ids := b.Finish()
 	want := []int32{10, 20, 30}
 	for i, v := range ids {
@@ -305,8 +312,8 @@ func TestQuickBuffersEquivalent(t *testing.T) {
 		for i := range verts {
 			verts[i] = int32(i * 3) // ascending unique
 		}
-		lf := NewLockFreeBuffer(verts, 4)
-		lk := NewLockedBuffer(n, 4)
+		lf := NewEnqueuer(true, verts, 4)
+		lk := NewEnqueuer(false, verts, 4)
 		perm := rng.Perm(n)
 		var wg sync.WaitGroup
 		for _, p := range perm {
@@ -314,8 +321,8 @@ func TestQuickBuffersEquivalent(t *testing.T) {
 			go func(p int) {
 				defer wg.Done()
 				row := []float32{float32(p), float32(p * 2), float32(p * 3), float32(p * 4)}
-				lf.WriteRow(verts[p], row)
-				lk.WriteRow(verts[p], row)
+				lf.WriteRowAt(p, row)
+				lk.WriteRowAt(p, row)
 			}(p)
 		}
 		wg.Wait()
@@ -360,7 +367,7 @@ func benchmarkBuffer(b *testing.B, lockFree bool) {
 		buf := NewEnqueuer(lockFree, verts, dim)
 		tensor.ParallelRows(n, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
-				buf.WriteRow(int32(v), row)
+				buf.WriteRowAt(v, row)
 			}
 		})
 		buf.Finish()

@@ -31,8 +31,9 @@ const (
 	KindAllReduce
 	// KindSample carries sampled sub-structures (DistDGL baseline).
 	KindSample
-	// KindBlock carries a whole-partition block (ROC baseline).
-	KindBlock
+	// 4 is unused: a kind's value is its wire byte and seeds its fault
+	// draws, so no kind is renumbered.
+	_
 	// KindSlice carries tensor-parallel slice-exchange blocks (DepTP
 	// traffic): feature-dimension shards and owner-block row ranges moved by
 	// the re-gather/re-scatter collectives. Seq distinguishes the collective
@@ -51,8 +52,6 @@ func (k MsgKind) String() string {
 		return "allreduce"
 	case KindSample:
 		return "sample"
-	case KindBlock:
-		return "block"
 	case KindSlice:
 		return "slice"
 	default:

@@ -34,7 +34,7 @@ import (
 //
 //	spec    := clause ( ',' clause )*
 //	clause  := [ kind '.' ] key '=' value
-//	kind    := rep | grad | allreduce | sample | block
+//	kind    := rep | grad | allreduce | sample | slice
 //	key     := drop | dup | delay | jitter        (per-kind or baseline)
 //	         | seed | retries | timeout           (global only)
 //
@@ -91,7 +91,7 @@ func (s *FaultSpec) Rule(k MsgKind) FaultRule {
 
 var kindByName = map[string]MsgKind{
 	"rep": KindRep, "grad": KindGrad, "allreduce": KindAllReduce,
-	"sample": KindSample, "block": KindBlock, "slice": KindSlice,
+	"sample": KindSample, "slice": KindSlice,
 }
 
 // ParseFaultSpec parses the fault grammar documented above. An empty spec
@@ -125,7 +125,7 @@ func ParseFaultSpec(spec string) (*FaultSpec, error) {
 		if kindName, field, qualified := strings.Cut(key, "."); qualified {
 			kind, ok := kindByName[kindName]
 			if !ok {
-				return nil, fmt.Errorf("comm: unknown message kind %q in fault clause %q (kinds: rep, grad, allreduce, sample, block, slice)", kindName, clause)
+				return nil, fmt.Errorf("comm: unknown message kind %q in fault clause %q (kinds: rep, grad, allreduce, sample, slice)", kindName, clause)
 			}
 			overrides = append(overrides, override{kind: kind, key: field, val: val})
 			continue
@@ -225,7 +225,7 @@ func (s *FaultSpec) String() string {
 		}
 	}
 	add("", s.Default)
-	for _, k := range []MsgKind{KindRep, KindGrad, KindAllReduce, KindSample, KindBlock, KindSlice} {
+	for _, k := range []MsgKind{KindRep, KindGrad, KindAllReduce, KindSample, KindSlice} {
 		if r, ok := s.PerKind[k]; ok {
 			add(k.String()+".", r)
 		}

@@ -50,6 +50,7 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		"delay=-1ms",
 		"bogus=1",
 		"tcp.drop=0.1",
+		"block.drop=0.1",
 		"rep.seed=1",
 		"retries=0",
 		"timeout=0s",

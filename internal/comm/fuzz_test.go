@@ -46,7 +46,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		{From: 1, To: 2, Kind: KindAllReduce, Epoch: -1, Layer: -1, Seq: 41},
 		{From: 0, To: 3, Kind: KindSample, Epoch: 12, Layer: 2, Seq: 1,
 			Vertices: []int32{-1, 0, 1 << 30}},
-		{From: 3, To: 1, Kind: KindBlock, Epoch: 1, Layer: 1, Seq: 0,
+		{From: 3, To: 1, Kind: KindSlice, Epoch: 1, Layer: 1, Seq: 0,
 			Rows: tensor.New(2, 0)},
 		{From: 1, To: 3, Kind: KindRep, Epoch: 2, Layer: 2, Seq: 0,
 			Vertices: []int32{4, 8},

@@ -45,7 +45,7 @@ func StageOfMsg(msg *Message, recv bool) (obs.Stage, int) {
 			return obs.StageDepFetchRecv, msg.Layer
 		}
 		return obs.StageDepFetchSend, msg.Layer
-	default: // KindRep, KindBlock, KindSample: dependency fetch traffic.
+	default: // KindRep, KindSample: dependency fetch traffic.
 		if recv {
 			return obs.StageDepFetchRecv, msg.Layer
 		}

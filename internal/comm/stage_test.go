@@ -18,7 +18,7 @@ func TestStageOfMsg(t *testing.T) {
 	}{
 		{KindRep, 2, false, obs.StageDepFetchSend, 2},
 		{KindRep, 2, true, obs.StageDepFetchRecv, 2},
-		{KindBlock, 1, false, obs.StageDepFetchSend, 1},
+		{KindSample, 1, false, obs.StageDepFetchSend, 1},
 		{KindSample, 1, true, obs.StageDepFetchRecv, 1},
 		{KindGrad, 2, false, obs.StageMirrorScatter, 2},
 		{KindGrad, 2, true, obs.StageMirrorScatter, 2},

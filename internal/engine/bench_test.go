@@ -29,7 +29,7 @@ func BenchmarkBuildPlans(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildPlans(plan.Planner, plan.Decisions); err != nil {
+		if _, err := buildPlans(plan.Planner, plan.Decisions, false); err != nil {
 			b.Fatal(err)
 		}
 	}

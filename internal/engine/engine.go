@@ -128,11 +128,12 @@ type Options struct {
 	// optimiser once and broadcasts fresh parameters (the alternative the
 	// paper notes the All-Reduce model can be swapped for, §4.1).
 	ParamServer bool
-	// Broadcast switches to ROC-style whole-block communication: a worker
-	// sends its entire owned representation block to every peer that needs
-	// any of it, and receivers pick out the rows they need. This reproduces
-	// the communication inefficiency the paper measured in ROC (§5.3); the
-	// default (false) is NeutronStar's source-specific chunking.
+	// Broadcast widens the plan's send sets to ROC's whole blocks: above
+	// layer 1 a worker sends its entire owned representation block to every
+	// peer that needs any of it, over the same packed exchange, and the
+	// receiver's edges read the rows they need in place. This reproduces the
+	// communication volume the paper measured in ROC (§5.3); the default
+	// (false) is NeutronStar's source-specific chunking.
 	Broadcast bool
 	// LR is the Adam learning rate (default 0.01).
 	LR float32
@@ -235,7 +236,7 @@ type Engine struct {
 	}
 	// tapeHook, set only by tests, sees every tape a worker creates (called
 	// from the worker goroutines) so a test can inspect what was recorded.
-	tapeHook func(*autograd.Tape)
+	tapeHook func(worker int, tp *autograd.Tape)
 
 	// PreprocessTime is the plan's DecideAll time (Table 3's "Preprocessing"
 	// row).
@@ -331,7 +332,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		PreprocessTime: plan.Time,
 	}
 	e.probedPlan = sync.OnceValues(func() ([]*hybrid.Decision, error) { return e.replan(p.Costs) })
-	e.plans, err = buildPlans(p, e.decs)
+	e.plans, err = buildPlans(p, e.decs, opts.Broadcast)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +374,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		}
 		e.states[i] = newWorker(i, e, model)
 	}
-	if err := checkRectified(e.states[0].model, e.plans, opts.Broadcast); err != nil {
+	if err := checkRectified(e.states[0].model, e.plans); err != nil {
 		e.fabric.Close()
 		return nil, err
 	}
@@ -384,11 +385,8 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 // does not end in a ReLU. Above layer 1 those rows are the layer below's
 // output and travel packed (comm.PackRows), and the gradient post leaves out
 // their +0 entries: exact only where the rectifier's backward writes 0
-// whatever arrives. Broadcast moves dense blocks and needs nothing.
-func checkRectified(model *nn.Model, plans []*workerPlan, broadcast bool) error {
-	if broadcast {
-		return nil
-	}
+// whatever arrives.
+func checkRectified(model *nn.Model, plans []*workerPlan) error {
 	for l := 2; l <= len(model.Layers); l++ {
 		if model.Layers[l-2].Rectified() {
 			continue

@@ -11,7 +11,7 @@ type BuiltPlans struct {
 
 // BuildPlans derives plan's execution plans.
 func BuildPlans(plan *Plan) (*BuiltPlans, error) {
-	plans, err := buildPlans(plan.Planner, plan.Decisions)
+	plans, err := buildPlans(plan.Planner, plan.Decisions, false)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func TestTrainingEpochMaterialisesNoEdgeTensor(t *testing.T) {
 			defer e.Close()
 			var mu sync.Mutex
 			var tapes []*autograd.Tape
-			e.tapeHook = func(tp *autograd.Tape) {
+			e.tapeHook = func(_ int, tp *autograd.Tape) {
 				mu.Lock()
 				tapes = append(tapes, tp)
 				mu.Unlock()

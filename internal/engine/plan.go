@@ -65,7 +65,8 @@ type layerPlan struct {
 	// no-ops.
 	flow dataflow
 	// recv[j] lists vertices received from peer j this layer (ascending);
-	// empty for j == self and peers with nothing to send.
+	// empty for j == self and peers with nothing to send. Under Broadcast it
+	// is peer j's whole owned list wherever it is not empty.
 	recv [][]int32
 	// held[j] lists peer j's vertices (ascending) whose rows this layer reads
 	// from the block its dataflow bound at construction instead of the wire.
@@ -123,8 +124,9 @@ type workerPlan struct {
 // nn.SumDecomposable: a master–mirror layer 1 then binds its Combine output
 // at construction (masterMirror.bindFeatures), and any TP layers in the
 // decisions run the column-sliced dataflow instead of the full-width
-// assemble.
-func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision) ([]*workerPlan, error) {
+// assemble. broadcast is ROC's send set (Options.Broadcast): above layer 1 a
+// peer that sends any row sends its whole owned block.
+func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*workerPlan, error) {
 	g, part, dims := p.Graph, p.Part, p.Dims
 	m := part.NumParts
 	L := len(dims) - 1
@@ -152,7 +154,7 @@ func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision) ([]*workerPlan, erro
 
 	plans := make([]*workerPlan, m)
 	for i := 0; i < m; i++ {
-		wp, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared)
+		wp, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared, broadcast)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +196,7 @@ func positionsIn(list, sub []int32) []int32 {
 
 // buildWorkerPlan derives worker i's plan from its dependency decision.
 func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Decision,
-	dims []int, i int, selfNormAll []float32, shared *tpShared) (*workerPlan, error) {
+	dims []int, i int, selfNormAll []float32, shared *tpShared, broadcast bool) (*workerPlan, error) {
 
 	L := len(dims) - 1
 	owned := part.Parts[i]
@@ -273,6 +275,9 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		off := int32(lp.numPrevRows)
 		for j := 0; j < part.NumParts; j++ {
 			chunks[j] = graph.SortedKeys(recvByPeer[j])
+			if broadcast && l > 1 && len(chunks[j]) > 0 {
+				chunks[j] = part.Parts[j]
+			}
 			lp.recvOffset[j] = off
 			off += int32(len(chunks[j]))
 		}

@@ -118,13 +118,15 @@ func TestChunkGroupsDepCacheLocalOnly(t *testing.T) {
 	}
 }
 
-// mirrorSpy keeps every mirror-gradient message a worker posts and every
-// representation message it sends.
+// mirrorSpy keeps every mirror-gradient message a worker posts, every
+// representation message it sends, and any other message but the gradient
+// all-reduce's.
 type mirrorSpy struct {
 	comm.Network
-	mu    sync.Mutex
-	grads []*comm.Message
-	reps  []*comm.Message
+	mu     sync.Mutex
+	grads  []*comm.Message
+	reps   []*comm.Message
+	others []*comm.Message
 }
 
 func (s *mirrorSpy) Send(msg *comm.Message) {
@@ -134,6 +136,9 @@ func (s *mirrorSpy) Send(msg *comm.Message) {
 		s.grads = append(s.grads, msg)
 	case comm.KindRep:
 		s.reps = append(s.reps, msg)
+	case comm.KindAllReduce:
+	default:
+		s.others = append(s.others, msg)
 	}
 	s.mu.Unlock()
 	s.Network.Send(msg)
@@ -142,12 +147,11 @@ func (s *mirrorSpy) Send(msg *comm.Message) {
 // TestPlanOwnsRowPositions holds the master–mirror contract on a 3-layer
 // Hybrid plan with a forced 50 % split, over the three forward configurations:
 // sendRow[j][k] is the position of send[j][k] in the sender's owned block, and
-// every posted mirror gradient is what the tape's backward left in one
-// h_chunk leaf's Grad — or, for a chunk no owned edge read, zeros of the
-// leaf's shape. Under Broadcast the post is that very tensor, dense: the pool
-// is off, so a tensor's identity is its own. Otherwise it is packed: decoded
-// against the leaf's rows, which are the decoded forward message, it equals
-// the leaf's Grad at every non-zero position of those rows.
+// every posted mirror gradient is what the tape's backward left in one of the
+// posting worker's h_chunk leaves — or, for a chunk no owned edge read, zeros
+// of the leaf's shape. The post is packed: decoded against the leaf's rows,
+// which are the decoded forward message, it equals the leaf's Grad at every
+// non-zero position of those rows.
 func TestPlanOwnsRowPositions(t *testing.T) {
 	ds := testDataset(t, 220, 5, 43)
 	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
@@ -194,11 +198,11 @@ func TestPlanOwnsRowPositions(t *testing.T) {
 				log.attach(e)
 				e.Train(1)
 
-				var leaves []*autograd.Variable
-				for _, tp := range log.tapes {
+				var leaves []chunkLeaf
+				for k, tp := range log.tapes {
 					for _, v := range tp.Nodes() {
 						if v.Name() == "h_chunk" {
-							leaves = append(leaves, v)
+							leaves = append(leaves, chunkLeaf{worker: log.worker[k], v: v})
 						}
 					}
 				}
@@ -219,23 +223,20 @@ func TestPlanOwnsRowPositions(t *testing.T) {
 	}
 }
 
+// chunkLeaf is an h_chunk leaf and the worker whose tape holds it.
+type chunkLeaf struct {
+	worker int
+	v      *autograd.Variable
+}
+
 // postedLeaf returns the unused h_chunk leaf whose gradient msg posts, nil
-// when there is none. A dense post is the leaf's Grad itself, or zeros for a
-// leaf that took none; a packed one is matched to the leaf holding its
-// forward message's rows and must decode against them to the leaf's Grad.
-func postedLeaf(t *testing.T, e *Engine, spy *mirrorSpy, leaves []*autograd.Variable,
+// when there is none: a leaf of the posting worker holding the post's forward
+// message's rows — several receivers may hold equal rows of one peer's block
+// — against which the post must decode to the leaf's Grad.
+func postedLeaf(t *testing.T, e *Engine, spy *mirrorSpy, leaves []chunkLeaf,
 	used map[*autograd.Variable]bool, msg *comm.Message) *autograd.Variable {
 
 	t.Helper()
-	if msg.Rows != nil {
-		zeros := !slices.ContainsFunc(msg.Rows.Data(), func(x float32) bool { return x != 0 })
-		for _, v := range leaves {
-			if !used[v] && (v.Grad == msg.Rows || v.Grad == nil && zeros && v.Value.Rows() == len(msg.Vertices)) {
-				return v
-			}
-		}
-		return nil
-	}
 	i := slices.IndexFunc(spy.reps, func(r *comm.Message) bool {
 		return r.From == msg.To && r.To == msg.From && r.Layer == msg.Layer
 	})
@@ -246,8 +247,9 @@ func postedLeaf(t *testing.T, e *Engine, spy *mirrorSpy, leaves []*autograd.Vari
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range leaves {
-		if used[v] || !v.Value.Equal(fwd) {
+	for _, leaf := range leaves {
+		v := leaf.v
+		if leaf.worker != msg.From || used[v] || !v.Value.Equal(fwd) {
 			continue
 		}
 		got, rest := tensor.New(fwd.Rows(), fwd.Cols()), msg.Packed
@@ -277,35 +279,96 @@ func postedLeaf(t *testing.T, e *Engine, spy *mirrorSpy, leaves []*autograd.Vari
 // TestNewRejectsUnrectifiedSender: mirror rows above layer 1 travel packed
 // and their gradient post leaves out the rows' +0 entries, exact only behind
 // a ReLU. A GCN whose hidden layer has no activation is rejected under a plan
-// that sends those rows, and accepted where nothing is packed: under
-// Broadcast's dense blocks, or a DepCache plan that sends nothing.
+// that sends those rows, whole blocks under Broadcast included, and accepted
+// where nothing is packed: a DepCache plan that sends nothing.
 func TestNewRejectsUnrectifiedSender(t *testing.T) {
 	ds := testDataset(t, 150, 5, 48)
-	plans := map[Mode][]*workerPlan{}
+	plans := map[string][]*workerPlan{}
 	var dims []int
-	for _, mode := range []Mode{DepComm, DepCache} {
-		e, err := NewEngine(ds, Options{Workers: 3, Mode: mode, Model: nn.GCN, Seed: 7})
+	for name, opts := range map[string]Options{
+		"depcomm":   {Mode: DepComm},
+		"broadcast": {Mode: DepComm, Broadcast: true},
+		"depcache":  {Mode: DepCache},
+	} {
+		opts.Workers, opts.Model, opts.Seed = 3, nn.GCN, 7
+		e, err := NewEngine(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.Close()
-		if err := checkRectified(e.Model(), e.plans, false); err != nil {
-			t.Fatalf("%s: the model NewModel builds is rejected: %v", mode, err)
+		if err := checkRectified(e.Model(), e.plans); err != nil {
+			t.Fatalf("%s: the model NewModel builds is rejected: %v", name, err)
 		}
-		plans[mode], dims = e.plans, e.dims
+		plans[name], dims = e.plans, e.dims
 	}
 	rng := tensor.NewRNG(1)
 	linear := &nn.Model{Layers: []nn.Layer{
 		nn.NewGCNLayer(dims[0], dims[1], false, 0, rng),
 		nn.NewGCNLayer(dims[1], dims[2], false, 0, rng),
 	}}
-	if err := checkRectified(linear, plans[DepComm], false); err == nil {
-		t.Fatal("a DepComm plan sends an unrectified layer's rows packed")
+	for _, name := range []string{"depcomm", "broadcast"} {
+		if err := checkRectified(linear, plans[name]); err == nil {
+			t.Fatalf("a %s plan sends an unrectified layer's rows packed", name)
+		}
 	}
-	if err := checkRectified(linear, plans[DepComm], true); err != nil {
-		t.Fatalf("Broadcast: %v", err)
-	}
-	if err := checkRectified(linear, plans[DepCache], false); err != nil {
+	if err := checkRectified(linear, plans["depcache"]); err != nil {
 		t.Fatalf("DepCache: %v", err)
+	}
+}
+
+// TestBroadcastSendsWholeBlocksPacked: Broadcast is a send set, not a second
+// exchange. On every layer that receives rows, a peer chunk that is not empty
+// is that peer's whole owned list; layer 1 holds the rows the plain DepComm
+// plan holds; and every dependency message of an epoch is a packed KindRep or
+// KindGrad with no dense rows.
+func TestBroadcastSendsWholeBlocksPacked(t *testing.T) {
+	ds := testDataset(t, 220, 5, 43)
+	build := func(broadcast bool) *Engine {
+		e, err := NewEngine(ds, Options{Workers: 4, Mode: DepComm, Model: nn.GCN, Layers: 3, Seed: 44, Broadcast: broadcast})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	plain, e := build(false), build(true)
+	whole := 0
+	for i, p := range e.plans {
+		for l := range p.layers {
+			lp := &p.layers[l]
+			for j, verts := range lp.recv {
+				if l == 0 && len(verts) > 0 {
+					t.Fatalf("worker %d receives layer-1 rows from worker %d", i, j)
+				}
+				if len(verts) > 0 && !slices.Equal(verts, e.plans[j].owned) {
+					t.Fatalf("worker %d layer %d: %d rows from worker %d, which owns %d",
+						i, l+1, len(verts), j, len(e.plans[j].owned))
+				}
+				whole += len(verts)
+			}
+		}
+		for j, verts := range p.layers[0].held {
+			if !slices.Equal(verts, plain.plans[i].layers[0].held[j]) {
+				t.Fatalf("worker %d holds %d layer-1 rows of worker %d, the DepComm plan %d",
+					i, len(verts), j, len(plain.plans[i].layers[0].held[j]))
+			}
+		}
+	}
+	if whole == 0 {
+		t.Fatal("the plan receives nothing")
+	}
+
+	spy := &mirrorSpy{Network: e.fabric}
+	e.fabric = spy
+	e.Train(1)
+	if len(spy.reps) == 0 || len(spy.grads) != len(spy.reps) || len(spy.others) > 0 {
+		t.Fatalf("%d representation, %d gradient and %d other messages",
+			len(spy.reps), len(spy.grads), len(spy.others))
+	}
+	for _, msg := range slices.Concat(spy.reps, spy.grads) {
+		if msg.Packed == nil || msg.Rows != nil {
+			t.Fatalf("%s message %d→%d layer %d: packed %d words, dense rows %v",
+				msg.Kind, msg.From, msg.To, msg.Layer, len(msg.Packed), msg.Rows != nil)
+		}
 	}
 }

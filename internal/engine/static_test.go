@@ -15,16 +15,19 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// tapeLog collects every tape an engine's workers create.
+// tapeLog collects every tape an engine's workers create: worker[k] made
+// tapes[k].
 type tapeLog struct {
-	mu    sync.Mutex
-	tapes []*autograd.Tape
+	mu     sync.Mutex
+	tapes  []*autograd.Tape
+	worker []int
 }
 
 func (l *tapeLog) attach(e *Engine) {
-	e.tapeHook = func(tp *autograd.Tape) {
+	e.tapeHook = func(w int, tp *autograd.Tape) {
 		l.mu.Lock()
 		l.tapes = append(l.tapes, tp)
+		l.worker = append(l.worker, w)
 		l.mu.Unlock()
 	}
 }
@@ -44,7 +47,7 @@ type layer1Spy struct {
 }
 
 func (s *layer1Spy) Send(msg *comm.Message) {
-	if msg.Layer == 1 && (msg.Kind == comm.KindRep || msg.Kind == comm.KindBlock) {
+	if msg.Layer == 1 && msg.Kind == comm.KindRep {
 		s.mu.Lock()
 		s.reps++
 		s.mu.Unlock()

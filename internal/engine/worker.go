@@ -181,7 +181,7 @@ func newWorker(id int, e *Engine, model *nn.Model) *workerState {
 func (ws *workerState) newTape() *autograd.Tape {
 	tape := autograd.NewTapeArena(ws.arena)
 	if ws.eng.tapeHook != nil {
-		ws.eng.tapeHook(tape)
+		ws.eng.tapeHook(ws.id, tape)
 	}
 	return tape
 }
@@ -206,12 +206,6 @@ func (ws *workerState) arrivalOrder() []int {
 		slices.Reverse(order)
 	}
 	return order
-}
-
-// chunkPipelined reports whether sum-decomposable layers aggregate chunk by
-// chunk (§4.3, Fig. 8) rather than over one assembled block.
-func (ws *workerState) chunkPipelined() bool {
-	return ws.eng.opts.Overlap && !ws.eng.opts.Broadcast
 }
 
 // runEpoch performs one full forward/backward/update cycle and returns the
@@ -374,13 +368,14 @@ func combineBlock(tape *autograd.Tape, sd nn.SumDecomposable, b *blockPlan, src,
 // peer's chunk, in one of the two arithmetic forms: chunk-pipelined (§4.3,
 // Fig. 8) each chunk's edge stage runs as the chunk arrives, so compute on
 // chunk k overlaps delivery of chunk k+1, and the partials are summed; or the
-// block's CSR is walked once over the assembled rows.
+// block's CSR is walked once over the assembled rows. Overlap selects the
+// first.
 func (f *masterMirror) combineOwned(ws *workerState, run *layerRun, epoch, l int, sd nn.SumDecomposable,
 	hPrev *autograd.Variable) *autograd.Variable {
 
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
-	if ws.chunkPipelined() {
+	if ws.eng.opts.Overlap {
 		agg := f.aggregateChunked(ws, run, epoch, l, sd, hPrev)
 		return sd.Combine(tape, agg, tape.Gather(hPrev, lp.owned.selfRow), lp.owned.selfNorm)
 	}
@@ -465,10 +460,7 @@ func (f *masterMirror) chunk(ws *workerState, run *layerRun, epoch, l, j int) *a
 // recvChunk is the one way a remote row enters a master–mirror layer
 // (GetFromDepNbr): it waits for peer j's representation message of layer l,
 // unpacks its rows onto the tape as a leaf, notes the leaf in run.recv for
-// the post-back, and returns the rows this worker asked for — the leaf
-// itself, or under Broadcast, where the message is the master's whole owned
-// block, dense, a Gather of them, whose backward leaves in the leaf's Grad
-// the zero-padded block ROC posts. Nil when the layer receives nothing from
+// the post-back, and returns it. Nil when the layer receives nothing from
 // peer j.
 func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Variable {
 	verts := ws.plan.layers[l-1].recv[j]
@@ -477,24 +469,14 @@ func (ws *workerState) recvChunk(run *layerRun, epoch, l, j int) *autograd.Varia
 	}
 	ws.clock.Phase(obs.StageDepFetchRecv, l, "recv_chunk",
 		obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
-	kind := comm.KindRep
-	if ws.eng.opts.Broadcast {
-		kind = comm.KindBlock
-	}
-	msg := ws.mb.Wait(kind, epoch, l, 0, j)
+	msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
 	ws.clock.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-	rows := msg.Rows
-	if !ws.eng.opts.Broadcast {
-		var err error
-		if rows, err = comm.UnpackRows(msg.Packed, len(verts), ws.eng.dims[l-1], ws.arena); err != nil {
-			panic(fmt.Sprintf("engine: layer %d rows from worker %d: %v", l, j, err))
-		}
+	rows, err := comm.UnpackRows(msg.Packed, len(verts), ws.eng.dims[l-1], ws.arena)
+	if err != nil {
+		panic(fmt.Sprintf("engine: layer %d rows from worker %d: %v", l, j, err))
 	}
 	leaf := run.tape.Leaf(rows, true, "h_chunk")
 	run.recv = append(run.recv, recvLeaf{peer: j, v: leaf})
-	if ws.eng.opts.Broadcast {
-		return run.tape.Gather(leaf, ws.eng.plans[j].layers[l-1].sendRow[ws.id])
-	}
 	return leaf
 }
 
@@ -581,24 +563,9 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, sc *obs.St
 		}
 		sc.Phase(obs.StageDepFetchSend, l, "send_dep_nbr",
 			obs.Int("layer", l), obs.Int("peer", j))
-		if ws.eng.opts.Broadcast {
-			// ROC-style: ship the whole owned block; the receiver picks the
-			// rows it needs.
-			msg := &comm.Message{
-				From: ws.id, To: j, Kind: comm.KindBlock,
-				Epoch: epoch, Layer: l,
-				Vertices: ws.plan.owned,
-				Rows:     prevVal.RowSlice(0, len(ws.plan.owned)),
-			}
-			sc.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-			ws.eng.fabric.Send(msg)
-			continue
-		}
 		buf := comm.NewEnqueuerArena(ws.eng.opts.LockFree, verts, prevVal.Cols(), ws.arena)
 		tensor.ParallelRows(len(verts), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				// verts is the buffer's own vertex list, so position k IS the
-				// destination row: skip the per-vertex position lookup.
 				buf.WriteRowAt(k, prevVal.Row(int(rowOf[k])))
 			}
 		})
@@ -634,9 +601,7 @@ func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 
 // backward runs layer l's tape backward, then posts what it left in each
 // received leaf's Grad to the leaf's peer, in arrival order (PostToDepNbr):
-// the chunk's gradient at the received rows' non-zero positions, or under
-// Broadcast the dense full-width block aligned with the master's owned list
-// that Gather's backward zero-padded.
+// the chunk's gradient at the received rows' non-zero positions.
 func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
@@ -646,24 +611,15 @@ func (*masterMirror) backward(ws *workerState, epoch, l int, runs []layerRun) {
 	}
 	ws.clock.Phase(obs.StageMirrorScatter, l, "post_to_dep_nbr", obs.Int("layer", l))
 	for _, leaf := range run.recv {
-		verts := lp.recv[leaf.peer]
-		if ws.eng.opts.Broadcast {
-			verts = ws.eng.plans[leaf.peer].owned
-		}
 		grad := leaf.v.Grad
 		if grad == nil {
 			grad = ws.arena.Get(leaf.v.Value.Rows(), leaf.v.Value.Cols())
 		}
-		msg := &comm.Message{
+		ws.eng.fabric.Send(&comm.Message{
 			From: ws.id, To: leaf.peer, Kind: comm.KindGrad,
-			Epoch: epoch, Layer: l, Vertices: verts,
-		}
-		if ws.eng.opts.Broadcast {
-			msg.Rows = grad
-		} else {
-			msg.Packed = comm.PackGrad(grad, leaf.v.Value, ws.arena)
-		}
-		ws.eng.fabric.Send(msg)
+			Epoch: epoch, Layer: l, Vertices: lp.recv[leaf.peer],
+			Packed: comm.PackGrad(grad, leaf.v.Value, ws.arena),
+		})
 	}
 }
 
@@ -683,12 +639,6 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed, sent *tensor.Tenso
 			obs.Int("layer", l), obs.Int("peer", j))
 		msg := ws.mb.Wait(comm.KindGrad, epoch, l, 0, j)
 		ws.clock.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-		if ws.eng.opts.Broadcast {
-			// Full-width block aligned with my owned rows (which are the
-			// first rows of every layout).
-			addWindow(at(seed, 0, 0), at(msg.Rows, 0, 0), len(msg.Vertices), msg.Rows.Cols())
-			continue
-		}
 		rest := msg.Packed
 		var err error
 		for _, row := range lp.sendRow[j] {
