@@ -33,11 +33,11 @@ func StageOfMsg(msg *Message, recv bool) (obs.Stage, int) {
 		// step/phase tag, so gradient-sync traffic always lands in layer cell 0.
 		return obs.StageGradSync, 0
 	case KindSlice:
-		// Tensor-parallel collectives: Seq 0 (slice-scatter / block
-		// all-gather) and Seq 1 (re-gather) move forward representations,
-		// Seq 2 (re-scatter) and Seq 3 (gradient scatter) move backward
-		// gradients — the same stages the per-vertex protocol uses, so
-		// DepTP traffic lands in the existing stage taxonomy.
+		// Tensor-parallel collectives: Seq 0 (slice-scatter) and Seq 1
+		// (re-gather) move forward representations, Seq 2 (re-scatter) and
+		// Seq 3 (gradient scatter) move backward gradients — the same stages
+		// the per-vertex protocol uses, so DepTP traffic lands in the
+		// existing stage taxonomy.
 		if msg.Seq >= 2 {
 			return obs.StageMirrorScatter, msg.Layer
 		}

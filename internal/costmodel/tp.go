@@ -20,31 +20,20 @@ func TPColRange(dim, n, j int) (lo, hi int) {
 
 // TPVolume returns the per-epoch forward received element volume of one
 // worker at a tensor-parallel layer (the backward re-scatter mirrors it and
-// is covered by CommFactor's bidirectional factor).
-//
-// For a slice-separable layer (slice=true) worker j receives the other
-// workers' column slices of its owned rows in the re-gather,
-// |owned|·(d−width_j) elements, plus — beyond layer 1, whose feature slices
-// are assembled once at setup — every non-owned row's share of its own
-// column slice in the slice-scatter, (|V|−|owned|)·width_j elements.
-//
-// For a non-separable layer (assemble dataflow) worker j receives every
-// non-owned row at full width, (|V|−|owned|)·d elements; at layer 1 the
-// full-width feature matrix is replicated once at setup and costs nothing
-// per epoch.
+// is covered by CommFactor's bidirectional factor): in the re-gather, the
+// other workers' column slices of its owned rows, |owned|·(d−width_j)
+// elements, plus — beyond layer 1, whose feature slices are assembled once at
+// setup — every non-owned row's share of its own column slice in the
+// slice-scatter, (|V|−|owned|)·width_j elements. Only a slice-separable
+// layer runs tensor-parallel; any other is planned as whole blocks fetched
+// over the master–mirror exchange and priced as fetched rows.
 //
 // With a single worker every term is zero: DepTP degenerates to local
 // compute, matching the other policies' single-worker degeneracy.
-func TPVolume(slice, firstLayer bool, totalVerts, ownedVerts, dim, colWidth int) int64 {
-	if slice {
-		v := int64(ownedVerts) * int64(dim-colWidth)
-		if !firstLayer {
-			v += int64(totalVerts-ownedVerts) * int64(colWidth)
-		}
-		return v
+func TPVolume(firstLayer bool, totalVerts, ownedVerts, dim, colWidth int) int64 {
+	v := int64(ownedVerts) * int64(dim-colWidth)
+	if !firstLayer {
+		v += int64(totalVerts-ownedVerts) * int64(colWidth)
 	}
-	if firstLayer {
-		return 0
-	}
-	return int64(totalVerts-ownedVerts) * int64(dim)
+	return v
 }

@@ -33,6 +33,8 @@ const (
 	// DepTP runs every layer tensor-parallel: full graph structure on every
 	// worker, features/aggregations/gradients sharded along the feature
 	// dimension, dependency traffic replaced by slice-exchange collectives.
+	// A model whose edge stage mixes columns (nn.SliceSeparable false) reads
+	// every peer's whole owned block over the master–mirror exchange instead.
 	DepTP Mode = "deptp"
 	// Hybrid3 widens the planner to a per-layer 3-way choice: the Algorithm 4
 	// cache/comm split competes against tensor-parallel suffixes on modeled

@@ -22,8 +22,8 @@ func BuildPlans(plan *Plan) (*BuiltPlans, error) {
 // execution plan's structures alone: a master–mirror layer computes its owned
 // and cached blocks' destinations, walks their edges, except where bound says
 // layer 1's dataflow combined them at construction, and fetches its recv
-// lists; a tensor-parallel layer computes its owned rows, walks its shard of
-// the edges and receives the forward collectives' elements.
+// lists; a slice layer computes its owned rows, walks its shard of the edges
+// and receives the forward collectives' elements.
 func (b *BuiltPlans) Executed(w int, bound bool) []hybrid.Work {
 	var out []hybrid.Work
 	for i, lp := range b.plans[w].layers {
@@ -52,15 +52,6 @@ func (b *BuiltPlans) Executed(w int, bound bool) []hybrid.Work {
 			if i > 0 {
 				wk.TPElems += int64(x.BlockStart[x.NumWorkers()]-len(b.plans[w].owned)) * int64(hi-lo)
 			}
-		case *tpAssemble:
-			x := f.x
-			wk.Rows = int64(len(b.plans[w].owned))
-			wk.Edges = int64(len(f.full.srcRow))
-			// Above layer 1 the all-gather brings every peer's rows at full
-			// width.
-			if i > 0 {
-				wk.TPElems = int64(x.BlockStart[x.NumWorkers()]-len(b.plans[w].owned)) * int64(x.ColStart[x.NumWorkers()])
-			}
 		}
 		out = append(out, wk)
 	}
@@ -83,12 +74,16 @@ func (b *BuiltPlans) HeldRows(w int) []int64 {
 
 // Layer1CommSet returns the size of worker w's layer-1 communicated set: the
 // dependencies its Decision communicates at layer 1 and its closure does not
-// hold anyway (none under a tensor-parallel layer 1, which has no per-vertex
-// exchange).
+// hold anyway. A tensor-parallel layer 1 has no per-vertex exchange: the
+// slice dataflow holds no row, and without it the layer holds every peer's
+// whole block, |V| − |owned| rows.
 func (b *BuiltPlans) Layer1CommSet(w int) int64 {
 	dec, p := b.plan.Decisions[w], b.plan.Planner
-	if dec.TPAt(1) {
+	switch {
+	case dec.TPAt(1) && p.SliceTP:
 		return 0
+	case dec.TPAt(1):
+		return int64(p.Graph.NumVertices() - len(p.Part.Parts[w]))
 	}
 	held := hybrid.ClosureOf(p.Graph, p.Part, w, dec)
 	var n int64

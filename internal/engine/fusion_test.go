@@ -27,7 +27,7 @@ func TestTrainingEpochMaterialisesNoEdgeTensor(t *testing.T) {
 		{"gin-hybrid-chunked", Options{Workers: 4, Mode: Hybrid, Model: nn.GIN, Seed: 11, Overlap: true}},
 		{"gcn-deptp-slice", Options{Workers: 4, Mode: DepTP, Model: nn.GCN, Seed: 11}},
 		{"gat-hybrid-blocks", Options{Workers: 4, Mode: Hybrid, Model: nn.GAT, Seed: 11}},
-		{"gat-deptp-assemble", Options{Workers: 4, Mode: DepTP, Model: nn.GAT, Seed: 11}},
+		{"gat-deptp-whole-block", Options{Workers: 4, Mode: DepTP, Model: nn.GAT, Seed: 11}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// No pool: arena tensors are recycled (and reshaped) at the barrier,
@@ -62,11 +62,8 @@ func TestTrainingEpochMaterialisesNoEdgeTensor(t *testing.T) {
 						edgeRows[len(g.srcLocal)] = true
 					}
 					vertexRows[lp.numPrevRows], vertexRows[lp.numHAllRows] = true, true
-					switch f := lp.flow.(type) {
-					case *tpSlice:
+					if f, ok := lp.flow.(*tpSlice); ok {
 						addBlock(&f.shared.all)
-					case *tpAssemble:
-						addBlock(&f.full)
 					}
 				}
 			}

@@ -60,13 +60,14 @@ type chunkGroup struct {
 // layerPlan is the per-layer execution structure of one worker.
 type layerPlan struct {
 	// flow is the layer's dataflow, chosen here and nowhere else: the epoch
-	// loop and worker construction only call it. Under a tensor-parallel flow
-	// the master–mirror structures below stay empty, so the send/recv wiring
+	// loop and worker construction only call it. Under the slice flow the
+	// master–mirror structures below stay empty, so the send/recv wiring
 	// no-ops.
 	flow dataflow
 	// recv[j] lists vertices received from peer j this layer (ascending);
 	// empty for j == self and peers with nothing to send. Under Broadcast it
-	// is peer j's whole owned list wherever it is not empty.
+	// is peer j's whole owned list wherever it is not empty, and on a
+	// tensor-parallel layer without the slice flow it is for every peer.
 	recv [][]int32
 	// held[j] lists peer j's vertices (ascending) whose rows this layer reads
 	// from the block its dataflow bound at construction instead of the wire.
@@ -123,9 +124,10 @@ type workerPlan struct {
 // decisions under p. p.SliceTP says the model's layers are
 // nn.SumDecomposable: a master–mirror layer 1 then binds its Combine output
 // at construction (masterMirror.bindFeatures), and any TP layers in the
-// decisions run the column-sliced dataflow instead of the full-width
-// assemble. broadcast is ROC's send set (Options.Broadcast): above layer 1 a
-// peer that sends any row sends its whole owned block.
+// decisions run the column-sliced dataflow; without it a TP layer reads
+// every peer's whole owned block over the master–mirror exchange. broadcast
+// is ROC's send set (Options.Broadcast): above layer 1 a peer that sends any
+// row sends its whole owned block.
 func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*workerPlan, error) {
 	g, part, dims := p.Graph, p.Part, p.Dims
 	m := part.NumParts
@@ -139,13 +141,13 @@ func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*
 	// precomputed here.
 	_, selfNormAll := graph.GCNNormCoefficients(g)
 
-	// The tensor-parallel geometry is cluster-global and identical across
+	// The slice dataflow's geometry is cluster-global and identical across
 	// workers, so it is built once and shared read-only.
 	var shared *tpShared
 	for _, d := range decs {
-		if d.NumTP() > 0 {
+		if p.SliceTP && d.NumTP() > 0 {
 			var err error
-			if shared, err = buildTPShared(g, part, p.SliceTP, selfNormAll); err != nil {
+			if shared, err = buildTPShared(g, part, selfNormAll); err != nil {
 				return nil, err
 			}
 			break
@@ -240,20 +242,16 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 	p.layers = make([]layerPlan, L)
 	for l := 1; l <= L; l++ {
 		lp := &p.layers[l-1]
-		if dec.TPAt(l) {
-			// Tensor-parallel layer: no per-vertex exchange, no cached block.
-			if len(p.cachedCompute[l-1]) != 0 {
-				return nil, fmt.Errorf("engine: worker %d layer %d: tensor-parallel input widened by %d replicas at level %d", i, l, len(p.cachedCompute[l-1]), l-1)
-			}
+		if dec.TPAt(l) && len(p.cachedCompute[l-1]) != 0 {
+			return nil, fmt.Errorf("engine: worker %d layer %d: tensor-parallel input widened by %d replicas at level %d", i, l, len(p.cachedCompute[l-1]), l-1)
+		}
+		if dec.TPAt(l) && shared != nil {
+			// Slice dataflow: no per-vertex exchange, no cached block.
 			lp.recv = make([][]int32, part.NumParts)
 			lp.recvOffset = make([]int32, part.NumParts)
 			lp.numPrevRows = len(owned)
 			lp.numHAllRows = len(owned)
-			var err error
-			lp.flow, err = buildTPLayer(g, part, shared, dims, l, i, selfNormAll)
-			if err != nil {
-				return nil, err
-			}
+			lp.flow = buildTPLayer(shared, dims, l, i)
 			continue
 		}
 		lp.numPrevRows = len(owned) + len(p.cachedCompute[l-1])
@@ -275,7 +273,10 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		off := int32(lp.numPrevRows)
 		for j := 0; j < part.NumParts; j++ {
 			chunks[j] = graph.SortedKeys(recvByPeer[j])
-			if broadcast && l > 1 && len(chunks[j]) > 0 {
+			// A TP layer without the slice dataflow reads every peer's whole
+			// block; ROC's broadcast widens every used chunk to one above
+			// layer 1.
+			if (dec.TPAt(l) && j != i) || (broadcast && l > 1 && len(chunks[j]) > 0) {
 				chunks[j] = part.Parts[j]
 			}
 			lp.recvOffset[j] = off

@@ -8,6 +8,7 @@ import (
 
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
+	"neutronstar/internal/costmodel"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/partition"
 	"neutronstar/internal/tensor"
@@ -370,5 +371,71 @@ func TestBroadcastSendsWholeBlocksPacked(t *testing.T) {
 			t.Fatalf("%s message %d→%d layer %d: packed %d words, dense rows %v",
 				msg.Kind, msg.From, msg.To, msg.Layer, len(msg.Packed), msg.Rows != nil)
 		}
+	}
+}
+
+// TestDepTPWithoutSliceIsWholeBlockDepComm: a tensor-parallel layer of a
+// model whose edge stage mixes columns is a master–mirror layer over every
+// peer's whole owned block, held at layer 1 and received packed above it.
+// On the pin configuration every worker depends on every peer, so DepComm
+// under Broadcast widens each chunk to the same whole blocks, and the two
+// policies train to the same bits over the same messages.
+func TestDepTPWithoutSliceIsWholeBlockDepComm(t *testing.T) {
+	costs := costmodel.Costs{Tv: 2e-8, Te: 1e-8, Tc: 8e-8}
+	for _, model := range []nn.ModelKind{nn.GAT, nn.SAGE} {
+		t.Run(string(model), func(t *testing.T) {
+			opts := Options{Workers: 4, Mode: DepTP, Model: model, Seed: 11}
+			e, err := NewEngine(testDataset(t, 300, 6, 3), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			part := e.planner.Part
+			for i := range e.plans {
+				deps := make([]bool, part.NumParts)
+				for _, v := range part.Parts[i] {
+					for _, u := range e.ds.Graph.InNeighbors(v) {
+						deps[part.Assign[u]] = true
+					}
+				}
+				for j, dep := range deps {
+					if j != i && !dep {
+						t.Fatalf("worker %d has no dependency in worker %d: Broadcast would not widen its chunk", i, j)
+					}
+				}
+			}
+			for i, p := range e.plans {
+				for l := range p.layers {
+					lp := &p.layers[l]
+					if _, ok := lp.flow.(*masterMirror); !ok {
+						t.Fatalf("worker %d layer %d runs %T, want *masterMirror", i, l+1, lp.flow)
+					}
+					rows := lp.recv
+					if l == 0 {
+						rows = lp.held
+					}
+					for j, verts := range rows {
+						want := part.Parts[j]
+						if j == i {
+							want = nil
+						}
+						if !slices.Equal(verts, want) {
+							t.Fatalf("worker %d layer %d: %d rows of worker %d, want its whole block of %d", i, l+1, len(verts), j, len(want))
+						}
+					}
+				}
+			}
+
+			tp := runPinned(t, opts, costs, 0, 5)
+			opts.Mode, opts.Broadcast = DepComm, true
+			roc := runPinned(t, opts, costs, 0, 5)
+			if !slices.Equal(tp.losses, roc.losses) {
+				t.Fatalf("losses %v, DepComm+Broadcast %v", tp.losses, roc.losses)
+			}
+			if tp.params != roc.params || tp.bytes != roc.bytes || tp.msgs != roc.msgs {
+				t.Fatalf("params %s, %d B, %d msgs an epoch; DepComm+Broadcast %s, %d B, %d msgs",
+					tp.params, tp.bytes, tp.msgs, roc.params, roc.bytes, roc.msgs)
+			}
+		})
 	}
 }

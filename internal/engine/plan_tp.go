@@ -14,7 +14,10 @@ import (
 // dependency traffic disappears; two slice-exchange collectives (a forward
 // re-gather and its backward re-scatter adjoint) move the sharded tensors
 // between the column layout and the row layout instead, with volume
-// |V|·F/N-shaped and independent of the degree distribution.
+// |V|·F/N-shaped and independent of the degree distribution. Only a
+// slice-separable model's layers run this way (Planner.SliceTP); any other
+// model's TP layer is a master–mirror layer over every peer's whole owned
+// block (buildWorkerPlan).
 
 // tpShared is the cluster-global tensor-parallel geometry, built once and
 // shared read-only by every worker's plan. All workers agree on the
@@ -22,40 +25,24 @@ import (
 // order), then worker 1's, and so on — so a row range identifies an owner
 // without any per-vertex index exchange.
 type tpShared struct {
-	// slice selects the dataflow buildTPLayer gives every TP layer:
-	// column-sliced edge aggregation for sum-decomposable models, full-width
-	// assemble for models whose edge stage mixes columns (attention, pooling).
-	slice bool
 	// blockStart[j]..blockStart[j+1] is worker j's owned row range in
 	// owner-block order (length m+1).
 	blockStart []int
 	// globalRow maps a global vertex id to its owner-block row.
 	globalRow []int32
-	// all is the full-graph destination block over owner-block rows for the
-	// slice dataflow (zero when assemble): buildBlock's CSC convention, so
-	// per-vertex sums reduce in the same float order as the other policies.
+	// all is the full-graph destination block over owner-block rows:
+	// buildBlock's CSC convention, so per-vertex sums reduce in the same float
+	// order as the other policies.
 	all blockPlan
-	// featAll is the full-width feature matrix in owner-block row order: the
-	// static layer-1 input of the assemble dataflow, one copy for all workers
-	// (nil until a layer-1 assemble dataflow binds it).
-	featAll *tensor.Tensor
 }
 
 // resolve is buildBlock's row resolver over the owner-block row universe.
 func (sh *tpShared) resolve(v int32) (int32, error) { return sh.globalRow[v], nil }
 
-// tpLayerPlan is one worker's plan for one tensor-parallel layer.
-type tpLayerPlan struct {
-	shared *tpShared
-	// x is the layer's slice-exchange geometry: the shared row blocks and the
-	// column slices of d^(l-1). Zero-width slices compute and exchange nothing.
-	x TPSliceExchange
-}
-
 // buildTPShared derives the cluster-global geometry.
-func buildTPShared(g *graph.Graph, part *partition.Partition, slice bool, selfNormAll []float32) (*tpShared, error) {
+func buildTPShared(g *graph.Graph, part *partition.Partition, selfNormAll []float32) (*tpShared, error) {
 	m := part.NumParts
-	sh := &tpShared{slice: slice, blockStart: make([]int, m+1), globalRow: make([]int32, g.NumVertices())}
+	sh := &tpShared{blockStart: make([]int, m+1), globalRow: make([]int32, g.NumVertices())}
 	order := make([]int32, 0, g.NumVertices())
 	for j := 0; j < m; j++ {
 		sh.blockStart[j] = len(order)
@@ -65,32 +52,21 @@ func buildTPShared(g *graph.Graph, part *partition.Partition, slice bool, selfNo
 		}
 	}
 	sh.blockStart[m] = len(order)
-	if !slice {
-		return sh, nil
-	}
 	var err error
 	sh.all, err = buildBlock(g, order, sh.resolve, sh.resolve, selfNormAll)
 	return sh, err
 }
 
-// buildTPLayer derives worker `worker`'s dataflow for TP layer l.
-func buildTPLayer(g *graph.Graph, part *partition.Partition, sh *tpShared,
-	dims []int, l, worker int, selfNormAll []float32) (dataflow, error) {
-
-	m := part.NumParts
-	tp := tpLayerPlan{shared: sh, x: TPSliceExchange{BlockStart: sh.blockStart, ColStart: make([]int, m+1)}}
+// buildTPLayer derives worker `worker`'s slice dataflow for TP layer l.
+func buildTPLayer(sh *tpShared, dims []int, l, worker int) *tpSlice {
+	m := len(sh.blockStart) - 1
+	f := &tpSlice{shared: sh, x: TPSliceExchange{BlockStart: sh.blockStart, ColStart: make([]int, m+1)}}
 	for j := 0; j <= m; j++ {
-		tp.x.ColStart[j], _ = costmodel.TPColRange(dims[l-1], m, j)
+		f.x.ColStart[j], _ = costmodel.TPColRange(dims[l-1], m, j)
 	}
-	if sh.slice {
-		blo, bhi := tp.x.rows(worker)
-		return &tpSlice{tpLayerPlan: tp, selfNormOwned: sh.all.selfNorm[blo:bhi]}, nil
-	}
-	// The assemble dataflow's owned destination block: edge sources and
-	// destination selves both index the global owner-block row universe (the
-	// assembled full-width input).
-	full, err := buildBlock(g, part.Parts[worker], sh.resolve, sh.resolve, selfNormAll)
-	return &tpAssemble{tpLayerPlan: tp, full: full}, err
+	blo, bhi := f.x.rows(worker)
+	f.selfNormOwned = sh.all.selfNorm[blo:bhi]
+	return f
 }
 
 // TPSliceExchange models the two DepTP collectives over plain tensors,

@@ -62,6 +62,16 @@ func boundLayer1(kind nn.ModelKind) bool {
 	return ok
 }
 
+// summed is plan's price as the candidate argmin sums it: Σ_w CacheCost +
+// CommCost, in worker order.
+func summed(p *hybrid.Planner, plan []*hybrid.Decision) (cost float64) {
+	for w, dec := range plan {
+		ch := p.Charge(w, dec)
+		cost += ch.CacheCost + ch.CommCost
+	}
+	return cost
+}
+
 // decide is the plan step under fixed costs, mode and cache budget, with
 // ModeRatio's cached fraction at one half.
 func decide(ds *dataset.Dataset, opts engine.Options, costs costmodel.Costs, mode hybrid.Mode, memBudget int64) (*engine.Plan, error) {
@@ -209,19 +219,104 @@ func TestDepTPHome(t *testing.T) {
 	}
 }
 
+// TestWholeBlockTPNeverWins: without SliceTP a tensor-parallel layer fetches
+// every peer's whole owned block, so no TP suffix is worth offering. For GAT
+// on the Fig. 2a generators (W ∈ {4, 8}, L ∈ {2, 3}, Tv = 2.98·Te, Tc/Te ∈
+// {2, 8, 15, 45, 150}, ROADMAP reading (xvii)) and on train-hybrid-gat's
+// graph, ModeHybrid3 offers comm, greedy and cache only, and every TP suffix
+// over the greedy prefix below it — built here, as the planner no longer
+// does — prices at least the best of the three. Halving the whole-block
+// fetch count in Ledger fails cells.
+//
+// The greedy decides bottom up, and its layer-l split reads only d^(0..l-1),
+// so the greedy of the planner cut to L−1 layers is the prefix. The L-layer
+// greedy is priced only for a suffix below min(comm, cache): on pokec at
+// L = 3 it costs seconds a cell, and there no suffix needs it.
+func TestWholeBlockTPNeverWins(t *testing.T) {
+	const te = 1e-9
+	type grid struct {
+		ds              *dataset.Dataset
+		workers, layers []int
+	}
+	var grids []grid
+	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
+		ds, err := dataset.LoadByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, grid{ds, []int{4, 8}, []int{2, 3}})
+	}
+	rmat := dataset.Load(dataset.Spec{
+		Name: "bench-rmat", Gen: dataset.GenRMAT, Vertices: 7000, AvgDegree: 18, Skew: 0.45,
+		FeatureDim: 64, HiddenDim: 32, NumClasses: 16, Seed: 11,
+	})
+	grids = append(grids, grid{rmat, []int{4}, []int{2}})
+	priced := func(p *hybrid.Planner, mode hybrid.Mode) float64 {
+		plan, err := p.DecideAll(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return summed(p, plan)
+	}
+	for _, g := range grids {
+		for _, workers := range g.workers {
+			for _, L := range g.layers {
+				opts := engine.Options{Workers: workers, Model: nn.GAT, Layers: L}
+				plan, err := decide(g.ds, opts, costmodel.Costs{}, hybrid.ModeAllComm, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := plan.Planner
+				cut := *p
+				cut.Dims = p.Dims[:L]
+				for _, tcTe := range []float64{2, 8, 15, 45, 150} {
+					cell := fmt.Sprintf("%s W=%d L=%d Tc/Te=%g", g.ds.Spec.Name, workers, L, tcTe)
+					p.Costs = costmodel.Costs{Tv: 2.98 * te, Te: te, Tc: tcTe * te}
+					cut.Costs = p.Costs
+					cands, err := cut.Candidates(hybrid.ModeHybrid3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(cands) != 3 {
+						t.Fatalf("%s: ModeHybrid3 offers %d candidates without SliceTP, want comm, greedy and cache", cell, len(cands))
+					}
+					prefix := cands[1].Plan
+					best := min(priced(p, hybrid.ModeAllComm), priced(p, hybrid.ModeAllCache))
+					greedyPriced := false
+					for tpFrom := L; tpFrom >= 1; tpFrom-- {
+						suffix := make([]*hybrid.Decision, workers)
+						for w, base := range prefix {
+							d := &hybrid.Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L)}
+							for l := 1; l <= L; l++ {
+								if l < tpFrom {
+									d.R[l-1], d.C[l-1] = base.R[l-1], base.C[l-1]
+								} else {
+									d.TP[l-1] = true
+								}
+							}
+							suffix[w] = d
+						}
+						price := summed(p, suffix)
+						if price < best && !greedyPriced {
+							best, greedyPriced = min(best, priced(p, hybrid.ModeHybrid)), true
+						}
+						if price < best {
+							t.Errorf("%s: TP from layer %d prices %.6f of the best non-TP plan", cell, tpFrom, price/best)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBoundLayer1Threshold: with layer 1 bound, a 2-layer GCN's DepCache and
 // DepComm hold the same dependency set, one recomputing it at Tv·d¹ a row and
 // the other fetching it at Tc·d¹ a row, so on every Fig. 2a graph and
 // cluster size their priced ratio is Tv/Tc and Algorithm 4 caches all of it
 // or none: its plan prices exactly min(pure), and a tie falls to comm.
 func TestBoundLayer1Threshold(t *testing.T) {
-	total := func(plan *engine.Plan) (cost float64) {
-		for w, dec := range plan.Decisions {
-			ch := plan.Planner.Charge(w, dec)
-			cost += ch.CacheCost + ch.CommCost
-		}
-		return cost
-	}
+	total := func(plan *engine.Plan) float64 { return summed(plan.Planner, plan.Decisions) }
 	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
 		ds, err := dataset.LoadByName(name)
 		if err != nil {

@@ -129,7 +129,7 @@ func TestSameSeedBitIdentical(t *testing.T) {
 		rows = append(rows, row{mode: Mode(name), model: nn.GCN, costs: mixed})
 	}
 	rows = append(rows,
-		row{mode: DepTP, model: nn.GAT, costs: mixed}, // the assemble dataflow (GCN runs the slice one)
+		row{mode: DepTP, model: nn.GAT, costs: mixed}, // whole blocks over the master–mirror exchange (GCN runs the slice dataflow)
 		row{mode: Hybrid4, model: nn.GCN, costs: repWins, memBudget: 1})
 	// The forward configurations production runs: every benchmark workload is
 	// chunk-pipelined (R+L+P), the ROC baseline broadcasts whole blocks.

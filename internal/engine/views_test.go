@@ -10,8 +10,8 @@ import (
 	"neutronstar/internal/obs"
 )
 
-// spanStages is DESIGN §9's span tree as data: the stage (or, for the two
-// collectives that are one name over a send half and a receive half, the
+// spanStages is DESIGN §9's span tree as data: the stage (or, for the
+// collective that is one name over a send half and a receive half, the
 // stages) each class-bearing span name is emitted in.
 var spanStages = map[string][]obs.Stage{
 	"epoch_setup":     {obs.StageForward},
@@ -29,7 +29,6 @@ var spanStages = map[string][]obs.Stage{
 	"recv_chunk":       {obs.StageDepFetchRecv},
 	"tp_slice_gather":  {obs.StageDepFetchRecv},
 	"tp_re_gather":     {obs.StageDepFetchSend, obs.StageDepFetchRecv},
-	"tp_all_gather":    {obs.StageDepFetchSend, obs.StageDepFetchRecv},
 
 	"loss_backward":    {obs.StageBackward},
 	"seed_backward":    {obs.StageBackward},
@@ -77,7 +76,6 @@ func TestViewsAgreePerDataflow(t *testing.T) {
 		{"masterMirror/gat", Hybrid, nn.GAT, false, "pre_transform"},
 		{"masterMirror/gat/overlap", Hybrid, nn.GAT, true, "pre_transform"},
 		{"tpSlice/gcn", DepTP, nn.GCN, true, "tp_re_gather"},
-		{"tpAssemble/gat", DepTP, nn.GAT, true, "tp_all_gather"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -55,7 +55,7 @@ type layerRun struct {
 	// leaf's Grad is what is posted to its peer. Held rows are not among
 	// them: nothing is posted back for static rows.
 	recv []recvLeaf
-	// tp holds the tensor-parallel tape state when the layer ran a DepTP
+	// tp holds the tensor-parallel tape state when the layer ran the slice
 	// dataflow (recv is nil then).
 	tp *tpLayerRun
 }
@@ -67,9 +67,9 @@ type recvLeaf struct {
 }
 
 // dataflow is how one layer of one worker obtains its input rows and returns
-// their gradients: master–mirror messages (masterMirror), or one of the two
-// tensor-parallel slice exchanges (tpSlice, tpAssemble). buildWorkerPlan
-// chooses it when it builds the layer.
+// their gradients: master–mirror messages (masterMirror), or the
+// tensor-parallel slice exchange (tpSlice). buildWorkerPlan chooses it when it
+// builds the layer.
 type dataflow interface {
 	// bindFeatures does, once, everything layer 1 does with its static input
 	// that no parameter can change: it assembles what the dataflow reads
@@ -583,8 +583,8 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, sc *obs.St
 // output. For the top layer the loss already back-propagated on the same
 // tape, so there is nothing to seed; for lower layers the seed is the upper
 // layer's input gradient plus the mirror gradients of the master rows this
-// worker sent it (none when the upper layer is tensor-parallel: its backward
-// already returned every gradient into hPrev.Grad).
+// worker sent it (none when the upper layer runs the slice dataflow: its
+// backward already returned every gradient into hPrev.Grad).
 func (ws *workerState) seedBackward(epoch, l int, runs []layerRun) {
 	if l >= len(runs) {
 		return

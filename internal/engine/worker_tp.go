@@ -8,22 +8,15 @@ import (
 	"neutronstar/internal/tensor"
 )
 
-// Tensor-parallel layer execution. Two dataflows share the KindSlice message
-// kind, distinguished by Seq:
-//
-// Slice dataflow (sum-decomposable layers — the edge stage is column-wise, so
-// each worker aggregates the full graph over its own column slice):
+// Tensor-parallel layer execution: the slice dataflow of sum-decomposable
+// layers, whose edge stage is column-wise, so each worker aggregates the full
+// graph over its own column slice. Its four collectives share the KindSlice
+// message kind, distinguished by Seq:
 //
 //	Seq 0  slice-scatter   owner j ships peer w the w-columns of its owned rows
 //	Seq 1  re-gather       worker j ships owner w the j-columns of w's rows
 //	Seq 2  re-scatter      owner j ships worker w the w-columns of dAgg (adjoint of 1)
 //	Seq 3  grad-scatter    worker j ships owner w the j-columns of dX (adjoint of 0)
-//
-// Assemble dataflow (attention/pooling layers mix columns in the edge stage,
-// so slicing is unsound; the collective degrades to an all-gather):
-//
-//	Seq 0  all-gather      owner j broadcasts its full-width owned block
-//	Seq 2  grad-scatter    worker j ships owner w its gradient for w's rows
 //
 // Every exchange is expectation-symmetric: a message from j exists iff the
 // sender's owned block and the receiver's slice are both non-empty, and both
@@ -32,17 +25,14 @@ import (
 // copyWindow / addWindow, the kernels TPSliceExchange's adjoint check tests.
 
 // tpLayerRun holds the tensor-parallel tape state of one layer between the
-// forward and backward sweeps.
+// forward and backward sweeps. The edge stage runs on its own tape so the
+// backward can stop at the aggregation boundary, re-scatter the full-width
+// gradient, and only then push the assembled slice gradient through.
 type tpLayerRun struct {
-	// Slice dataflow: the edge stage runs on its own tape so the backward
-	// can stop at the aggregation boundary, re-scatter the full-width
-	// gradient, and only then push the assembled slice gradient through.
 	sliceTape *autograd.Tape
 	x         *autograd.Variable // slice input leaf X_j (|V| × width_j)
 	aggSlice  *autograd.Variable // A_j = edge stage over the slice (|V| × width_j)
 	agg       *autograd.Variable // main-tape leaf: re-gathered aggregation (|owned| × d)
-	// Assemble dataflow:
-	hAll *autograd.Variable // leaf: all-gathered full-width input (|V| × d)
 }
 
 // tpSend posts one slice-exchange message.
@@ -70,8 +60,7 @@ func (ws *workerState) scatterCols(x TPSliceExchange, epoch, l, seq int, block *
 
 // gatherBlocks assembles an owner-block-ordered |V|-row matrix: every peer's
 // row block from its Seq message, this worker's own from the cols columns of
-// own starting at ownCol (the receive half of Seq 0 and Seq 2, and the
-// assemble all-gather).
+// own starting at ownCol (the receive half of Seq 0 and Seq 2).
 func (ws *workerState) gatherBlocks(x TPSliceExchange, epoch, l, seq int, own *tensor.Tensor, ownCol, cols int) *tensor.Tensor {
 	all := ws.arena.Get(x.BlockStart[x.NumWorkers()], cols)
 	for _, j := range ws.peerOrder() {
@@ -88,8 +77,7 @@ func (ws *workerState) gatherBlocks(x TPSliceExchange, epoch, l, seq int, own *t
 }
 
 // sendBlocks ships every peer with a non-empty owned block its rows of the
-// owner-block-ordered matrix all, as views (the send half of Seq 1, Seq 3 and
-// the assemble grad-scatter).
+// owner-block-ordered matrix all, as views (the send half of Seq 1 and Seq 3).
 func (ws *workerState) sendBlocks(x TPSliceExchange, epoch, l, seq int, all *tensor.Tensor) {
 	for _, j := range ws.peerOrder() {
 		blo, bhi := x.rows(j)
@@ -100,11 +88,12 @@ func (ws *workerState) sendBlocks(x TPSliceExchange, epoch, l, seq int, all *ten
 	}
 }
 
-// ---- Slice dataflow ----
-
 // tpSlice is the slice dataflow of one worker's tensor-parallel layer.
 type tpSlice struct {
-	tpLayerPlan
+	shared *tpShared
+	// x is the layer's slice-exchange geometry: the shared row blocks and the
+	// column slices of d^(l-1). Zero-width slices compute and exchange nothing.
+	x TPSliceExchange
 	// selfNormOwned is the owned rows' GCN self coefficients.
 	selfNormOwned []float32
 	// feat is the worker's column slice of all features in owner-block row
@@ -259,106 +248,5 @@ func (f *tpSlice) backward(ws *workerState, epoch, l int, runs []layerRun) {
 		}
 		msg := ws.mb.Wait(comm.KindSlice, epoch, l, 3, j)
 		addWindow(at(hg, 0, plo), at(msg.Rows, 0, 0), nOwned, phi-plo)
-	}
-}
-
-// ---- Assemble dataflow ----
-
-// tpAssemble is the assemble dataflow of one worker's tensor-parallel layer.
-type tpAssemble struct {
-	tpLayerPlan
-	// full is the worker's owned destination block over the global
-	// owner-block row universe.
-	full blockPlan
-}
-
-// bindFeatures: layer 1 reads the full-width feature matrix in owner-block
-// order; it is static, so one cluster-wide copy serves all workers.
-func (f *tpAssemble) bindFeatures(ws *workerState) {
-	sh := f.shared
-	if sh.featAll != nil {
-		return
-	}
-	feats := ws.eng.ds.Features
-	sh.featAll = tensor.New(feats.Rows(), feats.Cols())
-	for v := 0; v < feats.Rows(); v++ {
-		copy(sh.featAll.Row(int(sh.globalRow[v])), feats.Row(v))
-	}
-}
-
-// forward: all-gather every worker's full-width owned block into the
-// owner-block row universe, then run the owned destination block over it —
-// the layer's edge stage (attention, pooling) sees every source at full
-// width, so no model assumption is needed.
-func (f *tpAssemble) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor) layerRun {
-	layer := ws.model.Layers[l-1]
-	tape := ws.newTape()
-	sc := ws.clock
-	nOwned := len(ws.plan.owned)
-	requiresGrad := l > 1
-
-	hAllVal := f.shared.featAll
-	if l > 1 {
-		sc.Phase(obs.StageDepFetchSend, l, "tp_all_gather", obs.Int("layer", l))
-		if nOwned > 0 {
-			// One shared view for every peer, like the broadcast path.
-			block := prevVal.RowSlice(0, nOwned)
-			for _, j := range ws.peerOrder() {
-				ws.tpSend(epoch, l, 0, j, block)
-			}
-		}
-		sc.Phase(obs.StageDepFetchRecv, l, "tp_all_gather", obs.Int("layer", l))
-		hAllVal = ws.gatherBlocks(f.x, epoch, l, 0, prevVal, 0, layer.InDim())
-		sc.Phase(obs.StageForward, l, "tape_setup", obs.Int("layer", l))
-	}
-
-	hAll := tape.Leaf(hAllVal, requiresGrad, "tp_h_all")
-	zAll := hAll
-	if pt, ok := layer.(nn.PreTransformer); ok {
-		sc.Phase(obs.StageForward, l, "pre_transform", obs.Int("layer", l))
-		zAll = pt.PreTransform(tape, hAll, true, ws.rng)
-	}
-	sc.Phase(obs.StageForward, l, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", nOwned))
-	out := ws.runBlock(tape, layer, &f.full, zAll, zAll)
-
-	// hPrev is a carrier for the lower layer's backward seed: the layer
-	// consumed hAll, not prevVal, so this leaf is off the gradient path and
-	// its Grad is assembled manually by the backward grad-scatter.
-	hPrev := tape.Leaf(prevVal, false, "h_prev")
-	return layerRun{tape: tape, hPrev: hPrev, out: out, tp: &tpLayerRun{hAll: hAll}}
-}
-
-// backward reverses the all-gather: each worker scatters its gradient for
-// every owner's rows back to that owner, and owners sum their own
-// contribution with every peer's (schedule order, so the float sum is
-// deterministic) into the layer input's gradient.
-func (f *tpAssemble) backward(ws *workerState, epoch, l int, runs []layerRun) {
-	run := &runs[l-1]
-	ws.seedBackward(epoch, l, runs)
-	if l == 1 {
-		return // layer-1 inputs are static features: param grads only
-	}
-
-	nOwned := len(ws.plan.owned)
-	d := run.hPrev.Value.Cols()
-	dHAll := run.tp.hAll.Grad
-	if dHAll == nil {
-		dHAll = ws.arena.Get(run.tp.hAll.Value.Rows(), d)
-	}
-
-	ws.clock.Phase(obs.StageMirrorScatter, l, "tp_grad_scatter", obs.Int("layer", l))
-	ws.sendBlocks(f.x, epoch, l, 2, dHAll)
-	dPrev := run.hPrev.Grad
-	if dPrev == nil {
-		dPrev = ws.arena.Get(run.hPrev.Value.Rows(), d)
-		run.hPrev.Grad = dPrev
-	}
-	if nOwned > 0 {
-		addWindow(at(dPrev, 0, 0), at(dHAll, f.x.BlockStart[ws.id], 0), nOwned, d)
-		for _, j := range ws.peerOrder() {
-			msg := ws.mb.Wait(comm.KindSlice, epoch, l, 2, j)
-			addWindow(at(dPrev, 0, 0), at(msg.Rows, 0, 0), nOwned, d)
-		}
 	}
 }

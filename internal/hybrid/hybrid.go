@@ -37,11 +37,13 @@ type Decision struct {
 	R [][]int32
 	// C[l-1] lists dependencies communicated at layer l, ascending.
 	C [][]int32
-	// TP[l-1] marks layer l as tensor-parallel (DepTP): the worker computes
-	// an F/N-wide feature shard over the full graph and the slice-exchange
-	// collectives replace R and C entirely. TP is a cluster-level per-layer
-	// choice, identical across all workers' Decisions. Decisions built
-	// outside DecideAll (ExactDecision, tests) may carry a nil TP (all false).
+	// TP[l-1] marks layer l as tensor-parallel (DepTP): under SliceTP the
+	// worker computes an F/N-wide feature shard over the full graph and the
+	// slice-exchange collectives replace R and C entirely; without it the
+	// layer reads every peer's whole owned block over the master–mirror
+	// exchange. TP is a cluster-level per-layer choice, identical across all
+	// workers' Decisions. Decisions built outside DecideAll (ExactDecision,
+	// tests) may carry a nil TP (all false).
 	TP []bool
 	// Rep[l-1] marks layer l as replicated (DepRep): every remote dependency
 	// is cached (R[l-1] holds the full dependency set) and the planner prices
@@ -155,12 +157,13 @@ type Planner struct {
 	// Ratio is the cached fraction for ModeRatio, in [0, 1].
 	Ratio float64
 	// SliceTP reports that the model's layers are nn.SumDecomposable
-	// (nn.SliceSeparable names the same kinds), and names both things that
-	// buys: tensor-parallel layers run the slice dataflow instead of
-	// full-width row assembly, which changes the collective volume
-	// (costmodel.TPVolume), and a master–mirror layer 1 is bound — combined
-	// once, at construction — so no epoch walks its edges (Ledger). The
-	// engine's execution plans read it from here.
+	// (nn.SliceSeparable names the same kinds), and names what that buys:
+	// tensor-parallel layers run the slice dataflow (costmodel.TPVolume) and
+	// compete in ModeHybrid3 and ModeHybrid4 (without it a TP layer fetches
+	// every peer's whole owned block, which never prices below pure
+	// communication), and a master–mirror layer 1 is bound — combined once,
+	// at construction — so no epoch walks its edges (Ledger). The engine's
+	// execution plans read it from here.
 	SliceTP bool
 }
 
@@ -390,8 +393,13 @@ func (c *candidates) suffix(t int, rep bool) []*Decision {
 	return plan
 }
 
-// tpSuffixes lists the tensor-parallel suffix plans shallowest first.
+// tpSuffixes lists the tensor-parallel suffix plans shallowest first; none
+// without SliceTP, where a TP layer fetches whole blocks and so moves at
+// least the rows pure communication fetches (engine.TestWholeBlockTPNeverWins).
 func (c *candidates) tpSuffixes() [][]*Decision {
+	if !c.p.SliceTP {
+		return nil
+	}
 	var out [][]*Decision
 	for t := c.p.numLayers(); t >= 1; t-- {
 		out = append(out, c.suffix(t, false))

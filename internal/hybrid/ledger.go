@@ -82,7 +82,7 @@ func (p *Planner) lift(layers []Work, v int32, from, to int) {
 // Ledger counts worker's work under d from d's Closure: every replica lifted
 // once to its level, the owned block at every layer, every communicated
 // dependency the closure does not already hold, and the slice exchange of
-// tensor-parallel layers.
+// tensor-parallel layers (the whole blocks they fetch without SliceTP).
 func (p *Planner) Ledger(worker int, d *Decision) Ledger {
 	L := p.numLayers()
 	held := ClosureOf(p.Graph, p.Part, worker, d)
@@ -107,8 +107,14 @@ func (p *Planner) Ledger(worker int, d *Decision) Ledger {
 		w := &led.Layers[l-1]
 		w.Rows, w.Edges = int64(len(owned))+w.ReplicaRows, ownedEdges+w.ReplicaEdges
 		switch {
-		case d.TPAt(l):
+		case d.TPAt(l) && p.SliceTP:
 			p.tpWork(w, worker, l)
+		case d.TPAt(l):
+			// Without the slice dataflow a TP layer fetches every peer's whole
+			// owned block (held at layer 1, like any layer-1 row).
+			if l > 1 {
+				w.FetchedRows = int64(p.Graph.NumVertices() - len(owned))
+			}
 		case l == 1:
 			if p.SliceTP {
 				w.Edges = 0
@@ -124,16 +130,13 @@ func (p *Planner) Ledger(worker int, d *Decision) Ledger {
 	return led
 }
 
-// tpWork counts w, worker's owned rows and edges at layer l, as run
-// tensor-parallel (a TP layer holds no replica): the slice dataflow walks
-// every edge at its column share of d^(l-1) instead, the assemble dataflow
-// its owned in-edges at full width, and the slice exchange moves
-// costmodel.TPVolume elements.
+// tpWork counts w, worker's owned rows and edges at layer l, as run by the
+// slice dataflow (a TP layer holds no replica): every edge walked at its
+// column share of d^(l-1), and costmodel.TPVolume elements moved by the slice
+// exchange.
 func (p *Planner) tpWork(w *Work, worker, l int) {
 	d := p.Dims[l-1]
 	lo, hi := costmodel.TPColRange(d, p.Part.NumParts, worker)
-	w.TPElems = costmodel.TPVolume(p.SliceTP, l == 1, p.Graph.NumVertices(), int(w.Rows), d, hi-lo)
-	if p.SliceTP {
-		w.Edges = int64(p.Graph.NumEdges()) * int64(hi-lo) / int64(max(d, 1))
-	}
+	w.TPElems = costmodel.TPVolume(l == 1, p.Graph.NumVertices(), int(w.Rows), d, hi-lo)
+	w.Edges = int64(p.Graph.NumEdges()) * int64(hi-lo) / int64(max(d, 1))
 }
