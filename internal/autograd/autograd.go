@@ -66,13 +66,6 @@ func (v *Variable) adopt(g *tensor.Tensor) {
 	}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (v *Variable) ZeroGrad() {
-	if v.Grad != nil {
-		v.Grad.Zero()
-	}
-}
-
 // Tape records operations in execution order so Backward can replay them in
 // reverse. A Tape is not safe for concurrent use; each worker builds its own.
 type Tape struct {

@@ -123,6 +123,14 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 	}
 }
 
+func epochsOf(entries []Entry) []int {
+	var out []int
+	for _, e := range entries {
+		out = append(out, e.Epoch)
+	}
+	return out
+}
+
 func TestStoreRotation(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -138,24 +146,46 @@ func TestStoreRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != retain || entries[0].Epoch != 3 || entries[2].Epoch != 5 {
-		t.Fatalf("retained %+v, want epochs 3 to 5", entries)
+	if got := epochsOf(entries); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+		t.Fatalf("retained epochs %v, want [3 4 5]", got)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.nsck"))
 	if len(files) != retain {
 		t.Fatalf("retained %d snapshot files, want %d: %v", len(files), retain, files)
 	}
-	// Re-saving an epoch already in the manifest replaces it, not duplicates.
+	// Re-saving an epoch already in the store replaces it, not duplicates.
 	if _, err := st.Save(testSnapshot(5)); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ = st.Entries()
-	if len(entries) != retain || entries[retain-1].Epoch != 5 {
-		t.Fatalf("after re-save: %+v", entries)
+	if got := epochsOf(entries); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+		t.Fatalf("after re-save: epochs %v, want [3 4 5]", got)
+	}
+
+	// Rotation never removes the file just written, even when it is the
+	// lowest epoch: 10, 15, 20, then 5 drops 10 alone.
+	st, err = OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, epoch := range []int{10, 15, 20, 5} {
+		if _, err := st.Save(testSnapshot(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, _ = st.Entries()
+	if got := epochsOf(entries); !reflect.DeepEqual(got, []int{5, 15, 20}) {
+		t.Fatalf("10, 15, 20, 5 retained epochs %v, want [5 15 20]", got)
+	}
+	if got, err := st.LoadLatest(); err != nil || got.Epoch != 20 {
+		t.Fatalf("LoadLatest after saving 5 last: got %v, %v, want epoch 20", got, err)
 	}
 }
 
-func TestStoreSurvivesStaleManifestEntry(t *testing.T) {
+// TestStoreFindsSnapshotPublishedBeforeCrash: a snapshot is live from the
+// moment its rename lands. A file placed straight into the directory is the
+// state a crash right after Save's rename leaves behind.
+func TestStoreFindsSnapshotPublishedBeforeCrash(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -166,7 +196,76 @@ func TestStoreSurvivesStaleManifestEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a lost latest snapshot (crash after manifest write).
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000003.nsck"), encoded(t, testSnapshot(3)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch != 3 {
+		t.Fatalf("LoadLatest returned epoch %d, want the published epoch 3", got.Epoch)
+	}
+}
+
+// TestStoreIgnoresForeignNames: only the names Save writes are snapshots.
+// Temp files, non-canonical names, directories and an older build's
+// MANIFEST are neither listed nor rotated away.
+func TestStoreIgnoresForeignNames(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := map[string]string{
+		"MANIFEST":         "epoch=9 file=../evil.nsck\n",
+		".tmp-snap-123":    "torn",
+		"snap-7.nsck":      "not canonical",
+		"snap-00000008.ns": "wrong suffix",
+		"snap-x.nsck":      "no epoch",
+	}
+	for name, body := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "snap-00000009.nsck"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := st.LoadLatest(); err != nil || s != nil {
+		t.Fatalf("store of foreign names: got (%v, %v), want (nil, nil)", s, err)
+	}
+	for epoch := 1; epoch <= 4; epoch++ {
+		if _, err := st.Save(testSnapshot(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := epochsOf(entries); !reflect.DeepEqual(got, []int{2, 3, 4}) {
+		t.Fatalf("listed epochs %v, want [2 3 4]", got)
+	}
+	for name, body := range foreign {
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(data) != body {
+			t.Fatalf("foreign file %s touched: %q, %v", name, data, err)
+		}
+	}
+}
+
+func TestStoreSurvivesLostNewestFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 2; epoch++ {
+		if _, err := st.Save(testSnapshot(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The newest file vanished (deleted or lost with its disk block).
 	if err := os.Remove(filepath.Join(dir, "snap-00000002.nsck")); err != nil {
 		t.Fatal(err)
 	}
@@ -214,21 +313,6 @@ func TestStoreLoadLatestSkipsCorruptNewest(t *testing.T) {
 	tear(1)
 	if _, err := st.LoadLatest(); err == nil || !strings.Contains(err.Error(), "snap-00000003.nsck") {
 		t.Fatalf("all entries corrupt: got %v, want the newest entry's error", err)
-	}
-}
-
-func TestManifestRejectsEscapingPath(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest := manifestHeader + "\nepoch=1 file=../evil.nsck bytes=1 saved_unix=0\n"
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Entries(); err == nil {
-		t.Fatal("manifest with path escape was accepted")
 	}
 }
 

@@ -1,47 +1,35 @@
 package ckpt
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Store manages a directory of snapshots with a manifest and retention
-// rotation that keeps the newest retain (3) snapshots. All writes are atomic
-// (temp file + rename), so a crash mid-save never corrupts an existing
-// snapshot, and the manifest always points at fully written files.
+// Store manages a directory of snapshots with retention rotation that keeps
+// the newest retain (3). The directory is the store's only index: a
+// snapshot's epoch is in its file name, its integrity in its CRC, its size
+// and saved time in the file's size and mtime.
 //
-// Directory layout:
-//
-//	<dir>/MANIFEST              index of live snapshots, newest last
 //	<dir>/snap-<epoch>.nsck     one snapshot per retained epoch
 //
-// The manifest is a plain text file — first line "nsck-manifest v1", then
-// one line per snapshot: "epoch=<n> file=<name> bytes=<n> saved_unix=<ts>".
-// It is rewritten atomically after every save; readers take the last entry
-// whose file still exists and decodes, so a manifest that raced a crash or
-// a torn newest file degrades to the previous snapshot instead of failing.
+// Every write is temp file + fsync + rename, so a crash mid-save never
+// corrupts an existing snapshot, and a snapshot is visible to LoadLatest
+// from the moment its rename lands. Any other name in the directory (a temp
+// file, a MANIFEST left by an older build) is ignored and left alone.
 type Store struct {
 	dir string
 }
 
-const (
-	manifestName   = "MANIFEST"
-	manifestHeader = "nsck-manifest v1"
-	retain         = 3
-)
+const retain = 3
 
-// Entry is one manifest line: a snapshot the store knows about.
+// Entry is one snapshot file in the store.
 type Entry struct {
-	Epoch     int
-	File      string
-	Bytes     int64
-	SavedUnix int64
+	Epoch int
+	File  string
 }
 
 // OpenStore opens (creating if needed) a snapshot directory.
@@ -55,89 +43,35 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Entries reads the manifest. A missing manifest is an empty store, not an
-// error. Entries whose snapshot file has vanished are skipped.
+func snapName(epoch int) string { return fmt.Sprintf("snap-%08d.nsck", epoch) }
+
+// Entries lists the store's snapshot files in ascending epoch order. A name
+// counts only if it is the one Save writes for the epoch it spells, so each
+// epoch has at most one file and every other name is ignored.
 func (st *Store) Entries() ([]Entry, error) {
-	f, err := os.Open(filepath.Join(st.dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	des, err := os.ReadDir(st.dir)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: opening manifest: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() || sc.Text() != manifestHeader {
-		return nil, fmt.Errorf("ckpt: %s is not a snapshot manifest", f.Name())
+		return nil, fmt.Errorf("ckpt: listing store: %w", err)
 	}
 	var out []Entry
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	for _, de := range des {
+		name := de.Name()
+		// A name that fails to parse reads as epoch 0, whose name it is not.
+		epoch, _ := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".nsck"))
+		if !de.IsDir() && name == snapName(epoch) {
+			out = append(out, Entry{Epoch: epoch, File: name})
 		}
-		e, err := parseEntry(line)
-		if err != nil {
-			return nil, err
-		}
-		if _, statErr := os.Stat(filepath.Join(st.dir, e.File)); statErr != nil {
-			continue // rotated out or lost; the manifest line is stale
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ckpt: reading manifest: %w", err)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out, nil
 }
 
-func parseEntry(line string) (Entry, error) {
-	var e Entry
-	for _, tok := range strings.Fields(line) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			return e, fmt.Errorf("ckpt: malformed manifest token %q", tok)
-		}
-		switch k {
-		case "epoch":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return e, fmt.Errorf("ckpt: manifest epoch %q: %w", v, err)
-			}
-			e.Epoch = n
-		case "file":
-			if v != filepath.Base(v) || v == "" {
-				return e, fmt.Errorf("ckpt: manifest file %q escapes the store", v)
-			}
-			e.File = v
-		case "bytes":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return e, fmt.Errorf("ckpt: manifest bytes %q: %w", v, err)
-			}
-			e.Bytes = n
-		case "saved_unix":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return e, fmt.Errorf("ckpt: manifest timestamp %q: %w", v, err)
-			}
-			e.SavedUnix = n
-		default:
-			// Unknown keys are ignored so older readers survive format
-			// extensions within the same manifest version.
-		}
-	}
-	if e.File == "" {
-		return e, fmt.Errorf("ckpt: manifest entry %q names no file", line)
-	}
-	return e, nil
-}
-
-// Save writes the snapshot atomically, appends it to the manifest and
-// applies retention rotation. It returns the snapshot's path.
+// Save writes the snapshot atomically, then rotates: it removes the
+// lowest-epoch snapshots other than the one just written until retain
+// remain. Re-saving an epoch replaces its file. It returns the snapshot's
+// path.
 func (st *Store) Save(s *Snapshot) (string, error) {
-	name := fmt.Sprintf("snap-%08d.nsck", s.Epoch)
+	name := snapName(s.Epoch)
 	path := filepath.Join(st.dir, name)
 	tmp, err := os.CreateTemp(st.dir, ".tmp-snap-*")
 	if err != nil {
@@ -158,70 +92,24 @@ func (st *Store) Save(s *Snapshot) (string, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", fmt.Errorf("ckpt: publishing snapshot: %w", err)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-
 	entries, err := st.Entries()
 	if err != nil {
 		return "", err
 	}
-	// Replace any previous entry for the same epoch (a resumed run re-saves
-	// epochs it passes again), then append and rotate.
-	kept := entries[:0]
+	excess := len(entries) - retain
 	for _, e := range entries {
-		if e.Epoch != s.Epoch {
-			kept = append(kept, e)
+		if excess <= 0 {
+			break
 		}
-	}
-	entries = append(kept, Entry{
-		Epoch: s.Epoch, File: name, Bytes: info.Size(), SavedUnix: time.Now().Unix(),
-	})
-	var evicted []Entry
-	if len(entries) > retain {
-		evicted = append(evicted, entries[:len(entries)-retain]...)
-		entries = entries[len(entries)-retain:]
-	}
-	if err := st.writeManifest(entries); err != nil {
-		return "", err
-	}
-	// Delete rotated-out files only after the manifest no longer names
-	// them; a crash between the two leaves garbage files, never dangling
-	// manifest entries.
-	for _, e := range evicted {
-		os.Remove(filepath.Join(st.dir, e.File))
+		if e.File != name {
+			os.Remove(filepath.Join(st.dir, e.File))
+			excess--
+		}
 	}
 	return path, nil
 }
 
-func (st *Store) writeManifest(entries []Entry) error {
-	tmp, err := os.CreateTemp(st.dir, ".tmp-manifest-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: creating temp manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	fmt.Fprintln(w, manifestHeader)
-	for _, e := range entries {
-		fmt.Fprintf(w, "epoch=%d file=%s bytes=%d saved_unix=%d\n",
-			e.Epoch, e.File, e.Bytes, e.SavedUnix)
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(st.dir, manifestName))
-}
-
-// Load reads and decodes one manifest entry's snapshot.
+// Load reads and decodes one entry's snapshot.
 func (st *Store) Load(e Entry) (*Snapshot, error) {
 	f, err := os.Open(filepath.Join(st.dir, e.File))
 	if err != nil {

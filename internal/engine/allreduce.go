@@ -22,15 +22,8 @@ func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
 		return
 	}
 	buf := make([]float32, total)
-	off := 0
-	for _, p := range params {
-		copy(buf[off:], p.Grad.Data())
-		off += p.Grad.Len()
-	}
+	grad := func(p *nn.Param) []float32 { return p.Grad.Data() }
+	flattenInto(buf, params, grad)
 	comm.AllReduce(ws.eng.fabric, ws.id, m, epoch, buf)
-	off = 0
-	for _, p := range params {
-		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])
-		off += p.Grad.Len()
-	}
+	unflattenFrom(buf, params, grad)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,7 +164,8 @@ type Options struct {
 }
 
 // withDefaults fills unset options and returns Mode's row of the policy
-// table; an unknown mode is an error, and so is a learning rate that is NaN, infinite or negative (0 is the default).
+// table; an unknown mode or model is an error, and so is a learning rate
+// that is NaN, infinite or negative (0 is the default).
 func (o Options) withDefaults() (Options, policy, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -173,6 +175,9 @@ func (o Options) withDefaults() (Options, policy, error) {
 	}
 	if o.Model == "" {
 		o.Model = nn.GCN
+	}
+	if !slices.Contains(nn.ModelKinds(), o.Model) {
+		return o, policy{}, fmt.Errorf("engine: unknown model %q", o.Model)
 	}
 	if o.Layers <= 0 {
 		o.Layers = 2

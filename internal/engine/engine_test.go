@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"neutronstar/internal/comm"
@@ -346,6 +347,17 @@ func TestUnknownModeRejected(t *testing.T) {
 	ds := testDataset(t, 50, 3, 32)
 	if _, err := NewEngine(ds, Options{Workers: 2, Mode: "bogus"}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestUnknownModelRejectedBeforePlanning: the plan step, not the run step,
+// rejects a model outside nn.ModelKinds, so no planner decides for it.
+func TestUnknownModelRejectedBeforePlanning(t *testing.T) {
+	ds := testDataset(t, 50, 3, 32)
+	tuned := false
+	_, err := PlanFor(ds, Options{Workers: 2, Model: "transformer"}, func(*hybrid.Planner, *hybrid.Mode) { tuned = true })
+	if err == nil || !strings.Contains(err.Error(), `unknown model "transformer"`) || tuned {
+		t.Fatalf("PlanFor(transformer) = %v, tuned %v; want the unknown-model error before planning", err, tuned)
 	}
 }
 

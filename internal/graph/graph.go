@@ -62,18 +62,6 @@ func (g *Graph) InOffsets() []int64 { return g.inOff }
 // in-edge in destination-sorted order.
 func (g *Graph) InSources() []int32 { return g.inSrc }
 
-// EdgeDst returns, for every CSC edge position, its destination vertex.
-// The result is freshly allocated.
-func (g *Graph) EdgeDst() []int32 {
-	dst := make([]int32, g.numEdges)
-	for v := int32(0); v < g.numVertices; v++ {
-		for e := g.inOff[v]; e < g.inOff[v+1]; e++ {
-			dst[e] = v
-		}
-	}
-	return dst
-}
-
 // FromEdges builds a graph with numVertices vertices from a directed edge
 // list. Duplicate edges are kept (multi-edges are legal); self-loops are
 // legal. It returns an error for out-of-range endpoints.

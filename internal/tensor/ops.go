@@ -232,16 +232,9 @@ func ReLUBackwardSumRowsInto(dst, sum, grad, out *Tensor) {
 	}
 }
 
-// AddBiasReLU returns max(0, t + bias) where the 1xC row vector bias is
+// AddBiasReLUInto stores max(0, t + bias) into dst, the 1xC row vector bias
 // broadcast over every row — the fused forward of the dense-layer tail,
-// saving the whole-tensor pre-activation temporary.
-func AddBiasReLU(t, bias *Tensor) *Tensor {
-	out := New(t.rows, t.cols)
-	AddBiasReLUInto(out, t, bias)
-	return out
-}
-
-// AddBiasReLUInto stores max(0, t + bias) into dst; dst may be t but must
+// saving the whole-tensor pre-activation temporary. dst may be t but must
 // not otherwise overlap it. Bit-compatible with AddRowVector followed by
 // ReLU: the add happens first, then the max, per element.
 func AddBiasReLUInto(dst, t, bias *Tensor) {

@@ -118,7 +118,7 @@ func TestSignSelectBitIdenticalToBranchy(t *testing.T) {
 		}
 
 		// Shapes: one long row, odd lengths around the unroll widths, and a
-		// matrix whose odd row length exercises AddBiasReLU's per-row slices.
+		// matrix whose odd row length exercises AddBiasReLUInto's per-row slices.
 		shapes := [][2]int{{1, len(vals)}, {1, 1}, {1, 3}, {1, 7}, {5, 13}, {101, 67}, {0, 9}}
 		for _, sh := range shapes {
 			rows, cols := sh[0], sh[1]

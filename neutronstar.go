@@ -64,17 +64,18 @@ const (
 	EngineHybrid4  = engine.Hybrid4
 )
 
-// ModelKind selects the GNN architecture.
-type ModelKind string
+// ModelKind selects the GNN architecture; the engine validates it
+// (nn.ModelKinds lists the architectures).
+type ModelKind = nn.ModelKind
 
 // The three models of the paper's evaluation.
 const (
-	ModelGCN ModelKind = "gcn"
-	ModelGIN ModelKind = "gin"
-	ModelGAT ModelKind = "gat"
+	ModelGCN = nn.GCN
+	ModelGIN = nn.GIN
+	ModelGAT = nn.GAT
 	// ModelSAGE is a GraphSAGE-style max-pooling model (extension beyond the
 	// paper's three evaluated architectures).
-	ModelSAGE ModelKind = "sage"
+	ModelSAGE = nn.SAGE
 )
 
 // NetworkKind names a simulated cluster fabric.
@@ -345,19 +346,6 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 	default:
 		return engine.Options{}, fmt.Errorf("neutronstar: unknown network %q", cfg.Network)
 	}
-	var model nn.ModelKind
-	switch cfg.Model {
-	case ModelGCN, "":
-		model = nn.GCN
-	case ModelGIN:
-		model = nn.GIN
-	case ModelGAT:
-		model = nn.GAT
-	case ModelSAGE:
-		model = nn.SAGE
-	default:
-		return engine.Options{}, fmt.Errorf("neutronstar: unknown model %q", cfg.Model)
-	}
 	var tracer *obs.Tracer
 	if cfg.Metrics {
 		tracer = obs.NewTracer()
@@ -372,7 +360,7 @@ func toEngineOptions(cfg Config) (engine.Options, error) {
 	return engine.Options{
 		Workers:  cfg.Workers,
 		Mode:     cfg.Engine,
-		Model:    model,
+		Model:    cfg.Model,
 		Layers:   cfg.Layers,
 		Profile:  profile,
 		Ring:     cfg.Ring,
