@@ -45,6 +45,7 @@ import (
 	"strings"
 
 	"neutronstar"
+	"neutronstar/internal/comm"
 	"neutronstar/internal/engine"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
@@ -55,8 +56,16 @@ import (
 var (
 	engineNames  = engine.ModeNames()
 	modelNames   = modelKindNames()
-	networkNames = []string{string(neutronstar.NetworkLocal), string(neutronstar.NetworkECS), string(neutronstar.NetworkIBV)}
+	networkNames = profileNames()
 )
+
+func profileNames() []string {
+	var names []string
+	for _, p := range comm.Profiles() {
+		names = append(names, p.Name)
+	}
+	return names
+}
 
 func modelKindNames() []string {
 	var names []string

@@ -13,7 +13,7 @@ package distdgl
 
 import (
 	"fmt"
-	"math"
+	"sync"
 	"time"
 
 	"neutronstar/internal/autograd"
@@ -87,8 +87,9 @@ type Trainer struct {
 	// all-reduce even when its local batch stream is exhausted.
 	batchesPerEpoch int
 
-	edgeInvSqrt []float32 // 1/sqrt(din+1) per vertex, for GCN normalisation
-	selfNorm    []float32
+	// gcnFactor and selfNorm are graph's GCN normalisation per vertex; a
+	// sampled block's edges multiply their endpoints' factors.
+	gcnFactor, selfNorm []float32
 }
 
 type worker struct {
@@ -116,10 +117,10 @@ func New(ds *dataset.Dataset, opts Options) (*Trainer, error) {
 		ds: ds, opts: opts, part: part,
 		fabric: comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer),
 	}
-	_, t.selfNorm = graph.GCNNormCoefficients(ds.Graph)
-	t.edgeInvSqrt = make([]float32, ds.NumVertices())
-	for v := 0; v < ds.NumVertices(); v++ {
-		t.edgeInvSqrt[v] = invSqrt(ds.Graph.InDegree(int32(v)) + 1)
+	t.gcnFactor, t.selfNorm = make([]float32, ds.NumVertices()), make([]float32, ds.NumVertices())
+	for v := range t.gcnFactor {
+		d := ds.Graph.InDegree(int32(v))
+		t.gcnFactor[v], t.selfNorm[v] = graph.GCNFactor(d), graph.GCNSelfCoefficient(d)
 	}
 	dims := []int{ds.Spec.FeatureDim, opts.Hidden, ds.Spec.NumClasses}
 	for i := 0; i < opts.Workers; i++ {
@@ -151,16 +152,21 @@ func New(ds *dataset.Dataset, opts Options) (*Trainer, error) {
 // Close releases the fabric.
 func (t *Trainer) Close() { t.fabric.Close() }
 
-// RunEpoch trains one epoch of synchronous mini-batches across workers.
+// RunEpoch trains one epoch of synchronous mini-batches across workers. The
+// worker losses are summed in worker order, so a seed fixes the epoch loss
+// whatever order the workers finish in.
 func (t *Trainer) RunEpoch() EpochStats {
 	start := time.Now()
-	losses := make(chan float64, len(t.ws))
-	for _, w := range t.ws {
-		go func(w *worker) { losses <- w.runEpoch(t.epoch) }(w)
+	losses := make([]float64, len(t.ws))
+	var wg sync.WaitGroup
+	for i, w := range t.ws {
+		wg.Add(1)
+		go func() { defer wg.Done(); losses[i] = w.runEpoch(t.epoch) }()
 	}
+	wg.Wait()
 	var sum float64
-	for range t.ws {
-		sum += <-losses
+	for _, l := range losses {
+		sum += l
 	}
 	t.epoch++
 	return EpochStats{
@@ -233,7 +239,7 @@ func (w *worker) trainBatch(step int, batch []int32) float64 {
 		for e := range blk.SrcIdx {
 			u := blk.Srcs[blk.SrcIdx[e]]
 			v := blk.Dsts[blk.DstIdx[e]]
-			edgeNorm[e] = t.edgeInvSqrt[u] * t.edgeInvSqrt[v]
+			edgeNorm[e] = t.gcnFactor[u] * t.gcnFactor[v]
 		}
 		for d, v := range blk.Dsts {
 			selfNorm[d] = t.selfNorm[v]
@@ -320,26 +326,9 @@ func (w *worker) fetchFeatures(step int, frontier []int32) *tensor.Tensor {
 // collective, so the baseline and NeutronStar pay the same gradient sync.
 func (w *worker) allReduce(step int) {
 	params := w.model.Params()
-	total := 0
-	for _, p := range params {
-		total += p.Grad.Len()
-	}
-	buf := make([]float32, total)
-	off := 0
-	for _, p := range params {
-		copy(buf[off:], p.Grad.Data())
-		off += p.Grad.Len()
-	}
+	buf := nn.Flatten(params, nn.GradOf)
 	sp := w.tr.opts.Tracer.Start(w.id, obs.ClassComm, "comm")
 	comm.AllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf)
 	sp.End()
-	off = 0
-	for _, p := range params {
-		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])
-		off += p.Grad.Len()
-	}
-}
-
-func invSqrt(x int) float32 {
-	return float32(1 / math.Sqrt(float64(x)))
+	nn.Unflatten(buf, params, nn.GradOf)
 }

@@ -1,6 +1,8 @@
 package distdgl
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,5 +108,34 @@ func TestDefaultsApplied(t *testing.T) {
 	st := tr.RunEpoch()
 	if st.Loss <= 0 {
 		t.Fatal("no loss computed")
+	}
+}
+
+// TestSameSeedBitIdentical: trainers with one seed report bit-identical
+// epoch losses, whatever order their workers finish in. Several trainers run
+// against the first, since one pair's workers may finish in the same order
+// by chance.
+func TestSameSeedBitIdentical(t *testing.T) {
+	ds, err := dataset.LoadByName("cora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := func() []uint64 {
+		tr, err := New(ds, Options{Workers: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		var bits []uint64
+		for e := 0; e < 3; e++ {
+			bits = append(bits, math.Float64bits(tr.RunEpoch().Loss))
+		}
+		return bits
+	}
+	want := losses()
+	for run := 1; run < 8; run++ {
+		if got := losses(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: same-seed epoch losses %x, first run %x", run, got, want)
+		}
 	}
 }

@@ -307,10 +307,10 @@ func Decode(r io.Reader) (*Snapshot, error) {
 // data actually present in the stream.
 func readF32s(r io.Reader, n int) ([]float32, error) {
 	const chunk = 1 << 14
-	out := make([]float32, 0, minInt(n, chunk))
+	out := make([]float32, 0, min(n, chunk))
 	var buf [4 * chunk]byte
 	for n > 0 {
-		c := minInt(n, chunk)
+		c := min(n, chunk)
 		b := buf[:4*c]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
@@ -321,11 +321,4 @@ func readF32s(r io.Reader, n int) ([]float32, error) {
 		n -= c
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

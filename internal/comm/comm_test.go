@@ -767,3 +767,19 @@ func TestTCPFabricDoubleCloseSafe(t *testing.T) {
 	f.Close()
 	f.Close() // idempotent
 }
+
+// TestProfileNamed: every preset resolves by its own name, and a name outside
+// the table is an error.
+func TestProfileNamed(t *testing.T) {
+	for _, p := range Profiles() {
+		got, err := ProfileNamed(p.Name)
+		if err != nil || got != p {
+			t.Fatalf("ProfileNamed(%q) = %+v, %v; want %+v", p.Name, got, err, p)
+		}
+	}
+	for _, name := range []string{"", "wifi", "ECS"} {
+		if _, err := ProfileNamed(name); err == nil {
+			t.Fatalf("ProfileNamed(%q) accepted", name)
+		}
+	}
+}

@@ -125,6 +125,21 @@ var (
 	ProfileLocal = NetworkProfile{Name: "local"}
 )
 
+// Profiles lists the cluster presets: the one table every name lookup reads.
+func Profiles() []NetworkProfile {
+	return []NetworkProfile{ProfileLocal, ProfileECS, ProfileIBV}
+}
+
+// ProfileNamed returns the preset whose Name is name.
+func ProfileNamed(name string) (NetworkProfile, error) {
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return NetworkProfile{}, fmt.Errorf("comm: unknown network %q", name)
+}
+
 // Network is the transport surface engines depend on: tagged message send,
 // per-worker mailboxes, teardown. Two implementations share one Send-time
 // decision (endpoints.decide): the in-process Fabric and the TCPFabric,

@@ -118,7 +118,7 @@ func Load(spec Spec) *Dataset {
 
 	d := &Dataset{Spec: spec, Graph: g, Labels: labels}
 	d.Features = synthesizeFeatures(spec, labels, rng)
-	d.TrainMask, d.ValMask, d.TestMask = splitMasks(spec.Vertices, rng)
+	d.TrainMask, d.ValMask, d.TestMask = SplitMasks(spec.Vertices, rng)
 	return d
 }
 
@@ -145,8 +145,9 @@ func synthesizeFeatures(spec Spec, labels []int32, rng *tensor.RNG) *tensor.Tens
 	return f
 }
 
-// splitMasks produces a 60/20/20 train/val/test split.
-func splitMasks(n int, rng *tensor.RNG) (train, val, test []bool) {
+// SplitMasks draws a 60/20/20 train/val/test split of n vertices from one
+// permutation of rng.
+func SplitMasks(n int, rng *tensor.RNG) (train, val, test []bool) {
 	train = make([]bool, n)
 	val = make([]bool, n)
 	test = make([]bool, n)

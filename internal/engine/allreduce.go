@@ -21,9 +21,7 @@ func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
 	if m == 1 {
 		return
 	}
-	buf := make([]float32, total)
-	grad := func(p *nn.Param) []float32 { return p.Grad.Data() }
-	flattenInto(buf, params, grad)
+	buf := nn.Flatten(params, nn.GradOf)
 	comm.AllReduce(ws.eng.fabric, ws.id, m, epoch, buf)
-	unflattenFrom(buf, params, grad)
+	nn.Unflatten(buf, params, nn.GradOf)
 }

@@ -356,7 +356,7 @@ func New(ds *dataset.Dataset, plan *Plan, opts Options) (*Engine, error) {
 		e.replicas = partition.BuildReplicas(ds.Graph, p.Part, L)
 		for i, wp := range e.plans {
 			for k := range wp.cachedCompute {
-				if !equalVerts(wp.cachedCompute[k], e.replicas.Sets[i][k]) {
+				if !slices.Equal(wp.cachedCompute[k], e.replicas.Sets[i][k]) {
 					return nil, fmt.Errorf("engine: worker %d level %d: replication pass (%d replicas) and execution plan (%d) disagree",
 						i, k, len(e.replicas.Sets[i][k]), len(wp.cachedCompute[k]))
 				}
@@ -441,19 +441,6 @@ func (e *Engine) ReplicationFactor() float64 {
 		return 1
 	}
 	return e.replicas.Factor()
-}
-
-// equalVerts reports whether two ascending vertex lists are identical.
-func equalVerts(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Close releases the fabric. The engine must not be used afterwards.
@@ -561,16 +548,8 @@ func (e *Engine) ReplicasInSync() bool {
 // went stale. Safe to call concurrently.
 func (e *Engine) ParamVersion() uint64 { return e.paramVersion.Load() }
 
-// CloneModel builds a fresh model of the engine's architecture carrying a
-// copy of the current parameters — a serving-side snapshot that stays stable
-// while training mutates the replicas. Call it between epochs (the engine is
-// externally synchronous), like Snapshot.
-func (e *Engine) CloneModel() *nn.Model {
-	m := nn.MustNewModel(e.opts.Model, e.dims, e.opts.Dropout, e.opts.Seed+7)
-	src := e.states[0].model.Params()
-	dst := m.Params()
-	for i := range dst {
-		dst[i].Value.CopyFrom(src[i].Value)
-	}
-	return m
-}
+// CloneModel returns an inference copy (nn.Model.Clone) of the current
+// parameters — a serving-side snapshot that stays stable while training
+// mutates the replicas. Call it between epochs (the engine is externally
+// synchronous), like Snapshot.
+func (e *Engine) CloneModel() *nn.Model { return e.states[0].model.Clone() }

@@ -40,14 +40,12 @@ func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
 
 	if ws.id != 0 {
 		// Push gradients, then install the broadcast parameters.
-		buf := tensor.New(1, total)
-		flattenInto(buf.Data(), params, func(p *nn.Param) []float32 { return p.Grad.Data() })
 		ws.eng.fabric.Send(&comm.Message{
 			From: ws.id, To: 0, Kind: comm.KindAllReduce,
-			Epoch: epoch, Layer: psPhaseGrad, Rows: buf,
+			Epoch: epoch, Layer: psPhaseGrad, Rows: tensor.FromSlice(1, total, nn.Flatten(params, nn.GradOf)),
 		})
 		msg := ws.mb.Wait(comm.KindAllReduce, epoch, psPhaseParam, 0, 0)
-		unflattenFrom(msg.Rows.Data(), params, func(p *nn.Param) []float32 { return p.Value.Data() })
+		nn.Unflatten(msg.Rows.Data(), params, nn.ValueOf)
 		return
 	}
 
@@ -62,30 +60,11 @@ func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
 		}
 	}
 	ws.opt.Step(params)
-	out := tensor.New(1, total)
-	flattenInto(out.Data(), params, func(p *nn.Param) []float32 { return p.Value.Data() })
+	out := tensor.FromSlice(1, total, nn.Flatten(params, nn.ValueOf))
 	for j := 1; j < m; j++ {
 		ws.eng.fabric.Send(&comm.Message{
 			From: 0, To: j, Kind: comm.KindAllReduce,
 			Epoch: epoch, Layer: psPhaseParam, Rows: out,
 		})
-	}
-}
-
-func flattenInto(dst []float32, params []*nn.Param, field func(*nn.Param) []float32) {
-	off := 0
-	for _, p := range params {
-		src := field(p)
-		copy(dst[off:], src)
-		off += len(src)
-	}
-}
-
-func unflattenFrom(src []float32, params []*nn.Param, field func(*nn.Param) []float32) {
-	off := 0
-	for _, p := range params {
-		dst := field(p)
-		copy(dst, src[off:off+len(dst)])
-		off += len(dst)
 	}
 }

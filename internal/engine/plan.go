@@ -16,7 +16,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"neutronstar/internal/graph"
 	"neutronstar/internal/hybrid"
@@ -135,11 +134,8 @@ func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*
 	if len(decs) != m {
 		return nil, fmt.Errorf("engine: %d decisions for %d workers", len(decs), m)
 	}
-	// Per-edge coefficients are recomputed from degrees inside buildBlock
-	// (indexing the global CSC edge array across worker-local edge orders
-	// would be error-prone); only the per-vertex self coefficients are
-	// precomputed here.
-	_, selfNormAll := graph.GCNNormCoefficients(g)
+	var norm gcnNorm
+	norm.edge, norm.self = graph.GCNNormCoefficients(g)
 
 	// The slice dataflow's geometry is cluster-global and identical across
 	// workers, so it is built once and shared read-only.
@@ -147,7 +143,7 @@ func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*
 	for _, d := range decs {
 		if p.SliceTP && d.NumTP() > 0 {
 			var err error
-			if shared, err = buildTPShared(g, part, selfNormAll); err != nil {
+			if shared, err = buildTPShared(g, part, norm); err != nil {
 				return nil, err
 			}
 			break
@@ -156,7 +152,7 @@ func buildPlans(p *hybrid.Planner, decs []*hybrid.Decision, broadcast bool) ([]*
 
 	plans := make([]*workerPlan, m)
 	for i := 0; i < m; i++ {
-		wp, err := buildWorkerPlan(g, part, decs[i], dims, i, selfNormAll, shared, broadcast)
+		wp, err := buildWorkerPlan(g, part, decs[i], dims, i, norm, shared, broadcast)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +194,7 @@ func positionsIn(list, sub []int32) []int32 {
 
 // buildWorkerPlan derives worker i's plan from its dependency decision.
 func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Decision,
-	dims []int, i int, selfNormAll []float32, shared *tpShared, broadcast bool) (*workerPlan, error) {
+	dims []int, i int, norm gcnNorm, shared *tpShared, broadcast bool) (*workerPlan, error) {
 
 	L := len(dims) - 1
 	owned := part.Parts[i]
@@ -317,11 +313,11 @@ func buildWorkerPlan(g *graph.Graph, part *partition.Partition, dec *hybrid.Deci
 		}
 
 		var err error
-		lp.owned, err = buildBlock(g, owned, resolve, prevRow, selfNormAll)
+		lp.owned, err = buildBlock(g, owned, resolve, prevRow, norm)
 		if err != nil {
 			return nil, err
 		}
-		lp.cached, err = buildBlock(g, p.cachedComputeAt(l), resolve, prevRow, selfNormAll)
+		lp.cached, err = buildBlock(g, p.cachedComputeAt(l), resolve, prevRow, norm)
 		if err != nil {
 			return nil, err
 		}
@@ -390,12 +386,17 @@ func (p *workerPlan) cachedComputeAt(k int) []int32 {
 	return p.cachedCompute[k]
 }
 
+// gcnNorm is graph.GCNNormCoefficients' table: edge coefficients by CSC
+// position, self coefficients by vertex.
+type gcnNorm struct{ edge, self []float32 }
+
 // buildBlock assembles the edge arrays for one destination block. srcRow maps
 // an edge source, selfRow a destination's own previous-layer copy, to its row
 // in the block's input universe.
 func buildBlock(g *graph.Graph, dsts []int32, srcRow, selfRow func(int32) (int32, error),
-	selfNormAll []float32) (blockPlan, error) {
+	norm gcnNorm) (blockPlan, error) {
 
+	off := g.InOffsets()
 	b := blockPlan{dsts: dsts, offsets: make([]int32, len(dsts)+1)}
 	b.selfRow = make([]int32, len(dsts))
 	b.selfNorm = make([]float32, len(dsts))
@@ -405,24 +406,17 @@ func buildBlock(g *graph.Graph, dsts []int32, srcRow, selfRow func(int32) (int32
 			return b, err
 		}
 		b.selfRow[r] = sr
-		b.selfNorm[r] = selfNormAll[v]
-		dNorm := gcnInvSqrt(g.InDegree(v))
-		for _, u := range g.InNeighbors(v) {
+		b.selfNorm[r] = norm.self[v]
+		for k, u := range g.InNeighbors(v) {
 			row, err := srcRow(u)
 			if err != nil {
 				return b, err
 			}
 			b.srcRow = append(b.srcRow, row)
 			b.dstRow = append(b.dstRow, int32(r))
-			b.edgeNorm = append(b.edgeNorm, dNorm*gcnInvSqrt(g.InDegree(u)))
+			b.edgeNorm = append(b.edgeNorm, norm.edge[off[v]+int64(k)])
 		}
 		b.offsets[r+1] = int32(len(b.srcRow))
 	}
 	return b, nil
-}
-
-// gcnInvSqrt returns 1/sqrt(d+1) as float32, matching
-// graph.GCNNormCoefficients' per-edge formula.
-func gcnInvSqrt(d int) float32 {
-	return float32(1 / math.Sqrt(float64(d+1)))
 }

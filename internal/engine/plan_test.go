@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
 	"neutronstar/internal/costmodel"
+	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/partition"
 	"neutronstar/internal/tensor"
@@ -437,5 +439,59 @@ func TestDepTPWithoutSliceIsWholeBlockDepComm(t *testing.T) {
 					tp.params, tp.bytes, tp.msgs, roc.params, roc.bytes, roc.msgs)
 			}
 		})
+	}
+}
+
+// TestBlocksReadTheGCNTable: every block a GCN plan builds — owned, cached
+// and DepTP's shared slice block — carries graph.GCNNormCoefficients' own
+// bits: the k-th edge of destination v is the table's edge InOffsets()[v]+k,
+// and v's self coefficient the table's self entry.
+func TestBlocksReadTheGCNTable(t *testing.T) {
+	ds := testDataset(t, 240, 7, 46)
+	g := ds.Graph
+	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	off := g.InOffsets()
+	edgesIn := map[string]int{} // block kind -> edges checked
+	check := func(what, kind string, b *blockPlan) {
+		t.Helper()
+		edgesIn[kind] += len(b.edgeNorm)
+		for r, v := range b.dsts {
+			if math.Float32bits(b.selfNorm[r]) != math.Float32bits(selfNorm[v]) {
+				t.Fatalf("%s: self coefficient of %d is %v, table %v", what, v, b.selfNorm[r], selfNorm[v])
+			}
+			edges := b.edgeNorm[b.offsets[r]:b.offsets[r+1]]
+			if len(edges) != g.InDegree(v) {
+				t.Fatalf("%s: destination %d has %d edges, in-degree %d", what, v, len(edges), g.InDegree(v))
+			}
+			for k, c := range edges {
+				if want := edgeNorm[off[v]+int64(k)]; math.Float32bits(c) != math.Float32bits(want) {
+					t.Fatalf("%s: edge %d of destination %d is %v, table %v", what, k, v, c, want)
+				}
+			}
+		}
+	}
+	for _, mode := range []Mode{DepCache, DepComm, Hybrid, DepTP} {
+		e, err := NewEngine(ds, Options{Workers: 3, Mode: mode, Model: nn.GCN, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range e.plans {
+			for l := range p.layers {
+				lp := &p.layers[l]
+				what := fmt.Sprintf("%s worker %d layer %d", mode, p.id, l+1)
+				if f, ok := lp.flow.(*tpSlice); ok {
+					check(what, "slice", &f.shared.all)
+					continue
+				}
+				check(what, "owned", &lp.owned)
+				check(what, "cached", &lp.cached)
+			}
+		}
+		e.Close()
+	}
+	for _, kind := range []string{"owned", "cached", "slice"} {
+		if edgesIn[kind] == 0 {
+			t.Fatalf("no %s block edge was checked", kind)
+		}
 	}
 }

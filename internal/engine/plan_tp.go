@@ -40,7 +40,7 @@ type tpShared struct {
 func (sh *tpShared) resolve(v int32) (int32, error) { return sh.globalRow[v], nil }
 
 // buildTPShared derives the cluster-global geometry.
-func buildTPShared(g *graph.Graph, part *partition.Partition, selfNormAll []float32) (*tpShared, error) {
+func buildTPShared(g *graph.Graph, part *partition.Partition, norm gcnNorm) (*tpShared, error) {
 	m := part.NumParts
 	sh := &tpShared{blockStart: make([]int, m+1), globalRow: make([]int32, g.NumVertices())}
 	order := make([]int32, 0, g.NumVertices())
@@ -53,7 +53,7 @@ func buildTPShared(g *graph.Graph, part *partition.Partition, selfNormAll []floa
 	}
 	sh.blockStart[m] = len(order)
 	var err error
-	sh.all, err = buildBlock(g, order, sh.resolve, sh.resolve, selfNormAll)
+	sh.all, err = buildBlock(g, order, sh.resolve, sh.resolve, norm)
 	return sh, err
 }
 

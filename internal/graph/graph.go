@@ -1,8 +1,8 @@
 // Package graph provides the static graph storage used throughout
-// NeutronStar-Go: COO ingestion, CSC (in-edges grouped by destination, used
-// by forward propagation) and CSR (out-edges grouped by source, used by
-// backward propagation) builds, k-hop dependency closures, and degree
-// statistics. Vertex ids are dense int32 in [0, NumVertices).
+// NeutronStar-Go: COO ingestion into CSC (in-edges grouped by destination),
+// k-hop dependency closures, degree statistics and the GCN normalisation
+// coefficients. Vertex ids are dense int32 in [0, NumVertices). No CSR is
+// kept: the backward pass scatters along the same CSC edge arrays.
 package graph
 
 import (
@@ -16,9 +16,8 @@ type Edge struct {
 	Src, Dst int32
 }
 
-// Graph is an immutable directed graph in dual CSC/CSR form.
-// CSC answers "who are v's in-neighbors" (forward pass);
-// CSR answers "who are u's out-neighbors" (backward pass).
+// Graph is an immutable directed graph in CSC form: it answers "who are v's
+// in-neighbors".
 type Graph struct {
 	numVertices int32
 	numEdges    int64
@@ -26,10 +25,6 @@ type Graph struct {
 	// CSC: in-edges of vertex v are InSrc[InOff[v]:InOff[v+1]].
 	inOff []int64
 	inSrc []int32
-
-	// CSR: out-edges of vertex u are OutDst[OutOff[u]:OutOff[u+1]].
-	outOff []int64
-	outDst []int32
 }
 
 // NumVertices returns |V|.
@@ -44,16 +39,8 @@ func (g *Graph) InNeighbors(v int32) []int32 {
 	return g.inSrc[g.inOff[v]:g.inOff[v+1]]
 }
 
-// OutNeighbors returns the destinations of u's out-edges (shared storage).
-func (g *Graph) OutNeighbors(u int32) []int32 {
-	return g.outDst[g.outOff[u]:g.outOff[u+1]]
-}
-
 // InDegree returns the number of in-edges of v.
 func (g *Graph) InDegree(v int32) int { return int(g.inOff[v+1] - g.inOff[v]) }
-
-// OutDegree returns the number of out-edges of u.
-func (g *Graph) OutDegree(u int32) int { return int(g.outOff[u+1] - g.outOff[u]) }
 
 // InOffsets exposes the CSC offset array (len NumVertices+1).
 func (g *Graph) InOffsets() []int64 { return g.inOff }
@@ -93,24 +80,6 @@ func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 	for v := int32(0); v < n; v++ {
 		seg := g.inSrc[g.inOff[v]:g.inOff[v+1]]
 		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-	}
-
-	// CSR build, derived from the (now canonical) CSC layout.
-	g.outOff = make([]int64, n+1)
-	for _, u := range g.inSrc {
-		g.outOff[u+1]++
-	}
-	for v := int32(0); v < n; v++ {
-		g.outOff[v+1] += g.outOff[v]
-	}
-	g.outDst = make([]int32, len(edges))
-	clear(cursor)
-	for v := int32(0); v < n; v++ {
-		for e := g.inOff[v]; e < g.inOff[v+1]; e++ {
-			u := g.inSrc[e]
-			g.outDst[g.outOff[u]+cursor[u]] = v
-			cursor[u]++
-		}
 	}
 	return g, nil
 }

@@ -22,10 +22,7 @@ func TestFromEdgesBasic(t *testing.T) {
 	if got := g.InNeighbors(3); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("InNeighbors(3) = %v", got)
 	}
-	if got := g.OutNeighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("OutNeighbors(0) = %v", got)
-	}
-	if g.InDegree(0) != 1 || g.OutDegree(3) != 1 {
+	if g.InDegree(0) != 1 || g.InDegree(3) != 2 {
 		t.Fatal("degree wrong")
 	}
 }
@@ -147,9 +144,9 @@ func TestGCNNormCoefficients(t *testing.T) {
 	}
 }
 
-// Property: for random graphs, sum of in-degrees == sum of out-degrees == |E|,
-// and CSR/CSC agree edge-by-edge.
-func TestQuickCSRCSCConsistency(t *testing.T) {
+// Property: for random graphs, the in-degrees sum to |E| and the CSC holds
+// every input edge, as a multiset.
+func TestQuickCSCHoldsEveryEdge(t *testing.T) {
 	f := func(seed uint64, n8, e8 uint8) bool {
 		n := int(n8%20) + 1
 		ne := int(e8 % 60)
@@ -159,23 +156,19 @@ func TestQuickCSRCSCConsistency(t *testing.T) {
 			edges[i] = Edge{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n))}
 		}
 		g := MustFromEdges(n, edges)
-		var din, dout int
+		din := 0
 		for v := 0; v < n; v++ {
 			din += g.InDegree(int32(v))
-			dout += g.OutDegree(int32(v))
 		}
-		if din != ne || dout != ne {
+		if din != ne {
 			return false
 		}
-		// Every CSC edge must exist in CSR and vice versa (as a multiset).
 		counts := map[Edge]int{}
-		for _, e := range g.Edges() {
+		for _, e := range edges {
 			counts[e]++
 		}
-		for u := int32(0); u < int32(n); u++ {
-			for _, v := range g.OutNeighbors(u) {
-				counts[Edge{u, v}]--
-			}
+		for _, e := range g.Edges() {
+			counts[e]--
 		}
 		for _, c := range counts {
 			if c != 0 {

@@ -27,6 +27,10 @@ func ComputeStats(g *Graph) Stats {
 	if n == 0 {
 		return s
 	}
+	hasOut := make([]bool, n)
+	for _, u := range g.InSources() {
+		hasOut[u] = true
+	}
 	degrees := make([]int, n)
 	for v := 0; v < n; v++ {
 		d := g.InDegree(int32(v))
@@ -34,7 +38,7 @@ func ComputeStats(g *Graph) Stats {
 		if d > s.MaxInDegree {
 			s.MaxInDegree = d
 		}
-		if d == 0 && g.OutDegree(int32(v)) == 0 {
+		if d == 0 && !hasOut[v] {
 			s.Isolated++
 		}
 	}
@@ -53,25 +57,40 @@ func (s Stats) String() string {
 		s.DegreeP50, s.DegreeP90, s.DegreeP99, s.Isolated)
 }
 
+// GCNFactor returns float32(1/√(d+1)), the symmetric GCN normalisation's
+// factor for a vertex of in-degree d (+1 for Kipf & Welling's implicit
+// self-loop). Edge u->v's coefficient is the float32 product of v's and u's.
+func GCNFactor(d int) float32 {
+	return float32(1 / math.Sqrt(float64(d+1)))
+}
+
+// GCNSelfCoefficient returns the self-loop coefficient 1/(d+1) of a vertex of
+// in-degree d, rounded once from the float64 square of 1/√(d+1).
+func GCNSelfCoefficient(d int) float32 {
+	inv := 1 / math.Sqrt(float64(d+1))
+	return float32(inv * inv)
+}
+
 // GCNNormCoefficients returns, in CSC edge order, the symmetric GCN
-// normalisation coefficient 1/sqrt((din(v)+1)(din(u)+1)) for each edge u->v,
-// and for each vertex the self-loop coefficient 1/(din(v)+1). The +1 terms
-// account for the implicit self-loop of Kipf & Welling's renormalisation
-// trick without materialising self-edges.
+// normalisation coefficient of each edge u->v (the float32 product of the
+// two endpoints' GCNFactor), and for each vertex its GCNSelfCoefficient. It
+// is the one table every full-graph consumer reads: edge k of v's in-list is
+// edgeNorm[InOffsets()[v]+k].
 func GCNNormCoefficients(g *Graph) (edgeNorm []float32, selfNorm []float32) {
 	n := g.NumVertices()
 	edgeNorm = make([]float32, g.NumEdges())
 	selfNorm = make([]float32, n)
-	invSqrt := make([]float64, n)
+	factor := make([]float32, n)
 	for v := 0; v < n; v++ {
-		invSqrt[v] = 1 / math.Sqrt(float64(g.InDegree(int32(v))+1))
-		selfNorm[v] = float32(invSqrt[v] * invSqrt[v])
+		d := g.InDegree(int32(v))
+		factor[v] = GCNFactor(d)
+		selfNorm[v] = GCNSelfCoefficient(d)
 	}
 	off := g.InOffsets()
 	src := g.InSources()
 	for v := 0; v < n; v++ {
 		for e := off[v]; e < off[v+1]; e++ {
-			edgeNorm[e] = float32(invSqrt[v] * invSqrt[src[e]])
+			edgeNorm[e] = factor[v] * factor[src[e]]
 		}
 	}
 	return edgeNorm, selfNorm

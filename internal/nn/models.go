@@ -85,10 +85,14 @@ func MustNewModel(kind ModelKind, dims []int, dropout float32, seed uint64) *Mod
 	return m
 }
 
-// CloneModel builds a fresh model of identical architecture and identical
-// initial weights (same seed path). Engines use it to replicate parameters
-// across workers: each worker trains its own copy, kept in sync by
-// all-reduced gradients and deterministic optimiser steps.
-func CloneModel(kind ModelKind, dims []int, dropout float32, seed uint64) *Model {
-	return MustNewModel(kind, dims, dropout, seed)
+// Clone returns an inference copy of m: the same architecture, m's parameter
+// values copied, dropout off. Stepping m afterwards leaves the copy as it was,
+// so a server can keep answering from it while training goes on.
+func (m *Model) Clone() *Model {
+	c := MustNewModel(ModelKind(m.Name), m.Dims(), 0, 0)
+	src := m.Params()
+	for i, p := range c.Params() {
+		p.Value.CopyFrom(src[i].Value)
+	}
+	return c
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"neutronstar/internal/autograd"
@@ -231,22 +232,68 @@ func TestModelConstruction(t *testing.T) {
 	}
 }
 
-func TestCloneModelIdenticalWeights(t *testing.T) {
-	a := CloneModel(GCN, []int{8, 4, 2}, 0, 11)
-	b := CloneModel(GCN, []int{8, 4, 2}, 0, 11)
+func TestNewModelSeedDeterminism(t *testing.T) {
+	a := MustNewModel(GCN, []int{8, 4, 2}, 0, 11)
+	b := MustNewModel(GCN, []int{8, 4, 2}, 0, 11)
 	pa, pb := a.Params(), b.Params()
 	if len(pa) != len(pb) {
 		t.Fatal("param counts differ")
 	}
 	for i := range pa {
 		if !pa[i].Value.Equal(pb[i].Value) {
-			t.Fatalf("param %d differs between clones", i)
+			t.Fatalf("param %d differs between same-seed models", i)
 		}
 	}
-	c := CloneModel(GCN, []int{8, 4, 2}, 0, 12)
+	c := MustNewModel(GCN, []int{8, 4, 2}, 0, 12)
 	if c.Params()[0].Value.Equal(pa[0].Value) {
 		t.Fatal("different seed produced identical weights")
 	}
+}
+
+// TestModelCloneIsAnInferenceCopy: a clone has m's values and no dropout, and
+// stepping m afterwards does not move it.
+func TestModelCloneIsAnInferenceCopy(t *testing.T) {
+	for _, kind := range ModelKinds() {
+		m := MustNewModel(kind, []int{8, 4, 2}, 0.5, 3)
+		c := m.Clone()
+		if c.Name != m.Name || !slices.Equal(c.Dims(), m.Dims()) {
+			t.Fatalf("%s: clone is %s %v, want %s %v", kind, c.Name, c.Dims(), m.Name, m.Dims())
+		}
+		pm, pc := m.Params(), c.Params()
+		before := make([]*tensor.Tensor, len(pc))
+		for i := range pc {
+			if pc[i].Value == pm[i].Value || !pc[i].Value.Equal(pm[i].Value) {
+				t.Fatalf("%s: param %d is not an equal copy", kind, i)
+			}
+			before[i] = pc[i].Value.Clone()
+			pm[i].Grad.Fill(1)
+		}
+		NewAdam(0.1).Step(pm)
+		for i := range pc {
+			if pc[i].Value.Equal(pm[i].Value) || !pc[i].Value.Equal(before[i]) {
+				t.Fatalf("%s: stepping the original moved the clone's param %d", kind, i)
+			}
+		}
+		for i := range c.Layers {
+			if dropoutOf(m.Layers[i]) != 0.5 || dropoutOf(c.Layers[i]) != 0 {
+				t.Fatalf("%s layer %d: dropout %v, clone's %v", kind, i, dropoutOf(m.Layers[i]), dropoutOf(c.Layers[i]))
+			}
+		}
+	}
+}
+
+func dropoutOf(l Layer) float32 {
+	switch l := l.(type) {
+	case *GCNLayer:
+		return l.dropout
+	case *GINLayer:
+		return l.dropout
+	case *GATLayer:
+		return l.dropout
+	case *SAGELayer:
+		return l.dropout
+	}
+	panic("unknown layer type")
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"neutronstar/internal/tensor"
 )
@@ -57,5 +58,30 @@ func (o *Adam) Step(params []*Param) {
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.ZeroGrad()
+	}
+}
+
+// GradOf picks a parameter's gradient for Flatten and Unflatten.
+func GradOf(p *Param) *tensor.Tensor { return p.Grad }
+
+// ValueOf picks a parameter's value for Flatten and Unflatten.
+func ValueOf(p *Param) *tensor.Tensor { return p.Value }
+
+// Flatten lays the tensor field picks from each parameter end to end in one
+// new buffer, in params' order: the layout every gradient all-reduce and
+// parameter-server exchange sends.
+func Flatten(params []*Param, field func(*Param) *tensor.Tensor) []float32 {
+	parts := make([][]float32, len(params))
+	for i, p := range params {
+		parts[i] = field(p).Data()
+	}
+	return slices.Concat(parts...)
+}
+
+// Unflatten copies buf, laid out as Flatten lays it, back into the tensor
+// field picks from each parameter.
+func Unflatten(buf []float32, params []*Param, field func(*Param) *tensor.Tensor) {
+	for _, p := range params {
+		buf = buf[copy(field(p).Data(), buf):]
 	}
 }

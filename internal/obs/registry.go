@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -368,7 +369,7 @@ func (r *Registry) family(name, help string, kind metricKind, labelNames []strin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || !equalStrings(f.labelNames, labelNames) {
+		if f.kind != kind || !slices.Equal(f.labelNames, labelNames) {
 			panic(fmt.Sprintf("obs: metric %s re-registered as %s%v, was %s%v",
 				name, kind, labelNames, f.kind, f.labelNames))
 		}
@@ -383,18 +384,6 @@ func (r *Registry) family(name, help string, kind metricKind, labelNames []strin
 	sort.Float64s(f.buckets)
 	r.families[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Counter returns the unlabeled counter with the given name, creating it on

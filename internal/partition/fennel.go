@@ -33,6 +33,12 @@ func fennelPartition(g *graph.Graph, numParts int) *Partition {
 	capLimit := int(1.1*float64(n)/float64(numParts)) + 1
 	sizes := make([]int, numParts)
 	affinity := make([]int, numParts)
+	out := make([][]int32, n) // out-neighbor lists, inverted from the CSC once
+	for v := int32(0); v < int32(n); v++ {
+		for _, u := range g.InNeighbors(v) {
+			out[u] = append(out[u], v)
+		}
+	}
 
 	for v := int32(0); v < int32(n); v++ {
 		for i := range affinity {
@@ -44,7 +50,7 @@ func fennelPartition(g *graph.Graph, numParts int) *Partition {
 				affinity[assign[u]]++
 			}
 		}
-		for _, u := range g.OutNeighbors(v) {
+		for _, u := range out[v] {
 			if assign[u] >= 0 {
 				affinity[assign[u]]++
 			}

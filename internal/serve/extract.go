@@ -2,9 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"time"
 
+	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/sampler"
 	"neutronstar/internal/tensor"
@@ -40,12 +40,6 @@ func (o *overlay) featRow(v int32) []float32 {
 		return o.virt[v-o.n].Features
 	}
 	return o.s.cfg.Features.Row(int(v))
-}
-
-// invSqrtDeg matches graph.GCNNormCoefficients' float64 intermediate exactly
-// so served GCN rows are bit-identical to the full-graph reference.
-func (o *overlay) invSqrtDeg(v int32) float64 {
-	return 1 / math.Sqrt(float64(o.inDeg(v)+1))
 }
 
 // block is one layer of an extraction plan: destinations aggregate from
@@ -106,7 +100,7 @@ func (w *walk) enter(v int32) int32 {
 
 // expand lays out the block whose destinations are the frontier, already
 // entered in slot as rows 0..len-1: one pass over their in-neighbors
-// (sampled down to fanout when it is positive) in CSR order.
+// (sampled down to fanout when it is positive) in CSC order.
 func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 	dsts := w.frontier
 	edges := 0
@@ -128,8 +122,9 @@ func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 	}
 	b.dsts = b.srcs[:nd]
 	for di, v := range b.dsts {
-		inv := o.invSqrtDeg(v)
-		b.selfNorm[di] = float32(inv * inv)
+		d := o.inDeg(v)
+		f := graph.GCNFactor(d)
+		b.selfNorm[di] = graph.GCNSelfCoefficient(d)
 		ns := o.inNbrs(v)
 		if fanout > 0 {
 			ns = sampler.Pick(ns, fanout, rng)
@@ -143,7 +138,7 @@ func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 			}
 			b.srcIdx = append(b.srcIdx, p-1)
 			b.dstIdx = append(b.dstIdx, int32(di))
-			b.edgeNorm = append(b.edgeNorm, float32(inv*o.invSqrtDeg(u)))
+			b.edgeNorm = append(b.edgeNorm, f*graph.GCNFactor(o.inDeg(u)))
 		}
 		b.offsets[di+1] = int32(len(b.srcIdx))
 	}

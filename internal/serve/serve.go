@@ -589,7 +589,7 @@ func (s *Server) computeLoop(idx int) {
 				obs.Int("items", len(asm.items)), obs.String("trace_ids", traceIDs(asm.items)))
 		}
 		if model == nil || version != asm.version {
-			model = cloneForCompute(asm.model)
+			model = asm.model.Clone() // a private replica of the shared snapshot
 			version = asm.version
 		}
 		s.compute(asm, model, scratch)
@@ -600,18 +600,6 @@ func (s *Server) computeLoop(idx int) {
 		}
 		busy.Add(time.Since(start).Seconds())
 	}
-}
-
-// cloneForCompute builds a private replica of a shared snapshot: same
-// architecture (the model's Name round-trips through ModelKind), copied
-// parameter values.
-func cloneForCompute(m *nn.Model) *nn.Model {
-	c := nn.MustNewModel(nn.ModelKind(m.Name), m.Dims(), 0, 0)
-	src, dst := m.Params(), c.Params()
-	for i := range dst {
-		dst[i].Value.CopyFrom(src[i].Value)
-	}
-	return c
 }
 
 // Stats is the live serving snapshot, served as JSON on /stats.

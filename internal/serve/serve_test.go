@@ -335,7 +335,7 @@ func TestServeStaleSnapshotNeverMixesVersions(t *testing.T) {
 			t.Fatalf("the stale job's block %d read the new version's cached rows", l)
 		}
 	}
-	s.compute(asm, cloneForCompute(staleModel), s.scratch.Arena())
+	s.compute(asm, staleModel.Clone(), s.scratch.Arena())
 	<-w.done
 	refOld := engine.ReferenceForward(ds.Graph, old, ds.Features)
 	refNext := engine.ReferenceForward(ds.Graph, next, ds.Features)

@@ -22,13 +22,17 @@ func TestRandomDatasetValidity(t *testing.T) {
 		if ds.Features.Rows() != n || len(ds.Labels) != n || len(ds.TrainMask) != n {
 			t.Fatalf("seed %d: inconsistent sizes", seed)
 		}
+		hasOut := make([]bool, n)
+		for _, u := range ds.Graph.InSources() {
+			hasOut[u] = true
+		}
 		anyTrain := false
 		for v := 0; v < n; v++ {
 			if int(ds.Labels[v]) >= ds.Spec.NumClasses {
 				t.Fatalf("seed %d: label %d out of range", seed, ds.Labels[v])
 			}
 			anyTrain = anyTrain || ds.TrainMask[v]
-			if ds.Graph.InDegree(int32(v))+ds.Graph.OutDegree(int32(v)) == 0 {
+			if ds.Graph.InDegree(int32(v)) == 0 && !hasOut[v] {
 				zeroDegree++
 			}
 		}

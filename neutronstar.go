@@ -78,7 +78,8 @@ const (
 	ModelSAGE = nn.SAGE
 )
 
-// NetworkKind names a simulated cluster fabric.
+// NetworkKind names a simulated cluster fabric: a preset of comm's table
+// (comm.Profiles), which resolves and validates it.
 type NetworkKind string
 
 // Cluster presets: Local is unthrottled in-memory, ECS approximates the
@@ -201,20 +202,7 @@ func NewDataset(numVertices int, edges [][2]int, features [][]float32, labels []
 		},
 		Graph: g, Features: ftr, Labels: lbl,
 	}
-	rng := tensor.NewRNG(seed ^ 0x5EED)
-	inner.TrainMask = make([]bool, numVertices)
-	inner.ValMask = make([]bool, numVertices)
-	inner.TestMask = make([]bool, numVertices)
-	for i, p := range rng.Perm(numVertices) {
-		switch {
-		case i < numVertices*6/10:
-			inner.TrainMask[p] = true
-		case i < numVertices*8/10:
-			inner.ValMask[p] = true
-		default:
-			inner.TestMask[p] = true
-		}
-	}
+	inner.TrainMask, inner.ValMask, inner.TestMask = dataset.SplitMasks(numVertices, tensor.NewRNG(seed^0x5EED))
 	return &Dataset{inner: inner}, nil
 }
 
@@ -335,23 +323,18 @@ func planFor(ds *dataset.Dataset, cfg Config, opts engine.Options) (*engine.Plan
 }
 
 func toEngineOptions(cfg Config) (engine.Options, error) {
-	var profile comm.NetworkProfile
-	switch cfg.Network {
-	case NetworkLocal, "":
-		profile = comm.ProfileLocal
-	case NetworkECS:
-		profile = comm.ProfileECS
-	case NetworkIBV:
-		profile = comm.ProfileIBV
-	default:
-		return engine.Options{}, fmt.Errorf("neutronstar: unknown network %q", cfg.Network)
+	if cfg.Network == "" {
+		cfg.Network = NetworkLocal
+	}
+	profile, err := comm.ProfileNamed(string(cfg.Network))
+	if err != nil {
+		return engine.Options{}, err
 	}
 	var tracer *obs.Tracer
 	if cfg.Metrics {
 		tracer = obs.NewTracer()
 	}
 	if cfg.FaultSpec != "" {
-		var err error
 		profile.Fault, err = comm.ParseFaultSpec(cfg.FaultSpec)
 		if err != nil {
 			return engine.Options{}, err
