@@ -12,6 +12,7 @@ import (
 
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/dataset"
+	"neutronstar/internal/engine"
 	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
@@ -45,8 +46,7 @@ func main() {
 	encoder := nn.MustNewModel(nn.GCN, []int{spec.FeatureDim, 32, embDim}, 0, 21)
 	opt := nn.NewAdam(0.01)
 
-	srcIdx, dstIdx, offsets, selfIdx := fullGraphIndex(g)
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	block := graph.FullBlock(g)
 
 	const epochs = 40
 	for epoch := 1; epoch <= epochs; epoch++ {
@@ -61,12 +61,7 @@ func main() {
 		for li, layer := range encoder.Layers {
 			tape := autograd.NewTape()
 			in := tape.Leaf(h, li > 0, "h")
-			ctx := &nn.ForwardCtx{
-				Tape: tape, EdgeSrc: tape.Gather(in, srcIdx), Self: tape.Gather(in, selfIdx),
-				Offsets: offsets, EdgeDst: dstIdx, EdgeNorm: edgeNorm, SelfNorm: selfNorm,
-				Training: true, RNG: rng,
-			}
-			out := layer.Forward(ctx)
+			out := nn.RunBlock(tape, layer, block, in, in, true, rng)
 			runs = append(runs, run{tape: tape, in: in, out: out})
 			h = out.Value
 		}
@@ -115,42 +110,12 @@ func main() {
 	}
 }
 
-// fullGraphIndex builds CSC index arrays for a whole graph.
-func fullGraphIndex(g *graph.Graph) (srcIdx, dstIdx []int32, offsets, selfIdx []int32) {
-	n := g.NumVertices()
-	offsets = make([]int32, n+1)
-	selfIdx = make([]int32, n)
-	for v := 0; v < n; v++ {
-		selfIdx[v] = int32(v)
-		for _, u := range g.InNeighbors(int32(v)) {
-			srcIdx = append(srcIdx, u)
-			dstIdx = append(dstIdx, int32(v))
-		}
-		offsets[v+1] = int32(len(srcIdx))
-	}
-	return srcIdx, dstIdx, offsets, selfIdx
-}
-
 // evaluateAUC computes ROC-AUC of held-out positive edges against an equal
 // number of random negatives, using inference-mode embeddings.
 func evaluateAUC(g *graph.Graph, encoder *nn.Model, features *tensor.Tensor,
 	positives []graph.Edge, rng *tensor.RNG) float64 {
 
-	srcIdx, dstIdx, offsets, selfIdx := fullGraphIndex(g)
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
-	h := features
-	for _, layer := range encoder.Layers {
-		tape := autograd.NewTape()
-		in := tape.Constant(h, "h")
-		ctx := &nn.ForwardCtx{
-			Tape: tape, EdgeSrc: tape.Gather(in, srcIdx), Self: tape.Gather(in, selfIdx),
-			Offsets: offsets, EdgeDst: dstIdx, EdgeNorm: edgeNorm, SelfNorm: selfNorm,
-		}
-		h = layer.Forward(ctx).Value
-		for _, p := range layer.Params() {
-			p.CollectGrad() // unbind inference tape
-		}
-	}
+	h := engine.ReferenceForward(g, encoder, features)
 	type scored struct {
 		score float64
 		label int

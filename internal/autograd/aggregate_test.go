@@ -38,7 +38,8 @@ func aggCases() []aggCase {
 	}
 	var cases []aggCase
 	add := func(name string, g *graph.Graph) {
-		src, dst, _ := testkit.CSC(g)
+		b := graph.FullBlock(g)
+		src, dst := b.SrcRow, b.EdgeDst
 		if src == nil {
 			src = []int32{} // a nil index means "row e", not "no edges"
 		}

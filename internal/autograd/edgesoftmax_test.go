@@ -37,7 +37,8 @@ func edgeCases() []edgeCase {
 	scores := func(n int) *tensor.Tensor { return tensor.RandNormal(n, 1, 0, 2, rng) }
 	var cases []edgeCase
 	add := func(name string, g *graph.Graph) {
-		src, dst, offsets := testkit.CSC(g)
+		b := graph.FullBlock(g)
+		src, dst, offsets := b.SrcRow, b.EdgeDst, b.Offsets
 		if src == nil {
 			src = []int32{} // a nil index means "row e", not "no edges"
 		}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
@@ -86,10 +85,6 @@ type Trainer struct {
 	// batchesPerEpoch is the global maximum so every worker joins every
 	// all-reduce even when its local batch stream is exhausted.
 	batchesPerEpoch int
-
-	// gcnFactor and selfNorm are graph's GCN normalisation per vertex; a
-	// sampled block's edges multiply their endpoints' factors.
-	gcnFactor, selfNorm []float32
 }
 
 type worker struct {
@@ -116,11 +111,6 @@ func New(ds *dataset.Dataset, opts Options) (*Trainer, error) {
 	t := &Trainer{
 		ds: ds, opts: opts, part: part,
 		fabric: comm.NewFabric(opts.Workers, opts.Profile, opts.Tracer),
-	}
-	t.gcnFactor, t.selfNorm = make([]float32, ds.NumVertices()), make([]float32, ds.NumVertices())
-	for v := range t.gcnFactor {
-		d := ds.Graph.InDegree(int32(v))
-		t.gcnFactor[v], t.selfNorm[v] = graph.GCNFactor(d), graph.GCNSelfCoefficient(d)
 	}
 	dims := []int{ds.Spec.FeatureDim, opts.Hidden, ds.Spec.NumClasses}
 	for i := 0; i < opts.Workers; i++ {
@@ -217,51 +207,9 @@ func (w *worker) trainBatch(step int, batch []int32) float64 {
 	// --- Remote feature fetch for the input frontier ---
 	feats := w.fetchFeatures(step, blocks[0].Srcs)
 
-	// --- Compute phase ---
+	// --- Compute phase: the loss over the batch seeds (the top block's
+	// destinations) ---
 	defer t.opts.Tracer.Start(w.id, obs.ClassCompute, "compute").End()
-	type run struct {
-		tape *autograd.Tape
-		in   *autograd.Variable
-		out  *autograd.Variable
-	}
-	var runs []run
-	h := feats
-	for li, layer := range w.model.Layers {
-		blk := blocks[li]
-		tape := autograd.NewTape()
-		in := tape.Leaf(h, li > 0, "h")
-		rows := in
-		if pt, ok := layer.(nn.PreTransformer); ok {
-			rows = pt.PreTransform(tape, in, true, w.rng)
-		}
-		edgeNorm := make([]float32, blk.NumEdges())
-		selfNorm := make([]float32, len(blk.Dsts))
-		for e := range blk.SrcIdx {
-			u := blk.Srcs[blk.SrcIdx[e]]
-			v := blk.Dsts[blk.DstIdx[e]]
-			edgeNorm[e] = t.gcnFactor[u] * t.gcnFactor[v]
-		}
-		for d, v := range blk.Dsts {
-			selfNorm[d] = t.selfNorm[v]
-		}
-		ctx := &nn.ForwardCtx{
-			Tape:     tape,
-			Src:      rows,
-			SrcRow:   blk.SrcIdx,
-			Self:     tape.Gather(rows, blk.SelfIdx),
-			Offsets:  blk.Offsets,
-			EdgeDst:  blk.DstIdx,
-			EdgeNorm: edgeNorm,
-			SelfNorm: selfNorm,
-			Training: true,
-			RNG:      w.rng,
-		}
-		out := layer.Forward(ctx)
-		runs = append(runs, run{tape: tape, in: in, out: out})
-		h = out.Value
-	}
-	// Loss over the batch seeds (the top block's destinations).
-	top := runs[len(runs)-1]
 	seeds := blocks[len(blocks)-1].Dsts
 	labels := make([]int32, len(seeds))
 	mask := make([]bool, len(seeds))
@@ -269,19 +217,12 @@ func (w *worker) trainBatch(step int, batch []int32) float64 {
 		labels[i] = t.ds.Labels[v]
 		mask[i] = true
 	}
-	loss, _ := top.tape.CrossEntropyMasked(top.out, labels, mask)
-	top.tape.Backward(loss, nil)
-	for l := len(runs) - 2; l >= 0; l-- {
-		seed := runs[l+1].in.Grad
-		if seed == nil {
-			seed = tensor.New(runs[l].out.Value.Rows(), runs[l].out.Value.Cols())
-		}
-		runs[l].tape.Backward(runs[l].out, seed)
+	layerBlocks := make([]*graph.Block, len(blocks))
+	for l, b := range blocks {
+		layerBlocks[l] = &b.Block
 	}
-	for _, p := range w.model.Params() {
-		p.CollectGrad()
-	}
-	return float64(loss.Value.At(0, 0))
+	loss, _ := w.model.TrainStep(layerBlocks, feats, labels, mask, false, true, w.rng)
+	return loss
 }
 
 // fetchFeatures assembles the features of the input frontier. Owned rows

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neutronstar/internal/dataset"
+	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 )
 
@@ -136,6 +137,35 @@ func TestSameSeedBitIdentical(t *testing.T) {
 	for run := 1; run < 8; run++ {
 		if got := losses(); !slices.Equal(got, want) {
 			t.Fatalf("run %d: same-seed epoch losses %x, first run %x", run, got, want)
+		}
+	}
+}
+
+// TestLossesPinned holds the sampling baseline's 3-epoch losses at three
+// workers to golden bits, for a model that reads the GCN coefficients and one
+// that pre-transforms its rows: how a sampled block is normalised and run may
+// change, what it computes may not.
+func TestLossesPinned(t *testing.T) {
+	ds, err := dataset.LoadByName("cora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[nn.ModelKind][]uint64{
+		nn.GCN: {0x3fe034d2b0940795, 0x3fca6127ea795ceb, 0x3fcee26183d64810},
+		nn.GAT: {0x3ff9f46cd4518a6d, 0x3fd66bda376a314d, 0x3fe35d4d44ad462a},
+	}
+	for _, kind := range []nn.ModelKind{nn.GCN, nn.GAT} {
+		tr, err := New(ds, Options{Workers: 3, Model: kind, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for e := 0; e < 3; e++ {
+			bits = append(bits, math.Float64bits(tr.RunEpoch().Loss))
+		}
+		tr.Close()
+		if !slices.Equal(bits, golden[kind]) {
+			t.Errorf("%s: epoch loss bits %#x, want %#x", kind, bits, golden[kind])
 		}
 	}
 }

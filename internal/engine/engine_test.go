@@ -265,16 +265,16 @@ func TestPlanInvariants(t *testing.T) {
 				for _, v := range p.owned {
 					wantEdges += g.InDegree(v)
 				}
-				if len(lp.owned.srcRow) != wantEdges {
+				if len(lp.owned.SrcRow) != wantEdges {
 					t.Fatalf("%s worker %d layer %d: %d edges, want %d",
-						mode, p.id, l+1, len(lp.owned.srcRow), wantEdges)
+						mode, p.id, l+1, len(lp.owned.SrcRow), wantEdges)
 				}
-				for _, r := range lp.owned.srcRow {
+				for _, r := range lp.owned.SrcRow {
 					if r < 0 || int(r) >= lp.numHAllRows {
 						t.Fatalf("%s: srcRow %d out of %d", mode, r, lp.numHAllRows)
 					}
 				}
-				for _, r := range lp.cached.srcRow {
+				for _, r := range lp.cached.SrcRow {
 					if r < 0 || int(r) >= lp.numPrevRows {
 						t.Fatalf("%s: cached srcRow %d outside prev rows %d", mode, r, lp.numPrevRows)
 					}

@@ -30,11 +30,11 @@ func (b *BuiltPlans) Executed(w int, bound bool) []hybrid.Work {
 		var wk hybrid.Work
 		switch f := lp.flow.(type) {
 		case *masterMirror:
-			wk.ReplicaRows = int64(lp.cached.numDst())
-			wk.Rows = int64(lp.owned.numDst()) + wk.ReplicaRows
+			wk.ReplicaRows = int64(lp.cached.NumDst())
+			wk.Rows = int64(lp.owned.NumDst()) + wk.ReplicaRows
 			if i > 0 || !bound {
-				wk.ReplicaEdges = int64(len(lp.cached.srcRow))
-				wk.Edges = int64(len(lp.owned.srcRow)) + wk.ReplicaEdges
+				wk.ReplicaEdges = int64(len(lp.cached.SrcRow))
+				wk.Edges = int64(len(lp.owned.SrcRow)) + wk.ReplicaEdges
 			}
 			for _, verts := range lp.recv {
 				wk.FetchedRows += int64(len(verts))
@@ -44,7 +44,7 @@ func (b *BuiltPlans) Executed(w int, bound bool) []hybrid.Work {
 			lo, hi := x.cols(w)
 			d := x.ColStart[x.NumWorkers()]
 			wk.Rows = nOwned
-			wk.Edges = int64(len(f.shared.all.srcRow)) * int64(hi-lo) / int64(max(d, 1))
+			wk.Edges = int64(len(f.shared.all.SrcRow)) * int64(hi-lo) / int64(max(d, 1))
 			// Re-gather: every peer's column slice of the owned rows; above
 			// layer 1 the slice-scatter first brings every peer's rows of
 			// this worker's slice.

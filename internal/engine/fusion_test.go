@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"neutronstar/internal/autograd"
+	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 )
 
@@ -49,9 +50,9 @@ func TestTrainingEpochMaterialisesNoEdgeTensor(t *testing.T) {
 			// Row counts that mean "one row per edge", minus any that is also a
 			// legitimate per-vertex row count somewhere in the plan.
 			edgeRows, vertexRows := map[int]bool{}, map[int]bool{}
-			addBlock := func(b *blockPlan) {
-				edgeRows[len(b.srcRow)] = true
-				vertexRows[b.numDst()] = true
+			addBlock := func(b *graph.Block) {
+				edgeRows[len(b.SrcRow)] = true
+				vertexRows[b.NumDst()] = true
 			}
 			for _, p := range e.plans {
 				for li := range p.layers {

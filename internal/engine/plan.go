@@ -22,28 +22,6 @@ import (
 	"neutronstar/internal/partition"
 )
 
-// blockPlan holds the edge-level index arrays for one destination block of
-// one layer (the owned block or the cached block).
-type blockPlan struct {
-	// dsts are the global ids of the block's destination vertices, in output
-	// row order.
-	dsts []int32
-	// srcRow[e] is the HAll row of edge e's source; edges are grouped by
-	// destination (CSC order over the block).
-	srcRow []int32
-	// dstRow[e] is the output row of edge e's destination within the block.
-	dstRow []int32
-	// offsets delimits each destination's edge group (len(dsts)+1).
-	offsets []int32
-	// selfRow[r] is the prev-rows index of destination r itself.
-	selfRow []int32
-	// edgeNorm / selfNorm are GCN normalisation coefficients.
-	edgeNorm []float32
-	selfNorm []float32
-}
-
-func (b *blockPlan) numDst() int { return len(b.dsts) }
-
 // chunkGroup is the owned block's edge subset whose sources live in one
 // region: the local prev rows (peer == -1) or one peer's received chunk.
 // srcLocal indexes within that region's own row space, so each group can
@@ -83,11 +61,13 @@ type layerPlan struct {
 	send    [][]int32
 	sendRow [][]int32
 	sends   bool
-	// owned is the block of destinations this worker owns; cached is the
-	// block of replicated destinations whose layer output is recomputed
-	// locally (the DepCache portion of the hybrid split).
-	owned  blockPlan
-	cached blockPlan
+	// owned is the block of destinations this worker owns (workerPlan.owned,
+	// in order); cached is the block of replicated destinations whose layer
+	// output is recomputed locally (the DepCache portion of the hybrid split,
+	// cachedComputeAt(l)). Both read edge sources from HAll and their own rows
+	// from the previous layer's rows (SelfRow).
+	owned  graph.Block
+	cached graph.Block
 	// numPrevRows = |owned| + |cachedCompute[l-1]|: the rows carried over
 	// from the previous layer's output (or the feature assembly for l=1).
 	numPrevRows int
@@ -347,11 +327,11 @@ func buildChunkGroups(lp *layerPlan, chunks [][]int32) ([]chunkGroup, []*chunkGr
 		}
 		return -1
 	}
-	for e, sr := range lp.owned.srcRow {
+	for e, sr := range lp.owned.SrcRow {
 		if int(sr) < lp.numPrevRows {
 			local.srcLocal = append(local.srcLocal, sr)
-			local.dstRow = append(local.dstRow, lp.owned.dstRow[e])
-			local.edgeNorm = append(local.edgeNorm, lp.owned.edgeNorm[e])
+			local.dstRow = append(local.dstRow, lp.owned.EdgeDst[e])
+			local.edgeNorm = append(local.edgeNorm, lp.owned.EdgeNorm[e])
 			continue
 		}
 		j := peerOf(sr)
@@ -361,8 +341,8 @@ func buildChunkGroups(lp *layerPlan, chunks [][]int32) ([]chunkGroup, []*chunkGr
 			byPeer[j] = gp
 		}
 		gp.srcLocal = append(gp.srcLocal, sr-lp.recvOffset[j])
-		gp.dstRow = append(gp.dstRow, lp.owned.dstRow[e])
-		gp.edgeNorm = append(gp.edgeNorm, lp.owned.edgeNorm[e])
+		gp.dstRow = append(gp.dstRow, lp.owned.EdgeDst[e])
+		gp.edgeNorm = append(gp.edgeNorm, lp.owned.EdgeNorm[e])
 	}
 	groups := []chunkGroup{local}
 	for j := 0; j < numPeers; j++ {
@@ -394,29 +374,29 @@ type gcnNorm struct{ edge, self []float32 }
 // an edge source, selfRow a destination's own previous-layer copy, to its row
 // in the block's input universe.
 func buildBlock(g *graph.Graph, dsts []int32, srcRow, selfRow func(int32) (int32, error),
-	norm gcnNorm) (blockPlan, error) {
+	norm gcnNorm) (graph.Block, error) {
 
 	off := g.InOffsets()
-	b := blockPlan{dsts: dsts, offsets: make([]int32, len(dsts)+1)}
-	b.selfRow = make([]int32, len(dsts))
-	b.selfNorm = make([]float32, len(dsts))
+	b := graph.Block{Offsets: make([]int32, len(dsts)+1)}
+	b.SelfRow = make([]int32, len(dsts))
+	b.SelfNorm = make([]float32, len(dsts))
 	for r, v := range dsts {
 		sr, err := selfRow(v)
 		if err != nil {
 			return b, err
 		}
-		b.selfRow[r] = sr
-		b.selfNorm[r] = norm.self[v]
+		b.SelfRow[r] = sr
+		b.SelfNorm[r] = norm.self[v]
 		for k, u := range g.InNeighbors(v) {
 			row, err := srcRow(u)
 			if err != nil {
 				return b, err
 			}
-			b.srcRow = append(b.srcRow, row)
-			b.dstRow = append(b.dstRow, int32(r))
-			b.edgeNorm = append(b.edgeNorm, norm.edge[off[v]+int64(k)])
+			b.SrcRow = append(b.SrcRow, row)
+			b.EdgeDst = append(b.EdgeDst, int32(r))
+			b.EdgeNorm = append(b.EdgeNorm, norm.edge[off[v]+int64(k)])
 		}
-		b.offsets[r+1] = int32(len(b.srcRow))
+		b.Offsets[r+1] = int32(len(b.SrcRow))
 	}
 	return b, nil
 }

@@ -44,18 +44,18 @@ func TestChunkGroupsPartitionOwnedEdges(t *testing.T) {
 							t.Fatalf("%s: peer %d group row %d >= chunk %d",
 								mode, g.peer, sr, chunk)
 						}
-						if int(g.dstRow[k]) >= lp.owned.numDst() {
+						if int(g.dstRow[k]) >= lp.owned.NumDst() {
 							t.Fatalf("%s: dst row out of block", mode)
 						}
 					}
 				}
-				if total != len(lp.owned.srcRow) {
+				if total != len(lp.owned.SrcRow) {
 					t.Fatalf("%s worker %d layer %d: groups cover %d of %d edges",
-						mode, p.id, l+1, total, len(lp.owned.srcRow))
+						mode, p.id, l+1, total, len(lp.owned.SrcRow))
 				}
 				// Edge norms must carry over unchanged (sum preserved).
 				var a, b float64
-				for _, v := range lp.owned.edgeNorm {
+				for _, v := range lp.owned.EdgeNorm {
 					a += float64(v)
 				}
 				for _, g := range lp.ownedGroups {
@@ -452,14 +452,14 @@ func TestBlocksReadTheGCNTable(t *testing.T) {
 	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
 	off := g.InOffsets()
 	edgesIn := map[string]int{} // block kind -> edges checked
-	check := func(what, kind string, b *blockPlan) {
+	check := func(what, kind string, b *graph.Block, dsts []int32) {
 		t.Helper()
-		edgesIn[kind] += len(b.edgeNorm)
-		for r, v := range b.dsts {
-			if math.Float32bits(b.selfNorm[r]) != math.Float32bits(selfNorm[v]) {
-				t.Fatalf("%s: self coefficient of %d is %v, table %v", what, v, b.selfNorm[r], selfNorm[v])
+		edgesIn[kind] += len(b.EdgeNorm)
+		for r, v := range dsts {
+			if math.Float32bits(b.SelfNorm[r]) != math.Float32bits(selfNorm[v]) {
+				t.Fatalf("%s: self coefficient of %d is %v, table %v", what, v, b.SelfNorm[r], selfNorm[v])
 			}
-			edges := b.edgeNorm[b.offsets[r]:b.offsets[r+1]]
+			edges := b.EdgeNorm[b.Offsets[r]:b.Offsets[r+1]]
 			if len(edges) != g.InDegree(v) {
 				t.Fatalf("%s: destination %d has %d edges, in-degree %d", what, v, len(edges), g.InDegree(v))
 			}
@@ -475,16 +475,22 @@ func TestBlocksReadTheGCNTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The slice block's destinations are every worker's owned vertices,
+		// in worker order.
+		var ownerOrder []int32
+		for _, p := range e.plans {
+			ownerOrder = append(ownerOrder, p.owned...)
+		}
 		for _, p := range e.plans {
 			for l := range p.layers {
 				lp := &p.layers[l]
 				what := fmt.Sprintf("%s worker %d layer %d", mode, p.id, l+1)
 				if f, ok := lp.flow.(*tpSlice); ok {
-					check(what, "slice", &f.shared.all)
+					check(what, "slice", &f.shared.all, ownerOrder)
 					continue
 				}
-				check(what, "owned", &lp.owned)
-				check(what, "cached", &lp.cached)
+				check(what, "owned", &lp.owned, p.owned)
+				check(what, "cached", &lp.cached, p.cachedComputeAt(l+1))
 			}
 		}
 		e.Close()

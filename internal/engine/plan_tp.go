@@ -33,7 +33,7 @@ type tpShared struct {
 	// all is the full-graph destination block over owner-block rows:
 	// buildBlock's CSC convention, so per-vertex sums reduce in the same float
 	// order as the other policies.
-	all blockPlan
+	all graph.Block
 }
 
 // resolve is buildBlock's row resolver over the owner-block row universe.
@@ -65,7 +65,7 @@ func buildTPLayer(sh *tpShared, dims []int, l, worker int) *tpSlice {
 		f.x.ColStart[j], _ = costmodel.TPColRange(dims[l-1], m, j)
 	}
 	blo, bhi := f.x.rows(worker)
-	f.selfNormOwned = sh.all.selfNorm[blo:bhi]
+	f.selfNormOwned = sh.all.SelfNorm[blo:bhi]
 	return f
 }
 

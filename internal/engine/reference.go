@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"neutronstar/internal/autograd"
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
@@ -13,9 +12,10 @@ import (
 // disabled (inference mode). It returns the final-layer logits for every
 // vertex.
 func ReferenceForward(g *graph.Graph, model *nn.Model, features *tensor.Tensor) *tensor.Tensor {
+	b := graph.FullBlock(g)
 	h := features
 	for _, layer := range model.Layers {
-		h = referenceLayer(g, layer, h)
+		h = nn.Infer(layer, b, h, nil)
 	}
 	return h
 }
@@ -64,94 +64,14 @@ func ReferenceBackward(g *graph.Graph, model *nn.Model, features *tensor.Tensor,
 	return referenceStep(g, model, features, labels, trainMask, true)
 }
 
-// referenceStep is the shared forward/backward ladder: one tape per layer,
-// gradients handed down through each layer's input leaf. When featGrad is
-// set, layer 0's input requires grad and its accumulated gradient is
-// returned (zero tensor if no gradient flowed).
+// referenceStep is Model.TrainStep with the whole graph as every layer's
+// block and dropout off.
 func referenceStep(g *graph.Graph, model *nn.Model, features *tensor.Tensor,
 	labels []int32, trainMask []bool, featGrad bool) (float64, *tensor.Tensor) {
-
-	type run struct {
-		tape *autograd.Tape
-		in   *autograd.Variable
-		out  *autograd.Variable
+	blocks := make([]*graph.Block, model.NumLayers())
+	b := graph.FullBlock(g)
+	for l := range blocks {
+		blocks[l] = b
 	}
-	var runs []run
-	h := features
-	for li, layer := range model.Layers {
-		tape := autograd.NewTape()
-		in := tape.Leaf(h, li > 0 || featGrad, "h")
-		out := forwardOnTape(g, layer, tape, in)
-		runs = append(runs, run{tape: tape, in: in, out: out})
-		h = out.Value
-	}
-	last := runs[len(runs)-1]
-	loss, _ := last.tape.CrossEntropyMasked(last.out, labels, trainMask)
-	last.tape.Backward(loss, nil)
-	for l := len(runs) - 2; l >= 0; l-- {
-		seed := runs[l+1].in.Grad
-		if seed == nil {
-			seed = tensor.New(runs[l].out.Value.Rows(), runs[l].out.Value.Cols())
-		}
-		runs[l].tape.Backward(runs[l].out, seed)
-	}
-	for _, p := range model.Params() {
-		p.CollectGrad()
-	}
-	var fg *tensor.Tensor
-	if featGrad {
-		fg = runs[0].in.Grad
-		if fg == nil {
-			fg = tensor.New(features.Rows(), features.Cols())
-		}
-	}
-	return float64(loss.Value.At(0, 0)), fg
-}
-
-// referenceLayer evaluates one layer over the whole graph without autograd
-// bookkeeping beyond a throwaway tape.
-func referenceLayer(g *graph.Graph, layer nn.Layer, h *tensor.Tensor) *tensor.Tensor {
-	tape := autograd.NewTape()
-	in := tape.Constant(h, "h")
-	out := forwardOnTape(g, layer, tape, in)
-	// Detach parameters bound during inference so a later training pass does
-	// not try to collect stale gradients.
-	for _, p := range layer.Params() {
-		p.CollectGrad()
-	}
-	return out.Value
-}
-
-// forwardOnTape builds the full-graph ForwardCtx for layer and runs it with
-// dropout off, so no RNG is drawn.
-func forwardOnTape(g *graph.Graph, layer nn.Layer, tape *autograd.Tape, in *autograd.Variable) *autograd.Variable {
-	rows := in
-	if pt, ok := layer.(nn.PreTransformer); ok {
-		rows = pt.PreTransform(tape, in, false, nil)
-	}
-	n := g.NumVertices()
-	srcIdx := make([]int32, 0, g.NumEdges())
-	dstIdx := make([]int32, 0, g.NumEdges())
-	offsets := make([]int32, n+1)
-	selfIdx := make([]int32, n)
-	for v := 0; v < n; v++ {
-		selfIdx[v] = int32(v)
-		for _, u := range g.InNeighbors(int32(v)) {
-			srcIdx = append(srcIdx, u)
-			dstIdx = append(dstIdx, int32(v))
-		}
-		offsets[v+1] = int32(len(srcIdx))
-	}
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
-	ctx := &nn.ForwardCtx{
-		Tape:     tape,
-		Src:      rows,
-		SrcRow:   srcIdx,
-		Self:     rows,
-		Offsets:  offsets,
-		EdgeDst:  dstIdx,
-		EdgeNorm: edgeNorm,
-		SelfNorm: selfNorm,
-	}
-	return layer.Forward(ctx)
+	return model.TrainStep(blocks, features, labels, trainMask, featGrad, false, nil)
 }

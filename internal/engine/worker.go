@@ -6,6 +6,7 @@ import (
 
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
+	"neutronstar/internal/graph"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
@@ -132,7 +133,7 @@ func (f *masterMirror) bindFeatures(ws *workerState) {
 	}
 	run := layerRun{tape: autograd.NewTape()}
 	feat := run.tape.Constant(ws.feat, "h_prev")
-	if lp.cached.numDst() > 0 {
+	if lp.cached.NumDst() > 0 {
 		f.boundCached = combineBlock(run.tape, sd, &lp.cached, feat, feat).Value
 	}
 	f.boundOwned = f.combineOwned(ws, &run, 0, 1, sd, feat).Value
@@ -333,9 +334,9 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 		// Layer 1's input is the static feature block: it takes no gradient.
 		run.hPrev = tape.Leaf(prevVal, l > 1, "h_prev")
 	}
-	if b := &lp.cached; b.numDst() > 0 {
+	if b := &lp.cached; b.NumDst() > 0 {
 		sc.Phase(obs.StageForward, l, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", b.numDst()))
+			obs.Int("layer", l), obs.Int("rows", b.NumDst()))
 		var combined *autograd.Variable
 		if bound {
 			combined = tape.Constant(f.boundCached, "combined")
@@ -347,7 +348,7 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 	var combined *autograd.Variable
 	if bound {
 		sc.Phase(obs.StageForward, l, "compute_owned",
-			obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
+			obs.Int("layer", l), obs.Int("rows", lp.owned.NumDst()))
 		combined = tape.Constant(f.boundOwned, "combined")
 	} else {
 		combined = f.combineOwned(ws, run, epoch, l, sd, run.hPrev)
@@ -358,10 +359,10 @@ func (f *masterMirror) forwardSum(ws *workerState, run *layerRun, epoch, l int, 
 // combineBlock is a sum-decomposable layer's work on one destination block
 // before its first parameter, in the order Layer.Forward records it: the
 // destinations' own rows, the edge stage over src, Combine.
-func combineBlock(tape *autograd.Tape, sd nn.SumDecomposable, b *blockPlan, src, selfUniverse *autograd.Variable) *autograd.Variable {
-	self := tape.Gather(selfUniverse, b.selfRow)
-	agg := sd.EdgeStage(tape, src, b.srcRow, b.edgeNorm, b.dstRow, b.numDst())
-	return sd.Combine(tape, agg, self, b.selfNorm)
+func combineBlock(tape *autograd.Tape, sd nn.SumDecomposable, b *graph.Block, src, selfUniverse *autograd.Variable) *autograd.Variable {
+	self := tape.Gather(selfUniverse, b.SelfRow)
+	agg := sd.EdgeStage(tape, src, b.SrcRow, b.EdgeNorm, b.EdgeDst, b.NumDst())
+	return sd.Combine(tape, agg, self, b.SelfNorm)
 }
 
 // combineOwned combines the owned block, whose sources may live in any
@@ -377,19 +378,19 @@ func (f *masterMirror) combineOwned(ws *workerState, run *layerRun, epoch, l int
 	tape := run.tape
 	if ws.eng.opts.Overlap {
 		agg := f.aggregateChunked(ws, run, epoch, l, sd, hPrev)
-		return sd.Combine(tape, agg, tape.Gather(hPrev, lp.owned.selfRow), lp.owned.selfNorm)
+		return sd.Combine(tape, agg, tape.Gather(hPrev, lp.owned.SelfRow), lp.owned.SelfNorm)
 	}
 	hAll := hPrev
 	if hRest := f.rest(ws, run, epoch, l); hRest != nil {
 		hAll = tape.ConcatRows(hPrev, hRest)
 	}
 	ws.clock.Phase(obs.StageForward, l, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
+		obs.Int("layer", l), obs.Int("rows", lp.owned.NumDst()))
 	return combineBlock(tape, sd, &lp.owned, hAll, hPrev)
 }
 
 // forwardBlocks runs any other layer: its vertex-level pre-transform (e.g.
-// GAT's z = W·h) over every row universe exactly once, then Layer.Forward on
+// GAT's z = W·h) over every row universe exactly once, then nn.RunBlock on
 // each destination block.
 func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l int, layer nn.Layer,
 	prevVal *tensor.Tensor) (outOwned, outCached *autograd.Variable) {
@@ -406,18 +407,18 @@ func (f *masterMirror) forwardBlocks(ws *workerState, run *layerRun, epoch, l in
 		}
 	}
 	zPrev := pre(run.hPrev)
-	if b := &lp.cached; b.numDst() > 0 {
+	if b := &lp.cached; b.NumDst() > 0 {
 		sc.Phase(obs.StageForward, l, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", b.numDst()))
-		outCached = ws.runBlock(tape, layer, b, zPrev, zPrev)
+			obs.Int("layer", l), obs.Int("rows", b.NumDst()))
+		outCached = nn.RunBlock(tape, layer, b, zPrev, zPrev, true, ws.rng)
 	}
 	zAll := zPrev
 	if hRest := f.rest(ws, run, epoch, l); hRest != nil {
 		zAll = tape.ConcatRows(zPrev, pre(hRest))
 	}
 	sc.Phase(obs.StageForward, l, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
-	return ws.runBlock(tape, layer, &lp.owned, zAll, zPrev), outCached
+		obs.Int("layer", l), obs.Int("rows", lp.owned.NumDst()))
+	return nn.RunBlock(tape, layer, &lp.owned, zAll, zPrev, true, ws.rng), outCached
 }
 
 // rest returns the rows of other workers the owned block reads, HAll rows
@@ -491,7 +492,7 @@ func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l
 	lp := &ws.plan.layers[l-1]
 	tape := run.tape
 	sc := ws.clock
-	numDst := lp.owned.numDst()
+	numDst := lp.owned.NumDst()
 	var partials []*autograd.Variable
 	if g := &lp.ownedGroups[0]; len(g.srcLocal) > 0 {
 		sc.Phase(obs.StageForward, l, "edge_stage",
@@ -526,26 +527,6 @@ func (f *masterMirror) aggregateChunked(ws *workerState, run *layerRun, epoch, l
 		agg = tape.Add(agg, p)
 	}
 	return agg
-}
-
-// runBlock executes one destination block through the layer's Forward.
-// srcUniverse provides edge-source rows, read through b.srcRow; selfUniverse
-// provides the destinations' own rows (always within the prev-layout part).
-func (ws *workerState) runBlock(tape *autograd.Tape, layer nn.Layer, b *blockPlan,
-	srcUniverse, selfUniverse *autograd.Variable) *autograd.Variable {
-	ctx := &nn.ForwardCtx{
-		Tape:     tape,
-		Src:      srcUniverse,
-		SrcRow:   b.srcRow,
-		Self:     tape.Gather(selfUniverse, b.selfRow),
-		Offsets:  b.offsets,
-		EdgeDst:  b.dstRow,
-		EdgeNorm: b.edgeNorm,
-		SelfNorm: b.selfNorm,
-		Training: true,
-		RNG:      ws.rng,
-	}
-	return layer.Forward(ctx)
 }
 
 // sendReps enqueues and sends this worker's master rows needed by each peer

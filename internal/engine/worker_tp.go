@@ -151,7 +151,7 @@ func (f *tpSlice) forward(ws *workerState, epoch, l int, prevVal *tensor.Tensor)
 		trun.sliceTape = ws.newTape()
 		trun.x = trun.sliceTape.Leaf(xVal, requiresGrad, "tp_x")
 		trun.aggSlice = sd.EdgeStage(trun.sliceTape,
-			trun.x, sh.all.srcRow, sh.all.edgeNorm, sh.all.dstRow, totalV)
+			trun.x, sh.all.SrcRow, sh.all.EdgeNorm, sh.all.EdgeDst, totalV)
 	}
 
 	// 3. Re-gather: every owner receives its rows' aggregation at full width.

@@ -19,8 +19,8 @@ func layerFixture() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 		{Src: 1, Dst: 2}, {Src: 2, Dst: 2},
 		{Src: 3, Dst: 0}, {Src: 3, Dst: 0},
 	})
-	srcIdx, dstIdx, offsets = testkit.CSC(g)
-	return g, srcIdx, dstIdx, offsets
+	b := graph.FullBlock(g)
+	return g, b.SrcRow, b.EdgeDst, b.Offsets
 }
 
 // TestLayerForwardGradients differentiates every layer kind's full

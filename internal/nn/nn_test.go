@@ -16,31 +16,20 @@ import (
 func buildCtx(t *testing.T, g *graph.Graph, layer Layer, h *tensor.Tensor, training bool) (*ForwardCtx, *autograd.Variable) {
 	t.Helper()
 	tape := autograd.NewTape()
-	n := g.NumVertices()
 	hVar := tape.Leaf(h, true, "h")
 	rows := hVar
 	if pt, ok := layer.(PreTransformer); ok {
 		rows = pt.PreTransform(tape, hVar, training, tensor.NewRNG(1))
 	}
-	srcIdx := make([]int32, 0, g.NumEdges())
-	dstIdx := make([]int32, 0, g.NumEdges())
-	offsets := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		for _, u := range g.InNeighbors(int32(v)) {
-			srcIdx = append(srcIdx, u)
-			dstIdx = append(dstIdx, int32(v))
-		}
-		offsets[v+1] = int32(len(srcIdx))
-	}
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	b := graph.FullBlock(g)
 	ctx := &ForwardCtx{
 		Tape:     tape,
-		EdgeSrc:  tape.Gather(rows, srcIdx),
+		EdgeSrc:  tape.Gather(rows, b.SrcRow),
 		Self:     rows,
-		Offsets:  offsets,
-		EdgeDst:  dstIdx,
-		EdgeNorm: edgeNorm,
-		SelfNorm: selfNorm,
+		Offsets:  b.Offsets,
+		EdgeDst:  b.EdgeDst,
+		EdgeNorm: b.EdgeNorm,
+		SelfNorm: b.SelfNorm,
 		Training: training,
 		RNG:      tensor.NewRNG(2),
 	}
@@ -411,27 +400,16 @@ func TestTinyGCNTrainingConverges(t *testing.T) {
 // buildCtxBench is buildCtx without the testing.T plumbing.
 func buildCtxBench(g *graph.Graph, layer Layer, h *tensor.Tensor, training bool) (*ForwardCtx, *autograd.Variable) {
 	tape := autograd.NewTape()
-	n := g.NumVertices()
 	hVar := tape.Leaf(h, true, "h")
 	rows := hVar
 	if pt, ok := layer.(PreTransformer); ok {
 		rows = pt.PreTransform(tape, hVar, training, tensor.NewRNG(1))
 	}
-	srcIdx := make([]int32, 0, g.NumEdges())
-	dstIdx := make([]int32, 0, g.NumEdges())
-	offsets := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		for _, u := range g.InNeighbors(int32(v)) {
-			srcIdx = append(srcIdx, u)
-			dstIdx = append(dstIdx, int32(v))
-		}
-		offsets[v+1] = int32(len(srcIdx))
-	}
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	b := graph.FullBlock(g)
 	ctx := &ForwardCtx{
-		Tape: tape, EdgeSrc: tape.Gather(rows, srcIdx), Self: rows,
-		Offsets: offsets, EdgeDst: dstIdx,
-		EdgeNorm: edgeNorm, SelfNorm: selfNorm,
+		Tape: tape, EdgeSrc: tape.Gather(rows, b.SrcRow), Self: rows,
+		Offsets: b.Offsets, EdgeDst: b.EdgeDst,
+		EdgeNorm: b.EdgeNorm, SelfNorm: b.SelfNorm,
 		Training: training, RNG: tensor.NewRNG(2),
 	}
 	return ctx, hVar

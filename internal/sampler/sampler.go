@@ -16,23 +16,17 @@ import (
 
 // Block is one sampled bipartite layer: every destination aggregates from a
 // bounded sample of its in-neighbors. Destinations are a subset of sources
-// (each vertex also feeds its own next-layer representation).
+// (each vertex also feeds its own next-layer representation). The embedded
+// graph.Block indexes Srcs (SrcRow, SelfRow) and Dsts (EdgeDst) and carries
+// the full graph's GCN coefficients: a sample keeps true degrees, since the
+// norm describes the graph, not the sample.
 type Block struct {
+	graph.Block
 	// Srcs is the input frontier (global vertex ids, ascending).
 	Srcs []int32
-	// Dsts is the output frontier, a prefix-aligned subset of Srcs.
+	// Dsts is the output frontier, a subset of Srcs.
 	Dsts []int32
-	// SrcIdx/DstIdx address sampled edges: SrcIdx[e] indexes Srcs, DstIdx[e]
-	// indexes Dsts. Edges are grouped by destination.
-	SrcIdx, DstIdx []int32
-	// Offsets delimits each destination's edge group (len(Dsts)+1).
-	Offsets []int32
-	// SelfIdx[d] is the row of Dsts[d] within Srcs.
-	SelfIdx []int32
 }
-
-// NumEdges returns the number of sampled edges.
-func (b *Block) NumEdges() int { return len(b.SrcIdx) }
 
 // Sample builds the block stack for seeds with the given per-layer fanouts.
 // fanouts[len-1] applies to the seeds' direct neighbors (first hop) and
@@ -73,16 +67,22 @@ func Sample(g *graph.Graph, seeds []int32, fanouts []int, rng *tensor.RNG) []*Bl
 		}
 		// Group edges by destination (they already are: frontier order).
 		b.Offsets = make([]int32, len(frontier)+1)
-		b.SelfIdx = make([]int32, len(frontier))
+		b.SelfRow = make([]int32, len(frontier))
+		b.SelfNorm = make([]float32, len(frontier))
 		ei := 0
 		for di, v := range frontier {
-			b.SelfIdx[di] = srcPos[v]
+			b.SelfRow[di] = srcPos[v]
+			dv := g.InDegree(v)
+			b.SelfNorm[di] = graph.GCNSelfCoefficient(dv)
+			fv := graph.GCNFactor(dv)
 			for ei < len(edges) && edges[ei].dst == int32(di) {
-				b.SrcIdx = append(b.SrcIdx, srcPos[edges[ei].src])
-				b.DstIdx = append(b.DstIdx, int32(di))
+				u := edges[ei].src
+				b.SrcRow = append(b.SrcRow, srcPos[u])
+				b.EdgeDst = append(b.EdgeDst, int32(di))
+				b.EdgeNorm = append(b.EdgeNorm, graph.GCNFactor(g.InDegree(u))*fv)
 				ei++
 			}
-			b.Offsets[di+1] = int32(len(b.SrcIdx))
+			b.Offsets[di+1] = int32(len(b.SrcRow))
 		}
 		blocks[l] = b
 		frontier = b.Srcs

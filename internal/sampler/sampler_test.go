@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -47,17 +48,17 @@ func TestSampleBlockStructure(t *testing.T) {
 		}
 	}
 	// Every sampled edge exists in the original graph.
-	for e := range top.SrcIdx {
-		u := top.Srcs[top.SrcIdx[e]]
-		v := top.Dsts[top.DstIdx[e]]
+	for e := range top.SrcRow {
+		u := top.Srcs[top.SrcRow[e]]
+		v := top.Dsts[top.EdgeDst[e]]
 		if !g.HasEdge(u, v) {
 			t.Fatalf("sampled nonexistent edge %d->%d", u, v)
 		}
 	}
-	// SelfIdx maps each dst to its own source row.
+	// SelfRow maps each dst to its own source row.
 	for d, v := range top.Dsts {
-		if top.Srcs[top.SelfIdx[d]] != v {
-			t.Fatal("SelfIdx broken")
+		if top.Srcs[top.SelfRow[d]] != v {
+			t.Fatal("SelfRow broken")
 		}
 	}
 }
@@ -65,8 +66,44 @@ func TestSampleBlockStructure(t *testing.T) {
 func TestSampleKeepsAllWhenDegreeUnderFanout(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{Src: 0, Dst: 3}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}})
 	blocks := Sample(g, []int32{3}, []int{10}, tensor.NewRNG(2))
-	if blocks[0].NumEdges() != 3 {
-		t.Fatalf("edges = %d, want all 3", blocks[0].NumEdges())
+	if n := len(blocks[0].SrcRow); n != 3 {
+		t.Fatalf("edges = %d, want all 3", n)
+	}
+}
+
+// TestSampleCarriesGCNCoefficients: every sampled edge u->v carries the bits
+// of GCNNormCoefficients' entry for u->v, and every destination its self
+// entry — a sample normalises by the graph's degrees, not the sample's.
+func TestSampleCarriesGCNCoefficients(t *testing.T) {
+	g := sampleGraph(t)
+	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	off := g.InOffsets()
+	want := func(u, v int32) uint32 {
+		for k, w := range g.InNeighbors(v) {
+			if w == u {
+				return math.Float32bits(edgeNorm[off[v]+int64(k)])
+			}
+		}
+		t.Fatalf("sampled nonexistent edge %d->%d", u, v)
+		return 0
+	}
+	blocks := Sample(g, []int32{5, 17, 100, 241}, []int{10, 5}, tensor.NewRNG(4))
+	for l, b := range blocks {
+		if len(b.EdgeNorm) != len(b.SrcRow) || len(b.SelfNorm) != len(b.Dsts) {
+			t.Fatalf("block %d: %d edge and %d self coefficients for %d edges and %d destinations",
+				l, len(b.EdgeNorm), len(b.SelfNorm), len(b.SrcRow), len(b.Dsts))
+		}
+		for e, c := range b.EdgeNorm {
+			u, v := b.Srcs[b.SrcRow[e]], b.Dsts[b.EdgeDst[e]]
+			if math.Float32bits(c) != want(u, v) {
+				t.Fatalf("block %d edge %d->%d: coefficient %v, table %v", l, u, v, c, math.Float32frombits(want(u, v)))
+			}
+		}
+		for d, v := range b.Dsts {
+			if math.Float32bits(b.SelfNorm[d]) != math.Float32bits(selfNorm[v]) {
+				t.Fatalf("block %d destination %d: self coefficient %v, table %v", l, v, b.SelfNorm[d], selfNorm[v])
+			}
+		}
 	}
 }
 
@@ -74,11 +111,11 @@ func TestSampleDeterministicPerRNG(t *testing.T) {
 	g := sampleGraph(t)
 	a := Sample(g, []int32{1, 2, 3}, []int{5, 5}, tensor.NewRNG(9))
 	b := Sample(g, []int32{1, 2, 3}, []int{5, 5}, tensor.NewRNG(9))
-	if len(a[0].SrcIdx) != len(b[0].SrcIdx) {
+	if len(a[0].SrcRow) != len(b[0].SrcRow) {
 		t.Fatal("same seed produced different samples")
 	}
-	for i := range a[0].SrcIdx {
-		if a[0].SrcIdx[i] != b[0].SrcIdx[i] {
+	for i := range a[0].SrcRow {
+		if a[0].SrcRow[i] != b[0].SrcRow[i] {
 			t.Fatal("sample order differs")
 		}
 	}
@@ -163,8 +200,8 @@ func TestQuickSampleValid(t *testing.T) {
 					return false
 				}
 			}
-			for e := range b.SrcIdx {
-				if !g.HasEdge(b.Srcs[b.SrcIdx[e]], b.Dsts[b.DstIdx[e]]) {
+			for e := range b.SrcRow {
+				if !g.HasEdge(b.Srcs[b.SrcRow[e]], b.Dsts[b.EdgeDst[e]]) {
 					return false
 				}
 			}
@@ -200,8 +237,8 @@ func TestSampleSeededConcurrent(t *testing.T) {
 				got := Sample(g, seeds, fanouts, tensor.NewRNG(uint64(s+1)))
 				for l := range got {
 					if !equalInt32(got[l].Srcs, want[s][l].Srcs) ||
-						!equalInt32(got[l].SrcIdx, want[s][l].SrcIdx) ||
-						!equalInt32(got[l].DstIdx, want[s][l].DstIdx) {
+						!equalInt32(got[l].SrcRow, want[s][l].SrcRow) ||
+						!equalInt32(got[l].EdgeDst, want[s][l].EdgeDst) {
 						t.Errorf("seed %d layer %d: concurrent sample differs from serial", s+1, l)
 						return
 					}
@@ -215,7 +252,7 @@ func TestSampleSeededConcurrent(t *testing.T) {
 	// somewhere in this graph, so at least two of the eight should differ).
 	distinct := false
 	for s := 1; s < len(want); s++ {
-		if !equalInt32(want[s][0].SrcIdx, want[0][0].SrcIdx) {
+		if !equalInt32(want[s][0].SrcRow, want[0][0].SrcRow) {
 			distinct = true
 			break
 		}

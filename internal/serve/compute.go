@@ -3,7 +3,6 @@ package serve
 import (
 	"time"
 
-	"neutronstar/internal/autograd"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/tensor"
 )
@@ -42,7 +41,7 @@ func (s *Server) compute(asm *assembled, model *nn.Model, scratch *tensor.Arena)
 			prevOut = nil
 			continue
 		}
-		prevOut = forwardBlock(model.Layers[l], b, H, scratch)
+		prevOut = nn.Infer(model.Layers[l], &b.Block, H, scratch)
 		if asm.exact && l+1 < L {
 			s.cache.putMany(l+1, b.dsts, n, prevOut, nil, asm.gen)
 		}
@@ -103,38 +102,4 @@ func stitch(b *block, prev *tensor.Tensor, scratch *tensor.Arena, dim int) *tens
 		copy(H.Row(i), row)
 	}
 	return H
-}
-
-// forwardBlock evaluates one layer over one bipartite block. The ForwardCtx
-// mirrors engine.forwardOnTape restricted to the block: SrcRow indexes the
-// (possibly pre-transformed) source rows in destination-grouped order and
-// Self is their leading rows, the destinations' own, so per-destination
-// float32 aggregation order — and therefore the result — matches the
-// full-graph reference bitwise.
-func forwardBlock(layer nn.Layer, b *block, H *tensor.Tensor, scratch *tensor.Arena) *tensor.Tensor {
-	tape := autograd.NewTapeArena(scratch)
-	in := tape.Constant(H, "h")
-	rng := tensor.NewRNG(0)
-	rows := in
-	if pt, ok := layer.(nn.PreTransformer); ok {
-		rows = pt.PreTransform(tape, in, false, rng)
-	}
-	ctx := &nn.ForwardCtx{
-		Tape:     tape,
-		Src:      rows,
-		SrcRow:   b.srcIdx,
-		Self:     tape.Constant(rows.Value.RowSlice(0, len(b.dsts)), "self"),
-		Offsets:  b.offsets,
-		EdgeDst:  b.dstIdx,
-		EdgeNorm: b.edgeNorm,
-		SelfNorm: b.selfNorm,
-		Training: false,
-		RNG:      rng,
-	}
-	out := layer.Forward(ctx)
-	// Detach parameters bound during inference (tape binding is stateful).
-	for _, p := range layer.Params() {
-		p.CollectGrad()
-	}
-	return out.Value
 }

@@ -43,23 +43,18 @@ func (o *overlay) featRow(v int32) []float32 {
 }
 
 // block is one layer of an extraction plan: destinations aggregate from
-// their (possibly sampled) in-neighbors, exactly the bipartite shape of
-// sampler.Block but carrying everything the compute pool needs — norm
-// coefficients from full-graph degrees and any cache-served input rows.
+// their (possibly sampled) in-neighbors. The embedded graph.Block indexes
+// srcs and dsts; its edges are grouped by destination in in-neighbor order
+// (the reference aggregation order, so float32 sums match it bitwise), its
+// SelfRow is nil (destinations lead srcs) and its GCN coefficients come from
+// full-graph in-degrees (a sampled block keeps true degrees: the norm
+// describes the graph, not the sample).
 type block struct {
+	graph.Block
 	// srcs is the input frontier: the destinations first, so input row d is
 	// dsts[d]'s own row, then every other in-neighbor in the order the walk
 	// first meets it. dsts is srcs[:len(dsts)].
 	srcs, dsts []int32
-	// srcIdx/dstIdx address edges into srcs/dsts; edges are grouped by
-	// destination in in-neighbor order (the reference aggregation order, so
-	// float32 sums match it bitwise).
-	srcIdx, dstIdx []int32
-	offsets        []int32 // len(dsts)+1
-	// edgeNorm/selfNorm are the GCN renormalisation coefficients computed
-	// from full-graph in-degrees (a sampled block keeps true degrees: the
-	// norm describes the graph, not the sample).
-	edgeNorm, selfNorm []float32
 	// cached[i], when non-nil, is srcs[i]'s input row served from the
 	// embedding cache; the frontier below was not expanded through it. The
 	// k-th source without one is the block below's k-th destination. Nil
@@ -113,18 +108,20 @@ func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 	}
 	nd := len(dsts)
 	b := &block{
-		srcs:     append(make([]int32, 0, nd+edges), dsts...),
-		srcIdx:   make([]int32, 0, edges),
-		dstIdx:   make([]int32, 0, edges),
-		offsets:  make([]int32, nd+1),
-		edgeNorm: make([]float32, 0, edges),
-		selfNorm: make([]float32, nd),
+		Block: graph.Block{
+			SrcRow:   make([]int32, 0, edges),
+			EdgeDst:  make([]int32, 0, edges),
+			Offsets:  make([]int32, nd+1),
+			EdgeNorm: make([]float32, 0, edges),
+			SelfNorm: make([]float32, nd),
+		},
+		srcs: append(make([]int32, 0, nd+edges), dsts...),
 	}
 	b.dsts = b.srcs[:nd]
 	for di, v := range b.dsts {
 		d := o.inDeg(v)
 		f := graph.GCNFactor(d)
-		b.selfNorm[di] = graph.GCNSelfCoefficient(d)
+		b.SelfNorm[di] = graph.GCNSelfCoefficient(d)
 		ns := o.inNbrs(v)
 		if fanout > 0 {
 			ns = sampler.Pick(ns, fanout, rng)
@@ -136,11 +133,11 @@ func (w *walk) expand(o *overlay, fanout int, rng *tensor.RNG) *block {
 				p = int32(len(b.srcs))
 				w.slot[u] = p
 			}
-			b.srcIdx = append(b.srcIdx, p-1)
-			b.dstIdx = append(b.dstIdx, int32(di))
-			b.edgeNorm = append(b.edgeNorm, f*graph.GCNFactor(o.inDeg(u)))
+			b.SrcRow = append(b.SrcRow, p-1)
+			b.EdgeDst = append(b.EdgeDst, int32(di))
+			b.EdgeNorm = append(b.EdgeNorm, f*graph.GCNFactor(o.inDeg(u)))
 		}
-		b.offsets[di+1] = int32(len(b.srcIdx))
+		b.Offsets[di+1] = int32(len(b.SrcRow))
 	}
 	for _, v := range b.srcs {
 		w.slot[v] = 0

@@ -34,8 +34,7 @@ func TestModelGradientsFast(t *testing.T) {
 func TestReferenceMatchesEdgeSrcEntry(t *testing.T) {
 	ds := SmallDataset(24, 3, 7)
 	g := ds.Graph
-	srcIdx, dstIdx, offsets := CSC(g)
-	edgeNorm, selfNorm := graph.GCNNormCoefficients(g)
+	b := graph.FullBlock(g)
 	dims := []int{ds.Spec.FeatureDim, ds.Spec.HiddenDim, ds.Spec.NumClasses}
 	for _, kind := range nn.ModelKinds() {
 		model := nn.MustNewModel(kind, dims, 0, 11)
@@ -47,8 +46,8 @@ func TestReferenceMatchesEdgeSrcEntry(t *testing.T) {
 				rows = pt.PreTransform(tape, rows, false, nil)
 			}
 			h = layer.Forward(&nn.ForwardCtx{
-				Tape: tape, EdgeSrc: tape.Gather(rows, srcIdx), Self: rows,
-				Offsets: offsets, EdgeDst: dstIdx, EdgeNorm: edgeNorm, SelfNorm: selfNorm,
+				Tape: tape, EdgeSrc: tape.Gather(rows, b.SrcRow), Self: rows,
+				Offsets: b.Offsets, EdgeDst: b.EdgeDst, EdgeNorm: b.EdgeNorm, SelfNorm: b.SelfNorm,
 			}).Value
 			for _, p := range layer.Params() {
 				p.CollectGrad()

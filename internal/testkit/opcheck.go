@@ -76,24 +76,8 @@ func OpGraph() (g *graph.Graph, srcIdx, dstIdx, offsets []int32) {
 		{Src: 4, Dst: 3}, {Src: 4, Dst: 3}, // multi-edge
 		// vertex 5: no in-edges, no out-edges
 	})
-	srcIdx, dstIdx, offsets = CSC(g)
-	return g, srcIdx, dstIdx, offsets
-}
-
-// CSC lists g's edges in destination-grouped order — source and destination
-// of each edge plus the per-destination offsets — exactly as the engines
-// derive a full-graph block.
-func CSC(g *graph.Graph) (srcIdx, dstIdx, offsets []int32) {
-	n := g.NumVertices()
-	offsets = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		for _, u := range g.InNeighbors(int32(v)) {
-			srcIdx = append(srcIdx, u)
-			dstIdx = append(dstIdx, int32(v))
-		}
-		offsets[v+1] = int32(len(srcIdx))
-	}
-	return srcIdx, dstIdx, offsets
+	b := graph.FullBlock(g)
+	return g, b.SrcRow, b.EdgeDst, b.Offsets
 }
 
 // CheckDecoupledOps gradient-checks each decoupled graph operation of the
