@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"neutronstar/internal/costmodel"
@@ -60,16 +59,6 @@ func pricedMatchesPlan(plan *engine.Plan, bound bool) (built *engine.BuiltPlans,
 func boundLayer1(kind nn.ModelKind) bool {
 	_, ok := nn.MustNewModel(kind, []int{2, 2, 2}, 0, 1).Layers[0].(nn.SumDecomposable)
 	return ok
-}
-
-// summed is plan's price as the candidate argmin sums it: Σ_w CacheCost +
-// CommCost, in worker order.
-func summed(p *hybrid.Planner, plan []*hybrid.Decision) (cost float64) {
-	for w, dec := range plan {
-		ch := p.Charge(w, dec)
-		cost += ch.CacheCost + ch.CommCost
-	}
-	return cost
 }
 
 // decide is the plan step under fixed costs, mode and cache budget, with
@@ -158,195 +147,6 @@ func TestPricedCountsMatchPlan(t *testing.T) {
 		rows := built.Executed(w, true)[0].ReplicaRows
 		if got, want := cache.Planner.Charge(w, dec).CacheCost, float64(regimes[1].Tv*float64(rows*32)); rows == 0 || got != want {
 			t.Fatalf("worker %d: DepCache GCN priced %g for %d level-1 replicas, want Tv·d¹ each = %g", w, got, rows, want)
-		}
-	}
-}
-
-// TestDepTPHome: DepTP has a home in model space, where NeutronTP
-// (PAPERS.md) puts it — a dense graph, a sum-decomposable model, depth.
-// Over every ModeHybrid3 candidate priced as Σ_w CacheCost + CommCost, a
-// 3-layer GCN on 4 or 8 workers with Tv = 2.98·Te and Tc/Te ∈ {2, 8, 15, 45,
-// 150} (ROADMAP reading (xv)'s sweep) prices the best tensor-parallel
-// candidate at most 0.9 of the best non-TP one on reddit in every cell, and
-// at least 1.1 of it on google and livejournal. Without SliceTP's slice
-// dataflow reddit's cells read 1.000–1.216 and the first bound fails.
-func TestDepTPHome(t *testing.T) {
-	const te = 1e-9
-	for _, c := range []struct {
-		name     string
-		min, max float64 // the TP/non-TP ratio's allowed range
-	}{
-		{"reddit", 0, 0.9},
-		{"google", 1.1, math.Inf(1)},
-		{"livejournal", 1.1, math.Inf(1)},
-	} {
-		ds, err := dataset.LoadByName(c.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 8} {
-			opts := engine.Options{Workers: workers, Model: nn.GCN, Layers: 3}
-			for _, tcTe := range []float64{2, 8, 15, 45, 150} {
-				plan, err := decide(ds, opts, costmodel.Costs{Tv: 2.98 * te, Te: te, Tc: tcTe * te}, hybrid.ModeHybrid3, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cands, err := plan.Planner.Candidates(hybrid.ModeHybrid3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bestTP, bestOther := math.Inf(1), math.Inf(1)
-				for _, cand := range cands {
-					var total float64
-					tp := false
-					for w, dec := range cand.Plan {
-						ch := plan.Planner.Charge(w, dec)
-						total += ch.CacheCost + ch.CommCost
-						tp = tp || dec.NumTP() > 0
-					}
-					if tp {
-						bestTP = min(bestTP, total)
-					} else {
-						bestOther = min(bestOther, total)
-					}
-				}
-				if ratio := bestTP / bestOther; !(ratio >= c.min && ratio <= c.max) {
-					t.Errorf("%s W=%d Tc/Te=%g: best TP / best non-TP = %.3f, want in [%g, %g]",
-						c.name, workers, tcTe, ratio, c.min, c.max)
-				}
-			}
-		}
-	}
-}
-
-// TestWholeBlockTPNeverWins: without SliceTP a tensor-parallel layer fetches
-// every peer's whole owned block, so no TP suffix is worth offering. For GAT
-// on the Fig. 2a generators (W ∈ {4, 8}, L ∈ {2, 3}, Tv = 2.98·Te, Tc/Te ∈
-// {2, 8, 15, 45, 150}, ROADMAP reading (xvii)) and on train-hybrid-gat's
-// graph, ModeHybrid3 offers comm, greedy and cache only, and every TP suffix
-// over the greedy prefix below it — built here, as the planner no longer
-// does — prices at least the best of the three. Halving the whole-block
-// fetch count in Ledger fails cells.
-//
-// The greedy decides bottom up, and its layer-l split reads only d^(0..l-1),
-// so the greedy of the planner cut to L−1 layers is the prefix. The L-layer
-// greedy is priced only for a suffix below min(comm, cache): on pokec at
-// L = 3 it costs seconds a cell, and there no suffix needs it.
-func TestWholeBlockTPNeverWins(t *testing.T) {
-	const te = 1e-9
-	type grid struct {
-		ds              *dataset.Dataset
-		workers, layers []int
-	}
-	var grids []grid
-	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
-		ds, err := dataset.LoadByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grids = append(grids, grid{ds, []int{4, 8}, []int{2, 3}})
-	}
-	rmat := dataset.Load(dataset.Spec{
-		Name: "bench-rmat", Gen: dataset.GenRMAT, Vertices: 7000, AvgDegree: 18, Skew: 0.45,
-		FeatureDim: 64, HiddenDim: 32, NumClasses: 16, Seed: 11,
-	})
-	grids = append(grids, grid{rmat, []int{4}, []int{2}})
-	priced := func(p *hybrid.Planner, mode hybrid.Mode) float64 {
-		plan, err := p.DecideAll(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return summed(p, plan)
-	}
-	for _, g := range grids {
-		for _, workers := range g.workers {
-			for _, L := range g.layers {
-				opts := engine.Options{Workers: workers, Model: nn.GAT, Layers: L}
-				plan, err := decide(g.ds, opts, costmodel.Costs{}, hybrid.ModeAllComm, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := plan.Planner
-				cut := *p
-				cut.Dims = p.Dims[:L]
-				for _, tcTe := range []float64{2, 8, 15, 45, 150} {
-					cell := fmt.Sprintf("%s W=%d L=%d Tc/Te=%g", g.ds.Spec.Name, workers, L, tcTe)
-					p.Costs = costmodel.Costs{Tv: 2.98 * te, Te: te, Tc: tcTe * te}
-					cut.Costs = p.Costs
-					cands, err := cut.Candidates(hybrid.ModeHybrid3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(cands) != 3 {
-						t.Fatalf("%s: ModeHybrid3 offers %d candidates without SliceTP, want comm, greedy and cache", cell, len(cands))
-					}
-					prefix := cands[1].Plan
-					best := min(priced(p, hybrid.ModeAllComm), priced(p, hybrid.ModeAllCache))
-					greedyPriced := false
-					for tpFrom := L; tpFrom >= 1; tpFrom-- {
-						suffix := make([]*hybrid.Decision, workers)
-						for w, base := range prefix {
-							d := &hybrid.Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L)}
-							for l := 1; l <= L; l++ {
-								if l < tpFrom {
-									d.R[l-1], d.C[l-1] = base.R[l-1], base.C[l-1]
-								} else {
-									d.TP[l-1] = true
-								}
-							}
-							suffix[w] = d
-						}
-						price := summed(p, suffix)
-						if price < best && !greedyPriced {
-							best, greedyPriced = min(best, priced(p, hybrid.ModeHybrid)), true
-						}
-						if price < best {
-							t.Errorf("%s: TP from layer %d prices %.6f of the best non-TP plan", cell, tpFrom, price/best)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBoundLayer1Threshold: with layer 1 bound, a 2-layer GCN's DepCache and
-// DepComm hold the same dependency set, one recomputing it at Tv·d¹ a row and
-// the other fetching it at Tc·d¹ a row, so on every Fig. 2a graph and
-// cluster size their priced ratio is Tv/Tc and Algorithm 4 caches all of it
-// or none: its plan prices exactly min(pure), and a tie falls to comm.
-func TestBoundLayer1Threshold(t *testing.T) {
-	total := func(plan *engine.Plan) float64 { return summed(plan.Planner, plan.Decisions) }
-	for _, name := range []string{"google", "pokec", "reddit", "livejournal"} {
-		ds, err := dataset.LoadByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 8} {
-			opts := engine.Options{Workers: workers, Model: nn.GCN, Layers: 2}
-			for _, tc := range []float64{1e-8, 3e-8, 9e-8} {
-				costs := costmodel.Costs{Tv: 3e-8, Te: 1e-8, Tc: tc}
-				var plans [3]*engine.Plan
-				for i, mode := range []hybrid.Mode{hybrid.ModeAllCache, hybrid.ModeAllComm, hybrid.ModeHybrid} {
-					if plans[i], err = decide(ds, opts, costs, mode, 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-				cache, comm, hyb := total(plans[0]), total(plans[1]), total(plans[2])
-				if rel := math.Abs(cache/comm-costs.Tv/tc) / (costs.Tv / tc); rel > 1e-9 {
-					t.Fatalf("%s W=%d Tc=%g: DepCache/DepComm priced %.12g, want Tv/Tc = %.12g", name, workers, tc, cache/comm, costs.Tv/tc)
-				}
-				if hyb != min(cache, comm) {
-					t.Fatalf("%s W=%d Tc=%g: hybrid priced %.17g, min(pure) %.17g", name, workers, tc, hyb, min(cache, comm))
-				}
-				if tc == costs.Tv {
-					for w, dec := range plans[2].Decisions {
-						if len(dec.R[1]) != 0 {
-							t.Fatalf("%s W=%d: at Tv = Tc worker %d caches %d layer-2 dependencies, want the tie to fall to comm", name, workers, w, len(dec.R[1]))
-						}
-					}
-				}
-			}
 		}
 	}
 }

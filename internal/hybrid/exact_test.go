@@ -8,8 +8,8 @@ import (
 // The paper observes (§3) that minimising Eq. 3 is NP-hard — it reduces to
 // 0-1 integer linear programming — which is why Algorithm 4 is a greedy
 // heuristic. This file provides an exhaustive solver for tiny instances
-// (|D| small enough that (2^|D|)^L enumeration is feasible), used in tests
-// to measure how far the greedy lands from the true optimum under the same
+// (|D| small enough that (2^|D|)^L enumeration is feasible): the tests'
+// oracle of how far the greedy lands from the true optimum under the same
 // cost semantics.
 
 // ExactDecision enumerates every per-layer cache/communicate assignment for

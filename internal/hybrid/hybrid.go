@@ -20,6 +20,7 @@ package hybrid
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
 	"neutronstar/internal/costmodel"
@@ -42,8 +43,7 @@ type Decision struct {
 	// slice-exchange collectives replace R and C entirely; without it the
 	// layer reads every peer's whole owned block over the master–mirror
 	// exchange. TP is a cluster-level per-layer choice, identical across all
-	// workers' Decisions. Decisions built outside DecideAll (ExactDecision,
-	// tests) may carry a nil TP (all false).
+	// workers' Decisions, and may be nil (all false) outside DecideAll.
 	TP []bool
 	// Rep[l-1] marks layer l as replicated (DepRep): every remote dependency
 	// is cached (R[l-1] holds the full dependency set) and the planner prices
@@ -264,33 +264,23 @@ func (p *Planner) Candidates(mode Mode) ([]Candidate, error) {
 	return out, nil
 }
 
-// DecideAll computes one Decision per worker: it prices every candidate of
-// the mode with the exact evaluator (Charge) and returns the cheapest
-// feasible one. The Decisions carry only the split; Charge prices it again
-// for any reader that wants the numbers.
+// DecideAll computes one Decision per worker: of the mode's candidates whose
+// every Ledger fits the budget, the one Summed prices cheapest. The Decisions
+// carry only the split; Charge prices it again for any reader.
 func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 	cands, err := p.Candidates(mode)
 	if err != nil {
 		return nil, err
 	}
-	var best []*Decision
-	bestCost := 0.0
+	best, bestCost := []*Decision(nil), 0.0
 	for _, cand := range cands {
-		plan := cand.Plan
-		charges := make([]Charge, len(plan))
-		p.perWorker(func(w int) { charges[w] = p.Charge(w, plan[w]) })
-		// Sum in worker order: the argmin must not depend on scheduling.
-		total := 0.0
-		feasible := true
-		for _, ch := range charges {
-			if cand.Budget > 0 && ch.Bytes > cand.Budget {
-				feasible = false
-				break
-			}
-			total += ch.CacheCost + ch.CommCost
+		leds := make([]Ledger, len(cand.Plan))
+		p.perWorker(func(w int) { leds[w] = p.Ledger(w, cand.Plan[w]) })
+		if slices.ContainsFunc(leds, func(led Ledger) bool { return cand.Budget > 0 && led.Bytes > cand.Budget }) {
+			continue
 		}
-		if feasible && (best == nil || total < bestCost) {
-			best, bestCost = plan, total
+		if total := p.Summed(leds); best == nil || total < bestCost {
+			best, bestCost = cand.Plan, total
 		}
 	}
 	if best == nil {
@@ -394,8 +384,8 @@ func (c *candidates) suffix(t int, rep bool) []*Decision {
 }
 
 // tpSuffixes lists the tensor-parallel suffix plans shallowest first; none
-// without SliceTP, where a TP layer fetches whole blocks and so moves at
-// least the rows pure communication fetches (engine.TestWholeBlockTPNeverWins).
+// without SliceTP, where a TP layer fetches whole blocks, at least the rows
+// pure communication fetches (experiments.TestWholeBlockTPNeverWins).
 func (c *candidates) tpSuffixes() [][]*Decision {
 	if !c.p.SliceTP {
 		return nil

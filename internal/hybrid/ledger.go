@@ -45,15 +45,25 @@ func ComputeCost(c costmodel.Costs, rows, edges int64, d int) float64 {
 	return float64(c.Tv*float64(rows*int64(d))) + float64(c.Te*float64(edges*int64(d)))
 }
 
-// Charge prices d for worker: the replica compute, fetched rows and
-// slice-exchange volume of its Ledger.
-func (p *Planner) Charge(worker int, d *Decision) Charge {
-	ch := Charge{Ledger: p.Ledger(worker, d)}
-	ch.CacheCost = p.replicaCost(ch.Layers)
-	for l, w := range ch.Layers {
+// Charge prices d for worker: Price of its Ledger.
+func (p *Planner) Charge(worker int, d *Decision) Charge { return p.Price(p.Ledger(worker, d)) }
+
+// Price is Eq. 1–2 of led under p.Costs, the one place a Ledger meets Costs.
+func (p *Planner) Price(led Ledger) Charge {
+	ch := Charge{CacheCost: p.replicaCost(led.Layers), Ledger: led}
+	for l, w := range led.Layers {
 		ch.CommCost += p.Costs.CommCost(w.FetchedRows*int64(p.Dims[l]) + w.TPElems)
 	}
 	return ch
+}
+
+// Summed is DecideAll's objective: Σ CacheCost + CommCost in worker order.
+func (p *Planner) Summed(leds []Ledger) (total float64) {
+	for _, led := range leds {
+		ch := p.Price(led)
+		total += ch.CacheCost + ch.CommCost
+	}
+	return total
 }
 
 // replicaCost prices the replica share of layers, layer by layer.
